@@ -15,7 +15,6 @@
 //! | `fig_memcached` | "memcached results" — requests/s vs client count for GET and SET against the default (global-lock) and RP engines |
 //! | `fig_shard` | (repo addition) sharded write throughput — Zipf-keyed inserts/s vs writer threads at 1/4/16/64 shards |
 //! | `fig_maint` | (repo addition) resize maintenance — p99 insert latency under a Zipfian write storm, inline vs background-maintained resizes |
-//! | `fig_server` | (repo addition) server architecture — requests/s and p99 vs connection count, thread-per-connection vs the `rp-net` event loop |
 //! | `fig_qsbr` | (repo addition) read-side flavors — lookups/s and p99 vs reader threads, EBR guard vs barrier-free QSBR, with and without continuous resizing |
 //! | `fig_hotpath` | (repo addition) zero-allocation serving — allocations/op for steady-state event-loop GETs (counting allocator; gated at 0) and pipelined GET throughput vs pipeline depth |
 //! | `fig_obs` | (repo addition) telemetry overhead — pipelined GET throughput with `rp-obs` timers on vs off (gated ≤2%), plus a QSBR-vs-EBR server comparison measured from the server's own `STATS` per-opcode histograms |
@@ -38,10 +37,10 @@
 //!   (default 12).
 //! * `RP_BENCH_WRITE_THREADS` — top of the writer ladder for `fig_shard`,
 //!   and (clamped to 4) the writer count for `fig_maint`.
-//! * `RP_BENCH_SERVER_CONNECTIONS` — top of the connection ladder for
-//!   `fig_server` (default 256).
-//! * `RP_BENCH_SERVER_WORKERS` — event-loop worker threads for
-//!   `fig_server` (default 2).
+//! * `RP_BENCH_SERVER_CONNECTIONS` — connection count for `fig_obs`'s
+//!   read-flavor comparison (default 256).
+//! * `RP_BENCH_SERVER_WORKERS` — reactor worker threads of every server
+//!   figure (default 2).
 //! * `RP_BENCH_HOTPATH_CONNECTIONS` — connection count for `fig_hotpath`'s
 //!   pipeline-depth ladder (default 16).
 //! * `RP_BENCH_HOTPATH_AUDIT_OPS` — operations measured (after as many of
@@ -61,15 +60,15 @@ use std::time::Duration;
 use rp_baselines::{ConcurrentMap, DddsTable, MutexTable, RwLockTable};
 use rp_hash::{FnvBuildHasher, QsbrReadHandle, RpHashMap};
 use rp_kvcache::client::CacheClient;
-use rp_kvcache::server::{start_server, ServerConfig};
-use rp_kvcache::{CacheEngine, Item, LockEngine, RpEngine, ShardedRpEngine};
+use rp_kvcache::{
+    CacheEngine, EngineReadCtx, EventServer, Item, LockEngine, ReadSide, RpEngine, ServerConfig,
+    ShardedRpEngine,
+};
 use rp_shard::{ShardPolicy, ShardedRpMap};
 use rp_splitorder::SplitOrderMap;
 use rp_workload::driver::BackgroundHandle;
 use rp_workload::sysinfo::HostInfo;
-use rp_workload::{
-    drive_connections, measure, measure_thread_local, KeyDist, KeyGen, Report, Series,
-};
+use rp_workload::{measure, measure_thread_local, KeyDist, KeyGen, Report, Series};
 
 /// Zipf exponent used by the sharded-write figure (a cache-like skew).
 pub const SHARD_ZIPF_EXPONENT: f64 = 0.99;
@@ -92,9 +91,9 @@ pub struct BenchConfig {
     pub write_threads: Vec<usize>,
     /// Client counts for the memcached figure.
     pub clients: Vec<usize>,
-    /// Connection counts for the server figure (`fig_server`).
-    pub server_connections: Vec<usize>,
-    /// Event-loop worker threads for the server figure.
+    /// Connection count for `fig_obs`'s read-flavor comparison.
+    pub server_connections: usize,
+    /// Reactor worker threads for the server figures.
     pub server_workers: usize,
     /// Connection count for the hot-path figure (`fig_hotpath`).
     pub hotpath_connections: usize,
@@ -139,17 +138,7 @@ impl BenchConfig {
             write_threads: host
                 .oversubscribed_ladder(env_num("RP_BENCH_WRITE_THREADS", host.logical_cpus.max(8))),
             clients: (1..=clients_cap).collect(),
-            server_connections: {
-                let max_conns = env_num("RP_BENCH_SERVER_CONNECTIONS", 256_usize).max(1);
-                let mut ladder = vec![1_usize];
-                while ladder.last().copied().unwrap_or(1) * 4 <= max_conns {
-                    ladder.push(ladder.last().unwrap() * 4);
-                }
-                if ladder.last() != Some(&max_conns) {
-                    ladder.push(max_conns);
-                }
-                ladder
-            },
+            server_connections: env_num("RP_BENCH_SERVER_CONNECTIONS", 256_usize).max(1),
             server_workers: env_num("RP_BENCH_SERVER_WORKERS", 2_usize).max(1),
             hotpath_connections: env_num("RP_BENCH_HOTPATH_CONNECTIONS", 16_usize).max(1),
             hotpath_audit_ops: env_num("RP_BENCH_HOTPATH_AUDIT_OPS", 4000_u64).max(100),
@@ -171,7 +160,7 @@ impl BenchConfig {
             threads: vec![1, 2],
             write_threads: vec![1, 2],
             clients: vec![1, 2],
-            server_connections: vec![1, 4],
+            server_connections: 4,
             server_workers: 2,
             hotpath_connections: 4,
             hotpath_audit_ops: 500,
@@ -756,18 +745,22 @@ pub fn cache_throughput(
     let mut series = Series::new(name);
     for &clients in &cfg.clients {
         let entries = cfg.entries;
-        let result = measure(
+        // The paper's patch reads under delimited (EBR-style) sections; the
+        // context is pinned to its thread, so each client builds its own.
+        let (result, _) = measure_thread_local(
             clients,
             cfg.duration,
+            u64::MAX,
             |idx| {
                 let mut keys = KeyGen::new(KeyDist::Uniform, entries, 0xFEED + idx as u64);
                 let engine = Arc::clone(&engine);
+                let mut ctx = EngineReadCtx::new(ReadSide::Ebr);
                 move || {
                     let key = cache_key(keys.next_key());
                     if sets {
                         black_box(engine.set(&key, Item::new(0, "updated-value")));
                     } else {
-                        black_box(engine.get(&key));
+                        black_box(engine.get_ref(key.as_bytes(), &mut ctx));
                     }
                 }
             },
@@ -812,84 +805,6 @@ pub fn fig_memcached(cfg: &BenchConfig) -> Report {
     report.add_series(cache_throughput("default SET", default_engine, cfg, true));
     report.add_series(cache_throughput("RP SET", rp, cfg, true));
 
-    report
-}
-
-/// One data point of the server figure: mixed 90/10 GET/SET traffic from
-/// `connections` connections (shared over at most 4 driver threads)
-/// against a fresh sharded-engine server started as `config` describes.
-/// Returns (requests/second, p99 latency µs).
-pub fn server_throughput(
-    config: &ServerConfig,
-    connections: usize,
-    cfg: &BenchConfig,
-) -> (f64, f64) {
-    let engine: Arc<dyn CacheEngine> = Arc::new(ShardedRpEngine::with_shards_and_capacity(
-        16,
-        (cfg.entries as usize).max(1024) * 2,
-    ));
-    fill_cache(&*engine, cfg.entries);
-    let mut server = start_server(Arc::clone(&engine), config).expect("start cache server");
-    let addr = server.addr();
-    let entries = cfg.entries;
-    let result = drive_connections(
-        connections,
-        connections.min(4),
-        cfg.duration,
-        |_idx| CacheClient::connect(addr),
-        |thread_idx| {
-            let mut keys = KeyGen::new(KeyDist::Uniform, entries, 0xC0FFEE + thread_idx as u64);
-            move |client: &mut CacheClient, ordinal: u64| {
-                let key = cache_key(keys.next_key());
-                if ordinal.is_multiple_of(10) {
-                    client.set(&key, 0, 0, b"updated-value").map(|_| ())
-                } else {
-                    client.get(&key).map(|_| ())
-                }
-            }
-        },
-    )
-    .expect("drive server workload");
-    server.shutdown();
-    assert_eq!(result.errors, 0, "server dropped connections mid-run");
-    (result.ops_per_sec(), result.latency.percentile_us(0.99))
-}
-
-/// Regenerates the repo's server figure: requests/second and p99 latency
-/// versus connection count, thread-per-connection versus the `rp-net`
-/// event loop (fixed worker pool), both over the maintained sharded
-/// relativistic engine.
-///
-/// The interesting regime is connections ≫ cores: the threaded server
-/// pays a stack and a scheduler entry per connection, the event loop pays
-/// two buffers. Run with `RP_BENCH_SERVER_CONNECTIONS=1000` (or more, fd
-/// limits permitting) on a real box.
-pub fn fig_server(cfg: &BenchConfig) -> Report {
-    let mut report = Report::new(
-        "cache server architecture: threaded vs event loop",
-        "connections",
-        "kreq/s (90/10 GET/SET) and p99 (µs)",
-    );
-    let modes = [
-        ("threaded", ServerConfig::threaded()),
-        ("event-loop", ServerConfig::event_loop(cfg.server_workers)),
-    ];
-    for (label, config) in modes {
-        let mut throughput = Series::new(format!("{label} kreq/s"));
-        let mut p99_series = Series::new(format!("{label} p99 µs"));
-        for &connections in &cfg.server_connections {
-            let (ops_per_sec, p99_us) = server_throughput(&config, connections, cfg);
-            eprintln!(
-                "  {label}: {connections} conn(s) -> {:.0} kreq/s, p99 {:.0} µs",
-                ops_per_sec / 1e3,
-                p99_us
-            );
-            throughput.push(connections as f64, ops_per_sec / 1e3);
-            p99_series.push(connections as f64, p99_us);
-        }
-        report.add_series(throughput);
-        report.add_series(p99_series);
-    }
     report
 }
 
@@ -1133,7 +1048,7 @@ pub fn fig_hotpath(cfg: &BenchConfig) -> Report {
     ));
     fill_cache(&*engine, cfg.entries);
     let config = ServerConfig::event_loop(cfg.server_workers);
-    let mut server = start_server(engine, &config).expect("start cache server");
+    let mut server = EventServer::start(engine, &config).expect("start cache server");
     let addr = server.addr();
 
     match hotpath_alloc_audit(addr, cfg.hotpath_audit_ops) {
@@ -1252,7 +1167,7 @@ pub fn fig_obs(cfg: &BenchConfig) -> Report {
     ));
     fill_cache(&*engine, cfg.entries);
     let config = ServerConfig::event_loop(cfg.server_workers);
-    let mut server = start_server(engine, &config).expect("start cache server");
+    let mut server = EventServer::start(engine, &config).expect("start cache server");
     let addr = server.addr();
 
     let mut on_series = Series::new("stats-on kreq/s");
@@ -1299,15 +1214,15 @@ pub fn fig_obs(cfg: &BenchConfig) -> Report {
     }
 
     // Part 2: the read-flavor gap, measured by the server's own histograms.
-    let connections = cfg.server_connections.last().copied().unwrap_or(64);
-    for read_side in [rp_kvcache::ReadSide::Qsbr, rp_kvcache::ReadSide::Ebr] {
+    let connections = cfg.server_connections;
+    for read_side in [ReadSide::Qsbr, ReadSide::Ebr] {
         let engine: Arc<dyn CacheEngine> = Arc::new(ShardedRpEngine::with_shards_and_capacity(
             16,
             (cfg.entries as usize).max(1024) * 2,
         ));
         fill_cache(&*engine, cfg.entries);
         let config = ServerConfig::event_loop(cfg.server_workers).with_read_side(read_side);
-        let mut server = start_server(engine, &config).expect("start cache server");
+        let mut server = EventServer::start(engine, &config).expect("start cache server");
         let addr = server.addr();
 
         // The registry is process-global: zero it so this run's scrape
@@ -1327,8 +1242,8 @@ pub fn fig_obs(cfg: &BenchConfig) -> Report {
             "STATS scrape saw no GETs for {read_side:?}; endpoint broken?\n{text}"
         );
         let label = match read_side {
-            rp_kvcache::ReadSide::Qsbr => "qsbr",
-            rp_kvcache::ReadSide::Ebr => "ebr",
+            ReadSide::Qsbr => "qsbr",
+            ReadSide::Ebr => "ebr",
         };
         eprintln!(
             "  {label}: {connections} conn(s) -> {:.0} kreq/s client-side; server-side GET \
@@ -1730,8 +1645,7 @@ pub fn fig_c100k(cfg: &BenchConfig) -> Report {
         max_total_bytes: C100K_MAX_BYTES,
         ..ServerConfig::event_loop(cfg.server_workers)
     };
-    let mut server =
-        rp_kvcache::EventServer::start_from(engine, &config).expect("start event server");
+    let mut server = EventServer::start(engine, &config).expect("start event server");
     let addr = server.addr();
     let mut scraper = CacheClient::connect(addr).expect("connect scraper");
     scraper.stats_text("RESET").expect("STATS RESET");
@@ -1937,9 +1851,8 @@ pub fn fig_chaos(cfg: &BenchConfig) -> Report {
     for key in keys.iter() {
         engine.set(key, Item::new(0, vec![0x42_u8; 256]));
     }
-    let mut server =
-        rp_kvcache::EventServer::start_from(engine, &ServerConfig::event_loop(cfg.server_workers))
-            .expect("start event server");
+    let mut server = EventServer::start(engine, &ServerConfig::event_loop(cfg.server_workers))
+        .expect("start event server");
     let addr = server.addr();
     let obs = rp_obs::global();
     let panics_before = obs.net.conn_panics_total.get();
@@ -2050,7 +1963,6 @@ pub fn run_all(cfg: &BenchConfig) -> std::io::Result<Vec<Report>> {
         ("fig_memcached", fig_memcached),
         ("fig_shard", fig_shard),
         ("fig_maint", fig_maint),
-        ("fig_server", fig_server),
         ("fig_qsbr", fig_qsbr),
         ("fig_hotpath", fig_hotpath),
         ("fig_obs", fig_obs),

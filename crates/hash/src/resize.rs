@@ -259,49 +259,42 @@ where
     /// point (the event-loop worker between batches, with its handle
     /// offline) invoke this instead. The same self-deadlock conditions are
     /// re-checked here, so a mistimed call is a no-op rather than a panic.
+    ///
+    /// The resize is driven through [`RpHashMap::advance_resize`], so every
+    /// grace period is waited for with the writer lock **released**: the
+    /// readers being waited for may themselves be writers (another worker,
+    /// QSBR-online in the middle of its batch), and one of them blocked on
+    /// this map's writer lock would never reach its quiescent state.
     pub fn maintain(&self) -> bool {
         if rp_rcu::global_read_nesting() > 0 || rp_rcu::qsbr::global_qsbr_online() {
             // Still unable to wait for readers; stay postponed.
             return false;
         }
-        // Lock-free fast path: callers run this per event batch, so the
-        // nothing-to-do case must cost loads, not a writer-lock round trip.
-        if !self.resize_in_progress() {
-            let len = self.len();
-            let buckets = self.num_buckets();
-            if !self.policy().should_expand(len, buckets)
-                && !self.policy().should_shrink(len, buckets)
-            {
-                return false;
-            }
-        }
         let mut worked = false;
-        let _w = self.writer_lock();
-        // SAFETY: writer lock held for the whole loop.
-        unsafe {
-            if self.resize_op_locked().is_some() {
-                self.finish_resize_locked();
-                worked = true;
-            }
-            loop {
+        loop {
+            // Lock-free check first: callers run this per event batch, so
+            // the nothing-to-do case must cost loads, not a writer-lock
+            // round trip.
+            if !self.resize_in_progress() {
                 let len = self.len();
-                let buckets = self.table_locked().len();
-                if self.policy().should_expand(len, buckets) {
-                    self.expand_locked();
-                } else if self.policy().should_shrink(len, buckets) {
-                    self.shrink_locked();
+                let buckets = self.num_buckets();
+                let begun = if self.policy().should_expand(len, buckets) {
+                    self.begin_expand()
                 } else {
-                    break;
+                    self.policy().should_shrink(len, buckets) && self.begin_shrink()
+                };
+                if !begun {
+                    // Inside the bounds, or the policy's bucket limits (or
+                    // a concurrent maintainer) stopped the resize.
+                    return worked;
                 }
-                if self.table_locked().len() == buckets {
-                    // Policy bounds stopped the resize; no progress is
-                    // possible (defensive — `should_*` respect the bounds).
-                    break;
-                }
-                worked = true;
             }
+            while !matches!(
+                self.advance_resize(),
+                ResizeStep::Finished | ResizeStep::Idle
+            ) {}
+            worked = true;
         }
-        worked
     }
 
     /// Returns `true` if an incremental resize (begun with
@@ -1122,6 +1115,57 @@ mod tests {
         })
         .join()
         .unwrap();
+    }
+
+    #[test]
+    fn maintain_does_not_block_the_qsbr_writers_it_waits_for() {
+        // Two event-loop workers: one inserts in batches, QSBR-online until
+        // each batch ends; the other runs `maintain` from its offline
+        // window. The grace periods `maintain` waits for end only when the
+        // inserting worker finishes its batch, so `maintain` must not hold
+        // the writer lock that worker needs while it waits.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::time::Duration;
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let map: Map = RpHashMap::with_buckets_hasher_and_policy(
+                4,
+                FnvBuildHasher,
+                ResizePolicy {
+                    auto_expand: true,
+                    max_load_factor: 1.0,
+                    ..ResizePolicy::default()
+                },
+            );
+            let stop = AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let mut handle = crate::QsbrReadHandle::register();
+                    let mut key = 0;
+                    while !stop.load(Ordering::Relaxed) {
+                        for _ in 0..16 {
+                            map.insert(key, key);
+                            key += 1;
+                        }
+                        handle.quiescent_state();
+                        // The writer lock is not fair: leave the maintainer
+                        // a window to take it between batches.
+                        std::thread::sleep(Duration::from_micros(100));
+                    }
+                    handle.offline();
+                });
+                let mut resizes = 0;
+                while resizes < 6 {
+                    resizes += usize::from(map.maintain());
+                }
+                stop.store(true, Ordering::Relaxed);
+            });
+            map.check_invariants().unwrap();
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("maintain deadlocked against a QSBR-online writer");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use rp_kvcache::cli::ServerOptions;
 use rp_kvcache::client::CacheClient;
-use rp_kvcache::server::{start_server, ServerMode};
+use rp_kvcache::EventServer;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -37,19 +37,15 @@ fn main() {
     rp_obs::set_enabled(opts.stats);
 
     let engine = opts.build_engine();
-    let mut server = match start_server(Arc::clone(&engine), &opts.server_config()) {
+    let mut server = match EventServer::start(Arc::clone(&engine), &opts.server_config()) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("kvcached: cannot start: {e}");
             std::process::exit(1);
         }
     };
-    let mode = match server.mode() {
-        ServerMode::Threaded => "threaded",
-        ServerMode::EventLoop => "event-loop",
-    };
     println!(
-        "kvcached ({} engine, {mode} mode, {} worker(s)) listening on {}",
+        "kvcached ({} engine, {} worker(s)) listening on {}",
         engine.name(),
         opts.workers,
         server.addr()

@@ -32,8 +32,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rp_kvcache::client::{CacheClient, RetryClient, RetryPolicy};
-use rp_kvcache::server::{start_server, ServerConfig};
-use rp_kvcache::RpEngine;
+use rp_kvcache::{EventServer, RpEngine, ServerConfig};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -297,7 +296,7 @@ fn run(
 /// traffic showed up as a nonzero GET rate.
 fn run_smoke(interval_ms: u64, count: u64, csv: bool, policy: RetryPolicy) -> std::io::Result<()> {
     let engine = Arc::new(RpEngine::new());
-    let mut server = start_server(engine, &ServerConfig::event_loop(2))
+    let mut server = EventServer::start(engine, &ServerConfig::event_loop(2))
         .map_err(|e| std::io::Error::other(format!("embedded server: {e}")))?;
     let addr = server.addr();
 

@@ -8,7 +8,6 @@
 //! |---|---|---|
 //! | `--engine rp\|rp-shard\|splitorder\|lock` | `RP_KV_ENGINE` | `rp-shard` |
 //! | `--port N` | `RP_KV_PORT` | `11211` |
-//! | `--mode threaded\|event-loop` | `RP_KV_MODE` | `event-loop` |
 //! | `--workers N` | `RP_KV_WORKERS` | `2` |
 //! | `--read-side qsbr\|ebr` | `RP_KV_READ_SIDE` | `qsbr` |
 //! | `--shards N` | `RP_KV_SHARDS` | `16` |
@@ -25,13 +24,12 @@
 //! | `--max-bytes N` (0 = off) | `RP_KV_MAX_BYTES` | `0` |
 //! | `--stats on\|off` | `RP_KV_STATS` | `on` |
 //!
-//! `--read-side` selects the RCU flavor serving event-loop GETs: `qsbr`
-//! (the default — barrier-free lookups, quiescent states announced per
-//! event batch) or `ebr` (per-lookup guards; what the threaded server
-//! always uses). The `--maint-*` family tunes the background resize
-//! maintenance thread
-//! (`rp-maint`) behind the `rp-shard` engine; `--maint off` reverts to
-//! inline resizing (writers absorb the grace-period waits themselves).
+//! `--read-side` selects the RCU flavor serving GETs: `qsbr` (the default
+//! — barrier-free lookups, quiescent states announced per event batch) or
+//! `ebr` (per-lookup guards). The `--maint-*` family tunes the background
+//! resize maintenance thread (`rp-maint`) behind the `rp-shard` engine;
+//! `--maint off` reverts to inline resizing (writers absorb the
+//! grace-period waits themselves).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -39,7 +37,7 @@ use std::time::Duration;
 use rp_maint::MaintConfig;
 
 use crate::engine::{CacheEngine, ReadSide};
-use crate::server::{ServerConfig, ServerMode};
+use crate::server::ServerConfig;
 use crate::{LockEngine, RpEngine, ShardedRpEngine, SplitOrderEngine};
 
 /// Which storage engine to serve.
@@ -62,12 +60,9 @@ pub struct ServerOptions {
     pub engine: EngineKind,
     /// TCP port (`0` picks a free one).
     pub port: u16,
-    /// Connection-handling architecture.
-    pub mode: ServerMode,
-    /// Event-loop worker threads.
+    /// Reactor worker threads.
     pub workers: usize,
-    /// Read-side RCU flavor for event-loop GETs (the threaded server
-    /// always uses EBR).
+    /// Read-side RCU flavor for GETs.
     pub read_side: ReadSide,
     /// Index shards (rp-shard engine only).
     pub shards: usize,
@@ -76,18 +71,17 @@ pub struct ServerOptions {
     /// Maintenance-thread tuning, or `None` for inline resizes (rp-shard
     /// engine only).
     pub maint: Option<MaintConfig>,
-    /// Graceful-shutdown drain budget (event-loop mode).
+    /// Graceful-shutdown drain budget.
     pub drain_timeout: Duration,
-    /// Idle-connection reap timeout (event-loop mode; `None` = off).
+    /// Idle-connection reap timeout (`None` = off).
     pub idle_timeout: Option<Duration>,
-    /// Per-connection served-request budget (event-loop mode; `None` =
-    /// unlimited).
+    /// Per-connection served-request budget (`None` = unlimited).
     pub max_requests_per_conn: Option<u64>,
-    /// Admission wall: concurrent-connection cap (event-loop mode;
-    /// `usize::MAX` = unlimited). Peers over it get `SERVER_ERROR busy`.
+    /// Admission wall: concurrent-connection cap (`usize::MAX` =
+    /// unlimited). Peers over it get `SERVER_ERROR busy`.
     pub max_connections: usize,
     /// Global byte budget: total bytes buffered across all connections
-    /// (event-loop mode; `usize::MAX` = unlimited).
+    /// (`usize::MAX` = unlimited).
     pub max_total_bytes: usize,
     /// `rp-obs` telemetry timers (`--stats off` drops the two `Instant`
     /// reads per request; untimed counters stay on either way).
@@ -99,7 +93,6 @@ impl Default for ServerOptions {
         ServerOptions {
             engine: EngineKind::RpShard,
             port: 11211,
-            mode: ServerMode::EventLoop,
             workers: 2,
             read_side: ReadSide::Qsbr,
             shards: 16,
@@ -126,8 +119,7 @@ FLAGS (each falls back to the env var in brackets, then to the default):
     --engine rp|rp-shard|splitorder|lock
                                   storage engine                [RP_KV_ENGINE, rp-shard]
     --port N                      TCP port, 0 = pick free       [RP_KV_PORT, 11211]
-    --mode threaded|event-loop    connection architecture       [RP_KV_MODE, event-loop]
-    --workers N                   event-loop worker threads     [RP_KV_WORKERS, 2]
+    --workers N                   reactor worker threads        [RP_KV_WORKERS, 2]
     --read-side qsbr|ebr          GET read-side RCU flavor      [RP_KV_READ_SIDE, qsbr]
     --shards N                    index shards (rp-shard)       [RP_KV_SHARDS, 16]
     --capacity N                  max items                     [RP_KV_CAPACITY, 1048576]
@@ -158,7 +150,6 @@ impl ServerOptions {
         // Environment layer first, flags override below.
         let mut engine = env("RP_KV_ENGINE");
         let mut port = env("RP_KV_PORT");
-        let mut mode = env("RP_KV_MODE");
         let mut workers = env("RP_KV_WORKERS");
         let mut read_side = env("RP_KV_READ_SIDE");
         let mut shards = env("RP_KV_SHARDS");
@@ -183,7 +174,6 @@ impl ServerOptions {
             let slot = match flag.as_str() {
                 "--engine" => &mut engine,
                 "--port" => &mut port,
-                "--mode" => &mut mode,
                 "--workers" => &mut workers,
                 "--read-side" => &mut read_side,
                 "--shards" => &mut shards,
@@ -222,13 +212,6 @@ impl ServerOptions {
         }
         if let Some(v) = port {
             opts.port = parse_num(&v, "--port")?;
-        }
-        if let Some(v) = mode {
-            opts.mode = match v.as_str() {
-                "threaded" => ServerMode::Threaded,
-                "event-loop" => ServerMode::EventLoop,
-                other => return Err(format!("bad mode {other:?} (threaded | event-loop)")),
-            };
         }
         if let Some(v) = workers {
             opts.workers = parse_num::<usize>(&v, "--workers")?.max(1);
@@ -311,7 +294,6 @@ impl ServerOptions {
     pub fn server_config(&self) -> ServerConfig {
         ServerConfig {
             port: self.port,
-            mode: self.mode,
             workers: self.workers,
             read_side: self.read_side,
             drain_timeout: self.drain_timeout,
@@ -346,7 +328,6 @@ mod tests {
     fn defaults_when_nothing_is_given() {
         let opts = ServerOptions::parse(&[], &no_env).unwrap();
         assert_eq!(opts.engine, EngineKind::RpShard);
-        assert_eq!(opts.mode, ServerMode::EventLoop);
         assert_eq!(opts.port, 11211);
         assert!(opts.maint.is_some());
     }
@@ -357,8 +338,6 @@ mod tests {
             &strings(&[
                 "--engine",
                 "rp-shard",
-                "--mode",
-                "event-loop",
                 "--workers",
                 "4",
                 "--port",
@@ -402,12 +381,18 @@ mod tests {
 
     #[test]
     fn maint_off_discards_tuning() {
-        let opts = ServerOptions::parse(
-            &strings(&["--maint", "off", "--maint-fairness-slice", "32"]),
-            &no_env,
-        )
-        .unwrap();
-        assert!(opts.maint.is_none());
+        for off in ["off", "OFF", "0", "false", "no", " Off "] {
+            let opts = ServerOptions::parse(
+                &strings(&["--maint", off, "--maint-fairness-slice", "32"]),
+                &no_env,
+            )
+            .unwrap();
+            assert!(opts.maint.is_none(), "{off:?} must disable");
+        }
+        for on in ["on", "1"] {
+            let opts = ServerOptions::parse(&strings(&["--maint", on]), &no_env).unwrap();
+            assert!(opts.maint.is_some(), "{on:?} must enable");
+        }
     }
 
     #[test]
@@ -521,7 +506,8 @@ mod tests {
     fn bad_values_report_errors() {
         assert!(ServerOptions::parse(&strings(&["--engine", "redis"]), &no_env).is_err());
         assert!(ServerOptions::parse(&strings(&["--port", "eleven"]), &no_env).is_err());
-        assert!(ServerOptions::parse(&strings(&["--mode", "forked"]), &no_env).is_err());
+        let gone = ServerOptions::parse(&strings(&["--mode", "event-loop"]), &no_env);
+        assert!(gone.unwrap_err().starts_with("unknown flag"));
         assert!(ServerOptions::parse(&strings(&["--port"]), &no_env).is_err());
         assert!(ServerOptions::parse(&strings(&["--bogus", "1"]), &no_env).is_err());
         let usage = ServerOptions::parse(&strings(&["--help"]), &no_env).unwrap_err();

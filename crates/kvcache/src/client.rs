@@ -6,8 +6,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-/// A blocking connection to a [`crate::server::CacheServer`] (or to real
-/// memcached — the protocol subset is compatible).
+/// A blocking connection to an [`EventServer`](crate::EventServer) (or to
+/// real memcached — the protocol subset is compatible).
 pub struct CacheClient {
     stream: TcpStream,
     reader: BufReader<TcpStream>,
@@ -396,12 +396,19 @@ impl RetryClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::CacheServer;
-    use crate::{LockEngine, RpEngine};
+    use crate::{EventServer, LockEngine, RpEngine, ServerConfig};
     use std::sync::Arc;
 
+    fn start(engine: Arc<dyn crate::CacheEngine>, port: u16) -> EventServer {
+        let config = ServerConfig {
+            port,
+            ..ServerConfig::default()
+        };
+        EventServer::start(engine, &config).expect("bind")
+    }
+
     fn round_trip(engine: Arc<dyn crate::CacheEngine>) {
-        let mut server = CacheServer::start(engine, 0).expect("bind");
+        let mut server = start(engine, 0);
         let mut client = CacheClient::connect(server.addr()).expect("connect");
 
         assert!(client.get("missing").unwrap().is_none());
@@ -428,7 +435,7 @@ mod tests {
 
     #[test]
     fn binary_values_survive_the_protocol() {
-        let mut server = CacheServer::start(Arc::new(RpEngine::new()), 0).unwrap();
+        let mut server = start(Arc::new(RpEngine::new()), 0);
         let mut client = CacheClient::connect(server.addr()).unwrap();
         let payload: Vec<u8> = (0_u16..512).map(|b| (b % 256) as u8).collect();
         assert!(client.set("bin", 0, 0, &payload).unwrap());
@@ -438,7 +445,7 @@ mod tests {
 
     #[test]
     fn retry_client_reconnects_across_a_server_restart() {
-        let mut server = CacheServer::start(Arc::new(RpEngine::new()), 0).unwrap();
+        let server = start(Arc::new(RpEngine::new()), 0);
         let addr = server.addr();
         let mut client = RetryClient::new(
             addr,
@@ -448,18 +455,15 @@ mod tests {
             },
         );
         assert!(client.set("sticky", 0, 0, b"before").unwrap());
-        server.shutdown();
-        // `shutdown` stops the accept loop immediately, but an existing
-        // connection thread lives until its next 200 ms read-timeout poll;
-        // wait it out so the retried ops below cannot slip into the dying
-        // server.
-        std::thread::sleep(Duration::from_millis(600));
+        // Dropping the server drains and closes every connection and frees
+        // the port, so the retried ops below cannot reach the old server.
+        drop(server);
 
         // Restart on the same port (std listeners set SO_REUSEADDR); the
         // next operation must transparently reconnect. The value is gone —
         // it lived in the old process's engine — but the *operation*
         // succeeds, which is the property under test.
-        let mut server = CacheServer::start(Arc::new(RpEngine::new()), addr.port()).unwrap();
+        let mut server = start(Arc::new(RpEngine::new()), addr.port());
         assert!(client.set("sticky", 0, 0, b"after").unwrap());
         assert_eq!(
             client.get("sticky").unwrap().as_deref(),
@@ -474,15 +478,11 @@ mod tests {
 
     #[test]
     fn no_reconnect_policy_fails_fast() {
-        let mut server = CacheServer::start(Arc::new(RpEngine::new()), 0).unwrap();
+        let mut server = start(Arc::new(RpEngine::new()), 0);
         let addr = server.addr();
         let mut client = RetryClient::new(addr, RetryPolicy::no_reconnect());
         assert!(client.set("k", 0, 0, b"v").unwrap());
         server.shutdown();
-        // `shutdown` only stops the accept loop; the connection thread
-        // notices on its next 200 ms poll. Wait it out so the held
-        // connection is actually dead before probing fail-fast behavior.
-        std::thread::sleep(Duration::from_millis(600));
         let started = std::time::Instant::now();
         assert!(client.get("k").is_err(), "one attempt, no retry");
         assert!(
@@ -525,7 +525,7 @@ mod tests {
 
     #[test]
     fn multiple_clients_share_one_server() {
-        let mut server = CacheServer::start(Arc::new(RpEngine::new()), 0).unwrap();
+        let mut server = start(Arc::new(RpEngine::new()), 0);
         let addr = server.addr();
         let handles: Vec<_> = (0..4)
             .map(|id| {

@@ -11,13 +11,12 @@ use crate::item::Item;
 pub enum ReadSide {
     /// Epoch-style delimited readers ([`rp_rcu::pin`]): two thread-private
     /// stores and two fences per lookup section, no registration duties.
-    /// The threaded server always uses this flavor.
     Ebr,
     /// Quiescent-state-based readers ([`rp_hash::QsbrReadHandle`]): the
     /// lookup itself is entirely free — no store, no fence — but the
     /// serving thread must announce quiescent states between batches and go
-    /// offline while blocked. The event-loop server's default: its pinned
-    /// workers have natural quiescent points between `epoll_wait` batches.
+    /// offline while blocked. The server's default: its pinned workers
+    /// have natural quiescent points between `epoll_wait` batches.
     #[default]
     Qsbr,
 }
@@ -53,7 +52,7 @@ impl ReadSide {
 ///
 /// The context is `!Send` in its QSBR form (the handle is pinned to its
 /// thread); the event loop creates one per worker, on the worker.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct EngineReadCtx {
     qsbr: Option<QsbrReadHandle>,
 }
@@ -68,11 +67,6 @@ impl EngineReadCtx {
                 ReadSide::Qsbr => Some(QsbrReadHandle::register()),
             },
         }
-    }
-
-    /// The EBR context (what [`crate::server::execute`] uses).
-    pub fn ebr() -> EngineReadCtx {
-        EngineReadCtx::default()
     }
 
     /// The flavor this context serves.
@@ -198,56 +192,16 @@ pub trait CacheEngine: Send + Sync {
     /// Engine name used in benchmark output (`"default"` / `"rp"`).
     fn name(&self) -> &'static str;
 
-    /// Looks up `key`, returning a copy of the item if present and not
-    /// expired.
-    fn get(&self, key: &str) -> Option<Item>;
-
-    /// Looks up several keys, returning results in the same order.
+    /// Looks up `key` through the serving thread's read-side context,
+    /// returning a copy of the item if present and not expired.
     ///
-    /// The default implementation loops over [`CacheEngine::get`]; engines
-    /// with a batched read path (the sharded relativistic engine groups
-    /// keys by shard and pins one guard per shard) override it. Multi-key
-    /// `get` protocol commands are served through this method.
-    fn get_many(&self, keys: &[&str]) -> Vec<Option<Item>> {
-        keys.iter().map(|key| self.get(key)).collect()
-    }
-
-    /// [`CacheEngine::get`] through an explicit read-side context.
-    ///
-    /// The default ignores the context and uses the engine's ordinary
-    /// (EBR) lookup; relativistic engines override it to serve
-    /// [`ReadSide::Qsbr`] contexts through their barrier-free QSBR path.
-    fn get_via(&self, key: &str, ctx: &mut EngineReadCtx) -> Option<Item> {
-        let _ = ctx;
-        self.get(key)
-    }
-
-    /// [`CacheEngine::get_many`] through an explicit read-side context (see
-    /// [`CacheEngine::get_via`]).
-    ///
-    /// The default loops over [`CacheEngine::get_via`], so an engine that
-    /// overrides only the single-key method still serves batches through
-    /// its chosen flavor; engines with a batched read path (the sharded
-    /// engine) override this too.
-    fn get_many_via(&self, keys: &[&str], ctx: &mut EngineReadCtx) -> Vec<Option<Item>> {
-        keys.iter().map(|key| self.get_via(key, ctx)).collect()
-    }
-
-    /// [`CacheEngine::get_via`] keyed by raw bytes — the zero-allocation
-    /// lookup the event-loop server's borrowed request path uses, with the
-    /// key a slice straight out of the connection's read buffer.
-    ///
-    /// The default validates UTF-8 (a scan, not a copy) and delegates to
-    /// [`CacheEngine::get_via`]; the relativistic engines override it to
+    /// The key is raw bytes — a slice straight out of the connection's read
+    /// buffer — so the lookup allocates nothing: the RCU-indexed engines
     /// hash the bytes once and probe their `String`-keyed index through a
-    /// raw matching lookup, skipping even the validation scan. Keys that
-    /// are not valid UTF-8 cannot exist in the cache (every stored key came
-    /// from a validated command line), so they simply miss.
-    fn get_ref(&self, key: &[u8], ctx: &mut EngineReadCtx) -> Option<Item> {
-        std::str::from_utf8(key)
-            .ok()
-            .and_then(|key| self.get_via(key, ctx))
-    }
+    /// raw matching lookup. Keys that are not valid UTF-8 cannot exist in
+    /// the cache (every stored key came from a validated command line), so
+    /// they simply miss.
+    fn get_ref(&self, key: &[u8], ctx: &mut EngineReadCtx) -> Option<Item>;
 
     /// Housekeeping an external caller with a natural quiescent point can
     /// drive on the engine's behalf: postponed automatic index resizes and
@@ -279,7 +233,7 @@ pub trait CacheEngine: Send + Sync {
     /// Operation counters.
     fn stats(&self) -> &CacheStats;
 
-    /// Removes expired items eagerly (both engines also expire lazily on
+    /// Removes expired items eagerly (every engine also expires lazily on
     /// GET). Returns how many were removed.
     fn purge_expired(&self) -> usize;
 
@@ -293,6 +247,10 @@ pub trait CacheEngine: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{LockEngine, RpEngine, ShardedRpEngine, SplitOrderEngine};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn stats_counters_accumulate() {
@@ -304,5 +262,187 @@ mod tests {
         assert_eq!(stats.hits(), 2);
         assert_eq!(stats.misses(), 1);
         assert_eq!(stats.evicted(), 1);
+    }
+
+    /// The conformance matrix: every check below runs against each engine
+    /// (built with the given capacity) under each read-side flavor, on a
+    /// thread of its own so a QSBR registration never outlives its check.
+    fn for_every_engine_and_read_side(
+        capacity: usize,
+        check: fn(&Arc<dyn CacheEngine>, &mut EngineReadCtx),
+    ) {
+        let engines: [fn(usize) -> Arc<dyn CacheEngine>; 4] = [
+            |capacity| Arc::new(RpEngine::with_capacity(capacity)),
+            |capacity| Arc::new(ShardedRpEngine::with_shards_and_capacity(4, capacity)),
+            |capacity| Arc::new(SplitOrderEngine::with_capacity(capacity)),
+            |capacity| Arc::new(LockEngine::with_capacity(capacity)),
+        ];
+        for make in engines {
+            for read_side in [ReadSide::Ebr, ReadSide::Qsbr] {
+                std::thread::spawn(move || {
+                    let engine = make(capacity);
+                    eprintln!("conformance: {} via {read_side:?}", engine.name());
+                    // Declared after the engine, so dropped before it: a
+                    // maintenance thread the engine joins on drop may be
+                    // waiting out a grace period this context holds open.
+                    let mut ctx = EngineReadCtx::new(read_side);
+                    check(&engine, &mut ctx);
+                })
+                .join()
+                .unwrap_or_else(|_| panic!("conformance check failed (see engine above)"));
+            }
+        }
+    }
+
+    fn stale(data: &'static str) -> Item {
+        let mut item = Item::new(0, data);
+        item.expires_at = Some(Instant::now() - Duration::from_millis(1));
+        item
+    }
+
+    #[test]
+    fn get_set_delete_round_trip() {
+        for_every_engine_and_read_side(10_000, |engine, ctx| {
+            assert_eq!(engine.get_ref(b"k0", ctx), None);
+            for i in 0..200_u32 {
+                let stored = engine.set(&format!("k{i}"), Item::new(i, format!("v{i}")));
+                assert_eq!(stored, StoreOutcome::Stored);
+            }
+            assert_eq!(engine.len(), 200);
+            for i in 0..200_u32 {
+                let item = engine.get_ref(format!("k{i}").as_bytes(), ctx).unwrap();
+                assert_eq!(item.flags, i);
+                assert_eq!(&item.data[..], format!("v{i}").as_bytes());
+            }
+            ctx.quiescent();
+            assert!(engine.delete("k0"));
+            assert!(!engine.delete("k0"));
+            assert_eq!(engine.get_ref(b"k0", ctx), None);
+            assert_eq!(engine.stats().hits(), 200);
+            assert_eq!(engine.stats().misses(), 2);
+            assert_eq!(engine.len(), 199);
+            // A key that is not UTF-8 cannot have been stored.
+            assert_eq!(engine.get_ref(b"\xff\xfe not utf8", ctx), None);
+        });
+    }
+
+    #[test]
+    fn expired_items_fall_back_to_the_slow_path() {
+        for_every_engine_and_read_side(10_000, |engine, ctx| {
+            engine.set("k", stale("stale"));
+            engine.set("live", Item::new(0, "x"));
+            assert_eq!(engine.len(), 2);
+            assert_eq!(engine.get_ref(b"k", ctx), None);
+            assert_eq!(engine.len(), 1, "expired item must be removed lazily");
+            assert_eq!(engine.stats().expirations.load(Ordering::Relaxed), 1);
+            assert_eq!(engine.stats().misses(), 1);
+            assert!(engine.get_ref(b"live", ctx).is_some());
+        });
+    }
+
+    #[test]
+    fn capacity_is_enforced_with_approximate_lru() {
+        for_every_engine_and_read_side(4, |engine, ctx| {
+            for i in 0..4 {
+                engine.set(&format!("k{i}"), Item::new(0, "x"));
+            }
+            // Touch k0..k2 so k3 is the coldest.
+            for i in 0..3 {
+                engine.get_ref(format!("k{i}").as_bytes(), ctx);
+            }
+            engine.set("k4", Item::new(0, "x"));
+            assert_eq!(engine.len(), 4);
+            assert!(engine.stats().evicted() >= 1);
+            assert!(
+                engine.get_ref(b"k4", ctx).is_some(),
+                "newly inserted key must survive"
+            );
+        });
+    }
+
+    #[test]
+    fn purge_expired_removes_only_stale_items() {
+        for_every_engine_and_read_side(10_000, |engine, _ctx| {
+            for i in 0..6 {
+                let item = if i % 2 == 0 {
+                    stale("x")
+                } else {
+                    Item::new(0, "x")
+                };
+                engine.set(&format!("k{i}"), item);
+            }
+            assert_eq!(engine.purge_expired(), 3);
+            assert_eq!(engine.len(), 3);
+        });
+    }
+
+    #[test]
+    fn oversized_items_are_rejected() {
+        for_every_engine_and_read_side(10_000, |engine, _ctx| {
+            let huge = vec![0_u8; (1 << 20) + 1];
+            assert_eq!(engine.set("k", Item::new(0, huge)), StoreOutcome::NotStored);
+            assert_eq!(engine.len(), 0);
+        });
+    }
+
+    #[test]
+    fn a_qsbr_worker_serves_its_own_writes_across_housekeeping() {
+        // The reactor worker's rhythm: SETs and GETs from one thread, a
+        // quiescent state and an offline housekeeping window between
+        // batches. (Whether the index grew meanwhile is index-specific and
+        // checked beside each index.)
+        for_every_engine_and_read_side(100_000, |engine, ctx| {
+            for batch in 0..8 {
+                for i in 0..1024 {
+                    engine.set(&format!("key-{batch}-{i}"), Item::new(0, "v"));
+                }
+                ctx.quiescent();
+                ctx.with_offline(|| engine.housekeeping());
+            }
+            assert_eq!(engine.len(), 8192);
+            for batch in 0..8 {
+                let key = format!("key-{batch}-7");
+                assert!(engine.get_ref(key.as_bytes(), ctx).is_some(), "{key}");
+            }
+        });
+    }
+
+    #[test]
+    fn concurrent_gets_and_sets() {
+        for_every_engine_and_read_side(100_000, |engine, ctx| {
+            let read_side = ctx.read_side();
+            for i in 0..256 {
+                engine.set(&format!("k{i}"), Item::new(0, format!("v{i}")));
+            }
+            let stop = Arc::new(AtomicBool::new(false));
+            let readers: Vec<_> = (0..3)
+                .map(|seed| {
+                    let engine = Arc::clone(engine);
+                    let stop = Arc::clone(&stop);
+                    std::thread::spawn(move || {
+                        let mut ctx = EngineReadCtx::new(read_side);
+                        let mut k = seed;
+                        while !stop.load(Ordering::Relaxed) {
+                            k = (k * 13 + 1) % 256;
+                            let item = engine
+                                .get_ref(format!("k{k}").as_bytes(), &mut ctx)
+                                .expect("stable key present");
+                            assert!(item.data.starts_with(b"v"));
+                            ctx.quiescent();
+                        }
+                    })
+                })
+                .collect();
+            // This thread writes; it must not hold up its own grace periods.
+            ctx.park();
+            for round in 0..2000_u32 {
+                let k = round % 256;
+                engine.set(&format!("k{k}"), Item::new(round, format!("v{k}-{round}")));
+            }
+            stop.store(true, Ordering::SeqCst);
+            for r in readers {
+                r.join().unwrap();
+            }
+        });
     }
 }

@@ -1,8 +1,7 @@
 //! The cache server on the `rp-net` epoll reactor.
 //!
-//! Where [`CacheServer`](crate::server::CacheServer) spends a thread per
-//! connection, [`EventServer`] serves every connection from a fixed pool of
-//! reactor workers: requests are framed incrementally (a command may arrive
+//! [`EventServer`] serves every connection from a fixed pool of reactor
+//! workers: requests are framed incrementally (a command may arrive
 //! one byte at a time), responses to pipelined requests are batched into
 //! single writes, a slow reader that stops draining its responses gets its
 //! *reads* paused instead of ballooning server memory, and graceful
@@ -27,7 +26,6 @@
 use std::io;
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Duration;
 
 use rp_net::{Action, ConnIo, EventLoop, NetConfig, NetStats, Service};
 use rp_rcu::Reclaimer;
@@ -49,7 +47,7 @@ use crate::server::{execute_ref_observed, ServerConfig};
 /// borrow from [`ConnIo::input`]), executed through the engines'
 /// byte-keyed [`CacheEngine::get_ref`] lookups, and their replies
 /// serialised straight into the connection's pooled output queue
-/// ([`ConnIo::out`]) — no owned `Command`, no intermediate `Vec<u8>`, no
+/// ([`ConnIo::out`]) — no owned request, no intermediate `Vec<u8>`, no
 /// copy of a cached value smaller than the coalescing threshold. N
 /// pipelined requests arriving in one read still produce N replies in one
 /// write.
@@ -173,7 +171,7 @@ impl Service for KvService {
     }
 }
 
-/// A running event-loop cache server.
+/// A running cache server.
 pub struct EventServer {
     inner: EventLoop,
     engine: Arc<dyn CacheEngine>,
@@ -185,50 +183,16 @@ pub struct EventServer {
 }
 
 impl EventServer {
-    /// Binds `127.0.0.1:<port>` (0 picks a free port) and serves `engine`
-    /// from `workers` reactor threads with the default read-side flavor
-    /// ([`ReadSide::Qsbr`]).
-    pub fn start(
-        engine: Arc<dyn CacheEngine>,
-        port: u16,
-        workers: usize,
-        drain_timeout: Duration,
-    ) -> io::Result<EventServer> {
-        Self::start_with_read_side(engine, port, workers, ReadSide::default(), drain_timeout)
-    }
-
-    /// [`EventServer::start`] with the read-side flavor spelled out.
-    pub fn start_with_read_side(
-        engine: Arc<dyn CacheEngine>,
-        port: u16,
-        workers: usize,
-        read_side: ReadSide,
-        drain_timeout: Duration,
-    ) -> io::Result<EventServer> {
-        let config = ServerConfig {
-            port,
-            workers,
-            read_side,
-            drain_timeout,
-            ..ServerConfig::default()
-        };
-        Self::start_from(engine, &config)
-    }
-
-    /// Starts an event-loop server exactly as `config` describes,
-    /// including the defensive limits (`idle_timeout`,
-    /// `max_requests_per_conn`).
-    pub fn start_from(
-        engine: Arc<dyn CacheEngine>,
-        config: &ServerConfig,
-    ) -> io::Result<EventServer> {
+    /// Binds `127.0.0.1:<config.port>` (0 picks a free port) and serves
+    /// `engine` exactly as `config` describes.
+    pub fn start(engine: Arc<dyn CacheEngine>, config: &ServerConfig) -> io::Result<EventServer> {
         // A serving process watches its own grace periods (see
         // `rp_rcu::stall`): a wedged reader surfaces in STATS TRACE and
         // `rcu_grace_stalls_total` instead of as a silent writer hang.
         rp_rcu::stall::ensure_global_watchdog();
         // Arm scripted fault injection when RP_FAULT_PLAN is set (no-op —
-        // one relaxed load per failpoint — otherwise). Serving binaries
-        // call through here, so chaos runs need no code changes.
+        // one relaxed load per failpoint — otherwise). Every serving binary
+        // starts its server here, so chaos runs need no code changes.
         rp_fault::arm_from_env();
         let read_side = config.read_side;
         let net = NetConfig {

@@ -1,4 +1,5 @@
-//! A memcached-style key-value cache with two storage engines.
+//! A memcached-style key-value cache with a global-lock engine and an
+//! RCU-indexed one.
 //!
 //! The paper's real-world evaluation patches memcached: stock memcached 1.4
 //! protects its item hash table with a single global lock (`cache_lock`),
@@ -14,35 +15,30 @@
 //! * [`CacheEngine`] — the storage-engine trait the server dispatches to.
 //! * [`LockEngine`] — the **default** engine: one global mutex around a hash
 //!   map plus LRU bookkeeping, the `cache_lock` architecture.
-//! * [`RpEngine`] — the **relativistic** engine: the index is an
-//!   [`rp_hash::RpHashMap`]; GETs are wait-free lookups that copy the value
-//!   inside the read-side critical section; writes serialise on the map's
-//!   writer lock; expiry is lazy and eviction is approximate-LRU, both on
-//!   the slow path.
-//! * [`ShardedRpEngine`] — the **sharded relativistic** engine: the index
-//!   is an [`rp_shard::ShardedRpMap`], so SETs and index resizes only
-//!   contend within one shard and multi-key GETs use the batched,
-//!   shard-grouped read path. Index resizes run on a background `rp-maint`
-//!   maintenance thread by default, so SETs never wait for grace periods;
-//!   `RP_KV_MAINT=off` reverts to inline resizing.
-//! * [`SplitOrderEngine`] — the **split-ordered** engine: the index is an
-//!   [`rp_splitorder::SplitOrderMap`] (lock-free split-ordered list), so
-//!   SETs and DELETEs never serialise on a writer lock and index growth is
+//! * [`Engine`] — the **RCU-indexed** engine, generic over its index: GETs
+//!   are wait-free lookups that copy the value inside the read-side
+//!   critical section; writes go through the index's writer side; expiry
+//!   is lazy and eviction is approximate-LRU, both on the slow path. Three
+//!   indexes plug in:
+//!   [`RpEngine`] (one [`rp_hash::RpHashMap`] — the paper's patch),
+//!   [`ShardedRpEngine`] (an [`rp_shard::ShardedRpMap`]: SETs and index
+//!   resizes only contend within one shard, and resizes run on a
+//!   background `rp-maint` thread by default, so SETs never wait for grace
+//!   periods) and [`SplitOrderEngine`] (an
+//!   [`rp_splitorder::SplitOrderMap`]: lock-free writers, index growth is
 //!   a single pointer publication with no grace-period wait — the
-//!   competing resize philosophy, behind the same trait.
-//! * [`server`] / [`client`] — the TCP front ends and a small blocking
-//!   client speaking the protocol, used by the end-to-end tests, the
-//!   `kv_server` example and (optionally) the memcached figure harness.
-//!   [`ServerConfig`] picks between the thread-per-connection baseline
-//!   ([`server::CacheServer`]) and the `rp-net` epoll event loop
-//!   ([`EventServer`]), which serves any number of connections from a
-//!   fixed worker pool with incremental request framing, pipelined
-//!   responses and write backpressure. Event-loop workers serve GETs
-//!   through the **QSBR read path** by default ([`ReadSide`]): each worker
-//!   registers a `rp_hash::QsbrReadHandle` at startup, lookups are
-//!   entirely barrier-free, one quiescent state is announced per event
-//!   batch, and workers go offline while parked in `epoll_wait`;
-//!   `--read-side ebr` restores the guard path.
+//!   competing resize philosophy).
+//! * [`server`] / [`EventServer`] / [`client`] — the TCP server on the
+//!   `rp-net` epoll event loop (any number of connections from a fixed
+//!   worker pool, incremental request framing, pipelined responses, write
+//!   backpressure) and a small blocking client speaking the protocol, used
+//!   by the end-to-end tests, the `kv_server` example and the figure
+//!   harnesses. Workers serve GETs through the **QSBR read path** by
+//!   default ([`ReadSide`]): each worker registers a
+//!   `rp_hash::QsbrReadHandle` at startup, lookups are entirely
+//!   barrier-free, one quiescent state is announced per event batch, and
+//!   workers go offline while parked in `epoll_wait`; `--read-side ebr`
+//!   restores the guard path.
 //! * [`cli`] — flag/env parsing for the `kvcached` binary, including the
 //!   `--maint-*` knobs that tune the background resize maintenance thread.
 //!
@@ -72,7 +68,7 @@ pub use engine::{CacheEngine, CacheStats, EngineReadCtx, ReadSide, StoreOutcome}
 pub use event_server::{EventServer, KvService};
 pub use item::Item;
 pub use lock_engine::LockEngine;
-pub use rp_engine::RpEngine;
-pub use server::{start_server, ServerConfig, ServerHandle, ServerMode};
+pub use rp_engine::{Engine, RpEngine};
+pub use server::ServerConfig;
 pub use sharded_engine::ShardedRpEngine;
 pub use splitorder_engine::SplitOrderEngine;

@@ -14,32 +14,15 @@
 //! Responses follow the memcached conventions (`VALUE`, `END`, `STORED`,
 //! `DELETED`, `NOT_FOUND`, `ERROR`, ...).
 //!
-//! Two request representations share one grammar:
-//!
-//! * [`RequestRef`] — the **borrowed** form the event-loop server's hot
-//!   path uses: keys and `set` payloads are `&[u8]` slices into the
-//!   connection's read buffer, parsing allocates nothing, and malformed
-//!   input is reported as a [`BadRequest`] code whose message renders
-//!   lazily (only if it actually reaches the wire). Produced by
-//!   [`parse_request_ref`] / [`RefDecoder`].
-//! * [`Command`] — the **owned** form (`String` keys, [`Bytes`] payloads)
-//!   used by the threaded server, the client-visible API and the tests.
-//!   Produced by [`parse_command`] / [`RequestDecoder`], both of which are
-//!   thin owning wrappers over the borrowed parser, so the two forms cannot
-//!   drift. [`RequestRef::to_owned`] bridges explicitly.
-//!
-//! Serialisation is symmetric: [`Response::write_to`] streams a response
-//! directly into any [`BufWrite`] sink (the event loop passes the
-//! connection's pooled output queue — no intermediate `Vec<u8>` per
-//! reply), and [`Response::to_bytes`] is the owned convenience built on
-//! top of it.
+//! Requests are decoded in **borrowed** form ([`RequestRef`]): keys and `set`
+//! payloads are `&[u8]` slices into the connection's read buffer, parsing
+//! allocates nothing, and malformed input is reported as a [`BadRequest`]
+//! code whose message is a static string. [`parse_request_ref`] is the
+//! grammar; [`RefDecoder`] adds the defensive limits a network-facing
+//! server needs. Replies are written straight into a [`BufWrite`] sink by
+//! [`crate::server::execute_ref`].
 
-use std::time::Duration;
-
-use bytes::Bytes;
 use rp_net::BufWrite;
-
-use crate::item::Item;
 
 /// Which `STATS` telemetry view the client asked for.
 ///
@@ -72,60 +55,6 @@ pub enum StatsSub {
     /// averaged away by the merged `STATS` scrape. Ordinals beyond the
     /// shard count wrap, exactly as recording does.
     Worker(usize),
-}
-
-/// A parsed client command (owned form).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Command {
-    /// `get` with one or more keys.
-    Get(Vec<String>),
-    /// `set <key> <flags> <exptime> <bytes>` plus the data block.
-    Set {
-        /// Item key.
-        key: String,
-        /// Opaque client flags.
-        flags: u32,
-        /// Expiry in seconds (0 = never).
-        exptime: u64,
-        /// Payload bytes.
-        data: Bytes,
-        /// Suppress the reply if set.
-        noreply: bool,
-    },
-    /// `delete <key>`.
-    Delete {
-        /// Item key.
-        key: String,
-        /// Suppress the reply if set.
-        noreply: bool,
-    },
-    /// `stats`.
-    Stats,
-    /// Uppercase `STATS` (live telemetry; see [`StatsSub`]).
-    StatsProm(StatsSub),
-    /// `version`.
-    Version,
-    /// `quit` (close the connection).
-    Quit,
-}
-
-impl Command {
-    /// Builds the [`Item`] described by a `set` command.
-    pub fn to_item(&self) -> Option<Item> {
-        match self {
-            Command::Set {
-                flags,
-                exptime,
-                data,
-                ..
-            } => Some(Item::with_ttl(
-                *flags,
-                data.clone(),
-                Duration::from_secs(*exptime),
-            )),
-            _ => None,
-        }
-    }
 }
 
 /// Why a request was rejected.
@@ -255,68 +184,9 @@ pub enum RequestRef<'a> {
     Quit,
 }
 
-impl RequestRef<'_> {
-    /// Copies the borrowed request into the owned [`Command`] form.
-    pub fn to_owned(&self) -> Command {
-        let owned_key = |key: &[u8]| String::from_utf8_lossy(key).into_owned();
-        match self {
-            RequestRef::Get { key } => Command::Get(vec![owned_key(key)]),
-            RequestRef::GetMulti(keys) => Command::Get(keys.iter().map(&owned_key).collect()),
-            RequestRef::Set {
-                key,
-                flags,
-                exptime,
-                data,
-                noreply,
-            } => Command::Set {
-                key: owned_key(key),
-                flags: *flags,
-                exptime: *exptime,
-                data: Bytes::copy_from_slice(data),
-                noreply: *noreply,
-            },
-            RequestRef::Delete { key, noreply } => Command::Delete {
-                key: owned_key(key),
-                noreply: *noreply,
-            },
-            RequestRef::Stats => Command::Stats,
-            RequestRef::StatsProm(sub) => Command::StatsProm(*sub),
-            RequestRef::Version => Command::Version,
-            RequestRef::Quit => Command::Quit,
-        }
-    }
-}
-
-/// A server response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Response {
-    /// One `VALUE` block per hit followed by `END`.
-    Values(Vec<(String, u32, Bytes)>),
-    /// `STORED`.
-    Stored,
-    /// `NOT_STORED`.
-    NotStored,
-    /// `DELETED`.
-    Deleted,
-    /// `NOT_FOUND`.
-    NotFound,
-    /// `STAT` lines followed by `END`.
-    Stats(Vec<(String, String)>),
-    /// Pre-rendered reply bytes, written verbatim (the owned-path carrier
-    /// for `STATS` telemetry text, which is rendered rather than built
-    /// from variants).
-    Raw(Bytes),
-    /// `VERSION <x>`.
-    Version(String),
-    /// `ERROR` (unknown command).
-    Error,
-    /// `CLIENT_ERROR <msg>`.
-    ClientError(String),
-}
-
 /// Writes `n` in decimal with no formatting machinery (a 20-byte stack
 /// buffer covers `u64::MAX`).
-fn put_decimal(out: &mut impl BufWrite, mut n: u64) {
+pub(crate) fn put_decimal(out: &mut impl BufWrite, mut n: u64) {
     let mut tmp = [0_u8; 20];
     let mut i = tmp.len();
     loop {
@@ -340,59 +210,6 @@ pub fn write_value_header(out: &mut impl BufWrite, key: &[u8], flags: u32, len: 
     out.put(b" ");
     put_decimal(out, len as u64);
     out.put(b"\r\n");
-}
-
-impl Response {
-    /// Serialises the response directly into `out`, with no intermediate
-    /// per-response buffer. Payloads queue as shared [`Bytes`] segments
-    /// when large (see [`BufWrite::put_shared`]), so a big cached value is
-    /// never copied on its way to the socket.
-    pub fn write_to(&self, out: &mut impl BufWrite) {
-        match self {
-            Response::Values(values) => {
-                for (key, flags, data) in values {
-                    write_value_header(out, key.as_bytes(), *flags, data.len());
-                    out.put_shared(data.clone());
-                    out.put(b"\r\n");
-                }
-                out.put(b"END\r\n");
-            }
-            Response::Stored => out.put(b"STORED\r\n"),
-            Response::NotStored => out.put(b"NOT_STORED\r\n"),
-            Response::Deleted => out.put(b"DELETED\r\n"),
-            Response::NotFound => out.put(b"NOT_FOUND\r\n"),
-            Response::Stats(stats) => {
-                for (name, value) in stats {
-                    out.put(b"STAT ");
-                    out.put(name.as_bytes());
-                    out.put(b" ");
-                    out.put(value.as_bytes());
-                    out.put(b"\r\n");
-                }
-                out.put(b"END\r\n");
-            }
-            Response::Raw(bytes) => out.put_shared(bytes.clone()),
-            Response::Version(v) => {
-                out.put(b"VERSION ");
-                out.put(v.as_bytes());
-                out.put(b"\r\n");
-            }
-            Response::Error => out.put(b"ERROR\r\n"),
-            Response::ClientError(msg) => {
-                out.put(b"CLIENT_ERROR ");
-                out.put(msg.as_bytes());
-                out.put(b"\r\n");
-            }
-        }
-    }
-
-    /// Serialises the response into a fresh buffer ([`Response::write_to`]
-    /// is the allocation-free primitive this wraps).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.write_to(&mut out);
-        out
-    }
 }
 
 /// The outcome of attempting to parse one borrowed request.
@@ -419,8 +236,7 @@ pub enum RefOutcome<'a> {
 }
 
 /// Attempts to parse one request from the front of `buf`, borrowing keys
-/// and payloads from it. This is the single grammar implementation — the
-/// owned [`parse_command`] wraps it.
+/// and payloads from it.
 pub fn parse_request_ref(buf: &[u8]) -> RefOutcome<'_> {
     let Some(line_end) = find_crlf(buf) else {
         return RefOutcome::Incomplete;
@@ -577,46 +393,6 @@ pub fn parse_request_ref(buf: &[u8]) -> RefOutcome<'_> {
     }
 }
 
-/// The result of attempting to parse one command from the buffer (owned
-/// form; see [`parse_request_ref`] for the underlying grammar).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ParseOutcome {
-    /// A complete command was parsed; `consumed` bytes should be drained.
-    Complete {
-        /// The parsed command.
-        command: Command,
-        /// Number of bytes consumed from the front of the buffer.
-        consumed: usize,
-    },
-    /// More bytes are needed before a command can be parsed.
-    Incomplete,
-    /// The buffer starts with a malformed command; `consumed` bytes (up to
-    /// and including the offending line) should be drained and the message
-    /// reported to the client.
-    Invalid {
-        /// Number of bytes to drain.
-        consumed: usize,
-        /// Human-readable reason.
-        reason: String,
-    },
-}
-
-/// Attempts to parse one command from the front of `buf`, copying it into
-/// the owned [`Command`] form.
-pub fn parse_command(buf: &[u8]) -> ParseOutcome {
-    match parse_request_ref(buf) {
-        RefOutcome::Complete { request, consumed } => ParseOutcome::Complete {
-            command: request.to_owned(),
-            consumed,
-        },
-        RefOutcome::Incomplete => ParseOutcome::Incomplete,
-        RefOutcome::Invalid { consumed, error } => ParseOutcome::Invalid {
-            consumed,
-            reason: error.message().to_string(),
-        },
-    }
-}
-
 fn find_crlf(buf: &[u8]) -> Option<usize> {
     buf.windows(2).position(|w| w == b"\r\n")
 }
@@ -642,11 +418,11 @@ pub enum Decoded<'a> {
     NeedMore,
 }
 
-/// The borrowed-decoding counterpart of [`RequestDecoder`]: the caller
-/// keeps ownership of the read buffer (typically the connection's input
-/// buffer) and the decoder holds only the defensive *skip* state —
-/// bytes of an abandoned oversized frame, or an overlong line being
-/// discarded up to its eventual CRLF.
+/// The incremental decoder: bytes can arrive one at a time, split anywhere
+/// (mid-verb, mid-CRLF, mid-data-block). The caller keeps ownership of the
+/// read buffer (typically the connection's input buffer) and the decoder
+/// holds only the defensive *skip* state — bytes of an abandoned oversized
+/// frame, or an overlong line being discarded up to its eventual CRLF.
 ///
 /// Each [`RefDecoder::step`] consumes from the front of the presented
 /// slice and reports how many bytes it used; the caller advances its
@@ -687,10 +463,10 @@ impl RefDecoder {
     }
 
     /// Decodes the next request from the front of `buf`, returning how many
-    /// bytes were consumed alongside the outcome. Defensive limits match
-    /// [`RequestDecoder`]: an overlong line or oversized `set` frame yields
-    /// one [`Decoded::Bad`] and the offending bytes are discarded as they
-    /// stream through, without being buffered.
+    /// bytes were consumed alongside the outcome. A command line longer
+    /// than [`MAX_LINE`] or a `set` frame declaring more than [`MAX_FRAME`]
+    /// payload bytes yields one [`Decoded::Bad`] and the offending bytes are
+    /// discarded as they stream through, without being buffered.
     pub fn step<'a>(&mut self, buf: &'a [u8]) -> (usize, Decoded<'a>) {
         let mut consumed = 0;
         // Swallow the remainder of an abandoned oversized frame.
@@ -748,128 +524,6 @@ impl RefDecoder {
     }
 }
 
-/// One request produced by [`RequestDecoder::next`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodedRequest {
-    /// A well-formed command.
-    Command(Command),
-    /// A malformed command; the offending bytes have been discarded and
-    /// `reason` should be reported to the client as `CLIENT_ERROR`.
-    Invalid {
-        /// Human-readable reason.
-        reason: String,
-    },
-}
-
-/// A stateful, fully incremental protocol decoder (owned form).
-///
-/// [`parse_command`] is stateless: callers re-present the whole buffer
-/// until a frame completes. `RequestDecoder` owns the buffer between
-/// reads — bytes can arrive one at a time, split anywhere (mid-verb,
-/// mid-CRLF, mid-data-block), across any number of [`RequestDecoder::feed`]
-/// calls — and adds the defensive limits a network-facing server needs:
-///
-/// * command lines longer than [`MAX_LINE`] produce one `Invalid` and the
-///   rest of the line is discarded as it streams in;
-/// * `set` frames declaring more than [`MAX_FRAME`] payload bytes produce
-///   one `Invalid` and the payload is swallowed without being buffered.
-///
-/// The event-loop server decodes with the borrowed [`RefDecoder`] instead
-/// (same grammar, same limits, zero copies); this owned decoder serves the
-/// threaded server and anything that wants `String`-keyed [`Command`]s.
-///
-/// ```
-/// use rp_kvcache::protocol::{Command, DecodedRequest, RequestDecoder};
-///
-/// let mut decoder = RequestDecoder::new();
-/// // A pipelined stream, fed one byte at a time.
-/// for &b in b"version\r\nget k\r\n" {
-///     decoder.feed(&[b]);
-/// }
-/// assert_eq!(decoder.next(), Some(DecodedRequest::Command(Command::Version)));
-/// assert_eq!(
-///     decoder.next(),
-///     Some(DecodedRequest::Command(Command::Get(vec!["k".into()])))
-/// );
-/// assert_eq!(decoder.next(), None); // needs more bytes
-/// ```
-#[derive(Debug, Default)]
-pub struct RequestDecoder {
-    buf: Vec<u8>,
-    inner: RefDecoder,
-}
-
-impl RequestDecoder {
-    /// Creates an empty decoder.
-    pub fn new() -> RequestDecoder {
-        RequestDecoder::default()
-    }
-
-    /// Appends raw bytes from the socket.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// [`RequestDecoder::feed`] that takes ownership of `input`'s contents
-    /// (leaving it empty), avoiding a copy when the decoder's own buffer is
-    /// empty — the common case for a well-behaved client.
-    pub fn absorb(&mut self, input: &mut Vec<u8>) {
-        if self.buf.is_empty() {
-            std::mem::swap(&mut self.buf, input);
-        } else {
-            self.buf.extend_from_slice(input);
-            input.clear();
-        }
-    }
-
-    /// Bytes buffered but not yet consumed by a complete request.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-}
-
-/// [`Iterator::next`] extracts the next complete request, or `None` if
-/// more bytes are needed — the iterator is *resumable*: after another
-/// [`RequestDecoder::feed`] it may yield again. Typical use drains every
-/// pipelined request that has fully arrived after each socket read:
-///
-/// ```
-/// # use rp_kvcache::protocol::{DecodedRequest, RequestDecoder};
-/// # fn handle(_r: DecodedRequest) {}
-/// # let mut decoder = RequestDecoder::new();
-/// decoder.feed(b"stats\r\nversion\r\nqu");
-/// for request in &mut decoder {
-///     handle(request); // Stats, then Version; "qu" stays buffered
-/// }
-/// # assert_eq!(decoder.buffered(), 2);
-/// ```
-impl Iterator for RequestDecoder {
-    type Item = DecodedRequest;
-
-    fn next(&mut self) -> Option<DecodedRequest> {
-        loop {
-            let (consumed, decoded) = {
-                let (consumed, decoded) = self.inner.step(&self.buf);
-                // Copy out of the borrow before draining.
-                let decoded = match decoded {
-                    Decoded::Request(request) => Some(DecodedRequest::Command(request.to_owned())),
-                    Decoded::Bad(error) => Some(DecodedRequest::Invalid {
-                        reason: error.message().to_string(),
-                    }),
-                    Decoded::NeedMore => None,
-                };
-                (consumed, decoded)
-            };
-            self.buf.drain(..consumed);
-            match decoded {
-                Some(request) => return Some(request),
-                None if consumed > 0 && !self.buf.is_empty() => continue,
-                None => return None,
-            }
-        }
-    }
-}
-
 /// For a complete `set` command line, the total frame length (line + CRLF +
 /// data block + CRLF). `None` for any other line, or on overflow (which
 /// [`parse_request_ref`] has already rejected as `Invalid` by then).
@@ -887,43 +541,79 @@ fn set_frame_len(line: &[u8], line_end: usize) -> Option<usize> {
 mod tests {
     use super::*;
 
-    fn complete(buf: &[u8]) -> (Command, usize) {
-        match parse_command(buf) {
-            ParseOutcome::Complete { command, consumed } => (command, consumed),
-            other => panic!("expected complete command, got {other:?}"),
+    fn complete(buf: &[u8]) -> (RequestRef<'_>, usize) {
+        match parse_request_ref(buf) {
+            RefOutcome::Complete { request, consumed } => (request, consumed),
+            other => panic!("expected complete request, got {other:?}"),
         }
+    }
+
+    fn invalid(buf: &[u8]) -> (BadRequest, usize) {
+        match parse_request_ref(buf) {
+            RefOutcome::Invalid { consumed, error } => (error, consumed),
+            other => panic!("expected invalid request, got {other:?}"),
+        }
+    }
+
+    /// A connection's decode loop: append `bytes` to `buf`, step until the
+    /// decoder needs more, drain what was consumed. Returns one line per
+    /// decoded request (`verb key...`) or rejection (`bad: <message>`).
+    fn feed(decoder: &mut RefDecoder, buf: &mut Vec<u8>, bytes: &[u8]) -> Vec<String> {
+        let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
+        buf.extend_from_slice(bytes);
+        let mut events = Vec::new();
+        let mut offset = 0;
+        loop {
+            let (used, decoded) = decoder.step(&buf[offset..]);
+            offset += used;
+            events.push(match decoded {
+                Decoded::Request(RequestRef::Get { key }) => format!("get {}", text(key)),
+                Decoded::Request(RequestRef::GetMulti(keys)) => {
+                    let keys: Vec<String> = keys.iter().map(text).collect();
+                    format!("get {}", keys.join(" "))
+                }
+                Decoded::Request(RequestRef::Set { key, data, .. }) => {
+                    format!("set {} {}", text(key), text(data))
+                }
+                Decoded::Request(RequestRef::Delete { key, .. }) => {
+                    format!("delete {}", text(key))
+                }
+                Decoded::Request(other) => format!("{other:?}"),
+                Decoded::Bad(error) => format!("bad: {}", error.message()),
+                Decoded::NeedMore => break,
+            });
+        }
+        buf.drain(..offset);
+        events
     }
 
     #[test]
     fn parses_get_with_multiple_keys() {
-        let (cmd, consumed) = complete(b"get a bb ccc\r\n");
-        assert_eq!(
-            cmd,
-            Command::Get(vec!["a".into(), "bb".into(), "ccc".into()])
-        );
+        let (request, consumed) = complete(b"get a bb ccc\r\n");
+        match request {
+            RequestRef::GetMulti(keys) => {
+                let keys: Vec<&[u8]> = keys.iter().collect();
+                assert_eq!(keys, [&b"a"[..], b"bb", b"ccc"]);
+            }
+            other => panic!("unexpected request {other:?}"),
+        }
         assert_eq!(consumed, 14);
     }
 
     #[test]
     fn parses_set_with_data_block() {
-        let (cmd, consumed) = complete(b"set key 7 0 5\r\nhello\r\nget x\r\n");
-        match cmd {
-            Command::Set {
-                key,
-                flags,
-                exptime,
-                data,
-                noreply,
-            } => {
-                assert_eq!(key, "key");
-                assert_eq!(flags, 7);
-                assert_eq!(exptime, 0);
-                assert_eq!(&data[..], b"hello");
-                assert!(!noreply);
+        let (request, consumed) = complete(b"set key 7 60 5\r\nhello\r\nget x\r\n");
+        assert_eq!(
+            request,
+            RequestRef::Set {
+                key: b"key",
+                flags: 7,
+                exptime: 60,
+                data: b"hello",
+                noreply: false,
             }
-            other => panic!("unexpected command {other:?}"),
-        }
-        assert_eq!(consumed, b"set key 7 0 5\r\nhello\r\n".len());
+        );
+        assert_eq!(consumed, b"set key 7 60 5\r\nhello\r\n".len());
     }
 
     #[test]
@@ -931,89 +621,62 @@ mod tests {
         let mut buf = b"set k 0 0 3 noreply\r\n".to_vec();
         buf.extend_from_slice(&[0, 255, 10]);
         buf.extend_from_slice(b"\r\n");
-        let (cmd, _) = complete(&buf);
-        match cmd {
-            Command::Set { data, noreply, .. } => {
-                assert_eq!(&data[..], &[0, 255, 10]);
+        match complete(&buf).0 {
+            RequestRef::Set { data, noreply, .. } => {
+                assert_eq!(data, &[0, 255, 10]);
                 assert!(noreply);
             }
-            other => panic!("unexpected command {other:?}"),
+            other => panic!("unexpected request {other:?}"),
         }
     }
 
     #[test]
     fn incomplete_inputs_ask_for_more() {
-        assert_eq!(parse_command(b"get a"), ParseOutcome::Incomplete);
+        assert_eq!(parse_request_ref(b"get a"), RefOutcome::Incomplete);
         assert_eq!(
-            parse_command(b"set k 0 0 5\r\nhel"),
-            ParseOutcome::Incomplete
+            parse_request_ref(b"set k 0 0 5\r\nhel"),
+            RefOutcome::Incomplete
         );
-        assert_eq!(parse_command(b""), ParseOutcome::Incomplete);
+        assert_eq!(parse_request_ref(b""), RefOutcome::Incomplete);
     }
 
     #[test]
     fn malformed_commands_are_rejected_with_reason() {
-        match parse_command(b"set k x 0 5\r\n") {
-            ParseOutcome::Invalid { reason, .. } => assert!(reason.contains("numeric")),
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse_command(b"bogus\r\n") {
-            ParseOutcome::Invalid { reason, .. } => assert!(reason.contains("unknown")),
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse_command(b"get\r\n") {
-            ParseOutcome::Invalid { reason, .. } => assert!(reason.contains("at least one key")),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert!(invalid(b"set k x 0 5\r\n").0.message().contains("numeric"));
+        assert!(invalid(b"bogus\r\n").0.message().contains("unknown"));
+        assert!(invalid(b"get\r\n").0.message().contains("at least one key"));
     }
 
     #[test]
     fn delete_stats_version_quit_parse() {
         assert_eq!(
             complete(b"delete k noreply\r\n").0,
-            Command::Delete {
-                key: "k".into(),
+            RequestRef::Delete {
+                key: b"k",
                 noreply: true
             }
         );
-        assert_eq!(complete(b"stats\r\n").0, Command::Stats);
-        assert_eq!(complete(b"version\r\n").0, Command::Version);
-        assert_eq!(complete(b"quit\r\n").0, Command::Quit);
+        assert_eq!(complete(b"stats\r\n").0, RequestRef::Stats);
+        assert_eq!(complete(b"version\r\n").0, RequestRef::Version);
+        assert_eq!(complete(b"quit\r\n").0, RequestRef::Quit);
     }
 
     #[test]
     fn uppercase_stats_telemetry_verbs_parse() {
-        assert_eq!(
-            complete(b"STATS\r\n").0,
-            Command::StatsProm(StatsSub::Render)
-        );
-        assert_eq!(
-            complete(b"STATS RESET\r\n").0,
-            Command::StatsProm(StatsSub::Reset)
-        );
-        assert_eq!(
-            complete(b"STATS TRACE\r\n").0,
-            Command::StatsProm(StatsSub::Trace(None))
-        );
-        assert_eq!(
-            complete(b"STATS TRACE 25\r\n").0,
-            Command::StatsProm(StatsSub::Trace(Some(25)))
-        );
-        assert_eq!(
-            complete(b"STATS SLOW\r\n").0,
-            Command::StatsProm(StatsSub::Slow)
-        );
-        assert_eq!(
-            complete(b"STATS JSON\r\n").0,
-            Command::StatsProm(StatsSub::Json)
-        );
-        assert_eq!(
-            complete(b"STATS WORKER 3\r\n").0,
-            Command::StatsProm(StatsSub::Worker(3))
-        );
+        for (wire, sub) in [
+            (&b"STATS\r\n"[..], StatsSub::Render),
+            (b"STATS RESET\r\n", StatsSub::Reset),
+            (b"STATS TRACE\r\n", StatsSub::Trace(None)),
+            (b"STATS TRACE 25\r\n", StatsSub::Trace(Some(25))),
+            (b"STATS SLOW\r\n", StatsSub::Slow),
+            (b"STATS JSON\r\n", StatsSub::Json),
+            (b"STATS WORKER 3\r\n", StatsSub::Worker(3)),
+        ] {
+            assert_eq!(complete(wire).0, RequestRef::StatsProm(sub));
+        }
         // Lowercase `stats` stays the classic memcached command — the verbs
         // are case-sensitive and must not shadow each other.
-        assert_eq!(complete(b"stats\r\n").0, Command::Stats);
+        assert_eq!(complete(b"stats\r\n").0, RequestRef::Stats);
         // Unknown or lowercase subcommands are rejected, not guessed at.
         for junk in [
             &b"STATS bogus\r\n"[..],
@@ -1027,10 +690,7 @@ mod tests {
             b"STATS WORKER x\r\n",
             b"STATS WORKER 1 2\r\n",
         ] {
-            match parse_command(junk) {
-                ParseOutcome::Invalid { consumed, .. } => assert_eq!(consumed, junk.len()),
-                other => panic!("unexpected {other:?}"),
-            }
+            assert_eq!(invalid(junk).1, junk.len());
         }
     }
 
@@ -1084,29 +744,6 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_and_owned_forms_agree() {
-        let streams: [&[u8]; 6] = [
-            b"get one\r\n",
-            b"gets a b c\r\n",
-            b"set k 7 60 5 noreply\r\nhello\r\n",
-            b"delete gone\r\n",
-            b"stats\r\n",
-            b"quit\r\n",
-        ];
-        for stream in streams {
-            let owned = match parse_command(stream) {
-                ParseOutcome::Complete { command, consumed } => (command, consumed),
-                other => panic!("owned parse failed: {other:?}"),
-            };
-            let borrowed = match parse_request_ref(stream) {
-                RefOutcome::Complete { request, consumed } => (request.to_owned(), consumed),
-                other => panic!("borrowed parse failed: {other:?}"),
-            };
-            assert_eq!(owned, borrowed);
-        }
-    }
-
-    #[test]
     fn client_error_wire_bytes_are_exact_and_static() {
         let mut out = Vec::new();
         BadRequest::Empty.write_wire(&mut out);
@@ -1121,12 +758,6 @@ mod tests {
         assert_eq!(
             out,
             b"CLIENT_ERROR command line exceeds the 8 KiB line limit\r\n"
-        );
-
-        // The legacy owned path produces the same bytes for the same error.
-        assert_eq!(
-            Response::ClientError(BadRequest::UnknownCommand.message().to_string()).to_bytes(),
-            b"CLIENT_ERROR unknown command\r\n"
         );
     }
 
@@ -1144,166 +775,62 @@ mod tests {
     }
 
     #[test]
-    fn responses_serialize_to_protocol_text() {
-        let values = Response::Values(vec![("k".into(), 5, Bytes::from_static(b"abc"))]);
-        assert_eq!(values.to_bytes(), b"VALUE k 5 3\r\nabc\r\nEND\r\n");
-        assert_eq!(Response::Stored.to_bytes(), b"STORED\r\n");
-        assert_eq!(Response::NotFound.to_bytes(), b"NOT_FOUND\r\n");
-        assert_eq!(
-            Response::Version("0.1".into()).to_bytes(),
-            b"VERSION 0.1\r\n"
-        );
-        let stats = Response::Stats(vec![("get_hits".into(), "3".into())]);
-        assert_eq!(stats.to_bytes(), b"STAT get_hits 3\r\nEND\r\n");
-        assert_eq!(
-            Response::ClientError("oops".into()).to_bytes(),
-            b"CLIENT_ERROR oops\r\n"
-        );
-    }
-
-    fn decode_all(decoder: &mut RequestDecoder) -> Vec<DecodedRequest> {
-        let mut out = Vec::new();
-        for req in decoder.by_ref() {
-            out.push(req);
-        }
-        out
-    }
-
-    #[test]
     fn decoder_handles_byte_at_a_time_streams() {
         let stream = b"set k 1 0 5\r\nhello\r\nget k missing\r\ndelete k\r\nquit\r\n";
-        let mut decoder = RequestDecoder::new();
+        let mut decoder = RefDecoder::new();
+        let mut buf = Vec::new();
         let mut decoded = Vec::new();
         for &b in stream.iter() {
-            decoder.feed(&[b]);
-            decoded.extend(decode_all(&mut decoder));
+            decoded.extend(feed(&mut decoder, &mut buf, &[b]));
         }
-        assert_eq!(decoded.len(), 4);
-        assert!(matches!(
-            &decoded[0],
-            DecodedRequest::Command(Command::Set { key, .. }) if key == "k"
-        ));
         assert_eq!(
-            decoded[1],
-            DecodedRequest::Command(Command::Get(vec!["k".into(), "missing".into()]))
+            decoded,
+            ["set k hello", "get k missing", "delete k", "Quit"]
         );
-        assert!(matches!(
-            &decoded[2],
-            DecodedRequest::Command(Command::Delete { key, .. }) if key == "k"
-        ));
-        assert_eq!(decoded[3], DecodedRequest::Command(Command::Quit));
-        assert_eq!(decoder.buffered(), 0);
-    }
-
-    #[test]
-    fn ref_decoder_handles_byte_at_a_time_streams() {
-        let stream = b"set k 1 0 5\r\nhello\r\nget k\r\nquit\r\n";
-        let mut decoder = RefDecoder::new();
-        let mut buf: Vec<u8> = Vec::new();
-        let mut decoded = 0;
-        for &b in stream.iter() {
-            buf.push(b);
-            let mut offset = 0;
-            loop {
-                let (used, step) = decoder.step(&buf[offset..]);
-                offset += used;
-                match step {
-                    Decoded::Request(request) => {
-                        match decoded {
-                            0 => assert!(matches!(
-                                request,
-                                RequestRef::Set {
-                                    key: b"k",
-                                    data: b"hello",
-                                    ..
-                                }
-                            )),
-                            1 => assert!(matches!(request, RequestRef::Get { key: b"k" })),
-                            2 => assert_eq!(request, RequestRef::Quit),
-                            n => panic!("unexpected request #{n}: {request:?}"),
-                        }
-                        decoded += 1;
-                    }
-                    Decoded::Bad(error) => panic!("{}", error.message()),
-                    Decoded::NeedMore => break,
-                }
-            }
-            buf.drain(..offset);
-        }
-        assert_eq!(decoded, 3);
         assert!(buf.is_empty());
     }
 
     #[test]
-    fn decoder_absorb_moves_bytes_out_of_the_input() {
-        let mut decoder = RequestDecoder::new();
-        let mut input = b"version\r\nver".to_vec();
-        decoder.absorb(&mut input);
-        assert!(input.is_empty());
-        assert_eq!(
-            decoder.next(),
-            Some(DecodedRequest::Command(Command::Version))
-        );
-        assert_eq!(decoder.next(), None);
-        let mut rest = b"sion\r\n".to_vec();
-        decoder.absorb(&mut rest);
-        assert_eq!(
-            decoder.next(),
-            Some(DecodedRequest::Command(Command::Version))
-        );
-    }
-
-    #[test]
     fn decoder_rejects_and_skips_overlong_lines() {
-        let mut decoder = RequestDecoder::new();
-        // An endless line, fed in chunks: exactly one Invalid, bounded memory.
+        let mut decoder = RefDecoder::new();
+        let mut buf = Vec::new();
+        // An endless line, fed in chunks: exactly one rejection, bounded memory.
         let chunk = vec![b'a'; 4096];
-        let mut invalids = 0;
+        let mut rejections = Vec::new();
         for _ in 0..16 {
-            decoder.feed(&chunk);
-            for req in decode_all(&mut decoder) {
-                match req {
-                    DecodedRequest::Invalid { reason } => {
-                        invalids += 1;
-                        assert!(reason.contains("exceeds"));
-                    }
-                    other => panic!("unexpected {other:?}"),
-                }
-            }
-            assert!(decoder.buffered() <= MAX_LINE + chunk.len() + 2);
+            rejections.extend(feed(&mut decoder, &mut buf, &chunk));
+            assert!(buf.len() <= MAX_LINE + chunk.len() + 2);
         }
-        assert_eq!(invalids, 1);
+        assert_eq!(rejections.len(), 1);
+        assert!(rejections[0].starts_with("bad: ") && rejections[0].contains("exceeds"));
         // The stream recovers at the next CRLF.
-        decoder.feed(b"\r\nstats\r\n");
-        assert_eq!(
-            decode_all(&mut decoder),
-            vec![DecodedRequest::Command(Command::Stats)]
-        );
+        assert_eq!(feed(&mut decoder, &mut buf, b"\r\nstats\r\n"), ["Stats"]);
     }
 
     #[test]
     fn decoder_swallows_oversized_set_payloads_without_buffering() {
         let huge = MAX_FRAME + 100;
-        let mut decoder = RequestDecoder::new();
-        decoder.feed(format!("set big 0 0 {huge}\r\n").as_bytes());
-        match decoder.next() {
-            Some(DecodedRequest::Invalid { reason }) => assert!(reason.contains("larger")),
-            other => panic!("unexpected {other:?}"),
-        }
-        // Stream the payload through; the decoder must not accumulate it.
+        let mut decoder = RefDecoder::new();
+        let mut buf = Vec::new();
+        let rejected = feed(
+            &mut decoder,
+            &mut buf,
+            format!("set big 0 0 {huge}\r\n").as_bytes(),
+        );
+        assert_eq!(rejected.len(), 1);
+        assert!(rejected[0].contains("larger"), "{rejected:?}");
+        // Stream the payload through; it must not accumulate in the buffer.
         let chunk = vec![b'x'; 1 << 20];
         let mut sent = 0;
         while sent < huge {
             let n = chunk.len().min(huge - sent);
-            decoder.feed(&chunk[..n]);
-            assert_eq!(decoder.next(), None);
-            assert!(decoder.buffered() < 2 * chunk.len());
+            assert!(feed(&mut decoder, &mut buf, &chunk[..n]).is_empty());
+            assert!(buf.len() < 2 * chunk.len());
             sent += n;
         }
-        decoder.feed(b"\r\nversion\r\n");
         assert_eq!(
-            decode_all(&mut decoder),
-            vec![DecodedRequest::Command(Command::Version)]
+            feed(&mut decoder, &mut buf, b"\r\nversion\r\n"),
+            ["Version"]
         );
     }
 
@@ -1312,51 +839,24 @@ mod tests {
         // A byte count near usize::MAX would overflow the frame arithmetic
         // (`after_line + nbytes + 2`) and panic the worker thread.
         let line = format!("set k 0 0 {}\r\n", usize::MAX - 2);
-        match parse_command(line.as_bytes()) {
-            ParseOutcome::Invalid { reason, .. } => assert!(reason.contains("absurdly")),
-            other => panic!("unexpected {other:?}"),
-        }
-        let mut decoder = RequestDecoder::new();
-        decoder.feed(line.as_bytes());
-        assert!(matches!(
-            decoder.next(),
-            Some(DecodedRequest::Invalid { .. })
-        ));
+        assert_eq!(invalid(line.as_bytes()).0, BadRequest::AbsurdByteCount);
+        let mut decoder = RefDecoder::new();
+        let mut buf = Vec::new();
+        let rejected = feed(&mut decoder, &mut buf, line.as_bytes());
+        assert_eq!(rejected.len(), 1);
+        assert!(rejected[0].contains("absurdly"), "{rejected:?}");
         // The stream recovers at the next command.
-        decoder.feed(b"version\r\n");
-        assert_eq!(
-            decoder.next(),
-            Some(DecodedRequest::Command(Command::Version))
-        );
+        assert_eq!(feed(&mut decoder, &mut buf, b"version\r\n"), ["Version"]);
     }
 
     #[test]
     fn decoder_split_crlf_while_skipping_line() {
-        let mut decoder = RequestDecoder::new();
-        let mut junk = vec![b'j'; MAX_LINE + 1];
-        decoder.feed(&junk);
-        assert!(matches!(
-            decoder.next(),
-            Some(DecodedRequest::Invalid { .. })
-        ));
+        let mut decoder = RefDecoder::new();
+        let mut buf = Vec::new();
+        let rejected = feed(&mut decoder, &mut buf, &vec![b'j'; MAX_LINE + 1]);
+        assert_eq!(rejected.len(), 1);
         // CRLF split across feeds while in skip-line mode.
-        junk.clear();
-        decoder.feed(b"more junk\r");
-        assert_eq!(decoder.next(), None);
-        decoder.feed(b"\nquit\r\n");
-        assert_eq!(
-            decode_all(&mut decoder),
-            vec![DecodedRequest::Command(Command::Quit)]
-        );
-    }
-
-    #[test]
-    fn set_command_builds_an_item() {
-        let (cmd, _) = complete(b"set k 9 60 2\r\nhi\r\n");
-        let item = cmd.to_item().unwrap();
-        assert_eq!(item.flags, 9);
-        assert!(item.expires_at.is_some());
-        assert_eq!(&item.data[..], b"hi");
-        assert!(Command::Quit.to_item().is_none());
+        assert!(feed(&mut decoder, &mut buf, b"more junk\r").is_empty());
+        assert_eq!(feed(&mut decoder, &mut buf, b"\nquit\r\n"), ["Quit"]);
     }
 }

@@ -1,4 +1,9 @@
-//! The relativistic engine: wait-free GETs over an [`RpHashMap`] index.
+//! The RCU-indexed engines: wait-free GETs over a concurrent index.
+//!
+//! [`Engine`] is the one engine struct; [`RpEngine`], and the
+//! [`ShardedRpEngine`](crate::ShardedRpEngine) and
+//! [`SplitOrderEngine`](crate::SplitOrderEngine) aliases beside it, differ
+//! only in the index type they plug in ([`ByteKeyIndex`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -17,7 +22,7 @@ use crate::lock_engine::EngineConfig;
 /// `get_matching_prehashed` lookups: hash once, compare bytes, allocate
 /// nothing. A unit test pins this against `FnvBuildHasher`'s `str` output
 /// in case std's `str` hashing scheme ever changes.
-pub(crate) fn str_bytes_hash(bytes: &[u8]) -> u64 {
+fn str_bytes_hash(bytes: &[u8]) -> u64 {
     use std::hash::{BuildHasher, Hasher};
     let mut hasher = FnvBuildHasher.build_hasher();
     hasher.write(bytes);
@@ -25,42 +30,26 @@ pub(crate) fn str_bytes_hash(bytes: &[u8]) -> u64 {
     hasher.finish()
 }
 
-/// What a raw (byte-keyed) index probe found, with the LRU stamp already
-/// applied to a live hit — the shared classification behind both engines'
-/// [`CacheEngine::get_ref`](crate::CacheEngine::get_ref) paths, so the
-/// hit/expired/miss accounting lives in exactly one place.
-pub(crate) enum RawProbe {
-    /// A live item, copied out inside the read-side window.
-    Live(Item),
-    /// Present but expired: the caller removes it on the writer-side slow
-    /// path.
-    Expired,
-    /// Not present.
-    Miss,
+/// A stored item plus its approximate-LRU access stamp.
+///
+/// The payload is immutable after publication; only the access stamp is
+/// updated by readers, with a relaxed store (the relativistic equivalent of
+/// memcached's "don't bump the LRU on every GET" optimisation — readers
+/// never take a lock or move list nodes).
+pub struct StoredItem {
+    item: Item,
+    last_access: AtomicU64,
 }
 
-/// Classifies a probe result and stamps a live hit's access time.
-pub(crate) fn classify_probe(
-    stored: Option<&Arc<StoredItem>>,
-    now: Instant,
-    stamp: u64,
-) -> RawProbe {
-    match stored {
-        Some(stored) if !stored.item.is_expired(now) => {
-            stored.last_access.store(stamp, Ordering::Relaxed);
-            RawProbe::Live(stored.item.clone())
-        }
-        Some(_) => RawProbe::Expired,
-        None => RawProbe::Miss,
-    }
-}
+/// What an [`Engine`] needs from its index: a raw byte-keyed probe under
+/// either read-side witness, plus the handful of writer-side calls. The
+/// three index types share no trait of their own, so
+/// [`impl_byte_key_index`] forwards each of these to the inherent method
+/// of the same meaning.
+pub trait ByteKeyIndex: Send + Sync {
+    /// Engine name used in `stats` and benchmark output.
+    const NAME: &'static str;
 
-/// An index that can be probed by a raw hash + borrowed key bytes under
-/// either read-side witness — the seam that lets both engines share one
-/// [`CacheEngine::get_ref`](crate::CacheEngine::get_ref) body
-/// ([`probe_ref`] + [`settle_probe`]) instead of copy-pasting the
-/// dispatch and accounting.
-pub(crate) trait ByteKeyIndex {
     /// Raw lookup: `hash` must be [`str_bytes_hash`] of `key`.
     fn probe<'g, P: rp_hash::ReadProtect>(
         &'g self,
@@ -71,86 +60,137 @@ pub(crate) trait ByteKeyIndex {
 
     /// Pins an EBR guard for the fallback flavor.
     fn pin_guard(&self) -> rp_rcu::RcuGuard<'static>;
+
+    /// Stores `item` under `key`, replacing any previous value.
+    fn insert(&self, key: String, item: Arc<StoredItem>);
+
+    /// Removes `key` through the writer side; `true` if it was present.
+    fn remove(&self, key: &str) -> bool;
+
+    /// Number of entries.
+    fn len(&self) -> usize;
+
+    /// Catches up on resizes and reclamation the writer paths postponed.
+    fn maintain(&self);
+
+    /// Removes every entry for which `keep` returns `false`.
+    fn retain(&self, keep: impl FnMut(&StoredItem) -> bool);
+
+    /// Every key with its access stamp: the eviction-candidate scan.
+    fn access_stamps(&self) -> Vec<(String, u64)>;
+
+    /// Scrape-time level gauges this index can report (none by default).
+    fn observe_gauges(&self) {}
 }
 
-impl ByteKeyIndex for RpHashMap<String, Arc<StoredItem>, FnvBuildHasher> {
-    fn probe<'g, P: rp_hash::ReadProtect>(
-        &'g self,
-        hash: u64,
-        key: &[u8],
-        protect: &'g P,
-    ) -> Option<&'g Arc<StoredItem>> {
-        self.get_matching_prehashed(hash, |k| k.as_bytes() == key, protect)
-    }
+/// Implements [`ByteKeyIndex`] for a map type by forwarding to its inherent
+/// methods; trailing items override the trait's defaults.
+macro_rules! impl_byte_key_index {
+    ($index:ty, $name:literal $(, $extra:item)*) => {
+        impl $crate::rp_engine::ByteKeyIndex for $index {
+            const NAME: &'static str = $name;
 
-    fn pin_guard(&self) -> rp_rcu::RcuGuard<'static> {
-        self.pin()
-    }
-}
-
-/// Probes `index` for `key` through the context's read-side flavor — the
-/// barrier-free QSBR handle when the worker has one, a pinned EBR guard
-/// otherwise — and classifies the result (stamping a live hit's access
-/// time).
-pub(crate) fn probe_ref(
-    index: &impl ByteKeyIndex,
-    ctx: &EngineReadCtx,
-    hash: u64,
-    key: &[u8],
-    now: Instant,
-    stamp: u64,
-) -> RawProbe {
-    match ctx.qsbr_handle() {
-        Some(handle) => classify_probe(index.probe(hash, key, handle), now, stamp),
-        None => {
-            let guard = index.pin_guard();
-            classify_probe(index.probe(hash, key, &guard), now, stamp)
-        }
-    }
-}
-
-/// Applies the shared hit/miss/expired accounting for a raw probe.
-/// `remove_expired` is the engine-specific writer-side removal (cold
-/// path); it returns whether the expired entry was actually removed.
-pub(crate) fn settle_probe(
-    stats: &CacheStats,
-    probe: RawProbe,
-    remove_expired: impl FnOnce() -> bool,
-) -> Option<Item> {
-    match probe {
-        RawProbe::Live(item) => {
-            stats.bump(&stats.get_hits);
-            Some(item)
-        }
-        RawProbe::Miss => {
-            stats.bump(&stats.get_misses);
-            None
-        }
-        RawProbe::Expired => {
-            if remove_expired() {
-                stats.bump(&stats.expirations);
+            fn probe<'g, P: rp_hash::ReadProtect>(
+                &'g self,
+                hash: u64,
+                key: &[u8],
+                protect: &'g P,
+            ) -> Option<&'g std::sync::Arc<$crate::rp_engine::StoredItem>> {
+                self.get_matching_prehashed(hash, |k| k.as_bytes() == key, protect)
             }
-            stats.bump(&stats.get_misses);
-            None
+
+            fn pin_guard(&self) -> rp_rcu::RcuGuard<'static> {
+                self.pin()
+            }
+
+            fn insert(&self, key: String, item: std::sync::Arc<$crate::rp_engine::StoredItem>) {
+                self.insert(key, item);
+            }
+
+            fn remove(&self, key: &str) -> bool {
+                self.remove(key)
+            }
+
+            fn len(&self) -> usize {
+                self.len()
+            }
+
+            fn maintain(&self) {
+                self.maintain();
+            }
+
+            fn retain(&self, mut keep: impl FnMut(&$crate::rp_engine::StoredItem) -> bool) {
+                self.retain(|_, stored| keep(stored));
+            }
+
+            fn access_stamps(&self) -> Vec<(String, u64)> {
+                let guard = self.pin();
+                self.iter(&guard)
+                    .map(|(key, stored)| (key.clone(), stored.access_stamp()))
+                    .collect()
+            }
+
+            $($extra)*
         }
+    };
+}
+pub(crate) use impl_byte_key_index;
+
+impl StoredItem {
+    pub(crate) fn access_stamp(&self) -> u64 {
+        self.last_access.load(Ordering::Relaxed)
     }
 }
 
-/// The bookkeeping both relativistic engines share — the capacity
-/// configuration, the approximate-LRU clock, and the operation counters —
-/// plus the stats/expiry/LRU logic over them, written once. An engine
-/// contributes its index type and the handful of index calls; everything
-/// that used to be copy-pasted between [`RpEngine`](crate::RpEngine) and
-/// [`ShardedRpEngine`](crate::ShardedRpEngine) lives here.
-pub(crate) struct EngineCore {
-    pub(crate) config: EngineConfig,
-    pub(crate) clock: AtomicU64,
-    pub(crate) stats: CacheStats,
+impl_byte_key_index!(RpHashMap<String, Arc<StoredItem>, FnvBuildHasher>, "rp");
+
+/// What an index probe found, with the LRU stamp already applied to a live
+/// hit.
+enum Probe {
+    /// A live item, copied out inside the read-side window.
+    Live(Item),
+    /// Present but expired: removed on the writer-side slow path.
+    Expired,
+    /// Not present.
+    Miss,
 }
 
-impl EngineCore {
-    pub(crate) fn with_capacity(capacity: usize) -> EngineCore {
-        EngineCore {
+fn classify_probe(stored: Option<&Arc<StoredItem>>, now: Instant, stamp: u64) -> Probe {
+    match stored {
+        Some(stored) if !stored.item.is_expired(now) => {
+            stored.last_access.store(stamp, Ordering::Relaxed);
+            Probe::Live(stored.item.clone())
+        }
+        Some(_) => Probe::Expired,
+        None => Probe::Miss,
+    }
+}
+
+/// A cache engine over a concurrent index `I`, mirroring the paper's
+/// memcached patch:
+///
+/// * **GET** enters a read-side section (a pinned EBR guard, or the
+///   worker's barrier-free QSBR handle), looks the key up in the index,
+///   checks expiry and copies the (reference-counted) value out — all
+///   without taking any lock. Expired entries fall back to the slow path
+///   (a writer-side remove) exactly as the patch "falls back to the slow
+///   path for expiry, eviction".
+/// * **SET / DELETE** go through the index's writer side and retire
+///   replaced items through the RCU domain.
+/// * **Eviction** is approximate LRU: when the cache exceeds its capacity,
+///   the writer scans the index and evicts the stalest entries it saw.
+pub struct Engine<I> {
+    pub(crate) index: I,
+    config: EngineConfig,
+    clock: AtomicU64,
+    stats: CacheStats,
+}
+
+impl<I: ByteKeyIndex> Engine<I> {
+    /// Wraps `index`, holding at most `capacity` items.
+    pub(crate) fn over(index: I, capacity: usize) -> Self {
+        Engine {
+            index,
             config: EngineConfig {
                 capacity: capacity.max(1),
                 ..EngineConfig::default()
@@ -161,105 +201,140 @@ impl EngineCore {
     }
 
     /// Next approximate-LRU access stamp.
-    pub(crate) fn stamp(&self) -> u64 {
+    fn stamp(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Wraps `item` for storage, or `None` if it exceeds the per-item size
-    /// limit (the shared SET admission check).
-    pub(crate) fn admit(&self, item: Item) -> Option<Arc<StoredItem>> {
-        if item.len() > self.config.max_item_size {
-            return None;
+    /// Approximate LRU: collect `(key, stamp)` pairs, evict the stalest
+    /// entries until the cache is back under capacity. Runs on the writer
+    /// (SET) path only.
+    fn evict_if_needed(&self) {
+        while self.index.len() > self.config.capacity {
+            let over = self.index.len() - self.config.capacity;
+            let mut candidates = self.index.access_stamps();
+            if candidates.is_empty() {
+                break;
+            }
+            candidates.sort_by_key(|(_, stamp)| *stamp);
+            for (key, _) in candidates.into_iter().take(over.max(1)) {
+                if self.index.remove(&key) {
+                    self.stats.bump(&self.stats.evictions);
+                }
+            }
         }
-        Some(Arc::new(StoredItem {
+    }
+}
+
+impl<I: ByteKeyIndex> CacheEngine for Engine<I> {
+    fn name(&self) -> &'static str {
+        I::NAME
+    }
+
+    fn get_ref(&self, key: &[u8], ctx: &mut EngineReadCtx) -> Option<Item> {
+        // One hashing pass over the borrowed key bytes serves the whole
+        // lookup (shard routing included); the key is never copied and
+        // never re-validated.
+        let hash = str_bytes_hash(key);
+        let now = Instant::now();
+        let stamp = self.stamp();
+        // No locks, no waiting; the value is copied (cheaply — the payload
+        // is reference counted) while still inside the read-side section.
+        let probe = match ctx.qsbr_handle() {
+            Some(handle) => classify_probe(self.index.probe(hash, key, handle), now, stamp),
+            None => {
+                let guard = self.index.pin_guard();
+                classify_probe(self.index.probe(hash, key, &guard), now, stamp)
+            }
+        };
+        match probe {
+            Probe::Live(item) => {
+                self.stats.bump(&self.stats.get_hits);
+                Some(item)
+            }
+            Probe::Miss => {
+                self.stats.bump(&self.stats.get_misses);
+                None
+            }
+            Probe::Expired => {
+                // Cold path. Stored keys are always valid UTF-8, so the
+                // view cannot fail for a key that was found. Grace-period
+                // work the removal triggers is postponed while this thread
+                // is a QSBR reader.
+                if std::str::from_utf8(key).is_ok_and(|key| self.index.remove(key)) {
+                    self.stats.bump(&self.stats.expirations);
+                }
+                self.stats.bump(&self.stats.get_misses);
+                None
+            }
+        }
+    }
+
+    fn set(&self, key: &str, item: Item) -> StoreOutcome {
+        if item.len() > self.config.max_item_size {
+            return StoreOutcome::NotStored;
+        }
+        let stored = Arc::new(StoredItem {
             item,
             last_access: AtomicU64::new(self.stamp()),
-        }))
-    }
-
-    pub(crate) fn note_set(&self) {
+        });
+        self.index.insert(key.to_string(), stored);
+        self.evict_if_needed();
         self.stats.bump(&self.stats.sets);
+        StoreOutcome::Stored
     }
 
-    pub(crate) fn note_delete(&self, removed: bool) -> bool {
+    fn delete(&self, key: &str) -> bool {
+        let removed = self.index.remove(key);
         if removed {
             self.stats.bump(&self.stats.deletes);
         }
         removed
     }
 
-    /// Applies the shared hit/expired/miss accounting ([`settle_probe`]).
-    pub(crate) fn settle(
-        &self,
-        probe: RawProbe,
-        remove_expired: impl FnOnce() -> bool,
-    ) -> Option<Item> {
-        settle_probe(&self.stats, probe, remove_expired)
+    fn len(&self) -> usize {
+        self.index.len()
     }
 
-    /// Approximate LRU: collect `(key, stamp)` pairs, evict the stalest
-    /// entries until the cache is back under capacity. Runs on the writer
-    /// (SET) path only.
-    pub(crate) fn evict_if_needed(
-        &self,
-        len: impl Fn() -> usize,
-        candidates: impl Fn() -> Vec<(String, u64)>,
-        remove: impl Fn(&str) -> bool,
-    ) {
-        while len() > self.config.capacity {
-            let over = len() - self.config.capacity;
-            let mut candidates = candidates();
-            if candidates.is_empty() {
-                break;
-            }
-            candidates.sort_by_key(|(_, stamp)| *stamp);
-            for (key, _) in candidates.into_iter().take(over.max(1)) {
-                if remove(&key) {
-                    self.stats.bump(&self.stats.evictions);
-                }
-            }
-        }
+    fn housekeeping(&self) {
+        // Cheap when the index is maintained in the background or inside
+        // its load-factor bounds.
+        self.index.maintain();
     }
 
-    /// Accounting for an eager purge sweep; returns `purged` back.
-    pub(crate) fn note_purged(&self, purged: usize) -> usize {
+    fn stats(&self) -> &CacheStats {
+        &self.stats
+    }
+
+    fn purge_expired(&self) -> usize {
+        let now = Instant::now();
+        let before = self.index.len();
+        self.index.retain(|stored| !stored.item.is_expired(now));
+        let purged = before.saturating_sub(self.index.len());
         for _ in 0..purged {
             self.stats.bump(&self.stats.expirations);
         }
         purged
     }
+
+    fn observe_gauges(&self) {
+        self.index.observe_gauges();
+    }
 }
 
-/// A stored item plus its approximate-LRU access stamp.
-///
-/// The payload is immutable after publication; only the access stamp is
-/// updated by readers, with a relaxed store (the relativistic equivalent of
-/// memcached's "don't bump the LRU on every GET" optimisation — readers
-/// never take a lock or move list nodes).
-pub(crate) struct StoredItem {
-    pub(crate) item: Item,
-    pub(crate) last_access: AtomicU64,
-}
+/// The relativistic engine: the index is one [`RpHashMap`]. GETs are
+/// wait-free lookups; SETs and DELETEs serialise on the map's writer lock;
+/// the index resizes itself under load.
+pub type RpEngine = Engine<RpHashMap<String, Arc<StoredItem>, FnvBuildHasher>>;
 
-/// The relativistic engine, mirroring the paper's memcached patch:
-///
-/// * **GET** pins an RCU guard, looks the key up in the relativistic hash
-///   table, checks expiry and copies the (reference-counted) value out — all
-///   without taking any lock. Expired entries fall back to the slow path
-///   (`delete`) exactly as the patch "falls back to the slow path for
-///   expiry, eviction".
-/// * **SET / DELETE** go through the hash table's writer side (a mutex) and
-///   retire replaced items through the RCU domain.
-/// * **Eviction** is approximate LRU: when the cache exceeds its capacity,
-///   the writer samples the table and evicts the stalest entries it saw.
-pub struct RpEngine {
-    index: RpHashMap<String, Arc<StoredItem>, FnvBuildHasher>,
-    core: EngineCore,
-}
-
-impl Default for RpEngine {
-    fn default() -> Self {
-        Self::new()
+/// The resize policy of the relativistic indexes.
+pub(crate) fn index_resize_policy() -> ResizePolicy {
+    ResizePolicy {
+        auto_expand: true,
+        auto_shrink: true,
+        max_load_factor: 2.0,
+        min_load_factor: 0.125,
+        min_buckets: 16,
+        ..ResizePolicy::default()
     }
 }
 
@@ -272,140 +347,27 @@ impl RpEngine {
     /// Creates an engine that holds at most `capacity` items.
     pub fn with_capacity(capacity: usize) -> Self {
         let buckets = (capacity.max(16)).next_power_of_two().min(1 << 16);
-        RpEngine {
-            index: RpHashMap::with_buckets_hasher_and_policy(
+        Engine::over(
+            RpHashMap::with_buckets_hasher_and_policy(
                 buckets.min(1024),
                 FnvBuildHasher,
-                ResizePolicy {
-                    auto_expand: true,
-                    auto_shrink: true,
-                    max_load_factor: 2.0,
-                    min_load_factor: 0.125,
-                    min_buckets: 16,
-                    ..ResizePolicy::default()
-                },
+                index_resize_policy(),
             ),
-            core: EngineCore::with_capacity(capacity),
-        }
-    }
-
-    /// Number of buckets currently used by the index (exposed so the
-    /// benchmark can confirm the table resizes itself under load).
-    pub fn index_buckets(&self) -> usize {
-        self.index.num_buckets()
-    }
-
-    fn evict_if_needed(&self) {
-        self.core.evict_if_needed(
-            || self.index.len(),
-            || {
-                let guard = self.index.pin();
-                self.index
-                    .iter(&guard)
-                    .map(|(k, v)| (k.clone(), v.last_access.load(Ordering::Relaxed)))
-                    .collect()
-            },
-            |key| self.index.remove(key),
-        );
+            capacity,
+        )
     }
 }
 
-impl CacheEngine for RpEngine {
-    fn name(&self) -> &'static str {
-        "rp"
-    }
-
-    fn get(&self, key: &str) -> Option<Item> {
-        let now = Instant::now();
-        let stamp = self.core.stamp();
-        // Fast path: a relativistic lookup. No locks, no waiting; the value
-        // is copied (cheaply — the payload is reference counted) while still
-        // inside the read-side critical section. An expired entry falls back
-        // to the writer-side slow path inside `settle`.
-        let probe = {
-            let guard = self.index.pin();
-            classify_probe(self.index.get(key, &guard), now, stamp)
-        };
-        self.core.settle(probe, || self.index.remove(key))
-    }
-
-    fn get_via(&self, key: &str, ctx: &mut EngineReadCtx) -> Option<Item> {
-        // Flavor check first: the EBR fallback computes its own timestamp
-        // and clock stamp inside `get`, so doing it here too would double
-        // that hot-path work.
-        let Some(handle) = ctx.qsbr_handle() else {
-            return self.get(key);
-        };
-        let now = Instant::now();
-        let stamp = self.core.stamp();
-        // The QSBR fast path: no guard, no fence — the lookup is free. The
-        // value is copied out while the context borrow (the quiescent
-        // window) is still open, exactly like the guard-scoped EBR path.
-        // Grace-period work a removal triggers is postponed while this
-        // thread is a QSBR reader — the background maintainer or reclaimer
-        // absorbs it.
-        let probe = classify_probe(self.index.get_qsbr(key, handle), now, stamp);
-        self.core.settle(probe, || self.index.remove(key))
-    }
-
-    fn get_ref(&self, key: &[u8], ctx: &mut EngineReadCtx) -> Option<Item> {
-        // One hashing pass over the borrowed key bytes serves the whole
-        // lookup; the key is never copied and never re-validated.
-        let hash = str_bytes_hash(key);
-        let now = Instant::now();
-        let stamp = self.core.stamp();
-        let probe = probe_ref(&self.index, ctx, hash, key, now, stamp);
-        self.core.settle(probe, || {
-            // Expired: remove through the writer side (cold path; the
-            // UTF-8 view is free — stored keys are always valid UTF-8).
-            std::str::from_utf8(key)
-                .map(|key| self.index.remove_prehashed(hash, key))
-                .unwrap_or(false)
-        })
-    }
-
-    fn set(&self, key: &str, item: Item) -> StoreOutcome {
-        let Some(stored) = self.core.admit(item) else {
-            return StoreOutcome::NotStored;
-        };
-        self.index.insert(key.to_string(), stored);
-        self.evict_if_needed();
-        self.core.note_set();
-        StoreOutcome::Stored
-    }
-
-    fn delete(&self, key: &str) -> bool {
-        self.core.note_delete(self.index.remove(key))
-    }
-
-    fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    fn housekeeping(&self) {
-        // Catch up on index resizes the writer paths postponed (QSBR
-        // workers cannot wait for readers mid-batch). Cheap when the load
-        // factor is inside bounds.
-        self.index.maintain();
-    }
-
-    fn stats(&self) -> &CacheStats {
-        &self.core.stats
-    }
-
-    fn purge_expired(&self) -> usize {
-        let now = Instant::now();
-        let before = self.index.len();
-        self.index.retain(|_, stored| !stored.item.is_expired(now));
-        self.core
-            .note_purged(before.saturating_sub(self.index.len()))
+impl Default for RpEngine {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use std::time::Duration;
+    use crate::engine::ReadSide;
 
     #[test]
     fn str_bytes_hash_matches_the_index_hasher() {
@@ -423,174 +385,67 @@ mod tests {
     }
 
     #[test]
-    fn get_ref_matches_get_for_both_read_sides() {
-        use crate::engine::{EngineReadCtx, ReadSide};
-        std::thread::spawn(|| {
-            let engine = RpEngine::new();
-            engine.set("present", Item::new(9, "val"));
-            let mut stale = Item::new(0, "old");
-            stale.expires_at = Some(Instant::now() - Duration::from_millis(1));
-            engine.set("stale", stale);
-
-            for read_side in [ReadSide::Ebr, ReadSide::Qsbr] {
-                let mut ctx = EngineReadCtx::new(read_side);
-                let hit = engine.get_ref(b"present", &mut ctx).unwrap();
-                assert_eq!(hit.flags, 9);
-                assert_eq!(&hit.data[..], b"val");
-                assert_eq!(engine.get_ref(b"missing", &mut ctx), None);
-                assert_eq!(engine.get_ref(b"\xff\xfe not utf8", &mut ctx), None);
-                ctx.quiescent();
-            }
-            // The expired entry fell back to the slow path and was removed.
-            assert_eq!(engine.get_ref(b"stale", &mut EngineReadCtx::ebr()), None);
-            assert_eq!(engine.len(), 1);
-            assert!(engine.stats().expirations.load(Ordering::Relaxed) >= 1);
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
-    fn get_set_delete_round_trip() {
-        let engine = RpEngine::new();
-        assert_eq!(engine.get("k"), None);
-        assert_eq!(engine.set("k", Item::new(3, "value")), StoreOutcome::Stored);
-        let item = engine.get("k").unwrap();
-        assert_eq!(item.flags, 3);
-        assert_eq!(&item.data[..], b"value");
-        assert!(engine.delete("k"));
-        assert_eq!(engine.get("k"), None);
-        assert_eq!(engine.stats().hits(), 1);
-        assert_eq!(engine.stats().misses(), 2);
-    }
-
-    #[test]
-    fn expired_items_fall_back_to_the_slow_path() {
-        let engine = RpEngine::new();
-        let mut item = Item::new(0, "stale");
-        item.expires_at = Some(Instant::now() - Duration::from_millis(1));
-        engine.set("k", item);
-        assert_eq!(engine.len(), 1);
-        assert_eq!(engine.get("k"), None);
-        assert_eq!(engine.len(), 0, "expired item must be removed lazily");
-        assert_eq!(engine.stats().expirations.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn capacity_is_enforced_with_approximate_lru() {
-        let engine = RpEngine::with_capacity(4);
-        for i in 0..4 {
-            engine.set(&format!("k{i}"), Item::new(0, "x"));
-        }
-        // Touch k0..k2 so k3 is the coldest.
-        for i in 0..3 {
-            engine.get(&format!("k{i}"));
-        }
-        engine.set("k4", Item::new(0, "x"));
-        assert_eq!(engine.len(), 4);
-        assert!(engine.stats().evicted() >= 1);
-        assert!(
-            engine.get("k4").is_some(),
-            "newly inserted key must survive"
-        );
-    }
-
-    #[test]
-    fn purge_expired_removes_only_stale_items() {
-        let engine = RpEngine::new();
-        for i in 0..6 {
-            let mut item = Item::new(0, "x");
-            if i % 2 == 0 {
-                item.expires_at = Some(Instant::now() - Duration::from_millis(1));
-            }
-            engine.set(&format!("k{i}"), item);
-        }
-        assert_eq!(engine.purge_expired(), 3);
-        assert_eq!(engine.len(), 3);
-    }
-
-    #[test]
     fn index_resizes_itself_under_insert_load() {
         let engine = RpEngine::with_capacity(100_000);
-        let before = engine.index_buckets();
+        let before = engine.index.num_buckets();
         for i in 0..8192 {
             engine.set(&format!("key-{i}"), Item::new(0, "v"));
         }
         assert!(
-            engine.index_buckets() > before,
+            engine.index.num_buckets() > before,
             "expected the relativistic index to auto-expand ({} -> {})",
             before,
-            engine.index_buckets()
+            engine.index.num_buckets()
         );
         assert_eq!(engine.len(), 8192);
     }
 
-    #[test]
-    fn qsbr_worker_housekeeping_grows_the_index() {
-        use crate::engine::{EngineReadCtx, ReadSide};
-        // Simulates an event-loop worker: QSBR-online while serving, so
-        // SETs postpone auto-resizing; `housekeeping` from the offline
-        // window between batches must catch up — without it the index
-        // would never grow when every writer is a QSBR worker.
-        std::thread::spawn(|| {
-            let engine = RpEngine::with_capacity(100_000);
+    /// Simulates an event-loop worker: QSBR-online while serving `sets`
+    /// SETs, then `housekeeping` from the offline window between batches.
+    /// An index that waits for grace periods to resize must postpone the
+    /// resize while the worker is online and catch up in housekeeping —
+    /// without it the index would never grow when every writer is a QSBR
+    /// worker; a non-blocking index (`postpones == false`) grows mid-batch.
+    pub(crate) fn qsbr_worker_growth<I: ByteKeyIndex + 'static>(
+        engine: Engine<I>,
+        buckets: fn(&I) -> usize,
+        sets: usize,
+        postpones: bool,
+    ) {
+        std::thread::spawn(move || {
             let mut ctx = EngineReadCtx::new(ReadSide::Qsbr);
-            let before = engine.index_buckets();
-            for i in 0..8192 {
+            let before = buckets(&engine.index);
+            for i in 0..sets {
                 engine.set(&format!("key-{i}"), Item::new(0, "v"));
             }
             assert_eq!(
-                engine.index_buckets(),
-                before,
-                "resizes must be postponed while the worker is QSBR-online"
+                buckets(&engine.index) == before,
+                postpones,
+                "{}: {before} -> {} buckets while QSBR-online",
+                engine.name(),
+                buckets(&engine.index)
             );
             ctx.quiescent();
             ctx.with_offline(|| engine.housekeeping());
             assert!(
-                engine.index_buckets() > before,
-                "housekeeping must grow the postponed index ({} -> {})",
-                before,
-                engine.index_buckets()
+                buckets(&engine.index) > before,
+                "{}: housekeeping must leave the index grown ({before} -> {})",
+                engine.name(),
+                buckets(&engine.index)
             );
-            assert!(engine.get_via("key-7", &mut ctx).is_some());
-            // Multi-key GETs flow through get_via per key by default, so
-            // they use the QSBR path too.
-            let hits = engine.get_many_via(&["key-1", "missing", "key-2"], &mut ctx);
-            assert_eq!(hits.iter().filter(|h| h.is_some()).count(), 2);
+            assert!(engine.get_ref(b"key-7", &mut ctx).is_some());
         })
         .join()
         .unwrap();
     }
 
     #[test]
-    fn concurrent_gets_and_sets() {
-        use std::sync::atomic::AtomicBool;
-        let engine = Arc::new(RpEngine::new());
-        for i in 0..256 {
-            engine.set(&format!("k{i}"), Item::new(0, format!("v{i}")));
-        }
-        let stop = Arc::new(AtomicBool::new(false));
-        let readers: Vec<_> = (0..3)
-            .map(|seed| {
-                let engine = Arc::clone(&engine);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut k = seed;
-                    while !stop.load(Ordering::Relaxed) {
-                        k = (k * 13 + 1) % 256;
-                        let item = engine.get(&format!("k{k}")).expect("stable key present");
-                        assert!(item.data.starts_with(b"v"));
-                    }
-                })
-            })
-            .collect();
-        for round in 0..2000_u32 {
-            let k = round % 256;
-            engine.set(&format!("k{k}"), Item::new(round, format!("v{k}-{round}")));
-        }
-        stop.store(true, Ordering::SeqCst);
-        for r in readers {
-            r.join().unwrap();
-        }
+    fn qsbr_worker_housekeeping_grows_the_index() {
+        qsbr_worker_growth(
+            RpEngine::with_capacity(100_000),
+            |index| index.num_buckets(),
+            8192,
+            true,
+        );
     }
 }

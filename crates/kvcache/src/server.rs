@@ -1,75 +1,48 @@
-//! TCP servers speaking the memcached text protocol.
+//! The cache server's configuration and its request-execution path.
 //!
-//! Two front ends share one request-execution path ([`execute`]):
-//!
-//! * [`CacheServer`] — the original thread-per-connection server, kept as
-//!   the baseline the event loop is benchmarked against.
-//! * [`EventServer`] — the `rp-net` epoll event loop: a fixed worker pool
-//!   serves any number of connections.
-//!
-//! [`ServerConfig`] selects between them (and carries the tuning shared by
-//! the `kvcached` binary, the benchmarks and the tests); [`start_server`]
-//! returns a [`ServerHandle`] that erases the choice.
+//! [`ServerConfig`] describes a server ([`EventServer`](crate::EventServer)
+//! runs it on the `rp-net` epoll reactor); [`execute_ref`] turns one decoded
+//! request into reply bytes.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use rp_net::BufWrite;
 
 use crate::engine::{CacheEngine, EngineReadCtx, ReadSide, StoreOutcome};
-use crate::event_server::EventServer;
-use crate::protocol::{
-    write_value_header, Command, Decoded, RefDecoder, RequestRef, Response, StatsSub,
-};
+use crate::protocol::{put_decimal, write_value_header, RequestRef, StatsSub};
 use crate::telemetry;
+use crate::Item;
 
 /// Version string reported by the `version` command.
 pub const SERVER_VERSION: &str = "relativist-kvcache 0.1.0";
-
-/// Which connection-handling architecture a server uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerMode {
-    /// One OS thread per connection (the historical baseline).
-    Threaded,
-    /// The `rp-net` epoll reactor: a fixed pool of worker threads.
-    EventLoop,
-}
 
 /// How to run a cache server.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// TCP port on 127.0.0.1 (0 picks a free port).
     pub port: u16,
-    /// Connection-handling architecture.
-    pub mode: ServerMode,
-    /// Event-loop worker threads (ignored by [`ServerMode::Threaded`]).
+    /// Reactor worker threads.
     pub workers: usize,
-    /// Read-side RCU flavor serving GETs in event-loop mode (the threaded
-    /// server always uses EBR — its per-connection threads block in
-    /// `read(2)` with no natural quiescent points). Defaults to QSBR: the
-    /// pinned reactor workers announce a quiescent state per event batch
-    /// and go offline while parked, making lookups entirely barrier-free.
+    /// Read-side RCU flavor serving GETs. Defaults to QSBR: the pinned
+    /// reactor workers announce a quiescent state per event batch and go
+    /// offline while parked, making lookups entirely barrier-free.
     pub read_side: ReadSide,
-    /// How long a graceful event-loop shutdown keeps flushing responses.
+    /// How long a graceful shutdown keeps flushing responses.
     pub drain_timeout: Duration,
-    /// Close event-loop connections that make no progress for this long
-    /// (`None` never reaps; threaded mode relies on its read timeout).
+    /// Close connections that make no progress for this long (`None`
+    /// never reaps).
     pub idle_timeout: Option<Duration>,
-    /// Close an event-loop connection after serving this many requests
-    /// (`None` is unlimited). A defensive per-peer budget for public
-    /// deployments.
+    /// Close a connection after serving this many requests (`None` is
+    /// unlimited). A defensive per-peer budget for public deployments.
     pub max_requests_per_conn: Option<u64>,
-    /// Event-loop admission wall: connections over this count are shed at
-    /// accept with a `SERVER_ERROR busy` reply (`usize::MAX` = unlimited).
+    /// Admission wall: connections over this count are shed at accept with
+    /// a `SERVER_ERROR busy` reply (`usize::MAX` = unlimited).
     pub max_connections: usize,
-    /// Event-loop global byte budget: once this many bytes sit in
-    /// connection buffers across all workers, new accepts are shed and
-    /// slow-reader connections stop being read until the level drains
-    /// (`usize::MAX` = unlimited).
+    /// Global byte budget: once this many bytes sit in connection buffers
+    /// across all workers, new accepts are shed and slow-reader
+    /// connections stop being read until the level drains (`usize::MAX` =
+    /// unlimited).
     pub max_total_bytes: usize,
 }
 
@@ -77,7 +50,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             port: 0,
-            mode: ServerMode::EventLoop,
             workers: 2,
             read_side: ReadSide::default(),
             drain_timeout: Duration::from_secs(5),
@@ -90,267 +62,18 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// The thread-per-connection baseline.
-    pub fn threaded() -> ServerConfig {
-        ServerConfig {
-            mode: ServerMode::Threaded,
-            ..ServerConfig::default()
-        }
-    }
-
-    /// The epoll event loop with `workers` reactor threads.
+    /// The defaults with `workers` reactor threads.
     pub fn event_loop(workers: usize) -> ServerConfig {
         ServerConfig {
-            mode: ServerMode::EventLoop,
             workers: workers.max(1),
             ..ServerConfig::default()
         }
     }
 
-    /// Sets the port.
-    pub fn with_port(mut self, port: u16) -> ServerConfig {
-        self.port = port;
-        self
-    }
-
-    /// Sets the read-side flavor (event-loop mode only).
+    /// Sets the read-side flavor.
     pub fn with_read_side(mut self, read_side: ReadSide) -> ServerConfig {
         self.read_side = read_side;
         self
-    }
-}
-
-/// A running cache server of either [`ServerMode`].
-pub enum ServerHandle {
-    /// Thread-per-connection.
-    Threaded(CacheServer),
-    /// Epoll event loop.
-    EventLoop(EventServer),
-}
-
-impl ServerHandle {
-    /// The address the server is listening on.
-    pub fn addr(&self) -> SocketAddr {
-        match self {
-            ServerHandle::Threaded(s) => s.addr(),
-            ServerHandle::EventLoop(s) => s.addr(),
-        }
-    }
-
-    /// The engine behind this server.
-    pub fn engine(&self) -> &Arc<dyn CacheEngine> {
-        match self {
-            ServerHandle::Threaded(s) => s.engine(),
-            ServerHandle::EventLoop(s) => s.engine(),
-        }
-    }
-
-    /// The architecture this handle runs.
-    pub fn mode(&self) -> ServerMode {
-        match self {
-            ServerHandle::Threaded(_) => ServerMode::Threaded,
-            ServerHandle::EventLoop(_) => ServerMode::EventLoop,
-        }
-    }
-
-    /// Stops the server (graceful drain in event-loop mode).
-    pub fn shutdown(&mut self) {
-        match self {
-            ServerHandle::Threaded(s) => s.shutdown(),
-            ServerHandle::EventLoop(s) => s.shutdown(),
-        }
-    }
-}
-
-/// Starts a server for `engine` as described by `config`.
-pub fn start_server(
-    engine: Arc<dyn CacheEngine>,
-    config: &ServerConfig,
-) -> std::io::Result<ServerHandle> {
-    match config.mode {
-        ServerMode::Threaded => CacheServer::start(engine, config.port).map(ServerHandle::Threaded),
-        ServerMode::EventLoop => {
-            EventServer::start_from(engine, config).map(ServerHandle::EventLoop)
-        }
-    }
-}
-
-/// A running cache server.
-///
-/// One OS thread per connection (memcached uses an event loop; a
-/// thread-per-connection server keeps the reproduction simple while
-/// preserving the property under study — whether GETs contend on a global
-/// lock inside the *engine*).
-pub struct CacheServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    engine: Arc<dyn CacheEngine>,
-}
-
-impl CacheServer {
-    /// Binds to `127.0.0.1:<port>` (port 0 picks a free port) and starts
-    /// serving `engine`.
-    pub fn start(engine: Arc<dyn CacheEngine>, port: u16) -> std::io::Result<CacheServer> {
-        // Any serving process watches its own grace periods: a reader that
-        // wedges a writer's synchronize shows up in STATS TRACE instead of
-        // as a silent hang.
-        rp_rcu::stall::ensure_global_watchdog();
-        let listener = TcpListener::bind(("127.0.0.1", port))?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-
-        let accept_thread = {
-            let engine = Arc::clone(&engine);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::Builder::new()
-                .name("kvcache-accept".to_string())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        match stream {
-                            Ok(stream) => {
-                                let engine = Arc::clone(&engine);
-                                let shutdown = Arc::clone(&shutdown);
-                                std::thread::Builder::new()
-                                    .name("kvcache-conn".to_string())
-                                    .spawn(move || {
-                                        let _ = serve_connection(stream, &*engine, &shutdown);
-                                    })
-                                    .expect("spawn connection thread");
-                            }
-                            Err(_) => continue,
-                        }
-                    }
-                })?
-        };
-
-        Ok(CacheServer {
-            addr,
-            shutdown,
-            accept_thread: Some(accept_thread),
-            engine,
-        })
-    }
-
-    /// The address the server is listening on.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The engine behind this server.
-    pub fn engine(&self) -> &Arc<dyn CacheEngine> {
-        &self.engine
-    }
-
-    /// Stops accepting new connections and joins the accept thread.
-    ///
-    /// Existing connections finish their current request and close when the
-    /// client disconnects (or sends `quit`).
-    pub fn shutdown(&mut self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for CacheServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Serves one client connection until EOF, `quit`, or server shutdown.
-///
-/// Runs the same borrowed request pipeline as the event loop
-/// ([`execute_ref`] over a [`RefDecoder`]): requests are decoded in place
-/// out of the connection's input buffer and replies serialised into one
-/// reusable response buffer, so a steady-state GET allocates nothing —
-/// there is no owned [`Command`] and no per-reply `Vec` on this path any
-/// more. The threaded server always reads through EBR (its blocking
-/// per-connection threads have no natural quiescent points).
-fn serve_connection(
-    mut stream: TcpStream,
-    engine: &dyn CacheEngine,
-    shutdown: &AtomicBool,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_millis(200)))?;
-    let mut decoder = RefDecoder::new();
-    let mut ctx = EngineReadCtx::ebr();
-    let mut input: Vec<u8> = Vec::new();
-    let mut out: Vec<u8> = Vec::new();
-    let mut chunk = [0_u8; 4096];
-    // Spread per-connection threads across the metric shards by fd (the
-    // event loop uses its worker index instead); the fd doubles as the
-    // "worker" name in slow-log entries.
-    let worker = {
-        use std::os::unix::io::AsRawFd;
-        stream.as_raw_fd() as usize
-    };
-    let kv = rp_obs::global().kv.shards.for_worker(worker);
-
-    loop {
-        // Drain every complete request already buffered.
-        let mut offset = 0;
-        let mut quit = false;
-        loop {
-            let (used, decoded) = decoder.step(&input[offset..]);
-            offset += used;
-            match decoded {
-                Decoded::Request(request) => {
-                    // Decode cost is not attributed on this path (the
-                    // blocking read makes it meaningless anyway).
-                    if execute_ref_observed(
-                        engine,
-                        &request,
-                        &mut ctx,
-                        &mut out,
-                        kv,
-                        worker as u64,
-                        0,
-                    ) {
-                        quit = true;
-                        break;
-                    }
-                }
-                Decoded::Bad(error) => {
-                    kv.decode_errors.inc();
-                    error.write_wire(&mut out);
-                }
-                Decoded::NeedMore => break,
-            }
-        }
-        input.drain(..offset);
-        if !out.is_empty() {
-            stream.write_all(&out)?;
-            out.clear();
-        }
-        if quit {
-            return Ok(());
-        }
-
-        if shutdown.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Ok(()), // client closed the connection
-            Ok(n) => input.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue; // timeout: re-check the shutdown flag
-            }
-            Err(e) => return Err(e),
-        }
     }
 }
 
@@ -358,39 +81,113 @@ fn serve_connection(
 /// reply straight into `out`. Returns `true` when the connection should
 /// close (`quit`).
 ///
-/// This is the zero-allocation request pipeline the event-loop server
-/// runs: keys stay `&[u8]` slices into the connection's read buffer
+/// This is the zero-allocation request pipeline the server runs: keys stay
+/// `&[u8]` slices into the connection's read buffer
 /// ([`CacheEngine::get_ref`] hashes them once and probes the index with no
 /// copy), `VALUE` headers are written digit-by-digit into the connection's
 /// pooled output queue, and payloads ride as reference-counted [`Bytes`]
 /// (copied only when small enough that coalescing beats scatter-gather).
 /// A steady-state GET or miss performs no heap allocation at all; SETs
-/// allocate only the key and payload that go *into* the table. The cold
-/// commands (`stats`, `version`) still build owned [`Response`]s.
+/// allocate only the key and payload that go *into* the table.
 pub fn execute_ref(
     engine: &dyn CacheEngine,
     request: &RequestRef<'_>,
     ctx: &mut EngineReadCtx,
     out: &mut impl BufWrite,
 ) -> bool {
+    execute(engine, request, ctx, out, None)
+}
+
+/// The span of a sampled request; empty for the unsampled rest, which then
+/// read no clock.
+struct Phases<'a>(Option<&'a mut rp_obs::SlowSpan>);
+
+impl Phases<'_> {
+    /// Records the opcode and the key's fingerprint.
+    fn tag(&mut self, op: u64, key: Option<&[u8]>) {
+        if let Some(span) = self.0.as_deref_mut() {
+            span.op = op;
+            span.key_hash = key.map(hash_key).unwrap_or(0);
+        }
+    }
+
+    /// Runs the engine call `f`, timed as the span's *index* phase.
+    fn index<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        timed(self.0.as_deref_mut().map(|span| &mut span.index_ns), f)
+    }
+
+    /// Runs the reply writer `f`, timed as the span's *serialize* phase.
+    fn serialize<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        timed(self.0.as_deref_mut().map(|span| &mut span.serialize_ns), f)
+    }
+}
+
+/// Runs `f`, adding the time it took to `ns` if there is one.
+fn timed<R>(ns: Option<&mut u64>, f: impl FnOnce() -> R) -> R {
+    let Some(ns) = ns else { return f() };
+    let timer = rp_obs::timer();
+    let result = f();
+    *ns += rp_obs::elapsed_ns(timer).unwrap_or(0);
+    result
+}
+
+/// FNV-1a over the request key — a stable fingerprint for the slow log
+/// (which must not hold on to borrowed key bytes).
+fn hash_key(key: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for &byte in key {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// Writes one `VALUE` block.
+fn put_value(out: &mut impl BufWrite, key: &[u8], item: Item) {
+    write_value_header(out, key, item.flags, item.data.len());
+    out.put_shared(item.data);
+    out.put(b"\r\n");
+}
+
+/// Writes one `STAT <name> <value>` line of the `stats` reply.
+fn put_stat(out: &mut impl BufWrite, name: &str, value: u64) {
+    out.put(b"STAT ");
+    out.put(name.as_bytes());
+    out.put(b" ");
+    put_decimal(out, value);
+    out.put(b"\r\n");
+}
+
+/// The body of [`execute_ref`]. A sampled request brings its `span`: GET,
+/// SET and DELETE fill in the opcode and key fingerprint and time the
+/// engine call as the *index* phase and reply serialisation as the
+/// *serialize* phase; the cold opcodes run unphased.
+fn execute(
+    engine: &dyn CacheEngine,
+    request: &RequestRef<'_>,
+    ctx: &mut EngineReadCtx,
+    out: &mut impl BufWrite,
+    span: Option<&mut rp_obs::SlowSpan>,
+) -> bool {
+    let mut span = Phases(span);
     match request {
         RequestRef::Get { key } => {
-            if let Some(item) = engine.get_ref(key, ctx) {
-                write_value_header(out, key, item.flags, item.data.len());
-                out.put_shared(item.data);
-                out.put(b"\r\n");
-            }
-            out.put(b"END\r\n");
+            span.tag(rp_obs::slow::OP_GET, Some(key));
+            let item = span.index(|| engine.get_ref(key, ctx));
+            span.serialize(|| {
+                if let Some(item) = item {
+                    put_value(out, key, item);
+                }
+                out.put(b"END\r\n");
+            });
         }
         RequestRef::GetMulti(keys) => {
+            span.tag(rp_obs::slow::OP_GET, keys.iter().next());
             for key in keys.iter() {
-                if let Some(item) = engine.get_ref(key, ctx) {
-                    write_value_header(out, key, item.flags, item.data.len());
-                    out.put_shared(item.data);
-                    out.put(b"\r\n");
+                if let Some(item) = span.index(|| engine.get_ref(key, ctx)) {
+                    span.serialize(|| put_value(out, key, item));
                 }
             }
-            out.put(b"END\r\n");
+            span.serialize(|| out.put(b"END\r\n"));
         }
         RequestRef::Set {
             key,
@@ -399,43 +196,54 @@ pub fn execute_ref(
             data,
             noreply,
         } => {
+            span.tag(rp_obs::slow::OP_SET, Some(key));
             // Keys are sub-slices of a validated UTF-8 line; the engine API
             // takes &str, so re-view (a scan on this cold-enough write
             // path, never a copy).
-            let outcome = match std::str::from_utf8(key) {
+            let outcome = span.index(|| match std::str::from_utf8(key) {
                 Ok(key) => engine.set(
                     key,
-                    crate::Item::with_ttl(
+                    Item::with_ttl(
                         *flags,
                         Bytes::copy_from_slice(data),
                         Duration::from_secs(*exptime),
                     ),
                 ),
                 Err(_) => StoreOutcome::NotStored,
-            };
-            if !noreply {
-                out.put(match outcome {
-                    StoreOutcome::Stored => &b"STORED\r\n"[..],
-                    StoreOutcome::NotStored => &b"NOT_STORED\r\n"[..],
-                });
-            }
+            });
+            span.serialize(|| {
+                if !noreply {
+                    out.put(match outcome {
+                        StoreOutcome::Stored => &b"STORED\r\n"[..],
+                        StoreOutcome::NotStored => &b"NOT_STORED\r\n"[..],
+                    });
+                }
+            });
         }
         RequestRef::Delete { key, noreply } => {
-            let deleted = std::str::from_utf8(key)
-                .map(|key| engine.delete(key))
-                .unwrap_or(false);
-            if !noreply {
-                out.put(if deleted {
-                    &b"DELETED\r\n"[..]
-                } else {
-                    &b"NOT_FOUND\r\n"[..]
-                });
-            }
+            span.tag(rp_obs::slow::OP_DELETE, Some(key));
+            let deleted =
+                span.index(|| std::str::from_utf8(key).is_ok_and(|key| engine.delete(key)));
+            span.serialize(|| {
+                if !noreply {
+                    out.put(if deleted {
+                        &b"DELETED\r\n"[..]
+                    } else {
+                        &b"NOT_FOUND\r\n"[..]
+                    });
+                }
+            });
         }
         RequestRef::Stats => {
-            if let Some(reply) = execute_via(engine, Command::Stats, ctx) {
-                reply.write_to(out);
-            }
+            let stats = engine.stats();
+            out.put(b"STAT engine ");
+            out.put(engine.name().as_bytes());
+            out.put(b"\r\n");
+            put_stat(out, "curr_items", engine.len() as u64);
+            put_stat(out, "get_hits", stats.hits());
+            put_stat(out, "get_misses", stats.misses());
+            put_stat(out, "evictions", stats.evicted());
+            out.put(b"END\r\n");
         }
         RequestRef::StatsProm(sub) => match sub {
             StatsSub::Render => telemetry::render_prometheus(engine, out),
@@ -455,31 +263,20 @@ pub fn execute_ref(
     false
 }
 
-/// FNV-1a over the request key — a stable fingerprint for the slow log
-/// (which must not hold on to borrowed key bytes).
-fn hash_key(key: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
-    for &byte in key {
-        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// [`execute_ref`] wrapped in the per-opcode `rp-obs` accounting both
-/// servers share: bumps the worker shard's request counter (exact, one
-/// relaxed `fetch_add` — the whole telemetry cost for most requests), and
-/// gives every [`rp_obs::LATENCY_SAMPLE`]-th request a span: its service
-/// time feeds the opcode's latency histogram, and if it clears the slow
-/// threshold the whole span (worker, request id, opcode, key hash, phase
-/// breakdown) lands in the slow-request log served by `STATS SLOW`.
-/// Unsampled requests run the identical zero-allocation path as before —
-/// no clock reads, no span — so the sampling tick bounds the entire
-/// telemetry cost; `--stats off` skips the clock reads even when sampled.
+/// [`execute_ref`] wrapped in the per-opcode `rp-obs` accounting: bumps the
+/// worker shard's request counter (exact, one relaxed `fetch_add` — the
+/// whole telemetry cost for most requests), and gives every
+/// [`rp_obs::LATENCY_SAMPLE`]-th request a span: its service time feeds the
+/// opcode's latency histogram, and if it clears the slow threshold the
+/// whole span (worker, request id, opcode, key hash, phase breakdown) lands
+/// in the slow-request log served by `STATS SLOW`. Unsampled requests run
+/// the same body with no span — no clock reads — so the sampling tick
+/// bounds the entire telemetry cost; `--stats off` skips the clock reads
+/// even when sampled.
 ///
-/// `worker` names the serving thread in slow-log entries (reactor ordinal
-/// in event-loop mode, connection fd in threaded mode — matching the
-/// metric-shard spread); `decode_ns` is the measured cost of the final
-/// protocol-decode step when the caller sampled it, 0 otherwise.
+/// `worker` names the serving reactor worker in slow-log entries;
+/// `decode_ns` is the measured cost of the final protocol-decode step when
+/// the caller sampled it, 0 otherwise.
 pub(crate) fn execute_ref_observed(
     engine: &dyn CacheEngine,
     request: &RequestRef<'_>,
@@ -491,16 +288,17 @@ pub(crate) fn execute_ref_observed(
 ) -> bool {
     let ordinal = kv.requests.inc_and_get();
     if !rp_obs::sample_latency(ordinal) {
-        return execute_ref(engine, request, ctx, out);
+        return execute(engine, request, ctx, out, None);
     }
     let timer = rp_obs::timer();
     let mut span = rp_obs::SlowSpan {
         worker,
         request_id: ordinal,
+        op: rp_obs::slow::OP_OTHER,
         decode_ns,
         ..Default::default()
     };
-    let quit = execute_ref_spanned(engine, request, ctx, out, &mut span);
+    let quit = execute(engine, request, ctx, out, Some(&mut span));
     if let Some(ns) = rp_obs::elapsed_ns(timer) {
         let hist = match request {
             RequestRef::Get { .. } | RequestRef::GetMulti(_) => &kv.get_ns,
@@ -515,302 +313,113 @@ pub(crate) fn execute_ref_observed(
     quit
 }
 
-/// [`execute_ref`] with per-phase timing filled into `span`: the engine
-/// call is the *index* phase, response serialisation is the *serialize*
-/// phase. Only the sampled 1-in-[`rp_obs::LATENCY_SAMPLE`] requests come
-/// through here, so the extra clock reads never touch the common path.
-/// Cold opcodes (stats, version, quit) delegate to [`execute_ref`]
-/// unphased and are tagged [`rp_obs::slow::OP_OTHER`].
-fn execute_ref_spanned(
-    engine: &dyn CacheEngine,
-    request: &RequestRef<'_>,
-    ctx: &mut EngineReadCtx,
-    out: &mut impl BufWrite,
-    span: &mut rp_obs::SlowSpan,
-) -> bool {
-    match request {
-        RequestRef::Get { key } => {
-            span.op = rp_obs::slow::OP_GET;
-            span.key_hash = hash_key(key);
-            let index = rp_obs::timer();
-            let item = engine.get_ref(key, ctx);
-            span.index_ns = rp_obs::elapsed_ns(index).unwrap_or(0);
-            let serialize = rp_obs::timer();
-            if let Some(item) = item {
-                write_value_header(out, key, item.flags, item.data.len());
-                out.put_shared(item.data);
-                out.put(b"\r\n");
-            }
-            out.put(b"END\r\n");
-            span.serialize_ns = rp_obs::elapsed_ns(serialize).unwrap_or(0);
-        }
-        RequestRef::GetMulti(keys) => {
-            span.op = rp_obs::slow::OP_GET;
-            span.key_hash = keys.iter().next().map(hash_key).unwrap_or(0);
-            for key in keys.iter() {
-                let index = rp_obs::timer();
-                let item = engine.get_ref(key, ctx);
-                span.index_ns += rp_obs::elapsed_ns(index).unwrap_or(0);
-                let serialize = rp_obs::timer();
-                if let Some(item) = item {
-                    write_value_header(out, key, item.flags, item.data.len());
-                    out.put_shared(item.data);
-                    out.put(b"\r\n");
-                }
-                span.serialize_ns += rp_obs::elapsed_ns(serialize).unwrap_or(0);
-            }
-            let serialize = rp_obs::timer();
-            out.put(b"END\r\n");
-            span.serialize_ns += rp_obs::elapsed_ns(serialize).unwrap_or(0);
-        }
-        RequestRef::Set {
-            key,
-            flags,
-            exptime,
-            data,
-            noreply,
-        } => {
-            span.op = rp_obs::slow::OP_SET;
-            span.key_hash = hash_key(key);
-            let index = rp_obs::timer();
-            let outcome = match std::str::from_utf8(key) {
-                Ok(key) => engine.set(
-                    key,
-                    crate::Item::with_ttl(
-                        *flags,
-                        Bytes::copy_from_slice(data),
-                        Duration::from_secs(*exptime),
-                    ),
-                ),
-                Err(_) => StoreOutcome::NotStored,
-            };
-            span.index_ns = rp_obs::elapsed_ns(index).unwrap_or(0);
-            let serialize = rp_obs::timer();
-            if !noreply {
-                out.put(match outcome {
-                    StoreOutcome::Stored => &b"STORED\r\n"[..],
-                    StoreOutcome::NotStored => &b"NOT_STORED\r\n"[..],
-                });
-            }
-            span.serialize_ns = rp_obs::elapsed_ns(serialize).unwrap_or(0);
-        }
-        RequestRef::Delete { key, noreply } => {
-            span.op = rp_obs::slow::OP_DELETE;
-            span.key_hash = hash_key(key);
-            let index = rp_obs::timer();
-            let deleted = std::str::from_utf8(key)
-                .map(|key| engine.delete(key))
-                .unwrap_or(false);
-            span.index_ns = rp_obs::elapsed_ns(index).unwrap_or(0);
-            let serialize = rp_obs::timer();
-            if !noreply {
-                out.put(if deleted {
-                    &b"DELETED\r\n"[..]
-                } else {
-                    &b"NOT_FOUND\r\n"[..]
-                });
-            }
-            span.serialize_ns = rp_obs::elapsed_ns(serialize).unwrap_or(0);
-        }
-        _ => {
-            span.op = rp_obs::slow::OP_OTHER;
-            return execute_ref(engine, request, ctx, out);
-        }
-    }
-    false
-}
-
-/// Executes a command against the engine, returning the reply to send (or
-/// `None` for `noreply` commands). GETs use the engine's default (EBR)
-/// read path; servers with per-thread read-side contexts call
-/// [`execute_via`] instead.
-pub fn execute(engine: &dyn CacheEngine, command: Command) -> Option<Response> {
-    execute_via(engine, command, &mut EngineReadCtx::ebr())
-}
-
-/// [`execute`] with an explicit read-side context: GET lookups go through
-/// [`CacheEngine::get_via`] / [`CacheEngine::get_many_via`], so a QSBR
-/// context serves them through the engine's barrier-free read path. All
-/// other commands are unaffected — writes always go through the engine's
-/// writer side.
-pub fn execute_via(
-    engine: &dyn CacheEngine,
-    command: Command,
-    ctx: &mut EngineReadCtx,
-) -> Option<Response> {
-    match command {
-        Command::Get(keys) => {
-            // Single-key GETs (the dominant op) stay on the allocation-free
-            // direct path; multi-key GETs go through the engine's batched
-            // path (the sharded engine groups keys by shard; other engines
-            // loop).
-            let values = if let [key] = &keys[..] {
-                match engine.get_via(key, ctx) {
-                    Some(item) => {
-                        let [key] = <[String; 1]>::try_from(keys).expect("one key");
-                        vec![(key, item.flags, item.data)]
-                    }
-                    None => Vec::new(),
-                }
-            } else {
-                let items = {
-                    let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-                    engine.get_many_via(&key_refs, ctx)
-                };
-                keys.into_iter()
-                    .zip(items)
-                    .filter_map(|(key, item)| item.map(|item| (key, item.flags, item.data)))
-                    .collect()
-            };
-            Some(Response::Values(values))
-        }
-        Command::Set {
-            noreply, ref key, ..
-        } => {
-            let item = command
-                .to_item()
-                .expect("set command always builds an item");
-            let outcome = engine.set(key, item);
-            if noreply {
-                None
-            } else {
-                Some(match outcome {
-                    StoreOutcome::Stored => Response::Stored,
-                    StoreOutcome::NotStored => Response::NotStored,
-                })
-            }
-        }
-        Command::Delete { key, noreply } => {
-            let deleted = engine.delete(&key);
-            if noreply {
-                None
-            } else {
-                Some(if deleted {
-                    Response::Deleted
-                } else {
-                    Response::NotFound
-                })
-            }
-        }
-        Command::Stats => {
-            let stats = engine.stats();
-            Some(Response::Stats(vec![
-                ("engine".to_string(), engine.name().to_string()),
-                ("curr_items".to_string(), engine.len().to_string()),
-                ("get_hits".to_string(), stats.hits().to_string()),
-                ("get_misses".to_string(), stats.misses().to_string()),
-                ("evictions".to_string(), stats.evicted().to_string()),
-            ]))
-        }
-        Command::StatsProm(sub) => {
-            // The owned path renders into a buffer; Response::Raw carries
-            // the pre-rendered bytes verbatim.
-            let mut buf = Vec::new();
-            match sub {
-                StatsSub::Render => telemetry::render_prometheus(engine, &mut buf),
-                StatsSub::Reset => telemetry::reset(engine, &mut buf),
-                StatsSub::Trace(limit) => telemetry::render_trace(limit, &mut buf),
-                StatsSub::Slow => telemetry::render_slow(&mut buf),
-                StatsSub::Json => telemetry::render_json(engine, &mut buf),
-                StatsSub::Worker(n) => telemetry::render_worker(n, &mut buf),
-            }
-            Some(Response::Raw(Bytes::from(buf)))
-        }
-        Command::Version => Some(Response::Version(SERVER_VERSION.to_string())),
-        Command::Quit => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Item, LockEngine, RpEngine};
-    use bytes::Bytes;
+    use crate::protocol::{Decoded, RefDecoder};
+    use crate::{LockEngine, RpEngine};
 
-    #[test]
-    fn execute_get_set_delete() {
-        let engine = LockEngine::new();
-        let reply = execute(
-            &engine,
-            Command::Set {
-                key: "k".into(),
-                flags: 2,
-                exptime: 0,
-                data: Bytes::from_static(b"v"),
-                noreply: false,
-            },
-        );
-        assert_eq!(reply, Some(Response::Stored));
-
-        let reply = execute(&engine, Command::Get(vec!["k".into(), "missing".into()]));
-        assert_eq!(
-            reply,
-            Some(Response::Values(vec![(
-                "k".into(),
-                2,
-                Bytes::from_static(b"v")
-            )]))
-        );
-
-        assert_eq!(
-            execute(
-                &engine,
-                Command::Delete {
-                    key: "k".into(),
-                    noreply: false
+    /// Decodes and executes every request of `wire` against `engine`,
+    /// returning the reply bytes.
+    fn serve(engine: &dyn CacheEngine, wire: &[u8]) -> Vec<u8> {
+        let mut ctx = EngineReadCtx::new(ReadSide::Ebr);
+        let mut decoder = RefDecoder::new();
+        let mut out = Vec::new();
+        let mut offset = 0;
+        while offset < wire.len() {
+            let (used, decoded) = decoder.step(&wire[offset..]);
+            offset += used;
+            match decoded {
+                Decoded::Request(request) => {
+                    if execute_ref(engine, &request, &mut ctx, &mut out) {
+                        out.extend_from_slice(b"<quit>");
+                    }
                 }
-            ),
-            Some(Response::Deleted)
-        );
-        assert_eq!(
-            execute(
-                &engine,
-                Command::Delete {
-                    key: "k".into(),
-                    noreply: false
-                }
-            ),
-            Some(Response::NotFound)
-        );
-    }
-
-    #[test]
-    fn noreply_commands_return_nothing() {
-        let engine = RpEngine::new();
-        assert_eq!(
-            execute(
-                &engine,
-                Command::Set {
-                    key: "a".into(),
-                    flags: 0,
-                    exptime: 0,
-                    data: Bytes::from_static(b"1"),
-                    noreply: true,
-                }
-            ),
-            None
-        );
-        assert_eq!(
-            engine.get("a").map(|i| i.data),
-            Some(Bytes::from_static(b"1"))
-        );
-    }
-
-    #[test]
-    fn stats_and_version_replies() {
-        let engine = RpEngine::new();
-        engine.set("x", Item::new(0, "y"));
-        engine.get("x");
-        match execute(&engine, Command::Stats) {
-            Some(Response::Stats(stats)) => {
-                assert!(stats.iter().any(|(k, v)| k == "engine" && v == "rp"));
-                assert!(stats.iter().any(|(k, v)| k == "get_hits" && v == "1"));
+                other => panic!("unexpected {other:?}"),
             }
-            other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(
-            execute(&engine, Command::Version),
-            Some(Response::Version(SERVER_VERSION.to_string()))
+        out
+    }
+
+    #[test]
+    fn get_set_delete_replies_are_exact() {
+        for engine in [&LockEngine::new() as &dyn CacheEngine, &RpEngine::new()] {
+            assert_eq!(serve(engine, b"set k 2 0 1\r\nv\r\n"), b"STORED\r\n");
+            assert_eq!(
+                serve(engine, b"get k missing\r\nget k\r\nget missing\r\n"),
+                b"VALUE k 2 1\r\nv\r\nEND\r\nVALUE k 2 1\r\nv\r\nEND\r\nEND\r\n"
+            );
+            assert_eq!(
+                serve(engine, b"delete k\r\ndelete k\r\n"),
+                b"DELETED\r\nNOT_FOUND\r\n"
+            );
+            let huge = vec![b'x'; (1 << 20) + 1];
+            let mut oversized = format!("set big 0 0 {}\r\n", huge.len()).into_bytes();
+            oversized.extend_from_slice(&huge);
+            oversized.extend_from_slice(b"\r\n");
+            assert_eq!(serve(engine, &oversized), b"NOT_STORED\r\n");
+        }
+    }
+
+    #[test]
+    fn noreply_commands_write_nothing() {
+        let engine = RpEngine::new();
+        assert_eq!(serve(&engine, b"set a 0 0 1 noreply\r\n1\r\n"), b"");
+        assert_eq!(serve(&engine, b"get a\r\n"), b"VALUE a 0 1\r\n1\r\nEND\r\n");
+        assert_eq!(serve(&engine, b"delete a noreply\r\n"), b"");
+        assert_eq!(serve(&engine, b"get a\r\n"), b"END\r\n");
+    }
+
+    #[test]
+    fn set_exptime_becomes_the_items_deadline() {
+        let engine = RpEngine::new();
+        serve(
+            &engine,
+            b"set ttl 9 60 2\r\nhi\r\nset forever 0 0 1\r\nx\r\n",
         );
+        let mut ctx = EngineReadCtx::new(ReadSide::Ebr);
+        let item = engine.get_ref(b"ttl", &mut ctx).unwrap();
+        assert_eq!(item.flags, 9);
+        assert!(item.expires_at.is_some());
+        assert!(engine
+            .get_ref(b"forever", &mut ctx)
+            .unwrap()
+            .expires_at
+            .is_none());
+    }
+
+    #[test]
+    fn stats_version_and_quit_replies() {
+        let engine = RpEngine::new();
+        serve(&engine, b"set x 0 0 1\r\ny\r\nget x\r\nget nope\r\n");
+        assert_eq!(
+            serve(&engine, b"stats\r\n"),
+            b"STAT engine rp\r\nSTAT curr_items 1\r\nSTAT get_hits 1\r\n\
+              STAT get_misses 1\r\nSTAT evictions 0\r\nEND\r\n"
+        );
+        assert_eq!(
+            serve(&engine, b"version\r\nquit\r\n"),
+            format!("VERSION {SERVER_VERSION}\r\n<quit>").as_bytes()
+        );
+    }
+
+    #[test]
+    fn a_sampled_request_fills_its_span_and_writes_the_same_reply() {
+        let engine = RpEngine::new();
+        serve(&engine, b"set k 0 0 1\r\nv\r\n");
+        let mut ctx = EngineReadCtx::new(ReadSide::Ebr);
+        let mut span = rp_obs::SlowSpan::default();
+        let mut out = Vec::new();
+        let request = RequestRef::Get { key: b"k" };
+        assert!(!execute(
+            &engine,
+            &request,
+            &mut ctx,
+            &mut out,
+            Some(&mut span)
+        ));
+        assert_eq!(out, serve(&engine, b"get k\r\n"));
+        assert_eq!(span.op, rp_obs::slow::OP_GET);
+        assert_eq!(span.key_hash, hash_key(b"k"));
     }
 }

@@ -1,76 +1,41 @@
-//! The sharded relativistic engine: the [`RpEngine`](crate::RpEngine)
-//! architecture with a [`ShardedRpMap`] index, so SETs and automatic
-//! resizes of the index only contend within one shard, and multi-key GETs
-//! use the batched, shard-grouped read path.
+//! The sharded relativistic engine: [`Engine`] over a [`ShardedRpMap`]
+//! index, so SETs and automatic resizes of the index only contend within
+//! one shard.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
-use rp_hash::ResizePolicy;
-use rp_maint::{MaintConfig, MaintStats};
+use rp_maint::MaintConfig;
 use rp_shard::{ShardPolicy, ShardedRpMap};
 
-use crate::engine::{CacheEngine, CacheStats, EngineReadCtx, StoreOutcome};
-use crate::item::Item;
-use crate::rp_engine::{classify_probe, ByteKeyIndex, EngineCore, RawProbe, StoredItem};
+use crate::rp_engine::{impl_byte_key_index, index_resize_policy, Engine, StoredItem};
 
-impl ByteKeyIndex for ShardedRpMap<String, Arc<StoredItem>> {
-    fn probe<'g, P: rp_hash::ReadProtect>(
-        &'g self,
-        hash: u64,
-        key: &[u8],
-        protect: &'g P,
-    ) -> Option<&'g Arc<StoredItem>> {
-        self.get_matching_prehashed(hash, |k| k.as_bytes() == key, protect)
+impl_byte_key_index!(
+    ShardedRpMap<String, Arc<StoredItem>>,
+    "rp-shard",
+    fn observe_gauges(&self) {
+        // Shard balance as max/mean occupancy, in thousandths (1000 =
+        // perfectly balanced).
+        let imbalance = self.stats().imbalance();
+        rp_obs::global()
+            .resize
+            .imbalance_milli
+            .set((imbalance * 1000.0) as u64);
     }
-
-    fn pin_guard(&self) -> rp_rcu::RcuGuard<'static> {
-        self.pin()
-    }
-}
+);
 
 /// A cache engine whose index is a [`ShardedRpMap`].
 ///
 /// GETs are the same wait-free relativistic lookups as
-/// [`RpEngine`](crate::RpEngine); a multi-key GET
-/// ([`CacheEngine::get_many`]) groups keys by shard and pins one guard per
-/// shard. SETs, deletes and index resizes serialise only within the target
-/// key's shard, so write throughput scales with the shard count.
+/// [`RpEngine`](crate::RpEngine). SETs, deletes and index resizes serialise
+/// only within the target key's shard, so write throughput scales with the
+/// shard count.
 ///
 /// **Background resizes are on by default**: index resizes are driven by an
 /// `rp-maint` maintenance thread, so a SET that pushes a shard past its
 /// load-factor threshold only *requests* the resize and never waits for a
-/// grace period. Set the environment variable `RP_KV_MAINT=off` (or `0` /
-/// `false`) before constructing the engine to fall back to inline resizing
-/// in the triggering SET, e.g. for A/B latency comparisons — that is
-/// exactly what the `fig_maint` benchmark measures.
-pub struct ShardedRpEngine {
-    index: ShardedRpMap<String, Arc<StoredItem>>,
-    core: EngineCore,
-}
-
-impl Default for ShardedRpEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Reads the `RP_KV_MAINT` escape hatch: `off`, `0`, `false` and `no`
-/// (case-insensitive) disable background resize maintenance.
-fn maint_enabled_by_env() -> bool {
-    maint_flag(std::env::var("RP_KV_MAINT").ok().as_deref())
-}
-
-fn maint_flag(value: Option<&str>) -> bool {
-    match value {
-        Some(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "off" | "0" | "false" | "no"
-        ),
-        None => true,
-    }
-}
+/// grace period. [`ShardedRpEngine::with_options`] with `None` falls back
+/// to inline resizing in the triggering SET.
+pub type ShardedRpEngine = Engine<ShardedRpMap<String, Arc<StoredItem>>>;
 
 impl ShardedRpEngine {
     /// Creates an engine with 16 shards and a large default capacity.
@@ -79,355 +44,66 @@ impl ShardedRpEngine {
     }
 
     /// Creates an engine with `shards` index shards holding at most
-    /// `capacity` items. Background resize maintenance is on unless
-    /// `RP_KV_MAINT=off` is set in the environment.
+    /// `capacity` items, its index resized by a background maintenance
+    /// thread with the default tuning.
     pub fn with_shards_and_capacity(shards: usize, capacity: usize) -> Self {
-        Self::with_shards_capacity_and_maintenance(shards, capacity, maint_enabled_by_env())
-    }
-
-    /// [`ShardedRpEngine::with_shards_and_capacity`] with the maintenance
-    /// choice made explicitly (ignoring the environment); used by tests and
-    /// the `fig_maint` benchmark for deterministic A/B comparisons.
-    pub fn with_shards_capacity_and_maintenance(
-        shards: usize,
-        capacity: usize,
-        maintained: bool,
-    ) -> Self {
-        Self::with_options(shards, capacity, maintained.then(MaintConfig::default))
+        Self::with_options(shards, capacity, Some(MaintConfig::default()))
     }
 
     /// The fully explicit constructor: `maint` carries the maintenance
     /// thread's tuning ([`MaintConfig`]), or `None` for inline resizing.
     /// This is what the `kvcached` command line (`--maint-*` flags) feeds.
     pub fn with_options(shards: usize, capacity: usize, maint: Option<MaintConfig>) -> Self {
-        let per_shard_buckets = (capacity / shards.max(1)).clamp(16, 1024);
         let policy = ShardPolicy {
             shards,
-            initial_buckets_per_shard: per_shard_buckets,
-            per_shard: ResizePolicy {
-                auto_expand: true,
-                auto_shrink: true,
-                max_load_factor: 2.0,
-                min_load_factor: 0.125,
-                min_buckets: 16,
-                ..ResizePolicy::default()
-            },
+            initial_buckets_per_shard: (capacity / shards.max(1)).clamp(16, 1024),
+            per_shard: index_resize_policy(),
         };
         let index = match maint {
             Some(config) => ShardedRpMap::with_maintenance(policy, config),
             None => ShardedRpMap::with_policy(policy),
         };
-        ShardedRpEngine {
-            index,
-            core: EngineCore::with_capacity(capacity),
-        }
-    }
-
-    /// Number of index shards.
-    pub fn shard_count(&self) -> usize {
-        self.index.shard_count()
-    }
-
-    /// Returns `true` if index resizes run on a background maintenance
-    /// thread (the default; see the type docs for the `RP_KV_MAINT` escape
-    /// hatch).
-    pub fn maintained(&self) -> bool {
-        self.index.maintained()
-    }
-
-    /// Counters of the index's maintenance thread, when maintained.
-    pub fn maint_stats(&self) -> Option<MaintStats> {
-        self.index.maint_stats()
-    }
-
-    /// Total buckets across all index shards (exposed so benchmarks can
-    /// confirm the shards resize themselves under load).
-    pub fn index_buckets(&self) -> usize {
-        self.index.num_buckets()
-    }
-
-    /// Per-shard occupancy, for balance diagnostics.
-    pub fn shard_lens(&self) -> Vec<usize> {
-        self.index.stats().shard_lens
-    }
-
-    fn evict_if_needed(&self) {
-        // Approximate LRU, as in RpEngine (the logic is EngineCore's):
-        // sample everything under a guard, evict the stalest entries. Runs
-        // on the SET path only.
-        self.core.evict_if_needed(
-            || self.index.len(),
-            || {
-                let guard = self.index.pin();
-                self.index
-                    .iter(&guard)
-                    .map(|(k, v)| (k.clone(), v.last_access.load(Ordering::Relaxed)))
-                    .collect()
-            },
-            |key| self.index.remove(key),
-        );
-    }
-
-    /// Applies the shared per-key accounting to a batched lookup's slots
-    /// (`Some(Some(_))` live hit, `Some(None)` present-but-expired, `None`
-    /// miss), removing expired entries through the writer side.
-    fn settle_batch(&self, stored: Vec<Option<Option<Item>>>, keys: &[&str]) -> Vec<Option<Item>> {
-        stored
-            .into_iter()
-            .zip(keys)
-            .map(|(slot, key)| {
-                let probe = match slot {
-                    Some(Some(item)) => RawProbe::Live(item),
-                    Some(None) => RawProbe::Expired,
-                    None => RawProbe::Miss,
-                };
-                self.core.settle(probe, || self.index.remove(*key))
-            })
-            .collect()
+        Engine::over(index, capacity)
     }
 }
 
-impl CacheEngine for ShardedRpEngine {
-    fn name(&self) -> &'static str {
-        "rp-shard"
-    }
-
-    fn get(&self, key: &str) -> Option<Item> {
-        let now = Instant::now();
-        let stamp = self.core.stamp();
-        let probe = {
-            let guard = self.index.pin();
-            classify_probe(self.index.get(key, &guard), now, stamp)
-        };
-        self.core.settle(probe, || self.index.remove(key))
-    }
-
-    fn get_many(&self, keys: &[&str]) -> Vec<Option<Item>> {
-        let now = Instant::now();
-        let stamp = self.core.stamp();
-        // The batched read path: keys grouped by shard, one guard pin per
-        // shard. Expired entries are copied out as None and deleted on the
-        // slow path afterwards, preserving per-key `get` semantics.
-        let stored = self.index.multi_get_with(keys, |found| {
-            if found.item.is_expired(now) {
-                None
-            } else {
-                found.last_access.store(stamp, Ordering::Relaxed);
-                Some(found.item.clone())
-            }
-        });
-        self.settle_batch(stored, keys)
-    }
-
-    fn get_via(&self, key: &str, ctx: &mut EngineReadCtx) -> Option<Item> {
-        // Flavor check first so the EBR fallback does not pay for a
-        // timestamp and clock stamp it recomputes inside `get`.
-        let Some(handle) = ctx.qsbr_handle() else {
-            return self.get(key);
-        };
-        let now = Instant::now();
-        let stamp = self.core.stamp();
-        let probe = classify_probe(self.index.get_qsbr(key, handle), now, stamp);
-        self.core.settle(probe, || self.index.remove(key))
-    }
-
-    fn get_many_via(&self, keys: &[&str], ctx: &mut EngineReadCtx) -> Vec<Option<Item>> {
-        let Some(handle) = ctx.qsbr_handle() else {
-            return self.get_many(keys);
-        };
-        let now = Instant::now();
-        let stamp = self.core.stamp();
-        // The QSBR batch: every key served inside one quiescent window (the
-        // borrow of the worker's handle), with no per-shard guard pins at
-        // all. Expired entries are copied out as None and deleted on the
-        // slow path afterwards, preserving per-key `get` semantics.
-        let stored = self.index.multi_get_with_qsbr(keys, handle, |found| {
-            if found.item.is_expired(now) {
-                None
-            } else {
-                found.last_access.store(stamp, Ordering::Relaxed);
-                Some(found.item.clone())
-            }
-        });
-        self.settle_batch(stored, keys)
-    }
-
-    fn get_ref(&self, key: &[u8], ctx: &mut EngineReadCtx) -> Option<Item> {
-        use crate::rp_engine::{probe_ref, str_bytes_hash};
-        // One hashing pass drives shard routing and the in-shard probe; the
-        // borrowed key is never copied. Dispatch and accounting are shared
-        // with RpEngine (`probe_ref`/`EngineCore::settle`); only the index
-        // type and the expired-removal call differ.
-        let hash = str_bytes_hash(key);
-        let now = Instant::now();
-        let stamp = self.core.stamp();
-        let probe = probe_ref(&self.index, ctx, hash, key, now, stamp);
-        self.core.settle(probe, || {
-            // Expired: remove through the writer side (cold path; the
-            // UTF-8 view is free — stored keys are always valid UTF-8).
-            std::str::from_utf8(key)
-                .map(|key| self.index.remove(key))
-                .unwrap_or(false)
-        })
-    }
-
-    fn set(&self, key: &str, item: Item) -> StoreOutcome {
-        let Some(stored) = self.core.admit(item) else {
-            return StoreOutcome::NotStored;
-        };
-        self.index.insert(key.to_string(), stored);
-        self.evict_if_needed();
-        self.core.note_set();
-        StoreOutcome::Stored
-    }
-
-    fn delete(&self, key: &str) -> bool {
-        self.core.note_delete(self.index.remove(key))
-    }
-
-    fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    fn housekeeping(&self) {
-        // No-op on the (default) maintained path — the rp-maint thread
-        // absorbs resize work; with `--maint off` this is what keeps an
-        // all-QSBR-worker deployment resizing its shards.
-        self.index.maintain();
-    }
-
-    fn stats(&self) -> &CacheStats {
-        &self.core.stats
-    }
-
-    fn purge_expired(&self) -> usize {
-        let now = Instant::now();
-        let before = self.index.len();
-        self.index.retain(|_, stored| !stored.item.is_expired(now));
-        self.core
-            .note_purged(before.saturating_sub(self.index.len()))
-    }
-
-    fn observe_gauges(&self) {
-        // Scrape-time level gauge: shard balance as max/mean occupancy, in
-        // thousandths (1000 = perfectly balanced).
-        let imbalance = self.index.stats().imbalance();
-        rp_obs::global()
-            .resize
-            .imbalance_milli
-            .set((imbalance * 1000.0) as u64);
+impl Default for ShardedRpEngine {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rp_engine::tests::qsbr_worker_growth;
+    use crate::{CacheEngine, EngineReadCtx, Item, ReadSide};
     use std::time::Duration;
-
-    #[test]
-    fn get_set_delete_round_trip() {
-        let engine = ShardedRpEngine::new();
-        assert_eq!(engine.get("k"), None);
-        assert_eq!(engine.set("k", Item::new(3, "value")), StoreOutcome::Stored);
-        let item = engine.get("k").unwrap();
-        assert_eq!(item.flags, 3);
-        assert_eq!(&item.data[..], b"value");
-        assert!(engine.delete("k"));
-        assert_eq!(engine.get("k"), None);
-        assert_eq!(engine.stats().hits(), 1);
-        assert_eq!(engine.stats().misses(), 2);
-    }
-
-    #[test]
-    fn get_ref_matches_get_across_shards_and_read_sides() {
-        use crate::engine::{EngineReadCtx, ReadSide};
-        std::thread::spawn(|| {
-            let engine = ShardedRpEngine::with_shards_and_capacity(8, 10_000);
-            for i in 0..200 {
-                engine.set(&format!("k{i}"), Item::new(i, format!("v{i}")));
-            }
-            for read_side in [ReadSide::Ebr, ReadSide::Qsbr] {
-                let mut ctx = EngineReadCtx::new(read_side);
-                for i in 0..200_u32 {
-                    let key = format!("k{i}");
-                    assert_eq!(
-                        engine.get_ref(key.as_bytes(), &mut ctx),
-                        engine.get(&key),
-                        "{key} via {read_side:?}"
-                    );
-                }
-                assert_eq!(engine.get_ref(b"missing", &mut ctx), None);
-                ctx.quiescent();
-            }
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
-    fn get_many_matches_per_key_get() {
-        let engine = ShardedRpEngine::with_shards_and_capacity(8, 10_000);
-        for i in 0..200 {
-            engine.set(&format!("k{i}"), Item::new(i, format!("v{i}")));
-        }
-        let keys: Vec<String> = (0..250).map(|i| format!("k{i}")).collect();
-        let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-        let batched = engine.get_many(&key_refs);
-        for (key, got) in key_refs.iter().zip(batched) {
-            assert_eq!(got, engine.get(key), "key {key}");
-        }
-    }
-
-    #[test]
-    fn get_many_handles_expired_items() {
-        let engine = ShardedRpEngine::new();
-        engine.set("live", Item::new(0, "x"));
-        let mut stale = Item::new(0, "y");
-        stale.expires_at = Some(Instant::now() - Duration::from_millis(1));
-        engine.set("stale", stale);
-        assert_eq!(engine.len(), 2);
-        let got = engine.get_many(&["live", "stale", "missing"]);
-        assert!(got[0].is_some());
-        assert!(got[1].is_none());
-        assert!(got[2].is_none());
-        assert_eq!(engine.len(), 1, "expired item removed lazily by the batch");
-        assert_eq!(engine.stats().expirations.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn capacity_is_enforced() {
-        let engine = ShardedRpEngine::with_shards_and_capacity(4, 8);
-        for i in 0..12 {
-            engine.set(&format!("k{i}"), Item::new(0, "x"));
-        }
-        assert!(engine.len() <= 8);
-        assert!(engine.stats().evicted() >= 4);
-    }
 
     #[test]
     fn index_shards_resize_independently_under_load() {
         // Inline-resize flavor: growth is synchronous with the SETs.
-        let engine = ShardedRpEngine::with_shards_capacity_and_maintenance(4, 100_000, false);
-        let before = engine.index_buckets();
+        let engine = ShardedRpEngine::with_options(4, 100_000, None);
+        let before = engine.index.num_buckets();
         for i in 0..16_384 {
             engine.set(&format!("key-{i}"), Item::new(0, "v"));
         }
         assert!(
-            engine.index_buckets() > before,
+            engine.index.num_buckets() > before,
             "expected sharded index auto-expansion ({} -> {})",
             before,
-            engine.index_buckets()
+            engine.index.num_buckets()
         );
         assert_eq!(engine.len(), 16_384);
-        let lens = engine.shard_lens();
+        let lens = engine.index.stats().shard_lens;
         assert!(lens.iter().all(|&l| l > 0), "unbalanced shards: {lens:?}");
     }
 
     #[test]
     fn maintained_sets_never_wait_and_index_grows_in_background() {
-        let engine = ShardedRpEngine::with_shards_capacity_and_maintenance(4, 100_000, true);
-        assert!(engine.maintained());
-        let before_buckets = engine.index_buckets();
+        let engine = ShardedRpEngine::with_shards_and_capacity(4, 100_000);
+        assert!(engine.index.maintained());
+        let before_buckets = engine.index.num_buckets();
         let before_waits = rp_rcu::thread_synchronize_count();
         for i in 0..16_384 {
             engine.set(&format!("key-{i}"), Item::new(0, "v"));
@@ -440,112 +116,32 @@ mod tests {
         // The maintenance thread grows the index asynchronously. Poll for a
         // *completed* resize (buckets grow at begin, before any grace wait
         // has been recorded, so polling on bucket count alone would race).
+        let maint_stats = || engine.index.maint_stats().expect("maintained index");
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while engine
-            .maint_stats()
-            .expect("maintained engine has stats")
-            .resizes_finished
-            == 0
-        {
+        while maint_stats().resizes_finished == 0 {
             assert!(
                 std::time::Instant::now() < deadline,
                 "index never grew in the background: {:?}",
-                engine.maint_stats()
+                maint_stats()
             );
             std::thread::sleep(Duration::from_millis(2));
         }
-        assert!(engine.index_buckets() > before_buckets);
-        let maint = engine.maint_stats().expect("maintained engine has stats");
-        assert!(maint.grace_waits >= 1);
+        assert!(engine.index.num_buckets() > before_buckets);
+        assert!(maint_stats().grace_waits >= 1);
         assert_eq!(engine.len(), 16_384);
-        assert_eq!(
-            engine.get("key-7").map(|i| i.data.to_vec()),
-            Some(b"v".to_vec())
-        );
+        let hit = engine.get_ref(b"key-7", &mut EngineReadCtx::new(ReadSide::Ebr));
+        assert_eq!(hit.map(|i| i.data.to_vec()), Some(b"v".to_vec()));
     }
 
     #[test]
     fn qsbr_worker_housekeeping_grows_unmaintained_shards() {
-        use crate::engine::{EngineReadCtx, ReadSide};
-        std::thread::spawn(|| {
-            // `--maint off` + QSBR workers: without housekeeping nothing
-            // would ever resize the shards.
-            let engine = ShardedRpEngine::with_shards_capacity_and_maintenance(4, 100_000, false);
-            let mut ctx = EngineReadCtx::new(ReadSide::Qsbr);
-            let before = engine.index_buckets();
-            for i in 0..16_384 {
-                engine.set(&format!("key-{i}"), Item::new(0, "v"));
-            }
-            assert_eq!(
-                engine.index_buckets(),
-                before,
-                "shard resizes must be postponed while the worker is QSBR-online"
-            );
-            ctx.quiescent();
-            ctx.with_offline(|| engine.housekeeping());
-            assert!(
-                engine.index_buckets() > before,
-                "housekeeping must expand the postponed shards ({} -> {})",
-                before,
-                engine.index_buckets()
-            );
-            assert!(engine.get_via("key-9", &mut ctx).is_some());
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
-    fn rp_kv_maint_env_values_parse() {
-        assert!(super::maint_flag(None), "maintenance defaults to on");
-        assert!(super::maint_flag(Some("on")));
-        assert!(super::maint_flag(Some("1")));
-        for off in ["off", "OFF", "0", "false", "no", " Off "] {
-            assert!(!super::maint_flag(Some(off)), "{off:?} must disable");
-        }
-    }
-
-    #[test]
-    fn concurrent_gets_sets_and_batches() {
-        use std::sync::atomic::AtomicBool;
-        let engine = Arc::new(ShardedRpEngine::with_shards_and_capacity(8, 100_000));
-        for i in 0..256 {
-            engine.set(&format!("k{i}"), Item::new(0, format!("v{i}")));
-        }
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut handles = Vec::new();
-        for seed in 0..2_u64 {
-            let engine = Arc::clone(&engine);
-            let stop = Arc::clone(&stop);
-            handles.push(std::thread::spawn(move || {
-                let mut k = seed;
-                while !stop.load(Ordering::Relaxed) {
-                    k = (k * 13 + 1) % 256;
-                    let item = engine.get(&format!("k{k}")).expect("stable key present");
-                    assert!(item.data.starts_with(b"v"));
-                }
-            }));
-        }
-        {
-            let engine = Arc::clone(&engine);
-            let stop = Arc::clone(&stop);
-            handles.push(std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    let keys: Vec<String> = (0..64).map(|i| format!("k{i}")).collect();
-                    let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-                    for got in engine.get_many(&key_refs) {
-                        assert!(got.expect("stable key present").data.starts_with(b"v"));
-                    }
-                }
-            }));
-        }
-        for round in 0..2000_u32 {
-            let k = round % 256;
-            engine.set(&format!("k{k}"), Item::new(round, format!("v{k}-{round}")));
-        }
-        stop.store(true, Ordering::SeqCst);
-        for h in handles {
-            h.join().unwrap();
-        }
+        // `--maint off` + QSBR workers: without housekeeping nothing would
+        // ever resize the shards.
+        qsbr_worker_growth(
+            ShardedRpEngine::with_options(4, 100_000, None),
+            |index| index.num_buckets(),
+            16_384,
+            true,
+        );
     }
 }

@@ -226,7 +226,7 @@ pub fn render_worker(worker: usize, out: &mut impl BufWrite) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Item, LockEngine};
+    use crate::{EngineReadCtx, Item, LockEngine, ReadSide};
 
     /// The engine-level section is a pure function of the engine's state:
     /// pin its exact wire bytes (satellite of the exposition-format
@@ -236,8 +236,9 @@ mod tests {
     fn engine_metrics_exact_bytes() {
         let engine = LockEngine::new();
         engine.set("k", Item::new(0, "v"));
-        engine.get("k");
-        engine.get("missing");
+        let mut ctx = EngineReadCtx::new(ReadSide::Ebr);
+        engine.get_ref(b"k", &mut ctx);
+        engine.get_ref(b"missing", &mut ctx);
         engine.delete("k");
         let mut out = Vec::new();
         render_engine_metrics(&engine, &mut out);
@@ -443,8 +444,9 @@ END\r\n";
     fn json_render_exact_bytes() {
         let engine = LockEngine::new();
         engine.set("k", Item::new(0, "v"));
-        engine.get("k");
-        engine.get("missing");
+        let mut ctx = EngineReadCtx::new(ReadSide::Ebr);
+        engine.get_ref(b"k", &mut ctx);
+        engine.get_ref(b"missing", &mut ctx);
         engine.delete("k");
         let registry = rp_obs::Obs::default();
         registry.net.accepts_total.inc();

@@ -1,5 +1,5 @@
-//! End-to-end tests for the event-loop server: protocol parity with the
-//! threaded baseline, pipelining, incremental framing, and graceful
+//! End-to-end tests for the server: the same protocol session on every
+//! engine and read side, pipelining, incremental framing, and graceful
 //! shutdown that sheds no requests.
 
 use std::io::{BufRead, BufReader, Read, Write};
@@ -8,22 +8,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rp_kvcache::client::CacheClient;
-use rp_kvcache::server::{start_server, ServerConfig, ServerHandle, ServerMode};
-use rp_kvcache::{CacheEngine, LockEngine, ReadSide, RpEngine, ShardedRpEngine, SplitOrderEngine};
+use rp_kvcache::{
+    CacheEngine, EventServer, LockEngine, ReadSide, RpEngine, ServerConfig, ShardedRpEngine,
+    SplitOrderEngine,
+};
 
-fn event_loop_config(workers: usize) -> ServerConfig {
-    ServerConfig {
-        mode: ServerMode::EventLoop,
-        workers,
-        drain_timeout: Duration::from_secs(5),
-        port: 0,
-        ..ServerConfig::default()
-    }
-}
-
-/// The same session the threaded server's tests exercise, against either
-/// mode: miss, set, hit, delete, double delete, version, stats, quit.
-fn full_session(server: &ServerHandle) {
+/// One whole session: miss, set, hit, multi-get, delete, double delete,
+/// version, stats, quit.
+fn full_session(server: &EventServer) {
     let mut client = CacheClient::connect(server.addr()).expect("connect");
     assert!(client.get("missing").unwrap().is_none());
     assert!(client.set("key", 5, 0, b"payload").unwrap());
@@ -40,11 +32,11 @@ fn full_session(server: &ServerHandle) {
 }
 
 #[test]
-fn event_loop_matches_threaded_for_every_engine_and_read_side() {
-    // The full parity matrix: every engine, under the threaded baseline and
-    // under the event loop with each read-side flavor. Engines without a
-    // QSBR read path (LockEngine) fall back to their ordinary lookups, so
-    // the protocol-visible behaviour must be identical everywhere.
+fn every_engine_and_read_side_serves_the_same_session() {
+    // The full matrix: every engine with each read-side flavor. Engines
+    // without a QSBR read path (LockEngine) fall back to their ordinary
+    // lookups, so the protocol-visible behaviour must be identical
+    // everywhere.
     let engines: Vec<Arc<dyn CacheEngine>> = vec![
         Arc::new(LockEngine::new()),
         Arc::new(RpEngine::new()),
@@ -53,11 +45,10 @@ fn event_loop_matches_threaded_for_every_engine_and_read_side() {
     ];
     for engine in engines {
         for config in [
-            ServerConfig::threaded(),
-            event_loop_config(2).with_read_side(ReadSide::Ebr),
-            event_loop_config(2).with_read_side(ReadSide::Qsbr),
+            ServerConfig::event_loop(2).with_read_side(ReadSide::Ebr),
+            ServerConfig::event_loop(2).with_read_side(ReadSide::Qsbr),
         ] {
-            let mut server = start_server(Arc::clone(&engine), &config).expect("start");
+            let mut server = EventServer::start(Arc::clone(&engine), &config).expect("start");
             full_session(&server);
             server.shutdown();
         }
@@ -76,8 +67,8 @@ fn explicit_read_side_flavors_serve_expiry_and_batches() {
     ];
     for make_engine in engines {
         for read_side in [ReadSide::Ebr, ReadSide::Qsbr] {
-            let config = event_loop_config(2).with_read_side(read_side);
-            let mut server = start_server(make_engine(), &config).expect("start");
+            let config = ServerConfig::event_loop(2).with_read_side(read_side);
+            let mut server = EventServer::start(make_engine(), &config).expect("start");
             let mut client = CacheClient::connect(server.addr()).unwrap();
             assert!(client.set("ttl", 0, 1, b"fleeting").unwrap());
             for i in 0..32 {
@@ -98,7 +89,8 @@ fn explicit_read_side_flavors_serve_expiry_and_batches() {
 
 #[test]
 fn stats_worker_serves_one_shard_over_the_wire() {
-    let mut server = start_server(Arc::new(RpEngine::new()), &event_loop_config(2)).unwrap();
+    let mut server =
+        EventServer::start(Arc::new(RpEngine::new()), &ServerConfig::event_loop(2)).unwrap();
     let mut client = CacheClient::connect(server.addr()).unwrap();
     assert!(client.set("k", 0, 0, b"v").unwrap());
     assert!(client.get("k").unwrap().is_some());
@@ -130,7 +122,8 @@ fn stats_telemetry_views_serve_over_the_wire() {
     // STATS TRACE <n>, STATS SLOW and STATS JSON round-trip end to end:
     // headers document the rings, frames close with END, and the JSON view
     // is one parsable object carrying the engine and registry sections.
-    let mut server = start_server(Arc::new(RpEngine::new()), &event_loop_config(2)).unwrap();
+    let mut server =
+        EventServer::start(Arc::new(RpEngine::new()), &ServerConfig::event_loop(2)).unwrap();
     let mut client = CacheClient::connect(server.addr()).unwrap();
     assert!(client.set("k", 0, 0, b"v").unwrap());
     for _ in 0..40 {
@@ -178,7 +171,8 @@ fn stats_telemetry_views_serve_over_the_wire() {
 
 #[test]
 fn pipelined_requests_get_ordered_responses() {
-    let mut server = start_server(Arc::new(RpEngine::new()), &event_loop_config(1)).unwrap();
+    let mut server =
+        EventServer::start(Arc::new(RpEngine::new()), &ServerConfig::event_loop(1)).unwrap();
     let mut stream = TcpStream::connect(server.addr()).unwrap();
 
     // Many commands in a single write; responses must come back complete
@@ -215,7 +209,8 @@ fn pipelined_requests_get_ordered_responses() {
 
 #[test]
 fn frames_arriving_one_byte_at_a_time_are_served() {
-    let mut server = start_server(Arc::new(RpEngine::new()), &event_loop_config(2)).unwrap();
+    let mut server =
+        EventServer::start(Arc::new(RpEngine::new()), &ServerConfig::event_loop(2)).unwrap();
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream.set_nodelay(true).unwrap();
 
@@ -239,7 +234,8 @@ fn frames_arriving_one_byte_at_a_time_are_served() {
 
 #[test]
 fn malformed_lines_get_client_error_and_the_stream_recovers() {
-    let mut server = start_server(Arc::new(RpEngine::new()), &event_loop_config(1)).unwrap();
+    let mut server =
+        EventServer::start(Arc::new(RpEngine::new()), &ServerConfig::event_loop(1)).unwrap();
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream.write_all(b"bogus nonsense\r\nversion\r\n").unwrap();
     let mut reader = BufReader::new(stream);
@@ -254,7 +250,11 @@ fn malformed_lines_get_client_error_and_the_stream_recovers() {
 
 #[test]
 fn expiry_works_through_the_event_loop() {
-    let mut server = start_server(Arc::new(ShardedRpEngine::new()), &event_loop_config(2)).unwrap();
+    let mut server = EventServer::start(
+        Arc::new(ShardedRpEngine::new()),
+        &ServerConfig::event_loop(2),
+    )
+    .unwrap();
     let mut client = CacheClient::connect(server.addr()).unwrap();
     assert!(client.set("ttl", 0, 1, b"fleeting").unwrap());
     assert!(client.get("ttl").unwrap().is_some());
@@ -265,7 +265,8 @@ fn expiry_works_through_the_event_loop() {
 
 #[test]
 fn binary_values_survive_the_event_loop() {
-    let mut server = start_server(Arc::new(RpEngine::new()), &event_loop_config(2)).unwrap();
+    let mut server =
+        EventServer::start(Arc::new(RpEngine::new()), &ServerConfig::event_loop(2)).unwrap();
     let mut client = CacheClient::connect(server.addr()).unwrap();
     let payload: Vec<u8> = (0_u32..100_000).map(|b| (b % 251) as u8).collect();
     assert!(client.set("big-binary", 0, 0, &payload).unwrap());
@@ -275,7 +276,8 @@ fn binary_values_survive_the_event_loop() {
 
 #[test]
 fn graceful_shutdown_answers_every_received_request() {
-    let mut server = start_server(Arc::new(RpEngine::new()), &event_loop_config(2)).unwrap();
+    let mut server =
+        EventServer::start(Arc::new(RpEngine::new()), &ServerConfig::event_loop(2)).unwrap();
     {
         let mut seed = CacheClient::connect(server.addr()).unwrap();
         assert!(seed.set("drain-key", 0, 0, b"present").unwrap());
@@ -310,9 +312,9 @@ fn idle_connections_are_reaped_while_live_ones_are_served() {
         // loaded CI runner cannot reap the live connection and flake the
         // test.
         idle_timeout: Some(Duration::from_millis(800)),
-        ..event_loop_config(2)
+        ..ServerConfig::event_loop(2)
     };
-    let mut server = start_server(Arc::new(RpEngine::new()), &config).unwrap();
+    let mut server = EventServer::start(Arc::new(RpEngine::new()), &config).unwrap();
 
     let mut idle = TcpStream::connect(server.addr()).unwrap();
     let mut live = CacheClient::connect(server.addr()).unwrap();
@@ -339,9 +341,9 @@ fn idle_connections_are_reaped_while_live_ones_are_served() {
 fn request_budget_answers_exactly_n_then_closes() {
     let config = ServerConfig {
         max_requests_per_conn: Some(3),
-        ..event_loop_config(1)
+        ..ServerConfig::event_loop(1)
     };
-    let mut server = start_server(Arc::new(RpEngine::new()), &config).unwrap();
+    let mut server = EventServer::start(Arc::new(RpEngine::new()), &config).unwrap();
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     // Five pipelined requests; the budget allows three responses, already
     // answered requests still flush, then the server closes.
@@ -366,13 +368,13 @@ fn request_budget_answers_exactly_n_then_closes() {
 #[test]
 fn shutdown_is_idempotent_and_drop_is_safe() {
     let engine: Arc<dyn CacheEngine> = Arc::new(RpEngine::new());
-    let mut server = start_server(Arc::clone(&engine), &event_loop_config(2)).unwrap();
+    let mut server = EventServer::start(Arc::clone(&engine), &ServerConfig::event_loop(2)).unwrap();
     full_session(&server);
     server.shutdown();
     server.shutdown();
     drop(server);
     // A fresh server on the same engine still works.
-    let mut server = start_server(engine, &event_loop_config(1)).unwrap();
+    let mut server = EventServer::start(engine, &ServerConfig::event_loop(1)).unwrap();
     full_session(&server);
     server.shutdown();
 }

@@ -1,7 +1,6 @@
 //! The scaling claim behind the event loop: 1000 concurrent connections
 //! served by a fixed worker pool, with the process thread count staying
-//! flat (≤ workers + 2 threads for the whole server) — the property a
-//! thread-per-connection server cannot have.
+//! flat (≤ workers + 2 threads for the whole server).
 //!
 //! This test lives in its own integration-test binary so the `/proc`
 //! thread-count measurement is not disturbed by sibling tests' threads.
@@ -11,15 +10,10 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use rp_kvcache::server::{start_server, ServerConfig, ServerHandle, ServerMode};
-use rp_kvcache::{RpEngine, ShardedRpEngine};
+use rp_kvcache::{EventServer, ServerConfig, ShardedRpEngine};
 
 const CONNECTIONS: usize = 1000;
 const WORKERS: usize = 2;
-
-/// Serialises the two tests: both measure `/proc/self/status` thread
-/// counts, which would race if the harness ran them concurrently.
-static THREAD_COUNT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn process_threads() -> usize {
     let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
@@ -32,20 +26,13 @@ fn process_threads() -> usize {
 
 #[test]
 fn a_thousand_connections_on_a_fixed_worker_pool() {
-    let _guard = THREAD_COUNT_LOCK.lock().unwrap();
     let engine = Arc::new(ShardedRpEngine::with_shards_and_capacity(16, 1 << 20));
     let config = ServerConfig {
-        mode: ServerMode::EventLoop,
-        workers: WORKERS,
         drain_timeout: Duration::from_secs(10),
-        port: 0,
-        ..ServerConfig::default()
+        ..ServerConfig::event_loop(WORKERS)
     };
-    let mut server = start_server(engine, &config).expect("start event-loop server");
-    match &server {
-        ServerHandle::EventLoop(s) => assert_eq!(s.worker_count(), WORKERS),
-        ServerHandle::Threaded(_) => panic!("expected event loop"),
-    }
+    let mut server = EventServer::start(engine, &config).expect("start server");
+    assert_eq!(server.worker_count(), WORKERS);
 
     // Baseline AFTER the server is up: its entire thread budget is already
     // spent (the engine's maintenance thread included).
@@ -122,36 +109,4 @@ fn a_thousand_connections_on_a_fixed_worker_pool() {
             "request shed on shutdown for connection {i}: {line:?}"
         );
     }
-}
-
-#[test]
-fn threaded_baseline_grows_a_thread_per_connection() {
-    // The control experiment: the thread-per-connection server's thread
-    // count tracks the connection count — the cost rp-net removes.
-    let _guard = THREAD_COUNT_LOCK.lock().unwrap();
-    let mut server = start_server(Arc::new(RpEngine::new()), &ServerConfig::threaded()).unwrap();
-    let before = process_threads();
-    let conns: Vec<TcpStream> = (0..50)
-        .map(|_| {
-            let mut s = TcpStream::connect(server.addr()).unwrap();
-            s.write_all(b"version\r\n").unwrap();
-            s
-        })
-        .collect();
-    // Give the accept loop a moment to spawn all handlers.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    loop {
-        if process_threads() >= before + 45 || std::time::Instant::now() > deadline {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert!(
-        process_threads() >= before + 45,
-        "expected ~50 new threads, got {} -> {}",
-        before,
-        process_threads()
-    );
-    drop(conns);
-    server.shutdown();
 }

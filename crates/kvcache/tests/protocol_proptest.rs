@@ -1,13 +1,68 @@
 //! Property-based tests for the memcached text protocol: serialised
-//! commands parse back to themselves regardless of how the byte stream is
-//! chunked, and arbitrary junk never panics the parser.
+//! commands decode back to themselves regardless of how the byte stream is
+//! chunked, malformed lines are rejected one by one without derailing the
+//! stream, and arbitrary junk never panics the decoder.
 
-use bytes::Bytes;
 use proptest::prelude::*;
 
 use rp_kvcache::protocol::{
-    parse_command, Command, DecodedRequest, ParseOutcome, RequestDecoder, StatsSub,
+    parse_request_ref, BadRequest, Decoded, RefDecoder, RefOutcome, RequestRef, StatsSub,
+    MAX_FRAME, MAX_LINE,
 };
+
+/// The test's model of a request: what the generators produce, `encode`
+/// serialises and a decoded [`RequestRef`] is copied into for comparison
+/// (it borrows a buffer that is drained between chunks).
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Request {
+    Get(Vec<String>),
+    Set {
+        key: String,
+        flags: u32,
+        exptime: u64,
+        data: Vec<u8>,
+        noreply: bool,
+    },
+    Delete {
+        key: String,
+        noreply: bool,
+    },
+    Stats,
+    StatsProm(StatsSub),
+    Version,
+    Quit,
+}
+
+impl Request {
+    fn of(request: &RequestRef<'_>) -> Request {
+        let text = |key: &[u8]| String::from_utf8(key.to_vec()).expect("keys are UTF-8");
+        match *request {
+            RequestRef::Get { key } => Request::Get(vec![text(key)]),
+            RequestRef::GetMulti(keys) => Request::Get(keys.iter().map(text).collect()),
+            RequestRef::Set {
+                key,
+                flags,
+                exptime,
+                data,
+                noreply,
+            } => Request::Set {
+                key: text(key),
+                flags,
+                exptime,
+                data: data.to_vec(),
+                noreply,
+            },
+            RequestRef::Delete { key, noreply } => Request::Delete {
+                key: text(key),
+                noreply,
+            },
+            RequestRef::Stats => Request::Stats,
+            RequestRef::StatsProm(sub) => Request::StatsProm(sub),
+            RequestRef::Version => Request::Version,
+            RequestRef::Quit => Request::Quit,
+        }
+    }
+}
 
 fn key_strategy() -> impl Strategy<Value = String> {
     "[a-zA-Z0-9:_-]{1,32}"
@@ -18,10 +73,10 @@ fn value_strategy() -> impl Strategy<Value = Vec<u8>> {
 }
 
 /// Renders a command back into wire format (the inverse of the parser).
-fn encode(cmd: &Command) -> Vec<u8> {
+fn encode(cmd: &Request) -> Vec<u8> {
     match cmd {
-        Command::Get(keys) => format!("get {}\r\n", keys.join(" ")).into_bytes(),
-        Command::Set {
+        Request::Get(keys) => format!("get {}\r\n", keys.join(" ")).into_bytes(),
+        Request::Set {
             key,
             flags,
             exptime,
@@ -38,25 +93,25 @@ fn encode(cmd: &Command) -> Vec<u8> {
             out.extend_from_slice(b"\r\n");
             out
         }
-        Command::Delete { key, noreply } => {
+        Request::Delete { key, noreply } => {
             format!("delete {key}{}\r\n", if *noreply { " noreply" } else { "" }).into_bytes()
         }
-        Command::Stats => b"stats\r\n".to_vec(),
-        Command::StatsProm(StatsSub::Render) => b"STATS\r\n".to_vec(),
-        Command::StatsProm(StatsSub::Reset) => b"STATS RESET\r\n".to_vec(),
-        Command::StatsProm(StatsSub::Trace(None)) => b"STATS TRACE\r\n".to_vec(),
-        Command::StatsProm(StatsSub::Trace(Some(n))) => format!("STATS TRACE {n}\r\n").into_bytes(),
-        Command::StatsProm(StatsSub::Slow) => b"STATS SLOW\r\n".to_vec(),
-        Command::StatsProm(StatsSub::Json) => b"STATS JSON\r\n".to_vec(),
-        Command::StatsProm(StatsSub::Worker(n)) => format!("STATS WORKER {n}\r\n").into_bytes(),
-        Command::Version => b"version\r\n".to_vec(),
-        Command::Quit => b"quit\r\n".to_vec(),
+        Request::Stats => b"stats\r\n".to_vec(),
+        Request::StatsProm(StatsSub::Render) => b"STATS\r\n".to_vec(),
+        Request::StatsProm(StatsSub::Reset) => b"STATS RESET\r\n".to_vec(),
+        Request::StatsProm(StatsSub::Trace(None)) => b"STATS TRACE\r\n".to_vec(),
+        Request::StatsProm(StatsSub::Trace(Some(n))) => format!("STATS TRACE {n}\r\n").into_bytes(),
+        Request::StatsProm(StatsSub::Slow) => b"STATS SLOW\r\n".to_vec(),
+        Request::StatsProm(StatsSub::Json) => b"STATS JSON\r\n".to_vec(),
+        Request::StatsProm(StatsSub::Worker(n)) => format!("STATS WORKER {n}\r\n").into_bytes(),
+        Request::Version => b"version\r\n".to_vec(),
+        Request::Quit => b"quit\r\n".to_vec(),
     }
 }
 
-fn command_strategy() -> impl Strategy<Value = Command> {
+fn command_strategy() -> impl Strategy<Value = Request> {
     prop_oneof![
-        proptest::collection::vec(key_strategy(), 1..4).prop_map(Command::Get),
+        proptest::collection::vec(key_strategy(), 1..4).prop_map(Request::Get),
         (
             key_strategy(),
             any::<u32>(),
@@ -64,25 +119,80 @@ fn command_strategy() -> impl Strategy<Value = Command> {
             value_strategy(),
             any::<bool>()
         )
-            .prop_map(|(key, flags, exptime, data, noreply)| Command::Set {
+            .prop_map(|(key, flags, exptime, data, noreply)| Request::Set {
                 key,
                 flags,
                 exptime,
-                data: Bytes::from(data),
+                data,
                 noreply,
             }),
-        (key_strategy(), any::<bool>()).prop_map(|(key, noreply)| Command::Delete { key, noreply }),
-        Just(Command::Stats),
-        Just(Command::StatsProm(StatsSub::Render)),
-        Just(Command::StatsProm(StatsSub::Reset)),
-        Just(Command::StatsProm(StatsSub::Trace(None))),
-        any::<usize>().prop_map(|n| Command::StatsProm(StatsSub::Trace(Some(n)))),
-        Just(Command::StatsProm(StatsSub::Slow)),
-        Just(Command::StatsProm(StatsSub::Json)),
-        any::<usize>().prop_map(|n| Command::StatsProm(StatsSub::Worker(n))),
-        Just(Command::Version),
-        Just(Command::Quit),
+        (key_strategy(), any::<bool>()).prop_map(|(key, noreply)| Request::Delete { key, noreply }),
+        Just(Request::Stats),
+        Just(Request::StatsProm(StatsSub::Render)),
+        Just(Request::StatsProm(StatsSub::Reset)),
+        Just(Request::StatsProm(StatsSub::Trace(None))),
+        any::<usize>().prop_map(|n| Request::StatsProm(StatsSub::Trace(Some(n)))),
+        Just(Request::StatsProm(StatsSub::Slow)),
+        Just(Request::StatsProm(StatsSub::Json)),
+        any::<usize>().prop_map(|n| Request::StatsProm(StatsSub::Worker(n))),
+        Just(Request::Version),
+        Just(Request::Quit),
     ]
+}
+
+/// A complete line the grammar rejects (never one it could still be
+/// waiting on), with the rejection it must draw.
+fn junk_line_strategy() -> impl Strategy<Value = (Vec<u8>, BadRequest)> {
+    prop_oneof![
+        Just((b"bogus nonsense\r\n".to_vec(), BadRequest::UnknownCommand)),
+        Just((b"get\r\n".to_vec(), BadRequest::GetNeedsKey)),
+        Just((b"delete\r\n".to_vec(), BadRequest::DeleteNeedsKey)),
+        Just((b"set k x 0 5\r\n".to_vec(), BadRequest::BadNumber)),
+        Just((
+            b"set missing fields\r\n".to_vec(),
+            BadRequest::SetNeedsFields
+        )),
+        Just((b"\r\n".to_vec(), BadRequest::Empty)),
+        Just((
+            format!("set k 0 0 {}\r\n", usize::MAX - 2).into_bytes(),
+            BadRequest::AbsurdByteCount
+        )),
+    ]
+}
+
+/// One element of a test stream — a valid command or a malformed line —
+/// as its wire bytes and what the decoder must report for it.
+fn stream_element() -> impl Strategy<Value = (Vec<u8>, Result<Request, BadRequest>)> {
+    prop_oneof![
+        3 => command_strategy().prop_map(|cmd| (encode(&cmd), Ok(cmd))),
+        1 => junk_line_strategy().prop_map(|(line, error)| (line, Err(error))),
+    ]
+}
+
+/// Runs the decoder over `chunks` the way a connection does: append the
+/// chunk to the input buffer, decode in place until more bytes are needed,
+/// drain what was consumed. Returns what was decoded and the bytes left
+/// buffered.
+fn decode_chunks(chunks: &[&[u8]]) -> (Vec<Result<Request, BadRequest>>, usize) {
+    let mut decoder = RefDecoder::new();
+    let mut input: Vec<u8> = Vec::new();
+    let mut decoded = Vec::new();
+    for chunk in chunks {
+        input.extend_from_slice(chunk);
+        let mut offset = 0;
+        loop {
+            let (used, step) = decoder.step(&input[offset..]);
+            offset += used;
+            assert!(offset <= input.len(), "consumed past the buffer");
+            match step {
+                Decoded::Request(request) => decoded.push(Ok(Request::of(&request))),
+                Decoded::Bad(error) => decoded.push(Err(error)),
+                Decoded::NeedMore => break,
+            }
+        }
+        input.drain(..offset);
+    }
+    (decoded, input.len())
 }
 
 proptest! {
@@ -91,9 +201,9 @@ proptest! {
     #[test]
     fn encode_parse_round_trip(cmd in command_strategy()) {
         let wire = encode(&cmd);
-        match parse_command(&wire) {
-            ParseOutcome::Complete { command, consumed } => {
-                prop_assert_eq!(command, cmd);
+        match parse_request_ref(&wire) {
+            RefOutcome::Complete { request, consumed } => {
+                prop_assert_eq!(Request::of(&request), cmd);
                 prop_assert_eq!(consumed, wire.len());
             }
             other => prop_assert!(false, "expected Complete, got {:?}", other),
@@ -101,33 +211,18 @@ proptest! {
     }
 
     #[test]
-    fn parsing_is_chunking_independent(cmds in proptest::collection::vec(command_strategy(), 1..8), split in 1_usize..64) {
-        // Concatenate several commands, feed the bytes in arbitrary chunk
-        // sizes, and check the same command sequence comes out.
-        let mut stream = Vec::new();
-        for cmd in &cmds {
-            stream.extend_from_slice(&encode(cmd));
-        }
-
-        let mut parsed = Vec::new();
-        let mut buf: Vec<u8> = Vec::new();
-        for chunk in stream.chunks(split) {
-            buf.extend_from_slice(chunk);
-            loop {
-                match parse_command(&buf) {
-                    ParseOutcome::Complete { command, consumed } => {
-                        buf.drain(..consumed);
-                        parsed.push(command);
-                    }
-                    ParseOutcome::Incomplete => break,
-                    ParseOutcome::Invalid { reason, .. } => {
-                        prop_assert!(false, "valid stream parsed as invalid: {}", reason);
-                    }
-                }
-            }
-        }
-        prop_assert_eq!(parsed, cmds);
-        prop_assert!(buf.is_empty(), "unconsumed trailing bytes");
+    fn decoding_is_chunking_independent(
+        elements in proptest::collection::vec(stream_element(), 1..8),
+        split in 1_usize..64
+    ) {
+        // Concatenate several commands and malformed lines, feed the bytes
+        // in arbitrary chunk sizes, and check the same sequence comes out.
+        let stream: Vec<u8> = elements.iter().flat_map(|(wire, _)| wire.clone()).collect();
+        let expected: Vec<_> = elements.into_iter().map(|(_, outcome)| outcome).collect();
+        let chunks: Vec<&[u8]> = stream.chunks(split).collect();
+        let (decoded, buffered) = decode_chunks(&chunks);
+        prop_assert_eq!(decoded, expected);
+        prop_assert_eq!(buffered, 0, "unconsumed trailing bytes");
     }
 
     #[test]
@@ -135,52 +230,82 @@ proptest! {
         // The strictest chunking there is: every read(2) delivers a single
         // byte. The decoder must produce the identical command sequence and
         // never report a valid stream as invalid.
-        let mut stream = Vec::new();
-        for cmd in &cmds {
-            stream.extend_from_slice(&encode(cmd));
-        }
-        let mut decoder = RequestDecoder::new();
-        let mut decoded = Vec::new();
-        for &b in &stream {
-            decoder.feed(&[b]);
-            for req in decoder.by_ref() {
-                match req {
-                    DecodedRequest::Command(cmd) => decoded.push(cmd),
-                    DecodedRequest::Invalid { reason } => {
-                        prop_assert!(false, "valid stream decoded as invalid: {}", reason);
-                    }
-                }
-            }
-        }
-        prop_assert_eq!(decoded, cmds);
-        prop_assert_eq!(decoder.buffered(), 0, "unconsumed trailing bytes");
+        let stream: Vec<u8> = cmds.iter().flat_map(encode).collect();
+        let chunks: Vec<&[u8]> = stream.chunks(1).collect();
+        let (decoded, buffered) = decode_chunks(&chunks);
+        prop_assert_eq!(decoded, cmds.into_iter().map(Ok).collect::<Vec<_>>());
+        prop_assert_eq!(buffered, 0, "unconsumed trailing bytes");
     }
 
     #[test]
-    fn decoder_handles_a_split_at_every_boundary(cmds in proptest::collection::vec(command_strategy(), 1..4)) {
+    fn decoder_handles_a_split_at_every_boundary(
+        elements in proptest::collection::vec(stream_element(), 1..4)
+    ) {
         // For a stream of N bytes, try all N+1 two-chunk splits — including
         // splits inside a verb, inside a length field, between '\r' and
-        // '\n', and inside a set data block.
-        let mut stream = Vec::new();
-        for cmd in &cmds {
-            stream.extend_from_slice(&encode(cmd));
-        }
+        // '\n', inside a set data block and inside a rejected line.
+        let stream: Vec<u8> = elements.iter().flat_map(|(wire, _)| wire.clone()).collect();
+        let expected: Vec<_> = elements.into_iter().map(|(_, outcome)| outcome).collect();
         for split in 0..=stream.len() {
-            let mut decoder = RequestDecoder::new();
-            let mut decoded = Vec::new();
-            for chunk in [&stream[..split], &stream[split..]] {
-                decoder.feed(chunk);
-                for req in decoder.by_ref() {
-                    match req {
-                        DecodedRequest::Command(cmd) => decoded.push(cmd),
-                        DecodedRequest::Invalid { reason } => {
-                            prop_assert!(false, "split at {}: decoded as invalid: {}", split, reason);
-                        }
-                    }
-                }
+            let (decoded, buffered) = decode_chunks(&[&stream[..split], &stream[split..]]);
+            prop_assert_eq!(&decoded, &expected, "split at byte {}", split);
+            prop_assert_eq!(buffered, 0);
+        }
+    }
+
+    #[test]
+    fn overlong_lines_are_rejected_once_and_skipped(
+        len in MAX_LINE + 1..MAX_LINE + 64,
+        split in 1_usize..MAX_LINE + 64,
+        then in command_strategy()
+    ) {
+        // A line over the limit draws exactly one rejection wherever the
+        // read boundary falls — as too long if the limit was reached before
+        // its CRLF came into view, as an unknown command otherwise — and the
+        // command behind it decodes normally.
+        let mut stream = vec![b'j'; len];
+        stream.extend_from_slice(b"\r\n");
+        stream.extend_from_slice(&encode(&then));
+        let split = split.min(stream.len());
+        let (decoded, buffered) = decode_chunks(&[&stream[..split], &stream[split..]]);
+        prop_assert_eq!(decoded.len(), 2, "{:?}", decoded);
+        prop_assert!(matches!(
+            decoded[0],
+            Err(BadRequest::LineTooLong | BadRequest::UnknownCommand)
+        ));
+        prop_assert_eq!(&decoded[1], &Ok(then));
+        prop_assert_eq!(buffered, 0);
+    }
+
+    #[test]
+    fn oversized_set_frames_are_rejected_once_and_swallowed(
+        excess in 1_usize..4096,
+        split in 4096_usize..(1 << 20),
+        then in command_strategy()
+    ) {
+        // A `set` declaring more than MAX_FRAME payload bytes draws exactly
+        // one rejection; its payload streams through without being held,
+        // and the command behind it decodes normally.
+        let declared = MAX_FRAME + excess;
+        let mut decoder = RefDecoder::new();
+        let header = format!("set big 0 0 {declared}\r\n");
+        let (used, step) = decoder.step(header.as_bytes());
+        prop_assert_eq!((used, step), (0, Decoded::Bad(BadRequest::FrameTooLarge)));
+        // The header and payload stream through in `split`-byte reads.
+        let mut remaining = header.len() + declared + 2;
+        let chunk = vec![b'x'; split];
+        while remaining > 0 {
+            let n = split.min(remaining);
+            prop_assert_eq!(decoder.step(&chunk[..n]), (n, Decoded::NeedMore));
+            remaining -= n;
+        }
+        let wire = encode(&then);
+        match decoder.step(&wire) {
+            (used, Decoded::Request(request)) => {
+                prop_assert_eq!(used, wire.len());
+                prop_assert_eq!(Request::of(&request), then);
             }
-            prop_assert_eq!(&decoded, &cmds, "split at byte {}", split);
-            prop_assert_eq!(decoder.buffered(), 0);
+            other => prop_assert!(false, "stream did not recover: {:?}", other),
         }
     }
 
@@ -188,27 +313,27 @@ proptest! {
     fn arbitrary_chunks_never_panic_the_decoder(
         chunks in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..64), 0..16)
     ) {
-        // Junk streams may produce Invalid requests, but the decoder must
-        // neither panic nor grow without bound.
-        let mut decoder = RequestDecoder::new();
-        let mut total = 0_usize;
-        for chunk in &chunks {
-            total += chunk.len();
-            decoder.feed(chunk);
-            while decoder.next().is_some() {}
-            prop_assert!(decoder.buffered() <= total);
-        }
+        // Junk streams may produce rejections, but the decoder must neither
+        // panic nor consume more than it was given (`decode_chunks` asserts
+        // the latter), whatever the chunking.
+        let refs: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
+        let (_, buffered) = decode_chunks(&refs);
+        let total: usize = chunks.iter().map(Vec::len).sum();
+        prop_assert!(buffered <= total);
+        // And the same bytes in one piece decode to the same sequence.
+        let whole: Vec<u8> = chunks.concat();
+        prop_assert_eq!(decode_chunks(&refs).0, decode_chunks(&[&whole]).0);
     }
 
     #[test]
     fn arbitrary_bytes_never_panic_the_parser(junk in proptest::collection::vec(any::<u8>(), 0..512)) {
         // Whatever happens, the parser must not panic and must not claim to
         // have consumed more bytes than it was given.
-        match parse_command(&junk) {
-            ParseOutcome::Complete { consumed, .. } | ParseOutcome::Invalid { consumed, .. } => {
+        match parse_request_ref(&junk) {
+            RefOutcome::Complete { consumed, .. } | RefOutcome::Invalid { consumed, .. } => {
                 prop_assert!(consumed <= junk.len());
             }
-            ParseOutcome::Incomplete => {}
+            RefOutcome::Incomplete => {}
         }
     }
 }

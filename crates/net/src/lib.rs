@@ -2,7 +2,7 @@
 //!
 //! A dependency-free epoll event-loop server for the kvcache front end.
 //!
-//! The thread-per-connection server caps the connection count long before
+//! A thread-per-connection server caps the connection count long before
 //! the relativistic hash table does: ten thousand mostly idle clients cost
 //! ten thousand stacks and scheduler entries. This crate replaces that
 //! model with a classic readiness-driven reactor:

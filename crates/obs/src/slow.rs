@@ -37,7 +37,7 @@ pub fn op_label(op: u64) -> &'static str {
 /// One request-scoped span: who served the request, what it was, and where
 /// the time went. `total_ns` covers the request's whole service time;
 /// `decode_ns`/`index_ns`/`serialize_ns` are the measured phases (decode is
-/// 0 on paths that cannot attribute it, e.g. the threaded server).
+/// 0 when the caller did not time it).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SlowSpan {
     /// Ordinal of the worker that served the request.

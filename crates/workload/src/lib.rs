@@ -17,8 +17,8 @@
 //!   shared across M driver threads with per-request latency recording,
 //!   in closed-loop ([`drive_connections`]) or pipelining
 //!   ([`drive_connections_windowed`] — batch N requests per write,
-//!   window-based latency accounting) form; used by `fig_server` and
-//!   `fig_hotpath` to benchmark the cache servers.
+//!   window-based latency accounting) form; used by `fig_hotpath` and
+//!   its siblings to benchmark the cache server.
 //! * [`alloc`] — an installable counting global allocator with per-thread
 //!   tagged counters, the objective instrument behind `fig_hotpath`'s
 //!   allocations-per-operation gate.

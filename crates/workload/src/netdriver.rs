@@ -10,8 +10,8 @@
 //!
 //! The driver is transport-agnostic: `connect` produces any connection
 //! value (a `CacheClient`, a raw `TcpStream`, …) and `make_op` produces
-//! each thread's operation closure. The kvcache figure (`fig_server`)
-//! plugs in the memcached client; tests plug in an in-memory fake.
+//! each thread's operation closure. The kvcache figures plug in a
+//! memcached client; tests plug in an in-memory fake.
 
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -28,9 +28,7 @@ use std::time::Duration;
 
 use rp_fault::ArmGuard;
 use rp_hash::RpHashMap;
-use rp_kvcache::{
-    start_server, CacheClient, RetryClient, RetryPolicy, RpEngine, ServerConfig, ServerHandle,
-};
+use rp_kvcache::{CacheClient, EventServer, RetryClient, RetryPolicy, RpEngine, ServerConfig};
 use rp_rcu::stall::{spawn_watchdog, StallConfig};
 use rp_shard::ShardedRpMap;
 use rp_splitorder::SplitOrderMap;
@@ -127,7 +125,7 @@ fn cache_server_survives_a_fault_burst_without_losing_updates() {
     quiet_expected_panics();
 
     let engine = std::sync::Arc::new(RpEngine::with_capacity(4096));
-    let mut server: ServerHandle = start_server(engine, &ServerConfig::event_loop(2))
+    let mut server = EventServer::start(engine, &ServerConfig::event_loop(2))
         .expect("event server starts on an ephemeral port");
     let addr = server.addr();
     let obs = rp_obs::global();

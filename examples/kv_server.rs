@@ -8,8 +8,6 @@
 //!
 //! * `RP_KV_ENGINE` — `rp` (default; single relativistic table), `rp-shard`
 //!   (sharded relativistic index), or `lock` (global-lock baseline).
-//! * `RP_KV_MODE` — `event-loop` (default; the rp-net epoll reactor) or
-//!   `threaded` (one OS thread per connection).
 //! * `RP_KV_PORT` — TCP port (default 0 = pick a free one).
 //! * `RP_KV_STAY` — set to keep serving until the process is killed instead
 //!   of exiting after the demo workload.
@@ -21,8 +19,9 @@
 use std::sync::Arc;
 
 use relativist::kvcache::client::CacheClient;
-use relativist::kvcache::server::{start_server, ServerConfig, ServerMode};
-use relativist::kvcache::{CacheEngine, LockEngine, RpEngine, ShardedRpEngine};
+use relativist::kvcache::{
+    CacheEngine, EventServer, LockEngine, RpEngine, ServerConfig, ShardedRpEngine,
+};
 
 fn main() -> std::io::Result<()> {
     let engine_name = std::env::var("RP_KV_ENGINE").unwrap_or_else(|_| "rp".to_string());
@@ -31,7 +30,7 @@ fn main() -> std::io::Result<()> {
         // single writer lock, the index resizes itself.
         "rp" => Arc::new(RpEngine::with_capacity(100_000)),
         // Same read side, but the index is sharded: SETs and resizes only
-        // contend within one shard and multi-key GETs batch per shard.
+        // contend within one shard.
         "rp-shard" => Arc::new(ShardedRpEngine::with_shards_and_capacity(16, 100_000)),
         "lock" => Arc::new(LockEngine::with_capacity(100_000)),
         other => {
@@ -43,23 +42,14 @@ fn main() -> std::io::Result<()> {
         .ok()
         .and_then(|p| p.parse().ok())
         .unwrap_or(0_u16);
-    let mode = match std::env::var("RP_KV_MODE").as_deref() {
-        Ok("threaded") => ServerMode::Threaded,
-        _ => ServerMode::EventLoop,
-    };
     let config = ServerConfig {
         port,
-        mode,
         ..ServerConfig::default()
     };
-    let mut server = start_server(Arc::clone(&engine), &config)?;
+    let mut server = EventServer::start(Arc::clone(&engine), &config)?;
     println!(
-        "cache server ({}, {} mode) listening on {}",
+        "cache server ({}) listening on {}",
         engine.name(),
-        match server.mode() {
-            ServerMode::Threaded => "threaded",
-            ServerMode::EventLoop => "event-loop",
-        },
         server.addr()
     );
 

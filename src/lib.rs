@@ -35,9 +35,8 @@
 //!   accepts), per-connection read/write buffering with backpressure, and
 //!   graceful drain — the kvcache server's event-loop front end.
 //! * [`kvcache`] — a memcached-style key-value cache with a global-lock
-//!   engine and a relativistic GET fast-path engine, served either
-//!   thread-per-connection or via the `rp-net` event loop
-//!   ([`kvcache::ServerConfig`]).
+//!   engine and a relativistic GET fast-path engine, served by the `rp-net`
+//!   event loop ([`kvcache::EventServer`]).
 //! * [`workload`] — key-distribution generators and the multi-threaded
 //!   measurement harness used by the benchmarks.
 //!

@@ -7,12 +7,18 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use relativist::kvcache::client::CacheClient;
-use relativist::kvcache::server::CacheServer;
-use relativist::kvcache::{CacheEngine, Item, LockEngine, RpEngine};
+use relativist::kvcache::{
+    CacheEngine, EngineReadCtx, EventServer, Item, LockEngine, ReadSide, RpEngine, ServerConfig,
+};
+
+/// An in-process lookup, the way `fig_memcached`'s clients issue them.
+fn get(engine: &dyn CacheEngine, key: &str) -> Option<Item> {
+    engine.get_ref(key.as_bytes(), &mut EngineReadCtx::new(ReadSide::Ebr))
+}
 
 fn exercise_over_tcp(engine: Arc<dyn CacheEngine>) {
     let name = engine.name();
-    let mut server = CacheServer::start(engine, 0).expect("bind server");
+    let mut server = EventServer::start(engine, &ServerConfig::default()).expect("bind server");
     let addr = server.addr();
 
     let clients = 6;
@@ -76,10 +82,10 @@ fn expired_entries_disappear_from_both_engines() {
         engine.set("transient", soon);
         engine.set("durable", Item::new(0, "stays"));
 
-        assert!(engine.get("transient").is_some(), "{}", engine.name());
+        assert!(get(&*engine, "transient").is_some(), "{}", engine.name());
         std::thread::sleep(Duration::from_millis(60));
-        assert!(engine.get("transient").is_none(), "{}", engine.name());
-        assert!(engine.get("durable").is_some(), "{}", engine.name());
+        assert!(get(&*engine, "transient").is_none(), "{}", engine.name());
+        assert!(get(&*engine, "durable").is_some(), "{}", engine.name());
         assert_eq!(engine.purge_expired(), 0, "lazy expiry already removed it");
     }
 }
@@ -105,8 +111,8 @@ fn engines_agree_on_cache_semantics() {
                 );
             }
             _ => {
-                let a = lock.get(&key).map(|item| (item.flags, item.data));
-                let b = rp.get(&key).map(|item| (item.flags, item.data));
+                let a = get(&lock, &key).map(|item| (item.flags, item.data));
+                let b = get(&rp, &key).map(|item| (item.flags, item.data));
                 assert_eq!(a, b, "get({key}) diverged at step {i}");
             }
         }
@@ -132,11 +138,12 @@ fn rp_gets_are_not_slower_than_global_lock_gets() {
                 let stop = Arc::clone(&stop);
                 let ops = Arc::clone(&ops);
                 std::thread::spawn(move || {
+                    let mut ctx = EngineReadCtx::new(ReadSide::Ebr);
                     let mut k = t as u32;
                     let mut local = 0_u64;
                     while !stop.load(Ordering::Relaxed) {
                         k = (k.wrapping_mul(1103515245).wrapping_add(12345)) % 1024;
-                        let _ = engine.get(&format!("key{k}"));
+                        let _ = engine.get_ref(format!("key{k}").as_bytes(), &mut ctx);
                         local += 1;
                     }
                     ops.fetch_add(local, Ordering::Relaxed);
