@@ -819,6 +819,13 @@ pub const HOTPATH_DEPTHS: [usize; 3] = [1, 8, 32];
 /// per-request allocation (1.0/op) anywhere near passing.
 pub const HOTPATH_ALLOC_EPSILON: f64 = 0.005;
 
+/// Allocations-per-SET ceiling `fig_hotpath` enforces beside the GET gate,
+/// for the audit's short keys: two per SET — the index node, which holds
+/// the key and the item by value, and the payload — plus the deferred-free
+/// queue regrowing after each reclamation batch (about 0.01/op amortised).
+/// A third per-SET allocation (3.0/op) is nowhere near passing.
+pub const HOTPATH_SET_ALLOC_CEILING: f64 = 2.05;
+
 /// Allocation audit result: exact allocation-event deltas over the audited
 /// window, process-wide (the audit runs against an otherwise idle server,
 /// so the delta *is* the serving path's traffic plus this client's — and
@@ -1030,8 +1037,9 @@ pub fn hotpath_throughput(
 ///    event-loop GETs must perform **0** heap allocations end to end —
 ///    borrowed request decoding, byte-keyed index probe, in-place response
 ///    serialisation, pooled buffers. Enforced against
-///    [`HOTPATH_ALLOC_EPSILON`]; SET allocations (the key + payload that
-///    go *into* the table) are reported for context.
+///    [`HOTPATH_ALLOC_EPSILON`]; a SET of a short key may make two (the
+///    node and the payload that go *into* the table), enforced against
+///    [`HOTPATH_SET_ALLOC_CEILING`].
 /// 2. **Pipelined throughput**: GET requests/second and p99 at pipeline
 ///    depths [`HOTPATH_DEPTHS`] on the same connection count. Depth ≥ 8
 ///    must beat the closed-loop depth-1 driver — the ceiling the
@@ -1061,9 +1069,14 @@ pub fn fig_hotpath(cfg: &BenchConfig) -> Report {
                 audit.set_allocs,
                 audit.set_allocs_per_op(),
             );
-            let mut allocs = Series::new("GET allocs/op");
-            allocs.push(1.0, audit.get_allocs_per_op());
-            report.add_series(allocs);
+            for (name, per_op) in [
+                ("GET allocs/op", audit.get_allocs_per_op()),
+                ("SET allocs/op", audit.set_allocs_per_op()),
+            ] {
+                let mut allocs = Series::new(name);
+                allocs.push(1.0, per_op);
+                report.add_series(allocs);
+            }
             assert!(
                 audit.get_allocs_per_op() <= HOTPATH_ALLOC_EPSILON,
                 "steady-state event-loop GETs must not allocate: {} allocations over {} ops \
@@ -1072,6 +1085,15 @@ pub fn fig_hotpath(cfg: &BenchConfig) -> Report {
                 audit.ops,
                 audit.get_allocs_per_op(),
                 HOTPATH_ALLOC_EPSILON,
+            );
+            assert!(
+                audit.set_allocs_per_op() <= HOTPATH_SET_ALLOC_CEILING,
+                "a steady-state SET of a short key allocates its node and its payload only: {} \
+                 allocations over {} ops ({:.2}/op, gate {})",
+                audit.set_allocs,
+                audit.ops,
+                audit.set_allocs_per_op(),
+                HOTPATH_SET_ALLOC_CEILING,
             );
         }
         None => eprintln!(

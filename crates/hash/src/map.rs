@@ -695,9 +695,32 @@ where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
+        self.remove_if_prehashed(hash, key, |_| true)
+    }
+
+    /// Removes `key` only if `condemn` accepts the value stored under it
+    /// *now*: the lookup, the verdict and the unlink all happen under the
+    /// writer lock, so an entry a concurrent writer has just replaced is
+    /// judged as its replacement. Returns `true` if an entry was removed.
+    ///
+    /// This is the safe way to act on what a read-side probe saw (an
+    /// expired cache item, say) after leaving the read-side section.
+    /// `condemn` runs with the writer lock held and must not call back into
+    /// this map. See [`RpHashMap::get_prehashed`] for the contract on
+    /// `hash`.
+    pub fn remove_if_prehashed<Q>(
+        &self,
+        hash: u64,
+        key: &Q,
+        condemn: impl FnOnce(&V) -> bool,
+    ) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let guard = self.writer_lock();
         // SAFETY: writer lock held.
-        let removed = unsafe { self.remove_one_locked(hash, key) };
+        let removed = unsafe { self.remove_one_locked(hash, key, condemn) };
         if removed {
             self.maybe_reclaim();
         }
@@ -725,7 +748,7 @@ where
         let mut removed = 0;
         for (hash, key) in keys {
             // SAFETY: writer lock held for the whole batch.
-            if unsafe { self.remove_one_locked(hash, key) } {
+            if unsafe { self.remove_one_locked(hash, key, |_| true) } {
                 removed += 1;
             }
         }
@@ -734,12 +757,18 @@ where
         removed
     }
 
-    /// One remove step.
+    /// One remove step: unlinks `key`'s entry if it exists and `condemn`
+    /// accepts its value.
     ///
     /// # Safety
     ///
     /// The caller must hold the writer lock.
-    unsafe fn remove_one_locked<Q>(&self, hash: u64, key: &Q) -> bool
+    unsafe fn remove_one_locked<Q>(
+        &self,
+        hash: u64,
+        key: &Q,
+        condemn: impl FnOnce(&V) -> bool,
+    ) -> bool
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
@@ -752,6 +781,9 @@ where
             Some((prev, node)) => {
                 // SAFETY: live node reachable under the writer lock.
                 let node_ref = unsafe { &*node };
+                if !condemn(&node_ref.value) {
+                    return false;
+                }
                 let next = node_ref.next_acquire();
                 match prev {
                     Some(p) => {
@@ -1161,6 +1193,22 @@ mod tests {
         assert_eq!(map.len(), 1);
         assert!(!map.contains_key(&1));
         assert!(map.contains_key(&2));
+    }
+
+    #[test]
+    fn remove_if_judges_the_value_stored_now() {
+        let map = fnv_map(4);
+        map.insert(7, 1);
+        let hash = map.hash_one(&7_u64);
+        assert!(!map.remove_if_prehashed(hash, &7, |v| *v == 0));
+        // A verdict formed on value 1 must not take its replacement.
+        map.insert(7, 2);
+        assert!(!map.remove_if_prehashed(hash, &7, |v| *v == 1));
+        assert_eq!(map.get_cloned(&7), Some(2));
+        assert!(map.remove_if_prehashed(hash, &7, |v| *v == 2));
+        assert!(!map.remove_if_prehashed(hash, &7, |_| true), "already gone");
+        assert_eq!(map.len(), 0);
+        assert_eq!(map.stats().removes, 1);
     }
 
     #[test]

@@ -121,6 +121,14 @@ fn smoke_workload(addr: std::net::SocketAddr, ops: usize) -> std::io::Result<()>
         return Err(err(format!("multi-GET expected 2 hits, got {hits:?}")));
     }
 
+    // A key of memcached's maximum length: the RCU engines hold keys past
+    // 22 bytes behind a pointer instead of inline in the index node.
+    let long_key = "k".repeat(250);
+    client.set(&long_key, 0, 0, b"long-keyed")?;
+    if client.get(&long_key)?.as_deref() != Some(&b"long-keyed"[..]) {
+        return Err(err("GET of a 250-byte key missed its SET".to_string()));
+    }
+
     // Expiry: a 1-second TTL item disappears.
     client.set("smoke:ttl", 0, 1, b"short-lived")?;
     if client.get("smoke:ttl")?.is_none() {

@@ -197,10 +197,10 @@ pub trait CacheEngine: Send + Sync {
     ///
     /// The key is raw bytes — a slice straight out of the connection's read
     /// buffer — so the lookup allocates nothing: the RCU-indexed engines
-    /// hash the bytes once and probe their `String`-keyed index through a
-    /// raw matching lookup. Keys that are not valid UTF-8 cannot exist in
-    /// the cache (every stored key came from a validated command line), so
-    /// they simply miss.
+    /// hash the bytes once and probe their [`ItemKey`](crate::ItemKey)-keyed
+    /// index through a raw matching lookup. Keys that are not valid UTF-8
+    /// cannot exist in the cache (every stored key came from a validated
+    /// command line), so they simply miss.
     fn get_ref(&self, key: &[u8], ctx: &mut EngineReadCtx) -> Option<Item>;
 
     /// Housekeeping an external caller with a natural quiescent point can
@@ -331,12 +331,59 @@ mod tests {
         for_every_engine_and_read_side(10_000, |engine, ctx| {
             engine.set("k", stale("stale"));
             engine.set("live", Item::new(0, "x"));
-            assert_eq!(engine.len(), 2);
+            // `exptime 0` and a deadline still ahead: both plain hits.
+            engine.set("forever", Item::with_ttl(0, "x", Duration::ZERO));
+            engine.set("later", Item::with_ttl(0, "x", Duration::from_secs(3600)));
+            assert_eq!(engine.len(), 4);
             assert_eq!(engine.get_ref(b"k", ctx), None);
-            assert_eq!(engine.len(), 1, "expired item must be removed lazily");
+            assert_eq!(engine.len(), 3, "expired item must be removed lazily");
             assert_eq!(engine.stats().expirations.load(Ordering::Relaxed), 1);
             assert_eq!(engine.stats().misses(), 1);
-            assert!(engine.get_ref(b"live", ctx).is_some());
+            for key in ["live", "forever", "later"] {
+                assert!(engine.get_ref(key.as_bytes(), ctx).is_some(), "{key}");
+            }
+            assert_eq!(engine.len(), 3);
+        });
+    }
+
+    #[test]
+    fn keys_of_250_bytes_round_trip() {
+        for_every_engine_and_read_side(10_000, |engine, ctx| {
+            let long = "k".repeat(250);
+            let other = format!("{}j", &long[..249]);
+            engine.set(&long, Item::new(7, "long"));
+            engine.set(&other, Item::new(8, "other"));
+            assert_eq!(engine.len(), 2);
+            let item = engine.get_ref(long.as_bytes(), ctx).unwrap();
+            assert_eq!((item.flags, &item.data[..]), (7, &b"long"[..]));
+            assert_eq!(engine.get_ref(&long.as_bytes()[..249], ctx), None);
+            ctx.quiescent();
+            assert!(engine.delete(&long));
+            assert_eq!(engine.get_ref(long.as_bytes(), ctx), None);
+            assert!(engine.get_ref(other.as_bytes(), ctx).is_some());
+        });
+    }
+
+    #[test]
+    fn keys_either_side_of_the_inline_boundary_are_distinct() {
+        // 22 bytes is the longest key the RCU engines store inline; one
+        // more byte of the same prefix is another key, not an overwrite.
+        for_every_engine_and_read_side(10_000, |engine, ctx| {
+            let (short, long) = ("k".repeat(22), "k".repeat(23));
+            engine.set(&short, Item::new(0, "short"));
+            engine.set(&long, Item::new(0, "long"));
+            assert_eq!(engine.len(), 2);
+            engine.set(&short, Item::new(0, "short again"));
+            assert_eq!(engine.len(), 2);
+            let data = |key: &str, ctx: &mut EngineReadCtx| {
+                engine.get_ref(key.as_bytes(), ctx).map(|i| i.data.to_vec())
+            };
+            assert_eq!(data(&short, ctx), Some(b"short again".to_vec()));
+            assert_eq!(data(&long, ctx), Some(b"long".to_vec()));
+            ctx.quiescent();
+            assert!(engine.delete(&long));
+            assert_eq!(data(&long, ctx), None);
+            assert_eq!(data(&short, ctx), Some(b"short again".to_vec()));
         });
     }
 

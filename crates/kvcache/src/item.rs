@@ -1,8 +1,101 @@
-//! Stored values.
+//! Stored values and the keys they are stored under.
 
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+
+/// The longest key an [`ItemKey`] holds inline.
+const INLINE_KEY_LEN: usize = 22;
+
+/// A cache key laid out for the index node it lives in: 24 bytes — what a
+/// `String` header alone would take — holding keys of up to 22 bytes
+/// inline, so a lookup compares the key without leaving the node and a SET
+/// allocates nothing for it. Longer keys (memcached allows 250 bytes) sit
+/// behind a `Box<str>`.
+///
+/// It hashes and compares exactly like the `str` it was built from, which
+/// is what lets it [`Borrow<str>`] and lets the GET path probe with hashed
+/// raw bytes.
+#[derive(Clone)]
+pub struct ItemKey(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// The first `len` bytes of `bytes` are the key; always a whole `str`.
+    Inline {
+        len: u8,
+        bytes: [u8; INLINE_KEY_LEN],
+    },
+    Heap(Box<str>),
+}
+
+const _: () = assert!(std::mem::size_of::<ItemKey>() == 24);
+
+impl ItemKey {
+    /// The key's bytes. Unlike the `str` view this never re-validates an
+    /// inline key, so it is what the lookup path compares.
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Repr::Heap(key) => key.as_bytes(),
+        }
+    }
+}
+
+impl From<&str> for ItemKey {
+    fn from(key: &str) -> Self {
+        ItemKey(match key.len() {
+            len @ 0..=INLINE_KEY_LEN => {
+                let mut bytes = [0; INLINE_KEY_LEN];
+                bytes[..len].copy_from_slice(key.as_bytes());
+                Repr::Inline {
+                    len: len as u8,
+                    bytes,
+                }
+            }
+            _ => Repr::Heap(key.into()),
+        })
+    }
+}
+
+impl Borrow<str> for ItemKey {
+    fn borrow(&self) -> &str {
+        match &self.0 {
+            // Writer-side only (removal by `&str`); the bytes were copied
+            // from a `str` and are never mutated.
+            Repr::Inline { .. } => {
+                std::str::from_utf8(self.as_bytes()).expect("an ItemKey is built from a str")
+            }
+            Repr::Heap(key) => key,
+        }
+    }
+}
+
+impl Hash for ItemKey {
+    /// `str`'s hashing scheme (the bytes, then `0xff`), as `Borrow<str>`
+    /// requires; a test pins it against std's.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(self.as_bytes());
+        state.write_u8(0xff);
+    }
+}
+
+impl PartialEq for ItemKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for ItemKey {}
+
+impl std::fmt::Debug for ItemKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let key: &str = self.borrow();
+        key.fmt(f)
+    }
+}
 
 /// A value stored in the cache: opaque client flags, an optional expiry
 /// deadline and the payload bytes.
@@ -66,6 +159,74 @@ impl Item {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rp_hash::FnvBuildHasher;
+    use std::hash::BuildHasher;
+
+    /// Arbitrary UTF-8 of 0..=250 bytes, every length about as likely.
+    fn key_strategy() -> impl Strategy<Value = String> {
+        let chars = proptest::collection::vec(any::<char>(), 0..251);
+        (chars, 0_usize..251).prop_map(|(chars, max_len)| {
+            let mut key = String::new();
+            for c in chars {
+                if key.len() + c.len_utf8() > max_len {
+                    break;
+                }
+                key.push(c);
+            }
+            key
+        })
+    }
+
+    fn is_inline(key: &ItemKey) -> bool {
+        matches!(key.0, Repr::Inline { .. })
+    }
+
+    /// What the indexes rely on: an `ItemKey` is its `str` to the hasher,
+    /// to `Eq` and through `Borrow`.
+    fn assert_behaves_as_its_str(text: &str) {
+        let key = ItemKey::from(text);
+        assert_eq!(is_inline(&key), text.len() <= INLINE_KEY_LEN, "{text:?}");
+        assert_eq!(
+            FnvBuildHasher.hash_one(&key),
+            FnvBuildHasher.hash_one(text),
+            "{text:?}"
+        );
+        assert_eq!(Borrow::<str>::borrow(&key), text);
+        assert_eq!(key.as_bytes(), text.as_bytes());
+        assert_eq!(key, key.clone());
+    }
+
+    #[test]
+    fn keys_at_the_inline_boundary_behave_as_their_str() {
+        let at = "k".repeat(INLINE_KEY_LEN);
+        let over = "k".repeat(INLINE_KEY_LEN + 1);
+        // Multi-byte text that ends exactly on, and one byte past, the boundary.
+        let wide_at = format!("{}é", "k".repeat(INLINE_KEY_LEN - 2));
+        let wide_over = format!("{}é", "k".repeat(INLINE_KEY_LEN - 1));
+        for text in ["", "k", &at, &over, &wide_at, &wide_over, &"k".repeat(250)] {
+            assert_behaves_as_its_str(text);
+        }
+        // The same prefix on either side of the boundary: distinct keys.
+        assert_ne!(ItemKey::from(at.as_str()), ItemKey::from(over.as_str()));
+    }
+
+    proptest! {
+        #[test]
+        fn any_key_behaves_as_its_str(text in key_strategy()) {
+            assert_behaves_as_its_str(&text);
+        }
+
+        #[test]
+        fn keys_are_equal_iff_their_strs_are(a in key_strategy(), b in key_strategy(), cut in 0_usize..251) {
+            prop_assert_eq!(ItemKey::from(a.as_str()) == ItemKey::from(b.as_str()), a == b);
+            // A prefix differs from the whole exactly when it is shorter,
+            // whichever representation each side lands in.
+            let cut = (0..=cut.min(a.len())).rev().find(|&at| a.is_char_boundary(at)).unwrap_or(0);
+            let prefix = &a[..cut];
+            prop_assert_eq!(ItemKey::from(prefix) == ItemKey::from(a.as_str()), prefix == a);
+        }
+    }
 
     #[test]
     fn new_item_never_expires() {

@@ -11,15 +11,20 @@
 //! * [`protocol`] — a subset of the memcached **text protocol** (GET / SET /
 //!   DELETE plus a few diagnostics) with an incremental parser suitable for
 //!   a streaming socket.
-//! * [`Item`] — a stored value: flags, optional expiry, payload bytes.
+//! * [`Item`] — a stored value: flags, optional expiry, payload bytes —
+//!   and [`ItemKey`], the 24-byte key the RCU engines store it under
+//!   (up to 22 bytes inline, longer keys behind a `Box<str>`).
 //! * [`CacheEngine`] — the storage-engine trait the server dispatches to.
 //! * [`LockEngine`] — the **default** engine: one global mutex around a hash
 //!   map plus LRU bookkeeping, the `cache_lock` architecture.
 //! * [`Engine`] — the **RCU-indexed** engine, generic over its index: GETs
 //!   are wait-free lookups that copy the value inside the read-side
 //!   critical section; writes go through the index's writer side; expiry
-//!   is lazy and eviction is approximate-LRU, both on the slow path. Three
-//!   indexes plug in:
+//!   is lazy and eviction is approximate-LRU, both on the slow path. The
+//!   item is flat: key, flags, deadline and LRU stamp sit by value in the
+//!   index node, so a hit is three dependent loads (bucket slot, node,
+//!   payload) and a SET two allocations (node, payload). Three indexes
+//!   plug in:
 //!   [`RpEngine`] (one [`rp_hash::RpHashMap`] — the paper's patch),
 //!   [`ShardedRpEngine`] (an [`rp_shard::ShardedRpMap`]: SETs and index
 //!   resizes only contend within one shard, and resizes run on a
@@ -66,7 +71,7 @@ pub mod telemetry;
 pub use client::{CacheClient, RetryClient, RetryPolicy};
 pub use engine::{CacheEngine, CacheStats, EngineReadCtx, ReadSide, StoreOutcome};
 pub use event_server::{EventServer, KvService};
-pub use item::Item;
+pub use item::{Item, ItemKey};
 pub use lock_engine::LockEngine;
 pub use rp_engine::{Engine, RpEngine};
 pub use server::ServerConfig;

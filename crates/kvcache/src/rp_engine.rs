@@ -5,23 +5,23 @@
 //! [`SplitOrderEngine`](crate::SplitOrderEngine) aliases beside it, differ
 //! only in the index type they plug in ([`ByteKeyIndex`]).
 
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use rp_hash::{FnvBuildHasher, ResizePolicy, RpHashMap};
 
 use crate::engine::{CacheEngine, CacheStats, EngineReadCtx, StoreOutcome};
-use crate::item::Item;
+use crate::item::{Item, ItemKey};
 use crate::lock_engine::EngineConfig;
 
-/// Hashes raw key bytes exactly as the engines' `String`-keyed indexes
-/// hash their keys (std's `str` hashing feeds the bytes then a `0xff`
-/// terminator into the hasher), so a `&[u8]` borrowed from a connection's
-/// read buffer can probe the index through the raw
-/// `get_matching_prehashed` lookups: hash once, compare bytes, allocate
-/// nothing. A unit test pins this against `FnvBuildHasher`'s `str` output
-/// in case std's `str` hashing scheme ever changes.
+/// Hashes raw key bytes exactly as the engines' [`ItemKey`]-keyed indexes
+/// hash their keys — as the `str` the key holds: the bytes, then a `0xff`
+/// terminator — so a `&[u8]` borrowed from a connection's read buffer can
+/// probe the index through the raw `get_matching_prehashed` lookups: hash
+/// once, compare bytes, allocate nothing. A unit test pins this against
+/// `FnvBuildHasher`'s `str` output in case std's `str` hashing scheme ever
+/// changes.
 fn str_bytes_hash(bytes: &[u8]) -> u64 {
     use std::hash::{BuildHasher, Hasher};
     let mut hasher = FnvBuildHasher.build_hasher();
@@ -30,7 +30,9 @@ fn str_bytes_hash(bytes: &[u8]) -> u64 {
     hasher.finish()
 }
 
-/// A stored item plus its approximate-LRU access stamp.
+/// A stored item plus its approximate-LRU access stamp, held by value in
+/// the index node: a GET hit reads key, flags, deadline, stamp and payload
+/// pointer from the node the chain walk already loaded.
 ///
 /// The payload is immutable after publication; only the access stamp is
 /// updated by readers, with a relaxed store (the relativistic equivalent of
@@ -40,6 +42,9 @@ pub struct StoredItem {
     item: Item,
     last_access: AtomicU64,
 }
+
+// With the 24-byte key, an `RpHashMap` node is 88 bytes.
+const _: () = assert!(std::mem::size_of::<StoredItem>() <= 48);
 
 /// What an [`Engine`] needs from its index: a raw byte-keyed probe under
 /// either read-side witness, plus the handful of writer-side calls. The
@@ -56,16 +61,18 @@ pub trait ByteKeyIndex: Send + Sync {
         hash: u64,
         key: &[u8],
         protect: &'g P,
-    ) -> Option<&'g Arc<StoredItem>>;
+    ) -> Option<&'g StoredItem>;
 
     /// Pins an EBR guard for the fallback flavor.
     fn pin_guard(&self) -> rp_rcu::RcuGuard<'static>;
 
     /// Stores `item` under `key`, replacing any previous value.
-    fn insert(&self, key: String, item: Arc<StoredItem>);
+    fn insert(&self, key: ItemKey, item: StoredItem);
 
-    /// Removes `key` through the writer side; `true` if it was present.
-    fn remove(&self, key: &str) -> bool;
+    /// Removes `key` through the writer side if `condemn` accepts the item
+    /// stored under it at that moment; `true` if it was removed. `hash`
+    /// must be [`str_bytes_hash`] of `key`.
+    fn remove_if(&self, hash: u64, key: &str, condemn: impl Fn(&StoredItem) -> bool) -> bool;
 
     /// Number of entries.
     fn len(&self) -> usize;
@@ -77,7 +84,7 @@ pub trait ByteKeyIndex: Send + Sync {
     fn retain(&self, keep: impl FnMut(&StoredItem) -> bool);
 
     /// Every key with its access stamp: the eviction-candidate scan.
-    fn access_stamps(&self) -> Vec<(String, u64)>;
+    fn access_stamps(&self) -> Vec<(ItemKey, u64)>;
 
     /// Scrape-time level gauges this index can report (none by default).
     fn observe_gauges(&self) {}
@@ -95,7 +102,7 @@ macro_rules! impl_byte_key_index {
                 hash: u64,
                 key: &[u8],
                 protect: &'g P,
-            ) -> Option<&'g std::sync::Arc<$crate::rp_engine::StoredItem>> {
+            ) -> Option<&'g $crate::rp_engine::StoredItem> {
                 self.get_matching_prehashed(hash, |k| k.as_bytes() == key, protect)
             }
 
@@ -103,12 +110,17 @@ macro_rules! impl_byte_key_index {
                 self.pin()
             }
 
-            fn insert(&self, key: String, item: std::sync::Arc<$crate::rp_engine::StoredItem>) {
+            fn insert(&self, key: $crate::item::ItemKey, item: $crate::rp_engine::StoredItem) {
                 self.insert(key, item);
             }
 
-            fn remove(&self, key: &str) -> bool {
-                self.remove(key)
+            fn remove_if(
+                &self,
+                hash: u64,
+                key: &str,
+                condemn: impl Fn(&$crate::rp_engine::StoredItem) -> bool,
+            ) -> bool {
+                self.remove_if_prehashed(hash, key, condemn)
             }
 
             fn len(&self) -> usize {
@@ -123,7 +135,7 @@ macro_rules! impl_byte_key_index {
                 self.retain(|_, stored| keep(stored));
             }
 
-            fn access_stamps(&self) -> Vec<(String, u64)> {
+            fn access_stamps(&self) -> Vec<($crate::item::ItemKey, u64)> {
                 let guard = self.pin();
                 self.iter(&guard)
                     .map(|(key, stored)| (key.clone(), stored.access_stamp()))
@@ -140,9 +152,15 @@ impl StoredItem {
     pub(crate) fn access_stamp(&self) -> u64 {
         self.last_access.load(Ordering::Relaxed)
     }
+
+    /// Whether the item is past its deadline. The clock is read only for
+    /// an item that has one.
+    fn is_expired_now(&self) -> bool {
+        self.item.expires_at.is_some() && self.item.is_expired(Instant::now())
+    }
 }
 
-impl_byte_key_index!(RpHashMap<String, Arc<StoredItem>, FnvBuildHasher>, "rp");
+impl_byte_key_index!(RpHashMap<ItemKey, StoredItem, FnvBuildHasher>, "rp");
 
 /// What an index probe found, with the LRU stamp already applied to a live
 /// hit.
@@ -155,13 +173,13 @@ enum Probe {
     Miss,
 }
 
-fn classify_probe(stored: Option<&Arc<StoredItem>>, now: Instant, stamp: u64) -> Probe {
+fn classify_probe(stored: Option<&StoredItem>, stamp: u64) -> Probe {
     match stored {
-        Some(stored) if !stored.item.is_expired(now) => {
+        Some(stored) if stored.is_expired_now() => Probe::Expired,
+        Some(stored) => {
             stored.last_access.store(stamp, Ordering::Relaxed);
             Probe::Live(stored.item.clone())
         }
-        Some(_) => Probe::Expired,
         None => Probe::Miss,
     }
 }
@@ -205,6 +223,12 @@ impl<I: ByteKeyIndex> Engine<I> {
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
+    /// Removes `key` unconditionally; `true` if it was present.
+    fn remove(&self, key: &str) -> bool {
+        self.index
+            .remove_if(str_bytes_hash(key.as_bytes()), key, |_| true)
+    }
+
     /// Approximate LRU: collect `(key, stamp)` pairs, evict the stalest
     /// entries until the cache is back under capacity. Runs on the writer
     /// (SET) path only.
@@ -217,7 +241,7 @@ impl<I: ByteKeyIndex> Engine<I> {
             }
             candidates.sort_by_key(|(_, stamp)| *stamp);
             for (key, _) in candidates.into_iter().take(over.max(1)) {
-                if self.index.remove(&key) {
+                if self.remove(key.borrow()) {
                     self.stats.bump(&self.stats.evictions);
                 }
             }
@@ -235,15 +259,14 @@ impl<I: ByteKeyIndex> CacheEngine for Engine<I> {
         // lookup (shard routing included); the key is never copied and
         // never re-validated.
         let hash = str_bytes_hash(key);
-        let now = Instant::now();
         let stamp = self.stamp();
         // No locks, no waiting; the value is copied (cheaply — the payload
         // is reference counted) while still inside the read-side section.
         let probe = match ctx.qsbr_handle() {
-            Some(handle) => classify_probe(self.index.probe(hash, key, handle), now, stamp),
+            Some(handle) => classify_probe(self.index.probe(hash, key, handle), stamp),
             None => {
                 let guard = self.index.pin_guard();
-                classify_probe(self.index.probe(hash, key, &guard), now, stamp)
+                classify_probe(self.index.probe(hash, key, &guard), stamp)
             }
         };
         match probe {
@@ -256,11 +279,15 @@ impl<I: ByteKeyIndex> CacheEngine for Engine<I> {
                 None
             }
             Probe::Expired => {
-                // Cold path. Stored keys are always valid UTF-8, so the
-                // view cannot fail for a key that was found. Grace-period
-                // work the removal triggers is postponed while this thread
-                // is a QSBR reader.
-                if std::str::from_utf8(key).is_ok_and(|key| self.index.remove(key)) {
+                // Cold path. The read-side section is over, so another
+                // worker may have acknowledged a SET of this key since the
+                // probe: remove only an item that is expired *now*. Stored
+                // keys are always valid UTF-8, so the view cannot fail for
+                // a key that was found. Grace-period work the removal
+                // triggers is postponed while this thread is a QSBR reader.
+                if std::str::from_utf8(key)
+                    .is_ok_and(|key| self.index.remove_if(hash, key, StoredItem::is_expired_now))
+                {
                     self.stats.bump(&self.stats.expirations);
                 }
                 self.stats.bump(&self.stats.get_misses);
@@ -273,18 +300,18 @@ impl<I: ByteKeyIndex> CacheEngine for Engine<I> {
         if item.len() > self.config.max_item_size {
             return StoreOutcome::NotStored;
         }
-        let stored = Arc::new(StoredItem {
+        let stored = StoredItem {
             item,
             last_access: AtomicU64::new(self.stamp()),
-        });
-        self.index.insert(key.to_string(), stored);
+        };
+        self.index.insert(ItemKey::from(key), stored);
         self.evict_if_needed();
         self.stats.bump(&self.stats.sets);
         StoreOutcome::Stored
     }
 
     fn delete(&self, key: &str) -> bool {
-        let removed = self.index.remove(key);
+        let removed = self.remove(key);
         if removed {
             self.stats.bump(&self.stats.deletes);
         }
@@ -307,12 +334,17 @@ impl<I: ByteKeyIndex> CacheEngine for Engine<I> {
 
     fn purge_expired(&self) -> usize {
         let now = Instant::now();
-        let before = self.index.len();
-        self.index.retain(|stored| !stored.item.is_expired(now));
-        let purged = before.saturating_sub(self.index.len());
-        for _ in 0..purged {
-            self.stats.bump(&self.stats.expirations);
-        }
+        // Counted where the verdict is given: the index's length also moves
+        // under concurrent SETs and DELETEs.
+        let mut purged = 0;
+        self.index.retain(|stored| {
+            let expired = stored.item.is_expired(now);
+            purged += usize::from(expired);
+            !expired
+        });
+        self.stats
+            .expirations
+            .fetch_add(purged as u64, Ordering::Relaxed);
         purged
     }
 
@@ -324,7 +356,7 @@ impl<I: ByteKeyIndex> CacheEngine for Engine<I> {
 /// The relativistic engine: the index is one [`RpHashMap`]. GETs are
 /// wait-free lookups; SETs and DELETEs serialise on the map's writer lock;
 /// the index resizes itself under load.
-pub type RpEngine = Engine<RpHashMap<String, Arc<StoredItem>, FnvBuildHasher>>;
+pub type RpEngine = Engine<RpHashMap<ItemKey, StoredItem, FnvBuildHasher>>;
 
 /// The resize policy of the relativistic indexes.
 pub(crate) fn index_resize_policy() -> ResizePolicy {
@@ -346,10 +378,13 @@ impl RpEngine {
 
     /// Creates an engine that holds at most `capacity` items.
     pub fn with_capacity(capacity: usize) -> Self {
-        let buckets = (capacity.max(16)).next_power_of_two().min(1 << 16);
+        // The initial size only, capped at 1024 buckets: the index grows
+        // itself under load (`index_resize_policy`), so a large capacity
+        // does not pay for a large table up front.
+        let buckets = capacity.clamp(16, 1024).next_power_of_two();
         Engine::over(
             RpHashMap::with_buckets_hasher_and_policy(
-                buckets.min(1024),
+                buckets,
                 FnvBuildHasher,
                 index_resize_policy(),
             ),
@@ -373,8 +408,9 @@ pub(crate) mod tests {
     fn str_bytes_hash_matches_the_index_hasher() {
         use std::hash::BuildHasher;
         // The byte-keyed hot path relies on hashing raw bytes exactly as
-        // the String-keyed index hashes its keys. If std's str hashing
-        // scheme ever changes, this test fails before any lookup can miss.
+        // the index hashes its keys: as a `str` (`ItemKey`'s own tests pin
+        // that half). If std's str hashing scheme ever changes, this test
+        // fails before any lookup can miss.
         for key in ["", "k", "memtier-12345", "a:b:c_d-e", "日本語"] {
             assert_eq!(
                 str_bytes_hash(key.as_bytes()),
@@ -398,6 +434,49 @@ pub(crate) mod tests {
             engine.index.num_buckets()
         );
         assert_eq!(engine.len(), 8192);
+    }
+
+    /// `get_ref`'s expired arm taken apart, with another worker's SET of
+    /// the same key acknowledged between the probe and the removal: the
+    /// verdict "expired" was about the old item and must not take the new.
+    fn expired_verdict_spares_a_fresh_set<I: ByteKeyIndex>(engine: Engine<I>) {
+        let stale = || {
+            let mut item = Item::new(0, "stale");
+            item.expires_at = Some(Instant::now() - std::time::Duration::from_millis(1));
+            item
+        };
+        let hash = str_bytes_hash(b"k");
+        engine.set("k", stale());
+        {
+            let guard = engine.index.pin_guard();
+            let probe = classify_probe(engine.index.probe(hash, b"k", &guard), 0);
+            assert!(matches!(probe, Probe::Expired), "{}", engine.name());
+        }
+        engine.set("k", Item::new(0, "fresh"));
+        assert!(
+            !engine
+                .index
+                .remove_if(hash, "k", StoredItem::is_expired_now),
+            "{}: an acknowledged SET was removed as expired",
+            engine.name()
+        );
+        let hit = engine.get_ref(b"k", &mut EngineReadCtx::new(ReadSide::Ebr));
+        assert_eq!(hit.map(|item| item.data.to_vec()), Some(b"fresh".to_vec()));
+        // An item that is still expired when the slow path gets there goes.
+        engine.set("k", stale());
+        assert!(engine
+            .index
+            .remove_if(hash, "k", StoredItem::is_expired_now));
+        assert_eq!(engine.len(), 0);
+    }
+
+    #[test]
+    fn an_expired_get_spares_a_fresh_set() {
+        expired_verdict_spares_a_fresh_set(RpEngine::with_capacity(1024));
+        expired_verdict_spares_a_fresh_set(crate::ShardedRpEngine::with_shards_and_capacity(
+            4, 1024,
+        ));
+        expired_verdict_spares_a_fresh_set(crate::SplitOrderEngine::with_capacity(1024));
     }
 
     /// Simulates an event-loop worker: QSBR-online while serving `sets`

@@ -2,15 +2,14 @@
 //! index, so SETs and automatic resizes of the index only contend within
 //! one shard.
 
-use std::sync::Arc;
-
 use rp_maint::MaintConfig;
 use rp_shard::{ShardPolicy, ShardedRpMap};
 
+use crate::item::ItemKey;
 use crate::rp_engine::{impl_byte_key_index, index_resize_policy, Engine, StoredItem};
 
 impl_byte_key_index!(
-    ShardedRpMap<String, Arc<StoredItem>>,
+    ShardedRpMap<ItemKey, StoredItem>,
     "rp-shard",
     fn observe_gauges(&self) {
         // Shard balance as max/mean occupancy, in thousandths (1000 =
@@ -35,7 +34,7 @@ impl_byte_key_index!(
 /// load-factor threshold only *requests* the resize and never waits for a
 /// grace period. [`ShardedRpEngine::with_options`] with `None` falls back
 /// to inline resizing in the triggering SET.
-pub type ShardedRpEngine = Engine<ShardedRpMap<String, Arc<StoredItem>>>;
+pub type ShardedRpEngine = Engine<ShardedRpMap<ItemKey, StoredItem>>;
 
 impl ShardedRpEngine {
     /// Creates an engine with 16 shards and a large default capacity.

@@ -2,15 +2,14 @@
 //! [`rp_splitorder::SplitOrderMap`] index — the competing resize
 //! philosophy, behind the same seam.
 
-use std::sync::Arc;
-
 use rp_hash::FnvBuildHasher;
 use rp_splitorder::SplitOrderMap;
 
+use crate::item::ItemKey;
 use crate::rp_engine::{impl_byte_key_index, Engine, StoredItem};
 
 impl_byte_key_index!(
-    SplitOrderMap<String, Arc<StoredItem>, FnvBuildHasher>,
+    SplitOrderMap<ItemKey, StoredItem, FnvBuildHasher>,
     "splitorder"
 );
 
@@ -21,7 +20,7 @@ impl_byte_key_index!(
 /// lookups as the relativistic engines (EBR guard or barrier-free QSBR
 /// handle); removals queue deferred reclamation, drained by
 /// [`CacheEngine::housekeeping`](crate::CacheEngine::housekeeping).
-pub type SplitOrderEngine = Engine<SplitOrderMap<String, Arc<StoredItem>, FnvBuildHasher>>;
+pub type SplitOrderEngine = Engine<SplitOrderMap<ItemKey, StoredItem, FnvBuildHasher>>;
 
 impl SplitOrderEngine {
     /// Creates an engine with a large default capacity.
@@ -31,8 +30,9 @@ impl SplitOrderEngine {
 
     /// Creates an engine that holds at most `capacity` items.
     pub fn with_capacity(capacity: usize) -> Self {
-        let buckets = (capacity.max(16)).next_power_of_two().min(1 << 16);
-        Engine::over(SplitOrderMap::with_buckets(buckets.min(1024)), capacity)
+        // The initial size only (see `RpEngine::with_capacity`).
+        let buckets = capacity.clamp(16, 1024).next_power_of_two();
+        Engine::over(SplitOrderMap::with_buckets(buckets), capacity)
     }
 }
 

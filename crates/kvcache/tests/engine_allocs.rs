@@ -1,0 +1,74 @@
+//! Exact allocation counts of the RCU engines' SET and GET paths, taken on
+//! the calling thread with the counting allocator installed: the cached
+//! item is one index node (key and item by value) plus its payload, so a
+//! SET of a short key allocates the node and nothing else, a key past the
+//! inline limit adds its `Box<str>`, and a GET allocates nothing. The
+//! payloads here are shared `Bytes`, so they do not count.
+
+use rp_kvcache::{
+    CacheEngine, EngineReadCtx, Item, ReadSide, RpEngine, ShardedRpEngine, SplitOrderEngine,
+};
+use rp_workload::alloc::{thread_allocations, CountingAllocator};
+
+#[global_allocator]
+static ALLOC: CountingAllocator = CountingAllocator;
+
+const OPS: usize = 4096;
+
+/// Allocations per call of `op` on this thread, over `OPS` calls that
+/// follow as many uncounted ones.
+fn allocs_per_op(mut op: impl FnMut(usize)) -> f64 {
+    (0..OPS).for_each(&mut op);
+    let before = thread_allocations();
+    (0..OPS).for_each(&mut op);
+    (thread_allocations() - before) as f64 / OPS as f64
+}
+
+/// `per_set` allocations exactly, but for the deferred-free queue growing
+/// back after each reclamation batch.
+fn assert_set_allocs(engine: &dyn CacheEngine, keys: &[String], per_set: f64) {
+    let payload = bytes::Bytes::from(vec![7_u8; 64]);
+    let measured = allocs_per_op(|i| {
+        engine.set(&keys[i % keys.len()], Item::new(0, payload.clone()));
+    });
+    assert!(
+        (per_set..per_set + 0.05).contains(&measured),
+        "{}: {measured:.3} allocations per SET of a {}-byte key, expected {per_set}",
+        engine.name(),
+        keys[0].len(),
+    );
+}
+
+fn assert_gets_do_not_allocate(engine: &dyn CacheEngine, keys: &[String]) {
+    for read_side in [ReadSide::Ebr, ReadSide::Qsbr] {
+        let mut ctx = EngineReadCtx::new(read_side);
+        let measured = allocs_per_op(|i| {
+            let hit = engine.get_ref(keys[i % keys.len()].as_bytes(), &mut ctx);
+            assert!(hit.is_some());
+            if i % 64 == 63 {
+                ctx.quiescent();
+            }
+        });
+        assert_eq!(measured, 0.0, "{} via {read_side:?}", engine.name());
+    }
+}
+
+/// `node_allocs` is what the index allocates per entry besides the key.
+fn check(engine: &dyn CacheEngine, node_allocs: f64) {
+    let short: Vec<String> = (0..64).map(|i| format!("key:{i:08}")).collect();
+    let long: Vec<String> = (0..64).map(|i| format!("key:{i:019}")).collect();
+    assert_eq!((short[0].len(), long[0].len()), (12, 23));
+    assert_set_allocs(engine, &short, node_allocs);
+    assert_set_allocs(engine, &long, node_allocs + 1.0);
+    assert_gets_do_not_allocate(engine, &short);
+    assert_gets_do_not_allocate(engine, &long);
+}
+
+#[test]
+fn a_set_allocates_its_node_and_a_get_nothing() {
+    // One test, so nothing else allocates on this thread meanwhile.
+    check(&RpEngine::with_capacity(1 << 16), 1.0);
+    check(&ShardedRpEngine::with_shards_and_capacity(4, 1 << 16), 1.0);
+    // Split-order keeps the value in a cell of its own beside the node.
+    check(&SplitOrderEngine::with_capacity(1 << 16), 2.0);
+}

@@ -595,9 +595,24 @@ where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let hash = self.hash_of(key);
+        self.remove_if_prehashed(self.hash_of(key), key, |_| true)
+    }
+
+    /// Removes `key` from its shard only if `condemn` accepts the value
+    /// stored under it now (see [`RpHashMap::remove_if_prehashed`]). `hash`
+    /// must be what [`ShardedRpMap::hash_one`] produces for `key`.
+    pub fn remove_if_prehashed<Q>(
+        &self,
+        hash: u64,
+        key: &Q,
+        condemn: impl FnOnce(&V) -> bool,
+    ) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let shard_idx = self.shard_of_hash(hash);
-        let removed = self.core.shards[shard_idx].remove_prehashed(hash, key);
+        let removed = self.core.shards[shard_idx].remove_if_prehashed(hash, key, condemn);
         self.maybe_request_resize(shard_idx);
         removed
     }

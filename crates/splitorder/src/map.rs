@@ -102,6 +102,25 @@ impl<K, V> Node<K, V> {
     }
 }
 
+impl<K, V> NodeKind<K, V> {
+    /// A data node's key and the value its cell holds now; `None` for a
+    /// dummy.
+    fn entry(&self) -> Option<(&K, &V)> {
+        match self {
+            NodeKind::Bucket => None,
+            NodeKind::Data { key, value } => {
+                // SAFETY: a value is retired only after it was swapped out
+                // of its cell and freed only after a grace period, and every
+                // `&Node` is confined to the read-side section it was made
+                // in, so what the cell holds now outlives this borrow. The
+                // cell is null only in a never-linked node whose value was
+                // moved out by a replacing insert.
+                unsafe { value.load(Ordering::Acquire).as_ref() }.map(|value| (key, value))
+            }
+        }
+    }
+}
+
 impl<K, V> Drop for Node<K, V> {
     fn drop(&mut self) {
         if let NodeKind::Data { value, .. } = &mut self.kind {
@@ -302,12 +321,8 @@ where
             }
             let next_tag = node.next.load(Ordering::Acquire);
             if node.so_key == so_key && !is_marked(next_tag) {
-                if let NodeKind::Data { key, value } = &node.kind {
-                    if matches(key) {
-                        // SAFETY: a live data node's value pointer is
-                        // non-null and protected for 'g.
-                        return Some(unsafe { &*value.load(Ordering::Acquire) });
-                    }
+                if let Some((_, value)) = node.kind.entry().filter(|(key, _)| matches(key)) {
+                    return Some(value);
                 }
             }
             curr = ptr_of(next_tag);
@@ -442,14 +457,37 @@ where
         K: Borrow<Q>,
         Q: Eq + ?Sized,
     {
-        self.remove_matching_prehashed(hash, |k| k.borrow() == key)
+        self.remove_if_prehashed(hash, key, |_| true)
     }
 
-    /// Removes the entry whose key satisfies `matches` within the hash's
-    /// split-order run. Returns `true` if an entry was removed.
+    /// Removes `key` only if `condemn` accepts the value stored under it
+    /// (see [`Self::remove_matching_prehashed`] for when it is judged).
+    pub fn remove_if_prehashed<Q>(
+        &self,
+        hash: u64,
+        key: &Q,
+        mut condemn: impl FnMut(&V) -> bool,
+    ) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Eq + ?Sized,
+    {
+        self.remove_matching_prehashed(hash, |k, v| k.borrow() == key && condemn(v))
+    }
+
+    /// Removes the entry whose key and current value satisfy `matches`
+    /// within the hash's split-order run. Returns `true` if an entry was
+    /// removed.
+    ///
+    /// The value is judged during the walk that finds the node, so a
+    /// verdict formed earlier (an expired cache item seen by a reader, say)
+    /// never takes a replacement that was stored before the walk. There is
+    /// no writer lock to hold the verdict and the logical delete together:
+    /// an update that lands between the two is ordered before the removal,
+    /// as it is for [`Self::remove`].
     pub fn remove_matching_prehashed<F>(&self, hash: u64, mut matches: F) -> bool
     where
-        F: FnMut(&K) -> bool,
+        F: FnMut(&K, &V) -> bool,
     {
         let so_key = data_so_key(hash);
         let removed = {
@@ -459,9 +497,8 @@ where
                 let array = unsafe { &*self.buckets.load(Ordering::Acquire) };
                 let bucket = (hash & array.mask) as usize;
                 let head = self.bucket_head(array, bucket);
-                match self.find(head, so_key, &mut |kind| match kind {
-                    NodeKind::Data { key, .. } => matches(key),
-                    NodeKind::Bucket => false,
+                match self.find(head, so_key, &mut |kind| {
+                    kind.entry().is_some_and(|(key, value)| matches(key, value))
                 }) {
                     FindResult::HeadDead => {
                         // Stale shortcut to a dummy a shrink compaction
@@ -1104,10 +1141,8 @@ impl<'g, K, V> Iterator for SplitIter<'g, K, V> {
             if is_marked(next_tag) {
                 continue;
             }
-            if let NodeKind::Data { key, value } = &node.kind {
-                // SAFETY: live data node — value pointer is non-null.
-                let value = unsafe { &*value.load(Ordering::Acquire) };
-                return Some((key, value));
+            if let Some(entry) = node.kind.entry() {
+                return Some(entry);
             }
         }
         None
@@ -1155,6 +1190,21 @@ mod tests {
         assert!(!map.remove(&1));
         assert_eq!(map.len(), 1);
         assert!(map.contains_key(&2));
+        map.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn remove_if_judges_the_value_stored_now() {
+        let map: SplitOrderMap<u64, u64> = SplitOrderMap::new();
+        map.insert(7, 1);
+        let hash = map.hash_one(&7_u64);
+        assert!(!map.remove_if_prehashed(hash, &7, |v| *v == 0));
+        // A verdict formed on value 1 must not take its replacement.
+        map.insert(7, 2);
+        assert!(!map.remove_if_prehashed(hash, &7, |v| *v == 1));
+        assert_eq!(map.get_cloned(&7), Some(2));
+        assert!(map.remove_if_prehashed(hash, &7, |v| *v == 2));
+        assert!(map.is_empty());
         map.check_invariants().unwrap();
     }
 
