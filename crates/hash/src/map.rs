@@ -915,15 +915,17 @@ where
         true
     }
 
-    /// Removes every entry for which `f` returns `false`.
+    /// Removes every entry for which `f` returns `false`; returns how many
+    /// it removed.
     ///
     /// Each entry is visited exactly once, even while an incremental resize
     /// is in progress (entries temporarily reachable from a bucket they do
     /// not belong to are visited from their home bucket only).
-    pub fn retain<F>(&self, mut f: F)
+    pub fn retain<F>(&self, mut f: F) -> usize
     where
         F: FnMut(&K, &V) -> bool,
     {
+        let mut removed = 0;
         let _guard = self.writer_lock();
         // SAFETY: writer lock held.
         let table = unsafe { self.table_locked() };
@@ -953,6 +955,7 @@ where
                     unsafe { self.fixup_unzip_links_locked(table, cur_ref.hash, cur, next) };
                     self.len.fetch_sub(1, Ordering::Relaxed);
                     self.stats.bump(&self.stats.removes);
+                    removed += 1;
                     // SAFETY: unlinked, allocated by `Node::alloc`.
                     unsafe { RcuDomain::global().defer_free(cur) };
                 }
@@ -960,6 +963,7 @@ where
             }
         }
         self.maybe_reclaim();
+        removed
     }
 
     /// Removes all entries.
@@ -1310,7 +1314,7 @@ mod tests {
         for i in 0..20 {
             map.insert(i, i);
         }
-        map.retain(|k, _| k % 2 == 0);
+        assert_eq!(map.retain(|k, _| k % 2 == 0), 10);
         assert_eq!(map.len(), 10);
         for i in 0..20 {
             assert_eq!(map.contains_key(&i), i % 2 == 0);

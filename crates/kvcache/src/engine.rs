@@ -421,6 +421,26 @@ mod tests {
             assert_eq!(engine.purge_expired(), 3);
             assert_eq!(engine.len(), 3);
         });
+
+        // The split-order row: its index alone has no writer lock to hold a
+        // purge's verdict and its removal together, so only there can a SET
+        // land between the two — here from inside the purge's own scan,
+        // which makes the interleaving certain. The fresh item must stay.
+        let engine = SplitOrderEngine::with_capacity(1024);
+        for i in 0..6 {
+            engine.set(&format!("k{i}"), stale("stale"));
+        }
+        let purged = engine.index.retain(|key, stored| {
+            let expired = stored.is_expired_now();
+            if expired && key.as_bytes() == b"k3" {
+                engine.set("k3", Item::new(0, "fresh"));
+            }
+            !expired
+        });
+        assert_eq!(purged, 5);
+        assert_eq!(engine.len(), 1);
+        let hit = engine.get_ref(b"k3", &mut EngineReadCtx::new(ReadSide::Ebr));
+        assert_eq!(hit.map(|item| item.data.to_vec()), Some(b"fresh".to_vec()));
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! QSBR readers, they postpone all grace-period work; a background
 //! [`Reclaimer`] (plus the engine's maintenance thread, when enabled)
 //! absorbs deferred frees instead. `--read-side ebr` restores the guard
-//! path for A/B comparisons — that flavor difference is what the
-//! `fig_qsbr` benchmark measures.
+//! path for A/B comparisons — that flavor difference is what
+//! `benchmark/`'s `rcu.pin_ns` and `rcu.qsbr_quiescent_ns` rungs measure.
 
 use std::io;
 use std::net::SocketAddr;

@@ -80,8 +80,9 @@ pub trait ByteKeyIndex: Send + Sync {
     /// Catches up on resizes and reclamation the writer paths postponed.
     fn maintain(&self);
 
-    /// Removes every entry for which `keep` returns `false`.
-    fn retain(&self, keep: impl FnMut(&StoredItem) -> bool);
+    /// Removes every entry for which `keep` returns `false`; returns how
+    /// many it removed.
+    fn retain(&self, keep: impl FnMut(&StoredItem) -> bool) -> usize;
 
     /// Every key with its access stamp: the eviction-candidate scan.
     fn access_stamps(&self) -> Vec<(ItemKey, u64)>;
@@ -131,8 +132,11 @@ macro_rules! impl_byte_key_index {
                 self.maintain();
             }
 
-            fn retain(&self, mut keep: impl FnMut(&$crate::rp_engine::StoredItem) -> bool) {
-                self.retain(|_, stored| keep(stored));
+            fn retain(
+                &self,
+                mut keep: impl FnMut(&$crate::rp_engine::StoredItem) -> bool,
+            ) -> usize {
+                self.retain(|_, stored| keep(stored))
             }
 
             fn access_stamps(&self) -> Vec<($crate::item::ItemKey, u64)> {
@@ -155,7 +159,7 @@ impl StoredItem {
 
     /// Whether the item is past its deadline. The clock is read only for
     /// an item that has one.
-    fn is_expired_now(&self) -> bool {
+    pub(crate) fn is_expired_now(&self) -> bool {
         self.item.expires_at.is_some() && self.item.is_expired(Instant::now())
     }
 }
@@ -334,14 +338,10 @@ impl<I: ByteKeyIndex> CacheEngine for Engine<I> {
 
     fn purge_expired(&self) -> usize {
         let now = Instant::now();
-        // Counted where the verdict is given: the index's length also moves
-        // under concurrent SETs and DELETEs.
-        let mut purged = 0;
-        self.index.retain(|stored| {
-            let expired = stored.item.is_expired(now);
-            purged += usize::from(expired);
-            !expired
-        });
+        // The index counts what it removed: its length also moves under
+        // concurrent SETs and DELETEs, and a lock-free index may spare an
+        // entry it had condemned because a fresh SET replaced it meanwhile.
+        let purged = self.index.retain(|stored| !stored.item.is_expired(now));
         self.stats
             .expirations
             .fetch_add(purged as u64, Ordering::Relaxed);

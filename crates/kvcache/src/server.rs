@@ -422,4 +422,34 @@ mod tests {
         assert_eq!(span.op, rp_obs::slow::OP_GET);
         assert_eq!(span.key_hash, hash_key(b"k"));
     }
+
+    #[test]
+    fn one_request_in_sixteen_is_timed_and_the_rest_read_no_clock() {
+        // What telemetry costs a GET rests on this count. A clock is read
+        // only for a request that has a span (`Phases`, `timed`), a span is
+        // made only where the latency histogram is then fed, and the
+        // histogram is fed once per span: its count is the number of
+        // requests that read a clock at all.
+        let engine = RpEngine::new();
+        serve(&engine, b"set k 0 0 1\r\nv\r\n");
+        let mut ctx = EngineReadCtx::new(ReadSide::Ebr);
+        let kv = rp_obs::KvWorkerObs::default();
+        let request = RequestRef::Get { key: b"k" };
+        let mut out = Vec::new();
+        for requests in [1_u64, 16, 17, 1000] {
+            while kv.requests.get() < requests {
+                assert!(!execute_ref_observed(
+                    &engine, &request, &mut ctx, &mut out, &kv, 0, 0
+                ));
+            }
+            assert_eq!(
+                kv.get_ns.snapshot().count(),
+                requests.div_ceil(rp_obs::LATENCY_SAMPLE),
+                "after {requests} GETs"
+            );
+        }
+        assert_eq!(out, b"VALUE k 0 1\r\nv\r\nEND\r\n".repeat(1000));
+        let others = [&kv.set_ns, &kv.delete_ns, &kv.other_ns];
+        assert!(others.iter().all(|hist| hist.snapshot().count() == 0));
+    }
 }

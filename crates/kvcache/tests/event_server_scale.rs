@@ -1,19 +1,30 @@
 //! The scaling claim behind the event loop: 1000 concurrent connections
 //! served by a fixed worker pool, with the process thread count staying
-//! flat (≤ workers + 2 threads for the whole server).
+//! flat (≤ workers + 2 threads for the whole server) — and, with all of
+//! them live, the admission wall holding: pipelined windows are still
+//! served whole and a connection past the wall is told why it is refused.
 //!
 //! This test lives in its own integration-test binary so the `/proc`
 //! thread-count measurement is not disturbed by sibling tests' threads.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use rp_kvcache::{EventServer, ServerConfig, ShardedRpEngine};
+use rp_kvcache::{EventServer, Item, ServerConfig, ShardedRpEngine};
 
 const CONNECTIONS: usize = 1000;
 const WORKERS: usize = 2;
+
+/// Connections that drive pipelined GETs beside the thousand; together
+/// they fill the admission wall exactly.
+const DRIVERS: usize = 8;
+/// Value size of the pipelined GETs: above the reply-coalescing threshold,
+/// so every reply is a buffered segment of its own.
+const VALUE_LEN: usize = 4096;
+/// GETs per pipelined window.
+const DEPTH: usize = 16;
 
 fn process_threads() -> usize {
     let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
@@ -29,6 +40,7 @@ fn a_thousand_connections_on_a_fixed_worker_pool() {
     let engine = Arc::new(ShardedRpEngine::with_shards_and_capacity(16, 1 << 20));
     let config = ServerConfig {
         drain_timeout: Duration::from_secs(10),
+        max_connections: CONNECTIONS + DRIVERS,
         ..ServerConfig::event_loop(WORKERS)
     };
     let mut server = EventServer::start(engine, &config).expect("start server");
@@ -90,6 +102,44 @@ fn a_thousand_connections_on_a_fixed_worker_pool() {
     }
 
     assert_eq!(server.engine().len(), CONNECTIONS);
+
+    // Admission control with the thousand sockets live (`rp-net` tests the
+    // wall and the byte ledger against an echo service; this is the cache
+    // server's half): the drivers fill the wall and keep it under traffic.
+    server
+        .engine()
+        .set("big", Item::new(0, vec![0x42_u8; VALUE_LEN]));
+    let window = b"get big\r\n".repeat(DEPTH);
+    let header = format!("VALUE big 0 {VALUE_LEN}\r\n");
+    let reply_len = header.len() + VALUE_LEN + b"\r\nEND\r\n".len();
+    let mut replies = vec![0_u8; DEPTH * reply_len];
+    let mut drivers: Vec<TcpStream> = (0..DRIVERS)
+        .map(|_| TcpStream::connect(server.addr()).expect("driver connects under the wall"))
+        .collect();
+    for _round in 0..32 {
+        for driver in &mut drivers {
+            driver.write_all(&window).unwrap();
+        }
+        for driver in &mut drivers {
+            driver.read_exact(&mut replies).unwrap();
+            assert!(replies.ends_with(b"\r\nEND\r\n"));
+        }
+    }
+    // The wall is full: the next connection hears why it is turned away
+    // (it sends nothing first, so its bytes cannot race the server's close
+    // into an ECONNRESET).
+    assert_eq!(
+        server.net_stats().current_connections,
+        CONNECTIONS + DRIVERS
+    );
+    let mut shed = Vec::new();
+    TcpStream::connect(server.addr())
+        .unwrap()
+        .read_to_end(&mut shed)
+        .unwrap();
+    assert_eq!(shed, b"SERVER_ERROR busy\r\n");
+    assert!(server.net_stats().refused >= 1);
+    drop(drivers);
 
     // Half the clients stay connected through shutdown; their pending
     // requests (sent but unread) must still be answered.

@@ -1,0 +1,110 @@
+//! Allocations per request **over the wire**: a steady-state GET served by
+//! the event loop allocates nothing anywhere in the process — reactor
+//! buffers, decoder, engine and reply path included — and a SET of a short
+//! key allocates its index node and its payload only.
+//!
+//! The count is the process-wide total of the counting allocator, so this
+//! test is alone in its binary (`engine_allocs.rs` counts per thread and
+//! cannot tell what a reactor worker allocated).
+
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::Arc;
+
+use rp_kvcache::{CacheEngine, EventServer, Item, ServerConfig, ShardedRpEngine};
+use rp_workload::alloc::{total_allocations, CountingAllocator};
+
+#[global_allocator]
+static ALLOC: CountingAllocator = CountingAllocator;
+
+/// Requests measured per command, after as many of warm-up (which lets
+/// every buffer on both sides reach its steady capacity).
+const OPS: u64 = 4000;
+
+/// Allocations-per-GET ceiling. The expected value is exactly 0; the
+/// epsilon only forgives a stray background allocation (a maintenance
+/// thread waking inside the window) without letting a real per-request
+/// allocation (1.0/op) anywhere near passing.
+const GET_ALLOC_EPSILON: f64 = 0.005;
+
+/// Allocations-per-SET ceiling: two per SET — the index node, which holds
+/// the key and the item by value, and the payload — plus what the server's
+/// background reclaimer allocates while the window is open. That share is
+/// paid per *pass*, not per SET: the reclaimer wakes every 10 ms, and each
+/// pass costs about nine allocations (the deferred-free queue regrowing
+/// from empty, one reader snapshot per flavor). Over one window that is
+/// 0.01/op at an 8 µs round trip and reaches the ceiling at about 55 µs, so
+/// on a loaded host this gate also trips on a slow loopback. A third
+/// per-SET allocation (3.0/op) is nowhere near passing.
+const SET_ALLOC_CEILING: f64 = 2.05;
+
+/// Sends `requests` round-robin, one at a time, reading each reply up to
+/// `terminator`; returns the process-wide allocations per request over the
+/// second `OPS` of `2 * OPS`.
+fn allocs_per_request(
+    stream: &mut TcpStream,
+    requests: &[Vec<u8>],
+    terminator: &[u8],
+    reply: &mut Vec<u8>,
+) -> f64 {
+    let mut before = 0;
+    for i in 0..2 * OPS {
+        if i == OPS {
+            before = total_allocations();
+        }
+        stream
+            .write_all(&requests[i as usize % requests.len()])
+            .expect("write request");
+        reply.clear();
+        let mut chunk = [0_u8; 4096];
+        while !reply.ends_with(terminator) {
+            let n = stream.read(&mut chunk).expect("read reply");
+            assert!(n > 0, "server closed mid-reply");
+            reply.extend_from_slice(&chunk[..n]);
+        }
+    }
+    (total_allocations() - before) as f64 / OPS as f64
+}
+
+#[test]
+fn a_get_over_the_wire_allocates_nothing_and_a_set_its_node_and_payload() {
+    let engine = Arc::new(ShardedRpEngine::with_shards_and_capacity(16, 16384));
+    for k in 0..8192 {
+        engine.set(&format!("memtier-{k}"), Item::new(0, format!("value-{k}")));
+    }
+    let mut server =
+        EventServer::start(engine, &ServerConfig::event_loop(2)).expect("start cache server");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+
+    // Everything the measured loops touch is built up front, so the client
+    // side of the exchange allocates nothing either and the process-wide
+    // delta is the serving path's alone.
+    let gets: Vec<Vec<u8>> = (0..64)
+        .map(|k| format!("get memtier-{k}\r\n").into_bytes())
+        .collect();
+    let sets: Vec<Vec<u8>> = (0..64)
+        .map(|k| format!("set memtier-{k} 0 0 13\r\nupdated-value\r\n").into_bytes())
+        .collect();
+    let mut reply = Vec::with_capacity(16 * 1024);
+
+    let per_get = allocs_per_request(&mut stream, &gets, b"END\r\n", &mut reply);
+    let per_set = allocs_per_request(&mut stream, &sets, b"STORED\r\n", &mut reply);
+    eprintln!("wire allocs over {OPS} ops: GET {per_get:.4}/op, SET {per_set:.4}/op");
+    drop(stream);
+    server.shutdown();
+
+    assert!(
+        per_get <= GET_ALLOC_EPSILON,
+        "steady-state event-loop GETs must not allocate: {per_get:.4}/op over {OPS} \
+         (gate {GET_ALLOC_EPSILON})"
+    );
+    assert!(
+        per_set <= SET_ALLOC_CEILING,
+        "a steady-state SET of a short key allocates its node and its payload only: \
+         {per_set:.2}/op over {OPS} (gate {SET_ALLOC_CEILING})"
+    );
+    // The instrument itself: a SET does allocate, so a count of zero would
+    // mean the counting allocator is not this binary's.
+    assert!(per_set >= 1.0, "{per_set:.2} allocations per SET counted");
+}

@@ -617,18 +617,21 @@ where
         removed
     }
 
-    /// Removes every entry for which `f` returns `false`, shard by shard.
-    pub fn retain<F>(&self, mut f: F)
+    /// Removes every entry for which `f` returns `false`, shard by shard;
+    /// returns how many it removed.
+    pub fn retain<F>(&self, mut f: F) -> usize
     where
         F: FnMut(&K, &V) -> bool,
     {
+        let mut removed = 0;
         for (idx, shard) in self.core.shards.iter().enumerate() {
-            shard.retain(&mut f);
+            removed += shard.retain(&mut f);
             // Bulk removal can drop a shard far below the shrink trigger;
             // on the maintained path that must request a resize like any
             // other write (inline auto-shrink is disabled there).
             self.maybe_request_resize(idx);
         }
+        removed
     }
 
     /// Removes all entries.
@@ -906,7 +909,7 @@ mod tests {
         for i in 0..200 {
             map.insert(i, i);
         }
-        map.retain(|k, _| k % 2 == 0);
+        assert_eq!(map.retain(|k, _| k % 2 == 0), 100);
         assert_eq!(map.len(), 100);
         let mut contents = map.to_vec();
         contents.sort_unstable();

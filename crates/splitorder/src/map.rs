@@ -710,8 +710,13 @@ where
             .collect()
     }
 
-    /// Removes every entry whose key/value fails the predicate.
-    pub fn retain<F>(&self, mut f: F)
+    /// Removes every entry whose key/value fails the predicate; returns
+    /// how many it removed. A scan under a pin collects the condemned keys;
+    /// each is then judged again by the walk that removes it, so a value
+    /// stored under the key since the scan is kept (see
+    /// [`Self::remove_matching_prehashed`]) — and the predicate runs twice
+    /// for an entry that goes.
+    pub fn retain<F>(&self, mut f: F) -> usize
     where
         F: FnMut(&K, &V) -> bool,
         K: Clone,
@@ -723,9 +728,12 @@ where
                 .map(|(k, _)| (self.hash_one(k), k.clone()))
                 .collect()
         };
-        for (hash, key) in doomed {
-            self.remove_prehashed(hash, &key);
-        }
+        doomed
+            .into_iter()
+            .filter(|(hash, key)| {
+                self.remove_matching_prehashed(*hash, |k, v| k == key && !f(k, v))
+            })
+            .count()
     }
 
     /// Structural self-check (meaningful when quiesced): split-order keys
@@ -1349,12 +1357,32 @@ mod tests {
         for i in 0..64 {
             map.insert(i, i);
         }
-        map.retain(|_, v| v % 2 == 0);
+        assert_eq!(map.retain(|_, v| v % 2 == 0), 32);
         assert_eq!(map.len(), 32);
         let guard = map.pin();
         assert!(map.get(&2, &guard).is_some());
         assert!(map.get(&3, &guard).is_none());
         drop(guard);
+        map.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn retain_spares_a_value_stored_after_its_verdict() {
+        // The map is lock-free, so an insert may land between the scan
+        // that condemns an entry and the pass that removes it — here from
+        // inside the scan itself, as a SET racing `purge_expired` would.
+        let map: SplitOrderMap<u64, &str> = SplitOrderMap::new();
+        for k in 0..8 {
+            map.insert(k, "stale");
+        }
+        let removed = map.retain(|k, v| {
+            if *k == 3 && *v == "stale" {
+                map.insert(3, "fresh");
+            }
+            *v != "stale"
+        });
+        assert_eq!(removed, 7);
+        assert_eq!(map.to_vec(), vec![(3, "fresh")]);
         map.check_invariants().unwrap();
     }
 

@@ -1,10 +1,11 @@
 //! A counting global allocator for allocation-regression benchmarks.
 //!
-//! The zero-allocation serving claim (`fig_hotpath`) needs an *objective*
-//! measure of allocator traffic — on a 1-CPU container, throughput deltas
-//! are noisy, but "the steady-state GET path performed N heap allocations"
-//! is exact. [`CountingAllocator`] wraps the system allocator and counts
-//! every allocation event (alloc / realloc / alloc_zeroed; frees are not
+//! The zero-allocation serving claim (`rp-kvcache`'s `wire_allocs` and
+//! `engine_allocs` tests) needs an *objective* measure of allocator
+//! traffic — on a 1-CPU container, throughput deltas are noisy, but "the
+//! steady-state GET path performed N heap allocations" is exact.
+//! [`CountingAllocator`] wraps the system allocator and counts every
+//! allocation event (alloc / realloc / alloc_zeroed; frees are not
 //! counted — the metric is *allocations per operation*) into a fixed table
 //! of cache-padded per-thread slots, so the counting adds one relaxed
 //! `fetch_add` per event and never allocates itself.
@@ -21,8 +22,7 @@
 //! ([`set_thread_tag`]) and can then split the process-wide count into
 //! "my client threads" versus "everything else (the server under test)"
 //! ([`tagged_allocations`]). Library code never needs the allocator
-//! installed — all counters simply read zero without it (see
-//! [`counting_installed`]).
+//! installed — all counters simply read zero without it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -136,16 +136,6 @@ pub fn tagged_allocations(tag: u64) -> u64 {
         .sum()
 }
 
-/// Probes whether [`CountingAllocator`] is this process's global
-/// allocator: performs one deliberate heap allocation and checks whether
-/// any counter moved. Benchmarks use this to report "allocation counting
-/// unavailable" instead of a bogus zero when run without the allocator.
-pub fn counting_installed() -> bool {
-    let before = total_allocations();
-    std::hint::black_box(Box::new(0xA5_u8));
-    total_allocations() > before
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,8 +145,8 @@ mod tests {
     // test binary); the integration test `alloc_counter.rs` installs it
     // for real. Here we verify the passive behaviour.
     #[test]
-    fn without_installation_counters_read_zero_and_probe_says_so() {
-        assert!(!counting_installed());
+    fn without_installation_counters_read_zero() {
+        std::hint::black_box(Box::new(0xA5_u8));
         assert_eq!(total_allocations(), 0);
         assert_eq!(thread_allocations(), 0);
         assert_eq!(tagged_allocations(42), 0);

@@ -72,12 +72,6 @@ impl KeyGen {
             }
         }
     }
-
-    /// Draws a key that is guaranteed *not* to be in `0..keyspace` (for
-    /// lookup-miss workloads).
-    pub fn next_missing_key(&mut self) -> u64 {
-        self.keyspace + self.next_key()
-    }
 }
 
 #[cfg(test)]
@@ -115,14 +109,6 @@ mod tests {
         let mut g = KeyGen::new(KeyDist::Zipf(0.99), 128, 3);
         for _ in 0..1000 {
             assert!(g.next_key() < 128);
-        }
-    }
-
-    #[test]
-    fn missing_keys_are_outside_the_keyspace() {
-        let mut g = KeyGen::new(KeyDist::Uniform, 64, 3);
-        for _ in 0..100 {
-            assert!(g.next_missing_key() >= 64);
         }
     }
 

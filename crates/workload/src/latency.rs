@@ -1,6 +1,6 @@
 //! A small fixed-size log-linear latency histogram (HdrHistogram-style),
-//! used by the latency-oriented benchmarks (`fig_maint`) to report
-//! percentiles without allocating per sample.
+//! used by the measurement drivers to report percentiles without
+//! allocating per sample.
 //!
 //! Values are nanoseconds. Each power-of-two octave is split into 16 linear
 //! sub-buckets, giving ≲ 6.25% relative error across the full `u64` range —

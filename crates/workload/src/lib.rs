@@ -12,16 +12,15 @@
 //!   cache-padded per-thread counters, optional background threads (writers,
 //!   resizers), runs for a fixed duration and aggregates throughput.
 //! * [`latency`] — a fixed-size log-linear histogram for per-operation
-//!   latency percentiles (used by the `fig_maint` resize-latency figure).
+//!   latency percentiles.
 //! * [`netdriver`] — a multi-connection *client* driver: N connections
-//!   shared across M driver threads with per-request latency recording,
-//!   in closed-loop ([`drive_connections`]) or pipelining
-//!   ([`drive_connections_windowed`] — batch N requests per write,
-//!   window-based latency accounting) form; used by `fig_hotpath` and
-//!   its siblings to benchmark the cache server.
+//!   shared across M driver threads with per-request latency recording
+//!   and reconnect-on-error ([`drive_connections_reconnecting`]); the
+//!   chaos suite drives the cache server through a fault burst with it.
 //! * [`alloc`] — an installable counting global allocator with per-thread
-//!   tagged counters, the objective instrument behind `fig_hotpath`'s
-//!   allocations-per-operation gate.
+//!   tagged counters, the objective instrument behind the
+//!   allocations-per-operation gates (`rp-kvcache`'s `engine_allocs` and
+//!   `wire_allocs` tests, `benchmark/`'s `kvcache.*_allocs` rungs).
 //! * [`report`] — turns measured series into CSV and markdown tables so the
 //!   benchmark binaries can print exactly the rows the paper's figures plot.
 //! * [`sysinfo`] — records the host configuration alongside results.
@@ -45,8 +44,6 @@ mod zipf;
 pub use driver::{measure, measure_thread_local, BackgroundHandle, MeasureResult};
 pub use keys::{KeyDist, KeyGen};
 pub use latency::LatencyHistogram;
-pub use netdriver::{
-    drive_connections, drive_connections_reconnecting, drive_connections_windowed, NetDriveResult,
-};
+pub use netdriver::{drive_connections_reconnecting, NetDriveResult};
 pub use report::{Report, Series};
 pub use zipf::Zipf;

@@ -1,17 +1,17 @@
 //! A multi-connection closed-loop client driver.
 //!
 //! Where [`driver::measure`](crate::driver::measure) benchmarks in-process
-//! data structures, this module benchmarks *servers*: it opens N
-//! connections, shares them across M driver threads (round-robin, so N can
-//! vastly exceed M — exactly the regime an event-loop server is built
-//! for), fires request/response operations in a closed loop for a fixed
-//! duration, and reports throughput plus a latency histogram with
-//! per-operation resolution.
+//! data structures, this module drives *servers*: it opens N connections,
+//! shares them across M driver threads (round-robin, so N can vastly
+//! exceed M — exactly the regime an event-loop server is built for), fires
+//! request/response operations in a closed loop for a fixed duration, and
+//! reports throughput plus a latency histogram with per-operation
+//! resolution.
 //!
 //! The driver is transport-agnostic: `connect` produces any connection
 //! value (a `CacheClient`, a raw `TcpStream`, …) and `make_op` produces
-//! each thread's operation closure. The kvcache figures plug in a
-//! memcached client; tests plug in an in-memory fake.
+//! each thread's operation closure. The chaos suite plugs in a memcached
+//! client; the unit tests plug in an in-memory fake.
 
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -20,16 +20,15 @@ use std::time::{Duration, Instant};
 
 use crate::latency::LatencyHistogram;
 
-/// The result of one [`drive_connections`] run.
+/// The result of one [`drive_connections_reconnecting`] run.
 #[derive(Clone)]
 pub struct NetDriveResult {
     /// Completed operations across all connections.
     pub total_ops: u64,
-    /// Operations that returned an error (their connection is retired, or
-    /// — with [`drive_connections_reconnecting`] — replaced).
+    /// Operations that returned an error (their connection is replaced,
+    /// or — past the reconnect budget — retired).
     pub errors: u64,
-    /// Connections successfully re-established after an operation error
-    /// (always 0 for the non-reconnecting drivers).
+    /// Connections successfully re-established after an operation error.
     pub reconnects: u64,
     /// Wall-clock measurement time.
     pub elapsed: Duration,
@@ -51,92 +50,22 @@ impl NetDriveResult {
 /// operation on connection *i*, then *i+1*, … so every connection stays
 /// live without needing a thread of its own. The per-thread operation
 /// closure receives the connection and a global operation ordinal (usable
-/// for key choice or read/write mixing). An operation error retires that
-/// connection (counted in [`NetDriveResult::errors`]); the run continues
-/// on the rest, and fails only if a thread loses *all* its connections.
-pub fn drive_connections<C, Connect, MakeOp, Op>(
-    connections: usize,
-    threads: usize,
-    duration: Duration,
-    connect: Connect,
-    make_op: MakeOp,
-) -> io::Result<NetDriveResult>
-where
-    C: Send,
-    Connect: Fn(usize) -> io::Result<C> + Sync,
-    MakeOp: Fn(usize) -> Op + Sync,
-    Op: FnMut(&mut C, u64) -> io::Result<()> + Send,
-{
-    drive_connections_windowed(connections, threads, duration, connect, |thread_idx| {
-        let mut op = make_op(thread_idx);
-        move |conn: &mut C, ordinal: u64| op(conn, ordinal).map(|()| 1)
-    })
-}
-
-/// [`drive_connections`] for **pipelining** clients: each operation may
-/// complete a whole *window* of requests (batch N requests into one write,
-/// then read the N responses) and returns how many it completed.
+/// for key choice or read/write mixing) and returns how many requests it
+/// completed — one for a plain request/response, a whole *window* for a
+/// pipelining client that batches N requests into one write. Latency uses
+/// window-based accounting: the operation's round-trip time is recorded
+/// once **per completed request**, which keeps
+/// [`NetDriveResult::total_ops`] equal to `latency.count()` either way.
 ///
-/// The ordinal passed to the closure numbers *windows* (for the
-/// closed-loop wrapper a window is one request, so the numbering is
-/// unchanged there); key choice and read/write mixing key off it exactly
-/// as before. Latency uses window-based accounting: the window's
-/// round-trip time is recorded once **per completed request** — under
-/// pipelining each request's client-observable latency is (to within a
-/// batch) the window RTT, and counting per request keeps
-/// [`NetDriveResult::total_ops`] equal to `latency.count()` across
-/// pipelined and closed-loop runs.
-pub fn drive_connections_windowed<C, Connect, MakeOp, Op>(
-    connections: usize,
-    threads: usize,
-    duration: Duration,
-    connect: Connect,
-    make_op: MakeOp,
-) -> io::Result<NetDriveResult>
-where
-    C: Send,
-    Connect: Fn(usize) -> io::Result<C> + Sync,
-    MakeOp: Fn(usize) -> Op + Sync,
-    Op: FnMut(&mut C, u64) -> io::Result<u64> + Send,
-{
-    drive_core(connections, threads, duration, connect, make_op, 0)
-}
-
-/// [`drive_connections_windowed`] with **reconnect-on-error**: an errored
+/// An operation error is counted in [`NetDriveResult::errors`] and its
 /// connection is replaced with a fresh one (via the same `connect`
-/// callback) instead of retired, up to `reconnect_budget` total
-/// replacements per driver thread. Past the budget, errors retire
-/// connections as usual.
-///
-/// This is the chaos-run driver: with faults injected server-side (reads
-/// erroring, handlers panicking), connection loss is *expected*, and the
-/// measurement should show the recovered throughput rather than bleed
-/// lanes until the run starves.
+/// callback), up to `reconnect_budget` replacements per driver thread;
+/// past the budget, errors retire connections and the run continues on the
+/// rest, stopping early only for a thread that lost *all* of its own. With
+/// faults injected server-side (reads erroring, handlers panicking),
+/// connection loss is *expected*, and the measurement should show the
+/// recovered throughput rather than bleed lanes until the run starves.
 pub fn drive_connections_reconnecting<C, Connect, MakeOp, Op>(
-    connections: usize,
-    threads: usize,
-    duration: Duration,
-    connect: Connect,
-    make_op: MakeOp,
-    reconnect_budget: usize,
-) -> io::Result<NetDriveResult>
-where
-    C: Send,
-    Connect: Fn(usize) -> io::Result<C> + Sync,
-    MakeOp: Fn(usize) -> Op + Sync,
-    Op: FnMut(&mut C, u64) -> io::Result<u64> + Send,
-{
-    drive_core(
-        connections,
-        threads,
-        duration,
-        connect,
-        make_op,
-        reconnect_budget,
-    )
-}
-
-fn drive_core<C, Connect, MakeOp, Op>(
     connections: usize,
     threads: usize,
     duration: Duration,
@@ -251,7 +180,7 @@ mod tests {
 
     #[test]
     fn drives_many_connections_with_few_threads() {
-        let result = drive_connections(
+        let result = drive_connections_reconnecting(
             16,
             3,
             Duration::from_millis(40),
@@ -264,9 +193,10 @@ mod tests {
             |_thread| {
                 |conn: &mut FakeConn, _ordinal| {
                     conn.ops += 1;
-                    Ok(())
+                    Ok(1)
                 }
             },
+            0,
         )
         .unwrap();
         assert!(result.total_ops > 0);
@@ -277,9 +207,9 @@ mod tests {
     }
 
     #[test]
-    fn windowed_driver_accounts_per_request() {
+    fn a_pipelined_window_is_accounted_per_request() {
         let depth = 8_u64;
-        let result = drive_connections_windowed(
+        let result = drive_connections_reconnecting(
             4,
             2,
             Duration::from_millis(40),
@@ -296,6 +226,7 @@ mod tests {
                     Ok(depth)
                 }
             },
+            0,
         )
         .unwrap();
         assert!(result.total_ops >= depth, "windows completed");
@@ -314,7 +245,7 @@ mod tests {
 
     #[test]
     fn failed_connections_are_retired_not_fatal() {
-        let result = drive_connections(
+        let result = drive_connections_reconnecting(
             4,
             2,
             Duration::from_millis(30),
@@ -332,13 +263,15 @@ mod tests {
                         Some(n) if conn.ops > n => {
                             Err(io::Error::new(io::ErrorKind::BrokenPipe, "gone"))
                         }
-                        _ => Ok(()),
+                        _ => Ok(1),
                     }
                 }
             },
+            0,
         )
         .unwrap();
         assert_eq!(result.errors, 2);
+        assert_eq!(result.reconnects, 0);
         assert!(result.total_ops > 0, "surviving connections kept going");
     }
 
@@ -391,7 +324,7 @@ mod tests {
 
     #[test]
     fn connect_failure_fails_the_run() {
-        let result = drive_connections(
+        let result = drive_connections_reconnecting(
             2,
             1,
             Duration::from_millis(10),
@@ -405,7 +338,8 @@ mod tests {
                     })
                 }
             },
-            |_thread| |_conn: &mut FakeConn, _ordinal| Ok(()),
+            |_thread| |_conn: &mut FakeConn, _ordinal| Ok(1),
+            0,
         );
         assert!(result.is_err());
     }

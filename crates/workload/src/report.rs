@@ -133,15 +133,23 @@ impl Report {
     }
 
     /// Writes `<stem>.csv` and `<stem>.md` into `dir` (creating it if
-    /// needed) and returns the CSV path.
-    pub fn write_files(&self, dir: &Path, stem: &str) -> std::io::Result<std::path::PathBuf> {
+    /// needed) and returns the CSV path. The markdown opens with
+    /// `provenance` — one line saying where and how the numbers were taken
+    /// (host, CPU count, parameters, commit) — so the table cannot be
+    /// quoted without it.
+    pub fn write_files(
+        &self,
+        dir: &Path,
+        stem: &str,
+        provenance: &str,
+    ) -> std::io::Result<std::path::PathBuf> {
         std::fs::create_dir_all(dir)?;
         let csv_path = dir.join(format!("{stem}.csv"));
         let mut csv = std::fs::File::create(&csv_path)?;
         csv.write_all(self.to_csv().as_bytes())?;
         let md_path = dir.join(format!("{stem}.md"));
         let mut md = std::fs::File::create(md_path)?;
-        md.write_all(self.to_markdown().as_bytes())?;
+        md.write_all(format!("{provenance}\n\n{}", self.to_markdown()).as_bytes())?;
         Ok(csv_path)
     }
 }
@@ -203,9 +211,12 @@ mod tests {
     #[test]
     fn write_files_creates_csv_and_md() {
         let dir = std::env::temp_dir().join(format!("rp-report-test-{}", std::process::id()));
-        let csv = sample_report().write_files(&dir, "fig_x").unwrap();
+        let csv = sample_report()
+            .write_files(&dir, "fig_x", "Host: test with 2 logical CPUs.")
+            .unwrap();
         assert!(csv.exists());
-        assert!(dir.join("fig_x.md").exists());
+        let md = std::fs::read_to_string(dir.join("fig_x.md")).unwrap();
+        assert!(md.starts_with("Host: test with 2 logical CPUs.\n\n### Figure X\n"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

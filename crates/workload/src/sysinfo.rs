@@ -38,25 +38,6 @@ impl HostInfo {
         }
         ladder
     }
-
-    /// A thread ladder that may exceed the CPU count (`1, 2, 4, ... max`).
-    ///
-    /// Useful for *write* workloads: writers blocked on a contended lock
-    /// yield the CPU, so running more writer threads than cores is exactly
-    /// the regime where lock granularity (one writer mutex versus
-    /// shard-local mutexes) shows up.
-    pub fn oversubscribed_ladder(&self, max: usize) -> Vec<usize> {
-        let cap = max.max(1);
-        let mut ladder: Vec<usize> = [1, 2, 4, 8, 16, 32, 64]
-            .iter()
-            .copied()
-            .filter(|&t| t <= cap)
-            .collect();
-        if !ladder.contains(&cap) {
-            ladder.push(cap);
-        }
-        ladder
-    }
 }
 
 impl std::fmt::Display for HostInfo {

@@ -3,8 +3,7 @@
 //! verifies the counting, attribution and tagging behaviour end to end.
 
 use rp_workload::alloc::{
-    self, set_thread_tag, tagged_allocations, thread_allocations, total_allocations,
-    CountingAllocator,
+    set_thread_tag, tagged_allocations, thread_allocations, total_allocations, CountingAllocator,
 };
 
 #[global_allocator]
@@ -14,8 +13,6 @@ const TAG_WORKER: u64 = 0xBEEF;
 
 #[test]
 fn counts_allocations_per_thread_and_per_tag() {
-    assert!(alloc::counting_installed());
-
     // Allocations on this thread are observed by the thread counter.
     let thread_before = thread_allocations();
     let total_before = total_allocations();
@@ -49,7 +46,7 @@ fn counts_allocations_per_thread_and_per_tag() {
 
 #[test]
 fn an_allocation_free_loop_counts_zero() {
-    // The property fig_hotpath's gate relies on: a loop that reuses its
+    // The property the allocation gates rely on: a loop that reuses its
     // buffers adds nothing to this thread's counter.
     let mut buf: Vec<u8> = Vec::with_capacity(4096);
     let before = thread_allocations();

@@ -16,19 +16,22 @@
 //!    event-loop cache server is driven by reconnecting clients while
 //!    scripted connection-handler panics, read errors and short writes
 //!    fire. Every update the retrying client saw acknowledged must be
-//!    readable afterwards, and the process must still serve fresh
-//!    connections.
+//!    readable afterwards, the process must still serve fresh
+//!    connections, and GET throughput must be back to 90 % of its
+//!    pre-burst level within ten seconds of the faults disarming.
 //!
 //! The failpoint registry is process-global, so every test in this binary
 //! serialises on a local mutex and the panic hook is quieted for the
 //! injected panics (real panics still print).
 
 use std::sync::{Mutex, Once};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rp_fault::ArmGuard;
 use rp_hash::RpHashMap;
-use rp_kvcache::{CacheClient, EventServer, RetryClient, RetryPolicy, RpEngine, ServerConfig};
+use rp_kvcache::{
+    CacheClient, CacheEngine, EventServer, Item, RetryClient, RetryPolicy, RpEngine, ServerConfig,
+};
 use rp_rcu::stall::{spawn_watchdog, StallConfig};
 use rp_shard::ShardedRpMap;
 use rp_splitorder::SplitOrderMap;
@@ -119,18 +122,55 @@ fn every_engine_survives_the_storm_with_delay_faults_armed() {
 /// traffic — recovery is observed in the same run.
 const BURST_PLAN: &str = "net.on_data=panic*2;net.read=econnreset*3;net.writev=short:7*32";
 
+/// Fraction of pre-burst GET throughput the server must regain after the
+/// faults disarm.
+const RECOVERY_FLOOR: f64 = 0.90;
+
+/// Wall-clock budget for regaining [`RECOVERY_FLOOR`].
+const RECOVERY_DEADLINE: Duration = Duration::from_secs(10);
+
 #[test]
 fn cache_server_survives_a_fault_burst_without_losing_updates() {
     let _serial = FAULT_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     quiet_expected_panics();
 
     let engine = std::sync::Arc::new(RpEngine::with_capacity(4096));
+    // The keys exist before the burst rewrites them, so the read windows
+    // before, during and after it all measure hits of the same size.
+    for i in 0..64 {
+        engine.set(&format!("chaos-{i}"), Item::new(0, vec![0x42_u8; 64]));
+    }
     let mut server = EventServer::start(engine, &ServerConfig::event_loop(2))
         .expect("event server starts on an ephemeral port");
     let addr = server.addr();
     let obs = rp_obs::global();
     let panics_before = obs.net.conn_panics_total.get();
     let value = vec![0xAB_u8; 64];
+
+    // One window of closed-loop GETs through the reconnecting driver; the
+    // same window is run before, during and after the burst. Eight
+    // connections on four threads keep a small host oversubscribed in every
+    // window: with two threads on two CPUs the rate is bimodal (thread
+    // placement decides between 45k and 130k/s) and the floor measures that.
+    let read_window = move || {
+        drive_connections_reconnecting(
+            8,
+            4,
+            Duration::from_millis(400),
+            |_idx| CacheClient::connect(addr),
+            |_thread| {
+                move |conn: &mut CacheClient, ordinal: u64| {
+                    conn.get(&format!("chaos-{}", ordinal % 64)).map(|_| 1)
+                }
+            },
+            64,
+        )
+        .expect("at least the initial connects succeed")
+    };
+    // The baseline: one warm-up window (connection setup, cold buffers),
+    // then the mean of two.
+    read_window();
+    let pre_burst = (read_window().ops_per_sec() + read_window().ops_per_sec()) / 2.0;
 
     // Writes ride the retrying client: the fault plan may kill any given
     // connection mid-operation, but an acknowledged set must survive.
@@ -145,20 +185,7 @@ fn cache_server_survives_a_fault_burst_without_losing_updates() {
 
         // Concurrent read pressure through the reconnecting driver gives
         // the read/writev/panic injections connections to land on.
-        let reads = std::thread::spawn(move || {
-            drive_connections_reconnecting(
-                4,
-                2,
-                Duration::from_millis(400),
-                |_idx| CacheClient::connect(addr),
-                |_thread| {
-                    move |conn: &mut CacheClient, ordinal: u64| {
-                        conn.get(&format!("chaos-{}", ordinal % 64)).map(|_| 1)
-                    }
-                },
-                64,
-            )
-        });
+        let reads = std::thread::spawn(read_window);
 
         let mut stored = Vec::new();
         for i in 0..64_u64 {
@@ -167,10 +194,29 @@ fn cache_server_survives_a_fault_burst_without_losing_updates() {
             }
         }
         let read_result = reads.join().expect("driver thread exits");
-        let read_result = read_result.expect("at least the initial connects succeed");
         assert!(read_result.total_ops > 0, "the read side made progress");
         stored
     };
+
+    // Recovery, measured: with the faults disarmed, a read window regains
+    // the floor before the deadline.
+    let disarmed = Instant::now();
+    loop {
+        let recovered = read_window().ops_per_sec();
+        if recovered >= pre_burst * RECOVERY_FLOOR {
+            eprintln!(
+                "pre-burst {pre_burst:.0}/s, {recovered:.0}/s {:?} after the faults disarmed",
+                disarmed.elapsed()
+            );
+            break;
+        }
+        assert!(
+            disarmed.elapsed() < RECOVERY_DEADLINE,
+            "throughput stuck at {recovered:.0}/s, below {:.0}% of the {pre_burst:.0}/s \
+             baseline {RECOVERY_DEADLINE:?} after the faults disarmed",
+            RECOVERY_FLOOR * 100.0,
+        );
+    }
 
     assert!(
         !stored.is_empty(),

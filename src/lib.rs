@@ -9,7 +9,6 @@
 //! * [`rcu`] — userspace relativistic-programming (RCU) primitives:
 //!   delimited readers, pointer publication, grace periods, deferred
 //!   reclamation.
-//! * [`list`] — a relativistic singly linked list.
 //! * [`hash`] — the paper's contribution: [`hash::RpHashMap`], a hash table
 //!   with wait-free lookups that can be grown and shrunk while readers run
 //!   at full speed.
@@ -65,7 +64,6 @@
 pub use rp_baselines as baselines;
 pub use rp_hash as hash;
 pub use rp_kvcache as kvcache;
-pub use rp_list as list;
 pub use rp_maint as maint;
 pub use rp_net as net;
 pub use rp_rcu as rcu;

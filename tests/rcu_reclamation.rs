@@ -7,7 +7,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use relativist::hash::{FnvBuildHasher, RpHashMap};
-use relativist::list::RpList;
 use relativist::rcu::{pin, RcuDomain};
 
 /// A value that tracks how many times it has been dropped and poisons its
@@ -134,14 +133,15 @@ fn map_values_dropped_exactly_once_and_never_early() {
 }
 
 #[test]
-fn list_reader_keeps_removed_node_alive_until_guard_drop() {
+fn map_reader_keeps_removed_value_alive_until_guard_drop() {
     let drops = Arc::new(AtomicUsize::new(0));
-    let list: RpList<Tracked> = RpList::new();
-    list.push_front(Tracked::new(7, Arc::clone(&drops)));
+    let map: RpHashMap<u64, Tracked, FnvBuildHasher> =
+        RpHashMap::with_buckets_and_hasher(16, FnvBuildHasher);
+    map.insert(7, Tracked::new(7, Arc::clone(&drops)));
 
     let guard = pin();
-    let node = list.find(&guard, |t| t.payload == 7).expect("present");
-    assert!(list.remove_first(|t| t.payload == 7));
+    let value = map.get(&7, &guard).expect("present");
+    assert!(map.remove(&7));
 
     // The node is retired but must not be reclaimed while `guard` lives,
     // even if another thread drives grace periods.
@@ -155,7 +155,7 @@ fn list_reader_keeps_removed_node_alive_until_guard_drop() {
         0,
         "freed while still referenced"
     );
-    node.verify();
+    value.verify();
 
     drop(guard);
     reclaimer.join().unwrap();
