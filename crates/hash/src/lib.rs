@@ -70,7 +70,7 @@ mod table;
 
 pub use fnv::{FnvBuildHasher, FnvHasher};
 pub use iter::{Iter, Keys, Values};
-pub use map::RpHashMap;
+pub use map::{prefetch_line, RpHashMap};
 pub use policy::ResizePolicy;
 pub use qsbr::{QsbrReadHandle, ReadProtect};
 pub use resize::ResizeStep;

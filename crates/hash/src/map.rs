@@ -19,6 +19,25 @@ use crate::resize::ResizeOp;
 use crate::stats::{AtomicMapStats, MapStats};
 use crate::table::BucketArray;
 
+/// Asks the CPU to start bringing the cache line that holds `ptr` into every
+/// cache level (`PREFETCHT0`), without waiting for it. Purely a hint — no
+/// architectural effect, never a fault, whatever `ptr` is — and a no-op off
+/// `x86_64`. What [`RpHashMap::prefetch_prehashed`] issues, exported for
+/// callers that go on to hint what a returned value points at.
+#[inline]
+pub fn prefetch_line(ptr: *const u8) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` needs SSE, which every x86_64 target has, and
+    // places no requirement on the address: a prefetch of an unmapped,
+    // dangling or null address is dropped by the hardware, not faulted.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(ptr.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = ptr;
+}
+
 /// A concurrent hash map with wait-free relativistic readers and
 /// reader-transparent resizing.
 ///
@@ -503,6 +522,66 @@ where
     {
         self.get_key_value_matching_prehashed(hash, matches, protect)
             .map(|(_, v)| v)
+    }
+
+    /// A read-side **hint**: starts the cache misses a later lookup of
+    /// `hash` will take, one chain step per `depth`, so a caller with
+    /// several independent lookups ahead of it can overlap their misses
+    /// instead of paying them one after another (group prefetching). Call
+    /// it for every hash of the group at depth 0, then for every hash at
+    /// depth 1, and so on; each pass finds the lines the previous pass
+    /// asked for already on their way.
+    ///
+    /// * depth 0 hints the bucket slot and reads nothing of the chain;
+    /// * depth `d ≥ 1` loads the slot, walks the first `d − 1` nodes, and
+    ///   either returns the value of the first one whose cached hash is
+    ///   `hash` — so the caller can hint whatever the value points at — or
+    ///   hints the `d`-th node and returns `None`.
+    ///
+    /// Keys are never compared, so a returned value is only *probably* the
+    /// one a lookup will find; the chain may also be imprecise mid-resize.
+    /// Nothing is stored and nothing is waited for: like
+    /// [`RpHashMap::get`] this holds a [`ReadProtect`] witness, takes no
+    /// lock and announces nothing, which is why a relativistic reader may
+    /// run ahead of itself like this at all. The lookup proper still goes
+    /// through [`RpHashMap::get`] and friends.
+    pub fn prefetch_prehashed<'g, P>(
+        &'g self,
+        hash: u64,
+        depth: usize,
+        protect: &'g P,
+    ) -> Option<&'g V>
+    where
+        P: ReadProtect,
+    {
+        let table = self.table_for_read(protect);
+        let slot = &table.buckets[table.bucket_of(hash)];
+        if depth == 0 {
+            prefetch_line(std::ptr::from_ref(slot).cast());
+            return None;
+        }
+        let mut cur = slot.load(Ordering::Acquire);
+        for _ in 1..depth {
+            if cur.is_null() {
+                return None;
+            }
+            // SAFETY: as in `get_key_value_matching_prehashed` — `cur` was
+            // reached from a published bucket head / next pointer while the
+            // read-side protection witness is borrowed, so the node is
+            // alive and its hash and value are immutable.
+            let node = unsafe { &*cur };
+            if node.hash == hash {
+                return Some(&node.value);
+            }
+            cur = node.next_acquire();
+        }
+        // The node is not dereferenced: a hint may name any address (null
+        // included). Its first and last bytes' lines cover all of it unless
+        // it straddles three.
+        let first = cur.cast_const().cast::<u8>();
+        prefetch_line(first);
+        prefetch_line(first.wrapping_add(std::mem::size_of::<Node<K, V>>() - 1));
+        None
     }
 
     /// Returns `true` if the map contains `key`.
@@ -1197,6 +1276,74 @@ mod tests {
         assert_eq!(map.len(), 1);
         assert!(!map.contains_key(&1));
         assert!(map.contains_key(&2));
+    }
+
+    #[test]
+    fn a_hint_returns_the_value_iff_the_walked_prefix_holds_the_hash() {
+        let map = fnv_map(16);
+        // Bucket 1 stays empty, bucket 2 holds one node, bucket 3 a chain
+        // of three (inserts publish at the head, so the last one leads).
+        map.insert_prehashed(2, 20, 200);
+        for (hash, key) in [(3, 30), (19, 31), (35, 32)] {
+            map.insert_prehashed(hash, key, key * 10);
+        }
+        // (hash, position in its chain, value); 51 shares bucket 3 and is
+        // in nobody's chain.
+        let cases = [
+            (1, None, 0),
+            (2, Some(1), 200),
+            (35, Some(1), 320),
+            (19, Some(2), 310),
+            (3, Some(3), 300),
+            (51, None, 0),
+        ];
+        let guard = map.pin();
+        let handle = QsbrReadHandle::register();
+        for depth in 0..=4 {
+            for (hash, position, value) in cases {
+                // Depth d dereferences the first d - 1 nodes.
+                let expected = position.filter(|p| *p < depth).map(|_| value);
+                let hinted = map.prefetch_prehashed(hash, depth, &guard).copied();
+                assert_eq!(hinted, expected, "hash {hash} at depth {depth}");
+                let hinted = map.prefetch_prehashed(hash, depth, &handle).copied();
+                assert_eq!(hinted, expected, "hash {hash} at depth {depth} (qsbr)");
+            }
+        }
+        drop((guard, handle));
+        map.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_hint_walks_an_unzipping_chain() {
+        // Mid-unzip the chains are imprecise (a bucket still runs on into
+        // its sibling's nodes): a hint may meet foreign nodes, never a
+        // dangling one, and what it returns is what a lookup returns.
+        let map = fnv_map(4);
+        for key in 0..64_u64 {
+            map.insert(key, key + 1000);
+        }
+        assert!(map.begin_expand());
+        map.advance_resize();
+        assert!(map.resize_in_progress());
+        let guard = map.pin();
+        for key in 0..64_u64 {
+            let hash = map.hash_one(&key);
+            for depth in 0..=4 {
+                if let Some(value) = map.prefetch_prehashed(hash, depth, &guard) {
+                    assert_eq!(Some(value), map.get(&key, &guard), "key {key}");
+                }
+            }
+            // Deep enough, the walk reaches every node of the chain.
+            assert_eq!(
+                map.prefetch_prehashed(hash, 128, &guard),
+                Some(&(key + 1000))
+            );
+            assert_eq!(map.prefetch_prehashed(!hash, 128, &guard), None);
+        }
+        drop(guard);
+        while map.advance_resize() != crate::ResizeStep::Idle {}
+        map.check_invariants().unwrap();
+        assert_eq!(map.len(), 64);
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //!   non-zero on any failure. CI uses this as the end-to-end server test.
 //! * `--smoke-ops N` — operations for the smoke workload (default 2000).
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -143,6 +145,35 @@ fn smoke_workload(addr: std::net::SocketAddr, ops: usize) -> std::io::Result<()>
         return Err(err("DELETE smoke:0 failed".to_string()));
     }
 
+    // One pipelined burst in a single write (the client type above sends
+    // one request at a time): 16 SETs, 16 GETs and one 16-key GET, answered
+    // in order — the grouped decode-ahead path, whose prefetch hints the
+    // RCU-indexed engines act on and the others ignore.
+    let (mut burst, mut expected) = (Vec::new(), Vec::new());
+    let mut values = Vec::new();
+    for i in 0..16 {
+        burst.extend_from_slice(format!("set burst:{i} 0 0 2\r\n{i:02}\r\n").as_bytes());
+        expected.extend_from_slice(b"STORED\r\n");
+        values.push(format!("VALUE burst:{i} 0 2\r\n{i:02}\r\n"));
+    }
+    for (i, value) in values.iter().enumerate() {
+        burst.extend_from_slice(format!("get burst:{i}\r\n").as_bytes());
+        expected.extend_from_slice(format!("{value}END\r\n").as_bytes());
+    }
+    let keys: Vec<String> = (0..16).map(|i| format!("burst:{i}")).collect();
+    burst.extend_from_slice(format!("get {}\r\n", keys.join(" ")).as_bytes());
+    expected.extend_from_slice(format!("{}END\r\n", values.concat()).as_bytes());
+    let mut pipeline = TcpStream::connect(addr)?;
+    pipeline.write_all(&burst)?;
+    let mut replies = vec![0; expected.len()];
+    pipeline.read_exact(&mut replies)?;
+    if replies != expected {
+        return Err(err(format!(
+            "pipelined burst answered {:?}",
+            String::from_utf8_lossy(&replies)
+        )));
+    }
+
     // A second connection must see the same data.
     let mut other = CacheClient::connect(addr)?;
     if other.get("smoke:1")?.is_none() {
@@ -174,7 +205,18 @@ fn smoke_workload(addr: std::net::SocketAddr, ops: usize) -> std::io::Result<()>
             return Err(err(format!("STATS output missing {family}")));
         }
     }
-    println!("smoke STATS ok: kv_requests_total={requests} kv_decode_errors_total=0");
+    // The burst above was decoded as groups of 16 keyed requests.
+    let group_keys = metric_value(&text, "kv_group_keys_max")
+        .ok_or_else(|| err(format!("STATS missing kv_group_keys_max:\n{text}")))?;
+    if group_keys < 16 {
+        return Err(err(format!(
+            "the pipelined burst's largest group held {group_keys} keys, expected 16"
+        )));
+    }
+    println!(
+        "smoke STATS ok: kv_requests_total={requests} kv_decode_errors_total=0 \
+         kv_group_keys_max={group_keys}"
+    );
 
     other.quit()?;
     client.quit()?;

@@ -186,6 +186,13 @@ impl CacheStats {
     }
 }
 
+/// How many pipelined requests the server decodes ahead, and so how many
+/// keys at most it hands to [`CacheEngine::prefetch`] at once. Sixteen
+/// lookups' worth of hint passes outlast a DRAM miss, so the first line
+/// asked for has arrived by the time the last pass is done; past that the
+/// earliest lines only risk eviction before their request runs.
+pub const GROUP: usize = 16;
+
 /// A cache storage engine: the component the paper swaps out between stock
 /// memcached (global lock) and the relativistic patch.
 pub trait CacheEngine: Send + Sync {
@@ -202,6 +209,17 @@ pub trait CacheEngine: Send + Sync {
     /// cannot exist in the cache (every stored key came from a validated
     /// command line), so they simply miss.
     fn get_ref(&self, key: &[u8], ctx: &mut EngineReadCtx) -> Option<Item>;
+
+    /// A hint that every key of `keys` is about to be looked up, stored or
+    /// deleted: an engine whose index can walk ahead without a lock starts
+    /// all their cache misses now, so they overlap instead of queueing one
+    /// behind another. The server calls it once per group of up to
+    /// [`GROUP`] pipelined requests, before executing them in order. It
+    /// changes no verdict, stamp or reply — the operations still run
+    /// through [`CacheEngine::get_ref`], [`CacheEngine::set`] and
+    /// [`CacheEngine::delete`] — and the default does nothing, which is all
+    /// an engine behind a lock can do.
+    fn prefetch(&self, _keys: &[&[u8]], _ctx: &EngineReadCtx) {}
 
     /// Housekeeping an external caller with a natural quiescent point can
     /// drive on the engine's behalf: postponed automatic index resizes and

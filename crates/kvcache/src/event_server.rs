@@ -30,8 +30,8 @@ use std::sync::Arc;
 use rp_net::{Action, ConnIo, EventLoop, NetConfig, NetStats, Service};
 use rp_rcu::Reclaimer;
 
-use crate::engine::{CacheEngine, EngineReadCtx, ReadSide};
-use crate::protocol::{Decoded, RefDecoder};
+use crate::engine::{CacheEngine, EngineReadCtx, ReadSide, GROUP};
+use crate::protocol::{Decoded, RefDecoder, RequestRef};
 use crate::server::{execute_ref_observed, ServerConfig};
 
 /// The memcached text protocol as an [`rp_net::Service`].
@@ -51,6 +51,12 @@ use crate::server::{execute_ref_observed, ServerConfig};
 /// copy of a cached value smaller than the coalescing threshold. N
 /// pipelined requests arriving in one read still produce N replies in one
 /// write.
+///
+/// Pipelined requests are served a *group* at a time: up to
+/// [`GROUP`] of them are decoded ahead, their keys handed to
+/// [`CacheEngine::prefetch`] so the index's cache misses for all of them
+/// are in flight together, and then they are executed in stream order —
+/// a group of one is the plain decode-execute step.
 pub struct KvService {
     engine: Arc<dyn CacheEngine>,
     read_side: ReadSide,
@@ -99,46 +105,106 @@ impl Service for KvService {
         io: &mut ConnIo<'_>,
     ) -> Action {
         let mut offset = 0;
-        let action = loop {
-            if io.requests >= io.request_quota {
-                // Per-connection budget spent; the reactor drains what has
-                // been answered and closes.
-                break Action::Continue;
-            }
-            // Predict whether the request this step may complete will be
-            // the sampled 1-in-N one (the shard counter is effectively
-            // single-writer, so the prediction is exact unless workers
-            // outnumber metric shards) and time the decode step only then
-            // — the unsampled path keeps zero clock reads.
-            let decode_timer = if rp_obs::sample_latency(worker.kv.requests.get() + 1) {
-                rp_obs::timer()
-            } else {
-                None
-            };
-            let (used, decoded) = decoder.step(&io.input[offset..]);
-            offset += used;
-            match decoded {
-                Decoded::Request(request) => {
-                    io.requests += 1;
-                    let decode_ns = rp_obs::elapsed_ns(decode_timer).unwrap_or(0);
-                    if execute_ref_observed(
-                        &*self.engine,
-                        &request,
-                        &mut worker.ctx,
-                        &mut io.out,
-                        worker.kv,
-                        worker.ordinal,
-                        decode_ns,
-                    ) {
-                        break Action::Close;
+        let action = 'serve: loop {
+            // Decode a group ahead: up to `GROUP` complete requests, never
+            // past the per-connection budget (once it is spent the reactor
+            // drains what has been answered and closes). The requests
+            // borrow the input buffer, not the decoder, so the group is a
+            // stack array of slices: nothing is copied, nothing allocates.
+            let room = (io.request_quota - io.requests).min(GROUP as u64) as usize;
+            let mut group = [(Decoded::NeedMore, 0_u64); GROUP];
+            let mut decoded = 0;
+            let mut keys: [&[u8]; GROUP] = [&[]; GROUP];
+            let mut hinted = 0;
+            let mut ordinal = worker.kv.requests.get();
+            let mut more = true;
+            while more && decoded < room {
+                // Predict whether the request this step may complete will
+                // be the sampled 1-in-N one (the shard counter is
+                // effectively single-writer, so the prediction is exact
+                // unless workers outnumber metric shards) and time the
+                // decode step only then — the unsampled path keeps zero
+                // clock reads.
+                let decode_timer = if rp_obs::sample_latency(ordinal + 1) {
+                    rp_obs::timer()
+                } else {
+                    None
+                };
+                let (used, step) = decoder.step(&io.input[offset..]);
+                offset += used;
+                let mut hint = |key| {
+                    if hinted < GROUP {
+                        keys[hinted] = key;
+                        hinted += 1;
+                    }
+                };
+                match step {
+                    Decoded::Request(request) => {
+                        ordinal += 1;
+                        group[decoded].1 = rp_obs::elapsed_ns(decode_timer).unwrap_or(0);
+                        match request {
+                            RequestRef::Get { key }
+                            | RequestRef::Set { key, .. }
+                            | RequestRef::Delete { key, .. } => hint(key),
+                            RequestRef::GetMulti(multi) => multi.iter().for_each(hint),
+                            // Nothing after a `quit` runs, so nothing
+                            // after it is decoded.
+                            RequestRef::Quit => more = false,
+                            _ => {}
+                        }
+                    }
+                    Decoded::Bad(_) => {}
+                    Decoded::NeedMore => {
+                        more = false;
+                        break;
                     }
                 }
-                Decoded::Bad(error) => {
-                    io.requests += 1;
-                    worker.kv.decode_errors.inc();
-                    error.write_wire(&mut io.out);
+                group[decoded].0 = step;
+                decoded += 1;
+            }
+            if decoded == 0 {
+                break Action::Continue;
+            }
+
+            // Warm: the group's lookups are independent — a relativistic
+            // reader takes no lock and announces nothing, so it may walk
+            // all their buckets before serving any — and this starts their
+            // cache misses together. A group of one key has nothing to
+            // overlap with.
+            if hinted < 2 {
+                hinted = 0;
+            }
+            worker.kv.group_keys.record(hinted as u64);
+            if hinted > 0 {
+                self.engine.prefetch(&keys[..hinted], &worker.ctx);
+            }
+
+            // Execute, in stream order.
+            for &(step, decode_ns) in &group[..decoded] {
+                io.requests += 1;
+                match step {
+                    Decoded::Request(request) => {
+                        if execute_ref_observed(
+                            &*self.engine,
+                            &request,
+                            &mut worker.ctx,
+                            &mut io.out,
+                            worker.kv,
+                            worker.ordinal,
+                            decode_ns,
+                        ) {
+                            break 'serve Action::Close;
+                        }
+                    }
+                    Decoded::Bad(error) => {
+                        worker.kv.decode_errors.inc();
+                        error.write_wire(&mut io.out);
+                    }
+                    Decoded::NeedMore => unreachable!("only decoded steps join a group"),
                 }
-                Decoded::NeedMore => break Action::Continue,
+            }
+            if !more {
+                break Action::Continue;
             }
         };
         io.input.drain(..offset);
@@ -256,5 +322,103 @@ impl EventServer {
     /// received, flush, close, join the workers. Idempotent.
     pub fn shutdown(&mut self) {
         self.inner.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::RpEngine;
+    use rp_net::{BufPool, VectoredWrite, WriteBuf};
+
+    /// Collects what a flush writes.
+    struct Wire(Vec<u8>);
+
+    impl VectoredWrite for Wire {
+        fn writev(&mut self, bufs: &[&[u8]]) -> io::Result<usize> {
+            bufs.iter().for_each(|buf| self.0.extend_from_slice(buf));
+            Ok(bufs.iter().map(|buf| buf.len()).sum())
+        }
+    }
+
+    /// One `on_data` call on `input` as the reactor makes it, on a worker
+    /// with a metric shard of its own: the action, the requests counted,
+    /// the reply bytes, and that shard.
+    fn serve(
+        input: &mut Vec<u8>,
+        quota: u64,
+    ) -> (Action, u64, Vec<u8>, &'static rp_obs::KvWorkerObs) {
+        let service = KvService::new(Arc::new(RpEngine::new()), ReadSide::Ebr);
+        let mut worker = KvWorker {
+            ctx: EngineReadCtx::new(ReadSide::Ebr),
+            kv: Box::leak(Box::default()),
+            ordinal: 0,
+        };
+        let (mut out, mut pool) = (WriteBuf::new(1 << 20), BufPool::new(4, 1 << 16));
+        let mut io = ConnIo {
+            input,
+            out: out.with_pool(&mut pool),
+            requests: 0,
+            request_quota: quota,
+        };
+        let action = service.on_data(&mut worker, &mut RefDecoder::new(), &mut io);
+        let requests = io.requests;
+        let mut wire = Wire(Vec::new());
+        out.flush_vectored(&mut wire, &mut pool).unwrap();
+        (action, requests, wire.0, worker.kv)
+    }
+
+    /// The group histogram as `(groups, keys hinted in all, largest group)`
+    /// — exact, the values being small.
+    fn groups(kv: &rp_obs::KvWorkerObs) -> (u64, u64, u64) {
+        let snapshot = kv.group_keys.snapshot();
+        (snapshot.count(), snapshot.sum_approx(), snapshot.max())
+    }
+
+    #[test]
+    fn a_read_is_served_in_groups_and_each_group_is_recorded_once() {
+        // Forty pipelined GETs: two full groups and one of eight; the
+        // half-received request behind them stays buffered.
+        let mut input = b"get k\r\n".repeat(40);
+        input.extend_from_slice(b"get k");
+        let (action, requests, replies, kv) = serve(&mut input, u64::MAX);
+        assert_eq!((action, requests), (Action::Continue, 40));
+        assert_eq!(replies, b"END\r\n".repeat(40));
+        assert_eq!(input, b"get k");
+        assert_eq!(groups(kv), (3, 40, 16));
+        assert_eq!(kv.requests.get(), 40);
+        // Ordinals 1, 17 and 33 were the sampled ones.
+        assert_eq!(kv.get_ns.snapshot().count(), 3);
+
+        // A lone request, and a group whose only key is one `get`'s: no
+        // hint call, recorded as 0. A 20-key `get` hands over what fits.
+        let (_, _, _, kv) = serve(&mut b"get k\r\n".to_vec(), u64::MAX);
+        assert_eq!(groups(kv), (1, 0, 0));
+        let (_, requests, _, kv) = serve(&mut b"version\r\nget k\r\nbogus\r\n".to_vec(), u64::MAX);
+        assert_eq!((requests, groups(kv)), (3, (1, 0, 0)));
+        assert_eq!(kv.decode_errors.get(), 1);
+        let many = format!("get {}\r\n", "k ".repeat(20));
+        let (_, _, _, kv) = serve(&mut many.into_bytes(), u64::MAX);
+        assert_eq!(groups(kv), (1, 16, 16));
+    }
+
+    #[test]
+    fn a_group_stops_at_the_budget_and_at_quit() {
+        // The budget falls inside the second group: 20 answered, the rest
+        // left in the buffer undecoded.
+        let mut input = b"get k\r\n".repeat(32);
+        let (action, requests, replies, kv) = serve(&mut input, 20);
+        assert_eq!((action, requests), (Action::Continue, 20));
+        assert_eq!(replies, b"END\r\n".repeat(20));
+        assert_eq!(input, b"get k\r\n".repeat(12));
+        assert_eq!(groups(kv), (2, 20, 16));
+
+        // Nothing behind a `quit` is decoded, hinted or run.
+        let mut input = b"get a\r\nget b\r\nquit\r\nget c\r\nget d\r\n".to_vec();
+        let (action, requests, replies, kv) = serve(&mut input, u64::MAX);
+        assert_eq!((action, requests), (Action::Close, 3));
+        assert_eq!(replies, b"END\r\nEND\r\n");
+        assert_eq!(input, b"get c\r\nget d\r\n");
+        assert_eq!(groups(kv), (1, 2, 2));
     }
 }

@@ -69,7 +69,7 @@ pub mod server;
 pub mod telemetry;
 
 pub use client::{CacheClient, RetryClient, RetryPolicy};
-pub use engine::{CacheEngine, CacheStats, EngineReadCtx, ReadSide, StoreOutcome};
+pub use engine::{CacheEngine, CacheStats, EngineReadCtx, ReadSide, StoreOutcome, GROUP};
 pub use event_server::{EventServer, KvService};
 pub use item::{Item, ItemKey};
 pub use lock_engine::LockEngine;

@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use rp_hash::{FnvBuildHasher, ResizePolicy, RpHashMap};
 
-use crate::engine::{CacheEngine, CacheStats, EngineReadCtx, StoreOutcome};
+use crate::engine::{CacheEngine, CacheStats, EngineReadCtx, StoreOutcome, GROUP};
 use crate::item::{Item, ItemKey};
 use crate::lock_engine::EngineConfig;
 
@@ -63,6 +63,19 @@ pub trait ByteKeyIndex: Send + Sync {
         protect: &'g P,
     ) -> Option<&'g StoredItem>;
 
+    /// Read-side hint for a lookup of `hash` that is `depth` passes away
+    /// (see [`RpHashMap::prefetch_prehashed`]): may return the item that
+    /// lookup will probably find, so the caller can hint its payload too.
+    /// An index that cannot walk ahead hints nothing.
+    fn prefetch<'g, P: rp_hash::ReadProtect>(
+        &'g self,
+        _hash: u64,
+        _depth: usize,
+        _protect: &'g P,
+    ) -> Option<&'g StoredItem> {
+        None
+    }
+
     /// Pins an EBR guard for the fallback flavor.
     fn pin_guard(&self) -> rp_rcu::RcuGuard<'static>;
 
@@ -92,8 +105,25 @@ pub trait ByteKeyIndex: Send + Sync {
 }
 
 /// Implements [`ByteKeyIndex`] for a map type by forwarding to its inherent
-/// methods; trailing items override the trait's defaults.
+/// methods; trailing items override the trait's defaults, and a leading
+/// `hinting` forwards [`ByteKeyIndex::prefetch`] to the map's
+/// `prefetch_prehashed`.
 macro_rules! impl_byte_key_index {
+    (hinting $index:ty, $name:literal $(, $extra:item)*) => {
+        $crate::rp_engine::impl_byte_key_index!(
+            $index,
+            $name,
+            fn prefetch<'g, P: rp_hash::ReadProtect>(
+                &'g self,
+                hash: u64,
+                depth: usize,
+                protect: &'g P,
+            ) -> Option<&'g $crate::rp_engine::StoredItem> {
+                self.prefetch_prehashed(hash, depth, protect)
+            }
+            $(, $extra)*
+        );
+    };
     ($index:ty, $name:literal $(, $extra:item)*) => {
         impl $crate::rp_engine::ByteKeyIndex for $index {
             const NAME: &'static str = $name;
@@ -157,6 +187,16 @@ impl StoredItem {
         self.last_access.load(Ordering::Relaxed)
     }
 
+    /// Hints the payload's first two lines: its `Arc` header (two counters,
+    /// just below the data), which is what cloning the item out of the
+    /// index writes to, and what follows.
+    fn prefetch_payload(&self) {
+        let counters = std::mem::size_of::<[usize; 2]>();
+        let header = self.item.data.as_ptr().wrapping_sub(counters);
+        rp_hash::prefetch_line(header);
+        rp_hash::prefetch_line(header.wrapping_add(64));
+    }
+
     /// Whether the item is past its deadline. The clock is read only for
     /// an item that has one.
     pub(crate) fn is_expired_now(&self) -> bool {
@@ -164,7 +204,7 @@ impl StoredItem {
     }
 }
 
-impl_byte_key_index!(RpHashMap<ItemKey, StoredItem, FnvBuildHasher>, "rp");
+impl_byte_key_index!(hinting RpHashMap<ItemKey, StoredItem, FnvBuildHasher>, "rp");
 
 /// What an index probe found, with the LRU stamp already applied to a live
 /// hit.
@@ -225,6 +265,27 @@ impl<I: ByteKeyIndex> Engine<I> {
     /// Next approximate-LRU access stamp.
     fn stamp(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// The hint passes over one group of keys, under one witness: hash
+    /// every key once and touch its bucket slot; then, a chain step per
+    /// pass, hint the head node, the second node, the third — and at the
+    /// node whose cached hash matches, the payload instead. Each pass
+    /// reads only what the pass before asked for, so the group's misses
+    /// are in flight together.
+    fn hint_group<P: rp_hash::ReadProtect>(&self, keys: &[&[u8]], protect: &P) {
+        let mut hashes = [0_u64; GROUP];
+        for (hash, key) in hashes.iter_mut().zip(keys) {
+            *hash = str_bytes_hash(key);
+            self.index.prefetch(*hash, 0, protect);
+        }
+        for depth in 1..=3 {
+            for &hash in &hashes[..keys.len()] {
+                if let Some(stored) = self.index.prefetch(hash, depth, protect) {
+                    stored.prefetch_payload();
+                }
+            }
+        }
     }
 
     /// Removes `key` unconditionally; `true` if it was present.
@@ -296,6 +357,15 @@ impl<I: ByteKeyIndex> CacheEngine for Engine<I> {
                 }
                 self.stats.bump(&self.stats.get_misses);
                 None
+            }
+        }
+    }
+
+    fn prefetch(&self, keys: &[&[u8]], ctx: &EngineReadCtx) {
+        for group in keys.chunks(GROUP) {
+            match ctx.qsbr_handle() {
+                Some(handle) => self.hint_group(group, handle),
+                None => self.hint_group(group, &self.index.pin_guard()),
             }
         }
     }
@@ -418,6 +488,23 @@ pub(crate) mod tests {
                 "{key:?}"
             );
         }
+    }
+
+    #[test]
+    fn the_relativistic_indexes_hint_and_the_split_ordered_one_does_not() {
+        fn hinted<I: ByteKeyIndex>(engine: Engine<I>) -> bool {
+            engine.set("k", Item::new(0, "v"));
+            let keys: [&[u8]; 2] = [b"k", b"missing"];
+            engine.prefetch(&keys, &EngineReadCtx::new(ReadSide::Ebr));
+            let guard = engine.index.pin_guard();
+            let deep = engine.index.prefetch(str_bytes_hash(b"k"), 64, &guard);
+            deep.is_some_and(|stored| &stored.item.data[..] == b"v")
+        }
+        assert!(hinted(RpEngine::with_capacity(1024)));
+        assert!(hinted(crate::ShardedRpEngine::with_shards_and_capacity(
+            4, 1024
+        )));
+        assert!(!hinted(crate::SplitOrderEngine::with_capacity(1024)));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::item::ItemKey;
 use crate::rp_engine::{impl_byte_key_index, index_resize_policy, Engine, StoredItem};
 
 impl_byte_key_index!(
-    ShardedRpMap<ItemKey, StoredItem>,
+    hinting ShardedRpMap<ItemKey, StoredItem>,
     "rp-shard",
     fn observe_gauges(&self) {
         // Shard balance as max/mean occupancy, in thousandths (1000 =

@@ -281,6 +281,9 @@ engine_expirations_total 0\n";
         }
         shard.set_ns.record(2);
         registry.net.batch_size.for_worker(3).record(4);
+        shard.group_keys.record(0);
+        shard.group_keys.record(16);
+        shard.group_keys.record(16);
         let mut out = Vec::new();
         render_worker_from(&registry, 3, &mut out);
         let expected = "\
@@ -329,6 +332,15 @@ kv_worker_other_latency_ns{quantile=\"0.999\"} 0\n\
 kv_worker_other_latency_ns_sum 0\n\
 kv_worker_other_latency_ns_count 0\n\
 kv_worker_other_latency_ns_max 0\n\
+# HELP kv_worker_group_keys Keys prefetched per group of pipelined requests on this worker.\n\
+# TYPE kv_worker_group_keys summary\n\
+kv_worker_group_keys{quantile=\"0.5\"} 16\n\
+kv_worker_group_keys{quantile=\"0.9\"} 16\n\
+kv_worker_group_keys{quantile=\"0.99\"} 16\n\
+kv_worker_group_keys{quantile=\"0.999\"} 16\n\
+kv_worker_group_keys_sum 32\n\
+kv_worker_group_keys_count 3\n\
+kv_worker_group_keys_max 16\n\
 # HELP net_worker_batch_size Readiness events per epoll_wait wake on this worker.\n\
 # TYPE net_worker_batch_size summary\n\
 net_worker_batch_size{quantile=\"0.5\"} 4\n\
@@ -354,6 +366,7 @@ END\r\n";
         for family in [
             "kv_requests_total",
             "kv_get_latency_ns",
+            "kv_group_keys",
             "net_accepts_total",
             "maint_slice_ns",
             "resize_grace_wait_ns",
@@ -461,6 +474,7 @@ END\r\n";
             "\"kv\":{\"kv_requests_total\":0,\"kv_decode_errors_total\":0,",
             "\"kv_get_latency_ns\":Z,\"kv_set_latency_ns\":Z,",
             "\"kv_delete_latency_ns\":Z,\"kv_other_latency_ns\":Z,",
+            "\"kv_group_keys\":Z,",
             "\"kv_slow_logged_total\":0},",
             "\"net\":{\"net_accepts_total\":1,\"net_conns_shed_total\":0,",
             "\"net_accept_errors_total\":0,",

@@ -31,6 +31,97 @@ fn full_session(server: &EventServer) {
     client.quit().unwrap();
 }
 
+/// A wire stream of mixed pipelined requests beside the reply bytes it must
+/// draw — long enough to span several decoded groups, with a key set and
+/// read back inside one group, a malformed line, keys either side of the
+/// inline boundary, and a `quit` with requests behind it. It assumes none
+/// of its keys is stored and deletes every key it stores, so it can be
+/// replayed against the same server.
+struct Script {
+    wire: Vec<u8>,
+    replies: Vec<u8>,
+    requests: usize,
+}
+
+impl Script {
+    fn push(&mut self, request: &str, reply: &str) {
+        self.wire.extend_from_slice(request.as_bytes());
+        self.replies.extend_from_slice(reply.as_bytes());
+        self.requests += 1;
+    }
+
+    fn grouped() -> (Script, Vec<u8>) {
+        let mut s = Script {
+            wire: Vec::new(),
+            replies: Vec::new(),
+            requests: 0,
+        };
+        // Had the tail behind an earlier replay's `quit` run, `z` would hit.
+        s.push("get z\r\n", "END\r\n");
+        s.push("set a 1 0 2\r\nAA\r\n", "STORED\r\n");
+        s.push("get a\r\n", "VALUE a 1 2\r\nAA\r\nEND\r\n");
+        s.push("get b\r\n", "END\r\n");
+        s.push("set b 0 0 1\r\nB\r\n", "STORED\r\n");
+        s.push("get b\r\n", "VALUE b 0 1\r\nB\r\nEND\r\n");
+        s.push("delete b\r\n", "DELETED\r\n");
+        s.push("get b\r\n", "END\r\n");
+        s.push("delete b\r\n", "NOT_FOUND\r\n");
+        for i in 0..20 {
+            s.push(&format!("set m{i} {i} 0 3\r\nv{i:02}\r\n"), "STORED\r\n");
+        }
+        let all: Vec<String> = (0..20).map(|i| format!("m{i}")).collect();
+        let values: String = (0..20)
+            .map(|i| format!("VALUE m{i} {i} 3\r\nv{i:02}\r\n"))
+            .collect();
+        s.push(
+            &format!("get {}\r\n", all.join(" ")),
+            &format!("{values}END\r\n"),
+        );
+        s.push("bogus nonsense\r\n", "CLIENT_ERROR unknown command\r\n");
+        s.push(
+            "get m19 nope m0\r\n",
+            "VALUE m19 19 3\r\nv19\r\nVALUE m0 0 3\r\nv00\r\nEND\r\n",
+        );
+        for key in ["k".repeat(23), "K".repeat(250)] {
+            s.push(&format!("set {key} 7 0 4\r\nlong\r\n"), "STORED\r\n");
+            s.push(
+                &format!("get {key}\r\n"),
+                &format!("VALUE {key} 7 4\r\nlong\r\nEND\r\n"),
+            );
+            s.push(&format!("delete {key}\r\n"), "DELETED\r\n");
+            s.push(&format!("get {key}\r\n"), "END\r\n");
+        }
+        s.push("set a 2 0 3 noreply\r\nAAA\r\n", "");
+        s.push("get a\r\n", "VALUE a 2 3\r\nAAA\r\nEND\r\n");
+        s.push("delete m7 noreply\r\n", "");
+        s.push("delete m7\r\n", "NOT_FOUND\r\n");
+        for i in (0..20).filter(|&i| i != 7) {
+            s.push(&format!("delete m{i}\r\n"), "DELETED\r\n");
+        }
+        s.push("delete a\r\n", "DELETED\r\n");
+        assert!(s.requests >= 40);
+        // The tail: `quit`, and requests behind it that must not run.
+        let tail = b"quit\r\nset z 0 0 1\r\nZ\r\nget z\r\n".to_vec();
+        (s, tail)
+    }
+
+    /// Plays the script to `server` in writes of `chunk` bytes (the tail in
+    /// one write of its own: what follows a `quit` has to be in hand when
+    /// the `quit` is decoded to show that it does not run) and returns
+    /// every byte the server sent before it closed.
+    fn play(&self, tail: &[u8], server: &EventServer, chunk: usize) -> Vec<u8> {
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream.set_nodelay(true).unwrap();
+        for piece in self.wire.chunks(chunk) {
+            stream.write_all(piece).unwrap();
+        }
+        stream.write_all(tail).unwrap();
+        let mut got = Vec::new();
+        stream.read_to_end(&mut got).unwrap();
+        got
+    }
+}
+
 #[test]
 fn every_engine_and_read_side_serves_the_same_session() {
     // The full matrix: every engine with each read-side flavor. Engines
@@ -50,6 +141,19 @@ fn every_engine_and_read_side_serves_the_same_session() {
         ] {
             let mut server = EventServer::start(Arc::clone(&engine), &config).expect("start");
             full_session(&server);
+            // The same replies, byte for byte, however the stream is cut
+            // into reads — and so however its requests fall into groups.
+            let (script, tail) = Script::grouped();
+            for chunk in [script.wire.len(), 7, 1] {
+                let got = script.play(&tail, &server, chunk);
+                assert!(
+                    got == script.replies,
+                    "{} via {:?}, {chunk}-byte writes:\n{}",
+                    engine.name(),
+                    config.read_side,
+                    String::from_utf8_lossy(&got)
+                );
+            }
             server.shutdown();
         }
     }
@@ -339,30 +443,34 @@ fn idle_connections_are_reaped_while_live_ones_are_served() {
 
 #[test]
 fn request_budget_answers_exactly_n_then_closes() {
-    let config = ServerConfig {
-        max_requests_per_conn: Some(3),
-        ..ServerConfig::event_loop(1)
-    };
-    let mut server = EventServer::start(Arc::new(RpEngine::new()), &config).unwrap();
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    // Five pipelined requests; the budget allows three responses, already
-    // answered requests still flush, then the server closes.
-    stream
-        .write_all(b"version\r\nversion\r\nversion\r\nversion\r\nversion\r\n")
-        .unwrap();
-    let mut got = Vec::new();
-    let mut reader = BufReader::new(stream);
-    reader.read_to_end(&mut got).unwrap();
-    let text = String::from_utf8(got).unwrap();
-    assert_eq!(
-        text.matches("VERSION").count(),
-        3,
-        "exactly the budget is served: {text:?}"
-    );
-    // A fresh connection gets a fresh budget.
-    let mut fresh = CacheClient::connect(server.addr()).unwrap();
-    assert!(fresh.version().unwrap().contains("relativist"));
-    server.shutdown();
+    // Five pipelined requests against a budget of three; then 32 against
+    // 20, which falls inside the second decoded group. The budget's worth
+    // is answered, already answered requests still flush, then the server
+    // closes.
+    for (budget, pipelined) in [(3, 5), (20, 32)] {
+        let config = ServerConfig {
+            max_requests_per_conn: Some(budget),
+            ..ServerConfig::event_loop(1)
+        };
+        let mut server = EventServer::start(Arc::new(RpEngine::new()), &config).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .write_all(&b"get nothing\r\n".repeat(pipelined))
+            .unwrap();
+        let mut got = Vec::new();
+        let mut reader = BufReader::new(stream);
+        reader.read_to_end(&mut got).unwrap();
+        let text = String::from_utf8(got).unwrap();
+        assert_eq!(
+            text.matches("END").count() as u64,
+            budget,
+            "exactly the budget is served: {text:?}"
+        );
+        // A fresh connection gets a fresh budget.
+        let mut fresh = CacheClient::connect(server.addr()).unwrap();
+        assert!(fresh.version().unwrap().contains("relativist"));
+        server.shutdown();
+    }
 }
 
 #[test]

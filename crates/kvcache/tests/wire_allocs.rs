@@ -29,13 +29,11 @@ const GET_ALLOC_EPSILON: f64 = 0.005;
 
 /// Allocations-per-SET ceiling: two per SET — the index node, which holds
 /// the key and the item by value, and the payload — plus what the server's
-/// background reclaimer allocates while the window is open. That share is
-/// paid per *pass*, not per SET: the reclaimer wakes every 10 ms, and each
-/// pass costs about nine allocations (the deferred-free queue regrowing
-/// from empty, one reader snapshot per flavor). Over one window that is
-/// 0.01/op at an 8 µs round trip and reaches the ceiling at about 55 µs, so
-/// on a loaded host this gate also trips on a slow loopback. A third
-/// per-SET allocation (3.0/op) is nowhere near passing.
+/// background reclaimer allocates while the window is open: it wakes every
+/// 10 ms and a pass costs a reader snapshot per flavor (the deferred-free
+/// queue keeps its storage from pass to pass, see
+/// `RcuDomain::take_deferred`), about 0.003/op at a loopback round trip of
+/// 10 µs. A third per-SET allocation (3.0/op) is nowhere near passing.
 const SET_ALLOC_CEILING: f64 = 2.05;
 
 /// Sends `requests` round-robin, one at a time, reading each reply up to

@@ -143,13 +143,14 @@ impl<S: Service> Connection<S> {
         now.saturating_duration_since(self.last_activity)
     }
 
-    /// Reads until `EWOULDBLOCK`, EOF, or the per-turn budget is exhausted
-    /// (level-triggered epoll re-arms if bytes remain), then processes and
-    /// flushes. Any I/O error closes the connection. `chunk` is the
-    /// worker's shared scratch buffer — allocating per readiness event
-    /// would put an alloc+memset on the hottest path. `pool` is the
-    /// worker's buffer free list: the input buffer and response segments
-    /// cycle through it, so a steady-state request allocates nothing.
+    /// Reads until the socket is empty (a short read or `EWOULDBLOCK`), EOF,
+    /// or the per-turn budget is exhausted (level-triggered epoll re-arms
+    /// if bytes remain), then processes and flushes. Any I/O error closes
+    /// the connection. `chunk` is the worker's shared scratch buffer —
+    /// allocating per readiness event would put an alloc+memset on the
+    /// hottest path. `pool` is the worker's buffer free list: the input
+    /// buffer and response segments cycle through it, so a steady-state
+    /// request allocates nothing.
     pub(crate) fn on_readable(
         &mut self,
         service: &S,
@@ -177,13 +178,14 @@ impl<S: Service> Connection<S> {
                     .record(rp_obs::TraceKind::Backpressure, bytes.used() as u64);
                 break;
             }
+            let mut asked = chunk.len();
             let read_result = match rp_fault::point("net.read") {
                 Some(rp_fault::IoFault::Error(e)) => Err(e),
                 // A scripted short read still reads real bytes — it only
                 // clamps how many arrive per call.
                 Some(rp_fault::IoFault::Short(n)) => {
-                    let cap = n.clamp(1, chunk.len());
-                    self.stream.read(&mut chunk[..cap])
+                    asked = n.clamp(1, chunk.len());
+                    self.stream.read(&mut chunk[..asked])
                 }
                 None => self.stream.read(chunk),
             };
@@ -216,6 +218,14 @@ impl<S: Service> Connection<S> {
                         break;
                     }
                     if self.phase != ConnState::Open {
+                        break;
+                    }
+                    if n < asked {
+                        // The socket had less than was asked for, so it is
+                        // empty now: asking again would only buy an
+                        // `EWOULDBLOCK`. Whatever arrives later — the
+                        // peer's EOF included — raises readiness again
+                        // (epoll is level-triggered).
                         break;
                     }
                 }
@@ -354,7 +364,12 @@ impl<S: Service> Connection<S> {
         self.served = self.served.saturating_add(requests);
         match action {
             Action::Continue => {}
-            Action::Close => self.start_draining(),
+            Action::Close => {
+                // Whatever the peer pipelined behind its last request must
+                // not reach the service on a later `process` of this event.
+                self.input.clear();
+                self.start_draining();
+            }
         }
         if let Some(max) = config.max_requests_per_conn {
             if self.served >= max {

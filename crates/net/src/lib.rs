@@ -106,7 +106,8 @@ pub enum Action {
     /// Keep the connection open.
     Continue,
     /// Flush any queued responses, then close (e.g. the client sent
-    /// `quit`, or the protocol was violated beyond recovery).
+    /// `quit`, or the protocol was violated beyond recovery). Input the
+    /// service left unconsumed is discarded, never handed back to it.
     Close,
 }
 
@@ -344,10 +345,12 @@ mod tests {
         client.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"one\ntwo\n");
 
-        client.write_all(b"quit\n").unwrap();
+        // A line pipelined behind the `quit` is discarded with the rest of
+        // the input, not handed to the service on a later pass.
+        client.write_all(b"quit\nunheard\n").unwrap();
         let mut rest = Vec::new();
         client.read_to_end(&mut rest).unwrap();
-        assert!(rest.is_empty(), "quit closes without echoing");
+        assert!(rest.is_empty(), "quit closes without echoing: {rest:?}");
         server.shutdown();
     }
 

@@ -151,6 +151,43 @@ fn injected_read_error_sheds_only_the_hit_connection() {
 }
 
 #[test]
+fn a_drained_socket_is_not_asked_twice() {
+    let _serial = serial();
+    let mut server = start(NetConfig {
+        workers: 1,
+        ..NetConfig::default()
+    });
+    // A zero-length delay changes nothing about a read — the real,
+    // unclamped call still runs — but every `read` the reactor issues
+    // passes the failpoint, so its injection count is the syscall count.
+    let _arm = rp_fault::ArmGuard::new("net.read=delay:0ms", 1);
+    let mut client = TcpStream::connect(server.addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let line = b"one segment, far smaller than the read chunk\n";
+    client.write_all(line).unwrap();
+    let mut buf = vec![0_u8; line.len()];
+    client.read_exact(&mut buf).unwrap();
+    assert_eq!(&buf[..], &line[..]);
+    assert_eq!(
+        rp_fault::injected("net.read"),
+        1,
+        "a read that came back short has emptied the socket"
+    );
+
+    // A peer that sends and then closes is still answered, and its EOF is
+    // still seen — by the read of the next readiness event.
+    client.write_all(b"last words\n").unwrap();
+    client.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut rest = Vec::new();
+    client.read_to_end(&mut rest).unwrap();
+    assert_eq!(rest, b"last words\n");
+    assert_eq!(rp_fault::injected("net.read"), 3, "the line, then the EOF");
+    server.shutdown();
+}
+
+#[test]
 fn short_writes_still_deliver_complete_responses() {
     let _serial = serial();
     let mut server = start(NetConfig {

@@ -234,6 +234,10 @@ pub struct KvWorkerObs {
     pub delete_ns: Histogram,
     /// Everything else (stats, version, …), nanoseconds.
     pub other_ns: Histogram,
+    /// Keys handed to the engine's prefetch hint per decoded group of
+    /// pipelined requests; 0 for a group that made no call (fewer than two
+    /// keys). The share of traffic whose cache misses can be overlapped.
+    pub group_keys: Histogram,
     /// Requests served by this worker.
     pub requests: Counter,
     /// Protocol decode errors on this worker's connections.
@@ -304,11 +308,13 @@ impl Obs {
         let mut set = Snapshot::default();
         let mut delete = Snapshot::default();
         let mut other = Snapshot::default();
+        let mut group = Snapshot::default();
         for shard in self.kv.shards.iter() {
             get.merge(&shard.get_ns.snapshot());
             set.merge(&shard.set_ns.snapshot());
             delete.merge(&shard.delete_ns.snapshot());
             other.merge(&shard.other_ns.snapshot());
+            group.merge(&shard.group_keys.snapshot());
         }
         render::counter(
             sink,
@@ -335,6 +341,12 @@ impl Obs {
             "kv_other_latency_ns",
             "Service latency of remaining opcodes.",
             &other,
+        );
+        render::summary(
+            sink,
+            "kv_group_keys",
+            "Keys prefetched per group of pipelined requests (0: no call).",
+            &group,
         );
     }
 
@@ -576,6 +588,12 @@ impl Obs {
         );
         render::summary(
             sink,
+            "kv_worker_group_keys",
+            "Keys prefetched per group of pipelined requests on this worker.",
+            &shard.group_keys.snapshot(),
+        );
+        render::summary(
+            sink,
             "net_worker_batch_size",
             "Readiness events per epoll_wait wake on this worker.",
             &self.net.batch_size.for_worker(worker).snapshot(),
@@ -641,11 +659,13 @@ impl Obs {
         let mut set = Snapshot::default();
         let mut delete = Snapshot::default();
         let mut other = Snapshot::default();
+        let mut group = Snapshot::default();
         for shard in self.kv.shards.iter() {
             get.merge(&shard.get_ns.snapshot());
             set.merge(&shard.set_ns.snapshot());
             delete.merge(&shard.delete_ns.snapshot());
             other.merge(&shard.other_ns.snapshot());
+            group.merge(&shard.group_keys.snapshot());
         }
         let mut kv = root.nested("kv");
         kv.field("kv_requests_total", self.kv.requests());
@@ -654,6 +674,7 @@ impl Obs {
         kv.summary("kv_set_latency_ns", &set);
         kv.summary("kv_delete_latency_ns", &delete);
         kv.summary("kv_other_latency_ns", &other);
+        kv.summary("kv_group_keys", &group);
         kv.field("kv_slow_logged_total", self.kv.slow.recorded());
         kv.end();
 
@@ -741,6 +762,7 @@ impl Obs {
             shard.set_ns.reset();
             shard.delete_ns.reset();
             shard.other_ns.reset();
+            shard.group_keys.reset();
             shard.requests.reset();
             shard.decode_errors.reset();
         }

@@ -11,6 +11,12 @@ use crate::deferred::Deferred;
 use crate::stats::{AtomicStats, DomainStats};
 use crate::{GP_COUNT, GP_PHASE, NEST_MASK};
 
+/// Largest emptied deferred queue, in callbacks of three words each, that
+/// a domain keeps for reuse (96 KiB). Reclaimers run at a few hundred
+/// pending callbacks, so every steady-state queue fits; a burst's does not
+/// and is freed.
+const SPARE_QUEUE_CAP: usize = 4096;
+
 /// Per-reader-thread state scanned by the grace-period machinery.
 ///
 /// The single counter word encodes both the read-side critical-section
@@ -60,6 +66,10 @@ pub struct RcuDomain {
     deferred: Mutex<Vec<Deferred>>,
     /// Cheap length mirror of `deferred` so writers can poll without locking.
     deferred_len: AtomicUsize,
+    /// The emptied storage of the last executed batch, which the next
+    /// [`RcuDomain::take_deferred`] leaves behind as the queue: steady
+    /// reclamation allocates no queue storage after its first pass.
+    spare: Mutex<Vec<Deferred>>,
     stats: AtomicStats,
 }
 
@@ -79,6 +89,7 @@ impl RcuDomain {
             registry: Mutex::new(Vec::new()),
             deferred: Mutex::new(Vec::new()),
             deferred_len: AtomicUsize::new(0),
+            spare: Mutex::new(Vec::new()),
             stats: AtomicStats::default(),
         }
     }
@@ -241,8 +252,9 @@ impl RcuDomain {
     /// the grace period started, so reclaimers take the batch *first*, wait,
     /// then run it with [`RcuDomain::execute_deferred`].
     pub(crate) fn take_deferred(&self) -> Vec<Deferred> {
+        let spare = std::mem::take(&mut *self.spare.lock());
         let mut queue = self.deferred.lock();
-        let batch = std::mem::take(&mut *queue);
+        let batch = std::mem::replace(&mut *queue, spare);
         self.deferred_len.store(queue.len(), Ordering::Relaxed);
         batch
     }
@@ -250,14 +262,31 @@ impl RcuDomain {
     /// Runs a batch previously taken with [`RcuDomain::take_deferred`]. The
     /// caller must have waited for a full grace period (of every flavor with
     /// readers of the protected data) in between.
-    pub(crate) fn execute_deferred(&self, batch: Vec<Deferred>) {
+    pub(crate) fn execute_deferred(&self, mut batch: Vec<Deferred>) {
         let executed = batch.len() as u64;
-        for d in batch {
+        for d in batch.drain(..) {
             d.call();
         }
         self.stats
             .callbacks_executed
             .fetch_add(executed, Ordering::Relaxed);
+        // Hand the storage back, unless a burst grew it past what steady
+        // reclamation needs (that much is not pinned): to the live queue
+        // while that is still empty and smaller, else as the replacement
+        // the next `take_deferred` leaves behind.
+        if batch.capacity() > SPARE_QUEUE_CAP {
+            return;
+        }
+        {
+            let mut queue = self.deferred.lock();
+            if queue.is_empty() && queue.capacity() < batch.capacity() {
+                std::mem::swap(&mut *queue, &mut batch);
+            }
+        }
+        let mut spare = self.spare.lock();
+        if spare.capacity() < batch.capacity() {
+            *spare = batch;
+        }
     }
 
     /// Waits for a grace period, then executes every callback that was

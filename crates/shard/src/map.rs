@@ -555,6 +555,20 @@ where
         self.core.shards[self.shard_of_hash(hash)].get_matching_prehashed(hash, matches, protect)
     }
 
+    /// The read-side hint of [`RpHashMap::prefetch_prehashed`], routed to
+    /// the shard `hash` belongs to.
+    pub fn prefetch_prehashed<'g, P>(
+        &'g self,
+        hash: u64,
+        depth: usize,
+        protect: &'g P,
+    ) -> Option<&'g V>
+    where
+        P: ReadProtect,
+    {
+        self.core.shards[self.shard_of_hash(hash)].prefetch_prehashed(hash, depth, protect)
+    }
+
     /// Looks up `key` and clones the value.
     pub fn get_cloned<Q>(&self, key: &Q) -> Option<V>
     where
@@ -818,6 +832,32 @@ mod tests {
             map.get_matching_prehashed(hash, |k| k.as_bytes() == b"missing", &guard),
             None
         );
+    }
+
+    #[test]
+    fn hints_route_to_the_keys_shard() {
+        let map = Map::with_shards(4);
+        for i in 0..256_u64 {
+            map.insert(i, i + 1000);
+        }
+        let guard = map.pin();
+        let handle = QsbrReadHandle::register();
+        for i in 0..256_u64 {
+            let hash = map.hash_one(&i);
+            assert_eq!(map.prefetch_prehashed(hash, 0, &guard), None);
+            for depth in 1..=4 {
+                // Shallow, the walk may stop short of the key's node; what
+                // it does return is the key's value.
+                if let Some(value) = map.prefetch_prehashed(hash, depth, &handle) {
+                    assert_eq!(*value, i + 1000);
+                }
+            }
+            let deep = map.prefetch_prehashed(hash, 1024, &guard);
+            assert_eq!(deep, Some(&(i + 1000)));
+            assert_eq!(map.prefetch_prehashed(!hash, 1024, &handle), None);
+        }
+        drop((guard, handle));
+        map.check_invariants().unwrap();
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use rp_baselines::ConcurrentMap;
-use rp_hash::{QsbrReadHandle, RpHashMap};
+use rp_hash::{QsbrReadHandle, ReadProtect, RpHashMap};
 use rp_rcu::RcuGuard;
 use rp_shard::ShardedRpMap;
 use rp_splitorder::SplitOrderMap;
@@ -93,6 +93,19 @@ pub trait TortureMap: ConcurrentMap<u64, Payload> {
     /// Borrowed lookup under an EBR guard from [`TortureMap::pin_read`].
     fn lookup_pinned<'g>(&'g self, key: &u64, guard: &'g RcuGuard<'static>) -> Option<&'g Payload>;
 
+    /// The read-side prefetch hint for a lookup of `key` that is `depth`
+    /// passes away, under either witness: the payload the walked prefix
+    /// holds for the key's hash, if any. A map with no hint path returns
+    /// nothing.
+    fn hint<'g, P: ReadProtect>(
+        &'g self,
+        _key: &u64,
+        _depth: usize,
+        _protect: &'g P,
+    ) -> Option<&'g Payload> {
+        None
+    }
+
     /// One step of explicit resize churn (alternate between a large and a
     /// small target so transitions keep happening in both directions).
     fn resize_step(&self, round: u64);
@@ -118,6 +131,15 @@ where
 
     fn lookup_pinned<'g>(&'g self, key: &u64, guard: &'g RcuGuard<'static>) -> Option<&'g Payload> {
         self.get(key, guard)
+    }
+
+    fn hint<'g, P: ReadProtect>(
+        &'g self,
+        key: &u64,
+        depth: usize,
+        protect: &'g P,
+    ) -> Option<&'g Payload> {
+        self.prefetch_prehashed(self.hash_one(key), depth, protect)
     }
 
     fn resize_step(&self, round: u64) {
@@ -147,6 +169,15 @@ where
 
     fn lookup_pinned<'g>(&'g self, key: &u64, guard: &'g RcuGuard<'static>) -> Option<&'g Payload> {
         self.get(key, guard)
+    }
+
+    fn hint<'g, P: ReadProtect>(
+        &'g self,
+        key: &u64,
+        depth: usize,
+        protect: &'g P,
+    ) -> Option<&'g Payload> {
+        self.prefetch_prehashed(self.hash_one(key), depth, protect)
     }
 
     fn resize_step(&self, round: u64) {
@@ -243,6 +274,18 @@ fn next_rand(state: &mut u64) -> u64 {
     *state
 }
 
+/// Walks the hint path for `key` at every depth, as a server worker does
+/// ahead of a pipelined batch. A hint races the same splices, removals and
+/// reclamation a lookup does and holds the same witness, so whatever it
+/// returns must be a live, untorn payload — of some key with `key`'s hash.
+fn warm<M: TortureMap, P: ReadProtect>(map: &M, key: u64, protect: &P) {
+    for depth in 0..=4 {
+        if let Some(payload) = map.hint(&key, depth, protect) {
+            payload.verify(payload.key);
+        }
+    }
+}
+
 /// Runs the full rcutorture-style storm against `map` and panics on any
 /// contract violation: torn/freed reads, stable keys absent mid-resize,
 /// post-storm invariant failures, or a vacuous run (no resize transition
@@ -291,6 +334,9 @@ pub fn torture_storm<M: TortureMap>(map: &M, config: &TortureConfig) -> TortureO
                         }
                     } else {
                         let k = next_rand(&mut rng) % stable_keys;
+                        if ops.is_multiple_of(8) {
+                            warm(map, k, &handle);
+                        }
                         map.lookup_qsbr(&k, &handle)
                             .expect("stable key absent mid-move")
                             .verify(k);
@@ -316,6 +362,9 @@ pub fn torture_storm<M: TortureMap>(map: &M, config: &TortureConfig) -> TortureO
                 while !stop.load(Ordering::Relaxed) {
                     let k = next_rand(&mut rng) % stable_keys;
                     let guard = map.pin_read();
+                    if k.is_multiple_of(8) {
+                        warm(map, k, &guard);
+                    }
                     map.lookup_pinned(&k, &guard)
                         .expect("stable key absent mid-move (EBR)")
                         .verify(k);
