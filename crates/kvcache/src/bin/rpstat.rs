@@ -2,7 +2,8 @@
 //!
 //! Polls the server's `STATS JSON` endpoint at a fixed interval and prints
 //! one line per sample with **per-second deltas** of the rate counters
-//! (requests by opcode, grace-period waits, connection sheds and reaps)
+//! (requests by opcode, evictions, grace-period waits, connection sheds
+//! and reaps)
 //! next to the point-in-time values (GET latency quantiles, maintenance
 //! backlog, cumulative stall count). Counters the server keeps cumulative
 //! become rates here, so "the cache got slow at 14:03" is visible as a
@@ -99,6 +100,7 @@ struct Sample {
     gets: u64,
     sets: u64,
     deletes: u64,
+    evictions: u64,
     get_p50_ns: u64,
     get_p99_ns: u64,
     graces: u64,
@@ -116,6 +118,7 @@ impl Sample {
             gets: field(json, "engine_get_hits_total")? + field(json, "engine_get_misses_total")?,
             sets: field(json, "engine_sets_total")?,
             deletes: field(json, "engine_deletes_total")?,
+            evictions: field(json, "engine_evictions_total")?,
             get_p50_ns: summary_field(json, "kv_get_latency_ns", "p50")?,
             get_p99_ns: summary_field(json, "kv_get_latency_ns", "p99")?,
             graces: summary_field(json, "rcu_sync_ebr_ns", "count")?
@@ -161,6 +164,7 @@ struct Row {
     get_s: u64,
     set_s: u64,
     del_s: u64,
+    evict_s: u64,
     grace_s: u64,
     trips_s: u64,
     sheds_s: u64,
@@ -177,6 +181,7 @@ impl Row {
             get_s: rate(now.gets, prev.gets),
             set_s: rate(now.sets, prev.sets),
             del_s: rate(now.deletes, prev.deletes),
+            evict_s: rate(now.evictions, prev.evictions),
             grace_s: rate(now.graces, prev.graces),
             trips_s: rate(now.trips, prev.trips),
             sheds_s: rate(now.sheds, prev.sheds),
@@ -187,15 +192,16 @@ impl Row {
 }
 
 const CSV_HEADER: &str =
-    "elapsed_ms,get_s,set_s,del_s,get_p50_ns,get_p99_ns,grace_s,stalls,maint_queue,trips_s,sheds_s,reaps_s";
+    "elapsed_ms,get_s,set_s,del_s,evict_s,get_p50_ns,get_p99_ns,grace_s,stalls,maint_queue,trips_s,sheds_s,reaps_s";
 
 fn print_header() {
     println!(
-        "{:>8} {:>9} {:>8} {:>8} {:>10} {:>10} {:>8} {:>6} {:>7} {:>7} {:>7} {:>7}",
+        "{:>8} {:>9} {:>8} {:>8} {:>8} {:>10} {:>10} {:>8} {:>6} {:>7} {:>7} {:>7} {:>7}",
         "ms",
         "get/s",
         "set/s",
         "del/s",
+        "evict/s",
         "p50(ns)",
         "p99(ns)",
         "grace/s",
@@ -210,11 +216,12 @@ fn print_header() {
 fn print_row(row: &Row, csv: bool) {
     if csv {
         println!(
-            "{},{},{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{},{},{},{},{},{},{}",
             row.elapsed_ms,
             row.get_s,
             row.set_s,
             row.del_s,
+            row.evict_s,
             row.now.get_p50_ns,
             row.now.get_p99_ns,
             row.grace_s,
@@ -226,11 +233,12 @@ fn print_row(row: &Row, csv: bool) {
         );
     } else {
         println!(
-            "{:>8} {:>9} {:>8} {:>8} {:>10} {:>10} {:>8} {:>6} {:>7} {:>7} {:>7} {:>7}",
+            "{:>8} {:>9} {:>8} {:>8} {:>8} {:>10} {:>10} {:>8} {:>6} {:>7} {:>7} {:>7} {:>7}",
             row.elapsed_ms,
             row.get_s,
             row.set_s,
             row.del_s,
+            row.evict_s,
             row.now.get_p50_ns,
             row.now.get_p99_ns,
             row.grace_s,

@@ -148,6 +148,11 @@ pub struct CacheStats {
     pub evictions: AtomicU64,
     /// Items dropped because they were found expired.
     pub expirations: AtomicU64,
+    /// Scans of the index for eviction candidates.
+    pub evict_scans: AtomicU64,
+    /// Eviction candidates skipped because they were touched, replaced or
+    /// deleted after the scan that queued them.
+    pub evict_stale: AtomicU64,
 }
 
 impl CacheStats {
@@ -180,6 +185,8 @@ impl CacheStats {
             &self.deletes,
             &self.evictions,
             &self.expirations,
+            &self.evict_scans,
+            &self.evict_stale,
         ] {
             counter.store(0, Ordering::Relaxed);
         }
@@ -266,6 +273,7 @@ pub trait CacheEngine: Send + Sync {
 mod tests {
     use super::*;
     use crate::{LockEngine, RpEngine, ShardedRpEngine, SplitOrderEngine};
+    use std::collections::{BTreeMap, HashMap};
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
@@ -406,7 +414,7 @@ mod tests {
     }
 
     #[test]
-    fn capacity_is_enforced_with_approximate_lru() {
+    fn capacity_is_enforced_with_exact_lru() {
         for_every_engine_and_read_side(4, |engine, ctx| {
             for i in 0..4 {
                 engine.set(&format!("k{i}"), Item::new(0, "x"));
@@ -417,12 +425,114 @@ mod tests {
             }
             engine.set("k4", Item::new(0, "x"));
             assert_eq!(engine.len(), 4);
-            assert!(engine.stats().evicted() >= 1);
-            assert!(
-                engine.get_ref(b"k4", ctx).is_some(),
-                "newly inserted key must survive"
-            );
+            assert_eq!(engine.stats().evicted(), 1);
+            assert_eq!(engine.get_ref(b"k3", ctx), None, "the coldest key goes");
+            for key in ["k0", "k1", "k2", "k4"] {
+                assert!(engine.get_ref(key.as_bytes(), ctx).is_some(), "{key}");
+            }
         });
+    }
+
+    /// The reference the engines are held to: an LRU kept as a list of keys
+    /// ordered by the tick of their last use.
+    #[derive(Default)]
+    struct ModelLru {
+        capacity: usize,
+        tick: u64,
+        last_use: HashMap<u32, u64>,
+        by_age: BTreeMap<u64, u32>,
+        evictions: u64,
+    }
+
+    impl ModelLru {
+        fn touch(&mut self, key: u32) {
+            self.tick += 1;
+            if let Some(before) = self.last_use.insert(key, self.tick) {
+                self.by_age.remove(&before);
+            }
+            self.by_age.insert(self.tick, key);
+        }
+
+        fn get(&mut self, key: u32) -> bool {
+            let hit = self.last_use.contains_key(&key);
+            if hit {
+                self.touch(key);
+            }
+            hit
+        }
+
+        fn set(&mut self, key: u32) {
+            self.touch(key);
+            if self.last_use.len() > self.capacity {
+                let (_, oldest) = self.by_age.pop_first().unwrap();
+                self.last_use.remove(&oldest);
+                self.evictions += 1;
+            }
+        }
+
+        fn delete(&mut self, key: u32) -> bool {
+            let before = self.last_use.remove(&key);
+            before.is_some_and(|tick| self.by_age.remove(&tick).is_some())
+        }
+    }
+
+    #[test]
+    fn eviction_is_exact_lru_against_a_model() {
+        // Skewed cache-aside traffic with overwrites and deletes mixed in:
+        // the model predicts every verdict and the eviction total. Capacity
+        // 5 is below the smallest batch a scan queues, so a queue there
+        // always holds the whole cache, the key just stored included.
+        fn check(engine: &dyn CacheEngine, capacity: usize) {
+            let mut ctx = EngineReadCtx::new(ReadSide::Ebr);
+            let mut model = ModelLru {
+                capacity,
+                ..ModelLru::default()
+            };
+            let keys = 4 * capacity as u64;
+            let mut rng = 0x9E37_79B9_7F4A_7C15_u64;
+            for op in 0..200_000 {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                // The cube of a uniform draw: low ids are the hot ones.
+                let uniform = (rng >> 32) % keys;
+                let id = (uniform * uniform * uniform / (keys * keys)) as u32;
+                let key = format!("key:{id}");
+                let at = || format!("{} capacity {capacity} op {op} {key}", engine.name());
+                match rng % 100 {
+                    0..=4 => assert_eq!(engine.delete(&key), model.delete(id), "{}", at()),
+                    5..=9 => {
+                        engine.set(&key, Item::new(0, "again"));
+                        model.set(id);
+                    }
+                    _ => {
+                        let hit = engine.get_ref(key.as_bytes(), &mut ctx).is_some();
+                        assert_eq!(hit, model.get(id), "{}", at());
+                        if !hit {
+                            engine.set(&key, Item::new(0, "filled"));
+                            model.set(id);
+                        }
+                    }
+                }
+            }
+            assert_eq!(
+                engine.stats().evicted(),
+                model.evictions,
+                "{}",
+                engine.name()
+            );
+            assert_eq!(engine.len(), model.last_use.len(), "{}", engine.name());
+            assert!(model.evictions > 10_000, "{}", model.evictions);
+        }
+        for capacity in [1024, 5] {
+            check(&RpEngine::with_capacity(capacity), capacity);
+            check(
+                &ShardedRpEngine::with_shards_and_capacity(4, capacity),
+                capacity,
+            );
+            check(&SplitOrderEngine::with_capacity(capacity), capacity);
+            check(&LockEngine::with_capacity(capacity), capacity);
+        }
     }
 
     #[test]

@@ -90,6 +90,19 @@ impl PartialEq for ItemKey {
 
 impl Eq for ItemKey {}
 
+impl Ord for ItemKey {
+    /// `str`'s order: byte-wise.
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl PartialOrd for ItemKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 impl std::fmt::Debug for ItemKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let key: &str = self.borrow();

@@ -20,7 +20,8 @@
 //! * [`Engine`] — the **RCU-indexed** engine, generic over its index: GETs
 //!   are wait-free lookups that copy the value inside the read-side
 //!   critical section; writes go through the index's writer side; expiry
-//!   is lazy and eviction is approximate-LRU, both on the slow path. The
+//!   is lazy and eviction is exact LRU from a queue that one scan of the
+//!   index fills for many evictions, both on the slow path. The
 //!   item is flat: key, flags, deadline and LRU stamp sit by value in the
 //!   index node, so a hit is three dependent loads (bucket slot, node,
 //!   payload) and a SET two allocations (node, payload). Three indexes

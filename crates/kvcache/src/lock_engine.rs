@@ -106,6 +106,7 @@ impl LockEngine {
             // Exact LRU under the global lock: find the slot with the oldest
             // access stamp. (memcached keeps an intrusive list; a scan keeps
             // this reproduction simple and happens only beyond capacity.)
+            self.stats.bump(&self.stats.evict_scans);
             let victim = inner
                 .map
                 .iter()

@@ -6,9 +6,12 @@
 //! only in the index type they plug in ([`ByteKeyIndex`]).
 
 use std::borrow::Borrow;
+use std::cell::Cell;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use parking_lot::Mutex;
 use rp_hash::{FnvBuildHasher, ResizePolicy, RpHashMap};
 
 use crate::engine::{CacheEngine, CacheStats, EngineReadCtx, StoreOutcome, GROUP};
@@ -30,7 +33,7 @@ fn str_bytes_hash(bytes: &[u8]) -> u64 {
     hasher.finish()
 }
 
-/// A stored item plus its approximate-LRU access stamp, held by value in
+/// A stored item plus its LRU access stamp, held by value in
 /// the index node: a GET hit reads key, flags, deadline, stamp and payload
 /// pointer from the node the chain walk already loaded.
 ///
@@ -97,8 +100,12 @@ pub trait ByteKeyIndex: Send + Sync {
     /// many it removed.
     fn retain(&self, keep: impl FnMut(&StoredItem) -> bool) -> usize;
 
-    /// Every key with its access stamp: the eviction-candidate scan.
-    fn access_stamps(&self) -> Vec<(ItemKey, u64)>;
+    /// The eviction-candidate scan: the `count` entries to evict first —
+    /// those already past their deadline (memcached checks its LRU tail
+    /// for them the same way), then the least recently used — each with
+    /// the access stamp it carried when seen, the first victim **last** so
+    /// that `pop` yields it.
+    fn stalest(&self, count: usize) -> Vec<(ItemKey, u64)>;
 
     /// Scrape-time level gauges this index can report (none by default).
     fn observe_gauges(&self) {}
@@ -169,11 +176,9 @@ macro_rules! impl_byte_key_index {
                 self.retain(|_, stored| keep(stored))
             }
 
-            fn access_stamps(&self) -> Vec<($crate::item::ItemKey, u64)> {
+            fn stalest(&self, count: usize) -> Vec<($crate::item::ItemKey, u64)> {
                 let guard = self.pin();
-                self.iter(&guard)
-                    .map(|(key, stored)| (key.clone(), stored.access_stamp()))
-                    .collect()
+                $crate::rp_engine::stalest_of(self.iter(&guard), count)
             }
 
             $($extra)*
@@ -202,6 +207,38 @@ impl StoredItem {
     pub(crate) fn is_expired_now(&self) -> bool {
         self.item.expires_at.is_some() && self.item.is_expired(Instant::now())
     }
+}
+
+/// [`ByteKeyIndex::stalest`] over an index's `entries`, in one pass with a
+/// bounded max-heap of `(live, stamp, key)` that borrows its keys: only the
+/// `count` that remain at the end are cloned, so the scan's memory is
+/// `count` entries whatever the index holds. The clock is read once, and
+/// only if some entry has a deadline.
+pub(crate) fn stalest_of<'g>(
+    entries: impl Iterator<Item = (&'g ItemKey, &'g StoredItem)>,
+    count: usize,
+) -> Vec<(ItemKey, u64)> {
+    let mut now = None;
+    let mut heap = BinaryHeap::with_capacity(count);
+    for (key, stored) in entries {
+        let expired = stored
+            .item
+            .expires_at
+            .is_some_and(|deadline| *now.get_or_insert_with(Instant::now) >= deadline);
+        let candidate = (!expired, stored.access_stamp(), key);
+        if heap.len() < count {
+            heap.push(candidate);
+        } else if let Some(mut newest) = heap.peek_mut() {
+            if candidate < *newest {
+                *newest = candidate;
+            }
+        }
+    }
+    heap.into_sorted_vec()
+        .into_iter()
+        .rev()
+        .map(|(_, stamp, key)| (key.clone(), stamp))
+        .collect()
 }
 
 impl_byte_key_index!(hinting RpHashMap<ItemKey, StoredItem, FnvBuildHasher>, "rp");
@@ -239,13 +276,19 @@ fn classify_probe(stored: Option<&StoredItem>, stamp: u64) -> Probe {
 ///   path for expiry, eviction".
 /// * **SET / DELETE** go through the index's writer side and retire
 ///   replaced items through the RCU domain.
-/// * **Eviction** is approximate LRU: when the cache exceeds its capacity,
-///   the writer scans the index and evicts the stalest entries it saw.
+/// * **Eviction** is exact LRU at a fraction of a scan per victim: a SET
+///   past capacity pops the oldest entry of a queue that one scan of the
+///   index filled and removes it only if its access stamp has not moved
+///   since (DESIGN.md, *Eviction*).
 pub struct Engine<I> {
     pub(crate) index: I,
     config: EngineConfig,
     clock: AtomicU64,
     stats: CacheStats,
+    /// Eviction candidates of the last scan with the stamps they carried,
+    /// next victim last. Held for the pop and the refill scan only: never
+    /// across a removal, and nothing under it waits for a grace period.
+    victims: Mutex<Vec<(ItemKey, u64)>>,
 }
 
 impl<I: ByteKeyIndex> Engine<I> {
@@ -259,10 +302,11 @@ impl<I: ByteKeyIndex> Engine<I> {
             },
             clock: AtomicU64::new(0),
             stats: CacheStats::default(),
+            victims: Mutex::new(Vec::new()),
         }
     }
 
-    /// Next approximate-LRU access stamp.
+    /// Next LRU access stamp.
     fn stamp(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
@@ -294,22 +338,67 @@ impl<I: ByteKeyIndex> Engine<I> {
             .remove_if(str_bytes_hash(key.as_bytes()), key, |_| true)
     }
 
-    /// Approximate LRU: collect `(key, stamp)` pairs, evict the stalest
-    /// entries until the cache is back under capacity. Runs on the writer
-    /// (SET) path only.
+    /// All a SET that stays within capacity pays for eviction.
+    #[inline]
     fn evict_if_needed(&self) {
+        if self.index.len() > self.config.capacity {
+            self.evict();
+        }
+    }
+
+    /// Exact LRU, one scan per batch of evictions. Every entry a scan left
+    /// out carried a newer stamp than every entry it took, and whatever is
+    /// touched, replaced or stored afterwards takes a newer stamp still: so
+    /// the oldest queued entry whose stamp has not moved is the oldest
+    /// entry of the cache, and one whose stamp moved (or that was deleted)
+    /// fails the removal test and is skipped.
+    #[cold]
+    #[inline(never)]
+    fn evict(&self) {
         while self.index.len() > self.config.capacity {
-            let over = self.index.len() - self.config.capacity;
-            let mut candidates = self.index.access_stamps();
-            if candidates.is_empty() {
+            let Some((key, stamp)) = self.next_victim() else {
                 break;
+            };
+            let key: &str = key.borrow();
+            let expired = Cell::new(false);
+            let removed = self
+                .index
+                .remove_if(str_bytes_hash(key.as_bytes()), key, |stored| {
+                    expired.set(stored.is_expired_now());
+                    stored.access_stamp() == stamp
+                });
+            self.stats.bump(match (removed, expired.get()) {
+                (false, _) => &self.stats.evict_stale,
+                (true, false) => &self.stats.evictions,
+                (true, true) => &self.stats.expirations,
+            });
+        }
+    }
+
+    /// Pops the next eviction candidate, refilling the queue by one scan
+    /// when it is empty; `None` only if a scan found the index empty.
+    fn next_victim(&self) -> Option<(ItemKey, u64)> {
+        loop {
+            let mut victims = self.victims.lock();
+            if let Some(victim) = victims.pop() {
+                return Some(victim);
             }
-            candidates.sort_by_key(|(_, stamp)| *stamp);
-            for (key, _) in candidates.into_iter().take(over.max(1)) {
-                if self.remove(key.borrow()) {
-                    self.stats.bump(&self.stats.evictions);
-                }
+            let start = rp_obs::timer();
+            // 64 nodes scanned per eviction at any capacity; the floor
+            // keeps a small cache from scanning for every one.
+            *victims = self.index.stalest((self.config.capacity / 64).max(16));
+            self.stats.bump(&self.stats.evict_scans);
+            if let Some(ns) = rp_obs::elapsed_ns(start) {
+                rp_obs::global().kv.evict_scan_ns.record(ns);
             }
+            if victims.is_empty() {
+                return None;
+            }
+            // The seam `tests/eviction_storm.rs` stretches: the batch ages
+            // between its scan and its first pop, and other workers may
+            // drain it meanwhile. Not under the lock.
+            drop(victims);
+            let _ = rp_fault::point("kv.evict.refilled");
         }
     }
 }
@@ -473,6 +562,14 @@ impl Default for RpEngine {
 pub(crate) mod tests {
     use super::*;
     use crate::engine::ReadSide;
+    use std::time::Duration;
+
+    /// An item whose deadline has passed.
+    fn expired_item(data: &'static str) -> Item {
+        let mut item = Item::new(0, data);
+        item.expires_at = Some(Instant::now() - Duration::from_millis(1));
+        item
+    }
 
     #[test]
     fn str_bytes_hash_matches_the_index_hasher() {
@@ -507,6 +604,106 @@ pub(crate) mod tests {
         assert!(!hinted(crate::SplitOrderEngine::with_capacity(1024)));
     }
 
+    /// An index holding `stamps` under the keys `a`, `b`, `c`, …; a
+    /// `Some(true)` deadline has passed, a `Some(false)` one has not.
+    fn index_of(stamps: &[(u64, Option<bool>)]) -> RpHashMap<ItemKey, StoredItem, FnvBuildHasher> {
+        let index = RpHashMap::with_buckets_and_hasher(16, FnvBuildHasher);
+        for (i, &(stamp, deadline)) in stamps.iter().enumerate() {
+            let item = match deadline {
+                None => Item::new(0, "v"),
+                Some(true) => expired_item("v"),
+                Some(false) => Item::with_ttl(0, "v", Duration::from_secs(3600)),
+            };
+            let key = char::from(b'a' + i as u8).to_string();
+            ByteKeyIndex::insert(
+                &index,
+                ItemKey::from(key.as_str()),
+                StoredItem {
+                    item,
+                    last_access: AtomicU64::new(stamp),
+                },
+            );
+        }
+        index
+    }
+
+    /// The order `pop` drains `victims` in, as `(key, stamp)`.
+    fn popped(mut victims: Vec<(ItemKey, u64)>) -> Vec<(String, u64)> {
+        let mut order = Vec::new();
+        while let Some((key, stamp)) = victims.pop() {
+            order.push((Borrow::<str>::borrow(&key).to_string(), stamp));
+        }
+        order
+    }
+
+    #[test]
+    fn stalest_pops_the_oldest_first() {
+        let index = index_of(&[(40, None), (10, None), (30, None), (20, None), (50, None)]);
+        let oldest_three = [("b", 10), ("d", 20), ("c", 30)].map(|(k, s)| (k.to_string(), s));
+        assert_eq!(popped(index.stalest(3)), oldest_three);
+        // Asked for more than there is: everything, still oldest first.
+        let all = popped(index.stalest(64));
+        assert_eq!(all.len(), 5);
+        assert_eq!(all[..3], oldest_three);
+        assert_eq!(all[4], ("e".to_string(), 50));
+        assert!(index.stalest(0).is_empty());
+        assert!(index_of(&[]).stalest(16).is_empty());
+    }
+
+    #[test]
+    fn stalest_keeps_its_count_among_equal_stamps() {
+        let index = index_of(&[(7, None), (7, None), (3, None), (7, None), (7, None)]);
+        let order = popped(index.stalest(3));
+        assert_eq!(order[0], ("c".to_string(), 3));
+        assert_eq!((order.len(), order[1].1, order[2].1), (3, 7, 7));
+        assert_ne!(order[1].0, order[2].0);
+    }
+
+    #[test]
+    fn stalest_puts_expired_entries_ahead_of_live_ones() {
+        // `c` is the newest entry and the first to go; it keeps its real
+        // stamp, which is what the removal tests. A deadline still ahead
+        // is no reason to go.
+        let index = index_of(&[(1, None), (2, Some(false)), (9, Some(true)), (4, None)]);
+        let first_three = [("c", 9), ("a", 1), ("b", 2)].map(|(k, s)| (k.to_string(), s));
+        assert_eq!(popped(index.stalest(3)), first_three);
+    }
+
+    /// A full cache holding items past their deadline gives those up
+    /// before its least recently used live item, as expirations.
+    fn expired_items_go_before_live_ones<I: ByteKeyIndex>(engine: Engine<I>) {
+        let name = engine.name();
+        let mut ctx = EngineReadCtx::new(ReadSide::Ebr);
+        engine.set("live-0", Item::new(0, "v"));
+        engine.set("live-1", Item::new(0, "v"));
+        engine.set("stale-0", expired_item("v"));
+        engine.set("stale-1", expired_item("v"));
+        engine.set("fifth", Item::new(0, "v"));
+        assert_eq!(engine.len(), 4, "{name}");
+        let count = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        assert_eq!(count(&engine.stats.expirations), 1, "{name}");
+        assert_eq!(count(&engine.stats.evictions), 0, "{name}");
+        for key in ["live-0", "live-1", "fifth"] {
+            assert!(engine.get_ref(key.as_bytes(), &mut ctx).is_some(), "{name}");
+        }
+        // The other expired item is next, whatever was touched meanwhile.
+        engine.set("sixth", Item::new(0, "v"));
+        assert_eq!(count(&engine.stats.expirations), 2, "{name}");
+        assert_eq!(count(&engine.stats.evictions), 0, "{name}");
+        // With none left the least recently used live item goes.
+        engine.set("seventh", Item::new(0, "v"));
+        assert_eq!(count(&engine.stats.evictions), 1, "{name}");
+        assert!(engine.get_ref(b"live-0", &mut ctx).is_none(), "{name}");
+        assert_eq!(engine.len(), 4, "{name}");
+    }
+
+    #[test]
+    fn a_full_cache_drops_expired_items_first() {
+        expired_items_go_before_live_ones(RpEngine::with_capacity(4));
+        expired_items_go_before_live_ones(crate::ShardedRpEngine::with_shards_and_capacity(4, 4));
+        expired_items_go_before_live_ones(crate::SplitOrderEngine::with_capacity(4));
+    }
+
     #[test]
     fn index_resizes_itself_under_insert_load() {
         let engine = RpEngine::with_capacity(100_000);
@@ -527,11 +724,7 @@ pub(crate) mod tests {
     /// the same key acknowledged between the probe and the removal: the
     /// verdict "expired" was about the old item and must not take the new.
     fn expired_verdict_spares_a_fresh_set<I: ByteKeyIndex>(engine: Engine<I>) {
-        let stale = || {
-            let mut item = Item::new(0, "stale");
-            item.expires_at = Some(Instant::now() - std::time::Duration::from_millis(1));
-            item
-        };
+        let stale = || expired_item("stale");
         let hash = str_bytes_hash(b"k");
         engine.set("k", stale());
         {

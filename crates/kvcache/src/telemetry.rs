@@ -74,6 +74,18 @@ pub fn render_engine_metrics(engine: &dyn CacheEngine, out: &mut impl BufWrite) 
     );
     rp_obs::render::counter(
         &mut sink,
+        "engine_evict_scans_total",
+        "Index scans for eviction candidates",
+        stats.evict_scans.load(std::sync::atomic::Ordering::Relaxed),
+    );
+    rp_obs::render::counter(
+        &mut sink,
+        "engine_evict_stale_total",
+        "Eviction candidates skipped because they were touched after the scan",
+        stats.evict_stale.load(std::sync::atomic::Ordering::Relaxed),
+    );
+    rp_obs::render::counter(
+        &mut sink,
         "engine_expirations_total",
         "Items dropped because they were expired",
         stats.expirations.load(std::sync::atomic::Ordering::Relaxed),
@@ -190,6 +202,14 @@ pub fn render_json_from(registry: &rp_obs::Obs, engine: &dyn CacheEngine, out: &
     );
     eng.field("engine_evictions_total", stats.evicted());
     eng.field(
+        "engine_evict_scans_total",
+        stats.evict_scans.load(std::sync::atomic::Ordering::Relaxed),
+    );
+    eng.field(
+        "engine_evict_stale_total",
+        stats.evict_stale.load(std::sync::atomic::Ordering::Relaxed),
+    );
+    eng.field(
         "engine_expirations_total",
         stats.expirations.load(std::sync::atomic::Ordering::Relaxed),
     );
@@ -261,10 +281,43 @@ engine_deletes_total 1\n\
 # HELP engine_evictions_total Items evicted to stay under capacity\n\
 # TYPE engine_evictions_total counter\n\
 engine_evictions_total 0\n\
+# HELP engine_evict_scans_total Index scans for eviction candidates\n\
+# TYPE engine_evict_scans_total counter\n\
+engine_evict_scans_total 0\n\
+# HELP engine_evict_stale_total Eviction candidates skipped because they were touched after the scan\n\
+# TYPE engine_evict_stale_total counter\n\
+engine_evict_stale_total 0\n\
 # HELP engine_expirations_total Items dropped because they were expired\n\
 # TYPE engine_expirations_total counter\n\
 engine_expirations_total 0\n";
         assert_eq!(String::from_utf8(out).unwrap(), expected);
+    }
+
+    /// Evictions per scan is a live number: sixteen SETs past a capacity
+    /// of four are sixteen evictions in four scans (a scan of so small a
+    /// cache queues all five items), and `STATS RESET` zeroes all three.
+    #[test]
+    fn eviction_counters_render_and_reset() {
+        let engine = crate::RpEngine::with_capacity(4);
+        for i in 0..20 {
+            engine.set(&format!("k{i}"), Item::new(0, "v"));
+        }
+        let render = || {
+            let mut out = Vec::new();
+            render_json_from(&rp_obs::Obs::default(), &engine, &mut out);
+            String::from_utf8(out).unwrap()
+        };
+        let counted = concat!(
+            "\"engine_evictions_total\":16,\"engine_evict_scans_total\":4,",
+            "\"engine_evict_stale_total\":0,"
+        );
+        assert!(render().contains(counted), "{}", render());
+        engine.stats().reset();
+        let zeroed = concat!(
+            "\"engine_evictions_total\":0,\"engine_evict_scans_total\":0,",
+            "\"engine_evict_stale_total\":0,"
+        );
+        assert!(render().contains(zeroed), "{}", render());
     }
 
     /// The per-worker view is a pure function of one shard's recordings:
@@ -470,11 +523,12 @@ END\r\n";
             "{\"engine\":{\"engine_items\":0,\"engine_get_hits_total\":1,",
             "\"engine_get_misses_total\":1,\"engine_sets_total\":1,",
             "\"engine_deletes_total\":1,\"engine_evictions_total\":0,",
+            "\"engine_evict_scans_total\":0,\"engine_evict_stale_total\":0,",
             "\"engine_expirations_total\":0},",
             "\"kv\":{\"kv_requests_total\":0,\"kv_decode_errors_total\":0,",
             "\"kv_get_latency_ns\":Z,\"kv_set_latency_ns\":Z,",
             "\"kv_delete_latency_ns\":Z,\"kv_other_latency_ns\":Z,",
-            "\"kv_group_keys\":Z,",
+            "\"kv_group_keys\":Z,\"engine_evict_scan_ns\":Z,",
             "\"kv_slow_logged_total\":0},",
             "\"net\":{\"net_accepts_total\":1,\"net_conns_shed_total\":0,",
             "\"net_accept_errors_total\":0,",

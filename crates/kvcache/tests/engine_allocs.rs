@@ -2,8 +2,11 @@
 //! the calling thread with the counting allocator installed: the cached
 //! item is one index node (key and item by value) plus its payload, so a
 //! SET of a short key allocates the node and nothing else, a key past the
-//! inline limit adds its `Box<str>`, and a GET allocates nothing. The
-//! payloads here are shared `Bytes`, so they do not count.
+//! inline limit adds its `Box<str>`, and a GET allocates nothing. A SET
+//! past capacity allocates per *scan* for eviction candidates, not per
+//! SET: the queue and the bounded heap behind it, plus a `Box<str>` for
+//! each long key queued. The payloads here are shared `Bytes`, so they do
+//! not count.
 
 use rp_kvcache::{
     CacheEngine, EngineReadCtx, Item, ReadSide, RpEngine, ShardedRpEngine, SplitOrderEngine,
@@ -39,6 +42,29 @@ fn assert_set_allocs(engine: &dyn CacheEngine, keys: &[String], per_set: f64) {
     );
 }
 
+/// An evicting SET of a fresh key, amortised over the scans `OPS` of them
+/// need: `per_set` and under a tenth of an allocation more.
+fn assert_evicting_set_allocs(engine: &dyn CacheEngine, keys: &[String], per_set: f64) {
+    let payload = bytes::Bytes::from(vec![7_u8; 64]);
+    let mut fresh = keys.iter();
+    let mut set_next = |_| {
+        engine.set(fresh.next().unwrap(), Item::new(0, payload.clone()));
+    };
+    // Fill to capacity first, so that every counted SET evicts, and go on
+    // until a split-ordered index has initialised its buckets (it
+    // allocates each one's sentinel node on first use).
+    (0..5 * OPS).for_each(&mut set_next);
+    let evicted = engine.stats().evicted();
+    let measured = allocs_per_op(&mut set_next);
+    assert_eq!(engine.stats().evicted() - evicted, 2 * OPS as u64);
+    assert!(
+        (per_set..per_set + 0.1).contains(&measured),
+        "{}: {measured:.3} allocations per evicting SET of a {}-byte key, expected {per_set}",
+        engine.name(),
+        keys[0].len(),
+    );
+}
+
 fn assert_gets_do_not_allocate(engine: &dyn CacheEngine, keys: &[String]) {
     for read_side in [ReadSide::Ebr, ReadSide::Qsbr] {
         let mut ctx = EngineReadCtx::new(read_side);
@@ -64,6 +90,15 @@ fn check(engine: &dyn CacheEngine, node_allocs: f64) {
     assert_gets_do_not_allocate(engine, &long);
 }
 
+/// As [`check`], for SETs past a capacity of `OPS` items.
+fn check_evicting(make: fn() -> Box<dyn CacheEngine>, node_allocs: f64) {
+    let short: Vec<String> = (0..7 * OPS).map(|i| format!("key:{i:08}")).collect();
+    let long: Vec<String> = (0..7 * OPS).map(|i| format!("key:{i:019}")).collect();
+    assert_evicting_set_allocs(&*make(), &short, node_allocs);
+    // The new key's `Box<str>`, and the victim's when the scan queued it.
+    assert_evicting_set_allocs(&*make(), &long, node_allocs + 2.0);
+}
+
 #[test]
 fn a_set_allocates_its_node_and_a_get_nothing() {
     // One test, so nothing else allocates on this thread meanwhile.
@@ -71,4 +106,11 @@ fn a_set_allocates_its_node_and_a_get_nothing() {
     check(&ShardedRpEngine::with_shards_and_capacity(4, 1 << 16), 1.0);
     // Split-order keeps the value in a cell of its own beside the node.
     check(&SplitOrderEngine::with_capacity(1 << 16), 2.0);
+
+    check_evicting(|| Box::new(RpEngine::with_capacity(OPS)), 1.0);
+    check_evicting(
+        || Box::new(ShardedRpEngine::with_shards_and_capacity(4, OPS)),
+        1.0,
+    );
+    check_evicting(|| Box::new(SplitOrderEngine::with_capacity(OPS)), 2.0);
 }

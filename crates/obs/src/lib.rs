@@ -249,6 +249,10 @@ pub struct KvWorkerObs {
 pub struct KvObs {
     /// Per-worker shards, merged lazily at scrape time.
     pub shards: Sharded<KvWorkerObs>,
+    /// Duration of each scan of the index for eviction candidates,
+    /// nanoseconds (the engine's cold path: one scan serves a batch of
+    /// evictions).
+    pub evict_scan_ns: Histogram,
     /// The slow-request log (sampled spans over the threshold),
     /// read back by `STATS SLOW`.
     pub slow: SlowLog,
@@ -347,6 +351,12 @@ impl Obs {
             "kv_group_keys",
             "Keys prefetched per group of pipelined requests (0: no call).",
             &group,
+        );
+        render::summary(
+            sink,
+            "engine_evict_scan_ns",
+            "Index scans for eviction candidates (one serves a batch of evictions).",
+            &self.kv.evict_scan_ns.snapshot(),
         );
     }
 
@@ -675,6 +685,7 @@ impl Obs {
         kv.summary("kv_delete_latency_ns", &delete);
         kv.summary("kv_other_latency_ns", &other);
         kv.summary("kv_group_keys", &group);
+        kv.summary("engine_evict_scan_ns", &self.kv.evict_scan_ns.snapshot());
         kv.field("kv_slow_logged_total", self.kv.slow.recorded());
         kv.end();
 
@@ -791,6 +802,7 @@ impl Obs {
         self.rcu.sync_qsbr_ns.reset();
         self.rcu.reclaim_executed_total.reset();
         self.rcu.grace_stalls_total.reset();
+        self.kv.evict_scan_ns.reset();
         self.kv.slow.reset();
         // Level gauges (connections, queue depth, pending, imbalance) are
         // left alone: their owners re-assert the level, and a transient 0
@@ -959,7 +971,9 @@ mod tests {
         obs.kv.slow.set_threshold_ns(0);
         obs.kv.slow.record(&SlowSpan::default());
         obs.rcu.grace_stalls_total.inc();
+        obs.kv.evict_scan_ns.record(500_000);
         obs.reset();
+        assert_eq!(obs.kv.evict_scan_ns.snapshot().count(), 0);
         assert_eq!(obs.kv.slow.recorded(), 0);
         assert_eq!(obs.rcu.grace_stalls_total.get(), 0);
     }
