@@ -64,7 +64,6 @@ mod node;
 mod policy;
 pub mod qsbr;
 mod resize;
-mod set;
 mod stats;
 mod table;
 
@@ -74,7 +73,6 @@ pub use map::{prefetch_line, RpHashMap};
 pub use policy::ResizePolicy;
 pub use qsbr::{QsbrReadHandle, ReadProtect};
 pub use resize::ResizeStep;
-pub use set::RpHashSet;
 pub use stats::MapStats;
 
 /// Re-export of the guard type readers use to delimit lookups.

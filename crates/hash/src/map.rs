@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering}
 
 use parking_lot::Mutex;
 
-use rp_rcu::{GraceSync, RcuDomain, RcuGuard};
+use rp_rcu::{GraceSync, NoGraceWait, RcuDomain, RcuGuard};
 
 use crate::iter::{Iter, Keys, Values};
 use crate::node::Node;
@@ -37,6 +37,11 @@ pub fn prefetch_line(ptr: *const u8) {
     #[cfg(not(target_arch = "x86_64"))]
     let _ = ptr;
 }
+
+/// The writer lock's guard. QSBR-online threads take this lock as writers
+/// and announce quiescence only afterwards, so no grace period is ever
+/// waited for under it — [`NoGraceWait`] makes that a debug assertion.
+pub(crate) type WriterGuard<'a> = NoGraceWait<parking_lot::MutexGuard<'a, ()>>;
 
 /// A concurrent hash map with wait-free relativistic readers and
 /// reader-transparent resizing.
@@ -228,8 +233,8 @@ impl<K, V, S> RpHashMap<K, V, S> {
         self.table.swap(Box::into_raw(new), Ordering::AcqRel)
     }
 
-    pub(crate) fn writer_lock(&self) -> parking_lot::MutexGuard<'_, ()> {
-        self.writer.lock()
+    pub(crate) fn writer_lock(&self) -> WriterGuard<'_> {
+        NoGraceWait::holding(self.writer.lock())
     }
 
     /// The in-progress resize operation slot.
@@ -439,21 +444,6 @@ where
         self.get(key, handle)
     }
 
-    /// Looks up every key in `keys` through the QSBR read path, returning
-    /// references in caller order — one barrier-free pass, all results tied
-    /// to a single quiescent window (the borrow of `handle`).
-    pub fn get_many_qsbr<'g, Q>(
-        &'g self,
-        keys: &[Q],
-        handle: &'g QsbrReadHandle,
-    ) -> Vec<Option<&'g V>>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq,
-    {
-        keys.iter().map(|key| self.get(key, handle)).collect()
-    }
-
     /// [`RpHashMap::get_key_value`] with a caller-supplied hash (see
     /// [`RpHashMap::get_prehashed`] for the contract on `hash`).
     pub fn get_key_value_prehashed<'g, Q, P>(
@@ -641,11 +631,12 @@ where
     /// [`RpHashMap::insert`] with a caller-supplied hash (see
     /// [`RpHashMap::get_prehashed`] for the contract on `hash`).
     pub fn insert_prehashed(&self, hash: u64, key: K, value: V) -> bool {
+        let mut crossed = false;
         let guard = self.writer_lock();
         // SAFETY: writer lock held.
-        let newly = unsafe { self.insert_one_locked(hash, key, value) };
-        self.maybe_reclaim();
+        let newly = unsafe { self.insert_one_locked(hash, key, value, &mut crossed) };
         drop(guard);
+        self.after_write(crossed);
         newly
     }
 
@@ -653,28 +644,31 @@ where
     /// acquisition, amortising lock traffic for shard-grouped bulk puts.
     ///
     /// Returns the number of keys that were newly inserted (as opposed to
-    /// replaced). Automatic resizing and reclamation behave exactly as for
-    /// per-key [`RpHashMap::insert`] calls.
+    /// replaced). Automatic resizing and reclamation run once, after the
+    /// batch and the unlock: a batch that crosses several doublings leaves
+    /// the table inside its policy bounds when the call returns.
     pub fn insert_many_prehashed(&self, entries: impl IntoIterator<Item = (u64, K, V)>) -> usize {
+        let (mut newly, mut crossed) = (0, false);
         let guard = self.writer_lock();
-        let mut newly = 0;
         for (hash, key, value) in entries {
             // SAFETY: writer lock held for the whole batch.
-            if unsafe { self.insert_one_locked(hash, key, value) } {
+            if unsafe { self.insert_one_locked(hash, key, value, &mut crossed) } {
                 newly += 1;
             }
         }
-        self.maybe_reclaim();
         drop(guard);
+        self.after_write(crossed);
         newly
     }
 
-    /// One insert-or-replace step.
+    /// One insert-or-replace step. Sets `crossed` if the insert took the
+    /// table over its policy's expand trigger; resizing is the caller's
+    /// business, after it unlocks ([`RpHashMap::after_write`]).
     ///
     /// # Safety
     ///
     /// The caller must hold the writer lock.
-    unsafe fn insert_one_locked(&self, hash: u64, key: K, value: V) -> bool {
+    unsafe fn insert_one_locked(&self, hash: u64, key: K, value: V, crossed: &mut bool) -> bool {
         // SAFETY: writer lock held per the caller contract.
         let table = unsafe { self.table_locked() };
         let bucket = table.bucket_of(hash);
@@ -710,20 +704,7 @@ where
                 table.publish_head(bucket, new);
                 let len = self.len.fetch_add(1, Ordering::Relaxed) + 1;
                 self.stats.bump(&self.stats.inserts);
-                // Automatic resizing waits for grace periods; skip it when
-                // the inserting thread holds a read guard or is an online
-                // QSBR reader (either would self-deadlock) or an
-                // incremental resize is already in flight, and let a later
-                // insert (or the maintainer) catch up.
-                if self.policy.should_expand(len, table.len())
-                    && rp_rcu::global_read_nesting() == 0
-                    && !rp_rcu::qsbr::global_qsbr_online()
-                    // SAFETY: writer lock held.
-                    && unsafe { self.resize_op_locked() }.is_none()
-                {
-                    // SAFETY: writer lock held.
-                    unsafe { self.expand_locked() };
-                }
+                *crossed |= self.policy.should_expand(len, table.len());
                 true
             }
         }
@@ -797,13 +778,12 @@ where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
+        let mut crossed = false;
         let guard = self.writer_lock();
         // SAFETY: writer lock held.
-        let removed = unsafe { self.remove_one_locked(hash, key, condemn) };
-        if removed {
-            self.maybe_reclaim();
-        }
+        let removed = unsafe { self.remove_one_locked(hash, key, condemn, &mut crossed) };
         drop(guard);
+        self.after_write(crossed);
         removed
     }
 
@@ -813,8 +793,7 @@ where
     /// `multi_remove` so a batch pays one lock round-trip per shard).
     ///
     /// Returns the number of keys that were present and removed. Automatic
-    /// shrinking and reclamation behave exactly as for per-key
-    /// [`RpHashMap::remove`] calls.
+    /// shrinking and reclamation run once, after the batch and the unlock.
     pub fn remove_many_prehashed<'a, Q>(
         &self,
         keys: impl IntoIterator<Item = (u64, &'a Q)>,
@@ -823,21 +802,23 @@ where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized + 'a,
     {
+        let (mut removed, mut crossed) = (0, false);
         let guard = self.writer_lock();
-        let mut removed = 0;
         for (hash, key) in keys {
             // SAFETY: writer lock held for the whole batch.
-            if unsafe { self.remove_one_locked(hash, key, |_| true) } {
+            if unsafe { self.remove_one_locked(hash, key, |_| true, &mut crossed) } {
                 removed += 1;
             }
         }
-        self.maybe_reclaim();
         drop(guard);
+        self.after_write(crossed);
         removed
     }
 
     /// One remove step: unlinks `key`'s entry if it exists and `condemn`
-    /// accepts its value.
+    /// accepts its value. Sets `crossed` if the removal took the table
+    /// under its policy's shrink trigger (see
+    /// [`RpHashMap::insert_one_locked`]).
     ///
     /// # Safety
     ///
@@ -847,6 +828,7 @@ where
         hash: u64,
         key: &Q,
         condemn: impl FnOnce(&V) -> bool,
+        crossed: &mut bool,
     ) -> bool
     where
         K: Borrow<Q>,
@@ -880,15 +862,7 @@ where
                 // SAFETY: unlinked above, allocated by `Node::alloc`,
                 // readers pin the global domain.
                 unsafe { RcuDomain::global().defer_free(node) };
-                if self.policy.should_shrink(len, table.len())
-                    && rp_rcu::global_read_nesting() == 0
-                    && !rp_rcu::qsbr::global_qsbr_online()
-                    // SAFETY: writer lock held.
-                    && unsafe { self.resize_op_locked() }.is_none()
-                {
-                    // SAFETY: writer lock held.
-                    unsafe { self.shrink_locked() };
-                }
+                *crossed |= self.policy.should_shrink(len, table.len());
                 true
             }
             None => false,
@@ -989,8 +963,8 @@ where
             unsafe { RcuDomain::global().defer_free(node) };
         }
         self.stats.bump(&self.stats.replaces);
-        self.maybe_reclaim();
         drop(guard);
+        self.after_write(false);
         true
     }
 
@@ -1005,7 +979,7 @@ where
         F: FnMut(&K, &V) -> bool,
     {
         let mut removed = 0;
-        let _guard = self.writer_lock();
+        let guard = self.writer_lock();
         // SAFETY: writer lock held.
         let table = unsafe { self.table_locked() };
         for bucket in 0..table.len() {
@@ -1041,7 +1015,8 @@ where
                 cur = next;
             }
         }
-        self.maybe_reclaim();
+        drop(guard);
+        self.after_write(false);
         removed
     }
 
@@ -1141,16 +1116,24 @@ where
         }
     }
 
-    fn maybe_reclaim(&self) {
-        // Reclamation waits for a grace period, which can never complete if
-        // the calling thread itself holds a read guard or is an online QSBR
-        // reader; postpone it in those cases (a later update from a
-        // quiescent thread — or the maintenance thread / a background
-        // reclaimer — will catch up). The wait goes through `GraceSync` so
-        // it covers QSBR readers of this map too.
-        if rp_rcu::global_read_nesting() == 0 && !rp_rcu::qsbr::global_qsbr_online() {
-            GraceSync::global().reclaim_if_pending(self.reclaim_threshold.load(Ordering::Relaxed));
+    /// What every write entry point ends in, **after** it has released the
+    /// writer lock: the grace-period work the write made due. `crossed`
+    /// says the write took the table over a load-factor trigger.
+    ///
+    /// A grace period can never complete if the calling thread itself holds
+    /// a read guard or is an online QSBR reader; the work is postponed in
+    /// those cases (a later update from a quiescent thread — or
+    /// [`RpHashMap::maintain`], the maintenance thread, a background
+    /// reclaimer — catches up). The waits go through `GraceSync`, so they
+    /// cover QSBR readers of this map too.
+    fn after_write(&self, crossed: bool) {
+        if !rp_rcu::may_wait_for_readers() {
+            return;
         }
+        if crossed {
+            self.drive_to_policy();
+        }
+        GraceSync::global().reclaim_if_pending(self.reclaim_threshold.load(Ordering::Relaxed));
     }
 }
 

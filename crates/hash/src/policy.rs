@@ -9,8 +9,9 @@
 /// (the way the Linux kernel's rhashtable — the descendant of this paper's
 /// algorithm — behaves).
 ///
-/// Automatic resizes run inline in the triggering writer and therefore wait
-/// for grace periods; readers are unaffected.
+/// The triggering writer runs an automatic resize itself, after it has
+/// released the writer lock, and pays its grace periods; readers and other
+/// writers are unaffected.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResizePolicy {
     /// Grow (double) when `len > buckets * max_load_factor`.

@@ -8,11 +8,9 @@
 //!
 //! # The state machine
 //!
-//! Historically a resize ran to completion inside the triggering writer,
-//! which therefore paid every grace-period wait inline. The resize is now a
-//! first-class *operation object* ([`UnzipOp`] / [`ZipOp`], stored inside
-//! the map) that any thread can push forward one bounded [`ResizeStep`] at a
-//! time:
+//! A resize is a first-class *operation object* ([`UnzipOp`] / [`ZipOp`],
+//! stored inside the map) that any thread can push forward one bounded
+//! [`ResizeStep`] at a time:
 //!
 //! ```text
 //! expand:  begin(+publish new table) → grace → [splice round → grace]* → finish
@@ -24,17 +22,25 @@
 //!   separated: the links are computed against the chains as they are at
 //!   that instant).
 //! * **grace** steps wait for readers with the writer lock *released*, so
-//!   concurrent writers keep updating the map while the maintenance thread
-//!   absorbs the wait.
+//!   concurrent writers keep updating the map while the resizing thread
+//!   absorbs the wait. This is the only grace-period wait in the crate's
+//!   resize code, and it is a rule, not an optimisation: a QSBR-online
+//!   thread that writes to the map announces its quiescent state only after
+//!   its write, so whoever waited for it while holding the lock that write
+//!   needs would wait forever.
 //! * **splice rounds** perform at most one cross-link splice per in-progress
 //!   bucket pair under the writer lock (bounded work, no waiting), then
 //!   require a grace period before the next round.
 //! * **finish** tears down the operation bookkeeping.
 //!
-//! The inline entry points ([`RpHashMap::expand`], [`RpHashMap::shrink`],
-//! [`RpHashMap::resize_to`] and the load-factor triggers) drive the same
-//! machine to completion synchronously, so their semantics — and their
-//! grace-period accounting — are unchanged.
+//! There is one driver, [`RpHashMap::drive_resizes`]: finish whatever resize
+//! is in flight, begin the next one its caller asks for, step it to
+//! [`ResizeStep::Finished`] through [`RpHashMap::advance_resize`], repeat.
+//! [`RpHashMap::expand`], [`RpHashMap::shrink`], [`RpHashMap::resize_to`],
+//! [`RpHashMap::maintain`] and the load-factor triggers (which fire after
+//! the triggering writer has unlocked) differ only in what they ask for.
+//! The caller is synchronous — it returns when its resize has finished, and
+//! pays every grace period of it — but holds nothing while it waits.
 //!
 //! # Writer mutations between steps
 //!
@@ -52,7 +58,7 @@ use std::hash::{BuildHasher, Hash};
 
 use rp_rcu::GraceSync;
 
-use crate::map::RpHashMap;
+use crate::map::{RpHashMap, WriterGuard};
 use crate::node::Node;
 use crate::table::BucketArray;
 
@@ -103,6 +109,12 @@ pub enum ResizeStep {
     Splice,
     /// The resize completed and its bookkeeping was torn down.
     Finished,
+}
+
+/// The resize [`RpHashMap::drive_resizes`] is asked to begin next.
+enum Begin {
+    Expand,
+    Shrink,
 }
 
 /// An in-progress incremental resize (guarded by the map's writer lock).
@@ -200,57 +212,45 @@ where
     /// Doubles the number of buckets (one unzip expansion step), driving the
     /// resize to completion before returning.
     ///
-    /// Lookups proceed at full speed throughout; the call itself waits for
-    /// one grace period to publish the new table plus one per unzip round.
-    /// Any background resize already in progress is completed first.
+    /// Lookups proceed at full speed throughout, and so do other writers:
+    /// the call waits for one grace period to publish the new table plus
+    /// one per unzip round, each with the writer lock released. Any resize
+    /// already in progress is completed first. A no-op at the policy's
+    /// `max_buckets`.
     pub fn expand(&self) {
-        let _w = self.writer_lock();
-        // SAFETY: writer lock held for the whole call.
-        unsafe {
-            self.finish_resize_locked();
-            self.expand_locked();
-        }
+        let mut once = Some(Begin::Expand);
+        self.drive_resizes(|_, _| once.take());
     }
 
     /// Halves the number of buckets (one zip shrink step), driving the
     /// resize to completion before returning.
     ///
-    /// Lookups proceed at full speed throughout; the call waits for a single
-    /// grace period regardless of table size. Any background resize already
-    /// in progress is completed first.
+    /// Lookups and other writers proceed throughout; the call waits for a
+    /// single grace period regardless of table size. Any resize already in
+    /// progress is completed first. A no-op at the policy's `min_buckets`.
     pub fn shrink(&self) {
-        let _w = self.writer_lock();
-        // SAFETY: writer lock held for the whole call.
-        unsafe {
-            self.finish_resize_locked();
-            self.shrink_locked();
-        }
+        let mut once = Some(Begin::Shrink);
+        self.drive_resizes(|_, _| once.take());
     }
 
     /// Resizes the table to `target_buckets` (rounded up to a power of two
     /// and clamped to the policy bounds), doubling or halving repeatedly.
+    ///
+    /// Each step is decided against the table as it is once no other resize
+    /// is in flight, so a concurrent resizer delays the call but does not
+    /// derail it.
     pub fn resize_to(&self, target_buckets: usize) {
         let target = self.policy().clamp_buckets(target_buckets.max(1));
-        let _w = self.writer_lock();
-        // SAFETY: writer lock held for the whole loop.
-        unsafe {
-            self.finish_resize_locked();
-            loop {
-                let current = self.table_locked().len();
-                if current < target {
-                    self.expand_locked();
-                } else if current > target {
-                    self.shrink_locked();
-                } else {
-                    break;
-                }
-            }
-        }
+        self.drive_resizes(|_, buckets| match buckets.cmp(&target) {
+            std::cmp::Ordering::Less => Some(Begin::Expand),
+            std::cmp::Ordering::Greater => Some(Begin::Shrink),
+            std::cmp::Ordering::Equal => None,
+        });
     }
 
     /// Catches up on automatic-resize work the writer paths postponed,
     /// driving the table back inside its policy's load-factor bounds.
-    /// Returns `true` if any resize work was performed.
+    /// Returns `true` if it resized the table.
     ///
     /// Writers skip automatic resizing when the writing thread cannot wait
     /// for readers — it holds an EBR guard, or it is an online QSBR reader
@@ -260,40 +260,84 @@ where
     /// offline) invoke this instead. The same self-deadlock conditions are
     /// re-checked here, so a mistimed call is a no-op rather than a panic.
     ///
-    /// The resize is driven through [`RpHashMap::advance_resize`], so every
-    /// grace period is waited for with the writer lock **released**: the
-    /// readers being waited for may themselves be writers (another worker,
-    /// QSBR-online in the middle of its batch), and one of them blocked on
-    /// this map's writer lock would never reach its quiescent state.
+    /// This is the step every writer that crosses a load-factor trigger
+    /// takes after it unlocks, made callable.
     pub fn maintain(&self) -> bool {
-        if rp_rcu::global_read_nesting() > 0 || rp_rcu::qsbr::global_qsbr_online() {
-            // Still unable to wait for readers; stay postponed.
+        rp_rcu::may_wait_for_readers() && self.drive_to_policy()
+    }
+
+    /// [`RpHashMap::maintain`] for a caller that has already established it
+    /// may wait for readers.
+    pub(crate) fn drive_to_policy(&self) -> bool {
+        let wanted = |len, buckets| {
+            if self.policy().should_expand(len, buckets) {
+                Some(Begin::Expand)
+            } else if self.policy().should_shrink(len, buckets) {
+                Some(Begin::Shrink)
+            } else {
+                None
+            }
+        };
+        // Lock-free check first: event-loop workers run this per batch, so
+        // the nothing-to-do case must cost loads, not a writer-lock round
+        // trip.
+        if !self.resize_in_progress() && wanted(self.len(), self.num_buckets()).is_none() {
             return false;
         }
-        let mut worked = false;
+        self.drive_resizes(wanted)
+    }
+
+    /// The one resize driver. Until `next` — shown the entry and bucket
+    /// counts of the table at rest — asks for nothing, or a policy bound
+    /// refuses what it asks for: begin that resize and step it to
+    /// [`ResizeStep::Finished`]. Returns `true` if it began any.
+    ///
+    /// Every grace period is waited for inside
+    /// [`RpHashMap::advance_resize`], with the writer lock **released**:
+    /// the readers being waited for may themselves be writers (a QSBR-online
+    /// worker in the middle of its batch), and one of them blocked on this
+    /// map's writer lock would never reach its quiescent state.
+    fn drive_resizes(&self, mut next: impl FnMut(usize, usize) -> Option<Begin>) -> bool {
+        let mut resized = false;
         loop {
-            // Lock-free check first: callers run this per event batch, so
-            // the nothing-to-do case must cost loads, not a writer-lock
-            // round trip.
-            if !self.resize_in_progress() {
-                let len = self.len();
-                let buckets = self.num_buckets();
-                let begun = if self.policy().should_expand(len, buckets) {
-                    self.begin_expand()
-                } else {
-                    self.policy().should_shrink(len, buckets) && self.begin_shrink()
-                };
-                if !begun {
-                    // Inside the bounds, or the policy's bucket limits (or
-                    // a concurrent maintainer) stopped the resize.
-                    return worked;
+            let guard = self.lock_at_rest();
+            // SAFETY: writer lock held.
+            let begun = unsafe {
+                match next(self.len(), self.table_locked().len()) {
+                    Some(Begin::Expand) => self.begin_unzip_locked(),
+                    Some(Begin::Shrink) => self.begin_zip_locked(),
+                    None => false,
                 }
+            };
+            drop(guard);
+            if !begun {
+                return resized;
             }
-            while !matches!(
-                self.advance_resize(),
-                ResizeStep::Finished | ResizeStep::Idle
-            ) {}
-            worked = true;
+            self.finish_resize();
+            resized = true;
+        }
+    }
+
+    /// Steps the resize in flight, if any, to its end.
+    fn finish_resize(&self) {
+        while !matches!(
+            self.advance_resize(),
+            ResizeStep::Finished | ResizeStep::Idle
+        ) {}
+    }
+
+    /// Takes the writer lock with no resize in flight, first finishing —
+    /// lock released — whatever resize it finds, as often as another thread
+    /// begins one in between.
+    fn lock_at_rest(&self) -> WriterGuard<'_> {
+        loop {
+            let guard = self.writer_lock();
+            // SAFETY: writer lock held.
+            if unsafe { self.resize_op_locked() }.is_none() {
+                return guard;
+            }
+            drop(guard);
+            self.finish_resize();
         }
     }
 
@@ -320,7 +364,7 @@ where
     pub fn begin_expand(&self) -> bool {
         let _w = self.writer_lock();
         // SAFETY: writer lock held.
-        unsafe { self.begin_expand_locked() }
+        unsafe { self.begin_unzip_locked() }
     }
 
     /// Starts an incremental shrink: links the collapsing chains together
@@ -333,7 +377,7 @@ where
     pub fn begin_shrink(&self) -> bool {
         let _w = self.writer_lock();
         // SAFETY: writer lock held.
-        unsafe { self.begin_shrink_locked() }
+        unsafe { self.begin_zip_locked() }
     }
 
     /// Advances the in-progress resize by one bounded step and reports what
@@ -342,8 +386,9 @@ where
     /// *Grace steps* release the writer lock for the duration of the wait,
     /// so concurrent writers keep making progress — this is what lets a
     /// maintenance thread absorb every `synchronize` on behalf of the
-    /// writers. *Splice* and *finish* steps take the writer lock for a
-    /// bounded amount of restructuring work.
+    /// writers, and what keeps a resize from deadlocking against a
+    /// QSBR-online writer. *Splice* and *finish* steps take the writer lock
+    /// for a bounded amount of restructuring work.
     ///
     /// Safe to call from any thread, including concurrently with writers
     /// and with other advancers; the only requirement is the usual one for
@@ -365,10 +410,11 @@ where
         match pending {
             Some((id, round)) => {
                 // Wait for readers with the writer lock released: this is
-                // the step a background maintainer spends nearly all its
-                // time in, and writers must not be blocked behind it. The
-                // wait goes through `GraceSync`, covering QSBR readers of
-                // this map's chains as well as EBR guards.
+                // the step a resizer spends nearly all its time in, and
+                // writers must not be blocked behind it — some of them are
+                // the readers being waited for. The wait goes through
+                // `GraceSync`, covering QSBR readers of this map's chains
+                // as well as EBR guards.
                 drop(guard);
                 let timer = rp_obs::timer();
                 GraceSync::global().synchronize();
@@ -388,76 +434,13 @@ where
         }
     }
 
-    /// Expansion entry point for writer-side triggers; the writer lock must
-    /// be held and no resize may be in progress. Drives the resize to
-    /// completion inline (grace periods are waited for under the lock,
-    /// matching the historical inline behavior).
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold the writer lock.
-    pub(crate) unsafe fn expand_locked(&self) {
-        // SAFETY: writer lock held per the caller contract.
-        unsafe {
-            if self.begin_expand_locked() {
-                self.finish_resize_locked();
-            }
-        }
-    }
-
-    /// Shrink counterpart of [`RpHashMap::expand_locked`].
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold the writer lock.
-    pub(crate) unsafe fn shrink_locked(&self) {
-        // SAFETY: writer lock held per the caller contract.
-        unsafe {
-            if self.begin_shrink_locked() {
-                self.finish_resize_locked();
-            }
-        }
-    }
-
-    /// Drives any in-progress resize to completion, waiting for grace
-    /// periods while holding the writer lock.
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold the writer lock (and, as for any grace-period
-    /// wait, must not be inside a read-side critical section).
-    pub(crate) unsafe fn finish_resize_locked(&self) {
-        loop {
-            // SAFETY: writer lock held per the caller contract.
-            let pending = match unsafe { self.resize_op_locked() } {
-                None => return,
-                Some(op) => op.grace_key(),
-            };
-            if let Some((id, round)) = pending {
-                let timer = rp_obs::timer();
-                GraceSync::global().synchronize();
-                observe_resize_grace(timer);
-                // SAFETY: writer lock held.
-                unsafe { self.resolve_grace_locked(id, round) };
-                continue;
-            }
-            let timer = rp_obs::timer();
-            // SAFETY: writer lock held.
-            let step = unsafe { self.resize_work_step_locked() };
-            observe_resize_step(timer, step);
-            if step == ResizeStep::Finished {
-                return;
-            }
-        }
-    }
-
     /// `begin` for expansion. Requires the writer lock; returns `false` if a
     /// resize is in progress or the table cannot grow.
     ///
     /// # Safety
     ///
     /// The caller must hold the writer lock.
-    unsafe fn begin_expand_locked(&self) -> bool {
+    unsafe fn begin_unzip_locked(&self) -> bool {
         // SAFETY (this fn body): writer lock held per the caller contract,
         // so the op slot, the published table and all reachable nodes are
         // stable (nodes are only retired under this lock and freed a grace
@@ -545,9 +528,9 @@ where
     /// # Safety
     ///
     /// The caller must hold the writer lock.
-    unsafe fn begin_shrink_locked(&self) -> bool {
+    unsafe fn begin_zip_locked(&self) -> bool {
         // SAFETY (this fn body): writer lock held per the caller contract;
-        // see `begin_expand_locked`.
+        // see `begin_unzip_locked`.
         unsafe {
             if self.resize_op_locked().is_some() {
                 return false;
@@ -598,7 +581,7 @@ where
             let old_ptr = self.publish_table(new_table);
             let op = ZipOp {
                 id: self.next_resize_id(),
-                // SAFETY: as in `begin_expand_locked`.
+                // SAFETY: as in `begin_unzip_locked`.
                 old_table: Some(Box::from_raw(old_ptr)),
                 grace_pending: true,
             };
@@ -672,9 +655,10 @@ where
     /// Verifies the reader-visible invariant: every entry is reachable from
     /// the bucket its hash maps to in the current table.
     ///
-    /// Intended for tests and debugging; takes the writer lock — and drives
-    /// any in-progress incremental resize to completion — so it sees a
-    /// quiescent, precise table.
+    /// Intended for tests and debugging; drives any in-progress incremental
+    /// resize to completion (grace periods waited for with the writer lock
+    /// released, like every resize) and checks under the writer lock once it
+    /// holds it with no resize in flight, so it sees a precise table.
     ///
     /// # Panics
     ///
@@ -684,9 +668,7 @@ where
     /// [`rp_rcu::RcuDomain::synchronize`]'s self-deadlock check); drop the
     /// guard first.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let _w = self.writer_lock();
-        // SAFETY: writer lock held.
-        unsafe { self.finish_resize_locked() };
+        let _w = self.lock_at_rest();
         // SAFETY: writer lock held.
         let table = unsafe { self.table_locked() };
         let mut reachable = 0_usize;
@@ -1361,6 +1343,134 @@ mod tests {
         assert_eq!(map.num_buckets(), 32);
         assert_all_present(&map, 64);
         map.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn inline_resizes_racing_another_resizer_are_not_lost() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        // A second thread halves the table through the incremental API as
+        // often as it can, for as long as `inline` runs; returns how many
+        // shrinks it began.
+        fn raced(map: &Map, inline: impl FnOnce()) -> u64 {
+            let stop = AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                let racer = scope.spawn(|| {
+                    let mut shrinks = 0;
+                    while !stop.load(Ordering::Relaxed) {
+                        shrinks += u64::from(map.begin_shrink());
+                        while map.advance_resize() != ResizeStep::Idle {}
+                    }
+                    shrinks
+                });
+                inline();
+                stop.store(true, Ordering::Relaxed);
+                racer.join().unwrap()
+            })
+        }
+
+        // An `expand()` that finds the racer's shrink in flight must finish
+        // it and still begin its own doubling: the bucket count ends where
+        // the two tallies say.
+        const EXPANDS: u64 = 24;
+        let map = filled(1 << 8, 128);
+        let shrinks = raced(&map, || {
+            for _ in 0..EXPANDS {
+                // Keeps the table small whatever the racer's pace.
+                while map.num_buckets() > 1 << 10 {
+                    std::thread::yield_now();
+                }
+                map.expand();
+            }
+        });
+        assert!(shrinks > 0, "the racer never got a shrink in");
+        let stats = map.stats();
+        assert_eq!((stats.expands, stats.shrinks), (EXPANDS, shrinks));
+        assert_eq!(
+            u64::from(map.num_buckets().trailing_zeros()),
+            8 + EXPANDS - shrinks
+        );
+
+        // A `resize_to` outlasts the shrinks (terminating is the test) and,
+        // once the racer is gone, leaves the table at its target.
+        raced(&map, || map.resize_to(1 << 8));
+        map.resize_to(1 << 8);
+        assert_eq!(map.num_buckets(), 1 << 8);
+        assert_all_present(&map, 128);
+        map.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn resize_to_stops_at_a_bound_it_cannot_reach() {
+        // Bounds that are not powers of two: the clamped target rounds up
+        // past `max_buckets`, so the last doubling is refused — and a
+        // refused `begin` must end the driver's loop, not spin it.
+        let map: Map = RpHashMap::with_buckets_hasher_and_policy(
+            16,
+            FnvBuildHasher,
+            ResizePolicy {
+                min_buckets: 6,
+                max_buckets: 48,
+                ..ResizePolicy::default()
+            },
+        );
+        for i in 0..100 {
+            map.insert(i, i * 2);
+        }
+        map.resize_to(1 << 20);
+        assert_eq!(map.num_buckets(), 32);
+        map.expand();
+        assert_eq!(map.num_buckets(), 32, "expand() at the bound is a no-op");
+        map.resize_to(1);
+        assert_eq!(map.num_buckets(), 8);
+        assert_all_present(&map, 100);
+        map.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_batch_across_several_triggers_ends_inside_the_policy_bounds() {
+        let policy = ResizePolicy {
+            auto_expand: true,
+            auto_shrink: true,
+            max_load_factor: 1.0,
+            min_load_factor: 0.25,
+            min_buckets: 4,
+            max_buckets: 128,
+            ..ResizePolicy::default()
+        };
+        let map: Map = RpHashMap::with_buckets_hasher_and_policy(4, FnvBuildHasher, policy);
+        let batch = |keys: std::ops::Range<u64>| keys.map(|k| (map.hash_one(&k), k, k * 2));
+        let settled = |map: &Map| {
+            !policy.should_expand(map.len(), map.num_buckets())
+                && !policy.should_shrink(map.len(), map.num_buckets())
+                && !map.resize_in_progress()
+        };
+
+        // One call, four doublings: 4 -> 64 buckets for 40 entries.
+        assert_eq!(map.insert_many_prehashed(batch(0..40)), 40);
+        assert_eq!(map.num_buckets(), 64);
+        assert!(settled(&map));
+        // Far past what `max_buckets` allows: the driver stops at the bound.
+        assert_eq!(map.insert_many_prehashed(batch(40..1000)), 960);
+        assert_eq!(map.num_buckets(), 128);
+        assert!(settled(&map));
+        assert_all_present(&map, 1000);
+        // And all the way down again in one call.
+        let keys: Vec<u64> = (0..1000).collect();
+        let doomed = keys.iter().map(|k| (map.hash_one(k), k));
+        assert_eq!(map.remove_many_prehashed(doomed), 1000);
+        assert_eq!(map.num_buckets(), 4);
+        assert!(settled(&map));
+        map.check_invariants().unwrap();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "NoGraceWait")]
+    fn a_grace_wait_under_the_writer_lock_is_caught() {
+        let map = filled(4, 8);
+        let _w = map.writer_lock();
+        map.flush_retired();
     }
 
     #[test]

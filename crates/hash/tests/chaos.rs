@@ -1,5 +1,6 @@
 //! Fault-injected resize chaos: panics at resize state-machine boundaries
-//! must leave the table consistent, readable, and writable.
+//! — reached step by step or from inside an inline `expand()` — must leave
+//! the table consistent, readable, and writable.
 //!
 //! These tests arm the **process-global** `rp_fault` registry, so every
 //! armed section runs under one serial mutex (the harness runs tests in
@@ -90,6 +91,38 @@ fn panic_at_a_step_boundary_leaves_the_resize_resumable() {
     // Writers are unaffected too.
     assert!(map.insert(KEYS + 1, (KEYS + 1) * 10));
     assert_eq!(map.get_cloned(&(KEYS + 1)), Some((KEYS + 1) * 10));
+}
+
+#[test]
+fn panic_inside_an_inline_expand_leaves_the_resize_resumable() {
+    let _serial = serial();
+    quiet_injected_panics();
+    const KEYS: usize = 256;
+    let map = filled_map(KEYS);
+
+    {
+        // `expand()` steps its resize through `advance_resize` like any
+        // other driver, so the panic lands after `begin` published the
+        // doubled table and before the first grace wait — with no lock held.
+        let _arm = rp_fault::ArmGuard::new("hash.resize.step=panic*1", 13);
+        let unwound = catch_unwind(AssertUnwindSafe(|| map.expand()));
+        assert!(unwound.is_err(), "the armed failpoint must panic");
+        assert_eq!(rp_fault::injected("hash.resize.step"), 1);
+    }
+    assert!(map.resize_in_progress());
+    assert_eq!(map.num_buckets(), 8);
+    assert_all_readable(&map, KEYS);
+    assert!(map.insert(KEYS, KEYS * 10), "writers are not wedged");
+
+    // The next inline resize finishes the interrupted one, then does its
+    // own: 4 -> 8 -> 16.
+    map.expand();
+    assert!(!map.resize_in_progress());
+    assert_eq!(map.num_buckets(), 16);
+    assert_eq!(map.stats().expands, 2);
+    map.check_invariants()
+        .expect("table invariants must hold after a panic inside expand()");
+    assert_all_readable(&map, KEYS + 1);
 }
 
 #[test]

@@ -13,6 +13,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 use rp_hash::{FnvBuildHasher, ResizePolicy, RpHashMap};
+use rp_rcu::NoGraceWait;
 
 use crate::engine::{CacheEngine, CacheStats, EngineReadCtx, StoreOutcome, GROUP};
 use crate::item::{Item, ItemKey};
@@ -287,7 +288,9 @@ pub struct Engine<I> {
     stats: CacheStats,
     /// Eviction candidates of the last scan with the stamps they carried,
     /// next victim last. Held for the pop and the refill scan only: never
-    /// across a removal, and nothing under it waits for a grace period.
+    /// across a removal, and nothing under it waits for a grace period
+    /// (locked through [`NoGraceWait`], which asserts as much in debug
+    /// builds).
     victims: Mutex<Vec<(ItemKey, u64)>>,
 }
 
@@ -379,14 +382,14 @@ impl<I: ByteKeyIndex> Engine<I> {
     /// when it is empty; `None` only if a scan found the index empty.
     fn next_victim(&self) -> Option<(ItemKey, u64)> {
         loop {
-            let mut victims = self.victims.lock();
+            let mut victims = NoGraceWait::holding(self.victims.lock());
             if let Some(victim) = victims.pop() {
                 return Some(victim);
             }
             let start = rp_obs::timer();
             // 64 nodes scanned per eviction at any capacity; the floor
             // keeps a small cache from scanning for every one.
-            *victims = self.index.stalest((self.config.capacity / 64).max(16));
+            **victims = self.index.stalest((self.config.capacity / 64).max(16));
             self.stats.bump(&self.stats.evict_scans);
             if let Some(ns) = rp_obs::elapsed_ns(start) {
                 rp_obs::global().kv.evict_scan_ns.record(ns);

@@ -3,11 +3,12 @@
 //! readers keep a hot set hot, and `rp-fault` delays one refill in eight at
 //! `kv.evict.refilled`, so queued candidates age — are touched, deleted,
 //! expired, stored again — before they are popped. Each engine takes the
-//! storm from EBR threads and then from QSBR-online ones, one flavor at a
-//! time as a server's workers are: `RpHashMap` reclaims under its writer
-//! lock, so an EBR writer waiting there for a grace period and a
-//! QSBR-online writer queueing for that lock would wait for each other
-//! (ROADMAP item 4's open window; this storm met it on its first run).
+//! storm from two EBR and two QSBR-online writers **at once**, with a
+//! reader of each flavor beside them: a QSBR-online worker announces its
+//! quiescent state only between batches, so every grace period an EBR
+//! writer's SET waits for (a reclamation pass, an automatic resize) ends
+//! only if nothing that worker needs in the middle of its batch — the
+//! index's writer lock, the victim queue — is held across the wait.
 //!
 //! On trial, on each RCU engine: the storm finishes (the queue lock is
 //! never held across a removal or a grace wait; with `RP_RCU_STALL_PANIC=1`
@@ -95,20 +96,24 @@ fn reader(engine: &dyn CacheEngine, id: usize, read_side: ReadSide, stop: &Atomi
     }
 }
 
-/// Two writers and two readers of one flavor, as a server's workers are.
-fn phase(engine: &Arc<dyn CacheEngine>, read_side: ReadSide, writer_ids: [usize; 2]) {
+/// Writers 0 and 1 and reader 0 hold EBR guards; writers 2 and 3 and
+/// reader 1 are QSBR-online between batch ends, as a server's workers are.
+fn storm(engine: Arc<dyn CacheEngine>) {
     let name = engine.name();
     let stop = Arc::new(AtomicBool::new(false));
-    let readers: Vec<_> = (0..2)
-        .map(|id| {
-            let (engine, stop) = (Arc::clone(engine), Arc::clone(&stop));
+    let readers: Vec<_> = [ReadSide::Ebr, ReadSide::Qsbr]
+        .into_iter()
+        .enumerate()
+        .map(|(id, read_side)| {
+            let (engine, stop) = (Arc::clone(&engine), Arc::clone(&stop));
             std::thread::spawn(move || reader(&*engine, id, read_side, &stop))
         })
         .collect();
-    let writers: Vec<_> = writer_ids
+    let writers: Vec<_> = [ReadSide::Ebr, ReadSide::Ebr, ReadSide::Qsbr, ReadSide::Qsbr]
         .into_iter()
-        .map(|id| {
-            let engine = Arc::clone(engine);
+        .enumerate()
+        .map(|(id, read_side)| {
+            let engine = Arc::clone(&engine);
             std::thread::spawn(move || writer(&*engine, id, read_side))
         })
         .collect();
@@ -118,7 +123,7 @@ fn phase(engine: &Arc<dyn CacheEngine>, read_side: ReadSide, writer_ids: [usize;
     while !writers.iter().all(|writer| writer.is_finished()) {
         assert!(
             Instant::now() < deadline,
-            "{name} via {read_side:?}: the writers are stuck at {} items",
+            "{name}: the writers are stuck at {} items",
             engine.len()
         );
         std::thread::sleep(Duration::from_millis(5));
@@ -127,14 +132,8 @@ fn phase(engine: &Arc<dyn CacheEngine>, read_side: ReadSide, writer_ids: [usize;
     for thread in writers.into_iter().chain(readers) {
         thread
             .join()
-            .unwrap_or_else(|_| panic!("{name} via {read_side:?}: a storm thread panicked"));
+            .unwrap_or_else(|_| panic!("{name}: a storm thread panicked"));
     }
-}
-
-fn storm(engine: Arc<dyn CacheEngine>) {
-    let name = engine.name();
-    phase(&engine, ReadSide::Ebr, [0, 1]);
-    phase(&engine, ReadSide::Qsbr, [2, 3]);
 
     let stats = engine.stats();
     let count = |counter: &AtomicU64| counter.load(Ordering::Relaxed);

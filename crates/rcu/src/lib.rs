@@ -29,6 +29,9 @@
 //!   waits so they cover *every* global flavor with registered readers:
 //!   structures whose readers may be either EBR or QSBR readers synchronize
 //!   and reclaim through it instead of a single domain.
+//!   [`may_wait_for_readers`] says whether the calling thread can take part
+//!   in such a wait at all, and [`NoGraceWait`] marks the locks it must not
+//!   hold while it does (a debug assertion in the funnel).
 //! * **Stall detection** — [`stall`] watches every funnel wait and flags
 //!   (or, configured via `RP_RCU_STALL_PANIC`, panics on) grace periods
 //!   that exceed a threshold, attributing the stall to the misbehaving
@@ -80,7 +83,7 @@ pub use guard::RcuGuard;
 pub use local::{global_read_nesting, pin, quiescent_with, thread_synchronize_count, LocalHandle};
 pub use reclaimer::Reclaimer;
 pub use stats::DomainStats;
-pub use sync::GraceSync;
+pub use sync::{may_wait_for_readers, GraceSync, NoGraceWait};
 
 /// Per-reader counter bit used to track read-side critical-section nesting.
 pub(crate) const GP_COUNT: usize = 1;

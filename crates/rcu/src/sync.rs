@@ -14,11 +14,93 @@
 //! registered — the common case for programs that never opt into the QSBR
 //! path — the extra wait costs one atomic load and nothing else, keeping
 //! the EBR-only fast path unchanged.
+//!
+//! The funnel is also where the workspace's one locking rule is checked:
+//! **no grace-period wait while holding a lock a reader may need**. A
+//! QSBR-online thread announces its quiescent state only after its current
+//! operation, so a thread that waits for it while holding a lock that
+//! operation takes waits forever. Such locks hand out their guards wrapped
+//! in [`NoGraceWait`], and [`GraceSync::synchronize`] asserts, in debug
+//! builds, that the calling thread holds none.
 
+use std::cell::Cell;
+use std::marker::PhantomData;
+use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, OnceLock};
 
 use crate::domain::RcuDomain;
 use crate::qsbr::QsbrDomain;
+
+std::thread_local! {
+    /// How many [`NoGraceWait`] guards the calling thread holds. Touched in
+    /// debug builds only.
+    static NO_WAIT_DEPTH: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Returns `true` if the calling thread may wait for a grace period of the
+/// global domains without waiting for itself: it holds no EBR guard
+/// ([`crate::global_read_nesting`] is zero) and is not an online QSBR
+/// reader ([`crate::qsbr::global_qsbr_online`]).
+///
+/// Data structures ask this before *optional* grace-period work (deferred
+/// reclamation, automatic resizing) and postpone the work when the answer
+/// is no; a later writer, or the thread itself from its offline window,
+/// catches up.
+pub fn may_wait_for_readers() -> bool {
+    crate::global_read_nesting() == 0 && !crate::qsbr::global_qsbr_online()
+}
+
+/// A lock guard under which the holder must not wait for a grace period:
+/// the lock is one that read-side threads take as writers (a map's writer
+/// lock, a cache's victim queue), so a wait under it can wait for a thread
+/// that is queueing for it.
+///
+/// Dereferences to the wrapped guard. In debug builds the wrapper counts
+/// itself in a thread-local for [`GraceSync::synchronize`] to assert on;
+/// in release builds it is the wrapped guard and nothing else.
+#[derive(Debug)]
+pub struct NoGraceWait<G> {
+    guard: G,
+    /// The count is per thread, so the guard stays on the thread that
+    /// took it.
+    _not_send: PhantomData<*const ()>,
+}
+
+impl<G> NoGraceWait<G> {
+    /// Wraps `guard`, a lock guard the caller has just acquired.
+    pub fn holding(guard: G) -> Self {
+        if cfg!(debug_assertions) {
+            NO_WAIT_DEPTH.with(|depth| depth.set(depth.get() + 1));
+        }
+        NoGraceWait {
+            guard,
+            _not_send: PhantomData,
+        }
+    }
+}
+
+impl<G> Drop for NoGraceWait<G> {
+    fn drop(&mut self) {
+        if cfg!(debug_assertions) {
+            // `try_with`: a guard may be dropped during thread teardown.
+            let _ = NO_WAIT_DEPTH.try_with(|depth| depth.set(depth.get() - 1));
+        }
+    }
+}
+
+impl<G> Deref for NoGraceWait<G> {
+    type Target = G;
+
+    fn deref(&self) -> &G {
+        &self.guard
+    }
+}
+
+impl<G> DerefMut for NoGraceWait<G> {
+    fn deref_mut(&mut self) -> &mut G {
+        &mut self.guard
+    }
+}
 
 /// Synchronizes writers against every global read-side flavor at once.
 ///
@@ -32,7 +114,8 @@ use crate::qsbr::QsbrDomain;
 /// Every method that waits inherits the self-deadlock checks of the
 /// underlying domains: it panics if the calling thread is inside an EBR
 /// read-side critical section of the global domain, or has an online QSBR
-/// handle registered with the global QSBR domain.
+/// handle registered with the global QSBR domain. In debug builds it also
+/// panics if the calling thread holds a [`NoGraceWait`] guard.
 #[derive(Debug)]
 pub struct GraceSync {
     ebr: &'static Arc<RcuDomain>,
@@ -68,6 +151,11 @@ impl GraceSync {
     /// registered, so programs that never use the QSBR path pay one atomic
     /// load here and nothing more.
     pub fn synchronize(&self) {
+        debug_assert!(
+            NO_WAIT_DEPTH.with(Cell::get) == 0,
+            "grace-period wait while holding a NoGraceWait lock: a reader \
+             queueing for that lock would never reach its quiescent state"
+        );
         // Chaos hook: a `rcu.grace=delay:..` plan stretches every grace
         // period, magnifying the window in which readers observe
         // mid-resize states (errors/panics make no sense for a wait that
@@ -153,6 +241,26 @@ mod tests {
         }
         sync.synchronize_and_reclaim();
         assert_eq!(ran.load(Ordering::SeqCst), 4);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "NoGraceWait")]
+    fn a_grace_wait_under_a_no_wait_lock_is_caught() {
+        let lock = parking_lot::Mutex::new(());
+        let _held = NoGraceWait::holding(lock.lock());
+        GraceSync::global().synchronize();
+    }
+
+    #[test]
+    fn a_released_no_wait_lock_leaves_the_thread_free_to_wait() {
+        let lock = parking_lot::Mutex::new(0_u32);
+        {
+            let mut held = NoGraceWait::holding(lock.lock());
+            **held += 1;
+        }
+        assert_eq!(*lock.lock(), 1);
+        GraceSync::global().synchronize();
     }
 
     #[test]

@@ -674,7 +674,7 @@ where
     /// Returns `true` if a pass ran.
     pub fn maintain(&self) -> bool {
         let threshold = self.reclaim_threshold.load(Ordering::Relaxed);
-        if rp_rcu::global_read_nesting() == 0 && !rp_rcu::qsbr::global_qsbr_online() {
+        if rp_rcu::may_wait_for_readers() {
             GraceSync::global().reclaim_if_pending(threshold)
         } else {
             false
@@ -1076,7 +1076,7 @@ where
     /// Skipped when the thread cannot safely wait for a grace period.
     fn maybe_reclaim(&self) {
         let threshold = self.reclaim_threshold.load(Ordering::Relaxed);
-        if rp_rcu::global_read_nesting() == 0 && !rp_rcu::qsbr::global_qsbr_online() {
+        if rp_rcu::may_wait_for_readers() {
             GraceSync::global().reclaim_if_pending(threshold);
         }
     }
