@@ -63,12 +63,11 @@ pub(crate) type WriterGuard<'a> = NoGraceWait<parking_lot::MutexGuard<'a, ()>>;
 /// The map uses the process-wide RCU domain ([`RcuDomain::global`]); guards
 /// obtained from [`RpHashMap::pin`] or [`rp_rcu::pin`] are interchangeable.
 pub struct RpHashMap<K, V, S = RandomState> {
-    /// Published pointer to the current bucket array.
-    table: AtomicPtr<BucketArray<K, V>>,
+    /// What every lookup loads, on lines no update stores to.
+    read: ReadMostly<K, V, S>,
     /// Serialises writers (updates and resizes). Readers never touch it.
     writer: Mutex<()>,
     len: AtomicUsize,
-    hasher: S,
     policy: ResizePolicy,
     /// The in-progress incremental resize, if any. Guarded by `writer`:
     /// every access goes through [`RpHashMap::resize_op_locked`], whose
@@ -86,6 +85,18 @@ pub struct RpHashMap<K, V, S = RandomState> {
     /// the writers' behalf, and restores it when maintenance stops).
     reclaim_threshold: AtomicUsize,
     pub(crate) stats: AtomicMapStats,
+}
+
+/// The map header's reader side: the two things every lookup loads, on
+/// 128-byte lines of their own (an x86_64 core prefetches lines in pairs).
+/// Every update stores to `writer`, `len` and `stats`; sharing a line with
+/// them would have each update take the line a lookup starts from away from
+/// every reading core, whatever key it updates. Only a resize stores here.
+#[repr(align(128))]
+struct ReadMostly<K, V, S> {
+    /// Published pointer to the current bucket array.
+    table: AtomicPtr<BucketArray<K, V>>,
+    hasher: S,
 }
 
 // SAFETY: the map shares `&K`/`&V` with concurrent reader threads and drops
@@ -129,10 +140,12 @@ impl<K, V, S> RpHashMap<K, V, S> {
         let buckets = policy.clamp_buckets(buckets.max(1));
         let table = Box::into_raw(BucketArray::new(buckets));
         RpHashMap {
-            table: AtomicPtr::new(table),
+            read: ReadMostly {
+                table: AtomicPtr::new(table),
+                hasher,
+            },
             writer: Mutex::new(()),
             len: AtomicUsize::new(0),
-            hasher,
             policy,
             resize_op: UnsafeCell::new(None),
             resize_active: AtomicBool::new(false),
@@ -165,7 +178,7 @@ impl<K, V, S> RpHashMap<K, V, S> {
         // SAFETY: the table pointer is always valid; it is only freed by a
         // resize after a grace period, and we only read its immutable
         // `mask`/length here. The transient borrow cannot outlive the call.
-        unsafe { (*self.table.load(Ordering::Acquire)).len() }
+        unsafe { (*self.read.table.load(Ordering::Acquire)).len() }
     }
 
     /// Current load factor (`len / num_buckets`).
@@ -213,7 +226,7 @@ impl<K, V, S> RpHashMap<K, V, S> {
         // period from completing (EBR: the guard holds it open; QSBR: the
         // owning thread cannot announce quiescence while `'g` borrows the
         // handle), so the array outlives `'g`.
-        unsafe { &*self.table.load(Ordering::Acquire) }
+        unsafe { &*self.read.table.load(Ordering::Acquire) }
     }
 
     /// Loads the current bucket array from writer context.
@@ -225,12 +238,12 @@ impl<K, V, S> RpHashMap<K, V, S> {
     pub(crate) unsafe fn table_locked(&self) -> &BucketArray<K, V> {
         // SAFETY: per the caller contract the writer lock is held, so no
         // resize can retire the array during the borrow.
-        unsafe { &*self.table.load(Ordering::Acquire) }
+        unsafe { &*self.read.table.load(Ordering::Acquire) }
     }
 
     /// Publishes a new bucket array, returning the previous one.
     pub(crate) fn publish_table(&self, new: Box<BucketArray<K, V>>) -> *mut BucketArray<K, V> {
-        self.table.swap(Box::into_raw(new), Ordering::AcqRel)
+        self.read.table.swap(Box::into_raw(new), Ordering::AcqRel)
     }
 
     pub(crate) fn writer_lock(&self) -> WriterGuard<'_> {
@@ -340,7 +353,7 @@ where
     where
         Q: Hash + ?Sized,
     {
-        self.hasher.hash_one(key)
+        self.read.hasher.hash_one(key)
     }
 
     /// The hash this map's hasher produces for `key` — the value the
@@ -1144,7 +1157,7 @@ impl<K, V, S> Drop for RpHashMap<K, V, S> {
         // first (no grace periods are needed without readers) so that every
         // node is reachable from exactly one bucket and can be freed
         // directly.
-        let table_ptr = *self.table.get_mut();
+        let table_ptr = *self.read.table.get_mut();
         // SAFETY: the table pointer is always a live `BucketArray` allocated
         // by `BucketArray::new`; we own it exclusively here.
         let table = unsafe { Box::from_raw(table_ptr) };
@@ -1192,6 +1205,30 @@ mod tests {
         assert_eq!(map.len(), 0);
         assert_eq!(map.num_buckets(), 16);
         assert!(!map.contains_key(&1));
+    }
+
+    #[test]
+    fn what_a_lookup_loads_shares_no_line_with_what_an_update_stores() {
+        use std::mem::{align_of, offset_of, size_of};
+        fn check<S>() {
+            type M<S> = RpHashMap<u64, u64, S>;
+            assert!(align_of::<M<S>>() >= 128);
+            // `table` and the hasher live in `read`, which is whole lines.
+            let read = offset_of!(M<S>, read);
+            let lines = read / 128..(read + size_of::<ReadMostly<u64, u64, S>>()).div_ceil(128);
+            for (stored, size) in [
+                (offset_of!(M<S>, writer), size_of::<Mutex<()>>()),
+                (offset_of!(M<S>, len), size_of::<AtomicUsize>()),
+                (offset_of!(M<S>, stats), size_of::<AtomicMapStats>()),
+                (offset_of!(M<S>, resize_ids), size_of::<AtomicU64>()),
+                (offset_of!(M<S>, reclaim_threshold), size_of::<usize>()),
+            ] {
+                assert!(!lines.contains(&(stored / 128)), "{stored} in {lines:?}");
+                assert!(!lines.contains(&((stored + size - 1) / 128)));
+            }
+        }
+        check::<RandomState>();
+        check::<FnvBuildHasher>();
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //! * **begin** allocates and links the new bucket array and publishes it in
 //!   one writer-lock critical section (linking and publishing cannot be
 //!   separated: the links are computed against the chains as they are at
-//!   that instant).
+//!   that instant). It is one pass: an expand walks each old chain once, to
+//!   the first node of each side, and takes both new heads and the pair's
+//!   first turn from that walk; a shrink visits each pair of old heads once.
 //! * **grace** steps wait for readers with the writer lock *released*, so
 //!   concurrent writers keep updating the map while the resizing thread
 //!   absorbs the wait. This is the only grace-period wait in the crate's
@@ -30,8 +32,11 @@
 //!   needs would wait forever.
 //! * **splice rounds** perform at most one cross-link splice per in-progress
 //!   bucket pair under the writer lock (bounded work, no waiting), then
-//!   require a grace period before the next round.
-//! * **finish** tears down the operation bookkeeping.
+//!   require a grace period before the next round. A round visits each
+//!   unfinished pair once and retires it on the spot if the cut was its
+//!   last, so after the round that cuts the last cross-link of the table
+//!   nothing is left but that round's grace period.
+//! * **finish** tears down the operation bookkeeping; it walks no chain.
 //!
 //! There is one driver, [`RpHashMap::drive_resizes`]: finish whatever resize
 //! is in flight, begin the next one its caller asks for, step it to
@@ -461,41 +466,38 @@ where
                 _ => return false,
             };
 
-            // Phase 1: allocate the new table and point every new bucket at
-            // the first node of the corresponding old chain that belongs to
-            // it. Old bucket `o` splits into new buckets `o` and
-            // `o + old_buckets`; its chain contains both new buckets'
-            // elements, interleaved.
+            // Phase 1: one walk per old bucket. Old bucket `o` splits into
+            // new buckets `o` and `o + old_buckets`, and its chain holds both
+            // sides' elements interleaved: walk it until the first node of
+            // each side has been seen (or it ends) and point each new bucket
+            // at its own. A chain that feeds both sides is a zipper that
+            // needs unzipping, and its first splice belongs to the chain of
+            // the old head's side (the zipper's first run).
             let new_table: Box<BucketArray<K, V>> = BucketArray::new(new_buckets);
             let new_mask = new_buckets - 1;
-            for new_index in 0..new_buckets {
-                let old_index = new_index & old_table.mask;
-                let mut candidate = old_table.head_acquire(old_index);
-                while !candidate.is_null() {
-                    let node = &*candidate;
-                    if (node.hash as usize) & new_mask == new_index {
-                        break;
-                    }
-                    candidate = node.next_acquire();
-                }
-                new_table.publish_head(new_index, candidate);
-            }
-
-            // A pair whose chain feeds both new buckets is interleaved and
-            // needs unzipping; the first splice belongs to the chain of the
-            // old head's bucket (the zipper's first run).
             let mut turn = vec![PAIR_DONE; old_buckets];
             let mut remaining = 0;
-            for (old_index, slot) in turn.iter_mut().enumerate() {
-                let head = old_table.head_acquire(old_index);
-                if head.is_null()
-                    || new_table.head_acquire(old_index).is_null()
-                    || new_table.head_acquire(old_index + old_buckets).is_null()
-                {
-                    continue;
+            for (low, slot) in turn.iter_mut().enumerate() {
+                let head = old_table.head_acquire(low);
+                let mut first: [*mut Node<K, V>; 2] = [std::ptr::null_mut(); 2];
+                let mut cur = head;
+                while !cur.is_null() {
+                    let node = &*cur;
+                    let side = usize::from((node.hash as usize) & new_mask != low);
+                    if first[side].is_null() {
+                        first[side] = cur;
+                        if !first[1 - side].is_null() {
+                            break;
+                        }
+                    }
+                    cur = node.next_acquire();
                 }
-                *slot = ((*head).hash as usize) & new_mask;
-                remaining += 1;
+                new_table.publish_head(low, first[0]);
+                new_table.publish_head(low + old_buckets, first[1]);
+                if !first[0].is_null() && !first[1].is_null() {
+                    *slot = ((*head).hash as usize) & new_mask;
+                    remaining += 1;
+                }
             }
 
             // Phase 2: publish the new table. After one grace period every
@@ -542,24 +544,18 @@ where
             }
             let new_buckets = old_buckets / 2;
 
-            // Phase 1: initialise the new buckets. New bucket `b` collects
-            // old buckets `b` and `b + new_buckets`; point it at whichever
-            // old chain comes first (preferring old bucket `b`).
+            // Phase 1: one pass over the old heads. New bucket `b` collects
+            // old buckets `b` and `b + new_buckets`: point it at whichever
+            // old chain comes first (preferring old bucket `b`) and, where
+            // both exist, append the "high" chain to the tail of the "low"
+            // one. That makes the low old bucket imprecise (its readers see
+            // extra elements — harmless) while readers of the high old
+            // bucket are untouched.
             let new_table: Box<BucketArray<K, V>> = BucketArray::new(new_buckets);
             for new_index in 0..new_buckets {
                 let low = old_table.head_acquire(new_index);
                 let high = old_table.head_acquire(new_index + new_buckets);
-                let head = if low.is_null() { high } else { low };
-                new_table.publish_head(new_index, head);
-            }
-
-            // Phase 2: link the old chains. Appending the "high" chain to
-            // the tail of the "low" chain makes the low old bucket imprecise
-            // (its readers see extra elements — harmless) while readers of
-            // the high old bucket are untouched.
-            for new_index in 0..new_buckets {
-                let low = old_table.head_acquire(new_index);
-                let high = old_table.head_acquire(new_index + new_buckets);
+                new_table.publish_head(new_index, if low.is_null() { high } else { low });
                 if low.is_null() || high.is_null() {
                     continue;
                 }
@@ -576,7 +572,7 @@ where
                     .store(high, std::sync::atomic::Ordering::Release);
             }
 
-            // Phase 3: publish the new table; the grace period that lets the
+            // Phase 2: publish the new table; the grace period that lets the
             // old array be freed is the op's one pending step.
             let old_ptr = self.publish_table(new_table);
             let op = ZipOp {
@@ -711,8 +707,18 @@ where
 /// unzip before freeing nodes.
 impl<K, V, S> RpHashMap<K, V, S> {
     /// One splice round: at most one cross-link splice per in-progress
-    /// bucket pair. Returns the number of splices performed and updates the
-    /// op's per-pair turn/remaining bookkeeping.
+    /// bucket pair, one visit per pair. A pair is retired (`PAIR_DONE`,
+    /// `remaining -= 1`) in the round that finds it without cross-links —
+    /// which is the round that cut its last one: both chains are re-checked
+    /// right after the cut, while they are still in L1, so no later round
+    /// walks them again only to learn there is nothing left. Retiring early
+    /// is safe because writers never create a cross-link (inserts go to the
+    /// home bucket's head, replacements take the place of a node with the
+    /// same hash, unlinks only remove) and never read `turn`.
+    ///
+    /// Returns the number of splices performed, which it also adds to
+    /// `stats.unzip_splices` — once, after the loop: a `lock xadd` per
+    /// splice would drain the store buffer behind each cross-core store.
     ///
     /// # Safety
     ///
@@ -724,58 +730,52 @@ impl<K, V, S> RpHashMap<K, V, S> {
         op: &mut UnzipOp<K, V>,
         stats: &crate::stats::AtomicMapStats,
     ) -> usize {
-        let mut splices = 0;
-        for o in 0..op.old_buckets {
-            if op.turn[o] == PAIR_DONE {
-                continue;
-            }
-            let first = op.turn[o];
-            let second = o + op.old_buckets + o - first; // the pair's other bucket
-            let mut found_any = false;
-            let mut spliced = false;
-            for c in [first, second] {
-                // SAFETY: forwarded caller contract (writer lock held).
-                let Some(cross) = (unsafe { Self::find_cross_link(table, c, op.new_mask) }) else {
-                    continue;
-                };
-                found_any = true;
-                // SAFETY: as above.
-                if !unsafe { Self::splice_is_safe(table, &cross) } {
-                    // Cutting here would orphan the foreign run (its home
-                    // chain reaches it only through the link we would cut);
-                    // the other chain's cross-link is the zipper-earlier one.
+        // SAFETY (this fn body): forwarded caller contract — the writer lock
+        // is held, so every node `find_cross_link` returns stays reachable
+        // and alive while it is used here.
+        unsafe {
+            let new_mask = op.new_mask;
+            let cross_link = |c| Self::find_cross_link(table, c, new_mask);
+            // Cutting a cross-link whose foreign run is reachable from its
+            // home chain only through the link being cut would orphan the
+            // run; the other chain's cross-link is the zipper-earlier one.
+            let cuttable = |c| cross_link(c).filter(|x| Self::splice_is_safe(table, x));
+            let mut splices = 0;
+            for o in 0..op.old_buckets {
+                if op.turn[o] == PAIR_DONE {
                     continue;
                 }
-                match cross.cut {
-                    CutPoint::Head(bucket) => table.publish_head(bucket, cross.after_foreign),
-                    CutPoint::After(run_end) => {
-                        // SAFETY: `run_end` is reachable under the writer
-                        // lock (found by `find_cross_link` above).
-                        unsafe { &*run_end }
+                let first = op.turn[o];
+                let second = o + op.old_buckets + o - first; // the pair's other bucket
+                let cut = cuttable(first).or_else(|| cuttable(second));
+                if let Some(cross) = &cut {
+                    match cross.cut {
+                        CutPoint::Head(bucket) => table.publish_head(bucket, cross.after_foreign),
+                        CutPoint::After(run_end) => (*run_end)
                             .next
-                            .store(cross.after_foreign, std::sync::atomic::Ordering::Release);
+                            .store(cross.after_foreign, std::sync::atomic::Ordering::Release),
                     }
+                    splices += 1;
+                    // The next splice for this pair belongs to the chain the
+                    // foreign run we just removed is headed for.
+                    op.turn[o] = cross.foreign_bucket;
                 }
-                stats.bump(&stats.unzip_splices);
-                // The next splice for this pair belongs to the chain the
-                // foreign run we just removed is headed for.
-                op.turn[o] = cross.foreign_bucket;
-                splices += 1;
-                spliced = true;
-                break;
+                if cross_link(first).is_none() && cross_link(second).is_none() {
+                    op.turn[o] = PAIR_DONE;
+                    op.remaining -= 1;
+                } else {
+                    // At least one of the two chains always has a safely
+                    // spliceable cross-link (see `splice_is_safe`); a round
+                    // that finds cross-links but cannot cut any would stall
+                    // the resize.
+                    debug_assert!(cut.is_some(), "cross-links present but no safe splice");
+                }
             }
-            if !found_any {
-                op.turn[o] = PAIR_DONE;
-                op.remaining -= 1;
-            } else {
-                // At least one of the two chains always has a safely
-                // spliceable cross-link (see `splice_is_safe`); a round that
-                // finds cross-links but cannot cut any would stall the
-                // resize.
-                debug_assert!(spliced, "cross-links present but no safe splice");
-            }
+            stats
+                .unzip_splices
+                .fetch_add(splices as u64, std::sync::atomic::Ordering::Relaxed);
+            splices
         }
-        splices
     }
 
     /// Finds the first cross-link in the chain of new bucket `c`: the
@@ -1192,6 +1192,51 @@ mod tests {
         map.check_invariants().unwrap();
         assert_eq!(map.stats().shrinks, 1);
         assert_eq!(map.stats().resize_grace_periods, 1);
+    }
+
+    #[test]
+    fn an_expand_retires_every_pair_in_the_round_that_cuts_its_last_link() {
+        // A shrink leaves every chain as one low run followed by one high
+        // run: one cross-link per pair, so one round cuts them all — and
+        // nothing walks the chains again after it but the grace period.
+        let map = filled(64, 640);
+        map.shrink();
+        let before = map.stats();
+        assert!(map.begin_expand());
+        assert_eq!(map.advance_resize(), ResizeStep::Grace);
+        assert_eq!(map.advance_resize(), ResizeStep::Splice);
+        {
+            let _w = map.writer_lock();
+            // SAFETY: writer lock held.
+            match unsafe { map.resize_op_locked() } {
+                Some(super::ResizeOp::Unzip(op)) => assert_eq!(op.remaining, 0),
+                _ => panic!("the expand is still in flight"),
+            }
+        }
+        assert_eq!(map.advance_resize(), ResizeStep::Grace);
+        assert_eq!(map.advance_resize(), ResizeStep::Finished);
+        let after = map.stats();
+        assert_eq!(after.unzip_rounds - before.unzip_rounds, 1);
+        assert_eq!(after.unzip_splices - before.unzip_splices, 32);
+        assert_all_present(&map, 640);
+        map.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn unzips_cut_what_they_always_cut() {
+        // Counts measured at the commit before `begin` was fused into one
+        // walk and pairs were retired early: the same heads and turns are
+        // picked, and the same links cut in the same rounds.
+        let map = filled(1, 64);
+        for _ in 0..4 {
+            map.expand();
+        }
+        let stats = map.stats();
+        assert_eq!((stats.unzip_splices, stats.unzip_rounds), (130, 70));
+        let map = filled(8, 500);
+        map.expand();
+        let stats = map.stats();
+        assert_eq!((stats.unzip_splices, stats.unzip_rounds), (255, 40));
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Property-based tests: the relativistic hash map must behave exactly like
 //! `std::collections::HashMap` under arbitrary operation sequences, with
-//! resizes interleaved anywhere, and its structural invariants must hold
-//! after every sequence.
+//! resizes interleaved anywhere — whole ones, and single steps of the
+//! incremental state machine with writers between them — and its structural
+//! invariants must hold after every sequence.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use rp_hash::{FnvBuildHasher, ResizePolicy, RpHashMap};
+use rp_hash::{FnvBuildHasher, ResizePolicy, ResizeStep, RpHashMap};
 
 /// One step of a generated workload.
 #[derive(Debug, Clone)]
@@ -18,6 +19,11 @@ enum Op {
     Expand,
     Shrink,
     ResizeTo(u16),
+    /// `begin_expand` / `begin_shrink`: refused while a resize is in flight.
+    BeginExpand,
+    BeginShrink,
+    /// One `advance_resize` step of whatever resize is in flight.
+    Advance,
     Rename(u16, u16),
     Clear,
 }
@@ -30,6 +36,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => Just(Op::Expand),
         1 => Just(Op::Shrink),
         1 => (1_u16..512).prop_map(Op::ResizeTo),
+        2 => Just(Op::BeginExpand),
+        1 => Just(Op::BeginShrink),
+        6 => Just(Op::Advance),
         2 => (any::<u16>(), any::<u16>()).prop_map(|(a, b)| Op::Rename(a, b)),
         1 => Just(Op::Clear),
     ]
@@ -60,6 +69,18 @@ proptest! {
                 Op::Expand => map.expand(),
                 Op::Shrink => map.shrink(),
                 Op::ResizeTo(n) => map.resize_to(n as usize),
+                Op::BeginExpand => {
+                    let idle = !map.resize_in_progress();
+                    prop_assert_eq!(map.begin_expand(), idle);
+                }
+                Op::BeginShrink => {
+                    let may = !map.resize_in_progress() && map.num_buckets() > 1;
+                    prop_assert_eq!(map.begin_shrink(), may);
+                }
+                Op::Advance => {
+                    let idle = !map.resize_in_progress();
+                    prop_assert_eq!(map.advance_resize() == ResizeStep::Idle, idle);
+                }
                 Op::Rename(old, new) => {
                     let did = map.rename(&old, new);
                     // Model the same semantics: move the value if present.
@@ -82,15 +103,23 @@ proptest! {
             prop_assert_eq!(map.len(), model.len());
         }
 
-        // Structural invariants hold after any sequence.
-        map.check_invariants().map_err(TestCaseError::fail)?;
-
-        // Final contents match exactly.
+        // Final contents match exactly, read through whatever resize the
+        // sequence left in flight.
         let mut contents = map.to_vec();
         contents.sort_unstable();
         let mut expected: Vec<(u16, u32)> = model.iter().map(|(k, v)| (*k, *v)).collect();
         expected.sort_unstable();
         prop_assert_eq!(contents, expected);
+
+        // Structural invariants hold after any sequence (this finishes the
+        // resize in flight).
+        map.check_invariants().map_err(TestCaseError::fail)?;
+
+        // And `Drop` gets an unzip to finish, stopped at a step that varies.
+        prop_assert!(map.begin_expand());
+        for _ in 0..ops.len() % 4 {
+            map.advance_resize();
+        }
     }
 
     #[test]
