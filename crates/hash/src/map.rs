@@ -79,11 +79,9 @@ pub struct RpHashMap<K, V, S = RandomState> {
     /// Monotonic id generator for resize operations (grace-wait
     /// bookkeeping).
     resize_ids: AtomicU64,
-    /// Writer-side reclamation threshold, initialised from
-    /// `policy.reclaim_threshold` but adjustable at runtime (the maintained
-    /// path sets it to `usize::MAX` while a maintenance thread reclaims on
-    /// the writers' behalf, and restores it when maintenance stops).
-    reclaim_threshold: AtomicUsize,
+    /// Set while a maintainer has taken over this map's grace-period work
+    /// (see [`RpHashMap::set_maintained`]): writes then end at the unlock.
+    maintained: AtomicBool,
     pub(crate) stats: AtomicMapStats,
 }
 
@@ -150,7 +148,7 @@ impl<K, V, S> RpHashMap<K, V, S> {
             resize_op: UnsafeCell::new(None),
             resize_active: AtomicBool::new(false),
             resize_ids: AtomicU64::new(0),
-            reclaim_threshold: AtomicUsize::new(policy.reclaim_threshold),
+            maintained: AtomicBool::new(false),
             stats: AtomicMapStats::default(),
         }
     }
@@ -191,15 +189,17 @@ impl<K, V, S> RpHashMap<K, V, S> {
         &self.policy
     }
 
-    /// Overrides the writer-side deferred-reclamation threshold (initially
-    /// `policy.reclaim_threshold`).
-    ///
-    /// `usize::MAX` disables writer-side reclamation entirely — the
-    /// maintained path uses this while a background thread reclaims on the
-    /// writers' behalf, and restores the policy's value when maintenance
-    /// stops (otherwise retired nodes would accumulate without bound).
-    pub fn set_reclaim_threshold(&self, threshold: usize) {
-        self.reclaim_threshold.store(threshold, Ordering::Relaxed);
+    /// Hands this map's grace-period work to a maintainer, or takes it
+    /// back. While set, a write ends when it unlocks: it neither drives the
+    /// resize it made due nor reclaims, and whoever set this calls
+    /// [`RpHashMap::maintain`] and reclaims instead. `rp-shard`'s
+    /// `with_maintenance` sets it and `stop_maintenance` clears it; it is
+    /// not an option of this crate.
+    #[doc(hidden)]
+    pub fn set_maintained(&self, maintained: bool) {
+        // Relaxed: a mode switch that publishes no data. A write that races
+        // the switch is maintained by one side or the other.
+        self.maintained.store(maintained, Ordering::Relaxed);
     }
 
     /// A snapshot of the map's operation and resize counters.
@@ -1028,8 +1028,11 @@ where
                 cur = next;
             }
         }
+        // Bulk removal can take the table any number of halvings under its
+        // shrink trigger.
+        let crossed = self.policy.should_shrink(self.len(), table.len());
         drop(guard);
-        self.after_write(false);
+        self.after_write(crossed);
         removed
     }
 
@@ -1138,15 +1141,16 @@ where
     /// those cases (a later update from a quiescent thread — or
     /// [`RpHashMap::maintain`], the maintenance thread, a background
     /// reclaimer — catches up). The waits go through `GraceSync`, so they
-    /// cover QSBR readers of this map too.
+    /// cover QSBR readers of this map too. A maintained map
+    /// ([`RpHashMap::set_maintained`]) leaves all of it to its maintainer.
     fn after_write(&self, crossed: bool) {
-        if !rp_rcu::may_wait_for_readers() {
+        if self.maintained.load(Ordering::Relaxed) || !rp_rcu::may_wait_for_readers() {
             return;
         }
         if crossed {
             self.drive_to_policy();
         }
-        GraceSync::global().reclaim_if_pending(self.reclaim_threshold.load(Ordering::Relaxed));
+        GraceSync::global().reclaim_if_pending(self.policy.reclaim_threshold);
     }
 }
 
@@ -1221,7 +1225,6 @@ mod tests {
                 (offset_of!(M<S>, len), size_of::<AtomicUsize>()),
                 (offset_of!(M<S>, stats), size_of::<AtomicMapStats>()),
                 (offset_of!(M<S>, resize_ids), size_of::<AtomicU64>()),
-                (offset_of!(M<S>, reclaim_threshold), size_of::<usize>()),
             ] {
                 assert!(!lines.contains(&(stored / 128)), "{stored} in {lines:?}");
                 assert!(!lines.contains(&((stored + size - 1) / 128)));
@@ -1486,6 +1489,33 @@ mod tests {
         for i in 0..20 {
             assert_eq!(map.contains_key(&i), i % 2 == 0);
         }
+    }
+
+    #[test]
+    fn bulk_removal_shrinks_the_table() {
+        // The kvcache index policy: a `purge_expired` that empties the cache
+        // must not leave it at its high-water bucket count until the next
+        // write.
+        let policy = ResizePolicy {
+            auto_expand: true,
+            auto_shrink: true,
+            min_load_factor: 0.125,
+            min_buckets: 16,
+            ..ResizePolicy::default()
+        };
+        let map: Map = RpHashMap::with_buckets_hasher_and_policy(16, FnvBuildHasher, policy);
+        for i in 0..10_000 {
+            map.insert(i, i);
+        }
+        assert_eq!(map.num_buckets(), 8192);
+        assert_eq!(map.retain(|k, _| *k < 4), 9_996);
+        assert_eq!((map.len(), map.num_buckets()), (4, 32));
+        for i in 0..10_000 {
+            map.insert(i, i);
+        }
+        map.clear();
+        assert_eq!((map.len(), map.num_buckets()), (0, 16));
+        map.check_invariants().unwrap();
     }
 
     #[test]

@@ -266,7 +266,9 @@ where
     /// re-checked here, so a mistimed call is a no-op rather than a panic.
     ///
     /// This is the step every writer that crosses a load-factor trigger
-    /// takes after it unlocks, made callable.
+    /// takes after it unlocks, made callable — by the caller above, and by
+    /// a background maintainer whose writers do not take it at all
+    /// (`rp-shard`'s `with_maintenance`).
     pub fn maintain(&self) -> bool {
         rp_rcu::may_wait_for_readers() && self.drive_to_policy()
     }

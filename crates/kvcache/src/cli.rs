@@ -12,11 +12,6 @@
 //! | `--read-side qsbr\|ebr` | `RP_KV_READ_SIDE` | `qsbr` |
 //! | `--shards N` | `RP_KV_SHARDS` | `16` |
 //! | `--capacity N` | `RP_KV_CAPACITY` | `1048576` |
-//! | `--maint on\|off` | `RP_KV_MAINT` | `on` |
-//! | `--maint-workers N` | `RP_KV_MAINT_WORKERS` | [`MaintConfig`] default |
-//! | `--maint-fairness-slice N` | `RP_KV_MAINT_FAIRNESS_SLICE` | [`MaintConfig`] default |
-//! | `--maint-reclaim-threshold N` | `RP_KV_MAINT_RECLAIM_THRESHOLD` | [`MaintConfig`] default |
-//! | `--maint-idle-wakeup-ms N` | `RP_KV_MAINT_IDLE_WAKEUP_MS` | [`MaintConfig`] default |
 //! | `--drain-timeout-ms N` | `RP_KV_DRAIN_TIMEOUT_MS` | `5000` |
 //! | `--idle-timeout-ms N` (0 = off) | `RP_KV_IDLE_TIMEOUT_MS` | `0` |
 //! | `--max-requests-per-conn N` (0 = off) | `RP_KV_MAX_REQUESTS_PER_CONN` | `0` |
@@ -26,15 +21,11 @@
 //!
 //! `--read-side` selects the RCU flavor serving GETs: `qsbr` (the default
 //! — barrier-free lookups, quiescent states announced per event batch) or
-//! `ebr` (per-lookup guards). The `--maint-*` family tunes the background
-//! resize maintenance thread (`rp-maint`) behind the `rp-shard` engine;
-//! `--maint off` reverts to inline resizing (writers absorb the
-//! grace-period waits themselves).
+//! `ebr` (per-lookup guards). The `rp-shard` engine's index is resized by
+//! one background maintenance thread (`rp-maint`); it has no settings.
 
 use std::sync::Arc;
 use std::time::Duration;
-
-use rp_maint::MaintConfig;
 
 use crate::engine::{CacheEngine, ReadSide};
 use crate::server::ServerConfig;
@@ -68,9 +59,6 @@ pub struct ServerOptions {
     pub shards: usize,
     /// Item capacity.
     pub capacity: usize,
-    /// Maintenance-thread tuning, or `None` for inline resizes (rp-shard
-    /// engine only).
-    pub maint: Option<MaintConfig>,
     /// Graceful-shutdown drain budget.
     pub drain_timeout: Duration,
     /// Idle-connection reap timeout (`None` = off).
@@ -97,7 +85,6 @@ impl Default for ServerOptions {
             read_side: ReadSide::Qsbr,
             shards: 16,
             capacity: 1 << 20,
-            maint: Some(MaintConfig::default()),
             drain_timeout: Duration::from_secs(5),
             idle_timeout: None,
             max_requests_per_conn: None,
@@ -123,11 +110,6 @@ FLAGS (each falls back to the env var in brackets, then to the default):
     --read-side qsbr|ebr          GET read-side RCU flavor      [RP_KV_READ_SIDE, qsbr]
     --shards N                    index shards (rp-shard)       [RP_KV_SHARDS, 16]
     --capacity N                  max items                     [RP_KV_CAPACITY, 1048576]
-    --maint on|off                background index resizes      [RP_KV_MAINT, on]
-    --maint-workers N             maintenance worker threads    [RP_KV_MAINT_WORKERS]
-    --maint-fairness-slice N      resize steps per shard turn   [RP_KV_MAINT_FAIRNESS_SLICE]
-    --maint-reclaim-threshold N   deferred-free batch trigger   [RP_KV_MAINT_RECLAIM_THRESHOLD]
-    --maint-idle-wakeup-ms N      idle reclamation heartbeat    [RP_KV_MAINT_IDLE_WAKEUP_MS]
     --drain-timeout-ms N          graceful shutdown budget      [RP_KV_DRAIN_TIMEOUT_MS, 5000]
     --idle-timeout-ms N           reap idle connections, 0=off  [RP_KV_IDLE_TIMEOUT_MS, 0]
     --max-requests-per-conn N     per-connection budget, 0=off  [RP_KV_MAX_REQUESTS_PER_CONN, 0]
@@ -154,11 +136,6 @@ impl ServerOptions {
         let mut read_side = env("RP_KV_READ_SIDE");
         let mut shards = env("RP_KV_SHARDS");
         let mut capacity = env("RP_KV_CAPACITY");
-        let mut maint = env("RP_KV_MAINT");
-        let mut maint_workers = env("RP_KV_MAINT_WORKERS");
-        let mut fairness = env("RP_KV_MAINT_FAIRNESS_SLICE");
-        let mut reclaim = env("RP_KV_MAINT_RECLAIM_THRESHOLD");
-        let mut idle_ms = env("RP_KV_MAINT_IDLE_WAKEUP_MS");
         let mut drain_ms = env("RP_KV_DRAIN_TIMEOUT_MS");
         let mut idle_timeout_ms = env("RP_KV_IDLE_TIMEOUT_MS");
         let mut max_requests = env("RP_KV_MAX_REQUESTS_PER_CONN");
@@ -178,11 +155,6 @@ impl ServerOptions {
                 "--read-side" => &mut read_side,
                 "--shards" => &mut shards,
                 "--capacity" => &mut capacity,
-                "--maint" => &mut maint,
-                "--maint-workers" => &mut maint_workers,
-                "--maint-fairness-slice" => &mut fairness,
-                "--maint-reclaim-threshold" => &mut reclaim,
-                "--maint-idle-wakeup-ms" => &mut idle_ms,
                 "--drain-timeout-ms" => &mut drain_ms,
                 "--idle-timeout-ms" => &mut idle_timeout_ms,
                 "--max-requests-per-conn" => &mut max_requests,
@@ -225,28 +197,6 @@ impl ServerOptions {
         if let Some(v) = capacity {
             opts.capacity = parse_num::<usize>(&v, "--capacity")?.max(1);
         }
-        if let Some(v) = maint {
-            let on = !matches!(
-                v.trim().to_ascii_lowercase().as_str(),
-                "off" | "0" | "false" | "no"
-            );
-            opts.maint = on.then(MaintConfig::default);
-        }
-        if let Some(config) = opts.maint.as_mut() {
-            if let Some(v) = maint_workers {
-                config.workers = parse_num::<usize>(&v, "--maint-workers")?.max(1);
-            }
-            if let Some(v) = fairness {
-                config.fairness_slice = parse_num::<usize>(&v, "--maint-fairness-slice")?.max(1);
-            }
-            if let Some(v) = reclaim {
-                config.reclaim_threshold = parse_num(&v, "--maint-reclaim-threshold")?;
-            }
-            if let Some(v) = idle_ms {
-                config.idle_wakeup =
-                    Duration::from_millis(parse_num(&v, "--maint-idle-wakeup-ms")?);
-            }
-        }
         if let Some(v) = drain_ms {
             opts.drain_timeout = Duration::from_millis(parse_num(&v, "--drain-timeout-ms")?);
         }
@@ -275,15 +225,13 @@ impl ServerOptions {
         Ok(opts)
     }
 
-    /// Builds the configured engine. The `--maint-*` options only affect
-    /// the `rp-shard` engine (the others have no maintenance thread).
+    /// Builds the configured engine.
     pub fn build_engine(&self) -> Arc<dyn CacheEngine> {
         match self.engine {
             EngineKind::Rp => Arc::new(RpEngine::with_capacity(self.capacity)),
-            EngineKind::RpShard => Arc::new(ShardedRpEngine::with_options(
+            EngineKind::RpShard => Arc::new(ShardedRpEngine::with_shards_and_capacity(
                 self.shards,
                 self.capacity,
-                self.maint.clone(),
             )),
             EngineKind::SplitOrder => Arc::new(SplitOrderEngine::with_capacity(self.capacity)),
             EngineKind::Lock => Arc::new(LockEngine::with_capacity(self.capacity)),
@@ -329,11 +277,10 @@ mod tests {
         let opts = ServerOptions::parse(&[], &no_env).unwrap();
         assert_eq!(opts.engine, EngineKind::RpShard);
         assert_eq!(opts.port, 11211);
-        assert!(opts.maint.is_some());
     }
 
     #[test]
-    fn flags_parse_and_tune_maintenance() {
+    fn flags_parse() {
         let opts = ServerOptions::parse(
             &strings(&[
                 "--engine",
@@ -342,12 +289,6 @@ mod tests {
                 "4",
                 "--port",
                 "0",
-                "--maint-fairness-slice",
-                "32",
-                "--maint-reclaim-threshold",
-                "1024",
-                "--maint-idle-wakeup-ms",
-                "10",
                 "--drain-timeout-ms",
                 "250",
             ]),
@@ -356,10 +297,6 @@ mod tests {
         .unwrap();
         assert_eq!(opts.workers, 4);
         assert_eq!(opts.port, 0);
-        let maint = opts.maint.as_ref().expect("maintenance on");
-        assert_eq!(maint.fairness_slice, 32);
-        assert_eq!(maint.reclaim_threshold, 1024);
-        assert_eq!(maint.idle_wakeup, Duration::from_millis(10));
         assert_eq!(opts.drain_timeout, Duration::from_millis(250));
     }
 
@@ -368,31 +305,33 @@ mod tests {
         let env = |name: &str| match name {
             "RP_KV_ENGINE" => Some("lock".to_string()),
             "RP_KV_WORKERS" => Some("8".to_string()),
-            "RP_KV_MAINT_FAIRNESS_SLICE" => Some("64".to_string()),
             _ => None,
         };
         let opts = ServerOptions::parse(&strings(&["--engine", "rp"]), &env).unwrap();
         assert_eq!(opts.engine, EngineKind::Rp, "flag beats env");
         assert_eq!(opts.workers, 8, "env beats default");
-        // Engine rp has no maintenance thread, but the tuning still parses.
-        let opts = ServerOptions::parse(&[], &env).unwrap();
-        assert_eq!(opts.maint.as_ref().unwrap().fairness_slice, 64);
     }
 
     #[test]
-    fn maint_off_discards_tuning() {
-        for off in ["off", "OFF", "0", "false", "no", " Off "] {
-            let opts = ServerOptions::parse(
-                &strings(&["--maint", off, "--maint-fairness-slice", "32"]),
-                &no_env,
-            )
-            .unwrap();
-            assert!(opts.maint.is_none(), "{off:?} must disable");
+    fn the_maintainer_has_no_settings() {
+        for gone in [
+            "--maint",
+            "--maint-workers",
+            "--maint-fairness-slice",
+            "--maint-reclaim-threshold",
+            "--maint-idle-wakeup-ms",
+        ] {
+            let refused = ServerOptions::parse(&strings(&[gone, "2"]), &no_env);
+            assert!(refused.unwrap_err().starts_with("unknown flag"), "{gone}");
         }
-        for on in ["on", "1"] {
-            let opts = ServerOptions::parse(&strings(&["--maint", on]), &no_env).unwrap();
-            assert!(opts.maint.is_some(), "{on:?} must enable");
-        }
+        // Nor does the environment reach it: every variable read is a flag's.
+        let env = |name: &str| -> Option<String> {
+            assert!(!name.starts_with("RP_KV_MAINT"), "{name} read");
+            None
+        };
+        ServerOptions::parse(&[], &env).unwrap();
+        let flags = USAGE.lines().filter(|l| l.trim_start().starts_with("--"));
+        assert_eq!(flags.count(), 12 + 1, "twelve flags and --help");
     }
 
     #[test]
@@ -469,24 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn maint_workers_flag_scales_the_pool() {
-        let opts = ServerOptions::parse(&[], &no_env).unwrap();
-        assert_eq!(opts.maint.as_ref().unwrap().workers, 1, "default pool");
-        let opts = ServerOptions::parse(&strings(&["--maint-workers", "3"]), &no_env).unwrap();
-        assert_eq!(opts.maint.as_ref().unwrap().workers, 3);
-        let env = |name: &str| match name {
-            "RP_KV_MAINT_WORKERS" => Some("2".to_string()),
-            _ => None,
-        };
-        let opts = ServerOptions::parse(&[], &env).unwrap();
-        assert_eq!(opts.maint.as_ref().unwrap().workers, 2, "env beats default");
-        // Tuning without a maintainer is silently dropped, like the rest
-        // of the --maint-* family.
-        let opts = ServerOptions::parse(&strings(&["--maint", "off"]), &env).unwrap();
-        assert!(opts.maint.is_none());
-    }
-
-    #[test]
     fn stats_toggle_parses_from_flag_and_env() {
         let opts = ServerOptions::parse(&[], &no_env).unwrap();
         assert!(opts.stats, "telemetry defaults on");
@@ -511,13 +432,13 @@ mod tests {
         assert!(ServerOptions::parse(&strings(&["--port"]), &no_env).is_err());
         assert!(ServerOptions::parse(&strings(&["--bogus", "1"]), &no_env).is_err());
         let usage = ServerOptions::parse(&strings(&["--help"]), &no_env).unwrap_err();
-        assert!(usage.contains("--maint-fairness-slice"));
+        assert!(usage.contains("--drain-timeout-ms"));
     }
 
     #[test]
     fn built_engines_match_the_request() {
         let opts = ServerOptions::parse(
-            &strings(&["--engine", "rp-shard", "--shards", "4", "--maint", "off"]),
+            &strings(&["--engine", "rp-shard", "--shards", "4"]),
             &no_env,
         )
         .unwrap();

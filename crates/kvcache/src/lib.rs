@@ -29,8 +29,8 @@
 //!   [`RpEngine`] (one [`rp_hash::RpHashMap`] — the paper's patch),
 //!   [`ShardedRpEngine`] (an [`rp_shard::ShardedRpMap`]: SETs and index
 //!   resizes only contend within one shard, and resizes run on a
-//!   background `rp-maint` thread by default, so SETs never wait for grace
-//!   periods) and [`SplitOrderEngine`] (an
+//!   background `rp-maint` thread, so SETs never wait for grace periods)
+//!   and [`SplitOrderEngine`] (an
 //!   [`rp_splitorder::SplitOrderMap`]: lock-free writers, index growth is
 //!   a single pointer publication with no grace-period wait — the
 //!   competing resize philosophy).
@@ -45,8 +45,7 @@
 //!   barrier-free, one quiescent state is announced per event batch, and
 //!   workers go offline while parked in `epoll_wait`; `--read-side ebr`
 //!   restores the guard path.
-//! * [`cli`] — flag/env parsing for the `kvcached` binary, including the
-//!   `--maint-*` knobs that tune the background resize maintenance thread.
+//! * [`cli`] — flag/env parsing for the `kvcached` binary.
 //!
 //! The `fig_memcached` benchmark in `rp-bench` drives both engines with an
 //! mc-benchmark-style closed-loop workload and reports requests/second for

@@ -10,34 +10,40 @@
 //! General?(!)", make the same observation: decoupling migration work from
 //! the writer fast path is what keeps resizable tables competitive).
 //!
-//! `rp-maint` provides the decoupling as a small, reusable subsystem:
+//! `rp-maint` provides the decoupling, and nothing else — it knows no resize
+//! algorithm and steps no state machine:
 //!
-//! * A [`MaintTarget`] is anything owning a set of *units* (shards) whose
-//!   maintenance can be advanced one bounded step at a time —
-//!   `rp_shard::ShardedRpMap`'s shard set implements it on top of
-//!   `rp_hash::RpHashMap`'s incremental resize state machine.
-//! * A [`MaintThread`] owns a work queue of unit indices plus a condvar.
-//!   Writers that hit a resize trigger *request* maintenance (a queue push
-//!   and a wakeup — no waiting) and continue; the thread pops units and
-//!   calls [`MaintTarget::step`] repeatedly, absorbing every
-//!   `synchronize_rcu` on the writers' behalf.
-//! * **Fairness:** a unit only receives [`MaintConfig::fairness_slice`]
-//!   steps before being re-queued behind other waiting units, so one
-//!   storming shard cannot starve the rest.
-//! * **Shutdown handshake:** dropping the [`MaintHandle`] (or calling
-//!   [`MaintHandle::shutdown`]) stops accepting requests, then *drains*: the
-//!   thread steps every unit in [`StepMode::Drain`] until idle, so no resize
-//!   is ever left half-published.
-//! * **Reclamation heartbeat:** between work items (and periodically while
-//!   idle) the thread runs a deferred-reclamation pass on the global RCU
-//!   domain, so maintained maps can disable writer-side reclamation
-//!   entirely — the other place writers used to wait for readers.
-//! * **Cross-flavor grace waits:** every wait the thread absorbs — both the
-//!   resize grace steps (via `rp_hash`'s incremental state machine) and the
-//!   reclamation passes — goes through [`rp_rcu::GraceSync`], so it covers
-//!   registered QSBR readers (`rp_hash::QsbrReadHandle`) as well as EBR
-//!   guards. Maintenance is what lets QSBR-serving worker threads never
-//!   synchronize at all.
+//! * A [`MaintTarget`] owns a set of *units* (shards), each of which can be
+//!   brought back inside its own bounds by one call,
+//!   [`MaintTarget::maintain`]. `rp_shard::ShardedRpMap`'s shard set
+//!   implements it as `rp_hash::RpHashMap::maintain` — the map's one resize
+//!   driver, which waits for every grace period with nothing held.
+//! * A [`MaintThread`] owns one thread, a queue of unit indices and a
+//!   pending flag per unit. A writer that crosses a trigger *requests*
+//!   maintenance ([`MaintHandle::request`]: one atomic swap, and a queue
+//!   push and a wakeup if the unit was not already waiting) and continues;
+//!   the thread pops a unit, clears its flag and only then calls `maintain`.
+//!   A write that crosses a trigger after the clear requests again; one that
+//!   crossed before it is visible to the check `maintain` makes — so no
+//!   request is lost and none is queued twice.
+//! * **Reclamation:** after each turn, and every 50 ms while idle, the
+//!   thread runs a deferred-reclamation pass on the global RCU domain once
+//!   256 retired objects are pending, so maintained maps do not reclaim from
+//!   their writers either — the other place writers used to wait for
+//!   readers. An idle pass first checks for a stalled reader.
+//! * **Shutdown:** dropping the [`MaintHandle`] (or calling
+//!   [`MaintHandle::shutdown`]) stops intake, serves what is queued, gives
+//!   every unit one last `maintain` — which finishes a resize a panicked
+//!   turn left in flight — reclaims and joins the thread.
+//! * **Panic containment:** a `maintain` that unwinds is counted
+//!   ([`MaintStats::worker_panics`], `maint_worker_panics_total`), traced
+//!   and retried once; a second consecutive panic drops the unit until
+//!   someone requests it again, and a clean turn earns the retry back. The
+//!   thread survives either way: the other units still need it.
+//! * **Cross-flavor grace waits:** every wait the thread absorbs goes
+//!   through [`rp_rcu::GraceSync`], so it covers registered QSBR readers
+//!   (`rp_hash::QsbrReadHandle`) as well as EBR guards. Maintenance is what
+//!   lets QSBR-serving worker threads never synchronize at all.
 //!
 //! The observable guarantee, asserted by `rp-shard`'s maintenance tests via
 //! [`rp_rcu::thread_synchronize_count`]: **on the maintained path, writer
@@ -46,33 +52,27 @@
 //!
 //! # Example
 //!
-//! A toy target whose single unit needs three steps of "maintenance":
+//! A toy target whose single unit owes three units of work:
 //!
 //! ```
 //! use std::sync::atomic::{AtomicUsize, Ordering};
 //! use std::sync::Arc;
-//! use rp_maint::{MaintConfig, MaintStep, MaintTarget, MaintThread, StepMode};
+//! use rp_maint::{MaintTarget, MaintThread};
 //!
 //! struct Toy(AtomicUsize);
 //! impl MaintTarget for Toy {
 //!     fn units(&self) -> usize {
 //!         1
 //!     }
-//!     fn step(&self, _unit: usize, _mode: StepMode) -> MaintStep {
-//!         match self.0.load(Ordering::SeqCst) {
-//!             0 => MaintStep::Idle,
-//!             n => {
-//!                 self.0.store(n - 1, Ordering::SeqCst);
-//!                 if n == 1 { MaintStep::Finished } else { MaintStep::Splice }
-//!             }
-//!         }
+//!     fn maintain(&self, _unit: usize) -> bool {
+//!         self.0.swap(0, Ordering::SeqCst) > 0
 //!     }
 //! }
 //!
 //! let toy = Arc::new(Toy(AtomicUsize::new(3)));
-//! let handle = MaintThread::spawn(Arc::clone(&toy) as Arc<dyn MaintTarget>, MaintConfig::default());
+//! let handle = MaintThread::spawn(Arc::clone(&toy) as Arc<dyn MaintTarget>);
 //! handle.request(0);
-//! handle.shutdown(); // drains before returning
+//! handle.shutdown(); // serves the queue before returning
 //! assert_eq!(toy.0.load(Ordering::SeqCst), 0);
 //! ```
 
@@ -83,48 +83,21 @@ mod stats;
 mod thread;
 
 pub use stats::MaintStats;
-pub use thread::{MaintConfig, MaintHandle, MaintThread};
+pub use thread::{MaintHandle, MaintThread};
 
-/// What one [`MaintTarget::step`] call did. Mirrors the steps of
-/// `rp_hash`'s incremental resize state machine, plus [`MaintStep::Began`]
-/// for the step that starts a requested resize.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MaintStep {
-    /// Nothing to do for this unit; the driver moves on.
-    Idle,
-    /// A requested resize was started (new table published, no waiting).
-    Began,
-    /// One grace period was waited for on behalf of the unit's writers.
-    Grace,
-    /// One bounded batch of restructuring work (e.g. an unzip splice round).
-    Splice,
-    /// A resize completed.
-    Finished,
-}
-
-/// Whether a step may start new work or should only finish what is already
-/// in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepMode {
-    /// Normal operation: start requested resizes and advance them.
-    Normal,
-    /// Shutdown drain: complete in-progress resizes so nothing is left
-    /// half-published, but do not begin new ones.
-    Drain,
-}
-
-/// A set of maintenance units (shards) that a [`MaintThread`] can drive.
+/// A set of maintenance units (shards) that a [`MaintThread`] keeps inside
+/// their bounds.
 ///
-/// Implementations must make `step` safe to call from the maintenance
-/// thread concurrently with the target's own writers and readers; each call
-/// should perform one *bounded* unit of work (begin, one splice round, one
-/// grace wait, or finish) and report what it did. The maintenance thread
-/// never holds a read-side critical section, so `step` may wait for grace
-/// periods.
+/// `maintain` runs on the maintenance thread, concurrently with the target's
+/// own writers and readers. That thread never holds a read-side critical
+/// section, so `maintain` may wait for grace periods — absorbing those waits
+/// is what it is for.
 pub trait MaintTarget: Send + Sync + 'static {
-    /// Number of units (used by the shutdown drain to visit everything).
+    /// Number of units; [`MaintHandle::request`] takes `0..units()`.
     fn units(&self) -> usize;
 
-    /// Advances maintenance on `unit` by one bounded step.
-    fn step(&self, unit: usize, mode: StepMode) -> MaintStep;
+    /// Brings `unit` back inside its bounds, however many resizes that
+    /// takes, finishing first whatever resize it finds in flight. Returns
+    /// `true` if it did any work.
+    fn maintain(&self, unit: usize) -> bool;
 }

@@ -1,4 +1,6 @@
-//! Maintenance counters.
+//! Maintenance counters: what only the maintainer knows. What a turn did to
+//! a unit — resizes, grace periods — is the unit's to count (`MapStats`, the
+//! `rp-obs` `resize_*` group).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -6,12 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Default)]
 pub(crate) struct AtomicMaintStats {
     pub(crate) requests: AtomicU64,
-    pub(crate) steps: AtomicU64,
-    pub(crate) began: AtomicU64,
-    pub(crate) grace_waits: AtomicU64,
-    pub(crate) splice_rounds: AtomicU64,
-    pub(crate) resizes_finished: AtomicU64,
-    pub(crate) requeues: AtomicU64,
+    pub(crate) turns: AtomicU64,
     pub(crate) reclaim_passes: AtomicU64,
     pub(crate) worker_panics: AtomicU64,
     pub(crate) max_debt: AtomicU64,
@@ -21,21 +18,11 @@ impl AtomicMaintStats {
     pub(crate) fn snapshot(&self) -> MaintStats {
         MaintStats {
             requests: self.requests.load(Ordering::Relaxed),
-            steps: self.steps.load(Ordering::Relaxed),
-            began: self.began.load(Ordering::Relaxed),
-            grace_waits: self.grace_waits.load(Ordering::Relaxed),
-            splice_rounds: self.splice_rounds.load(Ordering::Relaxed),
-            resizes_finished: self.resizes_finished.load(Ordering::Relaxed),
-            requeues: self.requeues.load(Ordering::Relaxed),
+            turns: self.turns.load(Ordering::Relaxed),
             reclaim_passes: self.reclaim_passes.load(Ordering::Relaxed),
             worker_panics: self.worker_panics.load(Ordering::Relaxed),
             max_debt: self.max_debt.load(Ordering::Relaxed),
         }
-    }
-
-    /// Raises `max_debt` to `depth` if it is larger than the current max.
-    pub(crate) fn observe_debt(&self, depth: u64) {
-        self.max_debt.fetch_max(depth, Ordering::Relaxed);
     }
 }
 
@@ -45,46 +32,17 @@ impl AtomicMaintStats {
 /// through `rp_shard::ShardStats::maint`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaintStats {
-    /// Resize requests accepted onto the work queue.
+    /// Requests that put a unit on the work queue (one already waiting
+    /// there is not queued again, and not counted).
     pub requests: u64,
-    /// Total maintenance steps executed (all kinds).
-    pub steps: u64,
-    /// Resizes started by the maintenance thread.
-    pub began: u64,
-    /// Grace periods absorbed off the writer path.
-    pub grace_waits: u64,
-    /// Unzip splice rounds performed.
-    pub splice_rounds: u64,
-    /// Resizes driven to completion.
-    pub resizes_finished: u64,
-    /// Times a unit was re-queued after exhausting its fairness slice.
-    pub requeues: u64,
+    /// `MaintTarget::maintain` calls made, whether or not they found work.
+    pub turns: u64,
     /// Deferred-reclamation passes run on the global RCU domain.
     pub reclaim_passes: u64,
-    /// Panics caught by worker supervision: a `step` (or heartbeat /
-    /// drain pass) unwound and was contained — the worker kept serving
-    /// and the unit was re-queued at most once.
+    /// Panics contained: a `maintain` (or a reclamation pass) unwound, the
+    /// thread kept serving and the unit was retried at most once.
     pub worker_panics: u64,
     /// Maximum work-queue depth observed by a requesting writer — the
     /// worst resize debt any writer has seen the maintainer carrying.
     pub max_debt: u64,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn snapshot_round_trips() {
-        let s = AtomicMaintStats::default();
-        s.requests.fetch_add(2, Ordering::Relaxed);
-        s.grace_waits.fetch_add(3, Ordering::Relaxed);
-        s.observe_debt(5);
-        s.observe_debt(2);
-        let snap = s.snapshot();
-        assert_eq!(snap.requests, 2);
-        assert_eq!(snap.grace_waits, 3);
-        assert_eq!(snap.max_debt, 5, "observe_debt keeps the maximum");
-        assert_eq!(snap.steps, 0);
-    }
 }

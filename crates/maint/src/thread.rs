@@ -1,9 +1,9 @@
-//! The maintenance worker pool: one work queue, N worker threads, condvar
-//! wakeups, per-unit exclusion, fairness and the shutdown drain handshake.
+//! The maintenance thread: one work queue, one pending flag per unit, one
+//! supervised thread.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -12,181 +12,200 @@ use parking_lot::{Condvar, Mutex};
 use rp_rcu::GraceSync;
 
 use crate::stats::AtomicMaintStats;
-use crate::{MaintStats, MaintStep, MaintTarget, StepMode};
+use crate::{MaintStats, MaintTarget};
 
-/// Tuning knobs for a [`MaintThread`].
-#[derive(Debug, Clone)]
-pub struct MaintConfig {
-    /// Maintenance worker threads sharing the one work queue. Each unit is
-    /// stepped by at most one worker at a time (per-unit exclusion), so
-    /// extra workers add *across-unit* parallelism: two shards can resize
-    /// concurrently, and a long grace-period wait on one shard no longer
-    /// stalls every other shard's maintenance.
-    pub workers: usize,
-    /// Maximum steps applied to one unit before it is re-queued behind the
-    /// other waiting units (per-shard fairness under multi-shard storms).
-    pub fairness_slice: usize,
-    /// Run a deferred-reclamation pass on the global RCU domain whenever at
-    /// least this many retired objects are pending (the maintained
-    /// counterpart of `rp_hash::ResizePolicy::reclaim_threshold`).
-    pub reclaim_threshold: usize,
-    /// How long an idle worker sleeps waiting for requests before running
-    /// an idle reclamation heartbeat.
-    pub idle_wakeup: Duration,
-}
+/// Retired objects pending in the global RCU domain at which the thread runs
+/// a reclamation pass (what `rp_hash::ResizePolicy::reclaim_threshold` is to
+/// an unmaintained map's writers).
+const RECLAIM_THRESHOLD: usize = 256;
 
-impl Default for MaintConfig {
-    fn default() -> Self {
-        MaintConfig {
-            workers: 1,
-            fairness_slice: 8,
-            reclaim_threshold: 256,
-            idle_wakeup: Duration::from_millis(50),
-        }
-    }
-}
+/// How long the idle thread sleeps before a stall check and a reclamation
+/// heartbeat.
+const IDLE_WAKEUP: Duration = Duration::from_millis(50);
 
-/// State shared between requesters, the maintenance workers and the handle.
+/// The `MaintPanic` trace value of a panic outside any unit's turn.
+const NO_UNIT: u64 = u64::MAX;
+
+/// State shared between requesters, the maintenance thread and the handle.
 struct MaintShared {
     queue: Mutex<QueueState>,
     wakeup: Condvar,
+    /// Per unit: set by the request that queues it, cleared by the thread
+    /// just before the unit's turn. A unit is on the queue at most once.
+    pending: Box<[AtomicBool]>,
     stats: AtomicMaintStats,
-    /// Workers that have observed shutdown and left the main loop. The
-    /// *last* one to exit runs the drain sweep — by then no other worker
-    /// can be mid-step, so the sweep sees every unit quiesced.
-    exited: AtomicUsize,
 }
 
 struct QueueState {
     items: VecDeque<usize>,
-    /// Units currently being stepped by some worker. A queued unit whose
-    /// entry is in here is skipped (not popped) until its worker returns
-    /// it, which is what keeps two workers out of one unit's resize state
-    /// machine.
-    in_flight: Vec<usize>,
-    /// Units that panicked mid-step and were re-queued by the supervisor.
-    /// A unit in this set that panics *again* is dropped instead of
-    /// re-queued (re-queue **once**), so a deterministically-poisoned unit
-    /// cannot wedge the pool in a panic loop. A clean (non-panicking)
-    /// slice clears the mark.
-    panic_requeued: Vec<usize>,
     shutdown: bool,
 }
 
-impl QueueState {
-    /// Pops the first queued unit that no worker is currently stepping,
-    /// marking it in-flight.
-    fn pop_available(&mut self) -> Option<usize> {
-        let pos = self
-            .items
-            .iter()
-            .position(|unit| !self.in_flight.contains(unit))?;
-        let unit = self.items.remove(pos).expect("position came from iter");
-        self.in_flight.push(unit);
-        Some(unit)
-    }
+/// What the queue handed the thread.
+enum Next {
+    Unit(usize),
+    Heartbeat,
+    Shutdown,
 }
 
-/// Spawns and owns maintenance threads. This is a namespace type; see
-/// [`MaintThread::spawn`].
-pub struct MaintThread;
-
-impl MaintThread {
-    /// Spawns [`MaintConfig::workers`] maintenance threads driving `target`
-    /// and returns their shared handle.
-    ///
-    /// Workers sleep until a unit is requested via [`MaintHandle::request`],
-    /// run periodic reclamation heartbeats while idle (worker 0 only — one
-    /// heartbeat per pool is enough), and exit — the last one draining all
-    /// in-progress resizes — when the handle shuts down.
-    pub fn spawn(target: Arc<dyn MaintTarget>, config: MaintConfig) -> MaintHandle {
-        let workers = config.workers.max(1);
-        let shared = Arc::new(MaintShared {
-            queue: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                in_flight: Vec::new(),
-                panic_requeued: Vec::new(),
-                shutdown: false,
-            }),
-            wakeup: Condvar::new(),
-            stats: AtomicMaintStats::default(),
-            exited: AtomicUsize::new(0),
-        });
-        let threads = (0..workers)
-            .map(|idx| {
-                let shared = Arc::clone(&shared);
-                let target = Arc::clone(&target);
-                let config = config.clone();
-                std::thread::Builder::new()
-                    .name(format!("rp-maint-{idx}"))
-                    .spawn(move || {
-                        // Supervision: unit-level panics are contained
-                        // inside `run` (the unit is re-queued once); a
-                        // panic that escapes anyway — from a heartbeat
-                        // reclamation pass or the shutdown drain — is
-                        // caught here and the worker re-enters its loop,
-                        // i.e. it is respawned in place on the same
-                        // thread. The pool never silently loses a worker.
-                        loop {
-                            let result = catch_unwind(AssertUnwindSafe(|| {
-                                run(
-                                    idx,
-                                    workers,
-                                    Arc::clone(&target),
-                                    Arc::clone(&shared),
-                                    config.clone(),
-                                )
-                            }));
-                            match result {
-                                Ok(()) => break,
-                                Err(_) => {
-                                    shared.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-                                    let obs = rp_obs::global();
-                                    obs.maint.worker_panics_total.inc();
-                                    obs.trace.record(rp_obs::TraceKind::MaintPanic, idx as u64);
-                                }
-                            }
-                        }
-                    })
-                    .expect("failed to spawn maintenance worker")
-            })
-            .collect();
-        MaintHandle { shared, threads }
-    }
-}
-
-/// Owner handle for a running maintenance worker pool.
-///
-/// Dropping the handle shuts the pool down: no further requests are
-/// accepted, every in-progress resize is drained to completion, and the
-/// workers are joined. Use [`MaintHandle::shutdown`] for an explicit,
-/// nameable version of the same handshake.
-pub struct MaintHandle {
-    shared: Arc<MaintShared>,
-    threads: Vec<JoinHandle<()>>,
-}
-
-impl MaintHandle {
-    /// Enqueues maintenance for `unit` and wakes the thread. Never blocks
-    /// and never waits for readers — this is the entire cost a writer pays
-    /// for triggering a resize on the maintained path.
-    ///
-    /// Requests made after shutdown began are ignored.
-    pub fn request(&self, unit: usize) {
+impl MaintShared {
+    /// Queues `unit` unless it is already waiting or intake has stopped;
+    /// the queue depth if it was queued.
+    fn enqueue(&self, unit: usize) -> Option<u64> {
+        // Pairs with the acquiring clear in `run`: the write that made the
+        // caller ask happens-before the turn that clears this flag, whether
+        // this swap set it or found it set (RMWs continue the release
+        // sequence of the request that did).
+        if self.pending[unit].swap(true, Ordering::AcqRel) {
+            return None;
+        }
         let depth = {
-            let mut q = self.shared.queue.lock();
+            let mut q = self.queue.lock();
             if q.shutdown {
-                return;
+                return None;
             }
             q.items.push_back(unit);
             q.items.len() as u64
         };
-        self.shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-        // `depth` is the resize debt this writer observed: how many units
-        // were waiting for the maintainer at the moment of its request.
-        self.shared.stats.observe_debt(depth);
         rp_obs::global().maint.queue_depth.set(depth);
-        self.shared.wakeup.notify_one();
+        self.wakeup.notify_one();
+        Some(depth)
+    }
+
+    /// The next thing to do: a queued unit (also while shutting down — the
+    /// queue is served to its end), else shutdown, else — after an idle
+    /// wait — a heartbeat.
+    fn next(&self) -> Next {
+        let mut q = self.queue.lock();
+        if q.items.is_empty() && !q.shutdown {
+            self.wakeup.wait_for(&mut q, IDLE_WAKEUP);
+        }
+        match q.items.pop_front() {
+            Some(unit) => {
+                rp_obs::global().maint.queue_depth.set(q.items.len() as u64);
+                Next::Unit(unit)
+            }
+            None if q.shutdown => Next::Shutdown,
+            None => Next::Heartbeat,
+        }
+    }
+
+    /// Runs `f`; a panic is counted, traced against `unit` and contained.
+    ///
+    /// What `f` leaves behind when it unwinds is its own contract:
+    /// `rp-hash` panics (by failpoint) only at a resize step boundary, with
+    /// no lock held and the table consistent, and the next `maintain`
+    /// finishes that resize before anything else.
+    fn contain<R>(&self, unit: u64, f: impl FnOnce() -> R) -> Option<R> {
+        let outcome = catch_unwind(AssertUnwindSafe(f));
+        if outcome.is_err() {
+            self.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
+            let obs = rp_obs::global();
+            obs.maint.worker_panics_total.inc();
+            obs.trace.record(rp_obs::TraceKind::MaintPanic, unit);
+        }
+        outcome.ok()
+    }
+
+    /// One turn: `maintain(unit)`, recorded as a slice if it worked.
+    /// `false` if it unwound.
+    fn turn(&self, target: &dyn MaintTarget, unit: usize) -> bool {
+        self.stats.turns.fetch_add(1, Ordering::Relaxed);
+        let timer = rp_obs::timer();
+        let Some(worked) = self.contain(unit as u64, || target.maintain(unit)) else {
+            return false;
+        };
+        if worked {
+            // The writer-visible cost the maintainer absorbed in this turn.
+            if let Some(ns) = rp_obs::elapsed_ns(timer) {
+                let obs = rp_obs::global();
+                obs.maint.slice_ns.record(ns);
+                obs.maint.slices_total.inc();
+                obs.trace.record(rp_obs::TraceKind::MaintSlice, ns);
+            }
+        }
+        true
+    }
+
+    /// Absorbs deferred reclamation so maintained maps never run it from a
+    /// writer. The pass goes through `GraceSync`, so it waits for QSBR
+    /// readers too whenever the QSBR read path is in use.
+    fn reclaim(&self, threshold: usize) {
+        let pass = || GraceSync::global().reclaim_if_pending(threshold);
+        if self.contain(NO_UNIT, pass) == Some(true) {
+            self.stats.reclaim_passes.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Spawns and owns the maintenance thread. This is a namespace type; see
+/// [`MaintThread::spawn`].
+pub struct MaintThread;
+
+impl MaintThread {
+    /// Spawns the maintenance thread for `target` and returns its handle.
+    ///
+    /// The thread sleeps until a unit is requested via
+    /// [`MaintHandle::request`], runs a reclamation heartbeat while idle,
+    /// and exits — every unit at rest — when the handle shuts down.
+    pub fn spawn(target: Arc<dyn MaintTarget>) -> MaintHandle {
+        let shared = Arc::new(MaintShared {
+            queue: Mutex::new(QueueState {
+                items: VecDeque::new(),
+                shutdown: false,
+            }),
+            wakeup: Condvar::new(),
+            pending: (0..target.units())
+                .map(|_| AtomicBool::new(false))
+                .collect(),
+            stats: AtomicMaintStats::default(),
+        });
+        let thread = {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("rp-maint".to_string())
+                .spawn(move || run(&*target, &shared))
+                .expect("failed to spawn the maintenance thread")
+        };
+        MaintHandle {
+            shared,
+            thread: Some(thread),
+        }
+    }
+}
+
+/// Owner handle for a running maintenance thread.
+///
+/// Dropping the handle shuts the thread down: no further requests are
+/// accepted, what is queued is served, any resize left in flight is
+/// finished, and the thread is joined. Use [`MaintHandle::shutdown`] for an
+/// explicit, nameable version of the same handshake.
+pub struct MaintHandle {
+    shared: Arc<MaintShared>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl MaintHandle {
+    /// Asks for `unit` to be maintained. Never blocks and never waits for
+    /// readers: one atomic swap if the unit is already waiting for its turn,
+    /// plus a queue push and a wakeup if it is not — the entire cost a
+    /// writer pays for triggering a resize on the maintained path.
+    ///
+    /// Requests made after shutdown began are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `unit` is not below the target's `units()`.
+    pub fn request(&self, unit: usize) {
+        if let Some(depth) = self.shared.enqueue(unit) {
+            self.shared.stats.requests.fetch_add(1, Ordering::Relaxed);
+            // The resize debt this writer observed: how many units were
+            // waiting for the maintainer at the moment of its request.
+            self.shared
+                .stats
+                .max_debt
+                .fetch_max(depth, Ordering::Relaxed);
+        }
     }
 
     /// A snapshot of the thread's counters.
@@ -199,47 +218,43 @@ impl MaintHandle {
         self.shared.queue.lock().items.len()
     }
 
-    /// Shuts the pool down: stops accepting requests, waits for the
-    /// workers to drain every in-progress resize, and joins them.
+    /// Shuts the thread down: stops accepting requests, waits for it to
+    /// serve its queue and leave every unit at rest, and joins it.
     ///
     /// Idempotent; also runs on drop.
     ///
     /// # Panics
     ///
     /// Panics if called (or dropped) from inside a read-side critical
-    /// section of the global RCU domain: the drain waits for grace periods,
-    /// which can never complete while the calling thread holds a guard, so
-    /// the join would deadlock silently otherwise.
+    /// section of the global RCU domain: the thread's last turns wait for
+    /// grace periods, which can never complete while the calling thread
+    /// holds a guard, so the join would deadlock silently otherwise.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
 
     fn shutdown_inner(&mut self) {
-        {
-            let mut q = self.shared.queue.lock();
-            q.shutdown = true;
-        }
+        self.shared.queue.lock().shutdown = true;
         self.shared.wakeup.notify_all();
-        if self.threads.is_empty() {
+        let Some(thread) = self.thread.take() else {
             return;
-        }
+        };
         if rp_rcu::global_read_nesting() > 0 {
-            // The drain synchronizes; joining here would wait forever for
-            // our own guard to drop. Detach the workers (they exit once the
-            // guard is gone) and make the bug loud — unless we are already
-            // unwinding, where a second panic would abort.
-            self.threads.clear();
+            // Joining here would wait forever for our own guard to drop.
+            // Detach the thread (it exits once the guard is gone) and make
+            // the bug loud — unless we are already unwinding, where a
+            // second panic would abort.
             if std::thread::panicking() {
                 return;
             }
             panic!(
                 "MaintHandle shut down while inside a read-side critical section; \
-                 drop the RcuGuard first (the drain would otherwise deadlock)"
+                 drop the RcuGuard first (the last turns would otherwise deadlock)"
             );
         }
-        for thread in self.threads.drain(..) {
-            let _ = thread.join();
-        }
+        // Every panic on that thread is contained and counted where it
+        // happens; there is nothing left for the join to report.
+        let _ = thread.join();
     }
 }
 
@@ -258,373 +273,102 @@ impl std::fmt::Debug for MaintHandle {
     }
 }
 
-/// What the queue handed the worker loop.
-enum Next {
-    Unit(usize),
-    Heartbeat,
-    Shutdown,
-}
-
-fn run(
-    idx: usize,
-    workers: usize,
-    target: Arc<dyn MaintTarget>,
-    shared: Arc<MaintShared>,
-    config: MaintConfig,
-) {
-    // Each maintenance worker is a dedicated synchronizer: *it* waits for
-    // grace periods so writers never do. The per-worker baseline lets the
-    // exit assertion below verify the division of labor from this side —
-    // whatever this worker synchronized, the writers did not.
-    let sync_baseline = rp_rcu::thread_synchronize_count();
+/// The maintenance thread. It is the dedicated synchronizer: *it* waits for
+/// grace periods so writers never do.
+fn run(target: &dyn MaintTarget, shared: &MaintShared) {
+    // Units whose last turn unwound and has had its one retry queued.
+    let mut struck = vec![false; target.units()];
     loop {
-        let next = {
-            let mut q = shared.queue.lock();
-            if let Some(unit) = q.pop_available() {
-                Next::Unit(unit)
-            } else if q.shutdown {
-                Next::Shutdown
-            } else {
-                shared.wakeup.wait_for(&mut q, config.idle_wakeup);
-                if let Some(unit) = q.pop_available() {
-                    Next::Unit(unit)
-                } else if q.shutdown {
-                    Next::Shutdown
-                } else {
-                    Next::Heartbeat
-                }
-            }
-        };
-        match next {
+        match shared.next() {
             Next::Shutdown => break,
             Next::Heartbeat => {
-                // One heartbeat per pool is enough; workers 1..N just go
-                // back to waiting.
-                if idx != 0 {
-                    continue;
-                }
-                // Idle: check for overdue grace periods first — if a stalled
-                // reader exists, the reclamation pass below would hang in the
-                // same wait it is trying to absorb, so flag it before joining
-                // it.
+                // Check for overdue grace periods first — if a stalled
+                // reader exists, the reclamation pass below would hang in
+                // the same wait it is trying to absorb, so flag it before
+                // joining it.
                 rp_rcu::stall::check_global();
-                // Absorb deferred reclamation so maintained maps never have
-                // to run it from a writer. The pass goes through `GraceSync`,
-                // so it waits for QSBR readers too whenever the QSBR read
-                // path is in use.
-                if GraceSync::global().reclaim_if_pending(config.reclaim_threshold) {
-                    shared.stats.reclaim_passes.fetch_add(1, Ordering::Relaxed);
-                }
+                shared.reclaim(RECLAIM_THRESHOLD);
             }
             Next::Unit(unit) => {
-                let mut steps = 0_usize;
-                let mut exhausted_slice = false;
-                let slice_timer = rp_obs::timer();
-                // Panic containment: a `target.step` that unwinds (an
-                // injected failpoint, a bug in one shard's resize) must
-                // not kill the worker — the other units still need
-                // maintenance. The unit's in-flight mark is cleared and
-                // the unit is re-queued **once** so a transient panic gets
-                // a retry while a deterministic one cannot loop forever.
-                let outcome = catch_unwind(AssertUnwindSafe(|| loop {
-                    let step = target.step(unit, StepMode::Normal);
-                    record(&shared.stats, step);
-                    if step == MaintStep::Idle {
-                        break;
-                    }
-                    steps += 1;
-                    if steps >= config.fairness_slice.max(1) {
-                        // Fairness: give other units a turn; this one goes
-                        // to the back of the queue.
-                        exhausted_slice = true;
-                        break;
-                    }
-                }));
-                if outcome.is_err() {
-                    shared.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-                    let obs = rp_obs::global();
-                    obs.maint.worker_panics_total.inc();
-                    obs.trace.record(rp_obs::TraceKind::MaintPanic, unit as u64);
-                    let mut q = shared.queue.lock();
-                    q.in_flight.retain(|&held| held != unit);
-                    if !q.shutdown && !q.panic_requeued.contains(&unit) {
-                        q.panic_requeued.push(unit);
-                        q.items.push_back(unit);
-                        shared.stats.requeues.fetch_add(1, Ordering::Relaxed);
-                        shared.wakeup.notify_one();
-                    }
-                    continue;
+                // Cleared **before** the turn, with an acquiring RMW: a
+                // write that crosses a trigger from here on queues the unit
+                // again, and every write whose request found the flag set
+                // is visible to the check `maintain` is about to make.
+                shared.pending[unit].swap(false, Ordering::AcqRel);
+                if shared.turn(target, unit) {
+                    struck[unit] = false;
+                } else if !std::mem::replace(&mut struck[unit], true) {
+                    // A transient panic gets its retry, behind the other
+                    // waiting units; a deterministic one cannot loop. (Under
+                    // shutdown nothing is queued: the sweep below retries.)
+                    shared.enqueue(unit);
                 }
-                // Return the unit: clear its in-flight mark (other workers
-                // may step it again) and requeue it if its slice ran out.
-                {
-                    let mut q = shared.queue.lock();
-                    q.in_flight.retain(|&held| held != unit);
-                    // A clean slice proves the unit healthy again: it earns
-                    // back its one post-panic retry.
-                    q.panic_requeued.retain(|&held| held != unit);
-                    if exhausted_slice && !q.shutdown {
-                        q.items.push_back(unit);
-                        shared.stats.requeues.fetch_add(1, Ordering::Relaxed);
-                        shared.wakeup.notify_one();
-                    }
-                    // (under shutdown the drain below finishes the unit)
-                }
-                if steps > 0 {
-                    // Telemetry: slice duration (the writer-visible cost the
-                    // maintainer absorbed in one fairness turn).
-                    if let Some(ns) = rp_obs::elapsed_ns(slice_timer) {
-                        let obs = rp_obs::global();
-                        obs.maint.slice_ns.record(ns);
-                        obs.maint.slices_total.inc();
-                        obs.trace.record(rp_obs::TraceKind::MaintSlice, ns);
-                        obs.maint
-                            .queue_depth
-                            .set(shared.queue.lock().items.len() as u64);
-                    }
-                }
-                if GraceSync::global().reclaim_if_pending(config.reclaim_threshold) {
-                    shared.stats.reclaim_passes.fetch_add(1, Ordering::Relaxed);
-                }
+                shared.reclaim(RECLAIM_THRESHOLD);
             }
         }
     }
-
-    // The last worker out runs the shutdown drain: every other worker has
-    // already left its loop (the `exited` count proves it), so no unit is
-    // mid-step and the sweep below sees them all quiesced. Every unit is
-    // stepped in Drain mode until idle, so no resize is left
-    // half-published. Requested-but-unstarted resizes are dropped (Drain
-    // mode never begins new work); in-progress ones complete.
-    let exited = shared.exited.fetch_add(1, Ordering::AcqRel) + 1;
-    if exited == workers {
-        for unit in 0..target.units() {
-            // A unit that panics mid-drain is abandoned (not retried:
-            // the process is shutting down) so the remaining units still
-            // get their drain sweep.
-            let outcome = catch_unwind(AssertUnwindSafe(|| loop {
-                let step = target.step(unit, StepMode::Drain);
-                if step == MaintStep::Idle {
-                    break;
-                }
-                record(&shared.stats, step);
-            }));
-            if outcome.is_err() {
-                shared.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-                let obs = rp_obs::global();
-                obs.maint.worker_panics_total.inc();
-                obs.trace.record(rp_obs::TraceKind::MaintPanic, unit as u64);
-            }
-        }
-        // Leave no deferred destructors behind either.
-        if GraceSync::global().reclaim_if_pending(1) {
-            shared.stats.reclaim_passes.fetch_add(1, Ordering::Relaxed);
-        }
+    // Intake has stopped and the queue is empty. One last turn each leaves
+    // no resize half-published — the one way this thread leaves one in
+    // flight is a turn that unwound — and no deferred destructor behind.
+    for unit in 0..target.units() {
+        shared.turn(target, unit);
     }
-    // The writers-never-synchronize invariant, asserted from the worker's
-    // side: grace-period waits happened *here* (or not at all), never on a
-    // requesting thread — a worker that somehow never synchronized is fine,
-    // one whose count went *backwards* would mean the thread-local was
-    // corrupted.
-    debug_assert!(
-        rp_rcu::thread_synchronize_count() >= sync_baseline,
-        "maintenance worker {idx}'s synchronize count regressed"
-    );
-}
-
-fn record(stats: &AtomicMaintStats, step: MaintStep) {
-    if step != MaintStep::Idle {
-        stats.steps.fetch_add(1, Ordering::Relaxed);
-    }
-    let counter = match step {
-        MaintStep::Idle => return,
-        MaintStep::Began => &stats.began,
-        MaintStep::Grace => &stats.grace_waits,
-        MaintStep::Splice => &stats.splice_rounds,
-        MaintStep::Finished => &stats.resizes_finished,
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
+    shared.reclaim(1);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
 
-    /// A target where each unit is a countdown: `step` decrements it, the
-    /// step before zero reports `Finished`, and zero reports `Idle`. In
-    /// `Drain` mode, countdowns at their initial value (never started) stay
-    /// untouched.
-    struct Countdown {
-        units: Vec<AtomicUsize>,
-        initial: usize,
-        drain_steps: AtomicUsize,
-        normal_step_delay_ms: u64,
-    }
+    /// Each unit owes a number of work items; a turn pays them all off.
+    struct Debts(Vec<AtomicUsize>);
 
-    impl Countdown {
-        fn new(units: usize, initial: usize) -> Self {
-            Self::with_delay(units, initial, 0)
+    impl Debts {
+        fn new(units: usize, owed: usize) -> Arc<Self> {
+            Arc::new(Debts((0..units).map(|_| AtomicUsize::new(owed)).collect()))
         }
 
-        fn with_delay(units: usize, initial: usize, normal_step_delay_ms: u64) -> Self {
-            Countdown {
-                units: (0..units).map(|_| AtomicUsize::new(initial)).collect(),
-                initial,
-                drain_steps: AtomicUsize::new(0),
-                normal_step_delay_ms,
-            }
+        fn owed(&self, unit: usize) -> usize {
+            self.0[unit].load(Ordering::SeqCst)
         }
     }
 
-    impl MaintTarget for Countdown {
+    impl MaintTarget for Debts {
         fn units(&self) -> usize {
-            self.units.len()
+            self.0.len()
         }
 
-        fn step(&self, unit: usize, mode: StepMode) -> MaintStep {
-            let remaining = self.units[unit].load(Ordering::SeqCst);
-            if remaining == 0 {
-                return MaintStep::Idle;
-            }
-            match mode {
-                StepMode::Drain => {
-                    if remaining == self.initial {
-                        // Not started: a drain must not begin new work.
-                        return MaintStep::Idle;
-                    }
-                    self.drain_steps.fetch_add(1, Ordering::SeqCst);
-                }
-                StepMode::Normal => {
-                    // Slow normal steps let the shutdown test reliably catch
-                    // the unit mid-flight.
-                    std::thread::sleep(Duration::from_millis(self.normal_step_delay_ms));
-                }
-            }
-            self.units[unit].store(remaining - 1, Ordering::SeqCst);
-            match remaining {
-                1 => MaintStep::Finished,
-                r if r == self.initial => MaintStep::Began,
-                _ => MaintStep::Splice,
-            }
+        fn maintain(&self, unit: usize) -> bool {
+            self.0[unit].swap(0, Ordering::SeqCst) > 0
         }
+    }
+
+    fn wait_until(mut done: impl FnMut() -> bool) {
+        for _ in 0..2000 {
+            if done() {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(done(), "condition not reached within the bounded wait");
     }
 
     #[test]
-    fn requested_units_run_to_completion() {
-        let target = Arc::new(Countdown::new(4, 3));
-        let handle = MaintThread::spawn(
-            Arc::clone(&target) as Arc<dyn MaintTarget>,
-            MaintConfig::default(),
-        );
+    fn requested_units_are_maintained_and_the_requester_never_waits() {
+        let target = Debts::new(4, 3);
+        let sync_before = rp_rcu::thread_synchronize_count();
+        let handle = MaintThread::spawn(Arc::clone(&target) as Arc<dyn MaintTarget>);
         handle.request(1);
         handle.request(3);
-        // Wait (bounded) for the thread to drain both units.
-        for _ in 0..1000 {
-            if target.units[1].load(Ordering::SeqCst) == 0
-                && target.units[3].load(Ordering::SeqCst) == 0
-            {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(target.units[1].load(Ordering::SeqCst), 0);
-        assert_eq!(target.units[3].load(Ordering::SeqCst), 0);
-        assert_eq!(target.units[0].load(Ordering::SeqCst), 3, "unrequested");
+        wait_until(|| target.owed(1) == 0 && target.owed(3) == 0);
+        assert_eq!(target.owed(0), 3, "unrequested");
         let stats = handle.stats();
         assert_eq!(stats.requests, 2);
-        assert_eq!(stats.resizes_finished, 2);
-        assert_eq!(stats.began, 2);
-        assert!(stats.max_debt >= 1);
+        assert!(stats.turns >= 2);
+        assert!((1..=2).contains(&stats.max_debt), "{stats:?}");
         handle.shutdown();
-    }
-
-    #[test]
-    fn fairness_slice_requeues_long_units() {
-        let target = Arc::new(Countdown::new(2, 10));
-        let handle = MaintThread::spawn(
-            Arc::clone(&target) as Arc<dyn MaintTarget>,
-            MaintConfig {
-                fairness_slice: 2,
-                ..MaintConfig::default()
-            },
-        );
-        handle.request(0);
-        handle.request(1);
-        for _ in 0..1000 {
-            if target.units.iter().all(|u| u.load(Ordering::SeqCst) == 0) {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(target.units.iter().all(|u| u.load(Ordering::SeqCst) == 0));
-        let stats = handle.stats();
-        assert!(
-            stats.requeues >= 2,
-            "10-step units with a 2-step slice must be re-queued: {stats:?}"
-        );
-        handle.shutdown();
-    }
-
-    #[test]
-    fn shutdown_drains_in_progress_work_only() {
-        let target = Arc::new(Countdown::with_delay(3, 100, 5));
-        let handle = MaintThread::spawn(
-            Arc::clone(&target) as Arc<dyn MaintTarget>,
-            MaintConfig {
-                fairness_slice: 1,
-                ..MaintConfig::default()
-            },
-        );
-        handle.request(0);
-        // Let the thread take at least one step on unit 0.
-        for _ in 0..1000 {
-            if target.units[0].load(Ordering::SeqCst) < 100 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        handle.shutdown();
-        // The in-progress unit was drained to completion...
-        assert_eq!(target.units[0].load(Ordering::SeqCst), 0);
-        assert!(target.drain_steps.load(Ordering::SeqCst) > 0);
-        // ...while never-started units were left alone.
-        assert_eq!(target.units[1].load(Ordering::SeqCst), 100);
-        assert_eq!(target.units[2].load(Ordering::SeqCst), 100);
-    }
-
-    #[test]
-    fn a_pool_of_workers_drains_many_units() {
-        let target = Arc::new(Countdown::new(8, 5));
-        let sync_before = rp_rcu::thread_synchronize_count();
-        let handle = MaintThread::spawn(
-            Arc::clone(&target) as Arc<dyn MaintTarget>,
-            MaintConfig {
-                workers: 3,
-                fairness_slice: 2,
-                ..MaintConfig::default()
-            },
-        );
-        for unit in 0..8 {
-            handle.request(unit);
-        }
-        for _ in 0..2000 {
-            if target.units.iter().all(|u| u.load(Ordering::SeqCst) == 0) {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(
-            target.units.iter().all(|u| u.load(Ordering::SeqCst) == 0),
-            "all units drained by the pool"
-        );
-        let stats = handle.stats();
-        assert_eq!(stats.requests, 8);
-        assert_eq!(stats.resizes_finished, 8);
-        handle.shutdown();
-        // Writers never synchronize: all grace-period waits this pool
-        // needed happened on its own workers, none on the requesting
-        // thread.
         assert_eq!(
             rp_rcu::thread_synchronize_count(),
             sync_before,
@@ -632,98 +376,73 @@ mod tests {
         );
     }
 
-    /// A target that detects two workers inside the same unit's `step` at
-    /// once — the per-unit exclusion the shared `in_flight` set must
-    /// provide, since a resize state machine is single-writer.
-    struct Exclusive {
-        remaining: Vec<AtomicUsize>,
-        inside: Vec<AtomicUsize>,
-        overlaps: AtomicUsize,
+    /// A target whose `maintain` reports each entry and then blocks until
+    /// the test releases it.
+    struct Gated {
+        entered: mpsc::SyncSender<usize>,
+        release: Mutex<mpsc::Receiver<()>>,
     }
 
-    impl MaintTarget for Exclusive {
+    impl MaintTarget for Gated {
         fn units(&self) -> usize {
-            self.remaining.len()
+            2
         }
 
-        fn step(&self, unit: usize, _mode: StepMode) -> MaintStep {
-            let remaining = self.remaining[unit].load(Ordering::SeqCst);
-            if remaining == 0 {
-                return MaintStep::Idle;
-            }
-            if self.inside[unit].fetch_add(1, Ordering::SeqCst) != 0 {
-                self.overlaps.fetch_add(1, Ordering::SeqCst);
-            }
-            // Dwell long enough that a second worker entering this unit
-            // would reliably overlap.
-            std::thread::sleep(Duration::from_millis(1));
-            self.inside[unit].fetch_sub(1, Ordering::SeqCst);
-            self.remaining[unit].store(remaining - 1, Ordering::SeqCst);
-            if remaining == 1 {
-                MaintStep::Finished
-            } else {
-                MaintStep::Splice
-            }
+        fn maintain(&self, unit: usize) -> bool {
+            self.entered.send(unit).unwrap();
+            self.release.lock().recv().is_ok()
         }
     }
 
     #[test]
-    fn one_unit_is_never_stepped_by_two_workers_at_once() {
-        let target = Arc::new(Exclusive {
-            remaining: (0..2).map(|_| AtomicUsize::new(24)).collect(),
-            inside: (0..2).map(|_| AtomicUsize::new(0)).collect(),
-            overlaps: AtomicUsize::new(0),
+    fn a_request_made_mid_turn_is_not_lost_and_a_waiting_unit_is_queued_once() {
+        let (entered_tx, entered) = mpsc::sync_channel(8);
+        let (release, release_rx) = mpsc::channel();
+        let target = Arc::new(Gated {
+            entered: entered_tx,
+            release: Mutex::new(release_rx),
         });
-        let handle = MaintThread::spawn(
-            Arc::clone(&target) as Arc<dyn MaintTarget>,
-            MaintConfig {
-                workers: 4,
-                // One step per slice maximizes queue churn: units bounce
-                // between workers constantly, which is exactly when a
-                // missing in-flight mark would let two workers collide.
-                fairness_slice: 1,
-                ..MaintConfig::default()
-            },
-        );
-        // Duplicate requests for the same units put multiple queue entries
-        // in play at once — pop_available must hand duplicates to at most
-        // one worker at a time.
-        for _ in 0..4 {
+        let mut handle = MaintThread::spawn(target as Arc<dyn MaintTarget>);
+        // A lost request must fail the test, not hang it: bounded waits, and
+        // the gate dropped (opening it) before the handle joins.
+        let release = release;
+        let entered = || entered.recv_timeout(Duration::from_secs(10));
+        handle.request(0);
+        assert_eq!(entered(), Ok(0));
+        // The maintainer is inside `maintain(0)`: its check may already be
+        // behind it, so this request must buy unit 0 another turn. The
+        // repeats find the unit waiting and queue nothing.
+        for _ in 0..3 {
             handle.request(0);
-            handle.request(1);
         }
-        for _ in 0..5000 {
-            if target
-                .remaining
-                .iter()
-                .all(|u| u.load(Ordering::SeqCst) == 0)
-            {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(target
-            .remaining
-            .iter()
-            .all(|u| u.load(Ordering::SeqCst) == 0));
-        assert_eq!(
-            target.overlaps.load(Ordering::SeqCst),
-            0,
-            "two workers entered the same unit's step concurrently"
-        );
-        handle.shutdown();
+        handle.request(1);
+        assert_eq!(handle.pending(), 2);
+        assert_eq!(handle.stats().requests, 3);
+        release.send(()).unwrap();
+        assert_eq!(entered(), Ok(0), "the mid-turn request");
+        release.send(()).unwrap();
+        assert_eq!(entered(), Ok(1));
+        release.send(()).unwrap();
+        // Shutdown's last turn for each unit finds the gate gone.
+        drop(release);
+        handle.shutdown_inner();
+        assert_eq!(handle.stats().turns, 3 + 2);
     }
 
     #[test]
-    fn requests_after_shutdown_are_ignored() {
-        let target = Arc::new(Countdown::new(1, 5));
-        let mut handle = MaintThread::spawn(
-            Arc::clone(&target) as Arc<dyn MaintTarget>,
-            MaintConfig::default(),
-        );
-        handle.shutdown_inner();
+    fn shutdown_serves_the_queue_and_then_refuses_requests() {
+        let target = Debts::new(3, 5);
+        let mut handle = MaintThread::spawn(Arc::clone(&target) as Arc<dyn MaintTarget>);
         handle.request(0);
-        assert_eq!(handle.stats().requests, 0);
-        assert_eq!(target.units[0].load(Ordering::SeqCst), 5);
+        handle.request(2);
+        handle.shutdown_inner();
+        // Every unit is at rest after shutdown, asked for or not.
+        assert_eq!((0..3).map(|u| target.owed(u)).sum::<usize>(), 0);
+        let stats = handle.stats();
+        assert_eq!(stats.requests, 2);
+        target.0[1].store(5, Ordering::SeqCst);
+        handle.request(1);
+        assert_eq!(handle.stats().requests, 2);
+        assert_eq!(target.owed(1), 5);
     }
 }

@@ -1,15 +1,15 @@
-//! Maintenance-worker supervision: a panicking `MaintTarget::step` must be
-//! contained (the worker keeps serving other units), the panicked unit must
-//! be re-queued exactly once, and the panic must be counted.
+//! Maintenance-thread supervision: a panicking `MaintTarget::maintain` must
+//! be contained (the thread keeps serving other units), the panicked unit
+//! must be re-queued exactly once, and the panic must be counted.
 //!
 //! These tests panic on purpose; a quiet hook keeps the expected unwinds
 //! out of the test log while still letting *unexpected* panics print.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use rp_maint::{MaintConfig, MaintStep, MaintTarget, MaintThread, StepMode};
+use rp_maint::{MaintTarget, MaintThread};
 
 /// Installs a panic hook that suppresses messages for panics carrying the
 /// given marker (the supervisor catches them anyway).
@@ -32,54 +32,42 @@ fn quiet_expected_panics(marker: &'static str) {
     }));
 }
 
-/// Unit 0 panics on every `Normal` step (attempts are counted); the other
-/// units are 3-step countdowns. `Drain` mode is a no-op so shutdown stays
-/// quiet.
+/// Unit 0 panics on every `maintain` (attempts are counted); the other
+/// units each owe three work items that one turn pays off.
 struct PoisonedUnit {
     attempts_on_poisoned: AtomicUsize,
-    countdowns: Vec<AtomicUsize>,
+    owed: Vec<AtomicUsize>,
 }
 
 impl PoisonedUnit {
     fn new(units: usize) -> Self {
         PoisonedUnit {
             attempts_on_poisoned: AtomicUsize::new(0),
-            countdowns: (0..units).map(|_| AtomicUsize::new(3)).collect(),
+            owed: (0..units).map(|_| AtomicUsize::new(3)).collect(),
         }
     }
 }
 
 impl MaintTarget for PoisonedUnit {
     fn units(&self) -> usize {
-        self.countdowns.len()
+        self.owed.len()
     }
 
-    fn step(&self, unit: usize, mode: StepMode) -> MaintStep {
-        if mode == StepMode::Drain {
-            return MaintStep::Idle;
-        }
+    fn maintain(&self, unit: usize) -> bool {
         if unit == 0 {
             self.attempts_on_poisoned.fetch_add(1, Ordering::SeqCst);
-            panic!("supervision-test: injected step panic");
+            panic!("supervision-test: injected maintain panic");
         }
-        let remaining = self.countdowns[unit].load(Ordering::SeqCst);
-        if remaining == 0 {
-            return MaintStep::Idle;
-        }
-        self.countdowns[unit].store(remaining - 1, Ordering::SeqCst);
-        match remaining {
-            1 => MaintStep::Finished,
-            3 => MaintStep::Began,
-            _ => MaintStep::Splice,
-        }
+        self.owed[unit].swap(0, Ordering::SeqCst) > 0
     }
 }
 
-/// Unit 0 panics on its first `Normal` step only, then counts down like the
-/// rest — the transient-failure case the one-shot re-queue exists for.
+/// The one unit panics on its next `maintain` whenever `armed` is set, then
+/// pays off what it owes like any other — the transient-failure case the
+/// one-shot retry exists for.
 struct TransientPanic {
-    panicked: AtomicUsize,
-    countdown: AtomicUsize,
+    armed: AtomicBool,
+    owed: AtomicUsize,
 }
 
 impl MaintTarget for TransientPanic {
@@ -87,23 +75,11 @@ impl MaintTarget for TransientPanic {
         1
     }
 
-    fn step(&self, _unit: usize, mode: StepMode) -> MaintStep {
-        if mode == StepMode::Drain {
-            return MaintStep::Idle;
+    fn maintain(&self, _unit: usize) -> bool {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            panic!("supervision-test: transient maintain panic");
         }
-        if self.panicked.fetch_add(1, Ordering::SeqCst) == 0 {
-            panic!("supervision-test: transient step panic");
-        }
-        let remaining = self.countdown.load(Ordering::SeqCst);
-        if remaining == 0 {
-            return MaintStep::Idle;
-        }
-        self.countdown.store(remaining - 1, Ordering::SeqCst);
-        if remaining == 1 {
-            MaintStep::Finished
-        } else {
-            MaintStep::Splice
-        }
+        self.owed.swap(0, Ordering::SeqCst) > 0
     }
 }
 
@@ -121,10 +97,7 @@ fn wait_until(mut done: impl FnMut() -> bool) {
 fn panicking_unit_is_contained_requeued_once_and_counted() {
     quiet_expected_panics("supervision-test");
     let target = Arc::new(PoisonedUnit::new(3));
-    let handle = MaintThread::spawn(
-        Arc::clone(&target) as Arc<dyn MaintTarget>,
-        MaintConfig::default(),
-    );
+    let handle = MaintThread::spawn(Arc::clone(&target) as Arc<dyn MaintTarget>);
 
     handle.request(0); // will panic
     handle.request(1); // must still complete despite the panic
@@ -132,7 +105,7 @@ fn panicking_unit_is_contained_requeued_once_and_counted() {
     // The poisoned unit is attempted, re-queued once by the supervisor,
     // attempted again, and then dropped: exactly two attempts.
     wait_until(|| target.attempts_on_poisoned.load(Ordering::SeqCst) >= 2);
-    wait_until(|| target.countdowns[1].load(Ordering::SeqCst) == 0);
+    wait_until(|| target.owed[1].load(Ordering::SeqCst) == 0);
     std::thread::sleep(Duration::from_millis(20));
     assert_eq!(
         target.attempts_on_poisoned.load(Ordering::SeqCst),
@@ -141,12 +114,12 @@ fn panicking_unit_is_contained_requeued_once_and_counted() {
          exactly one supervised retry"
     );
 
-    // The worker survived: it still serves fresh requests for other units
+    // The thread survived: it still serves fresh requests for other units
     // and honors *new* external requests for the poisoned one (a single
     // fresh attempt; still no supervised re-queue since it never completed
-    // a clean slice).
+    // a clean turn).
     handle.request(2);
-    wait_until(|| target.countdowns[2].load(Ordering::SeqCst) == 0);
+    wait_until(|| target.owed[2].load(Ordering::SeqCst) == 0);
     handle.request(0);
     wait_until(|| target.attempts_on_poisoned.load(Ordering::SeqCst) >= 3);
     std::thread::sleep(Duration::from_millis(20));
@@ -157,7 +130,7 @@ fn panicking_unit_is_contained_requeued_once_and_counted() {
         stats.worker_panics, 3,
         "every contained panic is counted: {stats:?}"
     );
-    assert_eq!(stats.resizes_finished, 2, "units 1 and 2 completed");
+    assert_eq!(stats.turns, 5, "units 0, 1, 0 again, 2, 0: {stats:?}");
     handle.shutdown();
 }
 
@@ -165,20 +138,24 @@ fn panicking_unit_is_contained_requeued_once_and_counted() {
 fn transient_panic_recovers_via_the_single_requeue() {
     quiet_expected_panics("supervision-test");
     let target = Arc::new(TransientPanic {
-        panicked: AtomicUsize::new(0),
-        countdown: AtomicUsize::new(3),
+        armed: AtomicBool::new(true),
+        owed: AtomicUsize::new(3),
     });
-    let handle = MaintThread::spawn(
-        Arc::clone(&target) as Arc<dyn MaintTarget>,
-        MaintConfig::default(),
-    );
+    let handle = MaintThread::spawn(Arc::clone(&target) as Arc<dyn MaintTarget>);
     handle.request(0);
-    wait_until(|| target.countdown.load(Ordering::SeqCst) == 0);
-    let stats = handle.stats();
-    assert_eq!(stats.worker_panics, 1);
+    wait_until(|| target.owed.load(Ordering::SeqCst) == 0);
     assert_eq!(
-        stats.resizes_finished, 1,
-        "the one-shot re-queue finished the unit after its transient panic"
+        handle.stats().worker_panics,
+        1,
+        "the one-shot re-queue maintained the unit after its transient panic"
     );
+
+    // The clean turn earned the retry back: a second transient panic is
+    // retried like the first.
+    target.owed.store(3, Ordering::SeqCst);
+    target.armed.store(true, Ordering::SeqCst);
+    handle.request(0);
+    wait_until(|| target.owed.load(Ordering::SeqCst) == 0);
+    assert_eq!(handle.stats().worker_panics, 2);
     handle.shutdown();
 }

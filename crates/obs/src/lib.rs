@@ -165,16 +165,16 @@ pub struct ResizeObs {
 /// Background-maintenance metrics (`rp-maint`).
 #[derive(Debug, Default)]
 pub struct MaintObs {
-    /// Duration of each work slice (up to `fairness_slice` resize steps),
-    /// nanoseconds.
+    /// Duration of each work slice — one unit's turn, however many resizes
+    /// it took to bring the unit back inside its bounds — in nanoseconds.
     pub slice_ns: Histogram,
     /// Resize-work queue depth as last observed by a requester or the
     /// maintenance loop.
     pub queue_depth: Gauge,
     /// Work slices executed.
     pub slices_total: Counter,
-    /// Maintenance workers that panicked mid-slice and were recovered
-    /// (the in-flight unit is re-queued once; see `rp-maint`).
+    /// Panics the maintenance thread contained (a unit whose turn unwound
+    /// is retried once; see `rp-maint`).
     pub worker_panics_total: Counter,
 }
 

@@ -27,9 +27,10 @@
 //!   per read batch, one writer-lock acquisition per shard per write batch.
 //! * **Background resize maintenance**
 //!   ([`ShardedRpMap::with_maintenance`]): writers that cross a load-factor
-//!   threshold only *request* a resize; an `rp-maint` thread drives the
-//!   incremental zip/unzip state machine and absorbs every grace-period
-//!   wait, so maintained writers never wait for readers.
+//!   threshold only *request* a resize; an `rp-maint` thread runs the
+//!   shard's own resize driver ([`rp_hash::RpHashMap::maintain`]) and
+//!   absorbs every grace-period wait, so maintained writers never wait for
+//!   readers.
 //!
 //! A note on domains: per-shard *grace-period domains* would not buy
 //! anything here — readers enter through the global [`rp_rcu::pin`], so any
@@ -69,6 +70,6 @@ pub use stats::ShardStats;
 /// Re-export of the guard type readers use to delimit lookups.
 pub use rp_rcu::RcuGuard;
 
-/// Re-exports of the background-maintenance types used with
-/// [`ShardedRpMap::with_maintenance`].
-pub use rp_maint::{MaintConfig, MaintStats};
+/// Re-export of the maintenance thread's counters (see
+/// [`ShardedRpMap::maint_stats`]).
+pub use rp_maint::MaintStats;

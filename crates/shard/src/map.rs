@@ -2,48 +2,20 @@
 
 use std::borrow::Borrow;
 use std::hash::{BuildHasher, Hash};
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-use rp_hash::{FnvBuildHasher, QsbrReadHandle, ReadProtect, ResizePolicy, ResizeStep, RpHashMap};
-use rp_maint::{
-    MaintConfig, MaintHandle, MaintStats, MaintStep, MaintTarget, MaintThread, StepMode,
-};
+use rp_hash::{FnvBuildHasher, QsbrReadHandle, ReadProtect, RpHashMap};
+use rp_maint::{MaintHandle, MaintStats, MaintTarget, MaintThread};
 use rp_rcu::{GraceSync, RcuDomain, RcuGuard};
 
 use crate::policy::ShardPolicy;
 use crate::stats::ShardStats;
 
-/// Per-shard resize request state on the maintained path.
-const RESIZE_IDLE: u8 = 0;
-/// A resize has been requested (or is being driven); writers stop
-/// re-requesting until the maintainer returns the flag to idle.
-const RESIZE_REQUESTED: u8 = 1;
-
-/// The shard array plus the per-shard maintenance request flags.
-///
-/// Split out of [`ShardedRpMap`] so that a background [`MaintThread`] can
-/// share ownership of the shards (via `Arc`) with the map handle itself.
+/// The shard array, split out of [`ShardedRpMap`] so that a background
+/// [`MaintThread`] can share ownership of the shards (via `Arc`) with the
+/// map handle itself.
 pub(crate) struct ShardCore<K, V, S> {
     shards: Box<[RpHashMap<K, V, S>]>,
-    /// One request flag per shard ([`RESIZE_IDLE`] / [`RESIZE_REQUESTED`]).
-    resize_flags: Box<[AtomicU8]>,
-    /// Load-factor thresholds the maintained path uses to *request* resizes
-    /// (the shards' own inline automatic resizing is disabled there).
-    trigger: ResizePolicy,
-}
-
-impl<K, V, S> ShardCore<K, V, S> {
-    fn new(shards: Box<[RpHashMap<K, V, S>]>, trigger: ResizePolicy) -> Self {
-        let resize_flags = (0..shards.len())
-            .map(|_| AtomicU8::new(RESIZE_IDLE))
-            .collect();
-        ShardCore {
-            shards,
-            resize_flags,
-            trigger,
-        }
-    }
 }
 
 impl<K, V, S> MaintTarget for ShardCore<K, V, S>
@@ -56,88 +28,9 @@ where
         self.shards.len()
     }
 
-    fn step(&self, unit: usize, mode: StepMode) -> MaintStep {
-        /// One `advance_resize` step, translated to maintenance terms.
-        fn advance<K, V, S>(shard: &RpHashMap<K, V, S>) -> MaintStep
-        where
-            K: Hash + Eq + Send + Sync + 'static,
-            V: Send + Sync + 'static,
-            S: BuildHasher,
-        {
-            match shard.advance_resize() {
-                ResizeStep::Grace => MaintStep::Grace,
-                ResizeStep::Splice => MaintStep::Splice,
-                // The request flag stays set; the driver keeps stepping this
-                // unit, and the next call re-arms or disarms it.
-                ResizeStep::Finished => MaintStep::Finished,
-                // Someone drove the resize to completion inline (e.g. a
-                // manual `resize_to`) between our check and the advance.
-                ResizeStep::Idle => MaintStep::Idle,
-            }
-        }
-
-        let shard = &self.shards[unit];
-        // An in-progress resize always takes priority: it must reach
-        // `Finished` before anything else can happen to this shard (and
-        // before a shutdown may complete).
-        if shard.resize_in_progress() {
-            return advance(shard);
-        }
-        if mode == StepMode::Drain {
-            // Nothing in flight: a drain must not begin new work.
-            self.resize_flags[unit].store(RESIZE_IDLE, Ordering::Release);
-            return MaintStep::Idle;
-        }
-        // Begin-or-disarm. Disarming must re-check the trigger afterwards:
-        // a writer may have crossed a threshold just before we stored
-        // RESIZE_IDLE — its CAS failed against the still-set flag, so no
-        // request was queued, and without the re-check the shard would stay
-        // over/under-loaded until some later write happened to re-fire.
-        // Two passes always suffice (disarm, then begin after re-arming);
-        // the bound keeps a trigger/begin policy disagreement — which
-        // `ResizePolicy::should_expand` rules out — from ever spinning.
-        for _attempt in 0..2 {
-            if self.resize_flags[unit].load(Ordering::Acquire) == RESIZE_REQUESTED {
-                let len = shard.len();
-                let buckets = shard.num_buckets();
-                if self.trigger.should_expand(len, buckets) && shard.begin_expand() {
-                    return MaintStep::Began;
-                }
-                if self.trigger.should_shrink(len, buckets) && shard.begin_shrink() {
-                    return MaintStep::Began;
-                }
-                if shard.resize_in_progress() {
-                    // `begin_*` lost a race against an inline resize (e.g. a
-                    // manual `resize_to`); help advance it instead of
-                    // spinning — the flag stays set for re-evaluation.
-                    return advance(shard);
-                }
-                // Spurious or stale request (the load factor moved back),
-                // or a trigger the shard cannot act on.
-                self.resize_flags[unit].store(RESIZE_IDLE, Ordering::Release);
-            }
-            let len = shard.len();
-            let buckets = shard.num_buckets();
-            if !(self.trigger.should_expand(len, buckets)
-                || self.trigger.should_shrink(len, buckets))
-                || self.resize_flags[unit]
-                    .compare_exchange(
-                        RESIZE_IDLE,
-                        RESIZE_REQUESTED,
-                        Ordering::AcqRel,
-                        Ordering::Relaxed,
-                    )
-                    .is_err()
-            {
-                return MaintStep::Idle;
-            }
-            // The trigger is (still) crossed and nobody else has the
-            // request in hand: service it ourselves on the next pass.
-        }
-        // Re-armed but could not begin: leave the flag idle so writers can
-        // request again rather than wedging the shard.
-        self.resize_flags[unit].store(RESIZE_IDLE, Ordering::Release);
-        MaintStep::Idle
+    /// The shard's own resize driver, run here instead of on its writers.
+    fn maintain(&self, unit: usize) -> bool {
+        self.shards[unit].maintain()
     }
 }
 
@@ -156,8 +49,8 @@ where
 ///
 /// With [`ShardedRpMap::with_maintenance`], resizes move off the writer
 /// path entirely: writers that cross a load-factor threshold only *request*
-/// a resize and continue, and a background [`MaintThread`] drives the
-/// incremental zip/unzip state machine, absorbing every grace-period wait.
+/// a resize and continue, and a background [`MaintThread`] calls the shard's
+/// [`RpHashMap::maintain`], absorbing every grace-period wait.
 pub struct ShardedRpMap<K, V, S = FnvBuildHasher> {
     core: Arc<ShardCore<K, V, S>>,
     /// `log2(shards.len())`; 0 means a single shard.
@@ -198,11 +91,12 @@ where
     /// On this path a writer that pushes a shard past one of the policy's
     /// load-factor thresholds (`per_shard.auto_expand` / `auto_shrink` must
     /// be set for the respective direction) only **requests** a resize — a
-    /// queue push and a condvar wakeup — and continues immediately. The
-    /// maintenance thread begins the resize and advances the incremental
-    /// zip/unzip state machine step by step, absorbing every grace-period
-    /// wait; writer-side deferred reclamation is disabled too (the thread
-    /// runs it instead). The net effect: **writers never wait for
+    /// queue push and a condvar wakeup, once per shard until the thread
+    /// gets to it — and continues immediately. The maintenance thread runs
+    /// that shard's [`RpHashMap::maintain`], the same driver an
+    /// unmaintained writer would have run inline, absorbing every
+    /// grace-period wait; writer-side deferred reclamation is off too (the
+    /// thread runs it instead). The net effect: **writers never wait for
     /// readers** — no `synchronize` ever runs on an insert/remove path.
     ///
     /// Dropping the map drops the embedded [`MaintHandle`], which completes
@@ -214,10 +108,9 @@ where
     ///
     /// ```
     /// use rp_shard::{ShardPolicy, ShardedRpMap};
-    /// use rp_maint::MaintConfig;
     ///
     /// let mut map: ShardedRpMap<u64, u64> =
-    ///     ShardedRpMap::with_maintenance(ShardPolicy::automatic(4), MaintConfig::default());
+    ///     ShardedRpMap::with_maintenance(ShardPolicy::automatic(4));
     /// assert!(map.maintained());
     ///
     /// for i in 0..100 {
@@ -231,8 +124,8 @@ where
     /// assert!(!map.maintained());
     /// map.check_invariants().unwrap();
     /// ```
-    pub fn with_maintenance(policy: ShardPolicy, config: MaintConfig) -> Self {
-        Self::with_maintenance_and_hasher(policy, FnvBuildHasher, config)
+    pub fn with_maintenance(policy: ShardPolicy) -> Self {
+        Self::with_maintenance_and_hasher(policy, FnvBuildHasher)
     }
 }
 
@@ -250,42 +143,28 @@ impl<K, V, S: BuildHasher + Clone> ShardedRpMap<K, V, S> {
     /// `RandomState`, and every `BuildHasher` whose clone shares its keys) —
     /// shard routing and in-shard bucket selection use the same hash value.
     pub fn with_policy_and_hasher(policy: ShardPolicy, hasher: S) -> Self {
-        let (policy, shard_bits) = Self::normalize(policy);
-        let shards = Self::make_shards(&policy, &hasher, policy.per_shard);
-        ShardedRpMap {
-            core: Arc::new(ShardCore::new(shards, policy.per_shard)),
-            shard_bits,
-            hasher,
-            policy,
-            maint: None,
-        }
-    }
-
-    fn normalize(policy: ShardPolicy) -> (ShardPolicy, u32) {
         // Store the normalized policy so `policy().shards` always agrees
         // with `shard_count()`.
         let policy = ShardPolicy {
             shards: policy.effective_shards(),
             ..policy
         };
-        let shard_bits = policy.shards.trailing_zeros();
-        (policy, shard_bits)
-    }
-
-    fn make_shards(
-        policy: &ShardPolicy,
-        hasher: &S,
-        per_shard: ResizePolicy,
-    ) -> Box<[RpHashMap<K, V, S>]> {
-        (0..policy.shards)
+        let shards = (0..policy.shards)
             .map(|_| {
                 RpHashMap::with_buckets_hasher_and_policy(
                     policy.initial_buckets_per_shard,
                     hasher.clone(),
-                    per_shard,
+                    policy.per_shard,
                 )
             })
-            .collect()
+            .collect();
+        ShardedRpMap {
+            core: Arc::new(ShardCore { shards }),
+            shard_bits: policy.shards.trailing_zeros(),
+            hasher,
+            policy,
+            maint: None,
+        }
     }
 }
 
@@ -297,33 +176,18 @@ where
 {
     /// [`ShardedRpMap::with_maintenance`] with an explicit hasher (see
     /// [`ShardedRpMap::with_policy_and_hasher`] for the hasher contract).
-    pub fn with_maintenance_and_hasher(
-        policy: ShardPolicy,
-        hasher: S,
-        config: MaintConfig,
-    ) -> Self {
-        let (policy, shard_bits) = Self::normalize(policy);
-        // The maintained path disables everything that would make a writer
-        // wait for readers: inline automatic resizing (requests go to the
-        // maintainer instead, judged against the *original* thresholds) and
-        // writer-side deferred reclamation (the maintainer's heartbeat runs
-        // it).
-        let quiet = ResizePolicy {
-            auto_expand: false,
-            auto_shrink: false,
-            reclaim_threshold: usize::MAX,
-            ..policy.per_shard
-        };
-        let shards = Self::make_shards(&policy, &hasher, quiet);
-        let core = Arc::new(ShardCore::new(shards, policy.per_shard));
-        let maint = MaintThread::spawn(Arc::clone(&core) as Arc<dyn MaintTarget>, config);
-        ShardedRpMap {
-            core,
-            shard_bits,
-            hasher,
-            policy,
-            maint: Some(maint),
+    pub fn with_maintenance_and_hasher(policy: ShardPolicy, hasher: S) -> Self {
+        let mut map = Self::with_policy_and_hasher(policy, hasher);
+        // The same shards under the same policy; what changes is who acts
+        // on it. A maintained shard's writers skip everything that would
+        // make them wait for readers — driving the resize they made due,
+        // reclaiming — and request a turn from the maintainer instead.
+        for shard in map.core.shards.iter() {
+            shard.set_maintained(true);
         }
+        let target = Arc::clone(&map.core) as Arc<dyn MaintTarget>;
+        map.maint = Some(MaintThread::spawn(target));
+        map
     }
 }
 
@@ -404,23 +268,17 @@ impl<K, V, S> ShardedRpMap<K, V, S> {
         self.maint.as_ref().map(|m| m.stats())
     }
 
-    /// Shuts the maintenance thread down (draining any in-flight resize to
-    /// completion) and reverts the map to inline resizing semantics for
-    /// subsequent manual resize calls. Idempotent; a no-op for maps built
-    /// without maintenance.
-    ///
-    /// Writer-side deferred reclamation — disabled while the maintenance
-    /// thread was the designated reclaimer — is re-enabled with the
-    /// policy's original threshold, so retired nodes cannot accumulate
-    /// without bound afterwards. Note that the load-factor triggers stay
-    /// inert — the shards were built with inline automatic resizing
-    /// disabled — so the map keeps its current shape unless resized
-    /// manually.
+    /// Shuts the maintenance thread down (finishing any in-flight resize)
+    /// and hands its work back to the writers: from here on this is the map
+    /// [`ShardedRpMap::with_policy`] builds — a write that crosses a
+    /// load-factor trigger resizes its shard inline, and writers reclaim at
+    /// the policy's threshold. Idempotent; a no-op for maps built without
+    /// maintenance.
     pub fn stop_maintenance(&mut self) {
         if let Some(handle) = self.maint.take() {
             handle.shutdown();
             for shard in self.core.shards.iter() {
-                shard.set_reclaim_threshold(self.core.trigger.reclaim_threshold);
+                shard.set_maintained(false);
             }
         }
     }
@@ -436,28 +294,19 @@ impl<K, V, S> ShardedRpMap<K, V, S> {
         }
     }
 
-    /// On the maintained path, requests a background resize for `shard_idx`
-    /// if its load factor has crossed a trigger threshold. Writers call
-    /// this after updates; it never blocks and never waits for readers.
+    /// On the maintained path, requests a turn from the maintainer for
+    /// `shard_idx` if the shard is outside its policy's load-factor bounds.
+    /// Writers call this after updates; it never blocks and never waits for
+    /// readers.
     #[inline]
     pub(crate) fn maybe_request_resize(&self, shard_idx: usize) {
         let Some(maint) = &self.maint else {
             return;
         };
         let shard = &self.core.shards[shard_idx];
-        let len = shard.len();
-        let buckets = shard.num_buckets();
-        let trigger = &self.core.trigger;
-        if (trigger.should_expand(len, buckets) || trigger.should_shrink(len, buckets))
-            && self.core.resize_flags[shard_idx]
-                .compare_exchange(
-                    RESIZE_IDLE,
-                    RESIZE_REQUESTED,
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                )
-                .is_ok()
-        {
+        let (len, buckets) = (shard.len(), shard.num_buckets());
+        let policy = shard.policy();
+        if policy.should_expand(len, buckets) || policy.should_shrink(len, buckets) {
             maint.request(shard_idx);
         }
     }
@@ -640,9 +489,6 @@ where
         let mut removed = 0;
         for (idx, shard) in self.core.shards.iter().enumerate() {
             removed += shard.retain(&mut f);
-            // Bulk removal can drop a shard far below the shrink trigger;
-            // on the maintained path that must request a resize like any
-            // other write (inline auto-shrink is disabled there).
             self.maybe_request_resize(idx);
         }
         removed
@@ -729,12 +575,13 @@ where
     /// [`RpHashMap::maintain`]), shard by shard. Returns `true` if any
     /// resize work was performed.
     ///
-    /// On the maintained path this is a no-op — the background
-    /// [`MaintThread`] already absorbs postponed work; writers only ever
-    /// *request*. It exists for unmaintained maps whose writers all run on
-    /// threads that cannot wait for readers (e.g. QSBR event-loop
-    /// workers): such a caller invokes this from a quiescent point
-    /// instead.
+    /// On the maintained path this is a no-op — every write that leaves a
+    /// shard outside its bounds has requested a turn from the background
+    /// [`MaintThread`], and the caller is one of the threads that thread
+    /// exists to keep from waiting. It exists for unmaintained maps whose
+    /// writers all run on threads that cannot wait for readers (e.g. QSBR
+    /// event-loop workers): such a caller invokes this from a quiescent
+    /// point instead.
     pub fn maintain(&self) -> bool {
         if self.maint.is_some() {
             return false;

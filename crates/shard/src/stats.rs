@@ -11,9 +11,10 @@ pub struct ShardStats {
     pub per_shard: Vec<MapStats>,
     /// Entry count per shard at snapshot time, in shard order.
     pub shard_lens: Vec<usize>,
-    /// Counters of the background maintenance thread — steps run, grace
-    /// waits absorbed, max writer-observed resize debt — when the map was
-    /// built with [`crate::ShardedRpMap::with_maintenance`].
+    /// Counters of the background maintenance thread — requests taken,
+    /// turns run, max writer-observed resize debt — when the map was built
+    /// with [`crate::ShardedRpMap::with_maintenance`]. What those turns did
+    /// is in `per_shard`.
     pub maint: Option<MaintStats>,
 }
 

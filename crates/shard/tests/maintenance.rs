@@ -7,26 +7,36 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rp_hash::ResizePolicy;
-use rp_maint::MaintConfig;
+use rp_hash::{QsbrReadHandle, ResizePolicy};
 use rp_shard::{ShardPolicy, ShardedRpMap};
 
-fn maintained_map(shards: usize) -> ShardedRpMap<u64, u64> {
-    ShardedRpMap::with_maintenance(
-        ShardPolicy {
-            shards,
-            initial_buckets_per_shard: 8,
-            per_shard: ResizePolicy {
-                auto_expand: true,
-                auto_shrink: true,
-                max_load_factor: 2.0,
-                min_load_factor: 0.25,
-                min_buckets: 8,
-                ..ResizePolicy::default()
-            },
+fn policy(shards: usize) -> ShardPolicy {
+    ShardPolicy {
+        shards,
+        initial_buckets_per_shard: 8,
+        per_shard: ResizePolicy {
+            auto_expand: true,
+            auto_shrink: true,
+            max_load_factor: 2.0,
+            min_load_factor: 0.25,
+            min_buckets: 8,
+            ..ResizePolicy::default()
         },
-        MaintConfig::default(),
-    )
+    }
+}
+
+fn maintained_map(shards: usize) -> ShardedRpMap<u64, u64> {
+    ShardedRpMap::with_maintenance(policy(shards))
+}
+
+/// No shard is mid-resize or outside its policy's load-factor bounds.
+fn at_rest_inside_bounds(map: &ShardedRpMap<u64, u64>) -> bool {
+    map.shards().iter().all(|shard| {
+        let (len, buckets) = (shard.len(), shard.num_buckets());
+        !shard.resize_in_progress()
+            && !shard.policy().should_expand(len, buckets)
+            && !shard.policy().should_shrink(len, buckets)
+    })
 }
 
 /// Keys that route to shard 0 of `map`, so a storm can target one shard.
@@ -114,8 +124,11 @@ fn writer_storm_never_synchronizes() {
 
     let maint = map.maint_stats().expect("maintained map exposes stats");
     assert!(maint.requests >= 1, "writers must have requested resizes");
-    assert!(maint.grace_waits >= 1, "the maintainer absorbs grace waits");
-    assert!(maint.steps >= maint.grace_waits);
+    assert!(maint.turns >= 1, "the maintainer took them");
+    assert!(
+        map.stats().per_shard[0].resize_grace_periods >= 1,
+        "the maintainer absorbs grace waits"
+    );
     assert!(map.stats().maint.is_some(), "ShardStats carries MaintStats");
 
     // Every surviving key is intact and the table is structurally sound
@@ -136,7 +149,8 @@ fn shutdown_leaves_no_half_published_resize() {
         map.insert(k, k);
     }
     let deadline = Instant::now() + Duration::from_secs(10);
-    while map.maint_stats().expect("maintained").began == 0 {
+    while !map.shards().iter().any(|s| s.resize_in_progress()) && map.stats().total().resizes() == 0
+    {
         assert!(
             Instant::now() < deadline,
             "no resize ever began: {:?}",
@@ -196,4 +210,95 @@ fn maintained_batches_match_plain_semantics() {
     assert_eq!(maintained.len(), plain.len());
     maintained.check_invariants().unwrap();
     maintained.flush_retired();
+}
+
+#[test]
+fn a_stopped_map_resizes_inline_again() {
+    let mut map = maintained_map(2);
+    for k in 0..500_u64 {
+        map.insert(k, k);
+    }
+    map.stop_maintenance();
+    assert!(!map.maintained());
+    // Whatever the maintainer had not got to is this thread's to do now,
+    // and it is done before the insert that found it returns.
+    let before = map.stats().total().expands;
+    for k in 500..4000_u64 {
+        map.insert(k, k);
+        assert!(at_rest_inside_bounds(&map), "after inserting {k}");
+    }
+    assert!(map.stats().total().expands > before);
+    assert!(map.num_buckets() >= 2048);
+    assert_eq!(map.retain(|k, _| *k < 8), 3992);
+    assert!(at_rest_inside_bounds(&map), "bulk removal shrinks inline");
+    map.check_invariants().unwrap();
+}
+
+/// What the maintainer's pending flag is cleared *before* the turn for: when
+/// the writers stop, whatever bounds their last writes crossed get acted on,
+/// however the requests raced the turns.
+#[test]
+fn every_shard_is_inside_its_bounds_soon_after_a_storm_stops() {
+    let map = Arc::new(maintained_map(2));
+    for round in 0..50_u64 {
+        // Each round grows the map by a different amount, then takes a
+        // different share of it away again — every fifth round all of it.
+        let len = 150 + (round * 137) % 1100;
+        let removed = len * (round % 5) / 4;
+        let writers: Vec<_> = (0..2_u64)
+            .map(|w| {
+                let map = Arc::clone(&map);
+                std::thread::spawn(move || {
+                    for k in 0..len {
+                        map.insert(2 * k + w, round);
+                    }
+                    for k in 0..removed {
+                        map.remove(&(2 * k + w));
+                    }
+                })
+            })
+            .collect();
+        for writer in writers {
+            writer.join().unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !at_rest_inside_bounds(&map) {
+            assert!(
+                Instant::now() < deadline,
+                "round {round}: a shard stayed outside its bounds: {map:?}, {:?}",
+                map.maint_stats()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+    map.check_invariants().unwrap();
+}
+
+/// The unmaintained map for writers that cannot wait for readers: a
+/// QSBR-online thread postpones the growth its inserts make due, and
+/// `ShardedRpMap::maintain` catches up from its offline window.
+#[test]
+fn maintain_catches_up_growth_postponed_by_a_qsbr_online_writer() {
+    // On a dedicated thread so the handle's thread-local online state cannot
+    // leak into other tests.
+    std::thread::spawn(|| {
+        let map: ShardedRpMap<u64, u64> = ShardedRpMap::with_policy(policy(4));
+        let mut handle = QsbrReadHandle::register();
+        let before = map.num_buckets();
+        for k in 0..4096 {
+            map.insert(k, k);
+        }
+        assert_eq!(map.num_buckets(), before, "postponed while QSBR-online");
+        assert!(!map.maintain(), "still online: a mistimed call is a no-op");
+        handle.quiescent_state();
+        assert!(handle.offline_scope(|| map.maintain()));
+        assert!(at_rest_inside_bounds(&map));
+        assert!(map.stats().shards_resized() == 4, "every shard caught up");
+        assert_eq!(map.get_qsbr(&7, &handle), Some(&7));
+        handle.offline();
+        drop(handle);
+        map.check_invariants().unwrap();
+    })
+    .join()
+    .unwrap();
 }

@@ -26,9 +26,9 @@ const MAX_BUCKETS: usize = 1 << 24;
 /// default load-factor ceiling of 2.0).
 const MAX_LOAD: usize = 2;
 
-/// Default pending-callback threshold for the opportunistic reclamation
-/// pass ([`SplitOrderMap::maintain`]).
-const DEFAULT_RECLAIM_THRESHOLD: usize = 256;
+/// Pending-callback threshold for the opportunistic reclamation pass
+/// ([`SplitOrderMap::maintain`]).
+const RECLAIM_THRESHOLD: usize = 256;
 
 #[inline]
 fn ptr_of<K, V>(tag: usize) -> *mut Node<K, V> {
@@ -212,7 +212,6 @@ pub struct SplitOrderMap<K, V, S = FnvBuildHasher> {
     /// at construction, freed only on drop.
     head: *mut Node<K, V>,
     count: AtomicUsize,
-    reclaim_threshold: AtomicUsize,
 }
 
 // SAFETY: all shared mutation goes through atomics; `head` is written only
@@ -239,7 +238,6 @@ where
             buckets: AtomicPtr::new(Box::into_raw(array)),
             head,
             count: AtomicUsize::new(0),
-            reclaim_threshold: AtomicUsize::new(DEFAULT_RECLAIM_THRESHOLD),
         }
     }
 
@@ -273,13 +271,6 @@ where
         Q: Hash + ?Sized,
     {
         self.hasher.hash_one(key)
-    }
-
-    /// Sets the pending-callback threshold above which [`Self::maintain`]
-    /// runs a reclamation pass.
-    pub fn set_reclaim_threshold(&self, threshold: usize) {
-        self.reclaim_threshold
-            .store(threshold.max(1), Ordering::Relaxed);
     }
 
     /// Looks up `key` under the given read-side witness. Never writes to
@@ -673,9 +664,8 @@ where
     /// thread can safely wait (not pinned, not an online QSBR reader).
     /// Returns `true` if a pass ran.
     pub fn maintain(&self) -> bool {
-        let threshold = self.reclaim_threshold.load(Ordering::Relaxed);
         if rp_rcu::may_wait_for_readers() {
-            GraceSync::global().reclaim_if_pending(threshold)
+            GraceSync::global().reclaim_if_pending(RECLAIM_THRESHOLD)
         } else {
             false
         }
@@ -1075,9 +1065,8 @@ where
     /// Opportunistic reclamation after operations that queued callbacks.
     /// Skipped when the thread cannot safely wait for a grace period.
     fn maybe_reclaim(&self) {
-        let threshold = self.reclaim_threshold.load(Ordering::Relaxed);
         if rp_rcu::may_wait_for_readers() {
-            GraceSync::global().reclaim_if_pending(threshold);
+            GraceSync::global().reclaim_if_pending(RECLAIM_THRESHOLD);
         }
     }
 }

@@ -12,8 +12,8 @@
 //! * `RP_KV_STAY` — set to keep serving until the process is killed instead
 //!   of exiting after the demo workload.
 //!
-//! For the full flag set (worker counts, `--maint-*` resize-maintenance
-//! tuning, …) use the real daemon: `cargo run -p rp-kvcache --bin kvcached
+//! For the full flag set (worker counts, read-side flavor, admission
+//! limits, …) use the real daemon: `cargo run -p rp-kvcache --bin kvcached
 //! -- --help`.
 
 use std::sync::Arc;

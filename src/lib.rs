@@ -17,10 +17,10 @@
 //!   for parallel updates, plus batched `multi_get` / `multi_put` /
 //!   `multi_remove` that amortise guard and lock acquisition per shard.
 //! * [`maint`] — [`maint::MaintThread`], the background resize maintenance
-//!   driver: with [`shard::ShardedRpMap::with_maintenance`], writers that
-//!   hit a load-factor trigger only *request* a resize and a maintenance
-//!   thread drives the incremental zip/unzip state machine, absorbing every
-//!   grace-period wait off the writer path.
+//!   thread: with [`shard::ShardedRpMap::with_maintenance`], writers that
+//!   hit a load-factor trigger only *request* a resize and the thread runs
+//!   the shard's own resize driver ([`hash::RpHashMap::maintain`]),
+//!   absorbing every grace-period wait off the writer path.
 //! * [`splitorder`] — [`splitorder::SplitOrderMap`], the main *competing*
 //!   resize philosophy: a lock-free split-ordered list (Shalev & Shavit)
 //!   whose resizes move no data and never wait for a grace period, sharing
