@@ -16,7 +16,8 @@
 //!   table first and fall back to the old one.
 //! * A sequence counter detects the resize transitions; a lookup that
 //!   straddles one retries.
-//! * Node reclamation reuses the workspace's RCU domain (the original DDDS
+//! * Node reclamation reuses the workspace's deferred-free queue and its
+//!   all-flavor grace periods, [`rp_rcu::GraceSync`] (the original DDDS
 //!   sits on equivalent kernel lifetime machinery), so readers can traverse
 //!   chains without per-bucket locks; the *algorithmic* differences under
 //!   study — two-table lookups, retries and full-copy resizes — are
@@ -29,7 +30,7 @@ use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use parking_lot::Mutex;
 
 use rp_hash::FnvBuildHasher;
-use rp_rcu::{RcuDomain, RcuGuard};
+use rp_rcu::{GraceSync, RcuGuard};
 
 use crate::traits::ConcurrentMap;
 
@@ -248,7 +249,7 @@ where
                     }
                     // SAFETY: unlinked, allocated by `Box::into_raw`,
                     // readers pin the global domain.
-                    unsafe { RcuDomain::global().defer_free(cur) };
+                    unsafe { GraceSync::global().defer_free(cur) };
                     removed = true;
                     break;
                 }
@@ -265,7 +266,7 @@ where
     /// Lookups issued while this runs pay the two-table search and possible
     /// retries; the copy itself allocates a new node per entry.
     pub fn resize(&self, buckets: usize) {
-        let _w = self.writer.lock();
+        let w = self.writer.lock();
         let new = Box::into_raw(DBuckets::<K, V>::new(buckets));
         let old = self.current.load(Ordering::Acquire);
 
@@ -299,7 +300,7 @@ where
         self.old.store(std::ptr::null_mut(), Ordering::Release);
         self.seq.fetch_add(1, Ordering::AcqRel); // even again
 
-        let domain = RcuDomain::global();
+        let retired = GraceSync::global();
         for head in old_ref.heads.iter() {
             let mut cur = head.load(Ordering::Acquire);
             while !cur.is_null() {
@@ -309,14 +310,22 @@ where
                 let next = unsafe { &*cur }.next.load(Ordering::Acquire);
                 // SAFETY: allocated by `Box::into_raw`, unreachable to new
                 // readers, freed after a grace period.
-                unsafe { domain.defer_free(cur) };
+                unsafe { retired.defer_free(cur) };
                 cur = next;
             }
         }
         // SAFETY: `old` is unpublished and unique; freeing it is deferred
         // until after a grace period.
-        unsafe { domain.defer_free(old) };
-        domain.reclaim_if_pending(4096);
+        unsafe { retired.defer_free(old) };
+        drop(w);
+        // The pass waits for every reader of the global domains, this
+        // thread included if it is one (an EBR guard held, a QSBR handle
+        // online): such a caller leaves the frees queued for a later pass.
+        // Unlocked first, so that a reader the pass waits for is never one
+        // queueing for this table's writer lock.
+        if rp_rcu::may_wait_for_readers() {
+            retired.reclaim_if_pending(4096);
+        }
     }
 }
 
@@ -415,7 +424,7 @@ mod tests {
         for i in 0..200 {
             assert_eq!(t.get_cloned(&i), Some(i * 7));
         }
-        RcuDomain::global().synchronize_and_reclaim();
+        GraceSync::global().synchronize_and_reclaim();
     }
 
     #[test]
@@ -454,7 +463,50 @@ mod tests {
         for r in readers {
             r.join().unwrap();
         }
-        RcuDomain::global().synchronize_and_reclaim();
+        GraceSync::global().synchronize_and_reclaim();
+    }
+
+    /// `resize` reclaims opportunistically, and the pass waits for QSBR
+    /// readers too: a caller that *is* one (its handle online) must leave
+    /// the frees queued rather than wait for itself.
+    #[test]
+    fn an_online_qsbr_thread_resizes_without_reclaiming() {
+        use std::sync::atomic::AtomicUsize;
+
+        #[derive(Clone)]
+        struct CountsDrop(Arc<AtomicUsize>);
+        impl Drop for CountsDrop {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+
+        // On a thread of its own: the online state is thread-local.
+        thread::spawn(|| {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let t: DddsTable<u64, CountsDrop> = DddsTable::with_buckets(64);
+            for i in 0..5_000 {
+                t.insert_kv(i, CountsDrop(Arc::clone(&drops)));
+            }
+            let mut handle = rp_hash::QsbrReadHandle::register();
+            let waits = rp_rcu::thread_synchronize_count();
+            // 5 001 frees pending, past the 4 096 at which `resize` reclaims.
+            t.resize(128);
+            assert_eq!(rp_rcu::thread_synchronize_count(), waits, "waited");
+            // No pass anywhere can complete while this thread is online.
+            assert_eq!(drops.load(Ordering::SeqCst), 0, "frees stay queued");
+            assert_eq!(t.len(), 5_000);
+
+            handle.offline();
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while drops.load(Ordering::SeqCst) < 5_000 && std::time::Instant::now() < deadline {
+                // Another test's pass may hold the batch; ours runs after it.
+                GraceSync::global().synchronize_and_reclaim();
+            }
+            assert_eq!(drops.load(Ordering::SeqCst), 5_000, "the copied-from nodes");
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use parking_lot::Mutex;
 
 use rp_hash::FnvBuildHasher;
-use rp_rcu::RcuDomain;
+use rp_rcu::{GraceSync, RcuDomain};
 
 use crate::traits::ConcurrentMap;
 
@@ -203,7 +203,7 @@ where
                 }
                 // SAFETY: unlinked, allocated by `Box::into_raw`, readers
                 // pin the global domain.
-                unsafe { RcuDomain::global().defer_free(cur) };
+                unsafe { GraceSync::global().defer_free(cur) };
                 return true;
             }
             prev = NonNull::new(cur);
@@ -379,7 +379,7 @@ mod tests {
         for r in readers {
             r.join().unwrap();
         }
-        RcuDomain::global().synchronize_and_reclaim();
+        GraceSync::global().synchronize_and_reclaim();
     }
 
     #[test]

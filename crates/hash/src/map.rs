@@ -9,12 +9,12 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering}
 
 use parking_lot::Mutex;
 
-use rp_rcu::{GraceSync, NoGraceWait, RcuDomain, RcuGuard};
+use rp_rcu::{GraceSync, NoGraceWait, RcuGuard};
 
 use crate::iter::{Iter, Keys, Values};
 use crate::node::Node;
 use crate::policy::ResizePolicy;
-use crate::qsbr::{QsbrReadHandle, ReadProtect};
+use crate::qsbr::ReadProtect;
 use crate::resize::ResizeOp;
 use crate::stats::{AtomicMapStats, MapStats};
 use crate::table::BucketArray;
@@ -52,16 +52,18 @@ pub(crate) type WriterGuard<'a> = NoGraceWait<parking_lot::MutexGuard<'a, ()>>;
 ///   removals or resizes. They scale linearly with reader threads.
 /// * **Updates** (insert/remove/rename/resize) serialise on an internal
 ///   mutex and publish their changes with release stores; unlinked nodes are
-///   retired through the global RCU domain and freed only after a grace
-///   period.
+///   retired into the global deferred-free queue ([`GraceSync`]) and freed
+///   only after a grace period of every read-side flavor.
 /// * **Resizing** uses the paper's zip (shrink) and unzip (expand)
 ///   algorithms: the table stays *consistent for readers at every instant* —
 ///   a reader traversing a bucket always observes every element that belongs
 ///   to that bucket (possibly plus a few that don't, which the key
 ///   comparison filters out).
 ///
-/// The map uses the process-wide RCU domain ([`RcuDomain::global`]); guards
-/// obtained from [`RpHashMap::pin`] or [`rp_rcu::pin`] are interchangeable.
+/// The map's EBR readers pin the process-wide domain
+/// ([`rp_rcu::RcuDomain::global`]), so guards obtained from
+/// [`RpHashMap::pin`] or [`rp_rcu::pin`] are interchangeable; retired nodes
+/// go to [`GraceSync::global`], whose passes wait for QSBR readers as well.
 pub struct RpHashMap<K, V, S = RandomState> {
     /// What every lookup loads, on lines no update stores to.
     read: ReadMostly<K, V, S>,
@@ -205,11 +207,6 @@ impl<K, V, S> RpHashMap<K, V, S> {
     /// A snapshot of the map's operation and resize counters.
     pub fn stats(&self) -> MapStats {
         self.stats.snapshot()
-    }
-
-    /// The RCU domain protecting this map's readers.
-    pub fn domain(&self) -> &'static RcuDomain {
-        RcuDomain::global()
     }
 
     /// Loads the current bucket array for use by a reader holding the
@@ -374,14 +371,18 @@ where
     /// never make it miss an element that is present throughout the lookup.
     ///
     /// The lookup core is generic over the read-side flavor: pass an EBR
-    /// guard ([`RpHashMap::pin`]) or an online [`QsbrReadHandle`] — the
-    /// latter makes the lookup entirely barrier-free (see
-    /// [`RpHashMap::get_qsbr`]).
+    /// guard ([`RpHashMap::pin`]) or an online [`crate::QsbrReadHandle`]. The
+    /// latter makes the lookup entirely barrier-free — no lock, no fence, no
+    /// atomic read-modify-write, the zero-overhead lookup the paper's
+    /// read-side cost model assumes — and the returned reference borrows the
+    /// handle, so the owning thread cannot announce a quiescent state (or go
+    /// offline) while it is alive; see [`crate::QsbrReadHandle`] for the full
+    /// contract.
     ///
     /// # Examples
     ///
     /// ```
-    /// use rp_hash::RpHashMap;
+    /// use rp_hash::{QsbrReadHandle, RpHashMap};
     ///
     /// let map: RpHashMap<&str, u32> = RpHashMap::new();
     /// map.insert("answer", 42);
@@ -390,6 +391,14 @@ where
     /// let guard = map.pin();
     /// assert_eq!(map.get(&"answer", &guard), Some(&42));
     /// assert_eq!(map.get(&"question", &guard), None);
+    /// drop(guard);
+    ///
+    /// // The same lookup under the QSBR flavor.
+    /// let mut handle = QsbrReadHandle::register();
+    /// assert_eq!(map.get(&"answer", &handle), Some(&42));
+    /// // Between batches of lookups, announce a quiescent state so writers
+    /// // and resizes can make progress reclaiming.
+    /// handle.quiescent_state();
     /// ```
     pub fn get<'g, Q, P>(&'g self, key: &Q, protect: &'g P) -> Option<&'g V>
     where
@@ -424,37 +433,6 @@ where
     {
         self.get_key_value_prehashed(hash, key, protect)
             .map(|(_, v)| v)
-    }
-
-    /// Looks up `key` through the QSBR read path: no lock, no fence, no
-    /// atomic read-modify-write — the zero-overhead lookup the paper's
-    /// read-side cost model assumes.
-    ///
-    /// This is [`RpHashMap::get`] with the flavor spelled out; the returned
-    /// reference borrows the handle, so the owning thread cannot announce a
-    /// quiescent state (or go offline) while it is alive — see
-    /// [`QsbrReadHandle`] for the full contract.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use rp_hash::{QsbrReadHandle, RpHashMap};
-    ///
-    /// let map: RpHashMap<u64, &str> = RpHashMap::new();
-    /// map.insert(7, "seven");
-    ///
-    /// let mut handle = QsbrReadHandle::register();
-    /// assert_eq!(map.get_qsbr(&7, &handle), Some(&"seven"));
-    /// // Between batches of lookups, announce a quiescent state so writers
-    /// // and resizes can make progress reclaiming.
-    /// handle.quiescent_state();
-    /// ```
-    pub fn get_qsbr<'g, Q>(&'g self, key: &Q, handle: &'g QsbrReadHandle) -> Option<&'g V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.get(key, handle)
     }
 
     /// [`RpHashMap::get_key_value`] with a caller-supplied hash (see
@@ -653,27 +631,6 @@ where
         newly
     }
 
-    /// Inserts a batch of pre-hashed entries under a single writer-lock
-    /// acquisition, amortising lock traffic for shard-grouped bulk puts.
-    ///
-    /// Returns the number of keys that were newly inserted (as opposed to
-    /// replaced). Automatic resizing and reclamation run once, after the
-    /// batch and the unlock: a batch that crosses several doublings leaves
-    /// the table inside its policy bounds when the call returns.
-    pub fn insert_many_prehashed(&self, entries: impl IntoIterator<Item = (u64, K, V)>) -> usize {
-        let (mut newly, mut crossed) = (0, false);
-        let guard = self.writer_lock();
-        for (hash, key, value) in entries {
-            // SAFETY: writer lock held for the whole batch.
-            if unsafe { self.insert_one_locked(hash, key, value, &mut crossed) } {
-                newly += 1;
-            }
-        }
-        drop(guard);
-        self.after_write(crossed);
-        newly
-    }
-
     /// One insert-or-replace step. Sets `crossed` if the insert took the
     /// table over its policy's expand trigger; resizing is the caller's
     /// business, after it unlocks ([`RpHashMap::after_write`]).
@@ -707,7 +664,7 @@ where
                 // SAFETY: `old` has just been unlinked (unreachable to new
                 // readers), was allocated by `Node::alloc`, and readers of
                 // this map pin the global domain.
-                unsafe { RcuDomain::global().defer_free(old) };
+                unsafe { GraceSync::global().defer_free(old) };
                 false
             }
             None => {
@@ -800,34 +757,6 @@ where
         removed
     }
 
-    /// Removes a batch of pre-hashed keys under a single writer-lock
-    /// acquisition, the removal counterpart of
-    /// [`RpHashMap::insert_many_prehashed`] (used by `rp-shard`'s
-    /// `multi_remove` so a batch pays one lock round-trip per shard).
-    ///
-    /// Returns the number of keys that were present and removed. Automatic
-    /// shrinking and reclamation run once, after the batch and the unlock.
-    pub fn remove_many_prehashed<'a, Q>(
-        &self,
-        keys: impl IntoIterator<Item = (u64, &'a Q)>,
-    ) -> usize
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized + 'a,
-    {
-        let (mut removed, mut crossed) = (0, false);
-        let guard = self.writer_lock();
-        for (hash, key) in keys {
-            // SAFETY: writer lock held for the whole batch.
-            if unsafe { self.remove_one_locked(hash, key, |_| true, &mut crossed) } {
-                removed += 1;
-            }
-        }
-        drop(guard);
-        self.after_write(crossed);
-        removed
-    }
-
     /// One remove step: unlinks `key`'s entry if it exists and `condemn`
     /// accepts its value. Sets `crossed` if the removal took the table
     /// under its policy's shrink trigger (see
@@ -874,7 +803,7 @@ where
                 self.stats.bump(&self.stats.removes);
                 // SAFETY: unlinked above, allocated by `Node::alloc`,
                 // readers pin the global domain.
-                unsafe { RcuDomain::global().defer_free(node) };
+                unsafe { GraceSync::global().defer_free(node) };
                 *crossed |= self.policy.should_shrink(len, table.len());
                 true
             }
@@ -955,7 +884,7 @@ where
             // SAFETY: writer lock held; `dup` was just unlinked.
             unsafe { self.fixup_unzip_links_locked(table, new_hash, dup, dup_next) };
             // SAFETY: unlinked, allocated by `Node::alloc`, global domain.
-            unsafe { RcuDomain::global().defer_free(dup) };
+            unsafe { GraceSync::global().defer_free(dup) };
             self.len.fetch_sub(1, Ordering::Relaxed);
         }
 
@@ -973,7 +902,7 @@ where
             // SAFETY: writer lock held; `node` was just unlinked.
             unsafe { self.fixup_unzip_links_locked(table, old_hash, node, next) };
             // SAFETY: unlinked, allocated by `Node::alloc`, global domain.
-            unsafe { RcuDomain::global().defer_free(node) };
+            unsafe { GraceSync::global().defer_free(node) };
         }
         self.stats.bump(&self.stats.replaces);
         drop(guard);
@@ -1023,7 +952,7 @@ where
                     self.stats.bump(&self.stats.removes);
                     removed += 1;
                     // SAFETY: unlinked, allocated by `Node::alloc`.
-                    unsafe { RcuDomain::global().defer_free(cur) };
+                    unsafe { GraceSync::global().defer_free(cur) };
                 }
                 cur = next;
             }
@@ -1321,7 +1250,7 @@ mod tests {
             (51, None, 0),
         ];
         let guard = map.pin();
-        let handle = QsbrReadHandle::register();
+        let handle = crate::QsbrReadHandle::register();
         for depth in 0..=4 {
             for (hash, position, value) in cases {
                 // Depth d dereferences the first d - 1 nodes.

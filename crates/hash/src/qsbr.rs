@@ -139,19 +139,14 @@ impl QsbrReadHandle {
         self.online();
         r
     }
-
-    /// The global QSBR domain this handle is registered with.
-    pub fn domain(&self) -> &std::sync::Arc<QsbrDomain> {
-        self.inner.domain()
-    }
 }
 
 // SAFETY: while a shared borrow of an *online* handle exists, the owning
 // thread cannot call `quiescent_state`/`offline` (they need `&mut self`),
 // so the thread's QSBR counter stays put and no grace period of the global
-// QSBR domain can complete; writers funnel frees through
-// `rp_rcu::GraceSync`, which waits on that domain whenever it has
-// registered readers. Using an offline handle for lookups is a caller bug
+// QSBR domain can complete; the only queue writers can retire into is
+// `rp_rcu::GraceSync`'s, and the only passes that empty it wait on that
+// domain whenever it has registered readers. Using an offline handle for lookups is a caller bug
 // caught by `assert_protecting` in debug builds.
 unsafe impl ReadProtect for QsbrReadHandle {
     fn assert_protecting(&self) {

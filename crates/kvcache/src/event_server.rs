@@ -18,8 +18,8 @@
 //! offline while the worker parks in `epoll_wait` (`on_park`/`on_unpark`)
 //! so an idle worker never stalls writers. Because the serving threads are
 //! QSBR readers, they postpone all grace-period work; a background
-//! [`Reclaimer`] (plus the engine's maintenance thread, when enabled)
-//! absorbs deferred frees instead. `--read-side ebr` restores the guard
+//! [`Reclaimer`] (plus the `rp-shard` engine's maintenance thread) absorbs
+//! deferred frees instead. `--read-side ebr` restores the guard
 //! path for A/B comparisons — that flavor difference is what
 //! `benchmark/`'s `rcu.pin_ns` and `rcu.qsbr_quiescent_ns` rungs measure.
 

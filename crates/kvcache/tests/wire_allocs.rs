@@ -32,7 +32,7 @@ const GET_ALLOC_EPSILON: f64 = 0.005;
 /// background reclaimer allocates while the window is open: it wakes every
 /// 10 ms and a pass costs a reader snapshot per flavor (the deferred-free
 /// queue keeps its storage from pass to pass, see
-/// `RcuDomain::take_deferred`), about 0.003/op at a loopback round trip of
+/// `GraceSync::take_deferred`), about 0.003/op at a loopback round trip of
 /// 10 µs. A third per-SET allocation (3.0/op) is nowhere near passing.
 const SET_ALLOC_CEILING: f64 = 2.05;
 

@@ -27,9 +27,9 @@
 //!   crossed before it is visible to the check `maintain` makes — so no
 //!   request is lost and none is queued twice.
 //! * **Reclamation:** after each turn, and every 50 ms while idle, the
-//!   thread runs a deferred-reclamation pass on the global RCU domain once
-//!   256 retired objects are pending, so maintained maps do not reclaim from
-//!   their writers either — the other place writers used to wait for
+//!   thread runs a deferred-reclamation pass (`rp_rcu::GraceSync::global`)
+//!   once 256 retired objects are pending, so maintained maps do not reclaim
+//!   from their writers either — the other place writers used to wait for
 //!   readers. An idle pass first checks for a stalled reader.
 //! * **Shutdown:** dropping the [`MaintHandle`] (or calling
 //!   [`MaintHandle::shutdown`]) stops intake, serves what is queued, gives

@@ -37,7 +37,7 @@ pub struct MaintStats {
     pub requests: u64,
     /// `MaintTarget::maintain` calls made, whether or not they found work.
     pub turns: u64,
-    /// Deferred-reclamation passes run on the global RCU domain.
+    /// Deferred-reclamation passes run through `rp_rcu::GraceSync::global`.
     pub reclaim_passes: u64,
     /// Panics contained: a `maintain` (or a reclamation pass) unwound, the
     /// thread kept serving and the unit was retried at most once.

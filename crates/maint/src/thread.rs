@@ -14,9 +14,10 @@ use rp_rcu::GraceSync;
 use crate::stats::AtomicMaintStats;
 use crate::{MaintStats, MaintTarget};
 
-/// Retired objects pending in the global RCU domain at which the thread runs
-/// a reclamation pass (what `rp_hash::ResizePolicy::reclaim_threshold` is to
-/// an unmaintained map's writers).
+/// Retired objects pending in the global deferred-free queue at which the
+/// thread runs a reclamation pass (what
+/// `rp_hash::ResizePolicy::reclaim_threshold` is to an unmaintained map's
+/// writers).
 const RECLAIM_THRESHOLD: usize = 256;
 
 /// How long the idle thread sleeps before a stall check and a reclamation

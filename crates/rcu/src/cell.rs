@@ -4,8 +4,8 @@ use std::marker::PhantomData;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, Ordering};
 
-use crate::domain::RcuDomain;
 use crate::guard::RcuGuard;
+use crate::sync::GraceSync;
 
 /// A shared, heap-allocated slot readable by relativistic readers.
 ///
@@ -13,12 +13,13 @@ use crate::guard::RcuGuard;
 /// (`rcu_assign_pointer`); readers load it with an acquire-ordered load
 /// (`rcu_dereference`) under an [`RcuGuard`], which guarantees they observe
 /// the pointee fully initialised and that the pointee outlives the guard
-/// provided writers retire replaced values through the domain.
+/// provided writers retire replaced values instead of freeing them.
 ///
 /// `RcuCell` owns its *current* value: dropping the cell drops the value it
 /// points to at that moment. Values that have been replaced are returned to
-/// the writer as [`RetiredPtr`]s, which must be retired through an
-/// [`RcuDomain`] (or reclaimed manually after a grace period).
+/// the writer as [`RetiredPtr`]s, which must be retired
+/// ([`RetiredPtr::retire_global`]) or reclaimed manually after a grace
+/// period.
 pub struct RcuCell<T> {
     ptr: AtomicPtr<T>,
     /// The cell logically owns a `Box<T>`.
@@ -85,8 +86,8 @@ impl<T> RcuCell<T> {
     /// returns the previous value for retirement.
     ///
     /// The previous value is *not* freed: readers may still hold references
-    /// to it. Retire it via [`RetiredPtr::retire`] (deferred) or reclaim it
-    /// manually after [`RcuDomain::synchronize`].
+    /// to it. Retire it via [`RetiredPtr::retire_global`] (deferred) or
+    /// reclaim it manually after [`GraceSync::synchronize`].
     pub fn replace(&self, new: Option<Box<T>>) -> Option<RetiredPtr<T>> {
         let new_ptr = match new {
             Some(b) => Box::into_raw(b),
@@ -165,7 +166,7 @@ impl<T: std::fmt::Debug> std::fmt::Debug for RcuCell<T> {
 ///
 /// Dropping a `RetiredPtr` without retiring it **leaks** the value (leaking
 /// is safe; freeing early would not be).
-#[must_use = "dropping a RetiredPtr leaks the value; retire it through an RcuDomain"]
+#[must_use = "dropping a RetiredPtr leaks the value; retire it with retire_global"]
 pub struct RetiredPtr<T> {
     ptr: NonNull<T>,
 }
@@ -180,39 +181,24 @@ impl<T> RetiredPtr<T> {
         self.ptr.as_ptr()
     }
 
-    /// Queues the value to be freed by `domain` after a grace period.
-    ///
-    /// # Safety
-    ///
-    /// `domain` must be the domain whose guards protect readers of the cell
-    /// this value was published in; otherwise a reader in a different domain
-    /// could still hold a reference when the value is freed.
-    pub unsafe fn retire(self, domain: &RcuDomain)
-    where
-        T: Send,
-    {
-        // SAFETY: the pointer came from `Box::into_raw` (all cell stores go
-        // through `Box`), is unpublished, and per the caller contract the
-        // domain covers every reader that might still reference it.
-        unsafe { domain.defer_free(self.ptr.as_ptr()) }
-    }
-
-    /// Queues the value to be freed by the global domain after a grace
-    /// period.
+    /// Queues the value to be freed by the next reclamation pass of
+    /// [`GraceSync::global`], which waits for every reader of the global
+    /// domains first.
     ///
     /// This is safe because [`crate::pin`] guards — the only guards handed
-    /// out without an explicit domain — always belong to the global domain,
-    /// and data structures in this workspace use the global domain
-    /// exclusively. If you built a structure on a *custom* domain, use
-    /// [`RetiredPtr::retire`] with that domain instead; retiring through the
-    /// wrong domain is the same mistake as calling `synchronize_rcu` on the
-    /// wrong flavor in C.
+    /// out without an explicit domain — always belong to the global EBR
+    /// domain, and the only passes that can empty the queue wait for it (and
+    /// for the global QSBR domain). A cell read under guards of a *private*
+    /// domain is outside that cover: reclaim its values with
+    /// [`RetiredPtr::into_box`] after that domain's own `synchronize`.
     pub fn retire_global(self)
     where
         T: Send,
     {
-        // SAFETY: see doc comment — the global domain covers `pin()` guards.
-        unsafe { self.retire(RcuDomain::global()) }
+        // SAFETY: the pointer came from `Box::into_raw` (all cell stores go
+        // through `Box`) and is unpublished; see the doc comment for why the
+        // global funnel covers every reader that might still reference it.
+        unsafe { GraceSync::global().defer_free(self.ptr.as_ptr()) }
     }
 
     /// Converts back into an owned `Box`.
@@ -221,7 +207,7 @@ impl<T> RetiredPtr<T> {
     ///
     /// The caller must guarantee that a grace period covering every reader
     /// that could have observed this value has elapsed since it was
-    /// unpublished (e.g. by calling [`RcuDomain::synchronize`]), or that no
+    /// unpublished (e.g. by calling [`GraceSync::synchronize`]), or that no
     /// such reader can exist (exclusive access).
     pub unsafe fn into_box(self) -> Box<T> {
         // SAFETY: pointer originates from `Box::into_raw`; exclusive access
@@ -259,16 +245,14 @@ mod tests {
 
     #[test]
     fn replace_returns_old_value_for_retirement() {
-        let domain = RcuDomain::global();
         let cell = RcuCell::new(Box::new(1_u32));
         let old = cell.set(Box::new(2)).expect("had a value");
         {
             let guard = pin();
             assert_eq!(cell.load(&guard).copied(), Some(2));
         }
-        // SAFETY: readers of this cell pin the global domain.
-        unsafe { old.retire(domain) };
-        domain.synchronize_and_reclaim();
+        old.retire_global();
+        GraceSync::global().synchronize_and_reclaim();
     }
 
     #[test]
@@ -277,7 +261,7 @@ mod tests {
         let old = cell.clear().expect("had a value");
         assert!(cell.is_empty());
         old.retire_global();
-        RcuDomain::global().synchronize_and_reclaim();
+        GraceSync::global().synchronize_and_reclaim();
     }
 
     #[test]
@@ -316,10 +300,9 @@ mod tests {
 
     #[test]
     fn into_box_after_synchronize() {
-        let domain = RcuDomain::global();
         let cell = RcuCell::new(Box::new(3_u32));
         let old = cell.set(Box::new(4)).unwrap();
-        domain.synchronize();
+        GraceSync::global().synchronize();
         // SAFETY: a grace period has elapsed since the value was replaced.
         let old = unsafe { old.into_box() };
         assert_eq!(*old, 3);

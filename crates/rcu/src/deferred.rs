@@ -2,10 +2,10 @@
 
 /// A unit of deferred reclamation work.
 ///
-/// A `Deferred` is queued on an [`crate::RcuDomain`] and executed only after
-/// a subsequent grace period, at which point no reader can still hold a
-/// reference to the memory it reclaims.
-pub struct Deferred {
+/// A `Deferred` is queued on a [`crate::GraceSync`] and executed only after
+/// a subsequent grace period of every flavor, at which point no reader can
+/// still hold a reference to the memory it reclaims.
+pub(crate) struct Deferred {
     inner: Inner,
 }
 
@@ -28,7 +28,7 @@ unsafe impl Send for Deferred {}
 
 impl Deferred {
     /// Creates a deferred unit from a closure.
-    pub fn new(f: impl FnOnce() + Send + 'static) -> Self {
+    pub(crate) fn new(f: impl FnOnce() + Send + 'static) -> Self {
         Deferred {
             inner: Inner::Closure(Box::new(f)),
         }
@@ -41,7 +41,7 @@ impl Deferred {
     /// `ptr` must have been produced by [`Box::into_raw`] and must not be
     /// freed by any other path. The caller must guarantee the pointer is no
     /// longer reachable by *new* readers (it has been unpublished).
-    pub unsafe fn free<T: Send>(ptr: *mut T) -> Self {
+    pub(crate) unsafe fn free<T: Send>(ptr: *mut T) -> Self {
         unsafe fn drop_box<T>(ptr: *mut ()) {
             // SAFETY: `ptr` was produced by `Box::into_raw::<T>` in
             // `Deferred::free` and is dropped exactly once, per the caller

@@ -1,4 +1,11 @@
-//! Grace-period machinery: the writer side of relativistic programming.
+//! The EBR grace-period detector: a registry of reader threads and the
+//! wait that outlasts their critical sections.
+//!
+//! An [`RcuDomain`] answers one question — *have all the EBR readers that
+//! were inside a critical section when I asked left it?* — and owns nothing
+//! else; [`crate::qsbr::QsbrDomain`] answers it for the other flavor. The
+//! deferred-free queue, and the decision of which readers a reclamation
+//! pass waits for, belong to [`crate::GraceSync`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -7,15 +14,8 @@ use std::time::Duration;
 use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 
-use crate::deferred::Deferred;
 use crate::stats::{AtomicStats, DomainStats};
 use crate::{GP_COUNT, GP_PHASE, NEST_MASK};
-
-/// Largest emptied deferred queue, in callbacks of three words each, that
-/// a domain keeps for reuse (96 KiB). Reclaimers run at a few hundred
-/// pending callbacks, so every steady-state queue fits; a burst's does not
-/// and is freed.
-const SPARE_QUEUE_CAP: usize = 4096;
 
 /// Per-reader-thread state scanned by the grace-period machinery.
 ///
@@ -45,7 +45,7 @@ impl ReaderState {
 }
 
 /// An RCU domain: a set of registered reader threads plus the grace-period
-/// and deferred-reclamation state that covers them.
+/// state that covers them.
 ///
 /// Most users interact with the process-wide domain returned by
 /// [`RcuDomain::global`], which is the one the [`crate::pin`] guards and all
@@ -53,6 +53,10 @@ impl ReaderState {
 /// can be created with [`RcuDomain::new`] for isolation (e.g. in tests);
 /// readers of an independent domain must register explicitly via
 /// [`crate::LocalHandle::new`].
+///
+/// A domain frees nothing: memory is retired into, and reclaimed by, a
+/// [`crate::GraceSync`], whose passes wait for this domain *and* its QSBR
+/// sibling.
 #[derive(Debug)]
 pub struct RcuDomain {
     /// Global grace-period counter; only the phase bit and the low `1`
@@ -62,14 +66,6 @@ pub struct RcuDomain {
     gp_lock: Mutex<()>,
     /// Registered reader threads.
     registry: Mutex<Vec<Arc<CachePadded<ReaderState>>>>,
-    /// Deferred reclamation queue (`call_rcu` equivalent).
-    deferred: Mutex<Vec<Deferred>>,
-    /// Cheap length mirror of `deferred` so writers can poll without locking.
-    deferred_len: AtomicUsize,
-    /// The emptied storage of the last executed batch, which the next
-    /// [`RcuDomain::take_deferred`] leaves behind as the queue: steady
-    /// reclamation allocates no queue storage after its first pass.
-    spare: Mutex<Vec<Deferred>>,
     stats: AtomicStats,
 }
 
@@ -87,9 +83,6 @@ impl RcuDomain {
             gp_ctr: AtomicUsize::new(GP_COUNT),
             gp_lock: Mutex::new(()),
             registry: Mutex::new(Vec::new()),
-            deferred: Mutex::new(Vec::new()),
-            deferred_len: AtomicUsize::new(0),
-            spare: Mutex::new(Vec::new()),
             stats: AtomicStats::default(),
         }
     }
@@ -204,127 +197,15 @@ impl RcuDomain {
         self.stats.grace_periods.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Queues a closure to run after a subsequent grace period.
-    ///
-    /// This is the `call_rcu` equivalent. The closure is *not* run
-    /// immediately and is not guaranteed to run until
-    /// [`RcuDomain::synchronize_and_reclaim`] (or a drop of the domain) is
-    /// called; writers in this workspace call that at natural flush points.
-    pub fn defer(&self, f: impl FnOnce() + Send + 'static) {
-        self.push_deferred(Deferred::new(f));
-    }
-
-    /// Queues `ptr` to be freed (as a `Box<T>`) after a subsequent grace
-    /// period.
-    ///
-    /// # Safety
-    ///
-    /// * `ptr` must have been produced by [`Box::into_raw`] and must not be
-    ///   freed through any other path.
-    /// * `ptr` must already be unreachable to new readers (unpublished), so
-    ///   that after one grace period no reader can reference it.
-    /// * Readers that may still reference `ptr` must be readers of *this*
-    ///   domain.
-    pub unsafe fn defer_free<T: Send>(&self, ptr: *mut T) {
-        // SAFETY: forwarded caller contract.
-        self.push_deferred(unsafe { Deferred::free(ptr) });
-    }
-
-    /// Queues an already-constructed [`Deferred`] unit.
-    pub fn defer_unit(&self, d: Deferred) {
-        self.push_deferred(d);
-    }
-
-    fn push_deferred(&self, d: Deferred) {
-        self.deferred.lock().push(d);
-        self.deferred_len.fetch_add(1, Ordering::Relaxed);
-        self.stats.callbacks_queued.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Number of deferred callbacks currently queued.
-    pub fn deferred_pending(&self) -> usize {
-        self.deferred_len.load(Ordering::Relaxed)
-    }
-
-    /// Takes the current deferred batch, leaving later arrivals queued.
-    ///
-    /// A grace period only covers callbacks whose unpublish happened before
-    /// the grace period started, so reclaimers take the batch *first*, wait,
-    /// then run it with [`RcuDomain::execute_deferred`].
-    pub(crate) fn take_deferred(&self) -> Vec<Deferred> {
-        let spare = std::mem::take(&mut *self.spare.lock());
-        let mut queue = self.deferred.lock();
-        let batch = std::mem::replace(&mut *queue, spare);
-        self.deferred_len.store(queue.len(), Ordering::Relaxed);
-        batch
-    }
-
-    /// Runs a batch previously taken with [`RcuDomain::take_deferred`]. The
-    /// caller must have waited for a full grace period (of every flavor with
-    /// readers of the protected data) in between.
-    pub(crate) fn execute_deferred(&self, mut batch: Vec<Deferred>) {
-        let executed = batch.len() as u64;
-        for d in batch.drain(..) {
-            d.call();
-        }
-        self.stats
-            .callbacks_executed
-            .fetch_add(executed, Ordering::Relaxed);
-        // Hand the storage back, unless a burst grew it past what steady
-        // reclamation needs (that much is not pinned): to the live queue
-        // while that is still empty and smaller, else as the replacement
-        // the next `take_deferred` leaves behind.
-        if batch.capacity() > SPARE_QUEUE_CAP {
-            return;
-        }
-        {
-            let mut queue = self.deferred.lock();
-            if queue.is_empty() && queue.capacity() < batch.capacity() {
-                std::mem::swap(&mut *queue, &mut batch);
-            }
-        }
-        let mut spare = self.spare.lock();
-        if spare.capacity() < batch.capacity() {
-            *spare = batch;
-        }
-    }
-
-    /// Waits for a grace period, then executes every callback that was
-    /// queued *before* this call began.
-    ///
-    /// Callbacks queued concurrently with the grace period are left for the
-    /// next reclamation pass (they may not yet be covered by it).
-    ///
-    /// This waits on *this domain only*. Data structures whose readers may
-    /// also be QSBR readers reclaim through
-    /// [`crate::GraceSync::synchronize_and_reclaim`] instead, which widens
-    /// the wait to every global flavor with registered readers.
-    pub fn synchronize_and_reclaim(&self) {
-        let batch = self.take_deferred();
-        self.synchronize();
-        self.execute_deferred(batch);
-    }
-
-    /// Runs `synchronize_and_reclaim` only if at least `threshold` callbacks
-    /// are pending. Returns `true` if a reclamation pass ran.
-    pub fn reclaim_if_pending(&self, threshold: usize) -> bool {
-        if self.deferred_pending() >= threshold {
-            self.synchronize_and_reclaim();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Waits until every callback queued before this call has executed
-    /// (the `rcu_barrier` equivalent).
-    pub fn barrier(&self) {
-        self.synchronize_and_reclaim();
-    }
-
-    /// Returns a snapshot of this domain's counters.
+    /// Returns a snapshot of this domain's counters. The two callback
+    /// counters are kept by the [`crate::GraceSync`] built over this domain.
     pub fn stats(&self) -> DomainStats {
         self.stats.snapshot()
+    }
+
+    /// The live counters, for the funnel's callback accounting.
+    pub(crate) fn counters(&self) -> &AtomicStats {
+        &self.stats
     }
 
     /// Number of readers currently registered with this domain.
@@ -347,22 +228,10 @@ impl RcuDomain {
     }
 }
 
-impl Drop for RcuDomain {
-    fn drop(&mut self) {
-        // Exclusive access: no readers can exist (they would hold an `Arc`
-        // to this domain), so pending callbacks can run immediately.
-        let batch = std::mem::take(&mut *self.deferred.lock());
-        for d in batch {
-            d.call();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::LocalHandle;
-    use std::sync::atomic::AtomicUsize;
     use std::thread;
 
     #[test]
@@ -409,46 +278,6 @@ mod tests {
         // Not in a critical section: never blocks.
         state.ctr.store(0, Ordering::SeqCst);
         assert!(!state.blocks_grace_period(GP_COUNT | GP_PHASE));
-    }
-
-    #[test]
-    fn deferred_batch_taken_before_grace_period() {
-        let d = RcuDomain::new();
-        let counter = Arc::new(AtomicUsize::new(0));
-        for _ in 0..5 {
-            let counter = Arc::clone(&counter);
-            d.defer(move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        assert_eq!(d.deferred_pending(), 5);
-        d.synchronize_and_reclaim();
-        assert_eq!(counter.load(Ordering::SeqCst), 5);
-        assert_eq!(d.deferred_pending(), 0);
-        assert_eq!(d.stats().callbacks_executed, 5);
-    }
-
-    #[test]
-    fn reclaim_if_pending_respects_threshold() {
-        let d = RcuDomain::new();
-        d.defer(|| {});
-        assert!(!d.reclaim_if_pending(2));
-        d.defer(|| {});
-        assert!(d.reclaim_if_pending(2));
-        assert_eq!(d.deferred_pending(), 0);
-    }
-
-    #[test]
-    fn dropping_domain_runs_pending_callbacks() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        {
-            let d = RcuDomain::new();
-            let counter = Arc::clone(&counter);
-            d.defer(move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        assert_eq!(counter.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -13,22 +13,23 @@
 //!   (`rcu_assign_pointer`) with acquire-ordered loads (`rcu_dereference`),
 //!   so a reader that observes a new pointer also observes the pointee's
 //!   initialisation.
-//! * **Waiting for readers** — [`RcuDomain::synchronize`] blocks the caller
-//!   until every read-side critical section that was in progress when the
-//!   call began has completed (a *grace period*).
-//! * **Deferred reclamation** — [`RcuDomain::defer`] /
-//!   [`RcuDomain::defer_free`] queue destruction work that is only executed
-//!   after a subsequent grace period, the userspace equivalent of
-//!   `call_rcu`.
-//! * **QSBR flavor** — [`qsbr::QsbrDomain`] provides the quiescent-state
-//!   based flavor whose read side is entirely free of barriers, matching
-//!   kernel-RCU reader cost more closely; it requires threads to announce
-//!   quiescent states explicitly. [`qsbr::QsbrDomain::global`] is the
-//!   process-wide domain behind `rp_hash`'s QSBR lookup path.
-//! * **Cross-flavor grace periods** — [`GraceSync`] funnels writer-side
-//!   waits so they cover *every* global flavor with registered readers:
-//!   structures whose readers may be either EBR or QSBR readers synchronize
-//!   and reclaim through it instead of a single domain.
+//! * **Grace-period detectors, one per flavor** — [`RcuDomain::synchronize`]
+//!   blocks the caller until every EBR read-side critical section that was
+//!   in progress when the call began has completed (a *grace period*).
+//!   [`qsbr::QsbrDomain`] is the quiescent-state based flavor whose read
+//!   side is entirely free of barriers, matching kernel-RCU reader cost
+//!   more closely; it requires threads to announce quiescent states
+//!   explicitly. [`qsbr::QsbrDomain::global`] is the process-wide domain
+//!   behind `rp_hash`'s QSBR lookup path. A domain detects; it frees
+//!   nothing.
+//! * **Waiting for readers and deferred reclamation** — [`GraceSync`] is
+//!   the writer side. [`GraceSync::synchronize`] waits for *every* flavor
+//!   with registered readers; [`GraceSync::defer`] /
+//!   [`GraceSync::defer_free`] queue destruction work (the userspace
+//!   `call_rcu`), and [`GraceSync::synchronize_and_reclaim`] /
+//!   [`GraceSync::reclaim_if_pending`] — the only passes that empty that
+//!   queue — run it after such a wait, so memory retired by any structure
+//!   is freed only once EBR and QSBR readers alike have moved on.
 //!   [`may_wait_for_readers`] says whether the calling thread can take part
 //!   in such a wait at all, and [`NoGraceWait`] marks the locks it must not
 //!   hold while it does (a debug assertion in the funnel).
@@ -40,9 +41,8 @@
 //! # Example
 //!
 //! ```
-//! use rp_rcu::{pin, RcuCell, RcuDomain};
+//! use rp_rcu::{pin, GraceSync, RcuCell};
 //!
-//! let domain = RcuDomain::global();
 //! let cell = RcuCell::new(Box::new(41_u32));
 //!
 //! // Reader side: wait-free, no locks, no RMW.
@@ -52,11 +52,11 @@
 //! }
 //!
 //! // Writer side: publish a new value, retire the old one, and reclaim it
-//! // once a grace period has elapsed.
+//! // once a grace period of every read-side flavor has elapsed.
 //! if let Some(old) = cell.set(Box::new(42)) {
 //!     old.retire_global();
 //! }
-//! domain.synchronize_and_reclaim();
+//! GraceSync::global().synchronize_and_reclaim();
 //!
 //! let guard = pin();
 //! assert_eq!(cell.load(&guard).copied(), Some(42));
@@ -77,10 +77,9 @@ mod stats;
 mod sync;
 
 pub use cell::{RcuCell, RetiredPtr};
-pub use deferred::Deferred;
 pub use domain::RcuDomain;
 pub use guard::RcuGuard;
-pub use local::{global_read_nesting, pin, quiescent_with, thread_synchronize_count, LocalHandle};
+pub use local::{global_read_nesting, pin, thread_synchronize_count, LocalHandle};
 pub use reclaimer::Reclaimer;
 pub use stats::DomainStats;
 pub use sync::{may_wait_for_readers, GraceSync, NoGraceWait};
@@ -100,7 +99,7 @@ pub(crate) const NEST_MASK: usize = GP_PHASE - 1;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::thread;
     use std::time::Duration;
@@ -180,16 +179,9 @@ mod tests {
 
     #[test]
     fn deferred_callbacks_run_after_reclaim() {
-        let domain = RcuDomain::global();
-        let ran = Arc::new(AtomicUsize::new(0));
-        for _ in 0..10 {
-            let ran = Arc::clone(&ran);
-            domain.defer(move || {
-                ran.fetch_add(1, Ordering::SeqCst);
-            });
-        }
+        let ran = GraceSync::global().defer_counting(10);
         assert!(ran.load(Ordering::SeqCst) <= 10);
-        domain.synchronize_and_reclaim();
+        GraceSync::global().synchronize_and_reclaim();
         assert_eq!(ran.load(Ordering::SeqCst), 10);
     }
 
@@ -206,7 +198,7 @@ mod tests {
             b: u64,
         }
 
-        let domain = RcuDomain::global();
+        let domain = GraceSync::global();
         let cell = Arc::new(RcuCell::new(Box::new(Payload { a: 0, b: 0 })));
         let stop = Arc::new(AtomicBool::new(false));
 
@@ -234,8 +226,8 @@ mod tests {
         for i in 1..=UPDATES as u64 {
             let old = cell.replace(Some(Box::new(Payload { a: i, b: i })));
             let old = old.expect("cell always holds a payload");
-            // Readers of this cell pin the global domain, so retiring the
-            // unpublished payload there is the correct pairing.
+            // Readers of this cell pin the global domain, which the global
+            // funnel's passes wait for.
             old.retire_global();
             if i % 32 == 0 {
                 domain.synchronize_and_reclaim();

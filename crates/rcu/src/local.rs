@@ -140,23 +140,6 @@ pub fn global_read_nesting() -> usize {
         .unwrap_or(0)
 }
 
-/// Runs `f` outside any read-side critical section and then issues a
-/// quiescent hint.
-///
-/// This is a convenience for long-running reader loops of the global domain:
-/// calling it periodically guarantees the thread is seen as quiescent even
-/// if the surrounding code never fully drains its guards (it asserts that no
-/// guard is active).
-pub fn quiescent_with<R>(f: impl FnOnce() -> R) -> R {
-    GLOBAL_HANDLE.with(|handle| {
-        assert!(
-            !handle.in_critical_section(),
-            "quiescent_with called while a read-side critical section is active"
-        );
-        f()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,24 +184,11 @@ mod tests {
     }
 
     #[test]
-    fn quiescent_with_runs_closure() {
-        let x = quiescent_with(|| 41 + 1);
-        assert_eq!(x, 42);
-    }
-
-    #[test]
-    #[should_panic(expected = "critical section is active")]
-    fn quiescent_with_panics_inside_guard() {
-        let _g = pin();
-        quiescent_with(|| ());
-    }
-
-    #[test]
     fn thread_synchronize_count_tracks_waits() {
         thread::spawn(|| {
             assert_eq!(thread_synchronize_count(), 0);
             RcuDomain::global().synchronize();
-            RcuDomain::global().synchronize_and_reclaim();
+            crate::GraceSync::global().synchronize_and_reclaim();
             assert_eq!(thread_synchronize_count(), 2);
             // Reads never bump the counter.
             let g = pin();

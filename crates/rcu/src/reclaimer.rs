@@ -1,11 +1,12 @@
 //! A background reclaimer thread (the `call_rcu` helper-thread equivalent).
 //!
-//! Writers that retire memory with [`RcuDomain::defer`] / `defer_free` can
+//! Writers that retire memory with [`GraceSync::defer`] / `defer_free` can
 //! either reclaim synchronously at convenient points
-//! ([`RcuDomain::synchronize_and_reclaim`]) or hand the work to a
-//! [`Reclaimer`], which wakes periodically — or when kicked — and runs a
-//! grace period plus the pending callbacks on its own thread, keeping
-//! grace-period latency entirely off the writer's fast path.
+//! ([`GraceSync::synchronize_and_reclaim`]) or hand the work to a
+//! [`Reclaimer`], which wakes periodically — or when kicked — and runs that
+//! same pass on its own thread, keeping grace-period latency entirely off
+//! the writer's fast path. Threads that may not wait at all (QSBR-online
+//! event-loop workers) rely on one.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -13,7 +14,6 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::domain::RcuDomain;
 use crate::sync::GraceSync;
 
 struct Shared {
@@ -22,7 +22,7 @@ struct Shared {
     wakeup: Condvar,
 }
 
-/// Handle to a background reclamation thread for one [`RcuDomain`].
+/// Handle to a background reclamation thread for [`GraceSync::global`].
 ///
 /// Dropping the handle stops the thread after one final reclamation pass, so
 /// callbacks queued before the drop are guaranteed to run.
@@ -32,23 +32,19 @@ pub struct Reclaimer {
 }
 
 impl Reclaimer {
-    /// Spawns a reclaimer for `domain` that wakes at least every `interval`.
-    ///
-    /// When `domain` is the global domain, reclamation passes go through
-    /// [`GraceSync`] so the wait also covers registered QSBR readers —
-    /// nodes retired by global-domain writers may be referenced by either
-    /// flavor.
-    pub fn spawn(domain: Arc<RcuDomain>, interval: Duration) -> Self {
+    /// Spawns a reclaimer that wakes at least every `interval` and empties
+    /// the global funnel's queue if anything is pending.
+    pub fn spawn(interval: Duration) -> Self {
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
             kicked: Mutex::new(false),
             wakeup: Condvar::new(),
         });
-        let covers_global = Arc::ptr_eq(&domain, RcuDomain::global());
         let thread_shared = Arc::clone(&shared);
         let thread = std::thread::Builder::new()
             .name("rcu-reclaimer".to_string())
             .spawn(move || {
+                let sync = GraceSync::global();
                 let mut passes = 0_u64;
                 loop {
                     {
@@ -59,12 +55,8 @@ impl Reclaimer {
                         *kicked = false;
                     }
                     let stopping = thread_shared.stop.load(Ordering::SeqCst);
-                    if domain.deferred_pending() > 0 || stopping {
-                        if covers_global {
-                            GraceSync::global().synchronize_and_reclaim();
-                        } else {
-                            domain.synchronize_and_reclaim();
-                        }
+                    if sync.deferred_pending() > 0 || stopping {
+                        sync.synchronize_and_reclaim();
                         passes += 1;
                     }
                     if stopping {
@@ -79,11 +71,9 @@ impl Reclaimer {
         }
     }
 
-    /// Spawns a reclaimer for the global domain with a 10 ms wake interval.
-    /// Its passes cover both global read-side flavors (see
-    /// [`Reclaimer::spawn`]).
+    /// Spawns a reclaimer with a 10 ms wake interval.
     pub fn spawn_global() -> Self {
-        Self::spawn(Arc::clone(RcuDomain::global()), Duration::from_millis(10))
+        Self::spawn(Duration::from_millis(10))
     }
 
     /// Wakes the reclaimer immediately (e.g. after retiring a large batch).
@@ -125,61 +115,37 @@ impl std::fmt::Debug for Reclaimer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn reclaimer_runs_queued_callbacks_without_writer_involvement() {
-        let domain = RcuDomain::new();
-        let reclaimer = Reclaimer::spawn(Arc::clone(&domain), Duration::from_millis(5));
-        let ran = Arc::new(AtomicUsize::new(0));
-        for _ in 0..32 {
-            let ran = Arc::clone(&ran);
-            domain.defer(move || {
-                ran.fetch_add(1, Ordering::SeqCst);
-            });
-        }
+        let reclaimer = Reclaimer::spawn(Duration::from_millis(5));
+        let ran = GraceSync::global().defer_counting(32);
         reclaimer.kick();
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while ran.load(Ordering::SeqCst) < 32 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(ran.load(Ordering::SeqCst), 32);
-        assert!(reclaimer.shutdown() >= 1);
+        reclaimer.shutdown();
     }
 
     #[test]
     fn shutdown_flushes_remaining_callbacks() {
-        let domain = RcuDomain::new();
-        let reclaimer = Reclaimer::spawn(Arc::clone(&domain), Duration::from_secs(3600));
-        let ran = Arc::new(AtomicUsize::new(0));
-        {
-            let ran = Arc::clone(&ran);
-            domain.defer(move || {
-                ran.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        // The interval is huge, so only the shutdown pass can run it.
-        reclaimer.shutdown();
+        let reclaimer = Reclaimer::spawn(Duration::from_secs(3600));
+        let ran = GraceSync::global().defer_counting(1);
+        // The interval is huge, so of this reclaimer's passes only the
+        // shutdown one can run it.
+        assert!(reclaimer.shutdown() >= 1);
         assert_eq!(ran.load(Ordering::SeqCst), 1);
-        assert_eq!(domain.deferred_pending(), 0);
     }
 
     #[test]
     fn dropping_the_handle_stops_the_thread() {
-        let domain = RcuDomain::new();
-        {
-            let _reclaimer = Reclaimer::spawn(Arc::clone(&domain), Duration::from_millis(5));
-            domain.defer(|| {});
-        }
+        let ran = {
+            let _reclaimer = Reclaimer::spawn(Duration::from_millis(5));
+            GraceSync::global().defer_counting(1)
+        };
         // After drop, the callback queued above must have been executed.
-        assert_eq!(domain.deferred_pending(), 0);
-    }
-
-    #[test]
-    fn global_reclaimer_spawns_and_shuts_down() {
-        let reclaimer = Reclaimer::spawn_global();
-        RcuDomain::global().defer(|| {});
-        reclaimer.kick();
-        reclaimer.shutdown();
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
     }
 }

@@ -2,7 +2,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Internal atomic counters maintained by an [`crate::RcuDomain`].
+/// Internal atomic counters of a domain. The two callback counters are
+/// bumped by the [`crate::GraceSync`] built over an [`crate::RcuDomain`].
 #[derive(Debug, Default)]
 pub(crate) struct AtomicStats {
     pub(crate) grace_periods: AtomicU64,
@@ -36,9 +37,10 @@ pub struct DomainStats {
     pub grace_periods: u64,
     /// Number of calls to `synchronize` (each performs one grace period).
     pub synchronize_calls: u64,
-    /// Number of deferred callbacks queued via `defer` / `defer_free`.
+    /// Number of deferred callbacks queued via [`crate::GraceSync::defer`] /
+    /// `defer_free` on the funnel built over this (EBR) domain.
     pub callbacks_queued: u64,
-    /// Number of deferred callbacks that have been executed.
+    /// Number of those callbacks that have been executed.
     pub callbacks_executed: u64,
     /// Number of reader registrations over the domain's lifetime.
     pub readers_registered: u64,

@@ -1,19 +1,24 @@
-//! [`GraceSync`]: one grace-period wait covering every read-side flavor.
+//! [`GraceSync`]: the deferred-free queue and the one way to empty it.
 //!
-//! The workspace's data structures historically had exactly one kind of
-//! reader — threads pinning the global EBR domain ([`crate::pin`]) — so
-//! every writer-side wait was a plain [`RcuDomain::synchronize`]. With the
-//! QSBR read path ([`crate::qsbr`]) a second population of readers exists,
-//! registered with [`QsbrDomain::global`], and a node (or bucket array) is
-//! only safe to free once **both** populations have passed a grace period.
+//! The paper's writer does one thing before it frees memory: it waits for
+//! readers — all of them. This workspace has two populations of readers,
+//! threads pinning the global EBR domain ([`crate::pin`]) and threads
+//! registered with [`QsbrDomain::global`] ([`crate::qsbr`]), and a node (or
+//! bucket array) is only safe to free once **both** have passed a grace
+//! period. *Which readers a reclamation pass waits for* is therefore a
+//! decision, and this module is the only place it is made.
 //!
-//! `GraceSync` is the funnel: resize and reclamation code calls
-//! [`GraceSync::synchronize`] (or the reclaiming variants) instead of
-//! touching a single domain, and the funnel waits on whichever global
-//! domains currently have registered readers. When no QSBR reader is
-//! registered — the common case for programs that never opt into the QSBR
-//! path — the extra wait costs one atomic load and nothing else, keeping
-//! the EBR-only fast path unchanged.
+//! `GraceSync` owns the process-wide queue of retired memory
+//! ([`GraceSync::defer_free`], [`GraceSync::defer`]) and the only passes
+//! that empty it ([`GraceSync::synchronize_and_reclaim`],
+//! [`GraceSync::reclaim_if_pending`]): take the batch, wait for every
+//! flavor with registered readers ([`GraceSync::synchronize`]), run the
+//! batch. The two domains underneath are grace-period detectors and cannot
+//! free anything, so a node retired by any structure can only be freed by a
+//! pass that waited for QSBR readers too — by construction, not by which
+//! method a caller happened to pick. When no QSBR reader is registered —
+//! the common case for programs that never opt into the QSBR path — the
+//! second wait costs one atomic load and nothing else.
 //!
 //! The funnel is also where the workspace's one locking rule is checked:
 //! **no grace-period wait while holding a lock a reader may need**. A
@@ -26,10 +31,20 @@
 use std::cell::Cell;
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use parking_lot::Mutex;
+
+use crate::deferred::Deferred;
 use crate::domain::RcuDomain;
 use crate::qsbr::QsbrDomain;
+
+/// Largest emptied deferred queue, in callbacks of three words each, that
+/// the funnel keeps for reuse (96 KiB). Reclaimers run at a few hundred
+/// pending callbacks, so every steady-state queue fits; a burst's does not
+/// and is freed.
+const SPARE_QUEUE_CAP: usize = 4096;
 
 std::thread_local! {
     /// How many [`NoGraceWait`] guards the calling thread holds. Touched in
@@ -102,44 +117,61 @@ impl<G> DerefMut for NoGraceWait<G> {
     }
 }
 
-/// Synchronizes writers against every global read-side flavor at once.
+/// The deferred-free queue, and the grace-period wait — over every
+/// read-side flavor — that stands between retiring memory and freeing it.
 ///
-/// See the module docs for motivation. All methods operate on the
-/// process-wide global domains ([`RcuDomain::global`] and
-/// [`QsbrDomain::global`]); deferred callbacks live in the EBR domain's
-/// queue, as before — only the *wait* is widened.
+/// See the module docs for motivation. Data structures use the process-wide
+/// funnel, [`GraceSync::global`], built over [`RcuDomain::global`] and
+/// [`QsbrDomain::global`]; [`GraceSync::new`] builds an isolated one over
+/// private domains, for tests of the machinery itself.
+///
+/// Dropping a funnel leaks whatever is still queued: its domains, and
+/// readers registered with them, may outlive it.
 ///
 /// # Panics
 ///
 /// Every method that waits inherits the self-deadlock checks of the
 /// underlying domains: it panics if the calling thread is inside an EBR
 /// read-side critical section of the global domain, or has an online QSBR
-/// handle registered with the global QSBR domain. In debug builds it also
+/// handle registered with the funnel's QSBR domain. In debug builds it also
 /// panics if the calling thread holds a [`NoGraceWait`] guard.
 #[derive(Debug)]
 pub struct GraceSync {
-    ebr: &'static Arc<RcuDomain>,
-    qsbr: &'static Arc<QsbrDomain>,
+    ebr: Arc<RcuDomain>,
+    qsbr: Arc<QsbrDomain>,
+    /// Deferred reclamation queue (`call_rcu` equivalent).
+    deferred: Mutex<Vec<Deferred>>,
+    /// Cheap length mirror of `deferred` so writers can poll without locking.
+    deferred_len: AtomicUsize,
+    /// The emptied storage of the last executed batch, which the next
+    /// [`GraceSync::take_deferred`] leaves behind as the queue: steady
+    /// reclamation allocates no queue storage after its first pass.
+    spare: Mutex<Vec<Deferred>>,
 }
 
 impl GraceSync {
-    /// Returns the process-wide funnel.
+    /// Builds a funnel over `ebr` and `qsbr`, with an empty queue of its
+    /// own: its passes wait for the readers of exactly these two domains.
+    pub fn new(ebr: Arc<RcuDomain>, qsbr: Arc<QsbrDomain>) -> Self {
+        GraceSync {
+            ebr,
+            qsbr,
+            deferred: Mutex::new(Vec::new()),
+            deferred_len: AtomicUsize::new(0),
+            spare: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Returns the process-wide funnel, the one every relativistic data
+    /// structure in this workspace retires into and reclaims through.
     pub fn global() -> &'static GraceSync {
         static GLOBAL: OnceLock<GraceSync> = OnceLock::new();
-        GLOBAL.get_or_init(|| GraceSync {
-            ebr: RcuDomain::global(),
-            qsbr: QsbrDomain::global(),
+        GLOBAL.get_or_init(|| {
+            GraceSync::new(
+                Arc::clone(RcuDomain::global()),
+                Arc::clone(QsbrDomain::global()),
+            )
         })
-    }
-
-    /// The EBR side of the funnel (where deferred callbacks queue).
-    pub fn ebr(&self) -> &Arc<RcuDomain> {
-        self.ebr
-    }
-
-    /// The QSBR side of the funnel.
-    pub fn qsbr(&self) -> &Arc<QsbrDomain> {
-        self.qsbr
     }
 
     /// Waits for a grace period of every flavor that has registered
@@ -188,32 +220,110 @@ impl GraceSync {
         }
     }
 
-    /// Number of deferred callbacks currently queued (in the EBR domain).
+    /// Queues a closure to run after a subsequent grace period.
+    ///
+    /// This is the `call_rcu` equivalent. The closure is *not* run
+    /// immediately and is not guaranteed to run until a later
+    /// [`GraceSync::synchronize_and_reclaim`]; writers in this workspace
+    /// call that at natural flush points.
+    pub fn defer(&self, f: impl FnOnce() + Send + 'static) {
+        self.push_deferred(Deferred::new(f));
+    }
+
+    /// Queues `ptr` to be freed (as a `Box<T>`) after a subsequent grace
+    /// period of every flavor.
+    ///
+    /// # Safety
+    ///
+    /// * `ptr` must have been produced by [`Box::into_raw`] and must not be
+    ///   freed through any other path.
+    /// * `ptr` must already be unreachable to new readers (unpublished), so
+    ///   that after one grace period no reader can reference it.
+    /// * Readers that may still reference `ptr` must be readers of one of
+    ///   *this* funnel's two domains.
+    pub unsafe fn defer_free<T: Send>(&self, ptr: *mut T) {
+        // SAFETY: forwarded caller contract.
+        self.push_deferred(unsafe { Deferred::free(ptr) });
+    }
+
+    fn push_deferred(&self, d: Deferred) {
+        self.deferred.lock().push(d);
+        self.deferred_len.fetch_add(1, Ordering::Relaxed);
+        self.ebr
+            .counters()
+            .callbacks_queued
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Number of deferred callbacks currently queued.
     pub fn deferred_pending(&self) -> usize {
-        self.ebr.deferred_pending()
+        self.deferred_len.load(Ordering::Relaxed)
+    }
+
+    /// Takes the current deferred batch, leaving later arrivals queued.
+    ///
+    /// A grace period only covers callbacks whose unpublish happened before
+    /// the grace period started, so a pass takes the batch *first*, waits,
+    /// then runs it with [`GraceSync::execute_deferred`].
+    fn take_deferred(&self) -> Vec<Deferred> {
+        let spare = std::mem::take(&mut *self.spare.lock());
+        let mut queue = self.deferred.lock();
+        let batch = std::mem::replace(&mut *queue, spare);
+        self.deferred_len.store(queue.len(), Ordering::Relaxed);
+        batch
+    }
+
+    /// Runs a batch previously taken with [`GraceSync::take_deferred`],
+    /// after [`GraceSync::synchronize`] has returned in between.
+    fn execute_deferred(&self, mut batch: Vec<Deferred>) {
+        let executed = batch.len() as u64;
+        for d in batch.drain(..) {
+            d.call();
+        }
+        self.ebr
+            .counters()
+            .callbacks_executed
+            .fetch_add(executed, Ordering::Relaxed);
+        // Hand the storage back, unless a burst grew it past what steady
+        // reclamation needs (that much is not pinned): to the live queue
+        // while that is still empty and smaller, else as the replacement
+        // the next `take_deferred` leaves behind.
+        if batch.capacity() > SPARE_QUEUE_CAP {
+            return;
+        }
+        {
+            let mut queue = self.deferred.lock();
+            if queue.is_empty() && queue.capacity() < batch.capacity() {
+                std::mem::swap(&mut *queue, &mut batch);
+            }
+        }
+        let mut spare = self.spare.lock();
+        if spare.capacity() < batch.capacity() {
+            *spare = batch;
+        }
     }
 
     /// Waits for a grace period of every flavor with registered readers,
     /// then executes every callback that was queued *before* this call
-    /// began — the flavor-covering version of
-    /// [`RcuDomain::synchronize_and_reclaim`].
+    /// began.
+    ///
+    /// Callbacks queued concurrently with the grace period are left for the
+    /// next reclamation pass (they may not yet be covered by it).
     pub fn synchronize_and_reclaim(&self) {
-        let batch = self.ebr.take_deferred();
+        let batch = self.take_deferred();
         let executed = batch.len() as u64;
         self.synchronize();
-        self.ebr.execute_deferred(batch);
+        self.execute_deferred(batch);
         let obs = rp_obs::global();
         obs.rcu.reclaim_executed_total.add(executed);
-        obs.rcu
-            .reclaim_pending
-            .set(self.ebr.deferred_pending() as u64);
+        obs.rcu.reclaim_pending.set(self.deferred_pending() as u64);
     }
 
     /// Runs [`GraceSync::synchronize_and_reclaim`] only if at least
     /// `threshold` callbacks are pending. Returns `true` if a reclamation
     /// pass ran.
     pub fn reclaim_if_pending(&self, threshold: usize) -> bool {
-        if self.ebr.deferred_pending() >= threshold {
+        if self.deferred_pending() >= threshold {
             self.synchronize_and_reclaim();
             true
         } else {
@@ -223,23 +333,52 @@ impl GraceSync {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::thread;
-    use std::time::Duration;
-
-    #[test]
-    fn reclaim_runs_queued_callbacks() {
-        let sync = GraceSync::global();
+impl GraceSync {
+    /// Queues `n` callbacks that each bump the returned counter.
+    pub(crate) fn defer_counting(&self, n: usize) -> Arc<AtomicUsize> {
         let ran = Arc::new(AtomicUsize::new(0));
-        for _ in 0..4 {
+        for _ in 0..n {
             let ran = Arc::clone(&ran);
-            RcuDomain::global().defer(move || {
+            self.defer(move || {
                 ran.fetch_add(1, Ordering::SeqCst);
             });
         }
+        ran
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicBool;
+    use std::thread;
+    use std::time::Duration;
+
+    /// A funnel over private domains: its queue and its waits are this
+    /// test's alone.
+    fn private() -> GraceSync {
+        GraceSync::new(RcuDomain::new(), QsbrDomain::new())
+    }
+
+    #[test]
+    fn deferred_batch_taken_before_grace_period() {
+        let sync = private();
+        let ran = sync.defer_counting(5);
+        assert_eq!(sync.deferred_pending(), 5);
+        assert_eq!(ran.load(Ordering::SeqCst), 0);
         sync.synchronize_and_reclaim();
+        assert_eq!(ran.load(Ordering::SeqCst), 5);
+        assert_eq!(sync.deferred_pending(), 0);
+        let stats = sync.ebr.stats();
+        assert_eq!(stats.callbacks_queued, 5);
+        assert_eq!(stats.callbacks_executed, 5);
+        assert_eq!(stats.grace_periods, 1);
+    }
+
+    #[test]
+    fn the_global_funnel_runs_queued_callbacks() {
+        let ran = GraceSync::global().defer_counting(4);
+        GraceSync::global().synchronize_and_reclaim();
         assert_eq!(ran.load(Ordering::SeqCst), 4);
     }
 
@@ -265,27 +404,30 @@ mod tests {
 
     #[test]
     fn reclaim_if_pending_respects_threshold() {
-        let sync = GraceSync::global();
-        // Flush whatever other tests queued so the threshold check below is
-        // about *our* callbacks.
-        sync.synchronize_and_reclaim();
-        RcuDomain::global().defer(|| {});
-        assert!(!sync.reclaim_if_pending(1_000_000));
-        assert!(sync.reclaim_if_pending(1));
+        let sync = private();
+        sync.defer(|| {});
+        assert!(!sync.reclaim_if_pending(2));
+        sync.defer(|| {});
+        assert!(sync.reclaim_if_pending(2));
+        assert_eq!(sync.deferred_pending(), 0);
     }
 
+    /// The funnel's reason to exist: a pass frees nothing while a QSBR
+    /// reader that could hold a retired pointer has not announced a
+    /// quiescent state, and there is no narrower pass to call instead.
     #[test]
-    fn synchronize_waits_for_online_qsbr_reader() {
-        let started = Arc::new(AtomicBool::new(false));
+    fn a_reclaim_pass_waits_for_an_online_qsbr_reader() {
+        let sync = Arc::new(private());
+        let online = Arc::new(AtomicBool::new(false));
         let release = Arc::new(AtomicBool::new(false));
-        let done = Arc::new(AtomicBool::new(false));
 
         let reader = {
-            let started = Arc::clone(&started);
+            let qsbr = Arc::clone(&sync.qsbr);
+            let online = Arc::clone(&online);
             let release = Arc::clone(&release);
             thread::spawn(move || {
-                let h = QsbrDomain::global().register();
-                started.store(true, Ordering::SeqCst);
+                let h = qsbr.register();
+                online.store(true, Ordering::SeqCst);
                 while !release.load(Ordering::SeqCst) {
                     std::hint::spin_loop();
                 }
@@ -293,44 +435,36 @@ mod tests {
                 h.offline();
             })
         };
-        while !started.load(Ordering::SeqCst) {
+        while !online.load(Ordering::SeqCst) {
             std::hint::spin_loop();
         }
 
-        let waiter = {
-            let done = Arc::clone(&done);
-            thread::spawn(move || {
-                GraceSync::global().synchronize();
-                done.store(true, Ordering::SeqCst);
-            })
+        let ran = sync.defer_counting(3);
+        let pass = {
+            let sync = Arc::clone(&sync);
+            thread::spawn(move || sync.synchronize_and_reclaim())
         };
         thread::sleep(Duration::from_millis(50));
-        assert!(
-            !done.load(Ordering::SeqCst),
-            "GraceSync completed while a QSBR reader had not passed a quiescent state"
+        assert_eq!(
+            ran.load(Ordering::SeqCst),
+            0,
+            "callbacks ran while a QSBR reader had not passed a quiescent state"
         );
         release.store(true, Ordering::SeqCst);
         reader.join().unwrap();
-        waiter.join().unwrap();
-        assert!(done.load(Ordering::SeqCst));
+        pass.join().unwrap();
+        assert_eq!(ran.load(Ordering::SeqCst), 3);
     }
 
     #[test]
     fn without_qsbr_readers_only_the_ebr_domain_is_synchronized() {
-        // The global QSBR domain may transiently have readers from other
-        // tests; use the counters to check the skip logic indirectly: a
-        // fresh wait with no registered readers must not bump the QSBR
-        // grace-period counter.
-        let sync = GraceSync::global();
-        if sync.qsbr().registered_readers() > 0 {
-            return; // another test is using the global domain right now
-        }
-        let before = sync.qsbr().stats().grace_periods;
+        let sync = private();
         sync.synchronize();
-        // Readers may have registered concurrently (making a wait
-        // legitimate); only assert when the domain stayed empty.
-        if sync.qsbr().registered_readers() == 0 {
-            assert_eq!(sync.qsbr().stats().grace_periods, before);
-        }
+        assert_eq!(sync.ebr.stats().grace_periods, 1);
+        assert_eq!(sync.qsbr.stats().grace_periods, 0);
+        let handle = sync.qsbr.register();
+        handle.offline();
+        sync.synchronize();
+        assert_eq!(sync.qsbr.stats().grace_periods, 1);
     }
 }

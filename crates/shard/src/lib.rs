@@ -18,13 +18,8 @@
 //!   paper's unzip/zip algorithms).
 //! * **Readers are oblivious to sharding.** All shards share the
 //!   process-wide RCU read domain, so a single [`ShardedRpMap::pin`] guard
-//!   covers lookups in *any* shard — which is exactly what makes the batched
-//!   [`ShardedRpMap::multi_get`] sound: one guard acquisition is amortised
-//!   across every key a batch touches in a shard.
-//! * **Batched operations** ([`ShardedRpMap::multi_get`],
-//!   [`ShardedRpMap::multi_put`], [`ShardedRpMap::multi_remove`]) group keys
-//!   by shard first, then visit each shard once — one guard pin per shard
-//!   per read batch, one writer-lock acquisition per shard per write batch.
+//!   (or one online QSBR handle) covers lookups in *any* shard: a caller
+//!   with a batch of keys pins once and calls [`ShardedRpMap::get`] per key.
 //! * **Background resize maintenance**
 //!   ([`ShardedRpMap::with_maintenance`]): writers that cross a load-factor
 //!   threshold only *request* a resize; an `rp-maint` thread runs the
@@ -49,16 +44,14 @@
 //!
 //! let guard = map.pin();
 //! assert_eq!(map.get(&1, &guard), Some(&"one"));
-//! drop(guard);
-//!
-//! // Batched reads group keys by shard and pin once per shard.
-//! assert_eq!(map.multi_get(&[1, 2, 3]), vec![Some("one"), Some("two"), None]);
+//! // One guard covers every shard.
+//! assert_eq!(map.get(&2, &guard), Some(&"two"));
+//! assert_eq!(map.get(&3, &guard), None);
 //! ```
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod batch;
 mod map;
 mod policy;
 mod stats;

@@ -4,9 +4,9 @@ use std::borrow::Borrow;
 use std::hash::{BuildHasher, Hash};
 use std::sync::Arc;
 
-use rp_hash::{FnvBuildHasher, QsbrReadHandle, ReadProtect, RpHashMap};
+use rp_hash::{FnvBuildHasher, ReadProtect, RpHashMap};
 use rp_maint::{MaintHandle, MaintStats, MaintTarget, MaintThread};
-use rp_rcu::{GraceSync, RcuDomain, RcuGuard};
+use rp_rcu::{GraceSync, RcuGuard};
 
 use crate::policy::ShardPolicy;
 use crate::stats::ShardStats;
@@ -116,7 +116,7 @@ where
     /// for i in 0..100 {
     ///     map.insert(i, i * 7); // resize triggers only *request* work
     /// }
-    /// assert_eq!(map.multi_get(&[3, 999]), vec![Some(21), None]);
+    /// assert_eq!((map.get_cloned(&3), map.get_cloned(&999)), (Some(21), None));
     ///
     /// // Shut the maintainer down deterministically; nothing is left
     /// // half-resized.
@@ -239,12 +239,6 @@ impl<K, V, S> ShardedRpMap<K, V, S> {
         self.len() as f64 / self.num_buckets() as f64
     }
 
-    /// The RCU domain protecting this map's readers (the global domain; see
-    /// the crate docs for why shards share it).
-    pub fn domain(&self) -> &'static RcuDomain {
-        RcuDomain::global()
-    }
-
     /// Snapshot of every shard's operation/resize counters and occupancy,
     /// plus the maintenance thread's counters when background resizes are
     /// enabled.
@@ -339,9 +333,10 @@ where
 
     /// Looks up `key` (wait-free; see [`RpHashMap::get`]). Accepts either
     /// read-side protection witness: an EBR guard from
-    /// [`ShardedRpMap::pin`], or an online QSBR handle (see
-    /// [`ShardedRpMap::get_qsbr`]). One witness covers every shard — the
-    /// hash is computed once and routes to the right shard internally.
+    /// [`ShardedRpMap::pin`], or an online [`rp_hash::QsbrReadHandle`]
+    /// (barrier-free shard routing plus the in-shard barrier-free lookup).
+    /// One witness covers every shard — the hash is computed once and routes
+    /// to the right shard internally.
     pub fn get<'g, Q, P>(&'g self, key: &Q, protect: &'g P) -> Option<&'g V>
     where
         K: Borrow<Q>,
@@ -350,18 +345,6 @@ where
     {
         let hash = self.hash_of(key);
         self.core.shards[self.shard_of_hash(hash)].get_prehashed(hash, key, protect)
-    }
-
-    /// Looks up `key` through the QSBR read path: barrier-free shard
-    /// routing plus the in-shard barrier-free lookup. The returned
-    /// reference borrows the handle, so the owning thread cannot announce a
-    /// quiescent state while it is alive.
-    pub fn get_qsbr<'g, Q>(&'g self, key: &Q, handle: &'g QsbrReadHandle) -> Option<&'g V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.get(key, handle)
     }
 
     /// Looks up `key`, returning references to the stored key and value.
@@ -688,7 +671,7 @@ mod tests {
             map.insert(i, i + 1000);
         }
         let guard = map.pin();
-        let handle = QsbrReadHandle::register();
+        let handle = rp_hash::QsbrReadHandle::register();
         for i in 0..256_u64 {
             let hash = map.hash_one(&i);
             assert_eq!(map.prefetch_prehashed(hash, 0, &guard), None);

@@ -105,17 +105,20 @@ fn mixed_workload_with_batches_and_per_shard_resizes() {
         }));
     }
 
-    // A batch reader checks multi_get against the stable contract.
+    // A batch reader looks a whole group of keys up under one guard: the
+    // guard covers every shard the group touches.
     {
         let map = Arc::clone(&map);
         let stop = Arc::clone(&stop);
         handles.push(std::thread::spawn(move || {
             let mut base = 0_u64;
             while !stop.load(Ordering::Relaxed) {
-                let keys: Vec<u64> = (0..64).map(|i| (base + i * 31) % STABLE).collect();
-                for (key, got) in keys.iter().zip(map.multi_get(&keys)) {
-                    assert_eq!(got, Some(key + 1), "multi_get missed stable key {key}");
+                let guard = map.pin();
+                for key in (0..64).map(|i| (base + i * 31) % STABLE) {
+                    let got = map.get(&key, &guard);
+                    assert_eq!(got, Some(&(key + 1)), "stable key {key} missing");
                 }
+                drop(guard);
                 base = base.wrapping_add(7);
             }
         }));
@@ -128,12 +131,14 @@ fn mixed_workload_with_batches_and_per_shard_resizes() {
         handles.push(std::thread::spawn(move || {
             let mut i = 0_u64;
             while !stop.load(Ordering::Relaxed) {
-                let batch: Vec<(u64, u64)> =
-                    (0..32).map(|j| (STABLE + ((i + j) % 512), i)).collect();
-                map.multi_put(batch);
+                let keys = (0..32).map(|j| STABLE + ((i + j) % 512));
+                for key in keys.clone() {
+                    map.insert(key, i);
+                }
                 if i % 2 == 1 {
-                    let keys: Vec<u64> = (0..32).map(|j| STABLE + ((i + j) % 512)).collect();
-                    map.multi_remove(&keys);
+                    for key in keys {
+                        map.remove(&key);
+                    }
                 }
                 i += 1;
             }

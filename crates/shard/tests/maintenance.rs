@@ -191,22 +191,21 @@ fn drop_mid_storm_is_clean() {
 }
 
 #[test]
-fn maintained_batches_match_plain_semantics() {
+fn maintained_writes_match_plain_semantics() {
     let maintained = maintained_map(4);
     let plain: ShardedRpMap<u64, u64> = ShardedRpMap::with_shards(4);
 
-    let entries: Vec<(u64, u64)> = (0..1024).map(|k| (k, k * 3)).collect();
-    assert_eq!(
-        maintained.multi_put(entries.clone()),
-        plain.multi_put(entries)
-    );
-    let keys: Vec<u64> = (0..1200).collect();
-    assert_eq!(maintained.multi_get(&keys), plain.multi_get(&keys));
-    let victims: Vec<u64> = (0..1024).step_by(3).collect();
-    assert_eq!(
-        maintained.multi_remove(&victims),
-        plain.multi_remove(&victims)
-    );
+    // Every key twice: a new insert, then a replacement.
+    for k in (0..1024_u64).chain(0..1024) {
+        assert_eq!(maintained.insert(k, k * 3), plain.insert(k, k * 3));
+    }
+    for k in 0..1200_u64 {
+        assert_eq!(maintained.get_cloned(&k), plain.get_cloned(&k));
+    }
+    // Every third key twice: a removal, then a miss.
+    for k in (0..1024_u64).step_by(3).chain((0..1024).step_by(3)) {
+        assert_eq!(maintained.remove(&k), plain.remove(&k));
+    }
     assert_eq!(maintained.len(), plain.len());
     maintained.check_invariants().unwrap();
     maintained.flush_retired();
@@ -294,7 +293,7 @@ fn maintain_catches_up_growth_postponed_by_a_qsbr_online_writer() {
         assert!(handle.offline_scope(|| map.maintain()));
         assert!(at_rest_inside_bounds(&map));
         assert!(map.stats().shards_resized() == 4, "every shard caught up");
-        assert_eq!(map.get_qsbr(&7, &handle), Some(&7));
+        assert_eq!(map.get(&7, &handle), Some(&7));
         handle.offline();
         drop(handle);
         map.check_invariants().unwrap();

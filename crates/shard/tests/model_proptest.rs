@@ -1,8 +1,7 @@
 //! Property-based tests: the sharded relativistic map must behave exactly
 //! like `std::collections::HashMap` under arbitrary operation sequences —
-//! including batched operations and per-shard resizes interleaved anywhere
-//! — and its structural + routing invariants must hold after every
-//! sequence. Mirrors `crates/hash/tests/model_proptest.rs`.
+//! including per-shard resizes interleaved anywhere — and its structural +
+//! routing invariants must hold after every sequence. Mirrors `crates/hash/tests/model_proptest.rs`.
 
 use std::collections::HashMap;
 
@@ -16,9 +15,6 @@ enum Op {
     Insert(u16, u32),
     Remove(u16),
     Lookup(u16),
-    MultiPut(Vec<(u16, u32)>),
-    MultiGet(Vec<u16>),
-    MultiRemove(Vec<u16>),
     ExpandShard(u8),
     ShrinkShard(u8),
     ResizeShardTo(u8, u16),
@@ -30,9 +26,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         8 => (any::<u16>(), any::<u32>()).prop_map(|(k, v)| Op::Insert(k, v)),
         4 => any::<u16>().prop_map(Op::Remove),
         8 => any::<u16>().prop_map(Op::Lookup),
-        3 => proptest::collection::vec((any::<u16>(), any::<u32>()), 1..24).prop_map(Op::MultiPut),
-        3 => proptest::collection::vec(any::<u16>(), 1..24).prop_map(Op::MultiGet),
-        2 => proptest::collection::vec(any::<u16>(), 1..24).prop_map(Op::MultiRemove),
         1 => any::<u8>().prop_map(Op::ExpandShard),
         1 => any::<u8>().prop_map(Op::ShrinkShard),
         1 => (any::<u8>(), 1_u16..256).prop_map(|(s, n)| Op::ResizeShardTo(s, n)),
@@ -65,45 +58,6 @@ proptest! {
                 }
                 Op::Lookup(k) => {
                     prop_assert_eq!(map.get_cloned(k), model.get(k).copied(), "lookup({})", k);
-                }
-                Op::MultiPut(entries) => {
-                    let newly = map.multi_put(entries.clone());
-                    let mut model_newly = 0;
-                    for (k, v) in entries {
-                        if model.insert(*k, *v).is_none() {
-                            model_newly += 1;
-                        }
-                    }
-                    prop_assert_eq!(newly, model_newly, "multi_put({:?})", entries);
-                }
-                Op::MultiGet(keys) => {
-                    let got = map.multi_get(keys);
-                    for (key, value) in keys.iter().zip(&got) {
-                        prop_assert_eq!(
-                            value.as_ref(),
-                            model.get(key),
-                            "multi_get disagreed with model for key {}",
-                            key
-                        );
-                        // The acceptance criterion: batched reads must be
-                        // identical to per-key reads.
-                        prop_assert_eq!(
-                            value.clone(),
-                            map.get_cloned(key),
-                            "multi_get disagreed with get for key {}",
-                            key
-                        );
-                    }
-                }
-                Op::MultiRemove(keys) => {
-                    let removed = map.multi_remove(keys);
-                    let mut model_removed = 0;
-                    for k in keys {
-                        if model.remove(k).is_some() {
-                            model_removed += 1;
-                        }
-                    }
-                    prop_assert_eq!(removed, model_removed, "multi_remove({:?})", keys);
                 }
                 Op::ExpandShard(s) => map.shard(*s as usize % shards).expand(),
                 Op::ShrinkShard(s) => map.shard(*s as usize % shards).shrink(),

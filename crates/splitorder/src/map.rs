@@ -8,7 +8,7 @@ use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 
 use rp_hash::{FnvBuildHasher, ReadProtect};
-use rp_rcu::{GraceSync, RcuDomain, RcuGuard};
+use rp_rcu::{GraceSync, RcuGuard};
 
 /// Mark bit carried in the low bit of a node's `next` pointer: set means
 /// the node is logically deleted (Michael's lock-free list). Node boxes are
@@ -396,7 +396,7 @@ where
                         let old = value.swap(fresh, Ordering::AcqRel);
                         // SAFETY: `old` is unreachable from the node now;
                         // readers may still hold references, so defer.
-                        unsafe { RcuDomain::global().defer_free(old) };
+                        unsafe { GraceSync::global().defer_free(old) };
                         // SAFETY: never linked; its value cell is null.
                         unsafe { drop(Box::from_raw(new_node)) };
                         replaced = true;
@@ -529,7 +529,7 @@ where
                         {
                             // SAFETY: we unlinked it; exactly one thread
                             // wins this CAS, so exactly one retire.
-                            unsafe { RcuDomain::global().defer_free(node_ptr) };
+                            unsafe { GraceSync::global().defer_free(node_ptr) };
                         } else {
                             // Let a fresh traversal unlink and retire it.
                             let _ = self.find(head, so_key, &mut |_| false);
@@ -970,7 +970,7 @@ where
                         self.scrub_shortcut(curr);
                     }
                     // SAFETY: we won the unlink CAS — sole retirer.
-                    unsafe { RcuDomain::global().defer_free(curr) };
+                    unsafe { GraceSync::global().defer_free(curr) };
                     curr = succ;
                     continue;
                 }
@@ -1049,7 +1049,7 @@ where
                     // SAFETY: unpublished now; readers still inside it are
                     // covered by the grace period the deferred queue waits
                     // out before freeing.
-                    unsafe { RcuDomain::global().defer_free(old_ptr) };
+                    unsafe { GraceSync::global().defer_free(old_ptr) };
                     return;
                 }
                 Err(_) => {

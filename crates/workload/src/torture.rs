@@ -160,7 +160,7 @@ where
     S: std::hash::BuildHasher + Send + Sync,
 {
     fn lookup_qsbr<'g>(&'g self, key: &u64, handle: &'g QsbrReadHandle) -> Option<&'g Payload> {
-        self.get_qsbr(key, handle)
+        self.get(key, handle)
     }
 
     fn pin_read(&self) -> RcuGuard<'static> {

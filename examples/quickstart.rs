@@ -3,7 +3,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use relativist::hash::{ResizePolicy, RpHashMap};
-use relativist::rcu::RcuDomain;
+use relativist::rcu::GraceSync;
 
 fn main() {
     // A map with automatic resizing, like the Linux kernel's rhashtable
@@ -46,12 +46,12 @@ fn main() {
     println!("all {} entries still present after resizing", map.len());
     drop(guard);
 
-    // Removals retire nodes through the RCU domain; a grace period later
-    // they are actually freed.
+    // Removals retire nodes into `GraceSync`'s queue; a grace period of
+    // every read-side flavor later they are actually freed.
     for i in 0..5_000_u64 {
         map.remove(&format!("key-{i}"));
     }
-    RcuDomain::global().synchronize_and_reclaim();
+    GraceSync::global().synchronize_and_reclaim();
     println!(
         "removed half the entries; {} remain, resize stats: {:?}",
         map.len(),

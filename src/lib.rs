@@ -7,15 +7,16 @@
 //! depend on a single package:
 //!
 //! * [`rcu`] — userspace relativistic-programming (RCU) primitives:
-//!   delimited readers, pointer publication, grace periods, deferred
-//!   reclamation.
+//!   delimited readers, pointer publication, a grace-period detector per
+//!   read-side flavor, and [`rcu::GraceSync`] — the one deferred-free queue
+//!   and the one wait, over every flavor, that empties it.
 //! * [`hash`] — the paper's contribution: [`hash::RpHashMap`], a hash table
 //!   with wait-free lookups that can be grown and shrunk while readers run
 //!   at full speed.
 //! * [`shard`] — [`shard::ShardedRpMap`], a power-of-two array of
 //!   independent relativistic tables: shard-local writer locks and resizes
-//!   for parallel updates, plus batched `multi_get` / `multi_put` /
-//!   `multi_remove` that amortise guard and lock acquisition per shard.
+//!   for parallel updates, one guard (or QSBR handle) covering lookups in
+//!   every shard.
 //! * [`maint`] — [`maint::MaintThread`], the background resize maintenance
 //!   thread: with [`shard::ShardedRpMap::with_maintenance`], writers that
 //!   hit a load-factor trigger only *request* a resize and the thread runs

@@ -85,7 +85,7 @@ fn hammer(map: Arc<dyn ConcurrentMap<u64, u64>>) {
             "{name}: stable key {k} after stress"
         );
     }
-    relativist::rcu::RcuDomain::global().synchronize_and_reclaim();
+    relativist::rcu::GraceSync::global().synchronize_and_reclaim();
 }
 
 /// The relativistic maps again, with the reader population split across
@@ -163,7 +163,7 @@ fn rp_hash_map_qsbr_and_ebr_readers_survive_resizes() {
             let guard = map.pin();
             map.get(&k, &guard).copied()
         },
-        |k, handle| map.get_qsbr(&k, handle).copied(),
+        |k, handle| map.get(&k, handle).copied(),
         |round| map.resize_to(if round.is_multiple_of(2) { 4096 } else { 256 }),
     );
     map.check_invariants().unwrap();
@@ -177,14 +177,7 @@ fn sharded_rp_map_qsbr_and_ebr_readers_survive_resizes() {
     }
     hammer_with_qsbr_readers(
         |k| map.get_cloned(&k),
-        |k, handle| {
-            // Exercise both the single-key and the batched QSBR paths.
-            if k.is_multiple_of(7) {
-                map.multi_get_qsbr(&[k], handle).remove(0)
-            } else {
-                map.get_qsbr(&k, handle).copied()
-            }
-        },
+        |k, handle| map.get(&k, handle).copied(),
         |round| map.resize_total_to(if round.is_multiple_of(2) { 4096 } else { 256 }),
     );
     map.check_invariants().unwrap();

@@ -6,8 +6,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use relativist::hash::{FnvBuildHasher, RpHashMap};
-use relativist::rcu::{pin, RcuDomain};
+use relativist::baselines::DddsTable;
+use relativist::hash::{FnvBuildHasher, QsbrReadHandle, RpHashMap};
+use relativist::rcu::{pin, thread_synchronize_count, GraceSync, RcuDomain, Reclaimer};
 
 /// A value that tracks how many times it has been dropped and poisons its
 /// payload on drop, so a use-after-free shows up as a data mismatch.
@@ -48,7 +49,7 @@ impl Drop for Tracked {
 }
 
 /// Waits (bounded) for a condition that may be completed by a reclamation
-/// pass running in another test of this binary — the global RCU domain is
+/// pass running in another test of this binary — the deferred-free queue is
 /// shared, so another test's `synchronize_and_reclaim` may be the one that
 /// executes our deferred frees.
 fn wait_until(mut cond: impl FnMut() -> bool) -> bool {
@@ -57,7 +58,7 @@ fn wait_until(mut cond: impl FnMut() -> bool) -> bool {
         if cond() {
             return true;
         }
-        RcuDomain::global().synchronize_and_reclaim();
+        GraceSync::global().synchronize_and_reclaim();
         std::thread::sleep(Duration::from_millis(10));
     }
     cond()
@@ -147,7 +148,7 @@ fn map_reader_keeps_removed_value_alive_until_guard_drop() {
     // even if another thread drives grace periods.
     let reclaimer = std::thread::spawn(|| {
         // This grace period must wait for the guard above to drop.
-        RcuDomain::global().synchronize_and_reclaim();
+        GraceSync::global().synchronize_and_reclaim();
     });
     std::thread::sleep(Duration::from_millis(100));
     assert_eq!(
@@ -163,6 +164,106 @@ fn map_reader_keeps_removed_value_alive_until_guard_drop() {
         wait_until(|| drops.load(Ordering::SeqCst) == 1),
         "dropped exactly once"
     );
+}
+
+type TrackedMap = RpHashMap<u64, Tracked, FnvBuildHasher>;
+
+/// The QSBR sibling of `map_reader_keeps_removed_value_alive_until_guard_drop`:
+/// an online `QsbrReadHandle` holds a looked-up value, the entry is removed,
+/// and `pass` — one of the public ways to empty the deferred-free queue — runs
+/// on another thread. It must neither finish nor free the value before the
+/// reader announces a quiescent state, and must do both afterwards.
+///
+/// `pass` returns only once a reclamation pass *it* started has completed
+/// (the queue is shared with the other tests of this binary, whose passes
+/// may take its frees first, so the threshold-gated variants repeat until
+/// theirs ran).
+fn pass_waits_for_qsbr_reader(pass: impl FnOnce(&TrackedMap) + Send) {
+    let drops = Arc::new(AtomicUsize::new(0));
+    let map: TrackedMap = RpHashMap::with_buckets_and_hasher(16, FnvBuildHasher);
+    map.insert(7, Tracked::new(7, Arc::clone(&drops)));
+
+    let finished = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        // Registered in here so that it goes offline before the scope joins
+        // the pass — on the way out and if an assertion below unwinds — and
+        // a failure is reported instead of hanging the pass it left blocked.
+        let mut handle = QsbrReadHandle::register();
+        let value = map.get(&7, &handle).expect("present");
+        assert!(map.remove(&7));
+        s.spawn(|| {
+            pass(&map);
+            finished.store(true, Ordering::SeqCst);
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(
+            drops.load(Ordering::SeqCst),
+            0,
+            "freed while still referenced"
+        );
+        value.verify();
+        assert!(
+            !finished.load(Ordering::SeqCst),
+            "a reclamation pass completed without waiting for an online QSBR reader"
+        );
+        // `value` is dead from here on: the borrow checker would not let
+        // the announcement compile otherwise.
+        handle.quiescent_state();
+    });
+    assert!(finished.load(Ordering::SeqCst));
+    assert!(
+        wait_until(|| drops.load(Ordering::SeqCst) == 1),
+        "dropped exactly once"
+    );
+}
+
+#[test]
+fn qsbr_reader_outlasts_synchronize_and_reclaim() {
+    pass_waits_for_qsbr_reader(|_| GraceSync::global().synchronize_and_reclaim());
+}
+
+#[test]
+fn qsbr_reader_outlasts_reclaim_if_pending() {
+    pass_waits_for_qsbr_reader(|_| loop {
+        GraceSync::global().defer(|| {});
+        if GraceSync::global().reclaim_if_pending(1) {
+            break;
+        }
+    });
+}
+
+#[test]
+fn qsbr_reader_outlasts_flush_retired() {
+    pass_waits_for_qsbr_reader(|map| map.flush_retired());
+}
+
+#[test]
+fn qsbr_reader_outlasts_a_kicked_reclaimer() {
+    pass_waits_for_qsbr_reader(|_| {
+        let reclaimer = Reclaimer::spawn_global();
+        reclaimer.kick();
+        // Joins the thread after its final pass, which runs whether or not
+        // the kicked one found anything left to take.
+        reclaimer.shutdown();
+    });
+}
+
+/// A baseline's opportunistic pass: `DddsTable::resize` retires the whole
+/// old table (5 000 nodes here) and reclaims once 4 096 frees are pending.
+#[test]
+fn qsbr_reader_outlasts_a_ddds_resize() {
+    pass_waits_for_qsbr_reader(|_| {
+        let table: DddsTable<u64, u64> = DddsTable::with_buckets(64);
+        for k in 0..5_000 {
+            table.insert_kv(k, k);
+        }
+        let waits_before = thread_synchronize_count();
+        let mut buckets = 128;
+        while thread_synchronize_count() == waits_before {
+            table.resize(buckets);
+            buckets = if buckets == 128 { 256 } else { 128 };
+        }
+    });
 }
 
 #[test]

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use relativist::hash::{FnvBuildHasher, RpHashMap};
-use relativist::rcu::RcuDomain;
+use relativist::rcu::GraceSync;
 
 const STABLE_KEYS: u64 = 4096;
 
@@ -107,7 +107,7 @@ fn lookups_never_miss_during_continuous_resizing() {
     let guard = map.pin();
     assert_eq!(map.iter(&guard).count() as u64, STABLE_KEYS);
     drop(guard);
-    RcuDomain::global().synchronize_and_reclaim();
+    GraceSync::global().synchronize_and_reclaim();
 }
 
 #[test]
