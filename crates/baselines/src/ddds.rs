@@ -266,7 +266,7 @@ where
     /// Lookups issued while this runs pay the two-table search and possible
     /// retries; the copy itself allocates a new node per entry.
     pub fn resize(&self, buckets: usize) {
-        let w = self.writer.lock();
+        let _w = self.writer.lock();
         let new = Box::into_raw(DBuckets::<K, V>::new(buckets));
         let old = self.current.load(Ordering::Acquire);
 
@@ -317,15 +317,6 @@ where
         // SAFETY: `old` is unpublished and unique; freeing it is deferred
         // until after a grace period.
         unsafe { retired.defer_free(old) };
-        drop(w);
-        // The pass waits for every reader of the global domains, this
-        // thread included if it is one (an EBR guard held, a QSBR handle
-        // online): such a caller leaves the frees queued for a later pass.
-        // Unlocked first, so that a reader the pass waits for is never one
-        // queueing for this table's writer lock.
-        if rp_rcu::may_wait_for_readers() {
-            retired.reclaim_if_pending(4096);
-        }
     }
 }
 
@@ -466,9 +457,9 @@ mod tests {
         GraceSync::global().synchronize_and_reclaim();
     }
 
-    /// `resize` reclaims opportunistically, and the pass waits for QSBR
-    /// readers too: a caller that *is* one (its handle online) must leave
-    /// the frees queued rather than wait for itself.
+    /// `resize` never waits to free the table it copied from, so a caller
+    /// that is itself a reader (its QSBR handle online) resizes freely, and
+    /// nothing is freed until it is quiescent.
     #[test]
     fn an_online_qsbr_thread_resizes_without_reclaiming() {
         use std::sync::atomic::AtomicUsize;
@@ -490,7 +481,8 @@ mod tests {
             }
             let mut handle = rp_hash::QsbrReadHandle::register();
             let waits = rp_rcu::thread_synchronize_count();
-            // 5 001 frees pending, past the 4 096 at which `resize` reclaims.
+            // 5 001 frees queued: the reclaim thread's pass takes them and
+            // waits for this thread.
             t.resize(128);
             assert_eq!(rp_rcu::thread_synchronize_count(), waits, "waited");
             // No pass anywhere can complete while this thread is online.
@@ -507,6 +499,23 @@ mod tests {
         })
         .join()
         .unwrap();
+    }
+
+    #[test]
+    fn writers_and_resizes_never_synchronize() {
+        let t: DddsTable<u64, u64> = DddsTable::with_buckets(16);
+        let waits = rp_rcu::thread_synchronize_count();
+        for round in 0..4 {
+            for i in 0..2048 {
+                t.insert_kv(i, round);
+            }
+            t.resize(if round % 2 == 0 { 1024 } else { 64 });
+            for i in 0..1024 {
+                assert!(t.remove_key(&i));
+            }
+        }
+        assert_eq!(rp_rcu::thread_synchronize_count(), waits);
+        GraceSync::global().synchronize_and_reclaim();
     }
 
     #[test]

@@ -81,8 +81,8 @@ pub struct RpHashMap<K, V, S = RandomState> {
     /// Monotonic id generator for resize operations (grace-wait
     /// bookkeeping).
     resize_ids: AtomicU64,
-    /// Set while a maintainer has taken over this map's grace-period work
-    /// (see [`RpHashMap::set_maintained`]): writes then end at the unlock.
+    /// Set while a maintainer has taken over this map's resizes (see
+    /// [`RpHashMap::set_maintained`]): writes then end at the unlock.
     maintained: AtomicBool,
     pub(crate) stats: AtomicMapStats,
 }
@@ -191,12 +191,11 @@ impl<K, V, S> RpHashMap<K, V, S> {
         &self.policy
     }
 
-    /// Hands this map's grace-period work to a maintainer, or takes it
-    /// back. While set, a write ends when it unlocks: it neither drives the
-    /// resize it made due nor reclaims, and whoever set this calls
-    /// [`RpHashMap::maintain`] and reclaims instead. `rp-shard`'s
-    /// `with_maintenance` sets it and `stop_maintenance` clears it; it is
-    /// not an option of this crate.
+    /// Hands this map's resizes to a maintainer, or takes them back. While
+    /// set, a write ends when it unlocks: it does not drive the resize it
+    /// made due, and whoever set this calls [`RpHashMap::maintain`]
+    /// instead. `rp-shard`'s `with_maintenance` sets it and
+    /// `stop_maintenance` clears it; it is not an option of this crate.
     #[doc(hidden)]
     pub fn set_maintained(&self, maintained: bool) {
         // Relaxed: a mode switch that publishes no data. A write that races
@@ -396,8 +395,8 @@ where
     /// // The same lookup under the QSBR flavor.
     /// let mut handle = QsbrReadHandle::register();
     /// assert_eq!(map.get(&"answer", &handle), Some(&42));
-    /// // Between batches of lookups, announce a quiescent state so writers
-    /// // and resizes can make progress reclaiming.
+    /// // Between batches of lookups, announce a quiescent state so resizes
+    /// // and the reclaim thread's frees can make progress.
     /// handle.quiescent_state();
     /// ```
     pub fn get<'g, Q, P>(&'g self, key: &Q, protect: &'g P) -> Option<&'g V>
@@ -1002,9 +1001,10 @@ where
             .collect()
     }
 
-    /// Flushes retired nodes: waits for a grace period of every read-side
-    /// flavor with registered readers and frees everything retired before
-    /// the call.
+    /// A barrier: returns once everything retired before the call has been
+    /// freed, after a grace period of every read-side flavor with
+    /// registered readers ([`GraceSync::synchronize_and_reclaim`]). Writers
+    /// never need it; the global funnel's reclaim thread frees on its own.
     pub fn flush_retired(&self) {
         GraceSync::global().synchronize_and_reclaim();
     }
@@ -1062,24 +1062,22 @@ where
     }
 
     /// What every write entry point ends in, **after** it has released the
-    /// writer lock: the grace-period work the write made due. `crossed`
-    /// says the write took the table over a load-factor trigger.
+    /// writer lock: the resize the write made due, if `crossed` says it
+    /// took the table over a load-factor trigger. Freeing what it retired
+    /// is not the writer's business: the global funnel's reclaim thread
+    /// does that.
     ///
     /// A grace period can never complete if the calling thread itself holds
-    /// a read guard or is an online QSBR reader; the work is postponed in
+    /// a read guard or is an online QSBR reader; the resize is postponed in
     /// those cases (a later update from a quiescent thread — or
-    /// [`RpHashMap::maintain`], the maintenance thread, a background
-    /// reclaimer — catches up). The waits go through `GraceSync`, so they
-    /// cover QSBR readers of this map too. A maintained map
-    /// ([`RpHashMap::set_maintained`]) leaves all of it to its maintainer.
+    /// [`RpHashMap::maintain`], the maintenance thread — catches up). The
+    /// waits go through `GraceSync`, so they cover QSBR readers of this map
+    /// too. A maintained map ([`RpHashMap::set_maintained`]) leaves the
+    /// resize to its maintainer.
     fn after_write(&self, crossed: bool) {
-        if self.maintained.load(Ordering::Relaxed) || !rp_rcu::may_wait_for_readers() {
-            return;
-        }
-        if crossed {
+        if crossed && !self.maintained.load(Ordering::Relaxed) && rp_rcu::may_wait_for_readers() {
             self.drive_to_policy();
         }
-        GraceSync::global().reclaim_if_pending(self.policy.reclaim_threshold);
     }
 }
 
@@ -1493,6 +1491,25 @@ mod tests {
         assert_eq!(stats.inserts, 2);
         assert_eq!(stats.replaces, 1);
         assert_eq!(stats.removes, 1);
+    }
+
+    #[test]
+    fn writers_never_wait_to_free() {
+        // Thousands of retired nodes, no load-factor trigger crossed: the
+        // reclaim thread frees them, the writer never waits for readers.
+        let map = fnv_map(64);
+        let waits = rp_rcu::thread_synchronize_count();
+        for round in 0..8 {
+            for i in 0..1024 {
+                map.insert(i, round);
+            }
+            for i in 0..512 {
+                map.remove(&i);
+            }
+        }
+        assert_eq!(rp_rcu::thread_synchronize_count(), waits);
+        assert_eq!(map.num_buckets(), 64);
+        map.flush_retired();
     }
 
     #[test]

@@ -26,9 +26,6 @@ pub struct ResizePolicy {
     pub min_buckets: usize,
     /// Upper bound on the number of buckets.
     pub max_buckets: usize,
-    /// Run a reclamation pass (grace period + free) once at least this many
-    /// retired nodes are pending in the RCU domain.
-    pub reclaim_threshold: usize,
 }
 
 impl Default for ResizePolicy {
@@ -40,7 +37,6 @@ impl Default for ResizePolicy {
             min_load_factor: 0.25,
             min_buckets: 1,
             max_buckets: 1 << 30,
-            reclaim_threshold: 256,
         }
     }
 }

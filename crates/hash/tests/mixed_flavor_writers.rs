@@ -2,18 +2,18 @@
 //!
 //! The QSBR writer is what an event-loop worker is: online for the length
 //! of its batch, announcing a quiescent state only between batches. The EBR
-//! writer is who pays for it: every reclamation pass and every automatic
-//! resize it triggers waits for that announcement. If it waited while
-//! holding the writer lock, the QSBR writer — queueing for that lock in the
-//! middle of its batch — would never announce, and both would stop for
-//! good. So no grace period is waited for under the lock; this is the test
-//! that fails (stalls within a second) when one is.
+//! writer is who pays for it: every automatic resize it triggers waits for
+//! that announcement. If it waited while holding the writer lock, the QSBR
+//! writer — queueing for that lock in the middle of its batch — would never
+//! announce, and both would stop for good. So no grace period is waited for
+//! under the lock; this is the test that fails (stalls within a second)
+//! when one is.
 //!
-//! Two variants: the default policy, where the only grace-period work is
-//! the reclamation pass a writer runs every `reclaim_threshold` retired
-//! nodes, and automatic resizing at load factor 1, where the writers'
-//! unsynchronised fill/drain phases take the table across its expand and
-//! shrink triggers over and over.
+//! Two variants: the default policy, where the writers' only grace-period
+//! work is freeing what they retire — which is the reclaim thread's, so the
+//! EBR writer must not wait at all — and automatic resizing at load factor
+//! 1, where the writers' unsynchronised fill/drain phases take the table
+//! across its expand and shrink triggers over and over.
 //!
 //! A stall is a failure, not a hang: the test thread watches both writers'
 //! progress counters and gives up on a deadline, and with
@@ -53,7 +53,9 @@ fn writer(map: &Map, id: u64, pairs: &AtomicU64, stop: &AtomicBool, mut between:
     }
 }
 
-fn storm(name: &str, policy: ResizePolicy) -> Arc<Map> {
+/// Runs the storm; the map, and how many grace periods the EBR writer
+/// waited for.
+fn storm(name: &str, policy: ResizePolicy) -> (Arc<Map>, u64) {
     let watchdog = spawn_watchdog(StallConfig::from_env());
     let map: Arc<Map> = Arc::new(RpHashMap::with_buckets_hasher_and_policy(
         16,
@@ -67,7 +69,10 @@ fn storm(name: &str, policy: ResizePolicy) -> Arc<Map> {
     // ends a scope.
     let ebr = {
         let (map, stop, pairs) = (Arc::clone(&map), Arc::clone(&stop), Arc::clone(&pairs[0]));
-        std::thread::spawn(move || writer(&map, 0, &pairs, &stop, || {}))
+        std::thread::spawn(move || {
+            writer(&map, 0, &pairs, &stop, || {});
+            rp_rcu::thread_synchronize_count()
+        })
     };
     let qsbr = {
         let (map, stop, pairs) = (Arc::clone(&map), Arc::clone(&stop), Arc::clone(&pairs[1]));
@@ -81,6 +86,7 @@ fn storm(name: &str, policy: ResizePolicy) -> Arc<Map> {
                 }
             });
             handle.offline();
+            rp_rcu::thread_synchronize_count()
         })
     };
     let writers = [("EBR", ebr), ("QSBR-online", qsbr)];
@@ -105,18 +111,19 @@ fn storm(name: &str, policy: ResizePolicy) -> Arc<Map> {
             );
         }
     }
-    for (flavor, thread) in writers {
+    let [ebr_waits, _] = writers.map(|(flavor, thread)| {
         thread
             .join()
-            .unwrap_or_else(|_| panic!("{name}: the {flavor} writer panicked"));
-    }
+            .unwrap_or_else(|_| panic!("{name}: the {flavor} writer panicked"))
+    });
     watchdog.stop().expect("no grace period stalled");
 
     let secs = started.elapsed().as_secs_f64();
     let rate = |writer: usize| pairs[writer].load(Ordering::Relaxed) as f64 / secs / 1e3;
     let stats = map.stats();
     eprintln!(
-        "{name}: EBR {:.0}k pairs/s, QSBR-online {:.0}k pairs/s, {} expands, {} shrinks",
+        "{name}: EBR {:.0}k pairs/s, QSBR-online {:.0}k pairs/s, {} expands, {} shrinks, \
+         {ebr_waits} EBR-writer grace waits",
         rate(0),
         rate(1),
         stats.expands,
@@ -126,18 +133,19 @@ fn storm(name: &str, policy: ResizePolicy) -> Arc<Map> {
     assert!(map.is_empty());
     map.check_invariants().unwrap();
     map.flush_retired();
-    map
+    (map, ebr_waits)
 }
 
 #[test]
 fn reclaiming_writers_of_both_flavors_share_a_map() {
-    let map = storm("default policy", ResizePolicy::default());
+    let (map, ebr_waits) = storm("default policy", ResizePolicy::default());
     assert_eq!(map.num_buckets(), 16);
+    assert_eq!(ebr_waits, 0, "a writer waited to free what it retired");
 }
 
 #[test]
 fn resizing_writers_of_both_flavors_share_a_map() {
-    let map = storm(
+    let (map, _) = storm(
         "auto-resize at load factor 1",
         ResizePolicy {
             auto_expand: true,

@@ -229,8 +229,9 @@ pub trait CacheEngine: Send + Sync {
     fn prefetch(&self, _keys: &[&[u8]], _ctx: &EngineReadCtx) {}
 
     /// Housekeeping an external caller with a natural quiescent point can
-    /// drive on the engine's behalf: postponed automatic index resizes and
-    /// deferred reclamation.
+    /// drive on the engine's behalf: postponed automatic index resizes.
+    /// (Deferred frees need no caller: `rp_rcu::GraceSync`'s reclaim thread
+    /// runs them.)
     ///
     /// Threads serving QSBR reads postpone all grace-period work (waiting
     /// would deadlock on their own read-side state); the event-loop worker

@@ -17,9 +17,11 @@
 //! state is announced per event batch (`on_batch_end`), and the handle goes
 //! offline while the worker parks in `epoll_wait` (`on_park`/`on_unpark`)
 //! so an idle worker never stalls writers. Because the serving threads are
-//! QSBR readers, they postpone all grace-period work; a background
-//! [`Reclaimer`] (plus the `rp-shard` engine's maintenance thread) absorbs
-//! deferred frees instead. `--read-side ebr` restores the guard
+//! QSBR readers, they postpone the grace-period work of resizes (the
+//! `rp-shard` engine's maintenance thread absorbs it, or the worker catches
+//! up between batches); what SETs and DELETEs retire is freed by
+//! `rp_rcu::GraceSync`'s reclaim thread, which serves every read side
+//! alike. `--read-side ebr` restores the guard
 //! path for A/B comparisons — that flavor difference is what
 //! `benchmark/`'s `rcu.pin_ns` and `rcu.qsbr_quiescent_ns` rungs measure.
 
@@ -28,7 +30,6 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 
 use rp_net::{Action, ConnIo, EventLoop, NetConfig, NetStats, Service};
-use rp_rcu::Reclaimer;
 
 use crate::engine::{CacheEngine, EngineReadCtx, ReadSide, GROUP};
 use crate::protocol::{Decoded, RefDecoder, RequestRef};
@@ -242,10 +243,6 @@ pub struct EventServer {
     inner: EventLoop,
     engine: Arc<dyn CacheEngine>,
     read_side: ReadSide,
-    /// Absorbs deferred frees while the workers are QSBR readers (QSBR
-    /// workers postpone all grace-period work; without maintenance or this
-    /// thread, retired nodes would accumulate unboundedly).
-    _reclaimer: Option<Reclaimer>,
 }
 
 impl EventServer {
@@ -280,15 +277,10 @@ impl EventServer {
         let service = Arc::new(KvService::new(Arc::clone(&engine), read_side));
         let addr: SocketAddr = ([127, 0, 0, 1], config.port).into();
         let inner = EventLoop::bind(addr, service, net)?;
-        let reclaimer = match read_side {
-            ReadSide::Ebr => None,
-            ReadSide::Qsbr => Some(Reclaimer::spawn_global()),
-        };
         Ok(EventServer {
             inner,
             engine,
             read_side,
-            _reclaimer: reclaimer,
         })
     }
 

@@ -94,8 +94,9 @@ pub trait ByteKeyIndex: Send + Sync {
     /// Number of entries.
     fn len(&self) -> usize;
 
-    /// Catches up on resizes and reclamation the writer paths postponed.
-    fn maintain(&self);
+    /// Catches up on resizes the writer paths postponed (none by default:
+    /// an index that never waits to resize postpones nothing).
+    fn maintain(&self) {}
 
     /// Removes every entry for which `keep` returns `false`; returns how
     /// many it removed.
@@ -114,10 +115,11 @@ pub trait ByteKeyIndex: Send + Sync {
 
 /// Implements [`ByteKeyIndex`] for a map type by forwarding to its inherent
 /// methods; trailing items override the trait's defaults, and a leading
-/// `hinting` forwards [`ByteKeyIndex::prefetch`] to the map's
-/// `prefetch_prehashed`.
+/// `relativistic` forwards [`ByteKeyIndex::prefetch`] and
+/// [`ByteKeyIndex::maintain`] to the map's `prefetch_prehashed` and
+/// `maintain`.
 macro_rules! impl_byte_key_index {
-    (hinting $index:ty, $name:literal $(, $extra:item)*) => {
+    (relativistic $index:ty, $name:literal $(, $extra:item)*) => {
         $crate::rp_engine::impl_byte_key_index!(
             $index,
             $name,
@@ -128,6 +130,9 @@ macro_rules! impl_byte_key_index {
                 protect: &'g P,
             ) -> Option<&'g $crate::rp_engine::StoredItem> {
                 self.prefetch_prehashed(hash, depth, protect)
+            },
+            fn maintain(&self) {
+                self.maintain();
             }
             $(, $extra)*
         );
@@ -164,10 +169,6 @@ macro_rules! impl_byte_key_index {
 
             fn len(&self) -> usize {
                 self.len()
-            }
-
-            fn maintain(&self) {
-                self.maintain();
             }
 
             fn retain(
@@ -242,7 +243,7 @@ pub(crate) fn stalest_of<'g>(
         .collect()
 }
 
-impl_byte_key_index!(hinting RpHashMap<ItemKey, StoredItem, FnvBuildHasher>, "rp");
+impl_byte_key_index!(relativistic RpHashMap<ItemKey, StoredItem, FnvBuildHasher>, "rp");
 
 /// What an index probe found, with the LRU stamp already applied to a live
 /// hit.
@@ -520,14 +521,17 @@ impl<I: ByteKeyIndex> CacheEngine for Engine<I> {
 /// the index resizes itself under load.
 pub type RpEngine = Engine<RpHashMap<ItemKey, StoredItem, FnvBuildHasher>>;
 
-/// The resize policy of the relativistic indexes.
-pub(crate) fn index_resize_policy() -> ResizePolicy {
+/// The resize policy of a relativistic index that starts with
+/// `initial_buckets` per table: it never halves below that size, which
+/// already sits under its shrink trigger, so a prefill does not open with
+/// halvings it has to double back.
+pub(crate) fn index_resize_policy(initial_buckets: usize) -> ResizePolicy {
     ResizePolicy {
         auto_expand: true,
         auto_shrink: true,
         max_load_factor: 2.0,
         min_load_factor: 0.125,
-        min_buckets: 16,
+        min_buckets: initial_buckets,
         ..ResizePolicy::default()
     }
 }
@@ -548,7 +552,7 @@ impl RpEngine {
             RpHashMap::with_buckets_hasher_and_policy(
                 buckets,
                 FnvBuildHasher,
-                index_resize_policy(),
+                index_resize_policy(buckets),
             ),
             capacity,
         )

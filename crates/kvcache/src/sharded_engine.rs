@@ -8,7 +8,7 @@ use crate::item::ItemKey;
 use crate::rp_engine::{impl_byte_key_index, index_resize_policy, Engine, StoredItem};
 
 impl_byte_key_index!(
-    hinting ShardedRpMap<ItemKey, StoredItem>,
+    relativistic ShardedRpMap<ItemKey, StoredItem>,
     "rp-shard",
     fn observe_gauges(&self) {
         // Shard balance as max/mean occupancy, in thousandths (1000 =
@@ -44,10 +44,14 @@ impl ShardedRpEngine {
     /// `capacity` items, its index resized by a background maintenance
     /// thread.
     pub fn with_shards_and_capacity(shards: usize, capacity: usize) -> Self {
+        // The initial size only (see `RpEngine::with_capacity`).
+        let buckets = (capacity / shards.max(1))
+            .clamp(16, 1024)
+            .next_power_of_two();
         let policy = ShardPolicy {
             shards,
-            initial_buckets_per_shard: (capacity / shards.max(1)).clamp(16, 1024),
-            per_shard: index_resize_policy(),
+            initial_buckets_per_shard: buckets,
+            per_shard: index_resize_policy(buckets),
         };
         Engine::over(ShardedRpMap::with_maintenance(policy), capacity)
     }
@@ -99,5 +103,18 @@ mod tests {
         assert!(lens.iter().all(|&l| l > 0), "unbalanced shards: {lens:?}");
         let hit = engine.get_ref(b"key-7", &mut EngineReadCtx::new(ReadSide::Ebr));
         assert_eq!(hit.map(|i| i.data.to_vec()), Some(b"v".to_vec()));
+    }
+
+    /// The index starts at its policy's floor, so a prefill only ever
+    /// doubles: no shard halves first and doubles back.
+    #[test]
+    fn a_prefill_never_shrinks_the_index() {
+        let engine = ShardedRpEngine::with_shards_and_capacity(16, 1 << 20);
+        for i in 0..512 * 1024 {
+            engine.set(&format!("key:{i}"), Item::new(0, "v"));
+        }
+        let stats = engine.index.stats().total();
+        assert!(stats.expands > 0, "{stats:?}");
+        assert_eq!(stats.shrinks, 0, "{stats:?}");
     }
 }

@@ -18,8 +18,8 @@ impl_byte_key_index!(
 /// growth is a single pointer publication — no data movement, no
 /// grace-period wait. GETs are the same `ReadProtect`-generic wait-free
 /// lookups as the relativistic engines (EBR guard or barrier-free QSBR
-/// handle); removals queue deferred reclamation, drained by
-/// [`CacheEngine::housekeeping`](crate::CacheEngine::housekeeping).
+/// handle); what removals and replacements retire is freed by
+/// `rp_rcu::GraceSync`'s reclaim thread, so the engine has no housekeeping.
 pub type SplitOrderEngine = Engine<SplitOrderMap<ItemKey, StoredItem, FnvBuildHasher>>;
 
 impl SplitOrderEngine {

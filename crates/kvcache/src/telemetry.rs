@@ -546,6 +546,7 @@ END\r\n";
             "\"shard_imbalance_milli\":0},",
             "\"rcu\":{\"rcu_sync_ebr_ns\":Z,\"rcu_sync_qsbr_ns\":Z,",
             "\"rcu_reclaim_pending\":0,\"rcu_reclaim_executed_total\":0,",
+            "\"rcu_reclaim_passes_total\":0,\"rcu_reclaim_panics_total\":0,",
             "\"rcu_grace_stalls_total\":0}}\r\nEND\r\n",
         )
         .replace('Z', zero);

@@ -28,12 +28,11 @@ const OPS: u64 = 4000;
 const GET_ALLOC_EPSILON: f64 = 0.005;
 
 /// Allocations-per-SET ceiling: two per SET — the index node, which holds
-/// the key and the item by value, and the payload — plus what the server's
-/// background reclaimer allocates while the window is open: it wakes every
-/// 10 ms and a pass costs a reader snapshot per flavor (the deferred-free
-/// queue keeps its storage from pass to pass, see
-/// `GraceSync::take_deferred`), about 0.003/op at a loopback round trip of
-/// 10 µs. A third per-SET allocation (3.0/op) is nowhere near passing.
+/// the key and the item by value, and the payload — plus what the reclaim
+/// thread allocates while the window is open: a pass per 256 replaced
+/// nodes, each a reader snapshot per flavor (the deferred-free queue keeps
+/// its storage from pass to pass, see `GraceSync::take_deferred`), 2/256 ≈
+/// 0.008/op. A third per-SET allocation (3.0/op) is nowhere near passing.
 const SET_ALLOC_CEILING: f64 = 2.05;
 
 /// Sends `requests` round-robin, one at a time, reading each reply up to

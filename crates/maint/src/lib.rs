@@ -26,15 +26,13 @@
 //!   A write that crosses a trigger after the clear requests again; one that
 //!   crossed before it is visible to the check `maintain` makes — so no
 //!   request is lost and none is queued twice.
-//! * **Reclamation:** after each turn, and every 50 ms while idle, the
-//!   thread runs a deferred-reclamation pass (`rp_rcu::GraceSync::global`)
-//!   once 256 retired objects are pending, so maintained maps do not reclaim
-//!   from their writers either — the other place writers used to wait for
-//!   readers. An idle pass first checks for a stalled reader.
+//! * **Resizes only.** Freeing what writers retire is not this thread's
+//!   job: `rp_rcu::GraceSync::global`'s reclaim thread does it for every
+//!   structure, maintained or not.
 //! * **Shutdown:** dropping the [`MaintHandle`] (or calling
 //!   [`MaintHandle::shutdown`]) stops intake, serves what is queued, gives
 //!   every unit one last `maintain` — which finishes a resize a panicked
-//!   turn left in flight — reclaims and joins the thread.
+//!   turn left in flight — and joins the thread.
 //! * **Panic containment:** a `maintain` that unwinds is counted
 //!   ([`MaintStats::worker_panics`], `maint_worker_panics_total`), traced
 //!   and retried once; a second consecutive panic drops the unit until
@@ -47,8 +45,7 @@
 //!
 //! The observable guarantee, asserted by `rp-shard`'s maintenance tests via
 //! [`rp_rcu::thread_synchronize_count`]: **on the maintained path, writer
-//! threads never call `synchronize`** — not for resizes and not for
-//! reclamation.
+//! threads never call `synchronize`**.
 //!
 //! # Example
 //!

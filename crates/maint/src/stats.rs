@@ -9,7 +9,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub(crate) struct AtomicMaintStats {
     pub(crate) requests: AtomicU64,
     pub(crate) turns: AtomicU64,
-    pub(crate) reclaim_passes: AtomicU64,
     pub(crate) worker_panics: AtomicU64,
     pub(crate) max_debt: AtomicU64,
 }
@@ -19,7 +18,6 @@ impl AtomicMaintStats {
         MaintStats {
             requests: self.requests.load(Ordering::Relaxed),
             turns: self.turns.load(Ordering::Relaxed),
-            reclaim_passes: self.reclaim_passes.load(Ordering::Relaxed),
             worker_panics: self.worker_panics.load(Ordering::Relaxed),
             max_debt: self.max_debt.load(Ordering::Relaxed),
         }
@@ -37,10 +35,8 @@ pub struct MaintStats {
     pub requests: u64,
     /// `MaintTarget::maintain` calls made, whether or not they found work.
     pub turns: u64,
-    /// Deferred-reclamation passes run through `rp_rcu::GraceSync::global`.
-    pub reclaim_passes: u64,
-    /// Panics contained: a `maintain` (or a reclamation pass) unwound, the
-    /// thread kept serving and the unit was retried at most once.
+    /// Panics contained: a `maintain` unwound, the thread kept serving and
+    /// the unit was retried at most once.
     pub worker_panics: u64,
     /// Maximum work-queue depth observed by a requesting writer — the
     /// worst resize debt any writer has seen the maintainer carrying.

@@ -6,26 +6,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
-use rp_rcu::GraceSync;
 
 use crate::stats::AtomicMaintStats;
 use crate::{MaintStats, MaintTarget};
-
-/// Retired objects pending in the global deferred-free queue at which the
-/// thread runs a reclamation pass (what
-/// `rp_hash::ResizePolicy::reclaim_threshold` is to an unmaintained map's
-/// writers).
-const RECLAIM_THRESHOLD: usize = 256;
-
-/// How long the idle thread sleeps before a stall check and a reclamation
-/// heartbeat.
-const IDLE_WAKEUP: Duration = Duration::from_millis(50);
-
-/// The `MaintPanic` trace value of a panic outside any unit's turn.
-const NO_UNIT: u64 = u64::MAX;
 
 /// State shared between requesters, the maintenance thread and the handle.
 struct MaintShared {
@@ -40,13 +25,6 @@ struct MaintShared {
 struct QueueState {
     items: VecDeque<usize>,
     shutdown: bool,
-}
-
-/// What the queue handed the thread.
-enum Next {
-    Unit(usize),
-    Heartbeat,
-    Shutdown,
 }
 
 impl MaintShared {
@@ -73,47 +51,39 @@ impl MaintShared {
         Some(depth)
     }
 
-    /// The next thing to do: a queued unit (also while shutting down — the
-    /// queue is served to its end), else shutdown, else — after an idle
-    /// wait — a heartbeat.
-    fn next(&self) -> Next {
+    /// The next queued unit (also while shutting down — the queue is
+    /// served to its end), waiting for one while the queue is empty; `None`
+    /// once it is empty and intake has stopped.
+    fn next(&self) -> Option<usize> {
         let mut q = self.queue.lock();
-        if q.items.is_empty() && !q.shutdown {
-            self.wakeup.wait_for(&mut q, IDLE_WAKEUP);
-        }
-        match q.items.pop_front() {
-            Some(unit) => {
+        loop {
+            if let Some(unit) = q.items.pop_front() {
                 rp_obs::global().maint.queue_depth.set(q.items.len() as u64);
-                Next::Unit(unit)
+                return Some(unit);
             }
-            None if q.shutdown => Next::Shutdown,
-            None => Next::Heartbeat,
+            if q.shutdown {
+                return None;
+            }
+            self.wakeup.wait(&mut q);
         }
-    }
-
-    /// Runs `f`; a panic is counted, traced against `unit` and contained.
-    ///
-    /// What `f` leaves behind when it unwinds is its own contract:
-    /// `rp-hash` panics (by failpoint) only at a resize step boundary, with
-    /// no lock held and the table consistent, and the next `maintain`
-    /// finishes that resize before anything else.
-    fn contain<R>(&self, unit: u64, f: impl FnOnce() -> R) -> Option<R> {
-        let outcome = catch_unwind(AssertUnwindSafe(f));
-        if outcome.is_err() {
-            self.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-            let obs = rp_obs::global();
-            obs.maint.worker_panics_total.inc();
-            obs.trace.record(rp_obs::TraceKind::MaintPanic, unit);
-        }
-        outcome.ok()
     }
 
     /// One turn: `maintain(unit)`, recorded as a slice if it worked.
-    /// `false` if it unwound.
+    /// `false` if it unwound: the panic is counted, traced against the unit
+    /// and contained.
+    ///
+    /// What `maintain` leaves behind when it unwinds is its own contract:
+    /// `rp-hash` panics (by failpoint) only at a resize step boundary, with
+    /// no lock held and the table consistent, and the next `maintain`
+    /// finishes that resize before anything else.
     fn turn(&self, target: &dyn MaintTarget, unit: usize) -> bool {
         self.stats.turns.fetch_add(1, Ordering::Relaxed);
         let timer = rp_obs::timer();
-        let Some(worked) = self.contain(unit as u64, || target.maintain(unit)) else {
+        let Ok(worked) = catch_unwind(AssertUnwindSafe(|| target.maintain(unit))) else {
+            self.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
+            let obs = rp_obs::global();
+            obs.maint.worker_panics_total.inc();
+            obs.trace.record(rp_obs::TraceKind::MaintPanic, unit as u64);
             return false;
         };
         if worked {
@@ -127,16 +97,6 @@ impl MaintShared {
         }
         true
     }
-
-    /// Absorbs deferred reclamation so maintained maps never run it from a
-    /// writer. The pass goes through `GraceSync`, so it waits for QSBR
-    /// readers too whenever the QSBR read path is in use.
-    fn reclaim(&self, threshold: usize) {
-        let pass = || GraceSync::global().reclaim_if_pending(threshold);
-        if self.contain(NO_UNIT, pass) == Some(true) {
-            self.stats.reclaim_passes.fetch_add(1, Ordering::Relaxed);
-        }
-    }
 }
 
 /// Spawns and owns the maintenance thread. This is a namespace type; see
@@ -147,8 +107,8 @@ impl MaintThread {
     /// Spawns the maintenance thread for `target` and returns its handle.
     ///
     /// The thread sleeps until a unit is requested via
-    /// [`MaintHandle::request`], runs a reclamation heartbeat while idle,
-    /// and exits — every unit at rest — when the handle shuts down.
+    /// [`MaintHandle::request`], and exits — every unit at rest — when the
+    /// handle shuts down.
     pub fn spawn(target: Arc<dyn MaintTarget>) -> MaintHandle {
         let shared = Arc::new(MaintShared {
             queue: Mutex::new(QueueState {
@@ -279,42 +239,27 @@ impl std::fmt::Debug for MaintHandle {
 fn run(target: &dyn MaintTarget, shared: &MaintShared) {
     // Units whose last turn unwound and has had its one retry queued.
     let mut struck = vec![false; target.units()];
-    loop {
-        match shared.next() {
-            Next::Shutdown => break,
-            Next::Heartbeat => {
-                // Check for overdue grace periods first — if a stalled
-                // reader exists, the reclamation pass below would hang in
-                // the same wait it is trying to absorb, so flag it before
-                // joining it.
-                rp_rcu::stall::check_global();
-                shared.reclaim(RECLAIM_THRESHOLD);
-            }
-            Next::Unit(unit) => {
-                // Cleared **before** the turn, with an acquiring RMW: a
-                // write that crosses a trigger from here on queues the unit
-                // again, and every write whose request found the flag set
-                // is visible to the check `maintain` is about to make.
-                shared.pending[unit].swap(false, Ordering::AcqRel);
-                if shared.turn(target, unit) {
-                    struck[unit] = false;
-                } else if !std::mem::replace(&mut struck[unit], true) {
-                    // A transient panic gets its retry, behind the other
-                    // waiting units; a deterministic one cannot loop. (Under
-                    // shutdown nothing is queued: the sweep below retries.)
-                    shared.enqueue(unit);
-                }
-                shared.reclaim(RECLAIM_THRESHOLD);
-            }
+    while let Some(unit) = shared.next() {
+        // Cleared **before** the turn, with an acquiring RMW: a write that
+        // crosses a trigger from here on queues the unit again, and every
+        // write whose request found the flag set is visible to the check
+        // `maintain` is about to make.
+        shared.pending[unit].swap(false, Ordering::AcqRel);
+        if shared.turn(target, unit) {
+            struck[unit] = false;
+        } else if !std::mem::replace(&mut struck[unit], true) {
+            // A transient panic gets its retry, behind the other waiting
+            // units; a deterministic one cannot loop. (Under shutdown
+            // nothing is queued: the sweep below retries.)
+            shared.enqueue(unit);
         }
     }
     // Intake has stopped and the queue is empty. One last turn each leaves
     // no resize half-published — the one way this thread leaves one in
-    // flight is a turn that unwound — and no deferred destructor behind.
+    // flight is a turn that unwound.
     for unit in 0..target.units() {
         shared.turn(target, unit);
     }
-    shared.reclaim(1);
 }
 
 #[cfg(test)]
@@ -322,6 +267,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc;
+    use std::time::Duration;
 
     /// Each unit owes a number of work items; a turn pays them all off.
     struct Debts(Vec<AtomicUsize>);

@@ -140,6 +140,11 @@ pub struct RcuObs {
     pub reclaim_pending: Gauge,
     /// Deferred callbacks executed after their grace period.
     pub reclaim_executed_total: Counter,
+    /// Reclamation passes run (the reclaim thread's and barriers').
+    pub reclaim_passes_total: Counter,
+    /// Deferred callbacks that panicked; each was contained and the rest of
+    /// its batch ran.
+    pub reclaim_panics_total: Counter,
     /// Grace periods flagged by the stall detector as exceeding the
     /// configured threshold.
     pub grace_stalls_total: Counter,
@@ -538,6 +543,18 @@ impl Obs {
         );
         render::counter(
             sink,
+            "rcu_reclaim_passes_total",
+            "Deferred-reclamation passes run.",
+            self.rcu.reclaim_passes_total.get(),
+        );
+        render::counter(
+            sink,
+            "rcu_reclaim_panics_total",
+            "Deferred callbacks that panicked (contained).",
+            self.rcu.reclaim_panics_total.get(),
+        );
+        render::counter(
+            sink,
             "rcu_grace_stalls_total",
             "Grace periods flagged as stalled past the threshold.",
             self.rcu.grace_stalls_total.get(),
@@ -760,6 +777,14 @@ impl Obs {
             "rcu_reclaim_executed_total",
             self.rcu.reclaim_executed_total.get(),
         );
+        rcu.field(
+            "rcu_reclaim_passes_total",
+            self.rcu.reclaim_passes_total.get(),
+        );
+        rcu.field(
+            "rcu_reclaim_panics_total",
+            self.rcu.reclaim_panics_total.get(),
+        );
         rcu.field("rcu_grace_stalls_total", self.rcu.grace_stalls_total.get());
         rcu.end();
     }
@@ -801,6 +826,8 @@ impl Obs {
         self.rcu.sync_ebr_ns.reset();
         self.rcu.sync_qsbr_ns.reset();
         self.rcu.reclaim_executed_total.reset();
+        self.rcu.reclaim_passes_total.reset();
+        self.rcu.reclaim_panics_total.reset();
         self.rcu.grace_stalls_total.reset();
         self.kv.evict_scan_ns.reset();
         self.kv.slow.reset();
@@ -856,6 +883,8 @@ mod tests {
             "resize_begun_total 1",
             "rcu_sync_ebr_ns_count 1",
             "rcu_reclaim_pending 0",
+            "rcu_reclaim_passes_total 0",
+            "rcu_reclaim_panics_total 0",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
@@ -941,6 +970,8 @@ mod tests {
     fn json_render_is_one_object_with_every_group() {
         let obs = Obs::default();
         obs.kv.shards.for_worker(0).requests.add(5);
+        obs.rcu.reclaim_passes_total.add(3);
+        obs.rcu.reclaim_panics_total.inc();
         obs.rcu.grace_stalls_total.add(2);
         let mut out = Vec::new();
         obs.render_json(&mut out);
@@ -949,7 +980,14 @@ mod tests {
             text.starts_with("{\"kv\":{\"kv_requests_total\":5,"),
             "{text}"
         );
-        assert!(text.ends_with("\"rcu_grace_stalls_total\":2}}"), "{text}");
+        assert!(
+            text.ends_with(concat!(
+                "\"rcu_reclaim_pending\":0,\"rcu_reclaim_executed_total\":0,",
+                "\"rcu_reclaim_passes_total\":3,\"rcu_reclaim_panics_total\":1,",
+                "\"rcu_grace_stalls_total\":2}}"
+            )),
+            "{text}"
+        );
         for needle in [
             "\"net\":{",
             "\"maint\":{",

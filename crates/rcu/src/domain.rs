@@ -144,14 +144,7 @@ impl RcuDomain {
     /// global domain (that would otherwise self-deadlock: the grace period
     /// can never end while the caller's own guard is alive).
     pub fn synchronize(&self) {
-        if std::ptr::eq(self, Arc::as_ptr(Self::global()))
-            && crate::local::global_read_nesting() > 0
-        {
-            panic!(
-                "RcuDomain::synchronize called from inside a read-side critical section; \
-                 drop the RcuGuard first (this would otherwise deadlock)"
-            );
-        }
+        self.assert_not_reading();
         let _gp = self.gp_lock.lock();
         self.stats.synchronize_calls.fetch_add(1, Ordering::Relaxed);
         crate::local::note_synchronize();
@@ -195,6 +188,19 @@ impl RcuDomain {
         // performs after this function returns.
         std::sync::atomic::fence(Ordering::SeqCst);
         self.stats.grace_periods.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The panic [`RcuDomain::synchronize`] opens with: the calling thread
+    /// is inside a read-side critical section of this (global) domain.
+    pub(crate) fn assert_not_reading(&self) {
+        if std::ptr::eq(self, Arc::as_ptr(Self::global()))
+            && crate::local::global_read_nesting() > 0
+        {
+            panic!(
+                "RcuDomain::synchronize called from inside a read-side critical section; \
+                 drop the RcuGuard first (this would otherwise deadlock)"
+            );
+        }
     }
 
     /// Returns a snapshot of this domain's counters. The two callback

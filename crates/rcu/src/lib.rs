@@ -26,13 +26,15 @@
 //!   the writer side. [`GraceSync::synchronize`] waits for *every* flavor
 //!   with registered readers; [`GraceSync::defer`] /
 //!   [`GraceSync::defer_free`] queue destruction work (the userspace
-//!   `call_rcu`), and [`GraceSync::synchronize_and_reclaim`] /
-//!   [`GraceSync::reclaim_if_pending`] — the only passes that empty that
-//!   queue — run it after such a wait, so memory retired by any structure
-//!   is freed only once EBR and QSBR readers alike have moved on.
-//!   [`may_wait_for_readers`] says whether the calling thread can take part
-//!   in such a wait at all, and [`NoGraceWait`] marks the locks it must not
-//!   hold while it does (a debug assertion in the funnel).
+//!   `call_rcu`) and never wait. The process-wide funnel's own thread,
+//!   `rcu-reclaimer`, runs the queue after such a wait, so memory retired
+//!   by any structure is freed only once EBR and QSBR readers alike have
+//!   moved on, and no writer waits to free.
+//!   [`GraceSync::synchronize_and_reclaim`] is the barrier: it returns once
+//!   everything queued before it has run. [`may_wait_for_readers`] says
+//!   whether the calling thread can take part in a wait at all, and
+//!   [`NoGraceWait`] marks the locks it must not hold while it does (a
+//!   debug assertion in the funnel).
 //! * **Stall detection** — [`stall`] watches every funnel wait and flags
 //!   (or, configured via `RP_RCU_STALL_PANIC`, panics on) grace periods
 //!   that exceed a threshold, attributing the stall to the misbehaving
@@ -51,8 +53,10 @@
 //!     assert_eq!(cell.load(&guard).copied(), Some(41));
 //! }
 //!
-//! // Writer side: publish a new value, retire the old one, and reclaim it
-//! // once a grace period of every read-side flavor has elapsed.
+//! // Writer side: publish a new value and retire the old one. Retiring
+//! // never waits: the old value is freed after a grace period of every
+//! // read-side flavor, by the funnel's reclaim thread — or, as here, by a
+//! // barrier that returns once it has been.
 //! if let Some(old) = cell.set(Box::new(42)) {
 //!     old.retire_global();
 //! }
@@ -71,7 +75,6 @@ mod domain;
 mod guard;
 mod local;
 pub mod qsbr;
-mod reclaimer;
 pub mod stall;
 mod stats;
 mod sync;
@@ -80,7 +83,6 @@ pub use cell::{RcuCell, RetiredPtr};
 pub use domain::RcuDomain;
 pub use guard::RcuGuard;
 pub use local::{global_read_nesting, pin, thread_synchronize_count, LocalHandle};
-pub use reclaimer::Reclaimer;
 pub use stats::DomainStats;
 pub use sync::{may_wait_for_readers, GraceSync, NoGraceWait};
 

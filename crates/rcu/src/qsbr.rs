@@ -67,9 +67,9 @@ pub fn thread_is_online_reader(domain: &QsbrDomain) -> bool {
 /// **global** QSBR domain ([`QsbrDomain::global`]).
 ///
 /// This is the QSBR analogue of [`crate::global_read_nesting`]` > 0`: data
-/// structures check it before optional grace-period work (deferred
-/// reclamation, automatic resizing) so that a thread serving QSBR reads
-/// never waits for — or deadlocks on — its own read-side activity.
+/// structures check it before optional grace-period work (automatic
+/// resizing) so that a thread serving QSBR reads never waits for — or
+/// deadlocks on — its own read-side activity.
 pub fn global_qsbr_online() -> bool {
     thread_is_online_reader(QsbrDomain::global())
 }
@@ -176,12 +176,7 @@ impl QsbrDomain {
     /// caller, busy waiting, would never make). Go
     /// [`QsbrHandle::offline`] first.
     pub fn synchronize(&self) {
-        if thread_is_online_reader(self) {
-            panic!(
-                "QsbrDomain::synchronize called while the calling thread's own QSBR handle \
-                 is online; go offline first (this would otherwise deadlock)"
-            );
-        }
+        self.assert_not_reading();
         let _gp = self.gp_lock.lock();
         self.stats.synchronize_calls.fetch_add(1, Ordering::Relaxed);
         crate::local::note_synchronize();
@@ -214,6 +209,17 @@ impl QsbrDomain {
 
         std::sync::atomic::fence(Ordering::SeqCst);
         self.stats.grace_periods.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The panic [`QsbrDomain::synchronize`] opens with: the calling
+    /// thread's own handle on this domain is online.
+    pub(crate) fn assert_not_reading(&self) {
+        if thread_is_online_reader(self) {
+            panic!(
+                "QsbrDomain::synchronize called while the calling thread's own QSBR handle \
+                 is online; go offline first (this would otherwise deadlock)"
+            );
+        }
     }
 
     /// Returns a snapshot of this domain's counters.

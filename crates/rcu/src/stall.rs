@@ -12,9 +12,9 @@
 //! * Every flavor wait inside the funnel stamps its begin time into one of
 //!   a fixed set of shared [`detector`] slots (allocation-free, RAII-cleared
 //!   when the wait completes).
-//! * [`StallDetector::check_now`] — driven from the `rp-maint` heartbeat and from a
-//!   standalone [`spawn_watchdog`] thread for unmaintained deployments —
-//!   flags any wait that has exceeded the configured threshold, identifies
+//! * [`StallDetector::check_now`] — driven from a watchdog thread
+//!   ([`spawn_watchdog`], or the process-wide [`ensure_global_watchdog`]
+//!   every server starts) — flags any wait that has exceeded the configured threshold, identifies
 //!   the culprit side (EBR readers still inside an old-phase critical
 //!   section vs. registered QSBR handles that have not announced
 //!   quiescence, by thread ordinal), bumps `rcu_grace_stalls_total`, and
@@ -326,14 +326,6 @@ impl StallDetector {
     }
 }
 
-/// Runs [`StallDetector::check_now`] with the environment configuration
-/// ([`StallConfig::from_env`], read once per process). Called from the
-/// `rp-maint` heartbeat so maintained deployments need no extra thread.
-pub fn check_global() -> usize {
-    static CONFIG: OnceLock<StallConfig> = OnceLock::new();
-    detector().check_now(CONFIG.get_or_init(StallConfig::from_env))
-}
-
 /// A running stall watchdog thread; dropping the handle stops and joins
 /// it.
 #[derive(Debug)]
@@ -365,8 +357,7 @@ impl Drop for StallWatchdog {
 
 /// Spawns a standalone watchdog thread that checks for stalls every
 /// quarter threshold (clamped to 5–250 ms), guaranteeing detection within
-/// well under 2× the configured threshold even when no maintenance
-/// heartbeat runs.
+/// well under 2× the configured threshold.
 pub fn spawn_watchdog(config: StallConfig) -> StallWatchdog {
     let stop = Arc::new(AtomicBool::new(false));
     let tick = (config.threshold / 4).clamp(Duration::from_millis(5), Duration::from_millis(250));
@@ -390,8 +381,8 @@ pub fn spawn_watchdog(config: StallConfig) -> StallWatchdog {
 
 /// Ensures a process-wide watchdog with the environment configuration is
 /// running (idempotent; the thread lives for the rest of the process).
-/// Servers call this at startup so stalls are detected even with
-/// maintenance disabled.
+/// Servers call this at startup: a reader that stalls the reclaim thread's
+/// pass, or a resize's wait, is reported by name.
 pub fn ensure_global_watchdog() {
     static STARTED: OnceLock<()> = OnceLock::new();
     STARTED.get_or_init(|| {

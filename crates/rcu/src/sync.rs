@@ -9,16 +9,28 @@
 //! decision, and this module is the only place it is made.
 //!
 //! `GraceSync` owns the process-wide queue of retired memory
-//! ([`GraceSync::defer_free`], [`GraceSync::defer`]) and the only passes
-//! that empty it ([`GraceSync::synchronize_and_reclaim`],
-//! [`GraceSync::reclaim_if_pending`]): take the batch, wait for every
-//! flavor with registered readers ([`GraceSync::synchronize`]), run the
-//! batch. The two domains underneath are grace-period detectors and cannot
-//! free anything, so a node retired by any structure can only be freed by a
-//! pass that waited for QSBR readers too — by construction, not by which
-//! method a caller happened to pick. When no QSBR reader is registered —
-//! the common case for programs that never opt into the QSBR path — the
-//! second wait costs one atomic load and nothing else.
+//! ([`GraceSync::defer_free`], [`GraceSync::defer`]) and the one pass that
+//! empties it ([`GraceSync::synchronize_and_reclaim`]): take the batch,
+//! wait for every flavor with registered readers
+//! ([`GraceSync::synchronize`]), run the batch. The two domains underneath
+//! are grace-period detectors and cannot free anything, so a node retired
+//! by any structure can only be freed by a pass that waited for QSBR
+//! readers too — by construction, not by which method a caller happened to
+//! pick. When no QSBR reader is registered — the common case for programs
+//! that never opt into the QSBR path — the second wait costs one atomic
+//! load and nothing else.
+//!
+//! **Who frees.** Retiring never waits: the process-wide funnel runs its
+//! passes on one thread of its own, `rcu-reclaimer` (the userspace
+//! `call_rcu` helper thread), started by the first push that takes the
+//! queue to 256 callbacks and woken by every later one. A queue left below
+//! that is emptied 50 ms after the thread last looked at it; an empty one
+//! costs the thread nothing. Writers therefore wait for readers only where
+//! their own algorithm needs ordering (a resize), or when they ask to:
+//! [`GraceSync::synchronize_and_reclaim`] is a *barrier*. Passes are
+//! serialized, so it returns once every callback queued before it has run,
+//! on whichever thread ran it. A stalled reader stops frees, not writers;
+//! the stall detector ([`crate::stall`]) names the reader.
 //!
 //! The funnel is also where the workspace's one locking rule is checked:
 //! **no grace-period wait while holding a lock a reader may need**. A
@@ -31,17 +43,26 @@
 use std::cell::Cell;
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Once, OnceLock};
+use std::time::Duration;
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use crate::deferred::Deferred;
 use crate::domain::RcuDomain;
 use crate::qsbr::QsbrDomain;
 
+/// Queue length at which a push wakes the reclaim thread.
+const WAKE_AT: usize = 256;
+
+/// How long the reclaim thread leaves a non-empty queue shorter than
+/// [`WAKE_AT`] before it empties it anyway.
+const RECHECK: Duration = Duration::from_millis(50);
+
 /// Largest emptied deferred queue, in callbacks of three words each, that
-/// the funnel keeps for reuse (96 KiB). Reclaimers run at a few hundred
+/// the funnel keeps for reuse (96 KiB). Passes run at a few hundred
 /// pending callbacks, so every steady-state queue fits; a burst's does not
 /// and is freed.
 const SPARE_QUEUE_CAP: usize = 4096;
@@ -57,12 +78,21 @@ std::thread_local! {
 /// ([`crate::global_read_nesting`] is zero) and is not an online QSBR
 /// reader ([`crate::qsbr::global_qsbr_online`]).
 ///
-/// Data structures ask this before *optional* grace-period work (deferred
-/// reclamation, automatic resizing) and postpone the work when the answer
-/// is no; a later writer, or the thread itself from its offline window,
-/// catches up.
+/// Data structures ask this before *optional* grace-period work (automatic
+/// resizing) and postpone the work when the answer is no; a later writer,
+/// or the thread itself from its offline window, catches up.
 pub fn may_wait_for_readers() -> bool {
     crate::global_read_nesting() == 0 && !crate::qsbr::global_qsbr_online()
+}
+
+/// In debug builds, panics if the calling thread holds a [`NoGraceWait`]
+/// guard: it is about to wait for a grace period.
+fn debug_assert_no_wait_lock() {
+    debug_assert!(
+        NO_WAIT_DEPTH.with(Cell::get) == 0,
+        "grace-period wait while holding a NoGraceWait lock: a reader \
+         queueing for that lock would never reach its quiescent state"
+    );
 }
 
 /// A lock guard under which the holder must not wait for a grace period:
@@ -122,8 +152,9 @@ impl<G> DerefMut for NoGraceWait<G> {
 ///
 /// See the module docs for motivation. Data structures use the process-wide
 /// funnel, [`GraceSync::global`], built over [`RcuDomain::global`] and
-/// [`QsbrDomain::global`]; [`GraceSync::new`] builds an isolated one over
-/// private domains, for tests of the machinery itself.
+/// [`QsbrDomain::global`], whose reclaim thread frees what they retire;
+/// [`GraceSync::new`] builds an isolated one over private domains, with no
+/// thread, for tests of the machinery itself.
 ///
 /// Dropping a funnel leaks whatever is still queued: its domains, and
 /// readers registered with them, may outlive it.
@@ -141,17 +172,26 @@ pub struct GraceSync {
     qsbr: Arc<QsbrDomain>,
     /// Deferred reclamation queue (`call_rcu` equivalent).
     deferred: Mutex<Vec<Deferred>>,
-    /// Cheap length mirror of `deferred` so writers can poll without locking.
+    /// Length of `deferred`, written under its lock, read without it.
     deferred_len: AtomicUsize,
     /// The emptied storage of the last executed batch, which the next
     /// [`GraceSync::take_deferred`] leaves behind as the queue: steady
     /// reclamation allocates no queue storage after its first pass.
     spare: Mutex<Vec<Deferred>>,
+    /// Held for the whole of a pass, so passes run one at a time and a
+    /// barrier cannot return while an earlier batch is still waiting.
+    pass: Mutex<()>,
+    /// Paired with `deferred`: the reclaim thread waits on it, the push
+    /// that takes the queue to [`WAKE_AT`] signals it.
+    wakeup: Condvar,
+    /// Starts the reclaim thread, once; `None` for a funnel with none.
+    reclaimer: Option<Once>,
 }
 
 impl GraceSync {
     /// Builds a funnel over `ebr` and `qsbr`, with an empty queue of its
     /// own: its passes wait for the readers of exactly these two domains.
+    /// It has no reclaim thread; only its callers' barriers empty it.
     pub fn new(ebr: Arc<RcuDomain>, qsbr: Arc<QsbrDomain>) -> Self {
         GraceSync {
             ebr,
@@ -159,15 +199,20 @@ impl GraceSync {
             deferred: Mutex::new(Vec::new()),
             deferred_len: AtomicUsize::new(0),
             spare: Mutex::new(Vec::new()),
+            pass: Mutex::new(()),
+            wakeup: Condvar::new(),
+            reclaimer: None,
         }
     }
 
     /// Returns the process-wide funnel, the one every relativistic data
-    /// structure in this workspace retires into and reclaims through.
+    /// structure in this workspace retires into, emptied by its reclaim
+    /// thread.
     pub fn global() -> &'static GraceSync {
         static GLOBAL: OnceLock<GraceSync> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            GraceSync::new(
+        GLOBAL.get_or_init(|| GraceSync {
+            reclaimer: Some(Once::new()),
+            ..GraceSync::new(
                 Arc::clone(RcuDomain::global()),
                 Arc::clone(QsbrDomain::global()),
             )
@@ -183,11 +228,7 @@ impl GraceSync {
     /// registered, so programs that never use the QSBR path pay one atomic
     /// load here and nothing more.
     pub fn synchronize(&self) {
-        debug_assert!(
-            NO_WAIT_DEPTH.with(Cell::get) == 0,
-            "grace-period wait while holding a NoGraceWait lock: a reader \
-             queueing for that lock would never reach its quiescent state"
-        );
+        debug_assert_no_wait_lock();
         // Chaos hook: a `rcu.grace=delay:..` plan stretches every grace
         // period, magnifying the window in which readers observe
         // mid-resize states (errors/panics make no sense for a wait that
@@ -222,10 +263,11 @@ impl GraceSync {
 
     /// Queues a closure to run after a subsequent grace period.
     ///
-    /// This is the `call_rcu` equivalent. The closure is *not* run
-    /// immediately and is not guaranteed to run until a later
-    /// [`GraceSync::synchronize_and_reclaim`]; writers in this workspace
-    /// call that at natural flush points.
+    /// This is the `call_rcu` equivalent: the closure runs on the funnel's
+    /// reclaim thread, or in a [`GraceSync::synchronize_and_reclaim`]
+    /// barrier, whichever comes first. Queueing never waits. A closure that
+    /// panics is counted (`rcu_reclaim_panics_total`) and the rest of its
+    /// batch still runs.
     pub fn defer(&self, f: impl FnOnce() + Send + 'static) {
         self.push_deferred(Deferred::new(f));
     }
@@ -247,12 +289,55 @@ impl GraceSync {
     }
 
     fn push_deferred(&self, d: Deferred) {
-        self.deferred.lock().push(d);
-        self.deferred_len.fetch_add(1, Ordering::Relaxed);
+        let pending = {
+            let mut queue = self.deferred.lock();
+            queue.push(d);
+            self.deferred_len.store(queue.len(), Ordering::Relaxed);
+            queue.len()
+        };
         self.ebr
             .counters()
             .callbacks_queued
             .fetch_add(1, Ordering::Relaxed);
+        if pending == WAKE_AT {
+            self.wake_reclaimer();
+        }
+    }
+
+    /// Wakes the reclaim thread, starting it on first use.
+    fn wake_reclaimer(&self) {
+        let Some(started) = &self.reclaimer else {
+            return;
+        };
+        // Only the global funnel has a `reclaimer`, so the thread's funnel
+        // is `self`.
+        started.call_once(|| {
+            std::thread::Builder::new()
+                .name("rcu-reclaimer".to_string())
+                .spawn(|| GraceSync::global().reclaim_forever())
+                .expect("spawn the rcu-reclaimer thread");
+        });
+        self.wakeup.notify_one();
+    }
+
+    /// The reclaim thread: a pass whenever [`WAKE_AT`] callbacks are
+    /// queued, or [`RECHECK`] after it found fewer; no timer while the
+    /// queue is empty. It holds no guard and no lock across a pass, so it
+    /// may wait for any reader.
+    fn reclaim_forever(&self) -> ! {
+        loop {
+            let mut queue = self.deferred.lock();
+            if queue.is_empty() {
+                self.wakeup.wait(&mut queue);
+            } else if queue.len() < WAKE_AT {
+                self.wakeup.wait_for(&mut queue, RECHECK);
+            }
+            let pending = !queue.is_empty();
+            drop(queue);
+            if pending {
+                self.synchronize_and_reclaim();
+            }
+        }
     }
 
     /// Number of deferred callbacks currently queued.
@@ -266,20 +351,26 @@ impl GraceSync {
     /// the grace period started, so a pass takes the batch *first*, waits,
     /// then runs it with [`GraceSync::execute_deferred`].
     fn take_deferred(&self) -> Vec<Deferred> {
-        let spare = std::mem::take(&mut *self.spare.lock());
         let mut queue = self.deferred.lock();
+        if queue.is_empty() {
+            return Vec::new();
+        }
+        let spare = std::mem::take(&mut *self.spare.lock());
         let batch = std::mem::replace(&mut *queue, spare);
         self.deferred_len.store(queue.len(), Ordering::Relaxed);
         batch
     }
 
     /// Runs a batch previously taken with [`GraceSync::take_deferred`],
-    /// after [`GraceSync::synchronize`] has returned in between.
+    /// after [`GraceSync::synchronize`] has returned in between. A callback
+    /// that panics is contained and counted; the rest of the batch runs.
     fn execute_deferred(&self, mut batch: Vec<Deferred>) {
         let executed = batch.len() as u64;
+        let mut panics = 0;
         for d in batch.drain(..) {
-            d.call();
+            panics += u64::from(catch_unwind(AssertUnwindSafe(|| d.call())).is_err());
         }
+        rp_obs::global().rcu.reclaim_panics_total.add(panics);
         self.ebr
             .counters()
             .callbacks_executed
@@ -303,32 +394,33 @@ impl GraceSync {
         }
     }
 
-    /// Waits for a grace period of every flavor with registered readers,
-    /// then executes every callback that was queued *before* this call
-    /// began.
+    /// The barrier: returns once every callback queued before this call
+    /// began has run — by this call's own pass (wait for a grace period of
+    /// every flavor with registered readers, then execute), or by a pass
+    /// already in flight on another thread, which this one waits out first.
+    /// With nothing left to run after that, it waits for no grace period.
     ///
     /// Callbacks queued concurrently with the grace period are left for the
-    /// next reclamation pass (they may not yet be covered by it).
+    /// next pass (they may not yet be covered by it).
     pub fn synchronize_and_reclaim(&self) {
+        // The checks `synchronize` makes, before the pass lock: a caller
+        // that may not wait must panic, not queue behind a pass that is
+        // waiting for it.
+        debug_assert_no_wait_lock();
+        self.ebr.assert_not_reading();
+        self.qsbr.assert_not_reading();
+        let _pass = self.pass.lock();
         let batch = self.take_deferred();
+        if batch.is_empty() {
+            return;
+        }
         let executed = batch.len() as u64;
         self.synchronize();
         self.execute_deferred(batch);
         let obs = rp_obs::global();
         obs.rcu.reclaim_executed_total.add(executed);
+        obs.rcu.reclaim_passes_total.inc();
         obs.rcu.reclaim_pending.set(self.deferred_pending() as u64);
-    }
-
-    /// Runs [`GraceSync::synchronize_and_reclaim`] only if at least
-    /// `threshold` callbacks are pending. Returns `true` if a reclamation
-    /// pass ran.
-    pub fn reclaim_if_pending(&self, threshold: usize) -> bool {
-        if self.deferred_pending() >= threshold {
-            self.synchronize_and_reclaim();
-            true
-        } else {
-            false
-        }
     }
 }
 
@@ -403,12 +495,27 @@ mod tests {
     }
 
     #[test]
-    fn reclaim_if_pending_respects_threshold() {
+    fn a_private_funnel_has_no_reclaim_thread() {
         let sync = private();
-        sync.defer(|| {});
-        assert!(!sync.reclaim_if_pending(2));
-        sync.defer(|| {});
-        assert!(sync.reclaim_if_pending(2));
+        let ran = sync.defer_counting(2 * WAKE_AT);
+        thread::sleep(2 * RECHECK);
+        assert_eq!(ran.load(Ordering::SeqCst), 0, "only a barrier empties it");
+        assert_eq!(sync.deferred_pending(), 2 * WAKE_AT);
+        sync.synchronize_and_reclaim();
+        assert_eq!(ran.load(Ordering::SeqCst), 2 * WAKE_AT);
+    }
+
+    #[test]
+    fn a_panicking_callback_is_contained_and_the_batch_runs_on() {
+        let sync = private();
+        let before = rp_obs::global().rcu.reclaim_panics_total.get();
+        let first = sync.defer_counting(3);
+        sync.defer(|| panic!("a deferred destructor panicked"));
+        let last = sync.defer_counting(3);
+        sync.synchronize_and_reclaim();
+        assert_eq!(first.load(Ordering::SeqCst), 3);
+        assert_eq!(last.load(Ordering::SeqCst), 3);
+        assert!(rp_obs::global().rcu.reclaim_panics_total.get() > before);
         assert_eq!(sync.deferred_pending(), 0);
     }
 

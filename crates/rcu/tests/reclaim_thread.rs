@@ -1,0 +1,150 @@
+//! The global funnel's reclaim thread: retiring never waits, the thread
+//! frees what was retired once every reader has moved on, a panicking
+//! callback costs only itself, and `synchronize_and_reclaim` is a barrier
+//! behind whatever pass the thread has in flight.
+//!
+//! Every test here drives the one process-wide queue, so they take turns
+//! (`SERIAL`) and each starts from an emptied queue.
+
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread;
+use std::time::{Duration, Instant};
+
+use parking_lot::Mutex;
+use rp_rcu::{pin, thread_synchronize_count, GraceSync, RcuCell};
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes this file's turn on the global queue, which starts empty.
+fn serial() -> parking_lot::MutexGuard<'static, ()> {
+    let turn = SERIAL.lock();
+    GraceSync::global().synchronize_and_reclaim();
+    turn
+}
+
+/// Queues `n` callbacks that each bump the returned counter.
+fn counting(n: usize) -> Arc<AtomicUsize> {
+    let ran = Arc::new(AtomicUsize::new(0));
+    for _ in 0..n {
+        let ran = Arc::clone(&ran);
+        GraceSync::global().defer(move || {
+            ran.fetch_add(1, Ordering::SeqCst);
+        });
+    }
+    ran
+}
+
+/// Waits (bounded, without running a pass itself) until `done` holds.
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// An EBR reader on a thread of its own, inside its critical section until
+/// the returned sender is used or dropped.
+fn reader() -> (mpsc::Sender<()>, thread::JoinHandle<()>) {
+    let (entered_tx, entered) = mpsc::channel();
+    let (release, released) = mpsc::channel::<()>();
+    let thread = thread::spawn(move || {
+        let _guard = pin();
+        entered_tx.send(()).unwrap();
+        let _ = released.recv();
+    });
+    entered.recv().unwrap();
+    (release, thread)
+}
+
+#[test]
+fn the_barrier_waits_out_a_pass_blocked_on_a_reader() {
+    let _turn = serial();
+    let sync = GraceSync::global();
+    let (release, reader) = reader();
+
+    // The 256th callback wakes the thread; it takes the batch and waits
+    // for the reader. The batch's last callback is slow to run, so a
+    // barrier that ran only its own batch would return before it.
+    let first = counting(255);
+    let slow = Arc::clone(&first);
+    GraceSync::global().defer(move || {
+        thread::sleep(Duration::from_millis(100));
+        slow.fetch_add(1, Ordering::SeqCst);
+    });
+    wait_until("the reclaim thread takes the batch", || {
+        sync.deferred_pending() == 0
+    });
+    let second = counting(10);
+
+    let returned = Arc::new(AtomicBool::new(false));
+    let barrier = {
+        let returned = Arc::clone(&returned);
+        thread::spawn(move || {
+            GraceSync::global().synchronize_and_reclaim();
+            returned.store(true, Ordering::SeqCst);
+        })
+    };
+    thread::sleep(Duration::from_millis(50));
+    assert!(!returned.load(Ordering::SeqCst), "returned under a reader");
+    assert_eq!(first.load(Ordering::SeqCst), 0, "freed under a reader");
+    assert_eq!(second.load(Ordering::SeqCst), 0, "freed under a reader");
+
+    release.send(()).unwrap();
+    reader.join().unwrap();
+    barrier.join().unwrap();
+    // Both batches queued before the barrier: the thread's, and its own.
+    assert_eq!(first.load(Ordering::SeqCst), 256);
+    assert_eq!(second.load(Ordering::SeqCst), 10);
+}
+
+#[test]
+fn retiring_under_a_held_guard_never_waits_and_frees_nothing_until_it_drops() {
+    struct Counted(Arc<AtomicUsize>);
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    let _turn = serial();
+    let drops = Arc::new(AtomicUsize::new(0));
+    let cell = RcuCell::new(Box::new(Counted(Arc::clone(&drops))));
+    let waits = thread_synchronize_count();
+    let guard = pin();
+    for _ in 0..10_000 {
+        let old = cell.set(Box::new(Counted(Arc::clone(&drops))));
+        old.expect("the cell always holds a value").retire_global();
+    }
+    // The 256th retire woke the thread; its pass, and any pass after it,
+    // waits for this thread's guard.
+    thread::sleep(Duration::from_millis(100));
+    assert_eq!(drops.load(Ordering::SeqCst), 0, "freed under a guard");
+    assert_eq!(thread_synchronize_count(), waits, "the writer waited");
+
+    drop(guard);
+    wait_until("the reclaim thread frees all 10 000", || {
+        drops.load(Ordering::SeqCst) == 10_000
+    });
+    assert_eq!(thread_synchronize_count(), waits, "the writer waited");
+}
+
+#[test]
+fn a_panicking_callback_stops_neither_its_batch_nor_the_next() {
+    let _turn = serial();
+    let panics = || rp_obs::global().rcu.reclaim_panics_total.get();
+    let before = panics();
+    let ran = counting(100);
+    GraceSync::global().defer(|| panic!("a deferred destructor panicked"));
+    let rest = counting(155);
+    // That was the 256th: the thread runs the batch.
+    wait_until("the rest of the batch runs", || {
+        ran.load(Ordering::SeqCst) == 100 && rest.load(Ordering::SeqCst) == 155
+    });
+    assert_eq!(panics(), before + 1);
+
+    let later = counting(256);
+    wait_until("a later batch runs", || later.load(Ordering::SeqCst) == 256);
+    assert_eq!(panics(), before + 1);
+}

@@ -95,9 +95,10 @@ where
     /// gets to it — and continues immediately. The maintenance thread runs
     /// that shard's [`RpHashMap::maintain`], the same driver an
     /// unmaintained writer would have run inline, absorbing every
-    /// grace-period wait; writer-side deferred reclamation is off too (the
-    /// thread runs it instead). The net effect: **writers never wait for
-    /// readers** — no `synchronize` ever runs on an insert/remove path.
+    /// grace-period wait (what writers retire is freed by
+    /// [`rp_rcu::GraceSync`]'s reclaim thread, maintained or not). The net
+    /// effect: **writers never wait for readers** — no `synchronize` ever
+    /// runs on an insert/remove path.
     ///
     /// Dropping the map drops the embedded [`MaintHandle`], which completes
     /// any in-flight resize before the thread exits — no resize is ever
@@ -179,9 +180,9 @@ where
     pub fn with_maintenance_and_hasher(policy: ShardPolicy, hasher: S) -> Self {
         let mut map = Self::with_policy_and_hasher(policy, hasher);
         // The same shards under the same policy; what changes is who acts
-        // on it. A maintained shard's writers skip everything that would
-        // make them wait for readers — driving the resize they made due,
-        // reclaiming — and request a turn from the maintainer instead.
+        // on it. A maintained shard's writers skip the one thing that would
+        // make them wait for readers — driving the resize they made due —
+        // and request a turn from the maintainer instead.
         for shard in map.core.shards.iter() {
             shard.set_maintained(true);
         }
@@ -265,9 +266,8 @@ impl<K, V, S> ShardedRpMap<K, V, S> {
     /// Shuts the maintenance thread down (finishing any in-flight resize)
     /// and hands its work back to the writers: from here on this is the map
     /// [`ShardedRpMap::with_policy`] builds — a write that crosses a
-    /// load-factor trigger resizes its shard inline, and writers reclaim at
-    /// the policy's threshold. Idempotent; a no-op for maps built without
-    /// maintenance.
+    /// load-factor trigger resizes its shard inline. Idempotent; a no-op
+    /// for maps built without maintenance.
     pub fn stop_maintenance(&mut self) {
         if let Some(handle) = self.maint.take() {
             handle.shutdown();

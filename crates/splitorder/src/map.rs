@@ -26,10 +26,6 @@ const MAX_BUCKETS: usize = 1 << 24;
 /// default load-factor ceiling of 2.0).
 const MAX_LOAD: usize = 2;
 
-/// Pending-callback threshold for the opportunistic reclamation pass
-/// ([`SplitOrderMap::maintain`]).
-const RECLAIM_THRESHOLD: usize = 256;
-
 #[inline]
 fn ptr_of<K, V>(tag: usize) -> *mut Node<K, V> {
     (tag & !MARK) as *mut Node<K, V>
@@ -204,7 +200,8 @@ enum FindResult<'g, K, V> {
 ///
 /// Unlinked nodes and retired arrays are reclaimed through
 /// [`GraceSync`], which covers both the EBR and QSBR reader populations —
-/// the same funnel the relativistic tables use.
+/// the same funnel the relativistic tables use — and frees them on its own
+/// thread: no operation here ever waits for a grace period.
 pub struct SplitOrderMap<K, V, S = FnvBuildHasher> {
     hasher: S,
     buckets: AtomicPtr<BucketArray<K, V>>,
@@ -421,7 +418,6 @@ where
             }
         }
         if replaced {
-            self.maybe_reclaim();
             false
         } else {
             let len = self.count.fetch_add(1, Ordering::Relaxed) + 1;
@@ -481,68 +477,62 @@ where
         F: FnMut(&K, &V) -> bool,
     {
         let so_key = data_so_key(hash);
-        let removed = {
-            let _guard = rp_rcu::pin();
-            loop {
-                // SAFETY: pinned above.
-                let array = unsafe { &*self.buckets.load(Ordering::Acquire) };
-                let bucket = (hash & array.mask) as usize;
-                let head = self.bucket_head(array, bucket);
-                match self.find(head, so_key, &mut |kind| {
-                    kind.entry().is_some_and(|(key, value)| matches(key, value))
-                }) {
-                    FindResult::HeadDead => {
-                        // Stale shortcut to a dummy a shrink compaction
-                        // killed — repair it like a writer and retry.
-                        self.init_bucket(array, bucket);
+        let _guard = rp_rcu::pin();
+        loop {
+            // SAFETY: pinned above.
+            let array = unsafe { &*self.buckets.load(Ordering::Acquire) };
+            let bucket = (hash & array.mask) as usize;
+            let head = self.bucket_head(array, bucket);
+            match self.find(head, so_key, &mut |kind| {
+                kind.entry().is_some_and(|(key, value)| matches(key, value))
+            }) {
+                FindResult::HeadDead => {
+                    // Stale shortcut to a dummy a shrink compaction
+                    // killed — repair it like a writer and retry.
+                    self.init_bucket(array, bucket);
+                }
+                FindResult::Missing { .. } => break false,
+                FindResult::Found {
+                    prev,
+                    node,
+                    succ_tag,
+                } => {
+                    // Logical delete first; on failure the node was
+                    // concurrently marked or its successor changed.
+                    if node
+                        .next
+                        .compare_exchange(
+                            succ_tag,
+                            succ_tag | MARK,
+                            Ordering::AcqRel,
+                            Ordering::Acquire,
+                        )
+                        .is_err()
+                    {
+                        continue;
                     }
-                    FindResult::Missing { .. } => break false,
-                    FindResult::Found {
-                        prev,
-                        node,
-                        succ_tag,
-                    } => {
-                        // Logical delete first; on failure the node was
-                        // concurrently marked or its successor changed.
-                        if node
-                            .next
-                            .compare_exchange(
-                                succ_tag,
-                                succ_tag | MARK,
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            )
-                            .is_err()
-                        {
-                            continue;
-                        }
-                        self.count.fetch_sub(1, Ordering::Relaxed);
-                        let node_ptr = node as *const Node<K, V> as *mut Node<K, V>;
-                        if prev
-                            .compare_exchange(
-                                node_ptr as usize,
-                                succ_tag,
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            )
-                            .is_ok()
-                        {
-                            // SAFETY: we unlinked it; exactly one thread
-                            // wins this CAS, so exactly one retire.
-                            unsafe { GraceSync::global().defer_free(node_ptr) };
-                        } else {
-                            // Let a fresh traversal unlink and retire it.
-                            let _ = self.find(head, so_key, &mut |_| false);
-                        }
-                        break true;
+                    self.count.fetch_sub(1, Ordering::Relaxed);
+                    let node_ptr = node as *const Node<K, V> as *mut Node<K, V>;
+                    if prev
+                        .compare_exchange(
+                            node_ptr as usize,
+                            succ_tag,
+                            Ordering::AcqRel,
+                            Ordering::Acquire,
+                        )
+                        .is_ok()
+                    {
+                        // SAFETY: we unlinked it; exactly one thread
+                        // wins this CAS, so exactly one retire.
+                        unsafe { GraceSync::global().defer_free(node_ptr) };
+                    } else {
+                        // Let a fresh traversal unlink and retire it.
+                        let _ = self.find(head, so_key, &mut |_| false);
                     }
+                    break true;
                 }
             }
-        };
-        if removed {
-            self.maybe_reclaim();
         }
-        removed
     }
 
     /// Grows or shrinks the shortcut array to `buckets` (rounded to a
@@ -659,20 +649,9 @@ where
         nodes
     }
 
-    /// Runs a reclamation pass over the global deferred queue if at least
-    /// the configured threshold of callbacks is pending and the calling
-    /// thread can safely wait (not pinned, not an online QSBR reader).
-    /// Returns `true` if a pass ran.
-    pub fn maintain(&self) -> bool {
-        if rp_rcu::may_wait_for_readers() {
-            GraceSync::global().reclaim_if_pending(RECLAIM_THRESHOLD)
-        } else {
-            false
-        }
-    }
-
-    /// Waits for a grace period covering both reader flavors and executes
-    /// every queued deferred callback (test/teardown helper).
+    /// A barrier: returns once everything retired before the call has been
+    /// freed, after a grace period covering both reader flavors
+    /// ([`GraceSync::synchronize_and_reclaim`]; test/teardown helper).
     pub fn flush_retired(&self) {
         GraceSync::global().synchronize_and_reclaim();
     }
@@ -1061,14 +1040,6 @@ where
             }
         }
     }
-
-    /// Opportunistic reclamation after operations that queued callbacks.
-    /// Skipped when the thread cannot safely wait for a grace period.
-    fn maybe_reclaim(&self) {
-        if rp_rcu::may_wait_for_readers() {
-            GraceSync::global().reclaim_if_pending(RECLAIM_THRESHOLD);
-        }
-    }
 }
 
 impl<K, V, S> SplitOrderMap<K, V, S>
@@ -1245,6 +1216,26 @@ mod tests {
         }
         drop(guard);
         map.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn replacing_and_removing_writers_never_synchronize() {
+        let map: SplitOrderMap<u64, u64> = SplitOrderMap::with_buckets(64);
+        let waits = rp_rcu::thread_synchronize_count();
+        for round in 0..8 {
+            for i in 0..1024 {
+                map.insert(i, round);
+            }
+            for i in 0..512 {
+                assert!(map.remove(&i));
+            }
+        }
+        assert_eq!(
+            rp_rcu::thread_synchronize_count(),
+            waits,
+            "retiring must never wait for a grace period"
+        );
+        map.flush_retired();
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use relativist::baselines::DddsTable;
 use relativist::hash::{FnvBuildHasher, QsbrReadHandle, RpHashMap};
-use relativist::rcu::{pin, thread_synchronize_count, GraceSync, RcuDomain, Reclaimer};
+use relativist::rcu::{pin, thread_synchronize_count, GraceSync, RcuDomain};
 
 /// A value that tracks how many times it has been dropped and poisons its
 /// payload on drop, so a use-after-free shows up as a data mismatch.
@@ -170,14 +170,13 @@ type TrackedMap = RpHashMap<u64, Tracked, FnvBuildHasher>;
 
 /// The QSBR sibling of `map_reader_keeps_removed_value_alive_until_guard_drop`:
 /// an online `QsbrReadHandle` holds a looked-up value, the entry is removed,
-/// and `pass` — one of the public ways to empty the deferred-free queue — runs
-/// on another thread. It must neither finish nor free the value before the
-/// reader announces a quiescent state, and must do both afterwards.
+/// and `pass` — one of the two ways the deferred-free queue is emptied —
+/// runs on another thread. It must neither finish nor free the value before
+/// the reader announces a quiescent state, and must do both afterwards.
 ///
-/// `pass` returns only once a reclamation pass *it* started has completed
-/// (the queue is shared with the other tests of this binary, whose passes
-/// may take its frees first, so the threshold-gated variants repeat until
-/// theirs ran).
+/// `pass` returns only once a reclamation pass that ran its own callbacks
+/// has completed (the queue is shared with the other tests of this binary,
+/// whose barriers may run them first).
 fn pass_waits_for_qsbr_reader(pass: impl FnOnce(&TrackedMap) + Send) {
     let drops = Arc::new(AtomicUsize::new(0));
     let map: TrackedMap = RpHashMap::with_buckets_and_hasher(16, FnvBuildHasher);
@@ -223,45 +222,54 @@ fn qsbr_reader_outlasts_synchronize_and_reclaim() {
 }
 
 #[test]
-fn qsbr_reader_outlasts_reclaim_if_pending() {
-    pass_waits_for_qsbr_reader(|_| loop {
-        GraceSync::global().defer(|| {});
-        if GraceSync::global().reclaim_if_pending(1) {
-            break;
-        }
-    });
-}
-
-#[test]
 fn qsbr_reader_outlasts_flush_retired() {
     pass_waits_for_qsbr_reader(|map| map.flush_retired());
 }
 
+/// The pass nobody calls: retiring 256 callbacks wakes the global funnel's
+/// reclaim thread, and the retiring thread itself never waits.
 #[test]
-fn qsbr_reader_outlasts_a_kicked_reclaimer() {
+fn qsbr_reader_outlasts_the_reclaim_thread() {
     pass_waits_for_qsbr_reader(|_| {
-        let reclaimer = Reclaimer::spawn_global();
-        reclaimer.kick();
-        // Joins the thread after its final pass, which runs whether or not
-        // the kicked one found anything left to take.
-        reclaimer.shutdown();
+        let waits = thread_synchronize_count();
+        let ran = Arc::new(AtomicBool::new(false));
+        let marker = Arc::clone(&ran);
+        GraceSync::global().defer(move || marker.store(true, Ordering::SeqCst));
+        for _ in 0..256 {
+            GraceSync::global().defer(|| {});
+        }
+        while !ran.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            thread_synchronize_count(),
+            waits,
+            "the retiring thread waited"
+        );
     });
 }
 
-/// A baseline's opportunistic pass: `DddsTable::resize` retires the whole
-/// old table (5 000 nodes here) and reclaims once 4 096 frees are pending.
+/// A baseline's retirements: `DddsTable::resize` retires the whole old
+/// table (5 000 nodes here), which wakes the reclaim thread; the resizing
+/// thread itself never waits. Every old node holds a clone of `shared`, so
+/// its count falls back once the thread has freed them.
 #[test]
 fn qsbr_reader_outlasts_a_ddds_resize() {
     pass_waits_for_qsbr_reader(|_| {
-        let table: DddsTable<u64, u64> = DddsTable::with_buckets(64);
+        let shared = Arc::new(());
+        let table: DddsTable<u64, Arc<()>> = DddsTable::with_buckets(64);
         for k in 0..5_000 {
-            table.insert_kv(k, k);
+            table.insert_kv(k, Arc::clone(&shared));
         }
-        let waits_before = thread_synchronize_count();
-        let mut buckets = 128;
-        while thread_synchronize_count() == waits_before {
-            table.resize(buckets);
-            buckets = if buckets == 128 { 256 } else { 128 };
+        let waits = thread_synchronize_count();
+        table.resize(128);
+        assert_eq!(
+            thread_synchronize_count(),
+            waits,
+            "the resizing thread waited"
+        );
+        while Arc::strong_count(&shared) > 1 + 5_000 {
+            std::thread::sleep(Duration::from_millis(1));
         }
     });
 }

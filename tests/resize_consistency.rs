@@ -5,7 +5,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use relativist::hash::{FnvBuildHasher, RpHashMap};
 use relativist::rcu::GraceSync;
@@ -60,16 +60,17 @@ fn lookups_never_miss_during_continuous_resizing() {
 
     // A resizer thread toggles the table between two sizes as fast as it
     // can, and a writer thread churns a disjoint range of volatile keys.
+    let rounds = Arc::new(AtomicU64::new(0));
     let resizer = {
         let map = Arc::clone(&map);
         let stop = Arc::clone(&stop);
+        let rounds = Arc::clone(&rounds);
         std::thread::spawn(move || {
-            let mut rounds = 0_u64;
             while !stop.load(Ordering::Relaxed) {
-                map.resize_to(if rounds.is_multiple_of(2) { 2048 } else { 64 });
-                rounds += 1;
+                let round = rounds.load(Ordering::Relaxed);
+                map.resize_to(if round.is_multiple_of(2) { 2048 } else { 64 });
+                rounds.store(round + 1, Ordering::Relaxed);
             }
-            rounds
         })
     };
     let writer = {
@@ -86,13 +87,23 @@ fn lookups_never_miss_during_continuous_resizing() {
         })
     };
 
-    std::thread::sleep(Duration::from_millis(1500));
+    // At least 1.5 s, and at least one full toggle: with more busy threads
+    // than CPUs, a reader preempted inside its critical section stretches
+    // every grace period the first, long-chained expansions wait for, and
+    // the writer, which never waits for readers, keeps its CPU busy.
+    let started = Instant::now();
+    while started.elapsed() < Duration::from_millis(1500)
+        || (rounds.load(Ordering::Relaxed) < 2 && started.elapsed() < Duration::from_secs(30))
+    {
+        std::thread::sleep(Duration::from_millis(10));
+    }
     stop.store(true, Ordering::SeqCst);
     for r in readers {
         r.join().unwrap();
     }
-    let resize_rounds = resizer.join().unwrap();
+    resizer.join().unwrap();
     writer.join().unwrap();
+    let resize_rounds = rounds.load(Ordering::Relaxed);
 
     assert!(
         resize_rounds >= 2,
