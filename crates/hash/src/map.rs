@@ -624,20 +624,29 @@ where
         let mut crossed = false;
         let guard = self.writer_lock();
         // SAFETY: writer lock held.
-        let newly = unsafe { self.insert_one_locked(hash, key, value, &mut crossed) };
+        let replaced = unsafe { self.insert_one_locked(hash, key, value, |_| (), &mut crossed) };
         drop(guard);
         self.after_write(crossed);
-        newly
+        replaced.is_none()
     }
 
-    /// One insert-or-replace step. Sets `crossed` if the insert took the
-    /// table over its policy's expand trigger; resizing is the caller's
-    /// business, after it unlocks ([`RpHashMap::after_write`]).
+    /// One insert-or-replace step. If `key` was present, returns what
+    /// `on_replace` made of the value it replaced, called while that value
+    /// is still alive; `None` means a new entry. Sets `crossed` if the
+    /// insert took the table over its policy's expand trigger; resizing is
+    /// the caller's business, after it unlocks ([`RpHashMap::after_write`]).
     ///
     /// # Safety
     ///
     /// The caller must hold the writer lock.
-    unsafe fn insert_one_locked(&self, hash: u64, key: K, value: V, crossed: &mut bool) -> bool {
+    unsafe fn insert_one_locked<R>(
+        &self,
+        hash: u64,
+        key: K,
+        value: V,
+        on_replace: impl FnOnce(&V) -> R,
+        crossed: &mut bool,
+    ) -> Option<R> {
         // SAFETY: writer lock held per the caller contract.
         let table = unsafe { self.table_locked() };
         let bucket = table.bucket_of(hash);
@@ -651,6 +660,7 @@ where
                 // SAFETY: `old` is a live node reachable under the writer
                 // lock (see `find_locked`).
                 let old_ref = unsafe { &*old };
+                let replaced = on_replace(&old_ref.value);
                 // Initialise the replacement's successor before publishing.
                 new_ref
                     .next
@@ -662,9 +672,13 @@ where
                 self.stats.bump(&self.stats.replaces);
                 // SAFETY: `old` has just been unlinked (unreachable to new
                 // readers), was allocated by `Node::alloc`, and readers of
-                // this map pin the global domain.
+                // this map pin the global domain. `on_replace` ran above and
+                // nothing touches `old` after this line: the writer holds no
+                // read guard, so once `old` is queued the reclaim thread may
+                // free it after a grace period this thread does not hold
+                // open.
                 unsafe { GraceSync::global().defer_free(old) };
-                false
+                Some(replaced)
             }
             None => {
                 new_ref
@@ -674,21 +688,29 @@ where
                 let len = self.len.fetch_add(1, Ordering::Relaxed) + 1;
                 self.stats.bump(&self.stats.inserts);
                 *crossed |= self.policy.should_expand(len, table.len());
-                true
+                None
             }
         }
     }
 
     /// Inserts `key → value`, returning a clone of the previous value if the
     /// key was already present.
+    ///
+    /// Atomic with respect to other writers: the lookup, the clone and the
+    /// replacement are one walk of the chain under the writer lock, with no
+    /// read-side pin, so the value returned is the one this call replaced.
+    /// Of concurrent overwrites of one key, each returns a different value.
     pub fn insert_replacing(&self, key: K, value: V) -> Option<V>
     where
         V: Clone,
     {
-        // Clone-under-guard first so the previous value can be returned even
-        // though the old node is reclaimed asynchronously.
-        let previous = self.get_cloned(&key);
-        self.insert(key, value);
+        let hash = self.hash_of(&key);
+        let mut crossed = false;
+        let guard = self.writer_lock();
+        // SAFETY: writer lock held.
+        let previous = unsafe { self.insert_one_locked(hash, key, value, V::clone, &mut crossed) };
+        drop(guard);
+        self.after_write(crossed);
         previous
     }
 
@@ -801,7 +823,9 @@ where
                 let len = self.len.fetch_sub(1, Ordering::Relaxed) - 1;
                 self.stats.bump(&self.stats.removes);
                 // SAFETY: unlinked above, allocated by `Node::alloc`,
-                // readers pin the global domain.
+                // readers pin the global domain. `condemn` ran above and
+                // nothing touches `node` after this line (see the same
+                // step in `insert_one_locked`).
                 unsafe { GraceSync::global().defer_free(node) };
                 *crossed |= self.policy.should_shrink(len, table.len());
                 true
@@ -811,18 +835,24 @@ where
     }
 
     /// Removes `key`, returning a clone of its value if it was present.
+    ///
+    /// Atomic with respect to other writers, like
+    /// [`RpHashMap::insert_replacing`]: one walk under the writer lock, no
+    /// read-side pin, and the value returned is the one this call removed.
     pub fn remove_cloned<Q>(&self, key: &Q) -> Option<V>
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
         V: Clone,
     {
-        let previous = self.get_cloned(key);
-        if self.remove(key) {
-            previous
-        } else {
-            None
-        }
+        let mut removed = None;
+        // `condemn` runs under the writer lock before the node is retired,
+        // so the clone reads a value nothing can free yet.
+        self.remove_if_prehashed(self.hash_of(key), key, |value| {
+            removed = Some(value.clone());
+            true
+        });
+        removed
     }
 
     /// Atomically renames `old_key` to `new_key`, keeping the value (the

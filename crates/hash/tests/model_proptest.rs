@@ -26,6 +26,10 @@ enum Op {
     Advance,
     Rename(u16, u16),
     Clear,
+    /// On keys below 16, so that most of them hit: their return values are
+    /// checked against the model, mid-unzip too.
+    InsertReplacing(u16, u32),
+    RemoveCloned(u16),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -41,6 +45,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         6 => Just(Op::Advance),
         2 => (any::<u16>(), any::<u16>()).prop_map(|(a, b)| Op::Rename(a, b)),
         1 => Just(Op::Clear),
+        6 => (0_u16..16, any::<u32>()).prop_map(|(k, v)| Op::InsertReplacing(k, v)),
+        3 => (0_u16..16).prop_map(Op::RemoveCloned),
     ]
 }
 
@@ -98,6 +104,18 @@ proptest! {
                 Op::Clear => {
                     map.clear();
                     model.clear();
+                }
+                Op::InsertReplacing(k, v) => {
+                    prop_assert_eq!(
+                        map.insert_replacing(k, v),
+                        model.insert(k, v),
+                        "insert_replacing({}, {})",
+                        k,
+                        v
+                    );
+                }
+                Op::RemoveCloned(k) => {
+                    prop_assert_eq!(map.remove_cloned(&k), model.remove(&k), "remove_cloned({})", k);
                 }
             }
             prop_assert_eq!(map.len(), model.len());
