@@ -5,7 +5,7 @@ use std::cell::UnsafeCell;
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash};
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 
 use parking_lot::Mutex;
 
@@ -16,14 +16,17 @@ use crate::node::Node;
 use crate::policy::ResizePolicy;
 use crate::qsbr::ReadProtect;
 use crate::resize::ResizeOp;
-use crate::stats::{AtomicMapStats, MapStats};
+use crate::stats::{AtomicMapStats, LockedCount, MapStats};
 use crate::table::BucketArray;
 
 /// Asks the CPU to start bringing the cache line that holds `ptr` into every
 /// cache level (`PREFETCHT0`), without waiting for it. Purely a hint — no
 /// architectural effect, never a fault, whatever `ptr` is — and a no-op off
 /// `x86_64`. What [`RpHashMap::prefetch_prehashed`] issues, exported for
-/// callers that go on to hint what a returned value points at.
+/// callers that go on to hint what a returned value points at. Writers issue
+/// it too: an insert hints its bucket slot before it allocates its node, and
+/// a resize hints the head node of the bucket it reaches a fixed distance
+/// ahead, so those misses overlap work the writer has to do anyway.
 #[inline]
 pub fn prefetch_line(ptr: *const u8) {
     #[cfg(target_arch = "x86_64")]
@@ -69,7 +72,7 @@ pub struct RpHashMap<K, V, S = RandomState> {
     read: ReadMostly<K, V, S>,
     /// Serialises writers (updates and resizes). Readers never touch it.
     writer: Mutex<()>,
-    len: AtomicUsize,
+    len: LockedCount,
     policy: ResizePolicy,
     /// The in-progress incremental resize, if any. Guarded by `writer`:
     /// every access goes through [`RpHashMap::resize_op_locked`], whose
@@ -80,7 +83,7 @@ pub struct RpHashMap<K, V, S = RandomState> {
     resize_active: AtomicBool,
     /// Monotonic id generator for resize operations (grace-wait
     /// bookkeeping).
-    resize_ids: AtomicU64,
+    resize_ids: LockedCount,
     /// Set while a maintainer has taken over this map's resizes (see
     /// [`RpHashMap::set_maintained`]): writes then end at the unlock.
     maintained: AtomicBool,
@@ -145,11 +148,11 @@ impl<K, V, S> RpHashMap<K, V, S> {
                 hasher,
             },
             writer: Mutex::new(()),
-            len: AtomicUsize::new(0),
+            len: LockedCount::default(),
             policy,
             resize_op: UnsafeCell::new(None),
             resize_active: AtomicBool::new(false),
-            resize_ids: AtomicU64::new(0),
+            resize_ids: LockedCount::default(),
             maintained: AtomicBool::new(false),
             stats: AtomicMapStats::default(),
         }
@@ -165,7 +168,7 @@ impl<K, V, S> RpHashMap<K, V, S> {
     /// Number of key/value pairs in the map (a racy snapshot under
     /// concurrent updates).
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.len.get() as usize
     }
 
     /// Returns `true` if the map contains no elements.
@@ -268,8 +271,8 @@ impl<K, V, S> RpHashMap<K, V, S> {
         self.resize_active.store(active, Ordering::Release);
     }
 
-    pub(crate) fn next_resize_id(&self) -> u64 {
-        self.resize_ids.fetch_add(1, Ordering::Relaxed)
+    pub(crate) fn next_resize_id(&self, held: &WriterGuard<'_>) -> u64 {
+        self.resize_ids.add(1, held)
     }
 
     /// If an unzip is in progress, its pre-expansion bucket count.
@@ -623,8 +626,9 @@ where
     pub fn insert_prehashed(&self, hash: u64, key: K, value: V) -> bool {
         let mut crossed = false;
         let guard = self.writer_lock();
-        // SAFETY: writer lock held.
-        let replaced = unsafe { self.insert_one_locked(hash, key, value, |_| (), &mut crossed) };
+        // SAFETY: `guard` holds this map's writer lock.
+        let replaced =
+            unsafe { self.insert_one_locked(&guard, hash, key, value, |_| (), &mut crossed) };
         drop(guard);
         self.after_write(crossed);
         replaced.is_none()
@@ -638,9 +642,10 @@ where
     ///
     /// # Safety
     ///
-    /// The caller must hold the writer lock.
+    /// `held` must guard this map's writer lock.
     unsafe fn insert_one_locked<R>(
         &self,
+        held: &WriterGuard<'_>,
         hash: u64,
         key: K,
         value: V,
@@ -650,6 +655,10 @@ where
         // SAFETY: writer lock held per the caller contract.
         let table = unsafe { self.table_locked() };
         let bucket = table.bucket_of(hash);
+        // Start the slot's miss before the allocator's, so the two overlap:
+        // `find_locked` loads the slot only once `Node::alloc` returns. The
+        // array cannot be freed while the lock is held.
+        prefetch_line(std::ptr::from_ref(&table.buckets[bucket]).cast());
 
         let new = Node::alloc(hash, key, value);
         // SAFETY: `new` is unpublished; we have exclusive access to it.
@@ -669,7 +678,7 @@ where
                 // SAFETY: writer lock held; `old` was just replaced in its
                 // home chain by `new`.
                 unsafe { self.fixup_unzip_links_locked(table, hash, old, new) };
-                self.stats.bump(&self.stats.replaces);
+                self.stats.replaces.add(1, held);
                 // SAFETY: `old` has just been unlinked (unreachable to new
                 // readers), was allocated by `Node::alloc`, and readers of
                 // this map pin the global domain. `on_replace` ran above and
@@ -685,8 +694,8 @@ where
                     .next
                     .store(table.head_acquire(bucket), Ordering::Relaxed);
                 table.publish_head(bucket, new);
-                let len = self.len.fetch_add(1, Ordering::Relaxed) + 1;
-                self.stats.bump(&self.stats.inserts);
+                let len = self.len.add(1, held) as usize;
+                self.stats.inserts.add(1, held);
                 *crossed |= self.policy.should_expand(len, table.len());
                 None
             }
@@ -707,8 +716,9 @@ where
         let hash = self.hash_of(&key);
         let mut crossed = false;
         let guard = self.writer_lock();
-        // SAFETY: writer lock held.
-        let previous = unsafe { self.insert_one_locked(hash, key, value, V::clone, &mut crossed) };
+        // SAFETY: `guard` holds this map's writer lock.
+        let previous =
+            unsafe { self.insert_one_locked(&guard, hash, key, value, V::clone, &mut crossed) };
         drop(guard);
         self.after_write(crossed);
         previous
@@ -771,8 +781,8 @@ where
     {
         let mut crossed = false;
         let guard = self.writer_lock();
-        // SAFETY: writer lock held.
-        let removed = unsafe { self.remove_one_locked(hash, key, condemn, &mut crossed) };
+        // SAFETY: `guard` holds this map's writer lock.
+        let removed = unsafe { self.remove_one_locked(&guard, hash, key, condemn, &mut crossed) };
         drop(guard);
         self.after_write(crossed);
         removed
@@ -785,9 +795,10 @@ where
     ///
     /// # Safety
     ///
-    /// The caller must hold the writer lock.
+    /// `held` must guard this map's writer lock.
     unsafe fn remove_one_locked<Q>(
         &self,
+        held: &WriterGuard<'_>,
         hash: u64,
         key: &Q,
         condemn: impl FnOnce(&V) -> bool,
@@ -820,8 +831,8 @@ where
                 // SAFETY: writer lock held; `node` was just unlinked from
                 // its home chain.
                 unsafe { self.fixup_unzip_links_locked(table, hash, node, next) };
-                let len = self.len.fetch_sub(1, Ordering::Relaxed) - 1;
-                self.stats.bump(&self.stats.removes);
+                let len = self.len.sub(1, held) as usize;
+                self.stats.removes.add(1, held);
                 // SAFETY: unlinked above, allocated by `Node::alloc`,
                 // readers pin the global domain. `condemn` ran above and
                 // nothing touches `node` after this line (see the same
@@ -914,7 +925,7 @@ where
             unsafe { self.fixup_unzip_links_locked(table, new_hash, dup, dup_next) };
             // SAFETY: unlinked, allocated by `Node::alloc`, global domain.
             unsafe { GraceSync::global().defer_free(dup) };
-            self.len.fetch_sub(1, Ordering::Relaxed);
+            self.len.sub(1, &guard);
         }
 
         // 3. Unlink the old entry. Readers searching for the old key during
@@ -933,7 +944,7 @@ where
             // SAFETY: unlinked, allocated by `Node::alloc`, global domain.
             unsafe { GraceSync::global().defer_free(node) };
         }
-        self.stats.bump(&self.stats.replaces);
+        self.stats.replaces.add(1, &guard);
         drop(guard);
         self.after_write(false);
         true
@@ -977,8 +988,8 @@ where
                     // SAFETY: writer lock held; `cur` was just unlinked from
                     // its home chain.
                     unsafe { self.fixup_unzip_links_locked(table, cur_ref.hash, cur, next) };
-                    self.len.fetch_sub(1, Ordering::Relaxed);
-                    self.stats.bump(&self.stats.removes);
+                    self.len.sub(1, &guard);
+                    self.stats.removes.add(1, &guard);
                     removed += 1;
                     // SAFETY: unlinked, allocated by `Node::alloc`.
                     unsafe { GraceSync::global().defer_free(cur) };
@@ -1123,7 +1134,7 @@ impl<K, V, S> Drop for RpHashMap<K, V, S> {
         // by `BucketArray::new`; we own it exclusively here.
         let table = unsafe { Box::from_raw(table_ptr) };
         if let Some(mut op) = self.resize_op.get_mut().take() {
-            Self::complete_resize_for_drop(&table, &mut op, &self.stats);
+            Self::complete_resize_for_drop(&table, &mut op, &mut self.stats);
         }
         for bucket in table.buckets.iter() {
             let mut cur = bucket.load(Ordering::Relaxed);
@@ -1179,9 +1190,9 @@ mod tests {
             let lines = read / 128..(read + size_of::<ReadMostly<u64, u64, S>>()).div_ceil(128);
             for (stored, size) in [
                 (offset_of!(M<S>, writer), size_of::<Mutex<()>>()),
-                (offset_of!(M<S>, len), size_of::<AtomicUsize>()),
+                (offset_of!(M<S>, len), size_of::<LockedCount>()),
                 (offset_of!(M<S>, stats), size_of::<AtomicMapStats>()),
-                (offset_of!(M<S>, resize_ids), size_of::<AtomicU64>()),
+                (offset_of!(M<S>, resize_ids), size_of::<LockedCount>()),
             ] {
                 assert!(!lines.contains(&(stored / 128)), "{stored} in {lines:?}");
                 assert!(!lines.contains(&((stored + size - 1) / 128)));

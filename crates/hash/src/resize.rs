@@ -60,15 +60,32 @@
 //! reachability check that refuses any splice that would orphan a run.
 
 use std::hash::{BuildHasher, Hash};
+use std::sync::atomic::Ordering;
 
 use rp_rcu::GraceSync;
 
-use crate::map::{RpHashMap, WriterGuard};
+use crate::map::{prefetch_line, RpHashMap, WriterGuard};
 use crate::node::Node;
+use crate::stats::AtomicMapStats;
 use crate::table::BucketArray;
 
 /// Sentinel for a fully-unzipped bucket pair in [`UnzipOp::turn`].
 const PAIR_DONE: usize = usize::MAX;
+
+/// How many buckets ahead of itself a resize loop hints a head node: far
+/// enough for the miss to land before the loop gets there, near enough for
+/// the line to still be in cache when it does.
+const HINT_AHEAD: usize = 16;
+
+/// Hints the head node of `table`'s bucket `index`, if there is one. Only
+/// the head: a hint that loads the head to hint its successor turns the
+/// head's miss back into one the loop waits for.
+fn hint_head<K, V>(table: &BucketArray<K, V>, index: usize) {
+    if let Some(slot) = table.buckets.get(index) {
+        // Relaxed: the pointer is only hinted, never dereferenced.
+        prefetch_line(slot.load(Ordering::Relaxed).cast_const().cast());
+    }
+}
 
 /// Telemetry: a resize began (`expand = true` for unzip, `false` for zip).
 fn observe_resize_begin(expand: bool) {
@@ -311,8 +328,8 @@ where
             // SAFETY: writer lock held.
             let begun = unsafe {
                 match next(self.len(), self.table_locked().len()) {
-                    Some(Begin::Expand) => self.begin_unzip_locked(),
-                    Some(Begin::Shrink) => self.begin_zip_locked(),
+                    Some(Begin::Expand) => self.begin_unzip_locked(&guard),
+                    Some(Begin::Shrink) => self.begin_zip_locked(&guard),
                     None => false,
                 }
             };
@@ -369,9 +386,9 @@ where
     /// [`RpHashMap::advance_resize`] until it reports
     /// [`ResizeStep::Finished`].
     pub fn begin_expand(&self) -> bool {
-        let _w = self.writer_lock();
-        // SAFETY: writer lock held.
-        unsafe { self.begin_unzip_locked() }
+        let guard = self.writer_lock();
+        // SAFETY: `guard` holds this map's writer lock.
+        unsafe { self.begin_unzip_locked(&guard) }
     }
 
     /// Starts an incremental shrink: links the collapsing chains together
@@ -382,9 +399,9 @@ where
     /// or the policy's `min_buckets` bound is reached. Drive it with
     /// [`RpHashMap::advance_resize`] like an expansion.
     pub fn begin_shrink(&self) -> bool {
-        let _w = self.writer_lock();
-        // SAFETY: writer lock held.
-        unsafe { self.begin_zip_locked() }
+        let guard = self.writer_lock();
+        // SAFETY: `guard` holds this map's writer lock.
+        unsafe { self.begin_zip_locked(&guard) }
     }
 
     /// Advances the in-progress resize by one bounded step and reports what
@@ -426,15 +443,15 @@ where
                 let timer = rp_obs::timer();
                 GraceSync::global().synchronize();
                 observe_resize_grace(timer);
-                let _w = self.writer_lock();
-                // SAFETY: writer lock held.
-                unsafe { self.resolve_grace_locked(id, round) };
+                let guard = self.writer_lock();
+                // SAFETY: `guard` holds this map's writer lock.
+                unsafe { self.resolve_grace_locked(&guard, id, round) };
                 ResizeStep::Grace
             }
             None => {
                 let timer = rp_obs::timer();
-                // SAFETY: writer lock still held (guard is alive).
-                let step = unsafe { self.resize_work_step_locked() };
+                // SAFETY: `guard` still holds this map's writer lock.
+                let step = unsafe { self.resize_work_step_locked(&guard) };
                 observe_resize_step(timer, step);
                 step
             }
@@ -446,8 +463,8 @@ where
     ///
     /// # Safety
     ///
-    /// The caller must hold the writer lock.
-    unsafe fn begin_unzip_locked(&self) -> bool {
+    /// `held` must guard this map's writer lock.
+    unsafe fn begin_unzip_locked(&self, held: &WriterGuard<'_>) -> bool {
         // SAFETY (this fn body): writer lock held per the caller contract,
         // so the op slot, the published table and all reachable nodes are
         // stable (nodes are only retired under this lock and freed a grace
@@ -480,6 +497,7 @@ where
             let mut turn = vec![PAIR_DONE; old_buckets];
             let mut remaining = 0;
             for (low, slot) in turn.iter_mut().enumerate() {
+                hint_head(old_table, low + HINT_AHEAD);
                 let head = old_table.head_acquire(low);
                 let mut first: [*mut Node<K, V>; 2] = [std::ptr::null_mut(); 2];
                 let mut cur = head;
@@ -507,7 +525,7 @@ where
             // array can be freed; that wait is the op's first pending step.
             let old_ptr = self.publish_table(new_table);
             let op = UnzipOp {
-                id: self.next_resize_id(),
+                id: self.next_resize_id(held),
                 old_buckets,
                 new_mask,
                 // SAFETY: `old_ptr` was the previously published table,
@@ -531,8 +549,8 @@ where
     ///
     /// # Safety
     ///
-    /// The caller must hold the writer lock.
-    unsafe fn begin_zip_locked(&self) -> bool {
+    /// `held` must guard this map's writer lock.
+    unsafe fn begin_zip_locked(&self, held: &WriterGuard<'_>) -> bool {
         // SAFETY (this fn body): writer lock held per the caller contract;
         // see `begin_unzip_locked`.
         unsafe {
@@ -555,6 +573,8 @@ where
             // bucket are untouched.
             let new_table: Box<BucketArray<K, V>> = BucketArray::new(new_buckets);
             for new_index in 0..new_buckets {
+                // Only the low chain is walked; the high one is linked as is.
+                hint_head(old_table, new_index + HINT_AHEAD);
                 let low = old_table.head_acquire(new_index);
                 let high = old_table.head_acquire(new_index + new_buckets);
                 new_table.publish_head(new_index, if low.is_null() { high } else { low });
@@ -569,16 +589,14 @@ where
                     }
                     tail = next;
                 }
-                (*tail)
-                    .next
-                    .store(high, std::sync::atomic::Ordering::Release);
+                (*tail).next.store(high, Ordering::Release);
             }
 
             // Phase 2: publish the new table; the grace period that lets the
             // old array be freed is the op's one pending step.
             let old_ptr = self.publish_table(new_table);
             let op = ZipOp {
-                id: self.next_resize_id(),
+                id: self.next_resize_id(held),
                 // SAFETY: as in `begin_unzip_locked`.
                 old_table: Some(Box::from_raw(old_ptr)),
                 grace_pending: true,
@@ -596,13 +614,13 @@ where
     ///
     /// # Safety
     ///
-    /// The caller must hold the writer lock.
-    unsafe fn resolve_grace_locked(&self, id: u64, round: u64) {
+    /// `held` must guard this map's writer lock.
+    unsafe fn resolve_grace_locked(&self, held: &WriterGuard<'_>, id: u64, round: u64) {
         // SAFETY: writer lock held per the caller contract.
         if let Some(op) = unsafe { self.resize_op_locked() } {
             if op.id() == id && op.grace_key() == Some((id, round)) {
                 op.grace_done();
-                self.stats.bump(&self.stats.resize_grace_periods);
+                self.stats.resize_grace_periods.add(1, held);
             }
         }
     }
@@ -612,8 +630,8 @@ where
     ///
     /// # Safety
     ///
-    /// The caller must hold the writer lock.
-    unsafe fn resize_work_step_locked(&self) -> ResizeStep {
+    /// `held` must guard this map's writer lock.
+    unsafe fn resize_work_step_locked(&self, held: &WriterGuard<'_>) -> ResizeStep {
         // SAFETY (this fn body): writer lock held per the caller contract.
         unsafe {
             let Some(op) = self.resize_op_locked() else {
@@ -626,15 +644,16 @@ where
                     // has been freed; nothing else to do.
                     *self.resize_op_locked() = None;
                     self.set_resize_active(false);
-                    self.stats.bump(&self.stats.shrinks);
+                    self.stats.shrinks.add(1, held);
                     ResizeStep::Finished
                 }
                 ResizeOp::Unzip(u) => {
                     if u.remaining > 0 {
                         let table = self.table_locked();
-                        let splices = Self::splice_round(table, u, &self.stats);
+                        let splices = Self::splice_round(table, u);
                         if splices > 0 {
-                            self.stats.bump(&self.stats.unzip_rounds);
+                            self.stats.unzip_splices.add(splices, held);
+                            self.stats.unzip_rounds.add(1, held);
                             u.grace_pending = true;
                             u.round += 1;
                             return ResizeStep::Splice;
@@ -643,7 +662,7 @@ where
                     debug_assert_eq!(u.remaining, 0, "no splice found for unfinished pair");
                     *self.resize_op_locked() = None;
                     self.set_resize_active(false);
-                    self.stats.bump(&self.stats.expands);
+                    self.stats.expands.add(1, held);
                     ResizeStep::Finished
                 }
             }
@@ -718,20 +737,15 @@ impl<K, V, S> RpHashMap<K, V, S> {
     /// home bucket's head, replacements take the place of a node with the
     /// same hash, unlinks only remove) and never read `turn`.
     ///
-    /// Returns the number of splices performed, which it also adds to
-    /// `stats.unzip_splices` — once, after the loop: a `lock xadd` per
-    /// splice would drain the store buffer behind each cross-core store.
+    /// Returns the number of splices performed, for the caller to add to
+    /// `stats.unzip_splices` once.
     ///
     /// # Safety
     ///
     /// The caller must hold the writer lock (so all reachable nodes are
     /// stable), and a grace period must have elapsed since the previous
     /// round's splices (so no reader still traverses pre-splice links).
-    pub(crate) unsafe fn splice_round(
-        table: &BucketArray<K, V>,
-        op: &mut UnzipOp<K, V>,
-        stats: &crate::stats::AtomicMapStats,
-    ) -> usize {
+    pub(crate) unsafe fn splice_round(table: &BucketArray<K, V>, op: &mut UnzipOp<K, V>) -> u64 {
         // SAFETY (this fn body): forwarded caller contract — the writer lock
         // is held, so every node `find_cross_link` returns stays reachable
         // and alive while it is used here.
@@ -744,6 +758,11 @@ impl<K, V, S> RpHashMap<K, V, S> {
             let cuttable = |c| cross_link(c).filter(|x| Self::splice_is_safe(table, x));
             let mut splices = 0;
             for o in 0..op.old_buckets {
+                let ahead = o + HINT_AHEAD;
+                if op.turn.get(ahead).is_some_and(|&t| t != PAIR_DONE) {
+                    hint_head(table, ahead);
+                    hint_head(table, ahead + op.old_buckets);
+                }
                 if op.turn[o] == PAIR_DONE {
                     continue;
                 }
@@ -755,7 +774,7 @@ impl<K, V, S> RpHashMap<K, V, S> {
                         CutPoint::Head(bucket) => table.publish_head(bucket, cross.after_foreign),
                         CutPoint::After(run_end) => (*run_end)
                             .next
-                            .store(cross.after_foreign, std::sync::atomic::Ordering::Release),
+                            .store(cross.after_foreign, Ordering::Release),
                     }
                     splices += 1;
                     // The next splice for this pair belongs to the chain the
@@ -773,9 +792,6 @@ impl<K, V, S> RpHashMap<K, V, S> {
                     debug_assert!(cut.is_some(), "cross-links present but no safe splice");
                 }
             }
-            stats
-                .unzip_splices
-                .fetch_add(splices as u64, std::sync::atomic::Ordering::Relaxed);
             splices
         }
     }
@@ -865,7 +881,7 @@ impl<K, V, S> RpHashMap<K, V, S> {
     pub(crate) fn complete_resize_for_drop(
         table: &BucketArray<K, V>,
         op: &mut ResizeOp<K, V>,
-        stats: &crate::stats::AtomicMapStats,
+        stats: &mut AtomicMapStats,
     ) {
         let ResizeOp::Unzip(u) = op else {
             return; // a zip leaves single-path chains; nothing to do
@@ -878,7 +894,9 @@ impl<K, V, S> RpHashMap<K, V, S> {
         while u.remaining > 0 {
             // SAFETY: exclusive access (no readers, no writers) is strictly
             // stronger than the writer-lock + grace-period contract.
-            if unsafe { Self::splice_round(table, u, stats) } == 0 && u.remaining > 0 {
+            let splices = unsafe { Self::splice_round(table, u) };
+            *stats.unzip_splices.get_mut() += splices;
+            if splices == 0 && u.remaining > 0 {
                 debug_assert!(false, "unzip stalled during drop");
                 break;
             }

@@ -2,35 +2,69 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Internal atomic counters.
+use crate::map::WriterGuard;
+
+/// A counter that only writer-lock holders store to (or `Drop`, through
+/// `&mut`). The lock already serialises every store, so a bump is a relaxed
+/// load and a relaxed store: a `lock xadd` would be a full barrier the writer
+/// pays under its lock for nothing. The lock's release/acquire pair orders
+/// one holder's store before the next holder's load. Every bump takes the
+/// held guard, so a bump outside the lock does not compile. Readers load
+/// without the lock and see some recent value.
+#[derive(Debug, Default)]
+pub(crate) struct LockedCount(AtomicU64);
+
+impl LockedCount {
+    /// Adds `n` and returns the new value.
+    pub(crate) fn add(&self, n: u64, _held: &WriterGuard<'_>) -> u64 {
+        let value = self.0.load(Ordering::Relaxed) + n;
+        self.0.store(value, Ordering::Relaxed);
+        value
+    }
+
+    /// Subtracts `n` and returns the new value.
+    pub(crate) fn sub(&self, n: u64, _held: &WriterGuard<'_>) -> u64 {
+        let value = self.0.load(Ordering::Relaxed) - n;
+        self.0.store(value, Ordering::Relaxed);
+        value
+    }
+
+    /// A lock-free snapshot.
+    pub(crate) fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+
+    /// The value, for a holder of `&mut` (no lock needed).
+    pub(crate) fn get_mut(&mut self) -> &mut u64 {
+        self.0.get_mut()
+    }
+}
+
+/// Internal counters, each stored to only under the map's writer lock.
 #[derive(Debug, Default)]
 pub(crate) struct AtomicMapStats {
-    pub(crate) expands: AtomicU64,
-    pub(crate) shrinks: AtomicU64,
-    pub(crate) unzip_rounds: AtomicU64,
-    pub(crate) unzip_splices: AtomicU64,
-    pub(crate) resize_grace_periods: AtomicU64,
-    pub(crate) inserts: AtomicU64,
-    pub(crate) replaces: AtomicU64,
-    pub(crate) removes: AtomicU64,
+    pub(crate) expands: LockedCount,
+    pub(crate) shrinks: LockedCount,
+    pub(crate) unzip_rounds: LockedCount,
+    pub(crate) unzip_splices: LockedCount,
+    pub(crate) resize_grace_periods: LockedCount,
+    pub(crate) inserts: LockedCount,
+    pub(crate) replaces: LockedCount,
+    pub(crate) removes: LockedCount,
 }
 
 impl AtomicMapStats {
     pub(crate) fn snapshot(&self) -> MapStats {
         MapStats {
-            expands: self.expands.load(Ordering::Relaxed),
-            shrinks: self.shrinks.load(Ordering::Relaxed),
-            unzip_rounds: self.unzip_rounds.load(Ordering::Relaxed),
-            unzip_splices: self.unzip_splices.load(Ordering::Relaxed),
-            resize_grace_periods: self.resize_grace_periods.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            replaces: self.replaces.load(Ordering::Relaxed),
-            removes: self.removes.load(Ordering::Relaxed),
+            expands: self.expands.get(),
+            shrinks: self.shrinks.get(),
+            unzip_rounds: self.unzip_rounds.get(),
+            unzip_splices: self.unzip_splices.get(),
+            resize_grace_periods: self.resize_grace_periods.get(),
+            inserts: self.inserts.get(),
+            replaces: self.replaces.get(),
+            removes: self.removes.get(),
         }
-    }
-
-    pub(crate) fn bump(&self, counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -69,18 +103,26 @@ impl MapStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
+    use rp_rcu::NoGraceWait;
 
     #[test]
     fn snapshot_round_trips() {
-        let s = AtomicMapStats::default();
-        s.bump(&s.expands);
-        s.bump(&s.expands);
-        s.bump(&s.shrinks);
-        s.bump(&s.inserts);
+        let lock = Mutex::new(());
+        let held = NoGraceWait::holding(lock.lock());
+        let mut s = AtomicMapStats::default();
+        s.expands.add(1, &held);
+        assert_eq!(s.expands.add(1, &held), 2);
+        s.shrinks.add(1, &held);
+        s.inserts.add(3, &held);
+        assert_eq!(s.inserts.sub(2, &held), 1);
+        drop(held);
+        *s.unzip_splices.get_mut() += 5;
         let snap = s.snapshot();
         assert_eq!(snap.expands, 2);
         assert_eq!(snap.shrinks, 1);
         assert_eq!(snap.inserts, 1);
+        assert_eq!(snap.unzip_splices, 5);
         assert_eq!(snap.resizes(), 3);
     }
 }

@@ -532,7 +532,14 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut client = CacheClient::connect(addr).unwrap();
                     let key = format!("key-{id}");
-                    assert!(client.set(&key, 0, 0, key.as_bytes()).unwrap());
+                    // The raw reply, so a failure shows what the server said.
+                    let set = format!("set {key} 0 0 {}\r\n{key}\r\n", key.len());
+                    client.send(set.as_bytes()).unwrap();
+                    assert_eq!(
+                        client.read_line().unwrap(),
+                        "STORED\r\n",
+                        "reply to {set:?}"
+                    );
                     assert_eq!(client.get(&key).unwrap().as_deref(), Some(key.as_bytes()));
                 })
             })

@@ -60,8 +60,11 @@ impl ReaderState {
 #[derive(Debug)]
 pub struct RcuDomain {
     /// Global grace-period counter; only the phase bit and the low `1`
-    /// (folded nesting seed) are meaningful.
-    gp_ctr: AtomicUsize,
+    /// (folded nesting seed) are meaningful. Every EBR `pin` loads it, so
+    /// it has a line of its own: next to `gp_lock`, which every
+    /// `synchronize` takes, or to `stats`, which every `defer_free` bumps,
+    /// each such store would take the line from every reading core.
+    gp_ctr: CachePadded<AtomicUsize>,
     /// Serialises grace periods (writers waiting for readers).
     gp_lock: Mutex<()>,
     /// Registered reader threads.
@@ -80,7 +83,7 @@ impl RcuDomain {
         RcuDomain {
             // Start with the nesting seed set so readers copying this value
             // enter their critical section with a nesting count of one.
-            gp_ctr: AtomicUsize::new(GP_COUNT),
+            gp_ctr: CachePadded::new(AtomicUsize::new(GP_COUNT)),
             gp_lock: Mutex::new(()),
             registry: Mutex::new(Vec::new()),
             stats: AtomicStats::default(),
@@ -239,6 +242,25 @@ mod tests {
     use super::*;
     use crate::LocalHandle;
     use std::thread;
+
+    #[test]
+    fn what_a_pin_loads_shares_no_line_with_what_writers_store() {
+        use std::mem::{align_of, offset_of, size_of};
+        assert!(align_of::<RcuDomain>() >= 128);
+        let line = offset_of!(RcuDomain, gp_ctr) / 128;
+        assert_eq!(size_of::<CachePadded<AtomicUsize>>(), 128);
+        for (stored, size) in [
+            (offset_of!(RcuDomain, gp_lock), size_of::<Mutex<()>>()),
+            (
+                offset_of!(RcuDomain, registry),
+                size_of::<Mutex<Vec<Arc<CachePadded<ReaderState>>>>>(),
+            ),
+            (offset_of!(RcuDomain, stats), size_of::<AtomicStats>()),
+        ] {
+            assert_ne!(stored / 128, line, "{stored}");
+            assert_ne!((stored + size - 1) / 128, line);
+        }
+    }
 
     #[test]
     fn fresh_domain_has_no_readers() {
