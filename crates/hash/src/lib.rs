@@ -64,6 +64,7 @@ mod node;
 mod policy;
 pub mod qsbr;
 mod resize;
+mod slab;
 mod stats;
 mod table;
 
@@ -73,6 +74,7 @@ pub use map::{prefetch_line, RpHashMap};
 pub use policy::ResizePolicy;
 pub use qsbr::{QsbrReadHandle, ReadProtect};
 pub use resize::ResizeStep;
+pub use slab::slab_chunks_mapped;
 pub use stats::MapStats;
 
 /// Re-export of the guard type readers use to delimit lookups.

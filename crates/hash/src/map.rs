@@ -16,6 +16,7 @@ use crate::node::Node;
 use crate::policy::ResizePolicy;
 use crate::qsbr::ReadProtect;
 use crate::resize::ResizeOp;
+use crate::slab::NodeSlab;
 use crate::stats::{AtomicMapStats, LockedCount, MapStats};
 use crate::table::BucketArray;
 
@@ -55,8 +56,10 @@ pub(crate) type WriterGuard<'a> = NoGraceWait<parking_lot::MutexGuard<'a, ()>>;
 ///   removals or resizes. They scale linearly with reader threads.
 /// * **Updates** (insert/remove/rename/resize) serialise on an internal
 ///   mutex and publish their changes with release stores; unlinked nodes are
-///   retired into the global deferred-free queue ([`GraceSync`]) and freed
-///   only after a grace period of every read-side flavor.
+///   retired into the global deferred-free queue ([`GraceSync`]) and dropped
+///   only after a grace period of every read-side flavor. Nodes live in the
+///   map's own slab of 2 MiB chunks ([`MapStats::slab_chunks`]), not on the
+///   process heap; the map keeps its chunks until it is dropped.
 /// * **Resizing** uses the paper's zip (shrink) and unzip (expand)
 ///   algorithms: the table stays *consistent for readers at every instant* —
 ///   a reader traversing a bucket always observes every element that belongs
@@ -88,6 +91,8 @@ pub struct RpHashMap<K, V, S = RandomState> {
     /// [`RpHashMap::set_maintained`]): writes then end at the unlock.
     maintained: AtomicBool,
     pub(crate) stats: AtomicMapStats,
+    /// Where every node comes from and goes back to. Guarded by `writer`.
+    slab: NodeSlab<K, V>,
 }
 
 /// The map header's reader side: the two things every lookup loads, on
@@ -105,9 +110,10 @@ struct ReadMostly<K, V, S> {
 // SAFETY: the map shares `&K`/`&V` with concurrent reader threads and drops
 // keys/values on whichever thread runs reclamation, so `K` and `V` must be
 // `Send + Sync`. The hasher is used from `&self` by any thread. The raw
-// pointers — including those inside `resize_op`, which is only touched under
-// the writer lock — are managed by the publication/retire protocol
-// implemented here.
+// pointers — including those inside `resize_op` and the slab's free lists,
+// which are only touched under the writer lock — are managed by the
+// publication/retire protocol implemented here; the slab's `returned` stack
+// is atomic.
 unsafe impl<K: Send + Sync, V: Send + Sync, S: Send> Send for RpHashMap<K, V, S> {}
 // SAFETY: see above.
 unsafe impl<K: Send + Sync, V: Send + Sync, S: Sync> Sync for RpHashMap<K, V, S> {}
@@ -155,6 +161,7 @@ impl<K, V, S> RpHashMap<K, V, S> {
             resize_ids: LockedCount::default(),
             maintained: AtomicBool::new(false),
             stats: AtomicMapStats::default(),
+            slab: NodeSlab::new(),
         }
     }
 
@@ -208,7 +215,10 @@ impl<K, V, S> RpHashMap<K, V, S> {
 
     /// A snapshot of the map's operation and resize counters.
     pub fn stats(&self) -> MapStats {
-        self.stats.snapshot()
+        MapStats {
+            slab_chunks: self.slab.chunks.get(),
+            ..self.stats.snapshot()
+        }
     }
 
     /// Loads the current bucket array for use by a reader holding the
@@ -660,7 +670,8 @@ where
         // array cannot be freed while the lock is held.
         prefetch_line(std::ptr::from_ref(&table.buckets[bucket]).cast());
 
-        let new = Node::alloc(hash, key, value);
+        // SAFETY: `held` guards this map's writer lock (caller contract).
+        let new = unsafe { Node::alloc(&self.slab, held, hash, key, value) };
         // SAFETY: `new` is unpublished; we have exclusive access to it.
         let new_ref = unsafe { &*new };
 
@@ -680,13 +691,13 @@ where
                 unsafe { self.fixup_unzip_links_locked(table, hash, old, new) };
                 self.stats.replaces.add(1, held);
                 // SAFETY: `old` has just been unlinked (unreachable to new
-                // readers), was allocated by `Node::alloc`, and readers of
-                // this map pin the global domain. `on_replace` ran above and
-                // nothing touches `old` after this line: the writer holds no
-                // read guard, so once `old` is queued the reclaim thread may
-                // free it after a grace period this thread does not hold
-                // open.
-                unsafe { GraceSync::global().defer_free(old) };
+                // readers), came from this map's slab, `held` is its writer
+                // lock, and readers of this map pin the global domain.
+                // `on_replace` ran above and nothing touches `old` after
+                // this line: the writer holds no read guard, so once `old`
+                // is queued the reclaim thread may drop it after a grace
+                // period this thread does not hold open.
+                unsafe { self.slab.retire(old, held) };
                 Some(replaced)
             }
             None => {
@@ -833,11 +844,11 @@ where
                 unsafe { self.fixup_unzip_links_locked(table, hash, node, next) };
                 let len = self.len.sub(1, held) as usize;
                 self.stats.removes.add(1, held);
-                // SAFETY: unlinked above, allocated by `Node::alloc`,
-                // readers pin the global domain. `condemn` ran above and
-                // nothing touches `node` after this line (see the same
-                // step in `insert_one_locked`).
-                unsafe { GraceSync::global().defer_free(node) };
+                // SAFETY: unlinked above, from this map's slab, under its
+                // writer lock (`held`), readers pin the global domain.
+                // `condemn` ran above and nothing touches `node` after this
+                // line (see the same step in `insert_one_locked`).
+                unsafe { self.slab.retire(node, held) };
                 *crossed |= self.policy.should_shrink(len, table.len());
                 true
             }
@@ -898,7 +909,8 @@ where
         // 1. Publish the entry under the new key (insert-or-replace at the
         //    head of the new bucket).
         let new_bucket = table.bucket_of(new_hash);
-        let new_node = Node::alloc(new_hash, new_key, value);
+        // SAFETY: `guard` holds this map's writer lock.
+        let new_node = unsafe { Node::alloc(&self.slab, &guard, new_hash, new_key, value) };
         // SAFETY: unpublished node, exclusive access.
         let new_ref = unsafe { &*new_node };
         let displaced = self.find_locked::<K>(table, new_hash, &new_ref.key);
@@ -923,8 +935,9 @@ where
             }
             // SAFETY: writer lock held; `dup` was just unlinked.
             unsafe { self.fixup_unzip_links_locked(table, new_hash, dup, dup_next) };
-            // SAFETY: unlinked, allocated by `Node::alloc`, global domain.
-            unsafe { GraceSync::global().defer_free(dup) };
+            // SAFETY: unlinked, from this map's slab, under its writer
+            // lock, and readers pin the global domain.
+            unsafe { self.slab.retire(dup, &guard) };
             self.len.sub(1, &guard);
         }
 
@@ -941,8 +954,9 @@ where
             }
             // SAFETY: writer lock held; `node` was just unlinked.
             unsafe { self.fixup_unzip_links_locked(table, old_hash, node, next) };
-            // SAFETY: unlinked, allocated by `Node::alloc`, global domain.
-            unsafe { GraceSync::global().defer_free(node) };
+            // SAFETY: unlinked, from this map's slab, under its writer
+            // lock, and readers pin the global domain.
+            unsafe { self.slab.retire(node, &guard) };
         }
         self.stats.replaces.add(1, &guard);
         drop(guard);
@@ -991,8 +1005,9 @@ where
                     self.len.sub(1, &guard);
                     self.stats.removes.add(1, &guard);
                     removed += 1;
-                    // SAFETY: unlinked, allocated by `Node::alloc`.
-                    unsafe { GraceSync::global().defer_free(cur) };
+                    // SAFETY: unlinked, from this map's slab, under its
+                    // writer lock, and readers pin the global domain.
+                    unsafe { self.slab.retire(cur, &guard) };
                 }
                 cur = next;
             }
@@ -1123,28 +1138,34 @@ where
 }
 
 impl<K, V, S> Drop for RpHashMap<K, V, S> {
+    /// Drops the live entries in place. The slab's memory goes whole, after
+    /// this, once every node the map retired has been dropped (its `Drop`).
     fn drop(&mut self) {
-        // Exclusive access: no readers or writers exist. An incremental
-        // resize may still be mid-flight, though; complete its chain surgery
-        // first (no grace periods are needed without readers) so that every
-        // node is reachable from exactly one bucket and can be freed
-        // directly.
         let table_ptr = *self.read.table.get_mut();
         // SAFETY: the table pointer is always a live `BucketArray` allocated
         // by `BucketArray::new`; we own it exclusively here.
         let table = unsafe { Box::from_raw(table_ptr) };
+        if !std::mem::needs_drop::<Node<K, V>>() {
+            return;
+        }
+        // Exclusive access: no readers or writers exist. An incremental
+        // resize may still be mid-flight, though; complete its chain surgery
+        // first (no grace periods are needed without readers) so that every
+        // node is reachable from exactly one bucket and is dropped once.
         if let Some(mut op) = self.resize_op.get_mut().take() {
             Self::complete_resize_for_drop(&table, &mut op, &mut self.stats);
         }
         for bucket in table.buckets.iter() {
             let mut cur = bucket.load(Ordering::Relaxed);
             while !cur.is_null() {
-                // SAFETY: nodes were allocated by `Node::alloc` and are
-                // freed exactly once (each node is reachable from exactly
-                // one bucket at rest; retired nodes were unlinked first and
-                // are owned by the RCU domain's deferred queue instead).
-                let node = unsafe { Box::from_raw(cur) };
-                cur = node.next.load(Ordering::Relaxed);
+                // SAFETY: each node is reachable from exactly one bucket at
+                // rest and is dropped once, here; retired nodes were
+                // unlinked first and are the deferred queue's instead.
+                unsafe {
+                    let next = (*cur).next.load(Ordering::Relaxed);
+                    std::ptr::drop_in_place(cur);
+                    cur = next;
+                }
             }
         }
     }
@@ -1193,6 +1214,7 @@ mod tests {
                 (offset_of!(M<S>, len), size_of::<LockedCount>()),
                 (offset_of!(M<S>, stats), size_of::<AtomicMapStats>()),
                 (offset_of!(M<S>, resize_ids), size_of::<LockedCount>()),
+                (offset_of!(M<S>, slab), size_of::<NodeSlab<u64, u64>>()),
             ] {
                 assert!(!lines.contains(&(stored / 128)), "{stored} in {lines:?}");
                 assert!(!lines.contains(&((stored + size - 1) / 128)));

@@ -2,6 +2,9 @@
 
 use std::sync::atomic::{AtomicPtr, Ordering};
 
+use crate::map::WriterGuard;
+use crate::slab::NodeSlab;
+
 /// A single chain node.
 ///
 /// The key, the cached hash and the value are immutable once the node has
@@ -19,14 +22,31 @@ pub(crate) struct Node<K, V> {
 }
 
 impl<K, V> Node<K, V> {
-    /// Allocates a detached node.
-    pub(crate) fn alloc(hash: u64, key: K, value: V) -> *mut Node<K, V> {
-        Box::into_raw(Box::new(Node {
-            next: AtomicPtr::new(std::ptr::null_mut()),
-            hash,
-            key,
-            value,
-        }))
+    /// Allocates a detached node in `slab`.
+    ///
+    /// # Safety
+    ///
+    /// `held` must guard the writer lock of the map that owns `slab`.
+    pub(crate) unsafe fn alloc(
+        slab: &NodeSlab<K, V>,
+        held: &WriterGuard<'_>,
+        hash: u64,
+        key: K,
+        value: V,
+    ) -> *mut Node<K, V> {
+        // SAFETY: forwarded caller contract.
+        let slot = unsafe { slab.alloc(held) };
+        // SAFETY: a slot is writable, aligned and sized for one node, and
+        // unused until this write.
+        unsafe {
+            slot.write(Node {
+                next: AtomicPtr::new(std::ptr::null_mut()),
+                hash,
+                key,
+                value,
+            });
+        }
+        slot
     }
 
     /// Loads the successor with acquire ordering (`rcu_dereference`).
@@ -38,17 +58,22 @@ impl<K, V> Node<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
+    use rp_rcu::NoGraceWait;
 
     #[test]
     fn alloc_produces_detached_node() {
-        let raw = Node::alloc(0xdead, 7_u32, "seven");
-        // SAFETY: freshly allocated, exclusively owned by the test.
+        let slab = NodeSlab::new();
+        let lock = Mutex::new(());
+        let held = NoGraceWait::holding(lock.lock());
+        // SAFETY: `lock` is the only lock `slab` is used under.
+        let raw = unsafe { Node::alloc(&slab, &held, 0xdead, 7_u32, "seven") };
+        // SAFETY: freshly allocated, exclusively owned by the test; nothing
+        // in it needs dropping, and the slab's chunk goes with the slab.
         let node = unsafe { &*raw };
         assert!(node.next_acquire().is_null());
         assert_eq!(node.hash, 0xdead);
         assert_eq!(node.key, 7);
         assert_eq!(node.value, "seven");
-        // SAFETY: freeing the test allocation exactly once.
-        unsafe { drop(Box::from_raw(raw)) };
     }
 }

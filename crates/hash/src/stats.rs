@@ -54,8 +54,10 @@ pub(crate) struct AtomicMapStats {
 }
 
 impl AtomicMapStats {
+    /// Every field but `slab_chunks`, which the map's slab counts.
     pub(crate) fn snapshot(&self) -> MapStats {
         MapStats {
+            slab_chunks: 0,
             expands: self.expands.get(),
             shrinks: self.shrinks.get(),
             unzip_rounds: self.unzip_rounds.get(),
@@ -91,6 +93,9 @@ pub struct MapStats {
     pub replaces: u64,
     /// Keys removed.
     pub removes: u64,
+    /// 2 MiB chunks the map's node slab has mapped. A map keeps them until
+    /// it is dropped.
+    pub slab_chunks: u64,
 }
 
 impl MapStats {

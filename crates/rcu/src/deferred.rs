@@ -12,19 +12,30 @@ pub(crate) struct Deferred {
 enum Inner {
     /// An arbitrary boxed closure.
     Closure(Box<dyn FnOnce() + Send>),
-    /// A raw pointer plus its type-erased dropper (avoids double boxing for
-    /// the common "free this node" case).
-    Free {
+    /// A raw pointer plus its type-erased dropper (avoids boxing a closure
+    /// for the common "free this node" case).
+    Drop {
         ptr: *mut (),
         dropper: unsafe fn(*mut ()),
     },
 }
 
-// SAFETY: the `Closure` variant is `Send` by construction. The `Free`
-// variant is only constructed by `Deferred::free`, which requires `T: Send`,
-// so dropping the pointee on another thread is sound; the raw pointer itself
+// SAFETY: the `Closure` variant is `Send` by construction. The `Drop`
+// variant is only constructed by `Deferred::drop_with`, whose contract
+// requires `dropper(ptr)` to be sound on any thread; the raw pointer itself
 // is just an address.
 unsafe impl Send for Deferred {}
+
+/// The dropper of a `Box<T>` handed over as a raw pointer.
+///
+/// # Safety
+///
+/// `ptr` was produced by `Box::into_raw::<T>` and is dropped exactly once.
+pub(crate) unsafe fn drop_box<T>(ptr: *mut ()) {
+    // SAFETY: per the contract, `ptr` is a leaked `Box<T>` owned by the
+    // caller and nothing else frees it.
+    unsafe { drop(Box::from_raw(ptr.cast::<T>())) }
+}
 
 impl Deferred {
     /// Creates a deferred unit from a closure.
@@ -34,25 +45,16 @@ impl Deferred {
         }
     }
 
-    /// Creates a deferred unit that frees `ptr` as a [`Box<T>`].
+    /// Creates a deferred unit that calls `dropper(ptr)`.
     ///
     /// # Safety
     ///
-    /// `ptr` must have been produced by [`Box::into_raw`] and must not be
-    /// freed by any other path. The caller must guarantee the pointer is no
-    /// longer reachable by *new* readers (it has been unpublished).
-    pub(crate) unsafe fn free<T: Send>(ptr: *mut T) -> Self {
-        unsafe fn drop_box<T>(ptr: *mut ()) {
-            // SAFETY: `ptr` was produced by `Box::into_raw::<T>` in
-            // `Deferred::free` and is dropped exactly once, per the caller
-            // contract of `Deferred::free`.
-            unsafe { drop(Box::from_raw(ptr.cast::<T>())) }
-        }
+    /// Calling `dropper(ptr)` once, on any thread, must be sound, and
+    /// nothing else may free `ptr`. The caller must guarantee the pointer
+    /// is no longer reachable by *new* readers (it has been unpublished).
+    pub(crate) unsafe fn drop_with(ptr: *mut (), dropper: unsafe fn(*mut ())) -> Self {
         Deferred {
-            inner: Inner::Free {
-                ptr: ptr.cast(),
-                dropper: drop_box::<T>,
-            },
+            inner: Inner::Drop { ptr, dropper },
         }
     }
 
@@ -60,7 +62,7 @@ impl Deferred {
     pub(crate) fn call(self) {
         match self.inner {
             Inner::Closure(f) => f(),
-            Inner::Free { ptr, dropper } => {
+            Inner::Drop { ptr, dropper } => {
                 // SAFETY: `dropper` was paired with `ptr` at construction
                 // time and the grace-period machinery guarantees exclusive
                 // access at this point.
@@ -74,7 +76,7 @@ impl std::fmt::Debug for Deferred {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.inner {
             Inner::Closure(_) => f.write_str("Deferred::Closure"),
-            Inner::Free { ptr, .. } => write!(f, "Deferred::Free({ptr:p})"),
+            Inner::Drop { ptr, .. } => write!(f, "Deferred::Drop({ptr:p})"),
         }
     }
 }
@@ -98,7 +100,7 @@ mod tests {
     }
 
     #[test]
-    fn free_drops_the_box_exactly_once() {
+    fn drop_with_drop_box_drops_the_box_exactly_once() {
         struct DropFlag(Arc<AtomicBool>);
         impl Drop for DropFlag {
             fn drop(&mut self) {
@@ -112,8 +114,8 @@ mod tests {
         let dropped = Arc::new(AtomicBool::new(false));
         let raw = Box::into_raw(Box::new(DropFlag(Arc::clone(&dropped))));
         // SAFETY: `raw` comes from `Box::into_raw` and is never freed
-        // elsewhere; there are no readers in this test.
-        let d = unsafe { Deferred::free(raw) };
+        // elsewhere; `DropFlag` is `Send`; there are no readers in this test.
+        let d = unsafe { Deferred::drop_with(raw.cast(), drop_box::<DropFlag>) };
         assert!(!dropped.load(Ordering::SeqCst));
         d.call();
         assert!(dropped.load(Ordering::SeqCst));
@@ -125,8 +127,8 @@ mod tests {
         assert!(format!("{c:?}").contains("Closure"));
         let raw = Box::into_raw(Box::new(0_u8));
         // SAFETY: freshly allocated, freed exactly once by `call` below.
-        let f = unsafe { Deferred::free(raw) };
-        assert!(format!("{f:?}").contains("Free"));
+        let f = unsafe { Deferred::drop_with(raw.cast(), drop_box::<u8>) };
+        assert!(format!("{f:?}").contains("Drop"));
         f.call();
         c.call();
     }

@@ -9,7 +9,8 @@
 //! decision, and this module is the only place it is made.
 //!
 //! `GraceSync` owns the process-wide queue of retired memory
-//! ([`GraceSync::defer_free`], [`GraceSync::defer`]) and the one pass that
+//! ([`GraceSync::defer_free`], [`GraceSync::defer_drop`],
+//! [`GraceSync::defer`]) and the one pass that
 //! empties it ([`GraceSync::synchronize_and_reclaim`]): take the batch,
 //! wait for every flavor with registered readers
 //! ([`GraceSync::synchronize`]), run the batch. The two domains underneath
@@ -24,13 +25,22 @@
 //! passes on one thread of its own, `rcu-reclaimer` (the userspace
 //! `call_rcu` helper thread), started by the first push that takes the
 //! queue to 256 callbacks and woken by every later one. A queue left below
-//! that is emptied 50 ms after the thread last looked at it; an empty one
-//! costs the thread nothing. Writers therefore wait for readers only where
+//! that is emptied 50 ms after the thread last found it non-empty; an
+//! empty one costs the thread nothing, and what is queued after it sleeps
+//! there waits for the 256th push, or for a caller that queued a large
+//! release to wake it ([`GraceSync::wake_reclaimer`]). Writers therefore
+//! wait for readers only where
 //! their own algorithm needs ordering (a resize), or when they ask to:
 //! [`GraceSync::synchronize_and_reclaim`] is a *barrier*. Passes are
 //! serialized, so it returns once every callback queued before it has run,
 //! on whichever thread ran it. A stalled reader stops frees, not writers;
 //! the stall detector ([`crate::stall`]) names the reader.
+//!
+//! **In what order.** A pass runs its batch in the order it was queued, and
+//! passes run one at a time, so every callback runs after every callback
+//! queued before it. That is a rule callers rely on: a structure may queue
+//! the release of memory that its earlier callbacks still reach (`rp-hash`
+//! queues a map's node slab behind every node the map retired).
 //!
 //! The funnel is also where the workspace's one locking rule is checked:
 //! **no grace-period wait while holding a lock a reader may need**. A
@@ -50,7 +60,7 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::deferred::Deferred;
+use crate::deferred::{drop_box, Deferred};
 use crate::domain::RcuDomain;
 use crate::qsbr::QsbrDomain;
 
@@ -265,9 +275,9 @@ impl GraceSync {
     ///
     /// This is the `call_rcu` equivalent: the closure runs on the funnel's
     /// reclaim thread, or in a [`GraceSync::synchronize_and_reclaim`]
-    /// barrier, whichever comes first. Queueing never waits. A closure that
-    /// panics is counted (`rcu_reclaim_panics_total`) and the rest of its
-    /// batch still runs.
+    /// barrier, whichever comes first, and after every callback queued
+    /// before it. Queueing never waits. A closure that panics is counted
+    /// (`rcu_reclaim_panics_total`) and the rest of its batch still runs.
     pub fn defer(&self, f: impl FnOnce() + Send + 'static) {
         self.push_deferred(Deferred::new(f));
     }
@@ -284,8 +294,29 @@ impl GraceSync {
     /// * Readers that may still reference `ptr` must be readers of one of
     ///   *this* funnel's two domains.
     pub unsafe fn defer_free<T: Send>(&self, ptr: *mut T) {
+        // SAFETY: forwarded caller contract; `T: Send`, so `drop_box::<T>`
+        // may drop it on the reclaim thread.
+        unsafe { self.defer_drop(ptr.cast(), drop_box::<T>) }
+    }
+
+    /// Queues `dropper(ptr)` to run after a subsequent grace period of every
+    /// flavor: [`GraceSync::defer_free`] for memory its owner frees its own
+    /// way (a node slab taking a slot back), with no closure to box.
+    ///
+    /// # Safety
+    ///
+    /// * Calling `dropper(ptr)` once, on whichever thread runs the pass,
+    ///   must be sound, and nothing else may free `ptr`. Whatever `dropper`
+    ///   reaches through `ptr` must still exist when it runs; callbacks run
+    ///   in the order they were queued, so queueing that memory's own
+    ///   release after this call is enough.
+    /// * `ptr` must already be unreachable to new readers (unpublished), so
+    ///   that after one grace period no reader can reference it.
+    /// * Readers that may still reference `ptr` must be readers of one of
+    ///   *this* funnel's two domains.
+    pub unsafe fn defer_drop(&self, ptr: *mut (), dropper: unsafe fn(*mut ())) {
         // SAFETY: forwarded caller contract.
-        self.push_deferred(unsafe { Deferred::free(ptr) });
+        self.push_deferred(unsafe { Deferred::drop_with(ptr, dropper) });
     }
 
     fn push_deferred(&self, d: Deferred) {
@@ -304,8 +335,12 @@ impl GraceSync {
         }
     }
 
-    /// Wakes the reclaim thread, starting it on first use.
-    fn wake_reclaimer(&self) {
+    /// Wakes the reclaim thread for a pass now, starting it on first use.
+    /// Pushes wake it at 256 callbacks; a caller that has just queued one
+    /// that gives back much memory (a dropped map's node slab) wakes it
+    /// sooner. A no-op on a funnel built with [`GraceSync::new`], which has
+    /// no thread.
+    pub fn wake_reclaimer(&self) {
         let Some(started) = &self.reclaimer else {
             return;
         };
@@ -465,6 +500,18 @@ mod tests {
         assert_eq!(stats.callbacks_queued, 5);
         assert_eq!(stats.callbacks_executed, 5);
         assert_eq!(stats.grace_periods, 1);
+    }
+
+    #[test]
+    fn callbacks_run_in_the_order_they_were_queued() {
+        let sync = private();
+        let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        for i in 0..64 {
+            let order = Arc::clone(&order);
+            sync.defer(move || order.lock().push(i));
+        }
+        sync.synchronize_and_reclaim();
+        assert_eq!(*order.lock(), (0..64).collect::<Vec<_>>());
     }
 
     #[test]

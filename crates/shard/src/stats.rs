@@ -31,6 +31,7 @@ impl ShardStats {
             total.inserts += s.inserts;
             total.replaces += s.replaces;
             total.removes += s.removes;
+            total.slab_chunks += s.slab_chunks;
         }
         total
     }
