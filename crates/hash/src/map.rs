@@ -217,6 +217,7 @@ impl<K, V, S> RpHashMap<K, V, S> {
     pub fn stats(&self) -> MapStats {
         MapStats {
             slab_chunks: self.slab.chunks.get(),
+            slab_huge_chunks: self.slab.huge_chunks.get(),
             ..self.stats.snapshot()
         }
     }

@@ -54,10 +54,11 @@ pub(crate) struct AtomicMapStats {
 }
 
 impl AtomicMapStats {
-    /// Every field but `slab_chunks`, which the map's slab counts.
+    /// Every field but the two the map's slab counts.
     pub(crate) fn snapshot(&self) -> MapStats {
         MapStats {
             slab_chunks: 0,
+            slab_huge_chunks: 0,
             expands: self.expands.get(),
             shrinks: self.shrinks.get(),
             unzip_rounds: self.unzip_rounds.get(),
@@ -96,6 +97,10 @@ pub struct MapStats {
     /// 2 MiB chunks the map's node slab has mapped. A map keeps them until
     /// it is dropped.
     pub slab_chunks: u64,
+    /// Full slab chunks collapsed onto one 2 MiB page each: every chunk but
+    /// the newest, unless the kernel refused (no THP, no huge page to
+    /// spare), which leaves a chunk on 4 KiB pages.
+    pub slab_huge_chunks: u64,
 }
 
 impl MapStats {

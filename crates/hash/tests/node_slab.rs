@@ -3,8 +3,8 @@
 //! slab outlives every node it handed out, its map included.
 //!
 //! One `Arc` is cloned into every value, so its strong count is the number
-//! of values not yet dropped. The three tests take turns: (b) counts the
-//! slab chunks mapped in the whole process.
+//! of values not yet dropped. The tests take turns: (b) counts the slab
+//! chunks mapped in the whole process, and (d) the process's RSS.
 //! `cargo test --release -p rp-hash --test node_slab`
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -190,4 +190,104 @@ fn a_million_overwrites_of_1024_keys_stay_in_one_chunk() {
     assert_eq!(stats.slab_chunks, 1);
     map.flush_retired();
     assert_eq!(Arc::strong_count(&token), 1 + 1024);
+}
+
+/// A count of kB from a `/proc/self/status` or `/proc/self/smaps` line.
+fn kb(line: &str, field: &str) -> Option<u64> {
+    line.strip_prefix(field)?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse()
+        .ok()
+}
+
+fn vm_rss_kb() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    status
+        .lines()
+        .find_map(|line| kb(line, "VmRSS:"))
+        .expect("a VmRSS line")
+}
+
+/// `AnonHugePages` of the `/proc/self/smaps` entry whose range holds `addr`.
+fn anon_huge_kb_at(addr: usize) -> u64 {
+    let smaps = std::fs::read_to_string("/proc/self/smaps").expect("procfs");
+    let mut inside = false;
+    for line in smaps.lines() {
+        let range = line
+            .split_once(' ')
+            .and_then(|(range, _)| range.split_once('-'));
+        let bounds =
+            range.map(|(lo, hi)| (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16)));
+        if let Some((Ok(lo), Ok(hi))) = bounds {
+            inside = (lo..hi).contains(&addr);
+        } else if let Some(huge) = kb(line, "AnonHugePages:").filter(|_| inside) {
+            return huge;
+        }
+    }
+    panic!("no smaps entry holds {addr:#x}");
+}
+
+/// Whether this kernel rejects `MADV_COLLAPSE` outright (`EINVAL`: no THP,
+/// or Linux before 6.1), probed on a 2 MiB page of a buffer of the test's.
+fn collapse_is_rejected() -> bool {
+    extern "C" {
+        fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
+    }
+    const MADV_COLLAPSE: i32 = 25;
+    const EINVAL: i32 = 22;
+    const HUGE: usize = 2 << 20;
+    let mut buffer = vec![1_u8; 2 * HUGE];
+    let page = buffer.as_ptr().align_offset(HUGE);
+    // SAFETY: `page..page + HUGE` lies inside `buffer`, which is 2 * HUGE
+    // bytes long and owned here; a collapse changes how those bytes are
+    // backed, not what they hold.
+    let failed = unsafe { madvise(buffer.as_mut_ptr().add(page).cast(), HUGE, MADV_COLLAPSE) } != 0;
+    failed && std::io::Error::last_os_error().raw_os_error() == Some(EINVAL)
+}
+
+#[test]
+fn full_chunks_and_only_full_chunks_are_huge() {
+    /// `u64` nodes per chunk: 32-byte slots behind the header's.
+    const PER_CHUNK: u64 = (2 << 20) / 32 - 1;
+    type U64Map = RpHashMap<u64, u64, FnvBuildHasher>;
+    let _serial = serial();
+
+    let full = U64Map::with_buckets_and_hasher(1 << 16, FnvBuildHasher);
+    for key in 0..3 * PER_CHUNK + 1 {
+        full.insert(key, key);
+    }
+    let stats = full.stats();
+    println!("{stats:?}");
+    assert_eq!(stats.slab_chunks, 4);
+    if stats.slab_huge_chunks == 0 && collapse_is_rejected() {
+        println!("skipped: this kernel rejects MADV_COLLAPSE (EINVAL)");
+        return;
+    }
+    assert_eq!(
+        stats.slab_huge_chunks,
+        stats.slab_chunks - 1,
+        "every full chunk is collapsed, and the newest is not"
+    );
+    let guard = full.pin();
+    // Key 0 took the first slot of the first chunk.
+    let first: *const u64 = full.get(&0, &guard).expect("inserted");
+    let huge = anon_huge_kb_at(first as usize);
+    println!("the first chunk's smaps entry: AnonHugePages: {huge} kB");
+    assert!(huge >= 2048, "a full chunk is one huge page: {huge} kB");
+    drop((guard, full));
+
+    let rss = vm_rss_kb();
+    let partial = U64Map::with_buckets_and_hasher(1 << 10, FnvBuildHasher);
+    for key in 0..PER_CHUNK / 8 {
+        partial.insert(key, key);
+    }
+    let grown = vm_rss_kb().saturating_sub(rss);
+    println!("{} nodes in one chunk: VmRSS +{grown} kB", partial.len());
+    assert_eq!(partial.stats().slab_huge_chunks, 0);
+    assert!(
+        grown < 1024,
+        "a partly filled chunk is resident only where written: VmRSS +{grown} kB"
+    );
 }

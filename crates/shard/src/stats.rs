@@ -32,6 +32,7 @@ impl ShardStats {
             total.replaces += s.replaces;
             total.removes += s.removes;
             total.slab_chunks += s.slab_chunks;
+            total.slab_huge_chunks += s.slab_huge_chunks;
         }
         total
     }
