@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use parking_lot::Mutex;
 
 use rp_hash::FnvBuildHasher;
-use rp_rcu::{GraceSync, RcuDomain};
+use rp_rcu::GraceSync;
 
 use crate::traits::ConcurrentMap;
 
@@ -243,7 +243,7 @@ where
         // readers still traversing the old linkage.
         self.tables[inactive].store(Box::into_raw(new_table), Ordering::Release);
         self.active.store(inactive, Ordering::Release);
-        RcuDomain::global().synchronize();
+        GraceSync::global().synchronize();
 
         // The old bucket array is no longer referenced; the nodes live on.
         let old_ptr = self.tables[active].swap(std::ptr::null_mut(), Ordering::AcqRel);

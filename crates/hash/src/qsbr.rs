@@ -49,8 +49,8 @@
 //! assert_eq!(copied, Some(10));
 //! ```
 
-use rp_rcu::qsbr::{QsbrDomain, QsbrHandle};
-use rp_rcu::RcuGuard;
+use rp_rcu::qsbr::QsbrHandle;
+use rp_rcu::{RcuDomain, RcuGuard};
 
 /// Witness that the calling thread is inside a read-side protection scope
 /// covering a map's nodes: either an EBR guard is held, or the thread is an
@@ -76,13 +76,13 @@ pub unsafe trait ReadProtect {
     fn assert_protecting(&self) {}
 }
 
-// SAFETY: an `RcuGuard` holds the global EBR domain's grace period open for
+// SAFETY: an `RcuGuard` holds the global domain's grace period open for
 // its whole lifetime; nodes unlinked before or during the guard cannot be
 // freed until it drops.
 unsafe impl ReadProtect for RcuGuard<'_> {}
 
-/// A thread's registration with the global QSBR domain, packaged for use as
-/// a lookup witness (see the [module docs](self)).
+/// A thread's QSBR registration with the global domain, packaged for use
+/// as a lookup witness (see the [module docs](self)).
 ///
 /// The handle is `!Send` — quiescent bookkeeping belongs to the thread that
 /// registered — and deregisters on drop. While the handle is *online*
@@ -95,11 +95,11 @@ pub struct QsbrReadHandle {
 }
 
 impl QsbrReadHandle {
-    /// Registers the calling thread with the global QSBR domain. The handle
+    /// Registers the calling thread with the global domain. The handle
     /// starts online and quiescent.
     pub fn register() -> QsbrReadHandle {
         QsbrReadHandle {
-            inner: QsbrDomain::global().register(),
+            inner: QsbrHandle::new(RcuDomain::global()),
         }
     }
 
@@ -143,11 +143,11 @@ impl QsbrReadHandle {
 
 // SAFETY: while a shared borrow of an *online* handle exists, the owning
 // thread cannot call `quiescent_state`/`offline` (they need `&mut self`),
-// so the thread's QSBR counter stays put and no grace period of the global
-// QSBR domain can complete; the only queue writers can retire into is
-// `rp_rcu::GraceSync`'s, and the only passes that empty it wait on that
-// domain whenever it has registered readers. Using an offline handle for lookups is a caller bug
-// caught by `assert_protecting` in debug builds.
+// so the thread's reader word stays put and no grace period of the global
+// domain that began after it can complete; the only queue writers can
+// retire into is `rp_rcu::GraceSync`'s, and the only passes that empty it
+// wait for a grace period of that domain. Using an offline handle for
+// lookups is a caller bug caught by `assert_protecting` in debug builds.
 unsafe impl ReadProtect for QsbrReadHandle {
     fn assert_protecting(&self) {
         debug_assert!(
@@ -172,10 +172,10 @@ mod tests {
 
     #[test]
     fn handle_registers_with_the_global_domain() {
-        let before = QsbrDomain::global().registered_readers();
+        let before = RcuDomain::global().stats().readers_registered;
         let handle = QsbrReadHandle::register();
         assert!(handle.is_online());
-        assert!(QsbrDomain::global().registered_readers() > before);
+        assert!(RcuDomain::global().stats().readers_registered > before);
         drop(handle);
     }
 

@@ -285,7 +285,7 @@ impl<K, V> NodeSlab<K, V> {
         self.chunks.add(1, held);
     }
 
-    /// Retires `node`: after a grace period of every flavor its key and
+    /// Retires `node`: after a grace period its key and
     /// value are dropped in place and its slot goes back to this slab.
     ///
     /// # Safety
@@ -294,7 +294,7 @@ impl<K, V> NodeSlab<K, V> {
     /// * `node` came from this slab's [`NodeSlab::alloc`], holds an
     ///   initialised node, and is retired once.
     /// * It is unreachable to new readers, and readers that may still hold
-    ///   it read through the global domains.
+    ///   it read through the global domain.
     /// * `K` and `V` may be dropped on any thread.
     pub(crate) unsafe fn retire(&self, node: *mut Node<K, V>, _held: &WriterGuard<'_>) {
         // SAFETY: the writer lock serialises every access to `local`.

@@ -121,8 +121,7 @@ impl Sample {
             evictions: field(json, "engine_evictions_total")?,
             get_p50_ns: summary_field(json, "kv_get_latency_ns", "p50")?,
             get_p99_ns: summary_field(json, "kv_get_latency_ns", "p99")?,
-            graces: summary_field(json, "rcu_sync_ebr_ns", "count")?
-                + summary_field(json, "rcu_sync_qsbr_ns", "count")?,
+            graces: summary_field(json, "rcu_sync_ns", "count")?,
             stalls: field(json, "rcu_grace_stalls_total")?,
             maint_queue: field(json, "maint_queue_depth")?,
             trips: field(json, "net_watermark_trips_total")?,

@@ -423,7 +423,7 @@ END\r\n";
             "net_accepts_total",
             "maint_slice_ns",
             "resize_grace_wait_ns",
-            "rcu_sync_ebr_ns",
+            "rcu_sync_ns",
         ] {
             assert!(text.contains(family), "missing {family} in:\n{text}");
         }
@@ -544,7 +544,7 @@ END\r\n";
             "\"resize\":{\"resize_grace_wait_ns\":Z,\"resize_step_ns\":Z,",
             "\"resize_begun_total\":0,\"resize_finished_total\":0,",
             "\"shard_imbalance_milli\":0},",
-            "\"rcu\":{\"rcu_sync_ebr_ns\":Z,\"rcu_sync_qsbr_ns\":Z,",
+            "\"rcu\":{\"rcu_sync_ns\":Z,",
             "\"rcu_reclaim_pending\":0,\"rcu_reclaim_executed_total\":0,",
             "\"rcu_reclaim_passes_total\":0,\"rcu_reclaim_panics_total\":0,",
             "\"rcu_grace_stalls_total\":0}}\r\nEND\r\n",

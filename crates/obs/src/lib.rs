@@ -39,8 +39,8 @@
 //! let t = rp_obs::timer();
 //! // ... the work being measured ...
 //! if let Some(ns) = rp_obs::elapsed_ns(t) {
-//!     obs.rcu.sync_ebr_ns.record(ns);
-//!     obs.trace.record(TraceKind::GraceEbr, ns);
+//!     obs.rcu.sync_ns.record(ns);
+//!     obs.trace.record(TraceKind::Grace, ns);
 //! }
 //! let mut text = Vec::new();
 //! obs.render_prometheus(&mut text);
@@ -59,10 +59,7 @@ pub mod slow;
 pub use histogram::{Histogram, Snapshot};
 pub use metric::{CachePadded, Counter, Gauge, Sharded, DEFAULT_SHARDS};
 pub use render::MetricSink;
-pub use ring::{
-    pack_stall, unpack_stall, TraceEvent, TraceKind, TraceRing, DEFAULT_RING_CAPACITY,
-    STALL_FLAVOR_EBR, STALL_FLAVOR_QSBR,
-};
+pub use ring::{TraceEvent, TraceKind, TraceRing, DEFAULT_RING_CAPACITY};
 pub use slow::{SlowEntry, SlowLog, SlowSpan};
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -131,10 +128,9 @@ pub fn now_us() -> u64 {
 /// Grace-period and reclamation metrics (`rp-rcu`).
 #[derive(Debug, Default)]
 pub struct RcuObs {
-    /// EBR `synchronize` latency through the global funnel, nanoseconds.
-    pub sync_ebr_ns: Histogram,
-    /// QSBR `synchronize` latency through the global funnel, nanoseconds.
-    pub sync_qsbr_ns: Histogram,
+    /// Grace-period wait latency through a `GraceSync` funnel,
+    /// nanoseconds.
+    pub sync_ns: Histogram,
     /// Deferred callbacks awaiting a grace period (set when the funnel
     /// queues or reclaims).
     pub reclaim_pending: Gauge,
@@ -519,15 +515,9 @@ impl Obs {
     fn render_rcu(&self, sink: &mut impl MetricSink) {
         render::summary(
             sink,
-            "rcu_sync_ebr_ns",
-            "EBR synchronize latency.",
-            &self.rcu.sync_ebr_ns.snapshot(),
-        );
-        render::summary(
-            sink,
-            "rcu_sync_qsbr_ns",
-            "QSBR synchronize latency.",
-            &self.rcu.sync_qsbr_ns.snapshot(),
+            "rcu_sync_ns",
+            "Grace-period wait latency.",
+            &self.rcu.sync_ns.snapshot(),
         );
         render::gauge(
             sink,
@@ -630,9 +620,6 @@ impl Obs {
     /// Renders the retained trace events, oldest first, one
     /// `TRACE <seq> <t_us> <label> <value>` line each (CRLF-terminated —
     /// this output goes straight onto the cache protocol's wire).
-    /// [`TraceKind::GraceStall`] events unpack their flavor into the label
-    /// (`grace_stall_ebr` / `grace_stall_qsbr`) so a scrape attributes the
-    /// stall without decoding the packed value.
     pub fn render_trace(&self, sink: &mut impl MetricSink) {
         self.render_trace_recent(None, sink);
     }
@@ -648,20 +635,9 @@ impl Obs {
             sink.put_bytes(b" ");
             render::put_u64(sink, event.at_us);
             sink.put_bytes(b" ");
-            let value = if event.kind == TraceKind::GraceStall {
-                let (flavor, elapsed_ns) = unpack_stall(event.value);
-                sink.put_bytes(match flavor {
-                    ring::STALL_FLAVOR_EBR => b"grace_stall_ebr",
-                    ring::STALL_FLAVOR_QSBR => b"grace_stall_qsbr",
-                    _ => b"grace_stall",
-                });
-                elapsed_ns
-            } else {
-                sink.put_bytes(event.kind.label().as_bytes());
-                event.value
-            };
+            sink.put_bytes(event.kind.label().as_bytes());
             sink.put_bytes(b" ");
-            render::put_u64(sink, value);
+            render::put_u64(sink, event.value);
             sink.put_bytes(b"\r\n");
         }
     }
@@ -770,8 +746,7 @@ impl Obs {
         resize.end();
 
         let mut rcu = root.nested("rcu");
-        rcu.summary("rcu_sync_ebr_ns", &self.rcu.sync_ebr_ns.snapshot());
-        rcu.summary("rcu_sync_qsbr_ns", &self.rcu.sync_qsbr_ns.snapshot());
+        rcu.summary("rcu_sync_ns", &self.rcu.sync_ns.snapshot());
         rcu.field("rcu_reclaim_pending", self.rcu.reclaim_pending.get());
         rcu.field(
             "rcu_reclaim_executed_total",
@@ -823,8 +798,7 @@ impl Obs {
         self.resize.step_ns.reset();
         self.resize.begun_total.reset();
         self.resize.finished_total.reset();
-        self.rcu.sync_ebr_ns.reset();
-        self.rcu.sync_qsbr_ns.reset();
+        self.rcu.sync_ns.reset();
         self.rcu.reclaim_executed_total.reset();
         self.rcu.reclaim_passes_total.reset();
         self.rcu.reclaim_panics_total.reset();
@@ -870,7 +844,7 @@ mod tests {
         obs.net.accepts_total.add(2);
         obs.maint.slices_total.inc();
         obs.resize.begun_total.inc();
-        obs.rcu.sync_ebr_ns.record(1234);
+        obs.rcu.sync_ns.record(1234);
         let mut out = Vec::new();
         obs.render_prometheus(&mut out);
         let text = String::from_utf8(out).unwrap();
@@ -881,7 +855,7 @@ mod tests {
             "net_batch_size_count 0",
             "maint_slices_total 1",
             "resize_begun_total 1",
-            "rcu_sync_ebr_ns_count 1",
+            "rcu_sync_ns_count 1",
             "rcu_reclaim_pending 0",
             "rcu_reclaim_passes_total 0",
             "rcu_reclaim_panics_total 0",
@@ -935,17 +909,15 @@ mod tests {
     }
 
     #[test]
-    fn trace_render_attributes_stall_flavor_in_the_label() {
+    fn trace_render_labels_a_stall_with_its_elapsed_nanoseconds() {
         let obs = Obs::default();
-        obs.trace
-            .record(TraceKind::GraceStall, pack_stall(STALL_FLAVOR_QSBR, 777));
-        obs.trace
-            .record(TraceKind::GraceStall, pack_stall(STALL_FLAVOR_EBR, 888));
+        obs.trace.record(TraceKind::GraceStall, 777);
+        obs.trace.record(TraceKind::Grace, 888);
         let mut out = Vec::new();
         obs.render_trace(&mut out);
         let text = String::from_utf8(out).unwrap();
-        assert!(text.contains(" grace_stall_qsbr 777\r\n"), "{text}");
-        assert!(text.contains(" grace_stall_ebr 888\r\n"), "{text}");
+        assert!(text.contains(" grace_stall 777\r\n"), "{text}");
+        assert!(text.contains(" grace 888\r\n"), "{text}");
     }
 
     #[test]

@@ -22,10 +22,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u64)]
 pub enum TraceKind {
-    /// An EBR grace period completed; value = wait nanoseconds.
-    GraceEbr = 1,
-    /// A QSBR grace period completed; value = wait nanoseconds.
-    GraceQsbr = 2,
+    /// A grace period completed; value = wait nanoseconds.
+    Grace = 1,
     /// An incremental resize started; value = 1 for expand, 0 for shrink.
     ResizeBegin = 3,
     /// A resize absorbed a grace-period wait; value = wait nanoseconds.
@@ -45,9 +43,8 @@ pub enum TraceKind {
     ConnShed = 9,
     /// `STATS RESET` zeroed the telemetry; value = 0.
     StatsReset = 10,
-    /// A grace period exceeded the stall threshold; value packs the
-    /// elapsed nanoseconds with the stalled read-side flavor — build and
-    /// split it with [`pack_stall`] / [`unpack_stall`].
+    /// A grace period exceeded the stall threshold; value = elapsed
+    /// nanoseconds.
     GraceStall = 11,
     /// An accepted connection was lost to an OS-level setup failure
     /// (nonblocking toggle or epoll registration); value = the raw OS
@@ -67,28 +64,11 @@ pub enum TraceKind {
     DrainExpired = 16,
 }
 
-/// Flavor tag for a [`TraceKind::GraceStall`] value: the EBR side stalled.
-pub const STALL_FLAVOR_EBR: u64 = 1;
-/// Flavor tag for a [`TraceKind::GraceStall`] value: the QSBR side stalled.
-pub const STALL_FLAVOR_QSBR: u64 = 2;
-
-/// Packs a stall's elapsed nanoseconds and read-side flavor into one trace
-/// value (flavor in the low two bits). Elapsed saturates at ~146 years.
-pub fn pack_stall(flavor: u64, elapsed_ns: u64) -> u64 {
-    (elapsed_ns.min(u64::MAX >> 2) << 2) | (flavor & 0b11)
-}
-
-/// Splits a [`pack_stall`] value back into `(flavor, elapsed_ns)`.
-pub fn unpack_stall(value: u64) -> (u64, u64) {
-    (value & 0b11, value >> 2)
-}
-
 impl TraceKind {
     /// Stable label used in `STATS TRACE` output.
     pub fn label(self) -> &'static str {
         match self {
-            TraceKind::GraceEbr => "grace_ebr",
-            TraceKind::GraceQsbr => "grace_qsbr",
+            TraceKind::Grace => "grace",
             TraceKind::ResizeBegin => "resize_begin",
             TraceKind::ResizeGrace => "resize_grace",
             TraceKind::ResizeFinish => "resize_finish",
@@ -108,8 +88,7 @@ impl TraceKind {
 
     fn from_u64(raw: u64) -> Option<TraceKind> {
         Some(match raw {
-            1 => TraceKind::GraceEbr,
-            2 => TraceKind::GraceQsbr,
+            1 => TraceKind::Grace,
             3 => TraceKind::ResizeBegin,
             4 => TraceKind::ResizeGrace,
             5 => TraceKind::ResizeFinish,
@@ -260,12 +239,12 @@ mod tests {
     #[test]
     fn records_and_reads_back_in_order() {
         let ring = TraceRing::new(8);
-        ring.record(TraceKind::GraceEbr, 100);
+        ring.record(TraceKind::Grace, 100);
         ring.record(TraceKind::MaintSlice, 200);
         ring.record(TraceKind::Backpressure, 300);
         let events = ring.events();
         assert_eq!(events.len(), 3);
-        assert_eq!(events[0].kind, TraceKind::GraceEbr);
+        assert_eq!(events[0].kind, TraceKind::Grace);
         assert_eq!(events[0].seq, 1);
         assert_eq!(events[2].value, 300);
         assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
@@ -305,17 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn stall_values_round_trip_flavor_and_elapsed() {
-        let v = pack_stall(STALL_FLAVOR_QSBR, 1_500_000);
-        assert_eq!(unpack_stall(v), (STALL_FLAVOR_QSBR, 1_500_000));
-        let v = pack_stall(STALL_FLAVOR_EBR, 0);
-        assert_eq!(unpack_stall(v), (STALL_FLAVOR_EBR, 0));
-        // Saturation keeps the flavor bits intact.
-        let v = pack_stall(STALL_FLAVOR_EBR, u64::MAX);
-        assert_eq!(unpack_stall(v), (STALL_FLAVOR_EBR, u64::MAX >> 2));
-    }
-
-    #[test]
     fn concurrent_recording_never_tears() {
         let ring = std::sync::Arc::new(TraceRing::new(16));
         let mut handles = Vec::new();
@@ -323,7 +291,7 @@ mod tests {
             let ring = std::sync::Arc::clone(&ring);
             handles.push(std::thread::spawn(move || {
                 for i in 0..1000 {
-                    ring.record(TraceKind::GraceQsbr, t * 10_000 + i);
+                    ring.record(TraceKind::Grace, t * 10_000 + i);
                 }
             }));
         }
@@ -331,7 +299,7 @@ mod tests {
             for event in ring.events() {
                 // A torn slot would produce an out-of-range value.
                 assert!(event.value % 10_000 < 1000);
-                assert_eq!(event.kind, TraceKind::GraceQsbr);
+                assert_eq!(event.kind, TraceKind::Grace);
             }
         }
         for h in handles {

@@ -183,12 +183,12 @@ impl<T> RetiredPtr<T> {
 
     /// Queues the value to be freed by the next reclamation pass of
     /// [`GraceSync::global`], which waits for every reader of the global
-    /// domains first.
+    /// domain first.
     ///
     /// This is safe because [`crate::pin`] guards — the only guards handed
-    /// out without an explicit domain — always belong to the global EBR
-    /// domain, and the only passes that can empty the queue wait for it (and
-    /// for the global QSBR domain). A cell read under guards of a *private*
+    /// out without an explicit domain — always belong to the global domain,
+    /// and the only passes that can empty the queue wait for it. A cell read
+    /// under guards of a *private*
     /// domain is outside that cover: reclaim its values with
     /// [`RetiredPtr::into_box`] after that domain's own `synchronize`.
     pub fn retire_global(self)

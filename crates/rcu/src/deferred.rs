@@ -3,7 +3,7 @@
 /// A unit of deferred reclamation work.
 ///
 /// A `Deferred` is queued on a [`crate::GraceSync`] and executed only after
-/// a subsequent grace period of every flavor, at which point no reader can
+/// a subsequent grace period, at which point no reader of either flavor can
 /// still hold a reference to the memory it reclaims.
 pub(crate) struct Deferred {
     inner: Inner,

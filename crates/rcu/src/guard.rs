@@ -5,8 +5,7 @@ use std::sync::atomic::Ordering;
 
 use crossbeam_utils::CachePadded;
 
-use crate::domain::ReaderState;
-use crate::{GP_COUNT, NEST_MASK};
+use crate::domain::{RcuDomain, Reader};
 
 /// A read-side critical section.
 ///
@@ -19,37 +18,34 @@ use crate::{GP_COUNT, NEST_MASK};
 /// are neither `Send` nor `Sync`; they delimit a section of a *thread's*
 /// execution.
 ///
-/// Entering and leaving a critical section costs one store to a
-/// thread-private counter plus one full memory fence — there are no locks,
-/// no waiting and no atomic read-modify-write instructions, which is what
-/// gives relativistic readers their linear scalability.
+/// Entering and leaving the outermost critical section costs one store to
+/// the thread's reader word plus one full memory fence; a nested guard
+/// touches only the thread's nesting count. There are no locks, no waiting
+/// and no atomic read-modify-write instructions, which is what gives
+/// relativistic readers their linear scalability.
 pub struct RcuGuard<'scope> {
-    state: *const CachePadded<ReaderState>,
+    reader: *const CachePadded<Reader>,
     /// `!Send + !Sync`: the guard manipulates a thread-private counter.
     _not_send: PhantomData<*mut ()>,
     _scope: PhantomData<&'scope ()>,
 }
 
 impl<'scope> RcuGuard<'scope> {
-    /// Enters a (possibly nested) read-side critical section for `state`.
-    ///
-    /// `gp_ctr` is the domain's current grace-period counter value.
-    pub(crate) fn enter(state: &'scope CachePadded<ReaderState>, gp_ctr: usize) -> Self {
-        let cur = state.ctr.load(Ordering::Relaxed);
-        if cur & NEST_MASK == 0 {
-            // Outermost critical section: snapshot the domain phase (which
-            // has the nesting seed folded in, taking us to a nest count of
-            // one) and fence so the snapshot store is ordered before every
-            // read performed inside the critical section.
-            state.ctr.store(gp_ctr, Ordering::SeqCst);
+    /// Enters a (possibly nested) read-side critical section for `reader`,
+    /// a reader of `domain`.
+    pub(crate) fn enter(reader: &'scope CachePadded<Reader>, domain: &RcuDomain) -> Self {
+        let depth = reader.nesting.load(Ordering::Relaxed);
+        if depth == 0 {
+            // Outermost critical section: publish the counter snapshot and
+            // fence so the store is ordered before every read performed
+            // inside the critical section.
+            reader.word.store(domain.counter(), Ordering::SeqCst);
             std::sync::atomic::fence(Ordering::SeqCst);
-        } else {
-            // Nested: only the thread itself reads the intermediate values,
-            // so relaxed ordering suffices.
-            state.ctr.store(cur + GP_COUNT, Ordering::Relaxed);
         }
+        // Only the thread itself reads the nesting count.
+        reader.nesting.store(depth + 1, Ordering::Relaxed);
         RcuGuard {
-            state,
+            reader,
             _not_send: PhantomData,
             _scope: PhantomData,
         }
@@ -65,7 +61,7 @@ impl<'scope> RcuGuard<'scope> {
     /// e.g. inside `Drop`.
     pub unsafe fn unprotected() -> RcuGuard<'static> {
         RcuGuard {
-            state: std::ptr::null(),
+            reader: std::ptr::null(),
             _not_send: PhantomData,
             _scope: PhantomData,
         }
@@ -74,41 +70,40 @@ impl<'scope> RcuGuard<'scope> {
     /// Returns `true` if this guard was created with
     /// [`RcuGuard::unprotected`].
     pub fn is_unprotected(&self) -> bool {
-        self.state.is_null()
+        self.reader.is_null()
     }
 
     /// Current nesting depth of the owning thread's critical section, for
     /// diagnostics and tests.
     pub fn nesting(&self) -> usize {
-        if self.state.is_null() {
+        if self.reader.is_null() {
             return 0;
         }
-        // SAFETY: `state` points to the creating thread's `ReaderState`,
+        // SAFETY: `reader` points to the creating thread's reader record,
         // which outlives the guard (see `LocalHandle`'s leak-on-active-guard
         // policy), and the guard is not `Send`, so we are on that thread.
-        let state = unsafe { &*self.state };
-        state.ctr.load(Ordering::Relaxed) & NEST_MASK
+        let reader = unsafe { &*self.reader };
+        reader.nesting.load(Ordering::Relaxed)
     }
 }
 
 impl Drop for RcuGuard<'_> {
     fn drop(&mut self) {
-        if self.state.is_null() {
+        if self.reader.is_null() {
             return;
         }
         // SAFETY: as in `nesting` — the pointee outlives the guard and is
         // only mutated by the owning thread.
-        let state = unsafe { &*self.state };
-        let cur = state.ctr.load(Ordering::Relaxed);
-        debug_assert!(cur & NEST_MASK >= GP_COUNT, "unbalanced RcuGuard drop");
-        if cur & NEST_MASK == GP_COUNT {
+        let reader = unsafe { &*self.reader };
+        let depth = reader.nesting.load(Ordering::Relaxed);
+        debug_assert!(depth > 0, "unbalanced RcuGuard drop");
+        reader.nesting.store(depth - 1, Ordering::Relaxed);
+        if depth == 1 {
             // Leaving the outermost critical section: fence so every read
-            // performed inside it is ordered before the counter store that
-            // lets grace periods complete.
+            // performed inside it is ordered before the store that lets
+            // grace periods complete.
             std::sync::atomic::fence(Ordering::SeqCst);
-            state.ctr.store(cur - GP_COUNT, Ordering::SeqCst);
-        } else {
-            state.ctr.store(cur - GP_COUNT, Ordering::Relaxed);
+            reader.word.store(0, Ordering::SeqCst);
         }
     }
 }

@@ -7,28 +7,31 @@
 //! * **Delimited readers** — [`pin`] / [`LocalHandle::read_lock`] enter a
 //!   read-side critical section and return an [`RcuGuard`]. Readers never
 //!   block, never retry, and never execute atomic read-modify-write
-//!   instructions; the only cost is a store to a thread-private counter and
+//!   instructions; the only cost is a store to a thread-private word and
 //!   a memory fence (the "memory barrier" flavor of userspace RCU).
+//!   [`qsbr::QsbrHandle`] is the quiescent-state based flavor: its lookups
+//!   cost nothing, and the thread announces quiescent states instead.
 //! * **Pointer publication** — [`RcuCell`] pairs release-ordered stores
 //!   (`rcu_assign_pointer`) with acquire-ordered loads (`rcu_dereference`),
 //!   so a reader that observes a new pointer also observes the pointee's
 //!   initialisation.
-//! * **Grace-period detectors, one per flavor** — [`RcuDomain::synchronize`]
-//!   blocks the caller until every EBR read-side critical section that was
-//!   in progress when the call began has completed (a *grace period*).
-//!   [`qsbr::QsbrDomain`] is the quiescent-state based flavor whose read
-//!   side is entirely free of barriers, matching kernel-RCU reader cost
-//!   more closely; it requires threads to announce quiescent states
-//!   explicitly. [`qsbr::QsbrDomain::global`] is the process-wide domain
-//!   behind `rp_hash`'s QSBR lookup path. A domain detects; it frees
-//!   nothing.
+//! * **One grace-period detector for both flavors** — readers of either
+//!   flavor register with an [`RcuDomain`], one word each, holding the
+//!   domain's 64-bit counter from the start of the critical section in
+//!   progress (0 when idle or offline). [`RcuDomain::synchronize`] bumps
+//!   the counter and scans the registry once, blocking the caller until
+//!   every critical section that was in progress when the call began has
+//!   completed (a *grace period*). [`RcuDomain::global`] is the
+//!   process-wide domain behind [`pin`] and `rp_hash`'s QSBR lookup path.
+//!   A domain detects; it frees nothing.
 //! * **Waiting for readers and deferred reclamation** — [`GraceSync`] is
-//!   the writer side. [`GraceSync::synchronize`] waits for *every* flavor
-//!   with registered readers; [`GraceSync::defer`] /
+//!   the writer side. [`GraceSync::synchronize`] waits for a grace period
+//!   through the failpoint, the stall stamp and the telemetry;
+//!   [`GraceSync::defer`] /
 //!   [`GraceSync::defer_free`] queue destruction work (the userspace
 //!   `call_rcu`) and never wait. The process-wide funnel's own thread,
 //!   `rcu-reclaimer`, runs the queue after such a wait, so memory retired
-//!   by any structure is freed only once EBR and QSBR readers alike have
+//!   by any structure is freed only once readers of both flavors have
 //!   moved on, and no writer waits to free.
 //!   [`GraceSync::synchronize_and_reclaim`] is the barrier: it returns once
 //!   everything queued before it has run. [`may_wait_for_readers`] says
@@ -37,8 +40,8 @@
 //!   debug assertion in the funnel).
 //! * **Stall detection** — [`stall`] watches every funnel wait and flags
 //!   (or, configured via `RP_RCU_STALL_PANIC`, panics on) grace periods
-//!   that exceed a threshold, attributing the stall to the misbehaving
-//!   read-side flavor and, for QSBR, the lagging reader's thread ordinal.
+//!   that exceed a threshold, naming every blocking reader, of either
+//!   flavor, by ordinal and thread name.
 //!
 //! # Example
 //!
@@ -86,18 +89,6 @@ pub use local::{global_read_nesting, pin, thread_synchronize_count, LocalHandle}
 pub use stats::DomainStats;
 pub use sync::{may_wait_for_readers, GraceSync, NoGraceWait};
 
-/// Per-reader counter bit used to track read-side critical-section nesting.
-pub(crate) const GP_COUNT: usize = 1;
-
-/// Phase bit flipped by the grace-period machinery.
-///
-/// The low half of the word holds the nesting count, the bit above it holds
-/// the grace-period phase (the same split liburcu uses).
-pub(crate) const GP_PHASE: usize = 1 << (usize::BITS / 2);
-
-/// Mask selecting the nesting count out of a reader counter word.
-pub(crate) const NEST_MASK: usize = GP_PHASE - 1;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,14 +96,6 @@ mod tests {
     use std::sync::Arc;
     use std::thread;
     use std::time::Duration;
-
-    #[test]
-    fn constants_are_consistent() {
-        assert_eq!(GP_COUNT, 1);
-        assert!(GP_PHASE.is_power_of_two());
-        assert_eq!(NEST_MASK & GP_PHASE, 0);
-        assert_eq!(NEST_MASK + 1, GP_PHASE);
-    }
 
     #[test]
     fn guard_nesting_is_reentrant() {

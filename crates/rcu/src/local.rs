@@ -1,25 +1,27 @@
 //! Per-thread reader registration.
 
+use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crossbeam_utils::CachePadded;
 
-use crate::domain::{RcuDomain, ReaderState};
+use crate::domain::{RcuDomain, Reader};
 use crate::guard::RcuGuard;
-use crate::NEST_MASK;
 
-/// A thread's registration with an [`RcuDomain`].
+/// A thread's EBR registration with an [`RcuDomain`].
 ///
 /// Creating a `LocalHandle` registers the calling thread as a reader of the
 /// domain; dropping it unregisters the thread. Read-side critical sections
-/// are entered with [`LocalHandle::read_lock`].
+/// are entered with [`LocalHandle::read_lock`]. The handle is `!Send`: it
+/// is the registration of the thread that created it.
 ///
 /// For the global domain, [`pin`] manages a thread-local handle
 /// automatically; explicit handles are only needed for custom domains.
 pub struct LocalHandle {
     domain: Arc<RcuDomain>,
-    state: Arc<CachePadded<ReaderState>>,
+    reader: Arc<CachePadded<Reader>>,
+    _not_send: PhantomData<*mut ()>,
 }
 
 impl LocalHandle {
@@ -27,13 +29,14 @@ impl LocalHandle {
     pub fn new(domain: &Arc<RcuDomain>) -> Self {
         LocalHandle {
             domain: Arc::clone(domain),
-            state: domain.register_reader(),
+            reader: domain.register(),
+            _not_send: PhantomData,
         }
     }
 
     /// Enters a read-side critical section.
     pub fn read_lock(&self) -> RcuGuard<'_> {
-        RcuGuard::enter(&self.state, self.domain.gp_ctr_relaxed())
+        RcuGuard::enter(&self.reader, &self.domain)
     }
 
     /// The domain this handle is registered with.
@@ -44,7 +47,7 @@ impl LocalHandle {
     /// Returns `true` if the owning thread is currently inside a read-side
     /// critical section entered through this handle.
     pub fn in_critical_section(&self) -> bool {
-        self.state.ctr.load(Ordering::Relaxed) & NEST_MASK != 0
+        self.reader.nesting.load(Ordering::Relaxed) != 0
     }
 }
 
@@ -54,13 +57,13 @@ impl Drop for LocalHandle {
             // A guard created from this handle is still alive (this can only
             // happen through unusual TLS-destructor interleavings). The
             // reader record must stay both allocated and registered so that
-            // (a) the outstanding guard's counter accesses remain valid and
-            // (b) writers keep waiting for the still-open critical section.
+            // (a) the outstanding guard's accesses remain valid and (b)
+            // writers keep waiting for the still-open critical section.
             // Leak one reference to keep it alive forever.
-            std::mem::forget(Arc::clone(&self.state));
+            std::mem::forget(Arc::clone(&self.reader));
             return;
         }
-        self.domain.unregister_reader(&self.state);
+        self.domain.unregister(&self.reader);
     }
 }
 
@@ -129,14 +132,12 @@ pub fn pin() -> RcuGuard<'static> {
 /// Returns the calling thread's current read-side nesting depth in the
 /// global domain (0 means "not in a read-side critical section").
 ///
-/// Waiting for readers from inside a read-side critical section of the same
-/// domain would self-deadlock; [`crate::RcuDomain::synchronize`] uses this to
-/// turn that mistake into a panic, and data structures use it to postpone
-/// optional grace-period work (reclamation, automatic resizing) when the
-/// calling thread happens to hold a guard.
+/// Data structures use it to postpone optional grace-period work when the
+/// calling thread happens to hold a guard; [`crate::may_wait_for_readers`]
+/// also covers an online QSBR handle.
 pub fn global_read_nesting() -> usize {
     GLOBAL_HANDLE
-        .try_with(|handle| handle.state.ctr.load(Ordering::Relaxed) & NEST_MASK)
+        .try_with(|handle| handle.reader.nesting.load(Ordering::Relaxed))
         .unwrap_or(0)
 }
 
@@ -169,6 +170,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "reads the domain")]
+    fn synchronize_under_a_custom_domain_guard_panics_instead_of_deadlocking() {
+        let domain = RcuDomain::new();
+        let handle = LocalHandle::new(&domain);
+        let _g = handle.read_lock();
+        domain.synchronize();
+    }
+
+    #[test]
     fn pin_registers_thread_with_global_domain() {
         // Tests running in parallel register and unregister readers of the
         // same domain, so only the monotonic totals can be compared.
@@ -190,9 +200,9 @@ mod tests {
         thread::spawn(|| {
             assert_eq!(thread_synchronize_count(), 0);
             RcuDomain::global().synchronize();
-            // A pass of a funnel with a queue (and domains) of its own: the
+            // A pass of a funnel with a queue (and domain) of its own: the
             // global one's may already have been run by its reclaim thread.
-            let sync = crate::GraceSync::new(RcuDomain::new(), crate::qsbr::QsbrDomain::new());
+            let sync = crate::GraceSync::new(RcuDomain::new());
             sync.defer(|| {});
             sync.synchronize_and_reclaim();
             assert_eq!(thread_synchronize_count(), 2);

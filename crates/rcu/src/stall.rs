@@ -9,59 +9,29 @@
 //! of bug to attribute in a relativistic system. This module makes such
 //! hangs *observable and attributable*:
 //!
-//! * Every flavor wait inside the funnel stamps its begin time into one of
-//!   a fixed set of shared [`detector`] slots (allocation-free, RAII-cleared
-//!   when the wait completes).
+//! * Every wait inside the funnel stamps its begin time into one of a fixed
+//!   set of shared [`detector`] slots (allocation-free, RAII-cleared when
+//!   the wait completes).
 //! * [`StallDetector::check_now`] — driven from a watchdog thread
 //!   ([`spawn_watchdog`], or the process-wide [`ensure_global_watchdog`]
-//!   every server starts) — flags any wait that has exceeded the configured threshold, identifies
-//!   the culprit side (EBR readers still inside an old-phase critical
-//!   section vs. registered QSBR handles that have not announced
-//!   quiescence, by thread ordinal), bumps `rcu_grace_stalls_total`, and
-//!   records a [`rp_obs::TraceKind::GraceStall`] event carrying the flavor.
+//!   every server starts) — flags any wait that has exceeded the configured
+//!   threshold, names every reader of the global domain still holding it
+//!   up, whatever its flavor, by ordinal and thread name
+//!   ([`RcuDomain::blocking_readers`]), bumps `rcu_grace_stalls_total`, and
+//!   records a [`rp_obs::TraceKind::GraceStall`] event.
 //! * With [`StallConfig::panic_on_stall`] (env `RP_RCU_STALL_PANIC`), a
 //!   flagged stall panics with the report instead — torture suites convert
 //!   silent hangs into named failures.
 //!
-//! The detector observes only the global domains (the ones behind
-//! [`crate::GraceSync`]); private test domains never stamp.
+//! Reports name the readers of the global domain, the one behind
+//! [`crate::GraceSync::global`].
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::Mutex;
-
 use crate::domain::RcuDomain;
-use crate::qsbr::QsbrDomain;
-
-/// Which read-side flavor a stamped grace-period wait covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StallFlavor {
-    /// The EBR (epoch / memory-barrier) flavor.
-    Ebr,
-    /// The QSBR (quiescent-state) flavor.
-    Qsbr,
-}
-
-impl StallFlavor {
-    /// The flavor tag packed into `GraceStall` trace values.
-    pub fn as_bits(self) -> u64 {
-        match self {
-            StallFlavor::Ebr => rp_obs::STALL_FLAVOR_EBR,
-            StallFlavor::Qsbr => rp_obs::STALL_FLAVOR_QSBR,
-        }
-    }
-
-    /// Human-readable name used in stall reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            StallFlavor::Ebr => "ebr",
-            StallFlavor::Qsbr => "qsbr",
-        }
-    }
-}
 
 /// Stall-detection configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,8 +78,7 @@ impl StallConfig {
     }
 }
 
-/// Concurrent grace-period waits the detector can track at once. Waits are
-/// serialized per domain (each holds its domain's `gp_lock`), so live
+/// Concurrent grace-period waits the detector can track at once: live
 /// stamps are bounded by the number of threads blocked in a funnel wait;
 /// overflow simply leaves the excess waits unstamped.
 const STALL_SLOTS: usize = 16;
@@ -121,25 +90,21 @@ struct StampSlot {
     /// Wait begin time ([`rp_obs::now_us`], saturated to at least 1);
     /// 0 = no wait published in this slot.
     begin_us: AtomicU64,
-    /// [`StallFlavor::as_bits`] of the stamped wait.
-    flavor: AtomicU64,
     /// Set once the stall has been reported, so a wait is flagged at most
     /// once however many checkers race.
     reported: AtomicU64,
 }
 
-/// The process-wide stall detector: the stamp slots plus the table mapping
-/// registered QSBR reader ordinals to their thread names (for attribution).
+/// The process-wide stall detector: the stamp slots of the waits in
+/// progress.
 pub struct StallDetector {
     slots: [StampSlot; STALL_SLOTS],
-    threads: Mutex<Vec<(u64, String)>>,
 }
 
 impl std::fmt::Debug for StallDetector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StallDetector")
             .field("pending", &self.pending_waits())
-            .field("tracked_threads", &self.threads.lock().len())
             .finish()
     }
 }
@@ -179,13 +144,12 @@ impl StallDetector {
     pub fn new() -> StallDetector {
         StallDetector {
             slots: Default::default(),
-            threads: Mutex::new(Vec::new()),
         }
     }
 
-    /// Stamps the begin of a grace-period wait of `flavor`. Returns `None`
-    /// (the wait goes unwatched) when every slot is taken.
-    pub fn stamp_begin(&self, flavor: StallFlavor) -> Option<StampGuard<'_>> {
+    /// Stamps the begin of a grace-period wait. Returns `None` (the wait
+    /// goes unwatched) when every slot is taken.
+    pub fn stamp_begin(&self) -> Option<StampGuard<'_>> {
         for (i, slot) in self.slots.iter().enumerate() {
             if slot
                 .busy
@@ -194,7 +158,6 @@ impl StallDetector {
             {
                 continue;
             }
-            slot.flavor.store(flavor.as_bits(), Ordering::Relaxed);
             slot.reported.store(0, Ordering::Relaxed);
             slot.begin_us
                 .store(rp_obs::now_us().max(1), Ordering::Release);
@@ -214,34 +177,13 @@ impl StallDetector {
             .count()
     }
 
-    /// Records that QSBR reader `ordinal` belongs to a thread named `name`
-    /// (called by [`QsbrDomain`] registration on the global domain).
-    pub(crate) fn track_thread(&self, ordinal: u64, name: String) {
-        self.threads.lock().push((ordinal, name));
-    }
-
-    /// Forgets reader `ordinal` (called when the handle drops, so a
-    /// registered-but-never-used handle cannot leave a dead ordinal
-    /// behind).
-    pub(crate) fn untrack_thread(&self, ordinal: u64) {
-        let mut threads = self.threads.lock();
-        if let Some(pos) = threads.iter().position(|(o, _)| *o == ordinal) {
-            threads.swap_remove(pos);
-        }
-    }
-
-    /// The QSBR reader ordinals currently tracked (tests/diagnostics).
-    pub fn tracked_ordinals(&self) -> Vec<u64> {
-        self.threads.lock().iter().map(|(o, _)| *o).collect()
-    }
-
     /// Scans the stamp slots and flags every wait pending longer than
     /// `config.threshold` that has not already been flagged. Each flagged
     /// stall bumps `rcu_grace_stalls_total`, records a
-    /// [`rp_obs::TraceKind::GraceStall`] trace event carrying the flavor
-    /// and elapsed nanoseconds, and prints an attribution report to
-    /// stderr; with `config.panic_on_stall` it panics with the report
-    /// instead. Returns how many stalls this call flagged.
+    /// [`rp_obs::TraceKind::GraceStall`] trace event carrying the elapsed
+    /// nanoseconds, and prints an attribution report to stderr; with
+    /// `config.panic_on_stall` it panics with the report instead. Returns
+    /// how many stalls this call flagged.
     pub fn check_now(&self, config: &StallConfig) -> usize {
         let threshold_us = u64::try_from(config.threshold.as_micros()).unwrap_or(u64::MAX);
         let now = rp_obs::now_us();
@@ -267,17 +209,13 @@ impl StallDetector {
                 continue;
             }
             let elapsed_us = now - begin;
-            let flavor = match slot.flavor.load(Ordering::Relaxed) {
-                rp_obs::STALL_FLAVOR_QSBR => StallFlavor::Qsbr,
-                _ => StallFlavor::Ebr,
-            };
             let obs = rp_obs::global();
             obs.rcu.grace_stalls_total.inc();
             obs.trace.record(
                 rp_obs::TraceKind::GraceStall,
-                rp_obs::pack_stall(flavor.as_bits(), elapsed_us.saturating_mul(1000)),
+                elapsed_us.saturating_mul(1000),
             );
-            let report = self.report(flavor, elapsed_us);
+            let report = report(elapsed_us);
             if config.panic_on_stall {
                 panic!("{report}");
             }
@@ -286,44 +224,27 @@ impl StallDetector {
         }
         flagged
     }
+}
 
-    /// Builds the human-readable attribution line for a flagged stall.
-    /// Slow path only — allocates freely.
-    fn report(&self, flavor: StallFlavor, elapsed_us: u64) -> String {
-        let culprit = match flavor {
-            StallFlavor::Ebr => {
-                let blocking = RcuDomain::global().readers_blocking_grace();
-                format!("{blocking} EBR reader(s) still inside an old-phase critical section")
-            }
-            StallFlavor::Qsbr => {
-                let lagging = QsbrDomain::global().lagging_ordinals();
-                if lagging.is_empty() {
-                    "no lagging QSBR reader found (it may have just resolved)".to_string()
-                } else {
-                    let threads = self.threads.lock();
-                    let names: Vec<String> = lagging
-                        .iter()
-                        .map(|o| {
-                            let name = threads
-                                .iter()
-                                .find(|(ord, _)| ord == o)
-                                .map(|(_, n)| n.as_str())
-                                .unwrap_or("?");
-                            format!("ordinal {o} ({name})")
-                        })
-                        .collect();
-                    format!("QSBR reader(s) not quiescent: {}", names.join(", "))
-                }
-            }
-        };
-        format!(
-            "rcu grace-period stall: {} grace period pending for {} ms \
-             (threshold exceeded); culprit: {}",
-            flavor.name(),
-            elapsed_us / 1000,
-            culprit
-        )
-    }
+/// Builds the human-readable attribution line for a flagged stall: every
+/// reader of the global domain holding a grace period up, by ordinal and
+/// thread name. Slow path only — allocates freely.
+fn report(elapsed_us: u64) -> String {
+    let blocking: Vec<String> = RcuDomain::global()
+        .blocking_readers()
+        .into_iter()
+        .map(|(ordinal, thread)| format!("ordinal {ordinal} ({thread})"))
+        .collect();
+    let culprit = if blocking.is_empty() {
+        "none found (it may have just resolved)".to_string()
+    } else {
+        blocking.join(", ")
+    };
+    format!(
+        "rcu grace-period stall: grace period pending for {} ms (threshold exceeded); \
+         blocking reader(s): {culprit}",
+        elapsed_us / 1000
+    )
 }
 
 /// A running stall watchdog thread; dropping the handle stops and joins
@@ -402,12 +323,13 @@ pub fn ensure_global_watchdog() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
 
     #[test]
     fn stamp_publish_and_clear() {
         let d = StallDetector::new();
         assert_eq!(d.pending_waits(), 0);
-        let guard = d.stamp_begin(StallFlavor::Ebr).expect("a free slot");
+        let guard = d.stamp_begin().expect("a free slot");
         assert_eq!(d.pending_waits(), 1);
         drop(guard);
         assert_eq!(d.pending_waits(), 0);
@@ -416,7 +338,7 @@ mod tests {
     #[test]
     fn fresh_waits_are_not_flagged() {
         let d = StallDetector::new();
-        let _guard = d.stamp_begin(StallFlavor::Qsbr).expect("a free slot");
+        let _guard = d.stamp_begin().expect("a free slot");
         let config = StallConfig {
             threshold: Duration::from_secs(3600),
             panic_on_stall: false,
@@ -427,7 +349,7 @@ mod tests {
     #[test]
     fn an_overdue_wait_is_flagged_exactly_once() {
         let d = StallDetector::new();
-        let guard = d.stamp_begin(StallFlavor::Ebr).expect("a free slot");
+        let guard = d.stamp_begin().expect("a free slot");
         let config = StallConfig {
             threshold: Duration::from_millis(10),
             panic_on_stall: false,
@@ -444,11 +366,11 @@ mod tests {
     fn slot_exhaustion_degrades_to_none() {
         let d = StallDetector::new();
         let guards: Vec<_> = (0..STALL_SLOTS)
-            .map(|_| d.stamp_begin(StallFlavor::Ebr).expect("a free slot"))
+            .map(|_| d.stamp_begin().expect("a free slot"))
             .collect();
-        assert!(d.stamp_begin(StallFlavor::Qsbr).is_none());
+        assert!(d.stamp_begin().is_none());
         drop(guards);
-        assert!(d.stamp_begin(StallFlavor::Qsbr).is_some());
+        assert!(d.stamp_begin().is_some());
     }
 
     #[test]

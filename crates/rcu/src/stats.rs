@@ -38,11 +38,12 @@ pub struct DomainStats {
     /// Number of calls to `synchronize` (each performs one grace period).
     pub synchronize_calls: u64,
     /// Number of deferred callbacks queued via [`crate::GraceSync::defer`] /
-    /// `defer_free` on the funnel built over this (EBR) domain.
+    /// `defer_free` on the funnel built over this domain.
     pub callbacks_queued: u64,
     /// Number of those callbacks that have been executed.
     pub callbacks_executed: u64,
-    /// Number of reader registrations over the domain's lifetime.
+    /// Number of reader registrations, of either flavor, over the domain's
+    /// lifetime; the latest one's ordinal.
     pub readers_registered: u64,
     /// Number of reader unregistrations over the domain's lifetime.
     pub readers_unregistered: u64,

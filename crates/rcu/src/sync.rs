@@ -1,25 +1,22 @@
 //! [`GraceSync`]: the deferred-free queue and the one way to empty it.
 //!
 //! The paper's writer does one thing before it frees memory: it waits for
-//! readers — all of them. This workspace has two populations of readers,
-//! threads pinning the global EBR domain ([`crate::pin`]) and threads
-//! registered with [`QsbrDomain::global`] ([`crate::qsbr`]), and a node (or
-//! bucket array) is only safe to free once **both** have passed a grace
-//! period. *Which readers a reclamation pass waits for* is therefore a
-//! decision, and this module is the only place it is made.
+//! readers — all of them. Readers of both flavors, threads pinning the
+//! global domain ([`crate::pin`]) and threads with a QSBR handle on it
+//! ([`crate::qsbr`]), register with the one [`RcuDomain`], so one grace
+//! period of that domain covers them all.
 //!
 //! `GraceSync` owns the process-wide queue of retired memory
 //! ([`GraceSync::defer_free`], [`GraceSync::defer_drop`],
 //! [`GraceSync::defer`]) and the one pass that
 //! empties it ([`GraceSync::synchronize_and_reclaim`]): take the batch,
-//! wait for every flavor with registered readers
-//! ([`GraceSync::synchronize`]), run the batch. The two domains underneath
-//! are grace-period detectors and cannot free anything, so a node retired
-//! by any structure can only be freed by a pass that waited for QSBR
-//! readers too — by construction, not by which method a caller happened to
-//! pick. When no QSBR reader is registered — the common case for programs
-//! that never opt into the QSBR path — the second wait costs one atomic
-//! load and nothing else.
+//! wait for a grace period ([`GraceSync::synchronize`]), run the batch. The
+//! domain underneath is a grace-period detector and cannot free anything,
+//! so a node retired by any structure can only be freed by a pass that
+//! waited for every reader. [`GraceSync::synchronize`] is also the funnel
+//! every grace wait outside this crate goes through: it carries the
+//! `rcu.grace` failpoint, the stall detector's stamp and the
+//! `rcu_sync_ns` telemetry.
 //!
 //! **Who frees.** Retiring never waits: the process-wide funnel runs its
 //! passes on one thread of its own, `rcu-reclaimer` (the userspace
@@ -62,7 +59,6 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::deferred::{drop_box, Deferred};
 use crate::domain::RcuDomain;
-use crate::qsbr::QsbrDomain;
 
 /// Queue length at which a push wakes the reclaim thread.
 const WAKE_AT: usize = 256;
@@ -84,15 +80,14 @@ std::thread_local! {
 }
 
 /// Returns `true` if the calling thread may wait for a grace period of the
-/// global domains without waiting for itself: it holds no EBR guard
-/// ([`crate::global_read_nesting`] is zero) and is not an online QSBR
-/// reader ([`crate::qsbr::global_qsbr_online`]).
+/// global domain without waiting for itself: it holds no guard of it and
+/// has no online QSBR handle on it.
 ///
 /// Data structures ask this before *optional* grace-period work (automatic
 /// resizing) and postpone the work when the answer is no; a later writer,
 /// or the thread itself from its offline window, catches up.
 pub fn may_wait_for_readers() -> bool {
-    crate::global_read_nesting() == 0 && !crate::qsbr::global_qsbr_online()
+    !RcuDomain::global().read_by_this_thread()
 }
 
 /// In debug builds, panics if the calling thread holds a [`NoGraceWait`]
@@ -157,29 +152,27 @@ impl<G> DerefMut for NoGraceWait<G> {
     }
 }
 
-/// The deferred-free queue, and the grace-period wait — over every
-/// read-side flavor — that stands between retiring memory and freeing it.
+/// The deferred-free queue, and the grace-period wait that stands between
+/// retiring memory and freeing it.
 ///
 /// See the module docs for motivation. Data structures use the process-wide
-/// funnel, [`GraceSync::global`], built over [`RcuDomain::global`] and
-/// [`QsbrDomain::global`], whose reclaim thread frees what they retire;
-/// [`GraceSync::new`] builds an isolated one over private domains, with no
-/// thread, for tests of the machinery itself.
+/// funnel, [`GraceSync::global`], built over [`RcuDomain::global`], whose
+/// reclaim thread frees what they retire; [`GraceSync::new`] builds an
+/// isolated one over a private domain, with no thread, for tests of the
+/// machinery itself.
 ///
-/// Dropping a funnel leaks whatever is still queued: its domains, and
-/// readers registered with them, may outlive it.
+/// Dropping a funnel leaks whatever is still queued: its domain, and
+/// readers registered with it, may outlive it.
 ///
 /// # Panics
 ///
-/// Every method that waits inherits the self-deadlock checks of the
-/// underlying domains: it panics if the calling thread is inside an EBR
-/// read-side critical section of the global domain, or has an online QSBR
-/// handle registered with the funnel's QSBR domain. In debug builds it also
-/// panics if the calling thread holds a [`NoGraceWait`] guard.
+/// Every method that waits inherits the domain's self-deadlock check: it
+/// panics if the calling thread reads the funnel's domain (holds a guard,
+/// or has an online QSBR handle). In debug builds it also panics if the
+/// calling thread holds a [`NoGraceWait`] guard.
 #[derive(Debug)]
 pub struct GraceSync {
-    ebr: Arc<RcuDomain>,
-    qsbr: Arc<QsbrDomain>,
+    domain: Arc<RcuDomain>,
     /// Deferred reclamation queue (`call_rcu` equivalent).
     deferred: Mutex<Vec<Deferred>>,
     /// Length of `deferred`, written under its lock, read without it.
@@ -199,13 +192,12 @@ pub struct GraceSync {
 }
 
 impl GraceSync {
-    /// Builds a funnel over `ebr` and `qsbr`, with an empty queue of its
-    /// own: its passes wait for the readers of exactly these two domains.
-    /// It has no reclaim thread; only its callers' barriers empty it.
-    pub fn new(ebr: Arc<RcuDomain>, qsbr: Arc<QsbrDomain>) -> Self {
+    /// Builds a funnel over `domain`, with an empty queue of its own: its
+    /// passes wait for the readers of exactly this domain. It has no reclaim
+    /// thread; only its callers' barriers empty it.
+    pub fn new(domain: Arc<RcuDomain>) -> Self {
         GraceSync {
-            ebr,
-            qsbr,
+            domain,
             deferred: Mutex::new(Vec::new()),
             deferred_len: AtomicUsize::new(0),
             spare: Mutex::new(Vec::new()),
@@ -222,21 +214,13 @@ impl GraceSync {
         static GLOBAL: OnceLock<GraceSync> = OnceLock::new();
         GLOBAL.get_or_init(|| GraceSync {
             reclaimer: Some(Once::new()),
-            ..GraceSync::new(
-                Arc::clone(RcuDomain::global()),
-                Arc::clone(QsbrDomain::global()),
-            )
+            ..GraceSync::new(Arc::clone(RcuDomain::global()))
         })
     }
 
-    /// Waits for a grace period of every flavor that has registered
-    /// readers.
-    ///
-    /// The EBR domain is always synchronized (its registry is maintained
-    /// lazily by [`crate::pin`], so "has readers" is the steady state); the
-    /// QSBR domain is synchronized only when at least one handle is
-    /// registered, so programs that never use the QSBR path pay one atomic
-    /// load here and nothing more.
+    /// Waits for a grace period of the funnel's domain: every reader, of
+    /// either flavor, that was inside a critical section when the call
+    /// began has left it.
     pub fn synchronize(&self) {
         debug_assert_no_wait_lock();
         // Chaos hook: a `rcu.grace=delay:..` plan stretches every grace
@@ -245,29 +229,18 @@ impl GraceSync {
         // cannot fail, so only the injected delay is honored).
         let _ = rp_fault::point("rcu.grace");
         // Telemetry: one relaxed load when disabled; a clock pair, a
-        // histogram bump, and a trace-ring entry per flavor when enabled.
-        // Each flavor's wait is also stamped into the stall detector so an
-        // uncooperative reader turns into an attributed report instead of
-        // a silent hang (the stamp guard clears on completion).
-        let obs = rp_obs::global();
-        let detector = crate::stall::detector();
-        let ebr_timer = rp_obs::timer();
-        let stamp = detector.stamp_begin(crate::stall::StallFlavor::Ebr);
-        self.ebr.synchronize();
+        // histogram bump and a trace-ring entry when enabled. The wait is
+        // also stamped into the stall detector so an uncooperative reader
+        // turns into a report naming its thread instead of a silent hang
+        // (the stamp guard clears on completion).
+        let timer = rp_obs::timer();
+        let stamp = crate::stall::detector().stamp_begin();
+        self.domain.synchronize();
         drop(stamp);
-        if let Some(ns) = rp_obs::elapsed_ns(ebr_timer) {
-            obs.rcu.sync_ebr_ns.record(ns);
-            obs.trace.record(rp_obs::TraceKind::GraceEbr, ns);
-        }
-        if self.qsbr.registered_readers() > 0 {
-            let qsbr_timer = rp_obs::timer();
-            let stamp = detector.stamp_begin(crate::stall::StallFlavor::Qsbr);
-            self.qsbr.synchronize();
-            drop(stamp);
-            if let Some(ns) = rp_obs::elapsed_ns(qsbr_timer) {
-                obs.rcu.sync_qsbr_ns.record(ns);
-                obs.trace.record(rp_obs::TraceKind::GraceQsbr, ns);
-            }
+        if let Some(ns) = rp_obs::elapsed_ns(timer) {
+            let obs = rp_obs::global();
+            obs.rcu.sync_ns.record(ns);
+            obs.trace.record(rp_obs::TraceKind::Grace, ns);
         }
     }
 
@@ -283,7 +256,7 @@ impl GraceSync {
     }
 
     /// Queues `ptr` to be freed (as a `Box<T>`) after a subsequent grace
-    /// period of every flavor.
+    /// period.
     ///
     /// # Safety
     ///
@@ -291,16 +264,16 @@ impl GraceSync {
     ///   freed through any other path.
     /// * `ptr` must already be unreachable to new readers (unpublished), so
     ///   that after one grace period no reader can reference it.
-    /// * Readers that may still reference `ptr` must be readers of one of
-    ///   *this* funnel's two domains.
+    /// * Readers that may still reference `ptr` must be readers of *this*
+    ///   funnel's domain.
     pub unsafe fn defer_free<T: Send>(&self, ptr: *mut T) {
         // SAFETY: forwarded caller contract; `T: Send`, so `drop_box::<T>`
         // may drop it on the reclaim thread.
         unsafe { self.defer_drop(ptr.cast(), drop_box::<T>) }
     }
 
-    /// Queues `dropper(ptr)` to run after a subsequent grace period of every
-    /// flavor: [`GraceSync::defer_free`] for memory its owner frees its own
+    /// Queues `dropper(ptr)` to run after a subsequent grace period:
+    /// [`GraceSync::defer_free`] for memory its owner frees its own
     /// way (a node slab taking a slot back), with no closure to box.
     ///
     /// # Safety
@@ -312,8 +285,8 @@ impl GraceSync {
     ///   release after this call is enough.
     /// * `ptr` must already be unreachable to new readers (unpublished), so
     ///   that after one grace period no reader can reference it.
-    /// * Readers that may still reference `ptr` must be readers of one of
-    ///   *this* funnel's two domains.
+    /// * Readers that may still reference `ptr` must be readers of *this*
+    ///   funnel's domain.
     pub unsafe fn defer_drop(&self, ptr: *mut (), dropper: unsafe fn(*mut ())) {
         // SAFETY: forwarded caller contract.
         self.push_deferred(unsafe { Deferred::drop_with(ptr, dropper) });
@@ -326,7 +299,7 @@ impl GraceSync {
             self.deferred_len.store(queue.len(), Ordering::Relaxed);
             queue.len()
         };
-        self.ebr
+        self.domain
             .counters()
             .callbacks_queued
             .fetch_add(1, Ordering::Relaxed);
@@ -406,7 +379,7 @@ impl GraceSync {
             panics += u64::from(catch_unwind(AssertUnwindSafe(|| d.call())).is_err());
         }
         rp_obs::global().rcu.reclaim_panics_total.add(panics);
-        self.ebr
+        self.domain
             .counters()
             .callbacks_executed
             .fetch_add(executed, Ordering::Relaxed);
@@ -430,8 +403,8 @@ impl GraceSync {
     }
 
     /// The barrier: returns once every callback queued before this call
-    /// began has run — by this call's own pass (wait for a grace period of
-    /// every flavor with registered readers, then execute), or by a pass
+    /// began has run — by this call's own pass (wait for a grace period,
+    /// then execute), or by a pass
     /// already in flight on another thread, which this one waits out first.
     /// With nothing left to run after that, it waits for no grace period.
     ///
@@ -442,8 +415,7 @@ impl GraceSync {
         // that may not wait must panic, not queue behind a pass that is
         // waiting for it.
         debug_assert_no_wait_lock();
-        self.ebr.assert_not_reading();
-        self.qsbr.assert_not_reading();
+        self.domain.assert_not_reading();
         let _pass = self.pass.lock();
         let batch = self.take_deferred();
         if batch.is_empty() {
@@ -481,10 +453,10 @@ mod tests {
     use std::thread;
     use std::time::Duration;
 
-    /// A funnel over private domains: its queue and its waits are this
+    /// A funnel over a private domain: its queue and its waits are this
     /// test's alone.
     fn private() -> GraceSync {
-        GraceSync::new(RcuDomain::new(), QsbrDomain::new())
+        GraceSync::new(RcuDomain::new())
     }
 
     #[test]
@@ -496,7 +468,7 @@ mod tests {
         sync.synchronize_and_reclaim();
         assert_eq!(ran.load(Ordering::SeqCst), 5);
         assert_eq!(sync.deferred_pending(), 0);
-        let stats = sync.ebr.stats();
+        let stats = sync.domain.stats();
         assert_eq!(stats.callbacks_queued, 5);
         assert_eq!(stats.callbacks_executed, 5);
         assert_eq!(stats.grace_periods, 1);
@@ -576,11 +548,11 @@ mod tests {
         let release = Arc::new(AtomicBool::new(false));
 
         let reader = {
-            let qsbr = Arc::clone(&sync.qsbr);
+            let domain = Arc::clone(&sync.domain);
             let online = Arc::clone(&online);
             let release = Arc::clone(&release);
             thread::spawn(move || {
-                let h = qsbr.register();
+                let h = crate::qsbr::QsbrHandle::new(&domain);
                 online.store(true, Ordering::SeqCst);
                 while !release.load(Ordering::SeqCst) {
                     std::hint::spin_loop();
@@ -608,17 +580,5 @@ mod tests {
         reader.join().unwrap();
         pass.join().unwrap();
         assert_eq!(ran.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn without_qsbr_readers_only_the_ebr_domain_is_synchronized() {
-        let sync = private();
-        sync.synchronize();
-        assert_eq!(sync.ebr.stats().grace_periods, 1);
-        assert_eq!(sync.qsbr.stats().grace_periods, 0);
-        let handle = sync.qsbr.register();
-        handle.offline();
-        sync.synchronize();
-        assert_eq!(sync.qsbr.stats().grace_periods, 1);
     }
 }

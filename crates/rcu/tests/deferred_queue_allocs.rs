@@ -4,7 +4,6 @@
 //! allocator, which must be the binary's global allocator — hence an
 //! integration test of its own.
 
-use rp_rcu::qsbr::QsbrDomain;
 use rp_rcu::{GraceSync, RcuDomain};
 use rp_workload::alloc::{thread_allocations, CountingAllocator};
 
@@ -14,7 +13,7 @@ static ALLOC: CountingAllocator = CountingAllocator;
 /// A funnel with a queue of its own, so each test counts its own passes.
 fn private() -> (std::sync::Arc<RcuDomain>, GraceSync) {
     let ebr = RcuDomain::new();
-    let sync = GraceSync::new(std::sync::Arc::clone(&ebr), QsbrDomain::new());
+    let sync = GraceSync::new(std::sync::Arc::clone(&ebr));
     (ebr, sync)
 }
 

@@ -1,18 +1,22 @@
-//! Property tests for the QSBR domain's grace-period protocol, checked
-//! against a reference counter model.
+//! Property tests for the one grace-period detector, with readers of both
+//! flavors on one domain, checked against a reference model.
 //!
-//! The model is the protocol's paper description: each registered handle is
-//! either *offline* or *online at some generation*; a `synchronize` that
-//! begins now completes exactly when every handle is offline, unregistered,
-//! or has announced a quiescent state **after** the call began. Two
-//! properties follow, and both are tested against random op interleavings:
+//! The model is the protocol's paper description: each registered QSBR
+//! handle is either *offline* or *online at some generation*, and each EBR
+//! handle holds some number of nested guards; a `synchronize` that begins
+//! now completes exactly when every QSBR handle is offline, unregistered,
+//! or has announced a quiescent state **after** the call began, and every
+//! EBR handle has dropped its outermost guard. Two properties follow, and
+//! both are tested against random op interleavings:
 //!
-//! * **Never early:** while any handle the model calls *blocking* (alive
-//!   and online at the moment the grace period starts) has not yet
-//!   announced or gone offline, `synchronize` must not return.
-//! * **Never stuck:** once every alive handle is offline, `synchronize`
-//!   must return — regardless of the op history that led there
-//!   (re-registrations, online/offline flapping, drops mid-wait).
+//! * **Never early:** while any reader the model calls *blocking* (a QSBR
+//!   handle alive and online, or an EBR handle holding a guard, at the
+//!   moment the grace period starts) has not yet let go, `synchronize`
+//!   must not return.
+//! * **Never stuck:** once every alive handle is offline and every guard
+//!   is dropped, `synchronize` must return — regardless of the op history
+//!   that led there (re-registrations, online/offline flapping, nested
+//!   pins, drops mid-wait).
 //!
 //! Handles are `!Send`, so each generated case runs its op sequence on a
 //! dedicated actor thread while the main thread drives `synchronize`
@@ -23,7 +27,8 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use rp_rcu::qsbr::QsbrDomain;
+use rp_rcu::qsbr::QsbrHandle;
+use rp_rcu::{LocalHandle, RcuDomain, RcuGuard};
 
 /// One operation applied to the actor thread's set of handles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,6 +41,10 @@ enum Op {
     Unregister(usize),
     /// Register a fresh handle into the slot (if empty).
     Register(usize),
+    /// Take one more (possibly nested) guard on the slot's EBR handle.
+    Pin(usize),
+    /// Drop the slot's newest guard, if it holds one.
+    Unpin(usize),
 }
 
 const SLOTS: usize = 3;
@@ -47,17 +56,21 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => (0_usize..SLOTS).prop_map(Op::Online),
         1 => (0_usize..SLOTS).prop_map(Op::Unregister),
         1 => (0_usize..SLOTS).prop_map(Op::Register),
+        2 => (0_usize..SLOTS).prop_map(Op::Pin),
+        2 => (0_usize..SLOTS).prop_map(Op::Unpin),
     ]
 }
 
-/// The reference model: per-slot, is a handle alive and is it online.
-/// (Generations collapse to "online": any online handle blocks a *new*
-/// grace period until its next announcement, because the grace period
-/// advances the target past every previously announced value.)
+/// The reference model: per slot, is the QSBR handle alive and online, and
+/// how many guards does the EBR handle hold. (Generations collapse to
+/// "online": any online handle blocks a *new* grace period until its next
+/// announcement, because the grace period advances the target past every
+/// previously announced value.)
 #[derive(Clone)]
 struct Model {
     alive: [bool; SLOTS],
     online: [bool; SLOTS],
+    pins: [usize; SLOTS],
 }
 
 impl Model {
@@ -65,6 +78,7 @@ impl Model {
         Model {
             alive: [true; SLOTS],
             online: [true; SLOTS],
+            pins: [0; SLOTS],
         }
     }
 
@@ -90,12 +104,75 @@ impl Model {
                     self.online[i] = true; // registration starts online
                 }
             }
+            Op::Pin(i) => self.pins[i] += 1,
+            Op::Unpin(i) => self.pins[i] = self.pins[i].saturating_sub(1),
         }
     }
 
-    fn any_online(&self) -> bool {
-        (0..SLOTS).any(|i| self.alive[i] && self.online[i])
+    /// Does a grace period started now wait: is some reader online or
+    /// holding a guard?
+    fn blocks(&self) -> bool {
+        (0..SLOTS).any(|i| (self.alive[i] && self.online[i]) || self.pins[i] > 0)
     }
+}
+
+/// The actor thread's readers: a QSBR handle (or none) and an EBR handle
+/// with its stack of guards in every slot.
+struct Readers<'a> {
+    domain: &'a Arc<RcuDomain>,
+    qsbr: Vec<Option<QsbrHandle>>,
+    guards: Vec<Vec<RcuGuard<'a>>>,
+}
+
+impl<'a> Readers<'a> {
+    fn new(domain: &'a Arc<RcuDomain>) -> Readers<'a> {
+        Readers {
+            domain,
+            qsbr: (0..SLOTS).map(|_| Some(QsbrHandle::new(domain))).collect(),
+            guards: (0..SLOTS).map(|_| Vec::new()).collect(),
+        }
+    }
+
+    fn apply(&mut self, op: Op, ebr: &'a [LocalHandle]) {
+        match op {
+            Op::Quiescent(i) => {
+                if let Some(h) = self.qsbr[i].as_ref() {
+                    h.quiescent_state();
+                }
+            }
+            Op::Offline(i) => {
+                if let Some(h) = self.qsbr[i].as_ref() {
+                    h.offline();
+                }
+            }
+            Op::Online(i) => {
+                if let Some(h) = self.qsbr[i].as_ref() {
+                    h.online();
+                }
+            }
+            Op::Unregister(i) => self.qsbr[i] = None,
+            Op::Register(i) => {
+                if self.qsbr[i].is_none() {
+                    self.qsbr[i] = Some(QsbrHandle::new(self.domain));
+                }
+            }
+            Op::Pin(i) => self.guards[i].push(ebr[i].read_lock()),
+            Op::Unpin(i) => drop(self.guards[i].pop()),
+        }
+    }
+
+    /// Lets every grace period end: every QSBR handle goes offline and
+    /// every guard drops.
+    fn release(&mut self) {
+        for h in self.qsbr.iter().flatten() {
+            h.offline();
+        }
+        self.guards.iter_mut().for_each(Vec::clear);
+    }
+}
+
+fn ebr_handles(domain: &Arc<RcuDomain>) -> Vec<LocalHandle> {
+    (0..SLOTS).map(|_| LocalHandle::new(domain)).collect()
 }
 
 /// Runs `ops` on an actor thread (handles live there), then checks a
@@ -103,7 +180,7 @@ impl Model {
 /// the model says it may: blocked while any handle is online, released once
 /// the actor offlines everything.
 fn check_case(ops: &[Op]) -> Result<(), TestCaseError> {
-    let domain = QsbrDomain::new();
+    let domain = RcuDomain::new();
     let mut model = Model::initial();
 
     let (op_tx, op_rx) = mpsc::channel::<Option<Op>>();
@@ -111,46 +188,15 @@ fn check_case(ops: &[Op]) -> Result<(), TestCaseError> {
     let actor = {
         let domain = Arc::clone(&domain);
         std::thread::spawn(move || {
-            let mut handles: Vec<Option<_>> = (0..SLOTS).map(|_| Some(domain.register())).collect();
+            let ebr = ebr_handles(&domain);
+            let mut readers = Readers::new(&domain);
             while let Ok(msg) = op_rx.recv() {
                 match msg {
-                    Some(op) => {
-                        match op {
-                            Op::Quiescent(i) => {
-                                if let Some(h) = handles[i].as_ref() {
-                                    h.quiescent_state();
-                                }
-                            }
-                            Op::Offline(i) => {
-                                if let Some(h) = handles[i].as_ref() {
-                                    h.offline();
-                                }
-                            }
-                            Op::Online(i) => {
-                                if let Some(h) = handles[i].as_ref() {
-                                    h.online();
-                                }
-                            }
-                            Op::Unregister(i) => {
-                                handles[i] = None;
-                            }
-                            Op::Register(i) => {
-                                if handles[i].is_none() {
-                                    handles[i] = Some(domain.register());
-                                }
-                            }
-                        }
-                        ack_tx.send(()).unwrap();
-                    }
-                    None => {
-                        // Release phase: everything still alive goes
-                        // offline, which must unblock any waiter.
-                        for h in handles.iter().flatten() {
-                            h.offline();
-                        }
-                        ack_tx.send(()).unwrap();
-                    }
+                    Some(op) => readers.apply(op, &ebr),
+                    // Release phase: must unblock any waiter.
+                    None => readers.release(),
                 }
+                ack_tx.send(()).unwrap();
             }
         })
     };
@@ -173,20 +219,22 @@ fn check_case(ops: &[Op]) -> Result<(), TestCaseError> {
         })
     };
 
-    if model.any_online() {
+    if model.blocks() {
         // Never early: the model says at least one reader blocks this
         // grace period, so it must still be pending after a real delay.
         std::thread::sleep(Duration::from_millis(15));
         prop_assert!(
             !done.load(Ordering::SeqCst),
-            "synchronize returned early: model says {:?}/{:?} blocks it",
+            "synchronize returned early: model says {:?}/{:?}/{:?} blocks it",
             model.alive,
-            model.online
+            model.online,
+            model.pins
         );
     }
 
-    // Phase 3 (release): the actor offlines everything alive; the model now
-    // allows completion, so the waiter must finish promptly.
+    // Phase 3 (release): the actor offlines everything alive and drops
+    // every guard; the model now allows completion, so the waiter must
+    // finish promptly.
     op_tx.send(None).unwrap();
     ack_rx.recv().unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -194,9 +242,10 @@ fn check_case(ops: &[Op]) -> Result<(), TestCaseError> {
         prop_assert!(
             Instant::now() < deadline,
             "synchronize deadlocked after every handle went offline \
-             (alive {:?}, online-before-release {:?})",
+             (alive {:?}, online-before-release {:?}, pins-before-release {:?})",
             model.alive,
-            model.online
+            model.online,
+            model.pins
         );
         std::thread::yield_now();
     }
@@ -211,8 +260,8 @@ fn check_case(ops: &[Op]) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Random op interleavings against a concurrent `synchronize`: never
-    /// early (model-checked), never deadlocked.
+    /// Random op interleavings of both flavors against a concurrent
+    /// `synchronize`: never early (model-checked), never deadlocked.
     #[test]
     fn synchronize_agrees_with_the_counter_model(
         ops in proptest::collection::vec(op_strategy(), 0..24)
@@ -231,7 +280,7 @@ proptest! {
     fn racing_synchronize_never_deadlocks(
         ops in proptest::collection::vec(op_strategy(), 1..48)
     ) {
-        let domain = QsbrDomain::new();
+        let domain = RcuDomain::new();
         let stop = Arc::new(AtomicBool::new(false));
         let syncer = {
             let domain = Arc::clone(&domain);
@@ -250,35 +299,14 @@ proptest! {
             let domain = Arc::clone(&domain);
             let ops = ops.clone();
             std::thread::spawn(move || {
-                let mut handles: Vec<Option<_>> =
-                    (0..SLOTS).map(|_| Some(domain.register())).collect();
+                let ebr = ebr_handles(&domain);
+                let mut readers = Readers::new(&domain);
                 for op in ops {
-                    match op {
-                        Op::Quiescent(i) => {
-                            if let Some(h) = handles[i].as_ref() {
-                                h.quiescent_state();
-                            }
-                        }
-                        Op::Offline(i) => {
-                            if let Some(h) = handles[i].as_ref() {
-                                h.offline();
-                            }
-                        }
-                        Op::Online(i) => {
-                            if let Some(h) = handles[i].as_ref() {
-                                h.online();
-                            }
-                        }
-                        Op::Unregister(i) => handles[i] = None,
-                        Op::Register(i) => {
-                            if handles[i].is_none() {
-                                handles[i] = Some(domain.register());
-                            }
-                        }
-                    }
+                    readers.apply(op, &ebr);
                 }
-                // Handles drop here (Drop goes offline first), so the
-                // syncer can always finish its in-flight grace period.
+                // Guards and handles drop here (a QSBR handle goes offline
+                // first), so the syncer can always finish its in-flight
+                // grace period.
             })
         };
 

@@ -15,7 +15,7 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use rp_hash::QsbrReadHandle;
-use rp_rcu::qsbr::QsbrDomain;
+use rp_rcu::GraceSync;
 use rp_shard::{ShardPolicy, ShardedRpMap};
 use rp_workload::torture::{torture_storm, Payload, TortureConfig};
 
@@ -69,7 +69,7 @@ fn stalled_reader_blocks_synchronize_for_its_stall() {
 
     ready_rx.recv().unwrap();
     let started = Instant::now();
-    QsbrDomain::global().synchronize();
+    GraceSync::global().synchronize();
     let waited = started.elapsed();
     stalled.join().unwrap();
     assert!(

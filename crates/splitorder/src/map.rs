@@ -238,7 +238,7 @@ where
         }
     }
 
-    /// Pins the calling thread into the global EBR domain — the guard is a
+    /// Pins the calling thread into the global domain — the guard is a
     /// lookup witness for [`Self::get`] and friends.
     pub fn pin(&self) -> RcuGuard<'static> {
         rp_rcu::pin()

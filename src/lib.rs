@@ -7,9 +7,9 @@
 //! depend on a single package:
 //!
 //! * [`rcu`] — userspace relativistic-programming (RCU) primitives:
-//!   delimited readers, pointer publication, a grace-period detector per
-//!   read-side flavor, and [`rcu::GraceSync`] — the one deferred-free queue
-//!   and the one wait, over every flavor, that empties it.
+//!   delimited readers, pointer publication, one grace-period detector for
+//!   both read-side flavors, and [`rcu::GraceSync`] — the one deferred-free
+//!   queue and the one wait that empties it.
 //! * [`hash`] — the paper's contribution: [`hash::RpHashMap`], a hash table
 //!   with wait-free lookups that can be grown and shrunk while readers run
 //!   at full speed.
