@@ -1,9 +1,10 @@
 //! A small, deterministic FNV-1a hasher.
 //!
-//! The default [`std::collections::hash_map::RandomState`] is perfectly fine
-//! for [`crate::RpHashMap`]; this hasher exists so benchmarks and tests can
-//! be deterministic and so the hashing cost stays small and constant across
-//! runs (the paper's microbenchmark uses a trivial hash as well).
+//! [`crate::RpHashMap`]'s default is the seeded [`crate::FoldBuildHasher`];
+//! this hasher has no seed, so tests, benchmarks and the shard router hash
+//! the same way in every run (the paper's microbenchmark uses a trivial hash
+//! as well). It reads a key a byte at a time, so a long key costs more here
+//! than under the default.
 
 use std::hash::{BuildHasher, Hasher};
 

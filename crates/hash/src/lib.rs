@@ -25,6 +25,13 @@
 //! Readers are oblivious to all of this; they never see a bucket that is
 //! missing one of its elements.
 //!
+//! A map hashes with [`FoldBuildHasher`] unless told otherwise: a seeded
+//! folded multiply, a few instructions per key, so that a lookup costs its
+//! memory accesses and independent lookups overlap their misses. It trades
+//! SipHash's flood resistance for that; pass std's `RandomState` to
+//! [`RpHashMap::with_buckets_and_hasher`] for keys an attacker chooses.
+//! [`FnvBuildHasher`] is the unseeded, deterministic choice.
+//!
 //! # Example
 //!
 //! ```
@@ -58,6 +65,7 @@
 #![warn(rust_2018_idioms)]
 
 mod fnv;
+mod fold;
 mod iter;
 mod map;
 mod node;
@@ -69,6 +77,7 @@ mod stats;
 mod table;
 
 pub use fnv::{FnvBuildHasher, FnvHasher};
+pub use fold::{FoldBuildHasher, FoldHasher};
 pub use iter::{Iter, Keys, Values};
 pub use map::{prefetch_line, RpHashMap};
 pub use policy::ResizePolicy;

@@ -2,7 +2,6 @@
 
 use std::borrow::Borrow;
 use std::cell::UnsafeCell;
-use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
@@ -11,6 +10,7 @@ use parking_lot::Mutex;
 
 use rp_rcu::{GraceSync, NoGraceWait, RcuGuard};
 
+use crate::fold::FoldBuildHasher;
 use crate::iter::{Iter, Keys, Values};
 use crate::node::Node;
 use crate::policy::ResizePolicy;
@@ -70,7 +70,23 @@ pub(crate) type WriterGuard<'a> = NoGraceWait<parking_lot::MutexGuard<'a, ()>>;
 /// ([`rp_rcu::RcuDomain::global`]), so guards obtained from
 /// [`RpHashMap::pin`] or [`rp_rcu::pin`] are interchangeable; retired nodes
 /// go to [`GraceSync::global`], whose passes wait for QSBR readers as well.
-pub struct RpHashMap<K, V, S = RandomState> {
+///
+/// The default hasher is [`FoldBuildHasher`]: a `u64` key is two folded
+/// multiplies, under a seed each map draws afresh, so a lookup pays for its
+/// memory accesses and little else, and independent lookups overlap their
+/// cache misses. It is not flood-resistant the way SipHash is: a caller who
+/// hashes keys an attacker chooses passes std's `RandomState` instead.
+///
+/// ```
+/// use std::collections::hash_map::RandomState;
+/// use rp_hash::RpHashMap;
+///
+/// let map: RpHashMap<String, u64, RandomState> =
+///     RpHashMap::with_buckets_and_hasher(16, RandomState::new());
+/// map.insert("from the network".to_string(), 1);
+/// assert!(map.contains_key("from the network"));
+/// ```
+pub struct RpHashMap<K, V, S = FoldBuildHasher> {
     /// What every lookup loads, on lines no update stores to.
     read: ReadMostly<K, V, S>,
     /// Serialises writers (updates and resizes). Readers never touch it.
@@ -118,7 +134,7 @@ unsafe impl<K: Send + Sync, V: Send + Sync, S: Send> Send for RpHashMap<K, V, S>
 // SAFETY: see above.
 unsafe impl<K: Send + Sync, V: Send + Sync, S: Sync> Sync for RpHashMap<K, V, S> {}
 
-impl<K, V> RpHashMap<K, V, RandomState> {
+impl<K, V> RpHashMap<K, V, FoldBuildHasher> {
     /// Creates an empty map with a small default bucket count.
     pub fn new() -> Self {
         Self::with_buckets(16)
@@ -127,11 +143,11 @@ impl<K, V> RpHashMap<K, V, RandomState> {
     /// Creates an empty map with `buckets` buckets (rounded up to a power of
     /// two).
     pub fn with_buckets(buckets: usize) -> Self {
-        Self::with_buckets_and_hasher(buckets, RandomState::new())
+        Self::with_buckets_and_hasher(buckets, FoldBuildHasher::default())
     }
 }
 
-impl<K, V> Default for RpHashMap<K, V, RandomState> {
+impl<K, V> Default for RpHashMap<K, V, FoldBuildHasher> {
     fn default() -> Self {
         Self::new()
     }
@@ -1221,8 +1237,9 @@ mod tests {
                 assert!(!lines.contains(&((stored + size - 1) / 128)));
             }
         }
-        check::<RandomState>();
+        check::<std::collections::hash_map::RandomState>();
         check::<FnvBuildHasher>();
+        check::<FoldBuildHasher>();
     }
 
     #[test]

@@ -141,7 +141,8 @@ impl<K, V, S: BuildHasher + Clone> ShardedRpMap<K, V, S> {
     ///
     /// The hasher is cloned into every shard, so a clone **must** hash
     /// identically to the original (true for `FnvBuildHasher`,
-    /// `RandomState`, and every `BuildHasher` whose clone shares its keys) —
+    /// `FoldBuildHasher` and `RandomState`, whose clones share their seed or
+    /// keys, and for every `BuildHasher` that does the same) —
     /// shard routing and in-shard bucket selection use the same hash value.
     pub fn with_policy_and_hasher(policy: ShardPolicy, hasher: S) -> Self {
         // Store the normalized policy so `policy().shards` always agrees

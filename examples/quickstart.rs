@@ -10,7 +10,7 @@ fn main() {
     // (the descendant of the paper's algorithm).
     let map: RpHashMap<String, u64> = RpHashMap::with_buckets_hasher_and_policy(
         16,
-        std::collections::hash_map::RandomState::new(),
+        Default::default(),
         ResizePolicy::automatic(),
     );
 
