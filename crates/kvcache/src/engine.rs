@@ -4,6 +4,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use rp_hash::QsbrReadHandle;
 
+use crate::audit::{self, SharedWrite};
 use crate::item::Item;
 
 /// Which read-side RCU flavor serves GET lookups.
@@ -50,11 +51,23 @@ impl ReadSide {
 /// [`EngineReadCtx::quiescent`] / [`EngineReadCtx::park`] /
 /// [`EngineReadCtx::unpark`].
 ///
+/// The context also counts the GET hits and misses served through it, in
+/// plain thread-private integers: [`EngineReadCtx::fold`] adds them to the
+/// engine's [`CacheStats`] with one `fetch_add` per counter, so a batch of
+/// GETs writes the shared counters once, not once per request. Whoever
+/// serves GETs through [`CacheEngine::get_with`] folds before anyone can
+/// have seen the replies; [`CacheEngine::get_ref`] folds itself. Dropping
+/// a context with counts left unfolded is a bug (a debug assertion).
+///
 /// The context is `!Send` in its QSBR form (the handle is pinned to its
 /// thread); the event loop creates one per worker, on the worker.
 #[derive(Debug)]
 pub struct EngineReadCtx {
     qsbr: Option<QsbrReadHandle>,
+    /// GET hits counted here and not yet folded into `CacheStats`.
+    hits: u64,
+    /// GET misses counted here and not yet folded into `CacheStats`.
+    misses: u64,
 }
 
 impl EngineReadCtx {
@@ -66,6 +79,33 @@ impl EngineReadCtx {
                 ReadSide::Ebr => None,
                 ReadSide::Qsbr => Some(QsbrReadHandle::register()),
             },
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// Counts one GET served through this context.
+    pub(crate) fn count_get(&mut self, hit: bool) {
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+    }
+
+    /// Adds the GET hits and misses counted since the last fold to
+    /// `stats` — one relaxed `fetch_add` per counter that moved — and
+    /// zeroes them here.
+    pub fn fold(&mut self, stats: &CacheStats) {
+        if self.hits > 0 {
+            audit::count(SharedWrite::HitFold);
+            let hits = std::mem::take(&mut self.hits);
+            stats.get_hits.fetch_add(hits, Ordering::Relaxed);
+        }
+        if self.misses > 0 {
+            audit::count(SharedWrite::MissFold);
+            let misses = std::mem::take(&mut self.misses);
+            stats.get_misses.fetch_add(misses, Ordering::Relaxed);
         }
     }
 
@@ -120,6 +160,17 @@ impl EngineReadCtx {
             Some(handle) => handle.offline_scope(f),
             None => f(),
         }
+    }
+}
+
+impl Drop for EngineReadCtx {
+    fn drop(&mut self) {
+        debug_assert!(
+            std::thread::panicking() || (self.hits, self.misses) == (0, 0),
+            "an EngineReadCtx dropped with {} hits and {} misses never folded",
+            self.hits,
+            self.misses
+        );
     }
 }
 
@@ -206,8 +257,13 @@ pub trait CacheEngine: Send + Sync {
     /// Engine name used in benchmark output (`"default"` / `"rp"`).
     fn name(&self) -> &'static str;
 
-    /// Looks up `key` through the serving thread's read-side context,
-    /// returning a copy of the item if present and not expired.
+    /// Looks up `key` through the serving thread's read-side context and,
+    /// if a live item is stored under it, runs `found` on the item **inside
+    /// the read-side window** — under the EBR guard or QSBR handle the
+    /// lookup used, or under the lock engine's mutex — so the caller copies
+    /// what it needs (the server: the reply) straight out of the index,
+    /// without a reference count taken and dropped. Returns whether the
+    /// key was found.
     ///
     /// The key is raw bytes — a slice straight out of the connection's read
     /// buffer — so the lookup allocates nothing: the RCU-indexed engines
@@ -215,7 +271,25 @@ pub trait CacheEngine: Send + Sync {
     /// index through a raw matching lookup. Keys that are not valid UTF-8
     /// cannot exist in the cache (every stored key came from a validated
     /// command line), so they simply miss.
-    fn get_ref(&self, key: &[u8], ctx: &mut EngineReadCtx) -> Option<Item>;
+    ///
+    /// The hit or miss is counted in `ctx`, not in [`CacheEngine::stats`]:
+    /// the caller folds it ([`EngineReadCtx::fold`]) before the reply can
+    /// reach a client. `found` runs inside a read-side section (or a lock)
+    /// and must not block.
+    fn get_with(&self, key: &[u8], ctx: &mut EngineReadCtx, found: &mut dyn FnMut(&Item)) -> bool;
+
+    /// [`CacheEngine::get_with`] returning a copy of the item (the payload
+    /// reference counted, not copied), with the count folded into
+    /// [`CacheEngine::stats`] before it returns.
+    fn get_ref(&self, key: &[u8], ctx: &mut EngineReadCtx) -> Option<Item> {
+        let mut copy = None;
+        self.get_with(key, ctx, &mut |item| {
+            audit::count(SharedWrite::PayloadClone);
+            copy = Some(item.clone());
+        });
+        ctx.fold(self.stats());
+        copy
+    }
 
     /// A hint that every key of `keys` is about to be looked up, stored or
     /// deleted: an engine whose index can walk ahead without a lock starts
@@ -223,7 +297,7 @@ pub trait CacheEngine: Send + Sync {
     /// behind another. The server calls it once per group of up to
     /// [`GROUP`] pipelined requests, before executing them in order. It
     /// changes no verdict, stamp or reply — the operations still run
-    /// through [`CacheEngine::get_ref`], [`CacheEngine::set`] and
+    /// through [`CacheEngine::get_with`], [`CacheEngine::set`] and
     /// [`CacheEngine::delete`] — and the default does nothing, which is all
     /// an engine behind a lock can do.
     fn prefetch(&self, _keys: &[&[u8]], _ctx: &EngineReadCtx) {}

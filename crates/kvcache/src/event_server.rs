@@ -46,12 +46,16 @@ use crate::server::{execute_ref_observed, ServerConfig};
 /// `on_data` is the repo's hottest loop, and it is **allocation-free in
 /// steady state**: requests are decoded *in place* (keys and payloads
 /// borrow from [`ConnIo::input`]), executed through the engines'
-/// byte-keyed [`CacheEngine::get_ref`] lookups, and their replies
-/// serialised straight into the connection's pooled output queue
-/// ([`ConnIo::out`]) — no owned request, no intermediate `Vec<u8>`, no
-/// copy of a cached value smaller than the coalescing threshold. N
-/// pipelined requests arriving in one read still produce N replies in one
-/// write.
+/// byte-keyed [`CacheEngine::get_with`] lookups, and each GET hit's reply
+/// copied straight into the connection's pooled output queue
+/// ([`ConnIo::out`]) from inside the lookup — no owned request, no
+/// intermediate `Vec<u8>`, no reference count taken on a cached value
+/// smaller than the coalescing threshold. N pipelined requests arriving in
+/// one read still produce N replies in one write. The GET hits and misses
+/// of a call are counted in the worker's context and folded into the
+/// engine's [`CacheStats`](crate::CacheStats) once, as the call ends —
+/// before the reactor flushes any of its replies, so a client that has
+/// read a reply sees its GET in any later `stats`, on any connection.
 ///
 /// Pipelined requests are served a *group* at a time: up to
 /// [`GROUP`] of them are decoded ahead, their keys handed to
@@ -209,6 +213,7 @@ impl Service for KvService {
             }
         };
         io.input.drain(..offset);
+        worker.ctx.fold(self.engine.stats());
         action
     }
 
@@ -217,6 +222,9 @@ impl Service for KvService {
         // no references into the engine's index. One announcement per
         // batch, amortised over every lookup the batch served.
         worker.ctx.quiescent();
+        // Nothing is left to fold unless an `on_data` call unwound (the
+        // reactor contains a panicking handler and keeps serving).
+        worker.ctx.fold(self.engine.stats());
         // QSBR workers postpone writer-side grace work (auto-resize); if
         // every writer is a QSBR worker, someone must catch up or the
         // index never resizes. This is that someone: between batches, with

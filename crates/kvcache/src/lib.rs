@@ -54,6 +54,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod audit;
 mod engine;
 mod item;
 mod lock_engine;

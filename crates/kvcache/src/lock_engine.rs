@@ -77,7 +77,9 @@ impl LockEngine {
         }
     }
 
-    fn get(&self, key: &str) -> Option<Item> {
+    /// Looks `key` up under the global lock, running `found` on a live
+    /// item before the lock is released; `true` on a hit.
+    fn get(&self, key: &str, found: &mut dyn FnMut(&Item)) -> bool {
         let now = Instant::now();
         let mut inner = self.inner.lock();
         inner.clock += 1;
@@ -85,19 +87,15 @@ impl LockEngine {
         match inner.map.get_mut(key) {
             Some(slot) if !slot.item.is_expired(now) => {
                 slot.last_access = clock;
-                self.stats.bump(&self.stats.get_hits);
-                Some(slot.item.clone())
+                found(&slot.item);
+                true
             }
             Some(_) => {
                 inner.map.remove(key);
                 self.stats.bump(&self.stats.expirations);
-                self.stats.bump(&self.stats.get_misses);
-                None
+                false
             }
-            None => {
-                self.stats.bump(&self.stats.get_misses);
-                None
-            }
+            None => false,
         }
     }
 
@@ -128,14 +126,16 @@ impl CacheEngine for LockEngine {
         "default"
     }
 
-    fn get_ref(&self, key: &[u8], ctx: &mut EngineReadCtx) -> Option<Item> {
-        let key = std::str::from_utf8(key).ok()?;
+    fn get_with(&self, key: &[u8], ctx: &mut EngineReadCtx, found: &mut dyn FnMut(&Item)) -> bool {
         // The baseline has no relativistic read path — a lookup takes the
         // global lock whichever flavor the server picked. What it must
         // still honor is the QSBR discipline: a blocking lock acquisition
         // from an online QSBR thread would stall every writer's grace
         // period behind the lock queue, so the wait happens offline.
-        ctx.with_offline(|| self.get(key))
+        let hit =
+            std::str::from_utf8(key).is_ok_and(|key| ctx.with_offline(|| self.get(key, found)));
+        ctx.count_get(hit);
+        hit
     }
 
     fn set(&self, key: &str, item: Item) -> StoreOutcome {
@@ -189,20 +189,23 @@ impl CacheEngine for LockEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ReadSide;
 
     #[test]
     fn capacity_triggers_exact_lru_eviction() {
         let engine = LockEngine::with_capacity(3);
+        let mut ctx = EngineReadCtx::new(ReadSide::Ebr);
+        let mut get = |key: &str| engine.get_ref(key.as_bytes(), &mut ctx);
         engine.set("a", Item::new(0, "1"));
         engine.set("b", Item::new(0, "2"));
         engine.set("c", Item::new(0, "3"));
         // Touch "a" so "b" becomes the LRU victim.
-        engine.get("a");
+        get("a");
         engine.set("d", Item::new(0, "4"));
         assert_eq!(engine.len(), 3);
-        assert!(engine.get("a").is_some());
-        assert!(engine.get("b").is_none());
-        assert!(engine.get("d").is_some());
+        assert!(get("a").is_some());
+        assert!(get("b").is_none());
+        assert!(get("d").is_some());
         assert_eq!(engine.stats().evicted(), 1);
     }
 }

@@ -123,18 +123,18 @@ impl BadRequest {
 /// are guaranteed valid UTF-8 (they are sub-slices of a validated line).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GetKeys<'a> {
-    rest: &'a str,
+    rest: &'a [u8],
 }
 
 impl<'a> GetKeys<'a> {
     /// Iterates the keys in request order.
     pub fn iter(&self) -> impl Iterator<Item = &'a [u8]> + 'a {
-        self.rest.split_ascii_whitespace().map(str::as_bytes)
+        words(self.rest)
     }
 
     /// Number of keys (re-tokenises; cheap for protocol-sized lines).
     pub fn count(&self) -> usize {
-        self.rest.split_ascii_whitespace().count()
+        words(self.rest).count()
     }
 }
 
@@ -184,32 +184,62 @@ pub enum RequestRef<'a> {
     Quit,
 }
 
-/// Writes `n` in decimal with no formatting machinery (a 20-byte stack
-/// buffer covers `u64::MAX`).
-pub(crate) fn put_decimal(out: &mut impl BufWrite, mut n: u64) {
-    let mut tmp = [0_u8; 20];
-    let mut i = tmp.len();
-    loop {
-        i -= 1;
-        tmp[i] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    out.put(&tmp[i..]);
+/// `n` in decimal, formatted on the stack with no formatting machinery (20
+/// bytes cover `u64::MAX`).
+struct Decimal {
+    digits: [u8; 20],
+    start: usize,
 }
 
-/// Writes a `VALUE <key> <flags> <bytes>\r\n` header straight into `out`
-/// with no intermediate buffer — the hot-path GET reply header.
-pub fn write_value_header(out: &mut impl BufWrite, key: &[u8], flags: u32, len: usize) {
-    out.put(b"VALUE ");
-    out.put(key);
-    out.put(b" ");
-    put_decimal(out, u64::from(flags));
-    out.put(b" ");
-    put_decimal(out, len as u64);
-    out.put(b"\r\n");
+impl Decimal {
+    fn new(mut n: u64) -> Decimal {
+        let mut digits = [0_u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        Decimal { digits, start }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.digits[self.start..]
+    }
+}
+
+/// Writes `n` in decimal.
+pub(crate) fn put_decimal(out: &mut impl BufWrite, n: u64) {
+    out.put(Decimal::new(n).as_bytes());
+}
+
+/// Writes `VALUE <key> <flags> <len>\r\n`, then `body` and `tail`, in one
+/// [`BufWrite::put_parts`] call with no intermediate buffer — a whole GET
+/// hit's reply when `body` is its payload, the bare header when both are
+/// empty.
+pub(crate) fn write_value(
+    out: &mut impl BufWrite,
+    key: &[u8],
+    flags: u32,
+    len: usize,
+    body: &[u8],
+    tail: &[u8],
+) {
+    let (flags, len) = (Decimal::new(u64::from(flags)), Decimal::new(len as u64));
+    out.put_parts(&[
+        b"VALUE ",
+        key,
+        b" ",
+        flags.as_bytes(),
+        b" ",
+        len.as_bytes(),
+        b"\r\n",
+        body,
+        tail,
+    ]);
 }
 
 /// The outcome of attempting to parse one borrowed request.
@@ -237,70 +267,60 @@ pub enum RefOutcome<'a> {
 
 /// Attempts to parse one request from the front of `buf`, borrowing keys
 /// and payloads from it.
+///
+/// The command line is read as bytes: its end is the first `\n` with a
+/// `\r` before it, it is checked to be ASCII a word at a time (and run
+/// through `from_utf8` only if it is not), and it is split on ASCII
+/// whitespace bytes — which never occur inside a multi-byte UTF-8
+/// sequence, so the keys are exactly the whitespace-separated words of the
+/// line as text.
 pub fn parse_request_ref(buf: &[u8]) -> RefOutcome<'_> {
     let Some(line_end) = find_crlf(buf) else {
         return RefOutcome::Incomplete;
     };
     let after_line = line_end + 2;
-    let Ok(line) = std::str::from_utf8(&buf[..line_end]) else {
-        return RefOutcome::Invalid {
-            consumed: after_line,
-            error: BadRequest::NotUtf8,
-        };
+    let invalid = |error| RefOutcome::Invalid {
+        consumed: after_line,
+        error,
     };
-    let trimmed = line.trim_start_matches(|c: char| c.is_ascii_whitespace());
-    if trimmed.is_empty() {
-        return RefOutcome::Invalid {
-            consumed: after_line,
-            error: BadRequest::Empty,
-        };
+    let complete = |request| RefOutcome::Complete {
+        request,
+        consumed: after_line,
+    };
+    let line = &buf[..line_end];
+    if !line.is_ascii() && std::str::from_utf8(line).is_err() {
+        return invalid(BadRequest::NotUtf8);
     }
-    let verb_end = trimmed
-        .find(|c: char| c.is_ascii_whitespace())
-        .unwrap_or(trimmed.len());
-    let (verb, rest) = trimmed.split_at(verb_end);
+    let mut rest = line;
+    let Some(verb) = next_word(&mut rest) else {
+        return invalid(BadRequest::Empty);
+    };
+    let mut parts = words(rest);
 
     match verb {
-        "get" | "gets" => {
-            let mut keys = rest.split_ascii_whitespace();
-            let Some(first) = keys.next() else {
-                return RefOutcome::Invalid {
-                    consumed: after_line,
-                    error: BadRequest::GetNeedsKey,
-                };
+        b"get" | b"gets" => {
+            let Some(first) = parts.next() else {
+                return invalid(BadRequest::GetNeedsKey);
             };
-            let request = if keys.next().is_none() {
-                RequestRef::Get {
-                    key: first.as_bytes(),
-                }
+            complete(if parts.next().is_none() {
+                RequestRef::Get { key: first }
             } else {
                 RequestRef::GetMulti(GetKeys { rest })
-            };
-            RefOutcome::Complete {
-                request,
-                consumed: after_line,
-            }
+            })
         }
-        "set" => {
-            let mut parts = rest.split_ascii_whitespace();
+        b"set" => {
             let (Some(key), Some(flags), Some(exptime), Some(bytes)) =
                 (parts.next(), parts.next(), parts.next(), parts.next())
             else {
-                return RefOutcome::Invalid {
-                    consumed: after_line,
-                    error: BadRequest::SetNeedsFields,
-                };
+                return invalid(BadRequest::SetNeedsFields);
             };
-            let noreply = matches!(parts.next(), Some("noreply"));
-            let (Ok(flags), Ok(exptime), Ok(nbytes)) = (
-                flags.parse::<u32>(),
-                exptime.parse::<u64>(),
-                bytes.parse::<usize>(),
+            let noreply = parts.next() == Some(b"noreply");
+            let (Some(flags), Some(exptime), Some(nbytes)) = (
+                parse_uint(flags).and_then(|n| u32::try_from(n).ok()),
+                parse_uint(exptime),
+                parse_uint(bytes).and_then(|n| usize::try_from(n).ok()),
             ) else {
-                return RefOutcome::Invalid {
-                    consumed: after_line,
-                    error: BadRequest::BadNumber,
-                };
+                return invalid(BadRequest::BadNumber);
             };
             // The data block is <bytes> bytes followed by \r\n. A byte
             // count near usize::MAX would overflow the frame arithmetic;
@@ -309,10 +329,7 @@ pub fn parse_request_ref(buf: &[u8]) -> RefOutcome<'_> {
                 .checked_add(nbytes)
                 .and_then(|n| n.checked_add(2))
             else {
-                return RefOutcome::Invalid {
-                    consumed: after_line,
-                    error: BadRequest::AbsurdByteCount,
-                };
+                return invalid(BadRequest::AbsurdByteCount);
             };
             if buf.len() < needed {
                 return RefOutcome::Incomplete;
@@ -325,7 +342,7 @@ pub fn parse_request_ref(buf: &[u8]) -> RefOutcome<'_> {
             }
             RefOutcome::Complete {
                 request: RequestRef::Set {
-                    key: key.as_bytes(),
+                    key,
                     flags,
                     exptime,
                     data: &buf[after_line..after_line + nbytes],
@@ -334,67 +351,127 @@ pub fn parse_request_ref(buf: &[u8]) -> RefOutcome<'_> {
                 consumed: needed,
             }
         }
-        "delete" => {
-            let mut parts = rest.split_ascii_whitespace();
+        b"delete" => {
             let Some(key) = parts.next() else {
-                return RefOutcome::Invalid {
-                    consumed: after_line,
-                    error: BadRequest::DeleteNeedsKey,
-                };
+                return invalid(BadRequest::DeleteNeedsKey);
             };
-            let noreply = matches!(parts.next(), Some("noreply"));
-            RefOutcome::Complete {
-                request: RequestRef::Delete {
-                    key: key.as_bytes(),
-                    noreply,
-                },
-                consumed: after_line,
-            }
+            let noreply = parts.next() == Some(b"noreply");
+            complete(RequestRef::Delete { key, noreply })
         }
-        "stats" => RefOutcome::Complete {
-            request: RequestRef::Stats,
-            consumed: after_line,
-        },
-        "STATS" => {
-            let mut parts = rest.split_ascii_whitespace();
+        b"stats" => complete(RequestRef::Stats),
+        b"STATS" => {
+            let count = |n| parse_uint(n).and_then(|n| usize::try_from(n).ok());
             let sub = match (parts.next(), parts.next(), parts.next()) {
                 (None, _, _) => Some(StatsSub::Render),
-                (Some("RESET"), None, _) => Some(StatsSub::Reset),
-                (Some("TRACE"), None, _) => Some(StatsSub::Trace(None)),
-                (Some("TRACE"), Some(n), None) => n.parse().ok().map(|n| StatsSub::Trace(Some(n))),
-                (Some("SLOW"), None, _) => Some(StatsSub::Slow),
-                (Some("JSON"), None, _) => Some(StatsSub::Json),
-                (Some("WORKER"), Some(n), None) => n.parse().ok().map(StatsSub::Worker),
+                (Some(b"RESET"), None, _) => Some(StatsSub::Reset),
+                (Some(b"TRACE"), None, _) => Some(StatsSub::Trace(None)),
+                (Some(b"TRACE"), Some(n), None) => count(n).map(|n| StatsSub::Trace(Some(n))),
+                (Some(b"SLOW"), None, _) => Some(StatsSub::Slow),
+                (Some(b"JSON"), None, _) => Some(StatsSub::Json),
+                (Some(b"WORKER"), Some(n), None) => count(n).map(StatsSub::Worker),
                 _ => None,
             };
             match sub {
-                Some(sub) => RefOutcome::Complete {
-                    request: RequestRef::StatsProm(sub),
-                    consumed: after_line,
-                },
-                None => RefOutcome::Invalid {
-                    consumed: after_line,
-                    error: BadRequest::UnknownCommand,
-                },
+                Some(sub) => complete(RequestRef::StatsProm(sub)),
+                None => invalid(BadRequest::UnknownCommand),
             }
         }
-        "version" => RefOutcome::Complete {
-            request: RequestRef::Version,
-            consumed: after_line,
-        },
-        "quit" => RefOutcome::Complete {
-            request: RequestRef::Quit,
-            consumed: after_line,
-        },
-        _ => RefOutcome::Invalid {
-            consumed: after_line,
-            error: BadRequest::UnknownCommand,
-        },
+        b"version" => complete(RequestRef::Version),
+        b"quit" => complete(RequestRef::Quit),
+        _ => invalid(BadRequest::UnknownCommand),
     }
 }
 
+/// Where the first line of `buf` ends: the index of the `\r` of its first
+/// `\r\n`. A `\n` with no `\r` before it is part of the line.
 fn find_crlf(buf: &[u8]) -> Option<usize> {
-    buf.windows(2).position(|w| w == b"\r\n")
+    let mut from = 0;
+    while let Some(at) = find_byte(&buf[from..], b'\n') {
+        let lf = from + at;
+        if lf > 0 && buf[lf - 1] == b'\r' {
+            return Some(lf - 1);
+        }
+        from = lf + 1;
+    }
+    None
+}
+
+/// `0x01` in every byte lane of a word.
+const LOW_BYTES: u64 = u64::from_le_bytes([0x01; 8]);
+/// `0x80` in every byte lane of a word.
+const HIGH_BITS: u64 = u64::from_le_bytes([0x80; 8]);
+
+/// The index of the first `byte` in `haystack`, found eight bytes at a
+/// time: a word XORed with `byte` in every lane has a zero lane where
+/// `byte` was, and `(x - 0x01…01) & !x & 0x80…80` flags zero lanes — the
+/// lowest flag exactly (a borrow only runs upward from a true zero).
+fn find_byte(haystack: &[u8], byte: u8) -> Option<usize> {
+    let pattern = LOW_BYTES * u64::from(byte);
+    let mut words = haystack.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let x = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk")) ^ pattern;
+        let zero = x.wrapping_sub(LOW_BYTES) & !x & HIGH_BITS;
+        if zero != 0 {
+            return Some(8 * i + (zero.trailing_zeros() / 8) as usize);
+        }
+    }
+    let tail = words.remainder();
+    let at = tail.iter().position(|&b| b == byte)?;
+    Some(haystack.len() - tail.len() + at)
+}
+
+/// Splits the first word — a run of bytes other than ASCII whitespace —
+/// off the front of `rest`, or returns `None` if only whitespace is left.
+fn next_word<'a>(rest: &mut &'a [u8]) -> Option<&'a [u8]> {
+    let start = rest.iter().position(|byte| !byte.is_ascii_whitespace())?;
+    let tail = &rest[start..];
+    let len = find_whitespace(tail).unwrap_or(tail.len());
+    let (word, after) = tail.split_at(len);
+    *rest = after;
+    Some(word)
+}
+
+/// The index of the first ASCII-whitespace byte of `bytes`, eight bytes at
+/// a time: every ASCII-whitespace byte is below `0x21`, and
+/// `(x - 0x21…21) & !x & 0x80…80` flags lanes below `0x21` — the lowest
+/// flag exactly. From a flagged lane on, the word is searched byte by
+/// byte, since a control byte below `0x21` need not be whitespace.
+fn find_whitespace(bytes: &[u8]) -> Option<usize> {
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let x = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk"));
+        let below = x.wrapping_sub(LOW_BYTES * 0x21) & !x & HIGH_BITS;
+        if below != 0 {
+            let lane = (below.trailing_zeros() / 8) as usize;
+            if let Some(at) = word[lane..].iter().position(u8::is_ascii_whitespace) {
+                return Some(8 * i + lane + at);
+            }
+        }
+    }
+    let tail = words.remainder();
+    let at = tail.iter().position(u8::is_ascii_whitespace)?;
+    Some(bytes.len() - tail.len() + at)
+}
+
+/// The words of `line`, in order.
+fn words(mut line: &[u8]) -> impl Iterator<Item = &[u8]> {
+    std::iter::from_fn(move || next_word(&mut line))
+}
+
+/// `str::parse` of an unsigned integer, over bytes: an optional `+`, then
+/// one or more ASCII digits, with no overflow of `u64`.
+fn parse_uint(word: &[u8]) -> Option<u64> {
+    let digits = word.strip_prefix(b"+").unwrap_or(word);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0_u64, |n, &byte| {
+        let digit = byte.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        n.checked_mul(10)?.checked_add(u64::from(digit))
+    })
 }
 
 /// Longest command line the decoder accepts before declaring the stream
@@ -528,12 +605,11 @@ impl RefDecoder {
 /// data block + CRLF). `None` for any other line, or on overflow (which
 /// [`parse_request_ref`] has already rejected as `Invalid` by then).
 fn set_frame_len(line: &[u8], line_end: usize) -> Option<usize> {
-    let line = std::str::from_utf8(line).ok()?;
-    let mut parts = line.split_ascii_whitespace();
-    if parts.next() != Some("set") {
+    let mut parts = words(line);
+    if parts.next() != Some(b"set") {
         return None;
     }
-    let nbytes: usize = parts.nth(3)?.parse().ok()?;
+    let nbytes = usize::try_from(parse_uint(parts.nth(3)?)?).ok()?;
     line_end.checked_add(2)?.checked_add(nbytes)?.checked_add(2)
 }
 
@@ -762,16 +838,38 @@ mod tests {
     }
 
     #[test]
+    fn word_at_a_time_searches_match_a_byte_loop() {
+        // Every byte value at every offset of a 20-byte haystack (two
+        // words and a tail), on a background of key bytes, and behind a
+        // decoy below 0x21 that is not whitespace.
+        for background in [b'k', 0x0b] {
+            for at in 0..20 {
+                for byte in 0..=255_u8 {
+                    let mut haystack = [background; 20];
+                    haystack[at] = byte;
+                    let find = haystack.iter().position(|&b| b == byte);
+                    assert_eq!(find_byte(&haystack, byte), find, "{haystack:?}");
+                    let space = haystack.iter().position(u8::is_ascii_whitespace);
+                    assert_eq!(find_whitespace(&haystack), space, "{haystack:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn value_header_writes_exact_wire_bytes() {
         let mut out = Vec::new();
-        write_value_header(&mut out, b"k", 5, 3);
+        write_value(&mut out, b"k", 5, 3, &[], &[]);
         assert_eq!(out, b"VALUE k 5 3\r\n");
         out.clear();
-        write_value_header(&mut out, b"long-key:123", 0, 1048576);
+        write_value(&mut out, b"long-key:123", 0, 1048576, &[], &[]);
         assert_eq!(out, b"VALUE long-key:123 0 1048576\r\n");
         out.clear();
-        write_value_header(&mut out, b"m", u32::MAX, 0);
+        write_value(&mut out, b"m", u32::MAX, 0, &[], &[]);
         assert_eq!(out, b"VALUE m 4294967295 0\r\n");
+        out.clear();
+        write_value(&mut out, b"k", 0, 2, b"hi", b"\r\nEND\r\n");
+        assert_eq!(out, b"VALUE k 0 2\r\nhi\r\nEND\r\n");
     }
 
     #[test]

@@ -15,6 +15,7 @@ use parking_lot::Mutex;
 use rp_hash::{FnvBuildHasher, ResizePolicy, RpHashMap};
 use rp_rcu::NoGraceWait;
 
+use crate::audit::{self, SharedWrite};
 use crate::engine::{CacheEngine, CacheStats, EngineReadCtx, StoreOutcome, GROUP};
 use crate::item::{Item, ItemKey};
 use crate::lock_engine::EngineConfig;
@@ -195,8 +196,8 @@ impl StoredItem {
     }
 
     /// Hints the payload's first two lines: its `Arc` header (two counters,
-    /// just below the data), which is what cloning the item out of the
-    /// index writes to, and what follows.
+    /// just below the data), which a large value's reply clones, and the
+    /// data that follows, which a small value's reply copies.
     fn prefetch_payload(&self) {
         let counters = std::mem::size_of::<[usize; 2]>();
         let header = self.item.data.as_ptr().wrapping_sub(counters);
@@ -248,20 +249,22 @@ impl_byte_key_index!(relativistic RpHashMap<ItemKey, StoredItem, FnvBuildHasher>
 /// What an index probe found, with the LRU stamp already applied to a live
 /// hit.
 enum Probe {
-    /// A live item, copied out inside the read-side window.
-    Live(Item),
+    /// A live item, handed to the caller inside the read-side window.
+    Live,
     /// Present but expired: removed on the writer-side slow path.
     Expired,
     /// Not present.
     Miss,
 }
 
-fn classify_probe(stored: Option<&StoredItem>, stamp: u64) -> Probe {
+fn classify_probe(stored: Option<&StoredItem>, stamp: u64, found: &mut dyn FnMut(&Item)) -> Probe {
     match stored {
         Some(stored) if stored.is_expired_now() => Probe::Expired,
         Some(stored) => {
+            audit::count(SharedWrite::LastAccess);
             stored.last_access.store(stamp, Ordering::Relaxed);
-            Probe::Live(stored.item.clone())
+            found(&stored.item);
+            Probe::Live
         }
         None => Probe::Miss,
     }
@@ -272,10 +275,10 @@ fn classify_probe(stored: Option<&StoredItem>, stamp: u64) -> Probe {
 ///
 /// * **GET** enters a read-side section (a pinned EBR guard, or the
 ///   worker's barrier-free QSBR handle), looks the key up in the index,
-///   checks expiry and copies the (reference-counted) value out — all
-///   without taking any lock. Expired entries fall back to the slow path
-///   (a writer-side remove) exactly as the patch "falls back to the slow
-///   path for expiry, eviction".
+///   checks expiry and hands the item to the caller's reply writer while
+///   still inside the section — all without taking any lock. Expired
+///   entries fall back to the slow path (a writer-side remove) exactly as
+///   the patch "falls back to the slow path for expiry, eviction".
 /// * **SET / DELETE** go through the index's writer side and retire
 ///   replaced items through the RCU domain.
 /// * **Eviction** is exact LRU at a fraction of a scan per victim: a SET
@@ -312,6 +315,7 @@ impl<I: ByteKeyIndex> Engine<I> {
 
     /// Next LRU access stamp.
     fn stamp(&self) -> u64 {
+        audit::count(SharedWrite::Stamp);
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
@@ -412,46 +416,37 @@ impl<I: ByteKeyIndex> CacheEngine for Engine<I> {
         I::NAME
     }
 
-    fn get_ref(&self, key: &[u8], ctx: &mut EngineReadCtx) -> Option<Item> {
+    fn get_with(&self, key: &[u8], ctx: &mut EngineReadCtx, found: &mut dyn FnMut(&Item)) -> bool {
         // One hashing pass over the borrowed key bytes serves the whole
         // lookup (shard routing included); the key is never copied and
         // never re-validated.
         let hash = str_bytes_hash(key);
         let stamp = self.stamp();
-        // No locks, no waiting; the value is copied (cheaply — the payload
-        // is reference counted) while still inside the read-side section.
+        // No locks, no waiting; `found` reads the item while still inside
+        // the read-side section.
         let probe = match ctx.qsbr_handle() {
-            Some(handle) => classify_probe(self.index.probe(hash, key, handle), stamp),
+            Some(handle) => classify_probe(self.index.probe(hash, key, handle), stamp, found),
             None => {
                 let guard = self.index.pin_guard();
-                classify_probe(self.index.probe(hash, key, &guard), stamp)
+                classify_probe(self.index.probe(hash, key, &guard), stamp, found)
             }
         };
-        match probe {
-            Probe::Live(item) => {
-                self.stats.bump(&self.stats.get_hits);
-                Some(item)
-            }
-            Probe::Miss => {
-                self.stats.bump(&self.stats.get_misses);
-                None
-            }
-            Probe::Expired => {
-                // Cold path. The read-side section is over, so another
-                // worker may have acknowledged a SET of this key since the
-                // probe: remove only an item that is expired *now*. Stored
-                // keys are always valid UTF-8, so the view cannot fail for
-                // a key that was found. Grace-period work the removal
-                // triggers is postponed while this thread is a QSBR reader.
-                if std::str::from_utf8(key)
-                    .is_ok_and(|key| self.index.remove_if(hash, key, StoredItem::is_expired_now))
-                {
-                    self.stats.bump(&self.stats.expirations);
-                }
-                self.stats.bump(&self.stats.get_misses);
-                None
+        if let Probe::Expired = probe {
+            // Cold path. The read-side section is over, so another worker
+            // may have acknowledged a SET of this key since the probe:
+            // remove only an item that is expired *now*. Stored keys are
+            // always valid UTF-8, so the view cannot fail for a key that
+            // was found. Grace-period work the removal triggers is
+            // postponed while this thread is a QSBR reader.
+            if std::str::from_utf8(key)
+                .is_ok_and(|key| self.index.remove_if(hash, key, StoredItem::is_expired_now))
+            {
+                self.stats.bump(&self.stats.expirations);
             }
         }
+        let hit = matches!(probe, Probe::Live);
+        ctx.count_get(hit);
+        hit
     }
 
     fn prefetch(&self, keys: &[&[u8]], ctx: &EngineReadCtx) {
@@ -727,7 +722,7 @@ pub(crate) mod tests {
         assert_eq!(engine.len(), 8192);
     }
 
-    /// `get_ref`'s expired arm taken apart, with another worker's SET of
+    /// `get_with`'s expired arm taken apart, with another worker's SET of
     /// the same key acknowledged between the probe and the removal: the
     /// verdict "expired" was about the old item and must not take the new.
     fn expired_verdict_spares_a_fresh_set<I: ByteKeyIndex>(engine: Engine<I>) {
@@ -736,7 +731,9 @@ pub(crate) mod tests {
         engine.set("k", stale());
         {
             let guard = engine.index.pin_guard();
-            let probe = classify_probe(engine.index.probe(hash, b"k", &guard), 0);
+            let probe = classify_probe(engine.index.probe(hash, b"k", &guard), 0, &mut |_| {
+                panic!("an expired item reached the reply writer")
+            });
             assert!(matches!(probe, Probe::Expired), "{}", engine.name());
         }
         engine.set("k", Item::new(0, "fresh"));

@@ -7,10 +7,11 @@
 use std::time::Duration;
 
 use bytes::Bytes;
-use rp_net::BufWrite;
+use rp_net::{BufWrite, COALESCE_LIMIT};
 
+use crate::audit::{self, SharedWrite};
 use crate::engine::{CacheEngine, EngineReadCtx, ReadSide, StoreOutcome};
-use crate::protocol::{put_decimal, write_value_header, RequestRef, StatsSub};
+use crate::protocol::{put_decimal, write_value, RequestRef, StatsSub};
 use crate::telemetry;
 use crate::Item;
 
@@ -83,19 +84,26 @@ impl ServerConfig {
 ///
 /// This is the zero-allocation request pipeline the server runs: keys stay
 /// `&[u8]` slices into the connection's read buffer
-/// ([`CacheEngine::get_ref`] hashes them once and probes the index with no
-/// copy), `VALUE` headers are written digit-by-digit into the connection's
-/// pooled output queue, and payloads ride as reference-counted [`Bytes`]
-/// (copied only when small enough that coalescing beats scatter-gather).
+/// ([`CacheEngine::get_with`] hashes them once and probes the index with no
+/// copy), and a GET hit's whole reply — `VALUE` header, payload, trailer —
+/// is copied into the connection's pooled output queue in one write while
+/// the lookup's read-side section still protects the item; only a payload
+/// too large to coalesce is queued by reference instead.
 /// A steady-state GET or miss performs no heap allocation at all; SETs
 /// allocate only the key and payload that go *into* the table.
+///
+/// The request's GET hit or miss is folded into the engine's
+/// [`CacheStats`](crate::CacheStats) before this returns. The server
+/// itself runs the unfolded body and folds once per batch of requests.
 pub fn execute_ref(
     engine: &dyn CacheEngine,
     request: &RequestRef<'_>,
     ctx: &mut EngineReadCtx,
     out: &mut impl BufWrite,
 ) -> bool {
-    execute(engine, request, ctx, out, None)
+    let quit = execute(engine, request, ctx, out, None);
+    ctx.fold(engine.stats());
+    quit
 }
 
 /// The span of a sampled request; empty for the unsampled rest, which then
@@ -120,6 +128,32 @@ impl Phases<'_> {
     fn serialize<R>(&mut self, f: impl FnOnce() -> R) -> R {
         timed(self.0.as_deref_mut().map(|span| &mut span.serialize_ns), f)
     }
+
+    /// Looks `key` up and, on a hit, writes its `VALUE` block followed by
+    /// `tail` from inside the lookup; `true` on a hit. The copy is timed
+    /// as the *serialize* phase and the rest of the lookup as *index*.
+    fn get(
+        &mut self,
+        engine: &dyn CacheEngine,
+        key: &[u8],
+        ctx: &mut EngineReadCtx,
+        out: &mut impl BufWrite,
+        tail: &[u8],
+    ) -> bool {
+        let Some(span) = self.0.as_deref_mut() else {
+            return engine.get_with(key, ctx, &mut |item| put_value(out, key, item, tail));
+        };
+        let mut serialize_ns = 0;
+        let mut lookup_ns = 0;
+        let hit = timed(Some(&mut lookup_ns), || {
+            engine.get_with(key, ctx, &mut |item| {
+                timed(Some(&mut serialize_ns), || put_value(out, key, item, tail));
+            })
+        });
+        span.serialize_ns += serialize_ns;
+        span.index_ns += lookup_ns.saturating_sub(serialize_ns);
+        hit
+    }
 }
 
 /// Runs `f`, adding the time it took to `ns` if there is one.
@@ -141,11 +175,22 @@ fn hash_key(key: &[u8]) -> u64 {
     hash
 }
 
-/// Writes one `VALUE` block.
-fn put_value(out: &mut impl BufWrite, key: &[u8], item: Item) {
-    write_value_header(out, key, item.flags, item.data.len());
-    out.put_shared(item.data);
-    out.put(b"\r\n");
+/// Writes one `VALUE` block for `item`, then `tail` (`\r\n`, or
+/// `\r\nEND\r\n` closing a single-key GET). A payload of at most
+/// [`COALESCE_LIMIT`] bytes goes out in the same single write as its header
+/// and tail — copied, so the item's reference count is never touched; a
+/// larger one is queued by reference, one `Bytes` clone taken while the
+/// caller's read-side section still protects the item.
+fn put_value(out: &mut impl BufWrite, key: &[u8], item: &Item, tail: &[u8]) {
+    let len = item.data.len();
+    if len <= COALESCE_LIMIT {
+        write_value(out, key, item.flags, len, &item.data, tail);
+    } else {
+        write_value(out, key, item.flags, len, &[], &[]);
+        audit::count(SharedWrite::PayloadClone);
+        out.put_shared(item.data.clone());
+        out.put(tail);
+    }
 }
 
 /// Writes one `STAT <name> <value>` line of the `stats` reply.
@@ -172,20 +217,14 @@ fn execute(
     match request {
         RequestRef::Get { key } => {
             span.tag(rp_obs::slow::OP_GET, Some(key));
-            let item = span.index(|| engine.get_ref(key, ctx));
-            span.serialize(|| {
-                if let Some(item) = item {
-                    put_value(out, key, item);
-                }
-                out.put(b"END\r\n");
-            });
+            if !span.get(engine, key, ctx, out, b"\r\nEND\r\n") {
+                span.serialize(|| out.put(b"END\r\n"));
+            }
         }
         RequestRef::GetMulti(keys) => {
             span.tag(rp_obs::slow::OP_GET, keys.iter().next());
             for key in keys.iter() {
-                if let Some(item) = span.index(|| engine.get_ref(key, ctx)) {
-                    span.serialize(|| put_value(out, key, item));
-                }
+                span.get(engine, key, ctx, out, b"\r\n");
             }
             span.serialize(|| out.put(b"END\r\n"));
         }
@@ -234,8 +273,11 @@ fn execute(
                 }
             });
         }
+        // Both views first fold what this context counted, so every GET it
+        // served shows in them.
         RequestRef::Stats => {
             let stats = engine.stats();
+            ctx.fold(stats);
             out.put(b"STAT engine ");
             out.put(engine.name().as_bytes());
             out.put(b"\r\n");
@@ -245,14 +287,17 @@ fn execute(
             put_stat(out, "evictions", stats.evicted());
             out.put(b"END\r\n");
         }
-        RequestRef::StatsProm(sub) => match sub {
-            StatsSub::Render => telemetry::render_prometheus(engine, out),
-            StatsSub::Reset => telemetry::reset(engine, out),
-            StatsSub::Trace(limit) => telemetry::render_trace(*limit, out),
-            StatsSub::Slow => telemetry::render_slow(out),
-            StatsSub::Json => telemetry::render_json(engine, out),
-            StatsSub::Worker(n) => telemetry::render_worker(*n, out),
-        },
+        RequestRef::StatsProm(sub) => {
+            ctx.fold(engine.stats());
+            match sub {
+                StatsSub::Render => telemetry::render_prometheus(engine, out),
+                StatsSub::Reset => telemetry::reset(engine, out),
+                StatsSub::Trace(limit) => telemetry::render_trace(*limit, out),
+                StatsSub::Slow => telemetry::render_slow(out),
+                StatsSub::Json => telemetry::render_json(engine, out),
+                StatsSub::Worker(n) => telemetry::render_worker(*n, out),
+            }
+        }
         RequestRef::Version => {
             out.put(b"VERSION ");
             out.put(SERVER_VERSION.as_bytes());
@@ -418,6 +463,7 @@ mod tests {
             &mut out,
             Some(&mut span)
         ));
+        ctx.fold(engine.stats());
         assert_eq!(out, serve(&engine, b"get k\r\n"));
         assert_eq!(span.op, rp_obs::slow::OP_GET);
         assert_eq!(span.key_hash, hash_key(b"k"));
@@ -448,6 +494,7 @@ mod tests {
                 "after {requests} GETs"
             );
         }
+        ctx.fold(engine.stats());
         assert_eq!(out, b"VALUE k 0 1\r\nv\r\nEND\r\n".repeat(1000));
         let others = [&kv.set_ns, &kv.delete_ns, &kv.other_ns];
         assert!(others.iter().all(|hist| hist.snapshot().count() == 0));

@@ -1,16 +1,20 @@
 //! End-to-end tests for the server: the same protocol session on every
-//! engine and read side, pipelining, incremental framing, and graceful
-//! shutdown that sheds no requests.
+//! engine and read side, pipelining, incremental framing, graceful
+//! shutdown that sheds no requests, and `stats` counts that are exact
+//! across connections.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use rp_kvcache::client::CacheClient;
+use rp_kvcache::protocol::RequestRef;
+use rp_kvcache::server::{execute_ref, SERVER_VERSION};
 use rp_kvcache::{
-    CacheEngine, EventServer, LockEngine, ReadSide, RpEngine, ServerConfig, ShardedRpEngine,
-    SplitOrderEngine,
+    CacheEngine, EngineReadCtx, EventServer, Item, LockEngine, ReadSide, RpEngine, ServerConfig,
+    ShardedRpEngine, SplitOrderEngine,
 };
 
 /// One whole session: miss, set, hit, multi-get, delete, double delete,
@@ -485,4 +489,101 @@ fn shutdown_is_idempotent_and_drop_is_safe() {
     let mut server = EventServer::start(engine, &ServerConfig::event_loop(1)).unwrap();
     full_session(&server);
     server.shutdown();
+}
+
+/// `(get_hits, get_misses)` from a classic `stats` reply.
+fn get_counts(client: &mut CacheClient) -> (u64, u64) {
+    let stats = client.stats().unwrap();
+    let stat = |name: &str| -> u64 {
+        let (_, value) = stats
+            .iter()
+            .find(|(stat, _)| stat == name)
+            .unwrap_or_else(|| panic!("no {name} in {stats:?}"));
+        value.parse().unwrap()
+    };
+    (stat("get_hits"), stat("get_misses"))
+}
+
+#[test]
+fn stats_counts_every_get_a_client_has_read_on_any_connection() {
+    // A worker counts its GETs privately and folds them into the engine's
+    // counters once per batch, before the batch's replies are flushed. So a
+    // client that has read a GET's reply sees it in the next `stats` —
+    // whichever connection, and so whichever of the two workers, serves it.
+    // Sixteen connections, and a GET on each with `stats` on each other one
+    // in turn. A worker busy serving gets no accepts (the listener wakes an
+    // idle one), so the connections are made while a seventeenth keeps one
+    // worker or the other busy with `version` bursts — requests that count
+    // no GET — and land on both.
+    let mut server =
+        EventServer::start(Arc::new(RpEngine::new()), &ServerConfig::event_loop(2)).unwrap();
+    let addr = server.addr();
+    let stop = Arc::new(AtomicBool::new(false));
+    let hammer = {
+        let stop = Arc::clone(&stop);
+        let mut stream = TcpStream::connect(addr).unwrap();
+        std::thread::spawn(move || {
+            let burst = b"version\r\n".repeat(1024);
+            let mut replies = vec![0; format!("VERSION {SERVER_VERSION}\r\n").len() * 1024];
+            while !stop.load(Ordering::Relaxed) {
+                stream.write_all(&burst).unwrap();
+                stream.read_exact(&mut replies).unwrap();
+            }
+        })
+    };
+    let mut clients: Vec<CacheClient> = (0..16)
+        .map(|_| {
+            std::thread::sleep(Duration::from_millis(1));
+            CacheClient::connect(addr).unwrap()
+        })
+        .collect();
+    stop.store(true, Ordering::Relaxed);
+    hammer.join().unwrap();
+    assert!(clients[0].set("k", 0, 0, b"v").unwrap());
+    let pairs = (0..16).flat_map(|a| (0..16).filter(move |&b| b != a).map(move |b| (a, b)));
+    for (round, (a, b)) in pairs.enumerate() {
+        let before = get_counts(&mut clients[b]);
+        let hit = round % 2 == 0;
+        let key = if hit { "k" } else { "absent" };
+        assert_eq!(clients[a].get(key).unwrap().is_some(), hit);
+        let after = get_counts(&mut clients[b]);
+        let expected = if hit {
+            (before.0 + 1, before.1)
+        } else {
+            (before.0, before.1 + 1)
+        };
+        assert_eq!(after, expected, "round {round}: GET on {a}, stats on {b}");
+    }
+    server.shutdown();
+}
+
+#[test]
+fn a_bare_execute_ref_counts_every_get() {
+    // The single-request entry point folds before it returns, so a caller
+    // with a fresh context per request loses no count.
+    let engine = RpEngine::new();
+    engine.set("k", Item::new(0, "v"));
+    let mut out = Vec::new();
+    for key in [&b"k"[..], b"absent", b"k", b"k"] {
+        let mut ctx = EngineReadCtx::new(ReadSide::Qsbr);
+        assert!(!execute_ref(
+            &engine,
+            &RequestRef::Get { key },
+            &mut ctx,
+            &mut out
+        ));
+    }
+    let mut ctx = EngineReadCtx::new(ReadSide::Ebr);
+    assert!(!execute_ref(
+        &engine,
+        &RequestRef::Stats,
+        &mut ctx,
+        &mut out
+    ));
+    let text = String::from_utf8(out).unwrap();
+    assert!(
+        text.contains("STAT get_hits 3\r\nSTAT get_misses 1\r\n"),
+        "{text}"
+    );
+    assert_eq!((engine.stats().hits(), engine.stats().misses()), (3, 1));
 }

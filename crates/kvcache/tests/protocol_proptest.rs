@@ -64,6 +64,218 @@ impl Request {
     }
 }
 
+/// The char-wise parser that `parse_request_ref` replaced, kept verbatim as
+/// the oracle the byte-wise one is held to. Its request types mirror the
+/// crate's, with `GetKeys` holding the `&str` line tail it held then.
+mod charwise {
+    use rp_kvcache::protocol::{BadRequest, StatsSub};
+
+    #[derive(Debug, Clone, Copy)]
+    pub struct GetKeys<'a> {
+        pub rest: &'a str,
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    pub enum RequestRef<'a> {
+        Get {
+            key: &'a [u8],
+        },
+        GetMulti(GetKeys<'a>),
+        Set {
+            key: &'a [u8],
+            flags: u32,
+            exptime: u64,
+            data: &'a [u8],
+            noreply: bool,
+        },
+        Delete {
+            key: &'a [u8],
+            noreply: bool,
+        },
+        Stats,
+        StatsProm(StatsSub),
+        Version,
+        Quit,
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    pub enum RefOutcome<'a> {
+        Complete {
+            request: RequestRef<'a>,
+            consumed: usize,
+        },
+        Incomplete,
+        Invalid {
+            consumed: usize,
+            error: BadRequest,
+        },
+    }
+
+    /// Attempts to parse one request from the front of `buf`, borrowing keys
+    /// and payloads from it.
+    pub fn parse_request_ref(buf: &[u8]) -> RefOutcome<'_> {
+        let Some(line_end) = find_crlf(buf) else {
+            return RefOutcome::Incomplete;
+        };
+        let after_line = line_end + 2;
+        let Ok(line) = std::str::from_utf8(&buf[..line_end]) else {
+            return RefOutcome::Invalid {
+                consumed: after_line,
+                error: BadRequest::NotUtf8,
+            };
+        };
+        let trimmed = line.trim_start_matches(|c: char| c.is_ascii_whitespace());
+        if trimmed.is_empty() {
+            return RefOutcome::Invalid {
+                consumed: after_line,
+                error: BadRequest::Empty,
+            };
+        }
+        let verb_end = trimmed
+            .find(|c: char| c.is_ascii_whitespace())
+            .unwrap_or(trimmed.len());
+        let (verb, rest) = trimmed.split_at(verb_end);
+
+        match verb {
+            "get" | "gets" => {
+                let mut keys = rest.split_ascii_whitespace();
+                let Some(first) = keys.next() else {
+                    return RefOutcome::Invalid {
+                        consumed: after_line,
+                        error: BadRequest::GetNeedsKey,
+                    };
+                };
+                let request = if keys.next().is_none() {
+                    RequestRef::Get {
+                        key: first.as_bytes(),
+                    }
+                } else {
+                    RequestRef::GetMulti(GetKeys { rest })
+                };
+                RefOutcome::Complete {
+                    request,
+                    consumed: after_line,
+                }
+            }
+            "set" => {
+                let mut parts = rest.split_ascii_whitespace();
+                let (Some(key), Some(flags), Some(exptime), Some(bytes)) =
+                    (parts.next(), parts.next(), parts.next(), parts.next())
+                else {
+                    return RefOutcome::Invalid {
+                        consumed: after_line,
+                        error: BadRequest::SetNeedsFields,
+                    };
+                };
+                let noreply = matches!(parts.next(), Some("noreply"));
+                let (Ok(flags), Ok(exptime), Ok(nbytes)) = (
+                    flags.parse::<u32>(),
+                    exptime.parse::<u64>(),
+                    bytes.parse::<usize>(),
+                ) else {
+                    return RefOutcome::Invalid {
+                        consumed: after_line,
+                        error: BadRequest::BadNumber,
+                    };
+                };
+                // The data block is <bytes> bytes followed by \r\n. A byte
+                // count near usize::MAX would overflow the frame arithmetic;
+                // nothing legitimate comes within orders of magnitude of it.
+                let Some(needed) = after_line
+                    .checked_add(nbytes)
+                    .and_then(|n| n.checked_add(2))
+                else {
+                    return RefOutcome::Invalid {
+                        consumed: after_line,
+                        error: BadRequest::AbsurdByteCount,
+                    };
+                };
+                if buf.len() < needed {
+                    return RefOutcome::Incomplete;
+                }
+                if &buf[after_line + nbytes..needed] != b"\r\n" {
+                    return RefOutcome::Invalid {
+                        consumed: needed,
+                        error: BadRequest::DataUnterminated,
+                    };
+                }
+                RefOutcome::Complete {
+                    request: RequestRef::Set {
+                        key: key.as_bytes(),
+                        flags,
+                        exptime,
+                        data: &buf[after_line..after_line + nbytes],
+                        noreply,
+                    },
+                    consumed: needed,
+                }
+            }
+            "delete" => {
+                let mut parts = rest.split_ascii_whitespace();
+                let Some(key) = parts.next() else {
+                    return RefOutcome::Invalid {
+                        consumed: after_line,
+                        error: BadRequest::DeleteNeedsKey,
+                    };
+                };
+                let noreply = matches!(parts.next(), Some("noreply"));
+                RefOutcome::Complete {
+                    request: RequestRef::Delete {
+                        key: key.as_bytes(),
+                        noreply,
+                    },
+                    consumed: after_line,
+                }
+            }
+            "stats" => RefOutcome::Complete {
+                request: RequestRef::Stats,
+                consumed: after_line,
+            },
+            "STATS" => {
+                let mut parts = rest.split_ascii_whitespace();
+                let sub = match (parts.next(), parts.next(), parts.next()) {
+                    (None, _, _) => Some(StatsSub::Render),
+                    (Some("RESET"), None, _) => Some(StatsSub::Reset),
+                    (Some("TRACE"), None, _) => Some(StatsSub::Trace(None)),
+                    (Some("TRACE"), Some(n), None) => {
+                        n.parse().ok().map(|n| StatsSub::Trace(Some(n)))
+                    }
+                    (Some("SLOW"), None, _) => Some(StatsSub::Slow),
+                    (Some("JSON"), None, _) => Some(StatsSub::Json),
+                    (Some("WORKER"), Some(n), None) => n.parse().ok().map(StatsSub::Worker),
+                    _ => None,
+                };
+                match sub {
+                    Some(sub) => RefOutcome::Complete {
+                        request: RequestRef::StatsProm(sub),
+                        consumed: after_line,
+                    },
+                    None => RefOutcome::Invalid {
+                        consumed: after_line,
+                        error: BadRequest::UnknownCommand,
+                    },
+                }
+            }
+            "version" => RefOutcome::Complete {
+                request: RequestRef::Version,
+                consumed: after_line,
+            },
+            "quit" => RefOutcome::Complete {
+                request: RequestRef::Quit,
+                consumed: after_line,
+            },
+            _ => RefOutcome::Invalid {
+                consumed: after_line,
+                error: BadRequest::UnknownCommand,
+            },
+        }
+    }
+
+    fn find_crlf(buf: &[u8]) -> Option<usize> {
+        buf.windows(2).position(|w| w == b"\r\n")
+    }
+}
+
 fn key_strategy() -> impl Strategy<Value = String> {
     "[a-zA-Z0-9:_-]{1,32}"
 }
@@ -193,6 +405,226 @@ fn decode_chunks(chunks: &[&[u8]]) -> (Vec<Result<Request, BadRequest>>, usize) 
         input.drain(..offset);
     }
     (decoded, input.len())
+}
+
+/// What a parse came to, in a form both parsers' outcomes convert to: a
+/// complete request as the test's model (and whether it was the multi-key
+/// form), or the rejection, each with the bytes consumed.
+#[derive(Debug, PartialEq, Eq)]
+enum Parsed {
+    Complete {
+        request: Request,
+        multi: bool,
+        consumed: usize,
+    },
+    Incomplete,
+    Invalid {
+        error: BadRequest,
+        consumed: usize,
+    },
+}
+
+impl Parsed {
+    fn of(outcome: RefOutcome<'_>) -> Parsed {
+        match outcome {
+            RefOutcome::Complete { request, consumed } => Parsed::Complete {
+                request: Request::of(&request),
+                multi: matches!(request, RequestRef::GetMulti(_)),
+                consumed,
+            },
+            RefOutcome::Incomplete => Parsed::Incomplete,
+            RefOutcome::Invalid { consumed, error } => Parsed::Invalid { error, consumed },
+        }
+    }
+
+    fn of_charwise(outcome: charwise::RefOutcome<'_>) -> Parsed {
+        use charwise::RequestRef as Old;
+        let text = |key: &[u8]| String::from_utf8(key.to_vec()).expect("keys are UTF-8");
+        match outcome {
+            charwise::RefOutcome::Complete { request, consumed } => Parsed::Complete {
+                request: match request {
+                    Old::Get { key } => Request::Get(vec![text(key)]),
+                    Old::GetMulti(keys) => Request::Get(
+                        keys.rest
+                            .split_ascii_whitespace()
+                            .map(|key| text(key.as_bytes()))
+                            .collect(),
+                    ),
+                    Old::Set {
+                        key,
+                        flags,
+                        exptime,
+                        data,
+                        noreply,
+                    } => Request::Set {
+                        key: text(key),
+                        flags,
+                        exptime,
+                        data: data.to_vec(),
+                        noreply,
+                    },
+                    Old::Delete { key, noreply } => Request::Delete {
+                        key: text(key),
+                        noreply,
+                    },
+                    Old::Stats => Request::Stats,
+                    Old::StatsProm(sub) => Request::StatsProm(sub),
+                    Old::Version => Request::Version,
+                    Old::Quit => Request::Quit,
+                },
+                multi: matches!(request, Old::GetMulti(_)),
+                consumed,
+            },
+            charwise::RefOutcome::Incomplete => Parsed::Incomplete,
+            charwise::RefOutcome::Invalid { consumed, error } => {
+                Parsed::Invalid { error, consumed }
+            }
+        }
+    }
+}
+
+/// Both parsers on `buf` and on every prefix of it — so a `set` whose
+/// data block is cut anywhere is checked too; the first disagreement, if
+/// any, as `(prefix length, byte-wise, char-wise)`.
+fn disagreement(buf: &[u8]) -> Option<(usize, Parsed, Parsed)> {
+    (0..=buf.len()).find_map(|len| {
+        let prefix = &buf[..len];
+        let new = Parsed::of(parse_request_ref(prefix));
+        let old = Parsed::of_charwise(charwise::parse_request_ref(prefix));
+        (new != old).then_some((len, new, old))
+    })
+}
+
+/// Pieces of near-valid command lines: what the byte-wise parser must
+/// split, trim and compare exactly as the char-wise one did.
+const VERBS: &[&str] = &[
+    "get", "gets", "set", "delete", "stats", "STATS", "version", "quit", "GET", "ge", "sets", "",
+];
+const SEPARATORS: &[&[u8]] = &[
+    b" ", b" ", b" ", b"  ", b"\t", b" \t ", b"\x0c", b"\r", b"\n", b"\x0b",
+];
+const WORDS: &[&[u8]] = &[
+    b"k",
+    b"key:000123",
+    b"a-b_c",
+    b"0",
+    b"5",
+    b"+7",
+    b"-1",
+    b"42",
+    b"4294967295",
+    b"4294967296",
+    b"18446744073709551615",
+    b"18446744073709551616",
+    b"+",
+    b"x1",
+    b"noreply",
+    b"RESET",
+    b"TRACE",
+    b"SLOW",
+    b"JSON",
+    b"WORKER",
+    // Valid UTF-8 beyond ASCII.
+    "\u{e9}t\u{e9}".as_bytes(),
+    "\u{65e5}\u{672c}".as_bytes(),
+    "k\u{1f600}".as_bytes(),
+    // Invalid UTF-8: a stray continuation byte, a truncated sequence, 0xff.
+    b"k\x80",
+    b"\xe6\x97",
+    b"\xff\xfe",
+    b"\xc3",
+];
+const ENDINGS: &[&[u8]] = &[b"\r\n", b"\r\n", b"\r\n", b"\n", b"\r", b"", b"\n\r\n"];
+const TAILS: &[&[u8]] = &[
+    b"",
+    b"hello\r\n",
+    b"hello\r\nget k\r\n",
+    b"hel",
+    b"hello\r",
+    b"helloXY",
+    b"\r\n",
+    b"get k\r\n",
+];
+
+/// A near-valid line as its parts: optional leading separator, verb,
+/// `(separator, word)` pairs, optional trailing separator, line ending, and
+/// what follows the line. Indices into the tables above; a word index past
+/// `WORDS` is a 250-byte key.
+type LineParts = (
+    Option<usize>,
+    usize,
+    Vec<(usize, usize)>,
+    Option<usize>,
+    usize,
+    usize,
+);
+
+fn near_valid_line() -> impl Strategy<Value = LineParts> {
+    let separator = 0..SEPARATORS.len();
+    (
+        prop_oneof![Just(None), (0..SEPARATORS.len()).prop_map(Some)],
+        0..VERBS.len(),
+        proptest::collection::vec((separator, 0..WORDS.len() + 1), 0..7),
+        prop_oneof![Just(None), (0..SEPARATORS.len()).prop_map(Some)],
+        0..ENDINGS.len(),
+        0..TAILS.len(),
+    )
+}
+
+fn render_line((leading, verb, words, trailing, ending, tail): &LineParts) -> Vec<u8> {
+    let long_key = vec![b'k'; 250];
+    let mut line = Vec::new();
+    if let Some(sep) = leading {
+        line.extend_from_slice(SEPARATORS[*sep]);
+    }
+    line.extend_from_slice(VERBS[*verb].as_bytes());
+    for &(sep, word) in words {
+        line.extend_from_slice(SEPARATORS[sep]);
+        line.extend_from_slice(WORDS.get(word).copied().unwrap_or(&long_key));
+    }
+    if let Some(sep) = trailing {
+        line.extend_from_slice(SEPARATORS[*sep]);
+    }
+    line.extend_from_slice(ENDINGS[*ending]);
+    line.extend_from_slice(TAILS[*tail]);
+    line
+}
+
+/// A `set` line, well-formed or nearly, with its data block: the declared
+/// and the actual payload length may differ, and the block's terminator
+/// may be right, wrong or missing — cut at every prefix by `disagreement`.
+fn set_frame() -> impl Strategy<Value = Vec<u8>> {
+    (
+        (0..WORDS.len() + 1, 0..WORDS.len(), 0..WORDS.len()),
+        0_usize..12,
+        0_usize..12,
+        any::<bool>(),
+        prop_oneof![Just(&b"\r\n"[..]), Just(&b"XY"[..]), Just(&b"\r"[..])],
+        0..SEPARATORS.len(),
+    )
+        .prop_map(
+            |((key, flags, exptime), declared, actual, noreply, terminator, sep)| {
+                let long_key = vec![b'k'; 250];
+                let sep = SEPARATORS[sep];
+                let mut frame = b"set".to_vec();
+                for word in [
+                    WORDS.get(key).copied().unwrap_or(&long_key),
+                    WORDS[flags],
+                    WORDS[exptime],
+                    declared.to_string().as_bytes(),
+                ] {
+                    frame.extend_from_slice(sep);
+                    frame.extend_from_slice(word);
+                }
+                if noreply {
+                    frame.extend_from_slice(b" noreply");
+                }
+                frame.extend_from_slice(b"\r\n");
+                frame.extend(std::iter::repeat_n(b'd', actual));
+                frame.extend_from_slice(terminator);
+                frame
+            },
+        )
 }
 
 proptest! {
@@ -334,6 +766,34 @@ proptest! {
                 prop_assert!(consumed <= junk.len());
             }
             RefOutcome::Incomplete => {}
+        }
+    }
+
+    #[test]
+    fn the_bytewise_parser_agrees_with_the_charwise_one_on_arbitrary_bytes(
+        junk in proptest::collection::vec(any::<u8>(), 0..512)
+    ) {
+        let new = Parsed::of(parse_request_ref(&junk));
+        let old = Parsed::of_charwise(charwise::parse_request_ref(&junk));
+        prop_assert_eq!(new, old, "{:?}", junk);
+    }
+
+    #[test]
+    fn the_bytewise_parser_agrees_with_the_charwise_one_on_near_valid_lines(
+        parts in near_valid_line(),
+        then in near_valid_line()
+    ) {
+        let mut wire = render_line(&parts);
+        wire.extend_from_slice(&render_line(&then));
+        if let Some(diff) = disagreement(&wire) {
+            prop_assert!(false, "{:?}: {:?}", String::from_utf8_lossy(&wire), diff);
+        }
+    }
+
+    #[test]
+    fn the_bytewise_parser_agrees_with_the_charwise_one_on_set_frames(frame in set_frame()) {
+        if let Some(diff) = disagreement(&frame) {
+            prop_assert!(false, "{:?}: {:?}", String::from_utf8_lossy(&frame), diff);
         }
     }
 }

@@ -24,6 +24,11 @@ pub trait BufWrite {
     /// Appends raw bytes to the sink.
     fn put(&mut self, bytes: &[u8]);
 
+    /// Appends `parts` in order as one write: the sink makes room for all
+    /// of them at once, so a reply assembled from a header's fields, a
+    /// payload and a trailer pays one capacity check, not one per part.
+    fn put_parts(&mut self, parts: &[&[u8]]);
+
     /// Appends a reference-counted segment. Implementations may copy small
     /// segments (keeping pipelined replies in one `write(2)`) and queue
     /// large ones by reference without copying the payload.
@@ -33,6 +38,14 @@ pub trait BufWrite {
 impl BufWrite for Vec<u8> {
     fn put(&mut self, bytes: &[u8]) {
         self.extend_from_slice(bytes);
+    }
+
+    #[inline]
+    fn put_parts(&mut self, parts: &[&[u8]]) {
+        self.reserve(parts.iter().map(|part| part.len()).sum());
+        for part in parts {
+            self.extend_from_slice(part);
+        }
     }
 
     fn put_shared(&mut self, bytes: Bytes) {
@@ -126,9 +139,9 @@ impl Segment {
     }
 }
 
-/// Below this size a pushed segment is copied into the previous tail
+/// Up to this size a pushed segment is copied into the previous tail
 /// segment instead of queued separately.
-pub(crate) const COALESCE_LIMIT: usize = 1024;
+pub const COALESCE_LIMIT: usize = 1024;
 
 /// An owned tail segment stops accepting appended bytes once it holds this
 /// much; the next write starts a fresh (pooled) segment. Bounds how much
@@ -174,23 +187,28 @@ impl WriteBuf {
         self.segments.push_back(Segment::Shared(bytes));
     }
 
-    /// Appends raw bytes to the owned tail segment, starting a new segment
+    /// Appends `parts` to the owned tail segment, starting a new segment
     /// from `pool` when the tail is shared, full, or absent. This is the
-    /// allocation-free write primitive behind [`PooledBuf::put`].
-    fn put_pooled(&mut self, bytes: &[u8], pool: &mut BufPool) {
-        if bytes.is_empty() {
+    /// allocation-free write primitive behind [`PooledBuf::put`] and
+    /// [`PooledBuf::put_parts`]: one tail check and one reservation for
+    /// all the parts.
+    #[inline]
+    fn put_pooled(&mut self, parts: &[&[u8]], pool: &mut BufPool) {
+        let total: usize = parts.iter().map(|part| part.len()).sum();
+        if total == 0 {
             return;
         }
-        self.len += bytes.len();
-        match self.segments.back_mut() {
-            Some(Segment::Owned(tail)) if tail.len() < SEGMENT_SPLIT => {
-                tail.extend_from_slice(bytes);
-            }
-            _ => {
-                let mut seg = pool.take();
-                seg.extend_from_slice(bytes);
-                self.segments.push_back(Segment::Owned(seg));
-            }
+        self.len += total;
+        if !matches!(self.segments.back(), Some(Segment::Owned(tail)) if tail.len() < SEGMENT_SPLIT)
+        {
+            self.segments.push_back(Segment::Owned(pool.take()));
+        }
+        let Some(Segment::Owned(tail)) = self.segments.back_mut() else {
+            unreachable!("an owned tail segment was just ensured");
+        };
+        tail.reserve(total);
+        for part in parts {
+            tail.extend_from_slice(part);
         }
     }
 
@@ -337,7 +355,12 @@ impl PooledBuf<'_> {
 
 impl BufWrite for PooledBuf<'_> {
     fn put(&mut self, bytes: &[u8]) {
-        self.buf.put_pooled(bytes, self.pool);
+        self.buf.put_pooled(&[bytes], self.pool);
+    }
+
+    #[inline]
+    fn put_parts(&mut self, parts: &[&[u8]]) {
+        self.buf.put_pooled(parts, self.pool);
     }
 
     fn put_shared(&mut self, bytes: Bytes) {
@@ -534,6 +557,40 @@ mod tests {
         out.put_shared(Bytes::from_static(b"hi"));
         out.put(b"\r\nEND\r\n");
         assert_eq!(out, b"VALUE k 1 2\r\nhi\r\nEND\r\n");
+        out.clear();
+        out.put_parts(&[b"VALUE ", b"k", b" 1 2\r\n", b"hi", b"\r\nEND\r\n"]);
+        assert_eq!(out, b"VALUE k 1 2\r\nhi\r\nEND\r\n");
+    }
+
+    #[test]
+    fn put_parts_appends_every_part_to_one_owned_tail() {
+        let mut pool = test_pool();
+        let mut buf = WriteBuf::new(1 << 20);
+        let reply: [&[u8]; 5] = [b"VALUE ", b"k", b" 0 3\r\n", b"abc", b"\r\nEND\r\n"];
+        {
+            let mut out = buf.with_pool(&mut pool);
+            out.put_parts(&[]);
+            out.put_parts(&[b"", b""]);
+            for _ in 0..50 {
+                out.put_parts(&reply);
+            }
+        }
+        assert_eq!(buf.segments.len(), 1, "small replies share one segment");
+        assert_eq!(buf.len(), 50 * reply.concat().len());
+        // A shared tail is never appended to: the parts start a new segment.
+        buf.push_shared(Bytes::from(vec![b'p'; 2048]));
+        buf.with_pool(&mut pool).put_parts(&reply);
+        assert_eq!(buf.segments.len(), 3);
+        let mut sink = Throttled {
+            accepted: Vec::new(),
+            quota: usize::MAX,
+            budget: usize::MAX,
+        };
+        buf.flush_to(&mut sink, &mut pool).unwrap();
+        let mut expected = reply.concat().repeat(50);
+        expected.extend_from_slice(&[b'p'; 2048]);
+        expected.extend_from_slice(&reply.concat());
+        assert_eq!(sink.accepted, expected);
     }
 
     /// One scripted response of a [`Scripted`] vectored sink.

@@ -34,6 +34,23 @@ pub(crate) enum ConnState {
     Closed,
 }
 
+/// The worker's resources a readiness event is served with.
+pub(crate) struct Turn<'a> {
+    pub(crate) config: &'a NetConfig,
+    /// The worker's buffer free list: the input buffer and response
+    /// segments cycle through it, so a steady-state request allocates
+    /// nothing.
+    pub(crate) pool: &'a mut BufPool,
+    pub(crate) bytes: &'a ByteBudget,
+    /// The worker's shared read scratch buffer — allocating per readiness
+    /// event would put an alloc+memset on the hottest path.
+    pub(crate) chunk: &'a mut [u8],
+    /// The worker's clock reading for this event, taken after its
+    /// `epoll_wait` returned: reads and flushes stamp activity with it
+    /// instead of reading the clock.
+    pub(crate) now: Instant,
+}
+
 pub(crate) struct Connection<S: Service> {
     stream: TcpStream,
     state: S::Conn,
@@ -146,23 +163,13 @@ impl<S: Service> Connection<S> {
     /// Reads until the socket is empty (a short read or `EWOULDBLOCK`), EOF,
     /// or the per-turn budget is exhausted (level-triggered epoll re-arms
     /// if bytes remain), then processes and flushes. Any I/O error closes
-    /// the connection. `chunk` is the worker's shared scratch buffer —
-    /// allocating per readiness event would put an alloc+memset on the
-    /// hottest path. `pool` is the worker's buffer free list: the input
-    /// buffer and response segments cycle through it, so a steady-state
-    /// request allocates nothing.
-    pub(crate) fn on_readable(
-        &mut self,
-        service: &S,
-        worker: &mut S::Worker,
-        config: &NetConfig,
-        pool: &mut BufPool,
-        bytes: &ByteBudget,
-        chunk: &mut [u8],
-    ) {
+    /// the connection.
+    pub(crate) fn on_readable(&mut self, service: &S, worker: &mut S::Worker, turn: &mut Turn<'_>) {
+        let (config, bytes, now) = (turn.config, turn.bytes, turn.now);
+        let (pool, chunk) = (&mut *turn.pool, &mut *turn.chunk);
         if self.phase != ConnState::Open {
             // Late readiness after Close/Drain: nothing to read any more.
-            self.flush(pool);
+            self.flush(pool, now);
             return self.settle(bytes);
         }
         let mut budget = config.read_budget;
@@ -198,7 +205,7 @@ impl<S: Service> Connection<S> {
                 }
                 Ok(n) => {
                     budget = budget.saturating_sub(n);
-                    self.last_activity = Instant::now();
+                    self.last_activity = now;
                     if self.input.capacity() == 0 {
                         // First bytes since the buffer was recycled: start
                         // from the worker's pool, not the allocator.
@@ -238,7 +245,7 @@ impl<S: Service> Connection<S> {
             }
         }
         self.process(service, worker, config, pool);
-        self.flush(pool);
+        self.flush(pool, now);
         if self.input.is_empty() && self.input.capacity() > 0 {
             // Fully consumed: hand the warm buffer back so an idle
             // connection pins nothing.
@@ -247,8 +254,8 @@ impl<S: Service> Connection<S> {
         self.settle(bytes);
     }
 
-    pub(crate) fn on_writable(&mut self, pool: &mut BufPool, bytes: &ByteBudget) {
-        self.flush(pool);
+    pub(crate) fn on_writable(&mut self, pool: &mut BufPool, bytes: &ByteBudget, now: Instant) {
+        self.flush(pool, now);
         self.settle(bytes);
     }
 
@@ -278,21 +285,13 @@ impl<S: Service> Connection<S> {
 
     /// Server shutdown: one final opportunistic read (requests the kernel
     /// has already buffered get answered), then stop reading and drain.
-    pub(crate) fn begin_drain(
-        &mut self,
-        service: &S,
-        worker: &mut S::Worker,
-        config: &NetConfig,
-        pool: &mut BufPool,
-        bytes: &ByteBudget,
-        chunk: &mut [u8],
-    ) {
+    pub(crate) fn begin_drain(&mut self, service: &S, worker: &mut S::Worker, turn: &mut Turn<'_>) {
         if self.phase == ConnState::Open {
-            self.on_readable(service, worker, config, pool, bytes, chunk);
+            self.on_readable(service, worker, turn);
         }
         self.start_draining();
-        self.flush(pool);
-        self.settle(bytes);
+        self.flush(turn.pool, turn.now);
+        self.settle(turn.bytes);
     }
 
     /// Idle reap: the peer made no progress for the configured timeout.
@@ -380,7 +379,9 @@ impl<S: Service> Connection<S> {
         }
     }
 
-    fn flush(&mut self, pool: &mut BufPool) {
+    /// Flushes what the socket accepts; progress stamps the connection
+    /// active as of `now`, the worker's clock reading for this event.
+    fn flush(&mut self, pool: &mut BufPool, now: Instant) {
         let before = self.out.len();
         // Scatter-gather: every queued segment (header, shared payload,
         // trailer, the next pipelined reply...) goes out in one `writev`
@@ -400,7 +401,7 @@ impl<S: Service> Connection<S> {
         if self.out.len() < before {
             // The peer accepted bytes: that is progress too (a client
             // slowly streaming a large response down is not idle).
-            self.last_activity = Instant::now();
+            self.last_activity = now;
         }
     }
 

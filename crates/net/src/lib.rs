@@ -92,7 +92,7 @@ mod server;
 pub mod sys;
 
 pub use budget::ByteBudget;
-pub use buffer::{BufWrite, FlushState, PooledBuf, VectoredWrite, WriteBuf};
+pub use buffer::{BufWrite, FlushState, PooledBuf, VectoredWrite, WriteBuf, COALESCE_LIMIT};
 pub use poller::{waker_pair, Event, Poller, WakeReceiver, Waker};
 pub use pool::BufPool;
 pub use server::{EventLoop, NetStats};

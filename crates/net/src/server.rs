@@ -14,7 +14,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::budget::ByteBudget;
-use crate::conn::Connection;
+use crate::conn::{Connection, Turn};
 use crate::poller::{waker_pair, Event, Poller, WakeReceiver, Waker, EPOLLIN};
 use crate::pool::BufPool;
 use crate::sys::sys_set_nonblocking;
@@ -264,8 +264,12 @@ impl<S: Service> Worker<S> {
         let drain_leash = (self.config.drain_timeout / 4)
             .clamp(Duration::from_millis(10), Duration::from_secs(1));
 
+        // One clock reading per iteration, taken as `epoll_wait` returns:
+        // it stamps the batch's reads and flushes, drives the sweeps after
+        // it, and sizes the next wait. Never one from before a wait — a
+        // connection stamped with it would look idle for the whole wait.
+        let mut now = Instant::now();
         loop {
-            let now = Instant::now();
             if let Some(at) = self.listener_paused_until {
                 if now >= at && !draining {
                     // The backoff elapsed: re-arm the listener. Accept
@@ -298,6 +302,7 @@ impl<S: Service> Worker<S> {
             }
             self.service.on_park(&mut wstate);
             let waited = self.poller.wait(timeout, |ev| pending.push(ev));
+            now = Instant::now();
             self.service.on_unpark(&mut wstate);
             if waited.is_err() {
                 // epoll itself failed; nothing useful left to drive.
@@ -319,7 +324,7 @@ impl<S: Service> Worker<S> {
                             self.accept_ready();
                         }
                     }
-                    fd => self.connection_event(fd, ev, &mut wstate),
+                    fd => self.connection_event(fd, ev, &mut wstate, now),
                 }
             }
             // The batch is fully serviced: every response queued and
@@ -331,7 +336,6 @@ impl<S: Service> Worker<S> {
             }
 
             if let (Some(every), Some(at)) = (sweep_every, next_sweep) {
-                let now = Instant::now();
                 if now >= at && !draining {
                     self.reap_idle(now);
                     next_sweep = Some(now + every);
@@ -339,24 +343,24 @@ impl<S: Service> Worker<S> {
             }
 
             if !draining {
-                self.expire_drains(Instant::now());
+                self.expire_drains(now);
             }
 
             if !draining && self.shared.shutdown.load(Ordering::SeqCst) {
                 draining = true;
-                drain_deadline = Instant::now() + self.config.drain_timeout;
+                drain_deadline = now + self.config.drain_timeout;
                 let _ = self.poller.delete(self.shared.listener.as_raw_fd());
                 let tokens: Vec<u64> = self.conns.keys().copied().collect();
                 for token in tokens {
                     if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.begin_drain(
-                            &self.service,
-                            &mut wstate,
-                            &self.config,
-                            &mut self.pool,
-                            &self.shared.bytes,
-                            &mut self.scratch,
-                        );
+                        let mut turn = Turn {
+                            config: &self.config,
+                            pool: &mut self.pool,
+                            bytes: &self.shared.bytes,
+                            chunk: &mut self.scratch,
+                            now,
+                        };
+                        conn.begin_drain(&self.service, &mut wstate, &mut turn);
                     }
                     self.reconcile(token);
                 }
@@ -367,7 +371,7 @@ impl<S: Service> Worker<S> {
                 if self.conns.is_empty() {
                     break;
                 }
-                if Instant::now() >= drain_deadline {
+                if now >= drain_deadline {
                     let tokens: Vec<u64> = self.conns.keys().copied().collect();
                     for token in tokens {
                         if let Some(conn) = self.conns.get_mut(&token) {
@@ -499,22 +503,23 @@ impl<S: Service> Worker<S> {
         );
     }
 
-    fn connection_event(&mut self, token: u64, ev: Event, wstate: &mut S::Worker) {
+    /// Serves one readiness event; `now` is the iteration's clock reading.
+    fn connection_event(&mut self, token: u64, ev: Event, wstate: &mut S::Worker, now: Instant) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
         if ev.writable() {
-            conn.on_writable(&mut self.pool, &self.shared.bytes);
+            conn.on_writable(&mut self.pool, &self.shared.bytes, now);
         }
         if ev.readable() || ev.closed() {
-            conn.on_readable(
-                &self.service,
-                wstate,
-                &self.config,
-                &mut self.pool,
-                &self.shared.bytes,
-                &mut self.scratch,
-            );
+            let mut turn = Turn {
+                config: &self.config,
+                pool: &mut self.pool,
+                bytes: &self.shared.bytes,
+                chunk: &mut self.scratch,
+                now,
+            };
+            conn.on_readable(&self.service, wstate, &mut turn);
         }
         if conn.is_throttled() {
             self.throttled_reads = true;
