@@ -110,8 +110,10 @@ impl<K, V, S> DddsTable<K, V, S> {
 
     /// Current number of buckets.
     pub fn num_buckets(&self) -> usize {
-        // SAFETY: `current` always points to a live bucket array; it is only
-        // retired after a grace period and we only read the immutable mask.
+        let _guard = rp_rcu::pin();
+        // SAFETY: `current` always points to a live bucket array, and one
+        // retired by a resize is freed only after a grace period, which the
+        // pin holds off until the read is done.
         unsafe { &*self.current.load(Ordering::Acquire) }.mask + 1
     }
 

@@ -97,10 +97,11 @@ impl<K, V, S> XuTable<K, V, S> {
 
     /// Current number of buckets.
     pub fn num_buckets(&self) -> usize {
+        let _guard = rp_rcu::pin();
         let active = self.active.load(Ordering::Acquire);
-        // SAFETY: the active slot always holds a live bucket array, retired
-        // only after a grace period following a flip; we read only the
-        // immutable mask.
+        // SAFETY: the active slot held a live bucket array when it was
+        // loaded; a flip frees it only after a grace period, which the pin
+        // holds off until the read is done.
         unsafe { &*self.tables[active].load(Ordering::Acquire) }.mask + 1
     }
 

@@ -2,6 +2,8 @@
 //! ones (all five without an argument), prints each as a markdown table and
 //! writes `<figure>.csv` + `<figure>.md` into the output directory.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 use rp_bench::{BenchConfig, FIGURES};
 
 /// The checkout's commit, for the provenance line (`unknown` outside git).

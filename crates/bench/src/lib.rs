@@ -33,6 +33,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 use std::hint::black_box;
 use std::path::PathBuf;

@@ -50,6 +50,8 @@
 //! sites own their telemetry (the injected-fault counters here exist so
 //! tests can assert a plan actually fired).
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;

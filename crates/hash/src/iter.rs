@@ -1,7 +1,7 @@
 //! Guard-scoped iterators.
 
-use crate::node::Node;
-use crate::table::BucketArray;
+use crate::node::NodeRef;
+use crate::table::ReadTable;
 
 /// An iterator over the key/value pairs of an [`crate::RpHashMap`].
 ///
@@ -11,21 +11,17 @@ use crate::table::BucketArray;
 /// bucket they do not belong to (imprecise buckets) are skipped and yielded
 /// from their home bucket instead.
 pub struct Iter<'g, K, V> {
-    table: &'g BucketArray<K, V>,
+    table: ReadTable<'g, K, V>,
     bucket: usize,
-    cur: *const Node<K, V>,
+    cur: Option<NodeRef<'g, K, V>>,
 }
 
 impl<'g, K, V> Iter<'g, K, V> {
-    pub(crate) fn new(table: &'g BucketArray<K, V>) -> Self {
+    pub(crate) fn new(table: ReadTable<'g, K, V>) -> Self {
         Iter {
+            cur: table.head(0),
             table,
             bucket: 0,
-            cur: if table.len() > 0 {
-                table.head_acquire(0)
-            } else {
-                std::ptr::null()
-            },
         }
     }
 }
@@ -35,25 +31,21 @@ impl<'g, K: 'g, V: 'g> Iterator for Iter<'g, K, V> {
 
     fn next(&mut self) -> Option<(&'g K, &'g V)> {
         loop {
-            if self.cur.is_null() {
+            let Some(node) = self.cur else {
                 // Advance to the next non-empty bucket.
                 if self.bucket + 1 >= self.table.len() {
                     return None;
                 }
                 self.bucket += 1;
-                self.cur = self.table.head_acquire(self.bucket);
+                self.cur = self.table.head(self.bucket);
                 continue;
-            }
-            // SAFETY: the node was reached from a published bucket head /
-            // next pointer while the guard borrowed by `'g` keeps the
-            // read-side critical section open; nodes are freed only after a
-            // grace period following their unlinking.
-            let node = unsafe { &*self.cur };
-            self.cur = node.next_acquire();
+            };
+            self.cur = node.next();
             // Skip entries that belong to a different bucket (possible only
             // while a concurrent resize leaves this bucket imprecise); they
             // are yielded from their home bucket.
             if self.table.bucket_of(node.hash) == self.bucket {
+                let node = node.get();
                 return Some((&node.key, &node.value));
             }
         }

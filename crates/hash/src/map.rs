@@ -1,24 +1,23 @@
 //! The resizable relativistic hash map.
 
 use std::borrow::Borrow;
-use std::cell::UnsafeCell;
+use std::cell::RefCell;
 use std::hash::{BuildHasher, Hash};
-use std::ptr::NonNull;
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use rp_rcu::{GraceSync, NoGraceWait, RcuGuard};
 
 use crate::fold::FoldBuildHasher;
 use crate::iter::{Iter, Keys, Values};
-use crate::node::Node;
+use crate::node::{Locked, Node};
 use crate::policy::ResizePolicy;
 use crate::qsbr::ReadProtect;
 use crate::resize::ResizeOp;
 use crate::slab::NodeSlab;
 use crate::stats::{AtomicMapStats, LockedCount, MapStats};
-use crate::table::BucketArray;
+use crate::table::{BucketArray, LockedTable, TablePtr};
 
 /// Asks the CPU to start bringing the cache line that holds `ptr` into every
 /// cache level (`PREFETCHT0`), without waiting for it. Purely a hint — no
@@ -42,10 +41,18 @@ pub fn prefetch_line(ptr: *const u8) {
     let _ = ptr;
 }
 
-/// The writer lock's guard. QSBR-online threads take this lock as writers
-/// and announce quiescence only afterwards, so no grace period is ever
-/// waited for under it — [`NoGraceWait`] makes that a debug assertion.
-pub(crate) type WriterGuard<'a> = NoGraceWait<parking_lot::MutexGuard<'a, ()>>;
+/// The writer lock. Besides the chains it guards the resize in flight,
+/// which it holds; a `RefCell`, so that resize code can step the op while it
+/// holds [`Locked`] handles, which borrow the guard.
+pub(crate) type WriterLock<K, V> = Mutex<RefCell<Option<ResizeOp<K, V>>>>;
+
+/// The writer lock's guard: what every load of a [`Locked`] handle, every
+/// store to a chain and every counter bump takes. QSBR-online threads take
+/// this lock as writers and announce quiescence only afterwards, so no grace
+/// period is ever waited for under it — [`NoGraceWait`] makes that a debug
+/// assertion.
+pub(crate) type WriterGuard<'a, K, V> =
+    NoGraceWait<MutexGuard<'a, RefCell<Option<ResizeOp<K, V>>>>>;
 
 /// A concurrent hash map with wait-free relativistic readers and
 /// reader-transparent resizing.
@@ -87,22 +94,20 @@ pub(crate) type WriterGuard<'a> = NoGraceWait<parking_lot::MutexGuard<'a, ()>>;
 /// assert!(map.contains_key("from the network"));
 /// ```
 pub struct RpHashMap<K, V, S = FoldBuildHasher> {
-    /// What every lookup loads, on lines no update stores to.
+    /// What every lookup loads, on lines no update stores to. Dropped
+    /// first: it drops the live entries, whose memory `slab` holds.
     read: ReadMostly<K, V, S>,
-    /// Serialises writers (updates and resizes). Readers never touch it.
-    writer: Mutex<()>,
+    /// Serialises writers (updates and resizes), and holds the in-progress
+    /// incremental resize, if any. Readers never touch it.
+    writer: WriterLock<K, V>,
     len: LockedCount,
     policy: ResizePolicy,
-    /// The in-progress incremental resize, if any. Guarded by `writer`:
-    /// every access goes through [`RpHashMap::resize_op_locked`], whose
-    /// contract is that the writer lock is held.
-    resize_op: UnsafeCell<Option<ResizeOp<K, V>>>,
-    /// Lock-free mirror of `resize_op.is_some()` for
+    /// Lock-free mirror of "a resize op is held" for
     /// [`RpHashMap::resize_in_progress`].
-    resize_active: AtomicBool,
+    pub(crate) resize_active: AtomicBool,
     /// Monotonic id generator for resize operations (grace-wait
     /// bookkeeping).
-    resize_ids: LockedCount,
+    pub(crate) resize_ids: LockedCount,
     /// Set while a maintainer has taken over this map's resizes (see
     /// [`RpHashMap::set_maintained`]): writes then end at the unlock.
     maintained: AtomicBool,
@@ -118,18 +123,18 @@ pub struct RpHashMap<K, V, S = FoldBuildHasher> {
 /// every reading core, whatever key it updates. Only a resize stores here.
 #[repr(align(128))]
 struct ReadMostly<K, V, S> {
-    /// Published pointer to the current bucket array.
-    table: AtomicPtr<BucketArray<K, V>>,
+    /// Published pointer to the current bucket array, and its length.
+    table: TablePtr<K, V>,
     hasher: S,
 }
 
 // SAFETY: the map shares `&K`/`&V` with concurrent reader threads and drops
 // keys/values on whichever thread runs reclamation, so `K` and `V` must be
 // `Send + Sync`. The hasher is used from `&self` by any thread. The raw
-// pointers — including those inside `resize_op` and the slab's free lists,
-// which are only touched under the writer lock — are managed by the
-// publication/retire protocol implemented here; the slab's `returned` stack
-// is atomic.
+// pointers — including those inside the resize op and the slab's free
+// lists, which are only touched under the writer lock — are managed by the
+// publication/retire protocol (DESIGN.md, *What protects a node*); the
+// slab's `returned` stack is atomic.
 unsafe impl<K: Send + Sync, V: Send + Sync, S: Send> Send for RpHashMap<K, V, S> {}
 // SAFETY: see above.
 unsafe impl<K: Send + Sync, V: Send + Sync, S: Sync> Sync for RpHashMap<K, V, S> {}
@@ -163,16 +168,14 @@ impl<K, V, S> RpHashMap<K, V, S> {
     /// policy.
     pub fn with_buckets_hasher_and_policy(buckets: usize, hasher: S, policy: ResizePolicy) -> Self {
         let buckets = policy.clamp_buckets(buckets.max(1));
-        let table = Box::into_raw(BucketArray::new(buckets));
         RpHashMap {
             read: ReadMostly {
-                table: AtomicPtr::new(table),
+                table: TablePtr::new(BucketArray::new(buckets)),
                 hasher,
             },
-            writer: Mutex::new(()),
+            writer: WriterLock::default(),
             len: LockedCount::default(),
             policy,
-            resize_op: UnsafeCell::new(None),
             resize_active: AtomicBool::new(false),
             resize_ids: LockedCount::default(),
             maintained: AtomicBool::new(false),
@@ -199,12 +202,11 @@ impl<K, V, S> RpHashMap<K, V, S> {
         self.len() == 0
     }
 
-    /// Current number of hash buckets.
+    /// Current number of hash buckets (a snapshot: a resize may publish
+    /// another count at any time). Takes no pin: the count is stored when a
+    /// table is published, so nothing is read through the table pointer.
     pub fn num_buckets(&self) -> usize {
-        // SAFETY: the table pointer is always valid; it is only freed by a
-        // resize after a grace period, and we only read its immutable
-        // `mask`/length here. The transient borrow cannot outlive the call.
-        unsafe { (*self.read.table.load(Ordering::Acquire)).len() }
+        self.read.table.buckets()
     }
 
     /// Current load factor (`len / num_buckets`).
@@ -238,133 +240,17 @@ impl<K, V, S> RpHashMap<K, V, S> {
         }
     }
 
-    /// Loads the current bucket array for use by a reader holding the
-    /// protection witness `_protect` (an EBR guard or an online QSBR
-    /// handle).
-    pub(crate) fn table_for_read<'g, P>(&'g self, _protect: &'g P) -> &'g BucketArray<K, V>
-    where
-        P: ReadProtect,
-    {
-        _protect.assert_protecting();
-        // SAFETY: the bucket array is published with release ordering and
-        // only freed after a cross-flavor grace period (`GraceSync`)
-        // following its replacement; the witness keeps the relevant grace
-        // period from completing (EBR: the guard holds it open; QSBR: the
-        // owning thread cannot announce quiescence while `'g` borrows the
-        // handle), so the array outlives `'g`.
-        unsafe { &*self.read.table.load(Ordering::Acquire) }
+    /// The current bucket array, for the holder of `held`, this map's
+    /// writer lock.
+    pub(crate) fn table_locked<'w>(
+        &'w self,
+        held: &'w WriterGuard<'_, K, V>,
+    ) -> LockedTable<'w, K, V> {
+        self.read.table.locked(&self.slab, held)
     }
 
-    /// Loads the current bucket array from writer context.
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold the writer lock (resizes — the only operations
-    /// that free bucket arrays — run under that lock).
-    pub(crate) unsafe fn table_locked(&self) -> &BucketArray<K, V> {
-        // SAFETY: per the caller contract the writer lock is held, so no
-        // resize can retire the array during the borrow.
-        unsafe { &*self.read.table.load(Ordering::Acquire) }
-    }
-
-    /// Publishes a new bucket array, returning the previous one.
-    pub(crate) fn publish_table(&self, new: Box<BucketArray<K, V>>) -> *mut BucketArray<K, V> {
-        self.read.table.swap(Box::into_raw(new), Ordering::AcqRel)
-    }
-
-    pub(crate) fn writer_lock(&self) -> WriterGuard<'_> {
+    pub(crate) fn writer_lock(&self) -> WriterGuard<'_, K, V> {
         NoGraceWait::holding(self.writer.lock())
-    }
-
-    /// The in-progress resize operation slot.
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold the writer lock, and must not call this again
-    /// while the returned borrow is live (all uses below are short and
-    /// non-overlapping).
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn resize_op_locked(&self) -> &mut Option<ResizeOp<K, V>> {
-        // SAFETY: the writer lock (caller contract) serialises every access
-        // to the cell.
-        unsafe { &mut *self.resize_op.get() }
-    }
-
-    pub(crate) fn resize_active(&self) -> bool {
-        self.resize_active.load(Ordering::Acquire)
-    }
-
-    pub(crate) fn set_resize_active(&self, active: bool) {
-        self.resize_active.store(active, Ordering::Release);
-    }
-
-    pub(crate) fn next_resize_id(&self, held: &WriterGuard<'_>) -> u64 {
-        self.resize_ids.add(1, held)
-    }
-
-    /// If an unzip is in progress, its pre-expansion bucket count.
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold the writer lock.
-    unsafe fn unzip_old_buckets_locked(&self) -> Option<usize> {
-        // SAFETY: forwarded caller contract.
-        match unsafe { self.resize_op_locked() } {
-            Some(ResizeOp::Unzip(op)) => Some(op.old_buckets),
-            _ => None,
-        }
-    }
-
-    /// Repoints any link to `node` from the *other* bucket of its unzip pair
-    /// at `replacement`. A no-op unless an unzip is in progress.
-    ///
-    /// Mid-unzip, a node can be reachable from both buckets of its pair —
-    /// the chains are still interleaved — so unlinking it from its home
-    /// chain alone would leave the sibling chain pointing at memory that is
-    /// about to be retired. Writers call this after every unlink
-    /// (`replacement` is the unlinked node's successor) and after every
-    /// in-place replacement (`replacement` is the new node, whose successor
-    /// was copied from the old one).
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold the writer lock; `node` must have just been
-    /// unlinked from (or replaced in) its home chain in `table`.
-    unsafe fn fixup_unzip_links_locked(
-        &self,
-        table: &BucketArray<K, V>,
-        hash: u64,
-        node: *mut Node<K, V>,
-        replacement: *mut Node<K, V>,
-    ) {
-        // SAFETY (this fn body): writer lock held per the caller contract;
-        // all traversed nodes are reachable and therefore stable.
-        unsafe {
-            let Some(old_buckets) = self.unzip_old_buckets_locked() else {
-                return;
-            };
-            let pair = (hash as usize) & (old_buckets - 1);
-            let home = table.bucket_of(hash);
-            for bucket in [pair, pair + old_buckets] {
-                if bucket == home {
-                    continue;
-                }
-                let mut cur = table.head_acquire(bucket);
-                if cur == node {
-                    table.publish_head(bucket, replacement);
-                    continue;
-                }
-                while !cur.is_null() {
-                    let cur_ref = &*cur;
-                    let next = cur_ref.next_acquire();
-                    if next == node {
-                        cur_ref.next.store(replacement, Ordering::Release);
-                        break;
-                    }
-                    cur = next;
-                }
-            }
-        }
     }
 }
 
@@ -500,20 +386,14 @@ where
         P: ReadProtect,
         F: FnMut(&K) -> bool,
     {
-        let table = self.table_for_read(protect);
-        let bucket = table.bucket_of(hash);
-        let mut cur = table.head_acquire(bucket);
-        while !cur.is_null() {
-            // SAFETY: `cur` was reached from a published bucket head / next
-            // pointer while the read-side protection witness is borrowed;
-            // nodes are freed only after a cross-flavor grace period
-            // following their unlinking, so the node is alive and its
-            // key/value/hash are immutable.
-            let node = unsafe { &*cur };
+        let table = self.read.table.read(protect);
+        let mut cur = table.head(table.bucket_of(hash));
+        while let Some(node) = cur {
             if node.hash == hash && matches(&node.key) {
+                let node = node.get();
                 return Some((&node.key, &node.value));
             }
-            cur = node.next_acquire();
+            cur = node.next();
         }
         None
     }
@@ -564,31 +444,26 @@ where
     where
         P: ReadProtect,
     {
-        let table = self.table_for_read(protect);
-        let slot = &table.buckets[table.bucket_of(hash)];
+        let table = self.read.table.read(protect);
+        let bucket = table.bucket_of(hash);
         if depth == 0 {
-            prefetch_line(std::ptr::from_ref(slot).cast());
+            table.hint_slot(bucket);
             return None;
         }
-        let mut cur = slot.load(Ordering::Acquire);
+        let mut cur = table.head(bucket);
         for _ in 1..depth {
-            if cur.is_null() {
-                return None;
-            }
-            // SAFETY: as in `get_key_value_matching_prehashed` — `cur` was
-            // reached from a published bucket head / next pointer while the
-            // read-side protection witness is borrowed, so the node is
-            // alive and its hash and value are immutable.
-            let node = unsafe { &*cur };
+            let node = cur?;
             if node.hash == hash {
-                return Some(&node.value);
+                return Some(&node.get().value);
             }
-            cur = node.next_acquire();
+            cur = node.next();
         }
-        // The node is not dereferenced: a hint may name any address (null
+        // The node is only hinted: a hint may name any address (null
         // included). Its first and last bytes' lines cover all of it unless
         // it straddles three.
-        let first = cur.cast_const().cast::<u8>();
+        let first = cur.map_or(std::ptr::null(), |node| {
+            std::ptr::from_ref(node.get()).cast::<u8>()
+        });
         prefetch_line(first);
         prefetch_line(first.wrapping_add(std::mem::size_of::<Node<K, V>>() - 1));
         None
@@ -653,75 +528,46 @@ where
     pub fn insert_prehashed(&self, hash: u64, key: K, value: V) -> bool {
         let mut crossed = false;
         let guard = self.writer_lock();
-        // SAFETY: `guard` holds this map's writer lock.
-        let replaced =
-            unsafe { self.insert_one_locked(&guard, hash, key, value, |_| (), &mut crossed) };
+        let replaced = self.insert_one_locked(&guard, hash, key, value, |_| (), &mut crossed);
         drop(guard);
         self.after_write(crossed);
         replaced.is_none()
     }
 
-    /// One insert-or-replace step. If `key` was present, returns what
-    /// `on_replace` made of the value it replaced, called while that value
-    /// is still alive; `None` means a new entry. Sets `crossed` if the
-    /// insert took the table over its policy's expand trigger; resizing is
-    /// the caller's business, after it unlocks ([`RpHashMap::after_write`]).
-    ///
-    /// # Safety
-    ///
-    /// `held` must guard this map's writer lock.
-    unsafe fn insert_one_locked<R>(
+    /// One insert-or-replace step under `held`, this map's writer lock. If
+    /// `key` was present, returns what `on_replace` made of the value it
+    /// replaced, called while that value is still alive; `None` means a new
+    /// entry. Sets `crossed` if the insert took the table over its policy's
+    /// expand trigger; resizing is the caller's business, after it unlocks
+    /// ([`RpHashMap::after_write`]).
+    fn insert_one_locked<R>(
         &self,
-        held: &WriterGuard<'_>,
+        held: &WriterGuard<'_, K, V>,
         hash: u64,
         key: K,
         value: V,
         on_replace: impl FnOnce(&V) -> R,
         crossed: &mut bool,
     ) -> Option<R> {
-        // SAFETY: writer lock held per the caller contract.
-        let table = unsafe { self.table_locked() };
+        let table = self.table_locked(held);
         let bucket = table.bucket_of(hash);
         // Start the slot's miss before the allocator's, so the two overlap:
-        // `find_locked` loads the slot only once `Node::alloc` returns. The
-        // array cannot be freed while the lock is held.
-        prefetch_line(std::ptr::from_ref(&table.buckets[bucket]).cast());
+        // `find_locked` loads the slot only once the node is allocated.
+        table.hint_slot(bucket);
+        let new = Node::alloc(&self.slab, held, hash, key, value);
 
-        // SAFETY: `held` guards this map's writer lock (caller contract).
-        let new = unsafe { Node::alloc(&self.slab, held, hash, key, value) };
-        // SAFETY: `new` is unpublished; we have exclusive access to it.
-        let new_ref = unsafe { &*new };
-
-        match self.find_locked(table, hash, &new_ref.key) {
+        match Self::find_locked(&table, hash, &new.key) {
             Some((prev, old)) => {
-                // SAFETY: `old` is a live node reachable under the writer
-                // lock (see `find_locked`).
-                let old_ref = unsafe { &*old };
-                let replaced = on_replace(&old_ref.value);
+                let replaced = on_replace(&old.value);
                 // Initialise the replacement's successor before publishing.
-                new_ref
-                    .next
-                    .store(old_ref.next_acquire(), Ordering::Relaxed);
-                self.link_after(table, bucket, prev, new);
-                // SAFETY: writer lock held; `old` was just replaced in its
-                // home chain by `new`.
-                unsafe { self.fixup_unzip_links_locked(table, hash, old, new) };
+                new.init_next(old.next().as_ref());
+                table.swap_out(prev.as_ref(), old, Some(&new));
                 self.stats.replaces.add(1, held);
-                // SAFETY: `old` has just been unlinked (unreachable to new
-                // readers), came from this map's slab, `held` is its writer
-                // lock, and readers of this map pin the global domain.
-                // `on_replace` ran above and nothing touches `old` after
-                // this line: the writer holds no read guard, so once `old`
-                // is queued the reclaim thread may drop it after a grace
-                // period this thread does not hold open.
-                unsafe { self.slab.retire(old, held) };
                 Some(replaced)
             }
             None => {
-                new_ref
-                    .next
-                    .store(table.head_acquire(bucket), Ordering::Relaxed);
-                table.publish_head(bucket, new);
+                new.init_next(table.head(bucket).as_ref());
+                table.set_head(bucket, Some(&new));
                 let len = self.len.add(1, held) as usize;
                 self.stats.inserts.add(1, held);
                 *crossed |= self.policy.should_expand(len, table.len());
@@ -744,9 +590,7 @@ where
         let hash = self.hash_of(&key);
         let mut crossed = false;
         let guard = self.writer_lock();
-        // SAFETY: `guard` holds this map's writer lock.
-        let previous =
-            unsafe { self.insert_one_locked(&guard, hash, key, value, V::clone, &mut crossed) };
+        let previous = self.insert_one_locked(&guard, hash, key, value, V::clone, &mut crossed);
         drop(guard);
         self.after_write(crossed);
         previous
@@ -809,24 +653,19 @@ where
     {
         let mut crossed = false;
         let guard = self.writer_lock();
-        // SAFETY: `guard` holds this map's writer lock.
-        let removed = unsafe { self.remove_one_locked(&guard, hash, key, condemn, &mut crossed) };
+        let removed = self.remove_one_locked(&guard, hash, key, condemn, &mut crossed);
         drop(guard);
         self.after_write(crossed);
         removed
     }
 
-    /// One remove step: unlinks `key`'s entry if it exists and `condemn`
-    /// accepts its value. Sets `crossed` if the removal took the table
-    /// under its policy's shrink trigger (see
-    /// [`RpHashMap::insert_one_locked`]).
-    ///
-    /// # Safety
-    ///
-    /// `held` must guard this map's writer lock.
-    unsafe fn remove_one_locked<Q>(
+    /// One remove step under `held`, this map's writer lock: unlinks
+    /// `key`'s entry if it exists and `condemn` accepts its value. Sets
+    /// `crossed` if the removal took the table under its policy's shrink
+    /// trigger (see [`RpHashMap::insert_one_locked`]).
+    fn remove_one_locked<Q>(
         &self,
-        held: &WriterGuard<'_>,
+        held: &WriterGuard<'_, K, V>,
         hash: u64,
         key: &Q,
         condemn: impl FnOnce(&V) -> bool,
@@ -836,41 +675,19 @@ where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        // SAFETY: writer lock held per the caller contract.
-        let table = unsafe { self.table_locked() };
-        let bucket = table.bucket_of(hash);
-
-        match self.find_locked(table, hash, key) {
-            Some((prev, node)) => {
-                // SAFETY: live node reachable under the writer lock.
-                let node_ref = unsafe { &*node };
-                if !condemn(&node_ref.value) {
-                    return false;
-                }
-                let next = node_ref.next_acquire();
-                match prev {
-                    Some(p) => {
-                        // SAFETY: `p` is `node`'s predecessor in the chain,
-                        // also alive under the writer lock.
-                        unsafe { p.as_ref() }.next.store(next, Ordering::Release);
-                    }
-                    None => table.publish_head(bucket, next),
-                }
-                // SAFETY: writer lock held; `node` was just unlinked from
-                // its home chain.
-                unsafe { self.fixup_unzip_links_locked(table, hash, node, next) };
-                let len = self.len.sub(1, held) as usize;
-                self.stats.removes.add(1, held);
-                // SAFETY: unlinked above, from this map's slab, under its
-                // writer lock (`held`), readers pin the global domain.
-                // `condemn` ran above and nothing touches `node` after this
-                // line (see the same step in `insert_one_locked`).
-                unsafe { self.slab.retire(node, held) };
-                *crossed |= self.policy.should_shrink(len, table.len());
-                true
-            }
-            None => false,
+        let table = self.table_locked(held);
+        let Some((prev, node)) = Self::find_locked(&table, hash, key) else {
+            return false;
+        };
+        if !condemn(&node.value) {
+            return false;
         }
+        let next = node.next();
+        table.swap_out(prev.as_ref(), node, next.as_ref());
+        let len = self.len.sub(1, held) as usize;
+        self.stats.removes.add(1, held);
+        *crossed |= self.policy.should_shrink(len, table.len());
+        true
     }
 
     /// Removes `key`, returning a clone of its value if it was present.
@@ -914,66 +731,38 @@ where
             return self.contains_key(old_key);
         }
         let guard = self.writer_lock();
-        // SAFETY: writer lock held.
-        let table = unsafe { self.table_locked() };
+        let table = self.table_locked(&guard);
 
-        let Some((_, old_node)) = self.find_locked(table, old_hash, old_key) else {
+        let Some(value) =
+            Self::find_locked(&table, old_hash, old_key).map(|(_, node)| node.value.clone())
+        else {
             return false;
         };
-        // SAFETY: live node under the writer lock; value is immutable.
-        let value = unsafe { &*old_node }.value.clone();
 
         // 1. Publish the entry under the new key (insert-or-replace at the
         //    head of the new bucket).
         let new_bucket = table.bucket_of(new_hash);
-        // SAFETY: `guard` holds this map's writer lock.
-        let new_node = unsafe { Node::alloc(&self.slab, &guard, new_hash, new_key, value) };
-        // SAFETY: unpublished node, exclusive access.
-        let new_ref = unsafe { &*new_node };
-        let displaced = self.find_locked::<K>(table, new_hash, &new_ref.key);
-        new_ref
-            .next
-            .store(table.head_acquire(new_bucket), Ordering::Relaxed);
-        table.publish_head(new_bucket, new_node);
+        let new_node = Node::alloc(&self.slab, &guard, new_hash, new_key, value);
+        let displaced = Self::find_locked::<K>(&table, new_hash, &new_node.key);
+        new_node.init_next(table.head(new_bucket).as_ref());
+        table.set_head(new_bucket, Some(&new_node));
 
         // 2. Unlink any entry the new key displaced (it is now shadowed by
         //    the head insertion, so readers already prefer the new node).
         if let Some((prev, dup)) = displaced {
-            // Re-locate the predecessor: the head insertion may have made
-            // the recorded predecessor stale only if the duplicate was the
-            // head, in which case its new predecessor is `new_node`.
-            // SAFETY: live nodes under the writer lock.
-            let dup_next = unsafe { &*dup }.next_acquire();
-            match prev {
-                Some(p) => unsafe { p.as_ref() }
-                    .next
-                    .store(dup_next, Ordering::Release),
-                None => new_ref.next.store(dup_next, Ordering::Release),
-            }
-            // SAFETY: writer lock held; `dup` was just unlinked.
-            unsafe { self.fixup_unzip_links_locked(table, new_hash, dup, dup_next) };
-            // SAFETY: unlinked, from this map's slab, under its writer
-            // lock, and readers pin the global domain.
-            unsafe { self.slab.retire(dup, &guard) };
+            // If the duplicate was the head, its predecessor is now
+            // `new_node`.
+            let next = dup.next();
+            table.swap_out(Some(prev.as_ref().unwrap_or(&new_node)), dup, next.as_ref());
             self.len.sub(1, &guard);
         }
 
         // 3. Unlink the old entry. Readers searching for the old key during
         //    this window still find it; readers searching for the new key
         //    already find the new node.
-        let old_bucket = table.bucket_of(old_hash);
-        if let Some((prev, node)) = self.find_locked(table, old_hash, old_key) {
-            // SAFETY: live nodes under the writer lock.
-            let next = unsafe { &*node }.next_acquire();
-            match prev {
-                Some(p) => unsafe { p.as_ref() }.next.store(next, Ordering::Release),
-                None => table.publish_head(old_bucket, next),
-            }
-            // SAFETY: writer lock held; `node` was just unlinked.
-            unsafe { self.fixup_unzip_links_locked(table, old_hash, node, next) };
-            // SAFETY: unlinked, from this map's slab, under its writer
-            // lock, and readers pin the global domain.
-            unsafe { self.slab.retire(node, &guard) };
+        if let Some((prev, node)) = Self::find_locked(&table, old_hash, old_key) {
+            let next = node.next();
+            table.swap_out(prev.as_ref(), node, next.as_ref());
         }
         self.stats.replaces.add(1, &guard);
         drop(guard);
@@ -993,40 +782,24 @@ where
     {
         let mut removed = 0;
         let guard = self.writer_lock();
-        // SAFETY: writer lock held.
-        let table = unsafe { self.table_locked() };
+        let table = self.table_locked(&guard);
         for bucket in 0..table.len() {
-            let mut prev: Option<NonNull<Node<K, V>>> = None;
-            let mut cur = table.head_acquire(bucket);
-            while !cur.is_null() {
-                // SAFETY: live node under the writer lock.
-                let cur_ref = unsafe { &*cur };
-                let next = cur_ref.next_acquire();
+            let mut prev: Option<Locked<'_, K, V>> = None;
+            let mut cur = table.head(bucket);
+            while let Some(node) = cur {
+                cur = node.next();
                 // Mid-unzip a chain can hold foreign nodes; those are
                 // judged from their home bucket (they remain valid
                 // predecessors in this chain either way).
-                let foreign = table.bucket_of(cur_ref.hash) != bucket;
-                if foreign || f(&cur_ref.key, &cur_ref.value) {
-                    prev = NonNull::new(cur);
+                let foreign = table.bucket_of(node.hash) != bucket;
+                if foreign || f(&node.key, &node.value) {
+                    prev = Some(node);
                 } else {
-                    match prev {
-                        Some(p) => {
-                            // SAFETY: predecessor node, alive under the lock.
-                            unsafe { p.as_ref() }.next.store(next, Ordering::Release);
-                        }
-                        None => table.publish_head(bucket, next),
-                    }
-                    // SAFETY: writer lock held; `cur` was just unlinked from
-                    // its home chain.
-                    unsafe { self.fixup_unzip_links_locked(table, cur_ref.hash, cur, next) };
+                    table.swap_out(prev.as_ref(), node, cur.as_ref());
                     self.len.sub(1, &guard);
                     self.stats.removes.add(1, &guard);
                     removed += 1;
-                    // SAFETY: unlinked, from this map's slab, under its
-                    // writer lock, and readers pin the global domain.
-                    unsafe { self.slab.retire(cur, &guard) };
                 }
-                cur = next;
             }
         }
         // Bulk removal can take the table any number of halvings under its
@@ -1048,7 +821,7 @@ where
     /// Entries present for the whole iteration are yielded exactly once;
     /// entries inserted or removed concurrently may or may not be observed.
     pub fn iter<'g, P: ReadProtect>(&'g self, protect: &'g P) -> Iter<'g, K, V> {
-        Iter::new(self.table_for_read(protect))
+        Iter::new(self.read.table.read(protect))
     }
 
     /// Iterates over all keys under a read-side protection witness.
@@ -1082,56 +855,30 @@ where
         GraceSync::global().synchronize_and_reclaim();
     }
 
-    /// Locates `key`'s node and its predecessor in the current table.
+    /// Locates `key`'s node and its predecessor in `table`.
     ///
     /// Returns `(predecessor, node)`; `predecessor == None` means the node
-    /// is the bucket head. Must be called with the writer lock held.
+    /// is the bucket head.
     #[allow(clippy::type_complexity)]
-    fn find_locked<Q>(
-        &self,
-        table: &BucketArray<K, V>,
+    fn find_locked<'w, Q>(
+        table: &LockedTable<'w, K, V>,
         hash: u64,
         key: &Q,
-    ) -> Option<(Option<NonNull<Node<K, V>>>, *mut Node<K, V>)>
+    ) -> Option<(Option<Locked<'w, K, V>>, Locked<'w, K, V>)>
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let bucket = table.bucket_of(hash);
-        let mut prev: Option<NonNull<Node<K, V>>> = None;
-        let mut cur = table.head_acquire(bucket);
-        while !cur.is_null() {
-            // SAFETY: nodes reachable from the table cannot be freed while
-            // the writer lock is held: only writers retire nodes, retiring
-            // happens under the same lock, and freeing waits for a grace
-            // period besides.
-            let cur_ref = unsafe { &*cur };
-            if cur_ref.hash == hash && cur_ref.key.borrow() == key {
-                return Some((prev, cur));
+        let mut prev = None;
+        let mut cur = table.head(table.bucket_of(hash));
+        while let Some(node) = cur {
+            if node.hash == hash && node.key.borrow() == key {
+                return Some((prev, node));
             }
-            prev = NonNull::new(cur);
-            cur = cur_ref.next_acquire();
+            cur = node.next();
+            prev = Some(node);
         }
         None
-    }
-
-    /// Publishes `node` in place of the successor of `prev` (or as the
-    /// bucket head if `prev` is `None`).
-    fn link_after(
-        &self,
-        table: &BucketArray<K, V>,
-        bucket: usize,
-        prev: Option<NonNull<Node<K, V>>>,
-        node: *mut Node<K, V>,
-    ) {
-        match prev {
-            Some(p) => {
-                // SAFETY: `p` is a live predecessor node under the writer
-                // lock.
-                unsafe { p.as_ref() }.next.store(node, Ordering::Release);
-            }
-            None => table.publish_head(bucket, node),
-        }
     }
 
     /// What every write entry point ends in, **after** it has released the
@@ -1150,40 +897,6 @@ where
     fn after_write(&self, crossed: bool) {
         if crossed && !self.maintained.load(Ordering::Relaxed) && rp_rcu::may_wait_for_readers() {
             self.drive_to_policy();
-        }
-    }
-}
-
-impl<K, V, S> Drop for RpHashMap<K, V, S> {
-    /// Drops the live entries in place. The slab's memory goes whole, after
-    /// this, once every node the map retired has been dropped (its `Drop`).
-    fn drop(&mut self) {
-        let table_ptr = *self.read.table.get_mut();
-        // SAFETY: the table pointer is always a live `BucketArray` allocated
-        // by `BucketArray::new`; we own it exclusively here.
-        let table = unsafe { Box::from_raw(table_ptr) };
-        if !std::mem::needs_drop::<Node<K, V>>() {
-            return;
-        }
-        // Exclusive access: no readers or writers exist. An incremental
-        // resize may still be mid-flight, though; complete its chain surgery
-        // first (no grace periods are needed without readers) so that every
-        // node is reachable from exactly one bucket and is dropped once.
-        if let Some(mut op) = self.resize_op.get_mut().take() {
-            Self::complete_resize_for_drop(&table, &mut op, &mut self.stats);
-        }
-        for bucket in table.buckets.iter() {
-            let mut cur = bucket.load(Ordering::Relaxed);
-            while !cur.is_null() {
-                // SAFETY: each node is reachable from exactly one bucket at
-                // rest and is dropped once, here; retired nodes were
-                // unlinked first and are the deferred queue's instead.
-                unsafe {
-                    let next = (*cur).next.load(Ordering::Relaxed);
-                    std::ptr::drop_in_place(cur);
-                    cur = next;
-                }
-            }
         }
     }
 }

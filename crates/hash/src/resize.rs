@@ -53,9 +53,9 @@
 //! removals interleave with an in-progress unzip. Mid-unzip a node can be
 //! reachable from *both* buckets of its pair (the chains have not been
 //! split apart yet), so unlinking it from its home chain alone would leave
-//! the sibling chain pointing at retired memory. Writers therefore call
-//! [`RpHashMap::fixup_unzip_links_locked`] after every unlink, and the
-//! splice rounds re-derive splice points from the published bucket heads
+//! the sibling chain pointing at retired memory. The one unlink,
+//! [`LockedTable::swap_out`], therefore repoints the sibling's link too, and
+//! the splice rounds re-derive splice points from the published bucket heads
 //! each round (no stored cursors that a removal could invalidate) with a
 //! reachability check that refuses any splice that would orphan a run.
 
@@ -64,10 +64,9 @@ use std::sync::atomic::Ordering;
 
 use rp_rcu::GraceSync;
 
-use crate::map::{prefetch_line, RpHashMap, WriterGuard};
-use crate::node::Node;
-use crate::stats::AtomicMapStats;
-use crate::table::BucketArray;
+use crate::map::{RpHashMap, WriterGuard};
+use crate::node::Locked;
+use crate::table::{BucketArray, LockedTable};
 
 /// Sentinel for a fully-unzipped bucket pair in [`UnzipOp::turn`].
 const PAIR_DONE: usize = usize::MAX;
@@ -76,16 +75,6 @@ const PAIR_DONE: usize = usize::MAX;
 /// enough for the miss to land before the loop gets there, near enough for
 /// the line to still be in cache when it does.
 const HINT_AHEAD: usize = 16;
-
-/// Hints the head node of `table`'s bucket `index`, if there is one. Only
-/// the head: a hint that loads the head to hint its successor turns the
-/// head's miss back into one the loop waits for.
-fn hint_head<K, V>(table: &BucketArray<K, V>, index: usize) {
-    if let Some(slot) = table.buckets.get(index) {
-        // Relaxed: the pointer is only hinted, never dereferenced.
-        prefetch_line(slot.load(Ordering::Relaxed).cast_const().cast());
-    }
-}
 
 /// Telemetry: a resize began (`expand = true` for unzip, `false` for zip).
 fn observe_resize_begin(expand: bool) {
@@ -211,18 +200,18 @@ pub(crate) struct ZipOp<K, V> {
 }
 
 /// Where a splice cuts the chain: at the bucket head slot or after a node.
-enum CutPoint<K, V> {
+enum CutPoint<'w, K, V> {
     Head(usize),
-    After(*mut Node<K, V>),
+    After(Locked<'w, K, V>),
 }
 
 /// A candidate splice: cut `cut` so the chain skips the foreign run
 /// `[foreign_head ..= run tail]` and continues at `after_foreign`.
-struct CrossLink<K, V> {
-    cut: CutPoint<K, V>,
-    foreign_head: *mut Node<K, V>,
+struct CrossLink<'w, K, V> {
+    cut: CutPoint<'w, K, V>,
+    foreign_head: Locked<'w, K, V>,
     foreign_bucket: usize,
-    after_foreign: *mut Node<K, V>,
+    after_foreign: Option<Locked<'w, K, V>>,
 }
 
 impl<K, V, S> RpHashMap<K, V, S>
@@ -325,13 +314,10 @@ where
         let mut resized = false;
         loop {
             let guard = self.lock_at_rest();
-            // SAFETY: writer lock held.
-            let begun = unsafe {
-                match next(self.len(), self.table_locked().len()) {
-                    Some(Begin::Expand) => self.begin_unzip_locked(&guard),
-                    Some(Begin::Shrink) => self.begin_zip_locked(&guard),
-                    None => false,
-                }
+            let begun = match next(self.len(), self.table_locked(&guard).len()) {
+                Some(Begin::Expand) => self.begin_unzip_locked(&guard),
+                Some(Begin::Shrink) => self.begin_zip_locked(&guard),
+                None => false,
             };
             drop(guard);
             if !begun {
@@ -353,11 +339,10 @@ where
     /// Takes the writer lock with no resize in flight, first finishing —
     /// lock released — whatever resize it finds, as often as another thread
     /// begins one in between.
-    fn lock_at_rest(&self) -> WriterGuard<'_> {
+    fn lock_at_rest(&self) -> WriterGuard<'_, K, V> {
         loop {
             let guard = self.writer_lock();
-            // SAFETY: writer lock held.
-            if unsafe { self.resize_op_locked() }.is_none() {
+            if guard.borrow().is_none() {
                 return guard;
             }
             drop(guard);
@@ -372,7 +357,7 @@ where
     /// This is a lock-free snapshot; it can be stale by the time the caller
     /// acts on it.
     pub fn resize_in_progress(&self) -> bool {
-        self.resize_active()
+        self.resize_active.load(Ordering::Acquire)
     }
 
     /// Starts an incremental expansion: allocates the doubled bucket array,
@@ -386,9 +371,7 @@ where
     /// [`RpHashMap::advance_resize`] until it reports
     /// [`ResizeStep::Finished`].
     pub fn begin_expand(&self) -> bool {
-        let guard = self.writer_lock();
-        // SAFETY: `guard` holds this map's writer lock.
-        unsafe { self.begin_unzip_locked(&guard) }
+        self.begin_unzip_locked(&self.writer_lock())
     }
 
     /// Starts an incremental shrink: links the collapsing chains together
@@ -399,9 +382,7 @@ where
     /// or the policy's `min_buckets` bound is reached. Drive it with
     /// [`RpHashMap::advance_resize`] like an expansion.
     pub fn begin_shrink(&self) -> bool {
-        let guard = self.writer_lock();
-        // SAFETY: `guard` holds this map's writer lock.
-        unsafe { self.begin_zip_locked(&guard) }
+        self.begin_zip_locked(&self.writer_lock())
     }
 
     /// Advances the in-progress resize by one bounded step and reports what
@@ -423,11 +404,10 @@ where
         // the window between state-machine steps, and an injected panic
         // lands at a step boundary — the table is reader-consistent and no
         // lock is held, so the resize is simply left mid-flight for the
-        // next advancer (or Drop completion) to finish.
+        // next advancer to finish, or for the map's drop.
         let _ = rp_fault::point("hash.resize.step");
         let guard = self.writer_lock();
-        // SAFETY: writer lock held.
-        let pending = match unsafe { self.resize_op_locked() } {
+        let pending = match &*guard.borrow() {
             None => return ResizeStep::Idle,
             Some(op) => op.grace_key(),
         };
@@ -443,181 +423,145 @@ where
                 let timer = rp_obs::timer();
                 GraceSync::global().synchronize();
                 observe_resize_grace(timer);
-                let guard = self.writer_lock();
-                // SAFETY: `guard` holds this map's writer lock.
-                unsafe { self.resolve_grace_locked(&guard, id, round) };
+                self.resolve_grace_locked(&self.writer_lock(), id, round);
                 ResizeStep::Grace
             }
             None => {
                 let timer = rp_obs::timer();
-                // SAFETY: `guard` still holds this map's writer lock.
-                let step = unsafe { self.resize_work_step_locked(&guard) };
+                let step = self.resize_work_step_locked(&guard);
                 observe_resize_step(timer, step);
                 step
             }
         }
     }
 
-    /// `begin` for expansion. Requires the writer lock; returns `false` if a
-    /// resize is in progress or the table cannot grow.
-    ///
-    /// # Safety
-    ///
-    /// `held` must guard this map's writer lock.
-    unsafe fn begin_unzip_locked(&self, held: &WriterGuard<'_>) -> bool {
-        // SAFETY (this fn body): writer lock held per the caller contract,
-        // so the op slot, the published table and all reachable nodes are
-        // stable (nodes are only retired under this lock and freed a grace
-        // period later).
-        unsafe {
-            if self.resize_op_locked().is_some() {
-                return false;
-            }
-            // Chaos hook, inside the writer-lock critical section but
-            // before any mutation: an injected panic here unwinds while
-            // holding the writer lock, exercising the poisoned-lock
-            // recovery semantics without corrupting the table.
-            let _ = rp_fault::point("hash.resize.begin");
-            let old_table = self.table_locked();
-            let old_buckets = old_table.len();
-            let new_buckets = match old_buckets.checked_mul(2) {
-                Some(n) if n <= self.policy().max_buckets => n,
-                _ => return false,
-            };
-
-            // Phase 1: one walk per old bucket. Old bucket `o` splits into
-            // new buckets `o` and `o + old_buckets`, and its chain holds both
-            // sides' elements interleaved: walk it until the first node of
-            // each side has been seen (or it ends) and point each new bucket
-            // at its own. A chain that feeds both sides is a zipper that
-            // needs unzipping, and its first splice belongs to the chain of
-            // the old head's side (the zipper's first run).
-            let new_table: Box<BucketArray<K, V>> = BucketArray::new(new_buckets);
-            let new_mask = new_buckets - 1;
-            let mut turn = vec![PAIR_DONE; old_buckets];
-            let mut remaining = 0;
-            for (low, slot) in turn.iter_mut().enumerate() {
-                hint_head(old_table, low + HINT_AHEAD);
-                let head = old_table.head_acquire(low);
-                let mut first: [*mut Node<K, V>; 2] = [std::ptr::null_mut(); 2];
-                let mut cur = head;
-                while !cur.is_null() {
-                    let node = &*cur;
-                    let side = usize::from((node.hash as usize) & new_mask != low);
-                    if first[side].is_null() {
-                        first[side] = cur;
-                        if !first[1 - side].is_null() {
-                            break;
-                        }
-                    }
-                    cur = node.next_acquire();
-                }
-                new_table.publish_head(low, first[0]);
-                new_table.publish_head(low + old_buckets, first[1]);
-                if !first[0].is_null() && !first[1].is_null() {
-                    *slot = ((*head).hash as usize) & new_mask;
-                    remaining += 1;
-                }
-            }
-
-            // Phase 2: publish the new table. After one grace period every
-            // reader starts from the new (imprecise) buckets and the old
-            // array can be freed; that wait is the op's first pending step.
-            let old_ptr = self.publish_table(new_table);
-            let op = UnzipOp {
-                id: self.next_resize_id(held),
-                old_buckets,
-                new_mask,
-                // SAFETY: `old_ptr` was the previously published table,
-                // allocated by `BucketArray::new`; it is owned by the op and
-                // freed only after the publish grace period.
-                old_table: Some(Box::from_raw(old_ptr)),
-                turn,
-                remaining,
-                grace_pending: true,
-                round: 0,
-            };
-            *self.resize_op_locked() = Some(ResizeOp::Unzip(op));
-            self.set_resize_active(true);
-            observe_resize_begin(true);
-            true
+    /// `begin` for expansion, under `held`, this map's writer lock; returns
+    /// `false` if a resize is in progress or the table cannot grow.
+    fn begin_unzip_locked(&self, held: &WriterGuard<'_, K, V>) -> bool {
+        if held.borrow().is_some() {
+            return false;
         }
-    }
+        // Chaos hook, inside the writer-lock critical section but before
+        // any mutation: an injected panic here unwinds while holding the
+        // writer lock, exercising the poisoned-lock recovery semantics
+        // without corrupting the table.
+        let _ = rp_fault::point("hash.resize.begin");
+        let old_table = self.table_locked(held);
+        let old_buckets = old_table.len();
+        let new_buckets = match old_buckets.checked_mul(2) {
+            Some(n) if n <= self.policy().max_buckets => n,
+            _ => return false,
+        };
 
-    /// `begin` for shrinking. Requires the writer lock; returns `false` if a
-    /// resize is in progress or the table cannot shrink.
-    ///
-    /// # Safety
-    ///
-    /// `held` must guard this map's writer lock.
-    unsafe fn begin_zip_locked(&self, held: &WriterGuard<'_>) -> bool {
-        // SAFETY (this fn body): writer lock held per the caller contract;
-        // see `begin_unzip_locked`.
-        unsafe {
-            if self.resize_op_locked().is_some() {
-                return false;
-            }
-            let old_table = self.table_locked();
-            let old_buckets = old_table.len();
-            if old_buckets <= self.policy().min_buckets.max(1) || old_buckets == 1 {
-                return false;
-            }
-            let new_buckets = old_buckets / 2;
-
-            // Phase 1: one pass over the old heads. New bucket `b` collects
-            // old buckets `b` and `b + new_buckets`: point it at whichever
-            // old chain comes first (preferring old bucket `b`) and, where
-            // both exist, append the "high" chain to the tail of the "low"
-            // one. That makes the low old bucket imprecise (its readers see
-            // extra elements — harmless) while readers of the high old
-            // bucket are untouched.
-            let new_table: Box<BucketArray<K, V>> = BucketArray::new(new_buckets);
-            for new_index in 0..new_buckets {
-                // Only the low chain is walked; the high one is linked as is.
-                hint_head(old_table, new_index + HINT_AHEAD);
-                let low = old_table.head_acquire(new_index);
-                let high = old_table.head_acquire(new_index + new_buckets);
-                new_table.publish_head(new_index, if low.is_null() { high } else { low });
-                if low.is_null() || high.is_null() {
+        // Phase 1: one walk per old bucket. Old bucket `o` splits into new
+        // buckets `o` and `o + old_buckets`, and its chain holds both sides'
+        // elements interleaved: walk it until the first node of each side
+        // has been seen (or it ends) and point each new bucket at its own. A
+        // chain that feeds both sides is a zipper that needs unzipping, and
+        // its first splice belongs to the chain of the old head's side (the
+        // zipper's first run).
+        let new_table: Box<BucketArray<K, V>> = BucketArray::new(new_buckets);
+        let new_mask = new_buckets - 1;
+        let mut turn = vec![PAIR_DONE; old_buckets];
+        let mut remaining = 0;
+        for (low, slot) in turn.iter_mut().enumerate() {
+            old_table.hint_head(low + HINT_AHEAD);
+            let mut cur = old_table.head(low);
+            let head_side = cur.as_ref().map(|head| (head.hash as usize) & new_mask);
+            let mut first: [Option<Locked<'_, K, V>>; 2] = [None, None];
+            while let Some(node) = cur {
+                let side = usize::from((node.hash as usize) & new_mask != low);
+                if first[side].is_some() {
+                    cur = node.next();
                     continue;
                 }
-                let mut tail = low;
-                loop {
-                    let next = (*tail).next_acquire();
-                    if next.is_null() {
-                        break;
-                    }
-                    tail = next;
-                }
-                (*tail).next.store(high, Ordering::Release);
+                cur = if first[1 - side].is_some() {
+                    None
+                } else {
+                    node.next()
+                };
+                first[side] = Some(node);
             }
-
-            // Phase 2: publish the new table; the grace period that lets the
-            // old array be freed is the op's one pending step.
-            let old_ptr = self.publish_table(new_table);
-            let op = ZipOp {
-                id: self.next_resize_id(held),
-                // SAFETY: as in `begin_unzip_locked`.
-                old_table: Some(Box::from_raw(old_ptr)),
-                grace_pending: true,
-            };
-            *self.resize_op_locked() = Some(ResizeOp::Zip(op));
-            self.set_resize_active(true);
-            observe_resize_begin(false);
-            true
+            new_table.set_head(low, first[0].as_ref());
+            new_table.set_head(low + old_buckets, first[1].as_ref());
+            if let ([Some(_), Some(_)], Some(side)) = (&first, head_side) {
+                *slot = side;
+                remaining += 1;
+            }
         }
+
+        // Phase 2: publish the new table. After one grace period every
+        // reader starts from the new (imprecise) buckets and the old array
+        // can be freed; that wait is the op's first pending step.
+        let op = UnzipOp {
+            id: self.resize_ids.add(1, held),
+            old_buckets,
+            new_mask,
+            old_table: Some(old_table.publish(new_table)),
+            turn,
+            remaining,
+            grace_pending: true,
+            round: 0,
+        };
+        *held.borrow_mut() = Some(ResizeOp::Unzip(op));
+        self.resize_active.store(true, Ordering::Release);
+        observe_resize_begin(true);
+        true
+    }
+
+    /// `begin` for shrinking, under `held`, this map's writer lock; returns
+    /// `false` if a resize is in progress or the table cannot shrink.
+    fn begin_zip_locked(&self, held: &WriterGuard<'_, K, V>) -> bool {
+        if held.borrow().is_some() {
+            return false;
+        }
+        let old_table = self.table_locked(held);
+        let old_buckets = old_table.len();
+        if old_buckets <= self.policy().min_buckets.max(1) || old_buckets == 1 {
+            return false;
+        }
+        let new_buckets = old_buckets / 2;
+
+        // Phase 1: one pass over the old heads. New bucket `b` collects old
+        // buckets `b` and `b + new_buckets`: point it at whichever old chain
+        // comes first (preferring old bucket `b`) and, where both exist,
+        // append the "high" chain to the tail of the "low" one. That makes
+        // the low old bucket imprecise (its readers see extra elements —
+        // harmless) while readers of the high old bucket are untouched.
+        let new_table: Box<BucketArray<K, V>> = BucketArray::new(new_buckets);
+        for new_index in 0..new_buckets {
+            // Only the low chain is walked; the high one is linked as is.
+            old_table.hint_head(new_index + HINT_AHEAD);
+            let low = old_table.head(new_index);
+            let high = old_table.head(new_index + new_buckets);
+            new_table.set_head(new_index, low.as_ref().or(high.as_ref()));
+            let (Some(mut tail), Some(high)) = (low, high) else {
+                continue;
+            };
+            while let Some(next) = tail.next() {
+                tail = next;
+            }
+            tail.link(Some(&high));
+        }
+
+        // Phase 2: publish the new table; the grace period that lets the
+        // old array be freed is the op's one pending step.
+        let op = ZipOp {
+            id: self.resize_ids.add(1, held),
+            old_table: Some(old_table.publish(new_table)),
+            grace_pending: true,
+        };
+        *held.borrow_mut() = Some(ResizeOp::Zip(op));
+        self.resize_active.store(true, Ordering::Release);
+        observe_resize_begin(false);
+        true
     }
 
     /// Marks the grace period identified by `(id, round)` as elapsed, if the
     /// op still matches (a concurrent advancer may have resolved it, or the
     /// op may have finished and been replaced).
-    ///
-    /// # Safety
-    ///
-    /// `held` must guard this map's writer lock.
-    unsafe fn resolve_grace_locked(&self, held: &WriterGuard<'_>, id: u64, round: u64) {
-        // SAFETY: writer lock held per the caller contract.
-        if let Some(op) = unsafe { self.resize_op_locked() } {
+    fn resolve_grace_locked(&self, held: &WriterGuard<'_, K, V>, id: u64, round: u64) {
+        if let Some(op) = held.borrow_mut().as_mut() {
             if op.id() == id && op.grace_key() == Some((id, round)) {
                 op.grace_done();
                 self.stats.resize_grace_periods.add(1, held);
@@ -627,44 +571,37 @@ where
 
     /// Performs one non-grace step: a splice round, or finish. Must only be
     /// called when no grace period is pending.
-    ///
-    /// # Safety
-    ///
-    /// `held` must guard this map's writer lock.
-    unsafe fn resize_work_step_locked(&self, held: &WriterGuard<'_>) -> ResizeStep {
-        // SAFETY (this fn body): writer lock held per the caller contract.
-        unsafe {
-            let Some(op) = self.resize_op_locked() else {
-                return ResizeStep::Idle;
-            };
-            debug_assert!(op.grace_key().is_none(), "grace period still pending");
-            match op {
-                ResizeOp::Zip(_) => {
-                    // The publish grace period has elapsed and the old array
-                    // has been freed; nothing else to do.
-                    *self.resize_op_locked() = None;
-                    self.set_resize_active(false);
-                    self.stats.shrinks.add(1, held);
-                    ResizeStep::Finished
-                }
-                ResizeOp::Unzip(u) => {
-                    if u.remaining > 0 {
-                        let table = self.table_locked();
-                        let splices = Self::splice_round(table, u);
-                        if splices > 0 {
-                            self.stats.unzip_splices.add(splices, held);
-                            self.stats.unzip_rounds.add(1, held);
-                            u.grace_pending = true;
-                            u.round += 1;
-                            return ResizeStep::Splice;
-                        }
+    fn resize_work_step_locked(&self, held: &WriterGuard<'_, K, V>) -> ResizeStep {
+        let mut slot = held.borrow_mut();
+        let Some(op) = slot.as_mut() else {
+            return ResizeStep::Idle;
+        };
+        debug_assert!(op.grace_key().is_none(), "grace period still pending");
+        match op {
+            ResizeOp::Zip(_) => {
+                // The publish grace period has elapsed and the old array has
+                // been freed; nothing else to do.
+                *slot = None;
+                self.resize_active.store(false, Ordering::Release);
+                self.stats.shrinks.add(1, held);
+                ResizeStep::Finished
+            }
+            ResizeOp::Unzip(u) => {
+                if u.remaining > 0 {
+                    let splices = splice_round(&self.table_locked(held), u);
+                    if splices > 0 {
+                        self.stats.unzip_splices.add(splices, held);
+                        self.stats.unzip_rounds.add(1, held);
+                        u.grace_pending = true;
+                        u.round += 1;
+                        return ResizeStep::Splice;
                     }
-                    debug_assert_eq!(u.remaining, 0, "no splice found for unfinished pair");
-                    *self.resize_op_locked() = None;
-                    self.set_resize_active(false);
-                    self.stats.expands.add(1, held);
-                    ResizeStep::Finished
                 }
+                debug_assert_eq!(u.remaining, 0, "no splice found for unfinished pair");
+                *slot = None;
+                self.resize_active.store(false, Ordering::Release);
+                self.stats.expands.add(1, held);
+                ResizeStep::Finished
             }
         }
     }
@@ -685,16 +622,13 @@ where
     /// [`rp_rcu::GraceSync::synchronize`]'s self-deadlock check); drop the
     /// guard first.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let _w = self.lock_at_rest();
-        // SAFETY: writer lock held.
-        let table = unsafe { self.table_locked() };
+        let held = self.lock_at_rest();
+        let table = self.table_locked(&held);
         let mut reachable = 0_usize;
         for bucket in 0..table.len() {
-            let mut cur = table.head_acquire(bucket);
+            let mut cur = table.head(bucket);
             let mut steps = 0_usize;
-            while !cur.is_null() {
-                // SAFETY: reachable node under the writer lock.
-                let node = unsafe { &*cur };
+            while let Some(node) = cur {
                 let home = table.bucket_of(node.hash);
                 if home == bucket {
                     reachable += 1;
@@ -708,7 +642,7 @@ where
                 if steps > self.len() + 1 {
                     return Err(format!("cycle detected in bucket {bucket}"));
                 }
-                cur = node.next_acquire();
+                cur = node.next();
             }
         }
         if reachable != self.len() {
@@ -722,186 +656,121 @@ where
     }
 }
 
-/// Pointer-level chain surgery. These are deliberately free of the map's
-/// `Hash`/`BuildHasher` bounds (they operate on cached hashes only) so that
-/// `Drop` — implemented for every `RpHashMap` — can complete an in-progress
-/// unzip before freeing nodes.
-impl<K, V, S> RpHashMap<K, V, S> {
-    /// One splice round: at most one cross-link splice per in-progress
-    /// bucket pair, one visit per pair. A pair is retired (`PAIR_DONE`,
-    /// `remaining -= 1`) in the round that finds it without cross-links —
-    /// which is the round that cut its last one: both chains are re-checked
-    /// right after the cut, while they are still in L1, so no later round
-    /// walks them again only to learn there is nothing left. Retiring early
-    /// is safe because writers never create a cross-link (inserts go to the
-    /// home bucket's head, replacements take the place of a node with the
-    /// same hash, unlinks only remove) and never read `turn`.
-    ///
-    /// Returns the number of splices performed, for the caller to add to
-    /// `stats.unzip_splices` once.
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold the writer lock (so all reachable nodes are
-    /// stable), and a grace period must have elapsed since the previous
-    /// round's splices (so no reader still traverses pre-splice links).
-    pub(crate) unsafe fn splice_round(table: &BucketArray<K, V>, op: &mut UnzipOp<K, V>) -> u64 {
-        // SAFETY (this fn body): forwarded caller contract — the writer lock
-        // is held, so every node `find_cross_link` returns stays reachable
-        // and alive while it is used here.
-        unsafe {
-            let new_mask = op.new_mask;
-            let cross_link = |c| Self::find_cross_link(table, c, new_mask);
-            // Cutting a cross-link whose foreign run is reachable from its
-            // home chain only through the link being cut would orphan the
-            // run; the other chain's cross-link is the zipper-earlier one.
-            let cuttable = |c| cross_link(c).filter(|x| Self::splice_is_safe(table, x));
-            let mut splices = 0;
-            for o in 0..op.old_buckets {
-                let ahead = o + HINT_AHEAD;
-                if op.turn.get(ahead).is_some_and(|&t| t != PAIR_DONE) {
-                    hint_head(table, ahead);
-                    hint_head(table, ahead + op.old_buckets);
-                }
-                if op.turn[o] == PAIR_DONE {
-                    continue;
-                }
-                let first = op.turn[o];
-                let second = o + op.old_buckets + o - first; // the pair's other bucket
-                let cut = cuttable(first).or_else(|| cuttable(second));
-                if let Some(cross) = &cut {
-                    match cross.cut {
-                        CutPoint::Head(bucket) => table.publish_head(bucket, cross.after_foreign),
-                        CutPoint::After(run_end) => (*run_end)
-                            .next
-                            .store(cross.after_foreign, Ordering::Release),
-                    }
-                    splices += 1;
-                    // The next splice for this pair belongs to the chain the
-                    // foreign run we just removed is headed for.
-                    op.turn[o] = cross.foreign_bucket;
-                }
-                if cross_link(first).is_none() && cross_link(second).is_none() {
-                    op.turn[o] = PAIR_DONE;
-                    op.remaining -= 1;
-                } else {
-                    // At least one of the two chains always has a safely
-                    // spliceable cross-link (see `splice_is_safe`); a round
-                    // that finds cross-links but cannot cut any would stall
-                    // the resize.
-                    debug_assert!(cut.is_some(), "cross-links present but no safe splice");
-                }
+/// One splice round, under the writer lock `table` borrows, a grace period
+/// after the previous round's splices: at most one cross-link splice per
+/// in-progress bucket pair, one visit per pair. A pair is retired
+/// (`PAIR_DONE`, `remaining -= 1`) in the round that finds it without
+/// cross-links — which is the round that cut its last one: both chains are
+/// re-checked right after the cut, while they are still in L1, so no later
+/// round walks them again only to learn there is nothing left. Retiring
+/// early is safe because writers never create a cross-link (inserts go to
+/// the home bucket's head, replacements take the place of a node with the
+/// same hash, unlinks only remove) and never read `turn`.
+///
+/// Returns the number of splices performed, for the caller to add to
+/// `stats.unzip_splices` once.
+fn splice_round<K, V>(table: &LockedTable<'_, K, V>, op: &mut UnzipOp<K, V>) -> u64 {
+    let new_mask = op.new_mask;
+    let cross_link = |c| find_cross_link(table, c, new_mask);
+    // Cutting a cross-link whose foreign run is reachable from its home
+    // chain only through the link being cut would orphan the run; the other
+    // chain's cross-link is the zipper-earlier one.
+    let cuttable = |c| cross_link(c).filter(|x| splice_is_safe(table, x));
+    let mut splices = 0;
+    for o in 0..op.old_buckets {
+        let ahead = o + HINT_AHEAD;
+        if op.turn.get(ahead).is_some_and(|&t| t != PAIR_DONE) {
+            table.hint_head(ahead);
+            table.hint_head(ahead + op.old_buckets);
+        }
+        if op.turn[o] == PAIR_DONE {
+            continue;
+        }
+        let first = op.turn[o];
+        let second = o + op.old_buckets + o - first; // the pair's other bucket
+        let cut = cuttable(first).or_else(|| cuttable(second));
+        if let Some(cross) = &cut {
+            match &cross.cut {
+                CutPoint::Head(bucket) => table.set_head(*bucket, cross.after_foreign.as_ref()),
+                CutPoint::After(run_end) => run_end.link(cross.after_foreign.as_ref()),
             }
-            splices
+            splices += 1;
+            // The next splice for this pair belongs to the chain the foreign
+            // run we just removed is headed for.
+            op.turn[o] = cross.foreign_bucket;
+        }
+        if cross_link(first).is_none() && cross_link(second).is_none() {
+            op.turn[o] = PAIR_DONE;
+            op.remaining -= 1;
+        } else {
+            // At least one of the two chains always has a safely spliceable
+            // cross-link (see `splice_is_safe`); a round that finds
+            // cross-links but cannot cut any would stall the resize.
+            debug_assert!(cut.is_some(), "cross-links present but no safe splice");
         }
     }
+    splices
+}
 
-    /// Finds the first cross-link in the chain of new bucket `c`: the
-    /// earliest maximal run of nodes that do not belong to `c`.
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold the writer lock.
-    unsafe fn find_cross_link(
-        table: &BucketArray<K, V>,
-        c: usize,
-        new_mask: usize,
-    ) -> Option<CrossLink<K, V>> {
-        // SAFETY (this fn body): nodes reachable from the published table
-        // cannot be freed while the writer lock is held (retiring happens
-        // under it, and freeing additionally waits for a grace period).
-        unsafe {
-            let mut cut = CutPoint::Head(c);
-            let mut cur = table.head_acquire(c);
-            // Skip the leading run of nodes that belong to `c` (the head can
-            // itself be foreign if a removal promoted a foreign node).
-            while !cur.is_null() && ((*cur).hash as usize) & new_mask == c {
-                cut = CutPoint::After(cur);
-                cur = (*cur).next_acquire();
-            }
-            if cur.is_null() {
-                return None;
-            }
-            let foreign_head = cur;
-            let foreign_bucket = ((*cur).hash as usize) & new_mask;
-            let mut tail = cur;
-            loop {
-                let next = (*tail).next_acquire();
-                if next.is_null() || ((*next).hash as usize) & new_mask != foreign_bucket {
-                    break;
-                }
-                tail = next;
-            }
-            Some(CrossLink {
-                cut,
-                foreign_head,
-                foreign_bucket,
-                after_foreign: (*tail).next_acquire(),
-            })
-        }
+/// Finds the first cross-link in the chain of new bucket `c`: the earliest
+/// maximal run of nodes that do not belong to `c`.
+fn find_cross_link<'w, K, V>(
+    table: &LockedTable<'w, K, V>,
+    c: usize,
+    new_mask: usize,
+) -> Option<CrossLink<'w, K, V>> {
+    let bucket_of = |node: &Locked<'w, K, V>| (node.hash as usize) & new_mask;
+    let mut cut = CutPoint::Head(c);
+    let mut cur = table.head(c);
+    // Skip the leading run of nodes that belong to `c` (the head can itself
+    // be foreign if a removal promoted a foreign node).
+    while let Some(node) = cur.take_if(|node| bucket_of(node) == c) {
+        cur = node.next();
+        cut = CutPoint::After(node);
     }
+    let foreign_head = cur?;
+    let foreign_bucket = bucket_of(&foreign_head);
+    let mut after_foreign = foreign_head.next();
+    while let Some(next) = after_foreign
+        .as_ref()
+        .filter(|next| bucket_of(next) == foreign_bucket)
+    {
+        after_foreign = next.next();
+    }
+    Some(CrossLink {
+        cut,
+        foreign_head,
+        foreign_bucket,
+        after_foreign,
+    })
+}
 
-    /// Returns `true` if cutting `cross` cannot orphan its foreign run: the
-    /// run's home chain must reach it without passing through the link being
-    /// cut.
-    ///
-    /// Head cuts are always safe (a chain traversal never passes through
-    /// another bucket's head *slot*). For a node cut, walk the foreign
-    /// bucket's chain: reaching `foreign_head` first proves an independent
-    /// path; reaching the cut node first means the only path goes through
-    /// the link we want to remove.
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold the writer lock.
-    unsafe fn splice_is_safe(table: &BucketArray<K, V>, cross: &CrossLink<K, V>) -> bool {
-        let run_end = match cross.cut {
-            CutPoint::Head(_) => return true,
-            CutPoint::After(node) => node,
-        };
-        let mut cur = table.head_acquire(cross.foreign_bucket);
-        while !cur.is_null() {
-            if cur == cross.foreign_head {
-                return true;
-            }
-            if cur == run_end {
-                return false;
-            }
-            // SAFETY: reachable node under the writer lock (caller
-            // contract).
-            cur = unsafe { &*cur }.next_acquire();
+/// Returns `true` if cutting `cross` cannot orphan its foreign run: the
+/// run's home chain must reach it without passing through the link being
+/// cut.
+///
+/// Head cuts are always safe (a chain traversal never passes through another
+/// bucket's head *slot*). For a node cut, walk the foreign bucket's chain:
+/// reaching `foreign_head` first proves an independent path; reaching the
+/// cut node first means the only path goes through the link we want to
+/// remove.
+fn splice_is_safe<K, V>(table: &LockedTable<'_, K, V>, cross: &CrossLink<'_, K, V>) -> bool {
+    let run_end = match &cross.cut {
+        CutPoint::Head(_) => return true,
+        CutPoint::After(node) => node,
+    };
+    let mut cur = table.head(cross.foreign_bucket);
+    while let Some(node) = cur {
+        if node.is(&cross.foreign_head) {
+            return true;
         }
-        debug_assert!(false, "foreign run unreachable from its home chain");
-        false
-    }
-
-    /// Completes the chain surgery of an in-progress unzip without waiting
-    /// for any grace period. Only sound when no readers can exist — used by
-    /// `Drop`, which has `&mut self`.
-    pub(crate) fn complete_resize_for_drop(
-        table: &BucketArray<K, V>,
-        op: &mut ResizeOp<K, V>,
-        stats: &mut AtomicMapStats,
-    ) {
-        let ResizeOp::Unzip(u) = op else {
-            return; // a zip leaves single-path chains; nothing to do
-        };
-        drop(u.old_table.take());
-        // Each round splices at least one cross-link per unfinished pair and
-        // splices strictly reduce the (finite) cross-link count, so this
-        // terminates; a round that makes no progress would mean corrupted
-        // chains, and freeing from them would be worse than leaking.
-        while u.remaining > 0 {
-            // SAFETY: exclusive access (no readers, no writers) is strictly
-            // stronger than the writer-lock + grace-period contract.
-            let splices = unsafe { Self::splice_round(table, u) };
-            *stats.unzip_splices.get_mut() += splices;
-            if splices == 0 && u.remaining > 0 {
-                debug_assert!(false, "unzip stalled during drop");
-                break;
-            }
+        if node.is(run_end) {
+            return false;
         }
+        cur = node.next();
     }
+    debug_assert!(false, "foreign run unreachable from its home chain");
+    false
 }
 
 #[cfg(test)]
@@ -1225,13 +1094,9 @@ mod tests {
         assert!(map.begin_expand());
         assert_eq!(map.advance_resize(), ResizeStep::Grace);
         assert_eq!(map.advance_resize(), ResizeStep::Splice);
-        {
-            let _w = map.writer_lock();
-            // SAFETY: writer lock held.
-            match unsafe { map.resize_op_locked() } {
-                Some(super::ResizeOp::Unzip(op)) => assert_eq!(op.remaining, 0),
-                _ => panic!("the expand is still in flight"),
-            }
+        match &*map.writer_lock().borrow() {
+            Some(super::ResizeOp::Unzip(op)) => assert_eq!(op.remaining, 0),
+            _ => panic!("the expand is still in flight"),
         }
         assert_eq!(map.advance_resize(), ResizeStep::Grace);
         assert_eq!(map.advance_resize(), ResizeStep::Finished);
@@ -1391,8 +1256,8 @@ mod tests {
             }
             assert!(map.begin_expand());
             assert_eq!(map.advance_resize(), ResizeStep::Grace);
-            // Drop with the unzip mid-flight: shared chains must be split
-            // before the node walk frees them.
+            // Drop with the unzip mid-flight: a node reachable from both
+            // buckets of its pair is dropped from its home bucket only.
         }
         assert_eq!(drops.load(Ordering::SeqCst), 50);
     }

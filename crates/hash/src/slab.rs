@@ -223,7 +223,7 @@ impl<K, V> NodeSlab<K, V> {
     /// # Safety
     ///
     /// `held` must guard the writer lock of the map that owns this slab.
-    pub(crate) unsafe fn alloc(&self, held: &WriterGuard<'_>) -> *mut Node<K, V> {
+    pub(crate) unsafe fn alloc(&self, held: &WriterGuard<'_, K, V>) -> *mut Node<K, V> {
         // SAFETY: the writer lock (caller contract) serialises every access
         // to `local`, and no other borrow of it is live.
         let local = unsafe { &mut *self.local.get() };
@@ -256,7 +256,7 @@ impl<K, V> NodeSlab<K, V> {
 
     #[cold]
     #[inline(never)]
-    fn map_chunk(&self, local: &mut Local, held: &WriterGuard<'_>) {
+    fn map_chunk(&self, local: &mut Local, held: &WriterGuard<'_, K, V>) {
         // The bump cursor has left the newest chunk, so every page of it
         // has been written: as one huge page it costs no more memory.
         if !local.newest.is_null() {
@@ -296,7 +296,7 @@ impl<K, V> NodeSlab<K, V> {
     /// * It is unreachable to new readers, and readers that may still hold
     ///   it read through the global domain.
     /// * `K` and `V` may be dropped on any thread.
-    pub(crate) unsafe fn retire(&self, node: *mut Node<K, V>, _held: &WriterGuard<'_>) {
+    pub(crate) unsafe fn retire(&self, node: *mut Node<K, V>, _held: &WriterGuard<'_, K, V>) {
         // SAFETY: the writer lock serialises every access to `local`.
         unsafe { (*self.local.get()).retired = true };
         // SAFETY: the contract above is `defer_drop`'s for
@@ -420,21 +420,24 @@ fn map_chunk_memory() -> *mut u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
+    use crate::map::WriterLock;
+    use crate::node::Locked;
     use rp_rcu::NoGraceWait;
 
     /// A node from `slab`, initialised.
-    fn node(slab: &NodeSlab<u64, u64>, held: &WriterGuard<'_>, key: u64) -> *mut Node<u64, u64> {
-        // SAFETY: every test takes `held` from the one lock it uses with
-        // `slab`.
-        unsafe { Node::alloc(slab, held, key, key, key) }
+    fn node(
+        slab: &NodeSlab<u64, u64>,
+        held: &WriterGuard<'_, u64, u64>,
+        key: u64,
+    ) -> *mut Node<u64, u64> {
+        Locked::raw(Some(&Node::alloc(slab, held, key, key, key)))
     }
 
     #[test]
     fn a_u64_node_takes_32_bytes_and_nodes_pack_behind_the_header() {
         assert_eq!(NodeSlab::<u64, u64>::SLOT, 32);
         let slab = NodeSlab::<u64, u64>::new();
-        let lock = Mutex::new(());
+        let lock = WriterLock::default();
         let held = NoGraceWait::holding(lock.lock());
         let first = node(&slab, &held, 1);
         assert_eq!(first as usize % CHUNK, 32, "slot 0 is the header");
@@ -452,7 +455,7 @@ mod tests {
     #[test]
     fn a_full_chunk_maps_the_next() {
         let slab = NodeSlab::<u64, u64>::new();
-        let lock = Mutex::new(());
+        let lock = WriterLock::default();
         let held = NoGraceWait::holding(lock.lock());
         let per_chunk = CHUNK / 32 - 1;
         let first = node(&slab, &held, 0);
@@ -469,7 +472,7 @@ mod tests {
     #[test]
     fn a_retired_slot_is_reused_only_after_its_grace_period() {
         let slab = NodeSlab::<u64, u64>::new();
-        let lock = Mutex::new(());
+        let lock = WriterLock::default();
         let held = NoGraceWait::holding(lock.lock());
         let guard = rp_rcu::pin();
         let retired = node(&slab, &held, 7);

@@ -4,8 +4,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::map::WriterGuard;
 
-/// A counter that only writer-lock holders store to (or `Drop`, through
-/// `&mut`). The lock already serialises every store, so a bump is a relaxed
+/// A counter that only writer-lock holders store to. The lock already serialises every store, so a bump is a relaxed
 /// load and a relaxed store: a `lock xadd` would be a full barrier the writer
 /// pays under its lock for nothing. The lock's release/acquire pair orders
 /// one holder's store before the next holder's load. Every bump takes the
@@ -16,14 +15,14 @@ pub(crate) struct LockedCount(AtomicU64);
 
 impl LockedCount {
     /// Adds `n` and returns the new value.
-    pub(crate) fn add(&self, n: u64, _held: &WriterGuard<'_>) -> u64 {
+    pub(crate) fn add<K, V>(&self, n: u64, _held: &WriterGuard<'_, K, V>) -> u64 {
         let value = self.0.load(Ordering::Relaxed) + n;
         self.0.store(value, Ordering::Relaxed);
         value
     }
 
     /// Subtracts `n` and returns the new value.
-    pub(crate) fn sub(&self, n: u64, _held: &WriterGuard<'_>) -> u64 {
+    pub(crate) fn sub<K, V>(&self, n: u64, _held: &WriterGuard<'_, K, V>) -> u64 {
         let value = self.0.load(Ordering::Relaxed) - n;
         self.0.store(value, Ordering::Relaxed);
         value
@@ -32,11 +31,6 @@ impl LockedCount {
     /// A lock-free snapshot.
     pub(crate) fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-
-    /// The value, for a holder of `&mut` (no lock needed).
-    pub(crate) fn get_mut(&mut self) -> &mut u64 {
-        self.0.get_mut()
     }
 }
 
@@ -113,21 +107,20 @@ impl MapStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
+    use crate::map::WriterLock;
     use rp_rcu::NoGraceWait;
 
     #[test]
     fn snapshot_round_trips() {
-        let lock = Mutex::new(());
+        let lock = WriterLock::<u64, u64>::default();
         let held = NoGraceWait::holding(lock.lock());
-        let mut s = AtomicMapStats::default();
+        let s = AtomicMapStats::default();
         s.expands.add(1, &held);
         assert_eq!(s.expands.add(1, &held), 2);
         s.shrinks.add(1, &held);
         s.inserts.add(3, &held);
         assert_eq!(s.inserts.sub(2, &held), 1);
-        drop(held);
-        *s.unzip_splices.get_mut() += 5;
+        s.unzip_splices.add(5, &held);
         let snap = s.snapshot();
         assert_eq!(snap.expands, 2);
         assert_eq!(snap.shrinks, 1);

@@ -1,11 +1,17 @@
-//! Bucket arrays.
+//! Bucket arrays, the pointer that publishes one, and the two views code
+//! walks one through: [`ReadTable`] under a read witness, [`LockedTable`]
+//! under the writer lock (DESIGN.md, *What protects a node*).
 
-use std::mem::size_of;
+use std::mem::{needs_drop, size_of};
+use std::ops::Deref;
 use std::ptr;
-use std::sync::atomic::{AtomicPtr, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 
-use crate::node::Node;
-use crate::slab::{advise_huge_pages, HugePages};
+use crate::map::{prefetch_line, WriterGuard};
+use crate::node::{Locked, Node, NodeRef};
+use crate::qsbr::ReadProtect;
+use crate::resize::ResizeOp;
+use crate::slab::{advise_huge_pages, HugePages, NodeSlab};
 
 /// A bucket array: a power-of-two number of chain heads.
 ///
@@ -14,8 +20,8 @@ use crate::slab::{advise_huge_pages, HugePages};
 /// under a guard.
 pub(crate) struct BucketArray<K, V> {
     /// `buckets.len() - 1`; bucket index for a hash `h` is `h & mask`.
-    pub(crate) mask: usize,
-    pub(crate) buckets: Box<[AtomicPtr<Node<K, V>>]>,
+    mask: usize,
+    buckets: Box<[AtomicPtr<Node<K, V>>]>,
 }
 
 impl<K, V> BucketArray<K, V> {
@@ -54,14 +60,25 @@ impl<K, V> BucketArray<K, V> {
         (hash as usize) & self.mask
     }
 
-    /// Loads a bucket head with acquire ordering (`rcu_dereference`).
-    pub(crate) fn head_acquire(&self, index: usize) -> *mut Node<K, V> {
-        self.buckets[index].load(Ordering::Acquire)
+    /// Points bucket `index` at `node` (`rcu_assign_pointer`).
+    pub(crate) fn set_head(&self, index: usize, node: Option<&Locked<'_, K, V>>) {
+        self.buckets[index].store(Locked::raw(node), Ordering::Release);
     }
 
-    /// Publishes a new head for bucket `index` (`rcu_assign_pointer`).
-    pub(crate) fn publish_head(&self, index: usize, node: *mut Node<K, V>) {
-        self.buckets[index].store(node, Ordering::Release);
+    /// Hints bucket `index`'s slot. A hint may name any address, so the
+    /// index is not checked.
+    pub(crate) fn hint_slot(&self, index: usize) {
+        prefetch_line(self.buckets.as_ptr().wrapping_add(index).cast());
+    }
+
+    /// Hints the head node of bucket `index`, if there is one. Only the
+    /// head: a hint that loads the head to hint its successor turns the
+    /// head's miss back into one the caller waits for.
+    pub(crate) fn hint_head(&self, index: usize) {
+        if let Some(slot) = self.buckets.get(index) {
+            // Relaxed: the pointer is only hinted, never dereferenced.
+            prefetch_line(slot.load(Ordering::Relaxed).cast_const().cast());
+        }
     }
 }
 
@@ -73,18 +90,214 @@ impl<K, V> std::fmt::Debug for BucketArray<K, V> {
     }
 }
 
+/// The map's published bucket array, and its bucket count.
+pub(crate) struct TablePtr<K, V> {
+    array: AtomicPtr<BucketArray<K, V>>,
+    /// The published array's length, stored with it under the writer lock:
+    /// what a caller with no witness may ask, since the array it loads may
+    /// be freed before it reads it.
+    buckets: AtomicUsize,
+}
+
+impl<K, V> TablePtr<K, V> {
+    pub(crate) fn new(array: Box<BucketArray<K, V>>) -> Self {
+        TablePtr {
+            buckets: AtomicUsize::new(array.len()),
+            array: AtomicPtr::new(Box::into_raw(array)),
+        }
+    }
+
+    /// The published array's bucket count (a snapshot).
+    pub(crate) fn buckets(&self) -> usize {
+        self.buckets.load(Ordering::Relaxed)
+    }
+
+    /// The published array, for a reader holding `protect`.
+    pub(crate) fn read<'r, P: ReadProtect>(&'r self, protect: &'r P) -> ReadTable<'r, K, V> {
+        protect.assert_protecting();
+        // SAFETY: an array is freed only after a grace period that follows
+        // its replacement, and the witness holds such a grace period open
+        // for `'r`.
+        ReadTable(unsafe { &*self.array.load(Ordering::Acquire) })
+    }
+
+    /// The published array, for the holder of the writer lock `held`
+    /// guards; `slab` is the map's.
+    pub(crate) fn locked<'w>(
+        &'w self,
+        slab: &'w NodeSlab<K, V>,
+        held: &'w WriterGuard<'w, K, V>,
+    ) -> LockedTable<'w, K, V> {
+        // SAFETY: only a resize replaces the array, under the writer lock,
+        // and it is freed a grace period later, once the lock was let go.
+        let array = unsafe { &*self.array.load(Ordering::Acquire) };
+        LockedTable {
+            ptr: self,
+            array,
+            slab,
+            held,
+        }
+    }
+}
+
+impl<K, V> Drop for TablePtr<K, V> {
+    /// Drops the map's live entries in place, then the array. The slab's
+    /// memory goes whole after this (`NodeSlab`'s `Drop`). Mid-unzip a node
+    /// can be reachable from both buckets of its pair, so each is dropped
+    /// from its home bucket only: every node is reachable from its home
+    /// bucket at every instant, once.
+    fn drop(&mut self) {
+        let table_ptr = *self.array.get_mut();
+        // SAFETY: the array published last, from `Box::into_raw`, and ours
+        // alone: the map is being dropped.
+        let table = unsafe { Box::from_raw(table_ptr) };
+        if !needs_drop::<Node<K, V>>() {
+            return;
+        }
+        for (bucket, head) in table.buckets.iter().enumerate() {
+            let at_home = |hash| table.bucket_of(hash) == bucket;
+            // SAFETY: no reader or writer is left, the slab that maps the
+            // nodes is dropped after the table, and retired nodes are no
+            // longer in any chain.
+            unsafe { Node::drop_chain(head.load(Ordering::Relaxed), at_home) };
+        }
+    }
+}
+
+/// The published array as a reader holding a witness for `'r` sees it:
+/// every node reached from it is a [`NodeRef<'r>`](NodeRef).
+pub(crate) struct ReadTable<'r, K, V>(&'r BucketArray<K, V>);
+
+impl<'r, K, V> ReadTable<'r, K, V> {
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    pub(crate) fn bucket_of(&self, hash: u64) -> usize {
+        self.0.bucket_of(hash)
+    }
+
+    /// Bucket `index`'s first node (`rcu_dereference`).
+    #[inline]
+    pub(crate) fn head(&self, index: usize) -> Option<NodeRef<'r, K, V>> {
+        // SAFETY: reachable from the array the witness protects.
+        unsafe { NodeRef::new(self.0.buckets[index].load(Ordering::Acquire)) }
+    }
+
+    pub(crate) fn hint_slot(&self, index: usize) {
+        self.0.hint_slot(index);
+    }
+}
+
+/// The published array under the writer lock: every node reached from it
+/// is a [`Locked<'w>`](Locked), and [`LockedTable::swap_out`] is the one
+/// way a node leaves a chain.
+pub(crate) struct LockedTable<'w, K, V> {
+    ptr: &'w TablePtr<K, V>,
+    array: &'w BucketArray<K, V>,
+    slab: &'w NodeSlab<K, V>,
+    held: &'w WriterGuard<'w, K, V>,
+}
+
+impl<'w, K, V> Deref for LockedTable<'w, K, V> {
+    type Target = BucketArray<K, V>;
+
+    fn deref(&self) -> &BucketArray<K, V> {
+        self.array
+    }
+}
+
+impl<'w, K, V> LockedTable<'w, K, V> {
+    /// Bucket `index`'s first node.
+    pub(crate) fn head(&self, index: usize) -> Option<Locked<'w, K, V>> {
+        // SAFETY: reachable from the published array, under the lock.
+        unsafe { Locked::new(self.array.buckets[index].load(Ordering::Acquire)) }
+    }
+
+    /// Publishes `new` in place of this array and returns this one, which
+    /// readers may still be in: it is freed only after a grace period
+    /// (`ResizeOp`'s `grace_done`). `new`'s chains are this array's nodes.
+    pub(crate) fn publish(self, new: Box<BucketArray<K, V>>) -> Box<BucketArray<K, V>> {
+        let buckets = new.len();
+        let old_ptr = self.ptr.array.swap(Box::into_raw(new), Ordering::AcqRel);
+        self.ptr.buckets.store(buckets, Ordering::Relaxed);
+        // SAFETY: the array published until now, from `Box::into_raw`, and
+        // handed over once.
+        unsafe { Box::from_raw(old_ptr) }
+    }
+
+    /// Swaps `node` out of its home chain for `replacement` — its successor
+    /// for an unlink, or a node that takes its place — and retires it: the
+    /// link from `prev` (from the bucket head if `None`) is repointed, then
+    /// any link from the other bucket of its unzip pair, since mid-unzip a
+    /// node can be reachable from both. Consuming `node` is what ends the
+    /// writer's access to it: once queued, it may be dropped after a grace
+    /// period this thread does not hold open. Inlined into its five
+    /// callers, as the copies it replaced were.
+    #[inline(always)]
+    pub(crate) fn swap_out(
+        &self,
+        prev: Option<&Locked<'w, K, V>>,
+        node: Locked<'w, K, V>,
+        replacement: Option<&Locked<'w, K, V>>,
+    ) {
+        let home = self.bucket_of(node.hash);
+        match prev {
+            Some(prev) => prev.link(replacement),
+            None => self.set_head(home, replacement),
+        }
+        if let Some(ResizeOp::Unzip(op)) = &*self.held.borrow() {
+            let pair = (node.hash as usize) & (op.old_buckets - 1);
+            for bucket in [pair, pair + op.old_buckets] {
+                if bucket != home {
+                    self.relink_sibling(bucket, &node, replacement);
+                }
+            }
+        }
+        // SAFETY: `node` is unreachable to new readers from either bucket,
+        // came from this map's slab, `held` guards its writer lock, readers
+        // of the map read through the global domain, and the handle, taken
+        // by value, is not used again.
+        unsafe { self.slab.retire(Locked::raw(Some(&node)), self.held) };
+    }
+
+    /// Repoints the link to `node` from bucket `bucket`'s chain, if any, at
+    /// `replacement`.
+    fn relink_sibling(
+        &self,
+        bucket: usize,
+        node: &Locked<'w, K, V>,
+        replacement: Option<&Locked<'w, K, V>>,
+    ) {
+        let mut cur = self.head(bucket);
+        if cur.as_ref().is_some_and(|head| head.is(node)) {
+            return self.set_head(bucket, replacement);
+        }
+        while let Some(at) = cur {
+            let next = at.next();
+            if next.as_ref().is_some_and(|next| next.is(node)) {
+                return at.link(replacement);
+            }
+            cur = next;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::map::WriterLock;
+    use rp_rcu::NoGraceWait;
 
     #[test]
     fn new_array_is_empty() {
         let t: Box<BucketArray<u32, u32>> = BucketArray::new(8);
         assert_eq!(t.len(), 8);
         assert_eq!(t.mask, 7);
-        for i in 0..8 {
-            assert!(t.head_acquire(i).is_null());
-        }
+        assert!(t
+            .buckets
+            .iter()
+            .all(|head| head.load(Ordering::Relaxed).is_null()));
     }
 
     #[test]
@@ -103,13 +316,17 @@ mod tests {
     }
 
     #[test]
-    fn publish_and_load_round_trip() {
-        let t: Box<BucketArray<u32, u32>> = BucketArray::new(4);
-        // Only the address round-trips; nothing dereferences it.
-        let node = std::ptr::NonNull::<Node<u32, u32>>::dangling().as_ptr();
-        t.publish_head(1, node);
-        assert_eq!(t.head_acquire(1), node);
-        assert!(t.head_acquire(0).is_null());
+    fn a_head_set_under_the_lock_loads_back() {
+        let slab = NodeSlab::new();
+        let lock = WriterLock::default();
+        let held = NoGraceWait::holding(lock.lock());
+        let ptr = TablePtr::new(BucketArray::<u32, u32>::new(4));
+        let table = ptr.locked(&slab, &held);
+        let node = Node::alloc(&slab, &held, 1, 10, 100);
+        table.set_head(1, Some(&node));
+        assert!(table.head(1).is_some_and(|head| head.is(&node)));
+        assert!(table.head(0).is_none());
+        assert_eq!(ptr.buckets(), 4);
     }
 
     /// kB of `AnonHugePages` in the `/proc/self/smaps` entries that lie
@@ -146,8 +363,8 @@ mod tests {
             RpHashMap::with_buckets_and_hasher(16, FnvBuildHasher);
         map.insert(1, 1);
         map.resize_to(1 << 20);
-        let guard = map.pin();
-        let table = map.table_for_read(&guard);
+        let held = map.writer_lock();
+        let table = map.table_locked(&held);
         assert_eq!(table.len(), 1 << 20);
         let start = table.buckets.as_ptr() as usize;
         let end = start + table.len() * size_of::<AtomicPtr<Node<u64, u64>>>();

@@ -137,9 +137,9 @@ fn dropping_a_table_mid_resize_after_a_panic_is_clean() {
         let unwound = catch_unwind(AssertUnwindSafe(|| map.advance_resize()));
         assert!(unwound.is_err());
     }
-    // Drop with the resize still mid-flight: the Drop-completion path must
-    // splice the remaining chains without double-freeing or leaking (this
-    // test is also exercised under the workspace sanitizer jobs).
+    // Drop with the resize still mid-flight: the chains are still
+    // interleaved, and each node must be dropped once, from its home
+    // bucket, neither twice nor never.
     drop(map);
 }
 

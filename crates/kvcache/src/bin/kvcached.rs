@@ -9,6 +9,8 @@
 //!   non-zero on any failure. CI uses this as the end-to-end server test.
 //! * `--smoke-ops N` — operations for the smoke workload (default 2000).
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;

@@ -26,6 +26,8 @@
 //!   polls itself a few times (default `--count 5`, `--interval-ms 200`)
 //!   and exits non-zero unless every sample parsed and traffic showed up.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -53,6 +53,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod audit;
 mod engine;

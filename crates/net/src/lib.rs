@@ -82,6 +82,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 mod budget;
 mod buffer;

@@ -51,6 +51,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 mod map;
 mod policy;

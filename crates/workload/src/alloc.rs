@@ -88,21 +88,27 @@ pub struct CountingAllocator;
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_event();
-        System.alloc(layout)
+        // SAFETY: forwarded caller contract: `layout` has a non-zero size.
+        unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: forwarded caller contract: `ptr` came from this allocator,
+        // which is `System`'s, with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_event();
-        System.alloc_zeroed(layout)
+        // SAFETY: forwarded caller contract: `layout` has a non-zero size.
+        unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_event();
-        System.realloc(ptr, layout, new_size)
+        // SAFETY: forwarded caller contract: `ptr` came from `System` with
+        // `layout`, and `new_size` is non-zero and fits `layout`'s alignment.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
