@@ -47,7 +47,7 @@ use rp_shard::{ShardPolicy, ShardedRpMap};
 use rp_splitorder::SplitOrderMap;
 use rp_workload::driver::BackgroundHandle;
 use rp_workload::sysinfo::HostInfo;
-use rp_workload::{measure, measure_thread_local, KeyDist, KeyGen, Report, Series};
+use rp_workload::{measure_thread_local, KeyDist, KeyGen, Report, Series};
 
 /// Benchmark parameters (see the crate docs for the environment variables).
 #[derive(Debug, Clone)]
@@ -196,9 +196,10 @@ pub fn lookup_scalability(
             })],
             None => Vec::new(),
         };
-        let result = measure(
+        let (result, _) = measure_thread_local(
             threads,
             cfg.duration,
+            u64::MAX,
             |idx| {
                 let mut keys = KeyGen::new(KeyDist::Uniform, entries, 0xC0FFEE + idx as u64);
                 let map = Arc::clone(&map);

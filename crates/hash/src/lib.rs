@@ -18,9 +18,10 @@
 //!   waits for one grace period before reclaiming the old array.
 //! * **Expanding ("unzip")** points each new bucket into the old chain at
 //!   the first element that belongs to it, publishes the larger bucket
-//!   array, and then incrementally splices the interleaved chains apart —
-//!   one splice per chain per grace period — until every bucket is precise
-//!   again.
+//!   array, waits for one grace period and then cuts each chain apart with
+//!   one store. Every chain is kept sorted by `hash.reverse_bits()`, so the
+//!   elements that stay in the low bucket come before the ones that move,
+//!   and one cut per chain leaves every bucket precise.
 //!
 //! Readers are oblivious to all of this; they never see a bucket that is
 //! missing one of its elements.

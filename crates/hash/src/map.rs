@@ -17,7 +17,7 @@ use crate::qsbr::ReadProtect;
 use crate::resize::ResizeOp;
 use crate::slab::NodeSlab;
 use crate::stats::{AtomicMapStats, LockedCount, MapStats};
-use crate::table::{BucketArray, LockedTable, TablePtr};
+use crate::table::{BucketArray, LockedTable, Place, TablePtr};
 
 /// Asks the CPU to start bringing the cache line that holds `ptr` into every
 /// cache level (`PREFETCHT0`), without waiting for it. Purely a hint — no
@@ -550,27 +550,44 @@ where
         crossed: &mut bool,
     ) -> Option<R> {
         let table = self.table_locked(held);
-        let bucket = table.bucket_of(hash);
         // Start the slot's miss before the allocator's, so the two overlap:
         // `find_locked` loads the slot only once the node is allocated.
-        table.hint_slot(bucket);
+        table.hint_slot(table.bucket_of(hash));
         let new = Node::alloc(&self.slab, held, hash, key, value);
-
-        match Self::find_locked(&table, hash, &new.key) {
-            Some((prev, old)) => {
-                let replaced = on_replace(&old.value);
-                // Initialise the replacement's successor before publishing.
-                new.init_next(old.next().as_ref());
-                table.swap_out(prev.as_ref(), old, Some(&new));
+        match Self::place_locked(&table, &new, on_replace) {
+            Some(replaced) => {
                 self.stats.replaces.add(1, held);
                 Some(replaced)
             }
             None => {
-                new.init_next(table.head(bucket).as_ref());
-                table.set_head(bucket, Some(&new));
                 let len = self.len.add(1, held) as usize;
                 self.stats.inserts.add(1, held);
                 *crossed |= self.policy.should_expand(len, table.len());
+                None
+            }
+        }
+    }
+
+    /// Links `new` into its sorted chain in `table`: in place of the node
+    /// with its key, if there is one — returning what `on_replace` made of
+    /// that node's value, called while the value is still alive — or at its
+    /// place in the order.
+    fn place_locked<'w, R>(
+        table: &LockedTable<'w, K, V>,
+        new: &Locked<'w, K, V>,
+        on_replace: impl FnOnce(&V) -> R,
+    ) -> Option<R> {
+        match Self::find_locked(table, new.hash, &new.key) {
+            Ok((prev, old)) => {
+                let replaced = on_replace(&old.value);
+                // Initialise the replacement's successor before publishing.
+                new.init_next(old.next().as_ref());
+                table.swap_out(prev.as_ref(), old, Some(new));
+                Some(replaced)
+            }
+            Err((prev, next)) => {
+                new.init_next(next.as_ref());
+                table.link_after(table.bucket_of(new.hash), prev.as_ref(), Some(new));
                 None
             }
         }
@@ -676,7 +693,7 @@ where
         Q: Hash + Eq + ?Sized,
     {
         let table = self.table_locked(held);
-        let Some((prev, node)) = Self::find_locked(&table, hash, key) else {
+        let Ok((prev, node)) = Self::find_locked(&table, hash, key) else {
             return false;
         };
         if !condemn(&node.value) {
@@ -733,34 +750,23 @@ where
         let guard = self.writer_lock();
         let table = self.table_locked(&guard);
 
-        let Some(value) =
+        let Ok(value) =
             Self::find_locked(&table, old_hash, old_key).map(|(_, node)| node.value.clone())
         else {
             return false;
         };
 
-        // 1. Publish the entry under the new key (insert-or-replace at the
-        //    head of the new bucket).
-        let new_bucket = table.bucket_of(new_hash);
+        // 1. Publish the entry under the new key, in place of any entry the
+        //    new key displaces, so readers of the new key already find it.
         let new_node = Node::alloc(&self.slab, &guard, new_hash, new_key, value);
-        let displaced = Self::find_locked::<K>(&table, new_hash, &new_node.key);
-        new_node.init_next(table.head(new_bucket).as_ref());
-        table.set_head(new_bucket, Some(&new_node));
-
-        // 2. Unlink any entry the new key displaced (it is now shadowed by
-        //    the head insertion, so readers already prefer the new node).
-        if let Some((prev, dup)) = displaced {
-            // If the duplicate was the head, its predecessor is now
-            // `new_node`.
-            let next = dup.next();
-            table.swap_out(Some(prev.as_ref().unwrap_or(&new_node)), dup, next.as_ref());
+        if Self::place_locked(&table, &new_node, |_| ()).is_some() {
             self.len.sub(1, &guard);
         }
 
-        // 3. Unlink the old entry. Readers searching for the old key during
+        // 2. Unlink the old entry. Readers searching for the old key during
         //    this window still find it; readers searching for the new key
         //    already find the new node.
-        if let Some((prev, node)) = Self::find_locked(&table, old_hash, old_key) {
+        if let Ok((prev, node)) = Self::find_locked(&table, old_hash, old_key) {
             let next = node.next();
             table.swap_out(prev.as_ref(), node, next.as_ref());
         }
@@ -855,30 +861,32 @@ where
         GraceSync::global().synchronize_and_reclaim();
     }
 
-    /// Locates `key`'s node and its predecessor in `table`.
-    ///
-    /// Returns `(predecessor, node)`; `predecessor == None` means the node
-    /// is the bucket head.
+    /// Walks `hash`'s chain in `table` as far as `hash`'s place in its
+    /// order (chains are sorted by `hash.reverse_bits()`): `Ok((predecessor,
+    /// node))` if `key` is there, else `Err((predecessor, successor))`, the
+    /// place a node for it is linked at. A `None` predecessor is the bucket
+    /// head.
     #[allow(clippy::type_complexity)]
     fn find_locked<'w, Q>(
         table: &LockedTable<'w, K, V>,
         hash: u64,
         key: &Q,
-    ) -> Option<(Option<Locked<'w, K, V>>, Locked<'w, K, V>)>
+    ) -> Result<(Option<Locked<'w, K, V>>, Locked<'w, K, V>), Place<'w, K, V>>
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
+        let order = hash.reverse_bits();
         let mut prev = None;
         let mut cur = table.head(table.bucket_of(hash));
-        while let Some(node) = cur {
+        while let Some(node) = cur.take_if(|node| node.hash.reverse_bits() <= order) {
             if node.hash == hash && node.key.borrow() == key {
-                return Some((prev, node));
+                return Ok((prev, node));
             }
             cur = node.next();
             prev = Some(node);
         }
-        None
+        Err((prev, cur))
     }
 
     /// What every write entry point ends in, **after** it has released the
@@ -1026,7 +1034,7 @@ mod tests {
     fn a_hint_returns_the_value_iff_the_walked_prefix_holds_the_hash() {
         let map = fnv_map(16);
         // Bucket 1 stays empty, bucket 2 holds one node, bucket 3 a chain
-        // of three (inserts publish at the head, so the last one leads).
+        // of three, in reversed-hash order: 3, 35, 19.
         map.insert_prehashed(2, 20, 200);
         for (hash, key) in [(3, 30), (19, 31), (35, 32)] {
             map.insert_prehashed(hash, key, key * 10);
@@ -1036,9 +1044,9 @@ mod tests {
         let cases = [
             (1, None, 0),
             (2, Some(1), 200),
-            (35, Some(1), 320),
-            (19, Some(2), 310),
-            (3, Some(3), 300),
+            (3, Some(1), 300),
+            (35, Some(2), 320),
+            (19, Some(3), 310),
             (51, None, 0),
         ];
         let guard = map.pin();

@@ -20,7 +20,7 @@ use crate::slab::NodeSlab;
 ///
 /// The key, the cached hash and the value are immutable once the node has
 /// been published into a bucket chain; only the `next` pointer is ever
-/// mutated afterwards (by insertion, removal and the unzip splices), always
+/// mutated afterwards (by insertion, removal and the unzip's cut), always
 /// with release stores paired with readers' acquire loads.
 pub(crate) struct Node<K, V> {
     next: AtomicPtr<Node<K, V>>,

@@ -6,23 +6,33 @@
 //! that hashes to it* (it may temporarily contain extra elements — an
 //! "imprecise" bucket — which lookups filter out by key comparison).
 //!
+//! # Ordered chains
+//!
+//! Every chain is sorted by `hash.reverse_bits()`. A bucket is the hash's
+//! low bits and a split uses the next bit up, so in every chain, at every
+//! table size, the nodes that stay in the low bucket of an expand come
+//! before the nodes that move to the high one; a zip (low chain, then high
+//! chain) keeps the order. Unzipping a chain is therefore one cut: end its
+//! low prefix.
+//!
 //! # The state machine
 //!
-//! A resize is a first-class *operation object* ([`UnzipOp`] / [`ZipOp`],
-//! stored inside the map) that any thread can push forward one bounded
+//! A resize is a first-class *operation object* ([`ResizeOp`], stored
+//! inside the map) that any thread can push forward one bounded
 //! [`ResizeStep`] at a time:
 //!
 //! ```text
-//! expand:  begin(+publish new table) → grace → [splice round → grace]* → finish
+//! expand:  begin(+publish new table) → grace → cut + finish
 //! shrink:  begin(+publish new table) → grace → finish
 //! ```
 //!
 //! * **begin** allocates and links the new bucket array and publishes it in
 //!   one writer-lock critical section (linking and publishing cannot be
 //!   separated: the links are computed against the chains as they are at
-//!   that instant). It is one pass: an expand walks each old chain once, to
-//!   the first node of each side, and takes both new heads and the pair's
-//!   first turn from that walk; a shrink visits each pair of old heads once.
+//!   that instant). It is one pass: an expand walks each old chain's low
+//!   prefix, points each new bucket at its side's first node and records
+//!   the pairs that hold nodes on both sides; a shrink visits each pair of
+//!   old heads once.
 //! * **grace** steps wait for readers with the writer lock *released*, so
 //!   concurrent writers keep updating the map while the resizing thread
 //!   absorbs the wait. This is the only grace-period wait in the crate's
@@ -30,13 +40,10 @@
 //!   thread that writes to the map announces its quiescent state only after
 //!   its write, so whoever waited for it while holding the lock that write
 //!   needs would wait forever.
-//! * **splice rounds** perform at most one cross-link splice per in-progress
-//!   bucket pair under the writer lock (bounded work, no waiting), then
-//!   require a grace period before the next round. A round visits each
-//!   unfinished pair once and retires it on the spot if the cut was its
-//!   last, so after the round that cuts the last cross-link of the table
-//!   nothing is left but that round's grace period.
-//! * **finish** tears down the operation bookkeeping; it walks no chain.
+//! * **finish** takes the writer lock once and waits for nothing. An expand
+//!   first ends each recorded pair's low chain where its high run begins;
+//!   no second grace period is owed for that cut (DESIGN.md, *Expand =
+//!   unzip*).
 //!
 //! There is one driver, [`RpHashMap::drive_resizes`]: finish whatever resize
 //! is in flight, begin the next one its caller asks for, step it to
@@ -45,19 +52,17 @@
 //! [`RpHashMap::maintain`] and the load-factor triggers (which fire after
 //! the triggering writer has unlocked) differ only in what they ask for.
 //! The caller is synchronous — it returns when its resize has finished, and
-//! pays every grace period of it — but holds nothing while it waits.
+//! pays its grace period — but holds nothing while it waits.
 //!
 //! # Writer mutations between steps
 //!
 //! Because the writer lock is released between steps, insertions and
-//! removals interleave with an in-progress unzip. Mid-unzip a node can be
-//! reachable from *both* buckets of its pair (the chains have not been
-//! split apart yet), so unlinking it from its home chain alone would leave
-//! the sibling chain pointing at retired memory. The one unlink,
-//! [`LockedTable::swap_out`], therefore repoints the sibling's link too, and
-//! the splice rounds re-derive splice points from the published bucket heads
-//! each round (no stored cursors that a removal could invalidate) with a
-//! reachability check that refuses any splice that would orphan a run.
+//! removals interleave with an in-progress unzip. Until the cut, a pair's
+//! low chain runs on into its high chain, so the first high node it reaches
+//! has two predecessors; the one unlink, [`LockedTable::swap_out`],
+//! repoints the low chain's link too. Writers never give a pair a second
+//! link between its chains, so the pairs `begin` recorded are all the cut
+//! has to visit.
 
 use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::Ordering;
@@ -65,11 +70,7 @@ use std::sync::atomic::Ordering;
 use rp_rcu::GraceSync;
 
 use crate::map::{RpHashMap, WriterGuard};
-use crate::node::Locked;
 use crate::table::{BucketArray, LockedTable};
-
-/// Sentinel for a fully-unzipped bucket pair in [`UnzipOp::turn`].
-const PAIR_DONE: usize = usize::MAX;
 
 /// How many buckets ahead of itself a resize loop hints a head node: far
 /// enough for the miss to land before the loop gets there, near enough for
@@ -115,10 +116,8 @@ pub enum ResizeStep {
     Idle,
     /// Waited for one grace period (with the writer lock released).
     Grace,
-    /// Performed one splice round: at most one cross-link splice per
-    /// in-progress bucket pair, under the writer lock, without waiting.
-    Splice,
-    /// The resize completed and its bookkeeping was torn down.
+    /// The resize completed under the writer lock, without waiting: an
+    /// expand's chains were cut apart, and the bookkeeping was torn down.
     Finished,
 }
 
@@ -129,89 +128,43 @@ enum Begin {
 }
 
 /// An in-progress incremental resize (guarded by the map's writer lock).
-pub(crate) enum ResizeOp<K, V> {
-    Unzip(UnzipOp<K, V>),
-    Zip(ZipOp<K, V>),
+pub(crate) struct ResizeOp<K, V> {
+    /// Unique id (per map), so concurrent advancers can tell which wait
+    /// they resolved.
+    id: u64,
+    /// The superseded bucket array, until the grace period after its
+    /// replacement has elapsed (its chain nodes live on, shared with the
+    /// new table). `Some` is the op's one pending grace period.
+    old_table: Option<Box<BucketArray<K, V>>>,
+    /// An expand's pairs; `None` for a shrink.
+    pub(crate) unzip: Option<Unzip>,
 }
 
 impl<K, V> ResizeOp<K, V> {
-    /// If the op is waiting on a grace period, its `(op id, round)` key.
-    fn grace_key(&self) -> Option<(u64, u64)> {
-        match self {
-            ResizeOp::Unzip(u) if u.grace_pending => Some((u.id, u.round)),
-            ResizeOp::Zip(z) if z.grace_pending => Some((z.id, 0)),
-            _ => None,
-        }
-    }
-
-    fn id(&self) -> u64 {
-        match self {
-            ResizeOp::Unzip(u) => u.id,
-            ResizeOp::Zip(z) => z.id,
-        }
-    }
-
-    /// Marks the pending grace period as elapsed and releases the superseded
-    /// bucket array (no reader can hold it any more).
-    fn grace_done(&mut self) {
-        match self {
-            ResizeOp::Unzip(u) => {
-                u.grace_pending = false;
-                drop(u.old_table.take());
-            }
-            ResizeOp::Zip(z) => {
-                z.grace_pending = false;
-                drop(z.old_table.take());
-            }
-        }
+    /// The op's id while it waits on its grace period.
+    fn grace_pending(&self) -> Option<u64> {
+        self.old_table.is_some().then_some(self.id)
     }
 }
 
-/// An in-progress expansion (unzip).
-pub(crate) struct UnzipOp<K, V> {
-    /// Unique id (per map) used by grace-wait bookkeeping.
-    id: u64,
-    /// Bucket count before the expansion; pair `o` is new buckets `o` and
-    /// `o + old_buckets`.
+/// An expand's pairs: pair `o` is new buckets `o` (low) and
+/// `o + old_buckets` (high).
+pub(crate) struct Unzip {
+    /// Bucket count before the expansion.
     pub(crate) old_buckets: usize,
-    /// `new_buckets - 1`.
-    new_mask: usize,
-    /// The superseded bucket array, freed once the publish grace period has
-    /// elapsed (its chain nodes live on, shared with the new table).
-    old_table: Option<Box<BucketArray<K, V>>>,
-    /// Per old bucket: the new-bucket index whose chain receives the next
-    /// splice, or [`PAIR_DONE`].
-    turn: Vec<usize>,
-    /// Number of pairs not yet fully unzipped.
-    remaining: usize,
-    /// A grace period must elapse before the next structural step.
-    grace_pending: bool,
-    /// Bumped each time `grace_pending` is set, so concurrent advancers can
-    /// tell exactly which wait they resolved.
-    round: u64,
+    /// One bit per pair whose low chain ran on into high nodes at `begin`:
+    /// the pairs the cut visits, and the only ones whose chains share a
+    /// node.
+    to_cut: Vec<u64>,
 }
 
-/// An in-progress shrink (zip): after `begin` the only outstanding work is
-/// one grace period and then freeing the superseded array.
-pub(crate) struct ZipOp<K, V> {
-    id: u64,
-    old_table: Option<Box<BucketArray<K, V>>>,
-    grace_pending: bool,
-}
-
-/// Where a splice cuts the chain: at the bucket head slot or after a node.
-enum CutPoint<'w, K, V> {
-    Head(usize),
-    After(Locked<'w, K, V>),
-}
-
-/// A candidate splice: cut `cut` so the chain skips the foreign run
-/// `[foreign_head ..= run tail]` and continues at `after_foreign`.
-struct CrossLink<'w, K, V> {
-    cut: CutPoint<'w, K, V>,
-    foreign_head: Locked<'w, K, V>,
-    foreign_bucket: usize,
-    after_foreign: Option<Locked<'w, K, V>>,
+impl Unzip {
+    /// Whether `begin` recorded pair `low` for the cut.
+    pub(crate) fn recorded(&self, low: usize) -> bool {
+        self.to_cut
+            .get(low / 64)
+            .is_some_and(|word| (word >> (low % 64)) & 1 != 0)
+    }
 }
 
 impl<K, V, S> RpHashMap<K, V, S>
@@ -224,10 +177,9 @@ where
     /// resize to completion before returning.
     ///
     /// Lookups proceed at full speed throughout, and so do other writers:
-    /// the call waits for one grace period to publish the new table plus
-    /// one per unzip round, each with the writer lock released. Any resize
-    /// already in progress is completed first. A no-op at the policy's
-    /// `max_buckets`.
+    /// the call waits for one grace period, with the writer lock released,
+    /// whatever the table's size or chain lengths. Any resize already in
+    /// progress is completed first. A no-op at the policy's `max_buckets`.
     pub fn expand(&self) {
         let mut once = Some(Begin::Expand);
         self.drive_resizes(|_, _| once.take());
@@ -392,8 +344,8 @@ where
     /// so concurrent writers keep making progress — this is what lets a
     /// maintenance thread absorb every `synchronize` on behalf of the
     /// writers, and what keeps a resize from deadlocking against a
-    /// QSBR-online writer. *Splice* and *finish* steps take the writer lock
-    /// for a bounded amount of restructuring work.
+    /// QSBR-online writer. The *finish* step takes the writer lock for one
+    /// pass over the pairs an expand recorded, and waits for nothing.
     ///
     /// Safe to call from any thread, including concurrently with writers
     /// and with other advancers; the only requirement is the usual one for
@@ -409,10 +361,10 @@ where
         let guard = self.writer_lock();
         let pending = match &*guard.borrow() {
             None => return ResizeStep::Idle,
-            Some(op) => op.grace_key(),
+            Some(op) => op.grace_pending(),
         };
         match pending {
-            Some((id, round)) => {
+            Some(id) => {
                 // Wait for readers with the writer lock released: this is
                 // the step a resizer spends nearly all its time in, and
                 // writers must not be blocked behind it — some of them are
@@ -423,7 +375,7 @@ where
                 let timer = rp_obs::timer();
                 GraceSync::global().synchronize();
                 observe_resize_grace(timer);
-                self.resolve_grace_locked(&self.writer_lock(), id, round);
+                self.resolve_grace_locked(&self.writer_lock(), id);
                 ResizeStep::Grace
             }
             None => {
@@ -454,56 +406,42 @@ where
         };
 
         // Phase 1: one walk per old bucket. Old bucket `o` splits into new
-        // buckets `o` and `o + old_buckets`, and its chain holds both sides'
-        // elements interleaved: walk it until the first node of each side
-        // has been seen (or it ends) and point each new bucket at its own. A
-        // chain that feeds both sides is a zipper that needs unzipping, and
-        // its first splice belongs to the chain of the old head's side (the
-        // zipper's first run).
+        // buckets `o` and `o + old_buckets`, and its sorted chain holds the
+        // low side's nodes, then the high side's: walk the low prefix and
+        // point each new bucket at its side's first node. A chain with both
+        // sides runs on from its last low node into the high chain, a link
+        // the cut removes once no reader can be walking the old array.
         let new_table: Box<BucketArray<K, V>> = BucketArray::new(new_buckets);
         let new_mask = new_buckets - 1;
-        let mut turn = vec![PAIR_DONE; old_buckets];
-        let mut remaining = 0;
-        for (low, slot) in turn.iter_mut().enumerate() {
+        let mut to_cut = vec![0_u64; old_buckets.div_ceil(64)];
+        for low in 0..old_buckets {
             old_table.hint_head(low + HINT_AHEAD);
-            let mut cur = old_table.head(low);
-            let head_side = cur.as_ref().map(|head| (head.hash as usize) & new_mask);
-            let mut first: [Option<Locked<'_, K, V>>; 2] = [None, None];
-            while let Some(node) = cur {
-                let side = usize::from((node.hash as usize) & new_mask != low);
-                if first[side].is_some() {
-                    cur = node.next();
-                    continue;
-                }
-                cur = if first[1 - side].is_some() {
-                    None
-                } else {
-                    node.next()
-                };
-                first[side] = Some(node);
+            let mut low_head = None;
+            let mut first_high = old_table.head(low);
+            while let Some(node) = first_high.take_if(|node| (node.hash as usize) & new_mask == low)
+            {
+                first_high = node.next();
+                low_head.get_or_insert(node);
             }
-            new_table.set_head(low, first[0].as_ref());
-            new_table.set_head(low + old_buckets, first[1].as_ref());
-            if let ([Some(_), Some(_)], Some(side)) = (&first, head_side) {
-                *slot = side;
-                remaining += 1;
+            new_table.set_head(low, low_head.as_ref());
+            new_table.set_head(low + old_buckets, first_high.as_ref());
+            if low_head.is_some() && first_high.is_some() {
+                to_cut[low / 64] |= 1 << (low % 64);
             }
         }
 
         // Phase 2: publish the new table. After one grace period every
-        // reader starts from the new (imprecise) buckets and the old array
-        // can be freed; that wait is the op's first pending step.
-        let op = UnzipOp {
+        // reader starts from the new (imprecise) buckets, the old array can
+        // be freed and the chains cut; that wait is the op's pending step.
+        let op = ResizeOp {
             id: self.resize_ids.add(1, held),
-            old_buckets,
-            new_mask,
             old_table: Some(old_table.publish(new_table)),
-            turn,
-            remaining,
-            grace_pending: true,
-            round: 0,
+            unzip: Some(Unzip {
+                old_buckets,
+                to_cut,
+            }),
         };
-        *held.borrow_mut() = Some(ResizeOp::Unzip(op));
+        *held.borrow_mut() = Some(op);
         self.resize_active.store(true, Ordering::Release);
         observe_resize_begin(true);
         true
@@ -525,9 +463,10 @@ where
         // Phase 1: one pass over the old heads. New bucket `b` collects old
         // buckets `b` and `b + new_buckets`: point it at whichever old chain
         // comes first (preferring old bucket `b`) and, where both exist,
-        // append the "high" chain to the tail of the "low" one. That makes
-        // the low old bucket imprecise (its readers see extra elements —
-        // harmless) while readers of the high old bucket are untouched.
+        // append the "high" chain to the tail of the "low" one, which keeps
+        // the chain sorted. That makes the low old bucket imprecise (its
+        // readers see extra elements — harmless) while readers of the high
+        // old bucket are untouched.
         let new_table: Box<BucketArray<K, V>> = BucketArray::new(new_buckets);
         for new_index in 0..new_buckets {
             // Only the low chain is walked; the high one is linked as is.
@@ -546,68 +485,57 @@ where
 
         // Phase 2: publish the new table; the grace period that lets the
         // old array be freed is the op's one pending step.
-        let op = ZipOp {
+        let op = ResizeOp {
             id: self.resize_ids.add(1, held),
             old_table: Some(old_table.publish(new_table)),
-            grace_pending: true,
+            unzip: None,
         };
-        *held.borrow_mut() = Some(ResizeOp::Zip(op));
+        *held.borrow_mut() = Some(op);
         self.resize_active.store(true, Ordering::Release);
         observe_resize_begin(false);
         true
     }
 
-    /// Marks the grace period identified by `(id, round)` as elapsed, if the
-    /// op still matches (a concurrent advancer may have resolved it, or the
-    /// op may have finished and been replaced).
-    fn resolve_grace_locked(&self, held: &WriterGuard<'_, K, V>, id: u64, round: u64) {
+    /// Marks op `id`'s grace period as elapsed and frees the array it
+    /// superseded, if the op is still waiting on it (a concurrent advancer
+    /// may have resolved it, or the op may have finished and been replaced).
+    fn resolve_grace_locked(&self, held: &WriterGuard<'_, K, V>, id: u64) {
         if let Some(op) = held.borrow_mut().as_mut() {
-            if op.id() == id && op.grace_key() == Some((id, round)) {
-                op.grace_done();
+            if op.grace_pending() == Some(id) {
+                drop(op.old_table.take());
                 self.stats.resize_grace_periods.add(1, held);
             }
         }
     }
 
-    /// Performs one non-grace step: a splice round, or finish. Must only be
-    /// called when no grace period is pending.
+    /// Finishes the resize in flight: cuts an expand's recorded pairs, then
+    /// tears the op down. Must only be called when no grace period is
+    /// pending.
     fn resize_work_step_locked(&self, held: &WriterGuard<'_, K, V>) -> ResizeStep {
         let mut slot = held.borrow_mut();
-        let Some(op) = slot.as_mut() else {
+        let Some(op) = slot.as_ref() else {
             return ResizeStep::Idle;
         };
-        debug_assert!(op.grace_key().is_none(), "grace period still pending");
-        match op {
-            ResizeOp::Zip(_) => {
-                // The publish grace period has elapsed and the old array has
-                // been freed; nothing else to do.
-                *slot = None;
-                self.resize_active.store(false, Ordering::Release);
-                self.stats.shrinks.add(1, held);
-                ResizeStep::Finished
-            }
-            ResizeOp::Unzip(u) => {
-                if u.remaining > 0 {
-                    let splices = splice_round(&self.table_locked(held), u);
-                    if splices > 0 {
-                        self.stats.unzip_splices.add(splices, held);
-                        self.stats.unzip_rounds.add(1, held);
-                        u.grace_pending = true;
-                        u.round += 1;
-                        return ResizeStep::Splice;
-                    }
-                }
-                debug_assert_eq!(u.remaining, 0, "no splice found for unfinished pair");
-                *slot = None;
-                self.resize_active.store(false, Ordering::Release);
+        debug_assert!(op.grace_pending().is_none(), "grace period still pending");
+        match &op.unzip {
+            Some(unzip) => {
+                let cuts = cut_pairs(&self.table_locked(held), unzip);
+                self.stats.unzip_splices.add(cuts, held);
+                self.stats.unzip_rounds.add(u64::from(cuts > 0), held);
                 self.stats.expands.add(1, held);
-                ResizeStep::Finished
+            }
+            None => {
+                self.stats.shrinks.add(1, held);
             }
         }
+        *slot = None;
+        self.resize_active.store(false, Ordering::Release);
+        ResizeStep::Finished
     }
 
     /// Verifies the reader-visible invariant: every entry is reachable from
-    /// the bucket its hash maps to in the current table.
+    /// the bucket its hash maps to in the current table, and every chain is
+    /// sorted by `hash.reverse_bits()`.
     ///
     /// Intended for tests and debugging; drives any in-progress incremental
     /// resize to completion (grace periods waited for with the writer lock
@@ -628,6 +556,7 @@ where
         for bucket in 0..table.len() {
             let mut cur = table.head(bucket);
             let mut steps = 0_usize;
+            let mut order = 0_u64;
             while let Some(node) = cur {
                 let home = table.bucket_of(node.hash);
                 if home == bucket {
@@ -638,6 +567,13 @@ where
                          while no resize is in progress"
                     ));
                 }
+                if node.hash.reverse_bits() < order {
+                    return Err(format!(
+                        "bucket {bucket}'s chain decreases in reversed hash at hash {:#x}",
+                        node.hash
+                    ));
+                }
+                order = node.hash.reverse_bits();
                 steps += 1;
                 if steps > self.len() + 1 {
                     return Err(format!("cycle detected in bucket {bucket}"));
@@ -656,121 +592,28 @@ where
     }
 }
 
-/// One splice round, under the writer lock `table` borrows, a grace period
-/// after the previous round's splices: at most one cross-link splice per
-/// in-progress bucket pair, one visit per pair. A pair is retired
-/// (`PAIR_DONE`, `remaining -= 1`) in the round that finds it without
-/// cross-links — which is the round that cut its last one: both chains are
-/// re-checked right after the cut, while they are still in L1, so no later
-/// round walks them again only to learn there is nothing left. Retiring
-/// early is safe because writers never create a cross-link (inserts go to
-/// the home bucket's head, replacements take the place of a node with the
-/// same hash, unlinks only remove) and never read `turn`.
-///
-/// Returns the number of splices performed, for the caller to add to
-/// `stats.unzip_splices` once.
-fn splice_round<K, V>(table: &LockedTable<'_, K, V>, op: &mut UnzipOp<K, V>) -> u64 {
-    let new_mask = op.new_mask;
-    let cross_link = |c| find_cross_link(table, c, new_mask);
-    // Cutting a cross-link whose foreign run is reachable from its home
-    // chain only through the link being cut would orphan the run; the other
-    // chain's cross-link is the zipper-earlier one.
-    let cuttable = |c| cross_link(c).filter(|x| splice_is_safe(table, x));
-    let mut splices = 0;
-    for o in 0..op.old_buckets {
-        let ahead = o + HINT_AHEAD;
-        if op.turn.get(ahead).is_some_and(|&t| t != PAIR_DONE) {
-            table.hint_head(ahead);
-            table.hint_head(ahead + op.old_buckets);
-        }
-        if op.turn[o] == PAIR_DONE {
-            continue;
-        }
-        let first = op.turn[o];
-        let second = o + op.old_buckets + o - first; // the pair's other bucket
-        let cut = cuttable(first).or_else(|| cuttable(second));
-        if let Some(cross) = &cut {
-            match &cross.cut {
-                CutPoint::Head(bucket) => table.set_head(*bucket, cross.after_foreign.as_ref()),
-                CutPoint::After(run_end) => run_end.link(cross.after_foreign.as_ref()),
+/// The unzip's cut, under the writer lock `table` borrows, a grace period
+/// after `begin` published `table`: ends each recorded pair's low chain
+/// where its high run begins (at the head, if removals left a high node
+/// there). Returns how many links it cut, for `stats.unzip_splices`.
+fn cut_pairs<K, V>(table: &LockedTable<'_, K, V>, unzip: &Unzip) -> u64 {
+    let mut cuts = 0;
+    for (at, &word) in unzip.to_cut.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let low = at * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if unzip.recorded(low + HINT_AHEAD) {
+                table.hint_head(low + HINT_AHEAD);
             }
-            splices += 1;
-            // The next splice for this pair belongs to the chain the foreign
-            // run we just removed is headed for.
-            op.turn[o] = cross.foreign_bucket;
-        }
-        if cross_link(first).is_none() && cross_link(second).is_none() {
-            op.turn[o] = PAIR_DONE;
-            op.remaining -= 1;
-        } else {
-            // At least one of the two chains always has a safely spliceable
-            // cross-link (see `splice_is_safe`); a round that finds
-            // cross-links but cannot cut any would stall the resize.
-            debug_assert!(cut.is_some(), "cross-links present but no safe splice");
+            let (last_low, first_high) = table.high_run(low);
+            if first_high.is_some() {
+                table.link_after(low, last_low.as_ref(), None);
+                cuts += 1;
+            }
         }
     }
-    splices
-}
-
-/// Finds the first cross-link in the chain of new bucket `c`: the earliest
-/// maximal run of nodes that do not belong to `c`.
-fn find_cross_link<'w, K, V>(
-    table: &LockedTable<'w, K, V>,
-    c: usize,
-    new_mask: usize,
-) -> Option<CrossLink<'w, K, V>> {
-    let bucket_of = |node: &Locked<'w, K, V>| (node.hash as usize) & new_mask;
-    let mut cut = CutPoint::Head(c);
-    let mut cur = table.head(c);
-    // Skip the leading run of nodes that belong to `c` (the head can itself
-    // be foreign if a removal promoted a foreign node).
-    while let Some(node) = cur.take_if(|node| bucket_of(node) == c) {
-        cur = node.next();
-        cut = CutPoint::After(node);
-    }
-    let foreign_head = cur?;
-    let foreign_bucket = bucket_of(&foreign_head);
-    let mut after_foreign = foreign_head.next();
-    while let Some(next) = after_foreign
-        .as_ref()
-        .filter(|next| bucket_of(next) == foreign_bucket)
-    {
-        after_foreign = next.next();
-    }
-    Some(CrossLink {
-        cut,
-        foreign_head,
-        foreign_bucket,
-        after_foreign,
-    })
-}
-
-/// Returns `true` if cutting `cross` cannot orphan its foreign run: the
-/// run's home chain must reach it without passing through the link being
-/// cut.
-///
-/// Head cuts are always safe (a chain traversal never passes through another
-/// bucket's head *slot*). For a node cut, walk the foreign bucket's chain:
-/// reaching `foreign_head` first proves an independent path; reaching the
-/// cut node first means the only path goes through the link we want to
-/// remove.
-fn splice_is_safe<K, V>(table: &LockedTable<'_, K, V>, cross: &CrossLink<'_, K, V>) -> bool {
-    let run_end = match &cross.cut {
-        CutPoint::Head(_) => return true,
-        CutPoint::After(node) => node,
-    };
-    let mut cur = table.head(cross.foreign_bucket);
-    while let Some(node) = cur {
-        if node.is(&cross.foreign_head) {
-            return true;
-        }
-        if node.is(run_end) {
-            return false;
-        }
-        cur = node.next();
-    }
-    debug_assert!(false, "foreign run unreachable from its home chain");
-    false
+    cuts
 }
 
 #[cfg(test)]
@@ -927,10 +770,26 @@ mod tests {
         );
         map.expand();
         let after_expand = map.stats().resize_grace_periods;
-        assert!(
-            after_expand - after_shrink >= 2,
-            "expand waits one grace period to publish plus one per unzip round"
+        assert_eq!(
+            after_expand - after_shrink,
+            1,
+            "expand must wait exactly one grace period"
         );
+    }
+
+    #[test]
+    fn an_expand_waits_one_grace_period_whatever_its_chains() {
+        for per_bucket in [1, 2, 8] {
+            let map = filled(1024, 1024 * per_bucket);
+            let before = map.stats();
+            map.expand();
+            let after = map.stats();
+            let waits = after.resize_grace_periods - before.resize_grace_periods;
+            assert_eq!(waits, 1, "{per_bucket} entries per bucket");
+            assert_eq!(after.unzip_rounds - before.unzip_rounds, 1);
+            assert_all_present(&map, 1024 * per_bucket);
+            map.check_invariants().unwrap();
+        }
     }
 
     #[test]
@@ -1062,8 +921,7 @@ mod tests {
         }
         assert!(!map.resize_in_progress());
         assert_eq!(map.advance_resize(), ResizeStep::Idle);
-        assert_eq!(steps[0], ResizeStep::Grace, "publish grace comes first");
-        assert!(steps.contains(&ResizeStep::Splice));
+        assert_eq!(steps, [ResizeStep::Grace], "one grace period, then the cut");
         assert_all_present(&map, 128);
         map.check_invariants().unwrap();
         assert_eq!(map.stats().expands, 1);
@@ -1084,44 +942,132 @@ mod tests {
     }
 
     #[test]
-    fn an_expand_retires_every_pair_in_the_round_that_cuts_its_last_link() {
+    fn an_expand_cuts_every_pair_in_one_step() {
         // A shrink leaves every chain as one low run followed by one high
-        // run: one cross-link per pair, so one round cuts them all — and
-        // nothing walks the chains again after it but the grace period.
+        // run; the step after the grace period cuts all 32 pairs and
+        // finishes.
         let map = filled(64, 640);
         map.shrink();
         let before = map.stats();
         assert!(map.begin_expand());
         assert_eq!(map.advance_resize(), ResizeStep::Grace);
-        assert_eq!(map.advance_resize(), ResizeStep::Splice);
-        match &*map.writer_lock().borrow() {
-            Some(super::ResizeOp::Unzip(op)) => assert_eq!(op.remaining, 0),
-            _ => panic!("the expand is still in flight"),
-        }
-        assert_eq!(map.advance_resize(), ResizeStep::Grace);
         assert_eq!(map.advance_resize(), ResizeStep::Finished);
         let after = map.stats();
         assert_eq!(after.unzip_rounds - before.unzip_rounds, 1);
         assert_eq!(after.unzip_splices - before.unzip_splices, 32);
+        assert_eq!(after.resize_grace_periods - before.resize_grace_periods, 1);
         assert_all_present(&map, 640);
         map.check_invariants().unwrap();
     }
 
     #[test]
-    fn unzips_cut_what_they_always_cut() {
-        // Counts measured at the commit before `begin` was fused into one
-        // walk and pairs were retired early: the same heads and turns are
-        // picked, and the same links cut in the same rounds.
-        let map = filled(1, 64);
-        for _ in 0..4 {
-            map.expand();
+    fn unzips_cut_each_pair_with_both_sides_once() {
+        // One cut per old bucket whose chain holds keys of both new
+        // buckets, one round per expand that cuts anything: counted here
+        // from the hashes alone.
+        fn both_sides(map: &Map, keys: u64, old_buckets: usize) -> u64 {
+            let mut sides = vec![[false; 2]; old_buckets];
+            for key in 0..keys {
+                let hash = map.hash_one(&key) as usize;
+                sides[hash & (old_buckets - 1)][usize::from(hash & old_buckets != 0)] = true;
+            }
+            sides.iter().filter(|[low, high]| *low && *high).count() as u64
         }
-        let stats = map.stats();
-        assert_eq!((stats.unzip_splices, stats.unzip_rounds), (130, 70));
-        let map = filled(8, 500);
-        map.expand();
-        let stats = map.stats();
-        assert_eq!((stats.unzip_splices, stats.unzip_rounds), (255, 40));
+        for (buckets, keys, expands) in [(1, 64, 4), (8, 500, 1), (1024, 4096, 2)] {
+            let map = filled(buckets, keys);
+            let (mut cuts, mut rounds) = (0, 0);
+            for doubling in 0..expands {
+                let pairs = both_sides(&map, keys, buckets << doubling);
+                cuts += pairs;
+                rounds += u64::from(pairs > 0);
+                map.expand();
+            }
+            let stats = map.stats();
+            assert_eq!((stats.unzip_splices, stats.unzip_rounds), (cuts, rounds));
+            assert_all_present(&map, keys);
+        }
+    }
+
+    #[test]
+    fn writers_between_begin_and_the_cut_keep_both_chains_whole() {
+        // Pair 0 of a 2 -> 4 expand, keyed by hash: low bucket 0 holds
+        // hashes 4 and 12, high bucket 2 holds 6 and 14. In reversed-hash
+        // order the old chain is 4, 12, 6, 14.
+        let map: Map = RpHashMap::with_buckets_and_hasher(2, FnvBuildHasher);
+        let present = |map: &Map, keys: &[u64]| {
+            let guard = map.pin();
+            for &key in keys {
+                let value = map.get_prehashed(key, &key, &guard);
+                assert_eq!(value, Some(&(key * 10)), "key {key}");
+            }
+        };
+        for key in [4, 12, 6, 14] {
+            map.insert_prehashed(key, key, key * 10);
+        }
+        assert!(map.begin_expand());
+        assert_eq!(map.advance_resize(), ResizeStep::Grace);
+        // A high node before the pair's first high node: a new high head.
+        map.insert_prehashed(2, 2, 20);
+        // A low node after the last low node, linked to 6.
+        map.insert_prehashed(28, 28, 280);
+        present(&map, &[2, 4, 6, 12, 14, 28]);
+        // 6 is the node with two predecessors: 2, and 28 in the low chain.
+        // Each time one goes, its slot is freed and taken by the next
+        // insert, of a low node sorted after the low chain's last: a low
+        // chain still linked to the slot would lead that insert's walk to
+        // the very node it is inserting.
+        assert!(!map.insert_prehashed(6, 6, 60));
+        map.flush_retired();
+        assert!(map.insert_prehashed(60, 60, 600));
+        present(&map, &[2, 4, 6, 12, 14, 28, 60]);
+        assert!(map.remove_prehashed(6, &6));
+        map.flush_retired();
+        assert!(map.insert_prehashed(124, 124, 1240));
+        present(&map, &[2, 4, 12, 14, 28, 60, 124]);
+        // Every low node goes: the low head is then 14, a high node.
+        for key in [4, 12, 28, 60, 124] {
+            assert!(map.remove_prehashed(key, &key));
+        }
+        present(&map, &[2, 14]);
+        let before = map.stats().unzip_splices;
+        assert_eq!(map.advance_resize(), ResizeStep::Finished);
+        assert_eq!(map.stats().unzip_splices - before, 1, "the head is cut");
+        map.check_invariants().unwrap();
+        present(&map, &[2, 14]);
+        let guard = map.pin();
+        for key in [4, 6, 12, 28, 60, 124] {
+            assert_eq!(map.get_prehashed(key, &key, &guard), None, "key {key}");
+        }
+        drop(guard);
+        assert_eq!(map.len(), 2);
+        map.flush_retired();
+    }
+
+    #[test]
+    fn an_iterator_over_the_old_array_outlasts_an_expand() {
+        // The iterator loads the 4-bucket array before the expand begins;
+        // its guard holds the cut back until it has walked every old chain
+        // to its end.
+        let map = filled(4, 128);
+        let (begun_tx, begun_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let guard = map.pin();
+            let mut iter = map.iter(&guard);
+            assert!(iter.next().is_some());
+            let expander = scope.spawn(|| {
+                assert!(map.begin_expand());
+                begun_tx.send(()).unwrap();
+                while map.advance_resize() != ResizeStep::Finished {}
+            });
+            begun_rx.recv().unwrap();
+            assert_eq!(map.num_buckets(), 8);
+            assert_eq!(1 + iter.count(), 128);
+            assert!(map.resize_in_progress(), "the cut waits for the guard");
+            drop(guard);
+            expander.join().unwrap();
+        });
+        assert_all_present(&map, 128);
+        map.check_invariants().unwrap();
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::alloc::{handle_alloc_error, Layout};
 use std::cell::UnsafeCell;
 use std::ffi::c_void;
 use std::marker::PhantomData;
-use std::mem::{align_of, size_of};
+use std::mem::{align_of, size_of, size_of_val, MaybeUninit};
 use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
@@ -49,6 +49,7 @@ const PROT_READ: i32 = 0x1;
 const PROT_WRITE: i32 = 0x2;
 const MAP_PRIVATE: i32 = 0x02;
 const MAP_ANONYMOUS: i32 = 0x20;
+const MADV_DONTNEED: i32 = 4;
 const MADV_HUGEPAGE: i32 = 14;
 const MADV_COLLAPSE: i32 = 25;
 
@@ -59,7 +60,7 @@ extern "C" {
     fn madvise(addr: *mut c_void, len: usize, advice: i32) -> i32;
 }
 
-/// How [`advise_huge_pages`] asks for 2 MiB pages.
+/// What [`advise_huge_pages`] asks of a range's whole 2 MiB pages.
 pub(crate) enum HugePages {
     /// `MADV_HUGEPAGE`: pages first touched after the advice are huge
     /// pages, where the THP mode allows it (`madvise` or `always`).
@@ -67,18 +68,22 @@ pub(crate) enum HugePages {
     /// `MADV_COLLAPSE` (Linux 6.1): the pages are copied into huge pages
     /// before the call returns, whatever the THP mode.
     Collapse,
+    /// `MADV_DONTNEED`: the pages go back to the kernel now, and read as
+    /// zeros if they are touched again.
+    Release,
 }
 
-/// Asks for the whole 2 MiB pages inside `start..start + len` to be huge
-/// pages, and says whether the kernel took the advice. A range that holds
-/// no whole 2 MiB page is left alone. Best effort: a kernel without THP
-/// (`EINVAL`) or without a huge page to spare (`EAGAIN`) leaves the range
-/// on 4 KiB pages. Neither advice changes what the memory holds.
+/// Gives the kernel `how`'s advice for the whole 2 MiB pages inside
+/// `start..start + len`, and says whether the kernel took it. A range that
+/// holds no whole 2 MiB page is left alone. Best effort: a kernel without
+/// THP (`EINVAL`) or without a huge page to spare (`EAGAIN`) leaves the
+/// range on 4 KiB pages. Only `Release` changes what the memory holds.
 ///
 /// # Safety
 ///
 /// `start..start + len` lies inside memory the caller owns: an allocation
-/// or a mapping of its own, live for the whole call.
+/// or a mapping of its own, live for the whole call. For `Release`, the
+/// caller needs nothing the range holds.
 pub(crate) unsafe fn advise_huge_pages(start: *mut u8, len: usize, how: HugePages) -> bool {
     let head = (start as usize).next_multiple_of(CHUNK) - start as usize;
     let end = (start as usize + len) / CHUNK * CHUNK;
@@ -88,14 +93,23 @@ pub(crate) unsafe fn advise_huge_pages(start: *mut u8, len: usize, how: HugePage
     let advice = match how {
         HugePages::OnFirstTouch => MADV_HUGEPAGE,
         HugePages::Collapse => MADV_COLLAPSE,
+        HugePages::Release => MADV_DONTNEED,
     };
     // SAFETY: `start + head .. end` is a whole number of 2 MiB pages inside
     // the caller's range (contract above), and the advice changes only how
-    // those pages are backed.
+    // those pages are backed, or contents the caller does not need.
     unsafe {
         let first = start.add(head);
         madvise(first.cast(), end - first as usize, advice) == 0
     }
+}
+
+/// [`advise_huge_pages`] for a vector's spare capacity: memory the caller
+/// owns and holds nothing initialised, so no advice can lose a value.
+pub(crate) fn advise_spare<T>(spare: &mut [MaybeUninit<T>], how: HugePages) -> bool {
+    // SAFETY: the slice is the caller's, borrowed for the whole call, and
+    // its contents are uninitialised.
+    unsafe { advise_huge_pages(spare.as_mut_ptr().cast(), size_of_val(spare), how) }
 }
 
 /// Chunks every slab in the process holds mapped.

@@ -75,10 +75,11 @@ pub struct MapStats {
     pub expands: u64,
     /// Completed shrink (halving) steps.
     pub shrinks: u64,
-    /// Unzip rounds performed across all expands (each round ends with one
-    /// grace period).
+    /// Expands whose finishing step cut at least one chain apart: an
+    /// expand cuts every chain in one step, after its one grace period.
     pub unzip_rounds: u64,
-    /// Individual cross-link splices performed by unzip rounds.
+    /// Chains cut apart by expands: one per bucket pair that still held
+    /// nodes of both new buckets.
     pub unzip_splices: u64,
     /// Grace periods waited for by resize operations.
     pub resize_grace_periods: u64,

@@ -2,7 +2,7 @@
 //! walks one through: [`ReadTable`] under a read witness, [`LockedTable`]
 //! under the writer lock (DESIGN.md, *What protects a node*).
 
-use std::mem::{needs_drop, size_of};
+use std::mem::needs_drop;
 use std::ops::Deref;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
@@ -10,8 +10,7 @@ use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use crate::map::{prefetch_line, WriterGuard};
 use crate::node::{Locked, Node, NodeRef};
 use crate::qsbr::ReadProtect;
-use crate::resize::ResizeOp;
-use crate::slab::{advise_huge_pages, HugePages, NodeSlab};
+use crate::slab::{advise_spare, HugePages, NodeSlab};
 
 /// A bucket array: a power-of-two number of chain heads.
 ///
@@ -34,15 +33,7 @@ impl<K, V> BucketArray<K, V> {
     pub(crate) fn new(n: usize) -> Box<Self> {
         assert!(n.is_power_of_two(), "bucket count must be a power of two");
         let mut buckets: Vec<AtomicPtr<Node<K, V>>> = Vec::with_capacity(n);
-        // SAFETY: the advised range is the vector's own allocation of `n`
-        // slots, which the array keeps until it is dropped.
-        unsafe {
-            advise_huge_pages(
-                buckets.as_mut_ptr().cast(),
-                n * size_of::<AtomicPtr<Node<K, V>>>(),
-                HugePages::OnFirstTouch,
-            );
-        }
+        advise_spare(buckets.spare_capacity_mut(), HugePages::OnFirstTouch);
         buckets.resize_with(n, || AtomicPtr::new(ptr::null_mut()));
         Box::new(BucketArray {
             mask: n - 1,
@@ -79,6 +70,18 @@ impl<K, V> BucketArray<K, V> {
             // Relaxed: the pointer is only hinted, never dereferenced.
             prefetch_line(slot.load(Ordering::Relaxed).cast_const().cast());
         }
+    }
+}
+
+impl<K, V> Drop for BucketArray<K, V> {
+    /// Gives the array's whole 2 MiB pages back to the kernel before the
+    /// allocator takes its memory back. The allocator keeps a freed array
+    /// below the mapping threshold in its heap, resident until the heap's
+    /// top is trimmed, which a build's doublings do not reliably cause.
+    fn drop(&mut self) {
+        let mut buckets = std::mem::take(&mut self.buckets).into_vec();
+        buckets.clear();
+        advise_spare(buckets.spare_capacity_mut(), HugePages::Release);
     }
 }
 
@@ -189,6 +192,10 @@ impl<'r, K, V> ReadTable<'r, K, V> {
     }
 }
 
+/// A place in a chain, under the writer lock: the node before it (`None`:
+/// the bucket head) and the node at it (`None`: the chain's end).
+pub(crate) type Place<'w, K, V> = (Option<Locked<'w, K, V>>, Option<Locked<'w, K, V>>);
+
 /// The published array under the writer lock: every node reached from it
 /// is a [`Locked<'w>`](Locked), and [`LockedTable::swap_out`] is the one
 /// way a node leaves a chain.
@@ -216,7 +223,7 @@ impl<'w, K, V> LockedTable<'w, K, V> {
 
     /// Publishes `new` in place of this array and returns this one, which
     /// readers may still be in: it is freed only after a grace period
-    /// (`ResizeOp`'s `grace_done`). `new`'s chains are this array's nodes.
+    /// (`resolve_grace_locked`). `new`'s chains are this array's nodes.
     pub(crate) fn publish(self, new: Box<BucketArray<K, V>>) -> Box<BucketArray<K, V>> {
         let buckets = new.len();
         let old_ptr = self.ptr.array.swap(Box::into_raw(new), Ordering::AcqRel);
@@ -228,12 +235,13 @@ impl<'w, K, V> LockedTable<'w, K, V> {
 
     /// Swaps `node` out of its home chain for `replacement` — its successor
     /// for an unlink, or a node that takes its place — and retires it: the
-    /// link from `prev` (from the bucket head if `None`) is repointed, then
-    /// any link from the other bucket of its unzip pair, since mid-unzip a
-    /// node can be reachable from both. Consuming `node` is what ends the
-    /// writer's access to it: once queued, it may be dropped after a grace
-    /// period this thread does not hold open. Inlined into its five
-    /// callers, as the copies it replaced were.
+    /// link from `prev` (from the bucket head if `None`) is repointed, then,
+    /// mid-unzip, the low chain's link to it if it is the first node of the
+    /// high run that chain still reaches (the only node with a second
+    /// predecessor). Consuming `node` is what ends the writer's access to
+    /// it: once queued, it may be dropped after a grace period this thread
+    /// does not hold open. Inlined into its callers, as the copies it
+    /// replaced were.
     #[inline(always)]
     pub(crate) fn swap_out(
         &self,
@@ -242,15 +250,13 @@ impl<'w, K, V> LockedTable<'w, K, V> {
         replacement: Option<&Locked<'w, K, V>>,
     ) {
         let home = self.bucket_of(node.hash);
-        match prev {
-            Some(prev) => prev.link(replacement),
-            None => self.set_head(home, replacement),
-        }
-        if let Some(ResizeOp::Unzip(op)) = &*self.held.borrow() {
-            let pair = (node.hash as usize) & (op.old_buckets - 1);
-            for bucket in [pair, pair + op.old_buckets] {
-                if bucket != home {
-                    self.relink_sibling(bucket, &node, replacement);
+        self.link_after(home, prev, replacement);
+        if let Some(unzip) = self.held.borrow().as_ref().and_then(|op| op.unzip.as_ref()) {
+            let low = home & (unzip.old_buckets - 1);
+            if low != home && unzip.recorded(low) {
+                let (last_low, first_high) = self.high_run(low);
+                if first_high.is_some_and(|first| first.is(&node)) {
+                    self.link_after(low, last_low.as_ref(), replacement);
                 }
             }
         }
@@ -261,25 +267,32 @@ impl<'w, K, V> LockedTable<'w, K, V> {
         unsafe { self.slab.retire(Locked::raw(Some(&node)), self.held) };
     }
 
-    /// Repoints the link to `node` from bucket `bucket`'s chain, if any, at
-    /// `replacement`.
-    fn relink_sibling(
+    /// Points the link after `prev` — bucket `bucket`'s head if `None` — at
+    /// `to`.
+    pub(crate) fn link_after(
         &self,
         bucket: usize,
-        node: &Locked<'w, K, V>,
-        replacement: Option<&Locked<'w, K, V>>,
+        prev: Option<&Locked<'w, K, V>>,
+        to: Option<&Locked<'w, K, V>>,
     ) {
-        let mut cur = self.head(bucket);
-        if cur.as_ref().is_some_and(|head| head.is(node)) {
-            return self.set_head(bucket, replacement);
+        match prev {
+            Some(prev) => prev.link(to),
+            None => self.set_head(bucket, to),
         }
-        while let Some(at) = cur {
-            let next = at.next();
-            if next.as_ref().is_some_and(|next| next.is(node)) {
-                return at.link(replacement);
-            }
-            cur = next;
+    }
+
+    /// Where bucket `low`'s sorted chain leaves it: its last node that
+    /// belongs to it (`None` if even the head does not) and the node after
+    /// that. Mid-unzip the second is the first node of the high run a low
+    /// chain reaches until the cut; otherwise it is `None`.
+    pub(crate) fn high_run(&self, low: usize) -> Place<'w, K, V> {
+        let mut last_low = None;
+        let mut cur = self.head(low);
+        while let Some(node) = cur.take_if(|node| self.bucket_of(node.hash) == low) {
+            cur = node.next();
+            last_low = Some(node);
         }
+        (last_low, cur)
     }
 }
 
@@ -288,6 +301,7 @@ mod tests {
     use super::*;
     use crate::map::WriterLock;
     use rp_rcu::NoGraceWait;
+    use std::mem::size_of;
 
     #[test]
     fn new_array_is_empty() {

@@ -2,9 +2,9 @@
 //! path.
 //!
 //! The paper's zip/unzip resizes proceed concurrently with lock-free
-//! readers, but a resize still *waits* — one grace period to publish the new
-//! bucket array plus one per unzip round — and historically the writer whose
-//! insert crossed the load-factor threshold paid those waits inline. On a
+//! readers, but a resize still *waits* — one grace period after it publishes
+//! the new bucket array — and historically the writer whose insert crossed
+//! the load-factor threshold paid that wait inline. On a
 //! write-heavy workload that is exactly the latency spike resizable tables
 //! are blamed for (Maier & Sanders, "Concurrent Hash Tables: Fast and
 //! General?(!)", make the same observation: decoupling migration work from

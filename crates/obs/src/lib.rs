@@ -152,8 +152,8 @@ pub struct RcuObs {
 pub struct ResizeObs {
     /// Duration of each grace-period wait a resize absorbed, nanoseconds.
     pub grace_wait_ns: Histogram,
-    /// Duration of each bounded restructuring step (splice/finish work
-    /// under the writer lock), nanoseconds.
+    /// Duration of each bounded restructuring step (the finishing step, an
+    /// expand's cut included, under the writer lock), nanoseconds.
     pub step_ns: Histogram,
     /// Resizes started (expand or shrink).
     pub begun_total: Counter,

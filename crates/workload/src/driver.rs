@@ -71,122 +71,30 @@ impl<'a> BackgroundHandle<'a> {
     }
 }
 
-/// Runs a timed measurement.
+/// Runs a timed measurement, with per-operation latency sampling.
 ///
-/// Spawns `reader_threads` threads; each repeatedly invokes the closure
-/// produced for it by `make_reader` (one invocation = one operation) until
-/// `duration` has elapsed. `background` tasks run concurrently in their own
-/// threads for the same window. All threads start together on a barrier, so
-/// the measured window excludes setup cost.
+/// Spawns `reader_threads` threads; each builds its operation closure by
+/// calling `make_reader` with its index **on its own thread**, then invokes
+/// it repeatedly (one invocation = one operation) until `duration` has
+/// elapsed. `background` tasks run concurrently in their own threads for
+/// the same window. All threads start together on a barrier, so the
+/// measured window excludes setup cost.
 ///
-/// The per-thread operation counters are cache-padded; the only shared
-/// mutable state touched by readers on the measurement path is the stop
-/// flag, which is read-only until the end of the run.
-pub fn measure<'scope, F>(
-    reader_threads: usize,
-    duration: Duration,
-    make_reader: impl Fn(usize) -> F,
-    background: Vec<BackgroundHandle<'scope>>,
-) -> MeasureResult
-where
-    F: FnMut() + Send + 'scope,
-{
-    assert!(reader_threads > 0, "need at least one reader thread");
-
-    let stop = AtomicBool::new(false);
-    let counters: Vec<CachePadded<AtomicU64>> = (0..reader_threads)
-        .map(|_| CachePadded::new(AtomicU64::new(0)))
-        .collect();
-    let bg_counters: Vec<CachePadded<AtomicU64>> = (0..background.len())
-        .map(|_| CachePadded::new(AtomicU64::new(0)))
-        .collect();
-    // Readers + background tasks + the timer (this thread).
-    let barrier = Arc::new(Barrier::new(reader_threads + background.len() + 1));
-
-    let mut readers: Vec<F> = (0..reader_threads).map(&make_reader).collect();
-
-    let elapsed = std::thread::scope(|scope| {
-        for (idx, reader) in readers.iter_mut().enumerate() {
-            let stop = &stop;
-            let counter = &counters[idx];
-            let barrier = Arc::clone(&barrier);
-            scope.spawn(move || {
-                barrier.wait();
-                let mut local: u64 = 0;
-                while !stop.load(Ordering::Relaxed) {
-                    reader();
-                    local += 1;
-                    // Publish in batches to keep the shared store rate low
-                    // without losing more than a batch at the end.
-                    if local.is_multiple_of(1024) {
-                        counter.store(local, Ordering::Relaxed);
-                    }
-                }
-                counter.store(local, Ordering::Relaxed);
-            });
-        }
-
-        for (idx, task) in background.into_iter().enumerate() {
-            let stop = &stop;
-            let counter = &bg_counters[idx];
-            let barrier = Arc::clone(&barrier);
-            let BackgroundHandle {
-                name: _name,
-                mut body,
-                pause,
-            } = task;
-            scope.spawn(move || {
-                barrier.wait();
-                let mut iterations: u64 = 0;
-                while !stop.load(Ordering::Relaxed) {
-                    body(iterations);
-                    iterations += 1;
-                    counter.store(iterations, Ordering::Relaxed);
-                    if !pause.is_zero() {
-                        std::thread::sleep(pause);
-                    }
-                }
-            });
-        }
-
-        barrier.wait();
-        let start = Instant::now();
-        std::thread::sleep(duration);
-        stop.store(true, Ordering::SeqCst);
-        let elapsed = start.elapsed();
-        // Leaving the scope joins every thread.
-        elapsed
-    });
-
-    let per_thread: Vec<u64> = counters.iter().map(|c| c.load(Ordering::SeqCst)).collect();
-    let background_iterations: Vec<u64> = bg_counters
-        .iter()
-        .map(|c| c.load(Ordering::SeqCst))
-        .collect();
-    MeasureResult {
-        total_ops: per_thread.iter().sum(),
-        per_thread,
-        background_iterations,
-        elapsed,
-    }
-}
-
-/// Runs a timed measurement whose per-thread operation closures are created
-/// **on their worker threads**, with per-operation latency sampling.
-///
-/// [`measure`] calls its factory on the driving thread and moves the
-/// closures into the workers, which requires them to be `Send`. Read-side
-/// state that is pinned to its thread — an `rp_hash::QsbrReadHandle`, whose
-/// whole design is that the owning thread announces its own quiescent
-/// states — cannot be built that way. Here the factory itself is shared
-/// (`Sync`) and invoked from inside each spawned thread, so the closure may
-/// own `!Send` state; it never leaves its thread.
+/// A closure and whatever it writes per operation (a key generator's
+/// state, a read-side handle) are allocated by the thread that runs it and
+/// live on that thread's stack or heap, never in one allocation beside
+/// another reader's, so the readers' own state shares no cache line. The
+/// closure may own thread-pinned (`!Send`) state, such as an
+/// `rp_hash::QsbrReadHandle`, whose owning thread announces its own
+/// quiescent states. Besides its own state a reader touches only the
+/// shared stop flag, which it reads; its operation count is returned when
+/// it is joined.
 ///
 /// Every `sample_every`-th operation is timed and recorded into a
 /// per-thread [`LatencyHistogram`]; the histograms are merged after the run
 /// (sampling keeps the `Instant::now` overhead off the other operations, so
 /// throughput numbers stay honest). Use `sample_every = 1` to time every
-/// operation.
+/// operation and `u64::MAX` to time only the first.
 pub fn measure_thread_local<F>(
     reader_threads: usize,
     duration: Duration,
@@ -204,6 +112,7 @@ where
     let bg_counters: Vec<CachePadded<AtomicU64>> = (0..background.len())
         .map(|_| CachePadded::new(AtomicU64::new(0)))
         .collect();
+    // Readers + background tasks + the timer (this thread).
     let barrier = Arc::new(Barrier::new(reader_threads + background.len() + 1));
     let make_reader = &make_reader;
 
@@ -213,20 +122,23 @@ where
             let stop = &stop;
             let barrier = Arc::clone(&barrier);
             readers.push(scope.spawn(move || {
-                // Created here, on the worker thread: the closure may own
-                // thread-pinned (!Send) read-side state.
                 let mut reader = make_reader(idx);
                 let mut hist = LatencyHistogram::new();
                 barrier.wait();
                 let mut local: u64 = 0;
+                // A countdown, not `local % sample_every`: a division per
+                // operation would be the harness's cost, not the table's.
+                let mut until_sample = 0;
                 while !stop.load(Ordering::Relaxed) {
-                    if local.is_multiple_of(sample_every) {
+                    if until_sample == 0 {
                         let started = Instant::now();
                         reader();
                         hist.record(started.elapsed());
+                        until_sample = sample_every;
                     } else {
                         reader();
                     }
+                    until_sample -= 1;
                     local += 1;
                 }
                 (local, hist)
@@ -294,10 +206,11 @@ mod tests {
 
     #[test]
     fn counts_operations_from_all_threads() {
-        let result = measure(
+        let (result, _) = measure_thread_local(
             4,
             Duration::from_millis(50),
-            |_| || std::hint::spin_loop(),
+            u64::MAX,
+            |_| std::hint::spin_loop,
             Vec::new(),
         );
         assert_eq!(result.per_thread.len(), 4);
@@ -309,10 +222,11 @@ mod tests {
     #[test]
     fn background_task_runs_alongside_readers() {
         let resizes = AtomicUsize::new(0);
-        let result = measure(
+        let (result, _) = measure_thread_local(
             2,
             Duration::from_millis(50),
-            |_| || std::hint::spin_loop(),
+            u64::MAX,
+            |_| std::hint::spin_loop,
             vec![BackgroundHandle::new("toggler", |_| {
                 resizes.fetch_add(1, Ordering::Relaxed);
             })
@@ -327,9 +241,10 @@ mod tests {
     fn reader_closures_receive_their_index() {
         let seen = [AtomicUsize::new(0), AtomicUsize::new(0)];
         let seen_ref = &seen;
-        measure(
+        measure_thread_local(
             2,
             Duration::from_millis(20),
+            u64::MAX,
             |idx| {
                 move || {
                     seen_ref[idx].store(idx + 1, Ordering::Relaxed);
@@ -354,13 +269,12 @@ mod tests {
             4,
             |idx| {
                 // Factory runs on the worker thread itself; a !Send value
-                // can live inside the closure.
+                // can live inside the closure, which runs where it was built.
                 let not_send = std::rc::Rc::new(idx);
-                spawn_threads
-                    .lock()
-                    .unwrap()
-                    .insert(std::thread::current().id());
+                let built = std::thread::current().id();
+                spawn_threads.lock().unwrap().insert(built);
                 move || {
+                    assert_eq!(std::thread::current().id(), built);
                     std::hint::black_box(*not_send);
                 }
             },
@@ -390,6 +304,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one reader")]
     fn zero_readers_panics() {
-        let _ = measure(0, Duration::from_millis(1), |_| || (), Vec::new());
+        let _ = measure_thread_local(0, Duration::from_millis(1), 1, |_| || (), Vec::new());
     }
 }

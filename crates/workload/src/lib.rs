@@ -8,9 +8,10 @@
 //! userspace equivalent:
 //!
 //! * [`keys`] — key-space generators (uniform, Zipfian, sequential).
-//! * [`driver`] — the measurement harness: spawns reader threads with
-//!   cache-padded per-thread counters, optional background threads (writers,
-//!   resizers), runs for a fixed duration and aggregates throughput.
+//! * [`driver`] — the measurement harness: spawns reader threads, each
+//!   building its own operation closure, optional background threads
+//!   (writers, resizers), runs for a fixed duration and aggregates
+//!   throughput and sampled latency.
 //! * [`latency`] — a fixed-size log-linear histogram for per-operation
 //!   latency percentiles.
 //! * [`netdriver`] — a multi-connection *client* driver: N connections
@@ -42,7 +43,7 @@ pub mod sysinfo;
 pub mod torture;
 mod zipf;
 
-pub use driver::{measure, measure_thread_local, BackgroundHandle, MeasureResult};
+pub use driver::{measure_thread_local, BackgroundHandle, MeasureResult};
 pub use keys::{KeyDist, KeyGen};
 pub use latency::LatencyHistogram;
 pub use netdriver::{drive_connections_reconnecting, NetDriveResult};

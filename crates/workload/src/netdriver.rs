@@ -1,12 +1,12 @@
 //! A multi-connection closed-loop client driver.
 //!
-//! Where [`driver::measure`](crate::driver::measure) benchmarks in-process
-//! data structures, this module drives *servers*: it opens N connections,
-//! shares them across M driver threads (round-robin, so N can vastly
-//! exceed M — exactly the regime an event-loop server is built for), fires
-//! request/response operations in a closed loop for a fixed duration, and
-//! reports throughput plus a latency histogram with per-operation
-//! resolution.
+//! Where [`driver::measure_thread_local`](crate::driver::measure_thread_local)
+//! benchmarks in-process data structures, this module drives *servers*: it
+//! opens N connections, shares them across M driver threads (round-robin,
+//! so N can vastly exceed M — exactly the regime an event-loop server is
+//! built for), fires request/response operations in a closed loop for a
+//! fixed duration, and reports throughput plus a latency histogram with
+//! per-operation resolution.
 //!
 //! The driver is transport-agnostic: `connect` produces any connection
 //! value (a `CacheClient`, a raw `TcpStream`, …) and `make_op` produces
