@@ -6,8 +6,6 @@ use parking_lot::RwLock;
 
 use rp_hash::FnvBuildHasher;
 
-use crate::traits::ConcurrentMap;
-
 /// A fixed-size hash table with one reader-writer lock per bucket.
 ///
 /// Fine-grained locking restores disjoint-access parallelism (readers of
@@ -103,43 +101,6 @@ where
     pub fn num_buckets(&self) -> usize {
         self.buckets.len()
     }
-}
-
-impl<K, V, S> ConcurrentMap<K, V> for BucketLockTable<K, V, S>
-where
-    K: Hash + Eq + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    S: BuildHasher + Send + Sync,
-{
-    fn name(&self) -> &'static str {
-        "bucket-lock"
-    }
-
-    fn insert(&self, key: K, value: V) -> bool {
-        self.insert_kv(key, value)
-    }
-
-    fn remove(&self, key: &K) -> bool {
-        self.remove_key(key)
-    }
-
-    fn lookup(&self, key: &K) -> Option<V> {
-        self.get_cloned(key)
-    }
-
-    fn len(&self) -> usize {
-        BucketLockTable::len(self)
-    }
-
-    fn num_buckets(&self) -> usize {
-        BucketLockTable::num_buckets(self)
-    }
-
-    fn supports_resize(&self) -> bool {
-        false
-    }
-
-    fn resize_to(&self, _buckets: usize) {}
 }
 
 #[cfg(test)]

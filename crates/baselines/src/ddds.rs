@@ -32,8 +32,6 @@ use parking_lot::Mutex;
 use rp_hash::FnvBuildHasher;
 use rp_rcu::{GraceSync, RcuGuard};
 
-use crate::traits::ConcurrentMap;
-
 struct DNode<K, V> {
     next: AtomicPtr<DNode<K, V>>,
     hash: u64,
@@ -343,41 +341,6 @@ impl<K, V, S> Drop for DddsTable<K, V, S> {
                 }
             }
         }
-    }
-}
-
-impl<K, V, S> ConcurrentMap<K, V> for DddsTable<K, V, S>
-where
-    K: Hash + Eq + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    S: BuildHasher + Send + Sync,
-{
-    fn name(&self) -> &'static str {
-        "ddds"
-    }
-
-    fn insert(&self, key: K, value: V) -> bool {
-        self.insert_kv(key, value)
-    }
-
-    fn remove(&self, key: &K) -> bool {
-        self.remove_key(key)
-    }
-
-    fn lookup(&self, key: &K) -> Option<V> {
-        self.get_cloned(key)
-    }
-
-    fn len(&self) -> usize {
-        DddsTable::len(self)
-    }
-
-    fn num_buckets(&self) -> usize {
-        DddsTable::num_buckets(self)
-    }
-
-    fn resize_to(&self, buckets: usize) {
-        self.resize(buckets)
     }
 }
 

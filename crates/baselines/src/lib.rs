@@ -23,8 +23,12 @@
 //! * [`BucketLockTable`] — per-bucket reader-writer locks (fine-grained
 //!   locking without RCU).
 //!
-//! All of them implement the [`ConcurrentMap`] trait so the benchmark
-//! harness and the equivalence tests can drive them interchangeably.
+//! All of them, and the workspace's three RCU tables, are driven through
+//! one adapter ([`table`]): a [`Table`] hands each thread a [`Handle`] that
+//! owns the thread's read flavor, resizing and post-run checks are the
+//! [`Resizable`] and [`Checked`] capabilities, and [`tables`] lists every
+//! table, so the figures, the cross-implementation tests and the torture
+//! storm run the exact same tables.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -34,12 +38,12 @@ mod bucket_lock;
 mod ddds;
 mod mutex_table;
 mod rwlock_table;
-mod traits;
+pub mod table;
 mod xu_table;
 
 pub use bucket_lock::BucketLockTable;
 pub use ddds::DddsTable;
 pub use mutex_table::MutexTable;
 pub use rwlock_table::RwLockTable;
-pub use traits::ConcurrentMap;
+pub use table::{tables, Build, Checked, Get, Handle, Key, Resizable, Table, Value};
 pub use xu_table::XuTable;

@@ -7,8 +7,6 @@ use parking_lot::Mutex;
 
 use rp_hash::FnvBuildHasher;
 
-use crate::traits::ConcurrentMap;
-
 /// A hash table protected by a single global mutex.
 ///
 /// Every operation — including lookups — acquires the mutex, exactly like
@@ -70,45 +68,12 @@ where
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
 
-impl<K, V, S> ConcurrentMap<K, V> for MutexTable<K, V, S>
-where
-    K: Hash + Eq + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    S: BuildHasher + Send + Sync,
-{
-    fn name(&self) -> &'static str {
-        "mutex"
-    }
-
-    fn insert(&self, key: K, value: V) -> bool {
-        self.insert_kv(key, value)
-    }
-
-    fn remove(&self, key: &K) -> bool {
-        self.remove_key(key)
-    }
-
-    fn lookup(&self, key: &K) -> Option<V> {
-        self.get_cloned(key)
-    }
-
-    fn len(&self) -> usize {
-        MutexTable::len(self)
-    }
-
-    fn num_buckets(&self) -> usize {
+    /// The bucket count it was sized for (`HashMap` resizes itself; there
+    /// is no bucket array to report).
+    pub fn num_buckets(&self) -> usize {
         self.buckets_hint
     }
-
-    fn supports_resize(&self) -> bool {
-        // `HashMap` resizes itself internally; there is no published bucket
-        // array to resize online.
-        false
-    }
-
-    fn resize_to(&self, _buckets: usize) {}
 }
 
 #[cfg(test)]
@@ -123,13 +88,5 @@ mod tests {
         assert_eq!(t.get_cloned(&1).as_deref(), Some("uno"));
         assert!(t.remove_key(&1));
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn trait_impl_reports_no_resize_support() {
-        let t: MutexTable<u64, u64> = MutexTable::with_buckets(16);
-        assert!(!ConcurrentMap::supports_resize(&t));
-        t.resize_to(1024); // must be a harmless no-op
-        assert_eq!(ConcurrentMap::name(&t), "mutex");
     }
 }

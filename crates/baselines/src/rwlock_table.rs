@@ -6,8 +6,6 @@ use parking_lot::RwLock;
 
 use rp_hash::FnvBuildHasher;
 
-use crate::traits::ConcurrentMap;
-
 /// A hash table protected by one process-wide reader-writer lock.
 ///
 /// Lookups take the lock in shared mode, so they never block each other
@@ -133,41 +131,6 @@ where
     /// Current number of buckets.
     pub fn num_buckets(&self) -> usize {
         self.inner.read().buckets.len()
-    }
-}
-
-impl<K, V, S> ConcurrentMap<K, V> for RwLockTable<K, V, S>
-where
-    K: Hash + Eq + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    S: BuildHasher + Send + Sync,
-{
-    fn name(&self) -> &'static str {
-        "rwlock"
-    }
-
-    fn insert(&self, key: K, value: V) -> bool {
-        self.insert_kv(key, value)
-    }
-
-    fn remove(&self, key: &K) -> bool {
-        self.remove_key(key)
-    }
-
-    fn lookup(&self, key: &K) -> Option<V> {
-        self.get_cloned(key)
-    }
-
-    fn len(&self) -> usize {
-        RwLockTable::len(self)
-    }
-
-    fn num_buckets(&self) -> usize {
-        RwLockTable::num_buckets(self)
-    }
-
-    fn resize_to(&self, buckets: usize) {
-        self.rebuild(buckets)
     }
 }
 

@@ -18,8 +18,6 @@ use parking_lot::Mutex;
 use rp_hash::FnvBuildHasher;
 use rp_rcu::GraceSync;
 
-use crate::traits::ConcurrentMap;
-
 struct XNode<K, V> {
     /// Two independent chain linkages; `active` selects which one readers
     /// follow.
@@ -278,41 +276,6 @@ impl<K, V, S> Drop for XuTable<K, V, S> {
                 drop(unsafe { Box::from_raw(ptr) });
             }
         }
-    }
-}
-
-impl<K, V, S> ConcurrentMap<K, V> for XuTable<K, V, S>
-where
-    K: Hash + Eq + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    S: BuildHasher + Send + Sync,
-{
-    fn name(&self) -> &'static str {
-        "xu-dual-chain"
-    }
-
-    fn insert(&self, key: K, value: V) -> bool {
-        self.insert_kv(key, value)
-    }
-
-    fn remove(&self, key: &K) -> bool {
-        self.remove_key(key)
-    }
-
-    fn lookup(&self, key: &K) -> Option<V> {
-        self.get_cloned(key)
-    }
-
-    fn len(&self) -> usize {
-        XuTable::len(self)
-    }
-
-    fn num_buckets(&self) -> usize {
-        XuTable::num_buckets(self)
-    }
-
-    fn resize_to(&self, buckets: usize) {
-        self.resize(buckets)
     }
 }
 

@@ -1,14 +1,15 @@
-//! Property-based equivalence: every table implementation in the workspace
-//! (the relativistic map and all baselines) must produce identical results
-//! for arbitrary operation sequences, because the benchmark harness treats
-//! them as drop-in replacements for one another.
+//! Property-based equivalence: every table of [`rp_baselines::tables`] (the
+//! relativistic map, the sharded map, the split-ordered list and all
+//! baselines) must produce identical results for arbitrary operation
+//! sequences, because the benchmark harness treats them as drop-in
+//! replacements for one another.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use rp_baselines::{BucketLockTable, ConcurrentMap, DddsTable, MutexTable, RwLockTable, XuTable};
-use rp_hash::{FnvBuildHasher, RpHashMap};
+use rp_baselines::tables;
+use rp_hash::ReadSide;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -27,63 +28,53 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn implementations() -> Vec<Box<dyn ConcurrentMap<u16, u32>>> {
-    vec![
-        Box::new(RpHashMap::<u16, u32, FnvBuildHasher>::with_buckets_and_hasher(8, FnvBuildHasher)),
-        Box::new(DddsTable::<u16, u32>::with_buckets(8)),
-        Box::new(RwLockTable::<u16, u32>::with_buckets(8)),
-        Box::new(MutexTable::<u16, u32>::with_buckets(8)),
-        Box::new(BucketLockTable::<u16, u32>::with_buckets(8)),
-        Box::new(XuTable::<u16, u32>::with_buckets(8)),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     #[test]
     fn all_implementations_agree(ops in proptest::collection::vec(op_strategy(), 1..150)) {
-        let maps = implementations();
+        let maps: Vec<_> = tables::<u16, u32>()
+            .into_iter()
+            .map(|(name, build)| (name, build(8)))
+            .collect();
+        let mut handles: Vec<_> = maps
+            .iter()
+            .map(|(_, map)| map.handle(ReadSide::Ebr).unwrap())
+            .collect();
         let mut model: HashMap<u16, u32> = HashMap::new();
 
         for op in &ops {
             match *op {
                 Op::Insert(k, v) => {
                     let expected = model.insert(k, v).is_none();
-                    for map in &maps {
-                        prop_assert_eq!(
-                            map.insert(k, v),
-                            expected,
-                            "{}: insert({}, {})",
-                            map.name(),
-                            k,
-                            v
-                        );
+                    for ((name, _), handle) in maps.iter().zip(&mut handles) {
+                        prop_assert_eq!(handle.insert(k, v), expected, "{}: insert({}, {})", name, k, v);
                     }
                 }
                 Op::Remove(k) => {
                     let expected = model.remove(&k).is_some();
-                    for map in &maps {
-                        prop_assert_eq!(map.remove(&k), expected, "{}: remove({})", map.name(), k);
+                    for ((name, _), handle) in maps.iter().zip(&mut handles) {
+                        prop_assert_eq!(handle.remove(&k), expected, "{}: remove({})", name, k);
                     }
                 }
                 Op::Lookup(k) => {
                     let expected = model.get(&k).copied();
-                    for map in &maps {
-                        prop_assert_eq!(map.lookup(&k), expected, "{}: lookup({})", map.name(), k);
+                    for ((name, _), handle) in maps.iter().zip(&mut handles) {
+                        prop_assert_eq!(handle.lookup(&k), expected, "{}: lookup({})", name, k);
                     }
                 }
                 Op::Resize(n) => {
-                    for map in &maps {
-                        if map.supports_resize() {
-                            map.resize_to(n as usize);
-                        }
+                    for resizable in maps.iter().filter_map(|(_, map)| map.resizable()) {
+                        resizable.resize_to(n as usize);
                     }
                 }
             }
-            for map in &maps {
-                prop_assert_eq!(map.len(), model.len(), "{}: len", map.name());
+            for (name, map) in &maps {
+                prop_assert_eq!(map.len(), model.len(), "{}: len", name);
             }
+        }
+        for (name, checked) in maps.iter().filter_map(|(name, map)| Some((name, map.checked()?))) {
+            prop_assert_eq!(checked.check_invariants(), Ok(()), "{}: invariants", name);
         }
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! | Figure | Paper figure |
 //! |---|---|
-//! | `fig_baseline` | "Results: fixed-size table baseline" — lookups/s vs reader threads with no resizing, for every table in [`TABLES`] |
+//! | `fig_baseline` | "Results: fixed-size table baseline" — lookups/s vs reader threads with no resizing, for every table of [`rp_baselines::tables`], and again through QSBR handles (`<name>/qsbr`) for the tables that have them |
 //! | `fig_resize` | "Results – continuous resizing" — the same while a resizer thread toggles the bucket count continuously, for every table that resizes |
 //! | `fig_rp_vs_fixed` | "Results – our resize versus fixed" — RP at 8k fixed, 16k fixed, and continuously resizing |
 //! | `fig_ddds_vs_fixed` | "Results – DDDS resize versus fixed" — same three series for DDDS |
@@ -40,11 +40,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use rp_baselines::{BucketLockTable, ConcurrentMap, DddsTable, MutexTable, RwLockTable, XuTable};
-use rp_hash::{FnvBuildHasher, RpHashMap};
+use rp_baselines::{tables, Table};
 use rp_kvcache::{CacheEngine, EngineReadCtx, Item, LockEngine, ReadSide, RpEngine};
-use rp_shard::{ShardPolicy, ShardedRpMap};
-use rp_splitorder::SplitOrderMap;
 use rp_workload::driver::BackgroundHandle;
 use rp_workload::sysinfo::HostInfo;
 use rp_workload::{measure_thread_local, KeyDist, KeyGen, Report, Series};
@@ -129,71 +126,52 @@ impl BenchConfig {
     }
 }
 
-/// A table under measurement, behind the one adapter every design is driven
-/// through.
-pub type Table = Arc<dyn ConcurrentMap<u64, u64>>;
-
-fn rp_table(buckets: usize) -> Table {
-    Arc::new(RpHashMap::<u64, u64, _>::with_buckets_and_hasher(
-        buckets,
-        FnvBuildHasher,
-    ))
+/// Builds the table of [`rp_baselines::tables`] named `name`.
+fn build(name: &str, buckets: usize) -> Box<dyn Table<u64, u64>> {
+    let (_, build) = tables()
+        .into_iter()
+        .find(|(table, _)| *table == name)
+        .unwrap_or_else(|| panic!("no table named {name}"));
+    build(buckets)
 }
-
-fn ddds_table(buckets: usize) -> Table {
-    Arc::new(DddsTable::<u64, u64>::with_buckets(buckets))
-}
-
-/// Every [`ConcurrentMap`] implementor in the workspace, each built with
-/// (about) the given total bucket count and the same FNV hasher. The
-/// figures name their series after [`ConcurrentMap::name`].
-pub const TABLES: [fn(usize) -> Table; 8] = [
-    rp_table,
-    |buckets| {
-        let policy = ShardPolicy::default();
-        Arc::new(ShardedRpMap::<u64, u64>::with_policy(ShardPolicy {
-            initial_buckets_per_shard: (buckets / policy.shards).max(1),
-            ..policy
-        }))
-    },
-    |buckets| Arc::new(SplitOrderMap::<u64, u64>::with_buckets(buckets)),
-    ddds_table,
-    |buckets| Arc::new(XuTable::<u64, u64>::with_buckets(buckets)),
-    |buckets| Arc::new(RwLockTable::<u64, u64>::with_buckets(buckets)),
-    |buckets| Arc::new(BucketLockTable::<u64, u64>::with_buckets(buckets)),
-    |buckets| Arc::new(MutexTable::<u64, u64>::with_buckets(buckets)),
-];
 
 /// Pre-loads `entries` keys (`0..entries`, value = key) into a table.
-pub fn fill(map: &dyn ConcurrentMap<u64, u64>, entries: u64) {
+pub fn fill(map: &dyn Table<u64, u64>, entries: u64) {
+    let mut handle = map.handle(ReadSide::Ebr).expect("every table serves EBR");
     for key in 0..entries {
-        map.insert(key, key);
+        handle.insert(key, key);
     }
 }
 
 /// Measures lookup throughput for one table at each reader-thread count,
-/// optionally with a background thread resizing the table continuously
-/// between `resize_between.0` and `resize_between.1` buckets.
+/// every reader looking up through its own `read_side` handle, optionally
+/// with a background thread resizing the table continuously between
+/// `resize_between.0` and `resize_between.1` buckets.
 ///
 /// Returns a [`Series`] of (reader threads, millions of lookups per second)
 /// — the exact axes of the paper's microbenchmark figures.
 pub fn lookup_scalability(
     name: &str,
-    map: Table,
+    map: &dyn Table<u64, u64>,
+    read_side: ReadSide,
     cfg: &BenchConfig,
     resize_between: Option<(usize, usize)>,
 ) -> Series {
     let mut series = Series::new(name);
     for &threads in &cfg.threads {
-        let map_ref: &dyn ConcurrentMap<u64, u64> = &*map;
         let entries = cfg.entries;
         let background = match resize_between {
-            Some((small, large)) => vec![BackgroundHandle::new("resizer", move |iteration| {
-                // Toggle between the two sizes as fast as the algorithm
-                // allows — the paper's "continuous resizing" worst case.
-                let target = if iteration % 2 == 0 { large } else { small };
-                map_ref.resize_to(target);
-            })],
+            Some((small, large)) => {
+                let resizable = map
+                    .resizable()
+                    .expect("a resize series needs a resizable table");
+                vec![BackgroundHandle::new("resizer", move |iteration| {
+                    // Toggle between the two sizes as fast as the algorithm
+                    // allows — the paper's "continuous resizing" worst case.
+                    let target = if iteration % 2 == 0 { large } else { small };
+                    resizable.resize_to(target);
+                })]
+            }
             None => Vec::new(),
         };
         let (result, _) = measure_thread_local(
@@ -202,10 +180,12 @@ pub fn lookup_scalability(
             u64::MAX,
             |idx| {
                 let mut keys = KeyGen::new(KeyDist::Uniform, entries, 0xC0FFEE + idx as u64);
-                let map = Arc::clone(&map);
+                let mut handle = map
+                    .handle(read_side)
+                    .expect("the table serves this read side");
                 move || {
                     let key = keys.next_key();
-                    black_box(map.lookup(black_box(&key)));
+                    black_box(handle.lookup(black_box(&key)));
                 }
             },
             background,
@@ -220,29 +200,48 @@ pub fn lookup_scalability(
     series
 }
 
-/// One lookup-scalability series per table of [`TABLES`] (only those that
-/// resize online when `resize_between` asks for a resizer), each freshly
-/// built at the smaller size and pre-loaded.
+/// One lookup-scalability series per table of [`rp_baselines::tables`]
+/// (only those that resize online when `resize_between` asks for a
+/// resizer), each freshly built at the smaller size and pre-loaded; with
+/// no resizer, a table with a QSBR read path is measured a second time
+/// through QSBR handles, as `<name>/qsbr`.
 fn every_table_report(
     cfg: &BenchConfig,
     title: &str,
     resize_between: Option<(usize, usize)>,
 ) -> Report {
     let mut report = Report::new(title, "reader threads", "lookups/second (millions)");
-    for make in TABLES {
-        let map = make(cfg.small_buckets);
-        if resize_between.is_some() && !map.supports_resize() {
+    for (name, build) in tables() {
+        let map = build(cfg.small_buckets);
+        if resize_between.is_some() && map.resizable().is_none() {
             continue;
         }
         fill(&*map, cfg.entries);
-        report.add_series(lookup_scalability(map.name(), map, cfg, resize_between));
+        report.add_series(lookup_scalability(
+            name,
+            &*map,
+            ReadSide::Ebr,
+            cfg,
+            resize_between,
+        ));
+        if resize_between.is_none() && map.handle(ReadSide::Qsbr).is_some() {
+            let series = format!("{name}/qsbr");
+            report.add_series(lookup_scalability(
+                &series,
+                &*map,
+                ReadSide::Qsbr,
+                cfg,
+                None,
+            ));
+        }
     }
     report
 }
 
 /// Figure "Results: fixed-size table baseline" — lookups only, no
 /// resizing, at the smaller table size, for every table in the workspace
-/// (the paper plots RP, DDDS and rwlock).
+/// (the paper plots RP, DDDS and rwlock), and through QSBR handles for the
+/// tables that have them.
 pub fn fig_baseline(cfg: &BenchConfig) -> Report {
     every_table_report(cfg, "Fixed-size table baseline (no resizing)", None)
 }
@@ -261,11 +260,7 @@ pub fn fig_resize(cfg: &BenchConfig) -> Report {
 /// Figure "Results – our resize versus fixed" — RP at the small size, the
 /// large size, and continuously resizing between the two.
 pub fn fig_rp_vs_fixed(cfg: &BenchConfig) -> Report {
-    resize_vs_fixed_report(
-        cfg,
-        "RP: resize overhead versus fixed-size tables",
-        rp_table,
-    )
+    resize_vs_fixed_report(cfg, "RP: resize overhead versus fixed-size tables", "rp")
 }
 
 /// Figure "Results – DDDS resize versus fixed" — the same three series for
@@ -274,11 +269,11 @@ pub fn fig_ddds_vs_fixed(cfg: &BenchConfig) -> Report {
     resize_vs_fixed_report(
         cfg,
         "DDDS: resize overhead versus fixed-size tables",
-        ddds_table,
+        "ddds",
     )
 }
 
-fn resize_vs_fixed_report(cfg: &BenchConfig, title: &str, make: fn(usize) -> Table) -> Report {
+fn resize_vs_fixed_report(cfg: &BenchConfig, title: &str, table: &str) -> Report {
     let mut report = Report::new(title, "reader threads", "lookups/second (millions)");
     let toggle = Some((cfg.small_buckets, cfg.large_buckets));
     for (name, buckets, resize_between) in [
@@ -294,9 +289,15 @@ fn resize_vs_fixed_report(cfg: &BenchConfig, title: &str, make: fn(usize) -> Tab
         ),
         ("continuous resize".to_string(), cfg.small_buckets, toggle),
     ] {
-        let map = make(buckets);
+        let map = build(table, buckets);
         fill(&*map, cfg.entries);
-        report.add_series(lookup_scalability(&name, map, cfg, resize_between));
+        report.add_series(lookup_scalability(
+            &name,
+            &*map,
+            ReadSide::Ebr,
+            cfg,
+            resize_between,
+        ));
     }
     report
 }
@@ -413,18 +414,18 @@ mod tests {
 
     #[test]
     fn fill_populates_the_table() {
-        let map = rp_table(64);
+        let map = build("rp", 64);
         fill(&*map, 100);
         assert_eq!(map.len(), 100);
-        assert_eq!(map.lookup(&42), Some(42));
+        assert_eq!(map.handle(ReadSide::Ebr).unwrap().lookup(&42), Some(42));
     }
 
     #[test]
     fn lookup_scalability_produces_one_point_per_thread_count() {
         let cfg = BenchConfig::smoke_test();
-        let map = rp_table(cfg.small_buckets);
+        let map = build("rp", cfg.small_buckets);
         fill(&*map, cfg.entries);
-        let series = lookup_scalability("RP", map, &cfg, None);
+        let series = lookup_scalability("RP", &*map, ReadSide::Qsbr, &cfg, None);
         assert_eq!(series.points.len(), cfg.threads.len());
         assert!(series.points.iter().all(|(_, mops)| *mops > 0.0));
     }
@@ -432,11 +433,12 @@ mod tests {
     #[test]
     fn resize_series_keeps_readers_running() {
         let cfg = BenchConfig::smoke_test();
-        let map = rp_table(cfg.small_buckets);
+        let map = build("rp", cfg.small_buckets);
         fill(&*map, cfg.entries);
         let series = lookup_scalability(
             "RP resize",
-            map,
+            &*map,
+            ReadSide::Ebr,
             &cfg,
             Some((cfg.small_buckets, cfg.large_buckets)),
         );
@@ -448,18 +450,21 @@ mod tests {
         let cfg = BenchConfig::smoke_test();
         let baseline = fig_baseline(&cfg);
         let resize = fig_resize(&cfg);
-        for make in TABLES {
-            let table = make(cfg.small_buckets);
-            let mut figures = vec![("fig_baseline", &baseline)];
-            if table.supports_resize() {
-                figures.push(("fig_resize", &resize));
+        for (name, build) in tables::<u64, u64>() {
+            let table = build(cfg.small_buckets);
+            let mut figures = vec![("fig_baseline", &baseline, name.to_string())];
+            if table.handle(ReadSide::Qsbr).is_some() {
+                figures.push(("fig_baseline", &baseline, format!("{name}/qsbr")));
             }
-            for (figure, report) in figures {
+            if table.resizable().is_some() {
+                figures.push(("fig_resize", &resize, name.to_string()));
+            }
+            for (figure, report, name) in figures {
                 let series = report
                     .series
                     .iter()
-                    .find(|s| s.name == table.name())
-                    .unwrap_or_else(|| panic!("{figure} has no series for {}", table.name()));
+                    .find(|s| s.name == name)
+                    .unwrap_or_else(|| panic!("{figure} has no series for {name}"));
                 assert_eq!(series.points.len(), cfg.threads.len());
                 // A reader that shares the resizer's lock (`rwlock`) can
                 // finish a short resize window with no lookup done.
@@ -471,7 +476,11 @@ mod tests {
                 );
             }
         }
-        assert_eq!(baseline.series.len(), TABLES.len());
+        assert_eq!(
+            baseline.series.len(),
+            11,
+            "eight tables, three of them again through QSBR"
+        );
         assert_eq!(resize.series.len(), 6, "six of the eight tables resize");
     }
 

@@ -83,7 +83,7 @@ pub use fold::{FoldBuildHasher, FoldHasher};
 pub use iter::{Iter, Keys, Values};
 pub use map::{prefetch_line, RpHashMap};
 pub use policy::ResizePolicy;
-pub use qsbr::{QsbrReadHandle, ReadProtect};
+pub use qsbr::{QsbrReadHandle, ReadProtect, ReadSide};
 pub use resize::ResizeStep;
 pub use slab::slab_chunks_mapped;
 pub use stats::MapStats;

@@ -81,6 +81,40 @@ pub unsafe trait ReadProtect {
 // freed until it drops.
 unsafe impl ReadProtect for RcuGuard<'_> {}
 
+/// Which read-side flavor a thread reads through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ReadSide {
+    /// Epoch-style delimited readers ([`rp_rcu::pin`]): two thread-private
+    /// stores and two fences per lookup section, no registration duties.
+    Ebr,
+    /// Quiescent-state-based readers ([`QsbrReadHandle`]): the lookup
+    /// itself is entirely free — no store, no fence — but the reading
+    /// thread must announce quiescent states between batches and go
+    /// offline while blocked. The default: a pinned event-loop worker has
+    /// natural quiescent points between `epoll_wait` batches.
+    #[default]
+    Qsbr,
+}
+
+impl ReadSide {
+    /// Parses `ebr` / `qsbr` (case-insensitive).
+    pub fn parse(value: &str) -> Result<ReadSide, String> {
+        match value.trim().to_ascii_lowercase().as_str() {
+            "ebr" => Ok(ReadSide::Ebr),
+            "qsbr" => Ok(ReadSide::Qsbr),
+            other => Err(format!("bad read side {other:?} (ebr | qsbr)")),
+        }
+    }
+
+    /// The flag/env spelling of this flavor.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            ReadSide::Ebr => "ebr",
+            ReadSide::Qsbr => "qsbr",
+        }
+    }
+}
+
 /// A thread's QSBR registration with the global domain, packaged for use
 /// as a lookup witness (see the [module docs](self)).
 ///

@@ -3,43 +3,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rp_hash::QsbrReadHandle;
+pub use rp_hash::ReadSide;
 
 use crate::audit::{self, SharedWrite};
 use crate::item::Item;
-
-/// Which read-side RCU flavor serves GET lookups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReadSide {
-    /// Epoch-style delimited readers ([`rp_rcu::pin`]): two thread-private
-    /// stores and two fences per lookup section, no registration duties.
-    Ebr,
-    /// Quiescent-state-based readers ([`rp_hash::QsbrReadHandle`]): the
-    /// lookup itself is entirely free — no store, no fence — but the
-    /// serving thread must announce quiescent states between batches and go
-    /// offline while blocked. The server's default: its pinned workers
-    /// have natural quiescent points between `epoll_wait` batches.
-    #[default]
-    Qsbr,
-}
-
-impl ReadSide {
-    /// Parses `ebr` / `qsbr` (case-insensitive).
-    pub fn parse(value: &str) -> Result<ReadSide, String> {
-        match value.trim().to_ascii_lowercase().as_str() {
-            "ebr" => Ok(ReadSide::Ebr),
-            "qsbr" => Ok(ReadSide::Qsbr),
-            other => Err(format!("bad read side {other:?} (ebr | qsbr)")),
-        }
-    }
-
-    /// The flag/env spelling of this flavor.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ReadSide::Ebr => "ebr",
-            ReadSide::Qsbr => "qsbr",
-        }
-    }
-}
 
 /// A serving thread's read-side context, passed down to the engine's GET
 /// path.

@@ -27,7 +27,9 @@
 //! * [`sysinfo`] — records the host configuration alongside results.
 //! * [`torture`] — a reusable rcutorture-style stress harness: checksummed
 //!   payloads, QSBR + EBR reader populations, generation-tagged writers and
-//!   a resize cycler, generic over every resizable map in the workspace.
+//!   a resize cycler, generic over `rp_baselines`' table adapter (any
+//!   `Table` that is also `Get`, `Resizable` and `Checked`: the three RCU
+//!   maps). Writers drive the table through their own handles.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -4,10 +4,12 @@
 //! Modeled on the kernel's rcutorture: a population of readers in steady
 //! read-side activity, writers continuously replacing tagged values, and
 //! the structure resizing under everyone the whole time. The harness is
-//! generic over [`TortureMap`] (any [`ConcurrentMap`] that also exposes
-//! the witness-based borrowed read path), so the exact same storm runs
-//! against the relativistic table, the sharded table, and the
-//! split-ordered list. The assertions are the RCU contract itself:
+//! generic over `rp_baselines`' adapter: a [`Table`] whose writers drive
+//! it through their own handles, that [`Resizable`] resizes and [`Checked`]
+//! checks, and whose borrowed read path ([`Get`]) the readers hold
+//! references through — so the exact same storm runs against the
+//! relativistic table, the sharded table, and the split-ordered list. The
+//! assertions are the RCU contract itself:
 //!
 //! * **No freed or torn value is ever observed** — every [`Payload`]
 //!   carries a checksum over its key and generation; a use-after-free or
@@ -26,11 +28,8 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use rp_baselines::ConcurrentMap;
-use rp_hash::{QsbrReadHandle, ReadProtect, RpHashMap};
-use rp_rcu::RcuGuard;
-use rp_shard::ShardedRpMap;
-use rp_splitorder::SplitOrderMap;
+use rp_baselines::{Checked, Get, Resizable, Table};
+use rp_hash::{QsbrReadHandle, ReadProtect, ReadSide};
 
 const MAGIC: u64 = 0x9E37_79B9_7F4A_7C15;
 
@@ -78,151 +77,6 @@ pub fn torture_duration() -> Duration {
         .and_then(|v| v.parse().ok())
         .unwrap_or(2.0);
     Duration::from_secs_f64(secs.max(0.1))
-}
-
-/// What a map must expose beyond [`ConcurrentMap`] for the torture storm:
-/// the borrowed read path under both witness flavors, an explicit resize
-/// step for the churn thread, and the post-storm structural checks.
-pub trait TortureMap: ConcurrentMap<u64, Payload> {
-    /// Barrier-free borrowed lookup through a QSBR handle.
-    fn lookup_qsbr<'g>(&'g self, key: &u64, handle: &'g QsbrReadHandle) -> Option<&'g Payload>;
-
-    /// Enters an EBR read-side critical section.
-    fn pin_read(&self) -> RcuGuard<'static>;
-
-    /// Borrowed lookup under an EBR guard from [`TortureMap::pin_read`].
-    fn lookup_pinned<'g>(&'g self, key: &u64, guard: &'g RcuGuard<'static>) -> Option<&'g Payload>;
-
-    /// The read-side prefetch hint for a lookup of `key` that is `depth`
-    /// passes away, under either witness: the payload the walked prefix
-    /// holds for the key's hash, if any. A map with no hint path returns
-    /// nothing.
-    fn hint<'g, P: ReadProtect>(
-        &'g self,
-        _key: &u64,
-        _depth: usize,
-        _protect: &'g P,
-    ) -> Option<&'g Payload> {
-        None
-    }
-
-    /// One step of explicit resize churn (alternate between a large and a
-    /// small target so transitions keep happening in both directions).
-    fn resize_step(&self, round: u64);
-
-    /// Structural invariant check, run after the storm quiesces.
-    fn check_invariants(&self) -> Result<(), String>;
-
-    /// Drains deferred reclamation after the storm.
-    fn flush_retired(&self);
-}
-
-impl<S> TortureMap for RpHashMap<u64, Payload, S>
-where
-    S: std::hash::BuildHasher + Send + Sync,
-{
-    fn lookup_qsbr<'g>(&'g self, key: &u64, handle: &'g QsbrReadHandle) -> Option<&'g Payload> {
-        self.get(key, handle)
-    }
-
-    fn pin_read(&self) -> RcuGuard<'static> {
-        self.pin()
-    }
-
-    fn lookup_pinned<'g>(&'g self, key: &u64, guard: &'g RcuGuard<'static>) -> Option<&'g Payload> {
-        self.get(key, guard)
-    }
-
-    fn hint<'g, P: ReadProtect>(
-        &'g self,
-        key: &u64,
-        depth: usize,
-        protect: &'g P,
-    ) -> Option<&'g Payload> {
-        self.prefetch_prehashed(self.hash_one(key), depth, protect)
-    }
-
-    fn resize_step(&self, round: u64) {
-        RpHashMap::resize_to(self, if round.is_multiple_of(2) { 512 } else { 64 });
-    }
-
-    fn check_invariants(&self) -> Result<(), String> {
-        RpHashMap::check_invariants(self)
-    }
-
-    fn flush_retired(&self) {
-        RpHashMap::flush_retired(self);
-    }
-}
-
-impl<S> TortureMap for ShardedRpMap<u64, Payload, S>
-where
-    S: std::hash::BuildHasher + Send + Sync,
-{
-    fn lookup_qsbr<'g>(&'g self, key: &u64, handle: &'g QsbrReadHandle) -> Option<&'g Payload> {
-        self.get(key, handle)
-    }
-
-    fn pin_read(&self) -> RcuGuard<'static> {
-        self.pin()
-    }
-
-    fn lookup_pinned<'g>(&'g self, key: &u64, guard: &'g RcuGuard<'static>) -> Option<&'g Payload> {
-        self.get(key, guard)
-    }
-
-    fn hint<'g, P: ReadProtect>(
-        &'g self,
-        key: &u64,
-        depth: usize,
-        protect: &'g P,
-    ) -> Option<&'g Payload> {
-        self.prefetch_prehashed(self.hash_one(key), depth, protect)
-    }
-
-    fn resize_step(&self, round: u64) {
-        // Resize one shard at a time so inline zip/unzip races any
-        // maintenance-thread resizes the map may also be running.
-        let shard = self.shard((round as usize) % self.shard_count());
-        shard.resize_to(if round.is_multiple_of(2) { 128 } else { 32 });
-    }
-
-    fn check_invariants(&self) -> Result<(), String> {
-        ShardedRpMap::check_invariants(self)
-    }
-
-    fn flush_retired(&self) {
-        ShardedRpMap::flush_retired(self);
-    }
-}
-
-impl<S> TortureMap for SplitOrderMap<u64, Payload, S>
-where
-    S: std::hash::BuildHasher + Send + Sync,
-{
-    fn lookup_qsbr<'g>(&'g self, key: &u64, handle: &'g QsbrReadHandle) -> Option<&'g Payload> {
-        self.get(key, handle)
-    }
-
-    fn pin_read(&self) -> RcuGuard<'static> {
-        self.pin()
-    }
-
-    fn lookup_pinned<'g>(&'g self, key: &u64, guard: &'g RcuGuard<'static>) -> Option<&'g Payload> {
-        self.get(key, guard)
-    }
-
-    fn resize_step(&self, round: u64) {
-        SplitOrderMap::resize_to(self, if round.is_multiple_of(2) { 1024 } else { 128 });
-    }
-
-    fn check_invariants(&self) -> Result<(), String> {
-        SplitOrderMap::check_invariants(self)
-    }
-
-    fn flush_retired(&self) {
-        SplitOrderMap::flush_retired(self);
-    }
 }
 
 /// Storm shape. [`TortureConfig::default`] matches the original
@@ -278,7 +132,7 @@ fn next_rand(state: &mut u64) -> u64 {
 /// ahead of a pipelined batch. A hint races the same splices, removals and
 /// reclamation a lookup does and holds the same witness, so whatever it
 /// returns must be a live, untorn payload — of some key with `key`'s hash.
-fn warm<M: TortureMap, P: ReadProtect>(map: &M, key: u64, protect: &P) {
+fn warm<M: Get<u64, Payload>, P: ReadProtect>(map: &M, key: u64, protect: &P) {
     for depth in 0..=4 {
         if let Some(payload) = map.hint(&key, depth, protect) {
             payload.verify(payload.key);
@@ -290,11 +144,16 @@ fn warm<M: TortureMap, P: ReadProtect>(map: &M, key: u64, protect: &P) {
 /// contract violation: torn/freed reads, stable keys absent mid-resize,
 /// post-storm invariant failures, or a vacuous run (no resize transition
 /// ever observed).
-pub fn torture_storm<M: TortureMap>(map: &M, config: &TortureConfig) -> TortureOutcome {
+pub fn torture_storm<M>(map: &M, config: &TortureConfig) -> TortureOutcome
+where
+    M: Table<u64, Payload> + Get<u64, Payload> + Resizable + Checked,
+{
     let gen_counter = AtomicU64::new(1);
+    let mut loader = map.handle(ReadSide::Ebr).expect("every table serves EBR");
     for key in 0..config.stable_keys {
-        map.insert(key, Payload::new(key, 0));
+        loader.insert(key, Payload::new(key, 0));
     }
+    drop(loader);
 
     let stop = AtomicBool::new(false);
     let transitions = AtomicU64::new(0);
@@ -322,11 +181,7 @@ pub fn torture_storm<M: TortureMap>(map: &M, config: &TortureConfig) -> TortureO
                         let held: Vec<(u64, &Payload)> = keys
                             .iter()
                             .map(|&k| {
-                                (
-                                    k,
-                                    map.lookup_qsbr(&k, &handle)
-                                        .expect("stable key absent mid-move"),
-                                )
+                                (k, map.get(&k, &handle).expect("stable key absent mid-move"))
                             })
                             .collect();
                         for (k, payload) in held {
@@ -337,7 +192,7 @@ pub fn torture_storm<M: TortureMap>(map: &M, config: &TortureConfig) -> TortureO
                         if ops.is_multiple_of(8) {
                             warm(map, k, &handle);
                         }
-                        map.lookup_qsbr(&k, &handle)
+                        map.get(&k, &handle)
                             .expect("stable key absent mid-move")
                             .verify(k);
                     }
@@ -361,11 +216,11 @@ pub fn torture_storm<M: TortureMap>(map: &M, config: &TortureConfig) -> TortureO
                 let mut rng = 0xFEED_F00D_u64;
                 while !stop.load(Ordering::Relaxed) {
                     let k = next_rand(&mut rng) % stable_keys;
-                    let guard = map.pin_read();
+                    let guard = rp_rcu::pin();
                     if k.is_multiple_of(8) {
                         warm(map, k, &guard);
                     }
-                    map.lookup_pinned(&k, &guard)
+                    map.get(&k, &guard)
                         .expect("stable key absent mid-move (EBR)")
                         .verify(k);
                 }
@@ -381,32 +236,35 @@ pub fn torture_storm<M: TortureMap>(map: &M, config: &TortureConfig) -> TortureO
             let writers = config.writers as u64;
             let volatile_per_writer = config.volatile_per_writer;
             s.spawn(move || {
+                let mut writer = map.handle(ReadSide::Ebr).expect("every table serves EBR");
                 let volatile_base = (1 << 32) + w * volatile_per_writer;
                 while !stop.load(Ordering::Relaxed) {
                     for key in (w..stable_keys).step_by(writers as usize) {
                         let gen = gen_counter.fetch_add(1, Ordering::Relaxed);
-                        map.insert(key, Payload::new(key, gen));
+                        writer.insert(key, Payload::new(key, gen));
                     }
                     for i in 0..volatile_per_writer {
-                        map.insert(volatile_base + i, Payload::new(volatile_base + i, 0));
+                        writer.insert(volatile_base + i, Payload::new(volatile_base + i, 0));
                     }
                     for i in 0..volatile_per_writer {
-                        map.remove(&(volatile_base + i));
+                        writer.remove(&(volatile_base + i));
                     }
                 }
             });
         }
 
         // An explicit resize cycler races the readers (and any background
-        // maintenance resizes); it also counts observed bucket-count
-        // transitions so a vacuous storm fails loudly.
+        // maintenance resizes), alternating a large and a small target so
+        // transitions keep happening in both directions (the sharded map
+        // resizes its shards one at a time). It also counts observed
+        // bucket-count transitions so a vacuous storm fails loudly.
         {
             let (stop, map, transitions) = (&stop, map, &transitions);
             s.spawn(move || {
                 let mut round = 0_u64;
                 let mut last = map.num_buckets();
                 while !stop.load(Ordering::Relaxed) {
-                    map.resize_step(round);
+                    map.resize_to(if round.is_multiple_of(2) { 512 } else { 64 });
                     let now = map.num_buckets();
                     if now != last {
                         transitions.fetch_add(1, Ordering::Relaxed);
@@ -428,7 +286,7 @@ pub fn torture_storm<M: TortureMap>(map: &M, config: &TortureConfig) -> TortureO
     let mut handle = QsbrReadHandle::register();
     for key in 0..config.stable_keys {
         let payload = map
-            .lookup_qsbr(&key, &handle)
+            .get(&key, &handle)
             .expect("stable key lost after the storm");
         payload.verify(key);
         assert!(
@@ -457,6 +315,7 @@ pub fn torture_storm<M: TortureMap>(map: &M, config: &TortureConfig) -> TortureO
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rp_hash::RpHashMap;
 
     #[test]
     fn payload_checksum_catches_corruption() {
