@@ -857,7 +857,16 @@ where
     /// freed, after a grace period of every read-side flavor with
     /// registered readers ([`GraceSync::synchronize_and_reclaim`]). Writers
     /// never need it; the global funnel's reclaim thread frees on its own.
+    ///
+    /// The map gathers what it retires in an open batch of up to 63 nodes
+    /// and queues it on the global funnel when the 64th arrives, so a map
+    /// that stops writing holds up to 63 retired nodes until its next
+    /// write, this call or its drop. This call takes the writer lock,
+    /// queues the open batch, and releases the lock before the barrier.
+    /// A bare [`GraceSync::synchronize_and_reclaim`] frees only what has
+    /// been queued.
     pub fn flush_retired(&self) {
+        self.slab.queue_retired(&self.writer_lock());
         GraceSync::global().synchronize_and_reclaim();
     }
 

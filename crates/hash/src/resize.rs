@@ -1309,7 +1309,8 @@ mod tests {
     fn a_grace_wait_under_the_writer_lock_is_caught() {
         let map = filled(4, 8);
         let _w = map.writer_lock();
-        map.flush_retired();
+        // The barrier itself: `flush_retired` takes the writer lock first.
+        rp_rcu::GraceSync::global().synchronize_and_reclaim();
     }
 
     #[test]

@@ -21,12 +21,19 @@
 //! page is resident whole, where 4 KiB pages are resident only once
 //! touched, so collapsing only full chunks costs no memory.
 //!
+//! A retired node waits in the slab's open batch, which only the writer-lock
+//! holder touches, until [`BATCH`] have gathered; then all of them go to
+//! [`GraceSync::global`] with one lock acquisition of its queue. A map that
+//! stops writing therefore holds up to `BATCH - 1` retired nodes until its
+//! next write, its `flush_retired` ([`NodeSlab::queue_retired`]) or its
+//! drop.
+//!
 //! A map keeps its chunks until it is dropped. The chunks are released by a
 //! callback queued on [`GraceSync::global`] when the map drops, behind every
-//! node the map retired: a pass runs its batch in queue order and passes
-//! run one at a time, so every dropper that reaches a chunk has run first.
-//! A map that never retired a node has no such dropper, and releases its
-//! chunks at once.
+//! node the map retired, its open batch included: a pass runs its batch in
+//! queue order and passes run one at a time, so every dropper that reaches
+//! a chunk has run first. A map that never retired a node has no such
+//! dropper, and releases its chunks at once.
 
 use std::alloc::{handle_alloc_error, Layout};
 use std::cell::UnsafeCell;
@@ -44,6 +51,9 @@ use crate::stats::LockedCount;
 
 /// A chunk's size, and its alignment: one huge page.
 const CHUNK: usize = 2 << 20;
+
+/// Retired nodes a slab gathers before it queues them, all at once.
+const BATCH: usize = 64;
 
 const PROT_READ: i32 = 0x1;
 const PROT_WRITE: i32 = 0x2;
@@ -186,6 +196,10 @@ struct Local {
     /// Whether a node went to the deferred queue, whose dropper reaches
     /// its chunk.
     retired: bool,
+    /// How many of `batch`'s entries are retired nodes not yet queued.
+    batched: usize,
+    /// The open batch: nodes [`NodeSlab::retire`] took, in retire order.
+    batch: [*mut (); BATCH],
 }
 
 /// A map's node slab (see the module docs).
@@ -225,6 +239,8 @@ impl<K, V> NodeSlab<K, V> {
                 end: ptr::null_mut(),
                 newest: ptr::null_mut(),
                 retired: false,
+                batched: 0,
+                batch: [ptr::null_mut(); BATCH],
             }),
             chunks: LockedCount::default(),
             huge_chunks: LockedCount::default(),
@@ -299,8 +315,9 @@ impl<K, V> NodeSlab<K, V> {
         self.chunks.add(1, held);
     }
 
-    /// Retires `node`: after a grace period its key and
-    /// value are dropped in place and its slot goes back to this slab.
+    /// Retires `node`: after a grace period its key and value are dropped
+    /// in place and its slot goes back to this slab. The node joins the
+    /// open batch, and a full batch is queued.
     ///
     /// # Safety
     ///
@@ -312,11 +329,33 @@ impl<K, V> NodeSlab<K, V> {
     /// * `K` and `V` may be dropped on any thread.
     pub(crate) unsafe fn retire(&self, node: *mut Node<K, V>, _held: &WriterGuard<'_, K, V>) {
         // SAFETY: the writer lock serialises every access to `local`.
-        unsafe { (*self.local.get()).retired = true };
-        // SAFETY: the contract above is `defer_drop`'s for
-        // `drop_retired`; the slab outlives the dropper because its release
-        // is queued behind it (`Drop`).
-        unsafe { GraceSync::global().defer_drop(node.cast(), Self::drop_retired) }
+        let local = unsafe { &mut *self.local.get() };
+        local.batch[local.batched] = node.cast();
+        local.batched += 1;
+        if local.batched == BATCH {
+            Self::queue_batch(local);
+        }
+    }
+
+    /// Queues the open batch, if any node waits in it. Its nodes are then
+    /// freed by the next pass that waits a grace period.
+    pub(crate) fn queue_retired(&self, _held: &WriterGuard<'_, K, V>) {
+        // SAFETY: the writer lock serialises every access to `local`.
+        Self::queue_batch(unsafe { &mut *self.local.get() });
+    }
+
+    fn queue_batch(local: &mut Local) {
+        if local.batched == 0 {
+            return;
+        }
+        local.retired = true;
+        let batch = &local.batch[..local.batched];
+        // SAFETY: every node in the batch was put there by `retire`, whose
+        // contract is `defer_drop`'s for `drop_retired`, and is in it once;
+        // the slab outlives the droppers because its release is queued
+        // behind them (`Drop`).
+        unsafe { GraceSync::global().defer_drop(batch, Self::drop_retired) };
+        local.batched = 0;
     }
 
     /// What [`NodeSlab::retire`] queues.
@@ -343,21 +382,23 @@ impl<K, V> Drop for NodeSlab<K, V> {
     /// dropped. Live nodes are the map's to drop, before this runs.
     fn drop(&mut self) {
         let local = self.local.get_mut();
+        // Before the release, which must run after every dropper.
+        Self::queue_batch(local);
         let release = Release {
             shared: self.shared,
             newest: local.newest,
         };
-        if !local.retired {
-            // SAFETY: the map has dropped its live nodes, and it retired
-            // none, so no dropper is queued that could reach a chunk.
-            unsafe { release.run() };
-            return;
-        }
-        let sync = GraceSync::global();
-        // SAFETY (of the queued call): a pass runs its batch in queue order
+        // SAFETY: the map has dropped its live nodes. It runs now only if
+        // the map retired none, so that no dropper that could reach a chunk
+        // is queued. Else it is queued: a pass runs its batch in queue order
         // and passes run one at a time, so the droppers of every node the
         // map retired, all queued before now, have run by then.
-        sync.defer(move || unsafe { release.run() });
+        let release = move || unsafe { release.run() };
+        if !local.retired {
+            return release();
+        }
+        let sync = GraceSync::global();
+        sync.defer(release);
         // The map's memory goes back at the next pass, as it would have to
         // the heap, not after 255 more callbacks: a program that builds the
         // next map at once would otherwise hold both.
@@ -493,6 +534,7 @@ mod tests {
         // SAFETY: `held` is the slab's lock; never published, retired
         // once; `u64` drops anywhere.
         unsafe { slab.retire(retired, &held) };
+        slab.queue_retired(&held);
         // This thread's guard holds every pass that took `retired` back.
         assert_ne!(node(&slab, &held, 8), retired);
         drop((guard, held));

@@ -364,7 +364,8 @@ mod tests {
         let action = service.on_data(&mut worker, &mut RefDecoder::new(), &mut io);
         let requests = io.requests;
         let mut wire = Wire(Vec::new());
-        out.flush_vectored(&mut wire, &mut pool).unwrap();
+        let counts = rp_obs::global().net.flushes.for_worker(0);
+        out.flush_vectored(&mut wire, &mut pool, counts).unwrap();
         (action, requests, wire.0, worker.kv)
     }
 

@@ -53,7 +53,8 @@ fn serve(
     let writes = audit::take();
     assert_eq!((action, io.requests), (Action::Continue, PIPELINED as u64));
     let mut replies = Wire(Vec::new());
-    out.flush_vectored(&mut replies, &mut pool).unwrap();
+    let counts = rp_obs::global().net.flushes.for_worker(0);
+    out.flush_vectored(&mut replies, &mut pool, counts).unwrap();
     (replies.0, writes)
 }
 

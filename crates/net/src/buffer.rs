@@ -8,6 +8,7 @@ use std::io::{self, Write};
 use std::os::unix::io::RawFd;
 
 use bytes::Bytes;
+use rp_obs::FlushObs;
 
 use crate::pool::BufPool;
 use crate::sys::{sys_writev, IoVec};
@@ -237,13 +238,15 @@ impl WriteBuf {
 
     /// Writes as much queued data as the socket accepts, one segment per
     /// syscall (the [`Write`] adapter over [`WriteBuf::flush_vectored`];
-    /// in-memory sinks and tests use this form).
+    /// in-memory sinks and tests use this form, counted in worker 0's
+    /// shard).
     pub fn flush_to(
         &mut self,
         sink: &mut impl Write,
         pool: &mut BufPool,
     ) -> io::Result<FlushState> {
-        self.flush_vectored(&mut WriteAdapter(sink), pool)
+        let counts = rp_obs::global().net.flushes.for_worker(0);
+        self.flush_vectored(&mut WriteAdapter(sink), pool, counts)
     }
 
     /// Writes as much queued data as the socket accepts, submitting up to
@@ -254,15 +257,17 @@ impl WriteBuf {
     /// [`FlushState::Blocked`] on `EWOULDBLOCK`, and surfaces any other
     /// error (a zero-length write is reported as `WriteZero`). Owned
     /// segments that finish flushing are recycled into `pool`. Each submit
-    /// bumps `net_flush_syscalls_total` and each completed segment
-    /// `net_flush_segments_total`: on pipelined workloads the first stays
-    /// below the second — the reduction `writev` buys.
+    /// bumps `counts.syscalls_total` and each completed segment
+    /// `counts.segments_total`, the flushing worker's shard of
+    /// `net_flush_syscalls_total` and `net_flush_segments_total`: on
+    /// pipelined workloads the first stays below the second — the
+    /// reduction `writev` buys.
     pub fn flush_vectored(
         &mut self,
         sink: &mut impl VectoredWrite,
         pool: &mut BufPool,
+        counts: &FlushObs,
     ) -> io::Result<FlushState> {
-        let net = &rp_obs::global().net;
         while !self.segments.is_empty() {
             let mut bufs: [&[u8]; MAX_IOVECS] = [&[]; MAX_IOVECS];
             let mut count = 0;
@@ -276,7 +281,7 @@ impl WriteBuf {
                 count += 1;
             }
             debug_assert!(!bufs[0].is_empty());
-            net.flush_syscalls_total.inc();
+            counts.syscalls_total.inc();
             match sink.writev(&bufs[..count]) {
                 Ok(0) => {
                     return Err(io::Error::new(
@@ -284,7 +289,7 @@ impl WriteBuf {
                         "socket accepted zero bytes",
                     ))
                 }
-                Ok(n) => self.advance(n, pool),
+                Ok(n) => self.advance(n, pool, counts),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(FlushState::Blocked),
                 Err(e) => return Err(e),
@@ -295,10 +300,9 @@ impl WriteBuf {
 
     /// Consumes `written` flushed bytes: walks segment boundaries from the
     /// front cursor, recycling finished owned segments into `pool`.
-    fn advance(&mut self, mut written: usize, pool: &mut BufPool) {
+    fn advance(&mut self, mut written: usize, pool: &mut BufPool, counts: &FlushObs) {
         debug_assert!(written <= self.len);
         self.len -= written;
-        let net = &rp_obs::global().net;
         while written > 0 {
             let front_pending = self
                 .segments
@@ -312,7 +316,7 @@ impl WriteBuf {
                     pool.give(done);
                 }
                 self.cursor = 0;
-                net.flush_segments_total.inc();
+                counts.segments_total.inc();
             } else {
                 self.cursor += written;
                 written = 0;
@@ -378,6 +382,11 @@ impl BufWrite for PooledBuf<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The shard the in-memory flushes of these tests count in.
+    fn counts() -> &'static FlushObs {
+        rp_obs::global().net.flushes.for_worker(0)
+    }
 
     fn test_pool() -> BufPool {
         BufPool::new(16, 1 << 20)
@@ -673,7 +682,7 @@ mod tests {
         let (mut buf, wire) = three_segment_buf(&mut pool);
         let mut sink = Scripted::new(Vec::new());
         assert_eq!(
-            buf.flush_vectored(&mut sink, &mut pool).unwrap(),
+            buf.flush_vectored(&mut sink, &mut pool, counts()).unwrap(),
             FlushState::Drained
         );
         assert_eq!(sink.accepted, wire);
@@ -693,7 +702,7 @@ mod tests {
             let (mut buf, wire) = three_segment_buf(&mut pool);
             let mut sink = Scripted::new(vec![Step::Accept(cut)]);
             assert_eq!(
-                buf.flush_vectored(&mut sink, &mut pool).unwrap(),
+                buf.flush_vectored(&mut sink, &mut pool, counts()).unwrap(),
                 FlushState::Drained,
                 "cut at {cut}"
             );
@@ -708,7 +717,7 @@ mod tests {
         let (mut buf, wire) = three_segment_buf(&mut pool);
         let mut sink = Scripted::new(vec![Step::Accept(100), Step::Eintr, Step::Eintr]);
         assert_eq!(
-            buf.flush_vectored(&mut sink, &mut pool).unwrap(),
+            buf.flush_vectored(&mut sink, &mut pool, counts()).unwrap(),
             FlushState::Drained
         );
         assert_eq!(sink.accepted, wire);
@@ -723,13 +732,13 @@ mod tests {
         let half = wire.len() / 2;
         let mut sink = Scripted::new(vec![Step::Accept(half), Step::Block]);
         assert_eq!(
-            buf.flush_vectored(&mut sink, &mut pool).unwrap(),
+            buf.flush_vectored(&mut sink, &mut pool, counts()).unwrap(),
             FlushState::Blocked
         );
         assert_eq!(buf.len(), wire.len() - half);
         // Writability returns: the rest goes out from the saved cursor.
         assert_eq!(
-            buf.flush_vectored(&mut sink, &mut pool).unwrap(),
+            buf.flush_vectored(&mut sink, &mut pool, counts()).unwrap(),
             FlushState::Drained
         );
         assert_eq!(sink.accepted, wire);
@@ -745,7 +754,7 @@ mod tests {
         }
         let mut sink = Scripted::new(Vec::new());
         assert_eq!(
-            buf.flush_vectored(&mut sink, &mut pool).unwrap(),
+            buf.flush_vectored(&mut sink, &mut pool, counts()).unwrap(),
             FlushState::Drained
         );
         assert_eq!(sink.calls, 2);
@@ -761,14 +770,19 @@ mod tests {
         // The counters are process-global; concurrent tests only inflate
         // them, so assert on deltas with ≥.
         let net = &rp_obs::global().net;
-        let syscalls_before = net.flush_syscalls_total.get();
-        let segments_before = net.flush_segments_total.get();
+        let shard = net.flushes.for_worker(5);
+        let syscalls_before = net.flush_syscalls_total();
+        let segments_before = net.flush_segments_total();
+        let shard_before = (shard.syscalls_total.get(), shard.segments_total.get());
         let mut pool = test_pool();
         let (mut buf, _) = three_segment_buf(&mut pool);
         let mut sink = Scripted::new(Vec::new());
-        buf.flush_vectored(&mut sink, &mut pool).unwrap();
-        assert!(net.flush_syscalls_total.get() > syscalls_before);
-        assert!(net.flush_segments_total.get() >= segments_before + 3);
+        buf.flush_vectored(&mut sink, &mut pool, shard).unwrap();
+        assert!(net.flush_syscalls_total() > syscalls_before);
+        assert!(net.flush_segments_total() >= segments_before + 3);
+        // Counted in the flushing worker's own shard.
+        assert!(shard.syscalls_total.get() > shard_before.0);
+        assert!(shard.segments_total.get() >= shard_before.1 + 3);
     }
 
     #[test]
@@ -782,7 +796,7 @@ mod tests {
         let (mut buf, wire) = three_segment_buf(&mut pool);
         let mut sink = FdSink { fd: tx.as_raw_fd() };
         assert_eq!(
-            buf.flush_vectored(&mut sink, &mut pool).unwrap(),
+            buf.flush_vectored(&mut sink, &mut pool, counts()).unwrap(),
             FlushState::Drained
         );
         let mut got = vec![0_u8; wire.len()];

@@ -11,6 +11,7 @@ use crate::buffer::{FdSink, FlushState, WriteBuf};
 use crate::poller::{EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::pool::BufPool;
 use crate::{Action, ConnIo, NetConfig, Service};
+use rp_obs::FlushObs;
 
 /// Connection lifecycle.
 ///
@@ -42,6 +43,8 @@ pub(crate) struct Turn<'a> {
     /// nothing.
     pub(crate) pool: &'a mut BufPool,
     pub(crate) bytes: &'a ByteBudget,
+    /// The worker's shard of the flush counters.
+    pub(crate) flushes: &'a FlushObs,
     /// The worker's shared read scratch buffer — allocating per readiness
     /// event would put an alloc+memset on the hottest path.
     pub(crate) chunk: &'a mut [u8],
@@ -165,11 +168,11 @@ impl<S: Service> Connection<S> {
     /// if bytes remain), then processes and flushes. Any I/O error closes
     /// the connection.
     pub(crate) fn on_readable(&mut self, service: &S, worker: &mut S::Worker, turn: &mut Turn<'_>) {
-        let (config, bytes, now) = (turn.config, turn.bytes, turn.now);
+        let (config, bytes, flushes, now) = (turn.config, turn.bytes, turn.flushes, turn.now);
         let (pool, chunk) = (&mut *turn.pool, &mut *turn.chunk);
         if self.phase != ConnState::Open {
             // Late readiness after Close/Drain: nothing to read any more.
-            self.flush(pool, now);
+            self.flush(pool, flushes, now);
             return self.settle(bytes);
         }
         let mut budget = config.read_budget;
@@ -245,7 +248,7 @@ impl<S: Service> Connection<S> {
             }
         }
         self.process(service, worker, config, pool);
-        self.flush(pool, now);
+        self.flush(pool, flushes, now);
         if self.input.is_empty() && self.input.capacity() > 0 {
             // Fully consumed: hand the warm buffer back so an idle
             // connection pins nothing.
@@ -254,8 +257,14 @@ impl<S: Service> Connection<S> {
         self.settle(bytes);
     }
 
-    pub(crate) fn on_writable(&mut self, pool: &mut BufPool, bytes: &ByteBudget, now: Instant) {
-        self.flush(pool, now);
+    pub(crate) fn on_writable(
+        &mut self,
+        pool: &mut BufPool,
+        bytes: &ByteBudget,
+        flushes: &FlushObs,
+        now: Instant,
+    ) {
+        self.flush(pool, flushes, now);
         self.settle(bytes);
     }
 
@@ -290,7 +299,7 @@ impl<S: Service> Connection<S> {
             self.on_readable(service, worker, turn);
         }
         self.start_draining();
-        self.flush(turn.pool, turn.now);
+        self.flush(turn.pool, turn.flushes, turn.now);
         self.settle(turn.bytes);
     }
 
@@ -381,7 +390,7 @@ impl<S: Service> Connection<S> {
 
     /// Flushes what the socket accepts; progress stamps the connection
     /// active as of `now`, the worker's clock reading for this event.
-    fn flush(&mut self, pool: &mut BufPool, now: Instant) {
+    fn flush(&mut self, pool: &mut BufPool, flushes: &FlushObs, now: Instant) {
         let before = self.out.len();
         // Scatter-gather: every queued segment (header, shared payload,
         // trailer, the next pipelined reply...) goes out in one `writev`
@@ -389,7 +398,7 @@ impl<S: Service> Connection<S> {
         let mut sink = FdSink {
             fd: self.stream.as_raw_fd(),
         };
-        match self.out.flush_vectored(&mut sink, pool) {
+        match self.out.flush_vectored(&mut sink, pool, flushes) {
             Ok(FlushState::Drained) => {
                 if self.phase == ConnState::Draining {
                     self.phase = ConnState::Closed;

@@ -19,6 +19,7 @@ use crate::poller::{waker_pair, Event, Poller, WakeReceiver, Waker, EPOLLIN};
 use crate::pool::BufPool;
 use crate::sys::sys_set_nonblocking;
 use crate::{NetConfig, Service};
+use rp_obs::FlushObs;
 
 /// Token for the shared listener in every worker's poller.
 const TOKEN_LISTENER: u64 = u64::MAX;
@@ -62,7 +63,9 @@ pub struct NetStats {
 
 struct Shared {
     listener: TcpListener,
-    shutdown: AtomicBool,
+    /// Loaded by every worker on every loop turn, so it sits on a line
+    /// pair of its own: `bytes` beside it is written on every settle.
+    shutdown: OwnLine<AtomicBool>,
     accepted: AtomicU64,
     refused: AtomicU64,
     accept_errors: AtomicU64,
@@ -73,6 +76,11 @@ struct Shared {
     /// The process-wide buffered-byte ledger (admission control).
     bytes: ByteBudget,
 }
+
+/// A value on 128 bytes of its own: an x86_64 core prefetches lines in
+/// pairs, so no other field shares either line.
+#[repr(align(128))]
+struct OwnLine<T>(T);
 
 /// A running epoll event-loop server.
 ///
@@ -98,7 +106,7 @@ impl EventLoop {
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             listener,
-            shutdown: AtomicBool::new(false),
+            shutdown: OwnLine(AtomicBool::new(false)),
             accepted: AtomicU64::new(0),
             refused: AtomicU64::new(0),
             accept_errors: AtomicU64::new(0),
@@ -166,7 +174,7 @@ impl EventLoop {
     /// [`NetConfig::drain_timeout`]), close, and join the workers.
     /// Idempotent.
     pub fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.shutdown.0.store(true, Ordering::SeqCst);
         // Drain the wakers: joining a worker closes its eventfd, so a
         // repeat shutdown (Drop always issues one) must not write to the
         // stale — possibly kernel-reused — fd numbers.
@@ -198,6 +206,8 @@ struct Worker<S: Service> {
     /// The worker's buffer free list: connection input buffers and
     /// response segments cycle through here instead of the allocator.
     pool: BufPool,
+    /// This worker's shard of the flush counters.
+    flushes: &'static FlushObs,
     /// Set when a dispatch left at least one connection throttled on the
     /// global byte budget. While set, the worker polls on a short leash —
     /// the budget may be freed by *another* worker's flushes, which cannot
@@ -237,6 +247,7 @@ impl<S: Service> Worker<S> {
             conns: HashMap::new(),
             scratch,
             pool,
+            flushes: rp_obs::global().net.flushes.for_worker(idx),
             throttled_reads: false,
             listener_paused_until: None,
             draining_conns: HashSet::new(),
@@ -346,7 +357,7 @@ impl<S: Service> Worker<S> {
                 self.expire_drains(now);
             }
 
-            if !draining && self.shared.shutdown.load(Ordering::SeqCst) {
+            if !draining && self.shared.shutdown.0.load(Ordering::SeqCst) {
                 draining = true;
                 drain_deadline = now + self.config.drain_timeout;
                 let _ = self.poller.delete(self.shared.listener.as_raw_fd());
@@ -357,6 +368,7 @@ impl<S: Service> Worker<S> {
                             config: &self.config,
                             pool: &mut self.pool,
                             bytes: &self.shared.bytes,
+                            flushes: self.flushes,
                             chunk: &mut self.scratch,
                             now,
                         };
@@ -509,13 +521,14 @@ impl<S: Service> Worker<S> {
             return;
         };
         if ev.writable() {
-            conn.on_writable(&mut self.pool, &self.shared.bytes, now);
+            conn.on_writable(&mut self.pool, &self.shared.bytes, self.flushes, now);
         }
         if ev.readable() || ev.closed() {
             let mut turn = Turn {
                 config: &self.config,
                 pool: &mut self.pool,
                 bytes: &self.shared.bytes,
+                flushes: self.flushes,
                 chunk: &mut self.scratch,
                 now,
             };
@@ -643,5 +656,20 @@ impl<S: Service> Worker<S> {
                 .connections
                 .set(live.saturating_sub(1) as u64);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::mem::{align_of, offset_of, size_of};
+
+    #[test]
+    fn shutdown_shares_no_line_with_the_byte_ledger() {
+        assert_eq!(align_of::<Shared>() % 128, 0);
+        let flag = offset_of!(Shared, shutdown) / 128;
+        let bytes = offset_of!(Shared, bytes);
+        assert_ne!(flag, bytes / 128);
+        assert_ne!(flag, (bytes + size_of::<ByteBudget>() - 1) / 128);
     }
 }

@@ -208,12 +208,10 @@ pub struct NetObs {
     /// Times a connection's reads were paused because the global byte
     /// budget was exhausted (admission-control backpressure).
     pub backpressure_stalls_total: Counter,
-    /// Flush syscalls issued (`writev` batches; one per vectored submit).
-    pub flush_syscalls_total: Counter,
-    /// Output segments fully flushed. With scatter-gather this exceeds
-    /// [`NetObs::flush_syscalls_total`] on pipelined workloads — the
-    /// whole point of `writev`.
-    pub flush_segments_total: Counter,
+    /// Flush counts, one shard per worker, so a flush bumps its own
+    /// worker's line; `STATS` serves their sums
+    /// ([`NetObs::flush_syscalls_total`], [`NetObs::flush_segments_total`]).
+    pub flushes: Sharded<FlushObs>,
     /// Currently open connections.
     pub connections: Gauge,
     /// Bytes currently held in per-connection buffers process-wide (the
@@ -222,6 +220,29 @@ pub struct NetObs {
     /// Readiness events delivered per `epoll_wait` wake (per-worker
     /// shards; epoll occupancy).
     pub batch_size: Sharded<Histogram>,
+}
+
+impl NetObs {
+    /// Flush syscalls issued by every worker.
+    pub fn flush_syscalls_total(&self) -> u64 {
+        self.flushes.iter().map(|f| f.syscalls_total.get()).sum()
+    }
+
+    /// Output segments fully flushed by every worker.
+    pub fn flush_segments_total(&self) -> u64 {
+        self.flushes.iter().map(|f| f.segments_total.get()).sum()
+    }
+}
+
+/// One event-loop worker's flush counts (a shard of [`NetObs::flushes`]).
+#[derive(Debug, Default)]
+pub struct FlushObs {
+    /// Flush syscalls issued (`writev` batches; one per vectored submit).
+    pub syscalls_total: Counter,
+    /// Output segments fully flushed. With scatter-gather this exceeds
+    /// [`FlushObs::syscalls_total`] on pipelined workloads — the whole
+    /// point of `writev`.
+    pub segments_total: Counter,
 }
 
 /// One event-loop worker's cache-serving metrics (a shard of
@@ -421,13 +442,13 @@ impl Obs {
             sink,
             "net_flush_syscalls_total",
             "Flush syscalls issued (writev batches).",
-            self.net.flush_syscalls_total.get(),
+            self.net.flush_syscalls_total(),
         );
         render::counter(
             sink,
             "net_flush_segments_total",
             "Output segments fully flushed.",
-            self.net.flush_segments_total.get(),
+            self.net.flush_segments_total(),
         );
         render::gauge(
             sink,
@@ -712,14 +733,8 @@ impl Obs {
             "net_backpressure_stalls_total",
             self.net.backpressure_stalls_total.get(),
         );
-        net.field(
-            "net_flush_syscalls_total",
-            self.net.flush_syscalls_total.get(),
-        );
-        net.field(
-            "net_flush_segments_total",
-            self.net.flush_segments_total.get(),
-        );
+        net.field("net_flush_syscalls_total", self.net.flush_syscalls_total());
+        net.field("net_flush_segments_total", self.net.flush_segments_total());
         net.field("net_connections", self.net.connections.get());
         net.field("net_bytes_buffered", self.net.bytes_buffered.get());
         net.summary("net_batch_size", &batch);
@@ -787,8 +802,10 @@ impl Obs {
         self.net.drains_expired_total.reset();
         self.net.watermark_trips_total.reset();
         self.net.backpressure_stalls_total.reset();
-        self.net.flush_syscalls_total.reset();
-        self.net.flush_segments_total.reset();
+        for shard in self.net.flushes.iter() {
+            shard.syscalls_total.reset();
+            shard.segments_total.reset();
+        }
         for shard in self.net.batch_size.iter() {
             shard.reset();
         }

@@ -21,23 +21,32 @@
 //! **Who frees.** Retiring never waits: the process-wide funnel runs its
 //! passes on one thread of its own, `rcu-reclaimer` (the userspace
 //! `call_rcu` helper thread), started by the first push that takes the
-//! queue to 256 callbacks and woken by every later one. A queue left below
-//! that is emptied 50 ms after the thread last found it non-empty; an
-//! empty one costs the thread nothing, and what is queued after it sleeps
-//! there waits for the 256th push, or for a caller that queued a large
-//! release to wake it ([`GraceSync::wake_reclaimer`]). Writers therefore
-//! wait for readers only where
-//! their own algorithm needs ordering (a resize), or when they ask to:
-//! [`GraceSync::synchronize_and_reclaim`] is a *barrier*. Passes are
-//! serialized, so it returns once every callback queued before it has run,
-//! on whichever thread ran it. A stalled reader stops frees, not writers;
-//! the stall detector ([`crate::stall`]) names the reader.
+//! queue to 256 callbacks or past it, and woken by every later one. A queue
+//! left below that is emptied 50 ms after the thread last found it
+//! non-empty; an empty one costs the thread nothing, and what is queued
+//! after it sleeps there waits for the push that crosses 256, or for a
+//! caller that queued a large release to wake it
+//! ([`GraceSync::wake_reclaimer`]). Writers therefore wait for readers
+//! only where their own algorithm needs ordering (a resize), or when they
+//! ask to: [`GraceSync::synchronize_and_reclaim`] is a *barrier*. Passes
+//! are serialized, so it returns once every callback queued before it has
+//! run, on whichever thread ran it. A stalled reader stops frees, not
+//! writers; the stall detector ([`crate::stall`]) names the reader.
+//!
+//! A caller may gather its retires before it queues them, and `rp-hash`'s
+//! maps do: each holds up to 63 retired nodes in an open batch of its own,
+//! under the writer lock it already holds, and queues 64 with one
+//! [`GraceSync::defer_drop`]. A map that stops writing keeps its open
+//! batch until its next write, its `flush_retired` or its drop. A barrier
+//! frees only what has been queued, and [`GraceSync::deferred_pending`]
+//! does not count open batches.
 //!
 //! **In what order.** A pass runs its batch in the order it was queued, and
 //! passes run one at a time, so every callback runs after every callback
 //! queued before it. That is a rule callers rely on: a structure may queue
 //! the release of memory that its earlier callbacks still reach (`rp-hash`
-//! queues a map's node slab behind every node the map retired).
+//! queues a map's node slab behind every node the map retired, and a
+//! dropped map queues its open batch before its slab's release).
 //!
 //! The funnel is also where the workspace's one locking rule is checked:
 //! **no grace-period wait while holding a lock a reader may need**. A
@@ -60,7 +69,7 @@ use parking_lot::{Condvar, Mutex};
 use crate::deferred::{drop_box, Deferred};
 use crate::domain::RcuDomain;
 
-/// Queue length at which a push wakes the reclaim thread.
+/// Queue length whose crossing by a push wakes the reclaim thread.
 const WAKE_AT: usize = 256;
 
 /// How long the reclaim thread leaves a non-empty queue shorter than
@@ -161,6 +170,10 @@ impl<G> DerefMut for NoGraceWait<G> {
 /// isolated one over a private domain, with no thread, for tests of the
 /// machinery itself.
 ///
+/// The funnel frees what has been queued on it, nothing else: an
+/// `RpHashMap` that stops writing holds up to 63 retired nodes in its open
+/// batch until its next write, its `flush_retired` or its drop.
+///
 /// Dropping a funnel leaks whatever is still queued: its domain, and
 /// readers registered with it, may outlive it.
 ///
@@ -185,7 +198,7 @@ pub struct GraceSync {
     /// barrier cannot return while an earlier batch is still waiting.
     pass: Mutex<()>,
     /// Paired with `deferred`: the reclaim thread waits on it, the push
-    /// that takes the queue to [`WAKE_AT`] signals it.
+    /// that takes the queue to [`WAKE_AT`] or past it signals it.
     wakeup: Condvar,
     /// Starts the reclaim thread, once; `None` for a funnel with none.
     reclaimer: Option<Once>,
@@ -252,7 +265,7 @@ impl GraceSync {
     /// before it. Queueing never waits. A closure that panics is counted
     /// (`rcu_reclaim_panics_total`) and the rest of its batch still runs.
     pub fn defer(&self, f: impl FnOnce() + Send + 'static) {
-        self.push_deferred(Deferred::new(f));
+        self.push_deferred(std::iter::once(Deferred::new(f)));
     }
 
     /// Queues `ptr` to be freed (as a `Box<T>`) after a subsequent grace
@@ -269,14 +282,19 @@ impl GraceSync {
     pub unsafe fn defer_free<T: Send>(&self, ptr: *mut T) {
         // SAFETY: forwarded caller contract; `T: Send`, so `drop_box::<T>`
         // may drop it on the reclaim thread.
-        unsafe { self.defer_drop(ptr.cast(), drop_box::<T>) }
+        unsafe { self.defer_drop(&[ptr.cast()], drop_box::<T>) }
     }
 
-    /// Queues `dropper(ptr)` to run after a subsequent grace period:
-    /// [`GraceSync::defer_free`] for memory its owner frees its own
-    /// way (a node slab taking a slot back), with no closure to box.
+    /// Queues `dropper(ptr)` for every `ptr` of `ptrs`, in slice order, to
+    /// run after a subsequent grace period: [`GraceSync::defer_free`] for
+    /// memory its owner frees its own way (a node slab taking slots back),
+    /// with no closure to box. The whole slice costs one lock acquisition
+    /// and one `callbacks_queued` add, so a caller that gathers its retires
+    /// (a map's batch of 64) pays for the queue once per batch.
     ///
     /// # Safety
+    ///
+    /// For every `ptr` of `ptrs`:
     ///
     /// * Calling `dropper(ptr)` once, on whichever thread runs the pass,
     ///   must be sound, and nothing else may free `ptr`. Whatever `dropper`
@@ -287,31 +305,36 @@ impl GraceSync {
     ///   that after one grace period no reader can reference it.
     /// * Readers that may still reference `ptr` must be readers of *this*
     ///   funnel's domain.
-    pub unsafe fn defer_drop(&self, ptr: *mut (), dropper: unsafe fn(*mut ())) {
-        // SAFETY: forwarded caller contract.
-        self.push_deferred(unsafe { Deferred::drop_with(ptr, dropper) });
+    pub unsafe fn defer_drop(&self, ptrs: &[*mut ()], dropper: unsafe fn(*mut ())) {
+        self.push_deferred(ptrs.iter().map(|&ptr| {
+            // SAFETY: forwarded caller contract, for this pointer.
+            unsafe { Deferred::drop_with(ptr, dropper) }
+        }));
     }
 
-    fn push_deferred(&self, d: Deferred) {
+    fn push_deferred(&self, callbacks: impl ExactSizeIterator<Item = Deferred>) {
+        let pushed = callbacks.len();
         let pending = {
             let mut queue = self.deferred.lock();
-            queue.push(d);
+            queue.extend(callbacks);
             self.deferred_len.store(queue.len(), Ordering::Relaxed);
             queue.len()
         };
         self.domain
             .counters()
             .callbacks_queued
-            .fetch_add(1, Ordering::Relaxed);
-        if pending == WAKE_AT {
+            .fetch_add(pushed as u64, Ordering::Relaxed);
+        // The push that crosses the mark wakes the thread: a slice can
+        // jump over it.
+        if pending >= WAKE_AT && pending - pushed < WAKE_AT {
             self.wake_reclaimer();
         }
     }
 
     /// Wakes the reclaim thread for a pass now, starting it on first use.
-    /// Pushes wake it at 256 callbacks; a caller that has just queued one
-    /// that gives back much memory (a dropped map's node slab) wakes it
-    /// sooner. A no-op on a funnel built with [`GraceSync::new`], which has
+    /// Pushes wake it as the queue crosses 256 callbacks; a caller that has
+    /// just queued one that gives back much memory (a dropped map's node
+    /// slab) wakes it sooner. A no-op on a funnel built with [`GraceSync::new`], which has
     /// no thread.
     pub fn wake_reclaimer(&self) {
         let Some(started) = &self.reclaimer else {
@@ -348,7 +371,9 @@ impl GraceSync {
         }
     }
 
-    /// Number of deferred callbacks currently queued.
+    /// Number of deferred callbacks currently queued. Retires a caller
+    /// still holds in a batch of its own (a map's open batch) are not
+    /// queued yet, and not counted.
     pub fn deferred_pending(&self) -> usize {
         self.deferred_len.load(Ordering::Relaxed)
     }

@@ -44,6 +44,39 @@ fn second_and_later_passes_allocate_no_queue_storage() {
     assert_eq!(ebr.stats().callbacks_executed, 5 * 256);
 }
 
+/// A dropper that frees nothing, so any address will do.
+unsafe fn keep(_: *mut ()) {}
+
+/// The way a map's node slab queues its batch: 64 pointers in one push.
+#[test]
+fn slice_pushes_into_a_grown_queue_allocate_nothing() {
+    let (ebr, sync) = private();
+    let batch = [std::ptr::null_mut::<()>(); 64];
+    let push = |sync: &GraceSync| {
+        for _ in 0..4 {
+            // SAFETY: `keep` is sound for any pointer and frees nothing;
+            // the private domain has no readers.
+            unsafe { sync.defer_drop(&batch, keep) };
+        }
+    };
+    let before = thread_allocations();
+    push(&sync);
+    sync.synchronize_and_reclaim();
+    assert!(
+        thread_allocations() > before,
+        "the first pass grows the queue"
+    );
+    for pass in 2..=5 {
+        let before = thread_allocations();
+        push(&sync);
+        sync.synchronize_and_reclaim();
+        assert_eq!(thread_allocations(), before, "pass {pass}");
+    }
+    let stats = ebr.stats();
+    assert_eq!(stats.callbacks_queued, 5 * 256, "one count per pointer");
+    assert_eq!(stats.callbacks_executed, 5 * 256);
+}
+
 #[test]
 fn a_bursts_queue_is_freed_not_kept() {
     let (_ebr, sync) = private();

@@ -1,7 +1,8 @@
 //! The global funnel's reclaim thread: retiring never waits, the thread
 //! frees what was retired once every reader has moved on, a panicking
-//! callback costs only itself, and `synchronize_and_reclaim` is a barrier
-//! behind whatever pass the thread has in flight.
+//! callback costs only itself, `synchronize_and_reclaim` is a barrier
+//! behind whatever pass the thread has in flight, and the push that takes
+//! the queue past 256 wakes the thread, even one that jumps over 256.
 //!
 //! Every test here drives the one process-wide queue, so they take turns
 //! (`SERIAL`) and each starts from an emptied queue.
@@ -147,4 +148,25 @@ fn a_panicking_callback_stops_neither_its_batch_nor_the_next() {
     let later = counting(256);
     wait_until("a later batch runs", || later.load(Ordering::SeqCst) == 256);
     assert_eq!(panics(), before + 1);
+}
+
+/// A dropper that frees nothing, so any address will do.
+unsafe fn keep(_: *mut ()) {}
+
+/// A map queues its retires 64 at a time, so a push can take the queue
+/// past 256 without landing on it; that push must wake the thread too.
+#[test]
+fn a_slice_push_that_jumps_over_256_wakes_the_thread() {
+    let _turn = serial();
+    // Past the thread's 50 ms recheck of the queue `serial` emptied: it now
+    // sleeps until a push wakes it.
+    thread::sleep(Duration::from_millis(120));
+    let ran = counting(250);
+    let batch = [std::ptr::null_mut::<()>(); 64];
+    // SAFETY: `keep` is sound for any pointer and frees nothing.
+    unsafe { GraceSync::global().defer_drop(&batch, keep) };
+    // 250 → 314: the push crossed 256.
+    wait_until("the woken thread runs the batch", || {
+        ran.load(Ordering::SeqCst) == 250
+    });
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use rp_hash::{FnvBuildHasher, ReadProtect, RpHashMap};
 use rp_maint::{MaintHandle, MaintStats, MaintTarget, MaintThread};
-use rp_rcu::{GraceSync, RcuGuard};
+use rp_rcu::RcuGuard;
 
 use crate::policy::ShardPolicy;
 use crate::stats::ShardStats;
@@ -579,9 +579,13 @@ where
 
     /// Flushes retired nodes: waits for a grace period of every read-side
     /// flavor with registered readers and frees everything retired before
-    /// the call.
+    /// the call. Each shard's [`RpHashMap::flush_retired`] queues that
+    /// shard's open batch of up to 63 retired nodes, which no barrier frees
+    /// before then, and runs the barrier.
     pub fn flush_retired(&self) {
-        GraceSync::global().synchronize_and_reclaim();
+        for shard in self.core.shards.iter() {
+            shard.flush_retired();
+        }
     }
 }
 

@@ -3,7 +3,6 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use relativist::hash::{ResizePolicy, RpHashMap};
-use relativist::rcu::GraceSync;
 
 fn main() {
     // A map with automatic resizing, like the Linux kernel's rhashtable
@@ -46,12 +45,13 @@ fn main() {
     println!("all {} entries still present after resizing", map.len());
     drop(guard);
 
-    // Removals retire nodes into `GraceSync`'s queue; a grace period of
-    // every read-side flavor later they are actually freed.
+    // Removals retire nodes into `GraceSync`'s queue, 64 at a time; a grace
+    // period of every read-side flavor later they are actually freed.
+    // `flush_retired` queues the map's last partial batch too, and waits.
     for i in 0..5_000_u64 {
         map.remove(&format!("key-{i}"));
     }
-    GraceSync::global().synchronize_and_reclaim();
+    map.flush_retired();
     println!(
         "removed half the entries; {} remain, resize stats: {:?}",
         map.len(),

@@ -48,6 +48,11 @@ impl Drop for Tracked {
     }
 }
 
+/// Retires an `RpHashMap` gathers in its open batch before it queues them
+/// on the global funnel: until then only its `flush_retired` or its drop
+/// queues them, and a bare barrier does not free them.
+const BATCH: u64 = 64;
+
 /// Waits (bounded) for a condition that may be completed by a reclamation
 /// pass running in another test of this binary — the deferred-free queue is
 /// shared, so another test's `synchronize_and_reclaim` may be the one that
@@ -117,6 +122,7 @@ fn map_values_dropped_exactly_once_and_never_early() {
     }
 
     // Flush all deferred frees, then drop the map itself.
+    map.flush_retired();
     assert!(
         wait_until(|| drops.load(Ordering::SeqCst) as u64 == KEYS * ROUNDS),
         "every replaced value must be dropped exactly once after reclamation \
@@ -136,8 +142,8 @@ fn map_values_dropped_exactly_once_and_never_early() {
 #[test]
 fn map_reader_keeps_removed_value_alive_until_guard_drop() {
     let drops = Arc::new(AtomicUsize::new(0));
-    let map: RpHashMap<u64, Tracked, FnvBuildHasher> =
-        RpHashMap::with_buckets_and_hasher(16, FnvBuildHasher);
+    let map: Arc<RpHashMap<u64, Tracked, FnvBuildHasher>> =
+        Arc::new(RpHashMap::with_buckets_and_hasher(16, FnvBuildHasher));
     map.insert(7, Tracked::new(7, Arc::clone(&drops)));
 
     let guard = pin();
@@ -146,9 +152,11 @@ fn map_reader_keeps_removed_value_alive_until_guard_drop() {
 
     // The node is retired but must not be reclaimed while `guard` lives,
     // even if another thread drives grace periods.
-    let reclaimer = std::thread::spawn(|| {
-        // This grace period must wait for the guard above to drop.
-        GraceSync::global().synchronize_and_reclaim();
+    let reclaimer = std::thread::spawn({
+        let map = Arc::clone(&map);
+        // The flush queues the map's open batch, which holds the node, and
+        // its grace period must wait for the guard above to drop.
+        move || map.flush_retired()
     });
     std::thread::sleep(Duration::from_millis(100));
     assert_eq!(
@@ -169,18 +177,23 @@ fn map_reader_keeps_removed_value_alive_until_guard_drop() {
 type TrackedMap = RpHashMap<u64, Tracked, FnvBuildHasher>;
 
 /// The QSBR sibling of `map_reader_keeps_removed_value_alive_until_guard_drop`:
-/// an online `QsbrReadHandle` holds a looked-up value, the entry is removed,
-/// and `pass` — one of the two ways the deferred-free queue is emptied —
-/// runs on another thread. It must neither finish nor free the value before
-/// the reader announces a quiescent state, and must do both afterwards.
+/// an online `QsbrReadHandle` holds a looked-up value, the entry is removed
+/// with `removed - 1` others, and `pass` — one of the ways the deferred-free
+/// queue is emptied — runs on another thread. It must neither finish nor
+/// free the value before the reader announces a quiescent state, and must
+/// do both afterwards. `removed` is [`BATCH`] for a pass that empties only
+/// the global queue (the map queues its full batch there), and 1 for
+/// `flush_retired`, which queues the map's open batch itself.
 ///
 /// `pass` returns only once a reclamation pass that ran its own callbacks
 /// has completed (the queue is shared with the other tests of this binary,
 /// whose barriers may run them first).
-fn pass_waits_for_qsbr_reader(pass: impl FnOnce(&TrackedMap) + Send) {
+fn pass_waits_for_qsbr_reader(removed: u64, pass: impl FnOnce(&TrackedMap) + Send) {
     let drops = Arc::new(AtomicUsize::new(0));
     let map: TrackedMap = RpHashMap::with_buckets_and_hasher(16, FnvBuildHasher);
-    map.insert(7, Tracked::new(7, Arc::clone(&drops)));
+    for k in 0..BATCH {
+        map.insert(k, Tracked::new(k, Arc::clone(&drops)));
+    }
 
     let finished = AtomicBool::new(false);
     std::thread::scope(|s| {
@@ -188,8 +201,10 @@ fn pass_waits_for_qsbr_reader(pass: impl FnOnce(&TrackedMap) + Send) {
         // the pass — on the way out and if an assertion below unwinds — and
         // a failure is reported instead of hanging the pass it left blocked.
         let mut handle = QsbrReadHandle::register();
-        let value = map.get(&7, &handle).expect("present");
-        assert!(map.remove(&7));
+        let value = map.get(&0, &handle).expect("present");
+        for k in 0..removed {
+            assert!(map.remove(&k));
+        }
         s.spawn(|| {
             pass(&map);
             finished.store(true, Ordering::SeqCst);
@@ -211,26 +226,26 @@ fn pass_waits_for_qsbr_reader(pass: impl FnOnce(&TrackedMap) + Send) {
     });
     assert!(finished.load(Ordering::SeqCst));
     assert!(
-        wait_until(|| drops.load(Ordering::SeqCst) == 1),
+        wait_until(|| drops.load(Ordering::SeqCst) as u64 == removed),
         "dropped exactly once"
     );
 }
 
 #[test]
 fn qsbr_reader_outlasts_synchronize_and_reclaim() {
-    pass_waits_for_qsbr_reader(|_| GraceSync::global().synchronize_and_reclaim());
+    pass_waits_for_qsbr_reader(BATCH, |_| GraceSync::global().synchronize_and_reclaim());
 }
 
 #[test]
 fn qsbr_reader_outlasts_flush_retired() {
-    pass_waits_for_qsbr_reader(|map| map.flush_retired());
+    pass_waits_for_qsbr_reader(1, |map| map.flush_retired());
 }
 
 /// The pass nobody calls: retiring 256 callbacks wakes the global funnel's
 /// reclaim thread, and the retiring thread itself never waits.
 #[test]
 fn qsbr_reader_outlasts_the_reclaim_thread() {
-    pass_waits_for_qsbr_reader(|_| {
+    pass_waits_for_qsbr_reader(BATCH, |_| {
         let waits = thread_synchronize_count();
         let ran = Arc::new(AtomicBool::new(false));
         let marker = Arc::clone(&ran);
@@ -255,7 +270,7 @@ fn qsbr_reader_outlasts_the_reclaim_thread() {
 /// its count falls back once the thread has freed them.
 #[test]
 fn qsbr_reader_outlasts_a_ddds_resize() {
-    pass_waits_for_qsbr_reader(|_| {
+    pass_waits_for_qsbr_reader(BATCH, |_| {
         let shared = Arc::new(());
         let table: DddsTable<u64, Arc<()>> = DddsTable::with_buckets(64);
         for k in 0..5_000 {

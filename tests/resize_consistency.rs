@@ -8,7 +8,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use relativist::hash::{FnvBuildHasher, RpHashMap};
-use relativist::rcu::GraceSync;
 
 const STABLE_KEYS: u64 = 4096;
 
@@ -118,7 +117,7 @@ fn lookups_never_miss_during_continuous_resizing() {
     let guard = map.pin();
     assert_eq!(map.iter(&guard).count() as u64, STABLE_KEYS);
     drop(guard);
-    GraceSync::global().synchronize_and_reclaim();
+    map.flush_retired();
 }
 
 #[test]
