@@ -29,13 +29,38 @@ use crate::table::{BucketArray, LockedTable, Place, TablePtr};
 /// ahead, so those misses overlap work the writer has to do anyway.
 #[inline]
 pub fn prefetch_line(ptr: *const u8) {
+    prefetch::<false>(ptr);
+}
+
+/// [`prefetch_line`] for a line the caller is about to store to
+/// (`PREFETCHW`): the line arrives exclusive, so the store does not wait for
+/// another CPU's copy to be invalidated. The cut of an expand stores to
+/// nodes a reader on another CPU has usually just read; hinted for reading
+/// only, each store still paid that round trip.
+#[inline]
+pub(crate) fn prefetch_line_for_write(ptr: *const u8) {
+    prefetch::<true>(ptr);
+}
+
+#[inline(always)]
+fn prefetch<const FOR_WRITE: bool>(ptr: *const u8) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: `_mm_prefetch` needs SSE, which every x86_64 target has, and
-    // places no requirement on the address: a prefetch of an unmapped,
-    // dangling or null address is dropped by the hardware, not faulted.
+    // neither it nor `PREFETCHW` places a requirement on the address: a
+    // prefetch of an unmapped, dangling or null address is dropped by the
+    // hardware, not faulted. `PREFETCHW` writes nothing, and x86_64
+    // processors without it execute its opcode (0F 0D /1) as a `NOP`.
     unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>(ptr.cast());
+        if FOR_WRITE {
+            std::arch::asm!(
+                "prefetchw [{0}]",
+                in(reg) ptr,
+                options(nostack, preserves_flags, readonly)
+            );
+        } else {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch::<_MM_HINT_T0>(ptr.cast());
+        }
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = ptr;

@@ -31,8 +31,8 @@
 //!   separated: the links are computed against the chains as they are at
 //!   that instant). It is one pass: an expand walks each old chain's low
 //!   prefix, points each new bucket at its side's first node and records
-//!   the pairs that hold nodes on both sides; a shrink visits each pair of
-//!   old heads once.
+//!   the pairs that hold nodes on both sides, with the last low node each
+//!   walk ended on; a shrink visits each pair of old heads once.
 //! * **grace** steps wait for readers with the writer lock *released*, so
 //!   concurrent writers keep updating the map while the resizing thread
 //!   absorbs the wait. This is the only grace-period wait in the crate's
@@ -43,7 +43,8 @@
 //! * **finish** takes the writer lock once and waits for nothing. An expand
 //!   first ends each recorded pair's low chain where its high run begins;
 //!   no second grace period is owed for that cut (DESIGN.md, *Expand =
-//!   unzip*).
+//!   unzip*). The cut stores to the last low node `begin` remembered, and
+//!   walks a low run again only for the pairs a writer stored to since.
 //!
 //! There is one driver, [`RpHashMap::drive_resizes`]: finish whatever resize
 //! is in flight, begin the next one its caller asks for, step it to
@@ -62,7 +63,10 @@
 //! has two predecessors; the one unlink, [`LockedTable::swap_out`],
 //! repoints the low chain's link too. Writers never give a pair a second
 //! link between its chains, so the pairs `begin` recorded are all the cut
-//! has to visit.
+//! has to visit. Every store a writer makes to a chain goes through
+//! [`LockedTable::link_after`] or the unlink, and both forget the pair's
+//! remembered last low node when the chain is a low one: the node may have
+//! left the chain, or stopped being its last low node.
 
 use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::Ordering;
@@ -70,7 +74,7 @@ use std::sync::atomic::Ordering;
 use rp_rcu::GraceSync;
 
 use crate::map::{RpHashMap, WriterGuard};
-use crate::table::{BucketArray, LockedTable};
+use crate::table::{BucketArray, LockedTable, Remembered};
 
 /// How many buckets ahead of itself a resize loop hints a head node: far
 /// enough for the miss to land before the loop gets there, near enough for
@@ -137,7 +141,7 @@ pub(crate) struct ResizeOp<K, V> {
     /// new table). `Some` is the op's one pending grace period.
     old_table: Option<Box<BucketArray<K, V>>>,
     /// An expand's pairs; `None` for a shrink.
-    pub(crate) unzip: Option<Unzip>,
+    pub(crate) unzip: Option<Unzip<K, V>>,
 }
 
 impl<K, V> ResizeOp<K, V> {
@@ -149,21 +153,35 @@ impl<K, V> ResizeOp<K, V> {
 
 /// An expand's pairs: pair `o` is new buckets `o` (low) and
 /// `o + old_buckets` (high).
-pub(crate) struct Unzip {
+pub(crate) struct Unzip<K, V> {
     /// Bucket count before the expansion.
     pub(crate) old_buckets: usize,
     /// One bit per pair whose low chain ran on into high nodes at `begin`:
     /// the pairs the cut visits, and the only ones whose chains share a
     /// node.
     to_cut: Vec<u64>,
+    /// Per word of `to_cut`, how many pairs the words before it record.
+    ranks: Vec<usize>,
+    /// Per recorded pair, in `to_cut`'s bit order, its last low node as
+    /// `begin` found it, until a writer stores to that low chain.
+    last_low: Vec<Remembered<K, V>>,
 }
 
-impl Unzip {
-    /// Whether `begin` recorded pair `low` for the cut.
-    pub(crate) fn recorded(&self, low: usize) -> bool {
-        self.to_cut
-            .get(low / 64)
-            .is_some_and(|word| (word >> (low % 64)) & 1 != 0)
+impl<K, V> Unzip<K, V> {
+    /// Pair `low`'s last low node, if `begin` recorded the pair.
+    pub(crate) fn entry(&self, low: usize) -> Option<&Remembered<K, V>> {
+        let word = *self.to_cut.get(low / 64)?;
+        let bit = 1_u64 << (low % 64);
+        let below = (word & (bit - 1)).count_ones() as usize;
+        (word & bit != 0).then(|| &self.last_low[self.ranks[low / 64] + below])
+    }
+
+    /// Forgets bucket `bucket`'s last low node, if it is a low bucket that
+    /// has one: a writer stored to its chain.
+    pub(crate) fn forget(&self, bucket: usize) {
+        if let Some(entry) = self.entry(bucket) {
+            entry.forget();
+        }
     }
 }
 
@@ -410,23 +428,34 @@ where
         // low side's nodes, then the high side's: walk the low prefix and
         // point each new bucket at its side's first node. A chain with both
         // sides runs on from its last low node into the high chain, a link
-        // the cut removes once no reader can be walking the old array.
+        // the cut removes once no reader can be walking the old array; the
+        // walk ends on that node, so it is remembered for the cut.
         let new_table: Box<BucketArray<K, V>> = BucketArray::new(new_buckets);
         let new_mask = new_buckets - 1;
         let mut to_cut = vec![0_u64; old_buckets.div_ceil(64)];
+        let mut ranks = Vec::with_capacity(to_cut.len());
+        // At most one entry per pair; only the entries pushed are touched.
+        let mut last_low = Vec::with_capacity(old_buckets);
         for low in 0..old_buckets {
+            if low % 64 == 0 {
+                ranks.push(last_low.len());
+            }
             old_table.hint_head(low + HINT_AHEAD);
-            let mut low_head = None;
+            let (mut low_head, mut last) = (None, None);
             let mut first_high = old_table.head(low);
             while let Some(node) = first_high.take_if(|node| (node.hash as usize) & new_mask == low)
             {
                 first_high = node.next();
-                low_head.get_or_insert(node);
+                match low_head {
+                    None => low_head = Some(node),
+                    Some(_) => last = Some(node),
+                }
             }
             new_table.set_head(low, low_head.as_ref());
             new_table.set_head(low + old_buckets, first_high.as_ref());
-            if low_head.is_some() && first_high.is_some() {
+            if let (Some(last), Some(_)) = (last.as_ref().or(low_head.as_ref()), &first_high) {
                 to_cut[low / 64] |= 1 << (low % 64);
+                last_low.push(Remembered::new(last));
             }
         }
 
@@ -439,6 +468,8 @@ where
             unzip: Some(Unzip {
                 old_buckets,
                 to_cut,
+                ranks,
+                last_low,
             }),
         };
         *held.borrow_mut() = Some(op);
@@ -512,8 +543,10 @@ where
     /// tears the op down. Must only be called when no grace period is
     /// pending.
     fn resize_work_step_locked(&self, held: &WriterGuard<'_, K, V>) -> ResizeStep {
-        let mut slot = held.borrow_mut();
-        let Some(op) = slot.as_ref() else {
+        // Out of the lock's cell before the cut: the cut's stores go through
+        // `LockedTable::link_after`, which looks in the cell for an unzip to
+        // forget them in.
+        let Some(op) = held.borrow_mut().take() else {
             return ResizeStep::Idle;
         };
         debug_assert!(op.grace_pending().is_none(), "grace period still pending");
@@ -528,7 +561,6 @@ where
                 self.stats.shrinks.add(1, held);
             }
         }
-        *slot = None;
         self.resize_active.store(false, Ordering::Release);
         ResizeStep::Finished
     }
@@ -595,18 +627,24 @@ where
 /// The unzip's cut, under the writer lock `table` borrows, a grace period
 /// after `begin` published `table`: ends each recorded pair's low chain
 /// where its high run begins (at the head, if removals left a high node
-/// there). Returns how many links it cut, for `stats.unzip_splices`.
-fn cut_pairs<K, V>(table: &LockedTable<'_, K, V>, unzip: &Unzip) -> u64 {
+/// there). A pair no writer stored to since `begin` is cut at the node
+/// `begin` remembered, hinted for writing [`HINT_AHEAD`] pairs ahead: a
+/// reader has usually read it, and the store would otherwise wait for that
+/// copy to be invalidated. Only the others are walked again. Returns how
+/// many links it cut, for `stats.unzip_splices`.
+fn cut_pairs<K, V>(table: &LockedTable<'_, K, V>, unzip: &Unzip<K, V>) -> u64 {
     let mut cuts = 0;
+    let mut entries = unzip.last_low.iter();
     for (at, &word) in unzip.to_cut.iter().enumerate() {
         let mut bits = word;
         while bits != 0 {
             let low = at * 64 + bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            if unzip.recorded(low + HINT_AHEAD) {
-                table.hint_head(low + HINT_AHEAD);
+            if let Some(ahead) = entries.as_slice().get(HINT_AHEAD) {
+                ahead.hint();
             }
-            let (last_low, first_high) = table.high_run(low);
+            let entry = entries.next().expect("one entry per recorded pair");
+            let (last_low, first_high) = table.remembered_high_run(low, entry);
             if first_high.is_some() {
                 table.link_after(low, last_low.as_ref(), None);
                 cuts += 1;
@@ -1041,6 +1079,99 @@ mod tests {
         drop(guard);
         assert_eq!(map.len(), 2);
         map.flush_retired();
+    }
+
+    /// Hashes a `u64` key to itself, so a test places its keys by hand.
+    #[derive(Default)]
+    struct Identity(u64);
+
+    impl std::hash::Hasher for Identity {
+        fn finish(&self) -> u64 {
+            self.0
+        }
+
+        fn write(&mut self, _: &[u8]) {
+            unreachable!("only u64 keys are hashed");
+        }
+
+        fn write_u64(&mut self, key: u64) {
+            self.0 = key;
+        }
+    }
+
+    type ByHash = RpHashMap<u64, u64, std::hash::BuildHasherDefault<Identity>>;
+
+    /// A 2 -> 4 expand keyed by hash, with `write` run between its grace
+    /// period and its cut. In reversed-hash order pair 0's old chain is
+    /// 4, 12 (low) then 6, 14 (high), and pair 1's is 1, 9, 5 then 3, 7;
+    /// `begin` remembers 12 and 5. `write` changes where pair 0's low run
+    /// ends, so the cut must walk that pair again and may use only pair 1's
+    /// entry. Afterwards the map must hold exactly `after`'s entries.
+    fn cut_after(write: impl FnOnce(&ByHash), after: &[(u64, u64)]) {
+        let map = ByHash::with_buckets_and_hasher(2, Default::default());
+        for key in [4, 12, 6, 14, 1, 9, 5, 3, 7] {
+            map.insert(key, key * 10);
+        }
+        assert!(map.begin_expand());
+        assert_eq!(map.advance_resize(), ResizeStep::Grace);
+        write(&map);
+        let before = map.stats().unzip_splices;
+        assert_eq!(map.advance_resize(), ResizeStep::Finished);
+        assert_eq!(map.stats().unzip_splices - before, 2, "one cut per pair");
+        map.check_invariants().unwrap();
+        assert_eq!(map.len(), after.len());
+        for &(key, value) in after {
+            assert_eq!(map.get_cloned(&key), Some(value), "key {key}");
+        }
+        map.flush_retired();
+    }
+
+    /// The nine entries `cut_after` starts with, less `gone`.
+    fn entries_but(gone: u64) -> Vec<(u64, u64)> {
+        [4, 12, 6, 14, 1, 9, 5, 3, 7]
+            .into_iter()
+            .filter(|&key| key != gone)
+            .map(|key| (key, key * 10))
+            .collect()
+    }
+
+    #[test]
+    fn an_insert_after_the_last_low_node_moves_the_cut() {
+        // 28 is low and sorts after 12: `12 -> 28 -> 6`.
+        let mut after = entries_but(0);
+        after.push((28, 280));
+        cut_after(|map| assert!(map.insert(28, 280)), &after);
+    }
+
+    #[test]
+    fn removing_the_last_low_node_moves_the_cut() {
+        cut_after(|map| assert!(map.remove(&12)), &entries_but(12));
+    }
+
+    #[test]
+    fn replacing_the_last_low_node_moves_the_cut() {
+        let mut after = entries_but(12);
+        after.push((12, 121));
+        cut_after(
+            |map| assert_eq!(map.insert_replacing(12, 121), Some(120)),
+            &after,
+        );
+    }
+
+    #[test]
+    fn a_retain_that_drops_the_last_low_node_moves_the_cut() {
+        cut_after(
+            |map| assert_eq!(map.retain(|&key, _| key != 12), 1),
+            &entries_but(12),
+        );
+    }
+
+    #[test]
+    fn renaming_the_last_low_node_away_moves_the_cut() {
+        // 30 belongs to pair 0's high bucket, after 14.
+        let mut after = entries_but(12);
+        after.push((30, 120));
+        cut_after(|map| assert!(map.rename(&12, 30)), &after);
     }
 
     #[test]

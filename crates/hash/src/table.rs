@@ -7,7 +7,7 @@ use std::ops::Deref;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 
-use crate::map::{prefetch_line, WriterGuard};
+use crate::map::{prefetch_line, prefetch_line_for_write, WriterGuard};
 use crate::node::{Locked, Node, NodeRef};
 use crate::qsbr::ReadProtect;
 use crate::slab::{advise_spare, HugePages, NodeSlab};
@@ -217,8 +217,16 @@ impl<'w, K, V> Deref for LockedTable<'w, K, V> {
 impl<'w, K, V> LockedTable<'w, K, V> {
     /// Bucket `index`'s first node.
     pub(crate) fn head(&self, index: usize) -> Option<Locked<'w, K, V>> {
-        // SAFETY: reachable from the published array, under the lock.
-        unsafe { Locked::new(self.array.buckets[index].load(Ordering::Acquire)) }
+        self.load(&self.array.buckets[index])
+    }
+
+    /// The node a bucket of the published array, or a [`Remembered`],
+    /// points at.
+    fn load(&self, link: &AtomicPtr<Node<K, V>>) -> Option<Locked<'w, K, V>> {
+        // SAFETY: under the lock, a bucket holds null or a node reachable
+        // from the published array, and a `Remembered` null or a node still
+        // in its chain: it is forgotten before its node can be unlinked.
+        unsafe { Locked::new(link.load(Ordering::Acquire)) }
     }
 
     /// Publishes `new` in place of this array and returns this one, which
@@ -250,13 +258,18 @@ impl<'w, K, V> LockedTable<'w, K, V> {
         replacement: Option<&Locked<'w, K, V>>,
     ) {
         let home = self.bucket_of(node.hash);
-        self.link_after(home, prev, replacement);
+        self.store_after(home, prev, replacement);
         if let Some(unzip) = self.held.borrow().as_ref().and_then(|op| op.unzip.as_ref()) {
+            // `link_after`'s forget, under the borrow the repoint needs: a
+            // second borrow per overwrite cost `table-steady` ~10 % of its
+            // write floor.
+            unzip.forget(home);
             let low = home & (unzip.old_buckets - 1);
-            if low != home && unzip.recorded(low) {
-                let (last_low, first_high) = self.high_run(low);
+            if let Some(entry) = unzip.entry(low).filter(|_| low != home) {
+                let (last_low, first_high) = self.remembered_high_run(low, entry);
                 if first_high.is_some_and(|first| first.is(&node)) {
-                    self.link_after(low, last_low.as_ref(), replacement);
+                    // The low run keeps its last node, so its entry holds.
+                    self.store_after(low, last_low.as_ref(), replacement);
                 }
             }
         }
@@ -268,8 +281,24 @@ impl<'w, K, V> LockedTable<'w, K, V> {
     }
 
     /// Points the link after `prev` — bucket `bucket`'s head if `None` — at
-    /// `to`.
+    /// `to`. Every store a writer makes to a chain goes through here or
+    /// through [`LockedTable::swap_out`], so mid-unzip both forget
+    /// `bucket`'s remembered last low node, if it is a low bucket with one:
+    /// its low run may end elsewhere now.
     pub(crate) fn link_after(
+        &self,
+        bucket: usize,
+        prev: Option<&Locked<'w, K, V>>,
+        to: Option<&Locked<'w, K, V>>,
+    ) {
+        self.store_after(bucket, prev, to);
+        if let Some(unzip) = self.held.borrow().as_ref().and_then(|op| op.unzip.as_ref()) {
+            unzip.forget(bucket);
+        }
+    }
+
+    /// [`LockedTable::link_after`]'s store, without the forget.
+    fn store_after(
         &self,
         bucket: usize,
         prev: Option<&Locked<'w, K, V>>,
@@ -293,6 +322,52 @@ impl<'w, K, V> LockedTable<'w, K, V> {
             last_low = Some(node);
         }
         (last_low, cur)
+    }
+
+    /// [`LockedTable::high_run`] without the walk, while `remembered` still
+    /// holds bucket `low`'s last low node; the walk once a writer has made
+    /// it forget. Debug builds walk anyway and check the two agree.
+    pub(crate) fn remembered_high_run(
+        &self,
+        low: usize,
+        remembered: &Remembered<K, V>,
+    ) -> Place<'w, K, V> {
+        let Some(last_low) = self.load(&remembered.0) else {
+            return self.high_run(low);
+        };
+        debug_assert!(
+            self.high_run(low)
+                .0
+                .is_some_and(|walked| walked.is(&last_low)),
+            "bucket {low}'s remembered last low node is not where its low run ends"
+        );
+        let first_high = last_low.next();
+        (Some(last_low), first_high)
+    }
+}
+
+/// A node an expand remembers across the writer lock's releases: a pair's
+/// last low node as `begin` found it (`resize::Unzip`), or null once a
+/// writer has stored to that low chain. Read back only under the lock,
+/// through [`LockedTable::remembered_high_run`]. [`LockedTable::swap_out`]
+/// forgets it before its node can leave the chain, since the unlink stores
+/// to that chain first.
+pub(crate) struct Remembered<K, V>(AtomicPtr<Node<K, V>>);
+
+impl<K, V> Remembered<K, V> {
+    pub(crate) fn new(node: &Locked<'_, K, V>) -> Self {
+        Remembered(AtomicPtr::new(Locked::raw(Some(node))))
+    }
+
+    pub(crate) fn forget(&self) {
+        // Relaxed: only writer-lock holders load it.
+        self.0.store(ptr::null_mut(), Ordering::Relaxed);
+    }
+
+    /// Hints the remembered node's line for the cut's store to it.
+    pub(crate) fn hint(&self) {
+        // Relaxed: the pointer is only hinted, never dereferenced.
+        prefetch_line_for_write(self.0.load(Ordering::Relaxed).cast_const().cast());
     }
 }
 

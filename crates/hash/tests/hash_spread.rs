@@ -63,8 +63,12 @@ fn low_bits_fill_buckets_as_well_as_siphash_does() {
         // The bar is SipHash's worst over eight keys. The slack is what two
         // random functions differ by: at N = 2^16 the longest chain is 8 or 9
         // about as often as 7, and one in 130 tables reaches 10; the empty
-        // share's standard deviation is 0.0012. A fold draw fails by chance
-        // in well under 1 run in 1000.
+        // share's standard deviation is 0.0012. On multiples of 4096
+        // (`longest_chain_tails_over_many_seeds`), the longest chain was at
+        // least 9, 10, 11 and 12 in 7.4 %, 0.63 %, 0.04 % and 0 of 10,000
+        // SipHash keys, and in 7.2 %, 0.77 %, 0.066 % and 0.005 % of
+        // 110,000 fold seeds (one reached 14). So a fold draw fails by
+        // chance about once in 1,700 to 2,500 runs.
         let (mut sip_longest, mut sip_empty) = (0, 0.0_f64);
         for _ in 0..8 {
             let (longest, empty) = chains(&keys, &RandomState::new());
@@ -85,6 +89,48 @@ fn low_bits_fill_buckets_as_well_as_siphash_does() {
             "{name}: {empty:.4} of buckets empty, SipHash's {sip_empty:.4}"
         );
     }
+}
+
+/// The longest-chain distribution on multiples of 4096 over `SEEDS` fold
+/// seeds and as many SipHash keys, and the share of runs of the test above
+/// that fail by chance: fold's longest chain above SipHash's worst of eight
+/// plus 2. About 15–25 s in a release build:
+///
+/// ```sh
+/// cargo test --release -p rp-hash --test hash_spread -- --ignored --nocapture
+/// ```
+#[test]
+#[ignore = "a measurement, not a check"]
+fn longest_chain_tails_over_many_seeds() {
+    const SEEDS: usize = 10_000;
+    let keys: Vec<Key> = (0..N as u64).map(|i| Key::Int(i * 4096)).collect();
+    let (mut fold, mut sip) = ([0_usize; 32], [0_usize; 32]);
+    for _ in 0..SEEDS {
+        fold[chains(&keys, &FoldBuildHasher::default()).0 as usize] += 1;
+        sip[chains(&keys, &RandomState::new()).0 as usize] += 1;
+    }
+    let share = |counts: &[usize], at_least: usize| {
+        counts[at_least..].iter().sum::<usize>() as f64 / SEEDS as f64
+    };
+    for longest in 6..16 {
+        println!(
+            "longest >= {longest:2}: fold {:.4}, SipHash {:.4}",
+            share(&fold, longest),
+            share(&sip, longest)
+        );
+    }
+    // SipHash's worst of eight is at most `b` with probability
+    // P(one <= b)^8; the fold fails at `f` if that worst is below `f - 2`.
+    let fails: f64 = (3..32)
+        .map(|f| {
+            let below = 1.0 - share(&sip, f - 2);
+            fold[f] as f64 / SEEDS as f64 * below.powi(8)
+        })
+        .sum();
+    println!(
+        "chance failure of the bar: {fails:.5} (1 in {:.0})",
+        1.0 / fails
+    );
 }
 
 #[test]
