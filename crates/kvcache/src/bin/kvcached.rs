@@ -68,8 +68,8 @@ fn main() {
             smoke_ops,
             stats.hits(),
             stats.misses(),
-            stats.sets.load(std::sync::atomic::Ordering::Relaxed),
-            stats.expirations.load(std::sync::atomic::Ordering::Relaxed),
+            stats.sets.get(),
+            stats.expirations.get(),
         );
         return;
     }

@@ -1,9 +1,8 @@
 //! The storage-engine abstraction.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use rp_hash::QsbrReadHandle;
 pub use rp_hash::ReadSide;
+use rp_obs::Counter;
 
 use crate::audit::{self, SharedWrite};
 use crate::item::Item;
@@ -67,12 +66,12 @@ impl EngineReadCtx {
         if self.hits > 0 {
             audit::count(SharedWrite::HitFold);
             let hits = std::mem::take(&mut self.hits);
-            stats.get_hits.fetch_add(hits, Ordering::Relaxed);
+            stats.get_hits.add(hits);
         }
         if self.misses > 0 {
             audit::count(SharedWrite::MissFold);
             let misses = std::mem::take(&mut self.misses);
-            stats.get_misses.fetch_add(misses, Ordering::Relaxed);
+            stats.get_misses.add(misses);
         }
     }
 
@@ -151,63 +150,43 @@ pub enum StoreOutcome {
 }
 
 /// Operation counters an engine maintains (mirrors the subset of memcached's
-/// `stats` output the experiment cares about).
+/// `stats` output the experiment cares about). `STATS` serves each as an
+/// `engine_*` counter, and `STATS RESET` zeroes them through the same walk.
 #[derive(Debug, Default)]
 pub struct CacheStats {
     /// GET requests that found a live item.
-    pub get_hits: AtomicU64,
+    pub get_hits: Counter,
     /// GET requests that found nothing (or only an expired item).
-    pub get_misses: AtomicU64,
+    pub get_misses: Counter,
     /// Successful SETs.
-    pub sets: AtomicU64,
+    pub sets: Counter,
     /// Successful DELETEs.
-    pub deletes: AtomicU64,
+    pub deletes: Counter,
     /// Items evicted to stay under the capacity limit.
-    pub evictions: AtomicU64,
+    pub evictions: Counter,
     /// Items dropped because they were found expired.
-    pub expirations: AtomicU64,
+    pub expirations: Counter,
     /// Scans of the index for eviction candidates.
-    pub evict_scans: AtomicU64,
+    pub evict_scans: Counter,
     /// Eviction candidates skipped because they were touched, replaced or
     /// deleted after the scan that queued them.
-    pub evict_stale: AtomicU64,
+    pub evict_stale: Counter,
 }
 
 impl CacheStats {
-    pub(crate) fn bump(&self, counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// GET hit count.
     pub fn hits(&self) -> u64 {
-        self.get_hits.load(Ordering::Relaxed)
+        self.get_hits.get()
     }
 
     /// GET miss count.
     pub fn misses(&self) -> u64 {
-        self.get_misses.load(Ordering::Relaxed)
+        self.get_misses.get()
     }
 
     /// Eviction count.
     pub fn evicted(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Zeroes every counter (`STATS RESET`). Relaxed stores: counts
-    /// recorded concurrently with the reset land on either side of it.
-    pub fn reset(&self) {
-        for counter in [
-            &self.get_hits,
-            &self.get_misses,
-            &self.sets,
-            &self.deletes,
-            &self.evictions,
-            &self.expirations,
-            &self.evict_scans,
-            &self.evict_stale,
-        ] {
-            counter.store(0, Ordering::Relaxed);
-        }
+        self.evictions.get()
     }
 }
 
@@ -316,17 +295,17 @@ mod tests {
     use super::*;
     use crate::{LockEngine, RpEngine, ShardedRpEngine, SplitOrderEngine};
     use std::collections::{BTreeMap, HashMap};
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
     #[test]
     fn stats_counters_accumulate() {
         let stats = CacheStats::default();
-        stats.bump(&stats.get_hits);
-        stats.bump(&stats.get_hits);
-        stats.bump(&stats.get_misses);
-        stats.bump(&stats.evictions);
+        stats.get_hits.inc();
+        stats.get_hits.inc();
+        stats.get_misses.inc();
+        stats.evictions.inc();
         assert_eq!(stats.hits(), 2);
         assert_eq!(stats.misses(), 1);
         assert_eq!(stats.evicted(), 1);
@@ -405,7 +384,7 @@ mod tests {
             assert_eq!(engine.len(), 4);
             assert_eq!(engine.get_ref(b"k", ctx), None);
             assert_eq!(engine.len(), 3, "expired item must be removed lazily");
-            assert_eq!(engine.stats().expirations.load(Ordering::Relaxed), 1);
+            assert_eq!(engine.stats().expirations.get(), 1);
             assert_eq!(engine.stats().misses(), 1);
             for key in ["live", "forever", "later"] {
                 assert!(engine.get_ref(key.as_bytes(), ctx).is_some(), "{key}");

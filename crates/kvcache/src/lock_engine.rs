@@ -92,7 +92,7 @@ impl LockEngine {
             }
             Some(_) => {
                 inner.map.remove(key);
-                self.stats.bump(&self.stats.expirations);
+                self.stats.expirations.inc();
                 false
             }
             None => false,
@@ -104,7 +104,7 @@ impl LockEngine {
             // Exact LRU under the global lock: find the slot with the oldest
             // access stamp. (memcached keeps an intrusive list; a scan keeps
             // this reproduction simple and happens only beyond capacity.)
-            self.stats.bump(&self.stats.evict_scans);
+            self.stats.evict_scans.inc();
             let victim = inner
                 .map
                 .iter()
@@ -113,7 +113,7 @@ impl LockEngine {
             match victim {
                 Some(key) => {
                     inner.map.remove(&key);
-                    self.stats.bump(&self.stats.evictions);
+                    self.stats.evictions.inc();
                 }
                 None => break,
             }
@@ -153,14 +153,14 @@ impl CacheEngine for LockEngine {
             },
         );
         self.evict_if_needed(&mut inner);
-        self.stats.bump(&self.stats.sets);
+        self.stats.sets.inc();
         StoreOutcome::Stored
     }
 
     fn delete(&self, key: &str) -> bool {
         let removed = self.inner.lock().map.remove(key).is_some();
         if removed {
-            self.stats.bump(&self.stats.deletes);
+            self.stats.deletes.inc();
         }
         removed
     }
@@ -180,7 +180,7 @@ impl CacheEngine for LockEngine {
         inner.map.retain(|_, slot| !slot.item.is_expired(now));
         let purged = before - inner.map.len();
         for _ in 0..purged {
-            self.stats.bump(&self.stats.expirations);
+            self.stats.expirations.inc();
         }
         purged
     }

@@ -375,11 +375,12 @@ impl<I: ByteKeyIndex> Engine<I> {
                     expired.set(stored.is_expired_now());
                     stored.access_stamp() == stamp
                 });
-            self.stats.bump(match (removed, expired.get()) {
+            match (removed, expired.get()) {
                 (false, _) => &self.stats.evict_stale,
                 (true, false) => &self.stats.evictions,
                 (true, true) => &self.stats.expirations,
-            });
+            }
+            .inc();
         }
     }
 
@@ -395,7 +396,7 @@ impl<I: ByteKeyIndex> Engine<I> {
             // 64 nodes scanned per eviction at any capacity; the floor
             // keeps a small cache from scanning for every one.
             **victims = self.index.stalest((self.config.capacity / 64).max(16));
-            self.stats.bump(&self.stats.evict_scans);
+            self.stats.evict_scans.inc();
             if let Some(ns) = rp_obs::elapsed_ns(start) {
                 rp_obs::global().kv.evict_scan_ns.record(ns);
             }
@@ -441,7 +442,7 @@ impl<I: ByteKeyIndex> CacheEngine for Engine<I> {
             if std::str::from_utf8(key)
                 .is_ok_and(|key| self.index.remove_if(hash, key, StoredItem::is_expired_now))
             {
-                self.stats.bump(&self.stats.expirations);
+                self.stats.expirations.inc();
             }
         }
         let hit = matches!(probe, Probe::Live);
@@ -468,14 +469,14 @@ impl<I: ByteKeyIndex> CacheEngine for Engine<I> {
         };
         self.index.insert(ItemKey::from(key), stored);
         self.evict_if_needed();
-        self.stats.bump(&self.stats.sets);
+        self.stats.sets.inc();
         StoreOutcome::Stored
     }
 
     fn delete(&self, key: &str) -> bool {
         let removed = self.remove(key);
         if removed {
-            self.stats.bump(&self.stats.deletes);
+            self.stats.deletes.inc();
         }
         removed
     }
@@ -500,9 +501,7 @@ impl<I: ByteKeyIndex> CacheEngine for Engine<I> {
         // concurrent SETs and DELETEs, and a lock-free index may spare an
         // entry it had condemned because a fresh SET replaced it meanwhile.
         let purged = self.index.retain(|stored| !stored.item.is_expired(now));
-        self.stats
-            .expirations
-            .fetch_add(purged as u64, Ordering::Relaxed);
+        self.stats.expirations.add(purged as u64);
         purged
     }
 
@@ -682,19 +681,18 @@ pub(crate) mod tests {
         engine.set("stale-1", expired_item("v"));
         engine.set("fifth", Item::new(0, "v"));
         assert_eq!(engine.len(), 4, "{name}");
-        let count = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-        assert_eq!(count(&engine.stats.expirations), 1, "{name}");
-        assert_eq!(count(&engine.stats.evictions), 0, "{name}");
+        assert_eq!(engine.stats.expirations.get(), 1, "{name}");
+        assert_eq!(engine.stats.evictions.get(), 0, "{name}");
         for key in ["live-0", "live-1", "fifth"] {
             assert!(engine.get_ref(key.as_bytes(), &mut ctx).is_some(), "{name}");
         }
         // The other expired item is next, whatever was touched meanwhile.
         engine.set("sixth", Item::new(0, "v"));
-        assert_eq!(count(&engine.stats.expirations), 2, "{name}");
-        assert_eq!(count(&engine.stats.evictions), 0, "{name}");
+        assert_eq!(engine.stats.expirations.get(), 2, "{name}");
+        assert_eq!(engine.stats.evictions.get(), 0, "{name}");
         // With none left the least recently used live item goes.
         engine.set("seventh", Item::new(0, "v"));
-        assert_eq!(count(&engine.stats.evictions), 1, "{name}");
+        assert_eq!(engine.stats.evictions.get(), 1, "{name}");
         assert!(engine.get_ref(b"live-0", &mut ctx).is_none(), "{name}");
         assert_eq!(engine.len(), 4, "{name}");
     }

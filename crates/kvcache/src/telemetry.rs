@@ -1,21 +1,28 @@
 //! The live `STATS` telemetry endpoint.
 //!
-//! The uppercase `STATS` verb renders the whole `rp-obs` registry —
-//! per-opcode latency histograms, reactor counters, maintenance and
-//! resize timings, grace-period latencies — as Prometheus-style
-//! exposition text, prefixed by a handful of engine-level metrics read
-//! from the serving engine itself. The text is written straight through
-//! the server's [`BufWrite`] path (the same zero-copy queue responses
-//! use), framed by a trailing `END\r\n` so clients can read it off a
-//! shared connection without special casing.
+//! Every metric `STATS` serves is named once, in a walk: the `engine`
+//! group here (`walk_engine`: the item count and the engine's
+//! [`CacheStats`](crate::CacheStats)), then the `rp-obs` registry's five
+//! groups ([`rp_obs::Obs::walk`]: per-opcode latency histograms, reactor
+//! counters, maintenance and resize timings, grace-period latencies). The
+//! walk has two writers and one other visitor:
 //!
-//! `STATS RESET` zeroes counters and histograms (level gauges keep their
-//! value — their owners re-assert them) and `STATS TRACE` dumps the
-//! timestamped event ring. The lowercase memcached `stats` command is
-//! untouched.
+//! * `STATS` — [`rp_obs::Prometheus`] exposition text;
+//! * `STATS JSON` — [`rp_obs::Json`], the same metrics in the same order
+//!   as one single-line object;
+//! * `STATS RESET` — [`rp_obs::Reset`] zeroes every counter and histogram
+//!   the walk names (level gauges keep their value — their owners
+//!   re-assert them), and the trace ring restarts with one marker.
+//!
+//! Output is written straight through the server's [`BufWrite`] path (the
+//! same zero-copy queue responses use), framed by a trailing `END\r\n` so
+//! clients can read it off a shared connection without special casing.
+//! `STATS TRACE` dumps the timestamped event ring, `STATS SLOW` the
+//! slow-request log and `STATS WORKER <n>` one worker's shard. The
+//! lowercase memcached `stats` command is untouched.
 
 use rp_net::BufWrite;
-use rp_obs::MetricSink;
+use rp_obs::{Json, Metric, MetricSink, Obs, Prometheus, Reset, Visitor};
 
 use crate::engine::CacheEngine;
 
@@ -29,94 +36,95 @@ impl<W: BufWrite> MetricSink for SinkAdapter<'_, W> {
     }
 }
 
-/// Renders the engine-level metrics (item count and the classic cache
-/// counters) as Prometheus text. Split out from [`render_prometheus`] so
-/// its output — a pure function of the engine's state — can be pinned
-/// byte-for-byte by tests.
-pub fn render_engine_metrics(engine: &dyn CacheEngine, out: &mut impl BufWrite) {
-    let mut sink = SinkAdapter(out);
+/// The engine group of the walk, which `STATS` serves ahead of the
+/// registry's groups.
+fn walk_engine(engine: &dyn CacheEngine, v: &mut impl Visitor) {
+    use Metric::{Counter, Gauge};
     let stats = engine.stats();
-    rp_obs::render::gauge(
-        &mut sink,
+    let mut group = |name, help, metric: Metric<'_>| v.metric("engine", name, help, metric);
+    group(
         "engine_items",
         "Items currently stored",
-        engine.len() as u64,
+        Gauge(engine.len() as u64),
     );
-    rp_obs::render::counter(
-        &mut sink,
+    group(
         "engine_get_hits_total",
         "GETs that found a live item",
-        stats.hits(),
+        Counter(&stats.get_hits),
     );
-    rp_obs::render::counter(
-        &mut sink,
+    group(
         "engine_get_misses_total",
         "GETs that found nothing live",
-        stats.misses(),
+        Counter(&stats.get_misses),
     );
-    rp_obs::render::counter(
-        &mut sink,
-        "engine_sets_total",
-        "Successful SETs",
-        stats.sets.load(std::sync::atomic::Ordering::Relaxed),
-    );
-    rp_obs::render::counter(
-        &mut sink,
+    group("engine_sets_total", "Successful SETs", Counter(&stats.sets));
+    group(
         "engine_deletes_total",
         "Successful DELETEs",
-        stats.deletes.load(std::sync::atomic::Ordering::Relaxed),
+        Counter(&stats.deletes),
     );
-    rp_obs::render::counter(
-        &mut sink,
+    group(
         "engine_evictions_total",
         "Items evicted to stay under capacity",
-        stats.evicted(),
+        Counter(&stats.evictions),
     );
-    rp_obs::render::counter(
-        &mut sink,
+    group(
         "engine_evict_scans_total",
         "Index scans for eviction candidates",
-        stats.evict_scans.load(std::sync::atomic::Ordering::Relaxed),
+        Counter(&stats.evict_scans),
     );
-    rp_obs::render::counter(
-        &mut sink,
+    group(
         "engine_evict_stale_total",
         "Eviction candidates skipped because they were touched after the scan",
-        stats.evict_stale.load(std::sync::atomic::Ordering::Relaxed),
+        Counter(&stats.evict_stale),
     );
-    rp_obs::render::counter(
-        &mut sink,
+    group(
         "engine_expirations_total",
         "Items dropped because they were expired",
-        stats.expirations.load(std::sync::atomic::Ordering::Relaxed),
+        Counter(&stats.expirations),
     );
 }
 
-/// Serves `STATS`: engine-level metrics, then the full `rp-obs` registry,
-/// closed by the `END\r\n` frame marker.
+/// The whole walk: the engine group, then the registry's.
+fn walk(registry: &Obs, engine: &dyn CacheEngine, v: &mut impl Visitor) {
+    walk_engine(engine, v);
+    registry.walk(v);
+}
+
+/// Serves `STATS`: the walk as Prometheus text, closed by the `END\r\n`
+/// frame marker.
 pub fn render_prometheus(engine: &dyn CacheEngine, out: &mut impl BufWrite) {
     // Let the engine push scrape-time level gauges (shard imbalance) into
     // the registry before it is read.
     engine.observe_gauges();
-    render_engine_metrics(engine, out);
-    rp_obs::global().render_prometheus(&mut SinkAdapter(out));
+    walk(
+        rp_obs::global(),
+        engine,
+        &mut Prometheus(&mut SinkAdapter(out)),
+    );
     out.put(b"END\r\n");
 }
 
-/// Serves `STATS RESET`: zeroes the engine's counters and the `rp-obs`
-/// registry (counters and histograms; level gauges keep their value), then
-/// acknowledges.
-pub fn reset(engine: &dyn CacheEngine, out: &mut impl BufWrite) {
-    engine.stats().reset();
-    rp_obs::global().reset();
+/// Serves `STATS RESET` against `registry`: zeroes every counter and
+/// histogram the walk names, engine group included (level gauges keep
+/// their value), restarts the trace ring with its `stats_reset` marker,
+/// then acknowledges.
+pub fn reset_from(registry: &Obs, engine: &dyn CacheEngine, out: &mut impl BufWrite) {
+    walk_engine(engine, &mut Reset);
+    registry.reset();
     out.put(b"RESET\r\n");
+}
+
+/// Serves `STATS RESET` against the process-global registry.
+pub fn reset(engine: &dyn CacheEngine, out: &mut impl BufWrite) {
+    reset_from(rp_obs::global(), engine, out);
 }
 
 /// Serves `STATS TRACE` / `STATS TRACE <n>` against `registry`: a
 /// `TRACE-RING` header documenting the ring's capacity and lifetime event
 /// count, then the retained events (all of them, or only the most recent
 /// `n`) as `TRACE` lines, closed by `END\r\n`.
-pub fn render_trace_from(registry: &rp_obs::Obs, limit: Option<usize>, out: &mut impl BufWrite) {
+pub fn render_trace_from(registry: &Obs, limit: Option<usize>, out: &mut impl BufWrite) {
     let mut sink = SinkAdapter(out);
     sink.put_bytes(b"TRACE-RING capacity=");
     rp_obs::render::put_u64(&mut sink, registry.trace.capacity() as u64);
@@ -138,7 +146,7 @@ pub fn render_trace(limit: Option<usize>, out: &mut impl BufWrite) {
 /// `SLOW <seq> <t_us> <worker> <request_id> <op> <key_hash> <total_ns>
 /// <decode_ns> <index_ns> <serialize_ns>` line per retained span, oldest
 /// first, closed by `END\r\n`.
-pub fn render_slow_from(registry: &rp_obs::Obs, out: &mut impl BufWrite) {
+pub fn render_slow_from(registry: &Obs, out: &mut impl BufWrite) {
     let mut sink = SinkAdapter(out);
     let log = &registry.kv.slow;
     sink.put_bytes(b"SLOW-LOG capacity=");
@@ -180,42 +188,14 @@ pub fn render_slow(out: &mut impl BufWrite) {
     render_slow_from(rp_obs::global(), out);
 }
 
-/// Serves `STATS JSON` against `registry`: the engine metrics and the
-/// whole registry as one JSON object on a single line — the same data (and
-/// metric names) as the Prometheus text form, in one stable format
-/// scrapers can parse without a JSON library — closed by `END\r\n`.
-pub fn render_json_from(registry: &rp_obs::Obs, engine: &dyn CacheEngine, out: &mut impl BufWrite) {
+/// Serves `STATS JSON` against `registry`: the walk as one JSON object on
+/// a single line — the same metrics, names and order as the text form —
+/// closed by `END\r\n`.
+pub fn render_json_from(registry: &Obs, engine: &dyn CacheEngine, out: &mut impl BufWrite) {
     let mut sink = SinkAdapter(out);
-    let mut root = rp_obs::render::JsonObject::begin(&mut sink);
-    let stats = engine.stats();
-    let mut eng = root.nested("engine");
-    eng.field("engine_items", engine.len() as u64);
-    eng.field("engine_get_hits_total", stats.hits());
-    eng.field("engine_get_misses_total", stats.misses());
-    eng.field(
-        "engine_sets_total",
-        stats.sets.load(std::sync::atomic::Ordering::Relaxed),
-    );
-    eng.field(
-        "engine_deletes_total",
-        stats.deletes.load(std::sync::atomic::Ordering::Relaxed),
-    );
-    eng.field("engine_evictions_total", stats.evicted());
-    eng.field(
-        "engine_evict_scans_total",
-        stats.evict_scans.load(std::sync::atomic::Ordering::Relaxed),
-    );
-    eng.field(
-        "engine_evict_stale_total",
-        stats.evict_stale.load(std::sync::atomic::Ordering::Relaxed),
-    );
-    eng.field(
-        "engine_expirations_total",
-        stats.expirations.load(std::sync::atomic::Ordering::Relaxed),
-    );
-    eng.end();
-    registry.render_json_groups(&mut root);
-    root.end();
+    let mut json = Json::begin(&mut sink);
+    walk(registry, engine, &mut json);
+    json.end();
     out.put(b"\r\nEND\r\n");
 }
 
@@ -233,7 +213,7 @@ pub fn render_json(engine: &dyn CacheEngine, out: &mut impl BufWrite) {
 /// imbalance away; this view exposes one shard as recorded. Split from
 /// [`render_worker`] so its output — a pure function of the registry — can
 /// be pinned byte-for-byte by tests against a private registry.
-pub fn render_worker_from(registry: &rp_obs::Obs, worker: usize, out: &mut impl BufWrite) {
+pub fn render_worker_from(registry: &Obs, worker: usize, out: &mut impl BufWrite) {
     registry.render_worker(worker, &mut SinkAdapter(out));
     out.put(b"END\r\n");
 }
@@ -261,7 +241,7 @@ mod tests {
         engine.get_ref(b"missing", &mut ctx);
         engine.delete("k");
         let mut out = Vec::new();
-        render_engine_metrics(&engine, &mut out);
+        walk_engine(&engine, &mut Prometheus(&mut out));
         let expected = "\
 # HELP engine_items Items currently stored\n\
 # TYPE engine_items gauge\n\
@@ -312,7 +292,7 @@ engine_expirations_total 0\n";
             "\"engine_evict_stale_total\":0,"
         );
         assert!(render().contains(counted), "{}", render());
-        engine.stats().reset();
+        reset_from(&rp_obs::Obs::default(), &engine, &mut Vec::new());
         let zeroed = concat!(
             "\"engine_evictions_total\":0,\"engine_evict_scans_total\":0,",
             "\"engine_evict_stale_total\":0,"
@@ -551,5 +531,168 @@ END\r\n";
         )
         .replace('Z', zero);
         assert_eq!(String::from_utf8(out).unwrap(), expected);
+    }
+
+    /// The names of the metric families of a `STATS` text scrape, in order.
+    fn text_names(text: &str) -> Vec<String> {
+        text.lines()
+            .filter_map(|line| line.strip_prefix("# TYPE "))
+            .map(|family| family.split(' ').next().unwrap().to_string())
+            .collect()
+    }
+
+    /// The keys of every group's fields in a `STATS JSON` object, in order
+    /// (the groups are depth 1, a summary's samples depth 3).
+    fn json_names(json: &str) -> Vec<String> {
+        let (mut names, mut depth, mut at) = (Vec::new(), 0, 0);
+        while at < json.len() {
+            match json.as_bytes()[at] {
+                b'{' => depth += 1,
+                b'}' => depth -= 1,
+                b'"' => {
+                    let end = at + 1 + json[at + 1..].find('"').unwrap();
+                    if depth == 2 {
+                        names.push(json[at + 1..end].to_string());
+                    }
+                    at = end;
+                }
+                _ => {}
+            }
+            at += 1;
+        }
+        names
+    }
+
+    /// `STATS` and `STATS JSON` serve the same metrics in the same order:
+    /// one walk writes both.
+    #[test]
+    fn text_and_json_name_the_same_metrics_in_the_same_order() {
+        let engine = LockEngine::new();
+        let mut text = Vec::new();
+        render_prometheus(&engine, &mut text);
+        let mut json = Vec::new();
+        render_json_from(&Obs::default(), &engine, &mut json);
+        let text = text_names(&String::from_utf8(text).unwrap());
+        let json = json_names(&String::from_utf8(json).unwrap());
+        assert!(
+            text.contains(&"kv_slow_logged_total".to_string()),
+            "{text:?}"
+        );
+        assert!(text.len() > 40, "{text:?}");
+        assert_eq!(text, json);
+    }
+
+    /// Each metric of the walk as a scrape reads it: a counter's count, a
+    /// gauge's level, a summary's sample count.
+    #[derive(Default)]
+    struct Readings(Vec<(String, &'static str, u64)>);
+
+    impl Visitor for Readings {
+        fn metric(&mut self, _: &'static str, name: &str, _: &str, metric: Metric<'_>) {
+            let (kind, value) = match metric {
+                Metric::Counter(cells) => ("counter", cells.read()),
+                Metric::Gauge(level) => ("gauge", level),
+                Metric::Summary(cells) => ("summary", cells.read().count()),
+            };
+            self.0.push((name.to_string(), kind, value));
+        }
+    }
+
+    /// `STATS RESET` zeroes every counter and histogram the walk names,
+    /// engine group included, keeps every gauge, empties the slow log and
+    /// leaves one `stats_reset` marker in the trace ring.
+    #[test]
+    fn reset_zeroes_every_counter_and_histogram_and_keeps_every_gauge() {
+        let engine = LockEngine::new();
+        engine.set("k", Item::new(0, "v"));
+        let stats = engine.stats();
+        for counter in [
+            &stats.get_hits,
+            &stats.get_misses,
+            &stats.sets,
+            &stats.deletes,
+            &stats.evictions,
+            &stats.expirations,
+            &stats.evict_scans,
+            &stats.evict_stale,
+        ] {
+            counter.inc();
+        }
+        let registry = Obs::default();
+        let (kv, net) = (registry.kv.shards.for_worker(5), &registry.net);
+        let flushes = net.flushes.for_worker(5);
+        for counter in [
+            &kv.requests,
+            &kv.decode_errors,
+            &net.accepts_total,
+            &net.conns_shed_total,
+            &net.accept_errors_total,
+            &net.idle_reaped_total,
+            &net.conn_panics_total,
+            &net.accept_backoffs_total,
+            &net.drains_expired_total,
+            &net.watermark_trips_total,
+            &net.backpressure_stalls_total,
+            &flushes.syscalls_total,
+            &flushes.segments_total,
+            &registry.maint.slices_total,
+            &registry.maint.worker_panics_total,
+            &registry.resize.begun_total,
+            &registry.resize.finished_total,
+            &registry.rcu.reclaim_executed_total,
+            &registry.rcu.reclaim_passes_total,
+            &registry.rcu.reclaim_panics_total,
+            &registry.rcu.grace_stalls_total,
+        ] {
+            counter.add(3);
+        }
+        for histogram in [
+            &kv.get_ns,
+            &kv.set_ns,
+            &kv.delete_ns,
+            &kv.other_ns,
+            &kv.group_keys,
+            &registry.kv.evict_scan_ns,
+            net.batch_size.for_worker(5),
+            &registry.maint.slice_ns,
+            &registry.resize.grace_wait_ns,
+            &registry.resize.step_ns,
+            &registry.rcu.sync_ns,
+        ] {
+            histogram.record(40);
+        }
+        for gauge in [
+            &net.connections,
+            &net.bytes_buffered,
+            &registry.maint.queue_depth,
+            &registry.resize.imbalance_milli,
+            &registry.rcu.reclaim_pending,
+        ] {
+            gauge.set(7);
+        }
+        registry.kv.slow.set_threshold_ns(0);
+        registry.kv.slow.record(&rp_obs::SlowSpan::default());
+        registry.trace.record(rp_obs::TraceKind::ConnShed, 1);
+
+        let read = || {
+            let mut readings = Readings::default();
+            walk(&registry, &engine, &mut readings);
+            readings.0
+        };
+        let before = read();
+        for (name, _, value) in &before {
+            assert_ne!(*value, 0, "{name} was not recorded into before the reset");
+        }
+        let mut out = Vec::new();
+        reset_from(&registry, &engine, &mut out);
+        assert_eq!(out, b"RESET\r\n");
+        for ((name, kind, was), (_, _, now)) in before.iter().zip(read()) {
+            let want = if *kind == "gauge" { *was } else { 0 };
+            assert_eq!(now, want, "{kind} {name} after STATS RESET");
+        }
+        let events = registry.trace.events();
+        assert_eq!(events.len(), 1, "{events:?}");
+        assert_eq!(events[0].kind, rp_obs::TraceKind::StatsReset);
+        assert!(registry.kv.slow.entries().is_empty());
     }
 }

@@ -21,7 +21,7 @@
 //! that thread saw it missing, so every SET here is an insert and the
 //! count is exact.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -136,10 +136,9 @@ fn storm(engine: Arc<dyn CacheEngine>) {
     }
 
     let stats = engine.stats();
-    let count = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-    let (sets, deletes) = (count(&stats.sets), count(&stats.deletes));
-    let (evictions, expirations) = (stats.evicted(), count(&stats.expirations));
-    let (scans, stale) = (count(&stats.evict_scans), count(&stats.evict_stale));
+    let (sets, deletes) = (stats.sets.get(), stats.deletes.get());
+    let (evictions, expirations) = (stats.evicted(), stats.expirations.get());
+    let (scans, stale) = (stats.evict_scans.get(), stats.evict_stale.get());
     eprintln!(
         "{name}: {sets} sets, {evictions} evictions in {scans} scans ({stale} stale), \
          {expirations} expirations, {deletes} deletes, {} delayed refills",

@@ -382,6 +382,7 @@ impl BufWrite for PooledBuf<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rp_obs::{Cells, PerShard};
 
     /// The shard the in-memory flushes of these tests count in.
     fn counts() -> &'static FlushObs {
@@ -771,15 +772,17 @@ mod tests {
         // them, so assert on deltas with ≥.
         let net = &rp_obs::global().net;
         let shard = net.flushes.for_worker(5);
-        let syscalls_before = net.flush_syscalls_total();
-        let segments_before = net.flush_segments_total();
+        let syscalls = || PerShard(&net.flushes, |f| &f.syscalls_total).read();
+        let segments = || PerShard(&net.flushes, |f| &f.segments_total).read();
+        let syscalls_before = syscalls();
+        let segments_before = segments();
         let shard_before = (shard.syscalls_total.get(), shard.segments_total.get());
         let mut pool = test_pool();
         let (mut buf, _) = three_segment_buf(&mut pool);
         let mut sink = Scripted::new(Vec::new());
         buf.flush_vectored(&mut sink, &mut pool, shard).unwrap();
-        assert!(net.flush_syscalls_total() > syscalls_before);
-        assert!(net.flush_segments_total() >= segments_before + 3);
+        assert!(syscalls() > syscalls_before);
+        assert!(segments() >= segments_before + 3);
         // Counted in the flushing worker's own shard.
         assert!(shard.syscalls_total.get() > shard_before.0);
         assert!(shard.segments_total.get() >= shard_before.1 + 3);

@@ -80,14 +80,6 @@ impl Histogram {
         self.counts[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records the same sample `count` times (still one `fetch_add`).
-    #[inline]
-    pub fn record_n(&self, value: u64, count: u64) {
-        if count > 0 {
-            self.counts[bucket_of(value)].fetch_add(count, Ordering::Relaxed);
-        }
-    }
-
     /// Takes a point-in-time copy of the bucket counts. Safe to call while
     /// writers are recording (see the module docs for the consistency
     /// model).
@@ -244,7 +236,9 @@ mod tests {
         let a = Histogram::new();
         let b = Histogram::new();
         a.record(100);
-        b.record_n(1_000_000, 3);
+        for _ in 0..3 {
+            b.record(1_000_000);
+        }
         let mut snap = a.snapshot();
         snap.merge(&b.snapshot());
         assert_eq!(snap.count(), 4);

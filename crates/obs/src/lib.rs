@@ -21,12 +21,17 @@
 //!   grace periods with their wait durations, maintenance slices,
 //!   backpressure trips, idle reaps, and connection sheds go into a
 //!   fixed-capacity [`TraceRing`] read back by `STATS TRACE`.
+//! * **Each metric is named once.** [`Obs::walk`] hands every metric to a
+//!   [`Visitor`] as its group, name, help text and storage ([`Metric`]).
+//!   The walk has two writers, [`Prometheus`] text and [`Json`], and
+//!   `STATS RESET` is the [`Reset`] visitor, so a new metric is one walk
+//!   entry and the forms cannot drift apart.
 //!
 //! The crate is dependency-free and sits at the bottom of the workspace:
 //! `rp-rcu`, `rp-hash`, `rp-maint`, `rp-net`, and `rp-kvcache` all record
 //! into the shared [`Obs`] schema ([`global`]), and the kvcache server
-//! renders it live through its `STATS` protocol command
-//! ([`Obs::render_prometheus`] via the [`render::MetricSink`] seam).
+//! renders it live through its `STATS` protocol command (its engine group
+//! walked first, the writers writing into a [`MetricSink`]).
 //!
 //! Telemetry defaults to **on**; [`set_enabled`]`(false)` (the server's
 //! `--stats off` / `RP_KV_STATS=off`) short-circuits the timed
@@ -43,7 +48,7 @@
 //!     obs.trace.record(TraceKind::Grace, ns);
 //! }
 //! let mut text = Vec::new();
-//! obs.render_prometheus(&mut text);
+//! obs.walk(&mut rp_obs::Prometheus(&mut text));
 //! assert!(text.starts_with(b"# HELP"));
 //! ```
 
@@ -56,12 +61,14 @@ mod metric;
 pub mod render;
 mod ring;
 pub mod slow;
+mod walk;
 
 pub use histogram::{Histogram, Snapshot};
 pub use metric::{CachePadded, Counter, Gauge, Sharded, DEFAULT_SHARDS};
-pub use render::MetricSink;
+pub use render::{Json, MetricSink, Prometheus};
 pub use ring::{TraceEvent, TraceKind, TraceRing, DEFAULT_RING_CAPACITY};
 pub use slow::{SlowEntry, SlowLog, SlowSpan};
+pub use walk::{Cells, Metric, PerShard, Reset, Visitor};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -209,8 +216,7 @@ pub struct NetObs {
     /// budget was exhausted (admission-control backpressure).
     pub backpressure_stalls_total: Counter,
     /// Flush counts, one shard per worker, so a flush bumps its own
-    /// worker's line; `STATS` serves their sums
-    /// ([`NetObs::flush_syscalls_total`], [`NetObs::flush_segments_total`]).
+    /// worker's line; `STATS` serves their sums.
     pub flushes: Sharded<FlushObs>,
     /// Currently open connections.
     pub connections: Gauge,
@@ -220,18 +226,6 @@ pub struct NetObs {
     /// Readiness events delivered per `epoll_wait` wake (per-worker
     /// shards; epoll occupancy).
     pub batch_size: Sharded<Histogram>,
-}
-
-impl NetObs {
-    /// Flush syscalls issued by every worker.
-    pub fn flush_syscalls_total(&self) -> u64 {
-        self.flushes.iter().map(|f| f.syscalls_total.get()).sum()
-    }
-
-    /// Output segments fully flushed by every worker.
-    pub fn flush_segments_total(&self) -> u64 {
-        self.flushes.iter().map(|f| f.segments_total.get()).sum()
-    }
 }
 
 /// One event-loop worker's flush counts (a shard of [`NetObs::flushes`]).
@@ -281,18 +275,6 @@ pub struct KvObs {
     pub slow: SlowLog,
 }
 
-impl KvObs {
-    /// Total requests served across workers.
-    pub fn requests(&self) -> u64 {
-        self.shards.iter().map(|s| s.requests.get()).sum()
-    }
-
-    /// Total decode errors across workers.
-    pub fn decode_errors(&self) -> u64 {
-        self.shards.iter().map(|s| s.decode_errors.get()).sum()
-    }
-}
-
 /// The workspace-wide telemetry schema: one group per layer plus the
 /// trace ring. Allocated once by [`global`].
 #[derive(Debug, Default)]
@@ -320,256 +302,214 @@ pub fn global() -> &'static Obs {
 }
 
 impl Obs {
-    /// Renders every metric group as Prometheus exposition text. The
-    /// caller appends its own engine-level metrics and framing.
-    pub fn render_prometheus(&self, sink: &mut impl MetricSink) {
-        self.render_kv(sink);
-        self.render_net(sink);
-        self.render_maint(sink);
-        self.render_resize(sink);
-        self.render_rcu(sink);
-    }
-
-    fn render_kv(&self, sink: &mut impl MetricSink) {
-        let mut get = Snapshot::default();
-        let mut set = Snapshot::default();
-        let mut delete = Snapshot::default();
-        let mut other = Snapshot::default();
-        let mut group = Snapshot::default();
-        for shard in self.kv.shards.iter() {
-            get.merge(&shard.get_ns.snapshot());
-            set.merge(&shard.set_ns.snapshot());
-            delete.merge(&shard.delete_ns.snapshot());
-            other.merge(&shard.other_ns.snapshot());
-            group.merge(&shard.group_keys.snapshot());
-        }
-        render::counter(
-            sink,
+    /// The registry's walk: hands every metric of the five groups (`kv`,
+    /// `net`, `maint`, `resize`, `rcu`) to `v`, in the order `STATS` and
+    /// `STATS JSON` serve them. This is the one place a registry metric is
+    /// named.
+    pub fn walk(&self, v: &mut impl Visitor) {
+        use Metric::{Counter, Gauge, Summary};
+        let (shards, net) = (&self.kv.shards, &self.net);
+        let mut group = |name, help, metric: Metric<'_>| v.metric("kv", name, help, metric);
+        group(
             "kv_requests_total",
             "Cache protocol requests served.",
-            self.kv.requests(),
+            Counter(&PerShard(shards, |s| &s.requests)),
         );
-        render::counter(
-            sink,
+        group(
             "kv_decode_errors_total",
             "Protocol decode errors.",
-            self.kv.decode_errors(),
+            Counter(&PerShard(shards, |s| &s.decode_errors)),
         );
-        render::summary(sink, "kv_get_latency_ns", "GET service latency.", &get);
-        render::summary(sink, "kv_set_latency_ns", "SET service latency.", &set);
-        render::summary(
-            sink,
+        group(
+            "kv_get_latency_ns",
+            "GET service latency.",
+            Summary(&PerShard(shards, |s| &s.get_ns)),
+        );
+        group(
+            "kv_set_latency_ns",
+            "SET service latency.",
+            Summary(&PerShard(shards, |s| &s.set_ns)),
+        );
+        group(
             "kv_delete_latency_ns",
             "DELETE service latency.",
-            &delete,
+            Summary(&PerShard(shards, |s| &s.delete_ns)),
         );
-        render::summary(
-            sink,
+        group(
             "kv_other_latency_ns",
             "Service latency of remaining opcodes.",
-            &other,
+            Summary(&PerShard(shards, |s| &s.other_ns)),
         );
-        render::summary(
-            sink,
+        group(
             "kv_group_keys",
             "Keys prefetched per group of pipelined requests (0: no call).",
-            &group,
+            Summary(&PerShard(shards, |s| &s.group_keys)),
         );
-        render::summary(
-            sink,
+        group(
             "engine_evict_scan_ns",
             "Index scans for eviction candidates (one serves a batch of evictions).",
-            &self.kv.evict_scan_ns.snapshot(),
+            Summary(&self.kv.evict_scan_ns),
         );
-    }
+        group(
+            "kv_slow_logged_total",
+            "Requests logged as slow (see STATS SLOW).",
+            Counter(&self.kv.slow),
+        );
 
-    fn render_net(&self, sink: &mut impl MetricSink) {
-        render::counter(
-            sink,
+        let mut group = |name, help, metric: Metric<'_>| v.metric("net", name, help, metric);
+        group(
             "net_accepts_total",
             "Connections accepted.",
-            self.net.accepts_total.get(),
+            Counter(&net.accepts_total),
         );
-        render::counter(
-            sink,
+        group(
             "net_conns_shed_total",
             "Connections shed at admission (connection or byte budget).",
-            self.net.conns_shed_total.get(),
+            Counter(&net.conns_shed_total),
         );
-        render::counter(
-            sink,
+        group(
             "net_accept_errors_total",
             "Accepted connections lost to OS-level setup failures.",
-            self.net.accept_errors_total.get(),
+            Counter(&net.accept_errors_total),
         );
-        render::counter(
-            sink,
+        group(
             "net_idle_reaped_total",
             "Idle connections reaped.",
-            self.net.idle_reaped_total.get(),
+            Counter(&net.idle_reaped_total),
         );
-        render::counter(
-            sink,
+        group(
             "net_conn_panics_total",
             "Connection handlers that panicked (connection shed, worker kept).",
-            self.net.conn_panics_total.get(),
+            Counter(&net.conn_panics_total),
         );
-        render::counter(
-            sink,
+        group(
             "net_accept_backoffs_total",
             "Listener backoffs after accept() hit EMFILE/ENFILE.",
-            self.net.accept_backoffs_total.get(),
+            Counter(&net.accept_backoffs_total),
         );
-        render::counter(
-            sink,
+        group(
             "net_drains_expired_total",
             "Draining connections force-closed at the drain deadline.",
-            self.net.drains_expired_total.get(),
+            Counter(&net.drains_expired_total),
         );
-        render::counter(
-            sink,
+        group(
             "net_watermark_trips_total",
             "Output queues that crossed the backpressure watermark.",
-            self.net.watermark_trips_total.get(),
+            Counter(&net.watermark_trips_total),
         );
-        render::counter(
-            sink,
+        group(
             "net_backpressure_stalls_total",
             "Reads paused because the global byte budget was exhausted.",
-            self.net.backpressure_stalls_total.get(),
+            Counter(&net.backpressure_stalls_total),
         );
-        render::counter(
-            sink,
+        group(
             "net_flush_syscalls_total",
             "Flush syscalls issued (writev batches).",
-            self.net.flush_syscalls_total(),
+            Counter(&PerShard(&net.flushes, |f| &f.syscalls_total)),
         );
-        render::counter(
-            sink,
+        group(
             "net_flush_segments_total",
             "Output segments fully flushed.",
-            self.net.flush_segments_total(),
+            Counter(&PerShard(&net.flushes, |f| &f.segments_total)),
         );
-        render::gauge(
-            sink,
+        group(
             "net_connections",
             "Currently open connections.",
-            self.net.connections.get(),
+            Gauge(net.connections.get()),
         );
-        render::gauge(
-            sink,
+        group(
             "net_bytes_buffered",
             "Bytes held in per-connection buffers process-wide.",
-            self.net.bytes_buffered.get(),
+            Gauge(net.bytes_buffered.get()),
         );
-        let mut batch = Snapshot::default();
-        for shard in self.net.batch_size.iter() {
-            batch.merge(&shard.snapshot());
-        }
-        render::summary(
-            sink,
+        group(
             "net_batch_size",
             "Readiness events per epoll_wait wake.",
-            &batch,
+            Summary(&PerShard(&net.batch_size, |h| h)),
         );
-    }
 
-    fn render_maint(&self, sink: &mut impl MetricSink) {
-        render::summary(
-            sink,
+        let maint = &self.maint;
+        let mut group = |name, help, metric: Metric<'_>| v.metric("maint", name, help, metric);
+        group(
             "maint_slice_ns",
             "Maintenance work-slice duration.",
-            &self.maint.slice_ns.snapshot(),
+            Summary(&maint.slice_ns),
         );
-        render::gauge(
-            sink,
+        group(
             "maint_queue_depth",
             "Resize-work queue depth last observed.",
-            self.maint.queue_depth.get(),
+            Gauge(maint.queue_depth.get()),
         );
-        render::counter(
-            sink,
+        group(
             "maint_slices_total",
             "Maintenance work slices executed.",
-            self.maint.slices_total.get(),
+            Counter(&maint.slices_total),
         );
-        render::counter(
-            sink,
+        group(
             "maint_worker_panics_total",
             "Maintenance workers recovered after a mid-slice panic.",
-            self.maint.worker_panics_total.get(),
+            Counter(&maint.worker_panics_total),
         );
-    }
 
-    fn render_resize(&self, sink: &mut impl MetricSink) {
-        render::summary(
-            sink,
+        let resize = &self.resize;
+        let mut group = |name, help, metric: Metric<'_>| v.metric("resize", name, help, metric);
+        group(
             "resize_grace_wait_ns",
             "Grace-period waits absorbed by resizes.",
-            &self.resize.grace_wait_ns.snapshot(),
+            Summary(&resize.grace_wait_ns),
         );
-        render::summary(
-            sink,
+        group(
             "resize_step_ns",
             "Bounded resize restructuring steps.",
-            &self.resize.step_ns.snapshot(),
+            Summary(&resize.step_ns),
         );
-        render::counter(
-            sink,
+        group(
             "resize_begun_total",
             "Incremental resizes started.",
-            self.resize.begun_total.get(),
+            Counter(&resize.begun_total),
         );
-        render::counter(
-            sink,
+        group(
             "resize_finished_total",
             "Incremental resizes completed.",
-            self.resize.finished_total.get(),
+            Counter(&resize.finished_total),
         );
-        render::gauge(
-            sink,
+        group(
             "shard_imbalance_milli",
             "Fullest/mean shard occupancy x1000 at scrape time.",
-            self.resize.imbalance_milli.get(),
+            Gauge(resize.imbalance_milli.get()),
         );
-    }
 
-    fn render_rcu(&self, sink: &mut impl MetricSink) {
-        render::summary(
-            sink,
+        let rcu = &self.rcu;
+        let mut group = |name, help, metric: Metric<'_>| v.metric("rcu", name, help, metric);
+        group(
             "rcu_sync_ns",
             "Grace-period wait latency.",
-            &self.rcu.sync_ns.snapshot(),
+            Summary(&rcu.sync_ns),
         );
-        render::gauge(
-            sink,
+        group(
             "rcu_reclaim_pending",
             "Deferred callbacks awaiting a grace period.",
-            self.rcu.reclaim_pending.get(),
+            Gauge(rcu.reclaim_pending.get()),
         );
-        render::counter(
-            sink,
+        group(
             "rcu_reclaim_executed_total",
             "Deferred callbacks executed.",
-            self.rcu.reclaim_executed_total.get(),
+            Counter(&rcu.reclaim_executed_total),
         );
-        render::counter(
-            sink,
+        group(
             "rcu_reclaim_passes_total",
             "Deferred-reclamation passes run.",
-            self.rcu.reclaim_passes_total.get(),
+            Counter(&rcu.reclaim_passes_total),
         );
-        render::counter(
-            sink,
+        group(
             "rcu_reclaim_panics_total",
             "Deferred callbacks that panicked (contained).",
-            self.rcu.reclaim_panics_total.get(),
+            Counter(&rcu.reclaim_panics_total),
         );
-        render::counter(
-            sink,
+        group(
             "rcu_grace_stalls_total",
             "Grace periods flagged as stalled past the threshold.",
-            self.rcu.grace_stalls_total.get(),
+            Counter(&rcu.grace_stalls_total),
         );
     }
 
@@ -577,77 +517,66 @@ impl Obs {
     /// server's `STATS WORKER <n>` view): the worker's request and
     /// decode-error counters, its per-opcode latency summaries, and its
     /// epoll batch-size summary. The merged scrape
-    /// ([`Obs::render_prometheus`]) aggregates these across workers, which
+    /// ([`Obs::walk`]) aggregates these across workers, which
     /// averages accept-shard imbalance away; this view exposes one shard
     /// verbatim. Worker ordinals beyond the shard count wrap, exactly as
     /// recording does ([`Sharded::for_worker`]).
     pub fn render_worker(&self, worker: usize, sink: &mut impl MetricSink) {
+        use Metric::{Counter, Gauge, Summary};
         let shard = self.kv.shards.for_worker(worker);
-        render::gauge(
-            sink,
+        let mut text = Prometheus(sink);
+        let mut group = |name, help, metric: Metric<'_>| text.metric("worker", name, help, metric);
+        group(
             "kv_worker",
             "Worker shard this view covers (ordinals wrap at the shard count).",
-            (worker & (self.kv.shards.len() - 1)) as u64,
+            Gauge((worker & (self.kv.shards.len() - 1)) as u64),
         );
-        render::counter(
-            sink,
+        group(
             "kv_worker_requests_total",
             "Requests served by this worker.",
-            shard.requests.get(),
+            Counter(&shard.requests),
         );
-        render::counter(
-            sink,
+        group(
             "kv_worker_decode_errors_total",
             "Protocol decode errors on this worker's connections.",
-            shard.decode_errors.get(),
+            Counter(&shard.decode_errors),
         );
-        render::summary(
-            sink,
+        group(
             "kv_worker_get_latency_ns",
             "GET service latency on this worker.",
-            &shard.get_ns.snapshot(),
+            Summary(&shard.get_ns),
         );
-        render::summary(
-            sink,
+        group(
             "kv_worker_set_latency_ns",
             "SET service latency on this worker.",
-            &shard.set_ns.snapshot(),
+            Summary(&shard.set_ns),
         );
-        render::summary(
-            sink,
+        group(
             "kv_worker_delete_latency_ns",
             "DELETE service latency on this worker.",
-            &shard.delete_ns.snapshot(),
+            Summary(&shard.delete_ns),
         );
-        render::summary(
-            sink,
+        group(
             "kv_worker_other_latency_ns",
             "Service latency of remaining opcodes on this worker.",
-            &shard.other_ns.snapshot(),
+            Summary(&shard.other_ns),
         );
-        render::summary(
-            sink,
+        group(
             "kv_worker_group_keys",
             "Keys prefetched per group of pipelined requests on this worker.",
-            &shard.group_keys.snapshot(),
+            Summary(&shard.group_keys),
         );
-        render::summary(
-            sink,
+        group(
             "net_worker_batch_size",
             "Readiness events per epoll_wait wake on this worker.",
-            &self.net.batch_size.for_worker(worker).snapshot(),
+            Summary(self.net.batch_size.for_worker(worker)),
         );
     }
 
-    /// Renders the retained trace events, oldest first, one
-    /// `TRACE <seq> <t_us> <label> <value>` line each (CRLF-terminated —
+    /// Renders the retained trace events, oldest first — all of them, or
+    /// only the most recent `limit` when one is given (`STATS TRACE <n>`) —
+    /// one `TRACE <seq> <t_us> <label> <value>` line each (CRLF-terminated:
     /// this output goes straight onto the cache protocol's wire).
-    pub fn render_trace(&self, sink: &mut impl MetricSink) {
-        self.render_trace_recent(None, sink);
-    }
-
-    /// Like [`Obs::render_trace`], but keeping only the most recent
-    /// `limit` events when one is given (`STATS TRACE <n>`).
     pub fn render_trace_recent(&self, limit: Option<usize>, sink: &mut impl MetricSink) {
         let events = self.trace.events();
         let skip = limit.map_or(0, |n| events.len().saturating_sub(n));
@@ -664,168 +593,12 @@ impl Obs {
         }
     }
 
-    /// Renders every metric group as one JSON object — the same data as
-    /// [`Obs::render_prometheus`] under the same metric names, grouped per
-    /// layer, every value an unsigned integer. The caller appends its own
-    /// engine-level fields by writing into a root [`render::JsonObject`]
-    /// and calling [`Obs::render_json_groups`]; this convenience wraps a
-    /// complete object around just the registry.
-    pub fn render_json(&self, sink: &mut impl MetricSink) {
-        let mut root = render::JsonObject::begin(sink);
-        self.render_json_groups(&mut root);
-        root.end();
-    }
-
-    /// Writes the five metric groups as nested objects of `root`
-    /// (`"kv"`, `"net"`, `"maint"`, `"resize"`, `"rcu"` — same order and
-    /// metric names as the Prometheus text form).
-    pub fn render_json_groups<S: MetricSink>(&self, root: &mut render::JsonObject<'_, S>) {
-        let mut get = Snapshot::default();
-        let mut set = Snapshot::default();
-        let mut delete = Snapshot::default();
-        let mut other = Snapshot::default();
-        let mut group = Snapshot::default();
-        for shard in self.kv.shards.iter() {
-            get.merge(&shard.get_ns.snapshot());
-            set.merge(&shard.set_ns.snapshot());
-            delete.merge(&shard.delete_ns.snapshot());
-            other.merge(&shard.other_ns.snapshot());
-            group.merge(&shard.group_keys.snapshot());
-        }
-        let mut kv = root.nested("kv");
-        kv.field("kv_requests_total", self.kv.requests());
-        kv.field("kv_decode_errors_total", self.kv.decode_errors());
-        kv.summary("kv_get_latency_ns", &get);
-        kv.summary("kv_set_latency_ns", &set);
-        kv.summary("kv_delete_latency_ns", &delete);
-        kv.summary("kv_other_latency_ns", &other);
-        kv.summary("kv_group_keys", &group);
-        kv.summary("engine_evict_scan_ns", &self.kv.evict_scan_ns.snapshot());
-        kv.field("kv_slow_logged_total", self.kv.slow.recorded());
-        kv.end();
-
-        let mut batch = Snapshot::default();
-        for shard in self.net.batch_size.iter() {
-            batch.merge(&shard.snapshot());
-        }
-        let mut net = root.nested("net");
-        net.field("net_accepts_total", self.net.accepts_total.get());
-        net.field("net_conns_shed_total", self.net.conns_shed_total.get());
-        net.field(
-            "net_accept_errors_total",
-            self.net.accept_errors_total.get(),
-        );
-        net.field("net_idle_reaped_total", self.net.idle_reaped_total.get());
-        net.field("net_conn_panics_total", self.net.conn_panics_total.get());
-        net.field(
-            "net_accept_backoffs_total",
-            self.net.accept_backoffs_total.get(),
-        );
-        net.field(
-            "net_drains_expired_total",
-            self.net.drains_expired_total.get(),
-        );
-        net.field(
-            "net_watermark_trips_total",
-            self.net.watermark_trips_total.get(),
-        );
-        net.field(
-            "net_backpressure_stalls_total",
-            self.net.backpressure_stalls_total.get(),
-        );
-        net.field("net_flush_syscalls_total", self.net.flush_syscalls_total());
-        net.field("net_flush_segments_total", self.net.flush_segments_total());
-        net.field("net_connections", self.net.connections.get());
-        net.field("net_bytes_buffered", self.net.bytes_buffered.get());
-        net.summary("net_batch_size", &batch);
-        net.end();
-
-        let mut maint = root.nested("maint");
-        maint.summary("maint_slice_ns", &self.maint.slice_ns.snapshot());
-        maint.field("maint_queue_depth", self.maint.queue_depth.get());
-        maint.field("maint_slices_total", self.maint.slices_total.get());
-        maint.field(
-            "maint_worker_panics_total",
-            self.maint.worker_panics_total.get(),
-        );
-        maint.end();
-
-        let mut resize = root.nested("resize");
-        resize.summary(
-            "resize_grace_wait_ns",
-            &self.resize.grace_wait_ns.snapshot(),
-        );
-        resize.summary("resize_step_ns", &self.resize.step_ns.snapshot());
-        resize.field("resize_begun_total", self.resize.begun_total.get());
-        resize.field("resize_finished_total", self.resize.finished_total.get());
-        resize.field("shard_imbalance_milli", self.resize.imbalance_milli.get());
-        resize.end();
-
-        let mut rcu = root.nested("rcu");
-        rcu.summary("rcu_sync_ns", &self.rcu.sync_ns.snapshot());
-        rcu.field("rcu_reclaim_pending", self.rcu.reclaim_pending.get());
-        rcu.field(
-            "rcu_reclaim_executed_total",
-            self.rcu.reclaim_executed_total.get(),
-        );
-        rcu.field(
-            "rcu_reclaim_passes_total",
-            self.rcu.reclaim_passes_total.get(),
-        );
-        rcu.field(
-            "rcu_reclaim_panics_total",
-            self.rcu.reclaim_panics_total.get(),
-        );
-        rcu.field("rcu_grace_stalls_total", self.rcu.grace_stalls_total.get());
-        rcu.end();
-    }
-
-    /// Zeroes every counter, gauge, histogram, and the trace ring
-    /// (`STATS RESET`). Concurrent recording is safe; racing samples land
-    /// in whichever era their atomic write hits.
+    /// `STATS RESET`: zeroes every counter and histogram the walk names
+    /// (the slow log is `kv_slow_logged_total`'s storage, so it empties),
+    /// leaves the gauges alone, and restarts the trace ring with one
+    /// `stats_reset` marker.
     pub fn reset(&self) {
-        for shard in self.kv.shards.iter() {
-            shard.get_ns.reset();
-            shard.set_ns.reset();
-            shard.delete_ns.reset();
-            shard.other_ns.reset();
-            shard.group_keys.reset();
-            shard.requests.reset();
-            shard.decode_errors.reset();
-        }
-        self.net.accepts_total.reset();
-        self.net.conns_shed_total.reset();
-        self.net.accept_errors_total.reset();
-        self.net.idle_reaped_total.reset();
-        self.net.conn_panics_total.reset();
-        self.net.accept_backoffs_total.reset();
-        self.net.drains_expired_total.reset();
-        self.net.watermark_trips_total.reset();
-        self.net.backpressure_stalls_total.reset();
-        for shard in self.net.flushes.iter() {
-            shard.syscalls_total.reset();
-            shard.segments_total.reset();
-        }
-        for shard in self.net.batch_size.iter() {
-            shard.reset();
-        }
-        self.maint.slice_ns.reset();
-        self.maint.slices_total.reset();
-        self.maint.worker_panics_total.reset();
-        self.resize.grace_wait_ns.reset();
-        self.resize.step_ns.reset();
-        self.resize.begun_total.reset();
-        self.resize.finished_total.reset();
-        self.rcu.sync_ns.reset();
-        self.rcu.reclaim_executed_total.reset();
-        self.rcu.reclaim_passes_total.reset();
-        self.rcu.reclaim_panics_total.reset();
-        self.rcu.grace_stalls_total.reset();
-        self.kv.evict_scan_ns.reset();
-        self.kv.slow.reset();
-        // Level gauges (connections, queue depth, pending, imbalance) are
-        // left alone: their owners re-assert the level, and a transient 0
-        // would simply be wrong.
+        self.walk(&mut Reset);
         self.trace.reset();
         self.trace.record(TraceKind::StatsReset, 0);
     }
@@ -864,7 +637,7 @@ mod tests {
         obs.resize.begun_total.inc();
         obs.rcu.sync_ns.record(1234);
         let mut out = Vec::new();
-        obs.render_prometheus(&mut out);
+        obs.walk(&mut Prometheus(&mut out));
         let text = String::from_utf8(out).unwrap();
         for needle in [
             "kv_requests_total 5",
@@ -909,7 +682,7 @@ mod tests {
         obs.kv.shards.for_worker(1).requests.add(9);
         obs.trace.record(TraceKind::ConnShed, 7);
         obs.reset();
-        assert_eq!(obs.kv.requests(), 0);
+        assert_eq!(PerShard(&obs.kv.shards, |s| &s.requests).read(), 0);
         let events = obs.trace.events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, TraceKind::StatsReset);
@@ -920,7 +693,7 @@ mod tests {
         let obs = Obs::default();
         obs.trace.record(TraceKind::MaintSlice, 42);
         let mut out = Vec::new();
-        obs.render_trace(&mut out);
+        obs.render_trace_recent(None, &mut out);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("TRACE 1 "));
         assert!(text.ends_with(" maint_slice 42\r\n"));
@@ -932,7 +705,7 @@ mod tests {
         obs.trace.record(TraceKind::GraceStall, 777);
         obs.trace.record(TraceKind::Grace, 888);
         let mut out = Vec::new();
-        obs.render_trace(&mut out);
+        obs.render_trace_recent(None, &mut out);
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains(" grace_stall 777\r\n"), "{text}");
         assert!(text.contains(" grace 888\r\n"), "{text}");
@@ -964,7 +737,9 @@ mod tests {
         obs.rcu.reclaim_panics_total.inc();
         obs.rcu.grace_stalls_total.add(2);
         let mut out = Vec::new();
-        obs.render_json(&mut out);
+        let mut json = Json::begin(&mut out);
+        obs.walk(&mut json);
+        json.end();
         let text = String::from_utf8(out).unwrap();
         assert!(
             text.starts_with("{\"kv\":{\"kv_requests_total\":5,"),

@@ -50,15 +50,10 @@ impl Gauge {
         self.0.store(value, Ordering::Relaxed);
     }
 
-    /// Current level.
+    /// Current level. `STATS RESET` leaves it alone: the owner re-asserts
+    /// the level, and a transient 0 would simply be wrong.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-
-    /// Zeroes the gauge. The owner re-establishes the level on its next
-    /// update, so a reset gauge reads 0 only transiently.
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
     }
 }
 
@@ -141,8 +136,6 @@ mod tests {
         let g = Gauge::default();
         g.set(42);
         assert_eq!(g.get(), 42);
-        g.reset();
-        assert_eq!(g.get(), 0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Prometheus-style text rendering, written through a caller-supplied
-//! byte sink.
+//! The walk's two writers, Prometheus text and JSON, written through a
+//! caller-supplied byte sink.
 //!
 //! The sink trait mirrors the serving stack's `BufWrite` seam (this crate
 //! is dependency-free, so it declares its own single-method trait and the
@@ -9,6 +9,7 @@
 //! segment management, never per metric.
 
 use crate::histogram::Snapshot;
+use crate::walk::{Metric, Visitor};
 
 /// A byte sink metrics are rendered into. Implemented for `Vec<u8>`; the
 /// server adapts its pooled connection buffer.
@@ -60,13 +61,13 @@ fn sample(sink: &mut impl MetricSink, name: &str, suffix: &str, value: u64) {
 }
 
 /// Renders one counter in Prometheus exposition format.
-pub fn counter(sink: &mut impl MetricSink, name: &str, help: &str, value: u64) {
+fn counter(sink: &mut impl MetricSink, name: &str, help: &str, value: u64) {
     header(sink, name, help, "counter");
     sample(sink, name, "", value);
 }
 
 /// Renders one gauge in Prometheus exposition format.
-pub fn gauge(sink: &mut impl MetricSink, name: &str, help: &str, value: u64) {
+fn gauge(sink: &mut impl MetricSink, name: &str, help: &str, value: u64) {
     header(sink, name, help, "gauge");
     sample(sink, name, "", value);
 }
@@ -82,7 +83,7 @@ const QUANTILES: [(&str, f64); 4] = [
 /// Renders a histogram snapshot as a Prometheus summary: four quantiles,
 /// `_sum` (approximate, see [`Snapshot::sum_approx`]), `_count`, and a
 /// non-standard `_max` sample (the highest occupied bucket's upper bound).
-pub fn summary(sink: &mut impl MetricSink, name: &str, help: &str, snap: &Snapshot) {
+fn summary(sink: &mut impl MetricSink, name: &str, help: &str, snap: &Snapshot) {
     header(sink, name, help, "summary");
     for (label, q) in QUANTILES {
         sample(sink, name, label, snap.percentile(q));
@@ -92,20 +93,83 @@ pub fn summary(sink: &mut impl MetricSink, name: &str, help: &str, snap: &Snapsh
     sample(sink, name, "_max", snap.max());
 }
 
+/// The text writer: each metric of a walk as one Prometheus family.
+pub struct Prometheus<'a, S: MetricSink>(pub &'a mut S);
+
+impl<S: MetricSink> Visitor for Prometheus<'_, S> {
+    fn metric(&mut self, _: &'static str, name: &str, help: &str, metric: Metric<'_>) {
+        match metric {
+            Metric::Counter(cells) => counter(self.0, name, help, cells.read()),
+            Metric::Gauge(level) => gauge(self.0, name, help, level),
+            Metric::Summary(cells) => summary(self.0, name, help, &cells.read()),
+        }
+    }
+}
+
+/// The JSON writer: a walk as one object on one line, each group a nested
+/// object, each metric a field of its group (a summary an object of the
+/// text form's samples). Every value is an unsigned integer, so scrapers
+/// parse it without a JSON library. Close it with [`Json::end`].
+pub struct Json<'a, S: MetricSink> {
+    root: JsonObject<'a, S>,
+    /// The group whose object is open.
+    group: Option<&'static str>,
+}
+
+impl<'a, S: MetricSink> Json<'a, S> {
+    /// Opens the root object.
+    pub fn begin(sink: &'a mut S) -> Json<'a, S> {
+        Json {
+            root: JsonObject::begin(sink),
+            group: None,
+        }
+    }
+
+    /// Closes the open group and the root object.
+    pub fn end(mut self) {
+        self.close_group();
+        self.root.end();
+    }
+
+    fn close_group(&mut self) {
+        if self.group.take().is_some() {
+            self.root.sink.put_bytes(b"}");
+        }
+    }
+}
+
+impl<S: MetricSink> Visitor for Json<'_, S> {
+    fn metric(&mut self, group: &'static str, name: &str, _: &str, metric: Metric<'_>) {
+        let first = self.group != Some(group);
+        if first {
+            self.close_group();
+            self.root.key(group);
+            self.root.sink.put_bytes(b"{");
+            self.group = Some(group);
+        }
+        let mut fields = JsonObject {
+            sink: &mut *self.root.sink,
+            first,
+        };
+        match metric {
+            Metric::Counter(cells) => fields.field(name, cells.read()),
+            Metric::Gauge(level) => fields.field(name, level),
+            Metric::Summary(cells) => fields.summary(name, &cells.read()),
+        }
+    }
+}
+
 /// An in-progress JSON object written through a [`MetricSink`]: tracks
 /// comma placement so callers emit fields in order without bookkeeping.
-/// Keys are written verbatim (metric names never need escaping) and every
-/// value is an unsigned integer or a nested object, which is all the
-/// telemetry schema contains — the `STATS JSON` view stays a single stable
-/// line that scrapers can parse without a JSON library.
-pub struct JsonObject<'a, S: MetricSink> {
+/// Keys are written verbatim (metric names never need escaping).
+struct JsonObject<'a, S: MetricSink> {
     sink: &'a mut S,
     first: bool,
 }
 
 impl<'a, S: MetricSink> JsonObject<'a, S> {
     /// Opens an object (writes `{`).
-    pub fn begin(sink: &'a mut S) -> JsonObject<'a, S> {
+    fn begin(sink: &'a mut S) -> JsonObject<'a, S> {
         sink.put_bytes(b"{");
         JsonObject { sink, first: true }
     }
@@ -121,7 +185,7 @@ impl<'a, S: MetricSink> JsonObject<'a, S> {
     }
 
     /// Writes one integer field.
-    pub fn field(&mut self, name: &str, value: u64) {
+    fn field(&mut self, name: &str, value: u64) {
         self.key(name);
         put_u64(self.sink, value);
     }
@@ -130,14 +194,14 @@ impl<'a, S: MetricSink> JsonObject<'a, S> {
     /// touching this object again.
     ///
     /// [`end`]: JsonObject::end
-    pub fn nested(&mut self, name: &str) -> JsonObject<'_, S> {
+    fn nested(&mut self, name: &str) -> JsonObject<'_, S> {
         self.key(name);
         JsonObject::begin(self.sink)
     }
 
     /// Writes a histogram snapshot as a nested object carrying the same
     /// samples as the Prometheus [`summary`] form.
-    pub fn summary(&mut self, name: &str, snap: &Snapshot) {
+    fn summary(&mut self, name: &str, snap: &Snapshot) {
         let mut s = self.nested(name);
         for (label, q) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99), ("p999", 0.999)] {
             s.field(label, snap.percentile(q));
@@ -149,7 +213,7 @@ impl<'a, S: MetricSink> JsonObject<'a, S> {
     }
 
     /// Closes the object (writes `}`).
-    pub fn end(self) {
+    fn end(self) {
         self.sink.put_bytes(b"}");
     }
 }

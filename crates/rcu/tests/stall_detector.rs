@@ -20,7 +20,7 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 fn stall_trace_count() -> usize {
     let mut out = Vec::new();
-    rp_obs::global().render_trace(&mut out);
+    rp_obs::global().render_trace_recent(None, &mut out);
     String::from_utf8(out)
         .unwrap()
         .matches(" grace_stall ")
