@@ -1,6 +1,7 @@
 //! Guard-scoped iterators.
 
 use crate::node::NodeRef;
+use crate::resize::HINT_AHEAD;
 use crate::table::ReadTable;
 
 /// An iterator over the key/value pairs of an [`crate::RpHashMap`].
@@ -37,6 +38,10 @@ impl<'g, K: 'g, V: 'g> Iterator for Iter<'g, K, V> {
                     return None;
                 }
                 self.bucket += 1;
+                // The head nodes are scattered over the slab: ask for one
+                // a fixed distance ahead, so a walk over every entry (an
+                // eviction scan) has its misses in flight together.
+                self.table.hint_head(self.bucket + HINT_AHEAD);
                 self.cur = self.table.head(self.bucket);
                 continue;
             };

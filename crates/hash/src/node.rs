@@ -22,6 +22,12 @@ use crate::slab::NodeSlab;
 /// been published into a bucket chain; only the `next` pointer is ever
 /// mutated afterwards (by insertion, removal and the unzip's cut), always
 /// with release stores paired with readers' acquire loads.
+///
+/// The fields are laid out in the order written (`repr(C)`): the link and
+/// the cached hash, which every step of a walk reads, open the node and
+/// the key follows, so a value type can put what a scan of the entries
+/// reads first and have it share their line.
+#[repr(C)]
 pub(crate) struct Node<K, V> {
     next: AtomicPtr<Node<K, V>>,
     /// The key's hash, cached so resize operations never need to re-hash

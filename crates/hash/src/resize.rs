@@ -76,10 +76,10 @@ use rp_rcu::GraceSync;
 use crate::map::{RpHashMap, WriterGuard};
 use crate::table::{BucketArray, LockedTable, Remembered};
 
-/// How many buckets ahead of itself a resize loop hints a head node: far
-/// enough for the miss to land before the loop gets there, near enough for
-/// the line to still be in cache when it does.
-const HINT_AHEAD: usize = 16;
+/// How many buckets ahead of itself a resize loop (or an iterator) hints a
+/// head node: far enough for the miss to land before the loop gets there,
+/// near enough for the line to still be in cache when it does.
+pub(crate) const HINT_AHEAD: usize = 16;
 
 /// Telemetry: a resize began (`expand = true` for unzip, `false` for zip).
 fn observe_resize_begin(expand: bool) {

@@ -62,13 +62,16 @@ impl<K, V> BucketArray<K, V> {
         prefetch_line(self.buckets.as_ptr().wrapping_add(index).cast());
     }
 
-    /// Hints the head node of bucket `index`, if there is one. Only the
-    /// head: a hint that loads the head to hint its successor turns the
-    /// head's miss back into one the caller waits for.
+    /// Hints the head node of bucket `index`, if there is one: its first
+    /// 64 bytes, which may straddle two lines. Only the head: a hint that
+    /// loads the head to hint its successor turns the head's miss back
+    /// into one the caller waits for.
     pub(crate) fn hint_head(&self, index: usize) {
         if let Some(slot) = self.buckets.get(index) {
             // Relaxed: the pointer is only hinted, never dereferenced.
-            prefetch_line(slot.load(Ordering::Relaxed).cast_const().cast());
+            let head: *const u8 = slot.load(Ordering::Relaxed).cast_const().cast();
+            prefetch_line(head);
+            prefetch_line(head.wrapping_add(size_of::<Node<K, V>>().min(64) - 1));
         }
     }
 }
@@ -189,6 +192,10 @@ impl<'r, K, V> ReadTable<'r, K, V> {
 
     pub(crate) fn hint_slot(&self, index: usize) {
         self.0.hint_slot(index);
+    }
+
+    pub(crate) fn hint_head(&self, index: usize) {
+        self.0.hint_head(index);
     }
 }
 

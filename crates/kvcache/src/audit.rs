@@ -18,8 +18,10 @@ pub(crate) enum SharedWrite {
     HitFold,
     /// A `fetch_add` folding a context's GET misses into `CacheStats`.
     MissFold,
-    /// A clone of a stored payload's `Bytes`: a `lock xadd` on its
-    /// reference count, and another when the clone is dropped.
+    /// A clone of a stored payload's shared `Bytes` (a value longer than
+    /// `INLINE_VALUE_LEN`): a `lock xadd` on its reference count, and
+    /// another when the clone is dropped. Copying an inline payload
+    /// writes nothing shared and is not counted.
     PayloadClone,
 }
 
@@ -35,7 +37,7 @@ pub struct SharedWrites {
     pub hit_folds: u64,
     /// Folds of GET misses into `CacheStats`.
     pub miss_folds: u64,
-    /// Payload `Bytes` clones.
+    /// Clones of shared payload `Bytes`.
     pub payload_clones: u64,
 }
 

@@ -224,13 +224,15 @@ pub trait CacheEngine: Send + Sync {
     /// and must not block.
     fn get_with(&self, key: &[u8], ctx: &mut EngineReadCtx, found: &mut dyn FnMut(&Item)) -> bool;
 
-    /// [`CacheEngine::get_with`] returning a copy of the item (the payload
-    /// reference counted, not copied), with the count folded into
-    /// [`CacheEngine::stats`] before it returns.
+    /// [`CacheEngine::get_with`] returning a copy of the item (an inline
+    /// payload copied, a shared one reference counted), with the count
+    /// folded into [`CacheEngine::stats`] before it returns.
     fn get_ref(&self, key: &[u8], ctx: &mut EngineReadCtx) -> Option<Item> {
         let mut copy = None;
         self.get_with(key, ctx, &mut |item| {
-            audit::count(SharedWrite::PayloadClone);
+            if item.data.shared().is_some() {
+                audit::count(SharedWrite::PayloadClone);
+            }
             copy = Some(item.clone());
         });
         ctx.fold(self.stats());
@@ -293,6 +295,8 @@ pub trait CacheEngine: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::RequestRef;
+    use crate::server::execute_ref;
     use crate::{LockEngine, RpEngine, ShardedRpEngine, SplitOrderEngine};
     use std::collections::{BTreeMap, HashMap};
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -598,6 +602,41 @@ mod tests {
             let huge = vec![0_u8; (1 << 20) + 1];
             assert_eq!(engine.set("k", Item::new(0, huge)), StoreOutcome::NotStored);
             assert_eq!(engine.len(), 0);
+        });
+    }
+
+    #[test]
+    fn values_either_side_of_the_inline_and_coalescing_limits_round_trip() {
+        // 70 bytes is the longest value stored inline and 1024 the longest
+        // copied into the reply; past them a value is shared, then queued
+        // by reference. Not UTF-8, so nothing on the path may treat it as
+        // text.
+        for_every_engine_and_read_side(10_000, |engine, ctx| {
+            for len in [0, 70, 71, 1024, 1025] {
+                let value: Vec<u8> = (0..len).map(|i| 0x80 | (i % 128) as u8).collect();
+                let key = format!("v{len}");
+                let mut reply = Vec::new();
+                let set = RequestRef::Set {
+                    key: key.as_bytes(),
+                    flags: 9,
+                    exptime: 0,
+                    data: &value,
+                    noreply: false,
+                };
+                execute_ref(&**engine, &set, ctx, &mut reply);
+                assert_eq!(reply, b"STORED\r\n", "{len} bytes");
+                reply.clear();
+                let get = RequestRef::Get {
+                    key: key.as_bytes(),
+                };
+                execute_ref(&**engine, &get, ctx, &mut reply);
+                let mut expected = format!("VALUE {key} 9 {len}\r\n").into_bytes();
+                expected.extend_from_slice(&value);
+                expected.extend_from_slice(b"\r\nEND\r\n");
+                assert!(reply == expected, "{len} bytes: {reply:?}");
+                ctx.quiescent();
+            }
+            assert_eq!(engine.stats().hits(), 5);
         });
     }
 

@@ -2,6 +2,7 @@
 
 use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -110,42 +111,161 @@ impl std::fmt::Debug for ItemKey {
     }
 }
 
+/// The longest value a [`Payload`] holds inline: what fits beside its
+/// length byte and its tag in 72 bytes.
+const INLINE_VALUE_LEN: usize = 70;
+
+/// An item's value bytes, laid out for the index node they live in: 72
+/// bytes, holding values of up to 70 bytes (`INLINE_VALUE_LEN`) inline, so
+/// a GET hit copies the value out of the node its walk already loaded and
+/// a SET allocates nothing for it. A longer value is a shared [`Bytes`]: a
+/// reply over `COALESCE_LIMIT` (1 KiB) queues it by reference, which needs
+/// the bytes to outlive the node they were found in.
+///
+/// It compares, hashes and dereferences as its bytes, and which form it
+/// takes follows from their length alone: every constructor inlines first.
+#[derive(Clone)]
+pub struct Payload(Held);
+
+#[derive(Clone)]
+enum Held {
+    /// The first `len` bytes of `bytes` are the value.
+    Inline {
+        len: u8,
+        bytes: [u8; INLINE_VALUE_LEN],
+    },
+    Shared(Bytes),
+}
+
+impl Payload {
+    /// Copies `value` into the payload itself when it fits, else into a
+    /// new shared buffer.
+    pub fn copy_from_slice(value: &[u8]) -> Payload {
+        Payload::inline(value)
+            .unwrap_or_else(|| Payload(Held::Shared(Bytes::copy_from_slice(value))))
+    }
+
+    /// `value` copied inline, or `None` if it is too long.
+    fn inline(value: &[u8]) -> Option<Payload> {
+        let len = value.len();
+        (len <= INLINE_VALUE_LEN).then(|| {
+            let mut bytes = [0; INLINE_VALUE_LEN];
+            bytes[..len].copy_from_slice(value);
+            Payload(Held::Inline {
+                len: len as u8,
+                bytes,
+            })
+        })
+    }
+
+    /// The shared buffer of a value longer than 70 bytes; `None` for an
+    /// inline one. Cloning it is what a reply that
+    /// queues the value by reference does.
+    pub fn shared(&self) -> Option<&Bytes> {
+        match &self.0 {
+            Held::Inline { .. } => None,
+            Held::Shared(bytes) => Some(bytes),
+        }
+    }
+}
+
+impl Deref for Payload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            Held::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Held::Shared(bytes) => bytes,
+        }
+    }
+}
+
+impl From<&[u8]> for Payload {
+    fn from(value: &[u8]) -> Self {
+        Payload::copy_from_slice(value)
+    }
+}
+
+impl From<&str> for Payload {
+    fn from(value: &str) -> Self {
+        Payload::copy_from_slice(value.as_bytes())
+    }
+}
+
+impl From<Vec<u8>> for Payload {
+    fn from(value: Vec<u8>) -> Self {
+        Payload::inline(&value).unwrap_or_else(|| Payload(Held::Shared(Bytes::from(value))))
+    }
+}
+
+impl From<String> for Payload {
+    fn from(value: String) -> Self {
+        Payload::from(value.into_bytes())
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Payload {}
+
+impl Hash for Payload {
+    /// `[u8]`'s hashing, as `Bytes` hashes.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl std::fmt::Debug for Payload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "b\"{}\"", self.escape_ascii())
+    }
+}
+
 /// A value stored in the cache: opaque client flags, an optional expiry
 /// deadline and the payload bytes.
 ///
-/// Cloning an `Item` is cheap: the payload is reference-counted
-/// ([`Bytes`]), which is what lets the relativistic GET fast path copy the
-/// value out of the read-side critical section without copying the bytes.
+/// Cloning an `Item` is cheap: it copies at most 70 bytes of payload, and
+/// a longer payload is reference-counted ([`Bytes`]) rather than copied.
+///
+/// The fields are laid out in the order written (`repr(C)`): the deadline
+/// first and the payload last, so that in an index node the deadline sits
+/// beside the chain link, the key and the LRU stamp, which are all the
+/// eviction scan reads.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[repr(C)]
 pub struct Item {
-    /// Opaque client-supplied flags (returned verbatim on GET).
-    pub flags: u32,
     /// Absolute expiry deadline; `None` means the item never expires.
     pub expires_at: Option<Instant>,
+    /// Opaque client-supplied flags (returned verbatim on GET).
+    pub flags: u32,
     /// The payload.
-    pub data: Bytes,
+    pub data: Payload,
 }
 
 impl Item {
     /// Creates an item that never expires.
-    pub fn new(flags: u32, data: impl Into<Bytes>) -> Self {
+    pub fn new(flags: u32, data: impl Into<Payload>) -> Self {
         Item {
-            flags,
             expires_at: None,
+            flags,
             data: data.into(),
         }
     }
 
     /// Creates an item that expires `ttl` from now; a zero `ttl` means the
     /// item never expires (memcached's `exptime 0` convention).
-    pub fn with_ttl(flags: u32, data: impl Into<Bytes>, ttl: Duration) -> Self {
+    pub fn with_ttl(flags: u32, data: impl Into<Payload>, ttl: Duration) -> Self {
         Item {
-            flags,
             expires_at: if ttl.is_zero() {
                 None
             } else {
                 Some(Instant::now() + ttl)
             },
+            flags,
             data: data.into(),
         }
     }
@@ -238,6 +358,88 @@ mod tests {
             let cut = (0..=cut.min(a.len())).rev().find(|&at| a.is_char_boundary(at)).unwrap_or(0);
             let prefix = &a[..cut];
             prop_assert_eq!(ItemKey::from(prefix) == ItemKey::from(a.as_str()), prefix == a);
+        }
+    }
+
+    /// Arbitrary bytes of 0..=200 long, every length about as likely, so
+    /// both sides of the inline boundary come up often.
+    fn value_strategy() -> impl Strategy<Value = Vec<u8>> {
+        let bytes = proptest::collection::vec(any::<u8>(), 200..201);
+        (bytes, 0_usize..201).prop_map(|(mut bytes, len)| {
+            bytes.truncate(len);
+            bytes
+        })
+    }
+
+    /// `value` through each constructor a payload has.
+    fn payloads_of(value: &[u8]) -> [Payload; 4] {
+        [
+            Payload::copy_from_slice(value),
+            Payload::from(value),
+            Payload::from(value.to_vec()),
+            Item::new(0, value.to_vec()).data,
+        ]
+    }
+
+    /// What the engines and the reply writer rely on: a `Payload` is its
+    /// bytes to `Deref`, `Eq` and the hasher, a clone is equal, and it is
+    /// inline exactly when its length allows.
+    fn assert_behaves_as_its_bytes(value: &[u8]) {
+        for payload in payloads_of(value) {
+            assert_eq!(&*payload, value);
+            assert_eq!(
+                payload.shared().is_none(),
+                value.len() <= INLINE_VALUE_LEN,
+                "{} bytes",
+                value.len()
+            );
+            assert_eq!(
+                FnvBuildHasher.hash_one(&payload),
+                FnvBuildHasher.hash_one(value)
+            );
+            let copy = payload.clone();
+            assert_eq!(copy, payload);
+            assert_eq!(&*copy, value);
+            assert_eq!(payload, Payload::copy_from_slice(value));
+        }
+    }
+
+    #[test]
+    fn payloads_at_the_inline_boundary_behave_as_their_bytes() {
+        for len in [
+            0,
+            1,
+            INLINE_VALUE_LEN - 1,
+            INLINE_VALUE_LEN,
+            INLINE_VALUE_LEN + 1,
+            1025,
+        ] {
+            // Not UTF-8, and not zero, so a stray pad byte would show.
+            assert_behaves_as_its_bytes(&vec![0xfe; len]);
+        }
+        // The same prefix on either side of the boundary: distinct values.
+        let at = Payload::from(vec![b'v'; INLINE_VALUE_LEN]);
+        let over = Payload::from(vec![b'v'; INLINE_VALUE_LEN + 1]);
+        assert_ne!(at, over);
+        assert_eq!(
+            format!("{at:?}"),
+            format!("b\"{}\"", "v".repeat(INLINE_VALUE_LEN))
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn any_payload_behaves_as_its_bytes(value in value_strategy()) {
+            assert_behaves_as_its_bytes(&value);
+        }
+
+        #[test]
+        fn payloads_are_equal_iff_their_bytes_are(a in value_strategy(), b in value_strategy()) {
+            prop_assert_eq!(Payload::from(a.clone()) == Payload::from(b.clone()), a == b);
+            // A prefix differs from the whole exactly when it is shorter,
+            // whichever form each side takes.
+            let prefix = &a[..a.len() / 2];
+            prop_assert_eq!(Payload::from(prefix) == Payload::from(a.as_slice()), prefix == a.as_slice());
         }
     }
 

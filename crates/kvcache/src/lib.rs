@@ -11,9 +11,10 @@
 //! * [`protocol`] — a subset of the memcached **text protocol** (GET / SET /
 //!   DELETE plus a few diagnostics) with an incremental parser suitable for
 //!   a streaming socket.
-//! * [`Item`] — a stored value: flags, optional expiry, payload bytes —
-//!   and [`ItemKey`], the 24-byte key the RCU engines store it under
-//!   (up to 22 bytes inline, longer keys behind a `Box<str>`).
+//! * [`Item`] — a stored value: flags, optional expiry and a [`Payload`]
+//!   (up to 70 bytes inline, longer values a shared `Bytes`) — and
+//!   [`ItemKey`], the 24-byte key the RCU engines store it under (up to 22
+//!   bytes inline, longer keys behind a `Box<str>`).
 //! * [`CacheEngine`] — the storage-engine trait the server dispatches to.
 //! * [`LockEngine`] — the **default** engine: one global mutex around a hash
 //!   map plus LRU bookkeeping, the `cache_lock` architecture.
@@ -22,10 +23,11 @@
 //!   critical section; writes go through the index's writer side; expiry
 //!   is lazy and eviction is exact LRU from a queue that one scan of the
 //!   index fills for many evictions, both on the slow path. The
-//!   item is flat: key, flags, deadline and LRU stamp sit by value in the
-//!   index node, so a hit is three dependent loads (bucket slot, node,
-//!   payload) and a SET two allocations (node, payload). Three indexes
-//!   plug in:
+//!   item is flat: key, flags, deadline, LRU stamp and a small value sit
+//!   by value in the index node, so a hit of a value of up to 70 bytes is
+//!   two dependent loads (bucket slot, node) and a SET of a short key and
+//!   such a value allocates nothing on an index whose nodes come from a
+//!   slab. Three indexes plug in:
 //!   [`RpEngine`] (one [`rp_hash::RpHashMap`] — the paper's patch),
 //!   [`ShardedRpEngine`] (an [`rp_shard::ShardedRpMap`]: SETs and index
 //!   resizes only contend within one shard, and resizes run on a
@@ -73,7 +75,7 @@ pub mod telemetry;
 pub use client::{CacheClient, RetryClient, RetryPolicy};
 pub use engine::{CacheEngine, CacheStats, EngineReadCtx, ReadSide, StoreOutcome, GROUP};
 pub use event_server::{EventServer, KvService};
-pub use item::{Item, ItemKey};
+pub use item::{Item, ItemKey, Payload};
 pub use lock_engine::LockEngine;
 pub use rp_engine::{Engine, RpEngine};
 pub use server::ServerConfig;

@@ -17,7 +17,7 @@ use rp_rcu::NoGraceWait;
 
 use crate::audit::{self, SharedWrite};
 use crate::engine::{CacheEngine, CacheStats, EngineReadCtx, StoreOutcome, GROUP};
-use crate::item::{Item, ItemKey};
+use crate::item::{Item, ItemKey, Payload};
 use crate::lock_engine::EngineConfig;
 
 /// Hashes raw key bytes exactly as the engines' [`ItemKey`]-keyed indexes
@@ -36,20 +36,30 @@ fn str_bytes_hash(bytes: &[u8]) -> u64 {
 }
 
 /// A stored item plus its LRU access stamp, held by value in
-/// the index node: a GET hit reads key, flags, deadline, stamp and payload
-/// pointer from the node the chain walk already loaded.
+/// the index node: a GET hit reads key, flags, deadline, stamp and a value
+/// of up to `INLINE_VALUE_LEN` bytes from the node the chain walk already
+/// loaded.
 ///
 /// The payload is immutable after publication; only the access stamp is
 /// updated by readers, with a relaxed store (the relativistic equivalent of
 /// memcached's "don't bump the LRU on every GET" optimisation — readers
 /// never take a lock or move list nodes).
+///
+/// The stamp comes first (`repr(C)`), then the item, whose deadline leads
+/// it: in an `RpHashMap` node, which opens with its link, cached hash and
+/// key, the eviction scan reads the node's first 64 bytes and nothing of
+/// the payload behind them.
+#[repr(C)]
 pub struct StoredItem {
-    item: Item,
     last_access: AtomicU64,
+    item: Item,
 }
 
-// With the 24-byte key, an `RpHashMap` node is 88 bytes.
-const _: () = assert!(std::mem::size_of::<StoredItem>() <= 48);
+// The payload holds 70 bytes inline in 9 words, and the item stays within
+// 104 bytes, so with the 24-byte key and the node's link and cached hash
+// an `RpHashMap` node is at most 144 bytes.
+const _: () = assert!(std::mem::size_of::<Payload>() == 72);
+const _: () = assert!(std::mem::size_of::<StoredItem>() <= 104);
 
 /// What an [`Engine`] needs from its index: a raw byte-keyed probe under
 /// either read-side witness, plus the handful of writer-side calls. The
@@ -195,14 +205,16 @@ impl StoredItem {
         self.last_access.load(Ordering::Relaxed)
     }
 
-    /// Hints the payload's first two lines: its `Arc` header (two counters,
-    /// just below the data), which a large value's reply clones, and the
-    /// data that follows, which a small value's reply copies.
-    fn prefetch_payload(&self) {
-        let counters = std::mem::size_of::<[usize; 2]>();
-        let header = self.item.data.as_ptr().wrapping_sub(counters);
-        rp_hash::prefetch_line(header);
-        rp_hash::prefetch_line(header.wrapping_add(64));
+    /// Hints the value a hit's reply will read. An inline value ends the
+    /// node, so its first byte's line is the one line of the three a node
+    /// spans that the node's own hint (its first and last bytes) left out;
+    /// a shared one is [`prefetch_payload`].
+    fn prefetch_value(&self) {
+        let data = &self.item.data;
+        match data.shared() {
+            Some(shared) => prefetch_payload(shared),
+            None => rp_hash::prefetch_line(data.as_ptr()),
+        }
     }
 
     /// Whether the item is past its deadline. The clock is read only for
@@ -210,6 +222,16 @@ impl StoredItem {
     pub(crate) fn is_expired_now(&self) -> bool {
         self.item.expires_at.is_some() && self.item.is_expired(Instant::now())
     }
+}
+
+/// Hints a shared payload's first two lines: its `Arc` header (two
+/// counters, just below the data), which a large value's reply clones, and
+/// the data that follows.
+fn prefetch_payload(shared: &bytes::Bytes) {
+    let counters = std::mem::size_of::<[usize; 2]>();
+    let header = shared.as_ptr().wrapping_sub(counters);
+    rp_hash::prefetch_line(header);
+    rp_hash::prefetch_line(header.wrapping_add(64));
 }
 
 /// [`ByteKeyIndex::stalest`] over an index's `entries`, in one pass with a
@@ -322,7 +344,7 @@ impl<I: ByteKeyIndex> Engine<I> {
     /// The hint passes over one group of keys, under one witness: hash
     /// every key once and touch its bucket slot; then, a chain step per
     /// pass, hint the head node, the second node, the third — and at the
-    /// node whose cached hash matches, the payload instead. Each pass
+    /// node whose cached hash matches, its value instead. Each pass
     /// reads only what the pass before asked for, so the group's misses
     /// are in flight together.
     fn hint_group<P: rp_hash::ReadProtect>(&self, keys: &[&[u8]], protect: &P) {
@@ -334,7 +356,7 @@ impl<I: ByteKeyIndex> Engine<I> {
         for depth in 1..=3 {
             for &hash in &hashes[..keys.len()] {
                 if let Some(stored) = self.index.prefetch(hash, depth, protect) {
-                    stored.prefetch_payload();
+                    stored.prefetch_value();
                 }
             }
         }

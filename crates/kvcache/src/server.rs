@@ -6,14 +6,13 @@
 
 use std::time::Duration;
 
-use bytes::Bytes;
 use rp_net::{BufWrite, COALESCE_LIMIT};
 
 use crate::audit::{self, SharedWrite};
 use crate::engine::{CacheEngine, EngineReadCtx, ReadSide, StoreOutcome};
 use crate::protocol::{put_decimal, write_value, RequestRef, StatsSub};
 use crate::telemetry;
-use crate::Item;
+use crate::{Item, Payload};
 
 /// Version string reported by the `version` command.
 pub const SERVER_VERSION: &str = "relativist-kvcache 0.1.0";
@@ -178,18 +177,20 @@ fn hash_key(key: &[u8]) -> u64 {
 /// Writes one `VALUE` block for `item`, then `tail` (`\r\n`, or
 /// `\r\nEND\r\n` closing a single-key GET). A payload of at most
 /// [`COALESCE_LIMIT`] bytes goes out in the same single write as its header
-/// and tail — copied, so the item's reference count is never touched; a
-/// larger one is queued by reference, one `Bytes` clone taken while the
-/// caller's read-side section still protects the item.
+/// and tail — copied, from the node itself when it is inline, so no
+/// reference count is touched; a larger one is queued by reference, one
+/// `Bytes` clone taken while the caller's read-side section still protects
+/// the item.
 fn put_value(out: &mut impl BufWrite, key: &[u8], item: &Item, tail: &[u8]) {
     let len = item.data.len();
-    if len <= COALESCE_LIMIT {
-        write_value(out, key, item.flags, len, &item.data, tail);
-    } else {
-        write_value(out, key, item.flags, len, &[], &[]);
-        audit::count(SharedWrite::PayloadClone);
-        out.put_shared(item.data.clone());
-        out.put(tail);
+    match item.data.shared() {
+        Some(shared) if len > COALESCE_LIMIT => {
+            write_value(out, key, item.flags, len, &[], &[]);
+            audit::count(SharedWrite::PayloadClone);
+            out.put_shared(shared.clone());
+            out.put(tail);
+        }
+        _ => write_value(out, key, item.flags, len, &item.data, tail),
     }
 }
 
@@ -244,7 +245,7 @@ fn execute(
                     key,
                     Item::with_ttl(
                         *flags,
-                        Bytes::copy_from_slice(data),
+                        Payload::copy_from_slice(data),
                         Duration::from_secs(*exptime),
                     ),
                 ),

@@ -1,14 +1,15 @@
 //! Exact allocation counts of the RCU engines' SET and GET paths, taken on
 //! the calling thread with the counting allocator installed: the cached
-//! item is one index node (key and item by value) plus its payload. An
-//! `RpHashMap` index takes its nodes from its own slab, not the heap, so a
-//! SET of a short key allocates nothing on `RpEngine` and `ShardedRpEngine`;
-//! a split-ordered index allocates the node and the value's cell. A key
-//! past the inline limit adds its `Box<str>`, and a GET allocates nothing.
-//! A SET past capacity allocates per *scan* for eviction candidates, not
-//! per SET: the queue and the bounded heap behind it, plus a `Box<str>` for
-//! each long key queued. The payloads here are shared `Bytes`, so they do
-//! not count.
+//! item is one index node (key, item and a value of up to 70 bytes by
+//! value). An `RpHashMap` index takes its nodes from its own slab, not the
+//! heap, so a SET of a short key and a small value allocates nothing on
+//! `RpEngine` and `ShardedRpEngine`, even with the value handed over in a
+//! fresh `Vec`; a split-ordered index allocates the node and the value's
+//! cell. A key past the inline limit adds its `Box<str>`, a value past it
+//! its shared buffer, and a GET allocates nothing. A SET past capacity
+//! allocates per *scan* for eviction candidates, not per SET: the queue and
+//! the bounded heap behind it, plus a `Box<str>` for each long key queued.
+//! The `Vec`s a SET hands over are built before the count starts.
 
 use rp_kvcache::{
     CacheEngine, EngineReadCtx, Item, ReadSide, RpEngine, ShardedRpEngine, SplitOrderEngine,
@@ -30,15 +31,18 @@ fn allocs_per_op(mut op: impl FnMut(usize)) -> f64 {
 }
 
 /// `per_set` allocations exactly, but for the deferred-free queue growing
-/// back after each reclamation batch.
-fn assert_set_allocs(engine: &dyn CacheEngine, keys: &[String], per_set: f64) {
-    let payload = bytes::Bytes::from(vec![7_u8; 64]);
+/// back after each reclamation batch, for SETs that each hand over a fresh
+/// `Vec` of `value_len` bytes.
+fn assert_set_allocs(engine: &dyn CacheEngine, keys: &[String], value_len: usize, per_set: f64) {
+    let mut values: Vec<Vec<u8>> = (0..2 * OPS).map(|_| vec![7_u8; value_len]).collect();
     let measured = allocs_per_op(|i| {
-        engine.set(&keys[i % keys.len()], Item::new(0, payload.clone()));
+        let value = values.pop().expect("a value per SET");
+        engine.set(&keys[i % keys.len()], Item::new(0, value));
     });
     assert!(
         (per_set..per_set + 0.05).contains(&measured),
-        "{}: {measured:.3} allocations per SET of a {}-byte key, expected {per_set}",
+        "{}: {measured:.3} allocations per SET of a {}-byte key and a {value_len}-byte value, \
+         expected {per_set}",
         engine.name(),
         keys[0].len(),
     );
@@ -47,10 +51,10 @@ fn assert_set_allocs(engine: &dyn CacheEngine, keys: &[String], per_set: f64) {
 /// An evicting SET of a fresh key, amortised over the scans `OPS` of them
 /// need: `per_set` and under a tenth of an allocation more.
 fn assert_evicting_set_allocs(engine: &dyn CacheEngine, keys: &[String], per_set: f64) {
-    let payload = bytes::Bytes::from(vec![7_u8; 64]);
+    let value = [7_u8; 64];
     let mut fresh = keys.iter();
     let mut set_next = |_| {
-        engine.set(fresh.next().unwrap(), Item::new(0, payload.clone()));
+        engine.set(fresh.next().unwrap(), Item::new(0, &value[..]));
     };
     // Fill to capacity first, so that every counted SET evicts, and go on
     // until a split-ordered index has initialised its buckets (it
@@ -82,13 +86,17 @@ fn assert_gets_do_not_allocate(engine: &dyn CacheEngine, keys: &[String]) {
 }
 
 /// `node_allocs` is what the index allocates from the heap per entry
-/// besides the key.
+/// besides the key and the value.
 fn check(engine: &dyn CacheEngine, node_allocs: f64) {
     let short: Vec<String> = (0..64).map(|i| format!("key:{i:08}")).collect();
     let long: Vec<String> = (0..64).map(|i| format!("key:{i:019}")).collect();
     assert_eq!((short[0].len(), long[0].len()), (12, 23));
-    assert_set_allocs(engine, &short, node_allocs);
-    assert_set_allocs(engine, &long, node_allocs + 1.0);
+    // 64 bytes, the benchmark's value, and the longest held inline.
+    assert_set_allocs(engine, &short, 64, node_allocs);
+    assert_set_allocs(engine, &short, 70, node_allocs);
+    assert_set_allocs(engine, &long, 64, node_allocs + 1.0);
+    // One byte more: the value's shared buffer.
+    assert_set_allocs(engine, &short, 71, node_allocs + 1.0);
     assert_gets_do_not_allocate(engine, &short);
     assert_gets_do_not_allocate(engine, &long);
 }
