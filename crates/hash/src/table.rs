@@ -62,8 +62,16 @@ impl<K, V> BucketArray<K, V> {
         prefetch_line(self.buckets.as_ptr().wrapping_add(index).cast());
     }
 
+    /// Whether a node's first 64 bytes can straddle two lines. A slab's
+    /// slots follow each other from a line-aligned chunk start, so a node
+    /// whose size divides 64, or is a multiple of it, never straddles.
+    const HEAD_STRADDLES: bool = {
+        let size = size_of::<Node<K, V>>();
+        !size.is_multiple_of(64) && !64_usize.is_multiple_of(size)
+    };
+
     /// Hints the head node of bucket `index`, if there is one: its first
-    /// 64 bytes, which may straddle two lines. Only the head: a hint that
+    /// 64 bytes, two lines when they straddle. Only the head: a hint that
     /// loads the head to hint its successor turns the head's miss back
     /// into one the caller waits for.
     pub(crate) fn hint_head(&self, index: usize) {
@@ -71,7 +79,9 @@ impl<K, V> BucketArray<K, V> {
             // Relaxed: the pointer is only hinted, never dereferenced.
             let head: *const u8 = slot.load(Ordering::Relaxed).cast_const().cast();
             prefetch_line(head);
-            prefetch_line(head.wrapping_add(size_of::<Node<K, V>>().min(64) - 1));
+            if Self::HEAD_STRADDLES {
+                prefetch_line(head.wrapping_add(size_of::<Node<K, V>>().min(64) - 1));
+            }
         }
     }
 }

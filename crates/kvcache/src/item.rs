@@ -159,9 +159,9 @@ impl Payload {
     }
 
     /// The shared buffer of a value longer than 70 bytes; `None` for an
-    /// inline one. Cloning it is what a reply that
-    /// queues the value by reference does.
-    pub fn shared(&self) -> Option<&Bytes> {
+    /// inline one. Cloning it is what a reply that queues the value by
+    /// reference does.
+    pub(crate) fn shared(&self) -> Option<&Bytes> {
         match &self.0 {
             Held::Inline { .. } => None,
             Held::Shared(bytes) => Some(bytes),
