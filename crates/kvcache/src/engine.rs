@@ -301,7 +301,7 @@ mod tests {
     use std::collections::{BTreeMap, HashMap};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     #[test]
     fn stats_counters_accumulate() {
@@ -345,12 +345,6 @@ mod tests {
         }
     }
 
-    fn stale(data: &'static str) -> Item {
-        let mut item = Item::new(0, data);
-        item.expires_at = Some(Instant::now() - Duration::from_millis(1));
-        item
-    }
-
     #[test]
     fn get_set_delete_round_trip() {
         for_every_engine_and_read_side(10_000, |engine, ctx| {
@@ -380,7 +374,7 @@ mod tests {
     #[test]
     fn expired_items_fall_back_to_the_slow_path() {
         for_every_engine_and_read_side(10_000, |engine, ctx| {
-            engine.set("k", stale("stale"));
+            engine.set("k", Item::expired(0, "stale"));
             engine.set("live", Item::new(0, "x"));
             // `exptime 0` and a deadline still ahead: both plain hits.
             engine.set("forever", Item::with_ttl(0, "x", Duration::ZERO));
@@ -565,7 +559,7 @@ mod tests {
         for_every_engine_and_read_side(10_000, |engine, _ctx| {
             for i in 0..6 {
                 let item = if i % 2 == 0 {
-                    stale("x")
+                    Item::expired(0, "x")
                 } else {
                     Item::new(0, "x")
                 };
@@ -581,7 +575,7 @@ mod tests {
         // which makes the interleaving certain. The fresh item must stay.
         let engine = SplitOrderEngine::with_capacity(1024);
         for i in 0..6 {
-            engine.set(&format!("k{i}"), stale("stale"));
+            engine.set(&format!("k{i}"), Item::expired(0, "stale"));
         }
         let purged = engine.index.retain(|key, stored| {
             let expired = stored.is_expired_now();

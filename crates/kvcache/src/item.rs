@@ -2,8 +2,10 @@
 
 use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
+use std::num::NonZeroU32;
 use std::ops::Deref;
-use std::time::{Duration, Instant};
+use std::sync::OnceLock;
+use std::time::{Duration, Instant, SystemTime};
 
 use bytes::Bytes;
 
@@ -225,21 +227,106 @@ impl std::fmt::Debug for Payload {
     }
 }
 
+/// The largest `exptime` memcached reads as a TTL in seconds (30 days);
+/// anything larger is an absolute Unix time.
+const MAX_RELATIVE_EXPTIME: u64 = 30 * 24 * 60 * 60;
+
+/// When an item expires, in 4 bytes: whole seconds on the expiry clock,
+/// which counts from an epoch one second before the first time anything
+/// asked for it (a monotonic [`Instant`]). memcached keeps its deadlines
+/// the same way, as a `rel_time_t` from its process start, and for the
+/// same reason: `exptime` comes in whole seconds, and an item's deadline
+/// is 4 bytes of its header rather than 16.
+///
+/// A deadline is rounded up to the next whole second, so an item never
+/// expires early and expires at most one second late. `NonZeroU32` gives
+/// `Option<Deadline>` its 4 bytes, and the clock's first second is spent
+/// before any deadline is made, so second 1, [`Deadline::PASSED`], has
+/// always passed. A deadline past the clock's range (136 years) saturates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Deadline(NonZeroU32);
+
+const _: () = assert!(std::mem::size_of::<Option<Deadline>>() == 4);
+
+impl Deadline {
+    /// A deadline that has already passed: an item stored with it is never
+    /// served.
+    pub const PASSED: Deadline = Deadline(NonZeroU32::MIN);
+
+    /// The latest deadline there is.
+    const LAST: Deadline = Deadline(NonZeroU32::MAX);
+
+    /// The expiry clock's epoch, set the first time it is asked for. A
+    /// clock that reads less than a second since boot has no second to
+    /// spare, and then [`Deadline::PASSED`] passes one second in.
+    fn epoch() -> Instant {
+        static EPOCH: OnceLock<Instant> = OnceLock::new();
+        *EPOCH.get_or_init(|| {
+            let now = Instant::now();
+            now.checked_sub(Duration::from_secs(1)).unwrap_or(now)
+        })
+    }
+
+    /// The first whole second on the expiry clock at or after `at`.
+    pub fn at(at: Instant) -> Deadline {
+        let since = at.saturating_duration_since(Deadline::epoch());
+        let secs = since.as_secs() + u64::from(since.subsec_nanos() > 0);
+        NonZeroU32::new(u32::try_from(secs).unwrap_or(u32::MAX)).map_or(Deadline::PASSED, Deadline)
+    }
+
+    /// The deadline `ttl` from now.
+    pub fn after(ttl: Duration) -> Deadline {
+        Instant::now()
+            .checked_add(ttl)
+            .map_or(Deadline::LAST, Deadline::at)
+    }
+
+    /// The deadline a memcached `exptime` names, `None` for `0` (never). Up
+    /// to 30 days it is a TTL in seconds; past that, a Unix time, read
+    /// against the system clock once here: one already gone is
+    /// [`Deadline::PASSED`].
+    pub fn from_exptime(exptime: u64) -> Option<Deadline> {
+        match exptime {
+            0 => None,
+            1..=MAX_RELATIVE_EXPTIME => Some(Deadline::after(Duration::from_secs(exptime))),
+            _ => {
+                let unix_now = SystemTime::now()
+                    .duration_since(SystemTime::UNIX_EPOCH)
+                    .unwrap_or_default();
+                Some(match Duration::from_secs(exptime).checked_sub(unix_now) {
+                    Some(ttl) if !ttl.is_zero() => Deadline::after(ttl),
+                    _ => Deadline::PASSED,
+                })
+            }
+        }
+    }
+
+    /// The instant this deadline names.
+    pub fn instant(self) -> Instant {
+        Deadline::epoch() + Duration::from_secs(self.0.get().into())
+    }
+
+    /// Whether this deadline has passed at `now`.
+    pub fn has_passed(self, now: Instant) -> bool {
+        now >= self.instant()
+    }
+}
+
 /// A value stored in the cache: opaque client flags, an optional expiry
 /// deadline and the payload bytes.
 ///
 /// Cloning an `Item` is cheap: it copies at most 70 bytes of payload, and
 /// a longer payload is reference-counted ([`Bytes`]) rather than copied.
 ///
-/// The fields are laid out in the order written (`repr(C)`): the deadline
-/// first and the payload last, so that in an index node the deadline sits
-/// beside the chain link, the key and the LRU stamp, which are all the
-/// eviction scan reads.
+/// The fields are laid out in the order written (`repr(C)`): the 4-byte
+/// deadline and the 4-byte flags first and the payload last, so that in an
+/// index node the deadline sits beside the chain link, the key and the LRU
+/// stamp, which are all the eviction scan reads, with no padding between.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[repr(C)]
 pub struct Item {
-    /// Absolute expiry deadline; `None` means the item never expires.
-    pub expires_at: Option<Instant>,
+    /// Expiry deadline; `None` means the item never expires.
+    pub expires_at: Option<Deadline>,
     /// Opaque client-supplied flags (returned verbatim on GET).
     pub flags: u32,
     /// The payload.
@@ -256,15 +343,21 @@ impl Item {
         }
     }
 
-    /// Creates an item that expires `ttl` from now; a zero `ttl` means the
-    /// item never expires (memcached's `exptime 0` convention).
+    /// Creates an item that expires `ttl` from now, to the next whole
+    /// second; a zero `ttl` means the item never expires (memcached's
+    /// `exptime 0` convention).
     pub fn with_ttl(flags: u32, data: impl Into<Payload>, ttl: Duration) -> Self {
         Item {
-            expires_at: if ttl.is_zero() {
-                None
-            } else {
-                Some(Instant::now() + ttl)
-            },
+            expires_at: (!ttl.is_zero()).then(|| Deadline::after(ttl)),
+            flags,
+            data: data.into(),
+        }
+    }
+
+    /// Creates an item whose deadline has already passed.
+    pub fn expired(flags: u32, data: impl Into<Payload>) -> Self {
+        Item {
+            expires_at: Some(Deadline::PASSED),
             flags,
             data: data.into(),
         }
@@ -272,10 +365,8 @@ impl Item {
 
     /// Returns `true` if the item has passed its expiry deadline.
     pub fn is_expired(&self, now: Instant) -> bool {
-        match self.expires_at {
-            Some(deadline) => now >= deadline,
-            None => false,
-        }
+        self.expires_at
+            .is_some_and(|deadline| deadline.has_passed(now))
     }
 
     /// Payload length in bytes.
@@ -460,11 +551,67 @@ mod tests {
 
     #[test]
     fn ttl_expiry_is_respected() {
-        let item = Item::with_ttl(0, "x", Duration::from_millis(10));
-        let deadline = item.expires_at.unwrap();
-        assert!(!item.is_expired(deadline - Duration::from_millis(5)));
+        let before = Instant::now();
+        let item = Item::with_ttl(0, "x", Duration::from_secs(2));
+        let after = Instant::now();
+        let deadline = item.expires_at.unwrap().instant();
+        // Never early, and at most a second late.
+        assert!(deadline >= before + Duration::from_secs(2));
+        assert!(deadline <= after + Duration::from_secs(3));
+        assert!(!item.is_expired(deadline - Duration::from_nanos(1)));
         assert!(item.is_expired(deadline));
-        assert!(item.is_expired(deadline + Duration::from_millis(5)));
+        assert!(item.is_expired(deadline + Duration::from_secs(1)));
+    }
+
+    #[test]
+    fn an_expired_item_is_expired_from_the_clocks_first_second() {
+        let item = Item::expired(0, "x");
+        assert!(item.is_expired(Instant::now()));
+        assert_eq!(Deadline::at(Deadline::PASSED.instant()), Deadline::PASSED);
+        // The clock's epoch and anything before it round up to second 1.
+        assert_eq!(Deadline::at(Deadline::epoch()), Deadline::PASSED);
+    }
+
+    #[test]
+    fn a_deadline_past_the_clocks_range_saturates() {
+        let last = Deadline::after(Duration::MAX);
+        assert_eq!(last, Deadline::LAST);
+        assert_eq!(
+            Deadline::after(Duration::from_secs(u64::from(u32::MAX))),
+            last
+        );
+        assert!(!last.has_passed(Instant::now()));
+    }
+
+    #[test]
+    fn exptime_reads_as_memcached_reads_it() {
+        assert_eq!(Deadline::from_exptime(0), None);
+        let before = Instant::now();
+        let relative = Deadline::from_exptime(MAX_RELATIVE_EXPTIME).unwrap();
+        assert!(relative.instant() >= before + Duration::from_secs(MAX_RELATIVE_EXPTIME));
+        // One second more is a Unix time, long gone.
+        assert_eq!(
+            Deadline::from_exptime(MAX_RELATIVE_EXPTIME + 1),
+            Some(Deadline::PASSED)
+        );
+        assert_eq!(Deadline::from_exptime(u64::MAX), Some(Deadline::LAST));
+    }
+
+    proptest! {
+        #[test]
+        fn a_deadline_passes_within_a_second_of_its_ttl(ttl_ms in 1..MAX_RELATIVE_EXPTIME * 1000 + 1) {
+            let ttl = Duration::from_millis(ttl_ms);
+            let now = Instant::now();
+            let deadline = Deadline::at(now + ttl);
+            prop_assert!(!deadline.has_passed(now + ttl - Duration::from_nanos(1)));
+            prop_assert!(deadline.has_passed(now + ttl + Duration::from_secs(1)));
+            // The same through `with_ttl`, which reads the clock itself.
+            let before = Instant::now();
+            let item = Item::with_ttl(0, "x", ttl);
+            let after = Instant::now();
+            prop_assert!(!item.is_expired(before + ttl - Duration::from_nanos(1)));
+            prop_assert!(item.is_expired(after + ttl + Duration::from_secs(1)));
+        }
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub mod telemetry;
 pub use client::{CacheClient, RetryClient, RetryPolicy};
 pub use engine::{CacheEngine, CacheStats, EngineReadCtx, ReadSide, StoreOutcome, GROUP};
 pub use event_server::{EventServer, KvService};
-pub use item::{Item, ItemKey, Payload};
+pub use item::{Deadline, Item, ItemKey, Payload};
 pub use lock_engine::LockEngine;
 pub use rp_engine::{Engine, RpEngine};
 pub use server::ServerConfig;

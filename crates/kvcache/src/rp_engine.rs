@@ -37,29 +37,31 @@ fn str_bytes_hash(bytes: &[u8]) -> u64 {
 
 /// A stored item plus its LRU access stamp, held by value in
 /// the index node: a GET hit reads key, flags, deadline, stamp and a value
-/// of up to `INLINE_VALUE_LEN` bytes from the node the chain walk already
-/// loaded.
+/// of up to `INLINE_VALUE_LEN` bytes from the two lines of the node the
+/// chain walk already loaded.
 ///
 /// The payload is immutable after publication; only the access stamp is
 /// updated by readers, with a relaxed store (the relativistic equivalent of
 /// memcached's "don't bump the LRU on every GET" optimisation — readers
 /// never take a lock or move list nodes).
 ///
-/// The stamp comes first (`repr(C)`), then the item, whose deadline leads
-/// it: in an `RpHashMap` node, which opens with its link, cached hash and
-/// key, the eviction scan reads the node's first 64 bytes and nothing of
-/// the payload behind them.
+/// The stamp comes first (`repr(C)`), then the item, whose deadline and
+/// flags lead it: in an `RpHashMap` node, which opens with its link, cached
+/// hash and key, the eviction scan reads the node's first line and nothing
+/// of the payload behind it.
 #[repr(C)]
 pub struct StoredItem {
     last_access: AtomicU64,
     item: Item,
 }
 
-// The payload holds 70 bytes inline in 9 words, and the item stays within
-// 104 bytes, so with the 24-byte key and the node's link and cached hash
-// an `RpHashMap` node is at most 144 bytes.
+// The payload holds 70 bytes inline in 9 words, the deadline and flags take
+// one more, and the stamp one more: with the 24-byte key and the node's
+// link and cached hash an `RpHashMap` node is 128 bytes, two cache lines
+// of a slab slot that starts on a line.
 const _: () = assert!(std::mem::size_of::<Payload>() == 72);
-const _: () = assert!(std::mem::size_of::<StoredItem>() <= 104);
+const _: () = assert!(std::mem::size_of::<Item>() == 80);
+const _: () = assert!(std::mem::size_of::<StoredItem>() == 88);
 
 /// What an [`Engine`] needs from its index: a raw byte-keyed probe under
 /// either read-side witness, plus the handful of writer-side calls. The
@@ -205,18 +207,6 @@ impl StoredItem {
         self.last_access.load(Ordering::Relaxed)
     }
 
-    /// Hints the value a hit's reply will read. An inline value ends the
-    /// node, so its first byte's line is the one line of the three a node
-    /// spans that the node's own hint (its first and last bytes) left out;
-    /// a shared one is [`prefetch_payload`].
-    fn prefetch_value(&self) {
-        let data = &self.item.data;
-        match data.shared() {
-            Some(shared) => prefetch_payload(shared),
-            None => rp_hash::prefetch_line(data.as_ptr()),
-        }
-    }
-
     /// Whether the item is past its deadline. The clock is read only for
     /// an item that has one.
     pub(crate) fn is_expired_now(&self) -> bool {
@@ -249,7 +239,7 @@ pub(crate) fn stalest_of<'g>(
         let expired = stored
             .item
             .expires_at
-            .is_some_and(|deadline| *now.get_or_insert_with(Instant::now) >= deadline);
+            .is_some_and(|deadline| deadline.has_passed(*now.get_or_insert_with(Instant::now)));
         let candidate = (!expired, stored.access_stamp(), key);
         if heap.len() < count {
             heap.push(candidate);
@@ -343,10 +333,11 @@ impl<I: ByteKeyIndex> Engine<I> {
 
     /// The hint passes over one group of keys, under one witness: hash
     /// every key once and touch its bucket slot; then, a chain step per
-    /// pass, hint the head node, the second node, the third — and at the
-    /// node whose cached hash matches, its value instead. Each pass
-    /// reads only what the pass before asked for, so the group's misses
-    /// are in flight together.
+    /// pass, hint the head node, the second node, the third (both lines of
+    /// each, so an inline value comes with its node) — and at the node
+    /// whose cached hash matches, a shared value's buffer instead. Each
+    /// pass reads only what the pass before asked for, so the group's
+    /// misses are in flight together.
     fn hint_group<P: rp_hash::ReadProtect>(&self, keys: &[&[u8]], protect: &P) {
         let mut hashes = [0_u64; GROUP];
         for (hash, key) in hashes.iter_mut().zip(keys) {
@@ -355,8 +346,9 @@ impl<I: ByteKeyIndex> Engine<I> {
         }
         for depth in 1..=3 {
             for &hash in &hashes[..keys.len()] {
-                if let Some(stored) = self.index.prefetch(hash, depth, protect) {
-                    stored.prefetch_value();
+                let found = self.index.prefetch(hash, depth, protect);
+                if let Some(shared) = found.and_then(|stored| stored.item.data.shared()) {
+                    prefetch_payload(shared);
                 }
             }
         }
@@ -587,13 +579,6 @@ pub(crate) mod tests {
     use crate::engine::ReadSide;
     use std::time::Duration;
 
-    /// An item whose deadline has passed.
-    fn expired_item(data: &'static str) -> Item {
-        let mut item = Item::new(0, data);
-        item.expires_at = Some(Instant::now() - Duration::from_millis(1));
-        item
-    }
-
     #[test]
     fn str_bytes_hash_matches_the_index_hasher() {
         use std::hash::BuildHasher;
@@ -634,7 +619,7 @@ pub(crate) mod tests {
         for (i, &(stamp, deadline)) in stamps.iter().enumerate() {
             let item = match deadline {
                 None => Item::new(0, "v"),
-                Some(true) => expired_item("v"),
+                Some(true) => Item::expired(0, "v"),
                 Some(false) => Item::with_ttl(0, "v", Duration::from_secs(3600)),
             };
             let key = char::from(b'a' + i as u8).to_string();
@@ -699,8 +684,8 @@ pub(crate) mod tests {
         let mut ctx = EngineReadCtx::new(ReadSide::Ebr);
         engine.set("live-0", Item::new(0, "v"));
         engine.set("live-1", Item::new(0, "v"));
-        engine.set("stale-0", expired_item("v"));
-        engine.set("stale-1", expired_item("v"));
+        engine.set("stale-0", Item::expired(0, "v"));
+        engine.set("stale-1", Item::expired(0, "v"));
         engine.set("fifth", Item::new(0, "v"));
         assert_eq!(engine.len(), 4, "{name}");
         assert_eq!(engine.stats.expirations.get(), 1, "{name}");
@@ -746,7 +731,7 @@ pub(crate) mod tests {
     /// the same key acknowledged between the probe and the removal: the
     /// verdict "expired" was about the old item and must not take the new.
     fn expired_verdict_spares_a_fresh_set<I: ByteKeyIndex>(engine: Engine<I>) {
-        let stale = || expired_item("stale");
+        let stale = || Item::expired(0, "stale");
         let hash = str_bytes_hash(b"k");
         engine.set("k", stale());
         {

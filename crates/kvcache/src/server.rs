@@ -12,7 +12,7 @@ use crate::audit::{self, SharedWrite};
 use crate::engine::{CacheEngine, EngineReadCtx, ReadSide, StoreOutcome};
 use crate::protocol::{put_decimal, write_value, RequestRef, StatsSub};
 use crate::telemetry;
-use crate::{Item, Payload};
+use crate::{Deadline, Item, Payload};
 
 /// Version string reported by the `version` command.
 pub const SERVER_VERSION: &str = "relativist-kvcache 0.1.0";
@@ -243,11 +243,11 @@ fn execute(
             let outcome = span.index(|| match std::str::from_utf8(key) {
                 Ok(key) => engine.set(
                     key,
-                    Item::with_ttl(
-                        *flags,
-                        Payload::copy_from_slice(data),
-                        Duration::from_secs(*exptime),
-                    ),
+                    Item {
+                        expires_at: Deadline::from_exptime(*exptime),
+                        flags: *flags,
+                        data: Payload::copy_from_slice(data),
+                    },
                 ),
                 Err(_) => StoreOutcome::NotStored,
             });
@@ -416,22 +416,64 @@ mod tests {
         assert_eq!(serve(&engine, b"get a\r\n"), b"END\r\n");
     }
 
-    #[test]
-    fn set_exptime_becomes_the_items_deadline() {
-        let engine = RpEngine::new();
-        serve(
-            &engine,
-            b"set ttl 9 60 2\r\nhi\r\nset forever 0 0 1\r\nx\r\n",
+    /// SETs `key` with `exptime` and returns how long the stored item has
+    /// left, `Ok(None)` if it never expires, or `Err` if a GET missed.
+    fn ttl_after_set(
+        engine: &dyn CacheEngine,
+        key: &str,
+        exptime: u64,
+    ) -> Result<Option<Duration>, ()> {
+        let set = format!("set {key} 9 {exptime} 2\r\nhi\r\n");
+        assert_eq!(
+            serve(engine, set.as_bytes()),
+            b"STORED\r\n",
+            "exptime {exptime}"
         );
         let mut ctx = EngineReadCtx::new(ReadSide::Ebr);
-        let item = engine.get_ref(b"ttl", &mut ctx).unwrap();
-        assert_eq!(item.flags, 9);
-        assert!(item.expires_at.is_some());
-        assert!(engine
-            .get_ref(b"forever", &mut ctx)
-            .unwrap()
-            .expires_at
-            .is_none());
+        let item = engine.get_ref(key.as_bytes(), &mut ctx).ok_or(())?;
+        assert_eq!((item.flags, &item.data[..]), (9, &b"hi"[..]));
+        let now = std::time::Instant::now();
+        Ok(item.expires_at.map(|deadline| deadline.instant() - now))
+    }
+
+    #[test]
+    fn set_exptime_is_read_as_memcached_reads_it() {
+        // A deadline is `expected` away to the whole second, rounded up.
+        let within = |left: Option<Duration>, expected: Duration| {
+            let left = left.expect("a deadline");
+            expected < left + Duration::from_secs(1) && left <= expected + Duration::from_secs(1)
+        };
+        let minute = Duration::from_secs(60);
+        let month = Duration::from_secs(2_592_000);
+        for engine in [&LockEngine::new() as &dyn CacheEngine, &RpEngine::new()] {
+            let name = engine.name();
+            assert_eq!(ttl_after_set(engine, "forever", 0), Ok(None), "{name}");
+            assert!(
+                within(ttl_after_set(engine, "minute", 60).unwrap(), minute),
+                "{name}"
+            );
+            // 30 days is still a TTL; a second more is a Unix time, long gone.
+            assert!(
+                within(ttl_after_set(engine, "month", 2_592_000).unwrap(), month),
+                "{name}"
+            );
+            assert_eq!(ttl_after_set(engine, "1970", 2_592_001), Err(()), "{name}");
+            // A Unix time a minute ahead, to the second.
+            let unix_now = std::time::SystemTime::now()
+                .duration_since(std::time::SystemTime::UNIX_EPOCH)
+                .unwrap();
+            let at = unix_now.as_secs() + 60;
+            let left = ttl_after_set(engine, "unix", at).unwrap();
+            assert!(
+                within(left, Duration::from_secs(at) - unix_now),
+                "{name}: {left:?}"
+            );
+            // Past the expiry clock's range: saturated, not a panic.
+            assert!(
+                ttl_after_set(engine, "huge", u64::MAX).unwrap().is_some(),
+                "{name}"
+            );
+        }
     }
 
     #[test]

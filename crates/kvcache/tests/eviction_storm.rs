@@ -51,10 +51,11 @@ fn present(engine: &dyn CacheEngine, key: &str, ctx: &mut EngineReadCtx) -> bool
 fn writer(engine: &dyn CacheEngine, id: usize, read_side: ReadSide) {
     let mut ctx = EngineReadCtx::new(read_side);
     for i in 0..SETS_PER_WRITER {
-        let mut item = Item::new(0, "cold");
-        if i % 16 == 3 {
-            item.expires_at = Some(Instant::now() - Duration::from_millis(1));
-        }
+        let item = if i % 16 == 3 {
+            Item::expired(0, "cold")
+        } else {
+            Item::new(0, "cold")
+        };
         engine.set(&format!("w{id}:{i}"), item);
         if i % 8 == 7 {
             let back = [32, 128, 256][(i / 8) % 3];

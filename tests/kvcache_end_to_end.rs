@@ -76,14 +76,17 @@ fn tcp_end_to_end_with_rp_engine() {
 fn expired_entries_disappear_from_both_engines() {
     let engines: Vec<Arc<dyn CacheEngine>> =
         vec![Arc::new(LockEngine::new()), Arc::new(RpEngine::new())];
-    for engine in engines {
-        let mut soon = Item::new(0, "transient");
-        soon.expires_at = Some(Instant::now() + Duration::from_millis(40));
+    // Deadlines are whole seconds, rounded up: a 1 s TTL ends within 2 s.
+    let mut last = Instant::now();
+    for engine in &engines {
+        let soon = Item::with_ttl(0, "transient", Duration::from_secs(1));
+        last = last.max(soon.expires_at.unwrap().instant());
         engine.set("transient", soon);
         engine.set("durable", Item::new(0, "stays"));
-
-        assert!(get(&*engine, "transient").is_some(), "{}", engine.name());
-        std::thread::sleep(Duration::from_millis(60));
+        assert!(get(&**engine, "transient").is_some(), "{}", engine.name());
+    }
+    std::thread::sleep(last.saturating_duration_since(Instant::now()));
+    for engine in engines {
         assert!(get(&*engine, "transient").is_none(), "{}", engine.name());
         assert!(get(&*engine, "durable").is_some(), "{}", engine.name());
         assert_eq!(engine.purge_expired(), 0, "lazy expiry already removed it");
