@@ -133,12 +133,13 @@ fn smoke_workload(addr: std::net::SocketAddr, ops: usize) -> std::io::Result<()>
         return Err(err("GET of a 250-byte key missed its SET".to_string()));
     }
 
-    // Expiry: a 1-second TTL item disappears.
+    // Expiry: a 1-second TTL item disappears, within 2 s: deadlines are
+    // whole seconds, rounded up.
     client.set("smoke:ttl", 0, 1, b"short-lived")?;
     if client.get("smoke:ttl")?.is_none() {
         return Err(err("TTL item vanished immediately".to_string()));
     }
-    std::thread::sleep(Duration::from_millis(1100));
+    std::thread::sleep(Duration::from_secs(2));
     if client.get("smoke:ttl")?.is_some() {
         return Err(err("TTL item survived its expiry".to_string()));
     }

@@ -240,10 +240,12 @@ const MAX_RELATIVE_EXPTIME: u64 = 30 * 24 * 60 * 60;
 ///
 /// A deadline is rounded up to the next whole second, so an item never
 /// expires early and expires at most one second late. `NonZeroU32` gives
-/// `Option<Deadline>` its 4 bytes, and the clock's first second is spent
-/// before any deadline is made, so second 1, [`Deadline::PASSED`], has
-/// always passed. A deadline past the clock's range (136 years) saturates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// `Option<Deadline>` its 4 bytes. The clock's first second is spent
+/// before any deadline is made, so a deadline still ahead is second 2 or
+/// later, and second 1, which [`Item::expired`] stores, has always passed,
+/// even against an instant read before the clock was. A deadline past the
+/// clock's range (136 years) saturates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Deadline(NonZeroU32);
 
 const _: () = assert!(std::mem::size_of::<Option<Deadline>>() == 4);
@@ -251,14 +253,15 @@ const _: () = assert!(std::mem::size_of::<Option<Deadline>>() == 4);
 impl Deadline {
     /// A deadline that has already passed: an item stored with it is never
     /// served.
-    pub const PASSED: Deadline = Deadline(NonZeroU32::MIN);
+    const PASSED: Deadline = Deadline(NonZeroU32::MIN);
 
     /// The latest deadline there is.
     const LAST: Deadline = Deadline(NonZeroU32::MAX);
 
     /// The expiry clock's epoch, set the first time it is asked for. A
     /// clock that reads less than a second since boot has no second to
-    /// spare, and then [`Deadline::PASSED`] passes one second in.
+    /// spare, and then a deadline made in its first second may read as
+    /// passed early.
     fn epoch() -> Instant {
         static EPOCH: OnceLock<Instant> = OnceLock::new();
         *EPOCH.get_or_init(|| {
@@ -268,7 +271,7 @@ impl Deadline {
     }
 
     /// The first whole second on the expiry clock at or after `at`.
-    pub fn at(at: Instant) -> Deadline {
+    fn at(at: Instant) -> Deadline {
         let since = at.saturating_duration_since(Deadline::epoch());
         let secs = since.as_secs() + u64::from(since.subsec_nanos() > 0);
         NonZeroU32::new(u32::try_from(secs).unwrap_or(u32::MAX)).map_or(Deadline::PASSED, Deadline)
@@ -283,8 +286,9 @@ impl Deadline {
 
     /// The deadline a memcached `exptime` names, `None` for `0` (never). Up
     /// to 30 days it is a TTL in seconds; past that, a Unix time, read
-    /// against the system clock once here: one already gone is
-    /// [`Deadline::PASSED`].
+    /// against the system clock once here: one already gone has passed
+    /// (as [`Item::expired`]'s has), and one past the clock's range
+    /// saturates.
     pub fn from_exptime(exptime: u64) -> Option<Deadline> {
         match exptime {
             0 => None,
@@ -308,7 +312,7 @@ impl Deadline {
 
     /// Whether this deadline has passed at `now`.
     pub fn has_passed(self, now: Instant) -> bool {
-        now >= self.instant()
+        self == Deadline::PASSED || now >= self.instant()
     }
 }
 
@@ -565,8 +569,10 @@ mod tests {
 
     #[test]
     fn an_expired_item_is_expired_from_the_clocks_first_second() {
+        // `now` may predate the clock's epoch if this test runs first.
+        let now = Instant::now();
         let item = Item::expired(0, "x");
-        assert!(item.is_expired(Instant::now()));
+        assert!(item.is_expired(now));
         assert_eq!(Deadline::at(Deadline::PASSED.instant()), Deadline::PASSED);
         // The clock's epoch and anything before it round up to second 1.
         assert_eq!(Deadline::at(Deadline::epoch()), Deadline::PASSED);

@@ -184,7 +184,8 @@ fn explicit_read_side_flavors_serve_expiry_and_batches() {
             }
             let hits = client.get_many(&["b0", "b31", "missing", "b7"]).unwrap();
             assert_eq!(hits.len(), 3, "{read_side:?}");
-            std::thread::sleep(Duration::from_millis(1100));
+            // Deadlines are whole seconds, rounded up: gone within 2 s.
+            std::thread::sleep(Duration::from_secs(2));
             assert!(
                 client.get("ttl").unwrap().is_none(),
                 "{read_side:?}: item must expire through the worker's slow path"
@@ -366,7 +367,8 @@ fn expiry_works_through_the_event_loop() {
     let mut client = CacheClient::connect(server.addr()).unwrap();
     assert!(client.set("ttl", 0, 1, b"fleeting").unwrap());
     assert!(client.get("ttl").unwrap().is_some());
-    std::thread::sleep(Duration::from_millis(1100));
+    // Deadlines are whole seconds, rounded up: gone within 2 s.
+    std::thread::sleep(Duration::from_secs(2));
     assert!(client.get("ttl").unwrap().is_none(), "item must expire");
     server.shutdown();
 }
