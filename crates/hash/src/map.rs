@@ -3,7 +3,7 @@
 use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::hash::{BuildHasher, Hash};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 
 use parking_lot::{Mutex, MutexGuard};
 
@@ -133,9 +133,6 @@ pub struct RpHashMap<K, V, S = FoldBuildHasher> {
     /// Monotonic id generator for resize operations (grace-wait
     /// bookkeeping).
     pub(crate) resize_ids: LockedCount,
-    /// Set while a maintainer has taken over this map's resizes (see
-    /// [`RpHashMap::set_maintained`]): writes then end at the unlock.
-    maintained: AtomicBool,
     pub(crate) stats: AtomicMapStats,
     /// Where every node comes from and goes back to. Guarded by `writer`.
     slab: NodeSlab<K, V>,
@@ -203,7 +200,6 @@ impl<K, V, S> RpHashMap<K, V, S> {
             policy,
             resize_active: AtomicBool::new(false),
             resize_ids: LockedCount::default(),
-            maintained: AtomicBool::new(false),
             stats: AtomicMapStats::default(),
             slab: NodeSlab::new(),
         }
@@ -242,18 +238,6 @@ impl<K, V, S> RpHashMap<K, V, S> {
     /// The map's resize policy.
     pub fn policy(&self) -> &ResizePolicy {
         &self.policy
-    }
-
-    /// Hands this map's resizes to a maintainer, or takes them back. While
-    /// set, a write ends when it unlocks: it does not drive the resize it
-    /// made due, and whoever set this calls [`RpHashMap::maintain`]
-    /// instead. `rp-shard`'s `with_maintenance` sets it and
-    /// `stop_maintenance` clears it; it is not an option of this crate.
-    #[doc(hidden)]
-    pub fn set_maintained(&self, maintained: bool) {
-        // Relaxed: a mode switch that publishes no data. A write that races
-        // the switch is maintained by one side or the other.
-        self.maintained.store(maintained, Ordering::Relaxed);
     }
 
     /// A snapshot of the map's operation and resize counters.
@@ -932,12 +916,10 @@ where
     /// A grace period can never complete if the calling thread itself holds
     /// a read guard or is an online QSBR reader; the resize is postponed in
     /// those cases (a later update from a quiescent thread — or
-    /// [`RpHashMap::maintain`], the maintenance thread — catches up). The
-    /// waits go through `GraceSync`, so they cover QSBR readers of this map
-    /// too. A maintained map ([`RpHashMap::set_maintained`]) leaves the
-    /// resize to its maintainer.
+    /// [`RpHashMap::maintain`], called from one — catches up). The waits go
+    /// through `GraceSync`, so they cover QSBR readers of this map too.
     fn after_write(&self, crossed: bool) {
-        if crossed && !self.maintained.load(Ordering::Relaxed) && rp_rcu::may_wait_for_readers() {
+        if crossed && rp_rcu::may_wait_for_readers() {
             self.drive_to_policy();
         }
     }
@@ -1350,7 +1332,7 @@ mod tests {
 
     #[test]
     fn drop_frees_all_nodes_without_reclaim() {
-        use std::sync::atomic::AtomicUsize;
+        use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
 
         #[derive(Clone)]

@@ -59,15 +59,15 @@ impl ResizePolicy {
     /// Returns `true` if a map with `len` entries and `buckets` buckets
     /// should grow.
     ///
-    /// Exposed so that out-of-band resize drivers (the `rp-maint`
-    /// maintenance thread, via `rp-shard`) can apply the same load-factor
-    /// thresholds a map would apply inline.
+    /// Exposed so that a caller outside the map (`rp-shard`, deciding
+    /// whether a write left a shard for its next maintenance turn) applies
+    /// the same load-factor thresholds the map applies inline.
     ///
     /// Only returns `true` when a doubling is actually possible
     /// (`2 * buckets <= max_buckets`) — the same condition the expand
     /// itself checks — so a `true` trigger can never pair with a resize
-    /// that refuses to start (which would retry forever on the maintained
-    /// path).
+    /// that refuses to start (which would retry on every write and every
+    /// maintenance turn).
     pub fn should_expand(&self, len: usize, buckets: usize) -> bool {
         self.auto_expand
             && buckets
@@ -120,8 +120,9 @@ mod tests {
     #[test]
     fn should_expand_requires_a_possible_doubling() {
         // A trigger that fires when the expand itself would refuse to start
-        // (2 * buckets > max_buckets) would retry forever on the maintained
-        // path; the trigger must use the expand's own feasibility check.
+        // (2 * buckets > max_buckets) would retry on every write and every
+        // maintenance turn; the trigger must use the expand's own
+        // feasibility check.
         let p = ResizePolicy {
             auto_expand: true,
             max_buckets: 24, // not a power of two: 16 < 24 but 32 > 24

@@ -166,12 +166,19 @@ impl QsbrReadHandle {
     }
 
     /// Runs `f` with the thread marked offline, restoring the online state
-    /// afterwards — for blocking sections in the middle of a read loop.
+    /// afterwards — for blocking sections in the middle of a read loop. The
+    /// state is restored also when `f` unwinds, so a panic caught above the
+    /// scope leaves no offline handle behind to look up through.
     pub fn offline_scope<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        struct BackOnline<'h>(&'h mut QsbrReadHandle);
+        impl Drop for BackOnline<'_> {
+            fn drop(&mut self) {
+                self.0.online();
+            }
+        }
         self.offline();
-        let r = f();
-        self.online();
-        r
+        let _online = BackOnline(self);
+        f()
     }
 }
 
@@ -235,6 +242,16 @@ mod tests {
         let mut handle = QsbrReadHandle::register();
         let x = handle.offline_scope(|| 41 + 1);
         assert_eq!(x, 42);
+        assert!(handle.is_online());
+    }
+
+    #[test]
+    fn offline_scope_restores_online_when_it_unwinds() {
+        let mut handle = QsbrReadHandle::register();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            handle.offline_scope(|| panic!("inside the offline scope"))
+        }));
+        assert!(unwound.is_err());
         assert!(handle.is_online());
     }
 }

@@ -242,32 +242,49 @@ where
     /// re-checked here, so a mistimed call is a no-op rather than a panic.
     ///
     /// This is the step every writer that crosses a load-factor trigger
-    /// takes after it unlocks, made callable — by the caller above, and by
-    /// a background maintainer whose writers do not take it at all
-    /// (`rp-shard`'s `with_maintenance`).
+    /// takes after it unlocks, made callable. A call that resized counts as
+    /// one maintenance slice (`maint_slices_total`, timed into
+    /// `maint_slice_ns`).
     pub fn maintain(&self) -> bool {
-        rp_rcu::may_wait_for_readers() && self.drive_to_policy()
+        if !rp_rcu::may_wait_for_readers() || !self.resize_due() {
+            return false;
+        }
+        let timer = rp_obs::timer();
+        let resized = self.drive_resizes(|len, buckets| self.wanted(len, buckets));
+        if resized {
+            let obs = rp_obs::global();
+            obs.maint.slices_total.inc();
+            if let Some(ns) = rp_obs::elapsed_ns(timer) {
+                obs.maint.slice_ns.record(ns);
+                obs.trace.record(rp_obs::TraceKind::MaintSlice, ns);
+            }
+        }
+        resized
     }
 
     /// [`RpHashMap::maintain`] for a caller that has already established it
-    /// may wait for readers.
+    /// may wait for readers, uncounted: the writer's own inline resize.
     pub(crate) fn drive_to_policy(&self) -> bool {
-        let wanted = |len, buckets| {
-            if self.policy().should_expand(len, buckets) {
-                Some(Begin::Expand)
-            } else if self.policy().should_shrink(len, buckets) {
-                Some(Begin::Shrink)
-            } else {
-                None
-            }
-        };
-        // Lock-free check first: event-loop workers run this per batch, so
-        // the nothing-to-do case must cost loads, not a writer-lock round
-        // trip.
-        if !self.resize_in_progress() && wanted(self.len(), self.num_buckets()).is_none() {
-            return false;
+        self.resize_due() && self.drive_resizes(|len, buckets| self.wanted(len, buckets))
+    }
+
+    /// The lock-free check in front of every policy-driven resize: a
+    /// resize is in flight, or the table is outside its policy's bounds.
+    /// Event-loop workers run it per batch, so the nothing-to-do case must
+    /// cost loads, not a writer-lock round trip.
+    fn resize_due(&self) -> bool {
+        self.resize_in_progress() || self.wanted(self.len(), self.num_buckets()).is_some()
+    }
+
+    /// The resize the policy asks for at `len` entries over `buckets`.
+    fn wanted(&self, len: usize, buckets: usize) -> Option<Begin> {
+        if self.policy().should_expand(len, buckets) {
+            Some(Begin::Expand)
+        } else if self.policy().should_shrink(len, buckets) {
+            Some(Begin::Shrink)
+        } else {
+            None
         }
-        self.drive_resizes(wanted)
     }
 
     /// The one resize driver. Until `next` — shown the entry and bucket
@@ -359,11 +376,12 @@ where
     /// was done.
     ///
     /// *Grace steps* release the writer lock for the duration of the wait,
-    /// so concurrent writers keep making progress — this is what lets a
-    /// maintenance thread absorb every `synchronize` on behalf of the
-    /// writers, and what keeps a resize from deadlocking against a
-    /// QSBR-online writer. The *finish* step takes the writer lock for one
-    /// pass over the pairs an expand recorded, and waits for nothing.
+    /// so concurrent writers keep making progress — this is what lets an
+    /// event-loop worker's housekeeping turn absorb every `synchronize` on
+    /// behalf of the writers, and what keeps a resize from deadlocking
+    /// against a QSBR-online writer. The *finish* step takes the writer
+    /// lock for one pass over the pairs an expand recorded, and waits for
+    /// nothing.
     ///
     /// Safe to call from any thread, including concurrently with writers
     /// and with other advancers; the only requirement is the usual one for
@@ -916,8 +934,8 @@ mod tests {
                             key += 1;
                         }
                         handle.quiescent_state();
-                        // The writer lock is not fair: leave the maintainer
-                        // a window to take it between batches.
+                        // The writer lock is not fair: leave `maintain` a
+                        // window to take it between batches.
                         std::thread::sleep(Duration::from_micros(100));
                     }
                     handle.offline();
@@ -1219,7 +1237,7 @@ mod tests {
 
     #[test]
     fn writers_mutate_between_resize_steps() {
-        // The heart of the maintained path: inserts and removes interleave
+        // The heart of a postponed resize: inserts and removes interleave
         // with every step of an in-progress unzip, including removes of
         // nodes that are still reachable from both buckets of their pair.
         let map = filled(2, 200);

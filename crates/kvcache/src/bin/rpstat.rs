@@ -4,8 +4,8 @@
 //! one line per sample with **per-second deltas** of the rate counters
 //! (requests by opcode, evictions, grace-period waits, connection sheds
 //! and reaps)
-//! next to the point-in-time values (GET latency quantiles, maintenance
-//! backlog, cumulative stall count). Counters the server keeps cumulative
+//! next to the point-in-time values (GET latency quantiles, cumulative
+//! stall count). Counters the server keeps cumulative
 //! become rates here, so "the cache got slow at 14:03" is visible as a
 //! dip in `get/s` and a spike in `p99` on one line — no Prometheus stack
 //! required.
@@ -107,7 +107,6 @@ struct Sample {
     get_p99_ns: u64,
     graces: u64,
     stalls: u64,
-    maint_queue: u64,
     trips: u64,
     sheds: u64,
     reaps: u64,
@@ -125,7 +124,6 @@ impl Sample {
             get_p99_ns: summary_field(json, "kv_get_latency_ns", "p99")?,
             graces: summary_field(json, "rcu_sync_ns", "count")?,
             stalls: field(json, "rcu_grace_stalls_total")?,
-            maint_queue: field(json, "maint_queue_depth")?,
             trips: field(json, "net_watermark_trips_total")?,
             sheds: field(json, "net_conns_shed_total")?,
             reaps: field(json, "net_idle_reaped_total")?,
@@ -193,11 +191,11 @@ impl Row {
 }
 
 const CSV_HEADER: &str =
-    "elapsed_ms,get_s,set_s,del_s,evict_s,get_p50_ns,get_p99_ns,grace_s,stalls,maint_queue,trips_s,sheds_s,reaps_s";
+    "elapsed_ms,get_s,set_s,del_s,evict_s,get_p50_ns,get_p99_ns,grace_s,stalls,trips_s,sheds_s,reaps_s";
 
 fn print_header() {
     println!(
-        "{:>8} {:>9} {:>8} {:>8} {:>8} {:>10} {:>10} {:>8} {:>6} {:>7} {:>7} {:>7} {:>7}",
+        "{:>8} {:>9} {:>8} {:>8} {:>8} {:>10} {:>10} {:>8} {:>6} {:>7} {:>7} {:>7}",
         "ms",
         "get/s",
         "set/s",
@@ -207,7 +205,6 @@ fn print_header() {
         "p99(ns)",
         "grace/s",
         "stalls",
-        "maintq",
         "trips/s",
         "shed/s",
         "reap/s"
@@ -217,7 +214,7 @@ fn print_header() {
 fn print_row(row: &Row, csv: bool) {
     if csv {
         println!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{},{},{},{},{},{}",
             row.elapsed_ms,
             row.get_s,
             row.set_s,
@@ -227,14 +224,13 @@ fn print_row(row: &Row, csv: bool) {
             row.now.get_p99_ns,
             row.grace_s,
             row.now.stalls,
-            row.now.maint_queue,
             row.trips_s,
             row.sheds_s,
             row.reaps_s,
         );
     } else {
         println!(
-            "{:>8} {:>9} {:>8} {:>8} {:>8} {:>10} {:>10} {:>8} {:>6} {:>7} {:>7} {:>7} {:>7}",
+            "{:>8} {:>9} {:>8} {:>8} {:>8} {:>10} {:>10} {:>8} {:>6} {:>7} {:>7} {:>7}",
             row.elapsed_ms,
             row.get_s,
             row.set_s,
@@ -244,7 +240,6 @@ fn print_row(row: &Row, csv: bool) {
             row.now.get_p99_ns,
             row.grace_s,
             row.now.stalls,
-            row.now.maint_queue,
             row.trips_s,
             row.sheds_s,
             row.reaps_s,

@@ -21,8 +21,9 @@
 //!
 //! `--read-side` selects the RCU flavor serving GETs: `qsbr` (the default
 //! — barrier-free lookups, quiescent states announced per event batch) or
-//! `ebr` (per-lookup guards). The `rp-shard` engine's index is resized by
-//! one background maintenance thread (`rp-maint`); it has no settings.
+//! `ebr` (per-lookup guards). An RCU engine's index is resized by its
+//! writers, or, under QSBR, in each worker's housekeeping turn between
+//! batches; resizing has no settings.
 
 use std::sync::Arc;
 use std::time::Duration;

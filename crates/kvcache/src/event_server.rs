@@ -17,9 +17,9 @@
 //! state is announced per event batch (`on_batch_end`), and the handle goes
 //! offline while the worker parks in `epoll_wait` (`on_park`/`on_unpark`)
 //! so an idle worker never stalls writers. Because the serving threads are
-//! QSBR readers, they postpone the grace-period work of resizes (the
-//! `rp-shard` engine's maintenance thread absorbs it, or the worker catches
-//! up between batches); what SETs and DELETEs retire is freed by
+//! QSBR readers, they postpone the grace-period work of resizes (the worker
+//! catches up between batches, in `on_batch_end`'s housekeeping turn); what
+//! SETs and DELETEs retire is freed by
 //! `rp_rcu::GraceSync`'s reclaim thread, which serves every read side
 //! alike. `--read-side ebr` restores the guard
 //! path for A/B comparisons — that flavor difference is what
@@ -27,6 +27,7 @@
 
 use std::io;
 use std::net::SocketAddr;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
 use rp_net::{Action, ConnIo, EventLoop, NetConfig, NetStats, Service};
@@ -229,11 +230,23 @@ impl Service for KvService {
         // every writer is a QSBR worker, someone must catch up or the
         // index never resizes. This is that someone: between batches, with
         // the handle offline so grace waits cannot deadlock on this
-        // thread. A cheap threshold no-op when the index is maintained or
-        // inside its load-factor bounds.
+        // thread. One load when the index is inside its load-factor bounds.
+        //
+        // A turn that unwinds is counted and traced, and the worker keeps
+        // serving: `rp-hash` panics (by failpoint) only at a resize step
+        // boundary, with no lock held and the table consistent, and the
+        // next turn finishes that resize before anything else.
         if matches!(self.read_side, ReadSide::Qsbr) {
             let engine = &self.engine;
-            worker.ctx.with_offline(|| engine.housekeeping());
+            let turn = worker
+                .ctx
+                .with_offline(|| panic::catch_unwind(AssertUnwindSafe(|| engine.housekeeping())));
+            if turn.is_err() {
+                let obs = rp_obs::global();
+                obs.maint.worker_panics_total.inc();
+                obs.trace
+                    .record(rp_obs::TraceKind::MaintPanic, worker.ordinal);
+            }
         }
     }
 

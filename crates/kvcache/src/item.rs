@@ -284,20 +284,23 @@ impl Deadline {
             .map_or(Deadline::LAST, Deadline::at)
     }
 
-    /// The deadline a memcached `exptime` names, `None` for `0` (never). Up
-    /// to 30 days it is a TTL in seconds; past that, a Unix time, read
-    /// against the system clock once here: one already gone has passed
-    /// (as [`Item::expired`]'s has), and one past the clock's range
-    /// saturates.
-    pub fn from_exptime(exptime: u64) -> Option<Deadline> {
-        match exptime {
+    /// The deadline a memcached `exptime` names, `None` for `0` (never). A
+    /// negative one has already passed (as [`Item::expired`]'s has). Up to
+    /// 30 days it is a TTL in seconds; past that, a Unix time, read against
+    /// the system clock once here: one already gone has passed too, and one
+    /// past the clock's range saturates.
+    pub fn from_exptime(exptime: i64) -> Option<Deadline> {
+        let Ok(secs) = u64::try_from(exptime) else {
+            return Some(Deadline::PASSED);
+        };
+        match secs {
             0 => None,
-            1..=MAX_RELATIVE_EXPTIME => Some(Deadline::after(Duration::from_secs(exptime))),
+            1..=MAX_RELATIVE_EXPTIME => Some(Deadline::after(Duration::from_secs(secs))),
             _ => {
                 let unix_now = SystemTime::now()
                     .duration_since(SystemTime::UNIX_EPOCH)
                     .unwrap_or_default();
-                Some(match Duration::from_secs(exptime).checked_sub(unix_now) {
+                Some(match Duration::from_secs(secs).checked_sub(unix_now) {
                     Some(ttl) if !ttl.is_zero() => Deadline::after(ttl),
                     _ => Deadline::PASSED,
                 })
@@ -593,14 +596,16 @@ mod tests {
     fn exptime_reads_as_memcached_reads_it() {
         assert_eq!(Deadline::from_exptime(0), None);
         let before = Instant::now();
-        let relative = Deadline::from_exptime(MAX_RELATIVE_EXPTIME).unwrap();
+        let month = MAX_RELATIVE_EXPTIME as i64;
+        let relative = Deadline::from_exptime(month).unwrap();
         assert!(relative.instant() >= before + Duration::from_secs(MAX_RELATIVE_EXPTIME));
         // One second more is a Unix time, long gone.
-        assert_eq!(
-            Deadline::from_exptime(MAX_RELATIVE_EXPTIME + 1),
-            Some(Deadline::PASSED)
-        );
-        assert_eq!(Deadline::from_exptime(u64::MAX), Some(Deadline::LAST));
+        assert_eq!(Deadline::from_exptime(month + 1), Some(Deadline::PASSED));
+        assert_eq!(Deadline::from_exptime(i64::MAX), Some(Deadline::LAST));
+        // A negative exptime has already passed.
+        for negative in [-1, i64::MIN] {
+            assert_eq!(Deadline::from_exptime(negative), Some(Deadline::PASSED));
+        }
     }
 
     proptest! {

@@ -16,8 +16,9 @@
 //!   [`ItemKey`], the 24-byte key the RCU engines store it under (up to 22
 //!   bytes inline, longer keys behind a `Box<str>`).
 //! * [`CacheEngine`] — the storage-engine trait the server dispatches to.
-//! * [`LockEngine`] — the **default** engine: one global mutex around a hash
-//!   map plus LRU bookkeeping, the `cache_lock` architecture.
+//! * [`LockEngine`] — the **baseline** engine (its `name()` is `default`,
+//!   stock memcached's): one global mutex around a hash map plus LRU
+//!   bookkeeping, the `cache_lock` architecture.
 //! * [`Engine`] — the **RCU-indexed** engine, generic over its index: GETs
 //!   are wait-free lookups that copy the value inside the read-side
 //!   critical section; writes go through the index's writer side; expiry
@@ -30,8 +31,7 @@
 //!   slab. Three indexes plug in:
 //!   [`RpEngine`] (one [`rp_hash::RpHashMap`] — the paper's patch),
 //!   [`ShardedRpEngine`] (an [`rp_shard::ShardedRpMap`]: SETs and index
-//!   resizes only contend within one shard, and resizes run on a
-//!   background `rp-maint` thread, so SETs never wait for grace periods)
+//!   resizes only contend within one shard; `kvcached`'s default engine)
 //!   and [`SplitOrderEngine`] (an
 //!   [`rp_splitorder::SplitOrderMap`]: lock-free writers, index growth is
 //!   a single pointer publication with no grace-period wait — the
@@ -46,7 +46,10 @@
 //!   `rp_hash::QsbrReadHandle` at startup, lookups are entirely
 //!   barrier-free, one quiescent state is announced per event batch, and
 //!   workers go offline while parked in `epoll_wait`; `--read-side ebr`
-//!   restores the guard path.
+//!   restores the guard path. A QSBR worker's SET never waits for a grace
+//!   period: on either relativistic engine it postpones the index resize
+//!   it made due, and the worker runs it between batches, with its handle
+//!   offline ([`CacheEngine::housekeeping`]).
 //! * [`cli`] — flag/env parsing for the `kvcached` binary.
 //!
 //! The `fig_memcached` benchmark in `rp-bench` drives both engines with an

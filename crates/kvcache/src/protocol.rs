@@ -160,8 +160,9 @@ pub enum RequestRef<'a> {
         key: &'a [u8],
         /// Opaque client flags.
         flags: u32,
-        /// Expiry in seconds (0 = never).
-        exptime: u64,
+        /// Expiry as memcached reads it: 0 = never, up to 30 days a TTL in
+        /// seconds, past that a Unix time, negative = already expired.
+        exptime: i64,
         /// Payload bytes, borrowed from the read buffer.
         data: &'a [u8],
         /// Suppress the reply if set.
@@ -317,7 +318,7 @@ pub fn parse_request_ref(buf: &[u8]) -> RefOutcome<'_> {
             let noreply = parts.next() == Some(b"noreply");
             let (Some(flags), Some(exptime), Some(nbytes)) = (
                 parse_uint(flags).and_then(|n| u32::try_from(n).ok()),
-                parse_uint(exptime),
+                parse_int(exptime),
                 parse_uint(bytes).and_then(|n| usize::try_from(n).ok()),
             ) else {
                 return invalid(BadRequest::BadNumber);
@@ -471,6 +472,34 @@ fn parse_uint(word: &[u8]) -> Option<u64> {
             return None;
         }
         n.checked_mul(10)?.checked_add(u64::from(digit))
+    })
+}
+
+/// `str::parse` of a signed integer, over bytes, except that a magnitude
+/// past `i64` saturates (the deadline it names does anyway): an optional
+/// `+` or `-`, then one or more ASCII digits. memcached reads `exptime`
+/// signed; the other numeric fields stay unsigned.
+fn parse_int(word: &[u8]) -> Option<i64> {
+    let (negative, digits) = match word.split_first() {
+        Some((b'-', rest)) => (true, rest),
+        Some((b'+', rest)) => (false, rest),
+        _ => (false, word),
+    };
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0_i64, |n, &byte| {
+        let digit = byte.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        let n = n.saturating_mul(10);
+        let digit = i64::from(digit);
+        Some(if negative {
+            n.saturating_sub(digit)
+        } else {
+            n.saturating_add(digit)
+        })
     })
 }
 
@@ -690,6 +719,31 @@ mod tests {
             }
         );
         assert_eq!(consumed, b"set key 7 60 5\r\nhello\r\n".len());
+    }
+
+    #[test]
+    fn only_exptime_reads_a_sign() {
+        for (wire, exptime) in [
+            (&b"set k 0 -1 1\r\nv\r\n"[..], -1),
+            (b"set k 0 +5 1\r\nv\r\n", 5),
+            (b"set k 0 -99999999999999999999 1\r\nv\r\n", i64::MIN),
+            (b"set k 0 18446744073709551615 1\r\nv\r\n", i64::MAX),
+        ] {
+            match complete(wire) {
+                (RequestRef::Set { exptime: read, .. }, consumed) => {
+                    assert_eq!((read, consumed), (exptime, wire.len()));
+                }
+                other => panic!("unexpected request {other:?}"),
+            }
+        }
+        for wire in [
+            &b"set k -1 0 1\r\n"[..],
+            b"set k 0 0 -1\r\n",
+            b"set k 0 - 1\r\n",
+            b"set k 0 -+1 1\r\n",
+        ] {
+            assert_eq!(invalid(wire).0, BadRequest::BadNumber);
+        }
     }
 
     #[test]

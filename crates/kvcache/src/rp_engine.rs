@@ -500,8 +500,7 @@ impl<I: ByteKeyIndex> CacheEngine for Engine<I> {
     }
 
     fn housekeeping(&self) {
-        // Cheap when the index is maintained in the background or inside
-        // its load-factor bounds.
+        // Loads only, when the index is inside its load-factor bounds.
         self.index.maintain();
     }
 
@@ -770,10 +769,11 @@ pub(crate) mod tests {
 
     /// Simulates an event-loop worker: QSBR-online while serving `sets`
     /// SETs, then `housekeeping` from the offline window between batches.
-    /// An index that waits for grace periods to resize must postpone the
-    /// resize while the worker is online and catch up in housekeeping —
-    /// without it the index would never grow when every writer is a QSBR
-    /// worker; a non-blocking index (`postpones == false`) grows mid-batch.
+    /// The SETs never wait for a grace period. An index that waits for
+    /// grace periods to resize must postpone the resize while the worker is
+    /// online and catch up in housekeeping — without it the index would
+    /// never grow when every writer is a QSBR worker; a non-blocking index
+    /// (`postpones == false`) grows mid-batch.
     pub(crate) fn qsbr_worker_growth<I: ByteKeyIndex + 'static>(
         engine: Engine<I>,
         buckets: fn(&I) -> usize,
@@ -783,9 +783,16 @@ pub(crate) mod tests {
         std::thread::spawn(move || {
             let mut ctx = EngineReadCtx::new(ReadSide::Qsbr);
             let before = buckets(&engine.index);
+            let waits = rp_rcu::thread_synchronize_count();
             for i in 0..sets {
                 engine.set(&format!("key-{i}"), Item::new(0, "v"));
             }
+            assert_eq!(
+                rp_rcu::thread_synchronize_count(),
+                waits,
+                "{}: a QSBR worker's SETs waited for readers",
+                engine.name()
+            );
             assert_eq!(
                 buckets(&engine.index) == before,
                 postpones,
@@ -813,6 +820,12 @@ pub(crate) mod tests {
             RpEngine::with_capacity(100_000),
             |index| index.num_buckets(),
             8192,
+            true,
+        );
+        qsbr_worker_growth(
+            crate::ShardedRpEngine::with_shards_and_capacity(4, 100_000),
+            |index| index.num_buckets(),
+            16_384,
             true,
         );
     }

@@ -421,7 +421,7 @@ mod tests {
     fn ttl_after_set(
         engine: &dyn CacheEngine,
         key: &str,
-        exptime: u64,
+        exptime: impl std::fmt::Display,
     ) -> Result<Option<Duration>, ()> {
         let set = format!("set {key} 9 {exptime} 2\r\nhi\r\n");
         assert_eq!(
@@ -471,6 +471,14 @@ mod tests {
             // Past the expiry clock's range: saturated, not a panic.
             assert!(
                 ttl_after_set(engine, "huge", u64::MAX).unwrap().is_some(),
+                "{name}"
+            );
+            // Negative: stored already expired, its data block swallowed,
+            // and the request behind it answered.
+            assert_eq!(ttl_after_set(engine, "negative", -1), Err(()), "{name}");
+            assert_eq!(
+                serve(engine, b"set negative 0 -1 1\r\nv\r\nget negative\r\n"),
+                b"STORED\r\nEND\r\n",
                 "{name}"
             );
         }

@@ -28,10 +28,11 @@ impl_byte_key_index!(
 /// only within the target key's shard, so write throughput scales with the
 /// shard count.
 ///
-/// Index resizes run on an `rp-maint` maintenance thread
-/// ([`ShardedRpMap::with_maintenance`]), so a SET that pushes a shard past
-/// its load-factor threshold only *requests* the resize and never waits for
-/// a grace period.
+/// Index resizes run as [`RpEngine`](crate::RpEngine)'s do: a SET from a
+/// QSBR-online worker that pushes a shard past its load-factor threshold
+/// postpones the resize and never waits for a grace period, and the
+/// worker's [`CacheEngine::housekeeping`](crate::CacheEngine::housekeeping)
+/// turn ([`ShardedRpMap::maintain`]) runs it between batches.
 pub type ShardedRpEngine = Engine<ShardedRpMap<ItemKey, StoredItem>>;
 
 impl ShardedRpEngine {
@@ -41,8 +42,7 @@ impl ShardedRpEngine {
     }
 
     /// Creates an engine with `shards` index shards holding at most
-    /// `capacity` items, its index resized by a background maintenance
-    /// thread.
+    /// `capacity` items.
     pub fn with_shards_and_capacity(shards: usize, capacity: usize) -> Self {
         // The initial size only (see `RpEngine::with_capacity`).
         let buckets = (capacity / shards.max(1))
@@ -53,7 +53,13 @@ impl ShardedRpEngine {
             initial_buckets_per_shard: buckets,
             per_shard: index_resize_policy(buckets),
         };
-        Engine::over(ShardedRpMap::with_maintenance(policy), capacity)
+        Engine::over(ShardedRpMap::with_policy(policy), capacity)
+    }
+
+    /// The index's structural check ([`ShardedRpMap::check_invariants`]),
+    /// for a test that drove the engine through a server.
+    pub fn check_index(&self) -> Result<(), String> {
+        self.index.check_invariants()
     }
 }
 
@@ -66,44 +72,7 @@ impl Default for ShardedRpEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CacheEngine, EngineReadCtx, Item, ReadSide};
-    use std::time::Duration;
-
-    #[test]
-    fn maintained_sets_never_wait_and_index_grows_in_background() {
-        let engine = ShardedRpEngine::with_shards_and_capacity(4, 100_000);
-        assert!(engine.index.maintained());
-        let before_buckets = engine.index.num_buckets();
-        let before_waits = rp_rcu::thread_synchronize_count();
-        for i in 0..16_384 {
-            engine.set(&format!("key-{i}"), Item::new(0, "v"));
-        }
-        assert_eq!(
-            rp_rcu::thread_synchronize_count(),
-            before_waits,
-            "maintained SETs must never wait for readers"
-        );
-        // The maintenance thread grows the index asynchronously. Poll for a
-        // *completed* resize (buckets grow at begin, before any grace wait
-        // has been recorded, so polling on bucket count alone would race).
-        let index_stats = || engine.index.stats().total();
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while index_stats().expands == 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "index never grew in the background: {:?}",
-                engine.index.maint_stats()
-            );
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(engine.index.num_buckets() > before_buckets);
-        assert!(index_stats().resize_grace_periods >= 1);
-        assert_eq!(engine.len(), 16_384);
-        let lens = engine.index.stats().shard_lens;
-        assert!(lens.iter().all(|&l| l > 0), "unbalanced shards: {lens:?}");
-        let hit = engine.get_ref(b"key-7", &mut EngineReadCtx::new(ReadSide::Ebr));
-        assert_eq!(hit.map(|i| i.data.to_vec()), Some(b"v".to_vec()));
-    }
+    use crate::{CacheEngine, Item};
 
     /// The index starts at its policy's floor, so a prefill only ever
     /// doubles: no shard halves first and doubles back.

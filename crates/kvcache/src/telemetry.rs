@@ -519,7 +519,7 @@ END\r\n";
             "\"net_flush_syscalls_total\":0,\"net_flush_segments_total\":0,",
             "\"net_connections\":0,\"net_bytes_buffered\":0,",
             "\"net_batch_size\":Z},",
-            "\"maint\":{\"maint_slice_ns\":Z,\"maint_queue_depth\":0,",
+            "\"maint\":{\"maint_slice_ns\":Z,",
             "\"maint_slices_total\":0,\"maint_worker_panics_total\":0},",
             "\"resize\":{\"resize_grace_wait_ns\":Z,\"resize_step_ns\":Z,",
             "\"resize_begun_total\":0,\"resize_finished_total\":0,",
@@ -664,7 +664,6 @@ END\r\n";
         for gauge in [
             &net.connections,
             &net.bytes_buffered,
-            &registry.maint.queue_depth,
             &registry.resize.imbalance_milli,
             &registry.rcu.reclaim_pending,
         ] {

@@ -19,7 +19,7 @@ enum Request {
     Set {
         key: String,
         flags: u32,
-        exptime: u64,
+        exptime: i64,
         data: Vec<u8>,
         noreply: bool,
     },
@@ -84,7 +84,7 @@ mod charwise {
         Set {
             key: &'a [u8],
             flags: u32,
-            exptime: u64,
+            exptime: i64,
             data: &'a [u8],
             noreply: bool,
         },
@@ -168,11 +168,15 @@ mod charwise {
                     };
                 };
                 let noreply = matches!(parts.next(), Some("noreply"));
-                let (Ok(flags), Ok(exptime), Ok(nbytes)) = (
-                    flags.parse::<u32>(),
-                    exptime.parse::<u64>(),
-                    bytes.parse::<usize>(),
-                ) else {
+                // `exptime` is signed, and a magnitude past `i64` saturates.
+                let exptime = exptime.parse::<i64>().or_else(|e| match e.kind() {
+                    std::num::IntErrorKind::PosOverflow => Ok(i64::MAX),
+                    std::num::IntErrorKind::NegOverflow => Ok(i64::MIN),
+                    _ => Err(e),
+                });
+                let (Ok(flags), Ok(exptime), Ok(nbytes)) =
+                    (flags.parse::<u32>(), exptime, bytes.parse::<usize>())
+                else {
                     return RefOutcome::Invalid {
                         consumed: after_line,
                         error: BadRequest::BadNumber,
@@ -327,7 +331,8 @@ fn command_strategy() -> impl Strategy<Value = Request> {
         (
             key_strategy(),
             any::<u32>(),
-            0_u64..100_000,
+            // Negative too: memcached reads `exptime` signed.
+            (0_u64..200_000).prop_map(|n| n as i64 - 100_000),
             value_strategy(),
             any::<bool>()
         )
@@ -511,11 +516,15 @@ const WORDS: &[&[u8]] = &[
     b"5",
     b"+7",
     b"-1",
+    b"-",
+    b"-0",
     b"42",
     b"4294967295",
     b"4294967296",
     b"18446744073709551615",
     b"18446744073709551616",
+    b"-9223372036854775808",
+    b"-9223372036854775809",
     b"+",
     b"x1",
     b"noreply",

@@ -28,7 +28,7 @@
 //!   entry and the forms cannot drift apart.
 //!
 //! The crate is dependency-free and sits at the bottom of the workspace:
-//! `rp-rcu`, `rp-hash`, `rp-maint`, `rp-net`, and `rp-kvcache` all record
+//! `rp-rcu`, `rp-hash`, `rp-net`, and `rp-kvcache` all record
 //! into the shared [`Obs`] schema ([`global`]), and the kvcache server
 //! renders it live through its `STATS` protocol command (its engine group
 //! walked first, the writers writing into a [`MetricSink`]).
@@ -171,19 +171,19 @@ pub struct ResizeObs {
     pub imbalance_milli: Gauge,
 }
 
-/// Background-maintenance metrics (`rp-maint`).
+/// Resize-maintenance metrics: the postponed resizes a quiescent caller
+/// catches up on (`RpHashMap::maintain`, run by the server's housekeeping
+/// turn).
 #[derive(Debug, Default)]
 pub struct MaintObs {
-    /// Duration of each work slice — one unit's turn, however many resizes
-    /// it took to bring the unit back inside its bounds — in nanoseconds.
+    /// Duration of each work slice — one `maintain` call that resized, however
+    /// many resizes it took to bring the table back inside its bounds — in
+    /// nanoseconds.
     pub slice_ns: Histogram,
-    /// Resize-work queue depth as last observed by a requester or the
-    /// maintenance loop.
-    pub queue_depth: Gauge,
     /// Work slices executed.
     pub slices_total: Counter,
-    /// Panics the maintenance thread contained (a unit whose turn unwound
-    /// is retried once; see `rp-maint`).
+    /// Housekeeping turns that unwound and were contained (the next turn
+    /// finishes the resize left in flight).
     pub worker_panics_total: Counter,
 }
 
@@ -283,7 +283,8 @@ pub struct Obs {
     pub rcu: RcuObs,
     /// `rp-hash` resize metrics.
     pub resize: ResizeObs,
-    /// `rp-maint` metrics.
+    /// Resize-maintenance metrics (`RpHashMap::maintain` and the server's
+    /// housekeeping turn).
     pub maint: MaintObs,
     /// `rp-net` metrics.
     pub net: NetObs,
@@ -436,18 +437,13 @@ impl Obs {
             Summary(&maint.slice_ns),
         );
         group(
-            "maint_queue_depth",
-            "Resize-work queue depth last observed.",
-            Gauge(maint.queue_depth.get()),
-        );
-        group(
             "maint_slices_total",
             "Maintenance work slices executed.",
             Counter(&maint.slices_total),
         );
         group(
             "maint_worker_panics_total",
-            "Maintenance workers recovered after a mid-slice panic.",
+            "Housekeeping turns contained after a mid-slice panic.",
             Counter(&maint.worker_panics_total),
         );
 
@@ -760,7 +756,6 @@ mod tests {
             "\"rcu\":{",
             "\"kv_get_latency_ns\":{\"p50\":",
             "\"net_connections\":0",
-            "\"maint_queue_depth\":0",
             "\"resize_begun_total\":0",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");

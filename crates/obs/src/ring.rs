@@ -30,7 +30,7 @@ pub enum TraceKind {
     ResizeGrace = 4,
     /// A resize finished; value = total steps is unknown, records 0.
     ResizeFinish = 5,
-    /// The maintenance thread ran a work slice; value = slice nanoseconds.
+    /// A maintenance call resized a table; value = slice nanoseconds.
     MaintSlice = 6,
     /// A connection tripped the output-queue watermark; value = queued
     /// bytes.
@@ -56,8 +56,8 @@ pub enum TraceKind {
     /// `accept()` hit fd-table exhaustion (EMFILE/ENFILE) and the
     /// listener was backed off; value = the raw OS error code.
     AcceptBackoff = 14,
-    /// A maintenance worker panicked mid-slice and was recovered; value =
-    /// the unit index it was working on.
+    /// A housekeeping turn panicked mid-slice and was contained; value =
+    /// the worker's index.
     MaintPanic = 15,
     /// A draining connection never drained and was force-closed at the
     /// drain deadline; value = queued bytes abandoned.

@@ -11,10 +11,6 @@
 //!   a memory fence (the "memory barrier" flavor of userspace RCU).
 //!   [`qsbr::QsbrHandle`] is the quiescent-state based flavor: its lookups
 //!   cost nothing, and the thread announces quiescent states instead.
-//! * **Pointer publication** — [`RcuCell`] pairs release-ordered stores
-//!   (`rcu_assign_pointer`) with acquire-ordered loads (`rcu_dereference`),
-//!   so a reader that observes a new pointer also observes the pointee's
-//!   initialisation.
 //! * **One grace-period detector for both flavors** — readers of either
 //!   flavor register with an [`RcuDomain`], one word each, holding the
 //!   domain's 64-bit counter from the start of the critical section in
@@ -42,38 +38,11 @@
 //!   (or, configured via `RP_RCU_STALL_PANIC`, panics on) grace periods
 //!   that exceed a threshold, naming every blocking reader, of either
 //!   flavor, by ordinal and thread name.
-//!
-//! # Example
-//!
-//! ```
-//! use rp_rcu::{pin, GraceSync, RcuCell};
-//!
-//! let cell = RcuCell::new(Box::new(41_u32));
-//!
-//! // Reader side: wait-free, no locks, no RMW.
-//! {
-//!     let guard = pin();
-//!     assert_eq!(cell.load(&guard).copied(), Some(41));
-//! }
-//!
-//! // Writer side: publish a new value and retire the old one. Retiring
-//! // never waits: the old value is freed after a grace period of every
-//! // read-side flavor, by the funnel's reclaim thread — or, as here, by a
-//! // barrier that returns once it has been.
-//! if let Some(old) = cell.set(Box::new(42)) {
-//!     old.retire_global();
-//! }
-//! GraceSync::global().synchronize_and_reclaim();
-//!
-//! let guard = pin();
-//! assert_eq!(cell.load(&guard).copied(), Some(42));
-//! ```
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-mod cell;
 mod deferred;
 mod domain;
 mod guard;
@@ -83,7 +52,6 @@ pub mod stall;
 mod stats;
 mod sync;
 
-pub use cell::{RcuCell, RetiredPtr};
 pub use domain::RcuDomain;
 pub use guard::RcuGuard;
 pub use local::{global_read_nesting, pin, thread_synchronize_count, LocalHandle};
@@ -169,62 +137,5 @@ mod tests {
         assert!(ran.load(Ordering::SeqCst) <= 10);
         GraceSync::global().synchronize_and_reclaim();
         assert_eq!(ran.load(Ordering::SeqCst), 10);
-    }
-
-    #[test]
-    fn publish_then_reclaim_stress() {
-        // Writers repeatedly replace a published value and retire the old
-        // one; readers must always observe a fully-initialised value.
-        const READERS: usize = 4;
-        const UPDATES: usize = 300;
-
-        #[derive(Debug)]
-        struct Payload {
-            a: u64,
-            b: u64,
-        }
-
-        let domain = GraceSync::global();
-        let cell = Arc::new(RcuCell::new(Box::new(Payload { a: 0, b: 0 })));
-        let stop = Arc::new(AtomicBool::new(false));
-
-        let readers: Vec<_> = (0..READERS)
-            .map(|_| {
-                let cell = Arc::clone(&cell);
-                let stop = Arc::clone(&stop);
-                thread::spawn(move || {
-                    let mut observed = 0_u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let guard = pin();
-                        if let Some(p) = cell.load(&guard) {
-                            // The invariant a == b must hold for every
-                            // published payload; a torn or reclaimed payload
-                            // would violate it.
-                            assert_eq!(p.a, p.b, "reader observed a torn/reclaimed payload");
-                            observed = observed.max(p.a);
-                        }
-                    }
-                    observed
-                })
-            })
-            .collect();
-
-        for i in 1..=UPDATES as u64 {
-            let old = cell.replace(Some(Box::new(Payload { a: i, b: i })));
-            let old = old.expect("cell always holds a payload");
-            // Readers of this cell pin the global domain, which the global
-            // funnel's passes wait for.
-            old.retire_global();
-            if i % 32 == 0 {
-                domain.synchronize_and_reclaim();
-            }
-        }
-        domain.synchronize_and_reclaim();
-
-        stop.store(true, Ordering::SeqCst);
-        for r in readers {
-            let max = r.join().unwrap();
-            assert!(max <= UPDATES as u64);
-        }
     }
 }

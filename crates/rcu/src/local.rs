@@ -95,12 +95,12 @@ pub(crate) fn note_synchronize() {
 /// [`RcuDomain::synchronize`] on any domain, including the waits inside
 /// `synchronize_and_reclaim`) since the thread started.
 ///
-/// This is the observable side of the "writers never wait for readers"
-/// property that background resize maintenance provides: a writer thread on
-/// the maintained path can snapshot this counter, perform its updates, and
-/// assert the counter did not move — every grace period was absorbed by the
-/// maintenance thread instead. The counter is thread-local, so readings are
-/// exact and race-free.
+/// This is the observable side of the "a QSBR worker's writes never wait
+/// for readers" property: a QSBR-online writer thread can snapshot this
+/// counter, perform its updates, and assert the counter did not move —
+/// every resize it made due was postponed to a maintenance turn run from a
+/// quiescent point. The counter is thread-local, so readings are exact and
+/// race-free.
 pub fn thread_synchronize_count() -> u64 {
     SYNCHRONIZE_CALLS.try_with(|c| c.get()).unwrap_or(0)
 }

@@ -13,7 +13,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use rp_rcu::{pin, thread_synchronize_count, GraceSync, RcuCell};
+use rp_rcu::{pin, thread_synchronize_count, GraceSync};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -111,12 +111,11 @@ fn retiring_under_a_held_guard_never_waits_and_frees_nothing_until_it_drops() {
 
     let _turn = serial();
     let drops = Arc::new(AtomicUsize::new(0));
-    let cell = RcuCell::new(Box::new(Counted(Arc::clone(&drops))));
     let waits = thread_synchronize_count();
     let guard = pin();
     for _ in 0..10_000 {
-        let old = cell.set(Box::new(Counted(Arc::clone(&drops))));
-        old.expect("the cell always holds a value").retire_global();
+        let retired = Box::new(Counted(Arc::clone(&drops)));
+        GraceSync::global().defer(move || drop(retired));
     }
     // The 256th retire woke the thread; its pass, and any pass after it,
     // waits for this thread's guard.

@@ -20,12 +20,13 @@
 //!   process-wide RCU read domain, so a single [`ShardedRpMap::pin`] guard
 //!   (or one online QSBR handle) covers lookups in *any* shard: a caller
 //!   with a batch of keys pins once and calls [`ShardedRpMap::get`] per key.
-//! * **Background resize maintenance**
-//!   ([`ShardedRpMap::with_maintenance`]): writers that cross a load-factor
-//!   threshold only *request* a resize; an `rp-maint` thread runs the
-//!   shard's own resize driver ([`rp_hash::RpHashMap::maintain`]) and
-//!   absorbs every grace-period wait, so maintained writers never wait for
-//!   readers.
+//! * **Postponed resizes, one turn to catch up.** A writer that cannot
+//!   wait for readers (an online QSBR event-loop worker) postpones the
+//!   resize its write made due, as [`rp_hash::RpHashMap`] does, and marks
+//!   the map; [`ShardedRpMap::maintain`], called from the worker's
+//!   quiescent point, runs each due shard's own resize driver
+//!   ([`rp_hash::RpHashMap::maintain`]). Its turn with nothing to do is
+//!   one load.
 //!
 //! A note on domains: per-shard *grace-period domains* would not buy
 //! anything here — readers enter through the global [`rp_rcu::pin`], so any
@@ -63,7 +64,3 @@ pub use stats::ShardStats;
 
 /// Re-export of the guard type readers use to delimit lookups.
 pub use rp_rcu::RcuGuard;
-
-/// Re-export of the maintenance thread's counters (see
-/// [`ShardedRpMap::maint_stats`]).
-pub use rp_maint::MaintStats;

@@ -2,37 +2,13 @@
 
 use std::borrow::Borrow;
 use std::hash::{BuildHasher, Hash};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use rp_hash::{FnvBuildHasher, ReadProtect, RpHashMap};
-use rp_maint::{MaintHandle, MaintStats, MaintTarget, MaintThread};
 use rp_rcu::RcuGuard;
 
 use crate::policy::ShardPolicy;
 use crate::stats::ShardStats;
-
-/// The shard array, split out of [`ShardedRpMap`] so that a background
-/// [`MaintThread`] can share ownership of the shards (via `Arc`) with the
-/// map handle itself.
-pub(crate) struct ShardCore<K, V, S> {
-    shards: Box<[RpHashMap<K, V, S>]>,
-}
-
-impl<K, V, S> MaintTarget for ShardCore<K, V, S>
-where
-    K: Hash + Eq + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-    S: BuildHasher + Send + Sync + 'static,
-{
-    fn units(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard's own resize driver, run here instead of on its writers.
-    fn maintain(&self, unit: usize) -> bool {
-        self.shards[unit].maintain()
-    }
-}
 
 /// A power-of-two array of independent [`RpHashMap`] shards.
 ///
@@ -47,19 +23,21 @@ where
 /// pass: the outer map hashes, then hands the hash down through the
 /// `*_prehashed` entry points of [`RpHashMap`].
 ///
-/// With [`ShardedRpMap::with_maintenance`], resizes move off the writer
-/// path entirely: writers that cross a load-factor threshold only *request*
-/// a resize and continue, and a background [`MaintThread`] calls the shard's
-/// [`RpHashMap::maintain`], absorbing every grace-period wait.
+/// Each shard resizes as an [`RpHashMap`] does: a write that takes it over
+/// a load-factor trigger resizes it inline, unless the writing thread
+/// cannot wait for readers (it holds a guard, or it is an online QSBR
+/// reader). Then the resize is postponed, and [`ShardedRpMap::maintain`],
+/// called from a quiescent point, catches up.
 pub struct ShardedRpMap<K, V, S = FnvBuildHasher> {
-    core: Arc<ShardCore<K, V, S>>,
+    shards: Box<[RpHashMap<K, V, S>]>,
     /// `log2(shards.len())`; 0 means a single shard.
     shard_bits: u32,
     hasher: S,
     policy: ShardPolicy,
-    /// Background maintenance, if enabled. Dropping the map drops the
-    /// handle, which shuts the thread down after draining in-flight resizes.
-    maint: Option<MaintHandle>,
+    /// Set by a write that left its shard outside the policy's bounds (a
+    /// resize it postponed), cleared by the [`ShardedRpMap::maintain`] turn
+    /// that acts on it: the turn with nothing to do is this one load.
+    resize_due: AtomicBool,
 }
 
 impl<K, V> ShardedRpMap<K, V, FnvBuildHasher> {
@@ -77,56 +55,6 @@ impl<K, V> ShardedRpMap<K, V, FnvBuildHasher> {
     /// (the workspace default, so shard routing is reproducible).
     pub fn with_policy(policy: ShardPolicy) -> Self {
         Self::with_policy_and_hasher(policy, FnvBuildHasher)
-    }
-}
-
-impl<K, V> ShardedRpMap<K, V, FnvBuildHasher>
-where
-    K: std::hash::Hash + Eq + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-{
-    /// Creates a map whose resizes are driven by a background maintenance
-    /// thread instead of by the writers that trigger them.
-    ///
-    /// On this path a writer that pushes a shard past one of the policy's
-    /// load-factor thresholds (`per_shard.auto_expand` / `auto_shrink` must
-    /// be set for the respective direction) only **requests** a resize — a
-    /// queue push and a condvar wakeup, once per shard until the thread
-    /// gets to it — and continues immediately. The maintenance thread runs
-    /// that shard's [`RpHashMap::maintain`], the same driver an
-    /// unmaintained writer would have run inline, absorbing every
-    /// grace-period wait (what writers retire is freed by
-    /// [`rp_rcu::GraceSync`]'s reclaim thread, maintained or not). The net
-    /// effect: **writers never wait for readers** — no `synchronize` ever
-    /// runs on an insert/remove path.
-    ///
-    /// Dropping the map drops the embedded [`MaintHandle`], which completes
-    /// any in-flight resize before the thread exits — no resize is ever
-    /// left half-published. Use [`ShardedRpMap::stop_maintenance`] to do
-    /// that explicitly while keeping the map.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use rp_shard::{ShardPolicy, ShardedRpMap};
-    ///
-    /// let mut map: ShardedRpMap<u64, u64> =
-    ///     ShardedRpMap::with_maintenance(ShardPolicy::automatic(4));
-    /// assert!(map.maintained());
-    ///
-    /// for i in 0..100 {
-    ///     map.insert(i, i * 7); // resize triggers only *request* work
-    /// }
-    /// assert_eq!((map.get_cloned(&3), map.get_cloned(&999)), (Some(21), None));
-    ///
-    /// // Shut the maintainer down deterministically; nothing is left
-    /// // half-resized.
-    /// map.stop_maintenance();
-    /// assert!(!map.maintained());
-    /// map.check_invariants().unwrap();
-    /// ```
-    pub fn with_maintenance(policy: ShardPolicy) -> Self {
-        Self::with_maintenance_and_hasher(policy, FnvBuildHasher)
     }
 }
 
@@ -161,35 +89,12 @@ impl<K, V, S: BuildHasher + Clone> ShardedRpMap<K, V, S> {
             })
             .collect();
         ShardedRpMap {
-            core: Arc::new(ShardCore { shards }),
+            shards,
             shard_bits: policy.shards.trailing_zeros(),
             hasher,
             policy,
-            maint: None,
+            resize_due: AtomicBool::new(false),
         }
-    }
-}
-
-impl<K, V, S> ShardedRpMap<K, V, S>
-where
-    K: Hash + Eq + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-    S: BuildHasher + Clone + Send + Sync + 'static,
-{
-    /// [`ShardedRpMap::with_maintenance`] with an explicit hasher (see
-    /// [`ShardedRpMap::with_policy_and_hasher`] for the hasher contract).
-    pub fn with_maintenance_and_hasher(policy: ShardPolicy, hasher: S) -> Self {
-        let mut map = Self::with_policy_and_hasher(policy, hasher);
-        // The same shards under the same policy; what changes is who acts
-        // on it. A maintained shard's writers skip the one thing that would
-        // make them wait for readers — driving the resize they made due —
-        // and request a turn from the maintainer instead.
-        for shard in map.core.shards.iter() {
-            shard.set_maintained(true);
-        }
-        let target = Arc::clone(&map.core) as Arc<dyn MaintTarget>;
-        map.maint = Some(MaintThread::spawn(target));
-        map
     }
 }
 
@@ -201,7 +106,7 @@ impl<K, V, S> ShardedRpMap<K, V, S> {
 
     /// Number of shards (a power of two).
     pub fn shard_count(&self) -> usize {
-        self.core.shards.len()
+        self.shards.len()
     }
 
     /// The policy this map was built with.
@@ -212,28 +117,28 @@ impl<K, V, S> ShardedRpMap<K, V, S> {
     /// Direct access to one shard (benchmarks and tests drive per-shard
     /// resizes through this).
     pub fn shard(&self, index: usize) -> &RpHashMap<K, V, S> {
-        &self.core.shards[index]
+        &self.shards[index]
     }
 
     /// All shards, in routing order.
     pub fn shards(&self) -> &[RpHashMap<K, V, S>] {
-        &self.core.shards
+        &self.shards
     }
 
     /// Number of entries across all shards (a racy snapshot under
     /// concurrent updates, like [`RpHashMap::len`]).
     pub fn len(&self) -> usize {
-        self.core.shards.iter().map(|s| s.len()).sum()
+        self.shards.iter().map(|s| s.len()).sum()
     }
 
     /// Returns `true` if every shard is empty.
     pub fn is_empty(&self) -> bool {
-        self.core.shards.iter().all(|s| s.is_empty())
+        self.shards.iter().all(|s| s.is_empty())
     }
 
     /// Total bucket count across all shards.
     pub fn num_buckets(&self) -> usize {
-        self.core.shards.iter().map(|s| s.num_buckets()).sum()
+        self.shards.iter().map(|s| s.num_buckets()).sum()
     }
 
     /// Aggregate load factor (`len / num_buckets`).
@@ -241,40 +146,11 @@ impl<K, V, S> ShardedRpMap<K, V, S> {
         self.len() as f64 / self.num_buckets() as f64
     }
 
-    /// Snapshot of every shard's operation/resize counters and occupancy,
-    /// plus the maintenance thread's counters when background resizes are
-    /// enabled.
+    /// Snapshot of every shard's operation/resize counters and occupancy.
     pub fn stats(&self) -> ShardStats {
         ShardStats {
-            per_shard: self.core.shards.iter().map(|s| s.stats()).collect(),
-            shard_lens: self.core.shards.iter().map(|s| s.len()).collect(),
-            maint: self.maint.as_ref().map(|m| m.stats()),
-        }
-    }
-
-    /// Returns `true` if this map's resizes are driven by a background
-    /// maintenance thread (see [`ShardedRpMap::with_maintenance`]).
-    pub fn maintained(&self) -> bool {
-        self.maint.is_some()
-    }
-
-    /// The maintenance thread's counters, if background resizes are
-    /// enabled.
-    pub fn maint_stats(&self) -> Option<MaintStats> {
-        self.maint.as_ref().map(|m| m.stats())
-    }
-
-    /// Shuts the maintenance thread down (finishing any in-flight resize)
-    /// and hands its work back to the writers: from here on this is the map
-    /// [`ShardedRpMap::with_policy`] builds — a write that crosses a
-    /// load-factor trigger resizes its shard inline. Idempotent; a no-op
-    /// for maps built without maintenance.
-    pub fn stop_maintenance(&mut self) {
-        if let Some(handle) = self.maint.take() {
-            handle.shutdown();
-            for shard in self.core.shards.iter() {
-                shard.set_maintained(false);
-            }
+            per_shard: self.shards.iter().map(|s| s.stats()).collect(),
+            shard_lens: self.shards.iter().map(|s| s.len()).collect(),
         }
     }
 
@@ -289,20 +165,23 @@ impl<K, V, S> ShardedRpMap<K, V, S> {
         }
     }
 
-    /// On the maintained path, requests a turn from the maintainer for
-    /// `shard_idx` if the shard is outside its policy's load-factor bounds.
-    /// Writers call this after updates; it never blocks and never waits for
-    /// readers.
+    /// Leaves `shard_idx` for the next [`ShardedRpMap::maintain`] turn if
+    /// the write that just ended left it outside its policy's load-factor
+    /// bounds: the shard's own writer resizes inline whenever it may wait
+    /// for readers, so a shard still outside them postponed its resize.
+    /// Never blocks.
     #[inline]
     pub(crate) fn maybe_request_resize(&self, shard_idx: usize) {
-        let Some(maint) = &self.maint else {
-            return;
-        };
-        let shard = &self.core.shards[shard_idx];
+        let shard = &self.shards[shard_idx];
         let (len, buckets) = (shard.len(), shard.num_buckets());
         let policy = shard.policy();
         if policy.should_expand(len, buckets) || policy.should_shrink(len, buckets) {
-            maint.request(shard_idx);
+            // An RMW also when the flag is already set: it continues the
+            // release sequence, so the write that made the shard due
+            // happens-before whichever turn's acquiring swap takes the flag.
+            // A plain store skipped on a set flag could be taken by a turn
+            // that then misses this write's length.
+            self.resize_due.swap(true, Ordering::Release);
         }
     }
 }
@@ -345,7 +224,7 @@ where
         P: ReadProtect,
     {
         let hash = self.hash_of(key);
-        self.core.shards[self.shard_of_hash(hash)].get_prehashed(hash, key, protect)
+        self.shards[self.shard_of_hash(hash)].get_prehashed(hash, key, protect)
     }
 
     /// Looks up `key`, returning references to the stored key and value.
@@ -356,7 +235,7 @@ where
         P: ReadProtect,
     {
         let hash = self.hash_of(key);
-        self.core.shards[self.shard_of_hash(hash)].get_key_value_prehashed(hash, key, protect)
+        self.shards[self.shard_of_hash(hash)].get_key_value_prehashed(hash, key, protect)
     }
 
     /// The hash this map's hasher produces for `key` — what
@@ -385,7 +264,7 @@ where
         P: ReadProtect,
         F: FnMut(&K) -> bool,
     {
-        self.core.shards[self.shard_of_hash(hash)].get_matching_prehashed(hash, matches, protect)
+        self.shards[self.shard_of_hash(hash)].get_matching_prehashed(hash, matches, protect)
     }
 
     /// The read-side hint of [`RpHashMap::prefetch_prehashed`], routed to
@@ -399,7 +278,7 @@ where
     where
         P: ReadProtect,
     {
-        self.core.shards[self.shard_of_hash(hash)].prefetch_prehashed(hash, depth, protect)
+        self.shards[self.shard_of_hash(hash)].prefetch_prehashed(hash, depth, protect)
     }
 
     /// Looks up `key` and clones the value.
@@ -426,12 +305,13 @@ where
     /// Inserts `key → value` into its shard. Returns `true` if the key was
     /// newly inserted. Only writers of the same shard contend.
     ///
-    /// On the maintained path a load-factor trigger only *requests* a
-    /// background resize; the insert itself never waits for readers.
+    /// A load-factor trigger resizes the shard before the call returns, or,
+    /// on a thread that cannot wait for readers, leaves the resize to
+    /// [`ShardedRpMap::maintain`].
     pub fn insert(&self, key: K, value: V) -> bool {
         let hash = self.hash_of(&key);
         let shard_idx = self.shard_of_hash(hash);
-        let newly = self.core.shards[shard_idx].insert_prehashed(hash, key, value);
+        let newly = self.shards[shard_idx].insert_prehashed(hash, key, value);
         self.maybe_request_resize(shard_idx);
         newly
     }
@@ -459,7 +339,7 @@ where
         Q: Hash + Eq + ?Sized,
     {
         let shard_idx = self.shard_of_hash(hash);
-        let removed = self.core.shards[shard_idx].remove_if_prehashed(hash, key, condemn);
+        let removed = self.shards[shard_idx].remove_if_prehashed(hash, key, condemn);
         self.maybe_request_resize(shard_idx);
         removed
     }
@@ -471,7 +351,7 @@ where
         F: FnMut(&K, &V) -> bool,
     {
         let mut removed = 0;
-        for (idx, shard) in self.core.shards.iter().enumerate() {
+        for (idx, shard) in self.shards.iter().enumerate() {
             removed += shard.retain(&mut f);
             self.maybe_request_resize(idx);
         }
@@ -480,7 +360,7 @@ where
 
     /// Removes all entries.
     pub fn clear(&self) {
-        for (idx, shard) in self.core.shards.iter().enumerate() {
+        for (idx, shard) in self.shards.iter().enumerate() {
             shard.clear();
             self.maybe_request_resize(idx);
         }
@@ -496,7 +376,7 @@ where
         &'g self,
         protect: &'g P,
     ) -> impl Iterator<Item = (&'g K, &'g V)> {
-        self.core.shards.iter().flat_map(move |s| s.iter(protect))
+        self.shards.iter().flat_map(move |s| s.iter(protect))
     }
 
     /// Collects all entries into a `Vec` (cloning), for tests and examples.
@@ -513,14 +393,14 @@ where
 
     /// Doubles every shard (each one an independent unzip expansion).
     pub fn expand_all(&self) {
-        for shard in self.core.shards.iter() {
+        for shard in self.shards.iter() {
             shard.expand();
         }
     }
 
     /// Halves every shard (each one an independent zip shrink).
     pub fn shrink_all(&self) {
-        for shard in self.core.shards.iter() {
+        for shard in self.shards.iter() {
             shard.shrink();
         }
     }
@@ -528,8 +408,8 @@ where
     /// Resizes the map to approximately `total_buckets` buckets overall by
     /// resizing each shard to its even share.
     pub fn resize_total_to(&self, total_buckets: usize) {
-        let per_shard = (total_buckets / self.core.shards.len()).max(1);
-        for shard in self.core.shards.iter() {
+        let per_shard = (total_buckets / self.shards.len()).max(1);
+        for shard in self.shards.iter() {
             shard.resize_to(per_shard);
         }
     }
@@ -537,7 +417,7 @@ where
     /// Checks every shard's structural invariants plus the routing
     /// invariant: each key's hash must route to the shard that stores it.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (i, shard) in self.core.shards.iter().enumerate() {
+        for (i, shard) in self.shards.iter().enumerate() {
             shard
                 .check_invariants()
                 .map_err(|e| format!("shard {i}: {e}"))?;
@@ -556,22 +436,29 @@ where
     }
 
     /// Catches up on automatic-resize work the writer paths postponed (see
-    /// [`RpHashMap::maintain`]), shard by shard. Returns `true` if any
-    /// resize work was performed.
+    /// [`RpHashMap::maintain`]). Returns `true` if any resize work was
+    /// performed.
     ///
-    /// On the maintained path this is a no-op — every write that leaves a
-    /// shard outside its bounds has requested a turn from the background
-    /// [`MaintThread`], and the caller is one of the threads that thread
-    /// exists to keep from waiting. It exists for unmaintained maps whose
-    /// writers all run on threads that cannot wait for readers (e.g. QSBR
-    /// event-loop workers): such a caller invokes this from a quiescent
-    /// point instead.
+    /// For maps whose writers run on threads that cannot wait for readers
+    /// (QSBR event-loop workers): such a caller invokes this from a
+    /// quiescent point, with its handle offline. One load while no write
+    /// has left a shard outside its bounds; otherwise the flag is taken and
+    /// every shard maintained. A mistimed call (the caller holds a guard or
+    /// is an online QSBR reader) is a no-op that leaves the flag set.
     pub fn maintain(&self) -> bool {
-        if self.maint.is_some() {
+        if !self.resize_due.load(Ordering::Relaxed) || !rp_rcu::may_wait_for_readers() {
             return false;
         }
+        // Taken before the shards are looked at: a write that leaves a shard
+        // due from here on sets the flag again for the next turn.
+        if !self.resize_due.swap(false, Ordering::Acquire) {
+            return false;
+        }
+        // A shard's resize that unwinds (a failpoint) is left in flight;
+        // the flag stays set so the next turn finishes it.
+        let _rearm = Rearm(&self.resize_due);
         let mut worked = false;
-        for shard in self.core.shards.iter() {
+        for shard in self.shards.iter() {
             worked |= shard.maintain();
         }
         worked
@@ -583,8 +470,20 @@ where
     /// shard's open batch of up to 63 retired nodes, which no barrier frees
     /// before then, and runs the barrier.
     pub fn flush_retired(&self) {
-        for shard in self.core.shards.iter() {
+        for shard in self.shards.iter() {
             shard.flush_retired();
+        }
+    }
+}
+
+/// Sets the flag it holds again if dropped while unwinding: what a
+/// [`ShardedRpMap::maintain`] turn that panicked leaves behind.
+struct Rearm<'a>(&'a AtomicBool);
+
+impl Drop for Rearm<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
         }
     }
 }
@@ -592,20 +491,9 @@ where
 impl<K, V, S> std::fmt::Debug for ShardedRpMap<K, V, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedRpMap")
-            .field("shards", &self.core.shards.len())
-            .field(
-                "len",
-                &self.core.shards.iter().map(|s| s.len()).sum::<usize>(),
-            )
-            .field(
-                "buckets",
-                &self
-                    .core
-                    .shards
-                    .iter()
-                    .map(|s| s.num_buckets())
-                    .sum::<usize>(),
-            )
+            .field("shards", &self.shards.len())
+            .field("len", &self.len())
+            .field("buckets", &self.num_buckets())
             .finish()
     }
 }

@@ -1,7 +1,6 @@
 //! Aggregated statistics across shards.
 
 use rp_hash::MapStats;
-use rp_maint::MaintStats;
 
 /// A point-in-time snapshot of every shard's counters plus the aggregate,
 /// built by [`crate::ShardedRpMap::stats`].
@@ -11,11 +10,6 @@ pub struct ShardStats {
     pub per_shard: Vec<MapStats>,
     /// Entry count per shard at snapshot time, in shard order.
     pub shard_lens: Vec<usize>,
-    /// Counters of the background maintenance thread — requests taken,
-    /// turns run, max writer-observed resize debt — when the map was built
-    /// with [`crate::ShardedRpMap::with_maintenance`]. What those turns did
-    /// is in `per_shard`.
-    pub maint: Option<MaintStats>,
 }
 
 impl ShardStats {
@@ -94,7 +88,6 @@ mod tests {
                 },
             ],
             shard_lens: vec![3, 1],
-            maint: None,
         };
         let total = stats.total();
         assert_eq!(total.inserts, 5);

@@ -1,12 +1,11 @@
-//! rcutorture-style stress for the QSBR read path, on the *maintained*
-//! sharded map.
+//! rcutorture-style stress for the QSBR read path, on the sharded map.
 //!
 //! The storm itself lives in `rp_workload::torture` and runs against every
 //! resizable map in the workspace (see `rp-workload`'s `torture_suite`);
-//! this test keeps the sharded-specific configuration — a background
-//! maintenance thread whose resizes race the harness's inline resize
-//! cycler — plus the grace-period-latency assertion that needs a stalled
-//! reader, which only makes sense once per process.
+//! this test keeps the sharded-specific configuration — automatic resizes
+//! of each shard, driven by the storm's writers, racing the harness's
+//! explicit resize cycler — plus the grace-period-latency assertion that
+//! needs a stalled reader, which only makes sense once per process.
 //!
 //! Duration is controlled by `RP_TORTURE_SECS` (default 2 — fast enough
 //! for tier-1; CI runs a longer mode explicitly).
@@ -19,12 +18,12 @@ use rp_rcu::GraceSync;
 use rp_shard::{ShardPolicy, ShardedRpMap};
 use rp_workload::torture::{torture_storm, Payload, TortureConfig};
 
-/// The maintained storm map: auto-expand and auto-shrink enabled so the
-/// harness's volatile churn crosses both thresholds, with resizes executed
-/// by the background `rp-maint` thread (racing the harness's inline resize
-/// cycler — both paths must be invisible to readers).
+/// The storm map: auto-expand and auto-shrink enabled so the harness's
+/// volatile churn crosses both thresholds, with each shard's resizes run by
+/// the writer that made them due (racing the harness's resize cycler —
+/// both must be invisible to readers).
 fn storm_map() -> ShardedRpMap<u64, Payload> {
-    ShardedRpMap::with_maintenance(ShardPolicy {
+    ShardedRpMap::with_policy(ShardPolicy {
         shards: 4,
         initial_buckets_per_shard: 16,
         per_shard: rp_hash::ResizePolicy {
@@ -43,8 +42,8 @@ fn qsbr_torture() {
     let map = storm_map();
     let outcome = torture_storm(&map, &TortureConfig::default());
     assert!(outcome.resize_transitions >= 1);
-    // Inline (the harness's cycler) and background resizes are counted in
-    // one place; together they must have finished at least one.
+    // The cycler's and the writers' resizes are counted in one place;
+    // together they must have finished at least one.
     assert!(
         map.stats().total().resizes() >= 1,
         "the storm never completed a resize — the torture tested nothing"

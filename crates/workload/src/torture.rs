@@ -253,8 +253,8 @@ where
             });
         }
 
-        // An explicit resize cycler races the readers (and any background
-        // maintenance resizes), alternating a large and a small target so
+        // An explicit resize cycler races the readers (and the writers' own
+        // automatic resizes), alternating a large and a small target so
         // transitions keep happening in both directions (the sharded map
         // resizes its shards one at a time). It also counts observed
         // bucket-count transitions so a vacuous storm fails loudly.

@@ -16,12 +16,8 @@
 //! * [`shard`] — [`shard::ShardedRpMap`], a power-of-two array of
 //!   independent relativistic tables: shard-local writer locks and resizes
 //!   for parallel updates, one guard (or QSBR handle) covering lookups in
-//!   every shard.
-//! * [`maint`] — [`maint::MaintThread`], the background resize maintenance
-//!   thread: with [`shard::ShardedRpMap::with_maintenance`], writers that
-//!   hit a load-factor trigger only *request* a resize and the thread runs
-//!   the shard's own resize driver ([`hash::RpHashMap::maintain`]),
-//!   absorbing every grace-period wait off the writer path.
+//!   every shard. A QSBR worker's writes postpone their resizes, and
+//!   [`shard::ShardedRpMap::maintain`] catches up from its quiescent point.
 //! * [`splitorder`] — [`splitorder::SplitOrderMap`], the main *competing*
 //!   resize philosophy: a lock-free split-ordered list (Shalev & Shavit)
 //!   whose resizes move no data and never wait for a grace period, sharing
@@ -65,7 +61,6 @@
 pub use rp_baselines as baselines;
 pub use rp_hash as hash;
 pub use rp_kvcache as kvcache;
-pub use rp_maint as maint;
 pub use rp_net as net;
 pub use rp_rcu as rcu;
 pub use rp_shard as shard;
