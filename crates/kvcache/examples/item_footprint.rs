@@ -10,12 +10,10 @@
 //! cargo run --release -p rp-kvcache --example item_footprint -- 64 lock
 //! ```
 //!
-//! The second argument names the engine: `rp-shard` (the server's default)
-//! or `lock`.
+//! The second argument names the engine: `rp` (the server's default) or
+//! `lock`.
 
-use std::time::Duration;
-
-use rp_kvcache::{CacheEngine, Item, LockEngine, ShardedRpEngine};
+use rp_kvcache::{CacheEngine, Item, LockEngine, RpEngine};
 
 const ITEMS: u32 = 512 * 1024;
 
@@ -34,22 +32,19 @@ fn main() {
     let value_len: usize = args
         .next()
         .and_then(|arg| arg.parse().ok())
-        .expect("usage: item_footprint VALUE_LEN [rp-shard|lock]");
-    let engine_name = args.next().unwrap_or_else(|| "rp-shard".into());
+        .expect("usage: item_footprint VALUE_LEN [rp|lock]");
+    let engine_name = args.next().unwrap_or_else(|| "rp".into());
 
     let before = vm_rss_kb();
     let engine: Box<dyn CacheEngine> = match engine_name.as_str() {
-        "rp-shard" => Box::new(ShardedRpEngine::new()),
-        "lock" => Box::new(LockEngine::with_capacity(1 << 20)),
-        other => panic!("unknown engine {other:?}: rp-shard or lock"),
+        "rp" => Box::new(RpEngine::new()),
+        "lock" => Box::new(LockEngine::new()),
+        other => panic!("unknown engine {other:?}: rp or lock"),
     };
     let value = vec![b'v'; value_len];
     for id in 0..ITEMS {
         engine.set(&format!("key:{id:08}"), Item::new(0, value.clone()));
     }
-    // Let the maintenance thread finish its last resize and free the
-    // arrays it replaced.
-    std::thread::sleep(Duration::from_secs(1));
     assert_eq!(engine.len(), ITEMS as usize);
 
     let grown = vm_rss_kb().saturating_sub(before);

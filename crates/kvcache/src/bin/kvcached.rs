@@ -125,8 +125,9 @@ fn smoke_workload(addr: std::net::SocketAddr, ops: usize) -> std::io::Result<()>
         return Err(err(format!("multi-GET expected 2 hits, got {hits:?}")));
     }
 
-    // A key of memcached's maximum length: the RCU engines hold keys past
-    // 22 bytes behind a pointer instead of inline in the index node.
+    // A key of memcached's maximum length: the relativistic engine holds
+    // keys past 22 bytes behind a pointer instead of inline in the index
+    // node.
     let long_key = "k".repeat(250);
     client.set(&long_key, 0, 0, b"long-keyed")?;
     if client.get(&long_key)?.as_deref() != Some(&b"long-keyed"[..]) {
@@ -151,7 +152,7 @@ fn smoke_workload(addr: std::net::SocketAddr, ops: usize) -> std::io::Result<()>
     // One pipelined burst in a single write (the client type above sends
     // one request at a time): 16 SETs, 16 GETs and one 16-key GET, answered
     // in order — the grouped decode-ahead path, whose prefetch hints the
-    // RCU-indexed engines act on and the others ignore.
+    // relativistic engine acts on and the lock engine ignores.
     let (mut burst, mut expected) = (Vec::new(), Vec::new());
     let mut values = Vec::new();
     for i in 0..16 {

@@ -6,11 +6,10 @@
 //!
 //! | Flag | Env | Default |
 //! |---|---|---|
-//! | `--engine rp\|rp-shard\|splitorder\|lock` | `RP_KV_ENGINE` | `rp-shard` |
+//! | `--engine rp\|lock` | `RP_KV_ENGINE` | `rp` |
 //! | `--port N` | `RP_KV_PORT` | `11211` |
 //! | `--workers N` | `RP_KV_WORKERS` | `2` |
 //! | `--read-side qsbr\|ebr` | `RP_KV_READ_SIDE` | `qsbr` |
-//! | `--shards N` | `RP_KV_SHARDS` | `16` |
 //! | `--capacity N` | `RP_KV_CAPACITY` | `1048576` |
 //! | `--drain-timeout-ms N` | `RP_KV_DRAIN_TIMEOUT_MS` | `5000` |
 //! | `--idle-timeout-ms N` (0 = off) | `RP_KV_IDLE_TIMEOUT_MS` | `0` |
@@ -24,23 +23,23 @@
 //! `ebr` (per-lookup guards). An RCU engine's index is resized by its
 //! writers, or, under QSBR, in each worker's housekeeping turn between
 //! batches; resizing has no settings.
+//!
+//! `--engine` picks one of the paper's two memcached engines: `rp`, the
+//! relativistic table ([`RpEngine`]), or `lock`, stock memcached's global
+//! lock ([`LockEngine`]).
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::engine::{CacheEngine, ReadSide};
 use crate::server::ServerConfig;
-use crate::{LockEngine, RpEngine, ShardedRpEngine, SplitOrderEngine};
+use crate::{LockEngine, RpEngine};
 
 /// Which storage engine to serve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// Single relativistic table ([`RpEngine`]).
+    /// The relativistic table ([`RpEngine`]).
     Rp,
-    /// Sharded relativistic index ([`ShardedRpEngine`]).
-    RpShard,
-    /// Lock-free split-ordered index ([`SplitOrderEngine`]).
-    SplitOrder,
     /// Global-lock baseline ([`LockEngine`]).
     Lock,
 }
@@ -56,8 +55,6 @@ pub struct ServerOptions {
     pub workers: usize,
     /// Read-side RCU flavor for GETs.
     pub read_side: ReadSide,
-    /// Index shards (rp-shard engine only).
-    pub shards: usize,
     /// Item capacity.
     pub capacity: usize,
     /// Graceful-shutdown drain budget.
@@ -80,11 +77,10 @@ pub struct ServerOptions {
 impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
-            engine: EngineKind::RpShard,
+            engine: EngineKind::Rp,
             port: 11211,
             workers: 2,
             read_side: ReadSide::Qsbr,
-            shards: 16,
             capacity: 1 << 20,
             drain_timeout: Duration::from_secs(5),
             idle_timeout: None,
@@ -104,12 +100,10 @@ USAGE:
     kvcached [FLAGS]
 
 FLAGS (each falls back to the env var in brackets, then to the default):
-    --engine rp|rp-shard|splitorder|lock
-                                  storage engine                [RP_KV_ENGINE, rp-shard]
+    --engine rp|lock              storage engine                [RP_KV_ENGINE, rp]
     --port N                      TCP port, 0 = pick free       [RP_KV_PORT, 11211]
     --workers N                   reactor worker threads        [RP_KV_WORKERS, 2]
     --read-side qsbr|ebr          GET read-side RCU flavor      [RP_KV_READ_SIDE, qsbr]
-    --shards N                    index shards (rp-shard)       [RP_KV_SHARDS, 16]
     --capacity N                  max items                     [RP_KV_CAPACITY, 1048576]
     --drain-timeout-ms N          graceful shutdown budget      [RP_KV_DRAIN_TIMEOUT_MS, 5000]
     --idle-timeout-ms N           reap idle connections, 0=off  [RP_KV_IDLE_TIMEOUT_MS, 0]
@@ -135,7 +129,6 @@ impl ServerOptions {
         let mut port = env("RP_KV_PORT");
         let mut workers = env("RP_KV_WORKERS");
         let mut read_side = env("RP_KV_READ_SIDE");
-        let mut shards = env("RP_KV_SHARDS");
         let mut capacity = env("RP_KV_CAPACITY");
         let mut drain_ms = env("RP_KV_DRAIN_TIMEOUT_MS");
         let mut idle_timeout_ms = env("RP_KV_IDLE_TIMEOUT_MS");
@@ -154,7 +147,6 @@ impl ServerOptions {
                 "--port" => &mut port,
                 "--workers" => &mut workers,
                 "--read-side" => &mut read_side,
-                "--shards" => &mut shards,
                 "--capacity" => &mut capacity,
                 "--drain-timeout-ms" => &mut drain_ms,
                 "--idle-timeout-ms" => &mut idle_timeout_ms,
@@ -173,14 +165,8 @@ impl ServerOptions {
         if let Some(v) = engine {
             opts.engine = match v.as_str() {
                 "rp" => EngineKind::Rp,
-                "rp-shard" => EngineKind::RpShard,
-                "splitorder" => EngineKind::SplitOrder,
                 "lock" => EngineKind::Lock,
-                other => {
-                    return Err(format!(
-                        "bad engine {other:?} (rp | rp-shard | splitorder | lock)"
-                    ))
-                }
+                other => return Err(format!("bad engine {other:?} (rp | lock)\n\n{USAGE}")),
             };
         }
         if let Some(v) = port {
@@ -191,9 +177,6 @@ impl ServerOptions {
         }
         if let Some(v) = read_side {
             opts.read_side = ReadSide::parse(&v)?;
-        }
-        if let Some(v) = shards {
-            opts.shards = parse_num::<usize>(&v, "--shards")?.max(1);
         }
         if let Some(v) = capacity {
             opts.capacity = parse_num::<usize>(&v, "--capacity")?.max(1);
@@ -230,11 +213,6 @@ impl ServerOptions {
     pub fn build_engine(&self) -> Arc<dyn CacheEngine> {
         match self.engine {
             EngineKind::Rp => Arc::new(RpEngine::with_capacity(self.capacity)),
-            EngineKind::RpShard => Arc::new(ShardedRpEngine::with_shards_and_capacity(
-                self.shards,
-                self.capacity,
-            )),
-            EngineKind::SplitOrder => Arc::new(SplitOrderEngine::with_capacity(self.capacity)),
             EngineKind::Lock => Arc::new(LockEngine::with_capacity(self.capacity)),
         }
     }
@@ -276,7 +254,8 @@ mod tests {
     #[test]
     fn defaults_when_nothing_is_given() {
         let opts = ServerOptions::parse(&[], &no_env).unwrap();
-        assert_eq!(opts.engine, EngineKind::RpShard);
+        assert_eq!(opts.engine, EngineKind::Rp);
+        assert_eq!(opts.build_engine().name(), "rp");
         assert_eq!(opts.port, 11211);
     }
 
@@ -285,7 +264,7 @@ mod tests {
         let opts = ServerOptions::parse(
             &strings(&[
                 "--engine",
-                "rp-shard",
+                "lock",
                 "--workers",
                 "4",
                 "--port",
@@ -296,6 +275,7 @@ mod tests {
             &no_env,
         )
         .unwrap();
+        assert_eq!(opts.engine, EngineKind::Lock);
         assert_eq!(opts.workers, 4);
         assert_eq!(opts.port, 0);
         assert_eq!(opts.drain_timeout, Duration::from_millis(250));
@@ -332,7 +312,7 @@ mod tests {
         };
         ServerOptions::parse(&[], &env).unwrap();
         let flags = USAGE.lines().filter(|l| l.trim_start().starts_with("--"));
-        assert_eq!(flags.count(), 12 + 1, "twelve flags and --help");
+        assert_eq!(flags.count(), 11 + 1, "eleven flags and --help");
     }
 
     #[test]
@@ -438,17 +418,31 @@ mod tests {
 
     #[test]
     fn built_engines_match_the_request() {
-        let opts = ServerOptions::parse(
-            &strings(&["--engine", "rp-shard", "--shards", "4"]),
-            &no_env,
-        )
-        .unwrap();
-        let engine = opts.build_engine();
-        assert_eq!(engine.name(), "rp-shard");
-        let opts = ServerOptions::parse(&strings(&["--engine", "splitorder"]), &no_env).unwrap();
-        assert_eq!(opts.engine, EngineKind::SplitOrder);
-        assert_eq!(opts.build_engine().name(), "splitorder");
+        let opts = ServerOptions::parse(&strings(&["--engine", "rp"]), &no_env).unwrap();
+        assert_eq!(opts.build_engine().name(), "rp");
         let opts = ServerOptions::parse(&strings(&["--engine", "lock"]), &no_env).unwrap();
         assert_eq!(opts.build_engine().name(), "default");
+    }
+
+    #[test]
+    fn the_sharded_and_split_order_engines_are_gone() {
+        for gone in [
+            ["--engine", "rp-shard"],
+            ["--engine", "splitorder"],
+            ["--shards", "4"],
+        ] {
+            let refused = ServerOptions::parse(&strings(&gone), &no_env).unwrap_err();
+            assert!(refused.ends_with(USAGE), "{gone:?}: {refused}");
+        }
+        let refused = ServerOptions::parse(&strings(&["--engine", "rp-shard"]), &no_env);
+        assert!(refused.unwrap_err().starts_with("bad engine"));
+        let refused = ServerOptions::parse(&strings(&["--shards", "4"]), &no_env);
+        assert!(refused.unwrap_err().starts_with("unknown flag"));
+        // Nor does the environment name a shard count.
+        let env = |name: &str| -> Option<String> {
+            assert_ne!(name, "RP_KV_SHARDS", "{name} read");
+            None
+        };
+        ServerOptions::parse(&[], &env).unwrap();
     }
 }

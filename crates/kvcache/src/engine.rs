@@ -212,8 +212,8 @@ pub trait CacheEngine: Send + Sync {
     /// key was found.
     ///
     /// The key is raw bytes — a slice straight out of the connection's read
-    /// buffer — so the lookup allocates nothing: the RCU-indexed engines
-    /// hash the bytes once and probe their [`ItemKey`](crate::ItemKey)-keyed
+    /// buffer — so the lookup allocates nothing: the relativistic engine
+    /// hashes the bytes once and probes its [`ItemKey`](crate::ItemKey)-keyed
     /// index through a raw matching lookup. Keys that are not valid UTF-8
     /// cannot exist in the cache (every stored key came from a validated
     /// command line), so they simply miss.
@@ -284,12 +284,6 @@ pub trait CacheEngine: Send + Sync {
     /// Removes expired items eagerly (every engine also expires lazily on
     /// GET). Returns how many were removed.
     fn purge_expired(&self) -> usize;
-
-    /// Scrape-time hook: push engine-derived level gauges (e.g. shard
-    /// imbalance) into the `rp-obs` registry. Called by the `STATS`
-    /// telemetry renderer just before it reads the registry; the default
-    /// does nothing.
-    fn observe_gauges(&self) {}
 }
 
 #[cfg(test)]
@@ -297,7 +291,7 @@ mod tests {
     use super::*;
     use crate::protocol::RequestRef;
     use crate::server::execute_ref;
-    use crate::{LockEngine, RpEngine, ShardedRpEngine, SplitOrderEngine};
+    use crate::{LockEngine, RpEngine};
     use std::collections::{BTreeMap, HashMap};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
@@ -322,10 +316,8 @@ mod tests {
         capacity: usize,
         check: fn(&Arc<dyn CacheEngine>, &mut EngineReadCtx),
     ) {
-        let engines: [fn(usize) -> Arc<dyn CacheEngine>; 4] = [
+        let engines: [fn(usize) -> Arc<dyn CacheEngine>; 2] = [
             |capacity| Arc::new(RpEngine::with_capacity(capacity)),
-            |capacity| Arc::new(ShardedRpEngine::with_shards_and_capacity(4, capacity)),
-            |capacity| Arc::new(SplitOrderEngine::with_capacity(capacity)),
             |capacity| Arc::new(LockEngine::with_capacity(capacity)),
         ];
         for make in engines {
@@ -411,7 +403,7 @@ mod tests {
 
     #[test]
     fn keys_either_side_of_the_inline_boundary_are_distinct() {
-        // 22 bytes is the longest key the RCU engines store inline; one
+        // 22 bytes is the longest key the relativistic engine stores inline; one
         // more byte of the same prefix is another key, not an overwrite.
         for_every_engine_and_read_side(10_000, |engine, ctx| {
             let (short, long) = ("k".repeat(22), "k".repeat(23));
@@ -545,11 +537,6 @@ mod tests {
         }
         for capacity in [1024, 5] {
             check(&RpEngine::with_capacity(capacity), capacity);
-            check(
-                &ShardedRpEngine::with_shards_and_capacity(4, capacity),
-                capacity,
-            );
-            check(&SplitOrderEngine::with_capacity(capacity), capacity);
             check(&LockEngine::with_capacity(capacity), capacity);
         }
     }
@@ -568,26 +555,6 @@ mod tests {
             assert_eq!(engine.purge_expired(), 3);
             assert_eq!(engine.len(), 3);
         });
-
-        // The split-order row: its index alone has no writer lock to hold a
-        // purge's verdict and its removal together, so only there can a SET
-        // land between the two — here from inside the purge's own scan,
-        // which makes the interleaving certain. The fresh item must stay.
-        let engine = SplitOrderEngine::with_capacity(1024);
-        for i in 0..6 {
-            engine.set(&format!("k{i}"), Item::expired(0, "stale"));
-        }
-        let purged = engine.index.retain(|key, stored| {
-            let expired = stored.is_expired_now();
-            if expired && key.as_bytes() == b"k3" {
-                engine.set("k3", Item::new(0, "fresh"));
-            }
-            !expired
-        });
-        assert_eq!(purged, 5);
-        assert_eq!(engine.len(), 1);
-        let hit = engine.get_ref(b"k3", &mut EngineReadCtx::new(ReadSide::Ebr));
-        assert_eq!(hit.map(|item| item.data.to_vec()), Some(b"fresh".to_vec()));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! A memcached-style key-value cache with a global-lock engine and an
-//! RCU-indexed one.
+//! A memcached-style key-value cache with a global-lock engine and a
+//! relativistic one.
 //!
 //! The paper's real-world evaluation patches memcached: stock memcached 1.4
 //! protects its item hash table with a single global lock (`cache_lock`),
@@ -13,29 +13,23 @@
 //!   a streaming socket.
 //! * [`Item`] — a stored value: flags, optional expiry and a [`Payload`]
 //!   (up to 70 bytes inline, longer values a shared `Bytes`) — and
-//!   [`ItemKey`], the 24-byte key the RCU engines store it under (up to 22
-//!   bytes inline, longer keys behind a `Box<str>`).
+//!   [`ItemKey`], the 24-byte key the relativistic engine stores it under
+//!   (up to 22 bytes inline, longer keys behind a `Box<str>`).
 //! * [`CacheEngine`] — the storage-engine trait the server dispatches to.
 //! * [`LockEngine`] — the **baseline** engine (its `name()` is `default`,
 //!   stock memcached's): one global mutex around a hash map plus LRU
 //!   bookkeeping, the `cache_lock` architecture.
-//! * [`Engine`] — the **RCU-indexed** engine, generic over its index: GETs
-//!   are wait-free lookups that copy the value inside the read-side
-//!   critical section; writes go through the index's writer side; expiry
-//!   is lazy and eviction is exact LRU from a queue that one scan of the
-//!   index fills for many evictions, both on the slow path. The
-//!   item is flat: key, flags, deadline, LRU stamp and a small value sit
-//!   by value in the index node, so a hit of a value of up to 70 bytes is
-//!   two dependent loads (bucket slot, node) and a SET of a short key and
-//!   such a value allocates nothing on an index whose nodes come from a
-//!   slab. Three indexes plug in:
-//!   [`RpEngine`] (one [`rp_hash::RpHashMap`] — the paper's patch),
-//!   [`ShardedRpEngine`] (an [`rp_shard::ShardedRpMap`]: SETs and index
-//!   resizes only contend within one shard; `kvcached`'s default engine)
-//!   and [`SplitOrderEngine`] (an
-//!   [`rp_splitorder::SplitOrderMap`]: lock-free writers, index growth is
-//!   a single pointer publication with no grace-period wait — the
-//!   competing resize philosophy).
+//! * [`RpEngine`] — the **relativistic** engine, the paper's patch: one
+//!   [`rp_hash::RpHashMap`] indexes the cache. GETs are wait-free lookups
+//!   that copy the value inside the read-side critical section; SETs and
+//!   DELETEs serialise on the map's writer lock; expiry is lazy and
+//!   eviction is exact LRU from a queue that one scan of the index fills
+//!   for many evictions, both on the slow path. The item is flat: key,
+//!   flags, deadline, LRU stamp and a small value sit by value in the
+//!   index node, so a hit of a value of up to 70 bytes is two dependent
+//!   loads (bucket slot, node) and a SET of a short key and such a value
+//!   allocates nothing: the node comes from the map's slab. It is
+//!   `kvcached`'s default engine.
 //! * [`server`] / [`EventServer`] / [`client`] — the TCP server on the
 //!   `rp-net` epoll event loop (any number of connections from a fixed
 //!   worker pool, incremental request framing, pipelined responses, write
@@ -47,9 +41,9 @@
 //!   barrier-free, one quiescent state is announced per event batch, and
 //!   workers go offline while parked in `epoll_wait`; `--read-side ebr`
 //!   restores the guard path. A QSBR worker's SET never waits for a grace
-//!   period: on either relativistic engine it postpones the index resize
-//!   it made due, and the worker runs it between batches, with its handle
-//!   offline ([`CacheEngine::housekeeping`]).
+//!   period: it postpones the index resize it made due, and the worker runs
+//!   it between batches, with its handle offline
+//!   ([`CacheEngine::housekeeping`]).
 //! * [`cli`] — flag/env parsing for the `kvcached` binary.
 //!
 //! The `fig_memcached` benchmark in `rp-bench` drives both engines with an
@@ -66,8 +60,6 @@ mod item;
 mod lock_engine;
 pub mod protocol;
 mod rp_engine;
-mod sharded_engine;
-mod splitorder_engine;
 
 pub mod cli;
 pub mod client;
@@ -80,7 +72,5 @@ pub use engine::{CacheEngine, CacheStats, EngineReadCtx, ReadSide, StoreOutcome,
 pub use event_server::{EventServer, KvService};
 pub use item::{Deadline, Item, ItemKey, Payload};
 pub use lock_engine::LockEngine;
-pub use rp_engine::{Engine, RpEngine};
+pub use rp_engine::RpEngine;
 pub use server::ServerConfig;
-pub use sharded_engine::ShardedRpEngine;
-pub use splitorder_engine::SplitOrderEngine;

@@ -1,9 +1,4 @@
-//! The RCU-indexed engines: wait-free GETs over a concurrent index.
-//!
-//! [`Engine`] is the one engine struct; [`RpEngine`], and the
-//! [`ShardedRpEngine`](crate::ShardedRpEngine) and
-//! [`SplitOrderEngine`](crate::SplitOrderEngine) aliases beside it, differ
-//! only in the index type they plug in ([`ByteKeyIndex`]).
+//! The relativistic engine: wait-free GETs over one [`RpHashMap`].
 
 use std::borrow::Borrow;
 use std::cell::Cell;
@@ -12,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use rp_hash::{FnvBuildHasher, ResizePolicy, RpHashMap};
+use rp_hash::{FnvBuildHasher, ReadProtect, ResizePolicy, RpHashMap};
 use rp_rcu::NoGraceWait;
 
 use crate::audit::{self, SharedWrite};
@@ -20,10 +15,10 @@ use crate::engine::{CacheEngine, CacheStats, EngineReadCtx, StoreOutcome, GROUP}
 use crate::item::{Item, ItemKey, Payload};
 use crate::lock_engine::EngineConfig;
 
-/// Hashes raw key bytes exactly as the engines' [`ItemKey`]-keyed indexes
-/// hash their keys — as the `str` the key holds: the bytes, then a `0xff`
+/// Hashes raw key bytes exactly as the engine's [`ItemKey`]-keyed index
+/// hashes its keys — as the `str` the key holds: the bytes, then a `0xff`
 /// terminator — so a `&[u8]` borrowed from a connection's read buffer can
-/// probe the index through the raw `get_matching_prehashed` lookups: hash
+/// probe the index through the raw `get_matching_prehashed` lookup: hash
 /// once, compare bytes, allocate nothing. A unit test pins this against
 /// `FnvBuildHasher`'s `str` output in case std's `str` hashing scheme ever
 /// changes.
@@ -63,144 +58,9 @@ const _: () = assert!(std::mem::size_of::<Payload>() == 72);
 const _: () = assert!(std::mem::size_of::<Item>() == 80);
 const _: () = assert!(std::mem::size_of::<StoredItem>() == 88);
 
-/// What an [`Engine`] needs from its index: a raw byte-keyed probe under
-/// either read-side witness, plus the handful of writer-side calls. The
-/// three index types share no trait of their own, so
-/// [`impl_byte_key_index`] forwards each of these to the inherent method
-/// of the same meaning.
-pub trait ByteKeyIndex: Send + Sync {
-    /// Engine name used in `stats` and benchmark output.
-    const NAME: &'static str;
-
-    /// Raw lookup: `hash` must be [`str_bytes_hash`] of `key`.
-    fn probe<'g, P: rp_hash::ReadProtect>(
-        &'g self,
-        hash: u64,
-        key: &[u8],
-        protect: &'g P,
-    ) -> Option<&'g StoredItem>;
-
-    /// Read-side hint for a lookup of `hash` that is `depth` passes away
-    /// (see [`RpHashMap::prefetch_prehashed`]): may return the item that
-    /// lookup will probably find, so the caller can hint its payload too.
-    /// An index that cannot walk ahead hints nothing.
-    fn prefetch<'g, P: rp_hash::ReadProtect>(
-        &'g self,
-        _hash: u64,
-        _depth: usize,
-        _protect: &'g P,
-    ) -> Option<&'g StoredItem> {
-        None
-    }
-
-    /// Pins an EBR guard for the fallback flavor.
-    fn pin_guard(&self) -> rp_rcu::RcuGuard<'static>;
-
-    /// Stores `item` under `key`, replacing any previous value.
-    fn insert(&self, key: ItemKey, item: StoredItem);
-
-    /// Removes `key` through the writer side if `condemn` accepts the item
-    /// stored under it at that moment; `true` if it was removed. `hash`
-    /// must be [`str_bytes_hash`] of `key`.
-    fn remove_if(&self, hash: u64, key: &str, condemn: impl Fn(&StoredItem) -> bool) -> bool;
-
-    /// Number of entries.
-    fn len(&self) -> usize;
-
-    /// Catches up on resizes the writer paths postponed (none by default:
-    /// an index that never waits to resize postpones nothing).
-    fn maintain(&self) {}
-
-    /// Removes every entry for which `keep` returns `false`; returns how
-    /// many it removed.
-    fn retain(&self, keep: impl FnMut(&StoredItem) -> bool) -> usize;
-
-    /// The eviction-candidate scan: the `count` entries to evict first —
-    /// those already past their deadline (memcached checks its LRU tail
-    /// for them the same way), then the least recently used — each with
-    /// the access stamp it carried when seen, the first victim **last** so
-    /// that `pop` yields it.
-    fn stalest(&self, count: usize) -> Vec<(ItemKey, u64)>;
-
-    /// Scrape-time level gauges this index can report (none by default).
-    fn observe_gauges(&self) {}
-}
-
-/// Implements [`ByteKeyIndex`] for a map type by forwarding to its inherent
-/// methods; trailing items override the trait's defaults, and a leading
-/// `relativistic` forwards [`ByteKeyIndex::prefetch`] and
-/// [`ByteKeyIndex::maintain`] to the map's `prefetch_prehashed` and
-/// `maintain`.
-macro_rules! impl_byte_key_index {
-    (relativistic $index:ty, $name:literal $(, $extra:item)*) => {
-        $crate::rp_engine::impl_byte_key_index!(
-            $index,
-            $name,
-            fn prefetch<'g, P: rp_hash::ReadProtect>(
-                &'g self,
-                hash: u64,
-                depth: usize,
-                protect: &'g P,
-            ) -> Option<&'g $crate::rp_engine::StoredItem> {
-                self.prefetch_prehashed(hash, depth, protect)
-            },
-            fn maintain(&self) {
-                self.maintain();
-            }
-            $(, $extra)*
-        );
-    };
-    ($index:ty, $name:literal $(, $extra:item)*) => {
-        impl $crate::rp_engine::ByteKeyIndex for $index {
-            const NAME: &'static str = $name;
-
-            fn probe<'g, P: rp_hash::ReadProtect>(
-                &'g self,
-                hash: u64,
-                key: &[u8],
-                protect: &'g P,
-            ) -> Option<&'g $crate::rp_engine::StoredItem> {
-                self.get_matching_prehashed(hash, |k| k.as_bytes() == key, protect)
-            }
-
-            fn pin_guard(&self) -> rp_rcu::RcuGuard<'static> {
-                self.pin()
-            }
-
-            fn insert(&self, key: $crate::item::ItemKey, item: $crate::rp_engine::StoredItem) {
-                self.insert(key, item);
-            }
-
-            fn remove_if(
-                &self,
-                hash: u64,
-                key: &str,
-                condemn: impl Fn(&$crate::rp_engine::StoredItem) -> bool,
-            ) -> bool {
-                self.remove_if_prehashed(hash, key, condemn)
-            }
-
-            fn len(&self) -> usize {
-                self.len()
-            }
-
-            fn retain(
-                &self,
-                mut keep: impl FnMut(&$crate::rp_engine::StoredItem) -> bool,
-            ) -> usize {
-                self.retain(|_, stored| keep(stored))
-            }
-
-            fn stalest(&self, count: usize) -> Vec<($crate::item::ItemKey, u64)> {
-                let guard = self.pin();
-                $crate::rp_engine::stalest_of(self.iter(&guard), count)
-            }
-
-            $($extra)*
-        }
-    };
-}
-pub(crate) use impl_byte_key_index;
+/// The engine's index: items by key, hashed with FNV so that
+/// [`str_bytes_hash`] can hash a borrowed key the same way.
+type Index = RpHashMap<ItemKey, StoredItem, FnvBuildHasher>;
 
 impl StoredItem {
     pub(crate) fn access_stamp(&self) -> u64 {
@@ -224,18 +84,21 @@ fn prefetch_payload(shared: &bytes::Bytes) {
     rp_hash::prefetch_line(header.wrapping_add(64));
 }
 
-/// [`ByteKeyIndex::stalest`] over an index's `entries`, in one pass with a
-/// bounded max-heap of `(live, stamp, key)` that borrows its keys: only the
-/// `count` that remain at the end are cloned, so the scan's memory is
-/// `count` entries whatever the index holds. The clock is read once, and
-/// only if some entry has a deadline.
-pub(crate) fn stalest_of<'g>(
-    entries: impl Iterator<Item = (&'g ItemKey, &'g StoredItem)>,
-    count: usize,
-) -> Vec<(ItemKey, u64)> {
+/// The eviction-candidate scan: the `count` entries of `index` to evict
+/// first — those already past their deadline (memcached checks its LRU
+/// tail for them the same way), then the least recently used — each with
+/// the access stamp it carried when seen, the first victim **last** so
+/// that `pop` yields it.
+///
+/// One pass with a bounded max-heap of `(live, stamp, key)` that borrows
+/// its keys: only the `count` that remain at the end are cloned, so the
+/// scan's memory is `count` entries whatever the index holds. The clock is
+/// read once, and only if some entry has a deadline.
+fn stalest(index: &Index, count: usize) -> Vec<(ItemKey, u64)> {
+    let guard = index.pin();
     let mut now = None;
     let mut heap = BinaryHeap::with_capacity(count);
-    for (key, stored) in entries {
+    for (key, stored) in index.iter(&guard) {
         let expired = stored
             .item
             .expires_at
@@ -255,8 +118,6 @@ pub(crate) fn stalest_of<'g>(
         .map(|(_, stamp, key)| (key.clone(), stamp))
         .collect()
 }
-
-impl_byte_key_index!(relativistic RpHashMap<ItemKey, StoredItem, FnvBuildHasher>, "rp");
 
 /// What an index probe found, with the LRU stamp already applied to a live
 /// hit.
@@ -282,8 +143,8 @@ fn classify_probe(stored: Option<&StoredItem>, stamp: u64, found: &mut dyn FnMut
     }
 }
 
-/// A cache engine over a concurrent index `I`, mirroring the paper's
-/// memcached patch:
+/// The relativistic engine, mirroring the paper's memcached patch: the
+/// index is one [`RpHashMap`].
 ///
 /// * **GET** enters a read-side section (a pinned EBR guard, or the
 ///   worker's barrier-free QSBR handle), looks the key up in the index,
@@ -291,14 +152,16 @@ fn classify_probe(stored: Option<&StoredItem>, stamp: u64, found: &mut dyn FnMut
 ///   still inside the section — all without taking any lock. Expired
 ///   entries fall back to the slow path (a writer-side remove) exactly as
 ///   the patch "falls back to the slow path for expiry, eviction".
-/// * **SET / DELETE** go through the index's writer side and retire
-///   replaced items through the RCU domain.
+/// * **SET / DELETE** serialise on the map's writer lock and retire
+///   replaced items through the RCU domain. The index resizes itself under
+///   load; a QSBR worker's SET postpones the resize to the worker's
+///   [`CacheEngine::housekeeping`] turn.
 /// * **Eviction** is exact LRU at a fraction of a scan per victim: a SET
 ///   past capacity pops the oldest entry of a queue that one scan of the
 ///   index filled and removes it only if its access stamp has not moved
 ///   since (DESIGN.md, *Eviction*).
-pub struct Engine<I> {
-    pub(crate) index: I,
+pub struct RpEngine {
+    index: Index,
     config: EngineConfig,
     clock: AtomicU64,
     stats: CacheStats,
@@ -310,11 +173,30 @@ pub struct Engine<I> {
     victims: Mutex<Vec<(ItemKey, u64)>>,
 }
 
-impl<I: ByteKeyIndex> Engine<I> {
-    /// Wraps `index`, holding at most `capacity` items.
-    pub(crate) fn over(index: I, capacity: usize) -> Self {
-        Engine {
-            index,
+impl RpEngine {
+    /// Creates an engine with a large default capacity.
+    pub fn new() -> Self {
+        Self::with_capacity(1 << 20)
+    }
+
+    /// Creates an engine that holds at most `capacity` items.
+    pub fn with_capacity(capacity: usize) -> Self {
+        // The initial size only, capped at 1024 buckets: the index grows
+        // itself under load, so a large capacity does not pay for a large
+        // table up front. It never halves below its initial size, which
+        // already sits under its shrink trigger, so a prefill does not open
+        // with halvings it has to double back.
+        let buckets = capacity.clamp(16, 1024).next_power_of_two();
+        let policy = ResizePolicy {
+            auto_expand: true,
+            auto_shrink: true,
+            max_load_factor: 2.0,
+            min_load_factor: 0.125,
+            min_buckets: buckets,
+            ..ResizePolicy::default()
+        };
+        RpEngine {
+            index: RpHashMap::with_buckets_hasher_and_policy(buckets, FnvBuildHasher, policy),
             config: EngineConfig {
                 capacity: capacity.max(1),
                 ..EngineConfig::default()
@@ -323,6 +205,30 @@ impl<I: ByteKeyIndex> Engine<I> {
             stats: CacheStats::default(),
             victims: Mutex::new(Vec::new()),
         }
+    }
+
+    /// The index's structural check ([`RpHashMap::check_invariants`]), for
+    /// a test that drove the engine through a server.
+    pub fn check_index(&self) -> Result<(), String> {
+        self.index.check_invariants()
+    }
+
+    /// Raw lookup: `hash` must be [`str_bytes_hash`] of `key`.
+    fn probe<'g, P: ReadProtect>(
+        &'g self,
+        hash: u64,
+        key: &[u8],
+        protect: &'g P,
+    ) -> Option<&'g StoredItem> {
+        self.index
+            .get_matching_prehashed(hash, |k| k.as_bytes() == key, protect)
+    }
+
+    /// Removes `key` through the writer side if `condemn` accepts the item
+    /// stored under it at that moment; `true` if it was removed. `hash`
+    /// must be [`str_bytes_hash`] of `key`.
+    fn remove_if(&self, hash: u64, key: &str, condemn: impl FnOnce(&StoredItem) -> bool) -> bool {
+        self.index.remove_if_prehashed(hash, key, condemn)
     }
 
     /// Next LRU access stamp.
@@ -338,15 +244,15 @@ impl<I: ByteKeyIndex> Engine<I> {
     /// whose cached hash matches, a shared value's buffer instead. Each
     /// pass reads only what the pass before asked for, so the group's
     /// misses are in flight together.
-    fn hint_group<P: rp_hash::ReadProtect>(&self, keys: &[&[u8]], protect: &P) {
+    fn hint_group<P: ReadProtect>(&self, keys: &[&[u8]], protect: &P) {
         let mut hashes = [0_u64; GROUP];
         for (hash, key) in hashes.iter_mut().zip(keys) {
             *hash = str_bytes_hash(key);
-            self.index.prefetch(*hash, 0, protect);
+            self.index.prefetch_prehashed(*hash, 0, protect);
         }
         for depth in 1..=3 {
             for &hash in &hashes[..keys.len()] {
-                let found = self.index.prefetch(hash, depth, protect);
+                let found = self.index.prefetch_prehashed(hash, depth, protect);
                 if let Some(shared) = found.and_then(|stored| stored.item.data.shared()) {
                     prefetch_payload(shared);
                 }
@@ -356,8 +262,7 @@ impl<I: ByteKeyIndex> Engine<I> {
 
     /// Removes `key` unconditionally; `true` if it was present.
     fn remove(&self, key: &str) -> bool {
-        self.index
-            .remove_if(str_bytes_hash(key.as_bytes()), key, |_| true)
+        self.remove_if(str_bytes_hash(key.as_bytes()), key, |_| true)
     }
 
     /// All a SET that stays within capacity pays for eviction.
@@ -383,12 +288,10 @@ impl<I: ByteKeyIndex> Engine<I> {
             };
             let key: &str = key.borrow();
             let expired = Cell::new(false);
-            let removed = self
-                .index
-                .remove_if(str_bytes_hash(key.as_bytes()), key, |stored| {
-                    expired.set(stored.is_expired_now());
-                    stored.access_stamp() == stamp
-                });
+            let removed = self.remove_if(str_bytes_hash(key.as_bytes()), key, |stored| {
+                expired.set(stored.is_expired_now());
+                stored.access_stamp() == stamp
+            });
             match (removed, expired.get()) {
                 (false, _) => &self.stats.evict_stale,
                 (true, false) => &self.stats.evictions,
@@ -409,7 +312,7 @@ impl<I: ByteKeyIndex> Engine<I> {
             let start = rp_obs::timer();
             // 64 nodes scanned per eviction at any capacity; the floor
             // keeps a small cache from scanning for every one.
-            **victims = self.index.stalest((self.config.capacity / 64).max(16));
+            **victims = stalest(&self.index, (self.config.capacity / 64).max(16));
             self.stats.evict_scans.inc();
             if let Some(ns) = rp_obs::elapsed_ns(start) {
                 rp_obs::global().kv.evict_scan_ns.record(ns);
@@ -426,24 +329,23 @@ impl<I: ByteKeyIndex> Engine<I> {
     }
 }
 
-impl<I: ByteKeyIndex> CacheEngine for Engine<I> {
+impl CacheEngine for RpEngine {
     fn name(&self) -> &'static str {
-        I::NAME
+        "rp"
     }
 
     fn get_with(&self, key: &[u8], ctx: &mut EngineReadCtx, found: &mut dyn FnMut(&Item)) -> bool {
         // One hashing pass over the borrowed key bytes serves the whole
-        // lookup (shard routing included); the key is never copied and
-        // never re-validated.
+        // lookup; the key is never copied and never re-validated.
         let hash = str_bytes_hash(key);
         let stamp = self.stamp();
         // No locks, no waiting; `found` reads the item while still inside
         // the read-side section.
         let probe = match ctx.qsbr_handle() {
-            Some(handle) => classify_probe(self.index.probe(hash, key, handle), stamp, found),
+            Some(handle) => classify_probe(self.probe(hash, key, handle), stamp, found),
             None => {
-                let guard = self.index.pin_guard();
-                classify_probe(self.index.probe(hash, key, &guard), stamp, found)
+                let guard = self.index.pin();
+                classify_probe(self.probe(hash, key, &guard), stamp, found)
             }
         };
         if let Probe::Expired = probe {
@@ -454,7 +356,7 @@ impl<I: ByteKeyIndex> CacheEngine for Engine<I> {
             // was found. Grace-period work the removal triggers is
             // postponed while this thread is a QSBR reader.
             if std::str::from_utf8(key)
-                .is_ok_and(|key| self.index.remove_if(hash, key, StoredItem::is_expired_now))
+                .is_ok_and(|key| self.remove_if(hash, key, StoredItem::is_expired_now))
             {
                 self.stats.expirations.inc();
             }
@@ -468,7 +370,7 @@ impl<I: ByteKeyIndex> CacheEngine for Engine<I> {
         for group in keys.chunks(GROUP) {
             match ctx.qsbr_handle() {
                 Some(handle) => self.hint_group(group, handle),
-                None => self.hint_group(group, &self.index.pin_guard()),
+                None => self.hint_group(group, &self.index.pin()),
             }
         }
     }
@@ -511,58 +413,10 @@ impl<I: ByteKeyIndex> CacheEngine for Engine<I> {
     fn purge_expired(&self) -> usize {
         let now = Instant::now();
         // The index counts what it removed: its length also moves under
-        // concurrent SETs and DELETEs, and a lock-free index may spare an
-        // entry it had condemned because a fresh SET replaced it meanwhile.
-        let purged = self.index.retain(|stored| !stored.item.is_expired(now));
+        // concurrent SETs and DELETEs.
+        let purged = self.index.retain(|_, stored| !stored.item.is_expired(now));
         self.stats.expirations.add(purged as u64);
         purged
-    }
-
-    fn observe_gauges(&self) {
-        self.index.observe_gauges();
-    }
-}
-
-/// The relativistic engine: the index is one [`RpHashMap`]. GETs are
-/// wait-free lookups; SETs and DELETEs serialise on the map's writer lock;
-/// the index resizes itself under load.
-pub type RpEngine = Engine<RpHashMap<ItemKey, StoredItem, FnvBuildHasher>>;
-
-/// The resize policy of a relativistic index that starts with
-/// `initial_buckets` per table: it never halves below that size, which
-/// already sits under its shrink trigger, so a prefill does not open with
-/// halvings it has to double back.
-pub(crate) fn index_resize_policy(initial_buckets: usize) -> ResizePolicy {
-    ResizePolicy {
-        auto_expand: true,
-        auto_shrink: true,
-        max_load_factor: 2.0,
-        min_load_factor: 0.125,
-        min_buckets: initial_buckets,
-        ..ResizePolicy::default()
-    }
-}
-
-impl RpEngine {
-    /// Creates an engine with a large default capacity.
-    pub fn new() -> Self {
-        Self::with_capacity(1 << 20)
-    }
-
-    /// Creates an engine that holds at most `capacity` items.
-    pub fn with_capacity(capacity: usize) -> Self {
-        // The initial size only, capped at 1024 buckets: the index grows
-        // itself under load (`index_resize_policy`), so a large capacity
-        // does not pay for a large table up front.
-        let buckets = capacity.clamp(16, 1024).next_power_of_two();
-        Engine::over(
-            RpHashMap::with_buckets_hasher_and_policy(
-                buckets,
-                FnvBuildHasher,
-                index_resize_policy(buckets),
-            ),
-            capacity,
-        )
     }
 }
 
@@ -573,7 +427,7 @@ impl Default for RpEngine {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::engine::ReadSide;
     use std::time::Duration;
@@ -595,25 +449,21 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn the_relativistic_indexes_hint_and_the_split_ordered_one_does_not() {
-        fn hinted<I: ByteKeyIndex>(engine: Engine<I>) -> bool {
-            engine.set("k", Item::new(0, "v"));
-            let keys: [&[u8]; 2] = [b"k", b"missing"];
-            engine.prefetch(&keys, &EngineReadCtx::new(ReadSide::Ebr));
-            let guard = engine.index.pin_guard();
-            let deep = engine.index.prefetch(str_bytes_hash(b"k"), 64, &guard);
-            deep.is_some_and(|stored| &stored.item.data[..] == b"v")
-        }
-        assert!(hinted(RpEngine::with_capacity(1024)));
-        assert!(hinted(crate::ShardedRpEngine::with_shards_and_capacity(
-            4, 1024
-        )));
-        assert!(!hinted(crate::SplitOrderEngine::with_capacity(1024)));
+    fn the_index_hints_the_item_a_lookup_will_find() {
+        let engine = RpEngine::with_capacity(1024);
+        engine.set("k", Item::new(0, "v"));
+        let keys: [&[u8]; 2] = [b"k", b"missing"];
+        engine.prefetch(&keys, &EngineReadCtx::new(ReadSide::Ebr));
+        let guard = engine.index.pin();
+        let deep = engine
+            .index
+            .prefetch_prehashed(str_bytes_hash(b"k"), 64, &guard);
+        assert!(deep.is_some_and(|stored| &stored.item.data[..] == b"v"));
     }
 
     /// An index holding `stamps` under the keys `a`, `b`, `c`, …; a
     /// `Some(true)` deadline has passed, a `Some(false)` one has not.
-    fn index_of(stamps: &[(u64, Option<bool>)]) -> RpHashMap<ItemKey, StoredItem, FnvBuildHasher> {
+    fn index_of(stamps: &[(u64, Option<bool>)]) -> Index {
         let index = RpHashMap::with_buckets_and_hasher(16, FnvBuildHasher);
         for (i, &(stamp, deadline)) in stamps.iter().enumerate() {
             let item = match deadline {
@@ -622,8 +472,7 @@ pub(crate) mod tests {
                 Some(false) => Item::with_ttl(0, "v", Duration::from_secs(3600)),
             };
             let key = char::from(b'a' + i as u8).to_string();
-            ByteKeyIndex::insert(
-                &index,
+            index.insert(
                 ItemKey::from(key.as_str()),
                 StoredItem {
                     item,
@@ -647,20 +496,20 @@ pub(crate) mod tests {
     fn stalest_pops_the_oldest_first() {
         let index = index_of(&[(40, None), (10, None), (30, None), (20, None), (50, None)]);
         let oldest_three = [("b", 10), ("d", 20), ("c", 30)].map(|(k, s)| (k.to_string(), s));
-        assert_eq!(popped(index.stalest(3)), oldest_three);
+        assert_eq!(popped(stalest(&index, 3)), oldest_three);
         // Asked for more than there is: everything, still oldest first.
-        let all = popped(index.stalest(64));
+        let all = popped(stalest(&index, 64));
         assert_eq!(all.len(), 5);
         assert_eq!(all[..3], oldest_three);
         assert_eq!(all[4], ("e".to_string(), 50));
-        assert!(index.stalest(0).is_empty());
-        assert!(index_of(&[]).stalest(16).is_empty());
+        assert!(stalest(&index, 0).is_empty());
+        assert!(stalest(&index_of(&[]), 16).is_empty());
     }
 
     #[test]
     fn stalest_keeps_its_count_among_equal_stamps() {
         let index = index_of(&[(7, None), (7, None), (3, None), (7, None), (7, None)]);
-        let order = popped(index.stalest(3));
+        let order = popped(stalest(&index, 3));
         assert_eq!(order[0], ("c".to_string(), 3));
         assert_eq!((order.len(), order[1].1, order[2].1), (3, 7, 7));
         assert_ne!(order[1].0, order[2].0);
@@ -673,41 +522,35 @@ pub(crate) mod tests {
         // is no reason to go.
         let index = index_of(&[(1, None), (2, Some(false)), (9, Some(true)), (4, None)]);
         let first_three = [("c", 9), ("a", 1), ("b", 2)].map(|(k, s)| (k.to_string(), s));
-        assert_eq!(popped(index.stalest(3)), first_three);
+        assert_eq!(popped(stalest(&index, 3)), first_three);
     }
 
     /// A full cache holding items past their deadline gives those up
     /// before its least recently used live item, as expirations.
-    fn expired_items_go_before_live_ones<I: ByteKeyIndex>(engine: Engine<I>) {
-        let name = engine.name();
+    #[test]
+    fn a_full_cache_drops_expired_items_first() {
+        let engine = RpEngine::with_capacity(4);
         let mut ctx = EngineReadCtx::new(ReadSide::Ebr);
         engine.set("live-0", Item::new(0, "v"));
         engine.set("live-1", Item::new(0, "v"));
         engine.set("stale-0", Item::expired(0, "v"));
         engine.set("stale-1", Item::expired(0, "v"));
         engine.set("fifth", Item::new(0, "v"));
-        assert_eq!(engine.len(), 4, "{name}");
-        assert_eq!(engine.stats.expirations.get(), 1, "{name}");
-        assert_eq!(engine.stats.evictions.get(), 0, "{name}");
+        assert_eq!(engine.len(), 4);
+        assert_eq!(engine.stats.expirations.get(), 1);
+        assert_eq!(engine.stats.evictions.get(), 0);
         for key in ["live-0", "live-1", "fifth"] {
-            assert!(engine.get_ref(key.as_bytes(), &mut ctx).is_some(), "{name}");
+            assert!(engine.get_ref(key.as_bytes(), &mut ctx).is_some());
         }
         // The other expired item is next, whatever was touched meanwhile.
         engine.set("sixth", Item::new(0, "v"));
-        assert_eq!(engine.stats.expirations.get(), 2, "{name}");
-        assert_eq!(engine.stats.evictions.get(), 0, "{name}");
+        assert_eq!(engine.stats.expirations.get(), 2);
+        assert_eq!(engine.stats.evictions.get(), 0);
         // With none left the least recently used live item goes.
         engine.set("seventh", Item::new(0, "v"));
-        assert_eq!(engine.stats.evictions.get(), 1, "{name}");
-        assert!(engine.get_ref(b"live-0", &mut ctx).is_none(), "{name}");
-        assert_eq!(engine.len(), 4, "{name}");
-    }
-
-    #[test]
-    fn a_full_cache_drops_expired_items_first() {
-        expired_items_go_before_live_ones(RpEngine::with_capacity(4));
-        expired_items_go_before_live_ones(crate::ShardedRpEngine::with_shards_and_capacity(4, 4));
-        expired_items_go_before_live_ones(crate::SplitOrderEngine::with_capacity(4));
+        assert_eq!(engine.stats.evictions.get(), 1);
+        assert!(engine.get_ref(b"live-0", &mut ctx).is_none());
+        assert_eq!(engine.len(), 4);
     }
 
     #[test]
@@ -726,107 +569,83 @@ pub(crate) mod tests {
         assert_eq!(engine.len(), 8192);
     }
 
+    /// The index starts at its policy's floor, so a prefill only ever
+    /// doubles: it never halves first and doubles back.
+    #[test]
+    fn a_prefill_never_shrinks_the_index() {
+        let engine = RpEngine::with_capacity(1 << 20);
+        for i in 0..512 * 1024 {
+            engine.set(&format!("key:{i}"), Item::new(0, "v"));
+        }
+        let stats = engine.index.stats();
+        assert!(stats.expands > 0, "{stats:?}");
+        assert_eq!(stats.shrinks, 0, "{stats:?}");
+    }
+
     /// `get_with`'s expired arm taken apart, with another worker's SET of
     /// the same key acknowledged between the probe and the removal: the
     /// verdict "expired" was about the old item and must not take the new.
-    fn expired_verdict_spares_a_fresh_set<I: ByteKeyIndex>(engine: Engine<I>) {
+    #[test]
+    fn an_expired_get_spares_a_fresh_set() {
+        let engine = RpEngine::with_capacity(1024);
         let stale = || Item::expired(0, "stale");
         let hash = str_bytes_hash(b"k");
         engine.set("k", stale());
         {
-            let guard = engine.index.pin_guard();
-            let probe = classify_probe(engine.index.probe(hash, b"k", &guard), 0, &mut |_| {
+            let guard = engine.index.pin();
+            let probe = classify_probe(engine.probe(hash, b"k", &guard), 0, &mut |_| {
                 panic!("an expired item reached the reply writer")
             });
-            assert!(matches!(probe, Probe::Expired), "{}", engine.name());
+            assert!(matches!(probe, Probe::Expired));
         }
         engine.set("k", Item::new(0, "fresh"));
         assert!(
-            !engine
-                .index
-                .remove_if(hash, "k", StoredItem::is_expired_now),
-            "{}: an acknowledged SET was removed as expired",
-            engine.name()
+            !engine.remove_if(hash, "k", StoredItem::is_expired_now),
+            "an acknowledged SET was removed as expired"
         );
         let hit = engine.get_ref(b"k", &mut EngineReadCtx::new(ReadSide::Ebr));
         assert_eq!(hit.map(|item| item.data.to_vec()), Some(b"fresh".to_vec()));
         // An item that is still expired when the slow path gets there goes.
         engine.set("k", stale());
-        assert!(engine
-            .index
-            .remove_if(hash, "k", StoredItem::is_expired_now));
+        assert!(engine.remove_if(hash, "k", StoredItem::is_expired_now));
         assert_eq!(engine.len(), 0);
     }
 
+    /// Simulates an event-loop worker: QSBR-online while serving SETs, then
+    /// `housekeeping` from the offline window between batches. The SETs
+    /// never wait for a grace period, so the index postpones its resize
+    /// while the worker is online and catches up in housekeeping — without
+    /// it the index would never grow when every writer is a QSBR worker.
     #[test]
-    fn an_expired_get_spares_a_fresh_set() {
-        expired_verdict_spares_a_fresh_set(RpEngine::with_capacity(1024));
-        expired_verdict_spares_a_fresh_set(crate::ShardedRpEngine::with_shards_and_capacity(
-            4, 1024,
-        ));
-        expired_verdict_spares_a_fresh_set(crate::SplitOrderEngine::with_capacity(1024));
-    }
-
-    /// Simulates an event-loop worker: QSBR-online while serving `sets`
-    /// SETs, then `housekeeping` from the offline window between batches.
-    /// The SETs never wait for a grace period. An index that waits for
-    /// grace periods to resize must postpone the resize while the worker is
-    /// online and catch up in housekeeping — without it the index would
-    /// never grow when every writer is a QSBR worker; a non-blocking index
-    /// (`postpones == false`) grows mid-batch.
-    pub(crate) fn qsbr_worker_growth<I: ByteKeyIndex + 'static>(
-        engine: Engine<I>,
-        buckets: fn(&I) -> usize,
-        sets: usize,
-        postpones: bool,
-    ) {
+    fn qsbr_worker_housekeeping_grows_the_index() {
+        let engine = RpEngine::with_capacity(100_000);
         std::thread::spawn(move || {
             let mut ctx = EngineReadCtx::new(ReadSide::Qsbr);
-            let before = buckets(&engine.index);
+            let before = engine.index.num_buckets();
             let waits = rp_rcu::thread_synchronize_count();
-            for i in 0..sets {
+            for i in 0..8192 {
                 engine.set(&format!("key-{i}"), Item::new(0, "v"));
             }
             assert_eq!(
                 rp_rcu::thread_synchronize_count(),
                 waits,
-                "{}: a QSBR worker's SETs waited for readers",
-                engine.name()
+                "a QSBR worker's SETs waited for readers"
             );
             assert_eq!(
-                buckets(&engine.index) == before,
-                postpones,
-                "{}: {before} -> {} buckets while QSBR-online",
-                engine.name(),
-                buckets(&engine.index)
+                engine.index.num_buckets(),
+                before,
+                "the index resized while QSBR-online"
             );
             ctx.quiescent();
             ctx.with_offline(|| engine.housekeeping());
             assert!(
-                buckets(&engine.index) > before,
-                "{}: housekeeping must leave the index grown ({before} -> {})",
-                engine.name(),
-                buckets(&engine.index)
+                engine.index.num_buckets() > before,
+                "housekeeping must leave the index grown ({before} -> {})",
+                engine.index.num_buckets()
             );
             assert!(engine.get_ref(b"key-7", &mut ctx).is_some());
         })
         .join()
         .unwrap();
-    }
-
-    #[test]
-    fn qsbr_worker_housekeeping_grows_the_index() {
-        qsbr_worker_growth(
-            RpEngine::with_capacity(100_000),
-            |index| index.num_buckets(),
-            8192,
-            true,
-        );
-        qsbr_worker_growth(
-            crate::ShardedRpEngine::with_shards_and_capacity(4, 100_000),
-            |index| index.num_buckets(),
-            16_384,
-            true,
-        );
     }
 }

@@ -94,9 +94,6 @@ fn walk(registry: &Obs, engine: &dyn CacheEngine, v: &mut impl Visitor) {
 /// Serves `STATS`: the walk as Prometheus text, closed by the `END\r\n`
 /// frame marker.
 pub fn render_prometheus(engine: &dyn CacheEngine, out: &mut impl BufWrite) {
-    // Let the engine push scrape-time level gauges (shard imbalance) into
-    // the registry before it is read.
-    engine.observe_gauges();
     walk(
         rp_obs::global(),
         engine,
@@ -201,8 +198,6 @@ pub fn render_json_from(registry: &Obs, engine: &dyn CacheEngine, out: &mut impl
 
 /// Serves `STATS JSON` against the process-global registry.
 pub fn render_json(engine: &dyn CacheEngine, out: &mut impl BufWrite) {
-    // Scrape-time level gauges (shard imbalance) first, like `STATS`.
-    engine.observe_gauges();
     render_json_from(rp_obs::global(), engine, out);
 }
 
@@ -522,8 +517,7 @@ END\r\n";
             "\"maint\":{\"maint_slice_ns\":Z,",
             "\"maint_slices_total\":0,\"maint_worker_panics_total\":0},",
             "\"resize\":{\"resize_grace_wait_ns\":Z,\"resize_step_ns\":Z,",
-            "\"resize_begun_total\":0,\"resize_finished_total\":0,",
-            "\"shard_imbalance_milli\":0},",
+            "\"resize_begun_total\":0,\"resize_finished_total\":0},",
             "\"rcu\":{\"rcu_sync_ns\":Z,",
             "\"rcu_reclaim_pending\":0,\"rcu_reclaim_executed_total\":0,",
             "\"rcu_reclaim_passes_total\":0,\"rcu_reclaim_panics_total\":0,",
@@ -664,7 +658,6 @@ END\r\n";
         for gauge in [
             &net.connections,
             &net.bytes_buffered,
-            &registry.resize.imbalance_milli,
             &registry.rcu.reclaim_pending,
         ] {
             gauge.set(7);

@@ -1,19 +1,16 @@
-//! Exact allocation counts of the RCU engines' SET and GET paths, taken on
-//! the calling thread with the counting allocator installed: the cached
-//! item is one index node (key, item and a value of up to 70 bytes by
-//! value). An `RpHashMap` index takes its nodes from its own slab, not the
-//! heap, so a SET of a short key and a small value allocates nothing on
-//! `RpEngine` and `ShardedRpEngine`, even with the value handed over in a
-//! fresh `Vec`; a split-ordered index allocates the node and the value's
-//! cell. A key past the inline limit adds its `Box<str>`, a value past it
-//! its shared buffer, and a GET allocates nothing. A SET past capacity
+//! Exact allocation counts of the relativistic engine's SET and GET paths,
+//! taken on the calling thread with the counting allocator installed: the
+//! cached item is one index node (key, item and a value of up to 70 bytes
+//! by value). The `RpHashMap` index takes its nodes from its own slab, not
+//! the heap, so a SET of a short key and a small value allocates nothing
+//! on `RpEngine`, even with the value handed over in a fresh `Vec`. A key
+//! past the inline limit adds its `Box<str>`, a value past it its shared
+//! buffer, and a GET allocates nothing. A SET past capacity
 //! allocates per *scan* for eviction candidates, not per SET: the queue and
 //! the bounded heap behind it, plus a `Box<str>` for each long key queued.
 //! The `Vec`s a SET hands over are built before the count starts.
 
-use rp_kvcache::{
-    CacheEngine, EngineReadCtx, Item, ReadSide, RpEngine, ShardedRpEngine, SplitOrderEngine,
-};
+use rp_kvcache::{CacheEngine, EngineReadCtx, Item, ReadSide, RpEngine};
 use rp_workload::alloc::{thread_allocations, CountingAllocator};
 
 #[global_allocator]
@@ -56,9 +53,7 @@ fn assert_evicting_set_allocs(engine: &dyn CacheEngine, keys: &[String], per_set
     let mut set_next = |_| {
         engine.set(fresh.next().unwrap(), Item::new(0, &value[..]));
     };
-    // Fill to capacity first, so that every counted SET evicts, and go on
-    // until a split-ordered index has initialised its buckets (it
-    // allocates each one's sentinel node on first use).
+    // Fill past capacity first, so that every counted SET evicts.
     (0..5 * OPS).for_each(&mut set_next);
     let evicted = engine.stats().evicted();
     let measured = allocs_per_op(&mut set_next);
@@ -85,44 +80,33 @@ fn assert_gets_do_not_allocate(engine: &dyn CacheEngine, keys: &[String]) {
     }
 }
 
-/// `node_allocs` is what the index allocates from the heap per entry
-/// besides the key and the value.
-fn check(engine: &dyn CacheEngine, node_allocs: f64) {
+fn check(engine: &dyn CacheEngine) {
     let short: Vec<String> = (0..64).map(|i| format!("key:{i:08}")).collect();
     let long: Vec<String> = (0..64).map(|i| format!("key:{i:019}")).collect();
     assert_eq!((short[0].len(), long[0].len()), (12, 23));
     // 64 bytes, the benchmark's value, and the longest held inline.
-    assert_set_allocs(engine, &short, 64, node_allocs);
-    assert_set_allocs(engine, &short, 70, node_allocs);
-    assert_set_allocs(engine, &long, 64, node_allocs + 1.0);
+    assert_set_allocs(engine, &short, 64, 0.0);
+    assert_set_allocs(engine, &short, 70, 0.0);
+    assert_set_allocs(engine, &long, 64, 1.0);
     // One byte more: the value's shared buffer.
-    assert_set_allocs(engine, &short, 71, node_allocs + 1.0);
+    assert_set_allocs(engine, &short, 71, 1.0);
     assert_gets_do_not_allocate(engine, &short);
     assert_gets_do_not_allocate(engine, &long);
 }
 
 /// As [`check`], for SETs past a capacity of `OPS` items.
-fn check_evicting(make: fn() -> Box<dyn CacheEngine>, node_allocs: f64) {
+fn check_evicting(make: fn() -> Box<dyn CacheEngine>) {
     let short: Vec<String> = (0..7 * OPS).map(|i| format!("key:{i:08}")).collect();
     let long: Vec<String> = (0..7 * OPS).map(|i| format!("key:{i:019}")).collect();
-    assert_evicting_set_allocs(&*make(), &short, node_allocs);
+    assert_evicting_set_allocs(&*make(), &short, 0.0);
     // The new key's `Box<str>`, and the victim's when the scan queued it.
-    assert_evicting_set_allocs(&*make(), &long, node_allocs + 2.0);
+    assert_evicting_set_allocs(&*make(), &long, 2.0);
 }
 
 #[test]
 fn a_set_allocates_only_what_its_index_takes_from_the_heap_and_a_get_nothing() {
     // One test, so nothing else allocates on this thread meanwhile. The
-    // relativistic indexes' nodes come from their slabs.
-    check(&RpEngine::with_capacity(1 << 16), 0.0);
-    check(&ShardedRpEngine::with_shards_and_capacity(4, 1 << 16), 0.0);
-    // Split-order keeps the value in a cell of its own beside the node.
-    check(&SplitOrderEngine::with_capacity(1 << 16), 2.0);
-
-    check_evicting(|| Box::new(RpEngine::with_capacity(OPS)), 0.0);
-    check_evicting(
-        || Box::new(ShardedRpEngine::with_shards_and_capacity(4, OPS)),
-        0.0,
-    );
-    check_evicting(|| Box::new(SplitOrderEngine::with_capacity(OPS)), 2.0);
+    // index's nodes come from its slab.
+    check(&RpEngine::with_capacity(1 << 16));
+    check_evicting(|| Box::new(RpEngine::with_capacity(OPS)));
 }

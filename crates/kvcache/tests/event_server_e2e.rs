@@ -14,7 +14,6 @@ use rp_kvcache::protocol::RequestRef;
 use rp_kvcache::server::{execute_ref, SERVER_VERSION};
 use rp_kvcache::{
     CacheEngine, EngineReadCtx, EventServer, Item, LockEngine, ReadSide, RpEngine, ServerConfig,
-    ShardedRpEngine, SplitOrderEngine,
 };
 
 /// One whole session: miss, set, hit, multi-get, delete, double delete,
@@ -132,12 +131,8 @@ fn every_engine_and_read_side_serves_the_same_session() {
     // without a QSBR read path (LockEngine) fall back to their ordinary
     // lookups, so the protocol-visible behaviour must be identical
     // everywhere.
-    let engines: Vec<Arc<dyn CacheEngine>> = vec![
-        Arc::new(LockEngine::new()),
-        Arc::new(RpEngine::new()),
-        Arc::new(ShardedRpEngine::new()),
-        Arc::new(SplitOrderEngine::new()),
-    ];
+    let engines: Vec<Arc<dyn CacheEngine>> =
+        vec![Arc::new(LockEngine::new()), Arc::new(RpEngine::new())];
     for engine in engines {
         for config in [
             ServerConfig::event_loop(2).with_read_side(ReadSide::Ebr),
@@ -166,13 +161,9 @@ fn every_engine_and_read_side_serves_the_same_session() {
 #[test]
 fn explicit_read_side_flavors_serve_expiry_and_batches() {
     // The expiry slow path (a write from the serving worker) and the
-    // multi-GET batch path, explicitly under each flavor — for the sharded
-    // engine (writer locks + background maintenance) and the split-ordered
-    // engine (lock-free writers, expiry removal is a CAS).
-    let engines: [fn() -> Arc<dyn CacheEngine>; 2] = [
-        || Arc::new(ShardedRpEngine::new()),
-        || Arc::new(SplitOrderEngine::new()),
-    ];
+    // multi-GET batch path, explicitly under each flavor, for both engines.
+    let engines: [fn() -> Arc<dyn CacheEngine>; 2] =
+        [|| Arc::new(RpEngine::new()), || Arc::new(LockEngine::new())];
     for make_engine in engines {
         for read_side in [ReadSide::Ebr, ReadSide::Qsbr] {
             let config = ServerConfig::event_loop(2).with_read_side(read_side);
@@ -359,11 +350,8 @@ fn malformed_lines_get_client_error_and_the_stream_recovers() {
 
 #[test]
 fn expiry_works_through_the_event_loop() {
-    let mut server = EventServer::start(
-        Arc::new(ShardedRpEngine::new()),
-        &ServerConfig::event_loop(2),
-    )
-    .unwrap();
+    let mut server =
+        EventServer::start(Arc::new(RpEngine::new()), &ServerConfig::event_loop(2)).unwrap();
     let mut client = CacheClient::connect(server.addr()).unwrap();
     assert!(client.set("ttl", 0, 1, b"fleeting").unwrap());
     assert!(client.get("ttl").unwrap().is_some());

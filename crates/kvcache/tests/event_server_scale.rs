@@ -12,7 +12,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use rp_kvcache::{EventServer, Item, ServerConfig, ShardedRpEngine};
+use rp_kvcache::{EventServer, Item, RpEngine, ServerConfig};
 
 const CONNECTIONS: usize = 1000;
 const WORKERS: usize = 2;
@@ -37,7 +37,7 @@ fn process_threads() -> usize {
 
 #[test]
 fn a_thousand_connections_on_a_fixed_worker_pool() {
-    let engine = Arc::new(ShardedRpEngine::with_shards_and_capacity(16, 1 << 20));
+    let engine = Arc::new(RpEngine::with_capacity(1 << 20));
     let config = ServerConfig {
         drain_timeout: Duration::from_secs(10),
         max_connections: CONNECTIONS + DRIVERS,
@@ -47,7 +47,7 @@ fn a_thousand_connections_on_a_fixed_worker_pool() {
     assert_eq!(server.worker_count(), WORKERS);
 
     // Baseline AFTER the server is up: its entire thread budget is already
-    // spent (the engine's maintenance thread included).
+    // spent.
     let threads_before = process_threads();
 
     let mut clients: Vec<BufReader<TcpStream>> = Vec::with_capacity(CONNECTIONS);

@@ -2,15 +2,15 @@
 //! stretched: writers push a small cache far past its capacity while
 //! readers keep a hot set hot, and `rp-fault` delays one refill in eight at
 //! `kv.evict.refilled`, so queued candidates age — are touched, deleted,
-//! expired, stored again — before they are popped. Each engine takes the
-//! storm from two EBR and two QSBR-online writers **at once**, with a
+//! expired, stored again — before they are popped. The relativistic engine
+//! takes the storm from two EBR and two QSBR-online writers **at once**, with a
 //! reader of each flavor beside them: a QSBR-online worker announces its
 //! quiescent state only between batches, so every grace period an EBR
 //! writer's SET waits for (a reclamation pass, an automatic resize) ends
 //! only if nothing that worker needs in the middle of its batch — the
 //! index's writer lock, the victim queue — is held across the wait.
 //!
-//! On trial, on each RCU engine: the storm finishes (the queue lock is
+//! On trial: the storm finishes (the queue lock is
 //! never held across a removal or a grace wait; with `RP_RCU_STALL_PANIC=1`
 //! a stalled grace period is a panic, not a hang); the cache is within its
 //! capacity once it is over; every removal was counted exactly once
@@ -25,9 +25,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rp_kvcache::{
-    CacheEngine, EngineReadCtx, Item, ReadSide, RpEngine, ShardedRpEngine, SplitOrderEngine,
-};
+use rp_kvcache::{CacheEngine, EngineReadCtx, Item, ReadSide, RpEngine};
 use rp_rcu::stall::{spawn_watchdog, StallConfig};
 
 const CAPACITY: usize = 1024;
@@ -174,16 +172,9 @@ fn eviction_storm_with_delayed_refills() {
         .ok()
         .and_then(|seed| seed.parse().ok())
         .unwrap_or(0xE71C7);
-    let engines: [Arc<dyn CacheEngine>; 3] = [
-        Arc::new(RpEngine::with_capacity(CAPACITY)),
-        Arc::new(ShardedRpEngine::with_shards_and_capacity(4, CAPACITY)),
-        Arc::new(SplitOrderEngine::with_capacity(CAPACITY)),
-    ];
-    for engine in engines {
-        let _armed = rp_fault::ArmGuard::new("kv.evict.refilled=delay:1ms@0.125", seed);
-        storm(engine);
-        assert!(rp_fault::injected("kv.evict.refilled") > 0);
-    }
+    let _armed = rp_fault::ArmGuard::new("kv.evict.refilled=delay:1ms@0.125", seed);
+    storm(Arc::new(RpEngine::with_capacity(CAPACITY)));
+    assert!(rp_fault::injected("kv.evict.refilled") > 0);
     watchdog.stop().expect("no grace period stalled");
     assert_eq!(rp_obs::global().rcu.grace_stalls_total.get(), stalls_before);
 }

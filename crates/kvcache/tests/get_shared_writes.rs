@@ -1,7 +1,7 @@
 //! What a GET writes to memory other threads share, counted: pipelined GETs
 //! served through `KvService::on_data` exactly as a reactor worker serves
-//! them, on every RCU engine and both read sides, against the debug-build
-//! tally in `rp_kvcache::audit`.
+//! them, on the relativistic engine under both read sides, against the
+//! debug-build tally in `rp_kvcache::audit`.
 //!
 //! A hit stamps the engine's LRU clock and stores the stamp into the item;
 //! nothing else it does is shared. Its value is copied into the reply from
@@ -15,9 +15,7 @@ use std::sync::Arc;
 
 use rp_kvcache::audit::{self, SharedWrites};
 use rp_kvcache::protocol::RefDecoder;
-use rp_kvcache::{
-    CacheEngine, Item, KvService, ReadSide, RpEngine, ShardedRpEngine, SplitOrderEngine,
-};
+use rp_kvcache::{CacheEngine, Item, KvService, ReadSide, RpEngine};
 use rp_net::{Action, BufPool, ConnIo, Service, VectoredWrite, WriteBuf};
 
 /// Pipelined requests per `on_data` call: four full decode groups.
@@ -148,17 +146,12 @@ fn audit_engine(engine: Arc<dyn CacheEngine>, read_side: ReadSide) {
 
 #[test]
 fn a_get_hit_writes_only_its_stamp_and_a_batch_folds_its_counts_once() {
-    let engines: [fn() -> Arc<dyn CacheEngine>; 3] = [
-        || Arc::new(RpEngine::with_capacity(1 << 16)),
-        || Arc::new(ShardedRpEngine::with_shards_and_capacity(4, 1 << 16)),
-        || Arc::new(SplitOrderEngine::with_capacity(1 << 16)),
-    ];
-    for make in engines {
-        for read_side in [ReadSide::Qsbr, ReadSide::Ebr] {
-            // A thread per run, so a QSBR registration never outlives it.
-            std::thread::spawn(move || audit_engine(make(), read_side))
-                .join()
-                .expect("audit failed (see above)");
-        }
+    for read_side in [ReadSide::Qsbr, ReadSide::Ebr] {
+        // A thread per run, so a QSBR registration never outlives it.
+        std::thread::spawn(move || {
+            audit_engine(Arc::new(RpEngine::with_capacity(1 << 16)), read_side)
+        })
+        .join()
+        .expect("audit failed (see above)");
     }
 }

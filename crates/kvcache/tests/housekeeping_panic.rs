@@ -1,6 +1,6 @@
 //! A panicking housekeeping turn does not stop later turns: a QSBR worker
 //! whose postponed resize unwinds mid-step (the real failpoint, on the
-//! real `rp-shard` engine behind the real server) counts the panic, keeps
+//! real `rp` engine behind the real server) counts the panic, keeps
 //! serving, and finishes the resize in a later turn.
 //!
 //! Alone in its test binary: the `rp_fault` plan registry and the `rp-obs`
@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use rp_kvcache::client::CacheClient;
-use rp_kvcache::{EventServer, ReadSide, ServerConfig, ShardedRpEngine};
+use rp_kvcache::{EventServer, ReadSide, RpEngine, ServerConfig};
 
 #[test]
 fn a_panicking_turn_is_contained_and_a_later_turn_finishes_the_resize() {
@@ -25,8 +25,8 @@ fn a_panicking_turn_is_contained_and_a_later_turn_finishes_the_resize() {
         }
     }));
 
-    // Two shards of 1024 buckets: each doubles past 2048 items.
-    let engine = Arc::new(ShardedRpEngine::with_shards_and_capacity(2, 1 << 20));
+    // One table of 1024 buckets: it doubles past 2048 items.
+    let engine = Arc::new(RpEngine::with_capacity(1 << 20));
     let config = ServerConfig {
         workers: 1,
         read_side: ReadSide::Qsbr,
@@ -38,8 +38,8 @@ fn a_panicking_turn_is_contained_and_a_later_turn_finishes_the_resize() {
 
     // The first step of the first resize a turn begins unwinds: the doubled
     // table is published and the zippers are still closed. The SETs stop
-    // once that turn is counted, so no later write makes a shard due and
-    // only the turn's own re-armed flag brings a later turn to the resize.
+    // once that turn is counted, so no later write crosses a bound and only
+    // the resize left in flight brings a later turn to it.
     let _armed = rp_fault::ArmGuard::new("hash.resize.step=panic*1", 7);
     let mut client = CacheClient::connect(server.addr()).expect("connect");
     let keys: Vec<String> = (0..8192).map(|i| format!("key-{i}")).collect();

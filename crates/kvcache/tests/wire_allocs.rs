@@ -2,7 +2,7 @@
 //! the event loop allocates nothing anywhere in the process — reactor
 //! buffers, decoder, engine and reply path included — nor does a SET of a
 //! short key and a value of up to 70 bytes (its index node, which holds
-//! both, comes from the shard map's slab). A SET of a longer value
+//! both, comes from the map's slab). A SET of a longer value
 //! allocates that value's shared buffer only.
 //!
 //! The count is the process-wide total of the counting allocator, so this
@@ -13,7 +13,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-use rp_kvcache::{CacheEngine, EventServer, Item, ServerConfig, ShardedRpEngine};
+use rp_kvcache::{CacheEngine, EventServer, Item, RpEngine, ServerConfig};
 use rp_workload::alloc::{total_allocations, CountingAllocator};
 
 #[global_allocator]
@@ -88,7 +88,7 @@ fn sets_of(len: usize) -> Vec<Vec<u8>> {
 
 #[test]
 fn a_get_over_the_wire_allocates_nothing_and_a_set_its_shared_value_only() {
-    let engine = Arc::new(ShardedRpEngine::with_shards_and_capacity(16, 16384));
+    let engine = Arc::new(RpEngine::with_capacity(16384));
     for k in 0..8192 {
         engine.set(&format!("memtier-{k}"), Item::new(0, format!("value-{k}")));
     }

@@ -2,8 +2,8 @@
 //!
 //! It held the background resize-maintenance thread that `rp-shard`'s
 //! maintained maps handed their resizes to. That job is now done where
-//! `rp-hash` already did it for a single map: a writer that cannot wait for
-//! readers postpones the resize, and `rp_shard::ShardedRpMap::maintain`,
+//! `rp-hash` does it for a single map: a writer that cannot wait for
+//! readers postpones the resize, and `rp_hash::RpHashMap::maintain`,
 //! called from the event-loop worker's housekeeping turn with its QSBR
 //! handle offline, catches up.
 //!

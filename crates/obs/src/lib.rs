@@ -166,9 +166,6 @@ pub struct ResizeObs {
     pub begun_total: Counter,
     /// Resizes driven to completion.
     pub finished_total: Counter,
-    /// Fullest-shard / mean-shard occupancy ×1000, refreshed at scrape
-    /// time (1000 = perfectly balanced).
-    pub imbalance_milli: Gauge,
 }
 
 /// Resize-maintenance metrics: the postponed resizes a quiescent caller
@@ -468,11 +465,6 @@ impl Obs {
             "resize_finished_total",
             "Incremental resizes completed.",
             Counter(&resize.finished_total),
-        );
-        group(
-            "shard_imbalance_milli",
-            "Fullest/mean shard occupancy x1000 at scrape time.",
-            Gauge(resize.imbalance_milli.get()),
         );
 
         let rcu = &self.rcu;

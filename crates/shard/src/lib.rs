@@ -20,13 +20,16 @@
 //!   process-wide RCU read domain, so a single [`ShardedRpMap::pin`] guard
 //!   (or one online QSBR handle) covers lookups in *any* shard: a caller
 //!   with a batch of keys pins once and calls [`ShardedRpMap::get`] per key.
-//! * **Postponed resizes, one turn to catch up.** A writer that cannot
-//!   wait for readers (an online QSBR event-loop worker) postpones the
-//!   resize its write made due, as [`rp_hash::RpHashMap`] does, and marks
-//!   the map; [`ShardedRpMap::maintain`], called from the worker's
-//!   quiescent point, runs each due shard's own resize driver
-//!   ([`rp_hash::RpHashMap::maintain`]). Its turn with nothing to do is
-//!   one load.
+//! * **Postponed resizes.** A writer that cannot wait for readers (an
+//!   online QSBR reader, or a thread that holds a guard) postpones the
+//!   resize its write made due, as [`rp_hash::RpHashMap`] does. To catch
+//!   up, call [`rp_hash::RpHashMap::maintain`] on each of
+//!   [`ShardedRpMap::shards`] from a quiescent point, with the QSBR handle
+//!   offline; a shard with nothing due answers from a few loads.
+//!
+//! It is one of the tables the figures and the torture suites compare
+//! (`rp_baselines::tables()`); the cache server does not use it: its
+//! relativistic engine is one `RpHashMap`, as in the paper.
 //!
 //! A note on domains: per-shard *grace-period domains* would not buy
 //! anything here — readers enter through the global [`rp_rcu::pin`], so any

@@ -2,7 +2,6 @@
 
 use std::borrow::Borrow;
 use std::hash::{BuildHasher, Hash};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use rp_hash::{FnvBuildHasher, ReadProtect, RpHashMap};
 use rp_rcu::RcuGuard;
@@ -26,18 +25,15 @@ use crate::stats::ShardStats;
 /// Each shard resizes as an [`RpHashMap`] does: a write that takes it over
 /// a load-factor trigger resizes it inline, unless the writing thread
 /// cannot wait for readers (it holds a guard, or it is an online QSBR
-/// reader). Then the resize is postponed, and [`ShardedRpMap::maintain`],
-/// called from a quiescent point, catches up.
+/// reader). Then the resize is postponed, and a caller at a quiescent point
+/// catches up by running [`RpHashMap::maintain`] on each shard of
+/// [`ShardedRpMap::shards`].
 pub struct ShardedRpMap<K, V, S = FnvBuildHasher> {
     shards: Box<[RpHashMap<K, V, S>]>,
     /// `log2(shards.len())`; 0 means a single shard.
     shard_bits: u32,
     hasher: S,
     policy: ShardPolicy,
-    /// Set by a write that left its shard outside the policy's bounds (a
-    /// resize it postponed), cleared by the [`ShardedRpMap::maintain`] turn
-    /// that acts on it: the turn with nothing to do is this one load.
-    resize_due: AtomicBool,
 }
 
 impl<K, V> ShardedRpMap<K, V, FnvBuildHasher> {
@@ -93,7 +89,6 @@ impl<K, V, S: BuildHasher + Clone> ShardedRpMap<K, V, S> {
             shard_bits: policy.shards.trailing_zeros(),
             hasher,
             policy,
-            resize_due: AtomicBool::new(false),
         }
     }
 }
@@ -164,26 +159,6 @@ impl<K, V, S> ShardedRpMap<K, V, S> {
             (hash >> (64 - self.shard_bits)) as usize
         }
     }
-
-    /// Leaves `shard_idx` for the next [`ShardedRpMap::maintain`] turn if
-    /// the write that just ended left it outside its policy's load-factor
-    /// bounds: the shard's own writer resizes inline whenever it may wait
-    /// for readers, so a shard still outside them postponed its resize.
-    /// Never blocks.
-    #[inline]
-    pub(crate) fn maybe_request_resize(&self, shard_idx: usize) {
-        let shard = &self.shards[shard_idx];
-        let (len, buckets) = (shard.len(), shard.num_buckets());
-        let policy = shard.policy();
-        if policy.should_expand(len, buckets) || policy.should_shrink(len, buckets) {
-            // An RMW also when the flag is already set: it continues the
-            // release sequence, so the write that made the shard due
-            // happens-before whichever turn's acquiring swap takes the flag.
-            // A plain store skipped on a set flag could be taken by a turn
-            // that then misses this write's length.
-            self.resize_due.swap(true, Ordering::Release);
-        }
-    }
 }
 
 impl<K, V, S> ShardedRpMap<K, V, S>
@@ -239,32 +214,13 @@ where
     }
 
     /// The hash this map's hasher produces for `key` — what
-    /// [`ShardedRpMap::get_matching_prehashed`] expects, driving both shard
+    /// [`ShardedRpMap::prefetch_prehashed`] expects, driving both shard
     /// routing (high bits) and the in-shard bucket selection (low bits).
     pub fn hash_one<Q>(&self, key: &Q) -> u64
     where
         Q: Hash + ?Sized,
     {
         self.hash_of(key)
-    }
-
-    /// The "raw entry" lookup (see
-    /// [`RpHashMap::get_matching_prehashed`]): routes `hash` to its shard
-    /// and finds the entry whose key satisfies `matches`, without requiring
-    /// a probe key type that `K` can [`Borrow`] — e.g. a `&[u8]` slice
-    /// probing a `String`-keyed map without allocating. `hash` must be what
-    /// [`ShardedRpMap::hash_one`] produces for any key `matches` accepts.
-    pub fn get_matching_prehashed<'g, P, F>(
-        &'g self,
-        hash: u64,
-        matches: F,
-        protect: &'g P,
-    ) -> Option<&'g V>
-    where
-        P: ReadProtect,
-        F: FnMut(&K) -> bool,
-    {
-        self.shards[self.shard_of_hash(hash)].get_matching_prehashed(hash, matches, protect)
     }
 
     /// The read-side hint of [`RpHashMap::prefetch_prehashed`], routed to
@@ -306,14 +262,11 @@ where
     /// newly inserted. Only writers of the same shard contend.
     ///
     /// A load-factor trigger resizes the shard before the call returns, or,
-    /// on a thread that cannot wait for readers, leaves the resize to
-    /// [`ShardedRpMap::maintain`].
+    /// on a thread that cannot wait for readers, leaves the resize to the
+    /// shard's [`RpHashMap::maintain`].
     pub fn insert(&self, key: K, value: V) -> bool {
         let hash = self.hash_of(&key);
-        let shard_idx = self.shard_of_hash(hash);
-        let newly = self.shards[shard_idx].insert_prehashed(hash, key, value);
-        self.maybe_request_resize(shard_idx);
-        newly
+        self.shards[self.shard_of_hash(hash)].insert_prehashed(hash, key, value)
     }
 
     /// Removes `key` from its shard. Returns `true` if it was present.
@@ -322,26 +275,8 @@ where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        self.remove_if_prehashed(self.hash_of(key), key, |_| true)
-    }
-
-    /// Removes `key` from its shard only if `condemn` accepts the value
-    /// stored under it now (see [`RpHashMap::remove_if_prehashed`]). `hash`
-    /// must be what [`ShardedRpMap::hash_one`] produces for `key`.
-    pub fn remove_if_prehashed<Q>(
-        &self,
-        hash: u64,
-        key: &Q,
-        condemn: impl FnOnce(&V) -> bool,
-    ) -> bool
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        let shard_idx = self.shard_of_hash(hash);
-        let removed = self.shards[shard_idx].remove_if_prehashed(hash, key, condemn);
-        self.maybe_request_resize(shard_idx);
-        removed
+        let hash = self.hash_of(key);
+        self.shards[self.shard_of_hash(hash)].remove_prehashed(hash, key)
     }
 
     /// Removes every entry for which `f` returns `false`, shard by shard;
@@ -350,19 +285,13 @@ where
     where
         F: FnMut(&K, &V) -> bool,
     {
-        let mut removed = 0;
-        for (idx, shard) in self.shards.iter().enumerate() {
-            removed += shard.retain(&mut f);
-            self.maybe_request_resize(idx);
-        }
-        removed
+        self.shards.iter().map(|shard| shard.retain(&mut f)).sum()
     }
 
     /// Removes all entries.
     pub fn clear(&self) {
-        for (idx, shard) in self.shards.iter().enumerate() {
+        for shard in self.shards.iter() {
             shard.clear();
-            self.maybe_request_resize(idx);
         }
     }
 
@@ -435,35 +364,6 @@ where
         Ok(())
     }
 
-    /// Catches up on automatic-resize work the writer paths postponed (see
-    /// [`RpHashMap::maintain`]). Returns `true` if any resize work was
-    /// performed.
-    ///
-    /// For maps whose writers run on threads that cannot wait for readers
-    /// (QSBR event-loop workers): such a caller invokes this from a
-    /// quiescent point, with its handle offline. One load while no write
-    /// has left a shard outside its bounds; otherwise the flag is taken and
-    /// every shard maintained. A mistimed call (the caller holds a guard or
-    /// is an online QSBR reader) is a no-op that leaves the flag set.
-    pub fn maintain(&self) -> bool {
-        if !self.resize_due.load(Ordering::Relaxed) || !rp_rcu::may_wait_for_readers() {
-            return false;
-        }
-        // Taken before the shards are looked at: a write that leaves a shard
-        // due from here on sets the flag again for the next turn.
-        if !self.resize_due.swap(false, Ordering::Acquire) {
-            return false;
-        }
-        // A shard's resize that unwinds (a failpoint) is left in flight;
-        // the flag stays set so the next turn finishes it.
-        let _rearm = Rearm(&self.resize_due);
-        let mut worked = false;
-        for shard in self.shards.iter() {
-            worked |= shard.maintain();
-        }
-        worked
-    }
-
     /// Flushes retired nodes: waits for a grace period of every read-side
     /// flavor with registered readers and frees everything retired before
     /// the call. Each shard's [`RpHashMap::flush_retired`] queues that
@@ -472,18 +372,6 @@ where
     pub fn flush_retired(&self) {
         for shard in self.shards.iter() {
             shard.flush_retired();
-        }
-    }
-}
-
-/// Sets the flag it holds again if dropped while unwinding: what a
-/// [`ShardedRpMap::maintain`] turn that panicked leaves behind.
-struct Rearm<'a>(&'a AtomicBool);
-
-impl Drop for Rearm<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.store(true, Ordering::Relaxed);
         }
     }
 }
@@ -531,30 +419,6 @@ mod tests {
         assert!(!map.remove(&7));
         assert_eq!(map.len(), 99);
         map.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn matching_prehashed_routes_to_the_right_shard() {
-        let map: ShardedRpMap<String, u64> = ShardedRpMap::with_shards(8);
-        for i in 0..64 {
-            map.insert(format!("key-{i}"), i);
-        }
-        let guard = map.pin();
-        for i in 0..64_u64 {
-            let name = format!("key-{i}");
-            let probe = name.as_bytes();
-            let hash = map.hash_one(name.as_str());
-            assert_eq!(
-                map.get_matching_prehashed(hash, |k| k.as_bytes() == probe, &guard),
-                Some(&i),
-                "{name}"
-            );
-        }
-        let hash = map.hash_one("missing");
-        assert_eq!(
-            map.get_matching_prehashed(hash, |k| k.as_bytes() == b"missing", &guard),
-            None
-        );
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Concurrent correctness: readers iterate and look up a stable key set at
 //! full speed while multiple shards resize continuously and writers churn
-//! other shards. The ISSUE's required scenario — two shards resizing while
-//! readers iterate — plus a broader mixed-workload hammer.
+//! other shards — two shards resizing while readers iterate, and a broader
+//! mixed-workload hammer — plus the writer's own inline resizes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use rp_hash::ResizePolicy;
 use rp_shard::{ShardPolicy, ShardedRpMap};
 
 const STABLE: u64 = 2048;
@@ -175,4 +176,39 @@ fn mixed_workload_with_batches_and_per_shard_resizes() {
     }
     map.check_invariants().unwrap();
     map.flush_retired();
+}
+
+/// A writer that may wait for readers resizes its shard before the write
+/// returns: after every insert, and after a bulk removal, no shard is
+/// mid-resize or outside its policy's load-factor bounds.
+#[test]
+fn a_writer_that_may_wait_resizes_inline() {
+    let map = ShardedRpMap::with_policy(ShardPolicy {
+        shards: 2,
+        initial_buckets_per_shard: 8,
+        per_shard: ResizePolicy {
+            auto_expand: true,
+            auto_shrink: true,
+            max_load_factor: 2.0,
+            min_load_factor: 0.25,
+            min_buckets: 8,
+            ..ResizePolicy::default()
+        },
+    });
+    let at_rest_inside_bounds = |map: &ShardedRpMap<u64, u64>| {
+        map.shards().iter().all(|shard| {
+            let (len, buckets) = (shard.len(), shard.num_buckets());
+            !shard.resize_in_progress()
+                && !shard.policy().should_expand(len, buckets)
+                && !shard.policy().should_shrink(len, buckets)
+        })
+    };
+    for k in 0..4000_u64 {
+        map.insert(k, k);
+        assert!(at_rest_inside_bounds(&map), "after inserting {k}");
+    }
+    assert!(map.num_buckets() >= 2048);
+    assert_eq!(map.retain(|k, _| *k < 8), 3992);
+    assert!(at_rest_inside_bounds(&map), "bulk removal shrinks inline");
+    map.check_invariants().unwrap();
 }

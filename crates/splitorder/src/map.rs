@@ -278,24 +278,8 @@ where
         Q: Hash + Eq + ?Sized,
         P: ReadProtect,
     {
-        let hash = self.hash_one(key);
-        self.get_matching_prehashed(hash, |k| k.borrow() == key, protect)
-    }
-
-    /// Raw lookup by precomputed hash and key predicate — the byte-keyed
-    /// hot path used by the cache engine (`hash` must come from a hasher
-    /// equivalent to this map's).
-    pub fn get_matching_prehashed<'g, P, F>(
-        &'g self,
-        hash: u64,
-        mut matches: F,
-        protect: &'g P,
-    ) -> Option<&'g V>
-    where
-        P: ReadProtect,
-        F: FnMut(&K) -> bool,
-    {
         protect.assert_protecting();
+        let hash = self.hash_one(key);
         let so_key = data_so_key(hash);
         // SAFETY: the witness keeps the current array and every reachable
         // node alive for 'g.
@@ -309,7 +293,7 @@ where
             }
             let next_tag = node.next.load(Ordering::Acquire);
             if node.so_key == so_key && !is_marked(next_tag) {
-                if let Some((_, value)) = node.kind.entry().filter(|(key, _)| matches(key)) {
+                if let Some((_, value)) = node.kind.entry().filter(|(k, _)| (*k).borrow() == key) {
                     return Some(value);
                 }
             }
@@ -348,11 +332,6 @@ where
     /// zero `synchronize` calls.
     pub fn insert(&self, key: K, value: V) -> bool {
         let hash = self.hash_one(&key);
-        self.insert_prehashed(hash, key, value)
-    }
-
-    /// [`Self::insert`] with a precomputed hash.
-    pub fn insert_prehashed(&self, hash: u64, key: K, value: V) -> bool {
         let so_key = data_so_key(hash);
         let new_node = Box::into_raw(Node::data(so_key, key, Box::into_raw(Box::new(value))));
         let mut replaced = false;
@@ -435,47 +414,6 @@ where
         Q: Hash + Eq + ?Sized,
     {
         let hash = self.hash_one(key);
-        self.remove_prehashed(hash, key)
-    }
-
-    /// [`Self::remove`] with a precomputed hash.
-    pub fn remove_prehashed<Q>(&self, hash: u64, key: &Q) -> bool
-    where
-        K: Borrow<Q>,
-        Q: Eq + ?Sized,
-    {
-        self.remove_if_prehashed(hash, key, |_| true)
-    }
-
-    /// Removes `key` only if `condemn` accepts the value stored under it
-    /// (see [`Self::remove_matching_prehashed`] for when it is judged).
-    pub fn remove_if_prehashed<Q>(
-        &self,
-        hash: u64,
-        key: &Q,
-        mut condemn: impl FnMut(&V) -> bool,
-    ) -> bool
-    where
-        K: Borrow<Q>,
-        Q: Eq + ?Sized,
-    {
-        self.remove_matching_prehashed(hash, |k, v| k.borrow() == key && condemn(v))
-    }
-
-    /// Removes the entry whose key and current value satisfy `matches`
-    /// within the hash's split-order run. Returns `true` if an entry was
-    /// removed.
-    ///
-    /// The value is judged during the walk that finds the node, so a
-    /// verdict formed earlier (an expired cache item seen by a reader, say)
-    /// never takes a replacement that was stored before the walk. There is
-    /// no writer lock to hold the verdict and the logical delete together:
-    /// an update that lands between the two is ordered before the removal,
-    /// as it is for [`Self::remove`].
-    pub fn remove_matching_prehashed<F>(&self, hash: u64, mut matches: F) -> bool
-    where
-        F: FnMut(&K, &V) -> bool,
-    {
         let so_key = data_so_key(hash);
         let _guard = rp_rcu::pin();
         loop {
@@ -484,7 +422,7 @@ where
             let bucket = (hash & array.mask) as usize;
             let head = self.bucket_head(array, bucket);
             match self.find(head, so_key, &mut |kind| {
-                kind.entry().is_some_and(|(key, value)| matches(key, value))
+                kind.entry().is_some_and(|(k, _)| k.borrow() == key)
             }) {
                 FindResult::HeadDead => {
                     // Stale shortcut to a dummy a shrink compaction
@@ -677,32 +615,6 @@ where
         self.iter(&guard)
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect()
-    }
-
-    /// Removes every entry whose key/value fails the predicate; returns
-    /// how many it removed. A scan under a pin collects the condemned keys;
-    /// each is then judged again by the walk that removes it, so a value
-    /// stored under the key since the scan is kept (see
-    /// [`Self::remove_matching_prehashed`]) — and the predicate runs twice
-    /// for an entry that goes.
-    pub fn retain<F>(&self, mut f: F) -> usize
-    where
-        F: FnMut(&K, &V) -> bool,
-        K: Clone,
-    {
-        let doomed: Vec<(u64, K)> = {
-            let guard = self.pin();
-            self.iter(&guard)
-                .filter(|(k, v)| !f(k, v))
-                .map(|(k, _)| (self.hash_one(k), k.clone()))
-                .collect()
-        };
-        doomed
-            .into_iter()
-            .filter(|(hash, key)| {
-                self.remove_matching_prehashed(*hash, |k, v| k == key && !f(k, v))
-            })
-            .count()
     }
 
     /// Structural self-check (meaningful when quiesced): split-order keys
@@ -1162,21 +1074,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_if_judges_the_value_stored_now() {
-        let map: SplitOrderMap<u64, u64> = SplitOrderMap::new();
-        map.insert(7, 1);
-        let hash = map.hash_one(&7_u64);
-        assert!(!map.remove_if_prehashed(hash, &7, |v| *v == 0));
-        // A verdict formed on value 1 must not take its replacement.
-        map.insert(7, 2);
-        assert!(!map.remove_if_prehashed(hash, &7, |v| *v == 1));
-        assert_eq!(map.get_cloned(&7), Some(2));
-        assert!(map.remove_if_prehashed(hash, &7, |v| *v == 2));
-        assert!(map.is_empty());
-        map.check_invariants().unwrap();
-    }
-
-    #[test]
     fn qsbr_handle_serves_as_lookup_witness() {
         std::thread::spawn(|| {
             let map: SplitOrderMap<u64, String> = SplitOrderMap::new();
@@ -1329,41 +1226,6 @@ mod tests {
             assert_eq!(k, i as u64);
             assert_eq!(v, k + 1);
         }
-    }
-
-    #[test]
-    fn retain_removes_matching_entries() {
-        let map: SplitOrderMap<u64, u64> = SplitOrderMap::new();
-        for i in 0..64 {
-            map.insert(i, i);
-        }
-        assert_eq!(map.retain(|_, v| v % 2 == 0), 32);
-        assert_eq!(map.len(), 32);
-        let guard = map.pin();
-        assert!(map.get(&2, &guard).is_some());
-        assert!(map.get(&3, &guard).is_none());
-        drop(guard);
-        map.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn retain_spares_a_value_stored_after_its_verdict() {
-        // The map is lock-free, so an insert may land between the scan
-        // that condemns an entry and the pass that removes it — here from
-        // inside the scan itself, as a SET racing `purge_expired` would.
-        let map: SplitOrderMap<u64, &str> = SplitOrderMap::new();
-        for k in 0..8 {
-            map.insert(k, "stale");
-        }
-        let removed = map.retain(|k, v| {
-            if *k == 3 && *v == "stale" {
-                map.insert(3, "fresh");
-            }
-            *v != "stale"
-        });
-        assert_eq!(removed, 7);
-        assert_eq!(map.to_vec(), vec![(3, "fresh")]);
-        map.check_invariants().unwrap();
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!
 //! Environment:
 //!
-//! * `RP_KV_ENGINE` — `rp` (default; single relativistic table), `rp-shard`
-//!   (sharded relativistic index), or `lock` (global-lock baseline).
+//! * `RP_KV_ENGINE` — `rp` (default; the relativistic table) or `lock`
+//!   (global-lock baseline).
 //! * `RP_KV_PORT` — TCP port (default 0 = pick a free one).
 //! * `RP_KV_STAY` — set to keep serving until the process is killed instead
 //!   of exiting after the demo workload.
@@ -19,9 +19,7 @@
 use std::sync::Arc;
 
 use relativist::kvcache::client::CacheClient;
-use relativist::kvcache::{
-    CacheEngine, EventServer, LockEngine, RpEngine, ServerConfig, ShardedRpEngine,
-};
+use relativist::kvcache::{CacheEngine, EventServer, LockEngine, RpEngine, ServerConfig};
 
 fn main() -> std::io::Result<()> {
     let engine_name = std::env::var("RP_KV_ENGINE").unwrap_or_else(|_| "rp".to_string());
@@ -29,12 +27,9 @@ fn main() -> std::io::Result<()> {
         // GETs are wait-free lookups in an RpHashMap, SETs go through the
         // single writer lock, the index resizes itself.
         "rp" => Arc::new(RpEngine::with_capacity(100_000)),
-        // Same read side, but the index is sharded: SETs and resizes only
-        // contend within one shard.
-        "rp-shard" => Arc::new(ShardedRpEngine::with_shards_and_capacity(16, 100_000)),
         "lock" => Arc::new(LockEngine::with_capacity(100_000)),
         other => {
-            eprintln!("unknown RP_KV_ENGINE {other:?} (expected rp | rp-shard | lock)");
+            eprintln!("unknown RP_KV_ENGINE {other:?} (expected rp | lock)");
             std::process::exit(2);
         }
     };
