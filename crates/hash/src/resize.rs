@@ -246,7 +246,7 @@ where
     /// one maintenance slice (`maint_slices_total`, timed into
     /// `maint_slice_ns`).
     pub fn maintain(&self) -> bool {
-        if !rp_rcu::may_wait_for_readers() || !self.resize_due() {
+        if !rp_rcu::may_wait_for_readers() || !self.resize_pending() {
             return false;
         }
         let timer = rp_obs::timer();
@@ -265,14 +265,14 @@ where
     /// [`RpHashMap::maintain`] for a caller that has already established it
     /// may wait for readers, uncounted: the writer's own inline resize.
     pub(crate) fn drive_to_policy(&self) -> bool {
-        self.resize_due() && self.drive_resizes(|len, buckets| self.wanted(len, buckets))
+        self.resize_pending() && self.drive_resizes(|len, buckets| self.wanted(len, buckets))
     }
 
     /// The lock-free check in front of every policy-driven resize: a
     /// resize is in flight, or the table is outside its policy's bounds.
     /// Event-loop workers run it per batch, so the nothing-to-do case must
     /// cost loads, not a writer-lock round trip.
-    fn resize_due(&self) -> bool {
+    fn resize_pending(&self) -> bool {
         self.resize_in_progress() || self.wanted(self.len(), self.num_buckets()).is_some()
     }
 

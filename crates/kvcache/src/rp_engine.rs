@@ -224,13 +224,6 @@ impl RpEngine {
             .get_matching_prehashed(hash, |k| k.as_bytes() == key, protect)
     }
 
-    /// Removes `key` through the writer side if `condemn` accepts the item
-    /// stored under it at that moment; `true` if it was removed. `hash`
-    /// must be [`str_bytes_hash`] of `key`.
-    fn remove_if(&self, hash: u64, key: &str, condemn: impl FnOnce(&StoredItem) -> bool) -> bool {
-        self.index.remove_if_prehashed(hash, key, condemn)
-    }
-
     /// Next LRU access stamp.
     fn stamp(&self) -> u64 {
         audit::count(SharedWrite::Stamp);
@@ -262,7 +255,8 @@ impl RpEngine {
 
     /// Removes `key` unconditionally; `true` if it was present.
     fn remove(&self, key: &str) -> bool {
-        self.remove_if(str_bytes_hash(key.as_bytes()), key, |_| true)
+        self.index
+            .remove_prehashed(str_bytes_hash(key.as_bytes()), key)
     }
 
     /// All a SET that stays within capacity pays for eviction.
@@ -288,10 +282,12 @@ impl RpEngine {
             };
             let key: &str = key.borrow();
             let expired = Cell::new(false);
-            let removed = self.remove_if(str_bytes_hash(key.as_bytes()), key, |stored| {
-                expired.set(stored.is_expired_now());
-                stored.access_stamp() == stamp
-            });
+            let removed =
+                self.index
+                    .remove_if_prehashed(str_bytes_hash(key.as_bytes()), key, |stored| {
+                        expired.set(stored.is_expired_now());
+                        stored.access_stamp() == stamp
+                    });
             match (removed, expired.get()) {
                 (false, _) => &self.stats.evict_stale,
                 (true, false) => &self.stats.evictions,
@@ -355,9 +351,10 @@ impl CacheEngine for RpEngine {
             // always valid UTF-8, so the view cannot fail for a key that
             // was found. Grace-period work the removal triggers is
             // postponed while this thread is a QSBR reader.
-            if std::str::from_utf8(key)
-                .is_ok_and(|key| self.remove_if(hash, key, StoredItem::is_expired_now))
-            {
+            if std::str::from_utf8(key).is_ok_and(|key| {
+                self.index
+                    .remove_if_prehashed(hash, key, StoredItem::is_expired_now)
+            }) {
                 self.stats.expirations.inc();
             }
         }
@@ -600,14 +597,18 @@ mod tests {
         }
         engine.set("k", Item::new(0, "fresh"));
         assert!(
-            !engine.remove_if(hash, "k", StoredItem::is_expired_now),
+            !engine
+                .index
+                .remove_if_prehashed(hash, "k", StoredItem::is_expired_now),
             "an acknowledged SET was removed as expired"
         );
         let hit = engine.get_ref(b"k", &mut EngineReadCtx::new(ReadSide::Ebr));
         assert_eq!(hit.map(|item| item.data.to_vec()), Some(b"fresh".to_vec()));
         // An item that is still expired when the slow path gets there goes.
         engine.set("k", stale());
-        assert!(engine.remove_if(hash, "k", StoredItem::is_expired_now));
+        assert!(engine
+            .index
+            .remove_if_prehashed(hash, "k", StoredItem::is_expired_now));
         assert_eq!(engine.len(), 0);
     }
 

@@ -16,8 +16,8 @@
 //! * [`shard`] — [`shard::ShardedRpMap`], a power-of-two array of
 //!   independent relativistic tables: shard-local writer locks and resizes
 //!   for parallel updates, one guard (or QSBR handle) covering lookups in
-//!   every shard. A QSBR worker's writes postpone their resizes, and
-//!   [`shard::ShardedRpMap::maintain`] catches up from its quiescent point.
+//!   every shard. One of the tables the figures compare; the cache server
+//!   uses one [`hash::RpHashMap`].
 //! * [`splitorder`] — [`splitorder::SplitOrderMap`], the main *competing*
 //!   resize philosophy: a lock-free split-ordered list (Shalev & Shavit)
 //!   whose resizes move no data and never wait for a grace period, sharing
@@ -30,9 +30,11 @@
 //!   N worker threads, one shared listener (`EPOLLEXCLUSIVE` sharded
 //!   accepts), per-connection read/write buffering with backpressure, and
 //!   graceful drain — the kvcache server's event-loop front end.
-//! * [`kvcache`] — a memcached-style key-value cache with a global-lock
-//!   engine and a relativistic GET fast-path engine, served by the `rp-net`
-//!   event loop ([`kvcache::EventServer`]).
+//! * [`kvcache`] — a memcached-style key-value cache with the paper's two
+//!   engines: a global-lock baseline ([`kvcache::LockEngine`]) and the
+//!   relativistic engine over one [`hash::RpHashMap`]
+//!   ([`kvcache::RpEngine`], the default), served by the `rp-net` event
+//!   loop ([`kvcache::EventServer`]).
 //! * [`workload`] — key-distribution generators and the multi-threaded
 //!   measurement harness used by the benchmarks.
 //!
