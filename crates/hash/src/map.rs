@@ -3,7 +3,7 @@
 use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::hash::{BuildHasher, Hash};
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use parking_lot::{Mutex, MutexGuard};
 
@@ -538,8 +538,7 @@ where
         let mut crossed = false;
         let guard = self.writer_lock();
         let replaced = self.insert_one_locked(&guard, hash, key, value, |_| (), &mut crossed);
-        drop(guard);
-        self.after_write(crossed);
+        self.after_write(&guard, crossed);
         replaced.is_none()
     }
 
@@ -547,7 +546,7 @@ where
     /// `key` was present, returns what `on_replace` made of the value it
     /// replaced, called while that value is still alive; `None` means a new
     /// entry. Sets `crossed` if the insert took the table over its policy's
-    /// expand trigger; resizing is the caller's business, after it unlocks
+    /// expand trigger; resizing is the caller's business, before it unlocks
     /// ([`RpHashMap::after_write`]).
     fn insert_one_locked<R>(
         &self,
@@ -617,8 +616,7 @@ where
         let mut crossed = false;
         let guard = self.writer_lock();
         let previous = self.insert_one_locked(&guard, hash, key, value, V::clone, &mut crossed);
-        drop(guard);
-        self.after_write(crossed);
+        self.after_write(&guard, crossed);
         previous
     }
 
@@ -680,8 +678,7 @@ where
         let mut crossed = false;
         let guard = self.writer_lock();
         let removed = self.remove_one_locked(&guard, hash, key, condemn, &mut crossed);
-        drop(guard);
-        self.after_write(crossed);
+        self.after_write(&guard, crossed);
         removed
     }
 
@@ -780,8 +777,7 @@ where
             table.swap_out(prev.as_ref(), node, next.as_ref());
         }
         self.stats.replaces.add(1, &guard);
-        drop(guard);
-        self.after_write(false);
+        self.after_write(&guard, false);
         true
     }
 
@@ -820,8 +816,7 @@ where
         // Bulk removal can take the table any number of halvings under its
         // shrink trigger.
         let crossed = self.policy.should_shrink(self.len(), table.len());
-        drop(guard);
-        self.after_write(crossed);
+        self.after_write(&guard, crossed);
         removed
     }
 
@@ -907,20 +902,14 @@ where
         Err((prev, cur))
     }
 
-    /// What every write entry point ends in, **after** it has released the
-    /// writer lock: the resize the write made due, if `crossed` says it
-    /// took the table over a load-factor trigger. Freeing what it retired
-    /// is not the writer's business: the global funnel's reclaim thread
-    /// does that.
-    ///
-    /// A grace period can never complete if the calling thread itself holds
-    /// a read guard or is an online QSBR reader; the resize is postponed in
-    /// those cases (a later update from a quiescent thread — or
-    /// [`RpHashMap::maintain`], called from one — catches up). The waits go
-    /// through `GraceSync`, so they cover QSBR readers of this map too.
-    fn after_write(&self, crossed: bool) {
-        if crossed && rp_rcu::may_wait_for_readers() {
-            self.drive_to_policy();
+    /// What every write entry point ends in, under `held`, the writer lock
+    /// it took: the automatic resize step, if `crossed` says the write took
+    /// the table over a load-factor trigger or a resize is in flight (one
+    /// load while neither). It waits for no reader, and frees nothing: the
+    /// global funnel's reclaim thread does that.
+    fn after_write(&self, held: &WriterGuard<'_, K, V>, crossed: bool) {
+        if crossed || self.resize_active.load(Ordering::Relaxed) {
+            self.step_to_policy_locked(held);
         }
     }
 }
@@ -943,6 +932,16 @@ mod tests {
 
     fn fnv_map(buckets: usize) -> Map {
         RpHashMap::with_buckets_and_hasher(buckets, FnvBuildHasher)
+    }
+
+    /// Runs automatic resizing to rest: a barrier sets the grace marker of
+    /// the resize in flight, and the next write (here, of nothing) finishes
+    /// it and begins the next one the policy asks for.
+    fn settle(map: &Map) {
+        while map.resize_in_progress() {
+            GraceSync::global().synchronize_and_reclaim();
+            assert!(!map.remove(&u64::MAX));
+        }
     }
 
     #[test]
@@ -1239,8 +1238,8 @@ mod tests {
     #[test]
     fn bulk_removal_shrinks_the_table() {
         // The kvcache index policy: a `purge_expired` that empties the cache
-        // must not leave it at its high-water bucket count until the next
-        // write.
+        // begins a halving at once, and the writes after it halve the table
+        // down to its bounds, one halving per grace period.
         let policy = ResizePolicy {
             auto_expand: true,
             auto_shrink: true,
@@ -1252,13 +1251,17 @@ mod tests {
         for i in 0..10_000 {
             map.insert(i, i);
         }
+        settle(&map);
         assert_eq!(map.num_buckets(), 8192);
         assert_eq!(map.retain(|k, _| *k < 4), 9_996);
+        assert_eq!(map.num_buckets(), 4096, "the halving is published at once");
+        settle(&map);
         assert_eq!((map.len(), map.num_buckets()), (4, 32));
         for i in 0..10_000 {
             map.insert(i, i);
         }
         map.clear();
+        settle(&map);
         assert_eq!((map.len(), map.num_buckets()), (0, 16));
         map.check_invariants().unwrap();
     }
@@ -1369,6 +1372,7 @@ mod tests {
         for i in 0..64 {
             map.insert(i, i);
         }
+        settle(&map);
         assert!(
             map.num_buckets() >= 64,
             "expected auto-expansion, got {} buckets",
@@ -1400,6 +1404,7 @@ mod tests {
         for i in 0..64 {
             map.remove(&i);
         }
+        settle(&map);
         assert!(
             map.num_buckets() <= 8,
             "expected auto-shrink, got {} buckets",

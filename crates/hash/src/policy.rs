@@ -9,9 +9,10 @@
 /// (the way the Linux kernel's rhashtable — the descendant of this paper's
 /// algorithm — behaves).
 ///
-/// The triggering writer runs an automatic resize itself, after it has
-/// released the writer lock, and pays its grace periods; readers and other
-/// writers are unaffected.
+/// The writers drive automatic resizes, and none of them waits: the
+/// triggering write begins the resize under the writer lock it holds, and
+/// the first write after a grace period has elapsed finishes it (the
+/// `resize` module's docs). Readers are unaffected.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResizePolicy {
     /// Grow (double) when `len > buckets * max_load_factor`.
@@ -59,15 +60,14 @@ impl ResizePolicy {
     /// Returns `true` if a map with `len` entries and `buckets` buckets
     /// should grow.
     ///
-    /// Exposed so that a caller outside the map (`rp-shard`, deciding
-    /// whether a write left a shard for its next maintenance turn) applies
-    /// the same load-factor thresholds the map applies inline.
+    /// Exposed so that a caller outside the map (a test checking that a
+    /// table is back inside its bounds) applies the same load-factor
+    /// thresholds the map applies.
     ///
     /// Only returns `true` when a doubling is actually possible
     /// (`2 * buckets <= max_buckets`) — the same condition the expand
     /// itself checks — so a `true` trigger can never pair with a resize
-    /// that refuses to start (which would retry on every write and every
-    /// maintenance turn).
+    /// that refuses to start (which would retry on every write).
     pub fn should_expand(&self, len: usize, buckets: usize) -> bool {
         self.auto_expand
             && buckets
@@ -120,9 +120,8 @@ mod tests {
     #[test]
     fn should_expand_requires_a_possible_doubling() {
         // A trigger that fires when the expand itself would refuse to start
-        // (2 * buckets > max_buckets) would retry on every write and every
-        // maintenance turn; the trigger must use the expand's own
-        // feasibility check.
+        // (2 * buckets > max_buckets) would retry on every write; the
+        // trigger must use the expand's own feasibility check.
         let p = ResizePolicy {
             auto_expand: true,
             max_buckets: 24, // not a power of two: 16 < 24 but 32 > 24

@@ -33,27 +33,28 @@
 //!   prefix, points each new bucket at its side's first node and records
 //!   the pairs that hold nodes on both sides, with the last low node each
 //!   walk ended on; a shrink visits each pair of old heads once.
-//! * **grace** steps wait for readers with the writer lock *released*, so
-//!   concurrent writers keep updating the map while the resizing thread
-//!   absorbs the wait. This is the only grace-period wait in the crate's
-//!   resize code, and it is a rule, not an optimisation: a QSBR-online
-//!   thread that writes to the map announces its quiescent state only after
-//!   its write, so whoever waited for it while holding the lock that write
-//!   needs would wait forever.
+//! * **grace** steps wait for readers with the writer lock *released*, and
+//!   only on the explicit path (an automatic resize waits for nothing,
+//!   below). It is a rule, not an optimisation: a QSBR-online thread that
+//!   writes to the map announces its quiescent state only after its write,
+//!   so whoever waited for it while holding the lock that write needs would
+//!   wait forever.
 //! * **finish** takes the writer lock once and waits for nothing. An expand
 //!   first ends each recorded pair's low chain where its high run begins;
 //!   no second grace period is owed for that cut (DESIGN.md, *Expand =
 //!   unzip*). The cut stores to the last low node `begin` remembered, and
 //!   walks a low run again only for the pairs a writer stored to since.
 //!
-//! There is one driver, [`RpHashMap::drive_resizes`]: finish whatever resize
-//! is in flight, begin the next one its caller asks for, step it to
-//! [`ResizeStep::Finished`] through [`RpHashMap::advance_resize`], repeat.
-//! [`RpHashMap::expand`], [`RpHashMap::shrink`], [`RpHashMap::resize_to`],
-//! [`RpHashMap::maintain`] and the load-factor triggers (which fire after
-//! the triggering writer has unlocked) differ only in what they ask for.
-//! The caller is synchronous — it returns when its resize has finished, and
-//! pays its grace period — but holds nothing while it waits.
+//! [`RpHashMap::expand`], [`RpHashMap::shrink`] and [`RpHashMap::resize_to`]
+//! go through one driver, [`RpHashMap::drive_resizes`]: finish whatever
+//! resize is in flight, begin the next one asked for, step it to
+//! [`ResizeStep::Finished`] through [`RpHashMap::advance_resize`], paying its
+//! grace period with nothing held. Automatic resizes have one driver too,
+//! the writers, and none of them waits ([`RpHashMap::step_to_policy_locked`]):
+//! the write that takes the table over a load-factor bound begins the resize
+//! and queues a grace marker on the reclaim thread; the first write to find
+//! the marker set finishes it. The marker is queued after the publish, so
+//! the pass that sets it waited out a grace period that began after it.
 //!
 //! # Writer mutations between steps
 //!
@@ -69,7 +70,8 @@
 //! left the chain, or stopped being its last low node.
 
 use std::hash::{BuildHasher, Hash};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use rp_rcu::GraceSync;
 
@@ -142,12 +144,24 @@ pub(crate) struct ResizeOp<K, V> {
     old_table: Option<Box<BucketArray<K, V>>>,
     /// An expand's pairs; `None` for a shrink.
     pub(crate) unzip: Option<Unzip<K, V>>,
+    /// An automatic op's grace marker: set by the reclaim thread once a
+    /// grace period has elapsed since the publish. `None` for an explicit
+    /// op, whose driver waits for its grace period itself.
+    marker: Option<Arc<AtomicBool>>,
 }
 
 impl<K, V> ResizeOp<K, V> {
     /// The op's id while it waits on its grace period.
     fn grace_pending(&self) -> Option<u64> {
         self.old_table.is_some().then_some(self.id)
+    }
+
+    /// `true` once an automatic op's grace marker is set: the post-grace
+    /// steps may run, and wait for nothing.
+    fn marked(&self) -> bool {
+        self.marker
+            .as_ref()
+            .is_some_and(|marker| marker.load(Ordering::Acquire))
     }
 }
 
@@ -229,29 +243,40 @@ where
         });
     }
 
-    /// Catches up on automatic-resize work the writer paths postponed,
-    /// driving the table back inside its policy's load-factor bounds.
-    /// Returns `true` if it resized the table.
-    ///
-    /// Writers skip automatic resizing when the writing thread cannot wait
-    /// for readers — it holds an EBR guard, or it is an online QSBR reader
-    /// (an event-loop worker serving lookups). If *every* writer is such a
-    /// thread, nothing would ever resize; callers with a natural quiescent
-    /// point (the event-loop worker between batches, with its handle
-    /// offline) invoke this instead. The same self-deadlock conditions are
-    /// re-checked here, so a mistimed call is a no-op rather than a panic.
-    ///
-    /// This is the step every writer that crosses a load-factor trigger
-    /// takes after it unlocks, made callable. A call that resized counts as
-    /// one maintenance slice (`maint_slices_total`, timed into
-    /// `maint_slice_ns`).
-    pub fn maintain(&self) -> bool {
-        if !rp_rcu::may_wait_for_readers() || !self.resize_pending() {
-            return false;
-        }
+    /// A write's automatic resize step, under `held`, the writer lock it
+    /// took: finish the automatic resize in flight once its grace marker is
+    /// set (an op whose marker is unset, or an explicit one, is left alone),
+    /// then begin the next one the policy asks for. Never waits. A step
+    /// counts as one `maint_slices_total` slice, timed into `maint_slice_ns`.
+    pub(crate) fn step_to_policy_locked(&self, held: &WriterGuard<'_, K, V>) {
+        let marked = match &*held.borrow() {
+            None => None,
+            Some(op) if op.marked() => Some(op.id),
+            Some(_) => return,
+        };
         let timer = rp_obs::timer();
-        let resized = self.drive_resizes(|len, buckets| self.wanted(len, buckets));
-        if resized {
+        if let Some(id) = marked {
+            // Chaos hook, before any mutation: an injected panic unwinds
+            // out of this write with the op intact and its marker set, for
+            // the next write to finish.
+            let _ = rp_fault::point("hash.resize.step");
+            self.resolve_grace_locked(held, id);
+            let step = self.resize_work_step_locked(held);
+            observe_resize_step(timer, step);
+        }
+        let begun = self
+            .wanted(self.len(), self.table_locked(held).len())
+            .is_some_and(|begin| self.begin_locked(held, begin));
+        if begun {
+            // The marker is queued behind the publish, for the reclaim
+            // thread to set once it has waited out a grace period.
+            let marker = Arc::new(AtomicBool::new(false));
+            held.borrow_mut().as_mut().expect("just begun").marker = Some(Arc::clone(&marker));
+            let sync = GraceSync::global();
+            sync.defer(move || marker.store(true, Ordering::Release));
+            sync.wake_reclaimer();
+        }
+        if marked.is_some() || begun {
             let obs = rp_obs::global();
             obs.maint.slices_total.inc();
             if let Some(ns) = rp_obs::elapsed_ns(timer) {
@@ -259,21 +284,6 @@ where
                 obs.trace.record(rp_obs::TraceKind::MaintSlice, ns);
             }
         }
-        resized
-    }
-
-    /// [`RpHashMap::maintain`] for a caller that has already established it
-    /// may wait for readers, uncounted: the writer's own inline resize.
-    pub(crate) fn drive_to_policy(&self) -> bool {
-        self.resize_pending() && self.drive_resizes(|len, buckets| self.wanted(len, buckets))
-    }
-
-    /// The lock-free check in front of every policy-driven resize: a
-    /// resize is in flight, or the table is outside its policy's bounds.
-    /// Event-loop workers run it per batch, so the nothing-to-do case must
-    /// cost loads, not a writer-lock round trip.
-    fn resize_pending(&self) -> bool {
-        self.resize_in_progress() || self.wanted(self.len(), self.num_buckets()).is_some()
     }
 
     /// The resize the policy asks for at `len` entries over `buckets`.
@@ -287,31 +297,35 @@ where
         }
     }
 
-    /// The one resize driver. Until `next` — shown the entry and bucket
+    /// The explicit resize driver. Until `next` — shown the entry and bucket
     /// counts of the table at rest — asks for nothing, or a policy bound
     /// refuses what it asks for: begin that resize and step it to
-    /// [`ResizeStep::Finished`]. Returns `true` if it began any.
+    /// [`ResizeStep::Finished`].
     ///
     /// Every grace period is waited for inside
     /// [`RpHashMap::advance_resize`], with the writer lock **released**:
     /// the readers being waited for may themselves be writers (a QSBR-online
     /// worker in the middle of its batch), and one of them blocked on this
     /// map's writer lock would never reach its quiescent state.
-    fn drive_resizes(&self, mut next: impl FnMut(usize, usize) -> Option<Begin>) -> bool {
-        let mut resized = false;
+    fn drive_resizes(&self, mut next: impl FnMut(usize, usize) -> Option<Begin>) {
         loop {
             let guard = self.lock_at_rest();
-            let begun = match next(self.len(), self.table_locked(&guard).len()) {
-                Some(Begin::Expand) => self.begin_unzip_locked(&guard),
-                Some(Begin::Shrink) => self.begin_zip_locked(&guard),
-                None => false,
-            };
+            let begun = next(self.len(), self.table_locked(&guard).len())
+                .is_some_and(|begin| self.begin_locked(&guard, begin));
             drop(guard);
             if !begun {
-                return resized;
+                return;
             }
             self.finish_resize();
-            resized = true;
+        }
+    }
+
+    /// Begins `begin` under `held`, this map's writer lock; returns `false`
+    /// if a resize is in progress or a policy bound refuses it.
+    fn begin_locked(&self, held: &WriterGuard<'_, K, V>, begin: Begin) -> bool {
+        match begin {
+            Begin::Expand => self.begin_unzip_locked(held),
+            Begin::Shrink => self.begin_zip_locked(held),
         }
     }
 
@@ -376,12 +390,10 @@ where
     /// was done.
     ///
     /// *Grace steps* release the writer lock for the duration of the wait,
-    /// so concurrent writers keep making progress — this is what lets an
-    /// event-loop worker's housekeeping turn absorb every `synchronize` on
-    /// behalf of the writers, and what keeps a resize from deadlocking
-    /// against a QSBR-online writer. The *finish* step takes the writer
-    /// lock for one pass over the pairs an expand recorded, and waits for
-    /// nothing.
+    /// so concurrent writers keep making progress — this is what keeps a
+    /// resize from deadlocking against a QSBR-online writer. The *finish*
+    /// step takes the writer lock for one pass over the pairs an expand
+    /// recorded, and waits for nothing.
     ///
     /// Safe to call from any thread, including concurrently with writers
     /// and with other advancers; the only requirement is the usual one for
@@ -489,6 +501,7 @@ where
                 ranks,
                 last_low,
             }),
+            marker: None,
         };
         *held.borrow_mut() = Some(op);
         self.resize_active.store(true, Ordering::Release);
@@ -538,6 +551,7 @@ where
             id: self.resize_ids.add(1, held),
             old_table: Some(old_table.publish(new_table)),
             unzip: None,
+            marker: None,
         };
         *held.borrow_mut() = Some(op);
         self.resize_active.store(true, Ordering::Release);
@@ -856,102 +870,99 @@ mod tests {
 
     // ---- incremental state-machine tests ----
 
-    #[test]
-    fn maintain_catches_up_resizes_postponed_by_qsbr_writers() {
-        // On a dedicated thread so the QSBR handle's thread-local online
-        // state cannot leak into other tests.
-        std::thread::spawn(|| {
-            let map: Map = RpHashMap::with_buckets_hasher_and_policy(
-                4,
-                FnvBuildHasher,
-                ResizePolicy {
-                    auto_expand: true,
-                    max_load_factor: 1.0,
-                    ..ResizePolicy::default()
-                },
-            );
-            let mut handle = crate::QsbrReadHandle::register();
-            for i in 0..64 {
-                map.insert(i, i * 2);
-            }
-            assert_eq!(
-                map.num_buckets(),
-                4,
-                "auto-expansion must be postponed while the writer is QSBR-online"
-            );
-            assert!(
-                !map.maintain(),
-                "maintain is a no-op while the thread is still an online QSBR reader"
-            );
-            handle.offline();
-            assert!(map.maintain(), "postponed expansion work exists");
-            assert!(
-                map.num_buckets() >= 64,
-                "maintain must drive the table inside its policy bounds, got {}",
-                map.num_buckets()
-            );
-            assert!(!map.maintain(), "second call has nothing to do");
-            handle.online();
-            for i in 0..64 {
-                assert_eq!(map.get(&i, &handle), Some(&(i * 2)));
-            }
-            handle.offline();
-            drop(handle);
-            map.check_invariants().unwrap();
-        })
-        .join()
-        .unwrap();
+    /// A map that doubles past load factor 1 on its own, from 4 buckets.
+    fn auto_expanding() -> Map {
+        let policy = ResizePolicy {
+            auto_expand: true,
+            max_load_factor: 1.0,
+            ..ResizePolicy::default()
+        };
+        RpHashMap::with_buckets_hasher_and_policy(4, FnvBuildHasher, policy)
     }
 
     #[test]
-    fn maintain_does_not_block_the_qsbr_writers_it_waits_for() {
-        // Two event-loop workers: one inserts in batches, QSBR-online until
-        // each batch ends; the other runs `maintain` from its offline
-        // window. The grace periods `maintain` waits for end only when the
-        // inserting worker finishes its batch, so `maintain` must not hold
-        // the writer lock that worker needs while it waits.
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::time::Duration;
+    fn writers_that_read_resize_without_waiting() {
+        // A QSBR-online writer, and one that holds an EBR guard: no grace
+        // period ends while either writes, and neither may wait for one.
+        // Threads of their own keep the QSBR online state out of other tests.
+        for qsbr in [true, false] {
+            std::thread::spawn(move || {
+                let (map, waits) = (auto_expanding(), rp_rcu::thread_synchronize_count());
+                let mut handle = qsbr.then(crate::QsbrReadHandle::register);
+                let guard = (!qsbr).then(rp_rcu::pin);
+                for i in 0..64 {
+                    map.insert(i, i * 2);
+                }
+                // The fifth insert began and published a doubling, whose
+                // grace period waits for this thread.
+                assert_eq!((map.num_buckets(), map.resize_in_progress()), (8, true));
+                drop(guard);
+                // Once the marker is set, one more write finishes the
+                // resize in flight and begins the next one.
+                let marked = || {
+                    map.writer_lock()
+                        .borrow()
+                        .as_ref()
+                        .is_some_and(super::ResizeOp::marked)
+                };
+                let mut rounds = 0;
+                while map.resize_in_progress() {
+                    while !marked() {
+                        handle.as_mut().map(crate::QsbrReadHandle::quiescent_state);
+                        std::thread::yield_now();
+                    }
+                    assert!(map.insert(64 + rounds, 0));
+                    rounds += 1;
+                }
+                assert_eq!(rp_rcu::thread_synchronize_count(), waits, "a write waited");
+                assert_eq!(
+                    (rounds, map.num_buckets(), map.stats().expands),
+                    (5, 128, 5)
+                );
+                drop(handle);
+                assert_all_present(&map, 64);
+                map.check_invariants().unwrap();
+            })
+            .join()
+            .unwrap();
+        }
+    }
+
+    #[test]
+    fn qsbr_online_writers_race_through_begin_and_cut() {
+        // Two event-loop workers, QSBR-online until each batch ends, insert
+        // into one map, each beginning the resizes its inserts make due and
+        // finishing those whose marker is set. A marker's grace period ends
+        // only when both have ended a batch, so a writer that waited for it
+        // would stop both.
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let map: Map = RpHashMap::with_buckets_hasher_and_policy(
-                4,
-                FnvBuildHasher,
-                ResizePolicy {
-                    auto_expand: true,
-                    max_load_factor: 1.0,
-                    ..ResizePolicy::default()
-                },
-            );
-            let stop = AtomicBool::new(false);
+            let map = auto_expanding();
             std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    let mut handle = crate::QsbrReadHandle::register();
-                    let mut key = 0;
-                    while !stop.load(Ordering::Relaxed) {
-                        for _ in 0..16 {
+                for worker in 0..2 {
+                    let map = &map;
+                    scope.spawn(move || {
+                        let mut handle = crate::QsbrReadHandle::register();
+                        let waits = rp_rcu::thread_synchronize_count();
+                        for key in (worker..).step_by(2) {
                             map.insert(key, key);
-                            key += 1;
+                            if key % 32 < 2 {
+                                handle.quiescent_state();
+                                if map.stats().expands >= 12 {
+                                    break;
+                                }
+                            }
                         }
-                        handle.quiescent_state();
-                        // The writer lock is not fair: leave `maintain` a
-                        // window to take it between batches.
-                        std::thread::sleep(Duration::from_micros(100));
-                    }
-                    handle.offline();
-                });
-                let mut resizes = 0;
-                while resizes < 6 {
-                    resizes += usize::from(map.maintain());
+                        assert_eq!(rp_rcu::thread_synchronize_count(), waits);
+                    });
                 }
-                stop.store(true, Ordering::Relaxed);
             });
             map.check_invariants().unwrap();
             done_tx.send(()).unwrap();
         });
         done_rx
-            .recv_timeout(Duration::from_secs(60))
-            .expect("maintain deadlocked against a QSBR-online writer");
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("QSBR-online writers deadlocked on a resize");
     }
 
     #[test]
@@ -1237,7 +1248,7 @@ mod tests {
 
     #[test]
     fn writers_mutate_between_resize_steps() {
-        // The heart of a postponed resize: inserts and removes interleave
+        // The heart of an automatic resize: inserts and removes interleave
         // with every step of an in-progress unzip, including removes of
         // nodes that are still reachable from both buckets of their pair.
         let map = filled(2, 200);

@@ -21,8 +21,8 @@
 //! `--read-side` selects the RCU flavor serving GETs: `qsbr` (the default
 //! — barrier-free lookups, quiescent states announced per event batch) or
 //! `ebr` (per-lookup guards). The relativistic engine's index is resized
-//! by its writers, or, under QSBR, in each worker's housekeeping turn
-//! between batches; resizing has no settings.
+//! by its writers, under either flavor, and none of them waits for
+//! readers; resizing has no settings.
 //!
 //! `--engine` picks one of the paper's two memcached engines: `rp`, the
 //! relativistic table ([`RpEngine`]), or `lock`, stock memcached's global

@@ -119,8 +119,8 @@ impl EngineReadCtx {
     }
 
     /// Runs `f` with the QSBR handle offline (directly for EBR), so `f`
-    /// may wait for grace periods without deadlocking on this thread's own
-    /// read-side state — the window [`CacheEngine::housekeeping`] runs in.
+    /// may wait for grace periods (a barrier, an explicit resize) without
+    /// deadlocking on this thread's own read-side state.
     pub fn with_offline<R>(&mut self, f: impl FnOnce() -> R) -> R {
         match self.qsbr.as_mut() {
             Some(handle) => handle.offline_scope(f),
@@ -250,17 +250,11 @@ pub trait CacheEngine: Send + Sync {
     /// an engine behind a lock can do.
     fn prefetch(&self, _keys: &[&[u8]], _ctx: &EngineReadCtx) {}
 
-    /// Housekeeping an external caller with a natural quiescent point can
-    /// drive on the engine's behalf: postponed automatic index resizes.
-    /// (Deferred frees need no caller: `rp_rcu::GraceSync`'s reclaim thread
-    /// runs them.)
-    ///
-    /// Threads serving QSBR reads postpone all grace-period work (waiting
-    /// would deadlock on their own read-side state); the event-loop worker
-    /// calls this between batches **while its QSBR handle is offline**
-    /// ([`EngineReadCtx::with_offline`]), so an all-QSBR-worker deployment
-    /// still resizes its index. Must be cheap when there is nothing to do;
-    /// the default does nothing.
+    /// Does nothing, in every engine. No engine has work for a caller at a
+    /// quiescent point any more: the index's writers finish its resizes,
+    /// and `rp_rcu::GraceSync`'s reclaim thread runs its deferred frees.
+    /// Kept only because the frozen `benchmark/` crate calls it; ROADMAP
+    /// item 1b deletes it.
     fn housekeeping(&self) {}
 
     /// Stores `item` under `key`, replacing any previous value.
@@ -325,9 +319,6 @@ mod tests {
                 std::thread::spawn(move || {
                     let engine = make(capacity);
                     eprintln!("conformance: {} via {read_side:?}", engine.name());
-                    // Declared after the engine, so dropped before it: a
-                    // maintenance thread the engine joins on drop may be
-                    // waiting out a grace period this context holds open.
                     let mut ctx = EngineReadCtx::new(read_side);
                     check(&engine, &mut ctx);
                 })
@@ -602,18 +593,17 @@ mod tests {
     }
 
     #[test]
-    fn a_qsbr_worker_serves_its_own_writes_across_housekeeping() {
+    fn a_qsbr_worker_serves_its_own_writes_across_batches() {
         // The reactor worker's rhythm: SETs and GETs from one thread, a
-        // quiescent state and an offline housekeeping window between
-        // batches. (Whether the index grew meanwhile is index-specific and
-        // checked beside each index.)
+        // quiescent state between batches, and nothing else: the SETs
+        // resize the index themselves. (Whether the index grew meanwhile
+        // is index-specific and checked beside each index.)
         for_every_engine_and_read_side(100_000, |engine, ctx| {
             for batch in 0..8 {
                 for i in 0..1024 {
                     engine.set(&format!("key-{batch}-{i}"), Item::new(0, "v"));
                 }
                 ctx.quiescent();
-                ctx.with_offline(|| engine.housekeeping());
             }
             assert_eq!(engine.len(), 8192);
             for batch in 0..8 {

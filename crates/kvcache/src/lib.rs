@@ -40,10 +40,9 @@
 //!   `rp_hash::QsbrReadHandle` at startup, lookups are entirely
 //!   barrier-free, one quiescent state is announced per event batch, and
 //!   workers go offline while parked in `epoll_wait`; `--read-side ebr`
-//!   restores the guard path. A QSBR worker's SET never waits for a grace
-//!   period: it postpones the index resize it made due, and the worker runs
-//!   it between batches, with its handle offline
-//!   ([`CacheEngine::housekeeping`]).
+//!   restores the guard path. No SET waits for a grace period: the SET
+//!   that makes an index resize due begins it, and the first SET after its
+//!   grace period finishes it.
 //! * [`cli`] — flag/env parsing for the `kvcached` binary.
 //!
 //! The `fig_memcached` benchmark in `rp-bench` drives both engines with an

@@ -154,8 +154,8 @@ fn classify_probe(stored: Option<&StoredItem>, stamp: u64, found: &mut dyn FnMut
 ///   the patch "falls back to the slow path for expiry, eviction".
 /// * **SET / DELETE** serialise on the map's writer lock and retire
 ///   replaced items through the RCU domain. The index resizes itself under
-///   load; a QSBR worker's SET postpones the resize to the worker's
-///   [`CacheEngine::housekeeping`] turn.
+///   load, and no SET waits for readers: the SET that makes a resize due
+///   begins it, and the first SET after its grace period finishes it.
 /// * **Eviction** is exact LRU at a fraction of a scan per victim: a SET
 ///   past capacity pops the oldest entry of a queue that one scan of the
 ///   index filled and removes it only if its access stamp has not moved
@@ -349,8 +349,8 @@ impl CacheEngine for RpEngine {
             // may have acknowledged a SET of this key since the probe:
             // remove only an item that is expired *now*. Stored keys are
             // always valid UTF-8, so the view cannot fail for a key that
-            // was found. Grace-period work the removal triggers is
-            // postponed while this thread is a QSBR reader.
+            // was found. The removal waits for no grace period, so it is
+            // safe while this thread is a QSBR reader.
             if std::str::from_utf8(key).is_ok_and(|key| {
                 self.index
                     .remove_if_prehashed(hash, key, StoredItem::is_expired_now)
@@ -396,11 +396,6 @@ impl CacheEngine for RpEngine {
 
     fn len(&self) -> usize {
         self.index.len()
-    }
-
-    fn housekeeping(&self) {
-        // Loads only, when the index is inside its load-factor bounds.
-        self.index.maintain();
     }
 
     fn stats(&self) -> &CacheStats {
@@ -612,39 +607,32 @@ mod tests {
         assert_eq!(engine.len(), 0);
     }
 
-    /// Simulates an event-loop worker: QSBR-online while serving SETs, then
-    /// `housekeeping` from the offline window between batches. The SETs
-    /// never wait for a grace period, so the index postpones its resize
-    /// while the worker is online and catches up in housekeeping — without
-    /// it the index would never grow when every writer is a QSBR worker.
+    /// Simulates an event-loop worker: QSBR-online while serving SETs, one
+    /// quiescent state per batch. The SETs never wait for a grace period,
+    /// yet they grow the index themselves: each resize is begun by the SET
+    /// that makes it due and finished by one after its grace period.
     #[test]
-    fn qsbr_worker_housekeeping_grows_the_index() {
+    fn a_qsbr_worker_grows_the_index_without_waiting() {
         let engine = RpEngine::with_capacity(100_000);
         std::thread::spawn(move || {
             let mut ctx = EngineReadCtx::new(ReadSide::Qsbr);
-            let before = engine.index.num_buckets();
-            let waits = rp_rcu::thread_synchronize_count();
-            for i in 0..8192 {
-                engine.set(&format!("key-{i}"), Item::new(0, "v"));
-            }
-            assert_eq!(
-                rp_rcu::thread_synchronize_count(),
-                waits,
-                "a QSBR worker's SETs waited for readers"
-            );
-            assert_eq!(
+            let (before, waits) = (
                 engine.index.num_buckets(),
-                before,
-                "the index resized while QSBR-online"
+                rp_rcu::thread_synchronize_count(),
             );
-            ctx.quiescent();
-            ctx.with_offline(|| engine.housekeeping());
-            assert!(
-                engine.index.num_buckets() > before,
-                "housekeeping must leave the index grown ({before} -> {})",
-                engine.index.num_buckets()
-            );
-            assert!(engine.get_ref(b"key-7", &mut ctx).is_some());
+            // On until a SET has finished a resize, after its grace period.
+            let mut batch = 0;
+            while batch < 64 || engine.index.stats().expands == 0 {
+                for i in 0..128 {
+                    engine.set(&format!("key-{batch}-{i}"), Item::new(0, "v"));
+                }
+                ctx.quiescent();
+                batch += 1;
+            }
+            let waited = rp_rcu::thread_synchronize_count() - waits;
+            assert_eq!(waited, 0, "a QSBR worker's SETs waited for readers");
+            assert!(engine.index.num_buckets() > before);
+            assert!(engine.get_ref(b"key-7-7", &mut ctx).is_some());
         })
         .join()
         .unwrap();

@@ -515,7 +515,7 @@ END\r\n";
             "\"net_connections\":0,\"net_bytes_buffered\":0,",
             "\"net_batch_size\":Z},",
             "\"maint\":{\"maint_slice_ns\":Z,",
-            "\"maint_slices_total\":0,\"maint_worker_panics_total\":0},",
+            "\"maint_slices_total\":0},",
             "\"resize\":{\"resize_grace_wait_ns\":Z,\"resize_step_ns\":Z,",
             "\"resize_begun_total\":0,\"resize_finished_total\":0},",
             "\"rcu\":{\"rcu_sync_ns\":Z,",
@@ -630,7 +630,6 @@ END\r\n";
             &flushes.syscalls_total,
             &flushes.segments_total,
             &registry.maint.slices_total,
-            &registry.maint.worker_panics_total,
             &registry.resize.begun_total,
             &registry.resize.finished_total,
             &registry.rcu.reclaim_executed_total,

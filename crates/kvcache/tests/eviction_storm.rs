@@ -5,10 +5,11 @@
 //! expired, stored again — before they are popped. The relativistic engine
 //! takes the storm from two EBR and two QSBR-online writers **at once**, with a
 //! reader of each flavor beside them: a QSBR-online worker announces its
-//! quiescent state only between batches, so every grace period an EBR
-//! writer's SET waits for (a reclamation pass, an automatic resize) ends
-//! only if nothing that worker needs in the middle of its batch — the
-//! index's writer lock, the victim queue — is held across the wait.
+//! quiescent state only between batches, so a SET that waited for a grace
+//! period (a reclamation pass, an automatic resize) would stall the storm.
+//! None does: the reclaim thread waits, and nothing that worker needs in
+//! the middle of its batch — the index's writer lock, the victim queue — is
+//! held across its wait.
 //!
 //! On trial: the storm finishes (the queue lock is
 //! never held across a removal or a grace wait; with `RP_RCU_STALL_PANIC=1`
@@ -31,12 +32,6 @@ use rp_rcu::stall::{spawn_watchdog, StallConfig};
 const CAPACITY: usize = 1024;
 const SETS_PER_WRITER: usize = 50_000;
 const HOT_PER_READER: usize = 128;
-
-/// What a reactor worker does between event batches.
-fn batch_end(engine: &dyn CacheEngine, ctx: &mut EngineReadCtx) {
-    ctx.quiescent();
-    ctx.with_offline(|| engine.housekeeping());
-}
 
 fn present(engine: &dyn CacheEngine, key: &str, ctx: &mut EngineReadCtx) -> bool {
     engine.get_ref(key.as_bytes(), ctx).is_some()
@@ -66,7 +61,7 @@ fn writer(engine: &dyn CacheEngine, id: usize, read_side: ReadSide) {
             }
         }
         if i % 64 == 63 {
-            batch_end(engine, &mut ctx);
+            ctx.quiescent();
         }
     }
 }
@@ -88,7 +83,7 @@ fn reader(engine: &dyn CacheEngine, id: usize, read_side: ReadSide, stop: &Atomi
                 engine.set(key, Item::new(0, "hot"));
             }
         }
-        batch_end(engine, &mut ctx);
+        ctx.quiescent();
         if done {
             break;
         }

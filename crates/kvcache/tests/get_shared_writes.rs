@@ -138,10 +138,6 @@ fn audit_engine(engine: Arc<dyn CacheEngine>, read_side: ReadSide) {
         (2 * PIPELINED + PIPELINED / 2) as u64,
         "{name}"
     );
-    // The worker's read-side context goes before the engine: a maintenance
-    // thread the engine joins on drop may be waiting out a grace period
-    // an online QSBR handle holds open.
-    drop(worker);
 }
 
 #[test]

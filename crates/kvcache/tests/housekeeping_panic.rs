@@ -1,7 +1,8 @@
-//! A panicking housekeeping turn does not stop later turns: a QSBR worker
-//! whose postponed resize unwinds mid-step (the real failpoint, on the
-//! real `rp` engine behind the real server) counts the panic, keeps
-//! serving, and finishes the resize in a later turn.
+//! A resize step that panics inside a SET costs one connection: a QSBR
+//! worker whose SET unwinds in the automatic resize step (the real
+//! failpoint, on the real `rp` engine behind the real server) sheds that
+//! connection, keeps serving, and a SET on another connection finishes the
+//! resize left in flight.
 //!
 //! Alone in its test binary: the `rp_fault` plan registry and the `rp-obs`
 //! counters it reads are process-global.
@@ -12,7 +13,7 @@ use rp_kvcache::client::CacheClient;
 use rp_kvcache::{EventServer, ReadSide, RpEngine, ServerConfig};
 
 #[test]
-fn a_panicking_turn_is_contained_and_a_later_turn_finishes_the_resize() {
+fn a_step_that_panics_in_a_set_sheds_one_connection_and_the_next_set_finishes_the_resize() {
     // Quiet for the injected panic only.
     let default = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
@@ -34,41 +35,41 @@ fn a_panicking_turn_is_contained_and_a_later_turn_finishes_the_resize() {
     };
     let mut server = EventServer::start(engine.clone(), &config).expect("start");
     let obs = rp_obs::global();
-    let panics_before = obs.maint.worker_panics_total.get();
+    let shed_before = obs.net.conn_panics_total.get();
 
-    // The first step of the first resize a turn begins unwinds: the doubled
-    // table is published and the zippers are still closed. The SETs stop
-    // once that turn is counted, so no later write crosses a bound and only
-    // the resize left in flight brings a later turn to it.
+    // The first SET to find the first resize's grace marker set unwinds
+    // before it finishes that resize: the doubled table is published and
+    // its chains are not cut yet. The connection that sent it hears a
+    // SERVER_ERROR and is shed; the SETs stop there, short of the next
+    // doubling, so only the resize left in flight is due.
     let _armed = rp_fault::ArmGuard::new("hash.resize.step=panic*1", 7);
-    let mut client = CacheClient::connect(server.addr()).expect("connect");
+    let mut first = CacheClient::connect(server.addr()).expect("connect");
     let keys: Vec<String> = (0..8192).map(|i| format!("key-{i}")).collect();
-    let mut stored = 0;
-    while obs.maint.worker_panics_total.get() == panics_before {
-        assert!(stored < keys.len(), "no turn panicked");
-        assert!(client.set(&keys[stored], 0, 0, b"v").unwrap());
-        stored += 1;
+    let mut acknowledged = 0;
+    while let Ok(true) = first.set(&keys[acknowledged], 0, 0, b"v") {
+        acknowledged += 1;
+        assert!(acknowledged < keys.len(), "no SET panicked");
     }
     assert_eq!(rp_fault::injected("hash.resize.step"), 1);
-    assert_eq!(obs.maint.worker_panics_total.get() - panics_before, 1);
+    assert_eq!(obs.net.conn_panics_total.get() - shed_before, 1);
+    assert!(obs.resize.begun_total.get() > obs.resize.finished_total.get());
 
-    // The worker still serves: every SET it acknowledged is there. Each
-    // GET is a batch of its own, and its turn ran before the next GET was
-    // read: a turn after the panic found the resize it left in flight and
-    // finished it.
-    for key in &keys[..stored] {
-        assert_eq!(
-            client.get(key).unwrap().as_deref(),
-            Some(&b"v"[..]),
-            "{key}"
-        );
-    }
+    // The worker still serves, and the next SET finishes the resize.
+    let mut second = CacheClient::connect(server.addr()).expect("connect");
+    assert!(second.set("after", 0, 0, b"v").unwrap());
     assert_eq!(
         obs.resize.begun_total.get(),
         obs.resize.finished_total.get(),
         "a resize is still in flight"
     );
-    client.quit().unwrap();
+    for key in &keys[..acknowledged] {
+        assert_eq!(
+            second.get(key).unwrap().as_deref(),
+            Some(&b"v"[..]),
+            "{key}"
+        );
+    }
+    second.quit().unwrap();
     server.shutdown();
     engine.check_index().unwrap();
 }

@@ -24,7 +24,7 @@ static ALLOC: CountingAllocator = CountingAllocator;
 const OPS: u64 = 4000;
 
 /// Allocations-per-GET ceiling. The expected value is exactly 0; the
-/// epsilon only forgives a stray background allocation (a maintenance
+/// epsilon only forgives a stray background allocation (the reclaim
 /// thread waking inside the window) without letting a real per-request
 /// allocation (1.0/op) anywhere near passing.
 const GET_ALLOC_EPSILON: f64 = 0.005;

@@ -168,20 +168,16 @@ pub struct ResizeObs {
     pub finished_total: Counter,
 }
 
-/// Resize-maintenance metrics: the postponed resizes a quiescent caller
-/// catches up on (`RpHashMap::maintain`, run by the server's housekeeping
-/// turn).
+/// Automatic-resize metrics: the steps writers take to keep a table inside
+/// its load-factor bounds (`rp-hash`'s automatic resize step, which
+/// finishes a resize whose grace period has elapsed and begins the next).
 #[derive(Debug, Default)]
 pub struct MaintObs {
-    /// Duration of each work slice — one `maintain` call that resized, however
-    /// many resizes it took to bring the table back inside its bounds — in
-    /// nanoseconds.
+    /// Duration of each work slice — one write's automatic step, finishing
+    /// a resize, beginning one, or both — in nanoseconds.
     pub slice_ns: Histogram,
     /// Work slices executed.
     pub slices_total: Counter,
-    /// Housekeeping turns that unwound and were contained (the next turn
-    /// finishes the resize left in flight).
-    pub worker_panics_total: Counter,
 }
 
 /// Reactor metrics (`rp-net`).
@@ -280,8 +276,7 @@ pub struct Obs {
     pub rcu: RcuObs,
     /// `rp-hash` resize metrics.
     pub resize: ResizeObs,
-    /// Resize-maintenance metrics (`RpHashMap::maintain` and the server's
-    /// housekeeping turn).
+    /// Automatic-resize metrics (the steps writers take).
     pub maint: MaintObs,
     /// `rp-net` metrics.
     pub net: NetObs,
@@ -430,18 +425,13 @@ impl Obs {
         let mut group = |name, help, metric: Metric<'_>| v.metric("maint", name, help, metric);
         group(
             "maint_slice_ns",
-            "Maintenance work-slice duration.",
+            "Automatic resize step duration.",
             Summary(&maint.slice_ns),
         );
         group(
             "maint_slices_total",
-            "Maintenance work slices executed.",
+            "Automatic resize steps writers took.",
             Counter(&maint.slices_total),
-        );
-        group(
-            "maint_worker_panics_total",
-            "Housekeeping turns contained after a mid-slice panic.",
-            Counter(&maint.worker_panics_total),
         );
 
         let resize = &self.resize;

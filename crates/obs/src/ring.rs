@@ -30,7 +30,7 @@ pub enum TraceKind {
     ResizeGrace = 4,
     /// A resize finished; value = total steps is unknown, records 0.
     ResizeFinish = 5,
-    /// A maintenance call resized a table; value = slice nanoseconds.
+    /// A write's automatic resize step ran; value = slice nanoseconds.
     MaintSlice = 6,
     /// A connection tripped the output-queue watermark; value = queued
     /// bytes.
@@ -56,9 +56,6 @@ pub enum TraceKind {
     /// `accept()` hit fd-table exhaustion (EMFILE/ENFILE) and the
     /// listener was backed off; value = the raw OS error code.
     AcceptBackoff = 14,
-    /// A housekeeping turn panicked mid-slice and was contained; value =
-    /// the worker's index.
-    MaintPanic = 15,
     /// A draining connection never drained and was force-closed at the
     /// drain deadline; value = queued bytes abandoned.
     DrainExpired = 16,
@@ -81,7 +78,6 @@ impl TraceKind {
             TraceKind::AcceptError => "accept_error",
             TraceKind::ConnPanic => "conn_panic",
             TraceKind::AcceptBackoff => "accept_backoff",
-            TraceKind::MaintPanic => "maint_panic",
             TraceKind::DrainExpired => "drain_expired",
         }
     }
@@ -101,7 +97,6 @@ impl TraceKind {
             12 => TraceKind::AcceptError,
             13 => TraceKind::ConnPanic,
             14 => TraceKind::AcceptBackoff,
-            15 => TraceKind::MaintPanic,
             16 => TraceKind::DrainExpired,
             _ => return None,
         })

@@ -30,10 +30,9 @@
 //!   by any structure is freed only once readers of both flavors have
 //!   moved on, and no writer waits to free.
 //!   [`GraceSync::synchronize_and_reclaim`] is the barrier: it returns once
-//!   everything queued before it has run. [`may_wait_for_readers`] says
-//!   whether the calling thread can take part in a wait at all, and
-//!   [`NoGraceWait`] marks the locks it must not hold while it does (a
-//!   debug assertion in the funnel).
+//!   everything queued before it has run. [`NoGraceWait`] marks the
+//!   locks a waiting thread must not hold (a debug assertion in the
+//!   funnel).
 //! * **Stall detection** — [`stall`] watches every funnel wait and flags
 //!   (or, configured via `RP_RCU_STALL_PANIC`, panics on) grace periods
 //!   that exceed a threshold, naming every blocking reader, of either
@@ -54,9 +53,9 @@ mod sync;
 
 pub use domain::RcuDomain;
 pub use guard::RcuGuard;
-pub use local::{global_read_nesting, pin, thread_synchronize_count, LocalHandle};
+pub use local::{pin, thread_synchronize_count, LocalHandle};
 pub use stats::DomainStats;
-pub use sync::{may_wait_for_readers, GraceSync, NoGraceWait};
+pub use sync::{GraceSync, NoGraceWait};
 
 #[cfg(test)]
 mod tests {

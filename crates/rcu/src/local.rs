@@ -95,11 +95,11 @@ pub(crate) fn note_synchronize() {
 /// [`RcuDomain::synchronize`] on any domain, including the waits inside
 /// `synchronize_and_reclaim`) since the thread started.
 ///
-/// This is the observable side of the "a QSBR worker's writes never wait
-/// for readers" property: a QSBR-online writer thread can snapshot this
-/// counter, perform its updates, and assert the counter did not move —
-/// every resize it made due was postponed to a maintenance turn run from a
-/// quiescent point. The counter is thread-local, so readings are exact and
+/// This is the observable side of the "no write waits for readers"
+/// property: a writer thread (QSBR-online, holding a guard, or neither) can
+/// snapshot this counter, perform its updates, and assert the counter did
+/// not move — every automatic resize it began or finished waited for
+/// nothing. The counter is thread-local, so readings are exact and
 /// race-free.
 pub fn thread_synchronize_count() -> u64 {
     SYNCHRONIZE_CALLS.try_with(|c| c.get()).unwrap_or(0)
@@ -127,18 +127,6 @@ pub fn pin() -> RcuGuard<'static> {
         // record rather than freeing it (see `LocalHandle::drop`).
         unsafe { std::mem::transmute::<RcuGuard<'_>, RcuGuard<'static>>(guard) }
     })
-}
-
-/// Returns the calling thread's current read-side nesting depth in the
-/// global domain (0 means "not in a read-side critical section").
-///
-/// Data structures use it to postpone optional grace-period work when the
-/// calling thread happens to hold a guard; [`crate::may_wait_for_readers`]
-/// also covers an online QSBR handle.
-pub fn global_read_nesting() -> usize {
-    GLOBAL_HANDLE
-        .try_with(|handle| handle.reader.nesting.load(Ordering::Relaxed))
-        .unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -25,10 +25,11 @@
 //! left below that is emptied 50 ms after the thread last found it
 //! non-empty; an empty one costs the thread nothing, and what is queued
 //! after it sleeps there waits for the push that crosses 256, or for a
-//! caller that queued a large release to wake it
-//! ([`GraceSync::wake_reclaimer`]). Writers therefore wait for readers
-//! only where their own algorithm needs ordering (a resize), or when they
-//! ask to: [`GraceSync::synchronize_and_reclaim`] is a *barrier*. Passes
+//! caller that wakes it ([`GraceSync::wake_reclaimer`]): one that queued a
+//! large release, or a grace marker another writer polls (`rp-hash`'s
+//! automatic resizes). A wake is never lost. Writers therefore wait for
+//! readers only when they ask to: an explicit resize, or
+//! [`GraceSync::synchronize_and_reclaim`], which is a *barrier*. Passes
 //! are serialized, so it returns once every callback queued before it has
 //! run, on whichever thread ran it. A stalled reader stops frees, not
 //! writers; the stall detector ([`crate::stall`]) names the reader.
@@ -86,17 +87,6 @@ std::thread_local! {
     /// How many [`NoGraceWait`] guards the calling thread holds. Touched in
     /// debug builds only.
     static NO_WAIT_DEPTH: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Returns `true` if the calling thread may wait for a grace period of the
-/// global domain without waiting for itself: it holds no guard of it and
-/// has no online QSBR handle on it.
-///
-/// Data structures ask this before *optional* grace-period work (automatic
-/// resizing) and postpone the work when the answer is no; a later writer,
-/// or the thread itself from its offline window, catches up.
-pub fn may_wait_for_readers() -> bool {
-    !RcuDomain::global().read_by_this_thread()
 }
 
 /// In debug builds, panics if the calling thread holds a [`NoGraceWait`]
@@ -187,7 +177,7 @@ impl<G> DerefMut for NoGraceWait<G> {
 pub struct GraceSync {
     domain: Arc<RcuDomain>,
     /// Deferred reclamation queue (`call_rcu` equivalent).
-    deferred: Mutex<Vec<Deferred>>,
+    deferred: Mutex<Queue>,
     /// Length of `deferred`, written under its lock, read without it.
     deferred_len: AtomicUsize,
     /// The emptied storage of the last executed batch, which the next
@@ -197,11 +187,19 @@ pub struct GraceSync {
     /// Held for the whole of a pass, so passes run one at a time and a
     /// barrier cannot return while an earlier batch is still waiting.
     pass: Mutex<()>,
-    /// Paired with `deferred`: the reclaim thread waits on it, the push
-    /// that takes the queue to [`WAKE_AT`] or past it signals it.
+    /// Paired with `deferred`: the reclaim thread waits on it,
+    /// [`GraceSync::wake_reclaimer`] signals it.
     wakeup: Condvar,
     /// Starts the reclaim thread, once; `None` for a funnel with none.
     reclaimer: Option<Once>,
+}
+
+#[derive(Debug, Default)]
+struct Queue {
+    callbacks: Vec<Deferred>,
+    /// A wake the reclaim thread has not acted on: one that lands while it
+    /// is mid-pass, or not started yet, is kept, not lost.
+    wake: bool,
 }
 
 impl GraceSync {
@@ -211,7 +209,7 @@ impl GraceSync {
     pub fn new(domain: Arc<RcuDomain>) -> Self {
         GraceSync {
             domain,
-            deferred: Mutex::new(Vec::new()),
+            deferred: Mutex::default(),
             deferred_len: AtomicUsize::new(0),
             spare: Mutex::new(Vec::new()),
             pass: Mutex::new(()),
@@ -315,7 +313,7 @@ impl GraceSync {
     fn push_deferred(&self, callbacks: impl ExactSizeIterator<Item = Deferred>) {
         let pushed = callbacks.len();
         let pending = {
-            let mut queue = self.deferred.lock();
+            let queue = &mut self.deferred.lock().callbacks;
             queue.extend(callbacks);
             self.deferred_len.store(queue.len(), Ordering::Relaxed);
             queue.len()
@@ -334,12 +332,14 @@ impl GraceSync {
     /// Wakes the reclaim thread for a pass now, starting it on first use.
     /// Pushes wake it as the queue crosses 256 callbacks; a caller that has
     /// just queued one that gives back much memory (a dropped map's node
-    /// slab) wakes it sooner. A no-op on a funnel built with [`GraceSync::new`], which has
-    /// no thread.
+    /// slab) or that a writer waits on (a resize's grace marker) wakes it
+    /// sooner, and no wake is lost. A no-op on a funnel built with
+    /// [`GraceSync::new`], which has no thread.
     pub fn wake_reclaimer(&self) {
         let Some(started) = &self.reclaimer else {
             return;
         };
+        self.deferred.lock().wake = true;
         // Only the global funnel has a `reclaimer`, so the thread's funnel
         // is `self`.
         started.call_once(|| {
@@ -351,19 +351,22 @@ impl GraceSync {
         self.wakeup.notify_one();
     }
 
-    /// The reclaim thread: a pass whenever [`WAKE_AT`] callbacks are
-    /// queued, or [`RECHECK`] after it found fewer; no timer while the
-    /// queue is empty. It holds no guard and no lock across a pass, so it
-    /// may wait for any reader.
+    /// The reclaim thread: a pass whenever it is woken ([`WAKE_AT`]
+    /// callbacks queued, or a caller asked), or [`RECHECK`] after it found
+    /// fewer; no timer while the queue is empty. It holds no guard and no
+    /// lock across a pass, so it may wait for any reader.
     fn reclaim_forever(&self) -> ! {
         loop {
             let mut queue = self.deferred.lock();
-            if queue.is_empty() {
-                self.wakeup.wait(&mut queue);
-            } else if queue.len() < WAKE_AT {
-                self.wakeup.wait_for(&mut queue, RECHECK);
+            if !queue.wake {
+                if queue.callbacks.is_empty() {
+                    self.wakeup.wait(&mut queue);
+                } else if queue.callbacks.len() < WAKE_AT {
+                    self.wakeup.wait_for(&mut queue, RECHECK);
+                }
             }
-            let pending = !queue.is_empty();
+            queue.wake = false;
+            let pending = !queue.callbacks.is_empty();
             drop(queue);
             if pending {
                 self.synchronize_and_reclaim();
@@ -384,12 +387,12 @@ impl GraceSync {
     /// the grace period started, so a pass takes the batch *first*, waits,
     /// then runs it with [`GraceSync::execute_deferred`].
     fn take_deferred(&self) -> Vec<Deferred> {
-        let mut queue = self.deferred.lock();
+        let queue = &mut self.deferred.lock().callbacks;
         if queue.is_empty() {
             return Vec::new();
         }
         let spare = std::mem::take(&mut *self.spare.lock());
-        let batch = std::mem::replace(&mut *queue, spare);
+        let batch = std::mem::replace(queue, spare);
         self.deferred_len.store(queue.len(), Ordering::Relaxed);
         batch
     }
@@ -416,9 +419,9 @@ impl GraceSync {
             return;
         }
         {
-            let mut queue = self.deferred.lock();
+            let queue = &mut self.deferred.lock().callbacks;
             if queue.is_empty() && queue.capacity() < batch.capacity() {
-                std::mem::swap(&mut *queue, &mut batch);
+                std::mem::swap(queue, &mut batch);
             }
         }
         let mut spare = self.spare.lock();

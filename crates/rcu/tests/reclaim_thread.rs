@@ -1,8 +1,9 @@
 //! The global funnel's reclaim thread: retiring never waits, the thread
 //! frees what was retired once every reader has moved on, a panicking
 //! callback costs only itself, `synchronize_and_reclaim` is a barrier
-//! behind whatever pass the thread has in flight, and the push that takes
-//! the queue past 256 wakes the thread, even one that jumps over 256.
+//! behind whatever pass the thread has in flight, the push that takes the
+//! queue past 256 wakes the thread, even one that jumps over 256, and no
+//! wake is lost.
 //!
 //! Every test here drives the one process-wide queue, so they take turns
 //! (`SERIAL`) and each starts from an emptied queue.
@@ -168,4 +169,53 @@ fn a_slice_push_that_jumps_over_256_wakes_the_thread() {
     wait_until("the woken thread runs the batch", || {
         ran.load(Ordering::SeqCst) == 250
     });
+}
+
+/// Queues a callback and wakes the thread; the receiver gets how long after
+/// the wake the callback ran.
+fn queue_and_wake() -> mpsc::Receiver<Duration> {
+    let (ran, took) = mpsc::channel();
+    let woken = Instant::now();
+    GraceSync::global().defer(move || ran.send(woken.elapsed()).unwrap());
+    GraceSync::global().wake_reclaimer();
+    took
+}
+
+/// A wake that did not find the thread waiting must still lead to a pass
+/// at once, not to the one the thread falls back on 50 ms after it last
+/// saw the queue.
+fn assert_prompt(took: mpsc::Receiver<Duration>) {
+    let took = took.recv_timeout(Duration::from_secs(10)).unwrap();
+    assert!(
+        took < Duration::from_millis(25),
+        "the pass ran {took:?} after its wake"
+    );
+}
+
+/// The first wake starts the thread, before it has looked at the queue.
+/// Only a process of its own has its first wake to give, so the test
+/// re-runs this binary on itself alone.
+#[test]
+fn the_first_wake_leads_to_a_pass() {
+    const CHILD: &str = "RECLAIM_THREAD_FIRST_WAKE";
+    if std::env::var_os(CHILD).is_some() {
+        return assert_prompt(queue_and_wake());
+    }
+    let child = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", "the_first_wake_leads_to_a_pass"])
+        .env(CHILD, "1")
+        .status()
+        .unwrap();
+    assert!(child.success(), "the first wake was lost");
+}
+
+/// A wake from a callback of a running pass leads to the next pass at once.
+#[test]
+fn a_wake_during_a_pass_leads_to_the_next_pass() {
+    let _turn = serial();
+    assert_prompt(queue_and_wake());
+    let (inner, took) = mpsc::channel();
+    GraceSync::global().defer(move || inner.send(queue_and_wake()).unwrap());
+    GraceSync::global().wake_reclaimer();
+    assert_prompt(took.recv_timeout(Duration::from_secs(10)).unwrap());
 }

@@ -20,12 +20,11 @@
 //!   process-wide RCU read domain, so a single [`ShardedRpMap::pin`] guard
 //!   (or one online QSBR handle) covers lookups in *any* shard: a caller
 //!   with a batch of keys pins once and calls [`ShardedRpMap::get`] per key.
-//! * **Postponed resizes.** A writer that cannot wait for readers (an
-//!   online QSBR reader, or a thread that holds a guard) postpones the
-//!   resize its write made due, as [`rp_hash::RpHashMap`] does. To catch
-//!   up, call [`rp_hash::RpHashMap::maintain`] on each of
-//!   [`ShardedRpMap::shards`] from a quiescent point, with the QSBR handle
-//!   offline; a shard with nothing due answers from a few loads.
+//! * **No write waits for readers.** Each shard resizes itself as
+//!   [`rp_hash::RpHashMap`] does: the write that takes a shard over a
+//!   load-factor trigger begins the resize, and the first write to that
+//!   shard after its grace period finishes it, whatever the writing thread
+//!   reads with.
 //!
 //! It is one of the tables the figures and the torture suites compare
 //! (`rp_baselines::tables()`); the cache server does not use it: its

@@ -23,11 +23,10 @@ use crate::stats::ShardStats;
 /// `*_prehashed` entry points of [`RpHashMap`].
 ///
 /// Each shard resizes as an [`RpHashMap`] does: a write that takes it over
-/// a load-factor trigger resizes it inline, unless the writing thread
-/// cannot wait for readers (it holds a guard, or it is an online QSBR
-/// reader). Then the resize is postponed, and a caller at a quiescent point
-/// catches up by running [`RpHashMap::maintain`] on each shard of
-/// [`ShardedRpMap::shards`].
+/// a load-factor trigger begins the resize, and the first write to that
+/// shard after the resize's grace period finishes it. No write waits for
+/// readers, so a thread that holds a guard, or is an online QSBR reader,
+/// writes like any other.
 pub struct ShardedRpMap<K, V, S = FnvBuildHasher> {
     shards: Box<[RpHashMap<K, V, S>]>,
     /// `log2(shards.len())`; 0 means a single shard.
@@ -261,9 +260,8 @@ where
     /// Inserts `key → value` into its shard. Returns `true` if the key was
     /// newly inserted. Only writers of the same shard contend.
     ///
-    /// A load-factor trigger resizes the shard before the call returns, or,
-    /// on a thread that cannot wait for readers, leaves the resize to the
-    /// shard's [`RpHashMap::maintain`].
+    /// A load-factor trigger begins a resize of the shard, which a later
+    /// write to it finishes; the call waits for no reader.
     pub fn insert(&self, key: K, value: V) -> bool {
         let hash = self.hash_of(&key);
         self.shards[self.shard_of_hash(hash)].insert_prehashed(hash, key, value)
@@ -561,13 +559,15 @@ mod tests {
         for i in 0..1024 {
             map.insert(i, i);
         }
+        assert!(map.num_buckets() > 16);
+        // Finishes each shard's resize in flight, which a later write to
+        // the shard would have finished after its grace period.
+        map.check_invariants().unwrap();
         assert!(
             map.stats().total().expands >= 4,
             "expected per-shard auto-expansion, stats: {:?}",
             map.stats().total()
         );
-        assert!(map.num_buckets() > 16);
-        map.check_invariants().unwrap();
     }
 
     #[test]

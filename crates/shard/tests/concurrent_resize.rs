@@ -1,13 +1,15 @@
 //! Concurrent correctness: readers iterate and look up a stable key set at
 //! full speed while multiple shards resize continuously and writers churn
 //! other shards — two shards resizing while readers iterate, and a broader
-//! mixed-workload hammer — plus the writer's own inline resizes.
+//! mixed-workload hammer — plus the writers' own resizes, which wait for
+//! nothing.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use rp_hash::ResizePolicy;
+use rp_hash::{ResizePolicy, RpHashMap};
+use rp_rcu::{thread_synchronize_count, GraceSync};
 use rp_shard::{ShardPolicy, ShardedRpMap};
 
 const STABLE: u64 = 2048;
@@ -178,37 +180,43 @@ fn mixed_workload_with_batches_and_per_shard_resizes() {
     map.flush_retired();
 }
 
-/// A writer that may wait for readers resizes its shard before the write
-/// returns: after every insert, and after a bulk removal, no shard is
-/// mid-resize or outside its policy's load-factor bounds.
+/// Writers resize their shards and never wait for readers: the write that
+/// takes a shard over a load-factor trigger begins the resize, and once
+/// its grace period has elapsed the next write to the shard finishes it.
+/// Settled — a barrier sets each grace marker, then removals of keys never
+/// stored reach every shard — no shard is mid-resize or outside its
+/// policy's bounds, after the inserts and after a bulk removal.
 #[test]
-fn a_writer_that_may_wait_resizes_inline() {
+fn writers_resize_their_shards_without_waiting() {
+    let policy = ResizePolicy {
+        min_buckets: 8,
+        ..ResizePolicy::automatic()
+    };
     let map = ShardedRpMap::with_policy(ShardPolicy {
         shards: 2,
         initial_buckets_per_shard: 8,
-        per_shard: ResizePolicy {
-            auto_expand: true,
-            auto_shrink: true,
-            max_load_factor: 2.0,
-            min_load_factor: 0.25,
-            min_buckets: 8,
-            ..ResizePolicy::default()
-        },
+        per_shard: policy,
     });
-    let at_rest_inside_bounds = |map: &ShardedRpMap<u64, u64>| {
-        map.shards().iter().all(|shard| {
-            let (len, buckets) = (shard.len(), shard.num_buckets());
-            !shard.resize_in_progress()
-                && !shard.policy().should_expand(len, buckets)
-                && !shard.policy().should_shrink(len, buckets)
-        })
+    let settle = |map: &ShardedRpMap<u64, u64>| {
+        while map.shards().iter().any(RpHashMap::resize_in_progress) {
+            GraceSync::global().synchronize_and_reclaim();
+            (1 << 40..(1 << 40) + 64).for_each(|absent| assert!(!map.remove(&absent)));
+        }
+        for shard in map.shards() {
+            assert!(!policy.should_expand(shard.len(), shard.num_buckets()));
+            assert!(!policy.should_shrink(shard.len(), shard.num_buckets()));
+        }
     };
+    let waits = thread_synchronize_count();
     for k in 0..4000_u64 {
         map.insert(k, k);
-        assert!(at_rest_inside_bounds(&map), "after inserting {k}");
     }
+    assert_eq!(thread_synchronize_count(), waits, "an insert waited");
+    settle(&map);
     assert!(map.num_buckets() >= 2048);
+    let waits = thread_synchronize_count();
     assert_eq!(map.retain(|k, _| *k < 8), 3992);
-    assert!(at_rest_inside_bounds(&map), "bulk removal shrinks inline");
+    assert_eq!(thread_synchronize_count(), waits, "the removal waited");
+    settle(&map);
     map.check_invariants().unwrap();
 }
