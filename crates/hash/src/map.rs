@@ -130,9 +130,6 @@ pub struct RpHashMap<K, V, S = FoldBuildHasher> {
     /// Lock-free mirror of "a resize op is held" for
     /// [`RpHashMap::resize_in_progress`].
     pub(crate) resize_active: AtomicBool,
-    /// Monotonic id generator for resize operations (grace-wait
-    /// bookkeeping).
-    pub(crate) resize_ids: LockedCount,
     pub(crate) stats: AtomicMapStats,
     /// Where every node comes from and goes back to. Guarded by `writer`.
     slab: NodeSlab<K, V>,
@@ -199,7 +196,6 @@ impl<K, V, S> RpHashMap<K, V, S> {
             len: LockedCount::default(),
             policy,
             resize_active: AtomicBool::new(false),
-            resize_ids: LockedCount::default(),
             stats: AtomicMapStats::default(),
             slab: NodeSlab::new(),
         }
@@ -934,12 +930,12 @@ mod tests {
         RpHashMap::with_buckets_and_hasher(buckets, FnvBuildHasher)
     }
 
-    /// Runs automatic resizing to rest: a barrier sets the grace marker of
+    /// Runs automatic resizing to rest: a grace period covers the cookie of
     /// the resize in flight, and the next write (here, of nothing) finishes
     /// it and begins the next one the policy asks for.
     fn settle(map: &Map) {
         while map.resize_in_progress() {
-            GraceSync::global().synchronize_and_reclaim();
+            GraceSync::global().synchronize();
             assert!(!map.remove(&u64::MAX));
         }
     }
@@ -966,7 +962,6 @@ mod tests {
                 (offset_of!(M<S>, writer), size_of::<Mutex<()>>()),
                 (offset_of!(M<S>, len), size_of::<LockedCount>()),
                 (offset_of!(M<S>, stats), size_of::<AtomicMapStats>()),
-                (offset_of!(M<S>, resize_ids), size_of::<LockedCount>()),
                 (offset_of!(M<S>, slab), size_of::<NodeSlab<u64, u64>>()),
             ] {
                 assert!(!lines.contains(&(stored / 128)), "{stored} in {lines:?}");
@@ -1090,7 +1085,6 @@ mod tests {
             map.insert(key, key + 1000);
         }
         assert!(map.begin_expand());
-        map.advance_resize();
         assert!(map.resize_in_progress());
         let guard = map.pin();
         for key in 0..64_u64 {
@@ -1108,7 +1102,7 @@ mod tests {
             assert_eq!(map.prefetch_prehashed(!hash, 128, &guard), None);
         }
         drop(guard);
-        while map.advance_resize() != crate::ResizeStep::Idle {}
+        while map.finish_resize() {}
         map.check_invariants().unwrap();
         assert_eq!(map.len(), 64);
     }

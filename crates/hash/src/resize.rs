@@ -1,5 +1,5 @@
-//! The paper's resize algorithms: zip (shrink) and unzip (expand), split
-//! into an **incremental state machine**.
+//! The paper's resize algorithms: zip (shrink) and unzip (expand), each
+//! split into a **begin** and a **finish** a grace period apart.
 //!
 //! Both algorithms preserve the reader-visible invariant at every instant:
 //! *every bucket reachable from the published table contains every element
@@ -15,16 +15,9 @@
 //! chain) keeps the order. Unzipping a chain is therefore one cut: end its
 //! low prefix.
 //!
-//! # The state machine
+//! # Begin, grace period, finish
 //!
-//! A resize is a first-class *operation object* ([`ResizeOp`], stored
-//! inside the map) that any thread can push forward one bounded
-//! [`ResizeStep`] at a time:
-//!
-//! ```text
-//! expand:  begin(+publish new table) → grace → cut + finish
-//! shrink:  begin(+publish new table) → grace → finish
-//! ```
+//! A resize in flight is a [`ResizeOp`], held by the map's writer lock.
 //!
 //! * **begin** allocates and links the new bucket array and publishes it in
 //!   one writer-lock critical section (linking and publishing cannot be
@@ -32,46 +25,42 @@
 //!   that instant). It is one pass: an expand walks each old chain's low
 //!   prefix, points each new bucket at its side's first node and records
 //!   the pairs that hold nodes on both sides, with the last low node each
-//!   walk ended on; a shrink visits each pair of old heads once.
-//! * **grace** steps wait for readers with the writer lock *released*, and
-//!   only on the explicit path (an automatic resize waits for nothing,
-//!   below). It is a rule, not an optimisation: a QSBR-online thread that
-//!   writes to the map announces its quiescent state only after its write,
-//!   so whoever waited for it while holding the lock that write needs would
-//!   wait forever.
-//! * **finish** takes the writer lock once and waits for nothing. An expand
-//!   first ends each recorded pair's low chain where its high run begins;
-//!   no second grace period is owed for that cut (DESIGN.md, *Expand =
-//!   unzip*). The cut stores to the last low node `begin` remembered, and
-//!   walks a low run again only for the pairs a writer stored to since.
+//!   walk ended on; a shrink visits each pair of old heads once. Then it
+//!   takes a [`GraceSync::cookie`]: the op's grace period is the one that
+//!   covers it.
+//! * **finish** runs once the cookie polls `true`, under the writer lock,
+//!   and waits for nothing. It frees the superseded array, and an expand
+//!   ends each recorded pair's low chain where its high run begins, at the
+//!   last low node `begin` remembered unless a writer stored to that chain
+//!   since; no second grace period is owed for that cut (DESIGN.md,
+//!   *Expand = unzip*).
 //!
-//! [`RpHashMap::expand`], [`RpHashMap::shrink`] and [`RpHashMap::resize_to`]
-//! go through one driver, [`RpHashMap::drive_resizes`]: finish whatever
-//! resize is in flight, begin the next one asked for, step it to
-//! [`ResizeStep::Finished`] through [`RpHashMap::advance_resize`], paying its
-//! grace period with nothing held. Automatic resizes have one driver too,
-//! the writers, and none of them waits ([`RpHashMap::step_to_policy_locked`]):
-//! the write that takes the table over a load-factor bound begins the resize
-//! and queues a grace marker on the reclaim thread; the first write to find
-//! the marker set finishes it. The marker is queued after the publish, so
-//! the pass that sets it waited out a grace period that began after it.
+//! A write finishes the op in flight if its cookie polls `true`
+//! ([`RpHashMap::step_to_policy_locked`]); the write that makes a resize
+//! due begins it and wakes the reclaim thread, whose next pass covers the
+//! cookie. [`RpHashMap::finish_resize`], which [`RpHashMap::expand`],
+//! [`RpHashMap::shrink`] and [`RpHashMap::resize_to`] call through
+//! [`RpHashMap::drive_resizes`], waits for the cookie through
+//! [`GraceSync::synchronize_until`] with the writer lock *released*: a
+//! QSBR-online thread that writes to the map announces its quiescent state
+//! only after its write, so whoever waited for it while holding the lock
+//! that write needs would wait forever.
 //!
-//! # Writer mutations between steps
+//! # Writer mutations between begin and finish
 //!
-//! Because the writer lock is released between steps, insertions and
-//! removals interleave with an in-progress unzip. Until the cut, a pair's
-//! low chain runs on into its high chain, so the first high node it reaches
-//! has two predecessors; the one unlink, [`LockedTable::swap_out`],
-//! repoints the low chain's link too. Writers never give a pair a second
-//! link between its chains, so the pairs `begin` recorded are all the cut
-//! has to visit. Every store a writer makes to a chain goes through
-//! [`LockedTable::link_after`] or the unlink, and both forget the pair's
-//! remembered last low node when the chain is a low one: the node may have
-//! left the chain, or stopped being its last low node.
+//! Insertions and removals interleave with an unzip in flight. Until the
+//! cut, a pair's low chain runs on into its high chain, so the first high
+//! node it reaches has two predecessors; the one unlink,
+//! [`LockedTable::swap_out`], repoints the low chain's link too. Writers
+//! never give a pair a second link between its chains, so the pairs
+//! `begin` recorded are all the cut has to visit. Every store a writer
+//! makes to a chain goes through [`LockedTable::link_after`] or the
+//! unlink, and both forget the pair's remembered last low node when the
+//! chain is a low one: the node may have left the chain, or stopped being
+//! its last low node.
 
 use std::hash::{BuildHasher, Hash};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 
 use rp_rcu::GraceSync;
 
@@ -83,86 +72,22 @@ use crate::table::{BucketArray, LockedTable, Remembered};
 /// near enough for the line to still be in cache when it does.
 pub(crate) const HINT_AHEAD: usize = 16;
 
-/// Telemetry: a resize began (`expand = true` for unzip, `false` for zip).
-fn observe_resize_begin(expand: bool) {
-    let obs = rp_obs::global();
-    obs.resize.begun_total.inc();
-    obs.trace
-        .record(rp_obs::TraceKind::ResizeBegin, u64::from(expand));
-}
-
-/// Telemetry: a resize absorbed one grace-period wait (timed when enabled).
-fn observe_resize_grace(timer: Option<std::time::Instant>) {
-    if let Some(ns) = rp_obs::elapsed_ns(timer) {
-        let obs = rp_obs::global();
-        obs.resize.grace_wait_ns.record(ns);
-        obs.trace.record(rp_obs::TraceKind::ResizeGrace, ns);
-    }
-}
-
-/// Telemetry: one bounded restructuring step ran; counts completions even
-/// with timing disabled.
-fn observe_resize_step(timer: Option<std::time::Instant>, step: ResizeStep) {
-    let obs = rp_obs::global();
-    if step != ResizeStep::Idle {
-        if let Some(ns) = rp_obs::elapsed_ns(timer) {
-            obs.resize.step_ns.record(ns);
-        }
-    }
-    if step == ResizeStep::Finished {
-        obs.resize.finished_total.inc();
-        obs.trace.record(rp_obs::TraceKind::ResizeFinish, 0);
-    }
-}
-
-/// The outcome of one [`RpHashMap::advance_resize`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResizeStep {
-    /// No resize is in progress; nothing was done.
-    Idle,
-    /// Waited for one grace period (with the writer lock released).
-    Grace,
-    /// The resize completed under the writer lock, without waiting: an
-    /// expand's chains were cut apart, and the bookkeeping was torn down.
-    Finished,
-}
-
 /// The resize [`RpHashMap::drive_resizes`] is asked to begin next.
 enum Begin {
     Expand,
     Shrink,
 }
 
-/// An in-progress incremental resize (guarded by the map's writer lock).
+/// A resize in flight (guarded by the map's writer lock).
 pub(crate) struct ResizeOp<K, V> {
-    /// Unique id (per map), so concurrent advancers can tell which wait
-    /// they resolved.
-    id: u64,
-    /// The superseded bucket array, until the grace period after its
-    /// replacement has elapsed (its chain nodes live on, shared with the
-    /// new table). `Some` is the op's one pending grace period.
-    old_table: Option<Box<BucketArray<K, V>>>,
+    /// The cookie [`GraceSync::cookie`] gave `begin` after the publish:
+    /// once it polls `true`, no reader walks the superseded array.
+    grace: u64,
+    /// The superseded bucket array, freed by whoever finishes the op (its
+    /// chain nodes live on, shared with the new table).
+    old_table: Box<BucketArray<K, V>>,
     /// An expand's pairs; `None` for a shrink.
     pub(crate) unzip: Option<Unzip<K, V>>,
-    /// An automatic op's grace marker: set by the reclaim thread once a
-    /// grace period has elapsed since the publish. `None` for an explicit
-    /// op, whose driver waits for its grace period itself.
-    marker: Option<Arc<AtomicBool>>,
-}
-
-impl<K, V> ResizeOp<K, V> {
-    /// The op's id while it waits on its grace period.
-    fn grace_pending(&self) -> Option<u64> {
-        self.old_table.is_some().then_some(self.id)
-    }
-
-    /// `true` once an automatic op's grace marker is set: the post-grace
-    /// steps may run, and wait for nothing.
-    fn marked(&self) -> bool {
-        self.marker
-            .as_ref()
-            .is_some_and(|marker| marker.load(Ordering::Acquire))
-    }
 }
 
 /// An expand's pairs: pair `o` is new buckets `o` (low) and
@@ -244,39 +169,29 @@ where
     }
 
     /// A write's automatic resize step, under `held`, the writer lock it
-    /// took: finish the automatic resize in flight once its grace marker is
-    /// set (an op whose marker is unset, or an explicit one, is left alone),
-    /// then begin the next one the policy asks for. Never waits. A step
-    /// counts as one `maint_slices_total` slice, timed into `maint_slice_ns`.
+    /// took: finish the resize in flight once its cookie polls `true` (one
+    /// still waiting is left alone), then begin the next one the policy
+    /// asks for. Never waits. A step counts as one `maint_slices_total`
+    /// slice, timed into `maint_slice_ns`.
     pub(crate) fn step_to_policy_locked(&self, held: &WriterGuard<'_, K, V>) {
-        let marked = match &*held.borrow() {
-            None => None,
-            Some(op) if op.marked() => Some(op.id),
+        let sync = GraceSync::global();
+        let due = match &*held.borrow() {
+            None => false,
+            Some(op) if sync.poll(op.grace) => true,
             Some(_) => return,
         };
         let timer = rp_obs::timer();
-        if let Some(id) = marked {
-            // Chaos hook, before any mutation: an injected panic unwinds
-            // out of this write with the op intact and its marker set, for
-            // the next write to finish.
-            let _ = rp_fault::point("hash.resize.step");
-            self.resolve_grace_locked(held, id);
-            let step = self.resize_work_step_locked(held);
-            observe_resize_step(timer, step);
+        if due {
+            self.finish_locked(held);
         }
         let begun = self
             .wanted(self.len(), self.table_locked(held).len())
             .is_some_and(|begin| self.begin_locked(held, begin));
         if begun {
-            // The marker is queued behind the publish, for the reclaim
-            // thread to set once it has waited out a grace period.
-            let marker = Arc::new(AtomicBool::new(false));
-            held.borrow_mut().as_mut().expect("just begun").marker = Some(Arc::clone(&marker));
-            let sync = GraceSync::global();
-            sync.defer(move || marker.store(true, Ordering::Release));
+            // The reclaim thread's next pass covers the new op's cookie.
             sync.wake_reclaimer();
         }
-        if marked.is_some() || begun {
+        if due || begun {
             let obs = rp_obs::global();
             obs.maint.slices_total.inc();
             if let Some(ns) = rp_obs::elapsed_ns(timer) {
@@ -299,14 +214,8 @@ where
 
     /// The explicit resize driver. Until `next` — shown the entry and bucket
     /// counts of the table at rest — asks for nothing, or a policy bound
-    /// refuses what it asks for: begin that resize and step it to
-    /// [`ResizeStep::Finished`].
-    ///
-    /// Every grace period is waited for inside
-    /// [`RpHashMap::advance_resize`], with the writer lock **released**:
-    /// the readers being waited for may themselves be writers (a QSBR-online
-    /// worker in the middle of its batch), and one of them blocked on this
-    /// map's writer lock would never reach its quiescent state.
+    /// refuses what it asks for: begin that resize and finish it
+    /// ([`RpHashMap::finish_resize`], which waits with the lock released).
     fn drive_resizes(&self, mut next: impl FnMut(usize, usize) -> Option<Begin>) {
         loop {
             let guard = self.lock_at_rest();
@@ -323,18 +232,13 @@ where
     /// Begins `begin` under `held`, this map's writer lock; returns `false`
     /// if a resize is in progress or a policy bound refuses it.
     fn begin_locked(&self, held: &WriterGuard<'_, K, V>, begin: Begin) -> bool {
+        if held.borrow().is_some() {
+            return false;
+        }
         match begin {
             Begin::Expand => self.begin_unzip_locked(held),
             Begin::Shrink => self.begin_zip_locked(held),
         }
-    }
-
-    /// Steps the resize in flight, if any, to its end.
-    fn finish_resize(&self) {
-        while !matches!(
-            self.advance_resize(),
-            ResizeStep::Finished | ResizeStep::Idle
-        ) {}
     }
 
     /// Takes the writer lock with no resize in flight, first finishing —
@@ -351,9 +255,9 @@ where
         }
     }
 
-    /// Returns `true` if an incremental resize (begun with
+    /// Returns `true` if a resize (begun by a write, or with
     /// [`RpHashMap::begin_expand`] or [`RpHashMap::begin_shrink`]) has not
-    /// yet reached its [`ResizeStep::Finished`] step.
+    /// finished yet.
     ///
     /// This is a lock-free snapshot; it can be stale by the time the caller
     /// acts on it.
@@ -368,11 +272,10 @@ where
     ///
     /// Returns `false` (and does nothing) if a resize is already in progress
     /// or the policy's `max_buckets` bound is reached. On success the caller
-    /// (or any other thread) must repeatedly call
-    /// [`RpHashMap::advance_resize`] until it reports
-    /// [`ResizeStep::Finished`].
+    /// (or any other thread) finishes it with [`RpHashMap::finish_resize`];
+    /// a write finishes it too, once its grace period has passed.
     pub fn begin_expand(&self) -> bool {
-        self.begin_unzip_locked(&self.writer_lock())
+        self.begin_locked(&self.writer_lock(), Begin::Expand)
     }
 
     /// Starts an incremental shrink: links the collapsing chains together
@@ -380,67 +283,41 @@ where
     /// critical section, with **no grace-period wait**.
     ///
     /// Returns `false` (and does nothing) if a resize is already in progress
-    /// or the policy's `min_buckets` bound is reached. Drive it with
-    /// [`RpHashMap::advance_resize`] like an expansion.
+    /// or the policy's `min_buckets` bound is reached. Finish it like an
+    /// expansion.
     pub fn begin_shrink(&self) -> bool {
-        self.begin_zip_locked(&self.writer_lock())
+        self.begin_locked(&self.writer_lock(), Begin::Shrink)
     }
 
-    /// Advances the in-progress resize by one bounded step and reports what
-    /// was done.
-    ///
-    /// *Grace steps* release the writer lock for the duration of the wait,
-    /// so concurrent writers keep making progress — this is what keeps a
-    /// resize from deadlocking against a QSBR-online writer. The *finish*
-    /// step takes the writer lock for one pass over the pairs an expand
-    /// recorded, and waits for nothing.
-    ///
-    /// Safe to call from any thread, including concurrently with writers
-    /// and with other advancers; the only requirement is the usual one for
-    /// grace periods — the calling thread must not hold an [`rp_rcu`] read
-    /// guard.
-    pub fn advance_resize(&self) -> ResizeStep {
-        // Chaos hook, *before* the writer lock: an injected delay widens
-        // the window between state-machine steps, and an injected panic
-        // lands at a step boundary — the table is reader-consistent and no
-        // lock is held, so the resize is simply left mid-flight for the
-        // next advancer to finish, or for the map's drop.
-        let _ = rp_fault::point("hash.resize.step");
+    /// Finishes the resize in flight, if any: waits, with the writer lock
+    /// released, until its grace period has passed (not at all if the
+    /// reclaim thread has seen it out), then frees the superseded array and
+    /// cuts an expand's chains under the lock. Returns `false` if no resize
+    /// was in flight; on `true` it has finished, by this call or a write.
+    /// The calling thread must not hold an [`rp_rcu`] guard or be
+    /// QSBR-online.
+    pub fn finish_resize(&self) -> bool {
+        let grace = self.writer_lock().borrow().as_ref().map(|op| op.grace);
+        let Some(grace) = grace else { return false };
+        // The lock is released: some writers are the readers the wait is
+        // for. A write may finish the op meanwhile, and begin another,
+        // finished here only if its cookie is covered too.
+        let sync = GraceSync::global();
+        sync.synchronize_until(grace);
         let guard = self.writer_lock();
-        let pending = match &*guard.borrow() {
-            None => return ResizeStep::Idle,
-            Some(op) => op.grace_pending(),
-        };
-        match pending {
-            Some(id) => {
-                // Wait for readers with the writer lock released: this is
-                // the step a resizer spends nearly all its time in, and
-                // writers must not be blocked behind it — some of them are
-                // the readers being waited for. The wait goes through
-                // `GraceSync`, covering QSBR readers of this map's chains
-                // as well as EBR guards.
-                drop(guard);
-                let timer = rp_obs::timer();
-                GraceSync::global().synchronize();
-                observe_resize_grace(timer);
-                self.resolve_grace_locked(&self.writer_lock(), id);
-                ResizeStep::Grace
-            }
-            None => {
-                let timer = rp_obs::timer();
-                let step = self.resize_work_step_locked(&guard);
-                observe_resize_step(timer, step);
-                step
-            }
+        let due = guard
+            .borrow()
+            .as_ref()
+            .is_some_and(|op| sync.poll(op.grace));
+        if due {
+            self.finish_locked(&guard);
         }
+        true
     }
 
-    /// `begin` for expansion, under `held`, this map's writer lock; returns
-    /// `false` if a resize is in progress or the table cannot grow.
+    /// `begin` for expansion, under `held`, this map's writer lock, with no
+    /// resize in flight; returns `false` if the table cannot grow.
     fn begin_unzip_locked(&self, held: &WriterGuard<'_, K, V>) -> bool {
-        if held.borrow().is_some() {
-            return false;
-        }
         // Chaos hook, inside the writer-lock critical section but before
         // any mutation: an injected panic here unwinds while holding the
         // writer lock, exercising the poisoned-lock recovery semantics
@@ -491,30 +368,20 @@ where
 
         // Phase 2: publish the new table. After one grace period every
         // reader starts from the new (imprecise) buckets, the old array can
-        // be freed and the chains cut; that wait is the op's pending step.
-        let op = ResizeOp {
-            id: self.resize_ids.add(1, held),
-            old_table: Some(old_table.publish(new_table)),
-            unzip: Some(Unzip {
-                old_buckets,
-                to_cut,
-                ranks,
-                last_low,
-            }),
-            marker: None,
+        // be freed and the chains cut.
+        let unzip = Unzip {
+            old_buckets,
+            to_cut,
+            ranks,
+            last_low,
         };
-        *held.borrow_mut() = Some(op);
-        self.resize_active.store(true, Ordering::Release);
-        observe_resize_begin(true);
+        self.hold_locked(held, old_table.publish(new_table), Some(unzip));
         true
     }
 
-    /// `begin` for shrinking, under `held`, this map's writer lock; returns
-    /// `false` if a resize is in progress or the table cannot shrink.
+    /// `begin` for shrinking, under `held`, this map's writer lock, with no
+    /// resize in flight; returns `false` if the table cannot shrink.
     fn begin_zip_locked(&self, held: &WriterGuard<'_, K, V>) -> bool {
-        if held.borrow().is_some() {
-            return false;
-        }
         let old_table = self.table_locked(held);
         let old_buckets = old_table.len();
         if old_buckets <= self.policy().min_buckets.max(1) || old_buckets == 1 {
@@ -545,43 +412,48 @@ where
             tail.link(Some(&high));
         }
 
-        // Phase 2: publish the new table; the grace period that lets the
-        // old array be freed is the op's one pending step.
-        let op = ResizeOp {
-            id: self.resize_ids.add(1, held),
-            old_table: Some(old_table.publish(new_table)),
-            unzip: None,
-            marker: None,
-        };
-        *held.borrow_mut() = Some(op);
-        self.resize_active.store(true, Ordering::Release);
-        observe_resize_begin(false);
+        // Phase 2: publish the new table; once a grace period has passed the
+        // old array can be freed.
+        self.hold_locked(held, old_table.publish(new_table), None);
         true
     }
 
-    /// Marks op `id`'s grace period as elapsed and frees the array it
-    /// superseded, if the op is still waiting on it (a concurrent advancer
-    /// may have resolved it, or the op may have finished and been replaced).
-    fn resolve_grace_locked(&self, held: &WriterGuard<'_, K, V>, id: u64) {
-        if let Some(op) = held.borrow_mut().as_mut() {
-            if op.grace_pending() == Some(id) {
-                drop(op.old_table.take());
-                self.stats.resize_grace_periods.add(1, held);
-            }
-        }
+    /// `begin`'s last step, under `held`, right after the publish: holds the
+    /// superseded array and an expand's pairs as the resize in flight, with
+    /// the cookie of the grace period that follows the publish.
+    fn hold_locked(
+        &self,
+        held: &WriterGuard<'_, K, V>,
+        old_table: Box<BucketArray<K, V>>,
+        unzip: Option<Unzip<K, V>>,
+    ) {
+        let obs = rp_obs::global();
+        obs.resize.begun_total.inc();
+        let expand = u64::from(unzip.is_some());
+        obs.trace.record(rp_obs::TraceKind::ResizeBegin, expand);
+        let grace = GraceSync::global().cookie();
+        *held.borrow_mut() = Some(ResizeOp {
+            grace,
+            old_table,
+            unzip,
+        });
+        self.resize_active.store(true, Ordering::Release);
     }
 
-    /// Finishes the resize in flight: cuts an expand's recorded pairs, then
-    /// tears the op down. Must only be called when no grace period is
-    /// pending.
-    fn resize_work_step_locked(&self, held: &WriterGuard<'_, K, V>) -> ResizeStep {
+    /// Finishes the resize in flight, whose grace period has passed, under
+    /// `held`: frees the array it superseded, cuts an expand's recorded
+    /// pairs and tears the op down. Waits for nothing.
+    fn finish_locked(&self, held: &WriterGuard<'_, K, V>) {
+        // Chaos hook, before any mutation: an injected panic unwinds with
+        // the op intact, for the next write or finisher to finish.
+        let _ = rp_fault::point("hash.resize.step");
+        let timer = rp_obs::timer();
         // Out of the lock's cell before the cut: the cut's stores go through
         // `LockedTable::link_after`, which looks in the cell for an unzip to
         // forget them in.
-        let Some(op) = held.borrow_mut().take() else {
-            return ResizeStep::Idle;
-        };
-        debug_assert!(op.grace_pending().is_none(), "grace period still pending");
+        let op = held.borrow_mut().take().expect("a resize in flight");
+        debug_assert!(GraceSync::global().poll(op.grace), "grace period pending");
+        drop(op.old_table);
         match &op.unzip {
             Some(unzip) => {
                 let cuts = cut_pairs(&self.table_locked(held), unzip);
@@ -594,25 +466,26 @@ where
             }
         }
         self.resize_active.store(false, Ordering::Release);
-        ResizeStep::Finished
+        let obs = rp_obs::global();
+        if let Some(ns) = rp_obs::elapsed_ns(timer) {
+            obs.resize.step_ns.record(ns);
+        }
+        obs.resize.finished_total.inc();
+        obs.trace.record(rp_obs::TraceKind::ResizeFinish, 0);
     }
 
     /// Verifies the reader-visible invariant: every entry is reachable from
     /// the bucket its hash maps to in the current table, and every chain is
     /// sorted by `hash.reverse_bits()`.
     ///
-    /// Intended for tests and debugging; drives any in-progress incremental
-    /// resize to completion (grace periods waited for with the writer lock
-    /// released, like every resize) and checks under the writer lock once it
-    /// holds it with no resize in flight, so it sees a precise table.
+    /// Intended for tests and debugging; finishes any resize in flight
+    /// ([`RpHashMap::finish_resize`]) and checks under the writer lock once
+    /// it holds it with no resize in flight, so it sees a precise table.
     ///
     /// # Panics
     ///
-    /// Because completing an in-progress resize waits for grace periods,
-    /// calling this while the current thread holds an [`rp_rcu`] read guard
-    /// *and* a resize is in flight panics (via
-    /// [`rp_rcu::GraceSync::synchronize`]'s self-deadlock check); drop the
-    /// guard first.
+    /// As [`RpHashMap::finish_resize`], if it has to wait for a grace
+    /// period while the calling thread holds an [`rp_rcu`] guard.
     pub fn check_invariants(&self) -> Result<(), String> {
         let held = self.lock_at_rest();
         let table = self.table_locked(&held);
@@ -688,7 +561,8 @@ fn cut_pairs<K, V>(table: &LockedTable<'_, K, V>, unzip: &Unzip<K, V>) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use super::ResizeStep;
+    use rp_rcu::GraceSync;
+
     use crate::{FnvBuildHasher, ResizePolicy, RpHashMap};
 
     type Map = RpHashMap<u64, u64, FnvBuildHasher>;
@@ -827,24 +701,21 @@ mod tests {
         map.check_invariants().unwrap();
     }
 
+    /// Runs `resize` and asserts it waited for one grace period at most:
+    /// none if the reclaim thread's pass covered its cookie first.
+    fn waits_once(resize: impl FnOnce()) {
+        let before = rp_rcu::thread_synchronize_count();
+        resize();
+        let waited = rp_rcu::thread_synchronize_count() - before;
+        assert!(waited <= 1, "{waited} grace periods");
+    }
+
     #[test]
     fn grace_periods_accounted_per_resize() {
         let map = filled(4, 64);
-        let before = map.stats().resize_grace_periods;
-        map.shrink();
-        let after_shrink = map.stats().resize_grace_periods;
-        assert_eq!(
-            after_shrink - before,
-            1,
-            "shrink must wait exactly one grace period"
-        );
-        map.expand();
-        let after_expand = map.stats().resize_grace_periods;
-        assert_eq!(
-            after_expand - after_shrink,
-            1,
-            "expand must wait exactly one grace period"
-        );
+        waits_once(|| map.shrink());
+        waits_once(|| map.expand());
+        assert_eq!(map.stats().resizes(), 2);
     }
 
     #[test]
@@ -852,10 +723,8 @@ mod tests {
         for per_bucket in [1, 2, 8] {
             let map = filled(1024, 1024 * per_bucket);
             let before = map.stats();
-            map.expand();
+            waits_once(|| map.expand());
             let after = map.stats();
-            let waits = after.resize_grace_periods - before.resize_grace_periods;
-            assert_eq!(waits, 1, "{per_bucket} entries per bucket");
             assert_eq!(after.unzip_rounds - before.unzip_rounds, 1);
             assert_all_present(&map, 1024 * per_bucket);
             map.check_invariants().unwrap();
@@ -868,7 +737,7 @@ mod tests {
         assert!(map.check_invariants().is_ok());
     }
 
-    // ---- incremental state-machine tests ----
+    // ---- begin, writes, finish ----
 
     /// A map that doubles past load factor 1 on its own, from 4 buckets.
     fn auto_expanding() -> Map {
@@ -897,17 +766,18 @@ mod tests {
                 // grace period waits for this thread.
                 assert_eq!((map.num_buckets(), map.resize_in_progress()), (8, true));
                 drop(guard);
-                // Once the marker is set, one more write finishes the
-                // resize in flight and begins the next one.
-                let marked = || {
+                // Once the reclaim thread's pass covers the cookie, one
+                // more write finishes the resize in flight and begins the
+                // next one.
+                let covered = || {
                     map.writer_lock()
                         .borrow()
                         .as_ref()
-                        .is_some_and(super::ResizeOp::marked)
+                        .is_some_and(|op| GraceSync::global().poll(op.grace))
                 };
                 let mut rounds = 0;
                 while map.resize_in_progress() {
-                    while !marked() {
+                    while !covered() {
                         handle.as_mut().map(crate::QsbrReadHandle::quiescent_state);
                         std::thread::yield_now();
                     }
@@ -932,8 +802,8 @@ mod tests {
     fn qsbr_online_writers_race_through_begin_and_cut() {
         // Two event-loop workers, QSBR-online until each batch ends, insert
         // into one map, each beginning the resizes its inserts make due and
-        // finishing those whose marker is set. A marker's grace period ends
-        // only when both have ended a batch, so a writer that waited for it
+        // finishing those whose cookie is covered. A grace period ends only
+        // when both have ended a batch, so a writer that waited for one
         // would stop both.
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
@@ -973,25 +843,16 @@ mod tests {
         assert!(map.resize_in_progress());
         // The new table is published immediately; lookups work throughout.
         assert_eq!(map.num_buckets(), 8);
+        assert_all_present(&map, 128);
         assert!(!map.begin_expand(), "only one resize at a time");
         assert!(!map.begin_shrink(), "only one resize at a time");
 
-        let mut steps = Vec::new();
-        loop {
-            let step = map.advance_resize();
-            if step == ResizeStep::Finished {
-                break;
-            }
-            assert_all_present(&map, 128);
-            steps.push(step);
-            assert!(steps.len() < 1000, "resize failed to converge: {steps:?}");
-        }
+        waits_once(|| assert!(map.finish_resize()));
         assert!(!map.resize_in_progress());
-        assert_eq!(map.advance_resize(), ResizeStep::Idle);
-        assert_eq!(steps, [ResizeStep::Grace], "one grace period, then the cut");
+        assert!(!map.finish_resize(), "nothing left in flight");
+        assert_eq!(map.stats().expands, 1);
         assert_all_present(&map, 128);
         map.check_invariants().unwrap();
-        assert_eq!(map.stats().expands, 1);
     }
 
     #[test]
@@ -999,13 +860,11 @@ mod tests {
         let map = filled(16, 64);
         assert!(map.begin_shrink());
         assert_eq!(map.num_buckets(), 8);
-        assert_eq!(map.advance_resize(), ResizeStep::Grace);
-        assert_eq!(map.advance_resize(), ResizeStep::Finished);
-        assert_eq!(map.advance_resize(), ResizeStep::Idle);
+        waits_once(|| assert!(map.finish_resize()));
+        assert!(!map.finish_resize());
         assert_all_present(&map, 64);
         map.check_invariants().unwrap();
         assert_eq!(map.stats().shrinks, 1);
-        assert_eq!(map.stats().resize_grace_periods, 1);
     }
 
     #[test]
@@ -1017,12 +876,10 @@ mod tests {
         map.shrink();
         let before = map.stats();
         assert!(map.begin_expand());
-        assert_eq!(map.advance_resize(), ResizeStep::Grace);
-        assert_eq!(map.advance_resize(), ResizeStep::Finished);
+        waits_once(|| assert!(map.finish_resize()));
         let after = map.stats();
         assert_eq!(after.unzip_rounds - before.unzip_rounds, 1);
         assert_eq!(after.unzip_splices - before.unzip_splices, 32);
-        assert_eq!(after.resize_grace_periods - before.resize_grace_periods, 1);
         assert_all_present(&map, 640);
         map.check_invariants().unwrap();
     }
@@ -1055,58 +912,86 @@ mod tests {
         }
     }
 
-    #[test]
-    fn writers_between_begin_and_the_cut_keep_both_chains_whole() {
-        // Pair 0 of a 2 -> 4 expand, keyed by hash: low bucket 0 holds
-        // hashes 4 and 12, high bucket 2 holds 6 and 14. In reversed-hash
-        // order the old chain is 4, 12, 6, 14.
+    /// Pair 0 of a 2 -> 4 expand, keyed by hash: low bucket 0 holds hashes
+    /// 4 and 12, high bucket 2 holds 6 and 14, and in reversed-hash order
+    /// the old chain is 4, 12, 6, 14. The expand is begun under the
+    /// returned guard, so no write finishes it while the guard is held.
+    /// Then 2 is a new high head before the pair's first high node, and 28 a
+    /// low node after the last low node: 6 has two predecessors, 2 and 28.
+    fn two_predecessors() -> (Map, rp_rcu::RcuGuard<'static>) {
         let map: Map = RpHashMap::with_buckets_and_hasher(2, FnvBuildHasher);
-        let present = |map: &Map, keys: &[u64]| {
-            let guard = map.pin();
-            for &key in keys {
-                let value = map.get_prehashed(key, &key, &guard);
-                assert_eq!(value, Some(&(key * 10)), "key {key}");
-            }
-        };
         for key in [4, 12, 6, 14] {
             map.insert_prehashed(key, key, key * 10);
         }
+        let guard = map.pin();
         assert!(map.begin_expand());
-        assert_eq!(map.advance_resize(), ResizeStep::Grace);
-        // A high node before the pair's first high node: a new high head.
         map.insert_prehashed(2, 2, 20);
-        // A low node after the last low node, linked to 6.
         map.insert_prehashed(28, 28, 280);
         present(&map, &[2, 4, 6, 12, 14, 28]);
-        // 6 is the node with two predecessors: 2, and 28 in the low chain.
-        // Each time one goes, its slot is freed and taken by the next
-        // insert, of a low node sorted after the low chain's last: a low
-        // chain still linked to the slot would lead that insert's walk to
-        // the very node it is inserting.
-        assert!(!map.insert_prehashed(6, 6, 60));
-        map.flush_retired();
-        assert!(map.insert_prehashed(60, 60, 600));
-        present(&map, &[2, 4, 6, 12, 14, 28, 60]);
-        assert!(map.remove_prehashed(6, &6));
-        map.flush_retired();
-        assert!(map.insert_prehashed(124, 124, 1240));
-        present(&map, &[2, 4, 12, 14, 28, 60, 124]);
-        // Every low node goes: the low head is then 14, a high node.
-        for key in [4, 12, 28, 60, 124] {
+        (map, guard)
+    }
+
+    /// Every key of `keys` maps to ten times itself.
+    fn present(map: &Map, keys: &[u64]) {
+        let guard = map.pin();
+        for &key in keys {
+            let value = map.get_prehashed(key, &key, &guard);
+            assert_eq!(value, Some(&(key * 10)), "key {key}");
+        }
+    }
+
+    #[test]
+    fn writers_between_begin_and_the_cut_keep_both_chains_whole() {
+        // Each time 6 goes, replaced or removed, its slot is freed a grace
+        // period later and taken by the next insert, of a low node sorted
+        // after the low chain's last: a low chain still linked to the slot
+        // would lead that insert's walk to the very node it is inserting.
+        // That grace period covers the expand's cookie too, so the insert
+        // that takes the slot is the write that then finishes the expand.
+        type Write = fn(&Map) -> bool;
+        let goes: [(Write, u64, &[u64]); 2] = [
+            (
+                |map| !map.insert_prehashed(6, 6, 60),
+                60,
+                &[2, 4, 6, 12, 14, 28, 60],
+            ),
+            (
+                |map| map.remove_prehashed(6, &6),
+                124,
+                &[2, 4, 12, 14, 28, 124],
+            ),
+        ];
+        for (six_goes, key, after) in goes {
+            let (map, guard) = two_predecessors();
+            assert!(six_goes(&map));
+            drop(guard);
+            map.flush_retired();
+            assert!(map.insert_prehashed(key, key, key * 10));
+            assert!(!map.resize_in_progress(), "the insert finished the expand");
+            present(&map, after);
+            map.check_invariants().unwrap();
+            assert_eq!(map.len(), after.len());
+            map.flush_retired();
+        }
+
+        // Every low node goes: the low head is then 6, a high node.
+        let (map, guard) = two_predecessors();
+        for key in [4, 12, 28] {
             assert!(map.remove_prehashed(key, &key));
         }
-        present(&map, &[2, 14]);
+        present(&map, &[2, 6, 14]);
+        drop(guard);
         let before = map.stats().unzip_splices;
-        assert_eq!(map.advance_resize(), ResizeStep::Finished);
+        assert!(map.finish_resize());
         assert_eq!(map.stats().unzip_splices - before, 1, "the head is cut");
         map.check_invariants().unwrap();
-        present(&map, &[2, 14]);
+        present(&map, &[2, 6, 14]);
         let guard = map.pin();
-        for key in [4, 6, 12, 28, 60, 124] {
+        for key in [4, 12, 28] {
             assert_eq!(map.get_prehashed(key, &key, &guard), None, "key {key}");
         }
         drop(guard);
-        assert_eq!(map.len(), 2);
+        assert_eq!(map.len(), 3);
         map.flush_retired();
     }
 
@@ -1130,8 +1015,9 @@ mod tests {
 
     type ByHash = RpHashMap<u64, u64, std::hash::BuildHasherDefault<Identity>>;
 
-    /// A 2 -> 4 expand keyed by hash, with `write` run between its grace
-    /// period and its cut. In reversed-hash order pair 0's old chain is
+    /// A 2 -> 4 expand keyed by hash, with `write` run between its begin
+    /// and its cut, under a guard taken before the begin, so that `write`
+    /// cannot finish it. In reversed-hash order pair 0's old chain is
     /// 4, 12 (low) then 6, 14 (high), and pair 1's is 1, 9, 5 then 3, 7;
     /// `begin` remembers 12 and 5. `write` changes where pair 0's low run
     /// ends, so the cut must walk that pair again and may use only pair 1's
@@ -1141,11 +1027,12 @@ mod tests {
         for key in [4, 12, 6, 14, 1, 9, 5, 3, 7] {
             map.insert(key, key * 10);
         }
+        let guard = map.pin();
         assert!(map.begin_expand());
-        assert_eq!(map.advance_resize(), ResizeStep::Grace);
         write(&map);
+        drop(guard);
         let before = map.stats().unzip_splices;
-        assert_eq!(map.advance_resize(), ResizeStep::Finished);
+        assert!(map.finish_resize());
         assert_eq!(map.stats().unzip_splices - before, 2, "one cut per pair");
         map.check_invariants().unwrap();
         assert_eq!(map.len(), after.len());
@@ -1217,7 +1104,7 @@ mod tests {
             let expander = scope.spawn(|| {
                 assert!(map.begin_expand());
                 begun_tx.send(()).unwrap();
-                while map.advance_resize() != ResizeStep::Finished {}
+                assert!(map.finish_resize());
             });
             begun_rx.recv().unwrap();
             assert_eq!(map.num_buckets(), 8);
@@ -1249,8 +1136,9 @@ mod tests {
     #[test]
     fn writers_mutate_between_resize_steps() {
         // The heart of an automatic resize: inserts and removes interleave
-        // with every step of an in-progress unzip, including removes of
-        // nodes that are still reachable from both buckets of their pair.
+        // with an unzip in flight, and go on after it finishes, including
+        // removes of nodes that are still reachable from both buckets of
+        // their pair.
         let map = filled(2, 200);
         assert!(map.begin_expand());
         let mut inserted = 200_u64;
@@ -1267,7 +1155,7 @@ mod tests {
                 assert!(map.insert(inserted, inserted * 2));
                 inserted += 1;
             }
-            if map.advance_resize() == ResizeStep::Finished {
+            if !map.finish_resize() {
                 break;
             }
         }
@@ -1284,19 +1172,19 @@ mod tests {
     #[test]
     fn removals_mid_unzip_fix_both_sibling_chains() {
         // Stress the dual-path fixup: drain *every* key while an unzip is
-        // paused between steps, then finish the resize.
+        // in flight (a guard keeps the removals from finishing it), then
+        // finish the resize.
         for keys in [16_u64, 33, 64] {
             let map = filled(1, keys);
+            let guard = map.pin();
             assert!(map.begin_expand());
-            assert_eq!(map.advance_resize(), ResizeStep::Grace);
             // Mid-unzip: every node still sits in one shared chain.
             for i in 0..keys {
                 assert!(map.remove(&i), "key {i} missing mid-unzip");
             }
             assert!(map.is_empty());
-            while map.resize_in_progress() {
-                map.advance_resize();
-            }
+            drop(guard);
+            assert!(map.finish_resize());
             map.check_invariants().unwrap();
             map.flush_retired();
         }
@@ -1305,14 +1193,14 @@ mod tests {
     #[test]
     fn replacements_mid_unzip_keep_both_chains_consistent() {
         let map = filled(1, 40);
+        let guard = map.pin();
         assert!(map.begin_expand());
-        assert_eq!(map.advance_resize(), ResizeStep::Grace);
         for i in 0..40 {
             assert!(!map.insert(i, i * 10), "key {i} should be replaced");
         }
-        while map.resize_in_progress() {
-            map.advance_resize();
-        }
+        assert!(map.resize_in_progress());
+        drop(guard);
+        assert!(map.finish_resize());
         let guard = map.pin();
         for i in 0..40 {
             assert_eq!(map.get(&i, &guard), Some(&(i * 10)));
@@ -1325,8 +1213,8 @@ mod tests {
     #[test]
     fn retain_mid_unzip_visits_each_entry_once() {
         let map = filled(2, 100);
+        let guard = map.pin();
         assert!(map.begin_expand());
-        assert_eq!(map.advance_resize(), ResizeStep::Grace);
         let mut calls = 0_u64;
         map.retain(|_, _| {
             calls += 1;
@@ -1334,9 +1222,9 @@ mod tests {
         });
         assert_eq!(calls, 100, "retain must visit shared nodes exactly once");
         assert!(map.is_empty());
-        while map.resize_in_progress() {
-            map.advance_resize();
-        }
+        assert!(map.resize_in_progress());
+        drop(guard);
+        assert!(map.finish_resize());
         map.check_invariants().unwrap();
         map.flush_retired();
     }
@@ -1361,7 +1249,6 @@ mod tests {
                 map.insert(i, CountsDrop(Arc::clone(&drops)));
             }
             assert!(map.begin_expand());
-            assert_eq!(map.advance_resize(), ResizeStep::Grace);
             // Drop with the unzip mid-flight: a node reachable from both
             // buckets of its pair is dropped from its home bucket only.
         }
@@ -1385,9 +1272,9 @@ mod tests {
     fn inline_resizes_racing_another_resizer_are_not_lost() {
         use std::sync::atomic::{AtomicBool, Ordering};
 
-        // A second thread halves the table through the incremental API as
-        // often as it can, for as long as `inline` runs; returns how many
-        // shrinks it began.
+        // A second thread halves the table through `begin_shrink` and
+        // `finish_resize` as often as it can, for as long as `inline` runs;
+        // returns how many shrinks it began.
         fn raced(map: &Map, inline: impl FnOnce()) -> u64 {
             let stop = AtomicBool::new(false);
             std::thread::scope(|scope| {
@@ -1395,7 +1282,7 @@ mod tests {
                     let mut shrinks = 0;
                     while !stop.load(Ordering::Relaxed) {
                         shrinks += u64::from(map.begin_shrink());
-                        while map.advance_resize() != ResizeStep::Idle {}
+                        while map.finish_resize() {}
                     }
                     shrinks
                 });
@@ -1497,15 +1384,11 @@ mod tests {
                 }
             })
         };
-        // Two advancers race to drive the same resize.
+        // Two finishers race to finish the same resize.
         let advancers: Vec<_> = (0..2)
             .map(|_| {
                 let map = Arc::clone(&map);
-                std::thread::spawn(move || {
-                    while map.resize_in_progress() {
-                        map.advance_resize();
-                    }
-                })
+                std::thread::spawn(move || while map.finish_resize() {})
             })
             .collect();
         // A writer mutates throughout.

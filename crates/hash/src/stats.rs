@@ -41,7 +41,6 @@ pub(crate) struct AtomicMapStats {
     pub(crate) shrinks: LockedCount,
     pub(crate) unzip_rounds: LockedCount,
     pub(crate) unzip_splices: LockedCount,
-    pub(crate) resize_grace_periods: LockedCount,
     pub(crate) inserts: LockedCount,
     pub(crate) replaces: LockedCount,
     pub(crate) removes: LockedCount,
@@ -57,7 +56,6 @@ impl AtomicMapStats {
             shrinks: self.shrinks.get(),
             unzip_rounds: self.unzip_rounds.get(),
             unzip_splices: self.unzip_splices.get(),
-            resize_grace_periods: self.resize_grace_periods.get(),
             inserts: self.inserts.get(),
             replaces: self.replaces.get(),
             removes: self.removes.get(),
@@ -67,8 +65,10 @@ impl AtomicMapStats {
 
 /// A point-in-time snapshot of an [`crate::RpHashMap`]'s counters.
 ///
-/// Useful for the benchmark harness (e.g. reporting how many grace periods a
-/// continuous-resize run waited for) and for the ablation experiments.
+/// Useful for the benchmark harness (e.g. reporting how many resizes and
+/// cuts a continuous-resize run made) and for the ablation experiments. A
+/// resize's grace period is counted by the thread that waits for it
+/// ([`rp_rcu::thread_synchronize_count`]), if any does.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MapStats {
     /// Completed expand (doubling) steps.
@@ -81,8 +81,6 @@ pub struct MapStats {
     /// Chains cut apart by expands: one per bucket pair that still held
     /// nodes of both new buckets.
     pub unzip_splices: u64,
-    /// Grace periods waited for by resize operations.
-    pub resize_grace_periods: u64,
     /// Keys newly inserted.
     pub inserts: u64,
     /// Values replaced for an existing key.

@@ -247,8 +247,8 @@ impl<'w, K, V> LockedTable<'w, K, V> {
     }
 
     /// Publishes `new` in place of this array and returns this one, which
-    /// readers may still be in: it is freed only after a grace period
-    /// (`resolve_grace_locked`). `new`'s chains are this array's nodes.
+    /// readers may still be in: it is freed only after a grace period, by
+    /// whoever finishes the resize. `new`'s chains are this array's nodes.
     pub(crate) fn publish(self, new: Box<BucketArray<K, V>>) -> Box<BucketArray<K, V>> {
         let buckets = new.len();
         let old_ptr = self.ptr.array.swap(Box::into_raw(new), Ordering::AcqRel);

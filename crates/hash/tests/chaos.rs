@@ -1,6 +1,6 @@
-//! Fault-injected resize chaos: panics at resize state-machine boundaries
-//! — reached step by step or from inside an inline `expand()` — must leave
-//! the table consistent, readable, and writable.
+//! Fault-injected resize chaos: panics between a resize's begin and its
+//! finish — reached through `finish_resize` or from inside an inline
+//! `expand()` — must leave the table consistent, readable, and writable.
 //!
 //! These tests arm the **process-global** `rp_fault` registry, so every
 //! armed section runs under one serial mutex (the harness runs tests in
@@ -9,7 +9,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
-use rp_hash::{ResizeStep, RpHashMap};
+use rp_hash::RpHashMap;
 
 /// Serializes armed sections; `rp_fault`'s plan registry is process-global.
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
@@ -61,28 +61,19 @@ fn panic_at_a_step_boundary_leaves_the_resize_resumable() {
     let map = filled_map(KEYS);
 
     assert!(map.begin_expand(), "incremental expansion must start");
-    // Take the first real step unarmed so the panic lands mid-resize, not
-    // at the very first transition.
-    let step = map.advance_resize();
-    assert_ne!(step, ResizeStep::Idle);
-
     {
         let _arm = rp_fault::ArmGuard::new("hash.resize.step=panic*1", 7);
-        let unwound = catch_unwind(AssertUnwindSafe(|| map.advance_resize()));
+        let unwound = catch_unwind(AssertUnwindSafe(|| map.finish_resize()));
         assert!(unwound.is_err(), "the armed failpoint must panic");
         assert_eq!(rp_fault::injected("hash.resize.step"), 1);
     }
 
-    // The panic landed between steps: readers still see every key and the
-    // state machine resumes from where it stopped.
+    // The panic landed before any mutation: readers still see every key
+    // and the next call finishes the resize.
     assert!(map.resize_in_progress());
     assert_all_readable(&map, KEYS);
 
-    let mut steps = 0;
-    while map.advance_resize() != ResizeStep::Finished {
-        steps += 1;
-        assert!(steps < 10_000, "resize failed to converge after the panic");
-    }
+    assert!(map.finish_resize(), "the resize stayed in flight");
     assert!(!map.resize_in_progress());
     map.check_invariants()
         .expect("table invariants must hold after a mid-resize panic");
@@ -101,9 +92,9 @@ fn panic_inside_an_inline_expand_leaves_the_resize_resumable() {
     let map = filled_map(KEYS);
 
     {
-        // `expand()` steps its resize through `advance_resize` like any
+        // `expand()` finishes its resize through `finish_resize` like any
         // other driver, so the panic lands after `begin` published the
-        // doubled table and before the first grace wait — with no lock held.
+        // doubled table and before the cut, under the writer lock.
         let _arm = rp_fault::ArmGuard::new("hash.resize.step=panic*1", 13);
         let unwound = catch_unwind(AssertUnwindSafe(|| map.expand()));
         assert!(unwound.is_err(), "the armed failpoint must panic");
@@ -131,10 +122,9 @@ fn dropping_a_table_mid_resize_after_a_panic_is_clean() {
     quiet_injected_panics();
     let map = filled_map(64);
     assert!(map.begin_expand());
-    let _ = map.advance_resize();
     {
         let _arm = rp_fault::ArmGuard::new("hash.resize.step=panic*1", 11);
-        let unwound = catch_unwind(AssertUnwindSafe(|| map.advance_resize()));
+        let unwound = catch_unwind(AssertUnwindSafe(|| map.finish_resize()));
         assert!(unwound.is_err());
     }
     // Drop with the resize still mid-flight: the chains are still

@@ -2,10 +2,11 @@
 //!
 //! The QSBR writer is what an event-loop worker is: online for the length
 //! of its batch, announcing a quiescent state only between batches. Every
-//! grace period — a reclamation pass, an automatic resize's marker — waits
-//! for that announcement. A writer that waited for one while holding the
-//! writer lock would leave the QSBR writer, queueing for that lock in the
-//! middle of its batch, unable to announce, and both would stop for good.
+//! grace period — a reclamation pass, the one an automatic resize's cookie
+//! names — waits for that announcement. A writer that waited for one while
+//! holding the writer lock would leave the QSBR writer, queueing for that
+//! lock in the middle of its batch, unable to announce, and both would stop
+//! for good.
 //! So no write waits at all: the EBR writer's grace waits are counted, and
 //! must be none; this is the test that stalls (within a second) when a
 //! write waits under the lock.

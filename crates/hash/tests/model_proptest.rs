@@ -1,14 +1,14 @@
 //! Property-based tests: the relativistic hash map must behave exactly like
 //! `std::collections::HashMap` under arbitrary operation sequences, with
-//! resizes interleaved anywhere — whole ones, and single steps of the
-//! incremental state machine with writers between them — and its structural
-//! invariants must hold after every sequence.
+//! resizes interleaved anywhere — whole ones, and ones begun and finished
+//! apart with writers between them — and its structural invariants must
+//! hold after every sequence.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use rp_hash::{FnvBuildHasher, ResizePolicy, ResizeStep, RpHashMap};
+use rp_hash::{FnvBuildHasher, ResizePolicy, RpHashMap};
 
 /// One step of a generated workload.
 #[derive(Debug, Clone)]
@@ -22,8 +22,8 @@ enum Op {
     /// `begin_expand` / `begin_shrink`: refused while a resize is in flight.
     BeginExpand,
     BeginShrink,
-    /// One `advance_resize` step of whatever resize is in flight.
-    Advance,
+    /// `finish_resize` of whatever resize is in flight.
+    Finish,
     Rename(u16, u16),
     Clear,
     /// On keys below 16, so that most of them hit: their return values are
@@ -42,7 +42,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => (1_u16..512).prop_map(Op::ResizeTo),
         2 => Just(Op::BeginExpand),
         1 => Just(Op::BeginShrink),
-        6 => Just(Op::Advance),
+        6 => Just(Op::Finish),
         2 => (any::<u16>(), any::<u16>()).prop_map(|(a, b)| Op::Rename(a, b)),
         1 => Just(Op::Clear),
         6 => (0_u16..16, any::<u32>()).prop_map(|(k, v)| Op::InsertReplacing(k, v)),
@@ -83,9 +83,10 @@ proptest! {
                     let may = !map.resize_in_progress() && map.num_buckets() > 1;
                     prop_assert_eq!(map.begin_shrink(), may);
                 }
-                Op::Advance => {
-                    let idle = !map.resize_in_progress();
-                    prop_assert_eq!(map.advance_resize() == ResizeStep::Idle, idle);
+                Op::Finish => {
+                    let in_flight = map.resize_in_progress();
+                    prop_assert_eq!(map.finish_resize(), in_flight);
+                    prop_assert!(!map.resize_in_progress());
                 }
                 Op::Rename(old, new) => {
                     let did = map.rename(&old, new);
@@ -133,10 +134,11 @@ proptest! {
         // resize in flight).
         map.check_invariants().map_err(TestCaseError::fail)?;
 
-        // And `Drop` gets an unzip to finish, stopped at a step that varies.
+        // And `Drop` gets an unzip in flight, or, after every other
+        // sequence, a finished one.
         prop_assert!(map.begin_expand());
-        for _ in 0..ops.len() % 4 {
-            map.advance_resize();
+        if ops.len() % 2 == 0 {
+            prop_assert!(map.finish_resize());
         }
     }
 

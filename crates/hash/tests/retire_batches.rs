@@ -1,7 +1,8 @@
 //! A map gathers what it retires in an open batch of 64 nodes, under the
 //! writer lock, and queues the batch on the global funnel whole: 63
 //! overwrites queue nothing, the 64th queues all 64, and what is left open
-//! is queued by the map's `flush_retired` or its drop, once.
+//! is queued by the map's `flush_retired` or its drop, once. A resize
+//! queues nothing: its grace period is a cookie its writers poll.
 //!
 //! A binary of its own, so no other test feeds the global queue, and the
 //! tests take turns: they count the callbacks queued on it and the slab
@@ -11,8 +12,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use rp_hash::{slab_chunks_mapped, FnvBuildHasher, RpHashMap};
-use rp_rcu::{GraceSync, RcuDomain};
+use rp_hash::{slab_chunks_mapped, FnvBuildHasher, ResizePolicy, RpHashMap};
+use rp_rcu::{thread_synchronize_count, GraceSync, RcuDomain};
 
 /// Retires a map gathers before it queues them.
 const BATCH: usize = 64;
@@ -167,4 +168,24 @@ fn a_dropped_map_queues_its_partial_batch_before_its_slab_release() {
     barrier();
     ledger.assert_dropped_once(0..KEYS + OVERWRITES);
     assert_eq!(slab_chunks_mapped(), chunks_before, "the slab is released");
+}
+
+#[test]
+fn writers_begin_and_finish_resizes_without_queueing_a_callback() {
+    let _serial = serial();
+    let policy = ResizePolicy::automatic();
+    let map = RpHashMap::with_buckets_hasher_and_policy(4, FnvBuildHasher, policy);
+    let (before, waits) = (queued(), thread_synchronize_count());
+    // New keys retire nothing; a write finishes the resize in flight once
+    // the reclaim thread's pass has covered its cookie.
+    let mut key = 0;
+    while map.stats().expands < 5 || map.resize_in_progress() {
+        assert!(key < 1 << 20, "the resizes never finished");
+        assert!(map.insert(key, key));
+        key += 1;
+        std::thread::yield_now();
+    }
+    assert_eq!(queued(), before, "a resize queued a callback");
+    assert_eq!(thread_synchronize_count(), waits, "a write waited");
+    map.check_invariants().unwrap();
 }

@@ -5,7 +5,10 @@
 //! --workers 2 --engine E`), then runs two client threads, each on its own
 //! connection, that SET 262 144 new keys with 64-byte values, one round
 //! trip at a time. Prints the SET count, the p50, p99, p99.9 and slowest
-//! SET round trip, and the engine's item count at the end:
+//! SET round trip, and the engine's item count at the end; then how many
+//! SETs each worker served (which worker each connection landed on), the
+//! resizes begun and finished, and the slowest automatic resize step
+//! (`maint_slice_ns`):
 //!
 //! ```sh
 //! cargo run --release -p rp-kvcache --example set_storm          # rp
@@ -60,14 +63,23 @@ fn main() {
 
     ns.sort_unstable();
     let us = |q: f64| ns[((ns.len() - 1) as f64 * q) as usize] as f64 / 1000.0;
+    let obs = rp_obs::global();
+    let served: Vec<u64> = (0..2)
+        .map(|worker| obs.kv.shards.for_worker(worker).requests.get())
+        .collect();
     println!(
-        "{}: n={} p50={:.1}us p99={:.1}us p99.9={:.1}us max={:.1}us len={}",
+        "{}: n={} p50={:.1}us p99={:.1}us p99.9={:.1}us max={:.1}us len={} \
+         sets_per_worker={served:?} resizes_begun={} resizes_finished={} \
+         slice_max={:.1}us",
         engine.name(),
         ns.len(),
         us(0.5),
         us(0.99),
         us(0.999),
         us(1.0),
-        engine.len()
+        engine.len(),
+        obs.resize.begun_total.get(),
+        obs.resize.finished_total.get(),
+        obs.maint.slice_ns.snapshot().max() as f64 / 1000.0,
     );
 }

@@ -397,7 +397,7 @@ END\r\n";
             "kv_group_keys",
             "net_accepts_total",
             "maint_slice_ns",
-            "resize_grace_wait_ns",
+            "resize_step_ns",
             "rcu_sync_ns",
         ] {
             assert!(text.contains(family), "missing {family} in:\n{text}");
@@ -516,7 +516,7 @@ END\r\n";
             "\"net_batch_size\":Z},",
             "\"maint\":{\"maint_slice_ns\":Z,",
             "\"maint_slices_total\":0},",
-            "\"resize\":{\"resize_grace_wait_ns\":Z,\"resize_step_ns\":Z,",
+            "\"resize\":{\"resize_step_ns\":Z,",
             "\"resize_begun_total\":0,\"resize_finished_total\":0},",
             "\"rcu\":{\"rcu_sync_ns\":Z,",
             "\"rcu_reclaim_pending\":0,\"rcu_reclaim_executed_total\":0,",
@@ -648,7 +648,6 @@ END\r\n";
             &registry.kv.evict_scan_ns,
             net.batch_size.for_worker(5),
             &registry.maint.slice_ns,
-            &registry.resize.grace_wait_ns,
             &registry.resize.step_ns,
             &registry.rcu.sync_ns,
         ] {

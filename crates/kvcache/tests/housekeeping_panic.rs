@@ -37,7 +37,7 @@ fn a_step_that_panics_in_a_set_sheds_one_connection_and_the_next_set_finishes_th
     let obs = rp_obs::global();
     let shed_before = obs.net.conn_panics_total.get();
 
-    // The first SET to find the first resize's grace marker set unwinds
+    // The first SET to find the first resize's grace period over unwinds
     // before it finishes that resize: the doubled table is published and
     // its chains are not cut yet. The connection that sent it hears a
     // SERVER_ERROR and is shed; the SETs stop there, short of the next

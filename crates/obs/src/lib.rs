@@ -157,8 +157,6 @@ pub struct RcuObs {
 /// Incremental-resize metrics (`rp-hash`, aggregated across shards).
 #[derive(Debug, Default)]
 pub struct ResizeObs {
-    /// Duration of each grace-period wait a resize absorbed, nanoseconds.
-    pub grace_wait_ns: Histogram,
     /// Duration of each bounded restructuring step (the finishing step, an
     /// expand's cut included, under the writer lock), nanoseconds.
     pub step_ns: Histogram,
@@ -436,11 +434,6 @@ impl Obs {
 
         let resize = &self.resize;
         let mut group = |name, help, metric: Metric<'_>| v.metric("resize", name, help, metric);
-        group(
-            "resize_grace_wait_ns",
-            "Grace-period waits absorbed by resizes.",
-            Summary(&resize.grace_wait_ns),
-        );
         group(
             "resize_step_ns",
             "Bounded resize restructuring steps.",

@@ -26,8 +26,6 @@ pub enum TraceKind {
     Grace = 1,
     /// An incremental resize started; value = 1 for expand, 0 for shrink.
     ResizeBegin = 3,
-    /// A resize absorbed a grace-period wait; value = wait nanoseconds.
-    ResizeGrace = 4,
     /// A resize finished; value = total steps is unknown, records 0.
     ResizeFinish = 5,
     /// A write's automatic resize step ran; value = slice nanoseconds.
@@ -67,7 +65,6 @@ impl TraceKind {
         match self {
             TraceKind::Grace => "grace",
             TraceKind::ResizeBegin => "resize_begin",
-            TraceKind::ResizeGrace => "resize_grace",
             TraceKind::ResizeFinish => "resize_finish",
             TraceKind::MaintSlice => "maint_slice",
             TraceKind::Backpressure => "backpressure",
@@ -86,7 +83,6 @@ impl TraceKind {
         Some(match raw {
             1 => TraceKind::Grace,
             3 => TraceKind::ResizeBegin,
-            4 => TraceKind::ResizeGrace,
             5 => TraceKind::ResizeFinish,
             6 => TraceKind::MaintSlice,
             7 => TraceKind::Backpressure,

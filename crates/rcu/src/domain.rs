@@ -17,6 +17,9 @@
 //! `target`. The counter is 64 bits wide and never wraps, so a snapshot
 //! that is stale when it is published is only ever waited for longer,
 //! never mistaken for a current one (DESIGN.md, *One counter, one scan*).
+//! The counter also names a grace period as a number, a cookie
+//! ([`RcuDomain::cookie`], [`RcuDomain::poll`]), for callers that only
+//! need to know whether one has passed.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -80,6 +83,9 @@ pub struct RcuDomain {
     /// `synchronize` takes, or to `stats`, which every `defer_free` bumps,
     /// each such store would take the line from every reading core.
     gp_ctr: CachePadded<AtomicU64>,
+    /// The target of the last finished scan: every cookie up to it is
+    /// covered. Off `gp_ctr`'s line, since every grace period stores it.
+    completed: AtomicU64,
     /// Serialises grace periods (writers waiting for readers).
     gp_lock: Mutex<()>,
     /// Registered readers of both flavors.
@@ -92,6 +98,7 @@ impl RcuDomain {
     pub fn new() -> Arc<Self> {
         Arc::new(RcuDomain {
             gp_ctr: CachePadded::new(AtomicU64::new(1)),
+            completed: AtomicU64::new(1),
             gp_lock: Mutex::new(()),
             registry: Mutex::new(Vec::new()),
             stats: AtomicStats::default(),
@@ -219,9 +226,34 @@ impl RcuDomain {
         }
 
         // Order the scan before any reclamation the caller performs after
-        // this function returns.
+        // this function returns, and, through `completed`, before whatever
+        // a poller frees once it reads the target.
         std::sync::atomic::fence(Ordering::SeqCst);
+        self.completed.store(target, Ordering::Release);
         self.stats.grace_periods.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A cookie for the grace period that makes everything the caller
+    /// unpublished before this call unreachable: the target of the first
+    /// scan whose bump follows the fence (Linux's
+    /// `get_state_synchronize_rcu`; DESIGN.md, *One counter, one scan*).
+    pub fn cookie(&self) -> u64 {
+        std::sync::atomic::fence(Ordering::SeqCst);
+        self.gp_ctr.load(Ordering::Relaxed) + 1
+    }
+
+    /// Has a grace period covered `cookie`? Once `true` it stays `true`,
+    /// and the acquire orders the caller's frees after that scan.
+    pub fn poll(&self, cookie: u64) -> bool {
+        self.completed.load(Ordering::Acquire) >= cookie
+    }
+
+    /// Returns at once if `cookie` is covered, else runs a grace period,
+    /// whose target is at least the cookie (`cond_synchronize_rcu`).
+    pub fn synchronize_until(&self, cookie: u64) {
+        if !self.poll(cookie) {
+            self.synchronize();
+        }
     }
 
     /// The panic [`RcuDomain::synchronize`] opens with: the calling thread
@@ -283,6 +315,7 @@ mod tests {
         let line = offset_of!(RcuDomain, gp_ctr) / 128;
         assert_eq!(size_of::<CachePadded<AtomicU64>>(), 128);
         for (stored, size) in [
+            (offset_of!(RcuDomain, completed), size_of::<AtomicU64>()),
             (offset_of!(RcuDomain, gp_lock), size_of::<Mutex<()>>()),
             (
                 offset_of!(RcuDomain, registry),
@@ -364,6 +397,42 @@ mod tests {
         next.join().unwrap();
         assert_eq!(d.stats().grace_periods, 2);
         d.unregister(&reader);
+    }
+
+    /// A scan covers only the cookies taken before its bump.
+    #[test]
+    fn a_cookie_taken_during_a_scan_is_covered_by_the_next_one() {
+        let d = RcuDomain::new();
+        let reader = d.register();
+        reader.word.store(d.counter(), Ordering::SeqCst);
+        let scan = {
+            let d = Arc::clone(&d);
+            thread::spawn(move || d.synchronize())
+        };
+        while d.counter() < 2 {
+            thread::yield_now();
+        }
+        let cookie = d.cookie();
+        assert_eq!(cookie, 3, "taken after the blocked scan's bump");
+        reader.word.store(0, Ordering::SeqCst);
+        scan.join().unwrap();
+        assert!(!d.poll(cookie), "the scan in flight covered a later cookie");
+
+        d.synchronize();
+        assert!(d.poll(cookie));
+        d.unregister(&reader);
+    }
+
+    #[test]
+    fn synchronize_until_waits_only_for_an_uncovered_cookie() {
+        let d = RcuDomain::new();
+        let cookie = d.cookie();
+        d.synchronize_until(cookie);
+        assert!(d.poll(cookie));
+        let waits = crate::thread_synchronize_count();
+        d.synchronize_until(cookie);
+        assert_eq!(d.stats().synchronize_calls, 1, "a covered cookie waited");
+        assert_eq!(crate::thread_synchronize_count(), waits);
     }
 
     #[test]

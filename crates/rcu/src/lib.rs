@@ -19,7 +19,10 @@
 //!   every critical section that was in progress when the call began has
 //!   completed (a *grace period*). [`RcuDomain::global`] is the
 //!   process-wide domain behind [`pin`] and `rp_hash`'s QSBR lookup path.
-//!   A domain detects; it frees nothing.
+//!   A domain detects; it frees nothing. A grace period is also a number:
+//!   [`RcuDomain::cookie`] names the one that covers what the caller has
+//!   unpublished, [`RcuDomain::poll`] says whether it has passed, and
+//!   [`RcuDomain::synchronize_until`] waits only if it has not.
 //! * **Waiting for readers and deferred reclamation** — [`GraceSync`] is
 //!   the writer side. [`GraceSync::synchronize`] waits for a grace period
 //!   through the failpoint, the stall stamp and the telemetry;

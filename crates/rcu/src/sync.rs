@@ -16,7 +16,7 @@
 //! waited for every reader. [`GraceSync::synchronize`] is also the funnel
 //! every grace wait outside this crate goes through: it carries the
 //! `rcu.grace` failpoint, the stall detector's stamp and the
-//! `rcu_sync_ns` telemetry.
+//! `rcu_sync_ns` telemetry, and so does [`GraceSync::synchronize_until`].
 //!
 //! **Who frees.** Retiring never waits: the process-wide funnel runs its
 //! passes on one thread of its own, `rcu-reclaimer` (the userspace
@@ -26,8 +26,9 @@
 //! non-empty; an empty one costs the thread nothing, and what is queued
 //! after it sleeps there waits for the push that crosses 256, or for a
 //! caller that wakes it ([`GraceSync::wake_reclaimer`]): one that queued a
-//! large release, or a grace marker another writer polls (`rp-hash`'s
-//! automatic resizes). A wake is never lost. Writers therefore wait for
+//! large release, or one whose cookie ([`GraceSync::cookie`]) a later
+//! write polls (`rp-hash`'s resizes). A wake is never lost, and leads to a
+//! grace period even with the queue empty. Writers therefore wait for
 //! readers only when they ask to: an explicit resize, or
 //! [`GraceSync::synchronize_and_reclaim`], which is a *barrier*. Passes
 //! are serialized, so it returns once every callback queued before it has
@@ -61,7 +62,7 @@ use std::cell::Cell;
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Once, OnceLock};
 use std::time::Duration;
 
@@ -178,8 +179,6 @@ pub struct GraceSync {
     domain: Arc<RcuDomain>,
     /// Deferred reclamation queue (`call_rcu` equivalent).
     deferred: Mutex<Queue>,
-    /// Length of `deferred`, written under its lock, read without it.
-    deferred_len: AtomicUsize,
     /// The emptied storage of the last executed batch, which the next
     /// [`GraceSync::take_deferred`] leaves behind as the queue: steady
     /// reclamation allocates no queue storage after its first pass.
@@ -210,7 +209,6 @@ impl GraceSync {
         GraceSync {
             domain,
             deferred: Mutex::default(),
-            deferred_len: AtomicUsize::new(0),
             spare: Mutex::new(Vec::new()),
             pass: Mutex::new(()),
             wakeup: Condvar::new(),
@@ -252,6 +250,25 @@ impl GraceSync {
             let obs = rp_obs::global();
             obs.rcu.sync_ns.record(ns);
             obs.trace.record(rp_obs::TraceKind::Grace, ns);
+        }
+    }
+
+    /// [`RcuDomain::cookie`] of the funnel's domain.
+    pub fn cookie(&self) -> u64 {
+        self.domain.cookie()
+    }
+
+    /// [`RcuDomain::poll`] of the funnel's domain.
+    pub fn poll(&self, cookie: u64) -> bool {
+        self.domain.poll(cookie)
+    }
+
+    /// [`RcuDomain::synchronize_until`], waiting through
+    /// [`GraceSync::synchronize`].
+    pub fn synchronize_until(&self, cookie: u64) {
+        debug_assert_no_wait_lock();
+        if !self.poll(cookie) {
+            self.synchronize();
         }
     }
 
@@ -315,7 +332,6 @@ impl GraceSync {
         let pending = {
             let queue = &mut self.deferred.lock().callbacks;
             queue.extend(callbacks);
-            self.deferred_len.store(queue.len(), Ordering::Relaxed);
             queue.len()
         };
         self.domain
@@ -329,12 +345,13 @@ impl GraceSync {
         }
     }
 
-    /// Wakes the reclaim thread for a pass now, starting it on first use.
-    /// Pushes wake it as the queue crosses 256 callbacks; a caller that has
-    /// just queued one that gives back much memory (a dropped map's node
-    /// slab) or that a writer waits on (a resize's grace marker) wakes it
-    /// sooner, and no wake is lost. A no-op on a funnel built with
-    /// [`GraceSync::new`], which has no thread.
+    /// Asks the reclaim thread for a pass now, starting it on first use;
+    /// with nothing queued the pass is a grace period alone, which covers
+    /// every cookie taken before the wake. Pushes wake it as the queue
+    /// crosses 256 callbacks; a caller that has just queued one that gives
+    /// back much memory (a dropped map's node slab), or whose cookie a
+    /// later write polls (a resize's), wakes it sooner, and no wake is
+    /// lost. A no-op on a funnel built with [`GraceSync::new`].
     pub fn wake_reclaimer(&self) {
         let Some(started) = &self.reclaimer else {
             return;
@@ -353,8 +370,9 @@ impl GraceSync {
 
     /// The reclaim thread: a pass whenever it is woken ([`WAKE_AT`]
     /// callbacks queued, or a caller asked), or [`RECHECK`] after it found
-    /// fewer; no timer while the queue is empty. It holds no guard and no
-    /// lock across a pass, so it may wait for any reader.
+    /// fewer; no timer while the queue is empty, and a grace period alone
+    /// when woken with nothing to free. It holds no guard and no lock
+    /// across a pass, so it may wait for any reader.
     fn reclaim_forever(&self) -> ! {
         loop {
             let mut queue = self.deferred.lock();
@@ -365,11 +383,13 @@ impl GraceSync {
                     self.wakeup.wait_for(&mut queue, RECHECK);
                 }
             }
-            queue.wake = false;
+            let woken = std::mem::take(&mut queue.wake);
             let pending = !queue.callbacks.is_empty();
             drop(queue);
             if pending {
                 self.synchronize_and_reclaim();
+            } else if woken {
+                self.synchronize();
             }
         }
     }
@@ -378,7 +398,7 @@ impl GraceSync {
     /// still holds in a batch of its own (a map's open batch) are not
     /// queued yet, and not counted.
     pub fn deferred_pending(&self) -> usize {
-        self.deferred_len.load(Ordering::Relaxed)
+        self.deferred.lock().callbacks.len()
     }
 
     /// Takes the current deferred batch, leaving later arrivals queued.
@@ -392,9 +412,7 @@ impl GraceSync {
             return Vec::new();
         }
         let spare = std::mem::take(&mut *self.spare.lock());
-        let batch = std::mem::replace(queue, spare);
-        self.deferred_len.store(queue.len(), Ordering::Relaxed);
-        batch
+        std::mem::replace(queue, spare)
     }
 
     /// Runs a batch previously taken with [`GraceSync::take_deferred`],
@@ -462,8 +480,8 @@ impl GraceSync {
 #[cfg(test)]
 impl GraceSync {
     /// Queues `n` callbacks that each bump the returned counter.
-    pub(crate) fn defer_counting(&self, n: usize) -> Arc<AtomicUsize> {
-        let ran = Arc::new(AtomicUsize::new(0));
+    pub(crate) fn defer_counting(&self, n: usize) -> Arc<std::sync::atomic::AtomicUsize> {
+        let ran = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         for _ in 0..n {
             let ran = Arc::clone(&ran);
             self.defer(move || {

@@ -2,8 +2,9 @@
 //! frees what was retired once every reader has moved on, a panicking
 //! callback costs only itself, `synchronize_and_reclaim` is a barrier
 //! behind whatever pass the thread has in flight, the push that takes the
-//! queue past 256 wakes the thread, even one that jumps over 256, and no
-//! wake is lost.
+//! queue past 256 wakes the thread, even one that jumps over 256, no
+//! wake is lost, and a wake with nothing queued still leads to a grace
+//! period.
 //!
 //! Every test here drives the one process-wide queue, so they take turns
 //! (`SERIAL`) and each starts from an emptied queue.
@@ -218,4 +219,20 @@ fn a_wake_during_a_pass_leads_to_the_next_pass() {
     GraceSync::global().defer(move || inner.send(queue_and_wake()).unwrap());
     GraceSync::global().wake_reclaimer();
     assert_prompt(took.recv_timeout(Duration::from_secs(10)).unwrap());
+}
+
+/// A wake with nothing queued leads to a grace period at once: it is how a
+/// resize's cookie is covered while the writers that poll it never wait.
+#[test]
+fn a_wake_with_an_empty_queue_covers_a_cookie() {
+    let _turn = serial();
+    let (sync, waits) = (GraceSync::global(), thread_synchronize_count());
+    let cookie = sync.cookie();
+    assert!(!sync.poll(cookie));
+    let woken = Instant::now();
+    sync.wake_reclaimer();
+    wait_until("a pass covers the cookie", || sync.poll(cookie));
+    let took = woken.elapsed();
+    assert!(took < Duration::from_millis(25), "{took:?} after its wake");
+    assert_eq!(thread_synchronize_count(), waits, "the waker waited");
 }

@@ -21,7 +21,6 @@ impl ShardStats {
             total.shrinks += s.shrinks;
             total.unzip_rounds += s.unzip_rounds;
             total.unzip_splices += s.unzip_splices;
-            total.resize_grace_periods += s.resize_grace_periods;
             total.inserts += s.inserts;
             total.replaces += s.replaces;
             total.removes += s.removes;

@@ -183,9 +183,9 @@ fn mixed_workload_with_batches_and_per_shard_resizes() {
 /// Writers resize their shards and never wait for readers: the write that
 /// takes a shard over a load-factor trigger begins the resize, and once
 /// its grace period has elapsed the next write to the shard finishes it.
-/// Settled — a barrier sets each grace marker, then removals of keys never
-/// stored reach every shard — no shard is mid-resize or outside its
-/// policy's bounds, after the inserts and after a bulk removal.
+/// Settled — a grace period covers each resize's cookie, then removals of
+/// keys never stored reach every shard — no shard is mid-resize or outside
+/// its policy's bounds, after the inserts and after a bulk removal.
 #[test]
 fn writers_resize_their_shards_without_waiting() {
     let policy = ResizePolicy {
@@ -199,7 +199,7 @@ fn writers_resize_their_shards_without_waiting() {
     });
     let settle = |map: &ShardedRpMap<u64, u64>| {
         while map.shards().iter().any(RpHashMap::resize_in_progress) {
-            GraceSync::global().synchronize_and_reclaim();
+            GraceSync::global().synchronize();
             (1 << 40..(1 << 40) + 64).for_each(|absent| assert!(!map.remove(&absent)));
         }
         for shard in map.shards() {
