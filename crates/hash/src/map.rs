@@ -608,10 +608,20 @@ where
     where
         V: Clone,
     {
+        self.insert_with(key, value, V::clone)
+    }
+
+    /// Inserts `key → value`, handing the value it replaces, if any, to
+    /// `on_replace` and returning what that made of it; `None` means a new
+    /// entry. One walk of the chain under the writer lock, like
+    /// [`RpHashMap::insert_replacing`]: `on_replace` sees the value this
+    /// call replaced, before its node is retired. It runs with the writer
+    /// lock held and must not call back into this map.
+    pub fn insert_with<R>(&self, key: K, value: V, on_replace: impl FnOnce(&V) -> R) -> Option<R> {
         let hash = self.hash_of(&key);
         let mut crossed = false;
         let guard = self.writer_lock();
-        let previous = self.insert_one_locked(&guard, hash, key, value, V::clone, &mut crossed);
+        let previous = self.insert_one_locked(&guard, hash, key, value, on_replace, &mut crossed);
         self.after_write(&guard, crossed);
         previous
     }

@@ -10,7 +10,7 @@
 /// One kind of engine-shared write on the GET path.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum SharedWrite {
-    /// The engine's LRU clock `fetch_add` that stamps a lookup.
+    /// The engine's clock `fetch_add` that stamps a hit.
     Stamp,
     /// The store of that stamp into a hit item's `last_access`.
     LastAccess,
@@ -18,6 +18,9 @@ pub(crate) enum SharedWrite {
     HitFold,
     /// A `fetch_add` folding a context's GET misses into `CacheStats`.
     MissFold,
+    /// A `fetch_add` folding a context's promotions into the protected
+    /// count of `CacheStats`.
+    PromotionFold,
     /// A clone of a stored payload's shared `Bytes` (a value longer than
     /// `INLINE_VALUE_LEN`): a `lock xadd` on its reference count, and
     /// another when the clone is dropped. Copying an inline payload
@@ -29,7 +32,7 @@ pub(crate) enum SharedWrite {
 #[cfg(debug_assertions)]
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SharedWrites {
-    /// LRU clock stamps taken.
+    /// Clock stamps taken.
     pub stamps: u64,
     /// `last_access` stores.
     pub last_access: u64,
@@ -37,6 +40,8 @@ pub struct SharedWrites {
     pub hit_folds: u64,
     /// Folds of GET misses into `CacheStats`.
     pub miss_folds: u64,
+    /// Folds of promotions into `CacheStats`.
+    pub promotion_folds: u64,
     /// Clones of shared payload `Bytes`.
     pub payload_clones: u64,
 }
@@ -49,6 +54,7 @@ thread_local! {
             last_access: 0,
             hit_folds: 0,
             miss_folds: 0,
+            promotion_folds: 0,
             payload_clones: 0,
         })
     };
@@ -65,6 +71,7 @@ pub(crate) fn count(write: SharedWrite) {
             SharedWrite::LastAccess => &mut sum.last_access,
             SharedWrite::HitFold => &mut sum.hit_folds,
             SharedWrite::MissFold => &mut sum.miss_folds,
+            SharedWrite::PromotionFold => &mut sum.promotion_folds,
             SharedWrite::PayloadClone => &mut sum.payload_clones,
         } += 1;
         tally.set(sum);

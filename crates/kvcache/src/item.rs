@@ -327,8 +327,9 @@ impl Deadline {
 ///
 /// The fields are laid out in the order written (`repr(C)`): the 4-byte
 /// deadline and the 4-byte flags first and the payload last, so that in an
-/// index node the deadline sits beside the chain link, the key and the LRU
-/// stamp, which are all the eviction scan reads, with no padding between.
+/// index node the deadline sits beside the chain link, the key and the
+/// access word, which are all the eviction scan reads, with no padding
+/// between.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[repr(C)]
 pub struct Item {
@@ -374,6 +375,13 @@ impl Item {
     pub fn is_expired(&self, now: Instant) -> bool {
         self.expires_at
             .is_some_and(|deadline| deadline.has_passed(now))
+    }
+
+    /// [`Item::is_expired`] for a scan that reads the clock once, into
+    /// `now`, and only when it meets an item with a deadline.
+    pub(crate) fn has_expired_by(&self, now: &mut Option<Instant>) -> bool {
+        self.expires_at
+            .is_some_and(|deadline| deadline.has_passed(*now.get_or_insert_with(Instant::now)))
     }
 
     /// Payload length in bytes.

@@ -17,15 +17,16 @@
 //!   (up to 22 bytes inline, longer keys behind a `Box<str>`).
 //! * [`CacheEngine`] — the storage-engine trait the server dispatches to.
 //! * [`LockEngine`] — the **baseline** engine (its `name()` is `default`,
-//!   stock memcached's): one global mutex around a hash map plus LRU
-//!   bookkeeping, the `cache_lock` architecture.
+//!   stock memcached's): one global mutex around a hash map plus
+//!   eviction bookkeeping, the `cache_lock` architecture.
 //! * [`RpEngine`] — the **relativistic** engine, the paper's patch: one
 //!   [`rp_hash::RpHashMap`] indexes the cache. GETs are wait-free lookups
 //!   that copy the value inside the read-side critical section; SETs and
 //!   DELETEs serialise on the map's writer lock; expiry is lazy and
-//!   eviction is exact LRU from a queue that one scan of the index fills
-//!   for many evictions, both on the slow path. The item is flat: key,
-//!   flags, deadline, LRU stamp and a small value sit by value in the
+//!   eviction is exact segmented LRU from two queues that one scan of the
+//!   index fills for many evictions, both on the slow path (both engines
+//!   evict by the same policy). The item is flat: key, flags, deadline,
+//!   access stamp with its segment bit and a small value sit by value in the
 //!   index node, so a hit of a value of up to 70 bytes is two dependent
 //!   loads (bucket slot, node) and a SET of a short key and such a value
 //!   allocates nothing: the node comes from the map's slab. It is

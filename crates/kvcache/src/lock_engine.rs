@@ -1,11 +1,11 @@
 //! The default engine: a single global lock (memcached's `cache_lock`).
 
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap};
 use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::engine::{CacheEngine, CacheStats, EngineReadCtx, StoreOutcome};
+use crate::engine::{keep_smallest, CacheEngine, CacheStats, EngineReadCtx, StoreOutcome};
 use crate::item::Item;
 
 /// Configuration shared by every engine.
@@ -26,15 +26,33 @@ impl Default for EngineConfig {
     }
 }
 
+impl EngineConfig {
+    /// The most items the protected segment keeps once the cache is full:
+    /// ⌊4 · capacity / 5⌋. A constant share, not a knob: a larger one fits
+    /// a fixed hot set better and re-adapts more slowly when it moves.
+    pub(crate) fn protected_quota(&self) -> usize {
+        self.capacity * 4 / 5
+    }
+}
+
 struct Slot {
     item: Item,
-    /// Monotonic access stamp used for LRU eviction.
+    /// Monotonic access stamp that orders the slot within its segment.
     last_access: u64,
+    /// Whether the slot is in the protected segment (else in probation).
+    protected: bool,
 }
 
 struct Inner {
     map: HashMap<String, Slot>,
     clock: u64,
+}
+
+impl Inner {
+    fn stamp(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
 }
 
 /// The stock-memcached-shaped engine: **every** operation — including GET —
@@ -43,6 +61,13 @@ struct Inner {
 /// This is the configuration whose GET throughput stops scaling once a
 /// handful of client threads contend on the lock, which is precisely the
 /// effect the paper's memcached figure demonstrates.
+///
+/// It evicts by the same exact segmented LRU as
+/// [`RpEngine`](crate::RpEngine), found by a scan of the whole map under
+/// the lock: a SET stores probation, a GET hit protects, and a SET past
+/// capacity demotes the oldest protected slots while more than 80 % of the
+/// capacity is protected, then evicts an expired slot or else the oldest
+/// probation slot.
 pub struct LockEngine {
     inner: Mutex<Inner>,
     config: EngineConfig,
@@ -61,8 +86,8 @@ impl LockEngine {
         Self::with_capacity(1 << 20)
     }
 
-    /// Creates an engine that holds at most `capacity` items, evicting the
-    /// least recently used item beyond that.
+    /// Creates an engine that holds at most `capacity` items, evicting by
+    /// segmented LRU beyond that.
     pub fn with_capacity(capacity: usize) -> Self {
         LockEngine {
             inner: Mutex::new(Inner {
@@ -82,16 +107,19 @@ impl LockEngine {
     fn get(&self, key: &str, found: &mut dyn FnMut(&Item)) -> bool {
         let now = Instant::now();
         let mut inner = self.inner.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        match inner.map.get_mut(key) {
+        let Inner { map, clock } = &mut *inner;
+        match map.get_mut(key) {
             Some(slot) if !slot.item.is_expired(now) => {
-                slot.last_access = clock;
+                *clock += 1;
+                slot.last_access = *clock;
+                if !std::mem::replace(&mut slot.protected, true) {
+                    self.stats.add_protected(1);
+                }
                 found(&slot.item);
                 true
             }
             Some(_) => {
-                inner.map.remove(key);
+                self.remove(&mut inner, key);
                 self.stats.expirations.inc();
                 false
             }
@@ -99,23 +127,59 @@ impl LockEngine {
         }
     }
 
+    /// Removes `key`'s slot, taking a protected one off the protected
+    /// count; `true` if there was one.
+    fn remove(&self, inner: &mut Inner, key: &str) -> bool {
+        let removed = inner.map.remove(key);
+        if removed.as_ref().is_some_and(|slot| slot.protected) {
+            self.stats.add_protected(-1);
+        }
+        removed.is_some()
+    }
+
     fn evict_if_needed(&self, inner: &mut Inner) {
         while inner.map.len() > self.config.capacity {
-            // Exact LRU under the global lock: find the slot with the oldest
-            // access stamp. (memcached keeps an intrusive list; a scan keeps
-            // this reproduction simple and happens only beyond capacity.)
+            // One scan of the map under the global lock finds the slots
+            // to demote and the victim. (memcached keeps intrusive lists;
+            // a scan keeps this reproduction simple and happens only
+            // beyond capacity.) Demoted slots take stamps newer than every
+            // probation slot's, so the victim found beside them stands.
             self.stats.evict_scans.inc();
-            let victim = inner
-                .map
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_access)
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(key) => {
-                    inner.map.remove(&key);
-                    self.stats.evictions.inc();
+            let over = self.stats.protected_items() as usize;
+            let over = over.saturating_sub(self.config.protected_quota());
+            let mut now = None;
+            let mut demote = BinaryHeap::new();
+            let mut victim = None;
+            for (key, slot) in &inner.map {
+                let expired = slot.item.has_expired_by(&mut now);
+                if slot.protected && !expired {
+                    keep_smallest(&mut demote, over, (slot.last_access, key));
+                } else {
+                    let candidate = (!expired, slot.last_access, key);
+                    victim = Some(victim.map_or(candidate, |victim| candidate.min(victim)));
                 }
-                None => break,
+            }
+            let demote: Vec<String> = demote
+                .into_sorted_vec()
+                .into_iter()
+                .map(|(_, key)| key.clone())
+                .collect();
+            let victim = victim.map(|(live, _, key)| (live, key.clone()));
+            for key in demote {
+                let stamp = inner.stamp();
+                let slot = inner.map.get_mut(&key).expect("a slot the scan saw");
+                (slot.protected, slot.last_access) = (false, stamp);
+                self.stats.add_protected(-1);
+                self.stats.demotions.inc();
+            }
+            let Some((live, key)) = victim else {
+                break;
+            };
+            self.remove(inner, &key);
+            if live {
+                self.stats.evictions.inc();
+            } else {
+                self.stats.expirations.inc();
             }
         }
     }
@@ -143,22 +207,26 @@ impl CacheEngine for LockEngine {
             return StoreOutcome::NotStored;
         }
         let mut inner = self.inner.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        inner.map.insert(
-            key.to_string(),
-            Slot {
-                item,
-                last_access: clock,
-            },
-        );
+        // In probation, whatever segment a slot it replaces was in.
+        let slot = Slot {
+            item,
+            last_access: inner.stamp(),
+            protected: false,
+        };
+        if inner
+            .map
+            .insert(key.to_string(), slot)
+            .is_some_and(|old| old.protected)
+        {
+            self.stats.add_protected(-1);
+        }
         self.evict_if_needed(&mut inner);
         self.stats.sets.inc();
         StoreOutcome::Stored
     }
 
     fn delete(&self, key: &str) -> bool {
-        let removed = self.inner.lock().map.remove(key).is_some();
+        let removed = self.remove(&mut self.inner.lock(), key);
         if removed {
             self.stats.deletes.inc();
         }
@@ -176,12 +244,15 @@ impl CacheEngine for LockEngine {
     fn purge_expired(&self) -> usize {
         let now = Instant::now();
         let mut inner = self.inner.lock();
-        let before = inner.map.len();
-        inner.map.retain(|_, slot| !slot.item.is_expired(now));
-        let purged = before - inner.map.len();
-        for _ in 0..purged {
-            self.stats.expirations.inc();
-        }
+        let (mut purged, mut protected) = (0, 0);
+        inner.map.retain(|_, slot| {
+            let expired = slot.item.is_expired(now);
+            purged += usize::from(expired);
+            protected += i64::from(expired && slot.protected);
+            !expired
+        });
+        self.stats.add_protected(-protected);
+        self.stats.expirations.add(purged as u64);
         purged
     }
 }
@@ -192,14 +263,14 @@ mod tests {
     use crate::engine::ReadSide;
 
     #[test]
-    fn capacity_triggers_exact_lru_eviction() {
+    fn capacity_evicts_the_oldest_probation_slot() {
         let engine = LockEngine::with_capacity(3);
         let mut ctx = EngineReadCtx::new(ReadSide::Ebr);
         let mut get = |key: &str| engine.get_ref(key.as_bytes(), &mut ctx);
         engine.set("a", Item::new(0, "1"));
         engine.set("b", Item::new(0, "2"));
         engine.set("c", Item::new(0, "3"));
-        // Touch "a" so "b" becomes the LRU victim.
+        // Hit "a" (protected) so "b" is the oldest slot in probation.
         get("a");
         engine.set("d", Item::new(0, "4"));
         assert_eq!(engine.len(), 3);

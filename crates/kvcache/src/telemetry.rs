@@ -79,6 +79,16 @@ fn walk_engine(engine: &dyn CacheEngine, v: &mut impl Visitor) {
         Counter(&stats.evict_stale),
     );
     group(
+        "engine_demotions_total",
+        "Items moved from the protected segment back to probation",
+        Counter(&stats.demotions),
+    );
+    group(
+        "engine_protected_items",
+        "Items in the protected segment",
+        Gauge(stats.protected_items()),
+    );
+    group(
         "engine_expirations_total",
         "Items dropped because they were expired",
         Counter(&stats.expirations),
@@ -262,6 +272,12 @@ engine_evict_scans_total 0\n\
 # HELP engine_evict_stale_total Eviction candidates skipped because they were touched after the scan\n\
 # TYPE engine_evict_stale_total counter\n\
 engine_evict_stale_total 0\n\
+# HELP engine_demotions_total Items moved from the protected segment back to probation\n\
+# TYPE engine_demotions_total counter\n\
+engine_demotions_total 0\n\
+# HELP engine_protected_items Items in the protected segment\n\
+# TYPE engine_protected_items gauge\n\
+engine_protected_items 0\n\
 # HELP engine_expirations_total Items dropped because they were expired\n\
 # TYPE engine_expirations_total counter\n\
 engine_expirations_total 0\n";
@@ -499,6 +515,7 @@ END\r\n";
             "\"engine_get_misses_total\":1,\"engine_sets_total\":1,",
             "\"engine_deletes_total\":1,\"engine_evictions_total\":0,",
             "\"engine_evict_scans_total\":0,\"engine_evict_stale_total\":0,",
+            "\"engine_demotions_total\":0,\"engine_protected_items\":0,",
             "\"engine_expirations_total\":0},",
             "\"kv\":{\"kv_requests_total\":0,\"kv_decode_errors_total\":0,",
             "\"kv_get_latency_ns\":Z,\"kv_set_latency_ns\":Z,",
@@ -609,9 +626,13 @@ END\r\n";
             &stats.expirations,
             &stats.evict_scans,
             &stats.evict_stale,
+            &stats.demotions,
         ] {
             counter.inc();
         }
+        // A hit protects `k`: the segment's gauge reads 1.
+        let mut ctx = EngineReadCtx::new(ReadSide::Ebr);
+        engine.get_ref(b"k", &mut ctx);
         let registry = Obs::default();
         let (kv, net) = (registry.kv.shards.for_worker(5), &registry.net);
         let flushes = net.flushes.for_worker(5);

@@ -3,10 +3,11 @@
 //! them, on the relativistic engine under both read sides, against the
 //! debug-build tally in `rp_kvcache::audit`.
 //!
-//! A hit stamps the engine's LRU clock and stores the stamp into the item;
-//! nothing else it does is shared. Its value is copied into the reply from
-//! inside the read-side section, so a payload's reference count is never
-//! touched, and the hit and miss counts reach `CacheStats` in at most one
+//! A hit stamps the engine's clock and stores the stamp, with the protected
+//! bit, into the item; nothing else it does is shared. A miss writes
+//! nothing shared. A hit's value is copied into the reply from inside the
+//! read-side section, so a payload's reference count is never touched, and
+//! the hit, miss and promotion counts reach `CacheStats` in at most one
 //! `fetch_add` per counter per `on_data` call. The tally exists only in
 //! debug builds, so this test does too.
 #![cfg(debug_assertions)]
@@ -77,18 +78,21 @@ fn audit_engine(engine: Arc<dyn CacheEngine>, read_side: ReadSide) {
     }
     let service = KvService::new(Arc::clone(&engine), read_side);
     let mut worker = service.on_worker_start(0);
-    let per_call = |hit_folds, miss_folds| SharedWrites {
-        stamps: PIPELINED as u64,
-        last_access: if hit_folds == 1 { PIPELINED as u64 } else { 0 },
-        hit_folds,
+    let per_call = |hits, miss_folds, promotion_folds| SharedWrites {
+        stamps: hits,
+        last_access: hits,
+        hit_folds: u64::from(hits > 0),
         miss_folds,
+        promotion_folds,
         payload_clones: 0,
     };
+    let all = PIPELINED as u64;
 
-    // 64 hits of 64-byte values: a stamp and a `last_access` store each,
-    // no reference count touched, one fold.
+    // 64 first hits of 64-byte values: a stamp and a word store each, no
+    // reference count touched, one fold of the hits and one of the
+    // promotions, since each hit moves its item out of probation.
     let (replies, writes) = serve(&service, &mut worker, &gets(0));
-    assert_eq!(writes, per_call(1, 0), "{name}: hits");
+    assert_eq!(writes, per_call(all, 0, 1), "{name}: first hits");
     let expected: Vec<u8> = (0..PIPELINED)
         .flat_map(|i| {
             let mut reply = format!("VALUE {} 0 64\r\n", key(i)).into_bytes();
@@ -98,20 +102,26 @@ fn audit_engine(engine: Arc<dyn CacheEngine>, read_side: ReadSide) {
         })
         .collect();
     assert!(replies == expected, "{name}: hit replies");
-    assert_eq!(engine.stats().hits(), PIPELINED as u64, "{name}");
+    assert_eq!(engine.stats().hits(), all, "{name}");
+    assert_eq!(engine.stats().protected_items(), all, "{name}");
 
-    // 64 misses: the stamp is drawn before the probe, so a miss takes one
-    // too; nothing is stored, one fold.
+    // The same 64 again, the steady state: a stamp and a word store each,
+    // one fold, and no promotion left to count.
+    let (replies, writes) = serve(&service, &mut worker, &gets(0));
+    assert_eq!(writes, per_call(all, 0, 0), "{name}: steady hits");
+    assert!(replies == expected, "{name}: hit replies");
+
+    // 64 misses: no stamp and no store, one fold.
     let (replies, writes) = serve(&service, &mut worker, &gets(500));
-    assert_eq!(writes, per_call(0, 1), "{name}: misses");
+    assert_eq!(writes, per_call(0, 1, 0), "{name}: misses");
     assert_eq!(replies, b"END\r\n".repeat(PIPELINED), "{name}");
-    assert_eq!(engine.stats().misses(), PIPELINED as u64, "{name}");
+    assert_eq!(engine.stats().misses(), all, "{name}");
 
     // Hits and misses in one call: still one fold per counter.
     let (_, writes) = serve(&service, &mut worker, &gets(PIPELINED / 2));
     assert_eq!(
-        (writes.hit_folds, writes.miss_folds),
-        (1, 1),
+        (writes.hit_folds, writes.miss_folds, writes.stamps),
+        (1, 1, all / 2),
         "{name}: mixed"
     );
 
@@ -133,15 +143,16 @@ fn audit_engine(engine: Arc<dyn CacheEngine>, read_side: ReadSide) {
         "{name}: large replies"
     );
 
+    assert_eq!(writes.promotion_folds, 1, "{name}: large values");
     assert_eq!(
         engine.stats().hits(),
-        (2 * PIPELINED + PIPELINED / 2) as u64,
+        (3 * PIPELINED + PIPELINED / 2) as u64,
         "{name}"
     );
 }
 
 #[test]
-fn a_get_hit_writes_only_its_stamp_and_a_batch_folds_its_counts_once() {
+fn a_get_hit_writes_only_its_stamp_a_miss_nothing_and_a_batch_folds_its_counts_once() {
     for read_side in [ReadSide::Qsbr, ReadSide::Ebr] {
         // A thread per run, so a QSBR registration never outlives it.
         std::thread::spawn(move || {
