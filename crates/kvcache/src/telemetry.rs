@@ -75,7 +75,7 @@ fn walk_engine(engine: &dyn CacheEngine, v: &mut impl Visitor) {
     );
     group(
         "engine_evict_stale_total",
-        "Eviction candidates skipped because they were touched after the scan",
+        "Eviction or demotion candidates skipped because they were touched after the scan",
         Counter(&stats.evict_stale),
     );
     group(
@@ -269,7 +269,7 @@ engine_evictions_total 0\n\
 # HELP engine_evict_scans_total Index scans for eviction candidates\n\
 # TYPE engine_evict_scans_total counter\n\
 engine_evict_scans_total 0\n\
-# HELP engine_evict_stale_total Eviction candidates skipped because they were touched after the scan\n\
+# HELP engine_evict_stale_total Eviction or demotion candidates skipped because they were touched after the scan\n\
 # TYPE engine_evict_stale_total counter\n\
 engine_evict_stale_total 0\n\
 # HELP engine_demotions_total Items moved from the protected segment back to probation\n\
