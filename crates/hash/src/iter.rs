@@ -65,44 +65,6 @@ impl<K, V> std::fmt::Debug for Iter<'_, K, V> {
     }
 }
 
-/// An iterator over the keys of an [`crate::RpHashMap`].
-pub struct Keys<'g, K, V> {
-    inner: Iter<'g, K, V>,
-}
-
-impl<'g, K, V> Keys<'g, K, V> {
-    pub(crate) fn new(inner: Iter<'g, K, V>) -> Self {
-        Keys { inner }
-    }
-}
-
-impl<'g, K: 'g, V: 'g> Iterator for Keys<'g, K, V> {
-    type Item = &'g K;
-
-    fn next(&mut self) -> Option<&'g K> {
-        self.inner.next().map(|(k, _)| k)
-    }
-}
-
-/// An iterator over the values of an [`crate::RpHashMap`].
-pub struct Values<'g, K, V> {
-    inner: Iter<'g, K, V>,
-}
-
-impl<'g, K, V> Values<'g, K, V> {
-    pub(crate) fn new(inner: Iter<'g, K, V>) -> Self {
-        Values { inner }
-    }
-}
-
-impl<'g, K: 'g, V: 'g> Iterator for Values<'g, K, V> {
-    type Item = &'g V;
-
-    fn next(&mut self) -> Option<&'g V> {
-        self.inner.next().map(|(_, v)| v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::{FnvBuildHasher, RpHashMap};
@@ -125,15 +87,15 @@ mod tests {
     }
 
     #[test]
-    fn keys_and_values_agree_with_iter() {
+    fn iter_yields_every_key_and_value() {
         let map: RpHashMap<u64, u64, FnvBuildHasher> =
             RpHashMap::with_buckets_and_hasher(4, FnvBuildHasher);
         for i in 0..20 {
             map.insert(i, 100 + i);
         }
         let guard = map.pin();
-        let keys: BTreeSet<u64> = map.keys(&guard).copied().collect();
-        let values: BTreeSet<u64> = map.values(&guard).copied().collect();
+        let keys: BTreeSet<u64> = map.iter(&guard).map(|(k, _)| *k).collect();
+        let values: BTreeSet<u64> = map.iter(&guard).map(|(_, v)| *v).collect();
         assert_eq!(keys, (0..20).collect());
         assert_eq!(values, (100..120).collect());
     }
@@ -156,7 +118,7 @@ mod tests {
         map.expand();
         map.shrink();
         let guard = map.pin();
-        let seen: BTreeSet<u64> = map.keys(&guard).copied().collect();
+        let seen: BTreeSet<u64> = map.iter(&guard).map(|(k, _)| *k).collect();
         assert_eq!(seen.len(), 64);
     }
 }

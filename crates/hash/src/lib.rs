@@ -80,7 +80,7 @@ mod table;
 
 pub use fnv::{FnvBuildHasher, FnvHasher};
 pub use fold::{FoldBuildHasher, FoldHasher};
-pub use iter::{Iter, Keys, Values};
+pub use iter::Iter;
 pub use map::{prefetch_line, RpHashMap};
 pub use policy::ResizePolicy;
 pub use qsbr::{QsbrReadHandle, ReadProtect, ReadSide};

@@ -10,7 +10,7 @@ use parking_lot::{Mutex, MutexGuard};
 use rp_rcu::{GraceSync, NoGraceWait, RcuGuard};
 
 use crate::fold::FoldBuildHasher;
-use crate::iter::{Iter, Keys, Values};
+use crate::iter::Iter;
 use crate::node::{Locked, Node};
 use crate::policy::ResizePolicy;
 use crate::qsbr::ReadProtect;
@@ -838,16 +838,6 @@ where
     /// entries inserted or removed concurrently may or may not be observed.
     pub fn iter<'g, P: ReadProtect>(&'g self, protect: &'g P) -> Iter<'g, K, V> {
         Iter::new(self.read.table.read(protect))
-    }
-
-    /// Iterates over all keys under a read-side protection witness.
-    pub fn keys<'g, P: ReadProtect>(&'g self, protect: &'g P) -> Keys<'g, K, V> {
-        Keys::new(self.iter(protect))
-    }
-
-    /// Iterates over all values under a read-side protection witness.
-    pub fn values<'g, P: ReadProtect>(&'g self, protect: &'g P) -> Values<'g, K, V> {
-        Values::new(self.iter(protect))
     }
 
     /// Collects all entries into a `Vec` (cloning), a convenience for tests

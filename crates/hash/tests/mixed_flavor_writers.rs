@@ -19,15 +19,15 @@
 //! their grace periods out).
 //!
 //! A stall is a failure, not a hang: the test thread watches both writers'
-//! progress counters and gives up on a deadline, and with
-//! `RP_RCU_STALL_PANIC=1` the stalled grace period is reported by flavor.
+//! progress counters and gives up on a deadline, a stalled grace period
+//! counts in `rcu_grace_stalls_total`, and with `RP_RCU_STALL_PANIC=1` its
+//! scan aborts the test with a report naming the readers that block it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rp_hash::{FnvBuildHasher, QsbrReadHandle, ResizePolicy, RpHashMap};
-use rp_rcu::stall::{spawn_watchdog, StallConfig};
 
 type Map = RpHashMap<u64, u64, FnvBuildHasher>;
 
@@ -59,7 +59,7 @@ fn writer(map: &Map, id: u64, pairs: &AtomicU64, stop: &AtomicBool, mut between:
 /// Runs the storm, in which the EBR writer must wait for no grace period;
 /// returns the map.
 fn storm(name: &str, policy: ResizePolicy) -> Arc<Map> {
-    let watchdog = spawn_watchdog(StallConfig::from_env());
+    let stalls_before = rp_obs::global().rcu.grace_stalls_total.get();
     let map: Arc<Map> = Arc::new(RpHashMap::with_buckets_hasher_and_policy(
         16,
         FnvBuildHasher,
@@ -119,7 +119,11 @@ fn storm(name: &str, policy: ResizePolicy) -> Arc<Map> {
             .join()
             .unwrap_or_else(|_| panic!("{name}: the {flavor} writer panicked"))
     });
-    watchdog.stop().expect("no grace period stalled");
+    assert_eq!(
+        rp_obs::global().rcu.grace_stalls_total.get(),
+        stalls_before,
+        "{name}: a grace period stalled"
+    );
 
     let secs = started.elapsed().as_secs_f64();
     let rate = |writer: usize| pairs[writer].load(Ordering::Relaxed) as f64 / secs / 1e3;

@@ -246,10 +246,6 @@ impl EventServer {
     /// Binds `127.0.0.1:<config.port>` (0 picks a free port) and serves
     /// `engine` exactly as `config` describes.
     pub fn start(engine: Arc<dyn CacheEngine>, config: &ServerConfig) -> io::Result<EventServer> {
-        // A serving process watches its own grace periods (see
-        // `rp_rcu::stall`): a wedged reader surfaces in STATS TRACE and
-        // `rcu_grace_stalls_total` instead of as a silent writer hang.
-        rp_rcu::stall::ensure_global_watchdog();
         // Arm scripted fault injection when RP_FAULT_PLAN is set (no-op —
         // one relaxed load per failpoint — otherwise). Every serving binary
         // starts its server here, so chaos runs need no code changes.

@@ -12,8 +12,9 @@
 //! held across its wait.
 //!
 //! On trial: the storm finishes (the queue lock is
-//! never held across a removal or a grace wait; with `RP_RCU_STALL_PANIC=1`
-//! a stalled grace period is a panic, not a hang); the cache is within its
+//! never held across a removal or a grace wait; no grace period reports a
+//! stall, and with `RP_RCU_STALL_PANIC=1` one that stalls aborts with a
+//! named report, not a hang); the cache is within its
 //! capacity once it is over; every removal was counted exactly once
 //! (`sets − evictions − expirations − deletes == len`); and the hot set
 //! survived, which an eviction of anything but the oldest would not allow.
@@ -27,7 +28,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rp_kvcache::{CacheEngine, EngineReadCtx, Item, ReadSide, RpEngine};
-use rp_rcu::stall::{spawn_watchdog, StallConfig};
 
 const CAPACITY: usize = 1024;
 const SETS_PER_WRITER: usize = 50_000;
@@ -161,7 +161,6 @@ fn storm(engine: Arc<dyn CacheEngine>) {
 #[test]
 fn eviction_storm_with_delayed_refills() {
     let stalls_before = rp_obs::global().rcu.grace_stalls_total.get();
-    let watchdog = spawn_watchdog(StallConfig::from_env());
     // The failpoint registry is process-global: one test, one storm at a time.
     let seed = std::env::var("RP_FAULT_SEED")
         .ok()
@@ -170,6 +169,9 @@ fn eviction_storm_with_delayed_refills() {
     let _armed = rp_fault::ArmGuard::new("kv.evict.refilled=delay:1ms@0.125", seed);
     storm(Arc::new(RpEngine::with_capacity(CAPACITY)));
     assert!(rp_fault::injected("kv.evict.refilled") > 0);
-    watchdog.stop().expect("no grace period stalled");
-    assert_eq!(rp_obs::global().rcu.grace_stalls_total.get(), stalls_before);
+    assert_eq!(
+        rp_obs::global().rcu.grace_stalls_total.get(),
+        stalls_before,
+        "a grace period stalled"
+    );
 }

@@ -29,6 +29,7 @@ use std::time::Duration;
 use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 
+use crate::stall::Watch;
 use crate::stats::{AtomicStats, DomainStats};
 
 std::thread_local! {
@@ -48,16 +49,16 @@ pub(crate) struct Reader {
     /// EBR guard nesting depth. Only the owning thread touches it.
     pub(crate) nesting: AtomicUsize,
     /// Registration ordinal, unique within the domain.
-    ordinal: u64,
+    pub(crate) ordinal: u64,
     /// The registering thread's name; with `ordinal`, what a stall report
     /// names the reader by.
-    thread: Box<str>,
+    pub(crate) thread: Box<str>,
 }
 
 impl Reader {
     /// Does a grace period that bumped the counter to `target` wait for
     /// this reader? Yes while its section began before the bump.
-    fn blocks(&self, target: u64) -> bool {
+    pub(crate) fn blocks(&self, target: u64) -> bool {
         let word = self.word.load(Ordering::SeqCst);
         word != 0 && word < target
     }
@@ -211,6 +212,9 @@ impl RcuDomain {
         // sections begin after ours. One that unregisters during the wait is
         // kept alive by the cloned `Arc` and shows a 0 word.
         let snapshot: Vec<Arc<CachePadded<Reader>>> = self.registry.lock().clone();
+        // The scan is also the stall detector. Its clock starts on its
+        // first sleep, which a healthy grace period never reaches.
+        let mut watch = Watch::default();
         for reader in &snapshot {
             let mut spins = 0_u32;
             while reader.blocks(target) {
@@ -220,6 +224,7 @@ impl RcuDomain {
                 } else if spins < 256 {
                     std::thread::yield_now();
                 } else {
+                    watch.before_sleep(&snapshot, target);
                     std::thread::sleep(Duration::from_micros(50));
                 }
             }
@@ -282,21 +287,6 @@ impl RcuDomain {
     /// Number of readers currently registered with this domain.
     pub fn registered_readers(&self) -> usize {
         self.registry.lock().len()
-    }
-
-    /// The readers the latest grace period waits for: the ordinal and
-    /// thread name of every registered reader, of either flavor, whose
-    /// section began before the latest bump. While a `synchronize` is
-    /// pending these are the readers holding it up; the stall detector
-    /// ([`crate::stall`]) names them.
-    pub fn blocking_readers(&self) -> Vec<(u64, String)> {
-        let target = self.gp_ctr.load(Ordering::SeqCst);
-        self.registry
-            .lock()
-            .iter()
-            .filter(|reader| reader.blocks(target))
-            .map(|reader| (reader.ordinal, reader.thread.to_string()))
-            .collect()
     }
 }
 
@@ -392,7 +382,7 @@ mod tests {
             !next.is_finished(),
             "the next grace period ignored a stale word"
         );
-        assert_eq!(d.blocking_readers(), vec![(1, reader.thread.to_string())]);
+        assert!(reader.blocks(d.counter()), "the pending scan's target");
         reader.word.store(0, Ordering::SeqCst);
         next.join().unwrap();
         assert_eq!(d.stats().grace_periods, 2);
@@ -466,11 +456,15 @@ mod tests {
         assert_eq!(d2.stats().grace_periods, 1);
     }
 
-    /// One registry: a held guard and an online handle on one domain are
-    /// both named, each by its own thread.
+    /// One registry: a pending scan's stall report names a held guard and
+    /// an online handle on one domain, each by its own thread.
     #[test]
-    fn blocking_readers_names_both_flavors() {
+    fn a_stall_report_names_both_flavors() {
         let d = RcuDomain::new();
+        let report = || {
+            let snapshot = d.registry.lock().clone();
+            crate::stall::report(Duration::ZERO, &snapshot, d.counter())
+        };
         let release = Arc::new(AtomicBool::new(false));
         let (tx, rx) = std::sync::mpsc::channel();
         let readers: Vec<_> = ["ebr-reader", "qsbr-reader"]
@@ -494,24 +488,25 @@ mod tests {
             .collect();
         rx.recv().unwrap();
         rx.recv().unwrap();
-        assert!(d.blocking_readers().is_empty(), "no grace period pending");
+        assert!(!report().contains("ordinal"), "no grace period pending");
         let waiter = {
             let d = Arc::clone(&d);
             thread::spawn(move || d.synchronize())
         };
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        let mut names = Vec::new();
-        while names.len() < 2 && std::time::Instant::now() < deadline {
-            names = d.blocking_readers().into_iter().map(|(_, n)| n).collect();
+        let named =
+            |report: &str| report.contains("(ebr-reader)") && report.contains("(qsbr-reader)");
+        while !named(&report()) && std::time::Instant::now() < deadline {
             thread::yield_now();
         }
-        names.sort();
-        assert_eq!(names, ["ebr-reader", "qsbr-reader"]);
+        let pending = report();
+        assert!(named(&pending), "{pending}");
+        assert_eq!(pending.matches("ordinal").count(), 2, "{pending}");
         release.store(true, Ordering::SeqCst);
         for r in readers {
             r.join().unwrap();
         }
         waiter.join().unwrap();
-        assert!(d.blocking_readers().is_empty(), "resolved after the GP");
+        assert!(!report().contains("ordinal"), "resolved after the GP");
     }
 }

@@ -25,7 +25,7 @@
 //!   [`RcuDomain::synchronize_until`] waits only if it has not.
 //! * **Waiting for readers and deferred reclamation** — [`GraceSync`] is
 //!   the writer side. [`GraceSync::synchronize`] waits for a grace period
-//!   through the failpoint, the stall stamp and the telemetry;
+//!   through the failpoint and the telemetry;
 //!   [`GraceSync::defer`] /
 //!   [`GraceSync::defer_free`] queue destruction work (the userspace
 //!   `call_rcu`) and never wait. The process-wide funnel's own thread,
@@ -36,10 +36,11 @@
 //!   everything queued before it has run. [`NoGraceWait`] marks the
 //!   locks a waiting thread must not hold (a debug assertion in the
 //!   funnel).
-//! * **Stall detection** — [`stall`] watches every funnel wait and flags
-//!   (or, configured via `RP_RCU_STALL_PANIC`, panics on) grace periods
-//!   that exceed a threshold, naming every blocking reader, of either
-//!   flavor, by ordinal and thread name.
+//! * **Stall detection** — the scan in [`RcuDomain::synchronize`] reports
+//!   its own grace period once it exceeds a threshold ([`stall`]), naming
+//!   every reader of its domain that blocks it, of either flavor, by
+//!   ordinal and thread name; with `RP_RCU_STALL_PANIC` it then aborts the
+//!   process.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

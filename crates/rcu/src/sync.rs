@@ -15,8 +15,10 @@
 //! so a node retired by any structure can only be freed by a pass that
 //! waited for every reader. [`GraceSync::synchronize`] is also the funnel
 //! every grace wait outside this crate goes through: it carries the
-//! `rcu.grace` failpoint, the stall detector's stamp and the
-//! `rcu_sync_ns` telemetry, and so does [`GraceSync::synchronize_until`].
+//! `rcu.grace` failpoint and the `rcu_sync_ns` telemetry, and so does
+//! [`GraceSync::synchronize_until`]. The stall report comes from the
+//! domain's own scan ([`crate::stall`]), so it covers every wait, direct
+//! [`RcuDomain::synchronize`] calls included.
 //!
 //! **Who frees.** Retiring never waits: the process-wide funnel runs its
 //! passes on one thread of its own, `rcu-reclaimer` (the userspace
@@ -33,7 +35,7 @@
 //! [`GraceSync::synchronize_and_reclaim`], which is a *barrier*. Passes
 //! are serialized, so it returns once every callback queued before it has
 //! run, on whichever thread ran it. A stalled reader stops frees, not
-//! writers; the stall detector ([`crate::stall`]) names the reader.
+//! writers; the stalled scan names the reader ([`crate::stall`]).
 //!
 //! A caller may gather its retires before it queues them, and `rp-hash`'s
 //! maps do: each holds up to 63 retired nodes in an open batch of its own,
@@ -238,14 +240,9 @@ impl GraceSync {
         // cannot fail, so only the injected delay is honored).
         let _ = rp_fault::point("rcu.grace");
         // Telemetry: one relaxed load when disabled; a clock pair, a
-        // histogram bump and a trace-ring entry when enabled. The wait is
-        // also stamped into the stall detector so an uncooperative reader
-        // turns into a report naming its thread instead of a silent hang
-        // (the stamp guard clears on completion).
+        // histogram bump and a trace-ring entry when enabled.
         let timer = rp_obs::timer();
-        let stamp = crate::stall::detector().stamp_begin();
         self.domain.synchronize();
-        drop(stamp);
         if let Some(ns) = rp_obs::elapsed_ns(timer) {
             let obs = rp_obs::global();
             obs.rcu.sync_ns.record(ns);
