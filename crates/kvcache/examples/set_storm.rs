@@ -36,7 +36,7 @@ fn main() {
     let options = ServerOptions::parse(&flags, &|_| None).unwrap_or_else(|usage| panic!("{usage}"));
     let engine = options.build_engine();
     let mut server =
-        EventServer::start(Arc::clone(&engine), &options.server_config()).expect("server starts");
+        EventServer::start(Arc::clone(&engine), &options.server).expect("server starts");
     let addr = server.addr();
 
     let clients: Vec<_> = (0..CLIENTS)

@@ -36,12 +36,12 @@ fn main() {
     };
     if smoke {
         // The smoke run must not collide with a real daemon's port.
-        opts.port = 0;
+        opts.server.port = 0;
     }
     rp_obs::set_enabled(opts.stats);
 
     let engine = opts.build_engine();
-    let mut server = match EventServer::start(Arc::clone(&engine), &opts.server_config()) {
+    let mut server = match EventServer::start(Arc::clone(&engine), &opts.server) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("kvcached: cannot start: {e}");
@@ -51,7 +51,7 @@ fn main() {
     println!(
         "kvcached ({} engine, {} worker(s)) listening on {}",
         engine.name(),
-        opts.workers,
+        opts.server.net.workers,
         server.addr()
     );
 

@@ -27,6 +27,15 @@
 //! `--engine` picks one of the paper's two memcached engines: `rp`, the
 //! relativistic table ([`RpEngine`]), or `lock`, stock memcached's global
 //! lock ([`LockEngine`]).
+//!
+//! `--stats` takes `on`/`off`, `1`/`0`, `true`/`false` or `yes`/`no`, in
+//! any case; any other value is refused with the usage text, as a bad
+//! `--engine` or `--read-side` is.
+//!
+//! [`ServerOptions::parse`] writes each setting into the one field that
+//! holds it: the engine's in [`ServerOptions`], the port and read side in
+//! its [`ServerConfig`], the reactor's in that config's
+//! [`NetConfig`](rp_net::NetConfig).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -44,50 +53,33 @@ pub enum EngineKind {
     Lock,
 }
 
-/// Parsed server configuration.
+/// Everything `kvcached` is told, read by its `main`: it builds the engine
+/// from `engine` and `capacity` ([`ServerOptions::build_engine`]), switches
+/// `rp-obs` timing by `stats`, and starts
+/// [`EventServer`](crate::EventServer) with `server`.
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
     /// Storage engine.
     pub engine: EngineKind,
-    /// TCP port (`0` picks a free one).
-    pub port: u16,
-    /// Reactor worker threads.
-    pub workers: usize,
-    /// Read-side RCU flavor for GETs.
-    pub read_side: ReadSide,
     /// Item capacity.
     pub capacity: usize,
-    /// Graceful-shutdown drain budget.
-    pub drain_timeout: Duration,
-    /// Idle-connection reap timeout (`None` = off).
-    pub idle_timeout: Option<Duration>,
-    /// Per-connection served-request budget (`None` = unlimited).
-    pub max_requests_per_conn: Option<u64>,
-    /// Admission wall: concurrent-connection cap (`usize::MAX` =
-    /// unlimited). Peers over it get `SERVER_ERROR busy`.
-    pub max_connections: usize,
-    /// Global byte budget: total bytes buffered across all connections
-    /// (`usize::MAX` = unlimited).
-    pub max_total_bytes: usize,
     /// `rp-obs` telemetry timers (`--stats off` drops the two `Instant`
     /// reads per request; untimed counters stay on either way).
     pub stats: bool,
+    /// The server's port, read side and reactor settings.
+    pub server: ServerConfig,
 }
 
 impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
             engine: EngineKind::Rp,
-            port: 11211,
-            workers: 2,
-            read_side: ReadSide::Qsbr,
             capacity: 1 << 20,
-            drain_timeout: Duration::from_secs(5),
-            idle_timeout: None,
-            max_requests_per_conn: None,
-            max_connections: usize::MAX,
-            max_total_bytes: usize::MAX,
             stats: true,
+            server: ServerConfig {
+                port: 11211,
+                ..ServerConfig::default()
+            },
         }
     }
 }
@@ -170,41 +162,43 @@ impl ServerOptions {
             };
         }
         if let Some(v) = port {
-            opts.port = parse_num(&v, "--port")?;
+            opts.server.port = parse_num(&v, "--port")?;
         }
         if let Some(v) = workers {
-            opts.workers = parse_num::<usize>(&v, "--workers")?.max(1);
+            opts.server.net.workers = parse_num::<usize>(&v, "--workers")?.max(1);
         }
         if let Some(v) = read_side {
-            opts.read_side = ReadSide::parse(&v)?;
+            opts.server.read_side = ReadSide::parse(&v).map_err(|e| format!("{e}\n\n{USAGE}"))?;
         }
         if let Some(v) = capacity {
             opts.capacity = parse_num::<usize>(&v, "--capacity")?.max(1);
         }
         if let Some(v) = drain_ms {
-            opts.drain_timeout = Duration::from_millis(parse_num(&v, "--drain-timeout-ms")?);
+            opts.server.net.drain_timeout =
+                Duration::from_millis(parse_num(&v, "--drain-timeout-ms")?);
         }
         if let Some(v) = idle_timeout_ms {
             let ms: u64 = parse_num(&v, "--idle-timeout-ms")?;
-            opts.idle_timeout = (ms > 0).then(|| Duration::from_millis(ms));
+            opts.server.net.idle_timeout = (ms > 0).then(|| Duration::from_millis(ms));
         }
         if let Some(v) = max_requests {
             let n: u64 = parse_num(&v, "--max-requests-per-conn")?;
-            opts.max_requests_per_conn = (n > 0).then_some(n);
+            opts.server.net.max_requests_per_conn = (n > 0).then_some(n);
         }
         if let Some(v) = max_conns {
             let n: usize = parse_num(&v, "--max-conns")?;
-            opts.max_connections = if n > 0 { n } else { usize::MAX };
+            opts.server.net.max_connections = if n > 0 { n } else { usize::MAX };
         }
         if let Some(v) = max_bytes {
             let n: usize = parse_num(&v, "--max-bytes")?;
-            opts.max_total_bytes = if n > 0 { n } else { usize::MAX };
+            opts.server.net.max_total_bytes = if n > 0 { n } else { usize::MAX };
         }
         if let Some(v) = stats {
-            opts.stats = !matches!(
-                v.trim().to_ascii_lowercase().as_str(),
-                "off" | "0" | "false" | "no"
-            );
+            opts.stats = match v.trim().to_ascii_lowercase().as_str() {
+                "on" | "1" | "true" | "yes" => true,
+                "off" | "0" | "false" | "no" => false,
+                other => return Err(format!("bad stats value {other:?} (on | off)\n\n{USAGE}")),
+            };
         }
         Ok(opts)
     }
@@ -214,20 +208,6 @@ impl ServerOptions {
         match self.engine {
             EngineKind::Rp => Arc::new(RpEngine::with_capacity(self.capacity)),
             EngineKind::Lock => Arc::new(LockEngine::with_capacity(self.capacity)),
-        }
-    }
-
-    /// The [`ServerConfig`] these options describe.
-    pub fn server_config(&self) -> ServerConfig {
-        ServerConfig {
-            port: self.port,
-            workers: self.workers,
-            read_side: self.read_side,
-            drain_timeout: self.drain_timeout,
-            idle_timeout: self.idle_timeout,
-            max_requests_per_conn: self.max_requests_per_conn,
-            max_connections: self.max_connections,
-            max_total_bytes: self.max_total_bytes,
         }
     }
 }
@@ -256,7 +236,7 @@ mod tests {
         let opts = ServerOptions::parse(&[], &no_env).unwrap();
         assert_eq!(opts.engine, EngineKind::Rp);
         assert_eq!(opts.build_engine().name(), "rp");
-        assert_eq!(opts.port, 11211);
+        assert_eq!(opts.server.port, 11211);
     }
 
     #[test]
@@ -276,9 +256,9 @@ mod tests {
         )
         .unwrap();
         assert_eq!(opts.engine, EngineKind::Lock);
-        assert_eq!(opts.workers, 4);
-        assert_eq!(opts.port, 0);
-        assert_eq!(opts.drain_timeout, Duration::from_millis(250));
+        assert_eq!(opts.server.net.workers, 4);
+        assert_eq!(opts.server.port, 0);
+        assert_eq!(opts.server.net.drain_timeout, Duration::from_millis(250));
     }
 
     #[test]
@@ -290,7 +270,7 @@ mod tests {
         };
         let opts = ServerOptions::parse(&strings(&["--engine", "rp"]), &env).unwrap();
         assert_eq!(opts.engine, EngineKind::Rp, "flag beats env");
-        assert_eq!(opts.workers, 8, "env beats default");
+        assert_eq!(opts.server.net.workers, 8, "env beats default");
     }
 
     #[test]
@@ -318,27 +298,27 @@ mod tests {
     #[test]
     fn read_side_parses_from_flag_and_env() {
         let opts = ServerOptions::parse(&[], &no_env).unwrap();
-        assert_eq!(opts.read_side, ReadSide::Qsbr, "qsbr is the default");
+        assert_eq!(opts.server.read_side, ReadSide::Qsbr, "qsbr is the default");
         let opts = ServerOptions::parse(&strings(&["--read-side", "ebr"]), &no_env).unwrap();
-        assert_eq!(opts.read_side, ReadSide::Ebr);
-        assert_eq!(opts.server_config().read_side, ReadSide::Ebr);
+        assert_eq!(opts.server.read_side, ReadSide::Ebr);
         let env = |name: &str| match name {
             "RP_KV_READ_SIDE" => Some("ebr".to_string()),
             _ => None,
         };
         let opts = ServerOptions::parse(&[], &env).unwrap();
-        assert_eq!(opts.read_side, ReadSide::Ebr, "env beats default");
+        assert_eq!(opts.server.read_side, ReadSide::Ebr, "env beats default");
         let opts = ServerOptions::parse(&strings(&["--read-side", "QSBR"]), &env).unwrap();
-        assert_eq!(opts.read_side, ReadSide::Qsbr, "flag beats env");
-        assert!(ServerOptions::parse(&strings(&["--read-side", "hazard"]), &no_env).is_err());
+        assert_eq!(opts.server.read_side, ReadSide::Qsbr, "flag beats env");
+        let refused = ServerOptions::parse(&strings(&["--read-side", "hazard"]), &no_env);
+        assert!(refused.unwrap_err().ends_with(USAGE));
     }
 
     #[test]
     fn defensive_limits_parse_with_zero_meaning_off() {
-        let opts = ServerOptions::parse(&[], &no_env).unwrap();
-        assert_eq!(opts.idle_timeout, None);
-        assert_eq!(opts.max_requests_per_conn, None);
-        let opts = ServerOptions::parse(
+        let net = ServerOptions::parse(&[], &no_env).unwrap().server.net;
+        assert_eq!(net.idle_timeout, None);
+        assert_eq!(net.max_requests_per_conn, None);
+        let net = ServerOptions::parse(
             &strings(&[
                 "--idle-timeout-ms",
                 "1500",
@@ -347,45 +327,43 @@ mod tests {
             ]),
             &no_env,
         )
-        .unwrap();
-        assert_eq!(opts.idle_timeout, Some(Duration::from_millis(1500)));
-        assert_eq!(opts.max_requests_per_conn, Some(10_000));
-        let config = opts.server_config();
-        assert_eq!(config.idle_timeout, Some(Duration::from_millis(1500)));
-        assert_eq!(config.max_requests_per_conn, Some(10_000));
+        .unwrap()
+        .server
+        .net;
+        assert_eq!(net.idle_timeout, Some(Duration::from_millis(1500)));
+        assert_eq!(net.max_requests_per_conn, Some(10_000));
         let env = |name: &str| match name {
             "RP_KV_IDLE_TIMEOUT_MS" => Some("0".to_string()),
             "RP_KV_MAX_REQUESTS_PER_CONN" => Some("7".to_string()),
             _ => None,
         };
-        let opts = ServerOptions::parse(&[], &env).unwrap();
-        assert_eq!(opts.idle_timeout, None, "0 disables");
-        assert_eq!(opts.max_requests_per_conn, Some(7));
+        let net = ServerOptions::parse(&[], &env).unwrap().server.net;
+        assert_eq!(net.idle_timeout, None, "0 disables");
+        assert_eq!(net.max_requests_per_conn, Some(7));
     }
 
     #[test]
     fn admission_limits_parse_with_zero_meaning_off() {
-        let opts = ServerOptions::parse(&[], &no_env).unwrap();
-        assert_eq!(opts.max_connections, usize::MAX);
-        assert_eq!(opts.max_total_bytes, usize::MAX);
-        let opts = ServerOptions::parse(
+        let net = ServerOptions::parse(&[], &no_env).unwrap().server.net;
+        assert_eq!(net.max_connections, usize::MAX);
+        assert_eq!(net.max_total_bytes, usize::MAX);
+        let net = ServerOptions::parse(
             &strings(&["--max-conns", "10000", "--max-bytes", "67108864"]),
             &no_env,
         )
-        .unwrap();
-        assert_eq!(opts.max_connections, 10_000);
-        assert_eq!(opts.max_total_bytes, 64 << 20);
-        let config = opts.server_config();
-        assert_eq!(config.max_connections, 10_000);
-        assert_eq!(config.max_total_bytes, 64 << 20);
+        .unwrap()
+        .server
+        .net;
+        assert_eq!(net.max_connections, 10_000);
+        assert_eq!(net.max_total_bytes, 64 << 20);
         let env = |name: &str| match name {
             "RP_KV_MAX_CONNS" => Some("0".to_string()),
             "RP_KV_MAX_BYTES" => Some("1024".to_string()),
             _ => None,
         };
-        let opts = ServerOptions::parse(&[], &env).unwrap();
-        assert_eq!(opts.max_connections, usize::MAX, "0 disables the wall");
-        assert_eq!(opts.max_total_bytes, 1024, "env beats default");
+        let net = ServerOptions::parse(&[], &env).unwrap().server.net;
+        assert_eq!(net.max_connections, usize::MAX, "0 disables the wall");
+        assert_eq!(net.max_total_bytes, 1024, "env beats default");
     }
 
     #[test]
@@ -402,6 +380,28 @@ mod tests {
         assert!(!opts.stats, "env beats default");
         let opts = ServerOptions::parse(&strings(&["--stats", "on"]), &env).unwrap();
         assert!(opts.stats, "flag beats env");
+        for (value, on) in [
+            ("ON", true),
+            ("1", true),
+            ("True", true),
+            ("yes", true),
+            ("Off", false),
+            ("0", false),
+            ("FALSE", false),
+            ("no", false),
+        ] {
+            let opts = ServerOptions::parse(&strings(&["--stats", value]), &no_env).unwrap();
+            assert_eq!(opts.stats, on, "--stats {value}");
+        }
+        // A typo is refused, not read as "on".
+        let refused = ServerOptions::parse(&strings(&["--stats", "offf"]), &no_env);
+        assert!(refused.unwrap_err().ends_with(USAGE));
+        let env = |name: &str| match name {
+            "RP_KV_STATS" => Some("of".to_string()),
+            _ => None,
+        };
+        let refused = ServerOptions::parse(&[], &env);
+        assert!(refused.unwrap_err().starts_with("bad stats value"));
     }
 
     #[test]
@@ -412,6 +412,8 @@ mod tests {
         assert!(gone.unwrap_err().starts_with("unknown flag"));
         assert!(ServerOptions::parse(&strings(&["--port"]), &no_env).is_err());
         assert!(ServerOptions::parse(&strings(&["--bogus", "1"]), &no_env).is_err());
+        assert!(ServerOptions::parse(&strings(&["--stats", "offf"]), &no_env).is_err());
+        assert!(ServerOptions::parse(&strings(&["--stats", ""]), &no_env).is_err());
         let usage = ServerOptions::parse(&strings(&["--help"]), &no_env).unwrap_err();
         assert!(usage.contains("--drain-timeout-ms"));
     }

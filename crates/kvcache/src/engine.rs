@@ -252,6 +252,10 @@ pub(crate) fn keep_smallest<T: Ord>(heap: &mut BinaryHeap<T>, count: usize, cand
 /// earliest lines only risk eviction before their request runs.
 pub const GROUP: usize = 16;
 
+/// The largest value either engine stores; a larger SET answers
+/// `NOT_STORED`. Memcached's default item size limit (its `-I 1m`).
+pub(crate) const MAX_ITEM_SIZE: usize = 1 << 20;
+
 /// A cache storage engine: the component the paper swaps out between stock
 /// memcached (global lock) and the relativistic patch.
 pub trait CacheEngine: Send + Sync {
@@ -796,9 +800,12 @@ mod tests {
     #[test]
     fn oversized_items_are_rejected() {
         for_every_engine_and_read_side(10_000, |engine, _ctx| {
-            let huge = vec![0_u8; (1 << 20) + 1];
+            let huge = vec![0_u8; MAX_ITEM_SIZE + 1];
             assert_eq!(engine.set("k", Item::new(0, huge)), StoreOutcome::NotStored);
             assert_eq!(engine.len(), 0);
+            let largest = vec![0_u8; MAX_ITEM_SIZE];
+            assert_eq!(engine.set("k", Item::new(0, largest)), StoreOutcome::Stored);
+            assert_eq!(engine.len(), 1);
         });
     }
 

@@ -28,7 +28,7 @@ use std::io;
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-use rp_net::{Action, ConnIo, EventLoop, NetConfig, NetStats, Service};
+use rp_net::{Action, ConnIo, EventLoop, NetStats, Service};
 
 use crate::engine::{CacheEngine, EngineReadCtx, ReadSide, GROUP};
 use crate::protocol::{Decoded, RefDecoder, RequestRef};
@@ -87,6 +87,13 @@ pub struct KvWorker {
 impl Service for KvService {
     type Conn = RefDecoder;
     type Worker = KvWorker;
+    // A peer shed at admission hears why, in protocol terms, instead of a
+    // bare close.
+    const SHED_REPLY: &'static [u8] = b"SERVER_ERROR busy\r\n";
+    // A connection whose handler panicked hears why too; the panic itself
+    // is contained by the reactor (the worker keeps serving) and only the
+    // poisoned connection is shed.
+    const PANIC_REPLY: &'static [u8] = b"SERVER_ERROR internal panic\r\n";
 
     fn on_worker_start(&self, worker: usize) -> KvWorker {
         // Runs on the worker thread, so the QSBR registration (when chosen)
@@ -251,25 +258,9 @@ impl EventServer {
         // starts its server here, so chaos runs need no code changes.
         rp_fault::arm_from_env();
         let read_side = config.read_side;
-        let net = NetConfig {
-            workers: config.workers.max(1),
-            drain_timeout: config.drain_timeout,
-            idle_timeout: config.idle_timeout,
-            max_requests_per_conn: config.max_requests_per_conn,
-            max_connections: config.max_connections,
-            max_total_bytes: config.max_total_bytes,
-            // A peer shed at admission hears why, in protocol terms,
-            // instead of a bare close.
-            shed_reply: b"SERVER_ERROR busy\r\n".to_vec(),
-            // A connection whose handler panicked hears why too; the panic
-            // itself is contained by the reactor (the worker keeps
-            // serving) and only the poisoned connection is shed.
-            panic_reply: b"SERVER_ERROR internal panic\r\n".to_vec(),
-            ..NetConfig::default()
-        };
         let service = Arc::new(KvService::new(Arc::clone(&engine), read_side));
         let addr: SocketAddr = ([127, 0, 0, 1], config.port).into();
-        let inner = EventLoop::bind(addr, service, net)?;
+        let inner = EventLoop::bind(addr, service, config.net.clone())?;
         Ok(EventServer {
             inner,
             engine,
@@ -314,7 +305,7 @@ impl EventServer {
 mod tests {
     use super::*;
     use crate::RpEngine;
-    use rp_net::{BufPool, VectoredWrite, WriteBuf};
+    use rp_net::{BufPool, VectoredWrite, WriteBuf, HIGH_WATERMARK};
 
     /// Collects what a flush writes.
     struct Wire(Vec<u8>);
@@ -339,7 +330,7 @@ mod tests {
             kv: Box::leak(Box::default()),
             ordinal: 0,
         };
-        let (mut out, mut pool) = (WriteBuf::new(1 << 20), BufPool::new(4, 1 << 16));
+        let (mut out, mut pool) = (WriteBuf::new(HIGH_WATERMARK), BufPool::new(4, 1 << 16));
         let mut io = ConnIo {
             input,
             out: out.with_pool(&mut pool),

@@ -5,7 +5,9 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::engine::{keep_smallest, CacheEngine, CacheStats, EngineReadCtx, StoreOutcome};
+use crate::engine::{
+    keep_smallest, CacheEngine, CacheStats, EngineReadCtx, StoreOutcome, MAX_ITEM_SIZE,
+};
 use crate::item::Item;
 
 /// Configuration shared by every engine.
@@ -13,17 +15,6 @@ use crate::item::Item;
 pub(crate) struct EngineConfig {
     /// Maximum number of items before eviction kicks in.
     pub(crate) capacity: usize,
-    /// Maximum payload size accepted for a single item.
-    pub(crate) max_item_size: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            capacity: 1 << 20,
-            max_item_size: 1 << 20,
-        }
-    }
 }
 
 impl EngineConfig {
@@ -96,7 +87,6 @@ impl LockEngine {
             }),
             config: EngineConfig {
                 capacity: capacity.max(1),
-                ..EngineConfig::default()
             },
             stats: CacheStats::default(),
         }
@@ -203,7 +193,7 @@ impl CacheEngine for LockEngine {
     }
 
     fn set(&self, key: &str, item: Item) -> StoreOutcome {
-        if item.len() > self.config.max_item_size {
+        if item.len() > MAX_ITEM_SIZE {
             return StoreOutcome::NotStored;
         }
         let mut inner = self.inner.lock();

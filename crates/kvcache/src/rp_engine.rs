@@ -11,7 +11,9 @@ use rp_hash::{FnvBuildHasher, ReadProtect, ResizePolicy, RpHashMap};
 use rp_rcu::NoGraceWait;
 
 use crate::audit::{self, SharedWrite};
-use crate::engine::{keep_smallest, CacheEngine, CacheStats, EngineReadCtx, StoreOutcome, GROUP};
+use crate::engine::{
+    keep_smallest, CacheEngine, CacheStats, EngineReadCtx, StoreOutcome, GROUP, MAX_ITEM_SIZE,
+};
 use crate::item::{Item, ItemKey, Payload};
 use crate::lock_engine::EngineConfig;
 
@@ -225,7 +227,6 @@ impl RpEngine {
             index: RpHashMap::with_buckets_hasher_and_policy(buckets, FnvBuildHasher, policy),
             config: EngineConfig {
                 capacity: capacity.max(1),
-                ..EngineConfig::default()
             },
             clock: AtomicU64::new(0),
             stats: CacheStats::default(),
@@ -466,7 +467,7 @@ impl CacheEngine for RpEngine {
     }
 
     fn set(&self, key: &str, item: Item) -> StoreOutcome {
-        if item.len() > self.config.max_item_size {
+        if item.len() > MAX_ITEM_SIZE {
             return StoreOutcome::NotStored;
         }
         // In probation, whatever segment an item it replaces was in.

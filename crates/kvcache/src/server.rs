@@ -4,9 +4,7 @@
 //! runs it on the `rp-net` epoll reactor); [`execute_ref`] turns one decoded
 //! request into reply bytes.
 
-use std::time::Duration;
-
-use rp_net::{BufWrite, COALESCE_LIMIT};
+use rp_net::{BufWrite, NetConfig, COALESCE_LIMIT};
 
 use crate::audit::{self, SharedWrite};
 use crate::engine::{CacheEngine, EngineReadCtx, ReadSide, StoreOutcome};
@@ -17,57 +15,29 @@ use crate::{Deadline, Item, Payload};
 /// Version string reported by the `version` command.
 pub const SERVER_VERSION: &str = "relativist-kvcache 0.1.0";
 
-/// How to run a cache server.
-#[derive(Debug, Clone)]
+/// How to run a cache server, read by
+/// [`EventServer::start`](crate::EventServer::start): it binds `port`,
+/// serves GETs through `read_side` and hands `net` to the reactor.
+#[derive(Debug, Clone, Default)]
 pub struct ServerConfig {
-    /// TCP port on 127.0.0.1 (0 picks a free port).
+    /// TCP port on 127.0.0.1 (0, the default, picks a free port).
     pub port: u16,
-    /// Reactor worker threads.
-    pub workers: usize,
     /// Read-side RCU flavor serving GETs. Defaults to QSBR: the pinned
     /// reactor workers announce a quiescent state per event batch and go
     /// offline while parked, making lookups entirely barrier-free.
     pub read_side: ReadSide,
-    /// How long a graceful shutdown keeps flushing responses.
-    pub drain_timeout: Duration,
-    /// Close connections that make no progress for this long (`None`
-    /// never reaps).
-    pub idle_timeout: Option<Duration>,
-    /// Close a connection after serving this many requests (`None` is
-    /// unlimited). A defensive per-peer budget for public deployments.
-    pub max_requests_per_conn: Option<u64>,
-    /// Admission wall: connections over this count are shed at accept with
-    /// a `SERVER_ERROR busy` reply (`usize::MAX` = unlimited).
-    pub max_connections: usize,
-    /// Global byte budget: once this many bytes sit in connection buffers
-    /// across all workers, new accepts are shed and slow-reader
-    /// connections stop being read until the level drains (`usize::MAX` =
-    /// unlimited).
-    pub max_total_bytes: usize,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            port: 0,
-            workers: 2,
-            read_side: ReadSide::default(),
-            drain_timeout: Duration::from_secs(5),
-            idle_timeout: None,
-            max_requests_per_conn: None,
-            max_connections: usize::MAX,
-            max_total_bytes: usize::MAX,
-        }
-    }
+    /// The reactor's settings: worker threads, the drain and idle
+    /// timeouts, the per-connection request budget and the admission
+    /// limits. A connection shed at admission hears `SERVER_ERROR busy`.
+    pub net: NetConfig,
 }
 
 impl ServerConfig {
     /// The defaults with `workers` reactor threads.
     pub fn event_loop(workers: usize) -> ServerConfig {
-        ServerConfig {
-            workers: workers.max(1),
-            ..ServerConfig::default()
-        }
+        let mut config = ServerConfig::default();
+        config.net.workers = workers;
+        config
     }
 
     /// Sets the read-side flavor.
@@ -362,6 +332,8 @@ pub(crate) fn execute_ref_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
     use crate::protocol::{Decoded, RefDecoder};
     use crate::{LockEngine, RpEngine};
 
@@ -399,7 +371,7 @@ mod tests {
                 serve(engine, b"delete k\r\ndelete k\r\n"),
                 b"DELETED\r\nNOT_FOUND\r\n"
             );
-            let huge = vec![b'x'; (1 << 20) + 1];
+            let huge = vec![b'x'; crate::engine::MAX_ITEM_SIZE + 1];
             let mut oversized = format!("set big 0 0 {}\r\n", huge.len()).into_bytes();
             oversized.extend_from_slice(&huge);
             oversized.extend_from_slice(b"\r\n");

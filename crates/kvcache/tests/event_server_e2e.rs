@@ -405,13 +405,10 @@ fn graceful_shutdown_answers_every_received_request() {
 
 #[test]
 fn idle_connections_are_reaped_while_live_ones_are_served() {
-    let config = ServerConfig {
-        // Generous timeout-to-ping ratio (16:1) so a scheduler stall on a
-        // loaded CI runner cannot reap the live connection and flake the
-        // test.
-        idle_timeout: Some(Duration::from_millis(800)),
-        ..ServerConfig::event_loop(2)
-    };
+    let mut config = ServerConfig::event_loop(2);
+    // Generous timeout-to-ping ratio (16:1) so a scheduler stall on a
+    // loaded CI runner cannot reap the live connection and flake the test.
+    config.net.idle_timeout = Some(Duration::from_millis(800));
     let mut server = EventServer::start(Arc::new(RpEngine::new()), &config).unwrap();
 
     let mut idle = TcpStream::connect(server.addr()).unwrap();
@@ -442,10 +439,8 @@ fn request_budget_answers_exactly_n_then_closes() {
     // is answered, already answered requests still flush, then the server
     // closes.
     for (budget, pipelined) in [(3, 5), (20, 32)] {
-        let config = ServerConfig {
-            max_requests_per_conn: Some(budget),
-            ..ServerConfig::event_loop(1)
-        };
+        let mut config = ServerConfig::event_loop(1);
+        config.net.max_requests_per_conn = Some(budget);
         let mut server = EventServer::start(Arc::new(RpEngine::new()), &config).unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         stream

@@ -38,11 +38,9 @@ fn process_threads() -> usize {
 #[test]
 fn a_thousand_connections_on_a_fixed_worker_pool() {
     let engine = Arc::new(RpEngine::with_capacity(1 << 20));
-    let config = ServerConfig {
-        drain_timeout: Duration::from_secs(10),
-        max_connections: CONNECTIONS + DRIVERS,
-        ..ServerConfig::event_loop(WORKERS)
-    };
+    let mut config = ServerConfig::event_loop(WORKERS);
+    config.net.drain_timeout = Duration::from_secs(10);
+    config.net.max_connections = CONNECTIONS + DRIVERS;
     let mut server = EventServer::start(engine, &config).expect("start server");
     assert_eq!(server.worker_count(), WORKERS);
 

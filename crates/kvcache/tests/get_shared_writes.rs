@@ -17,7 +17,7 @@ use std::sync::Arc;
 use rp_kvcache::audit::{self, SharedWrites};
 use rp_kvcache::protocol::RefDecoder;
 use rp_kvcache::{CacheEngine, Item, KvService, ReadSide, RpEngine};
-use rp_net::{Action, BufPool, ConnIo, Service, VectoredWrite, WriteBuf};
+use rp_net::{Action, BufPool, ConnIo, Service, VectoredWrite, WriteBuf, HIGH_WATERMARK};
 
 /// Pipelined requests per `on_data` call: four full decode groups.
 const PIPELINED: usize = 64;
@@ -40,7 +40,7 @@ fn serve(
     wire: &[u8],
 ) -> (Vec<u8>, SharedWrites) {
     let mut input = wire.to_vec();
-    let (mut out, mut pool) = (WriteBuf::new(1 << 20), BufPool::new(4, 1 << 16));
+    let (mut out, mut pool) = (WriteBuf::new(HIGH_WATERMARK), BufPool::new(4, 1 << 16));
     let mut io = ConnIo {
         input: &mut input,
         out: out.with_pool(&mut pool),

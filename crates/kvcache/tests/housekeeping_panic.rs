@@ -28,11 +28,7 @@ fn a_step_that_panics_in_a_set_sheds_one_connection_and_the_next_set_finishes_th
 
     // One table of 1024 buckets: it doubles past 2048 items.
     let engine = Arc::new(RpEngine::with_capacity(1 << 20));
-    let config = ServerConfig {
-        workers: 1,
-        read_side: ReadSide::Qsbr,
-        ..ServerConfig::default()
-    };
+    let config = ServerConfig::event_loop(1).with_read_side(ReadSide::Qsbr);
     let mut server = EventServer::start(engine.clone(), &config).expect("start");
     let obs = rp_obs::global();
     let shed_before = obs.net.conn_panics_total.get();

@@ -123,7 +123,7 @@ pub struct WriteBuf {
     cursor: usize,
     /// Total unwritten bytes across all segments.
     len: usize,
-    high_watermark: usize,
+    watermark: usize,
 }
 
 enum Segment {
@@ -150,14 +150,14 @@ pub const COALESCE_LIMIT: usize = 1024;
 const SEGMENT_SPLIT: usize = 32 * 1024;
 
 impl WriteBuf {
-    /// Creates an empty buffer. `high_watermark` is the queue size (bytes)
+    /// Creates an empty buffer. `watermark` is the queue size (bytes)
     /// above which [`WriteBuf::over_watermark`] reports backpressure.
-    pub fn new(high_watermark: usize) -> WriteBuf {
+    pub fn new(watermark: usize) -> WriteBuf {
         WriteBuf {
             segments: VecDeque::new(),
             cursor: 0,
             len: 0,
-            high_watermark: high_watermark.max(1),
+            watermark: watermark.max(1),
         }
     }
 
@@ -233,7 +233,7 @@ impl WriteBuf {
     /// stop reading (and thus stop producing responses) until the peer
     /// drains what it already owes us.
     pub fn over_watermark(&self) -> bool {
-        self.len > self.high_watermark
+        self.len > self.watermark
     }
 
     /// Writes as much queued data as the socket accepts, one segment per

@@ -10,8 +10,11 @@ use crate::budget::ByteBudget;
 use crate::buffer::{FdSink, FlushState, WriteBuf};
 use crate::poller::{EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::pool::BufPool;
-use crate::{Action, ConnIo, NetConfig, Service};
+use crate::{Action, ConnIo, NetConfig, Service, HIGH_WATERMARK};
 use rp_obs::FlushObs;
+
+/// Bytes read from one connection per readiness event, so no peer starves the rest.
+const READ_BUDGET: usize = 256 * 1024;
 
 /// Connection lifecycle.
 ///
@@ -81,12 +84,12 @@ pub(crate) struct Connection<S: Service> {
 }
 
 impl<S: Service> Connection<S> {
-    pub(crate) fn new(stream: TcpStream, state: S::Conn, config: &NetConfig) -> Self {
+    pub(crate) fn new(stream: TcpStream, state: S::Conn) -> Self {
         Connection {
             stream,
             state,
             input: Vec::new(),
-            out: WriteBuf::new(config.high_watermark),
+            out: WriteBuf::new(HIGH_WATERMARK),
             phase: ConnState::Open,
             registered: EPOLLIN | EPOLLRDHUP,
             served: 0,
@@ -175,7 +178,7 @@ impl<S: Service> Connection<S> {
             self.flush(pool, flushes, now);
             return self.settle(bytes);
         }
-        let mut budget = config.read_budget;
+        let mut budget = READ_BUDGET;
         while budget > 0 {
             if bytes.exhausted() {
                 // Global byte budget spent: pause this connection's reads
@@ -358,9 +361,7 @@ impl<S: Service> Connection<S> {
                 // the peer in protocol terms, and shed the connection —
                 // the worker keeps serving everyone else.
                 self.input.clear();
-                if !config.panic_reply.is_empty() {
-                    self.out.push(config.panic_reply.clone());
-                }
+                self.out.push(S::PANIC_REPLY.to_vec());
                 self.start_draining();
                 let obs = rp_obs::global();
                 obs.net.conn_panics_total.inc();

@@ -33,6 +33,9 @@
 //!   incremental reads, pipelined writes, graceful shutdown, and the
 //!   defensive limits a public-facing deployment needs ([`NetConfig`]'s
 //!   `idle_timeout` and `max_requests_per_conn`).
+//! * [`NetConfig`] — the six settings a deployment chooses; the sizing no
+//!   deployment varies is constants (such as [`HIGH_WATERMARK`]), and what
+//!   a shed peer hears is the [`Service`]'s ([`Service::SHED_REPLY`]).
 //! * [`EventLoop`] — N worker threads, each with its own poller and
 //!   connection table. All workers register the *single* listening socket
 //!   with `EPOLLEXCLUSIVE`, so the kernel shards accepts across workers
@@ -54,6 +57,8 @@
 //! impl Service for Shout {
 //!     type Conn = ();
 //!     type Worker = ();
+//!     // What a peer over `max_connections` hears before the close.
+//!     const SHED_REPLY: &'static [u8] = b"BUSY\n";
 //!     fn on_worker_start(&self, _worker: usize) {}
 //!     fn on_connect(&self, _peer: std::net::SocketAddr) {}
 //!     fn on_data(&self, _worker: &mut (), _conn: &mut (), io: &mut ConnIo<'_>) -> Action {
@@ -68,7 +73,7 @@
 //! let mut server = EventLoop::bind(
 //!     "127.0.0.1:0".parse().unwrap(),
 //!     Arc::new(Shout),
-//!     NetConfig::default(),
+//!     NetConfig { max_connections: 1024, ..NetConfig::default() },
 //! ).unwrap();
 //!
 //! use std::io::{Read, Write};
@@ -165,6 +170,14 @@ pub trait Service: Send + Sync + 'static {
     /// such as read-side registration handles; it never leaves the worker.
     type Worker: 'static;
 
+    /// Written, best effort, to a connection shed at admission, so the
+    /// peer sees *why* before the close. Empty (the default) sheds silently.
+    const SHED_REPLY: &'static [u8] = b"";
+
+    /// Queued toward a connection whose handler panicked, before it is
+    /// shed (the worker keeps serving). Empty (the default) says nothing.
+    const PANIC_REPLY: &'static [u8] = b"";
+
     /// Called once on each worker thread before its event loop starts.
     fn on_worker_start(&self, worker: usize) -> Self::Worker;
 
@@ -195,50 +208,19 @@ pub trait Service: Send + Sync + 'static {
     fn on_unpark(&self, _worker: &mut Self::Worker) {}
 }
 
-/// Reactor tuning knobs.
+/// The reactor settings a deployment chooses, read by [`EventLoop::bind`]
+/// and its workers; the fixed ones are constants, such as [`HIGH_WATERMARK`].
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Worker threads (and epoll instances). The server's entire thread
     /// budget — connections never get their own.
     pub workers: usize,
-    /// Per-`epoll_wait` event batch size.
-    pub events_per_wait: usize,
-    /// Bytes read per `read(2)` call.
-    pub read_chunk: usize,
-    /// Max bytes read from one connection per readiness event before other
-    /// connections get a turn (level-triggered epoll re-arms the rest).
-    pub read_budget: usize,
-    /// Output-queue size above which the reactor stops reading from the
-    /// connection until the peer drains its responses.
-    pub high_watermark: usize,
-    /// Maximum concurrent connections; accepts beyond it are shed (the
-    /// peer gets [`NetConfig::shed_reply`], then a close).
-    pub max_connections: usize,
-    /// Process-wide cap on bytes buffered across *all* connections (input
-    /// plus queued responses). At the cap, new accepts are shed and open
-    /// connections stop reading until the ledger drains below ⅞ of the
-    /// cap. `usize::MAX` (the default) disables the budget.
-    pub max_total_bytes: usize,
-    /// Best-effort bytes written to a connection shed at admission before
-    /// it is closed, so the peer sees *why* instead of a bare reset (e.g.
-    /// `SERVER_ERROR busy\r\n` for a memcache-flavored service). Empty
-    /// (the default) sheds silently.
-    pub shed_reply: Vec<u8>,
-    /// Queued toward a connection whose handler panicked, before the
-    /// connection is shed (the panic is contained: the worker keeps
-    /// serving its other connections). Empty (the default) sheds silently.
-    pub panic_reply: Vec<u8>,
     /// How long graceful shutdown keeps flushing queued responses before
     /// force-closing stragglers. Also the deadline for a *single*
     /// connection stuck in its drain during normal operation: a peer that
     /// never reads its final responses is force-closed once the flush has
     /// been pending this long.
     pub drain_timeout: Duration,
-    /// How long the listener stays disarmed after `accept()` returns
-    /// EMFILE/ENFILE (fd-table exhaustion). Without the backoff a
-    /// level-triggered listener would re-fire instantly and spin the
-    /// worker at 100% while accepting nothing.
-    pub accept_backoff: Duration,
     /// Close a connection that has made no progress (no bytes read from
     /// it, no response bytes flushed to it) for this long. `None` (the
     /// default) never reaps.
@@ -248,36 +230,33 @@ pub struct NetConfig {
     /// bounds what any single peer can extract from one accept, like
     /// HTTP's max keep-alive requests. `None` (the default) is unlimited.
     pub max_requests_per_conn: Option<u64>,
-    /// Per-worker buffer pool: at most this many recycled buffers are
-    /// retained (the cap that keeps thousands of idle connections from
-    /// pinning thousands of warm buffers).
-    pub pool_buffers: usize,
-    /// Per-buffer capacity cap for the pool; a buffer that grew beyond
-    /// this (one huge response) is dropped instead of pooled.
-    pub pool_buffer_capacity: usize,
+    /// Maximum concurrent connections; accepts beyond it are shed (the
+    /// peer gets [`Service::SHED_REPLY`], then a close).
+    pub max_connections: usize,
+    /// Process-wide cap on bytes buffered across *all* connections (input
+    /// plus queued responses). At the cap, new accepts are shed and open
+    /// connections stop reading until the ledger drains below ⅞ of the
+    /// cap. `usize::MAX` (the default) disables the budget.
+    pub max_total_bytes: usize,
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             workers: 2,
-            events_per_wait: 256,
-            read_chunk: 16 * 1024,
-            read_budget: 256 * 1024,
-            high_watermark: 1024 * 1024,
-            max_connections: usize::MAX,
-            max_total_bytes: usize::MAX,
-            shed_reply: Vec::new(),
-            panic_reply: Vec::new(),
             drain_timeout: Duration::from_secs(5),
-            accept_backoff: Duration::from_millis(50),
             idle_timeout: None,
             max_requests_per_conn: None,
-            pool_buffers: 64,
-            pool_buffer_capacity: 256 * 1024,
+            max_connections: usize::MAX,
+            max_total_bytes: usize::MAX,
         }
     }
 }
+
+/// Queued reply bytes past which a connection is not read until its peer
+/// drains them. The reactor's other fixed sizing — events per wait, read
+/// chunk and budget, buffer pool, accept backoff — is private to it.
+pub const HIGH_WATERMARK: usize = 1024 * 1024;
 
 #[cfg(test)]
 mod tests {
@@ -295,6 +274,7 @@ mod tests {
     impl Service for LineEcho {
         type Conn = ();
         type Worker = ();
+        const SHED_REPLY: &'static [u8] = b"BUSY\n";
         fn on_worker_start(&self, _worker: usize) {}
         fn on_connect(&self, _peer: SocketAddr) {
             self.connects.fetch_add(1, Ordering::Relaxed);
@@ -501,7 +481,6 @@ mod tests {
             NetConfig {
                 workers: 1,
                 max_connections: 2,
-                shed_reply: b"BUSY\n".to_vec(),
                 ..NetConfig::default()
             },
         )
@@ -538,14 +517,13 @@ mod tests {
             NetConfig {
                 workers: 1,
                 max_total_bytes: 8 * 1024,
-                shed_reply: b"BUSY\n".to_vec(),
-                // A watermark above the byte budget so the *global* ledger,
-                // not the per-connection limit, is what trips.
-                high_watermark: 1024 * 1024,
                 ..NetConfig::default()
             },
         )
         .unwrap();
+        // The watermark sits above the byte budget, so the *global*
+        // ledger, not the per-connection limit, is what trips.
+        const { assert!(HIGH_WATERMARK > 8 * 1024) };
 
         let mut hog = TcpStream::connect(server.addr()).unwrap();
         // Push newline-framed filler the client never reads until the

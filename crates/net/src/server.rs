@@ -31,6 +31,17 @@ const ENFILE: i32 = 23;
 /// `EMFILE`: the process's fd table is full.
 const EMFILE: i32 = 24;
 
+/// Events per `epoll_wait`: one wait sees a busy worker's whole ready set.
+const EVENTS_PER_WAIT: usize = 256;
+/// Bytes per `read(2)`, a worker's one scratch buffer: a deep pipeline in one call.
+const READ_CHUNK: usize = 16 * 1024;
+/// Buffers a worker's pool keeps, so idle connections pin no warm buffers.
+const POOL_BUFFERS: usize = 64;
+/// Largest buffer the pool takes back; one grown past it by a huge reply is freed.
+const POOL_BUFFER_CAPACITY: usize = 256 * 1024;
+/// Listener pause after EMFILE/ENFILE, or the level-triggered listener spins the worker.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
+
 fn min_timeout(current: Option<Duration>, candidate: Duration) -> Option<Duration> {
     Some(current.map_or(candidate, |c| c.min(candidate)))
 }
@@ -232,11 +243,11 @@ impl<S: Service> Worker<S> {
         config: NetConfig,
         wake: WakeReceiver,
     ) -> io::Result<Self> {
-        let poller = Poller::new(config.events_per_wait.max(8))?;
+        let poller = Poller::new(EVENTS_PER_WAIT)?;
         poller.add(wake.raw_fd(), EPOLLIN, TOKEN_WAKER)?;
         poller.add_exclusive(shared.listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
-        let scratch = vec![0_u8; config.read_chunk.max(512)];
-        let pool = BufPool::new(config.pool_buffers, config.pool_buffer_capacity);
+        let scratch = vec![0_u8; READ_CHUNK];
+        let pool = BufPool::new(POOL_BUFFERS, POOL_BUFFER_CAPACITY);
         Ok(Worker {
             idx,
             shared,
@@ -435,9 +446,9 @@ impl<S: Service> Worker<S> {
                         // blocking mode with an empty send buffer, so this
                         // small write cannot block; failures (peer already
                         // gone) are ignored.
-                        if !self.config.shed_reply.is_empty() {
+                        if !S::SHED_REPLY.is_empty() {
                             use std::io::Write;
-                            let _ = stream.write_all(&self.config.shed_reply);
+                            let _ = stream.write_all(S::SHED_REPLY);
                         }
                         drop(stream);
                         continue;
@@ -450,7 +461,7 @@ impl<S: Service> Worker<S> {
                         continue;
                     }
                     let state = self.service.on_connect(peer);
-                    let conn = Connection::<S>::new(stream, state, &self.config);
+                    let conn = Connection::<S>::new(stream, state);
                     let token = conn.fd() as u64;
                     if let Err(e) = self
                         .poller
@@ -490,7 +501,7 @@ impl<S: Service> Worker<S> {
     /// file descriptors, and retrying in a tight loop cannot fix that.
     fn pause_listener(&mut self, error: io::Error) {
         let _ = self.poller.delete(self.shared.listener.as_raw_fd());
-        self.listener_paused_until = Some(Instant::now() + self.config.accept_backoff);
+        self.listener_paused_until = Some(Instant::now() + ACCEPT_BACKOFF);
         self.shared.accept_backoffs.fetch_add(1, Ordering::Relaxed);
         let obs = rp_obs::global();
         obs.net.accept_backoffs_total.inc();

@@ -25,6 +25,7 @@ struct LineEcho;
 impl Service for LineEcho {
     type Conn = ();
     type Worker = ();
+    const PANIC_REPLY: &'static [u8] = b"SERVER_ERROR internal panic\r\n";
     fn on_worker_start(&self, _worker: usize) {}
     fn on_connect(&self, _peer: SocketAddr) {}
     fn on_data(&self, _worker: &mut (), _conn: &mut (), io: &mut ConnIo<'_>) -> Action {
@@ -77,7 +78,6 @@ fn injected_handler_panic_is_contained_and_counted() {
     quiet_injected_panics();
     let mut server = start(NetConfig {
         workers: 1,
-        panic_reply: b"SERVER_ERROR internal panic\r\n".to_vec(),
         ..NetConfig::default()
     });
     let panics_before = rp_obs::global().net.conn_panics_total.get();
@@ -216,7 +216,6 @@ fn emfile_on_accept_backs_the_listener_off_and_recovers() {
     let _serial = serial();
     let mut server = start(NetConfig {
         workers: 1,
-        accept_backoff: Duration::from_millis(20),
         ..NetConfig::default()
     });
     let backoffs_before = rp_obs::global().net.accept_backoffs_total.get();
@@ -251,35 +250,58 @@ fn emfile_on_accept_backs_the_listener_off_and_recovers() {
     server.shutdown();
 }
 
+/// Answers each `x` it reads with 64 KiB and closes at a `q`: a request
+/// of a few bytes queues megabytes of response in one `on_data` call.
+struct Amplify;
+
+impl Service for Amplify {
+    type Conn = ();
+    type Worker = ();
+    fn on_worker_start(&self, _worker: usize) {}
+    fn on_connect(&self, _peer: SocketAddr) {}
+    fn on_data(&self, _worker: &mut (), _conn: &mut (), io: &mut ConnIo<'_>) -> Action {
+        let reply = vec![b'y'; 64 << 10];
+        for byte in std::mem::take(io.input) {
+            io.requests += 1;
+            match byte {
+                b'x' => io.out.put(&reply),
+                b'q' => return Action::Close,
+                _ => {}
+            }
+        }
+        Action::Continue
+    }
+}
+
 #[test]
 fn stuck_peer_is_force_closed_at_the_drain_deadline() {
     // No failpoints needed: a peer that sends `quit` behind a large
-    // pipelined payload and then never reads leaves the connection
-    // Draining with a flush that cannot complete. `drain_timeout` must
-    // bound that state.
+    // request and then never reads leaves the connection Draining with a
+    // flush that cannot complete. `drain_timeout` must bound that state.
     let _serial = serial();
-    let mut server = start(NetConfig {
-        workers: 1,
-        drain_timeout: Duration::from_millis(300),
-        high_watermark: 64 * 1024 * 1024,
-        idle_timeout: None,
-        ..NetConfig::default()
-    });
+    let mut server = EventLoop::bind(
+        "127.0.0.1:0".parse().unwrap(),
+        std::sync::Arc::new(Amplify),
+        NetConfig {
+            workers: 1,
+            drain_timeout: Duration::from_millis(300),
+            idle_timeout: None,
+            ..NetConfig::default()
+        },
+    )
+    .expect("bind event loop");
     let expired_before = rp_obs::global().net.drains_expired_total.get();
 
     let mut stuck = TcpStream::connect(server.addr()).unwrap();
-    // ~8 MiB of echoed lines: far more than loopback socket buffers can
-    // absorb, so once `quit` flips the connection to Draining the rest of
-    // the response stays queued server-side forever (we never read).
-    let line = {
-        let mut l = vec![b'x'; 4095];
-        l.push(b'\n');
-        l
-    };
-    for _ in 0..2048 {
-        stuck.write_all(&line).unwrap();
-    }
-    stuck.write_all(b"quit\n").unwrap();
+    // 128 `x` and the `q` in one 129-byte segment: one read hands all of
+    // it to the service, which queues 8 MiB — far more than loopback
+    // socket buffers can absorb — and closes. The high watermark pauses
+    // only reads, and nothing is left to read, so the connection goes
+    // Draining with most of its response queued server-side forever (we
+    // never read).
+    let mut request = vec![b'x'; 128];
+    request.push(b'q');
+    stuck.write_all(&request).unwrap();
 
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
